@@ -1,7 +1,8 @@
-//! The experiment harness: regenerates every claim-level result in
-//! EXPERIMENTS.md (the paper has no tables/figures — its "evaluation" is
-//! its theorems, so each experiment measures one theorem's bound and
-//! guarantee on the simulator).
+//! The experiment harness: the output of
+//! `cargo run -p cc-bench --bin experiments` is every claim-level result
+//! (the paper has no tables/figures — its "evaluation" is its theorems,
+//! so each experiment measures one theorem's bound and guarantee on the
+//! simulator).
 //!
 //! Usage:
 //!
@@ -9,8 +10,7 @@
 //! cargo run --release -p cc-bench --bin experiments [all|e1|..|e12|oracle|build-direct|ablate-cost|ablate-filter|ablate-shortcut]
 //! ```
 //!
-//! Output is GitHub-flavoured markdown, pasted (with narrative) into
-//! EXPERIMENTS.md.
+//! Output is GitHub-flavoured markdown, one table per experiment.
 
 // Node-indexed loops over parallel per-node vectors are the domain idiom.
 #![allow(clippy::needless_range_loop)]

@@ -1,11 +1,11 @@
 //! # `cc-bench`: experiment and benchmark support
 //!
-//! Shared infrastructure for the `experiments` binary (which regenerates
-//! every claim-level table in EXPERIMENTS.md) and the Criterion wall-time
-//! benches. The paper's complexity measure is *rounds*, which the
-//! `experiments` binary reports; the Criterion benches additionally track
-//! the simulator's wall-time so performance regressions in this codebase
-//! itself are visible.
+//! Shared infrastructure for the `experiments` binary (whose output —
+//! `cargo run -p cc-bench --bin experiments` — is every claim-level
+//! table) and the Criterion wall-time benches. The paper's complexity
+//! measure is *rounds*, which the `experiments` binary reports; the
+//! Criterion benches additionally track the simulator's wall-time so
+//! performance regressions in this codebase itself are visible.
 //!
 //! Unsafe code is forbidden (`#![forbid(unsafe_code)]`), as across the
 //! whole workspace.

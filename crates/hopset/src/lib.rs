@@ -48,7 +48,8 @@ use cc_graph::Graph;
 /// ablation experiments: theory constants are astronomically conservative
 /// at benchmarkable `n`, and the experiments quantify how far `β` and the
 /// exploration radius can be cut while the measured stretch stays within
-/// `1 + ε` (see EXPERIMENTS.md, E7).
+/// `1 + ε` (experiment E7 in the output of
+/// `cargo run -p cc-bench --bin experiments`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopsetConfig {
     /// Target stretch `ε` (`0 < ε`); the hopset guarantees `(1+ε)`.

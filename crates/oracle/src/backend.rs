@@ -52,6 +52,7 @@
 use cc_matrix::Dist;
 
 use crate::cache::CacheStats;
+use crate::oracle::{check_pair, ArtifactSlice};
 use crate::shard::ShardRouter;
 use crate::{CachingOracle, DistanceOracle, OracleError};
 
@@ -144,9 +145,7 @@ pub trait QueryBackend: Send + Sync {
     fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
         let n = self.n();
         for &(u, v) in pairs {
-            if u >= n || v >= n {
-                return Err(OracleError::QueryOutOfRange { u, v, n });
-            }
+            check_pair(n, u, v)?;
         }
         pairs.iter().map(|&(u, v)| self.try_query(u, v)).collect()
     }
@@ -157,9 +156,27 @@ pub trait QueryBackend: Send + Sync {
     fn descriptor(&self) -> BackendDescriptor;
 }
 
+/// The one descriptor body: what a backend serving exactly `slice`
+/// reports. A router starts from its first slice and widens.
+fn describe(mode: &'static str, slice: &ArtifactSlice) -> BackendDescriptor {
+    BackendDescriptor {
+        mode,
+        n: slice.n(),
+        k: slice.k(),
+        epsilon: slice.epsilon(),
+        landmark_count: slice.landmarks().len(),
+        artifact_bytes: slice.artifact_bytes(),
+        stretch_bound: slice.stretch_bound(),
+        build_rounds: slice.build_rounds(),
+        seed: slice.seed(),
+        shards: Vec::new(),
+        cache: None,
+    }
+}
+
 impl QueryBackend for DistanceOracle {
     fn n(&self) -> usize {
-        DistanceOracle::n(self)
+        self.0.n()
     }
 
     fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
@@ -171,19 +188,7 @@ impl QueryBackend for DistanceOracle {
     }
 
     fn descriptor(&self) -> BackendDescriptor {
-        BackendDescriptor {
-            mode: "mono",
-            n: self.n(),
-            k: self.k(),
-            epsilon: self.epsilon(),
-            landmark_count: self.landmarks().len(),
-            artifact_bytes: self.artifact_bytes(),
-            stretch_bound: self.stretch_bound(),
-            build_rounds: self.build_rounds(),
-            seed: self.seed(),
-            shards: Vec::new(),
-            cache: None,
-        }
+        describe("mono", self)
     }
 }
 
@@ -201,36 +206,27 @@ impl QueryBackend for ShardRouter {
     }
 
     fn descriptor(&self) -> BackendDescriptor {
-        let first = &self.shards()[0];
-        // During a rolling rollout the slices may come from builds with
-        // different ε: report the **weakest** guarantee actually served,
-        // not shard 0's (for a uniform set they coincide).
-        let epsilon = self.shards().iter().map(|s| s.epsilon()).fold(f64::MIN, f64::max);
-        let stretch_bound =
-            self.shards().iter().map(|s| s.stretch_bound()).fold(f64::MIN, f64::max);
-        BackendDescriptor {
-            mode: "router",
-            n: self.n(),
-            k: first.k(),
-            epsilon,
-            landmark_count: first.landmarks().len(),
-            artifact_bytes: self.shards().iter().map(|s| s.artifact_bytes()).sum(),
-            stretch_bound,
-            build_rounds: first.build_rounds(),
-            seed: first.seed(),
-            shards: self
-                .shards()
-                .iter()
-                .map(|s| ShardDescriptor {
-                    index: s.index(),
-                    owned_start: s.owned().start,
-                    owned_len: s.owned().len(),
-                    artifact_bytes: s.artifact_bytes(),
-                    set_id: s.set_id(),
-                })
-                .collect(),
-            cache: None,
+        let shards = self.shards();
+        let mut desc = describe("router", &shards[0]);
+        for s in &shards[1..] {
+            // During a rolling rollout the slices may come from builds with
+            // different ε: report the **weakest** guarantee actually served,
+            // not shard 0's (for a uniform set they coincide).
+            desc.epsilon = desc.epsilon.max(s.epsilon());
+            desc.stretch_bound = desc.stretch_bound.max(s.stretch_bound());
+            desc.artifact_bytes += s.artifact_bytes();
         }
+        desc.shards = shards
+            .iter()
+            .map(|s| ShardDescriptor {
+                index: s.index(),
+                owned_start: s.owned().start,
+                owned_len: s.owned().len(),
+                artifact_bytes: s.artifact_bytes(),
+                set_id: s.set_id(),
+            })
+            .collect();
+        desc
     }
 }
 

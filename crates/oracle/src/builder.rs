@@ -10,6 +10,7 @@ use cc_matrix::AugDist;
 use cc_telemetry::BuildTrace;
 
 use crate::error::invalid;
+use crate::oracle::ArtifactSlice;
 use crate::{DistanceOracle, OracleError};
 
 /// The default ball size `⌈√(n·ln n)⌉` — balancing ball size against the
@@ -58,17 +59,18 @@ pub(crate) fn extract_artifact(
         nearest_landmark.push((idx as u32, aug.dist));
         balls.push(ball);
     }
-    DistanceOracle {
+    DistanceOracle(ArtifactSlice {
         n,
         k,
         epsilon,
         seed,
         build_rounds: 0,
         landmarks: landmark_ids,
+        start: 0,
         balls,
         nearest_landmark,
         columns,
-    }
+    })
 }
 
 /// Appends one phase span to `trace`, charging the round/message/word
@@ -230,7 +232,7 @@ impl OracleBuilder {
         }
         let mut oracle =
             extract_artifact(n, k, self.epsilon, self.seed, &near_rows, &landmarks, columns);
-        oracle.build_rounds = build_rounds;
+        oracle.0.build_rounds = build_rounds;
         close_span(&mut trace, "local_extraction", clique, &report, started);
         Ok((oracle, trace))
     }

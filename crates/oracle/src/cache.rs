@@ -245,11 +245,7 @@ impl<B: QueryBackend> CachingOracle<B> {
     }
 
     fn check_pair(&self, u: usize, v: usize) -> Result<(), OracleError> {
-        let n = self.backend.n();
-        if u >= n || v >= n {
-            return Err(OracleError::QueryOutOfRange { u, v, n });
-        }
-        Ok(())
+        crate::oracle::check_pair(self.backend.n(), u, v)
     }
 
     /// Cached query for serving layers: identical answers to the wrapped
@@ -465,14 +461,6 @@ impl<B: QueryBackend> CachingOracle<B> {
     }
 }
 
-impl CachingOracle<DistanceOracle> {
-    /// The wrapped artifact (alias of [`CachingOracle::inner`] for the
-    /// monolithic default).
-    pub fn oracle(&self) -> &DistanceOracle {
-        &self.backend
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,7 +487,7 @@ mod tests {
             for v in 0..32 {
                 assert_eq!(
                     c.try_query(u, v).unwrap(),
-                    c.oracle().try_query(u, v).unwrap(),
+                    c.inner().try_query(u, v).unwrap(),
                     "({u},{v})"
                 );
             }
@@ -507,7 +495,7 @@ mod tests {
         let before = c.stats();
         for u in 0..32 {
             for v in 0..u {
-                assert_eq!(c.try_query(u, v).unwrap(), c.oracle().try_query(u, v).unwrap());
+                assert_eq!(c.try_query(u, v).unwrap(), c.inner().try_query(u, v).unwrap());
             }
         }
         let after = c.stats();
@@ -546,7 +534,7 @@ mod tests {
     fn zero_capacity_disables_caching_but_keeps_accounting() {
         let c = cached(16, 0);
         for _ in 0..3 {
-            assert_eq!(c.try_query(0, 1).unwrap(), c.oracle().try_query(0, 1).unwrap());
+            assert_eq!(c.try_query(0, 1).unwrap(), c.inner().try_query(0, 1).unwrap());
         }
         let stats = c.stats();
         assert_eq!((stats.hits, stats.misses), (0, 3), "pass-through counts misses only");
@@ -624,7 +612,7 @@ mod tests {
         let stats = c.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
         // ...and the cache still serves normally afterwards.
-        assert_eq!(c.try_query(0, 1).unwrap(), c.oracle().try_query(0, 1).unwrap());
+        assert_eq!(c.try_query(0, 1).unwrap(), c.inner().try_query(0, 1).unwrap());
     }
 
     #[test]
@@ -633,7 +621,7 @@ mod tests {
         let pairs: Vec<(usize, usize)> = (0..4096).map(|i| (i % 32, (i * 17 + 3) % 32)).collect();
         let batch = c.try_query_batch(&pairs).unwrap();
         for (i, &(u, v)) in pairs.iter().enumerate() {
-            assert_eq!(batch[i], c.oracle().try_query(u, v).unwrap());
+            assert_eq!(batch[i], c.inner().try_query(u, v).unwrap());
         }
         let stats = c.stats();
         assert_eq!(stats.hits + stats.misses, 4096);
@@ -687,7 +675,7 @@ mod tests {
         // Replay into a fresh cache over the same artifact: the warmed
         // pairs hit without ever missing, and warm-up itself counted
         // neither hits nor misses.
-        let fresh = CachingOracle::new(c.oracle().clone(), 2048);
+        let fresh = CachingOracle::new(c.inner().clone(), 2048);
         let warmed = fresh.warm(&keys);
         assert_eq!(warmed, keys.len());
         assert_eq!(fresh.stats().hits, 0);

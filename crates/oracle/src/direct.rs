@@ -60,6 +60,7 @@ use cc_telemetry::BuildTrace;
 
 use crate::builder::{default_k, extract_artifact};
 use crate::error::invalid;
+use crate::oracle::ArtifactSlice;
 use crate::{DistanceOracle, OracleError};
 
 /// Order-preserving parallel map: `out[i] = f(i)` for `i in 0..count`,
@@ -532,17 +533,18 @@ impl DirectBuilder {
                     ball.sort_unstable_by_key(|&(id, _)| id);
                     balls.push(ball);
                 }
-                Ok(DistanceOracle {
+                Ok(DistanceOracle(ArtifactSlice {
                     n,
                     k,
                     epsilon: self.epsilon,
                     seed: self.seed,
                     build_rounds: 0,
                     landmarks: landmark_ids.clone(),
+                    start: 0,
                     balls,
                     nearest_landmark,
                     columns,
-                })
+                }))
             })?;
         Ok(result)
     }

@@ -10,7 +10,11 @@
 //!   selection (Lemma 4), and MSSP distance columns from the landmark set
 //!   (Theorem 3) — into an immutable [`DistanceOracle`] artifact. This is a
 //!   Thorup–Zwick-style sketch: per-node exact balls plus approximate
-//!   landmark columns.
+//!   landmark columns. The artifact has **one definition**,
+//!   [`ArtifactSlice`] — the rows of a contiguous node range plus the
+//!   replicated landmark list and column matrix: a [`DistanceOracle`] is
+//!   the `0..n` slice, an [`OracleShard`] any other slot, and both are
+//!   written and read by one codec ([`serde`]).
 //! * [`DirectBuilder`] computes the **same artifact without the clique**:
 //!   plain (optionally multithreaded) graph algorithms over the same
 //!   schedules, byte-identical to the clique build by construction and
@@ -47,9 +51,10 @@
 //!   landmark columns — and [`shard::ShardRouter`] answers queries over the
 //!   set **bit-identically to the monolith** by combining one
 //!   [`shard::HalfQuery`] per endpoint. Per-shard snapshots
-//!   ([`serde::to_shard_bytes`]) carry shard index/count and a shared set
-//!   id, so a router tier (a sharded-manifest `cc-serve`) can load, verify, and
-//!   hot-swap each slice independently. See `docs/SHARDING.md`.
+//!   ([`serde::to_shard_bytes`]) are the same file plus a [`ShardSlot`] —
+//!   shard index/count and a shared set id — so a router tier (a
+//!   sharded-manifest `cc-serve`) can load, verify, and hot-swap each
+//!   slice independently. See `docs/SHARDING.md`.
 //!
 //! # Stretch guarantee
 //!
@@ -150,5 +155,5 @@ pub use builder::OracleBuilder;
 pub use cache::{CacheStats, CachingOracle};
 pub use direct::DirectBuilder;
 pub use error::OracleError;
-pub use oracle::{DistanceOracle, MAX_FINITE_DISTANCE};
-pub use shard::{OracleShard, ShardPlan, ShardRouter, ShardedArtifact};
+pub use oracle::{ArtifactSlice, DistanceOracle, MAX_FINITE_DISTANCE};
+pub use shard::{OracleShard, ShardPlan, ShardRouter, ShardSlot, ShardedArtifact};

@@ -1,4 +1,8 @@
-//! The immutable query-phase artifact.
+//! The immutable query-phase artifact, defined **once** ([`ArtifactSlice`]):
+//! storage, accessors, the footprint formula and the two row primitives
+//! every query is built from live here and nowhere else.
+
+use std::ops::{Deref, Range};
 
 use cc_matrix::Dist;
 
@@ -9,50 +13,57 @@ use crate::OracleError;
 /// is clamped here instead of masquerading as `Dist::INF`.
 pub const MAX_FINITE_DISTANCE: u64 = u64::MAX - 1;
 
-/// A build-once / query-many distance oracle: per-node exact `k`-nearest
-/// balls, a landmark set hitting every ball, and `(1+ε)`-approximate
-/// distance columns from every node to every landmark.
+/// Rows `start..start+len` of an `n`-node build — the per-node state (exact
+/// `k`-nearest balls, nearest-landmark rows) of a contiguous node range —
+/// plus the state every range needs in full: the landmark list and the
+/// `(1+ε)`-approximate `n × s` landmark column matrix.
 ///
-/// The artifact is purely local and immutable: every query method takes
-/// `&self`, performs no clique communication, and is safe to call from many
-/// threads at once. See the crate docs for the stretch guarantee.
+/// Reached only through the two type-enforcing wrappers that deref to it:
+/// [`DistanceOracle`] (the slice is `0..n`, slot 0 of a 1-shard plan, so
+/// any pair can be answered) and [`crate::OracleShard`] (the slice is one
+/// slot of a [`crate::ShardPlan`], so only half-queries for owned nodes
+/// can).
 #[derive(Debug, Clone, PartialEq)]
-pub struct DistanceOracle {
+pub struct ArtifactSlice {
     pub(crate) n: usize,
     pub(crate) k: usize,
     pub(crate) epsilon: f64,
     pub(crate) seed: u64,
     pub(crate) build_rounds: u64,
-    /// Landmark node ids, ascending.
+    /// Replicated: landmark node ids, ascending.
     pub(crate) landmarks: Vec<u32>,
-    /// Per node: the exact `k`-nearest ball as `(node, distance)` sorted by
-    /// node id (for `O(log k)` membership tests).
+    /// First node whose rows this slice holds; `0` for a whole artifact.
+    pub(crate) start: usize,
+    /// Per owned node (indexed by `node - start`): the exact `k`-nearest
+    /// ball as `(node, distance)` sorted by node id (for `O(log k)`
+    /// membership tests).
     pub(crate) balls: Vec<Vec<(u32, u64)>>,
-    /// Per node: `(index into landmarks, exact distance)` of its nearest
-    /// landmark `p(v)`.
+    /// Per owned node (indexed by `node - start`): `(index into landmarks,
+    /// exact distance)` of its nearest landmark `p(v)`.
     pub(crate) nearest_landmark: Vec<(u32, u64)>,
-    /// Row-major `n × landmarks.len()` matrix of `(1+ε)`-approximate
-    /// distances to each landmark; `u64::MAX` encodes unreachable.
+    /// Replicated: row-major `n × landmarks.len()` matrix of
+    /// `(1+ε)`-approximate distances to each landmark; `u64::MAX` encodes
+    /// unreachable.
     pub(crate) columns: Vec<u64>,
 }
 
-impl DistanceOracle {
-    /// Number of nodes the oracle covers.
+impl ArtifactSlice {
+    /// Number of nodes the **whole build** covers (not just the owned rows).
     pub fn n(&self) -> usize {
         self.n
     }
 
-    /// The ball-size parameter `k` the oracle was built with.
+    /// The ball-size parameter `k` the artifact was built with.
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// The MSSP accuracy parameter `ε` the oracle was built with.
+    /// The MSSP accuracy parameter `ε` the artifact was built with.
     pub fn epsilon(&self) -> f64 {
         self.epsilon
     }
 
-    /// The landmark-selection seed the oracle was built with.
+    /// The landmark-selection seed the artifact was built with.
     pub fn seed(&self) -> u64 {
         self.seed
     }
@@ -74,8 +85,14 @@ impl DistanceOracle {
         3.0 * (1.0 + self.epsilon)
     }
 
-    /// Heap footprint of the artifact in bytes (balls + columns +
-    /// landmarks), for capacity planning.
+    /// The contiguous node range whose rows this slice holds: `0..n` for a
+    /// [`DistanceOracle`], the plan-assigned range for a shard.
+    pub fn owned(&self) -> Range<usize> {
+        self.start..self.start + self.balls.len()
+    }
+
+    /// Heap footprint in bytes (owned balls + nearest-landmark rows, plus
+    /// the replicated landmarks and columns), for capacity planning.
     pub fn artifact_bytes(&self) -> usize {
         let ball_entries: usize = self.balls.iter().map(Vec::len).sum();
         ball_entries * std::mem::size_of::<(u32, u64)>()
@@ -84,20 +101,77 @@ impl DistanceOracle {
             + self.nearest_landmark.len() * std::mem::size_of::<(u32, u64)>()
     }
 
-    /// Exact distance to `v` if it lies in `u`'s ball.
-    fn ball_distance(&self, u: usize, v: usize) -> Option<u64> {
-        let ball = &self.balls[u];
-        ball.binary_search_by_key(&(v as u32), |&(id, _)| id).ok().map(|i| ball[i].1)
+    /// Row primitive 1: the exact distance to `far` if it lies in the ball
+    /// of the owned node `near`.
+    #[inline]
+    pub(crate) fn ball_distance(&self, near: usize, far: usize) -> Option<u64> {
+        let ball = &self.balls[near - self.start];
+        ball.binary_search_by_key(&(far as u32), |&(id, _)| id).ok().map(|i| ball[i].1)
     }
 
-    /// Approximate distance from `v` to landmark column `idx`.
-    fn column(&self, v: usize, idx: usize) -> u64 {
-        self.columns[v * self.landmarks.len() + idx]
+    /// Row primitive 2: the landmark-regime candidate
+    /// `d(near, p(near)) + d̃(p(near), far)` for the owned node `near`;
+    /// `None` when `far` is unreachable from `near`'s nearest landmark.
+    #[inline]
+    pub(crate) fn via_landmark(&self, near: usize, far: usize) -> Option<u64> {
+        let (idx, to_landmark) = self.nearest_landmark[near - self.start];
+        let col = self.columns[far * self.landmarks.len() + idx as usize];
+        // The pair is connected through this landmark, so the candidate
+        // must stay finite: a sum that reaches the u64::MAX sentinel (or
+        // overflows past it) is clamped to the largest finite value rather
+        // than being misreported as "disconnected".
+        (col != u64::MAX).then(|| {
+            to_landmark.checked_add(col).map_or(MAX_FINITE_DISTANCE, |s| s.min(MAX_FINITE_DISTANCE))
+        })
     }
+}
 
+/// The smaller of the two landmark candidates of a pair (both are sound,
+/// so the minimum is); [`Dist::INF`] when neither endpoint's nearest
+/// landmark reaches the other endpoint.
+#[inline]
+pub(crate) fn nearer_landmark(a: Option<u64>, b: Option<u64>) -> Dist {
+    match (a, b) {
+        (Some(a), Some(b)) => Dist::fin(a.min(b)),
+        (Some(d), None) | (None, Some(d)) => Dist::fin(d),
+        (None, None) => Dist::INF,
+    }
+}
+
+/// The range check every query tier runs at its edge.
+#[inline]
+pub(crate) fn check_pair(n: usize, u: usize, v: usize) -> Result<(), OracleError> {
+    if u >= n || v >= n {
+        return Err(OracleError::QueryOutOfRange { u, v, n });
+    }
+    Ok(())
+}
+
+/// A build-once / query-many distance oracle: per-node exact `k`-nearest
+/// balls, a landmark set hitting every ball, and `(1+ε)`-approximate
+/// distance columns from every node to every landmark — the
+/// [`ArtifactSlice`] covering all of `0..n`, to which it derefs for the
+/// build parameters ([`ArtifactSlice::n`], [`ArtifactSlice::stretch_bound`],
+/// [`ArtifactSlice::artifact_bytes`], …).
+///
+/// The artifact is purely local and immutable: every query method takes
+/// `&self`, performs no clique communication, and is safe to call from many
+/// threads at once. See the crate docs for the stretch guarantee.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistanceOracle(pub(crate) ArtifactSlice);
+
+impl Deref for DistanceOracle {
+    type Target = ArtifactSlice;
+
+    fn deref(&self) -> &ArtifactSlice {
+        &self.0
+    }
+}
+
+impl DistanceOracle {
     /// Distance estimate for the pair `(u, v)`: zero communication,
     /// `O(log k)` time, never an underestimate, exact inside the balls and
-    /// within [`DistanceOracle::stretch_bound`] otherwise.
+    /// within [`ArtifactSlice::stretch_bound`] otherwise.
     /// [`Dist::INF`] for disconnected pairs; finite answers are clamped to
     /// [`MAX_FINITE_DISTANCE`] so a saturating landmark sum is never
     /// reported as disconnected. (The clamp is the one exception to
@@ -137,18 +211,26 @@ impl DistanceOracle {
     ///
     /// [`OracleError::QueryOutOfRange`] if `u` or `v` is not in `0..n`.
     pub fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
-        self.check_pair(u, v)?;
+        check_pair(self.n, u, v)?;
         Ok(self.query_unchecked(u, v))
     }
 
-    pub(crate) fn check_pair(&self, u: usize, v: usize) -> Result<(), OracleError> {
-        if u >= self.n || v >= self.n {
-            return Err(OracleError::QueryOutOfRange { u, v, n: self.n });
+    /// The rows of `range` as a slice of their own, with the replicated
+    /// state copied along: what partitioning cuts a shard from.
+    pub(crate) fn restrict(&self, range: Range<usize>) -> ArtifactSlice {
+        ArtifactSlice {
+            landmarks: self.landmarks.clone(),
+            start: range.start,
+            balls: self.balls[range.clone()].to_vec(),
+            nearest_landmark: self.nearest_landmark[range].to_vec(),
+            columns: self.columns.clone(),
+            ..self.0
         }
-        Ok(())
     }
 
-    /// The query kernel; callers must have validated `u, v < n`.
+    /// The query kernel; callers must have validated `u, v < n`. The same
+    /// two row primitives as [`crate::OracleShard::half_query`], evaluated
+    /// lazily: the landmark columns are only touched when both balls miss.
     pub(crate) fn query_unchecked(&self, u: usize, v: usize) -> Dist {
         if u == v {
             return Dist::ZERO;
@@ -162,26 +244,7 @@ impl DistanceOracle {
         }
         // Landmark regime: route through the nearest landmark of either
         // endpoint, whichever gives the smaller (still sound) estimate.
-        let mut best = u64::MAX;
-        for (near, far) in [(u, v), (v, u)] {
-            let (idx, to_landmark) = self.nearest_landmark[near];
-            let col = self.column(far, idx as usize);
-            if col != u64::MAX {
-                // The pair is connected through this landmark, so the answer
-                // must stay finite: a sum that reaches the u64::MAX sentinel
-                // (or overflows past it) is clamped to the largest finite
-                // value rather than being misreported as "disconnected".
-                let via = to_landmark
-                    .checked_add(col)
-                    .map_or(MAX_FINITE_DISTANCE, |s| s.min(MAX_FINITE_DISTANCE));
-                best = best.min(via);
-            }
-        }
-        if best == u64::MAX {
-            Dist::INF
-        } else {
-            Dist::fin(best)
-        }
+        nearer_landmark(self.via_landmark(u, v), self.via_landmark(v, u))
     }
 
     /// Answers a batch of queries, sharding the work across available CPU
@@ -199,17 +262,12 @@ impl DistanceOracle {
     /// [`OracleError::QueryOutOfRange`] naming the first offending pair.
     pub fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
         for &(u, v) in pairs {
-            self.check_pair(u, v)?;
+            check_pair(self.n, u, v)?;
         }
-        Ok(self.batch_unchecked(pairs))
-    }
-
-    /// The batch kernel; callers must have validated every pair.
-    fn batch_unchecked(&self, pairs: &[(usize, usize)]) -> Vec<Dist> {
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         // Small batches are not worth the spawn cost.
         if threads <= 1 || pairs.len() < 1024 {
-            return pairs.iter().map(|&(u, v)| self.query_unchecked(u, v)).collect();
+            return Ok(pairs.iter().map(|&(u, v)| self.query_unchecked(u, v)).collect());
         }
         let shard = pairs.len().div_ceil(threads);
         let mut out = vec![Dist::INF; pairs.len()];
@@ -222,7 +280,7 @@ impl DistanceOracle {
                 });
             }
         });
-        out
+        Ok(out)
     }
 }
 
@@ -333,17 +391,18 @@ mod tests {
     /// node 1 the only landmark: the only route for `(0, 2)` is
     /// `w01 + w12`.
     fn near_max_path_oracle(w01: u64, w12: u64) -> DistanceOracle {
-        DistanceOracle {
+        DistanceOracle(ArtifactSlice {
             n: 3,
             k: 1,
             epsilon: 0.25,
             seed: 0,
             build_rounds: 0,
             landmarks: vec![1],
+            start: 0,
             balls: vec![vec![(0, 0)], vec![(1, 0)], vec![(2, 0)]],
             nearest_landmark: vec![(0, w01), (0, 0), (0, w12)],
             columns: vec![w01, 0, w12],
-        }
+        })
     }
 
     #[test]
@@ -369,9 +428,9 @@ mod tests {
         assert_eq!(oracle.try_query(0, 2).unwrap(), Dist::fin(super::MAX_FINITE_DISTANCE));
         // A genuinely disconnected artifact still reports infinity.
         let mut disconnected = near_max_path_oracle(5, 7);
-        disconnected.columns = vec![u64::MAX, 0, u64::MAX];
-        disconnected.nearest_landmark[0].1 = 0;
-        disconnected.nearest_landmark[2].1 = 0;
+        disconnected.0.columns = vec![u64::MAX, 0, u64::MAX];
+        disconnected.0.nearest_landmark[0].1 = 0;
+        disconnected.0.nearest_landmark[2].1 = 0;
         assert_eq!(disconnected.try_query(0, 2).unwrap(), Dist::INF);
     }
 }

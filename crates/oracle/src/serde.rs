@@ -27,11 +27,14 @@
 //! out-of-range indices, ∞-sentinel distances) the format always had.
 //!
 //! **Per-shard snapshots** (one slice of a [`crate::shard::ShardedArtifact`])
-//! share the layout but open with magic `b"CCSH"` and a 96-byte header:
-//! the v2 fields plus shard index, shard count, and the parent artifact's
-//! set id, with the checksum covering those shard fields *and* the payload
-//! (so a flipped shard index can never slip through). [`to_shard_bytes`] /
-//! [`from_shard_bytes`] read and write them; [`from_bytes`] refuses a
+//! are the same file with three differences, and go through the same
+//! writer and parser: the magic is `b"CCSH"`; 16 shard-field bytes (index
+//! `u32`, count `u32`, set id `u64` — a [`ShardSlot`]) sit at offset 80,
+//! between the fixed fields and the payload; and the per-node sections hold
+//! only the owned rows. The checksum covers every byte after the fixed 80
+//! — for a shard that is the shard fields *and* the payload, so a flipped
+//! shard index can never slip through. [`to_shard_bytes`] /
+//! [`from_shard_bytes`] are the entry points; [`from_bytes`] refuses a
 //! shard file with [`OracleError::ShardSnapshot`] rather than serving a
 //! slice as a whole artifact.
 //!
@@ -44,7 +47,8 @@
 use cc_matrix::Dist;
 
 use crate::error::corrupt;
-use crate::shard::{OracleShard, ShardPlan};
+use crate::oracle::ArtifactSlice;
+use crate::shard::{OracleShard, ShardPlan, ShardSlot};
 use crate::{DistanceOracle, OracleError};
 
 /// Magic bytes opening a versioned (v2+) snapshot.
@@ -59,109 +63,79 @@ pub const SHARD_MAGIC: &[u8; 4] = b"CCSH";
 /// Size of the fixed per-shard header in bytes: the 80-byte v2 header plus
 /// shard index (`u32`), shard count (`u32`), and set id (`u64`).
 pub const SHARD_HEADER_LEN: usize = 96;
-/// Offset where the shard-specific header fields (and the region the shard
-/// checksum covers) begin.
-const SHARD_FIELDS_AT: usize = 80;
 
 /// Magic bytes of the removed legacy (v1) format, recognized only to
 /// reject it with a precise error.
 const LEGACY_MAGIC: &[u8; 4] = b"CCO1";
 
-/// The parsed, validated header of a versioned snapshot: everything an
-/// operator (or a serving tier deciding whether to hot-swap) needs to know
-/// about an artifact **without** deserializing the payload.
+/// The parsed, validated header of a versioned snapshot — monolithic or
+/// per-shard: everything an operator (or a serving tier deciding whether to
+/// hot-swap) needs to know about an artifact **without** deserializing the
+/// payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotHeader {
     /// Snapshot format version (currently [`SNAPSHOT_VERSION`]).
     pub version: u32,
-    /// Number of nodes the artifact covers.
+    /// Number of nodes the artifact covers (for a shard: the **parent
+    /// artifact**, not just this slice).
     pub n: usize,
     /// Ball-size parameter `k` of the build.
     pub k: usize,
     /// MSSP accuracy parameter `ε` of the build.
     pub epsilon: f64,
-    /// Number of landmarks.
+    /// Number of landmarks (replicated into every shard).
     pub landmarks: usize,
     /// Landmark-selection seed of the build.
     pub seed: u64,
     /// Clique rounds the build charged.
     pub build_rounds: u64,
     /// Unix timestamp (seconds) when the snapshot was written; `0` when
-    /// unknown (e.g. a header synthesized for an in-process build).
+    /// unknown.
     pub created_unix_secs: u64,
     /// Length of the payload in bytes.
     pub payload_len: u64,
-    /// FNV-1a 64 checksum of the payload bytes.
+    /// FNV-1a 64 checksum of every byte after the fixed 80: the payload,
+    /// preceded in a per-shard snapshot by the shard fields (so a flipped
+    /// shard index or set id is caught like any payload corruption).
     pub checksum: u64,
+    /// The shard fields of a per-shard (`CCSH`) snapshot — which slice of
+    /// which set this file is; `None` for a monolithic (`CCOS`) one.
+    pub shard: Option<ShardSlot>,
 }
 
 impl SnapshotHeader {
-    /// The artifact's build id: the payload checksum rendered as 16 hex
-    /// digits. Two snapshots of the same built oracle share a build id no
-    /// matter when they were written; any payload difference changes it.
+    /// The file's build id: its checksum rendered as 16 hex digits. Two
+    /// snapshots of the same built oracle share a build id no matter when
+    /// they were written; any payload difference changes it. Distinct per
+    /// shard (each carries a different slice); use
+    /// [`SnapshotHeader::set_build_id`] for the identity a whole set shares.
     pub fn build_id(&self) -> String {
         format!("{:016x}", self.checksum)
     }
-}
 
-/// The parsed, validated header of a **per-shard** snapshot: everything in
-/// [`SnapshotHeader`] plus which slice of which set this file is.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardHeader {
-    /// Snapshot format version (currently [`SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// Number of nodes the **parent artifact** covers (not just this shard).
-    pub n: usize,
-    /// Ball-size parameter `k` of the parent build.
-    pub k: usize,
-    /// MSSP accuracy parameter `ε` of the parent build.
-    pub epsilon: f64,
-    /// Number of landmarks (replicated into every shard).
-    pub landmarks: usize,
-    /// Landmark-selection seed of the parent build.
-    pub seed: u64,
-    /// Clique rounds the parent build charged.
-    pub build_rounds: u64,
-    /// Unix timestamp (seconds) when the shard snapshot was written; `0`
-    /// when unknown.
-    pub created_unix_secs: u64,
-    /// Length of the payload in bytes.
-    pub payload_len: u64,
-    /// FNV-1a 64 checksum of the shard fields **and** the payload (every
-    /// byte after the checksum field itself), so a flipped shard index or
-    /// set id is caught like any payload corruption.
-    pub checksum: u64,
-    /// This shard's index within its set.
-    pub shard_index: u32,
-    /// Total shards in the set.
-    pub shard_count: u32,
-    /// Identity of the parent artifact: its monolithic payload checksum
-    /// ([`payload_checksum`]), shared by every shard of one set.
-    pub set_id: u64,
-}
-
-impl ShardHeader {
-    /// This shard file's build id: its checksum as 16 hex digits. Distinct
-    /// per shard (each carries a different slice); use
-    /// [`ShardHeader::set_build_id`] for the identity the whole set shares.
-    pub fn build_id(&self) -> String {
-        format!("{:016x}", self.checksum)
+    /// The slot this file fills: the shard fields it carries, or — a
+    /// monolith being the whole of a 1-shard plan — slot 0 of 1 with its
+    /// own payload checksum as the set id.
+    pub fn slot(&self) -> ShardSlot {
+        self.shard.unwrap_or(ShardSlot { index: 0, count: 1, set_id: self.checksum })
     }
 
     /// The parent artifact's build id as 16 hex digits — equal across all
     /// shards of one set, and equal to the monolithic snapshot's build id.
     pub fn set_build_id(&self) -> String {
-        format!("{:016x}", self.set_id)
+        format!("{:016x}", self.slot().set_id)
     }
 
-    /// The node range this shard owns under the recomputed [`ShardPlan`].
+    /// The node range whose rows the payload holds: `0..n` for a monolith,
+    /// the range the recomputed [`ShardPlan`] assigns for a shard.
     pub fn owned(&self) -> std::ops::Range<usize> {
-        // n/shard_count were validated at parse time, so the plan cannot
-        // fail to rebuild; the empty range is the unreachable fallback
-        // (downstream owned-range checks reject it with an error, which
-        // beats panicking mid-reload).
-        ShardPlan::new(self.n, self.shard_count as usize)
-            .map_or(0..0, |plan| plan.range(self.shard_index as usize))
+        // n/count/index were validated at parse time, so the plan only
+        // fails to rebuild for a monolith over n = 0 nodes, whose range
+        // really is empty (and a shard's empty range would be rejected by
+        // the downstream owned-range checks, which beats panicking).
+        let slot = self.slot();
+        ShardPlan::new(self.n, slot.count as usize)
+            .map_or(0..0, |plan| plan.range(slot.index as usize))
     }
 }
 
@@ -225,28 +199,68 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serializes the payload section (everything after the header / after the
-/// legacy scalars): landmarks, nearest-landmark table, balls, columns.
-fn payload_bytes(oracle: &DistanceOracle) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::with_capacity(oracle.artifact_bytes() + 16) };
-    for &a in &oracle.landmarks {
+/// The one payload writer: the shard fields of `slot` (if any), then the
+/// sections of `slice` — landmarks, the owned nearest-landmark rows and
+/// balls, the column matrix. Exactly the bytes the header checksum covers.
+fn write_checksummed(w: &mut Writer, slice: &ArtifactSlice, slot: Option<ShardSlot>) {
+    if let Some(slot) = slot {
+        w.u32(slot.index);
+        w.u32(slot.count);
+        w.u64(slot.set_id);
+    }
+    for &a in &slice.landmarks {
         w.u32(a);
     }
-    for &(idx, d) in &oracle.nearest_landmark {
+    for &(idx, d) in &slice.nearest_landmark {
         w.u32(idx);
         w.u64(d);
     }
-    for ball in &oracle.balls {
+    for ball in &slice.balls {
         w.u64(ball.len() as u64);
         for &(id, d) in ball {
             w.u32(id);
             w.u64(d);
         }
     }
-    for &c in &oracle.columns {
+    for &c in &slice.columns {
         w.u64(c);
     }
+}
+
+/// The checksum [`encode`] stores for `(slice, slot)`, without the header.
+fn checksum_of(slice: &ArtifactSlice, slot: Option<ShardSlot>) -> u64 {
+    let mut w = Writer { buf: Vec::with_capacity(slice.artifact_bytes() + 32) };
+    write_checksummed(&mut w, slice, slot);
+    fnv1a(&w.buf)
+}
+
+/// The one snapshot writer: the fixed 80-byte fields (magic by kind), then
+/// everything [`write_checksummed`] emits, with `payload_len` and the
+/// checksum patched in once the tail is known.
+fn encode(slice: &ArtifactSlice, slot: Option<ShardSlot>, created_unix_secs: u64) -> Vec<u8> {
+    let header_len = if slot.is_some() { SHARD_HEADER_LEN } else { HEADER_LEN };
+    let mut w = Writer { buf: Vec::with_capacity(header_len + slice.artifact_bytes() + 16) };
+    w.buf.extend_from_slice(if slot.is_some() { SHARD_MAGIC } else { SNAPSHOT_MAGIC });
+    w.u32(SNAPSHOT_VERSION);
+    w.u64(slice.n as u64);
+    w.u64(slice.k as u64);
+    w.u64(slice.epsilon.to_bits());
+    w.u64(slice.landmarks.len() as u64);
+    w.u64(slice.seed);
+    w.u64(slice.build_rounds);
+    w.u64(created_unix_secs);
+    w.buf.extend_from_slice(&[0; 16]); // payload_len and checksum, patched below
+    debug_assert_eq!(w.buf.len(), HEADER_LEN);
+    write_checksummed(&mut w, slice, slot);
+    let payload_len = (w.buf.len() - header_len) as u64;
+    let checksum = fnv1a(&w.buf[HEADER_LEN..]);
+    w.buf[HEADER_LEN - 16..HEADER_LEN - 8].copy_from_slice(&payload_len.to_le_bytes());
+    w.buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     w.buf
+}
+
+fn now_unix_secs() -> u64 {
+    std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).map_or(0, |d| d.as_secs())
 }
 
 /// The FNV-1a 64 checksum [`to_bytes`] would store for `oracle`'s payload —
@@ -254,120 +268,137 @@ fn payload_bytes(oracle: &DistanceOracle) -> Vec<u8> {
 /// Lets a serving layer report a stable build id for an oracle that was
 /// built in-process and never touched disk.
 pub fn payload_checksum(oracle: &DistanceOracle) -> u64 {
-    fnv1a(&payload_bytes(oracle))
+    checksum_of(oracle, None)
 }
 
-/// The header [`to_bytes`] would write for `oracle` right now, with
-/// `created_unix_secs = 0` (no snapshot has actually been written).
-pub fn header_of(oracle: &DistanceOracle) -> SnapshotHeader {
-    let payload = payload_bytes(oracle);
-    SnapshotHeader {
-        version: SNAPSHOT_VERSION,
-        n: oracle.n,
-        k: oracle.k,
-        epsilon: oracle.epsilon,
-        landmarks: oracle.landmarks.len(),
-        seed: oracle.seed,
-        build_rounds: oracle.build_rounds,
-        created_unix_secs: 0,
-        payload_len: payload.len() as u64,
-        checksum: fnv1a(&payload),
-    }
+/// The checksum [`to_shard_bytes`] would store for `shard` (over its shard
+/// fields and payload) — the shard file's build id as a number, for a
+/// slice that was partitioned in-process and never touched disk.
+pub fn shard_checksum(shard: &OracleShard) -> u64 {
+    checksum_of(shard, Some(shard.slot))
 }
 
 /// Serializes a built oracle into a self-contained, versioned byte snapshot
 /// (format v2: header with build metadata + checksummed payload).
 pub fn to_bytes(oracle: &DistanceOracle) -> Vec<u8> {
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    to_bytes_created_at(oracle, created)
+    to_bytes_created_at(oracle, now_unix_secs())
 }
 
 /// [`to_bytes`] with an explicit `created_unix_secs` header field, for
 /// callers that need byte-for-byte reproducible snapshots (tests, content-
 /// addressed artifact stores).
 pub fn to_bytes_created_at(oracle: &DistanceOracle, created_unix_secs: u64) -> Vec<u8> {
-    let payload = payload_bytes(oracle);
-    let mut w = Writer { buf: Vec::with_capacity(HEADER_LEN + payload.len()) };
-    w.buf.extend_from_slice(SNAPSHOT_MAGIC);
-    w.u32(SNAPSHOT_VERSION);
-    w.u64(oracle.n as u64);
-    w.u64(oracle.k as u64);
-    w.u64(oracle.epsilon.to_bits());
-    w.u64(oracle.landmarks.len() as u64);
-    w.u64(oracle.seed);
-    w.u64(oracle.build_rounds);
-    w.u64(created_unix_secs);
-    w.u64(payload.len() as u64);
-    w.u64(fnv1a(&payload));
-    debug_assert_eq!(w.buf.len(), HEADER_LEN);
-    w.buf.extend_from_slice(&payload);
-    w.buf
-}
-
-/// Serializes the payload section of a per-shard snapshot: replicated
-/// landmarks, the owned nearest-landmark rows and balls, and the
-/// replicated column matrix.
-fn shard_payload_bytes(shard: &OracleShard) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::with_capacity(shard.artifact_bytes() + 16) };
-    for &a in &shard.landmarks {
-        w.u32(a);
-    }
-    for &(idx, d) in &shard.nearest_landmark {
-        w.u32(idx);
-        w.u64(d);
-    }
-    for ball in &shard.balls {
-        w.u64(ball.len() as u64);
-        for &(id, d) in ball {
-            w.u32(id);
-            w.u64(d);
-        }
-    }
-    for &c in &shard.columns {
-        w.u64(c);
-    }
-    w.buf
+    encode(oracle, None, created_unix_secs)
 }
 
 /// Serializes one shard into a self-contained per-shard snapshot (magic
 /// [`SHARD_MAGIC`], 96-byte header, checksummed shard fields + payload).
 pub fn to_shard_bytes(shard: &OracleShard) -> Vec<u8> {
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    to_shard_bytes_created_at(shard, created)
+    to_shard_bytes_created_at(shard, now_unix_secs())
 }
 
 /// [`to_shard_bytes`] with an explicit `created_unix_secs` header field,
 /// for byte-for-byte reproducible shard snapshots.
 pub fn to_shard_bytes_created_at(shard: &OracleShard, created_unix_secs: u64) -> Vec<u8> {
-    let payload = shard_payload_bytes(shard);
-    // The checksum covers every byte after itself: shard index, count, set
-    // id, then the payload.
-    let mut summed = Writer { buf: Vec::with_capacity(16 + payload.len()) };
-    summed.u32(shard.index);
-    summed.u32(shard.count);
-    summed.u64(shard.set_id);
-    summed.buf.extend_from_slice(&payload);
+    encode(shard, Some(shard.slot), created_unix_secs)
+}
 
-    let mut w = Writer { buf: Vec::with_capacity(SHARD_HEADER_LEN + payload.len()) };
-    w.buf.extend_from_slice(SHARD_MAGIC);
-    w.u32(SNAPSHOT_VERSION);
-    w.u64(shard.n as u64);
-    w.u64(shard.k as u64);
-    w.u64(shard.epsilon.to_bits());
-    w.u64(shard.landmarks.len() as u64);
-    w.u64(shard.seed);
-    w.u64(shard.build_rounds);
-    w.u64(created_unix_secs);
-    w.u64(payload.len() as u64);
-    w.u64(fnv1a(&summed.buf));
-    debug_assert_eq!(w.buf.len(), SHARD_FIELDS_AT);
-    w.buf.extend_from_slice(&summed.buf);
-    debug_assert_eq!(w.buf.len(), SHARD_HEADER_LEN + payload.len());
-    w.buf
+/// The one header parser. `sharded` says which file kind the caller
+/// expects, which fixes the magic and whether the 16 shard-field bytes
+/// follow the fixed 80; the checksum always starts at byte 80.
+fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleError> {
+    let mut r = Reader { bytes, at: 0 };
+    let magic = r.take(4)?;
+    if magic == LEGACY_MAGIC {
+        return Err(OracleError::LegacySnapshot);
+    }
+    if sharded {
+        if magic == SNAPSHOT_MAGIC {
+            return Err(corrupt(
+                "monolithic snapshot (CCOS) where a per-shard snapshot (CCSH) was expected",
+            ));
+        }
+        if magic != SHARD_MAGIC {
+            return Err(corrupt("bad magic (not a shard snapshot)"));
+        }
+    } else {
+        if magic == SHARD_MAGIC {
+            return Err(OracleError::ShardSnapshot);
+        }
+        if magic != SNAPSHOT_MAGIC {
+            return Err(corrupt("bad magic (not an oracle snapshot)"));
+        }
+    }
+    let version = r.u32()?;
+    if version != SNAPSHOT_VERSION {
+        return Err(OracleError::SnapshotVersionMismatch {
+            found: version,
+            supported: SNAPSHOT_VERSION,
+        });
+    }
+    let header_len = if sharded { SHARD_HEADER_LEN } else { HEADER_LEN };
+    let payload_cap = bytes.len().saturating_sub(header_len);
+    let n = r.len("n", payload_cap)?;
+    let k = r.len("k", payload_cap)?;
+    let epsilon = f64::from_bits(r.u64()?);
+    if epsilon <= 0.0 || !epsilon.is_finite() {
+        return Err(corrupt(format!("epsilon {epsilon} out of range")));
+    }
+    let landmarks = r.len("landmark count", payload_cap)?;
+    let seed = r.u64()?;
+    let build_rounds = r.u64()?;
+    let created_unix_secs = r.u64()?;
+    let payload_len = r.u64()?;
+    let checksum = r.u64()?;
+    debug_assert_eq!(r.at, HEADER_LEN);
+    if payload_len != payload_cap as u64 {
+        return Err(corrupt(format!(
+            "header claims a {payload_len}-byte payload but {payload_cap} bytes follow"
+        )));
+    }
+    // The checksum covers everything after itself (shard fields + payload),
+    // so corruption in the shard index / count / set id is caught here, not
+    // by downstream plan validation alone.
+    let computed = fnv1a(&bytes[HEADER_LEN..]);
+    if computed != checksum {
+        return Err(OracleError::SnapshotChecksumMismatch { stored: checksum, computed });
+    }
+    let shard = if sharded {
+        let slot = ShardSlot { index: r.u32()?, count: r.u32()?, set_id: r.u64()? };
+        // The plan is a pure function of (n, count); recompute and validate
+        // it rather than trusting any serialized range.
+        ShardPlan::new(n, slot.count as usize)
+            .map_err(|e| corrupt(format!("impossible shard plan: {e}")))?;
+        if slot.index >= slot.count {
+            return Err(corrupt(format!("shard index {} outside 0..{}", slot.index, slot.count)));
+        }
+        Some(slot)
+    } else {
+        None
+    };
+    debug_assert_eq!(r.at, header_len);
+    Ok(SnapshotHeader {
+        version,
+        n,
+        k,
+        epsilon,
+        landmarks,
+        seed,
+        build_rounds,
+        created_unix_secs,
+        payload_len,
+        checksum,
+        shard,
+    })
+}
+
+/// The one decoder: [`parse_header`], then the payload sections for the
+/// rows the header says the file owns.
+fn decode(bytes: &[u8], sharded: bool) -> Result<(SnapshotHeader, ArtifactSlice), OracleError> {
+    let header = parse_header(bytes, sharded)?;
+    let at = if sharded { SHARD_HEADER_LEN } else { HEADER_LEN };
+    let slice = read_sections(&mut Reader { bytes, at }, &header)?;
+    Ok((header, slice))
 }
 
 /// Parses and fully validates the header of a versioned snapshot —
@@ -387,59 +418,7 @@ pub fn to_shard_bytes_created_at(shard: &OracleShard, created_unix_secs: u64) ->
 /// * [`OracleError::CorruptSnapshot`] for bad magic, truncation, or
 ///   implausible header fields.
 pub fn peek_header(bytes: &[u8]) -> Result<SnapshotHeader, OracleError> {
-    let mut r = Reader { bytes, at: 0 };
-    let magic = r.take(4)?;
-    if magic == LEGACY_MAGIC {
-        return Err(OracleError::LegacySnapshot);
-    }
-    if magic == SHARD_MAGIC {
-        return Err(OracleError::ShardSnapshot);
-    }
-    if magic != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic (not an oracle snapshot)"));
-    }
-    let version = r.u32()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(OracleError::SnapshotVersionMismatch {
-            found: version,
-            supported: SNAPSHOT_VERSION,
-        });
-    }
-    let payload_cap = bytes.len().saturating_sub(HEADER_LEN);
-    let n = r.len("n", payload_cap)?;
-    let k = r.len("k", payload_cap)?;
-    let epsilon = f64::from_bits(r.u64()?);
-    if epsilon <= 0.0 || !epsilon.is_finite() {
-        return Err(corrupt(format!("epsilon {epsilon} out of range")));
-    }
-    let landmarks = r.len("landmark count", payload_cap)?;
-    let seed = r.u64()?;
-    let build_rounds = r.u64()?;
-    let created_unix_secs = r.u64()?;
-    let payload_len = r.u64()?;
-    let checksum = r.u64()?;
-    debug_assert_eq!(r.at, HEADER_LEN);
-    if payload_len != payload_cap as u64 {
-        return Err(corrupt(format!(
-            "header claims a {payload_len}-byte payload but {payload_cap} bytes follow"
-        )));
-    }
-    let computed = fnv1a(&bytes[HEADER_LEN..]);
-    if computed != checksum {
-        return Err(OracleError::SnapshotChecksumMismatch { stored: checksum, computed });
-    }
-    Ok(SnapshotHeader {
-        version,
-        n,
-        k,
-        epsilon,
-        landmarks,
-        seed,
-        build_rounds,
-        created_unix_secs,
-        payload_len,
-        checksum,
-    })
+    parse_header(bytes, false)
 }
 
 /// Reconstructs an oracle from a [`to_bytes`] snapshot, validating the
@@ -464,27 +443,15 @@ pub fn from_bytes(bytes: &[u8]) -> Result<DistanceOracle, OracleError> {
 pub fn from_bytes_with_header(
     bytes: &[u8],
 ) -> Result<(SnapshotHeader, DistanceOracle), OracleError> {
-    let header = peek_header(bytes)?;
-    let mut r = Reader { bytes, at: HEADER_LEN };
-    let sections = read_sections(&mut r, header.n, header.landmarks, header.n)?;
-    let oracle = DistanceOracle {
-        n: header.n,
-        k: header.k,
-        epsilon: header.epsilon,
-        seed: header.seed,
-        build_rounds: header.build_rounds,
-        landmarks: sections.landmarks,
-        balls: sections.balls,
-        nearest_landmark: sections.nearest_landmark,
-        columns: sections.columns,
-    };
-    Ok((header, oracle))
+    let (header, slice) = decode(bytes, false)?;
+    Ok((header, DistanceOracle(slice)))
 }
 
 /// Parses and fully validates the header of a **per-shard** snapshot —
 /// including the checksum over shard fields + payload — without building
 /// the shard. This is how a router tier inspects a shard file (index,
-/// count, set id) before deciding to swap it in.
+/// count, set id — [`SnapshotHeader::shard`] is always `Some`) before
+/// deciding to swap it in.
 ///
 /// # Errors
 ///
@@ -494,79 +461,8 @@ pub fn from_bytes_with_header(
 ///   `count > n`, `index >= count`), or implausible header fields.
 /// * [`OracleError::SnapshotVersionMismatch`] /
 ///   [`OracleError::SnapshotChecksumMismatch`] as for [`peek_header`].
-pub fn peek_shard_header(bytes: &[u8]) -> Result<ShardHeader, OracleError> {
-    let mut r = Reader { bytes, at: 0 };
-    let magic = r.take(4)?;
-    if magic == LEGACY_MAGIC {
-        return Err(OracleError::LegacySnapshot);
-    }
-    if magic == SNAPSHOT_MAGIC {
-        return Err(corrupt(
-            "monolithic snapshot (CCOS) where a per-shard snapshot (CCSH) was expected",
-        ));
-    }
-    if magic != SHARD_MAGIC {
-        return Err(corrupt("bad magic (not a shard snapshot)"));
-    }
-    let version = r.u32()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(OracleError::SnapshotVersionMismatch {
-            found: version,
-            supported: SNAPSHOT_VERSION,
-        });
-    }
-    let payload_cap = bytes.len().saturating_sub(SHARD_HEADER_LEN);
-    let n = r.len("n", payload_cap)?;
-    let k = r.len("k", payload_cap)?;
-    let epsilon = f64::from_bits(r.u64()?);
-    if epsilon <= 0.0 || !epsilon.is_finite() {
-        return Err(corrupt(format!("epsilon {epsilon} out of range")));
-    }
-    let landmarks = r.len("landmark count", payload_cap)?;
-    let seed = r.u64()?;
-    let build_rounds = r.u64()?;
-    let created_unix_secs = r.u64()?;
-    let payload_len = r.u64()?;
-    let checksum = r.u64()?;
-    debug_assert_eq!(r.at, SHARD_FIELDS_AT);
-    if payload_len != payload_cap as u64 {
-        return Err(corrupt(format!(
-            "header claims a {payload_len}-byte payload but {payload_cap} bytes follow"
-        )));
-    }
-    // The checksum covers everything after itself (shard fields + payload),
-    // so corruption in the shard index / count / set id is caught here, not
-    // by downstream plan validation alone.
-    let computed = fnv1a(&bytes[SHARD_FIELDS_AT..]);
-    if computed != checksum {
-        return Err(OracleError::SnapshotChecksumMismatch { stored: checksum, computed });
-    }
-    let shard_index = r.u32()?;
-    let shard_count = r.u32()?;
-    let set_id = r.u64()?;
-    debug_assert_eq!(r.at, SHARD_HEADER_LEN);
-    // The plan is a pure function of (n, count); recompute and validate it
-    // rather than trusting any serialized range.
-    ShardPlan::new(n, shard_count as usize)
-        .map_err(|e| corrupt(format!("impossible shard plan: {e}")))?;
-    if shard_index >= shard_count {
-        return Err(corrupt(format!("shard index {shard_index} outside 0..{shard_count}")));
-    }
-    Ok(ShardHeader {
-        version,
-        n,
-        k,
-        epsilon,
-        landmarks,
-        seed,
-        build_rounds,
-        created_unix_secs,
-        payload_len,
-        checksum,
-        shard_index,
-        shard_count,
-        set_id,
-    })
+pub fn peek_shard_header(bytes: &[u8]) -> Result<SnapshotHeader, OracleError> {
+    parse_header(bytes, true)
 }
 
 /// Reconstructs one shard from a [`to_shard_bytes`] snapshot, validating
@@ -582,59 +478,35 @@ pub fn from_shard_bytes(bytes: &[u8]) -> Result<OracleShard, OracleError> {
     Ok(from_shard_bytes_with_header(bytes)?.1)
 }
 
-/// [`from_shard_bytes`] that also returns the validated [`ShardHeader`],
-/// so a serving layer can report the loaded shard's identity without
-/// re-parsing.
+/// [`from_shard_bytes`] that also returns the validated
+/// [`SnapshotHeader`], so a serving layer can report the loaded shard's
+/// identity without re-parsing.
 ///
 /// # Errors
 ///
 /// Same as [`from_shard_bytes`].
 pub fn from_shard_bytes_with_header(
     bytes: &[u8],
-) -> Result<(ShardHeader, OracleShard), OracleError> {
-    let header = peek_shard_header(bytes)?;
-    let owned = header.owned();
-    let mut r = Reader { bytes, at: SHARD_HEADER_LEN };
-    let sections = read_sections(&mut r, header.n, header.landmarks, owned.len())?;
-    let shard = OracleShard {
-        index: header.shard_index,
-        count: header.shard_count,
-        start: owned.start,
-        n: header.n,
-        k: header.k,
-        epsilon: header.epsilon,
-        seed: header.seed,
-        build_rounds: header.build_rounds,
-        set_id: header.set_id,
-        landmarks: sections.landmarks,
-        balls: sections.balls,
-        nearest_landmark: sections.nearest_landmark,
-        columns: sections.columns,
-    };
-    Ok((header, shard))
+) -> Result<(SnapshotHeader, OracleShard), OracleError> {
+    let (header, slice) = decode(bytes, true)?;
+    let slot = header.slot();
+    Ok((header, OracleShard { slice, slot }))
 }
 
-/// The parsed payload sections shared by monolithic and per-shard
-/// snapshots.
-struct Sections {
-    landmarks: Vec<u32>,
-    nearest_landmark: Vec<(u32, u64)>,
-    balls: Vec<Vec<(u32, u64)>>,
-    columns: Vec<u64>,
-}
-
-/// Parses the payload sections (landmarks → columns), validating index
-/// bounds, ball ordering, sentinel rules, and that the reader ends exactly
-/// at the end of the input. `rows` is the number of per-node rows present
-/// (`n` for a monolithic snapshot, the owned-range size for a shard); ids
-/// are always bounded by the full `n`, and the column matrix is always the
-/// full `n × s` (replicated into every shard).
+/// Parses the payload sections (landmarks → columns) into the slice
+/// `header` describes, validating index bounds, ball ordering, sentinel
+/// rules, and that the reader ends exactly at the end of the input. The
+/// number of per-node rows present is the size of
+/// [`SnapshotHeader::owned`] (`n` for a monolithic snapshot, the plan's
+/// range for a shard); ids are always bounded by the full `n`, and the
+/// column matrix is always the full `n × s` (replicated into every shard).
 fn read_sections(
     r: &mut Reader<'_>,
-    n: usize,
-    s: usize,
-    rows: usize,
-) -> Result<Sections, OracleError> {
+    header: &SnapshotHeader,
+) -> Result<ArtifactSlice, OracleError> {
+    let (n, s) = (header.n, header.landmarks);
+    let owned = header.owned();
+    let rows = owned.len();
     let total = r.bytes.len();
     let mut landmarks = Vec::with_capacity(s);
     for _ in 0..s {
@@ -699,7 +571,18 @@ fn read_sections(
     if r.at != total {
         return Err(corrupt(format!("{} trailing bytes", total - r.at)));
     }
-    Ok(Sections { landmarks, nearest_landmark, balls, columns })
+    Ok(ArtifactSlice {
+        n,
+        k: header.k,
+        epsilon: header.epsilon,
+        seed: header.seed,
+        build_rounds: header.build_rounds,
+        landmarks,
+        start: owned.start,
+        balls,
+        nearest_landmark,
+        columns,
+    })
 }
 
 #[cfg(test)]
@@ -752,7 +635,11 @@ mod tests {
         assert_eq!(header.checksum, payload_checksum(&oracle));
         let later = peek_header(&to_bytes_created_at(&oracle, 1_999_999_999)).unwrap();
         assert_eq!(later.build_id(), header.build_id());
-        assert_eq!(header_of(&oracle).build_id(), header.build_id());
+        assert_eq!(format!("{:016x}", payload_checksum(&oracle)), header.build_id());
+        // A monolith is slot 0 of a 1-shard plan whose set id is its own.
+        assert_eq!(header.shard, None);
+        assert_eq!(header.slot(), ShardSlot { index: 0, count: 1, set_id: header.checksum });
+        assert_eq!(header.owned(), 0..oracle.n());
     }
 
     #[test]
@@ -855,9 +742,11 @@ mod tests {
             assert_eq!(header.k, shard.k());
             assert_eq!(header.epsilon, shard.epsilon());
             assert_eq!(header.landmarks, shard.landmarks().len());
-            assert_eq!(header.shard_index as usize, shard.index());
-            assert_eq!(header.shard_count as usize, shard.count());
-            assert_eq!(header.set_id, shard.set_id());
+            let slot = header.shard.expect("a CCSH header carries its shard fields");
+            assert_eq!(slot.index as usize, shard.index());
+            assert_eq!(slot.count as usize, shard.count());
+            assert_eq!(slot.set_id, shard.set_id());
+            assert_eq!(header.checksum, shard_checksum(shard));
             assert_eq!(header.created_unix_secs, 1_753_000_000);
             assert_eq!(header.owned(), shard.owned());
             assert_eq!(header.payload_len as usize, bytes.len() - SHARD_HEADER_LEN);

@@ -25,13 +25,15 @@
 //! index/count and a set id) are in [`crate::serde`]:
 //! [`crate::serde::to_shard_bytes`] / [`crate::serde::from_shard_bytes`].
 
+use std::borrow::Borrow;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use cc_matrix::Dist;
 use cc_telemetry::BuildTrace;
 
-use crate::error::{invalid, set_mismatch};
-use crate::oracle::MAX_FINITE_DISTANCE;
+use crate::error::{corrupt, invalid, set_mismatch};
+use crate::oracle::{check_pair, nearer_landmark, ArtifactSlice};
 use crate::{DistanceOracle, OracleError};
 
 /// A deterministic partition of `0..n` into `count` contiguous, balanced
@@ -119,7 +121,7 @@ pub struct HalfQuery {
     /// ball.
     pub ball: Option<u64>,
     /// The landmark-regime candidate `d(near, p(near)) + d̃(p(near), far)`,
-    /// already clamped to [`MAX_FINITE_DISTANCE`]; `None` when the far
+    /// already clamped to [`crate::MAX_FINITE_DISTANCE`]; `None` when the far
     /// endpoint is unreachable from the near endpoint's nearest landmark.
     pub via_landmark: Option<u64>,
 }
@@ -137,119 +139,73 @@ pub fn combine(u_half: HalfQuery, v_half: HalfQuery) -> Dist {
     if let Some(d) = v_half.ball {
         return Dist::fin(d);
     }
-    match (u_half.via_landmark, v_half.via_landmark) {
-        (Some(a), Some(b)) => Dist::fin(a.min(b)),
-        (Some(a), None) => Dist::fin(a),
-        (None, Some(b)) => Dist::fin(b),
-        (None, None) => Dist::INF,
-    }
+    nearer_landmark(u_half.via_landmark, v_half.via_landmark)
 }
 
-/// One shard of a partitioned oracle: the balls and nearest-landmark rows
-/// of its contiguous node range, plus the **replicated** landmark list and
-/// full `n × s` column matrix, so [`OracleShard::half_query`] never needs
-/// another shard.
+/// Which slice of which set a shard is: the three things a shard carries
+/// that a whole artifact does not. Also the 16 shard-field bytes of a
+/// per-shard snapshot header ([`crate::serde::SnapshotHeader::shard`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSlot {
+    /// The shard's index within its set.
+    pub index: u32,
+    /// Total shards in the set.
+    pub count: u32,
+    /// Identity of the parent artifact: its monolithic payload checksum
+    /// ([`crate::serde::payload_checksum`]), shared by every shard of one
+    /// set.
+    pub set_id: u64,
+}
+
+/// One shard of a partitioned oracle: the [`ArtifactSlice`] holding the
+/// balls and nearest-landmark rows of its contiguous node range plus the
+/// **replicated** landmark list and full `n × s` column matrix (so
+/// [`OracleShard::half_query`] never needs another shard), tagged with the
+/// [`ShardSlot`] it fills. Derefs to the slice for the parent build's
+/// parameters, [`ArtifactSlice::owned`] and
+/// [`ArtifactSlice::artifact_bytes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleShard {
-    pub(crate) index: u32,
-    pub(crate) count: u32,
-    /// First node this shard owns (== `plan().range(index).start`).
-    pub(crate) start: usize,
-    pub(crate) n: usize,
-    pub(crate) k: usize,
-    pub(crate) epsilon: f64,
-    pub(crate) seed: u64,
-    pub(crate) build_rounds: u64,
-    /// Identity of the parent artifact: the monolithic payload checksum
-    /// (`serde::payload_checksum`), shared by every shard of one set.
-    pub(crate) set_id: u64,
-    /// Replicated: landmark node ids, ascending.
-    pub(crate) landmarks: Vec<u32>,
-    /// Owned nodes only, indexed by `node - start`.
-    pub(crate) balls: Vec<Vec<(u32, u64)>>,
-    /// Owned nodes only, indexed by `node - start`.
-    pub(crate) nearest_landmark: Vec<(u32, u64)>,
-    /// Replicated: the full row-major `n × s` landmark column matrix.
-    pub(crate) columns: Vec<u64>,
+    /// Rows `plan().range(index)` of the parent build.
+    pub(crate) slice: ArtifactSlice,
+    pub(crate) slot: ShardSlot,
+}
+
+impl Deref for OracleShard {
+    type Target = ArtifactSlice;
+
+    fn deref(&self) -> &ArtifactSlice {
+        &self.slice
+    }
 }
 
 impl OracleShard {
     /// This shard's index within its set.
     pub fn index(&self) -> usize {
-        self.index as usize
+        self.slot.index as usize
     }
 
     /// Number of shards in the set this shard belongs to.
     pub fn count(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Total node count of the parent artifact (not just this shard).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The ball-size parameter `k` of the parent build.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The MSSP accuracy parameter `ε` of the parent build.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// The documented multiplicative stretch bound `3·(1+ε)` of the parent
-    /// build, matching [`DistanceOracle::stretch_bound`].
-    pub fn stretch_bound(&self) -> f64 {
-        3.0 * (1.0 + self.epsilon)
-    }
-
-    /// The landmark-selection seed of the parent build.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Clique rounds the parent build charged.
-    pub fn build_rounds(&self) -> u64 {
-        self.build_rounds
+        self.slot.count as usize
     }
 
     /// Identity of the parent artifact (its payload checksum); every shard
     /// of one set carries the same value.
     pub fn set_id(&self) -> u64 {
-        self.set_id
-    }
-
-    /// The replicated landmark node ids (ascending).
-    pub fn landmarks(&self) -> &[u32] {
-        &self.landmarks
-    }
-
-    /// The contiguous node range this shard owns.
-    pub fn owned(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.balls.len()
+        self.slot.set_id
     }
 
     /// The partition this shard belongs to.
     pub fn plan(&self) -> ShardPlan {
-        ShardPlan { n: self.n, count: self.count as usize }
-    }
-
-    /// Heap footprint of this shard in bytes (owned balls + rows, plus the
-    /// replicated landmarks and columns), for capacity planning.
-    pub fn artifact_bytes(&self) -> usize {
-        let ball_entries: usize = self.balls.iter().map(Vec::len).sum();
-        ball_entries * std::mem::size_of::<(u32, u64)>()
-            + self.columns.len() * 8
-            + self.landmarks.len() * 4
-            + self.nearest_landmark.len() * std::mem::size_of::<(u32, u64)>()
+        ShardPlan { n: self.n, count: self.count() }
     }
 
     /// The half-result for the pair `(near, far)` seen from `near`'s side.
     /// Every lookup touches only this shard's data: `near`'s ball (is `far`
     /// inside?), `near`'s nearest-landmark row, and the replicated column
-    /// of `far`.
+    /// of `far` — the two row primitives of the monolithic query kernel,
+    /// evaluated eagerly for one side.
     ///
     /// # Panics
     ///
@@ -260,22 +216,13 @@ impl OracleShard {
         assert!(
             owned.contains(&near),
             "node {near} is not owned by shard {} ({owned:?})",
-            self.index
+            self.slot.index
         );
         assert!(far < self.n, "node {far} outside 0..{}", self.n);
-        let local = near - self.start;
-        let ball = &self.balls[local];
-        let ball_hit =
-            ball.binary_search_by_key(&(far as u32), |&(id, _)| id).ok().map(|i| ball[i].1);
-        let (idx, to_landmark) = self.nearest_landmark[local];
-        let col = self.columns[far * self.landmarks.len() + idx as usize];
-        // Mirror the monolithic query kernel exactly: a landmark sum that
-        // reaches or overflows the u64::MAX sentinel is clamped to the
-        // largest finite value, never reported as "disconnected".
-        let via_landmark = (col != Dist::INF.raw()).then(|| {
-            to_landmark.checked_add(col).map_or(MAX_FINITE_DISTANCE, |s| s.min(MAX_FINITE_DISTANCE))
-        });
-        HalfQuery { ball: ball_hit, via_landmark }
+        HalfQuery {
+            ball: self.ball_distance(near, far),
+            via_landmark: self.via_landmark(near, far),
+        }
     }
 }
 
@@ -329,28 +276,14 @@ impl ShardedArtifact {
         let shards: Vec<OracleShard> = (0..count)
             .map(|i| {
                 trace.time_local_words(&format!("partition_shard_{i}"), || {
-                    let range = plan.range(i);
-                    let shard = OracleShard {
-                        index: i as u32,
-                        count: count as u32,
-                        start: range.start,
-                        n: oracle.n,
-                        k: oracle.k,
-                        epsilon: oracle.epsilon,
-                        seed: oracle.seed,
-                        build_rounds: oracle.build_rounds,
-                        set_id,
-                        landmarks: oracle.landmarks.clone(),
-                        balls: oracle.balls[range.clone()].to_vec(),
-                        nearest_landmark: oracle.nearest_landmark[range].to_vec(),
-                        columns: oracle.columns.clone(),
-                    };
-                    let ball_words: usize = shard.balls.iter().map(|b| b.len() * 2).sum();
+                    let slice = oracle.restrict(plan.range(i));
+                    let ball_words: usize = slice.balls.iter().map(|b| b.len() * 2).sum();
                     let words = (ball_words
-                        + shard.columns.len()
-                        + shard.landmarks.len()
-                        + shard.nearest_landmark.len() * 2) as u64;
-                    (shard, words)
+                        + slice.columns.len()
+                        + slice.landmarks.len()
+                        + slice.nearest_landmark.len() * 2) as u64;
+                    let slot = ShardSlot { index: i as u32, count: count as u32, set_id };
+                    (OracleShard { slice, slot }, words)
                 })
             })
             .collect();
@@ -384,6 +317,54 @@ impl ShardedArtifact {
     }
 }
 
+/// The shape every router needs, strict or rolling: slot `i` holds the
+/// shard declaring index `i`, every shard declares the same count and `n`,
+/// and every shard's owned range matches the recomputed [`ShardPlan`].
+/// Returns the plan.
+fn check_shape<S: Borrow<OracleShard>>(shards: &[S]) -> Result<ShardPlan, OracleError> {
+    let first = shards.first().ok_or_else(|| set_mismatch("empty shard set"))?.borrow();
+    if shards.len() != first.count() {
+        return Err(set_mismatch(format!(
+            "set declares {} shards but {} were provided",
+            first.count(),
+            shards.len()
+        )));
+    }
+    let plan = first.plan();
+    for (i, shard) in shards.iter().enumerate() {
+        let shard = shard.borrow();
+        if shard.index() != i {
+            return Err(OracleError::ShardIndexMismatch {
+                expected: i as u32,
+                found: shard.slot.index,
+            });
+        }
+        if shard.count() != first.count() {
+            return Err(field_mismatch(i, "shard count", shard.count(), first.count()));
+        }
+        if shard.n != first.n {
+            return Err(field_mismatch(i, "n", shard.n, first.n));
+        }
+        let want = plan.range(i);
+        if shard.owned() != want {
+            return Err(corrupt(format!(
+                "shard {i} owns {:?} but the plan assigns {want:?}",
+                shard.owned()
+            )));
+        }
+    }
+    Ok(plan)
+}
+
+fn field_mismatch(
+    i: usize,
+    what: &str,
+    got: impl std::fmt::Display,
+    want: impl std::fmt::Display,
+) -> OracleError {
+    set_mismatch(format!("shard {i}: {what} = {got} but the set has {what} = {want}"))
+}
+
 /// Validates that `shards` form one complete, consistent set: slot `i`
 /// holds the shard declaring index `i`, every shard declares the same
 /// count/`n`/`k`/`ε`/landmarks/set id, and every shard's owned range
@@ -406,43 +387,23 @@ impl ShardedArtifact {
 /// * [`OracleError::CorruptSnapshot`] — a shard's owned range does not
 ///   match the plan (possible only for hand-built shards; the snapshot
 ///   reader already enforces this).
-pub fn validate_set<S: std::borrow::Borrow<OracleShard>>(
-    shards: &[S],
-) -> Result<ShardPlan, OracleError> {
-    let first = shards.first().ok_or_else(|| set_mismatch("empty shard set"))?.borrow();
-    if shards.len() != first.count() {
-        return Err(set_mismatch(format!(
-            "set declares {} shards but {} were provided",
-            first.count(),
-            shards.len()
-        )));
-    }
-    let plan = first.plan();
+pub fn validate_set<S: Borrow<OracleShard>>(shards: &[S]) -> Result<ShardPlan, OracleError> {
+    let plan = check_shape(shards)?;
+    let first = shards[0].borrow();
     for (i, shard) in shards.iter().enumerate() {
         let shard = shard.borrow();
-        if shard.index() != i {
-            return Err(OracleError::ShardIndexMismatch { expected: i as u32, found: shard.index });
-        }
-        let mismatch = |what: &str, got: String, want: String| {
-            set_mismatch(format!("shard {i}: {what} = {got} but the set has {what} = {want}"))
-        };
-        if shard.count != first.count {
-            return Err(mismatch("shard count", shard.count.to_string(), first.count.to_string()));
-        }
-        if shard.n != first.n {
-            return Err(mismatch("n", shard.n.to_string(), first.n.to_string()));
-        }
         if shard.k != first.k {
-            return Err(mismatch("k", shard.k.to_string(), first.k.to_string()));
+            return Err(field_mismatch(i, "k", shard.k, first.k));
         }
         if shard.epsilon.to_bits() != first.epsilon.to_bits() {
-            return Err(mismatch("epsilon", shard.epsilon.to_string(), first.epsilon.to_string()));
+            return Err(field_mismatch(i, "epsilon", shard.epsilon, first.epsilon));
         }
-        if shard.set_id != first.set_id {
-            return Err(mismatch(
+        if shard.set_id() != first.set_id() {
+            return Err(field_mismatch(
+                i,
                 "set id",
-                format!("{:016x}", shard.set_id),
-                format!("{:016x}", first.set_id),
+                format_args!("{:016x}", shard.set_id()),
+                format_args!("{:016x}", first.set_id()),
             ));
         }
         if shard.landmarks != first.landmarks {
@@ -450,13 +411,6 @@ pub fn validate_set<S: std::borrow::Borrow<OracleShard>>(
                 "shard {i}: landmark set differs from the set's ({} vs {} landmarks)",
                 shard.landmarks.len(),
                 first.landmarks.len()
-            )));
-        }
-        let want = plan.range(i);
-        if shard.owned() != want {
-            return Err(crate::error::corrupt(format!(
-                "shard {i} owns {:?} but the plan assigns {want:?}",
-                shard.owned()
             )));
         }
     }
@@ -540,42 +494,7 @@ impl ShardRouter {
     /// * [`OracleError::CorruptSnapshot`] — a slice's owned range does not
     ///   match the plan.
     pub fn assemble_rolling(shards: Vec<Arc<OracleShard>>) -> Result<ShardRouter, OracleError> {
-        let first = shards.first().ok_or_else(|| set_mismatch("empty shard set"))?;
-        if shards.len() != first.count() {
-            return Err(set_mismatch(format!(
-                "set declares {} shards but {} were provided",
-                first.count(),
-                shards.len()
-            )));
-        }
-        let plan = first.plan();
-        for (i, shard) in shards.iter().enumerate() {
-            if shard.index() != i {
-                return Err(OracleError::ShardIndexMismatch {
-                    expected: i as u32,
-                    found: shard.index,
-                });
-            }
-            if shard.count != first.count {
-                return Err(set_mismatch(format!(
-                    "shard {i}: shard count = {} but the set has shard count = {}",
-                    shard.count, first.count
-                )));
-            }
-            if shard.n != first.n {
-                return Err(set_mismatch(format!(
-                    "shard {i}: n = {} but the set has n = {}",
-                    shard.n, first.n
-                )));
-            }
-            let want = plan.range(i);
-            if shard.owned() != want {
-                return Err(crate::error::corrupt(format!(
-                    "shard {i} owns {:?} but the plan assigns {want:?}",
-                    shard.owned()
-                )));
-            }
-        }
+        let plan = check_shape(&shards)?;
         Ok(ShardRouter { plan, shards })
     }
 
@@ -597,7 +516,7 @@ impl ShardRouter {
     /// True when every slice carries the same set id — i.e. no rolling
     /// rollout is in flight.
     pub fn set_uniform(&self) -> bool {
-        self.shards.windows(2).all(|w| w[0].set_id == w[1].set_id)
+        self.shards.windows(2).all(|w| w[0].set_id() == w[1].set_id())
     }
 
     /// Distance estimate for `(u, v)`: two half-queries on the owning
@@ -607,16 +526,18 @@ impl ShardRouter {
     ///
     /// [`OracleError::QueryOutOfRange`] if `u` or `v` is not in `0..n`.
     pub fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
-        let n = self.plan.n();
-        if u >= n || v >= n {
-            return Err(OracleError::QueryOutOfRange { u, v, n });
-        }
+        check_pair(self.plan.n(), u, v)?;
+        Ok(self.query_unchecked(u, v))
+    }
+
+    /// The routed kernel; callers must have validated `u, v < n`.
+    fn query_unchecked(&self, u: usize, v: usize) -> Dist {
         if u == v {
-            return Ok(Dist::ZERO);
+            return Dist::ZERO;
         }
         let u_half = self.shards[self.plan.owner(u)].half_query(u, v);
         let v_half = self.shards[self.plan.owner(v)].half_query(v, u);
-        Ok(combine(u_half, v_half))
+        combine(u_half, v_half)
     }
 
     /// Answers a batch of queries in request order.
@@ -627,22 +548,17 @@ impl ShardRouter {
     /// like the monolithic batch, either the whole batch is answered or
     /// nothing is computed.
     pub fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
-        let n = self.plan.n();
         for &(u, v) in pairs {
-            if u >= n || v >= n {
-                return Err(OracleError::QueryOutOfRange { u, v, n });
-            }
+            check_pair(self.plan.n(), u, v)?;
         }
-        // Pairs are validated above, so per-pair errors are unreachable;
-        // collecting into Result propagates them instead of panicking.
-        pairs.iter().map(|&(u, v)| self.try_query(u, v)).collect()
+        Ok(pairs.iter().map(|&(u, v)| self.query_unchecked(u, v)).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OracleBuilder;
+    use crate::{OracleBuilder, MAX_FINITE_DISTANCE};
     use cc_clique::Clique;
     use cc_graph::generators;
 
@@ -728,17 +644,18 @@ mod tests {
     #[test]
     fn near_max_clamped_sums_survive_sharding() {
         let w = u64::MAX - 3;
-        let oracle = DistanceOracle {
+        let oracle = DistanceOracle(ArtifactSlice {
             n: 3,
             k: 1,
             epsilon: 0.25,
             seed: 0,
             build_rounds: 0,
             landmarks: vec![1],
+            start: 0,
             balls: vec![vec![(0, 0)], vec![(1, 0)], vec![(2, 0)]],
             nearest_landmark: vec![(0, w), (0, 0), (0, w)],
             columns: vec![w, 0, w],
-        };
+        });
         for count in [1usize, 2, 3] {
             let router = ShardedArtifact::partition(&oracle, count).unwrap().into_router().unwrap();
             assert_eq!(router.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE), "x{count}");

@@ -63,7 +63,7 @@ pub fn assert_same_artifact(a: &DistanceOracle, b: &DistanceOracle) {
 /// header fields.
 fn payload_bytes(oracle: &DistanceOracle) -> Vec<u8> {
     let mut pinned = oracle.clone();
-    pinned.build_rounds = 0;
+    pinned.0.build_rounds = 0;
     serde::to_bytes_created_at(&pinned, 0)
 }
 
@@ -79,7 +79,7 @@ mod tests {
         let mut clique = Clique::new(24);
         let a = crate::OracleBuilder::new().build(&mut clique, &g).unwrap();
         let mut b = a.clone();
-        b.build_rounds = 0;
+        b.0.build_rounds = 0;
         assert_same_artifact(&a, &b);
     }
 
@@ -90,7 +90,7 @@ mod tests {
         let mut clique = Clique::new(24);
         let a = crate::OracleBuilder::new().build(&mut clique, &g).unwrap();
         let mut b = a.clone();
-        b.landmarks.push(23);
+        b.0.landmarks.push(23);
         assert_same_artifact(&a, &b);
     }
 }

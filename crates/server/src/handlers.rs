@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use cc_matrix::Dist;
 use cc_oracle::shard::{OracleShard, ShardRouter};
-use cc_oracle::{BackendDescriptor, DistanceOracle, OracleError, QueryBackend};
+use cc_oracle::{serde, BackendDescriptor, DistanceOracle, OracleError, ShardDescriptor};
 use cc_reactor::frame;
 use cc_telemetry::{
     render_prometheus, AccessLog, Counter, Gauge, Histogram, Json, JsonObject, Registry,
@@ -45,7 +45,7 @@ use cc_telemetry::{
 
 use crate::http::{Request, Response};
 use crate::reload::{Generation, ReloadHandle, SnapshotInfo, WARM_KEYS};
-use crate::source::{self, BackendSpec, LoadedBackend, LoadedShard};
+use crate::source::{self, BackendSpec, LoadedBackend, LoadedSlice};
 
 /// `Content-Type` of the `GET /metrics` exposition.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -185,23 +185,11 @@ impl Metrics {
     }
 }
 
-/// Set-level identity for a (possibly mixed) shard set: the shared set id,
-/// or `"mixed"` while a rolling rollout is in flight (`uniform` comes from
-/// [`ShardRouter::set_uniform`] on the freshly assembled router).
-fn set_info(shards: &[Arc<OracleShard>], uniform: bool, source: String) -> SnapshotInfo {
-    SnapshotInfo {
-        version: cc_oracle::serde::SNAPSHOT_VERSION,
-        build_id: if uniform { format!("{:016x}", shards[0].set_id()) } else { "mixed".to_owned() },
-        created_unix_secs: 0,
-        source,
-    }
-}
-
 impl AppState {
     /// Wraps an in-process-built `oracle` for serving, with an LRU result
     /// cache of `cache_capacity` entries and no default reload source.
     pub fn new(oracle: DistanceOracle, cache_capacity: usize) -> AppState {
-        let info = SnapshotInfo::in_process(&oracle, "in-process");
+        let info = SnapshotInfo::in_process(serde::payload_checksum(&oracle), "in-process");
         AppState::with_info(oracle, info, cache_capacity, None)
     }
 
@@ -213,9 +201,8 @@ impl AppState {
         cache_capacity: usize,
         reload_path: Option<PathBuf>,
     ) -> AppState {
-        let backend: Box<dyn QueryBackend> = Box::new(oracle);
-        let generation = Generation::new(backend, info, cache_capacity);
-        AppState::from_generation(generation, reload_path.map(BackendSpec::mono), cache_capacity)
+        let loaded = LoadedBackend::mono(oracle, info);
+        AppState::from_loaded(loaded, reload_path.map(BackendSpec::mono), cache_capacity)
     }
 
     /// Router-mode state over a loaded shard set (slot `i` = shard `i`).
@@ -227,21 +214,13 @@ impl AppState {
     ///
     /// Everything [`cc_oracle::shard::validate_set`] rejects.
     pub fn with_shards(
-        shards: Vec<LoadedShard>,
+        shards: Vec<LoadedSlice<OracleShard>>,
         cache_capacity: usize,
     ) -> Result<AppState, OracleError> {
-        let mut slices = Vec::with_capacity(shards.len());
-        let mut infos = Vec::with_capacity(shards.len());
-        let mut paths = Vec::with_capacity(shards.len());
-        for loaded in shards {
-            slices.push(loaded.shard);
-            infos.push(loaded.info);
-            paths.push(loaded.path);
-        }
-        let spec = BackendSpec::sharded(paths);
-        let loaded = LoadedBackend::sharded(slices, infos, spec.describe())?;
-        let generation = Generation::from_loaded(loaded, cache_capacity);
-        Ok(AppState::from_generation(generation, Some(spec), cache_capacity))
+        let spec = BackendSpec::sharded(shards.iter().map(|l| l.path.clone()).collect());
+        let slices = shards.into_iter().map(|l| (l.artifact, l.info));
+        let loaded = LoadedBackend::sharded(slices, spec.describe())?;
+        Ok(AppState::from_loaded(loaded, Some(spec), cache_capacity))
     }
 
     /// Router-mode state over in-process shard slices (no backing files),
@@ -254,11 +233,12 @@ impl AppState {
         shards: Vec<OracleShard>,
         cache_capacity: usize,
     ) -> Result<AppState, OracleError> {
-        let infos: Vec<SnapshotInfo> =
-            shards.iter().map(|s| SnapshotInfo::in_process_shard(s, "in-process")).collect();
-        let loaded = LoadedBackend::sharded(shards, infos, "in-process")?;
-        let generation = Generation::from_loaded(loaded, cache_capacity);
-        Ok(AppState::from_generation(generation, None, cache_capacity))
+        let slices = shards.into_iter().map(|shard| {
+            let info = SnapshotInfo::in_process(serde::shard_checksum(&shard), "in-process");
+            (shard, info)
+        });
+        let loaded = LoadedBackend::sharded(slices, "in-process")?;
+        Ok(AppState::from_loaded(loaded, None, cache_capacity))
     }
 
     /// State serving whatever `spec` names — the manifest-driven startup
@@ -279,18 +259,17 @@ impl AppState {
     ) -> Result<AppState, Box<dyn std::error::Error>> {
         let cache_capacity = spec.cache_capacity.unwrap_or(default_cache_capacity);
         let loaded = spec.load()?;
-        let generation = Generation::from_loaded(loaded, cache_capacity);
-        Ok(AppState::from_generation(generation, Some(spec), cache_capacity))
+        Ok(AppState::from_loaded(loaded, Some(spec), cache_capacity))
     }
 
-    fn from_generation(
-        generation: Generation,
+    fn from_loaded(
+        loaded: LoadedBackend,
         spec: Option<BackendSpec>,
         cache_capacity: usize,
     ) -> AppState {
         let registry = Arc::new(Registry::new());
         let metrics = Metrics::register(&registry);
-        let mut handle = ReloadHandle::new(generation);
+        let mut handle = ReloadHandle::new(Generation::new(loaded, cache_capacity));
         handle.set_duration_histogram(Arc::clone(&metrics.reload_duration));
         AppState {
             handle,
@@ -385,31 +364,25 @@ impl AppState {
         msg
     }
 
-    fn record_reload_success(&self) -> u64 {
-        self.metrics.reloads.inc();
-        *self.last_reload_error.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        self.metrics.reloads.get()
-    }
-
-    /// Installs a validated replacement generation: warms its cache from
-    /// the outgoing one, swaps atomically (charging `started.elapsed()` —
-    /// the whole load → validate → warm → swap — to
+    /// Installs a validated replacement backend as the next generation:
+    /// warms its cache from the outgoing one, swaps atomically (charging
+    /// `started.elapsed()` — the whole load → validate → warm → swap — to
     /// `cc_reload_duration_ns`), and books `swap_units` successful swaps
     /// (1 for a monolith or single shard, the shard count for a full-set
     /// roll).
     fn install(
         &self,
-        next: Generation,
+        loaded: LoadedBackend,
         outgoing: &Generation,
         swap_units: usize,
         started: Instant,
-    ) -> u64 {
+    ) -> ReloadOutcome {
+        let (info, n) = (loaded.info.clone(), loaded.n());
+        let next = Generation::new(loaded, self.cache_capacity.load(Ordering::Relaxed));
         self.handle.swap_timed(next.warmed_from(outgoing, WARM_KEYS), started);
-        let mut swaps = 0;
-        for _ in 0..swap_units.max(1) {
-            swaps = self.record_reload_success();
-        }
-        swaps
+        self.metrics.reloads.add(swap_units.max(1) as u64);
+        *self.last_reload_error.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        ReloadOutcome { info, n, reloads: self.metrics.reloads.get() }
     }
 
     /// Loads + validates the **monolithic** snapshot at `path` and, only
@@ -435,29 +408,23 @@ impl AppState {
                 "this server routes a shard set: reload one shard with /reload?shard=i".to_owned(),
             ));
         }
-        match source::load_snapshot(path) {
-            Ok(loaded) => {
-                // The manifest's set_id pin gates explicit-path reloads
-                // too: a wrong-build snapshot must not sneak past the gate
-                // the operator configured (docs/OPERATIONS.md).
-                if let Some(want) = self.spec.as_ref().and_then(|s| s.expected_set_id) {
-                    let got = cc_oracle::serde::payload_checksum(&loaded.oracle);
-                    if got != want {
-                        return Err(self.record_reload_failure(format!(
-                            "reload from {} rejected: build id {got:016x} does not match \
-                             the pinned set_id {want:016x}",
-                            path.display()
-                        )));
-                    }
+        // The manifest's set_id pin gates explicit-path reloads too: a
+        // wrong-build snapshot must not sneak past the gate the operator
+        // configured (docs/OPERATIONS.md). The build id compared is the
+        // checksum the loader just verified, not a re-serialization.
+        let pin = self.spec.as_ref().and_then(|s| s.expected_set_id);
+        let loaded = source::load_slice(path, serde::from_bytes_with_header).and_then(|loaded| {
+            let got = loaded.header.slot().set_id;
+            match pin {
+                Some(want) if want != got => {
+                    Err(format!("build id {got:016x} does not match the pinned set_id {want:016x}")
+                        .into())
                 }
-                let n = loaded.oracle.n();
-                let info = loaded.info.clone();
-                let next = Generation::from_loaded(
-                    LoadedBackend::mono(loaded.oracle, loaded.info),
-                    self.cache_capacity.load(Ordering::Relaxed),
-                );
-                Ok(ReloadOutcome { info, n, reloads: self.install(next, &current, 1, started) })
+                _ => Ok(LoadedBackend::mono(loaded.artifact, loaded.info)),
             }
+        });
+        match loaded {
+            Ok(loaded) => Ok(self.install(loaded, &current, 1, started)),
             Err(e) => {
                 Err(self
                     .record_reload_failure(format!("reload from {} rejected: {e}", path.display())))
@@ -492,28 +459,25 @@ impl AppState {
                 self.record_reload_failure(format!("shard index {index} outside 0..{count}"))
             );
         }
-        let loaded = match source::load_shard(path, index, count) {
-            Ok(loaded) => loaded,
-            Err(e) => {
-                return Err(self.record_reload_failure(format!(
-                    "reload of shard {index} from {} rejected: {e}",
-                    path.display()
-                )))
-            }
-        };
-        if loaded.shard.n() != current.n() {
-            return Err(self.record_reload_failure(format!(
-                "reload of shard {index} from {} rejected: n = {} but the serving set \
-                 has n = {} (a sharded artifact cannot change n shard-by-shard)",
-                path.display(),
-                loaded.shard.n(),
-                current.n()
-            )));
-        }
-        let mut shards = current.shards().to_vec();
-        shards[index] = Arc::new(loaded.shard);
-        let router = match ShardRouter::assemble_rolling(shards.clone()) {
-            Ok(router) => router,
+        let rolled =
+            source::load_slice(path, serde::from_shard_bytes_with_header).and_then(|loaded| {
+                let loaded = loaded.expect_slot(index, count)?;
+                if loaded.artifact.n() != current.n() {
+                    return Err(format!(
+                        "n = {} but the serving set has n = {} (a sharded artifact cannot \
+                         change n shard-by-shard)",
+                        loaded.artifact.n(),
+                        current.n()
+                    )
+                    .into());
+                }
+                let mut shards = current.shards().to_vec();
+                shards[index] = Arc::new(loaded.artifact);
+                let router = ShardRouter::assemble_rolling(shards.clone())?;
+                Ok((loaded.info, shards, router))
+            });
+        let (shard_info, shards, router) = match rolled {
+            Ok(rolled) => rolled,
             Err(e) => {
                 return Err(self.record_reload_failure(format!(
                     "reload of shard {index} from {} rejected: {e}",
@@ -522,22 +486,15 @@ impl AppState {
             }
         };
         let mut shard_infos = current.shard_infos().to_vec();
-        shard_infos[index] = loaded.info.clone();
-        let info = set_info(&shards, router.set_uniform(), current.info().source.clone());
-        let backend: Box<dyn QueryBackend> = Box::new(router);
-        let next = Generation::with_shards(
-            backend,
-            info,
-            shards,
-            shard_infos,
-            self.cache_capacity.load(Ordering::Relaxed),
-        );
-        let n = next.n();
-        Ok(ReloadOutcome {
-            info: loaded.info,
-            n,
-            reloads: self.install(next, &current, 1, started),
-        })
+        shard_infos[index] = shard_info.clone();
+        // Set-level identity: the shared set id, or "mixed" while a
+        // rolling rollout is in flight.
+        let mut info = SnapshotInfo::in_process(shards[0].set_id(), current.info().source.clone());
+        if !router.set_uniform() {
+            info.build_id = "mixed".to_owned();
+        }
+        let loaded = LoadedBackend { backend: Box::new(router), info, shards, shard_infos };
+        Ok(ReloadOutcome { info: shard_info, ..self.install(loaded, &current, 1, started) })
     }
 
     /// [`AppState::reload_from`] against the configured default source;
@@ -557,18 +514,11 @@ impl AppState {
                     .to_owned(),
             ));
         };
-        if let Some(manifest) = spec.manifest_path() {
-            self.reload_manifest(manifest)
-        } else if spec.is_sharded() {
-            self.reload_all_shards()
-        } else {
-            match spec.mono_path() {
-                Some(path) => self.reload_from(path),
-                None => Err(self.record_reload_failure(
-                    "reload source spec names neither a manifest, shards, nor a mono path"
-                        .to_owned(),
-                )),
-            }
+        // A spec names a manifest, one snapshot, or a shard file set.
+        match (spec.manifest_path(), spec.mono_path()) {
+            (Some(manifest), _) => self.reload_manifest(manifest),
+            (None, Some(path)) => self.reload_from(path),
+            (None, None) => self.reload_all_shards(),
         }
     }
 
@@ -591,17 +541,13 @@ impl AppState {
         });
         match loaded {
             Ok((loaded, capacity)) => {
-                let info = loaded.info.clone();
-                let n = loaded.n();
-                let swap_units = loaded.shards.len().max(1);
                 // A manifest-declared capacity becomes the default for
                 // every subsequent reload, not just this generation.
-                let capacity =
-                    capacity.unwrap_or_else(|| self.cache_capacity.load(Ordering::Relaxed));
-                self.cache_capacity.store(capacity, Ordering::Relaxed);
-                let next = Generation::from_loaded(loaded, capacity);
-                let reloads = self.install(next, &current, swap_units, started);
-                Ok(ReloadOutcome { info, n, reloads })
+                if let Some(capacity) = capacity {
+                    self.cache_capacity.store(capacity, Ordering::Relaxed);
+                }
+                let swap_units = loaded.shards.len();
+                Ok(self.install(loaded, &current, swap_units, started))
             }
             Err(e) => Err(self.record_reload_failure(format!("manifest reload rejected: {e}"))),
         }
@@ -631,41 +577,21 @@ impl AppState {
                     .to_owned(),
             ));
         };
-        let paths: Vec<PathBuf> = (0..spec.shard_count())
-            .filter_map(|i| spec.shard_path(i).map(Path::to_path_buf))
-            .collect();
-        match source::load_shard_set(&paths) {
-            Ok(loaded) if loaded[0].shard.n() != current.n() => {
-                Err(self.record_reload_failure(format!(
-                    "full-set reload rejected: n = {} but the serving set has n = {} \
-                     (restart to change the graph size)",
-                    loaded[0].shard.n(),
+        let loaded = spec.load().and_then(|loaded| {
+            if loaded.n() != current.n() {
+                return Err(format!(
+                    "n = {} but the serving set has n = {} (restart to change the graph size)",
+                    loaded.n(),
                     current.n()
-                )))
+                )
+                .into());
             }
+            Ok(loaded)
+        });
+        match loaded {
             Ok(loaded) => {
-                let mut slices = Vec::with_capacity(loaded.len());
-                let mut infos = Vec::with_capacity(loaded.len());
-                for shard in loaded {
-                    slices.push(shard.shard);
-                    infos.push(shard.info);
-                }
-                let count = slices.len();
-                match LoadedBackend::sharded(slices, infos, spec.describe()) {
-                    Ok(loaded) => {
-                        let info = loaded.info.clone();
-                        let n = loaded.n();
-                        let next = Generation::from_loaded(
-                            loaded,
-                            self.cache_capacity.load(Ordering::Relaxed),
-                        );
-                        let reloads = self.install(next, &current, count, started);
-                        Ok(ReloadOutcome { info, n, reloads })
-                    }
-                    Err(e) => {
-                        Err(self.record_reload_failure(format!("full-set reload rejected: {e}")))
-                    }
-                }
+                let swap_units = loaded.shards.len();
+                Ok(self.install(loaded, &current, swap_units, started))
             }
             Err(e) => Err(self.record_reload_failure(format!("full-set reload rejected: {e}"))),
         }
@@ -992,7 +918,7 @@ impl AppState {
         o.set("accept_errors", counter("cc_accept_errors_total", &[]));
         o.set("transport", self.transport);
         o.set("uptime_secs", Json::Raw(format!("{:.3}", gauge("cc_uptime_seconds"))));
-        tier_members(&mut o, &generation, &desc);
+        tier_members(&mut o, &generation, &desc, |_, _| {});
         o.set("reload_requests", counter("cc_endpoint_requests_total", &[("endpoint", "reload")]));
         o.set("reloads", counter("cc_reloads_total", &[]));
         o.set("reload_failures", counter("cc_reload_failures_total", &[]));
@@ -1018,30 +944,11 @@ impl AppState {
         let generation = self.handle.current();
         let desc = generation.descriptor();
         let mut o = JsonObject::new();
-        if desc.shards.is_empty() {
-            o.set("mode", desc.mode);
-            o.set("snapshot", snapshot_obj(generation.info()));
-        } else {
-            o.set("mode", desc.mode);
-            o.set("shard_count", desc.shards.len());
-            o.set("set_uniform", desc.set_uniform());
-            let shards: Vec<Json> = desc
-                .shards
-                .iter()
-                .zip(generation.shard_infos())
-                .map(|(s, info)| {
-                    let mut e = JsonObject::new();
-                    e.set("index", s.index);
-                    e.set("owned_start", s.owned_start);
-                    e.set("owned_len", s.owned_len);
-                    e.set("artifact_bytes", s.artifact_bytes);
-                    e.set("set_build_id", format!("{:016x}", s.set_id));
-                    e.set("snapshot", snapshot_obj(info));
-                    Json::from(e)
-                })
-                .collect();
-            o.set("shards", shards);
-        }
+        tier_members(&mut o, &generation, &desc, |e, s| {
+            e.set("owned_start", s.owned_start);
+            e.set("owned_len", s.owned_len);
+            e.set("artifact_bytes", s.artifact_bytes);
+        });
         o.set("n", desc.n);
         o.set("k", desc.k);
         o.set("epsilon", desc.epsilon);
@@ -1055,14 +962,20 @@ impl AppState {
     }
 }
 
-/// Appends the tier-specific `/stats` members: the active snapshot for a
-/// monolith, the per-shard identities + uniformity for a routed set.
-fn tier_members(o: &mut JsonObject, generation: &Generation, desc: &BackendDescriptor) {
+/// Appends the tier-specific members of `/stats` and `/artifact`: the
+/// active snapshot for a monolith, the per-shard identities + uniformity
+/// for a routed set (`layout` adds an endpoint's extra per-shard members
+/// after `index`).
+fn tier_members(
+    o: &mut JsonObject,
+    generation: &Generation,
+    desc: &BackendDescriptor,
+    layout: impl Fn(&mut JsonObject, &ShardDescriptor),
+) {
+    o.set("mode", desc.mode);
     if desc.shards.is_empty() {
-        o.set("mode", desc.mode);
         o.set("snapshot", snapshot_obj(generation.info()));
     } else {
-        o.set("mode", desc.mode);
         o.set("shard_count", desc.shards.len());
         o.set("set_uniform", desc.set_uniform());
         let shards: Vec<Json> = desc
@@ -1072,6 +985,7 @@ fn tier_members(o: &mut JsonObject, generation: &Generation, desc: &BackendDescr
             .map(|(s, info)| {
                 let mut e = JsonObject::new();
                 e.set("index", s.index);
+                layout(&mut e, s);
                 e.set("set_build_id", format!("{:016x}", s.set_id));
                 e.set("snapshot", snapshot_obj(info));
                 Json::from(e)

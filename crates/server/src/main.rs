@@ -333,7 +333,7 @@ fn main() -> ExitCode {
     // One line per build phase; CI greps for `build-trace phase=`.
     eprintln!("{}", trace.log_lines());
     let n = oracle.n();
-    let info = SnapshotInfo::in_process(&oracle, source_label);
+    let info = SnapshotInfo::in_process(cc_oracle::serde::payload_checksum(&oracle), source_label);
 
     if let Some(path) = &args.write_snapshot {
         return match source::write_snapshot(&oracle, path) {

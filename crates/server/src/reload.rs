@@ -4,7 +4,7 @@
 //!
 //! A [`Generation`] is one immutable serving unit: **any**
 //! [`QueryBackend`] (a monolithic oracle, a shard router — erased to
-//! `Box<dyn QueryBackend>` by the server) behind its own
+//! `Box<dyn QueryBackend>` by [`LoadedBackend`]) behind its own
 //! [`CachingOracle`], plus the identity of the snapshot(s) it came from.
 //! Because the cache wraps the backend generically, the router tier gets
 //! the same result cache the monolith always had, and a swap replaces
@@ -25,10 +25,12 @@
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
-use cc_oracle::serde::{ShardHeader, SnapshotHeader};
+use cc_oracle::serde::SnapshotHeader;
 use cc_oracle::shard::OracleShard;
-use cc_oracle::{BackendDescriptor, CachingOracle, DistanceOracle, QueryBackend};
+use cc_oracle::{BackendDescriptor, CachingOracle, QueryBackend};
 use cc_telemetry::Histogram;
+
+use crate::source::LoadedBackend;
 
 /// Identity of a serving artifact, as reported by `/stats` and
 /// `/artifact`: snapshot format version, build id (payload checksum), when
@@ -51,7 +53,10 @@ pub struct SnapshotInfo {
 }
 
 impl SnapshotInfo {
-    /// Info for an artifact loaded from a versioned snapshot at `source`.
+    /// Info for an artifact loaded from a versioned snapshot — monolithic
+    /// or per-shard — at `source`. For a shard, `build_id` is the shard
+    /// file's own checksum (distinct per slice); the set-wide identity is
+    /// the shard's set id.
     pub fn from_header(header: &SnapshotHeader, source: impl Into<String>) -> SnapshotInfo {
         SnapshotInfo {
             version: header.version,
@@ -61,36 +66,18 @@ impl SnapshotInfo {
         }
     }
 
-    /// Info synthesized for an oracle built in-process (never snapshotted):
-    /// current format version, build id computed from the payload.
-    pub fn in_process(oracle: &DistanceOracle, source: impl Into<String>) -> SnapshotInfo {
+    /// Info synthesized for something that is not one snapshot file — an
+    /// oracle or shard built in-process and never snapshotted, or a shard
+    /// set as a whole: current format version, and the id the codec would
+    /// store (`serde::payload_checksum` for an oracle,
+    /// `serde::shard_checksum` for a shard, the shared set id for a set).
+    pub fn in_process(build_id: u64, source: impl Into<String>) -> SnapshotInfo {
         SnapshotInfo {
             version: cc_oracle::serde::SNAPSHOT_VERSION,
-            build_id: format!("{:016x}", cc_oracle::serde::payload_checksum(oracle)),
+            build_id: format!("{build_id:016x}"),
             created_unix_secs: 0,
             source: source.into(),
         }
-    }
-
-    /// Info for one shard loaded from a per-shard snapshot at `source`.
-    /// `build_id` is the shard file's own checksum (distinct per slice);
-    /// the set-wide identity is the shard's set id.
-    pub fn from_shard_header(header: &ShardHeader, source: impl Into<String>) -> SnapshotInfo {
-        SnapshotInfo {
-            version: header.version,
-            build_id: header.build_id(),
-            created_unix_secs: header.created_unix_secs,
-            source: source.into(),
-        }
-    }
-
-    /// Info synthesized for a shard partitioned in-process (never
-    /// snapshotted).
-    pub fn in_process_shard(shard: &OracleShard, source: impl Into<String>) -> SnapshotInfo {
-        let bytes = cc_oracle::serde::to_shard_bytes_created_at(shard, 0);
-        // cc-lint: allow(no_panic) -- bytes come from to_shard_bytes one line up; a parse failure is a serde bug, not an input condition
-        let header = cc_oracle::serde::peek_shard_header(&bytes).expect("self-written shard bytes");
-        SnapshotInfo::from_shard_header(&header, source)
     }
 }
 
@@ -98,51 +85,30 @@ impl SnapshotInfo {
 /// incoming generation's cache (see [`Generation::warmed_from`]).
 pub const WARM_KEYS: usize = 1024;
 
-/// One immutable serving generation: a [`QueryBackend`] behind its result
-/// cache, plus the identity of the snapshot(s) it came from. A reload
-/// builds a fresh `Generation` and swaps it in whole; the cache starts
-/// empty (answers from the old artifact must not leak into the new one)
-/// but can be pre-warmed with [`Generation::warmed_from`].
-///
-/// Generic over the backend type; the server erases to the default
-/// `Box<dyn QueryBackend>`, tests often use a concrete
-/// [`DistanceOracle`].
-pub struct Generation<B: QueryBackend = Box<dyn QueryBackend>> {
-    cached: CachingOracle<B>,
+/// One immutable serving generation: a type-erased [`QueryBackend`] behind
+/// its result cache, plus the identity of the snapshot(s) it came from. A
+/// reload builds a fresh `Generation` and swaps it in whole; the cache
+/// starts empty (answers from the old artifact must not leak into the new
+/// one) but can be pre-warmed with [`Generation::warmed_from`].
+pub struct Generation {
+    cached: CachingOracle<Box<dyn QueryBackend>>,
     info: SnapshotInfo,
     shards: Vec<Arc<OracleShard>>,
     shard_infos: Vec<SnapshotInfo>,
     warmed_keys: u64,
 }
 
-impl<B: QueryBackend> Generation<B> {
-    /// Wraps `backend` for serving with a fresh cache of `cache_capacity`
-    /// entries (`0` disables caching).
-    pub fn new(backend: B, info: SnapshotInfo, cache_capacity: usize) -> Generation<B> {
+impl Generation {
+    /// Wraps a [`LoadedBackend`] — [`LoadedBackend::mono`],
+    /// [`LoadedBackend::sharded`], or the output of
+    /// [`crate::source::BackendSpec::load`] — for serving with a fresh
+    /// cache of `cache_capacity` entries (`0` disables caching).
+    pub fn new(loaded: LoadedBackend, cache_capacity: usize) -> Generation {
         Generation {
-            cached: CachingOracle::new(backend, cache_capacity),
-            info,
-            shards: Vec::new(),
-            shard_infos: Vec::new(),
-            warmed_keys: 0,
-        }
-    }
-
-    /// [`Generation::new`] for a sharded backend, carrying the shared
-    /// slices (so a single-shard reload can rebuild the router without
-    /// deep copies) and their per-file identities.
-    pub fn with_shards(
-        backend: B,
-        info: SnapshotInfo,
-        shards: Vec<Arc<OracleShard>>,
-        shard_infos: Vec<SnapshotInfo>,
-        cache_capacity: usize,
-    ) -> Generation<B> {
-        Generation {
-            cached: CachingOracle::new(backend, cache_capacity),
-            info,
-            shards,
-            shard_infos,
+            cached: CachingOracle::new(loaded.backend, cache_capacity),
+            info: loaded.info,
+            shards: loaded.shards,
+            shard_infos: loaded.shard_infos,
             warmed_keys: 0,
         }
     }
@@ -152,19 +118,19 @@ impl<B: QueryBackend> Generation<B> {
     /// warm-up can never leak a stale answer), and records the count for
     /// `/stats`. Call between loading the new generation and swapping it
     /// in.
-    pub fn warmed_from<D: QueryBackend>(mut self, donor: &Generation<D>, limit: usize) -> Self {
+    pub fn warmed_from(mut self, donor: &Generation, limit: usize) -> Self {
         let keys = donor.cached.hottest_keys(limit);
         self.warmed_keys = self.cached.warm(&keys) as u64;
         self
     }
 
     /// The cache-fronted query interface — the one the request path uses.
-    pub fn cached(&self) -> &CachingOracle<B> {
+    pub fn cached(&self) -> &CachingOracle<Box<dyn QueryBackend>> {
         &self.cached
     }
 
     /// The backend behind the cache.
-    pub fn backend(&self) -> &B {
+    pub fn backend(&self) -> &dyn QueryBackend {
         self.cached.inner()
     }
 
@@ -208,45 +174,32 @@ impl<B: QueryBackend> Generation<B> {
     }
 }
 
-impl Generation<Box<dyn QueryBackend>> {
-    /// Wraps a [`crate::source::LoadedBackend`] — the output of
-    /// [`crate::source::BackendSpec::load`] — for serving.
-    pub fn from_loaded(loaded: crate::source::LoadedBackend, cache_capacity: usize) -> Generation {
-        Generation {
-            cached: CachingOracle::new(loaded.backend, cache_capacity),
-            info: loaded.info,
-            shards: loaded.shards,
-            shard_infos: loaded.shard_infos,
-            warmed_keys: 0,
-        }
-    }
-}
-
 /// The swap point between the request path and reloads.
 ///
-/// Generic over the generation's backend type: the server stores the
-/// default `Generation` (over `Box<dyn QueryBackend>`), so one handle
-/// serves every tier — monolith, router, cached or not.
+/// Generic over the unit it swaps: the server stores a [`Generation`]
+/// (over `Box<dyn QueryBackend>`), so one handle serves every tier —
+/// monolith, router, cached or not.
 ///
 /// # Example
 ///
 /// ```
-/// use cc_server::{Generation, ReloadHandle, SnapshotInfo};
+/// use cc_oracle::serde::payload_checksum;
+/// use cc_server::{Generation, LoadedBackend, ReloadHandle, SnapshotInfo};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let old = cc_server::source::build_demo(16, 1, 0.25)?;
 /// let new = cc_server::source::build_demo(16, 2, 0.25)?;
-/// let old_info = SnapshotInfo::in_process(&old, "demo");
-/// let new_info = SnapshotInfo::in_process(&new, "demo-2");
+/// let old_info = SnapshotInfo::in_process(payload_checksum(&old), "demo");
+/// let new_info = SnapshotInfo::in_process(payload_checksum(&new), "demo-2");
 ///
-/// let handle = ReloadHandle::new(Generation::new(old, old_info, 1024));
+/// let handle = ReloadHandle::new(Generation::new(LoadedBackend::mono(old, old_info), 1024));
 ///
 /// // The request path clones the current generation (a refcount bump)...
 /// let serving = handle.current();
 /// let before = serving.cached().try_query(0, 15)?;
 ///
 /// // ...a reload swaps in a validated replacement atomically...
-/// handle.swap(Generation::new(new, new_info, 1024));
+/// handle.swap(Generation::new(LoadedBackend::mono(new, new_info), 1024));
 ///
 /// // ...and the clone taken before the swap still answers on the old
 /// // artifact, so an in-flight request never sees a half-swapped state.
@@ -306,6 +259,13 @@ impl<T> ReloadHandle<T> {
 mod tests {
     use super::*;
     use crate::source::build_demo;
+    use cc_oracle::serde::{payload_checksum, shard_checksum};
+    use cc_oracle::DistanceOracle;
+
+    fn mono(oracle: &DistanceOracle, source: &str, cache_capacity: usize) -> Generation {
+        let info = SnapshotInfo::in_process(payload_checksum(oracle), source);
+        Generation::new(LoadedBackend::mono(oracle.clone(), info), cache_capacity)
+    }
 
     #[test]
     fn swap_is_atomic_and_old_readers_finish_on_the_old_artifact() {
@@ -314,10 +274,9 @@ mod tests {
         let a_answers: Vec<_> = (0..20).map(|v| a.try_query(0, v).unwrap()).collect();
         let b_answers: Vec<_> = (0..20).map(|v| b.try_query(0, v).unwrap()).collect();
 
-        let handle =
-            ReloadHandle::new(Generation::new(a.clone(), SnapshotInfo::in_process(&a, "a"), 64));
+        let handle = ReloadHandle::new(mono(&a, "a", 64));
         let held = handle.current();
-        let prev = handle.swap(Generation::new(b.clone(), SnapshotInfo::in_process(&b, "b"), 64));
+        let prev = handle.swap(mono(&b, "b", 64));
         assert_eq!(prev.info().source, "a");
 
         // The pre-swap clone still serves A; fresh clones serve B.
@@ -333,8 +292,7 @@ mod tests {
         let b = build_demo(16, 6, 0.5).unwrap();
         let a_ans: Vec<_> = (0..16).map(|v| a.try_query(3, v).unwrap()).collect();
         let b_ans: Vec<_> = (0..16).map(|v| b.try_query(3, v).unwrap()).collect();
-        let handle =
-            ReloadHandle::new(Generation::new(a.clone(), SnapshotInfo::in_process(&a, "a"), 64));
+        let handle = ReloadHandle::new(mono(&a, "a", 64));
 
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -357,10 +315,8 @@ mod tests {
             let handle = &handle;
             scope.spawn(move || {
                 for i in 0..50 {
-                    let (oracle, name) =
-                        if i % 2 == 0 { (b.clone(), "b") } else { (a.clone(), "a") };
-                    let info = SnapshotInfo::in_process(&oracle, name);
-                    handle.swap(Generation::new(oracle, info, 64));
+                    let (oracle, name) = if i % 2 == 0 { (&b, "b") } else { (&a, "a") };
+                    handle.swap(mono(oracle, name, 64));
                 }
             });
         });
@@ -372,12 +328,11 @@ mod tests {
         let hist = registry.histogram("cc_reload_duration_ns", &[]);
         let a = build_demo(12, 3, 0.5).unwrap();
         let b = build_demo(12, 4, 0.5).unwrap();
-        let mut handle =
-            ReloadHandle::new(Generation::new(a.clone(), SnapshotInfo::in_process(&a, "a"), 64));
+        let mut handle = ReloadHandle::new(mono(&a, "a", 64));
         handle.set_duration_histogram(Arc::clone(&hist));
 
         let started = Instant::now();
-        let next = Generation::new(b.clone(), SnapshotInfo::in_process(&b, "b"), 64);
+        let next = mono(&b, "b", 64);
         let prev = handle.swap_timed(next, started);
         assert_eq!(prev.info().source, "a");
         assert_eq!(handle.current().info().source, "b");
@@ -395,7 +350,7 @@ mod tests {
         assert_eq!(from_file.created_unix_secs, 1_753_000_000);
         assert_eq!(from_file.source, "/tmp/x.snap");
 
-        let built = SnapshotInfo::in_process(&oracle, "demo");
+        let built = SnapshotInfo::in_process(payload_checksum(&oracle), "demo");
         // Same artifact ⇒ same build id, regardless of how it arrived.
         assert_eq!(built.build_id, from_file.build_id);
         assert_eq!(built.created_unix_secs, 0);
@@ -405,30 +360,30 @@ mod tests {
         let shards = cc_oracle::ShardedArtifact::partition(&oracle, 2).unwrap().into_shards();
         let shard_bytes = cc_oracle::serde::to_shard_bytes_created_at(&shards[0], 7);
         let shard_header = cc_oracle::serde::peek_shard_header(&shard_bytes).unwrap();
-        let from_shard = SnapshotInfo::from_shard_header(&shard_header, "/tmp/s0.snap");
+        let from_shard = SnapshotInfo::from_header(&shard_header, "/tmp/s0.snap");
         assert_eq!(from_shard.version, cc_oracle::serde::SNAPSHOT_VERSION);
         assert_ne!(from_shard.build_id, from_file.build_id);
-        assert_eq!(from_shard.build_id, SnapshotInfo::in_process_shard(&shards[0], "x").build_id);
+        let built_shard = SnapshotInfo::in_process(shard_checksum(&shards[0]), "x");
+        assert_eq!(from_shard.build_id, built_shard.build_id);
         assert_eq!(shard_header.set_build_id(), from_file.build_id);
     }
 
     #[test]
     fn generations_wrap_any_backend_and_describe_it() {
         let oracle = build_demo(20, 3, 0.5).unwrap();
-        let info = SnapshotInfo::in_process(&oracle, "demo");
-
-        // A concrete monolithic generation...
-        let mono = Generation::new(oracle.clone(), info, 64);
+        // A monolithic generation...
+        let mono = mono(&oracle, "demo", 64);
         assert_eq!(mono.descriptor().mode, "mono");
         assert!(!mono.is_sharded());
         assert_eq!(mono.n(), 20);
 
         // ...and an erased sharded one through the same type.
         let shards = cc_oracle::ShardedArtifact::partition(&oracle, 2).unwrap().into_shards();
-        let infos: Vec<SnapshotInfo> =
-            shards.iter().map(|s| SnapshotInfo::in_process_shard(s, "in-process")).collect();
-        let loaded = crate::source::LoadedBackend::sharded(shards, infos, "in-process").unwrap();
-        let routed = Generation::from_loaded(loaded, 64);
+        let slices = shards.into_iter().map(|s| {
+            let info = SnapshotInfo::in_process(shard_checksum(&s), "in-process");
+            (s, info)
+        });
+        let routed = Generation::new(LoadedBackend::sharded(slices, "in-process").unwrap(), 64);
         assert_eq!(routed.descriptor().mode, "router");
         assert!(routed.is_sharded());
         assert_eq!(routed.shards().len(), 2);
@@ -450,14 +405,13 @@ mod tests {
     fn warmed_from_replays_the_donor_heat_onto_the_new_backend() {
         let a = build_demo(24, 3, 0.5).unwrap();
         let b = build_demo(24, 4, 0.5).unwrap();
-        let old = Generation::new(a.clone(), SnapshotInfo::in_process(&a, "a"), 512);
+        let old = mono(&a, "a", 512);
         let hot: Vec<(usize, usize)> = (0..10).map(|i| (i, (i * 5 + 1) % 24)).collect();
         for &(u, v) in &hot {
             old.cached().try_query(u, v).unwrap();
         }
 
-        let fresh = Generation::new(b.clone(), SnapshotInfo::in_process(&b, "b"), 512)
-            .warmed_from(&old, WARM_KEYS);
+        let fresh = mono(&b, "b", 512).warmed_from(&old, WARM_KEYS);
         assert_eq!(fresh.warmed_keys(), old.descriptor().cache.unwrap().len as u64);
         // The warmed entries answer with B's values (recomputed, never
         // copied from A) and hit without missing.
@@ -469,11 +423,10 @@ mod tests {
 
         // A donor larger than the target: out-of-range keys are skipped.
         let big = build_demo(40, 5, 0.5).unwrap();
-        let big_gen = Generation::new(big.clone(), SnapshotInfo::in_process(&big, "big"), 512);
+        let big_gen = mono(&big, "big", 512);
         big_gen.cached().try_query(30, 39).unwrap();
         big_gen.cached().try_query(0, 1).unwrap();
-        let small = Generation::new(a.clone(), SnapshotInfo::in_process(&a, "a"), 512)
-            .warmed_from(&big_gen, WARM_KEYS);
+        let small = mono(&a, "a", 512).warmed_from(&big_gen, WARM_KEYS);
         assert_eq!(small.warmed_keys(), 1, "only the in-range key is warmable");
     }
 }

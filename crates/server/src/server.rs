@@ -40,7 +40,8 @@ impl Server {
     /// when [`Transport::Epoll`] is requested on a platform without epoll.
     /// Everything after a successful return is handled per-connection.
     pub fn start(config: &ServerConfig, oracle: DistanceOracle) -> io::Result<ServerHandle> {
-        let info = SnapshotInfo::in_process(&oracle, "in-process");
+        let info =
+            SnapshotInfo::in_process(cc_oracle::serde::payload_checksum(&oracle), "in-process");
         Server::start_with_info(config, oracle, info)
     }
 
@@ -74,7 +75,7 @@ impl Server {
     /// pins down.
     pub fn start_sharded(
         config: &ServerConfig,
-        shards: Vec<crate::source::LoadedShard>,
+        shards: Vec<crate::source::LoadedSlice<cc_oracle::OracleShard>>,
     ) -> io::Result<ServerHandle> {
         let state = AppState::with_shards(shards, config.cache_capacity)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;

@@ -13,87 +13,78 @@ use std::sync::Arc;
 
 use cc_clique::Clique;
 use cc_graph::{generators, Graph};
+use cc_oracle::serde::{self, SnapshotHeader};
 use cc_oracle::shard::{validate_set, OracleShard, ShardRouter};
 use cc_oracle::{
-    serde, DirectBuilder, DistanceOracle, OracleBuilder, QueryBackend, ShardedArtifact,
+    DirectBuilder, DistanceOracle, OracleBuilder, OracleError, QueryBackend, ShardedArtifact,
 };
 
 use crate::reload::SnapshotInfo;
 
-/// An oracle loaded from disk together with the identity of the snapshot
-/// it came from (version, build id, creation time, path).
+/// One snapshot file loaded from disk — a monolithic snapshot
+/// (`A = DistanceOracle`) or one shard of a set (`A = OracleShard`) — with
+/// the header the loader verified, the identity it reports, and the path
+/// it was read from (which doubles as a shard's default reload source).
 #[derive(Debug)]
-pub struct LoadedSnapshot {
+pub struct LoadedSlice<A> {
     /// The validated artifact.
-    pub oracle: DistanceOracle,
+    pub artifact: A,
+    /// The verified file header; [`SnapshotHeader::slot`] carries the set
+    /// id a manifest pin is compared against.
+    pub header: SnapshotHeader,
     /// Where it came from and what it is, for `/stats` and `/artifact`.
     pub info: SnapshotInfo,
-}
-
-/// One shard loaded from disk: the slice, its identity, and the path it
-/// was read from (which doubles as the shard's default reload source).
-#[derive(Debug)]
-pub struct LoadedShard {
-    /// The validated slice.
-    pub shard: OracleShard,
-    /// Where it came from and what it is, for `/stats` and `/artifact`.
-    pub info: SnapshotInfo,
-    /// The file this shard was read from.
+    /// The file this slice was read from.
     pub path: PathBuf,
 }
 
-/// Loads an oracle from a **versioned** [`cc_oracle::serde`] snapshot
-/// file, validating magic, version, checksum and structure. Pre-versioning
-/// (v1) bytes and per-shard snapshots are rejected with their dedicated
+/// Loads one **versioned** [`cc_oracle::serde`] snapshot file through
+/// `decode` — [`serde::from_bytes_with_header`] for a monolithic snapshot,
+/// [`serde::from_shard_bytes_with_header`] for a per-shard one — which
+/// validates magic, version, checksum and structure. Pre-versioning (v1)
+/// bytes and the other kind of snapshot are rejected with their dedicated
 /// errors ([`cc_oracle::OracleError::LegacySnapshot`],
 /// [`cc_oracle::OracleError::ShardSnapshot`]).
 ///
 /// # Errors
 ///
-/// I/O errors reading the file and every [`cc_oracle::serde::from_bytes`]
-/// validation error.
-pub fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, Box<dyn Error>> {
+/// I/O errors reading the file and every validation error of `decode`.
+pub fn load_slice<A>(
+    path: &Path,
+    decode: impl Fn(&[u8]) -> Result<(SnapshotHeader, A), OracleError>,
+) -> Result<LoadedSlice<A>, Box<dyn Error>> {
     let bytes = std::fs::read(path)?;
-    let source = path.display().to_string();
-    let (header, oracle) = serde::from_bytes_with_header(&bytes)?;
-    Ok(LoadedSnapshot { info: SnapshotInfo::from_header(&header, source), oracle })
+    let (header, artifact) = decode(&bytes)?;
+    let info = SnapshotInfo::from_header(&header, path.display().to_string());
+    Ok(LoadedSlice { artifact, header, info, path: path.to_path_buf() })
 }
 
-/// Loads one per-shard snapshot and checks it fills `expected_index` of a
-/// set of `expected_count` shards.
-///
-/// # Errors
-///
-/// I/O errors, every [`cc_oracle::serde::from_shard_bytes`] validation
-/// error, and [`cc_oracle::OracleError::ShardIndexMismatch`] /
-/// [`cc_oracle::OracleError::ShardSetMismatch`] when the file belongs to a
-/// different slot or set shape.
-pub fn load_shard(
-    path: &Path,
-    expected_index: usize,
-    expected_count: usize,
-) -> Result<LoadedShard, Box<dyn Error>> {
-    let bytes = std::fs::read(path)?;
-    let (header, shard) = serde::from_shard_bytes_with_header(&bytes)?;
-    if shard.index() != expected_index {
-        return Err(cc_oracle::OracleError::ShardIndexMismatch {
-            expected: expected_index as u32,
-            found: shard.index() as u32,
+impl LoadedSlice<OracleShard> {
+    /// Checks the shard fills slot `index` of a set of `count` shards.
+    ///
+    /// # Errors
+    ///
+    /// [`cc_oracle::OracleError::ShardIndexMismatch`] /
+    /// [`cc_oracle::OracleError::ShardSetMismatch`] when the file belongs
+    /// to a different slot or set shape.
+    pub fn expect_slot(self, index: usize, count: usize) -> Result<Self, OracleError> {
+        if self.artifact.index() != index {
+            return Err(OracleError::ShardIndexMismatch {
+                expected: index as u32,
+                found: self.artifact.index() as u32,
+            });
         }
-        .into());
-    }
-    if shard.count() != expected_count {
-        return Err(cc_oracle::OracleError::ShardSetMismatch {
-            what: format!(
-                "{} declares a {}-shard set but {expected_count} shard files were given",
-                path.display(),
-                shard.count()
-            ),
+        if self.artifact.count() != count {
+            return Err(OracleError::ShardSetMismatch {
+                what: format!(
+                    "{} declares a {}-shard set but {count} shard files were given",
+                    self.path.display(),
+                    self.artifact.count()
+                ),
+            });
         }
-        .into());
+        Ok(self)
     }
-    let info = SnapshotInfo::from_shard_header(&header, path.display().to_string());
-    Ok(LoadedShard { shard, info, path: path.to_path_buf() })
 }
 
 /// Loads a complete shard set — `paths[i]` must hold shard `i` — and
@@ -106,19 +97,20 @@ pub fn load_shard(
 /// The first per-file failure (I/O, corruption, wrong slot), or the set
 /// validation error — each prefixed with the offending path so a startup
 /// failure names the file to fix.
-pub fn load_shard_set(paths: &[PathBuf]) -> Result<Vec<LoadedShard>, Box<dyn Error>> {
+pub fn load_shard_set(paths: &[PathBuf]) -> Result<Vec<LoadedSlice<OracleShard>>, Box<dyn Error>> {
     if paths.is_empty() {
         return Err("router mode needs at least one shard snapshot".into());
     }
     let mut loaded = Vec::with_capacity(paths.len());
     for (i, path) in paths.iter().enumerate() {
-        let shard = load_shard(path, i, paths.len())
+        let shard = load_slice(path, serde::from_shard_bytes_with_header)
+            .and_then(|shard| Ok(shard.expect_slot(i, paths.len())?))
             .map_err(|e| format!("shard {i} ({}): {e}", path.display()))?;
         loaded.push(shard);
     }
     // Validate by reference: each shard carries the replicated column
     // matrix, so cloning the set just to check it would double peak memory.
-    let refs: Vec<&OracleShard> = loaded.iter().map(|l| &l.shard).collect();
+    let refs: Vec<&OracleShard> = loaded.iter().map(|l| &l.artifact).collect();
     validate_set(&refs)?;
     Ok(loaded)
 }
@@ -194,24 +186,20 @@ impl LoadedBackend {
         }
     }
 
-    /// A router backend over a strictly validated shard set.
+    /// A router backend over a strictly validated shard set, given each
+    /// slice (in slot order) with its per-file identity.
     ///
     /// # Errors
     ///
     /// Everything [`validate_set`] rejects.
     pub fn sharded(
-        shards: Vec<OracleShard>,
-        shard_infos: Vec<SnapshotInfo>,
+        slices: impl IntoIterator<Item = (OracleShard, SnapshotInfo)>,
         source: impl Into<String>,
-    ) -> Result<LoadedBackend, cc_oracle::OracleError> {
-        let shards: Vec<Arc<OracleShard>> = shards.into_iter().map(Arc::new).collect();
+    ) -> Result<LoadedBackend, OracleError> {
+        let (shards, shard_infos): (Vec<_>, Vec<_>) =
+            slices.into_iter().map(|(shard, info)| (Arc::new(shard), info)).unzip();
         let router = ShardRouter::assemble_shared(shards.clone())?;
-        let info = SnapshotInfo {
-            version: serde::SNAPSHOT_VERSION,
-            build_id: format!("{:016x}", shards[0].set_id()),
-            created_unix_secs: 0,
-            source: source.into(),
-        };
+        let info = SnapshotInfo::in_process(router.shards()[0].set_id(), source);
         Ok(LoadedBackend { backend: Box::new(router), info, shards, shard_infos })
     }
 
@@ -475,42 +463,30 @@ impl BackendSpec {
     /// `expected_set_id` — an identity mismatch naming both the offending
     /// file and the two ids.
     pub fn load(&self) -> Result<LoadedBackend, Box<dyn Error>> {
+        // The pin is compared against the set id of a header the loader
+        // just verified (for a monolith: its own payload checksum), so no
+        // artifact is re-serialized to learn its identity.
+        let pinned = |header: &SnapshotHeader, what: &str, path: &Path, has: &str| {
+            let got = header.slot().set_id;
+            match self.expected_set_id {
+                Some(want) if want != got => Err(format!(
+                    "{what} {} {has} {got:016x} but the manifest expects set_id {want:016x}",
+                    path.display()
+                )),
+                _ => Ok(()),
+            }
+        };
         match &self.kind {
             SpecKind::Mono { path } => {
-                let loaded = load_snapshot(path)?;
-                if let Some(want) = self.expected_set_id {
-                    let got = serde::payload_checksum(&loaded.oracle);
-                    if got != want {
-                        return Err(format!(
-                            "snapshot {} has build id {got:016x} but the manifest expects \
-                             set_id {want:016x}",
-                            path.display()
-                        )
-                        .into());
-                    }
-                }
-                Ok(LoadedBackend::mono(loaded.oracle, loaded.info))
+                let loaded = load_slice(path, serde::from_bytes_with_header)?;
+                pinned(&loaded.header, "snapshot", path, "has build id")?;
+                Ok(LoadedBackend::mono(loaded.artifact, loaded.info))
             }
             SpecKind::Sharded { paths } => {
                 let loaded = load_shard_set(paths)?;
-                if let Some(want) = self.expected_set_id {
-                    let got = loaded[0].shard.set_id();
-                    if got != want {
-                        return Err(format!(
-                            "shard set {} declares set id {got:016x} but the manifest \
-                             expects set_id {want:016x}",
-                            paths[0].display()
-                        )
-                        .into());
-                    }
-                }
-                let mut shards = Vec::with_capacity(loaded.len());
-                let mut infos = Vec::with_capacity(loaded.len());
-                for shard in loaded {
-                    shards.push(shard.shard);
-                    infos.push(shard.info);
-                }
-                Ok(LoadedBackend::sharded(shards, infos, self.describe())?)
+                pinned(&loaded[0].header, "shard set", &paths[0], "declares set id")?;
+                let slices = loaded.into_iter().map(|l| (l.artifact, l.info));
+                Ok(LoadedBackend::sharded(slices, self.describe())?)
             }
         }
     }
@@ -695,6 +671,10 @@ pub fn build_direct_demo_traced(
 mod tests {
     use super::*;
 
+    fn load_snapshot(path: &Path) -> Result<LoadedSlice<DistanceOracle>, Box<dyn Error>> {
+        load_slice(path, serde::from_bytes_with_header)
+    }
+
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("cc-serve-test-snap").join(name);
         std::fs::create_dir_all(&dir).unwrap();
@@ -707,7 +687,7 @@ mod tests {
         let path = temp_dir("mono").join("oracle.snap");
         write_snapshot(&oracle, &path).unwrap();
         let back = load_snapshot(&path).unwrap();
-        assert_eq!(back.oracle, oracle);
+        assert_eq!(back.artifact, oracle);
         assert_eq!(back.info.version, serde::SNAPSHOT_VERSION);
         assert_eq!(back.info.build_id, format!("{:016x}", serde::payload_checksum(&oracle)));
         assert_eq!(back.info.source, path.display().to_string());
@@ -725,13 +705,13 @@ mod tests {
         // machinery the serving tier uses.
         let path = temp_dir("direct").join("direct.snap");
         write_snapshot(&oracle, &path).unwrap();
-        assert_eq!(load_snapshot(&path).unwrap().oracle, oracle);
+        assert_eq!(load_snapshot(&path).unwrap().artifact, oracle);
         std::fs::remove_file(&path).ok();
         let dir = temp_dir("direct-shards");
         let paths = write_shard_snapshots(&oracle, 3, &dir).unwrap();
         let loaded = load_shard_set(&paths).unwrap();
         let router = cc_oracle::ShardRouter::assemble(
-            loaded.iter().map(|l| l.shard.clone()).collect::<Vec<_>>(),
+            loaded.iter().map(|l| l.artifact.clone()).collect::<Vec<_>>(),
         )
         .unwrap();
         for (u, v) in [(0, 95), (17, 60), (5, 5)] {
@@ -776,7 +756,7 @@ mod tests {
 
         let loaded = load_shard_set(&paths).unwrap();
         let router = cc_oracle::ShardRouter::assemble(
-            loaded.iter().map(|l| l.shard.clone()).collect::<Vec<_>>(),
+            loaded.iter().map(|l| l.artifact.clone()).collect::<Vec<_>>(),
         )
         .unwrap();
         for u in 0..21 {

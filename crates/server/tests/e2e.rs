@@ -186,7 +186,9 @@ fn snapshot_loaded_server_serves_identically_to_the_builder() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("e2e-oracle.snap");
     cc_server::source::write_snapshot(&oracle, &path).unwrap();
-    let reloaded = cc_server::source::load_snapshot(&path).unwrap().oracle;
+    let reloaded = cc_server::source::load_slice(&path, cc_oracle::serde::from_bytes_with_header)
+        .unwrap()
+        .artifact;
     std::fs::remove_file(&path).ok();
 
     let handle = start(reloaded, ServerConfig::default());

@@ -32,10 +32,10 @@ fn temp_path(name: &str) -> PathBuf {
 /// hammer clients + 1 reloader) — otherwise the reloader can queue behind
 /// hammer clients that only stop when the reloader finishes.
 fn start_on_snapshot(path: &Path) -> ServerHandle {
-    let loaded = cc_server::source::load_snapshot(path).unwrap();
+    let loaded = cc_server::source::load_slice(path, serde::from_bytes_with_header).unwrap();
     let config =
         ServerConfig::default().with_addr("127.0.0.1:0").with_workers(8).with_reload_path(path);
-    Server::start_with_info(&config, loaded.oracle, loaded.info).expect("server start")
+    Server::start_with_info(&config, loaded.artifact, loaded.info).expect("server start")
 }
 
 /// Extracts `"distance":<number|null>` from a `/distance` response body.

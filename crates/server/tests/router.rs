@@ -277,7 +277,9 @@ fn broken_shard_sets_are_clean_startup_errors_never_a_serving_process() {
     let other_paths = cc_server::source::write_shard_snapshots(&other, SHARDS, &other_dir).unwrap();
     let mut mixed = Vec::new();
     for (i, path) in [&paths[0], &other_paths[1], &paths[2]].iter().enumerate() {
-        mixed.push(cc_server::source::load_shard(path, i, SHARDS).unwrap());
+        let shard =
+            cc_server::source::load_slice(path, serde::from_shard_bytes_with_header).unwrap();
+        mixed.push(shard.expect_slot(i, SHARDS).unwrap());
     }
     let err = match Server::start_sharded(&ServerConfig::default().with_addr("127.0.0.1:0"), mixed)
     {

@@ -35,7 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    it validated.
     let path = std::env::temp_dir().join("cc-serve-example.snap");
     congested_clique::serve::source::write_snapshot(&oracle, &path)?;
-    let loaded = congested_clique::serve::source::load_snapshot(&path)?;
+    let loaded = congested_clique::serve::source::load_slice(
+        &path,
+        congested_clique::oracle::serde::from_bytes_with_header,
+    )?;
     println!(
         "snapshot: {} bytes on disk (format v{}, build {}), reloads identically\n",
         std::fs::metadata(&path)?.len(),
@@ -46,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Serve it over a real socket (ephemeral port). Keeping the file
     //    around as the reload source lets us hot-swap below.
     let config = ServerConfig::default().with_reload_path(&path);
-    let handle = Server::start_with_info(&config, loaded.oracle, loaded.info)?;
+    let handle = Server::start_with_info(&config, loaded.artifact, loaded.info)?;
     println!("serving on http://{}", handle.addr());
 
     // 4. Talk to it over HTTP.

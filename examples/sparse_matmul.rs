@@ -80,6 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("log W binary-search additive term for output sparsification. At");
     println!("n=256 the constant overheads (~30 rounds of partitioning and");
     println!("balancing) still dominate — the asymptotic separation is the");
-    println!("subject of experiment E1 in EXPERIMENTS.md.");
+    println!("subject of experiment E1 in the output of");
+    println!("`cargo run -p cc-bench --bin experiments`.");
     Ok(())
 }

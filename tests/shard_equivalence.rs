@@ -106,10 +106,19 @@ proptest! {
     fn shard_snapshots_are_deterministic_and_round_trip(seed in 0u64..100_000) {
         let g = generators::road_like(5, 5, 30, seed).expect("road_like");
         let oracle = build(&g, 6, 0.25, seed);
-        for count in [2usize, 3] {
+        for count in [1usize, 2, 3] {
             let shards = ShardedArtifact::partition(&oracle, count)
                 .expect("partition")
                 .into_shards();
+            if count == 1 {
+                // The monolith is slot 0 of a 1-shard plan: same payload
+                // sections behind the 96-byte CCSH / 80-byte CCOS headers.
+                prop_assert_eq!(
+                    &serde::to_shard_bytes(&shards[0])[serde::SHARD_HEADER_LEN..],
+                    &serde::to_bytes(&oracle)[serde::HEADER_LEN..],
+                    "a 1-shard CCSH payload must equal the monolith's CCOS payload"
+                );
+            }
 
             let mut reloaded = Vec::with_capacity(count);
             for shard in &shards {
