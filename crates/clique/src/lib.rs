@@ -42,6 +42,39 @@
 //! # }
 //! ```
 //!
+//! # Host cost
+//!
+//! Rounds are what the model charges; *host* time is what running the
+//! simulation costs, and every reproduced claim is a long loop over these
+//! primitives. Each one is `O(messages)` host time and touches a message
+//! once:
+//!
+//! * [`Clique::route`] makes **one pass** over the batch that validates both
+//!   endpoints, sums the per-node send/receive loads, counts each inbox and
+//!   notices whether the batch already is in `src` order; then one pass that
+//!   moves every envelope into an inbox allocated at its exact final
+//!   capacity (an inbox never grows, an empty one is never allocated).
+//!   Delivery order is `(src, insertion)`: a batch whose sources are
+//!   non-decreasing — how callers emit almost always, looping over nodes —
+//!   is delivered as is, and only an out-of-order batch pays one stable
+//!   comparison sort by `src`. An invalid endpoint anywhere in the batch
+//!   returns the error before any metric is touched. Per call it allocates
+//!   three `n`-sized count vectors and the non-empty inboxes, nothing per
+//!   message.
+//! * [`Clique::sort`] measures the loads in one pass, moves all items into
+//!   one buffer reserved at the total, runs the one (stable) comparison sort
+//!   the primitive is for — `O(m log m)`, linear on pre-sorted input — and
+//!   cuts the result into `n` runs, each allocated at its exact length.
+//! * [`Clique::broadcast`] / [`Clique::all_broadcast`] only measure and
+//!   hand the payload back: no copy, no allocation.
+//! * Recording a primitive into [`Metrics`] allocates nothing: the joined
+//!   phase prefix is kept incrementally by [`Clique::with_phase`] (push on
+//!   entry, truncate on exit), the leaf is appended in place for the lookup,
+//!   and a label is copied only the first time it is seen.
+//!
+//! None of this is observable in [`RoundReport`]: `tests/golden_rounds.rs`
+//! pins rounds, messages, words and every phase of two full algorithm runs.
+//!
 //! Unsafe code is forbidden (`#![forbid(unsafe_code)]`), as across the
 //! whole workspace.
 

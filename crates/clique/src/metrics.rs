@@ -57,7 +57,14 @@ impl Metrics {
         self.messages += messages;
         self.words += words;
         self.max_node_load = self.max_node_load.max(load);
-        self.phases.entry(phase.to_owned()).or_default().absorb(rounds, messages, words);
+        // A label is copied only the first time it is seen.
+        if let Some(stats) = self.phases.get_mut(phase) {
+            stats.absorb(rounds, messages, words);
+        } else {
+            let mut stats = PhaseStats::default();
+            stats.absorb(rounds, messages, words);
+            self.phases.insert(phase.to_owned(), stats);
+        }
     }
 }
 

@@ -58,7 +58,11 @@ pub struct Clique {
     n: usize,
     cost: CostModel,
     metrics: Metrics,
-    phase_stack: Vec<String>,
+    /// The open phases' labels joined with `/`, maintained incrementally by
+    /// [`Clique::with_phase`] so that recording a primitive allocates nothing.
+    phase_prefix: String,
+    /// Number of open phases (an empty label still counts as one).
+    phase_depth: usize,
 }
 
 impl Clique {
@@ -78,7 +82,7 @@ impl Clique {
     /// Panics if `n == 0`.
     pub fn with_cost_model(n: usize, cost: CostModel) -> Self {
         assert!(n > 0, "a congested clique needs at least one node");
-        Clique { n, cost, metrics: Metrics::default(), phase_stack: Vec::new() }
+        Clique { n, cost, metrics: Metrics::default(), phase_prefix: String::new(), phase_depth: 0 }
     }
 
     /// Number of nodes in the clique.
@@ -134,23 +138,28 @@ impl Clique {
     /// assert!(clique.metrics().phases.contains_key("apsp/knearest/inner"));
     /// ```
     pub fn with_phase<R>(&mut self, label: &str, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.phase_stack.push(label.to_owned());
+        let mark = self.phase_prefix.len();
+        if self.phase_depth > 0 {
+            self.phase_prefix.push('/');
+        }
+        self.phase_prefix.push_str(label);
+        self.phase_depth += 1;
         let out = f(self);
-        self.phase_stack.pop();
+        self.phase_depth -= 1;
+        self.phase_prefix.truncate(mark);
         out
     }
 
-    fn phase_label(&self, leaf: &str) -> String {
-        if self.phase_stack.is_empty() {
-            leaf.to_owned()
-        } else {
-            let mut s = self.phase_stack.join("/");
-            if !leaf.is_empty() {
-                s.push('/');
-                s.push_str(leaf);
-            }
-            s
+    /// Records one primitive invocation under the current phase, with `leaf`
+    /// appended to the label (in place, then removed again).
+    fn record(&mut self, leaf: &str, rounds: u64, messages: u64, words: u64, load: u64) {
+        let mark = self.phase_prefix.len();
+        if self.phase_depth > 0 && !leaf.is_empty() {
+            self.phase_prefix.push('/');
         }
+        self.phase_prefix.push_str(leaf);
+        self.metrics.record(&self.phase_prefix, rounds, messages, words, load);
+        self.phase_prefix.truncate(mark);
     }
 
     fn check_node(&self, v: NodeId) -> Result<()> {
@@ -175,8 +184,7 @@ impl Clique {
     /// than decomposed into routing (only the Lemma 4 hitting-set
     /// `O((log log n)³)` charge in this workspace).
     pub fn charge(&mut self, label: &str, rounds: u64) {
-        let phase = self.phase_label(label);
-        self.metrics.record(&phase, rounds, 0, 0, 0);
+        self.record(label, rounds, 0, 0, 0);
     }
 
     /// Delivers an arbitrary message pattern via Lenzen's routing.
@@ -192,16 +200,24 @@ impl Clique {
     /// Returns [`CliqueError::InvalidNode`] if any envelope references a node
     /// outside the clique.
     pub fn route<T: Payload>(&mut self, msgs: Vec<Envelope<T>>) -> Result<Vec<Vec<Envelope<T>>>> {
+        // The one pass over the batch: validate, sum the loads, count each
+        // inbox and notice whether the batch already is in `src` order.
         let mut sent = vec![0u64; self.n];
         let mut recv = vec![0u64; self.n];
+        let mut inbox_len = vec![0usize; self.n];
         let mut words = 0u64;
+        let mut in_src_order = true;
+        let mut prev_src = 0;
         for m in &msgs {
             self.check_node(m.src)?;
             self.check_node(m.dst)?;
             let w = m.payload.words() as u64;
             sent[m.src] += w;
             recv[m.dst] += w;
+            inbox_len[m.dst] += 1;
             words += w;
+            in_src_order &= prev_src <= m.src;
+            prev_src = m.src;
         }
         let load = sent.iter().chain(recv.iter()).copied().max().unwrap_or(0);
         let rounds = if msgs.is_empty() {
@@ -209,14 +225,17 @@ impl Clique {
         } else {
             self.cost.route_per_unit * load.div_ceil(self.n as u64).max(1)
         };
-        let phase = self.phase_label("route");
-        self.metrics.record(&phase, rounds, msgs.len() as u64, words, load);
+        self.record("route", rounds, msgs.len() as u64, words, load);
 
-        let mut inboxes: Vec<Vec<Envelope<T>>> = vec![Vec::new(); self.n];
-        // Deterministic delivery order: stable sort by source, preserving the
-        // per-source insertion order.
+        // Deterministic delivery order: stable by source, preserving the
+        // per-source insertion order. Callers almost always emit per source
+        // in ascending order, so the sort is the exception.
         let mut msgs = msgs;
-        msgs.sort_by_key(|m| m.src);
+        if !in_src_order {
+            msgs.sort_by_key(|m| m.src);
+        }
+        let mut inboxes: Vec<Vec<Envelope<T>>> =
+            inbox_len.into_iter().map(Vec::with_capacity).collect();
         for m in msgs {
             inboxes[m.dst].push(m);
         }
@@ -235,8 +254,7 @@ impl Clique {
         self.check_node(src)?;
         let w = payload.words() as u64;
         let rounds = self.cost.broadcast_per_unit * w.max(1);
-        let phase = self.phase_label("broadcast");
-        self.metrics.record(&phase, rounds, (self.n - 1) as u64, w * (self.n as u64 - 1), w);
+        self.record("broadcast", rounds, (self.n - 1) as u64, w * (self.n as u64 - 1), w);
         Ok(payload)
     }
 
@@ -254,10 +272,9 @@ impl Clique {
         let max_w = per_node.iter().map(|p| p.words() as u64).max().unwrap_or(0);
         let total_w: u64 = per_node.iter().map(|p| p.words() as u64).sum();
         let rounds = self.cost.broadcast_per_unit * max_w.max(1);
-        let phase = self.phase_label("all_broadcast");
         let fanout = self.n as u64 - 1;
-        self.metrics.record(
-            &phase,
+        self.record(
+            "all_broadcast",
             rounds,
             self.n as u64 * fanout,
             total_w * fanout,
@@ -283,26 +300,33 @@ impl Clique {
     /// Returns [`CliqueError::WrongLength`] if `per_node.len() != n`.
     pub fn sort<T: Payload + Ord>(&mut self, per_node: Vec<Vec<T>>) -> Result<Vec<Vec<T>>> {
         self.check_len(&per_node)?;
-        let load = per_node
-            .iter()
-            .map(|items| items.iter().map(|it| it.words() as u64).sum::<u64>())
-            .max()
-            .unwrap_or(0);
-        let mut all: Vec<T> = per_node.into_iter().flatten().collect();
-        let total_words: u64 = all.iter().map(|it| it.words() as u64).sum();
-        let rounds = if all.is_empty() {
+        let mut load = 0u64;
+        let mut total_words = 0u64;
+        let mut total = 0usize;
+        for items in &per_node {
+            let w: u64 = items.iter().map(|it| it.words() as u64).sum();
+            load = load.max(w);
+            total_words += w;
+            total += items.len();
+        }
+        let rounds = if total == 0 {
             0
         } else {
             self.cost.sort_per_unit * load.div_ceil(self.n as u64).max(1)
         };
-        let phase = self.phase_label("sort");
-        self.metrics.record(&phase, rounds, all.len() as u64, total_words, load);
+        self.record("sort", rounds, total as u64, total_words, load);
 
+        let mut all: Vec<T> = Vec::with_capacity(total);
+        for items in per_node {
+            all.extend(items);
+        }
         all.sort();
-        let run = all.len().div_ceil(self.n).max(1);
+        let run = total.div_ceil(self.n).max(1);
         let mut out: Vec<Vec<T>> = Vec::with_capacity(self.n);
         let mut iter = all.into_iter();
         for _ in 0..self.n {
+            // `Take` of an exact-size iterator: one allocation of the run's
+            // exact length.
             out.push(iter.by_ref().take(run).collect());
         }
         debug_assert!(iter.next().is_none());
@@ -461,5 +485,134 @@ mod tests {
         let mut c = Clique::with_cost_model(4, CostModel::conservative());
         c.route(vec![Envelope::new(0, 1, 1u64)]).unwrap();
         assert_eq!(c.rounds(), 16);
+    }
+
+    /// The delivery contract, written the slow way: stable-sort the batch by
+    /// `src`, then bucket by `dst`.
+    fn route_reference<T: Clone>(n: usize, msgs: &[Envelope<T>]) -> Vec<Vec<Envelope<T>>> {
+        let mut sorted = msgs.to_vec();
+        sorted.sort_by_key(|m| m.src);
+        let mut inboxes = vec![Vec::new(); n];
+        for m in sorted {
+            inboxes[m.dst].push(m);
+        }
+        inboxes
+    }
+
+    /// `len` envelopes over `n` nodes with sources drawn by `src_of(index)`;
+    /// the payload is the insertion index, so order mistakes are visible.
+    fn batch(n: usize, len: usize, src_of: impl Fn(usize) -> usize) -> Vec<Envelope<u64>> {
+        (0..len).map(|i| Envelope::new(src_of(i) % n, (i * 7 + i / 3) % n, i as u64)).collect()
+    }
+
+    #[test]
+    fn route_delivers_like_stable_sort_then_bucket() {
+        let n = 6;
+        let len = 50;
+        let cases: [(&str, Vec<Envelope<u64>>); 4] = [
+            ("already in src order", batch(n, len, |i| i * n / len)),
+            ("reverse src order", batch(n, len, |i| (len - 1 - i) * n / len)),
+            ("interleaved", batch(n, len, |i| i * 5 + i / 4)),
+            ("single source", batch(n, len, |_| 3)),
+        ];
+        for (what, msgs) in cases {
+            let mut c = Clique::new(n);
+            let got = c.route(msgs.clone()).unwrap();
+            assert_eq!(got, route_reference(n, &msgs), "{what}");
+            assert_eq!(c.metrics().messages, len as u64, "{what}");
+        }
+    }
+
+    #[test]
+    fn route_inboxes_are_allocated_at_their_final_size() {
+        let n = 5;
+        for msgs in [batch(n, 40, |i| i / 8), batch(n, 40, |i| 40 - i), Vec::new()] {
+            let mut c = Clique::new(n);
+            for inbox in c.route(msgs).unwrap() {
+                assert_eq!(inbox.capacity(), inbox.len(), "an inbox grew or was over-reserved");
+            }
+        }
+    }
+
+    #[test]
+    fn route_error_anywhere_in_the_batch_charges_nothing() {
+        let n = 4;
+        for bad_at in [0, 7, 19] {
+            for bad_src in [true, false] {
+                let mut msgs = batch(n, 20, |i| i / 5);
+                let bad = if bad_src { Envelope::new(n, 0, 0) } else { Envelope::new(0, n + 3, 0) };
+                let node = if bad_src { n } else { n + 3 };
+                msgs.insert(bad_at, bad);
+                let mut c = Clique::new(n);
+                c.charge("before", 2);
+                let before = c.metrics().clone();
+                let err = c.route(msgs).unwrap_err();
+                assert_eq!(err, CliqueError::InvalidNode { node, n });
+                assert_eq!(c.rounds(), 2);
+                assert_eq!(c.metrics(), &before, "a rejected batch must leave no trace");
+            }
+        }
+    }
+
+    #[test]
+    fn sort_matches_flatten_sort_chunk() {
+        let n = 5;
+        for total in [0usize, 1, 4, 5, 6, 23] {
+            let per_node: Vec<Vec<(u64, u64)>> = (0..n)
+                .map(|v| {
+                    (0..total)
+                        .filter(|i| (i * 3 + 1) % n == v)
+                        .map(|i| ((i * 37 % 11) as u64, i as u64))
+                        .collect()
+                })
+                .collect();
+            let mut all: Vec<(u64, u64)> = per_node.iter().flatten().copied().collect();
+            all.sort();
+            let run = total.div_ceil(n).max(1);
+            let mut expected: Vec<Vec<(u64, u64)>> = all.chunks(run).map(<[_]>::to_vec).collect();
+            expected.resize(n, Vec::new());
+            let mut c = Clique::new(n);
+            assert_eq!(c.sort(per_node).unwrap(), expected, "total = {total}");
+            assert_eq!(c.metrics().messages, total as u64);
+            assert_eq!(c.metrics().words, 2 * total as u64);
+        }
+    }
+
+    /// The phase label as it was first defined: the open labels and the
+    /// primitive's leaf joined with `/`.
+    fn phase_label_reference(stack: &[&str], leaf: &str) -> String {
+        if stack.is_empty() {
+            leaf.to_owned()
+        } else {
+            let mut s = stack.join("/");
+            if !leaf.is_empty() {
+                s.push('/');
+                s.push_str(leaf);
+            }
+            s
+        }
+    }
+
+    #[test]
+    fn incremental_phase_prefix_matches_joining_the_stack() {
+        let stacks: [&[&str]; 6] =
+            [&[], &["a"], &["a", "b/c", "d"], &[""], &["", "x"], &["x", "", "y"]];
+        for stack in stacks {
+            for leaf in ["route", ""] {
+                fn nest(c: &mut Clique, stack: &[&str], leaf: &str) {
+                    match stack.split_first() {
+                        Some((label, rest)) => c.with_phase(label, |c| nest(c, rest, leaf)),
+                        None => c.charge(leaf, 1),
+                    }
+                }
+                let mut c = Clique::new(2);
+                nest(&mut c, stack, leaf);
+                let want = phase_label_reference(stack, leaf);
+                assert_eq!(c.metrics().phases.keys().collect::<Vec<_>>(), vec![&want]);
+                // The prefix is restored on the way out.
+                c.charge("after", 1);
+                assert!(c.metrics().phases.contains_key("after"));
+            }
+        }
     }
 }

@@ -99,6 +99,21 @@ pub struct CubePartition {
     /// Middle ranges `C^{ij}_k`, indexed `[i·a + j][k]`; consecutive and
     /// covering `0..n` for every `(i, j)`.
     pub mid_ranges: Vec<Vec<Range<usize>>>,
+    /// `mid_ranges` inverted once at construction: entry `(i·a + j)·n + col`
+    /// is the `k` with `col ∈ C^{ij}_k` (what [`CubePartition::mid_block_of`]
+    /// answers, once per entry and column/row block during delivery).
+    mid_block: Vec<u32>,
+}
+
+/// Inverts consecutive covering ranges into a flat `[(i, j)][col] → k` table.
+fn mid_block_table(n: usize, mid_ranges: &[Vec<Range<usize>>]) -> Vec<u32> {
+    let mut table = vec![0u32; mid_ranges.len() * n];
+    for (ij, ranges) in mid_ranges.iter().enumerate() {
+        for (k, r) in ranges.iter().enumerate() {
+            table[ij * n..(ij + 1) * n][r.clone()].fill(k as u32);
+        }
+    }
+    table
 }
 
 impl CubePartition {
@@ -134,10 +149,9 @@ impl CubePartition {
     ///
     /// Panics if `col ≥ n` (ranges always cover `0..n`).
     pub fn mid_block_of(&self, i: usize, j: usize, col: usize) -> usize {
-        let ranges = &self.mid_ranges[i * self.shape.a + j];
-        // Ranges are consecutive and cover 0..n: binary search by end point.
-        let k = ranges.partition_point(|r| r.end <= col);
-        debug_assert!(ranges[k].contains(&col), "mid ranges must cover 0..n");
+        let ij = i * self.shape.a + j;
+        let k = self.mid_block[ij * self.n..(ij + 1) * self.n][col] as usize;
+        debug_assert!(self.mid_ranges[ij][k].contains(&col), "mid ranges must cover 0..n");
         k
     }
 
@@ -176,6 +190,7 @@ impl CubePartition {
             }
             out
         };
+        let mid_ranges = vec![mid; shape.a * shape.b];
         CubePartition {
             n,
             shape,
@@ -183,7 +198,8 @@ impl CubePartition {
             col_blocks: to_blocks(&col_ranges),
             row_block_of: block_of(&row_ranges),
             col_block_of: block_of(&col_ranges),
-            mid_ranges: vec![mid; shape.a * shape.b],
+            mid_block: mid_block_table(n, &mid_ranges),
+            mid_ranges,
         }
     }
 
@@ -237,13 +253,15 @@ impl CubePartition {
 
         // (3) Per-slice counts to each subtask node: node v sends to node
         // u = (i, j, k) the pair (nz(S[C^S_i, v]), nz(T[v, C^T_j])).
-        let mut msgs = Vec::with_capacity(n * shape.subtasks().min(n));
+        let mut msgs = Vec::with_capacity(n * shape.subtasks());
+        let mut cnt_s = vec![0u64; b];
+        let mut cnt_t = vec![0u64; a];
         for v in 0..n {
-            let mut cnt_s = vec![0u64; b];
+            cnt_s.fill(0);
             for (r, _) in s_cols[v].iter() {
                 cnt_s[row_block_of[r as usize]] += 1;
             }
-            let mut cnt_t = vec![0u64; a];
+            cnt_t.fill(0);
             for (cidx, _) in t_rows[v].iter() {
                 cnt_t[col_block_of[cidx as usize]] += 1;
             }
@@ -287,38 +305,41 @@ impl CubePartition {
             col_blocks,
             row_block_of,
             col_block_of,
+            mid_block: mid_block_table(n, &mid_ranges),
             mid_ranges,
         })
     }
 
-    /// All subtask nodes that need `S`-entry `(r, c)` under assignment
-    /// `targets_of`: one per column block `j`.
-    pub fn s_entry_targets<'a>(
-        &'a self,
+    /// Appends to `out` all subtask nodes that need `S`-entry `(r, c)` under
+    /// `assigned`: those of one subtask per column block `j`.
+    pub fn s_entry_targets(
+        &self,
         r: u32,
         c: u32,
-        assigned: &'a TaskAssignment,
-    ) -> impl Iterator<Item = NodeId> + 'a {
+        assigned: &TaskAssignment,
+        out: &mut Vec<NodeId>,
+    ) {
         let i = self.row_block_of[r as usize];
-        (0..self.shape.a).flat_map(move |j| {
+        for j in 0..self.shape.a {
             let k = self.mid_block_of(i, j, c as usize);
-            assigned.nodes_for(self, i, j, k).iter().copied()
-        })
+            out.extend_from_slice(assigned.nodes_for(self, i, j, k));
+        }
     }
 
-    /// All subtask nodes that need `T`-entry `(r, c)` under `assigned`: one
-    /// per row block `i`.
-    pub fn t_entry_targets<'a>(
-        &'a self,
+    /// Appends to `out` all subtask nodes that need `T`-entry `(r, c)` under
+    /// `assigned`: those of one subtask per row block `i`.
+    pub fn t_entry_targets(
+        &self,
         r: u32,
         c: u32,
-        assigned: &'a TaskAssignment,
-    ) -> impl Iterator<Item = NodeId> + 'a {
+        assigned: &TaskAssignment,
+        out: &mut Vec<NodeId>,
+    ) {
         let j = self.col_block_of[c as usize];
-        (0..self.shape.b).flat_map(move |i| {
+        for i in 0..self.shape.b {
             let k = self.mid_block_of(i, j, r as usize);
-            assigned.nodes_for(self, i, j, k).iter().copied()
-        })
+            out.extend_from_slice(assigned.nodes_for(self, i, j, k));
+        }
     }
 }
 

@@ -16,6 +16,7 @@ use cc_clique::{Clique, Envelope, NodeId, Payload};
 use cc_matrix::{Entry, Semiring, SparseRow};
 
 use crate::cube::{CubePartition, TaskAssignment};
+use crate::key_index::KeyIndex;
 use crate::MatmulError;
 
 /// The input slices one node needs for its assigned subtask.
@@ -73,30 +74,43 @@ impl<E: Payload> Payload for BalanceItem<E> {
     }
 }
 
+/// Fills the buffer it is handed with the recipients of entry `(row, col)`;
+/// the buffer arrives empty.
+type Targets<'a> = &'a dyn Fn(u32, u32, &mut Vec<NodeId>);
+
 /// Balances weighted entries across nodes (Lemma 10) and then fans each
 /// entry out to the subtask nodes given by `targets`.
 ///
-/// `per_node[v]` are the entries initially held by node `v`; `targets(r, c)`
-/// enumerates the recipients of entry `(r, c)` (its duplication weight is
-/// the length of that list).
+/// `per_node[v]` are the entries initially held by node `v`; `targets(r, c,
+/// buf)` lists the recipients of entry `(r, c)` (its duplication weight is
+/// the length of that list). It is asked twice per entry — by the initial
+/// holder for the weight, by the balanced holder for the fan-out — into one
+/// reused buffer.
 fn balance_and_fanout<SR: Semiring>(
     clique: &mut Clique,
     per_node: Vec<Vec<Entry<SR::Elem>>>,
-    targets: &dyn Fn(u32, u32) -> Vec<NodeId>,
+    targets: Targets<'_>,
 ) -> Result<Vec<Vec<Entry<SR::Elem>>>, MatmulError> {
     let n = clique.n();
+    let mut recipients: Vec<NodeId> = Vec::new();
 
     // Lemma 10, step 1: global sort by descending duplication weight.
+    let mut total_weight = 0usize;
     let items: Vec<Vec<BalanceItem<SR::Elem>>> = per_node
         .into_iter()
         .map(|entries| {
             entries
                 .into_iter()
-                .map(|e| BalanceItem {
-                    neg_weight: u64::MAX - targets(e.row, e.col).len() as u64,
-                    row: e.row,
-                    col: e.col,
-                    val: e.val,
+                .map(|e| {
+                    recipients.clear();
+                    targets(e.row, e.col, &mut recipients);
+                    total_weight += recipients.len();
+                    BalanceItem {
+                        neg_weight: u64::MAX - recipients.len() as u64,
+                        row: e.row,
+                        col: e.col,
+                        val: e.val,
+                    }
                 })
                 .collect()
         })
@@ -123,11 +137,13 @@ fn balance_and_fanout<SR: Semiring>(
     let balanced = clique.with_phase("balance", |cl| cl.route(deal))?;
 
     // Lemma 11: fan every entry out to its subtask nodes.
-    let mut fanout = Vec::new();
+    let mut fanout = Vec::with_capacity(total_weight);
     for (holder, batch) in balanced.into_iter().enumerate() {
         for env in batch {
             let item = env.payload;
-            for dst in targets(item.row, item.col) {
+            recipients.clear();
+            targets(item.row, item.col, &mut recipients);
+            for &dst in &recipients {
                 fanout.push(Envelope::new(
                     holder,
                     dst,
@@ -136,6 +152,7 @@ fn balance_and_fanout<SR: Semiring>(
             }
         }
     }
+    debug_assert_eq!(fanout.len(), total_weight, "weights are the fan-out sizes");
     let inboxes = clique.with_phase("fanout", |cl| cl.route(fanout))?;
     Ok(inboxes.into_iter().map(|batch| batch.into_iter().map(|e| e.payload).collect()).collect())
 }
@@ -162,7 +179,7 @@ pub fn deliver_subtask_inputs<SR: Semiring>(
         .map(|(r, row)| row.iter().map(|(c, v)| Entry::new(r as u32, c, v.clone())).collect())
         .collect();
     let s_targets =
-        |r: u32, c: u32| -> Vec<NodeId> { cube.s_entry_targets(r, c, assignment).collect() };
+        |r: u32, c: u32, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, assignment, out);
     let s_delivered = clique
         .with_phase("deliver_s", |cl| balance_and_fanout::<SR>(cl, s_per_node, &s_targets))?;
 
@@ -173,7 +190,7 @@ pub fn deliver_subtask_inputs<SR: Semiring>(
         .map(|(c, col)| col.iter().map(|(r, v)| Entry::new(r, c as u32, v.clone())).collect())
         .collect();
     let t_targets =
-        |r: u32, c: u32| -> Vec<NodeId> { cube.t_entry_targets(r, c, assignment).collect() };
+        |r: u32, c: u32, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, assignment, out);
     let t_delivered = clique
         .with_phase("deliver_t", |cl| balance_and_fanout::<SR>(cl, t_per_node, &t_targets))?;
 
@@ -186,26 +203,280 @@ pub fn deliver_subtask_inputs<SR: Semiring>(
     Ok(out)
 }
 
+/// The buffers of [`local_product`]. One multiplication computes thousands
+/// of small block products; handing the same scratch to each of them makes
+/// the output `Vec` the only allocation of a product.
+#[derive(Debug)]
+pub struct ProductScratch<E> {
+    s_by_row: KeyIndex,
+    t_by_row: KeyIndex,
+    /// The accumulator row, one cell per column of the widest `T` block so
+    /// far; every cell is `None` between products.
+    acc: Vec<Option<E>>,
+    /// Columns of `acc` written while accumulating the current output row.
+    touched: Vec<u32>,
+}
+
+impl<E> Default for ProductScratch<E> {
+    fn default() -> Self {
+        ProductScratch {
+            s_by_row: KeyIndex::default(),
+            t_by_row: KeyIndex::default(),
+            acc: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+}
+
 /// Computes a subtask's local product `S_block · T_block`, returning the
 /// non-zero entries of the block of `P` in deterministic position order.
-pub fn local_product<SR: Semiring>(input: &SubtaskInput<SR::Elem>) -> Vec<Entry<SR::Elem>> {
-    use std::collections::BTreeMap;
-    // Index T entries by their row (the contraction dimension).
-    let mut t_by_row: BTreeMap<u32, Vec<(u32, &SR::Elem)>> = BTreeMap::new();
-    for e in &input.t_entries {
-        t_by_row.entry(e.row).or_default().push((e.col, &e.val));
+///
+/// A sparse-accumulator (Gustavson) product: `S` is walked row by row and
+/// `T` is indexed by its row (the contraction dimension), so one output row
+/// accumulates into a dense row as wide as the `T` block's column span, and
+/// the columns it touched are sorted once per output row. Every output
+/// position sees its elementary products in the order of the input lists.
+pub fn local_product<SR: Semiring>(
+    scratch: &mut ProductScratch<SR::Elem>,
+    input: &SubtaskInput<SR::Elem>,
+) -> Vec<Entry<SR::Elem>> {
+    let (s, t) = (&input.s_entries, &input.t_entries);
+    let ProductScratch { s_by_row, t_by_row, acc, touched } = scratch;
+    if !(s_by_row.rebuild(s.len(), |idx| s[idx].row) && t_by_row.rebuild(t.len(), |idx| t[idx].row))
+    {
+        return Vec::new();
     }
-    let mut acc: BTreeMap<(u32, u32), SR::Elem> = BTreeMap::new();
-    for s in &input.s_entries {
-        if let Some(ts) = t_by_row.get(&s.col) {
-            for (c, tval) in ts {
-                let prod = SR::mul(&s.val, tval);
-                acc.entry((s.row, *c)).and_modify(|cur| *cur = SR::add(cur, &prod)).or_insert(prod);
+    // `t` is non-empty here, so the fold leaves a real span.
+    let (col_lo, col_hi) =
+        t.iter().fold((u32::MAX, 0), |(lo, hi), e| (lo.min(e.col), hi.max(e.col)));
+    let width = (col_hi - col_lo) as usize + 1;
+    if acc.len() < width {
+        acc.resize(width, None);
+    }
+
+    let mut out = Vec::new();
+    for row in s_by_row.keys() {
+        for &s_idx in s_by_row.get(row) {
+            let s_entry = &s[s_idx as usize];
+            for &t_idx in t_by_row.get(s_entry.col) {
+                let t_entry = &t[t_idx as usize];
+                let prod = SR::mul(&s_entry.val, &t_entry.val);
+                match &mut acc[(t_entry.col - col_lo) as usize] {
+                    Some(cur) => *cur = SR::add(cur, &prod),
+                    slot => {
+                        *slot = Some(prod);
+                        touched.push(t_entry.col);
+                    }
+                }
+            }
+        }
+        touched.sort_unstable();
+        for col in touched.drain(..) {
+            let val = acc[(col - col_lo) as usize].take().expect("touched columns hold a value");
+            if !SR::is_zero(&val) {
+                out.push(Entry::new(row, col, val));
             }
         }
     }
-    acc.into_iter()
-        .filter(|(_, v)| !SR::is_zero(v))
-        .map(|((r, c), v)| Entry::new(r, c, v))
-        .collect()
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cc_matrix::{AugDist, AugMinPlus, Boolean, Dist, MinPlus, WitnessedDist, WitnessedMinPlus};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The product as first written: two ordered maps. Kept as the reference
+    /// the sparse-accumulator product must equal, entry for entry, in order.
+    fn local_product_reference<SR: Semiring>(
+        input: &SubtaskInput<SR::Elem>,
+    ) -> Vec<Entry<SR::Elem>> {
+        use std::collections::BTreeMap;
+        // Index T entries by their row (the contraction dimension).
+        let mut t_by_row: BTreeMap<u32, Vec<(u32, &SR::Elem)>> = BTreeMap::new();
+        for e in &input.t_entries {
+            t_by_row.entry(e.row).or_default().push((e.col, &e.val));
+        }
+        let mut acc: BTreeMap<(u32, u32), SR::Elem> = BTreeMap::new();
+        for s in &input.s_entries {
+            if let Some(ts) = t_by_row.get(&s.col) {
+                for (c, tval) in ts {
+                    let prod = SR::mul(&s.val, tval);
+                    acc.entry((s.row, *c))
+                        .and_modify(|cur| *cur = SR::add(cur, &prod))
+                        .or_insert(prod);
+                }
+            }
+        }
+        acc.into_iter()
+            .filter(|(_, v)| !SR::is_zero(v))
+            .map(|((r, c), v)| Entry::new(r, c, v))
+            .collect()
+    }
+
+    /// A block pair in arrival (i.e. arbitrary) order: rows of `S` in
+    /// `rows`, the contraction dimension in `mid`, columns of `T` in `cols`;
+    /// positions repeat on both sides when the counts exceed the block area.
+    fn random_input<E>(
+        rng: &mut StdRng,
+        (rows, mid, cols): (std::ops::Range<u32>, std::ops::Range<u32>, std::ops::Range<u32>),
+        (s_len, t_len): (usize, usize),
+        mut val: impl FnMut(&mut StdRng) -> E,
+    ) -> SubtaskInput<E> {
+        let s_entries = (0..s_len)
+            .map(|_| {
+                Entry::new(rng.gen_range(rows.clone()), rng.gen_range(mid.clone()), val(&mut *rng))
+            })
+            .collect();
+        let t_entries = (0..t_len)
+            .map(|_| {
+                Entry::new(rng.gen_range(mid.clone()), rng.gen_range(cols.clone()), val(&mut *rng))
+            })
+            .collect();
+        SubtaskInput { s_entries, t_entries }
+    }
+
+    /// Checks one product on a fresh scratch and on `shared`, which carries
+    /// the buffers (and their invariants) of every earlier case.
+    fn assert_matches_reference<SR: Semiring>(
+        shared: &mut ProductScratch<SR::Elem>,
+        what: &str,
+        input: &SubtaskInput<SR::Elem>,
+    ) {
+        let expected = local_product_reference::<SR>(input);
+        assert_eq!(local_product::<SR>(&mut ProductScratch::default(), input), expected, "{what}");
+        assert_eq!(local_product::<SR>(shared, input), expected, "{what}, reused scratch");
+        assert!(shared.acc.iter().all(Option::is_none), "{what}: accumulator left dirty");
+        assert!(shared.touched.is_empty(), "{what}: touched list left dirty");
+    }
+
+    /// Shapes from dense-with-repeats to nearly empty, offset from 0 so the
+    /// span arithmetic is exercised.
+    const SHAPES: [(usize, usize); 6] = [(0, 9), (9, 0), (1, 1), (12, 40), (60, 60), (200, 150)];
+
+    fn for_each_case<E>(
+        seed: u64,
+        val: impl Fn(&mut StdRng) -> E + Copy,
+        mut check: impl FnMut(&str, &SubtaskInput<E>),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (case, &lens) in SHAPES.iter().enumerate() {
+            for trial in 0..8 {
+                let input = random_input(&mut rng, (40..52, 7..19, 90..101), lens, val);
+                check(&format!("case {case} trial {trial}"), &input);
+            }
+        }
+        // S columns with no matching T row: disjoint contraction ranges, and
+        // a T side that reaches only part of S's columns.
+        let mut input = random_input(&mut rng, (0..8, 0..6, 3..9), (30, 0), val);
+        input.t_entries = random_input(&mut rng, (0..8, 6..12, 3..9), (0, 30), val).t_entries;
+        check("disjoint contraction ranges", &input);
+        input.t_entries = random_input(&mut rng, (0..8, 4..9, 3..9), (0, 30), val).t_entries;
+        check("partially overlapping contraction ranges", &input);
+    }
+
+    #[test]
+    fn sparse_accumulator_matches_btreemap_product_over_min_plus() {
+        let mut shared = ProductScratch::default();
+        for_each_case(
+            11,
+            |rng| Dist::fin(rng.gen_range(1..50)),
+            |what, input| assert_matches_reference::<MinPlus>(&mut shared, what, input),
+        );
+    }
+
+    #[test]
+    fn sparse_accumulator_matches_btreemap_product_over_aug_min_plus() {
+        let mut shared = ProductScratch::default();
+        for_each_case(
+            12,
+            |rng| AugDist::fin(rng.gen_range(1..6), rng.gen_range(1..4)),
+            |what, input| assert_matches_reference::<AugMinPlus>(&mut shared, what, input),
+        );
+    }
+
+    #[test]
+    fn sparse_accumulator_matches_btreemap_product_over_witnessed_min_plus() {
+        // Few distinct distances, so equal-distance candidates with different
+        // witnesses meet in one accumulator cell and order would show.
+        let mut shared = ProductScratch::default();
+        for_each_case(
+            13,
+            |rng| {
+                if rng.gen_bool(0.5) {
+                    WitnessedDist::direct(rng.gen_range(1..4))
+                } else {
+                    WitnessedDist::via(rng.gen_range(1..4), rng.gen_range(0..30))
+                }
+            },
+            |what, input| assert_matches_reference::<WitnessedMinPlus>(&mut shared, what, input),
+        );
+    }
+
+    #[test]
+    fn sparse_accumulator_matches_btreemap_product_over_boolean() {
+        // `false` entries make whole cells sum to the semiring zero: they
+        // must be dropped, and a cell revived by a later `true` must not be.
+        let mut shared = ProductScratch::default();
+        for_each_case(
+            14,
+            |rng| rng.gen_bool(0.4),
+            |what, input| assert_matches_reference::<Boolean>(&mut shared, what, input),
+        );
+    }
+
+    #[test]
+    fn products_that_sum_to_zero_are_dropped() {
+        // Row 3 only ever multiplies INF: its cells exist in the accumulator
+        // and must not reach the output; row 4 produces one real entry.
+        let input = SubtaskInput {
+            s_entries: vec![
+                Entry::new(3, 0, Dist::INF),
+                Entry::new(4, 1, Dist::fin(2)),
+                Entry::new(3, 1, Dist::INF),
+            ],
+            t_entries: vec![Entry::new(0, 7, Dist::fin(1)), Entry::new(1, 5, Dist::fin(1))],
+        };
+        let mut scratch = ProductScratch::default();
+        let product = local_product::<MinPlus>(&mut scratch, &input);
+        assert_eq!(product, vec![Entry::new(4, 5, Dist::fin(3))]);
+        assert_matches_reference::<MinPlus>(&mut scratch, "explicit zeros", &input);
+    }
+
+    #[test]
+    fn fan_out_asks_for_targets_into_one_buffer() {
+        // Entry (r, c) goes to nodes r and c: every inbox then holds exactly
+        // the entries naming it, in (holder, deal) order, whatever the
+        // balancing did in between.
+        let n = 6;
+        let per_node: Vec<Vec<Entry<Dist>>> = (0..n as u32)
+            .map(|v| {
+                (0..n as u32).map(|c| Entry::new(v, c, Dist::fin((v * 10 + c) as u64))).collect()
+            })
+            .collect();
+        let targets = |r: u32, c: u32, out: &mut Vec<NodeId>| {
+            assert!(out.is_empty(), "the buffer is handed over empty");
+            out.push(r as usize);
+            if c != r {
+                out.push(c as usize);
+            }
+        };
+        let mut clique = Clique::new(n);
+        let delivered = balance_and_fanout::<MinPlus>(&mut clique, per_node, &targets).unwrap();
+        for (v, inbox) in delivered.iter().enumerate() {
+            let mut positions: Vec<(u32, u32)> = inbox.iter().map(Entry::pos).collect();
+            positions.sort_unstable();
+            let mut expected: Vec<(u32, u32)> = (0..n as u32)
+                .flat_map(|r| (0..n as u32).map(move |c| (r, c)))
+                .filter(|&(r, c)| r as usize == v || c as usize == v)
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(positions, expected, "node {v}");
+        }
+        // 36 entries dealt + (2·36 − 6) fanned out, nothing else routed.
+        assert_eq!(clique.metrics().phases["balance/route"].messages, 36);
+        assert_eq!(clique.metrics().phases["fanout/route"].messages, 66);
+    }
 }

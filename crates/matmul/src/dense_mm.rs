@@ -10,7 +10,7 @@ use cc_clique::Clique;
 use cc_matrix::{Semiring, SparseRow};
 
 use crate::cube::{CubePartition, CubeShape, TaskAssignment};
-use crate::deliver::{deliver_subtask_inputs, local_product};
+use crate::deliver::{deliver_subtask_inputs, local_product, ProductScratch};
 use crate::sum::sum_intermediates;
 use crate::MatmulError;
 
@@ -60,7 +60,9 @@ pub fn dense_multiply<SR: Semiring>(
         let cube = CubePartition::uniform(n, CubeShape::uniform(n));
         let sigma1 = TaskAssignment::new(&cube, cube.sigma1());
         let inputs = deliver_subtask_inputs::<SR>(clique, &cube, s_rows, t_cols, &sigma1)?;
-        let intermediates: Vec<_> = inputs.iter().map(local_product::<SR>).collect();
+        let mut scratch = ProductScratch::default();
+        let intermediates: Vec<_> =
+            inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
         sum_intermediates::<SR>(clique, intermediates)
     })
 }

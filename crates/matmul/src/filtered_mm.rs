@@ -17,13 +17,12 @@
 //! lexicographic cutoff `(r, s)` — in one search instead of a value search
 //! plus a tie-resolution query.
 
-use std::collections::HashMap;
-
 use cc_clique::{Clique, Envelope, NodeId, Payload};
 use cc_matrix::{Entry, OrderedSemiring, Searchable, SparseRow};
 
 use crate::cube::{CubePartition, CubeShape, Sigma, TaskAssignment};
-use crate::deliver::{deliver_subtask_inputs, local_product};
+use crate::deliver::{deliver_subtask_inputs, local_product, ProductScratch};
+use crate::key_index::KeyIndex;
 use crate::sum::sum_intermediates;
 use crate::{layout, MatmulError};
 
@@ -49,9 +48,72 @@ struct Search {
     /// Invariant: count(≤ lo) < ρ ≤ count(≤ hi).
     lo: u128,
     hi: u128,
-    /// Group members that reported entries for this row.
+    /// Entries of this row across the group, summed from the init reports.
+    total: u64,
+    /// Sum of the members' replies to the query in flight.
+    replied: u64,
+    /// Group members that reported entries for this row, ascending.
     contributors: Vec<NodeId>,
-    resolved: bool,
+}
+
+impl Search {
+    /// Whether the cutoff is still undetermined (another query is due).
+    fn open(&self) -> bool {
+        self.hi > self.lo + 1
+    }
+
+    fn midpoint(&self) -> u128 {
+        self.lo + (self.hi - self.lo) / 2
+    }
+}
+
+/// One node's product entries as sorted combined ordinals per row, grouped
+/// by the row's *slot* (its index in the node's row block `C^S_i`).
+struct RowOrdinals {
+    by_slot: KeyIndex,
+    /// Parallel to `by_slot.order()`, each slot's group sorted ascending.
+    ords: Vec<u128>,
+}
+
+impl RowOrdinals {
+    fn build<E: Searchable>(entries: &[Entry<E>], slot_of_row: &[u32], n: usize) -> RowOrdinals {
+        let mut by_slot = KeyIndex::default();
+        by_slot.rebuild(entries.len(), |idx| slot_of_row[entries[idx].row as usize]);
+        let mut ords: Vec<u128> = by_slot
+            .order()
+            .iter()
+            .map(|&idx| combined(&entries[idx as usize].val, entries[idx as usize].col, n))
+            .collect();
+        for t in by_slot.keys() {
+            ords[by_slot.range(t)].sort_unstable();
+        }
+        RowOrdinals { by_slot, ords }
+    }
+
+    /// The sorted ordinals of the row in slot `t` (for `O(log)` counting).
+    fn row(&self, t: usize) -> &[u128] {
+        &self.ords[self.by_slot.range(t as u32)]
+    }
+}
+
+/// The per-row cutoffs of Lemma 15 as every group member knows them.
+struct RowCutoffs {
+    n: usize,
+    /// Row → its slot in its row block `C^S_i`.
+    slot_of_row: Vec<u32>,
+    /// Per node, per slot of its row block: the combined cutoff ordinal, or
+    /// `None` if the row already has at most `ρ` entries in the node's slice.
+    by_node: Vec<Vec<Option<u128>>>,
+}
+
+impl RowCutoffs {
+    /// Whether node `v` keeps product entry `e` (at or below its row's cutoff).
+    fn keeps<E: Searchable>(&self, v: NodeId, e: &Entry<E>) -> bool {
+        match self.by_node[v][self.slot_of_row[e.row as usize] as usize] {
+            Some(cut) => combined(&e.val, e.col, self.n) <= cut,
+            None => true,
+        }
+    }
 }
 
 /// **Theorem 14**: the ρ-filtered product `P̄` of `S ⋆ T`.
@@ -120,16 +182,14 @@ where
         // σ1 delivery + local slice products.
         let sigma1 = TaskAssignment::new(&cube, cube.sigma1());
         let inputs = deliver_subtask_inputs::<SR>(clique, &cube, s_rows, t_cols, &sigma1)?;
+        let mut scratch = ProductScratch::default();
         let mut products: Vec<Vec<Entry<SR::Elem>>> =
-            inputs.iter().map(local_product::<SR>).collect();
+            inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
 
         // Lemma 15: per-row cutoffs via lockstep distributed binary search.
         let cutoffs = row_cutoffs::<SR>(clique, &cube, &products, rho)?;
         for (v, product) in products.iter_mut().enumerate() {
-            product.retain(|e| match cutoffs[v].get(&e.row) {
-                Some(&cut) => combined(&e.val, e.col, n) <= cut,
-                None => true,
-            });
+            product.retain(|e| cutoffs.keeps(v, e));
         }
 
         // Lemma 16: balance survivors inside each group B_ik.
@@ -184,11 +244,8 @@ where
                     // Helper: recompute + filter locally (it holds the
                     // inputs via the σ delivery and the cutoffs via the
                     // group broadcast).
-                    let mut prod = local_product::<SR>(&dup_inputs[*owner]);
-                    prod.retain(|e| match cutoffs[*owner].get(&e.row) {
-                        Some(&cut) => combined(&e.val, e.col, n) <= cut,
-                        None => true,
-                    });
+                    let mut prod = local_product::<SR>(&mut scratch, &dup_inputs[*owner]);
+                    prod.retain(|e| cutoffs.keeps(*owner, e));
                     intermediates[*owner].extend_from_slice(&prod[lo..hi]);
                 }
             }
@@ -208,13 +265,15 @@ where
 /// no cutoff if the row already has at most `ρ` entries). Afterwards,
 /// **every member of the group** knows the cutoffs of all the group's rows.
 ///
-/// Returns, per node, a map `row → combined cutoff ordinal`.
+/// All per-row state is kept in dense vectors indexed by the row's slot in
+/// its row block, so every message batch is emitted in ascending
+/// `(node, row)` order.
 fn row_cutoffs<SR>(
     clique: &mut Clique,
     cube: &CubePartition,
     products: &[Vec<Entry<SR::Elem>>],
     rho: usize,
-) -> Result<Vec<HashMap<u32, u128>>, MatmulError>
+) -> Result<RowCutoffs, MatmulError>
 where
     SR: OrderedSemiring,
     SR::Elem: Searchable,
@@ -222,100 +281,76 @@ where
     let n = clique.n();
     let a = cube.shape.a;
 
-    // Per node: sorted combined ordinals per row (for O(log) counting).
-    let row_ordinals: Vec<HashMap<u32, Vec<u128>>> = products
-        .iter()
-        .map(|entries| {
-            let mut map: HashMap<u32, Vec<u128>> = HashMap::new();
-            for e in entries {
-                map.entry(e.row).or_default().push(combined(&e.val, e.col, n));
-            }
-            for v in map.values_mut() {
-                v.sort_unstable();
-            }
-            map
-        })
-        .collect();
+    let mut slot_of_row = vec![0u32; n];
+    for block in &cube.row_blocks {
+        for (t, &row) in block.iter().enumerate() {
+            slot_of_row[row] = t as u32;
+        }
+    }
+    // Rows (by slot) a node of row block i deals with; idle nodes have none.
+    let slots_of = |v: NodeId| cube.triple_of(v).map_or(0, |(i, _, _)| cube.row_blocks[i].len());
 
-    // Coordinator of row-index t within group (i,k) is member t mod a.
-    let coordinator_of = |i: usize, k: usize, row: u32| -> NodeId {
-        let t =
-            cube.row_blocks[i].binary_search(&(row as usize)).expect("row belongs to its block");
-        cube.group_bik(i, k)[t % a]
-    };
+    let row_ordinals: Vec<RowOrdinals> =
+        products.iter().map(|entries| RowOrdinals::build(entries, &slot_of_row, n)).collect();
 
     clique.with_phase("cutoff_search", |clique| {
-        // Init: members report (row, count, min, max) to coordinators.
+        // Init: members report (row, count, min, max) to coordinators. The
+        // coordinator of slot t within group (i, k) is member t mod a.
         let mut init_msgs = Vec::new();
         for v in 0..cube.shape.subtasks() {
             let (i, _j, k) = cube.triple_of(v).expect("subtask nodes have triples");
-            for (&row, ords) in &row_ordinals[v] {
-                let coord = coordinator_of(i, k, row);
+            for (t, &row) in cube.row_blocks[i].iter().enumerate() {
+                let ords = row_ordinals[v].row(t);
+                let (Some(&min_o), Some(&max_o)) = (ords.first(), ords.last()) else {
+                    continue;
+                };
                 init_msgs.push(Envelope::new(
                     v,
-                    coord,
-                    (
-                        row,
-                        ords.len() as u64,
-                        Ord128(*ords.first().expect("nonempty")),
-                        Ord128(*ords.last().expect("nonempty")),
-                    ),
+                    cube.node_for(i, t % a, k),
+                    (row as u32, ords.len() as u64, Ord128(min_o), Ord128(max_o)),
                 ));
             }
         }
         let inboxes = clique.route(init_msgs)?;
 
-        // Coordinators set up searches.
-        let mut searches: Vec<HashMap<u32, Search>> = (0..n).map(|_| HashMap::new()).collect();
+        // Coordinators set up searches, one per reported row slot.
+        let mut searches: Vec<Vec<Option<Search>>> =
+            (0..n).map(|v| (0..slots_of(v)).map(|_| None).collect()).collect();
         for (coord, inbox) in inboxes.into_iter().enumerate() {
             for env in inbox {
                 let (row, cnt, min_o, max_o) = env.payload;
-                let s = searches[coord].entry(row).or_insert(Search {
+                let s = searches[coord][slot_of_row[row as usize] as usize].get_or_insert(Search {
                     lo: u128::MAX,
                     hi: 0,
+                    total: 0,
+                    replied: 0,
                     contributors: Vec::new(),
-                    resolved: false,
                 });
                 s.contributors.push(env.src);
                 s.lo = s.lo.min(min_o.0.saturating_sub(1));
                 s.hi = s.hi.max(max_o.0);
-                // Stash counts in a side channel: reuse `resolved` later;
-                // accumulate totals separately below.
-                s.contributors.sort_unstable();
-                let _ = cnt;
+                s.total += cnt;
             }
-        }
-        // Recompute totals (needs a second pass because Search has no field).
-        let mut totals: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-        for (v, map) in row_ordinals.iter().enumerate() {
-            if let Some((i, _j, k)) = cube.triple_of(v) {
-                for (&row, ords) in map {
-                    let coord = coordinator_of(i, k, row);
-                    *totals[coord].entry(row).or_default() += ords.len() as u64;
+            for slot in &mut searches[coord] {
+                match slot {
+                    // At most ρ entries: keep-all, no cutoff needed.
+                    Some(s) if s.total <= rho as u64 => *slot = None,
+                    Some(s) => s.contributors.sort_unstable(),
+                    None => {}
                 }
             }
-        }
-        for (coord, map) in searches.iter_mut().enumerate() {
-            map.retain(|row, s| {
-                if totals[coord][row] <= rho as u64 {
-                    false // at most ρ entries: keep-all, no cutoff needed
-                } else {
-                    s.resolved = false;
-                    true
-                }
-            });
         }
 
         // Lockstep binary search: one (query, reply) route pair per step.
         loop {
             let mut queries = Vec::new();
-            for (coord, map) in searches.iter().enumerate() {
-                for (&row, s) in map {
-                    if !s.resolved && s.hi > s.lo + 1 {
-                        let mid = s.lo + (s.hi - s.lo) / 2;
-                        for &m in &s.contributors {
-                            queries.push(Envelope::new(coord, m, (row, Ord128(mid))));
-                        }
+            for (coord, slots) in searches.iter().enumerate() {
+                let Some((i, _j, _k)) = cube.triple_of(coord) else { continue };
+                for (t, s) in slots.iter().enumerate() {
+                    let Some(s) = s.as_ref().filter(|s| s.open()) else { continue };
+                    let row = cube.row_blocks[i][t] as u32;
+                    for &m in &s.contributors {
+                        queries.push(Envelope::new(coord, m, (row, Ord128(s.midpoint()))));
                     }
                 }
             }
@@ -323,58 +358,60 @@ where
                 break;
             }
             let inboxes = clique.route(queries)?;
-            let mut replies = Vec::new();
+            let mut replies = Vec::with_capacity(inboxes.iter().map(Vec::len).sum());
             for (member, inbox) in inboxes.into_iter().enumerate() {
                 for env in inbox {
                     let (row, mid) = env.payload;
-                    let cnt = row_ordinals[member]
-                        .get(&row)
-                        .map_or(0, |ords| ords.partition_point(|&o| o <= mid.0) as u64);
+                    let ords = row_ordinals[member].row(slot_of_row[row as usize] as usize);
+                    let cnt = ords.partition_point(|&o| o <= mid.0) as u64;
                     replies.push(Envelope::new(member, env.src, (row, cnt)));
                 }
             }
             let inboxes = clique.route(replies)?;
             for (coord, inbox) in inboxes.into_iter().enumerate() {
-                let mut sums: HashMap<u32, u64> = HashMap::new();
                 for env in inbox {
-                    *sums.entry(env.payload.0).or_default() += env.payload.1;
+                    let (row, cnt) = env.payload;
+                    let s = searches[coord][slot_of_row[row as usize] as usize]
+                        .as_mut()
+                        .expect("reply matches search");
+                    s.replied += cnt;
                 }
-                for (row, cnt) in sums {
-                    let s = searches[coord].get_mut(&row).expect("reply matches search");
-                    let mid = s.lo + (s.hi - s.lo) / 2;
-                    if cnt >= rho as u64 {
+                // Exactly the searches that were open sent a query, and each
+                // heard back from all its contributors.
+                for s in searches[coord].iter_mut().flatten().filter(|s| s.open()) {
+                    let mid = s.midpoint();
+                    if s.replied >= rho as u64 {
                         s.hi = mid;
                     } else {
                         s.lo = mid;
                     }
-                    if s.hi <= s.lo + 1 {
-                        s.resolved = true;
-                    }
+                    s.replied = 0;
                 }
             }
         }
 
         // Broadcast cutoffs to every member of each group.
         let mut cutoff_msgs = Vec::new();
-        for (coord, map) in searches.iter().enumerate() {
-            if map.is_empty() {
-                continue;
-            }
-            let (i, _j, k) = cube.triple_of(coord).expect("coordinators have triples");
-            for (&row, s) in map {
-                for m in cube.group_bik(i, k) {
+        for (coord, slots) in searches.iter().enumerate() {
+            let Some((i, _j, k)) = cube.triple_of(coord) else { continue };
+            let group = cube.group_bik(i, k);
+            for (t, s) in slots.iter().enumerate() {
+                let Some(s) = s else { continue };
+                let row = cube.row_blocks[i][t] as u32;
+                for &m in &group {
                     cutoff_msgs.push(Envelope::new(coord, m, (row, Ord128(s.hi))));
                 }
             }
         }
         let inboxes = clique.route(cutoff_msgs)?;
-        let mut cutoffs: Vec<HashMap<u32, u128>> = vec![HashMap::new(); n];
+        let mut by_node: Vec<Vec<Option<u128>>> = (0..n).map(|v| vec![None; slots_of(v)]).collect();
         for (member, inbox) in inboxes.into_iter().enumerate() {
             for env in inbox {
-                cutoffs[member].insert(env.payload.0, env.payload.1 .0);
+                by_node[member][slot_of_row[env.payload.0 as usize] as usize] =
+                    Some(env.payload.1 .0);
             }
         }
-        Ok(cutoffs)
+        Ok(RowCutoffs { n, slot_of_row, by_node })
     })
 }
 
@@ -467,6 +504,61 @@ mod tests {
             filtered_multiply::<AugMinPlus>(&mut clique, w.rows(), t_cols.rows(), 3).unwrap();
         let expected = w.multiply::<AugMinPlus>(&w).filtered::<AugMinPlus>(3);
         assert_eq!(SparseMatrix::from_rows(rows), expected);
+    }
+
+    #[test]
+    fn cutoffs_are_the_rho_th_smallest_of_each_group_row() {
+        // Lemma 15 on its own: after the search every member of B_ik holds,
+        // for each row of the group's slice with more than ρ entries, exactly
+        // the ρ-th smallest (value, column) ordinal — and nothing otherwise.
+        let n = 16;
+        let rho = 2;
+        let s = random_matrix(n, 90, 21);
+        let t = random_matrix(n, 90, 22);
+        let t_cols = t.transpose();
+        let mut clique = Clique::new(n);
+        let (sc, _, rho_s) = layout::broadcast_counts(&mut clique, s.rows()).unwrap();
+        let (tc, _, rho_t) = layout::broadcast_counts(&mut clique, t_cols.rows()).unwrap();
+        let shape = CubeShape::choose(n, rho_s, rho_t, rho);
+        let cube =
+            CubePartition::build::<MinPlus>(&mut clique, shape, s.rows(), t_cols.rows(), &sc, &tc)
+                .unwrap();
+        let sigma1 = TaskAssignment::new(&cube, cube.sigma1());
+        let inputs =
+            deliver_subtask_inputs::<MinPlus>(&mut clique, &cube, s.rows(), t_cols.rows(), &sigma1)
+                .unwrap();
+        let mut scratch = ProductScratch::default();
+        let products: Vec<Vec<Entry<Dist>>> =
+            inputs.iter().map(|input| local_product::<MinPlus>(&mut scratch, input)).collect();
+
+        let cutoffs = row_cutoffs::<MinPlus>(&mut clique, &cube, &products, rho).unwrap();
+        let mut searched = 0;
+        for i in 0..shape.b {
+            for k in 0..shape.c {
+                let group = cube.group_bik(i, k);
+                for (slot, &row) in cube.row_blocks[i].iter().enumerate() {
+                    let mut ordinals: Vec<u128> = group
+                        .iter()
+                        .flat_map(|&v| products[v].iter())
+                        .filter(|e| e.row as usize == row)
+                        .map(|e| combined(&e.val, e.col, n))
+                        .collect();
+                    ordinals.sort_unstable();
+                    let expected = (ordinals.len() > rho).then(|| ordinals[rho - 1]);
+                    searched += usize::from(expected.is_some());
+                    for &member in &group {
+                        assert_eq!(
+                            cutoffs.by_node[member][slot], expected,
+                            "group ({i},{k}) row {row} at member {member}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(searched > 0, "fixture too sparse to exercise the search");
+        for idle in shape.subtasks()..n {
+            assert!(cutoffs.by_node[idle].is_empty());
+        }
     }
 
     #[test]

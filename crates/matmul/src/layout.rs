@@ -27,13 +27,12 @@ pub fn transpose_exchange<S: Semiring>(
     clique: &mut Clique,
     slices: &[SparseRow<S::Elem>],
 ) -> Result<Vec<SparseRow<S::Elem>>, MatmulError> {
-    let msgs = slices
-        .iter()
-        .enumerate()
-        .flat_map(|(v, row)| {
-            row.iter().map(move |(c, val)| Envelope::new(v, c as usize, (v as u32, val.clone())))
-        })
-        .collect();
+    let mut msgs = Vec::with_capacity(slices.iter().map(SparseRow::nnz).sum());
+    for (v, row) in slices.iter().enumerate() {
+        for (c, val) in row.iter() {
+            msgs.push(Envelope::new(v, c as usize, (v as u32, val.clone())));
+        }
+    }
     let inboxes = clique.with_phase("transpose", |c| c.route(msgs))?;
     Ok(inboxes
         .into_iter()

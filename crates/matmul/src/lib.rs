@@ -24,6 +24,17 @@
 //! every word they move; differential tests check them against
 //! [`cc_matrix::SparseMatrix::multiply`].
 //!
+//! Local computation is free in the model but not on the host, so the
+//! per-node kernels are written to touch each entry once: a subtask's block
+//! product is a **sparse-accumulator (Gustavson) product** — `T` indexed by
+//! the contraction dimension, one dense accumulator row as wide as the
+//! block's column span, the touched columns sorted once per output row —
+//! whose scratch buffers are shared by all the products of one
+//! multiplication; fan-out targets are written into one reused buffer and
+//! read from a column → middle-block table built with the cube partition;
+//! the Lemma 15 search keeps its per-row state in vectors indexed by the
+//! row's slot in its row block. None of it changes a simulated message.
+//!
 //! Unsafe code is forbidden (`#![forbid(unsafe_code)]`), as across the
 //! whole workspace.
 
@@ -38,6 +49,7 @@ mod deliver;
 mod dense_mm;
 mod error;
 mod filtered_mm;
+mod key_index;
 pub mod layout;
 pub mod partition;
 mod sparse_mm;

@@ -15,7 +15,7 @@ use cc_clique::Clique;
 use cc_matrix::{Semiring, SparseRow};
 
 use crate::cube::{CubePartition, CubeShape, Sigma, TaskAssignment};
-use crate::deliver::{deliver_subtask_inputs, local_product};
+use crate::deliver::{deliver_subtask_inputs, local_product, ProductScratch};
 use crate::sum::sum_intermediates;
 use crate::{layout, MatmulError};
 
@@ -111,7 +111,9 @@ pub fn sparse_multiply<SR: Semiring>(
         // Lemma 11 with σ1 + local products.
         let sigma1 = TaskAssignment::new(&cube, cube.sigma1());
         let inputs = deliver_subtask_inputs::<SR>(clique, &cube, s_rows, t_cols, &sigma1)?;
-        let products: Vec<_> = inputs.iter().map(local_product::<SR>).collect();
+        let mut scratch = ProductScratch::default();
+        let products: Vec<_> =
+            inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
 
         // Lemma 12: duplicate dense subtasks.
         let sizes: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
@@ -146,7 +148,7 @@ pub fn sparse_multiply<SR: Semiring>(
                     // σ2 owner: recompute locally from its delivered inputs.
                     // (Computation is free in the model; entries are already
                     // at the node via the σ2 delivery.)
-                    let prod = local_product::<SR>(&dup_inputs[*owner]);
+                    let prod = local_product::<SR>(&mut scratch, &dup_inputs[*owner]);
                     intermediates[*owner].extend_from_slice(&prod[lo..hi]);
                 }
             }

@@ -70,36 +70,33 @@ pub fn sum_intermediates<SR: Semiring>(
     per_node: Vec<Vec<Entry<SR::Elem>>>,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
     let n = clique.n();
-    let mut queues: Vec<std::collections::VecDeque<SumItem<SR::Elem>>> = per_node
-        .into_iter()
-        .enumerate()
-        .map(|(v, entries)| {
-            entries
-                .into_iter()
-                .enumerate()
-                .map(|(seq, e)| SumItem {
-                    key: pos_key(e.row, e.col),
-                    src: v as u32,
-                    seq: seq as u32,
-                    val: e.val,
-                })
-                .collect()
-        })
-        .collect();
 
     // Everyone learns the number of repetitions.
-    let lens: Vec<u64> = queues.iter().map(|q| q.len() as u64).collect();
+    let lens: Vec<u64> = per_node.iter().map(|q| q.len() as u64).collect();
     let lens = clique.with_phase("sum", |cl| cl.all_broadcast(lens))?;
     let reps = lens.iter().map(|&l| (l as usize).div_ceil(n)).max().unwrap_or(0);
 
+    let mut pending: Vec<std::vec::IntoIter<Entry<SR::Elem>>> =
+        per_node.into_iter().map(Vec::into_iter).collect();
     let mut out: Vec<SparseRow<SR::Elem>> = vec![SparseRow::new(); n];
-    for _rep in 0..reps {
-        // Each node contributes up to n values this repetition.
-        let batch: Vec<Vec<SumItem<SR::Elem>>> = queues
+    for rep in 0..reps {
+        // Each node contributes its next up-to-n values this repetition;
+        // `seq` is the value's offset in the node's original list.
+        let batch: Vec<Vec<SumItem<SR::Elem>>> = pending
             .iter_mut()
-            .map(|q| {
-                let take = q.len().min(n);
-                q.drain(..take).collect()
+            .enumerate()
+            .map(|(v, values)| {
+                values
+                    .by_ref()
+                    .take(n)
+                    .enumerate()
+                    .map(|(off, e)| SumItem {
+                        key: pos_key(e.row, e.col),
+                        src: v as u32,
+                        seq: (rep * n + off) as u32,
+                        val: e.val,
+                    })
+                    .collect()
             })
             .collect();
 
@@ -142,6 +139,8 @@ pub fn sum_intermediates<SR: Semiring>(
         let owner_of = |key: u64, v: usize| -> usize {
             (0..v).find(|&t| spans[t].1 == key && spans[t].0 != EMPTY_SPAN).unwrap_or(v)
         };
+        // `kept_from[v]` is 1 if v shipped its first run away, else 0.
+        let mut kept_from = vec![0usize; n];
         let mut boundary_msgs = Vec::new();
         for v in 0..n {
             if combined[v].is_empty() {
@@ -152,34 +151,34 @@ pub fn sum_intermediates<SR: Semiring>(
             if owner != v {
                 // Every key before ours is <= min_key, so only the first run
                 // can be shared; ship its sum to the owner.
-                let (k, val) = combined[v].remove(0);
-                boundary_msgs.push(Envelope::new(v, owner, (k, val)));
+                let val = std::mem::replace(&mut combined[v][0].1, SR::zero());
+                kept_from[v] = 1;
+                boundary_msgs.push(Envelope::new(v, owner, (min_key, val)));
             }
         }
         let inboxes = clique.with_phase("sum", |cl| cl.route(boundary_msgs))?;
         for (v, inbox) in inboxes.into_iter().enumerate() {
             for env in inbox {
                 let (k, val) = env.payload;
-                match combined[v].iter_mut().find(|(key, _)| *key == k) {
-                    Some((_, cur)) => *cur = SR::add(cur, &val),
-                    // The owner always holds the key (its max == k).
-                    None => combined[v].push((k, val)),
+                // The owner's max is k and an owner never ships k away (no
+                // earlier node ends with it), so the shared run is its last.
+                match combined[v][kept_from[v]..].last_mut() {
+                    Some((key, cur)) if *key == k => *cur = SR::add(cur, &val),
+                    _ => unreachable!("the owner of a boundary key ends with that key"),
                 }
             }
         }
 
         // (4) Route per-position sums to their row owners.
-        let finals: Vec<Envelope<Entry<SR::Elem>>> = combined
-            .into_iter()
-            .enumerate()
-            .flat_map(|(v, items)| {
-                items.into_iter().map(move |(k, val)| {
-                    let row = (k >> 32) as u32;
-                    let col = (k & 0xffff_ffff) as u32;
-                    Envelope::new(v, row as usize, Entry::new(row, col, val))
-                })
-            })
-            .collect();
+        let kept: usize = combined.iter().zip(&kept_from).map(|(c, &from)| c.len() - from).sum();
+        let mut finals: Vec<Envelope<Entry<SR::Elem>>> = Vec::with_capacity(kept);
+        for (v, items) in combined.into_iter().enumerate() {
+            for (k, val) in items.into_iter().skip(kept_from[v]) {
+                let row = (k >> 32) as u32;
+                let col = (k & 0xffff_ffff) as u32;
+                finals.push(Envelope::new(v, row as usize, Entry::new(row, col, val)));
+            }
+        }
         let inboxes = clique.with_phase("sum", |cl| cl.route(finals))?;
         for (r, inbox) in inboxes.into_iter().enumerate() {
             for env in inbox {
@@ -236,6 +235,95 @@ mod tests {
         let rows = sum_intermediates::<MinPlus>(&mut clique, vec![vec![], vec![], vec![]]).unwrap();
         assert!(rows.iter().all(|r| r.is_empty()));
         assert!(clique.rounds() <= 1);
+    }
+
+    /// Sequential reference: add every value at its position.
+    fn reference_sum(n: usize, per_node: &[Vec<Entry<Dist>>]) -> Vec<SparseRow<Dist>> {
+        let mut rows = vec![SparseRow::new(); n];
+        for e in per_node.iter().flatten() {
+            rows[e.row as usize].accumulate::<MinPlus>(e.col, e.val);
+        }
+        rows
+    }
+
+    #[test]
+    fn three_consecutive_holders_share_one_boundary_key() {
+        // n = 4, 8 values => runs of 2 per holder after the sort. Position
+        // (1, 1) occurs five times: it ends holder 0 and fills holders 1 and
+        // 2, so both ship their (only) run to holder 0.
+        let n = 4;
+        let shared = |d| Entry::new(1, 1, Dist::fin(d));
+        let per_node = vec![
+            vec![Entry::new(0, 0, Dist::fin(3)), shared(9)],
+            vec![shared(8), shared(2)],
+            vec![shared(7), shared(6)],
+            vec![Entry::new(2, 0, Dist::fin(4)), Entry::new(3, 3, Dist::fin(5))],
+        ];
+        let mut clique = Clique::new(n);
+        let rows = sum_intermediates::<MinPlus>(&mut clique, per_node.clone()).unwrap();
+        assert_eq!(rows, reference_sum(n, &per_node));
+        assert_eq!(rows[1].get(1), Some(&Dist::fin(2)));
+        // One repetition: the boundary route carried the two shipped runs,
+        // the final route the 4 distinct positions.
+        let route = clique.metrics().phases["sum/route"];
+        assert_eq!(route.invocations, 2);
+        assert_eq!(route.messages, 2 + 4);
+    }
+
+    #[test]
+    fn holder_whose_only_run_is_shipped_keeps_nothing() {
+        // n = 3, 3 values => one value per holder, all for position (2, 0):
+        // holders 1 and 2 each hold a single run and ship it to holder 0,
+        // leaving their lists empty; only holder 0 routes a final sum.
+        let n = 3;
+        let per_node: Vec<Vec<Entry<Dist>>> =
+            (0..n).map(|v| vec![Entry::new(2, 0, Dist::fin(30 - v as u64))]).collect();
+        let mut clique = Clique::new(n);
+        let rows = sum_intermediates::<MinPlus>(&mut clique, per_node.clone()).unwrap();
+        assert_eq!(rows, reference_sum(n, &per_node));
+        assert_eq!(rows[2].get(0), Some(&Dist::fin(28)));
+        let route = clique.metrics().phases["sum/route"];
+        assert_eq!(route.messages, 2 + 1);
+    }
+
+    #[test]
+    fn shipped_first_run_and_received_last_run_on_one_holder() {
+        // Holder 1 ships its first run (0, 1) to holder 0 *and* owns the run
+        // (0, 3) that holder 2 starts with: offsets and "last run" must not
+        // be confused.
+        let n = 3;
+        let at = |c, d| Entry::new(0, c, Dist::fin(d));
+        let per_node = vec![
+            vec![at(0, 5), at(1, 9), at(1, 4)],
+            vec![at(1, 6), at(2, 7), at(3, 8)],
+            vec![at(3, 1), at(3, 2), at(4, 3)],
+        ];
+        let mut clique = Clique::new(n);
+        let rows = sum_intermediates::<MinPlus>(&mut clique, per_node.clone()).unwrap();
+        assert_eq!(rows, reference_sum(n, &per_node));
+        assert_eq!(rows[0].get(1), Some(&Dist::fin(4)));
+        assert_eq!(rows[0].get(3), Some(&Dist::fin(1)));
+    }
+
+    #[test]
+    fn multi_repetition_sums_match_the_sequential_reference() {
+        let n = 4;
+        let per_node: Vec<Vec<Entry<Dist>>> = (0..n as u64)
+            .map(|v| {
+                (0..(3 * v + 2))
+                    .map(|i| {
+                        Entry::new(
+                            ((i * 5 + v) % 4) as u32,
+                            ((i * 3) % 4) as u32,
+                            Dist::fin(1 + (i * 7 + v) % 13),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut clique = Clique::new(n);
+        let rows = sum_intermediates::<MinPlus>(&mut clique, per_node.clone()).unwrap();
+        assert_eq!(rows, reference_sum(n, &per_node));
     }
 
     #[test]

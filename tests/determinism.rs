@@ -1,5 +1,6 @@
 //! The paper's algorithms are deterministic; the simulator must be too.
-//! Same inputs ⇒ identical outputs *and* identical round counts, across
+//! Same inputs ⇒ identical outputs *and* an identical `Clique::report()` —
+//! rounds, messages, words and the whole per-phase breakdown — across
 //! repeated runs in the same process (this catches accidental dependence on
 //! hash-map iteration order inside the distributed algorithms).
 
@@ -15,7 +16,7 @@ fn k_nearest_is_deterministic() {
     for _ in 0..3 {
         let mut clique = Clique::new(48);
         let rows = k_nearest(&mut clique, &g, 8).unwrap();
-        runs.push((rows, clique.rounds()));
+        runs.push((rows, clique.report()));
     }
     assert_eq!(runs[0], runs[1]);
     assert_eq!(runs[1], runs[2]);
@@ -28,7 +29,7 @@ fn apsp_is_deterministic() {
     for _ in 0..2 {
         let mut clique = Clique::new(32);
         let run = apsp::unweighted_2eps(&mut clique, &g, 0.5).unwrap();
-        runs.push((run.dist, run.rounds));
+        runs.push((run.dist, run.rounds, clique.report()));
     }
     assert_eq!(runs[0], runs[1]);
 }
@@ -41,10 +42,10 @@ fn mssp_and_sssp_are_deterministic() {
     for _ in 0..2 {
         let mut clique = Clique::new(30);
         let run = mssp::mssp(&mut clique, &g, &[0, 17], 0.5).unwrap();
-        mssp_runs.push((run.dist, run.rounds));
+        mssp_runs.push((run.dist, run.rounds, clique.report()));
         let mut clique = Clique::new(30);
         let run = sssp::exact_sssp(&mut clique, &g, 3).unwrap();
-        sssp_runs.push((run.dist, run.rounds));
+        sssp_runs.push((run.dist, run.rounds, clique.report()));
     }
     assert_eq!(mssp_runs[0], mssp_runs[1]);
     assert_eq!(sssp_runs[0], sssp_runs[1]);
@@ -57,7 +58,7 @@ fn diameter_is_deterministic() {
     for _ in 0..2 {
         let mut clique = Clique::new(24);
         let run = diameter::diameter_approx(&mut clique, &g, 0.25).unwrap();
-        estimates.push((run.estimate, run.rounds));
+        estimates.push((run.estimate, run.rounds, clique.report()));
     }
     assert_eq!(estimates[0], estimates[1]);
 }

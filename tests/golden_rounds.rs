@@ -1,0 +1,183 @@
+//! Golden communication ledger: the two headline runs of the benchmark's
+//! `clique_paper` workload (Theorem 3 MSSP, Theorem 2/31 APSP at n = 32)
+//! must charge **exactly** the rounds, messages and words they charged when
+//! this file was written — in total and in every phase — and return the same
+//! distances.
+//!
+//! The simulator's host cost may be optimised freely; *what is simulated*
+//! may not change by accident. A change that reorders, merges, drops or adds
+//! a single simulated message moves one of these numbers and fails here,
+//! under its own name, rather than somewhere inside a stretch assertion.
+//!
+//! Regenerating (only after an *intentional* change to the simulated
+//! communication — never alongside a host-side optimisation):
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test golden_rounds
+//! ```
+
+use congested_clique::clique::{Clique, RoundReport};
+use congested_clique::core::{apsp, mssp};
+use congested_clique::graph::{generators, reference, Graph};
+use congested_clique::matrix::Dist;
+
+const GOLDEN_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/clique_n32_reports.txt");
+
+const N: usize = 32;
+const EPSILON: f64 = 0.5;
+const SOURCES: [usize; 8] = [1, 5, 9, 13, 17, 21, 25, 29];
+
+const MSSP_HEADER: &str = "# mssp(gnp_weighted(32, 5/32, 40, 42), sources 1,5,..,29, eps 0.5)";
+const APSP_HEADER: &str = "# unweighted_2eps(gnp(32, 5/32, 42), eps 0.5)";
+
+/// Totals of one pinned run: what `Clique::report()` must read, the number
+/// of primitive invocations behind it, and an FNV-1a digest of the output
+/// distance matrix (row-major, `u64::MAX` for `Dist::INF`).
+struct Pinned {
+    rounds: u64,
+    messages: u64,
+    words: u64,
+    phase_labels: usize,
+    invocations: u64,
+    dist_digest: u64,
+}
+
+const MSSP_PINNED: Pinned = Pinned {
+    rounds: 3_139,
+    messages: 1_328_194,
+    words: 1_732_560,
+    phase_labels: 54,
+    invocations: 2_547,
+    dist_digest: 11_751_844_912_777_100_782,
+};
+
+const APSP_PINNED: Pinned = Pinned {
+    rounds: 5_588,
+    messages: 2_660_972,
+    words: 3_353_041,
+    phase_labels: 108,
+    invocations: 4_786,
+    dist_digest: 12_639_840_282_067_814_693,
+};
+
+fn weighted_graph() -> Graph {
+    generators::gnp_weighted(N, 5.0 / 32.0, 40, 42).unwrap()
+}
+
+fn unweighted_graph() -> Graph {
+    generators::gnp(N, 5.0 / 32.0, 42).unwrap()
+}
+
+fn run_mssp() -> (Vec<Vec<Dist>>, RoundReport) {
+    let mut clique = Clique::new(N);
+    let run = mssp::mssp(&mut clique, &weighted_graph(), &SOURCES, EPSILON).unwrap();
+    assert_eq!(run.rounds, clique.rounds(), "fresh clique: run delta == cumulative rounds");
+    (run.dist, clique.report())
+}
+
+fn run_apsp() -> (Vec<Vec<Dist>>, RoundReport) {
+    let mut clique = Clique::new(N);
+    let run = apsp::unweighted_2eps(&mut clique, &unweighted_graph(), EPSILON).unwrap();
+    assert_eq!(run.rounds, clique.rounds(), "fresh clique: run delta == cumulative rounds");
+    (run.dist, clique.report())
+}
+
+fn digest(dist: &[Vec<Dist>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for d in dist.iter().flatten() {
+        for byte in d.value().unwrap_or(u64::MAX).to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn invocations(report: &RoundReport) -> u64 {
+    report.phases.values().map(|p| p.invocations).sum()
+}
+
+fn assert_pinned(what: &str, pinned: &Pinned, dist: &[Vec<Dist>], report: &RoundReport) {
+    assert_eq!(report.n, N);
+    assert_eq!(
+        (report.rounds, report.messages, report.words, report.phases.len()),
+        (pinned.rounds, pinned.messages, pinned.words, pinned.phase_labels),
+        "{what}: (rounds, messages, words, phase labels) moved — the simulated communication changed"
+    );
+    assert_eq!(invocations(report), pinned.invocations, "{what}: primitive invocations moved");
+    assert_eq!(digest(dist), pinned.dist_digest, "{what}: output distances moved");
+    // The breakdown adds up to the totals it is printed under.
+    assert_eq!(report.phases.values().map(|p| p.rounds).sum::<u64>(), report.rounds);
+    assert_eq!(report.phases.values().map(|p| p.messages).sum::<u64>(), report.messages);
+    assert_eq!(report.phases.values().map(|p| p.words).sum::<u64>(), report.words);
+}
+
+/// Soundness and the theorem's stretch bound of every estimate.
+fn assert_stretch(what: &str, est: Dist, exact: Option<u64>, bound: f64) {
+    match (exact, est.value()) {
+        (Some(d), Some(e)) => {
+            assert!(e >= d, "{what}: underestimate {e} < {d}");
+            assert!(e as f64 <= bound * d as f64 + 1e-9, "{what}: {e} > {bound}·{d}");
+        }
+        (None, None) => {}
+        (d, e) => panic!("{what}: reachability mismatch, exact {d:?} vs estimate {e:?}"),
+    }
+}
+
+fn rendered(mssp: &RoundReport, apsp: &RoundReport) -> String {
+    format!("{MSSP_HEADER}\n{mssp}{APSP_HEADER}\n{apsp}")
+}
+
+#[test]
+fn mssp_report_and_distances_are_pinned() {
+    let (dist, report) = run_mssp();
+    assert_pinned("mssp", &MSSP_PINNED, &dist, &report);
+    let exact = reference::all_pairs(&weighted_graph());
+    for (v, row) in dist.iter().enumerate() {
+        assert_eq!(row.len(), SOURCES.len());
+        for (i, &s) in SOURCES.iter().enumerate() {
+            assert_stretch(&format!("mssp ({v},{s})"), row[i], exact[v][s], 1.0 + EPSILON);
+        }
+    }
+}
+
+#[test]
+fn apsp_report_and_distances_are_pinned() {
+    let (dist, report) = run_apsp();
+    assert_pinned("unweighted_2eps", &APSP_PINNED, &dist, &report);
+    let exact = reference::all_pairs(&unweighted_graph());
+    for (u, row) in dist.iter().enumerate() {
+        assert_eq!(row.len(), N);
+        for (v, &est) in row.iter().enumerate() {
+            assert_stretch(&format!("apsp ({u},{v})"), est, exact[u][v], 2.0 + EPSILON);
+        }
+    }
+}
+
+#[test]
+fn every_phase_matches_the_committed_reports() {
+    let (_, mssp) = run_mssp();
+    let (_, apsp) = run_apsp();
+    let got = rendered(&mssp, &apsp);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(GOLDEN_PATH, &got).unwrap();
+    }
+    let want = std::fs::read_to_string(GOLDEN_PATH).expect(
+        "golden reports missing; regenerate with UPDATE_GOLDEN=1 cargo test --test golden_rounds",
+    );
+    if got != want {
+        let moved: Vec<String> = want
+            .lines()
+            .zip(got.lines())
+            .filter(|(w, g)| w != g)
+            .take(8)
+            .map(|(w, g)| format!("  golden: {}\n  now:    {}", w.trim(), g.trim()))
+            .collect();
+        panic!(
+            "per-phase reports differ from {GOLDEN_PATH} ({} vs {} lines); first differences:\n{}",
+            want.lines().count(),
+            got.lines().count(),
+            moved.join("\n")
+        );
+    }
+}
