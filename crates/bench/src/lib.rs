@@ -1,11 +1,13 @@
-//! # `cc-bench`: experiment and benchmark support
+//! # `cc-bench`: experiment support
 //!
-//! Shared infrastructure for the `experiments` binary (whose output —
+//! Shared infrastructure for the `experiments` binary, whose output —
 //! `cargo run -p cc-bench --bin experiments` — is every claim-level
-//! table) and the Criterion wall-time benches. The paper's complexity
-//! measure is *rounds*, which the `experiments` binary reports; the
-//! Criterion benches additionally track the simulator's wall-time so
-//! performance regressions in this codebase itself are visible.
+//! table. The paper's complexity measure is *rounds*, which the
+//! `experiments` binary reports; wall time — of the simulator, the
+//! builders and the serving stack — is the business of the benchmark
+//! ledger under `examples/ledger/` (its own package; see
+//! `BENCHMARK.json`), so performance regressions in this codebase itself
+//! are visible there.
 //!
 //! Unsafe code is forbidden (`#![forbid(unsafe_code)]`), as across the
 //! whole workspace.

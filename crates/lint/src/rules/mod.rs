@@ -111,6 +111,9 @@ pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplement
 /// not *reach* a panic.
 pub const SERVING_FILES: &[&str] = &[
     "crates/server/src/handlers.rs",
+    "crates/server/src/state.rs",
+    "crates/server/src/http.rs",
+    "crates/server/src/server.rs",
     "crates/server/src/pool.rs",
     "crates/server/src/reload.rs",
     "crates/server/src/reactor.rs",

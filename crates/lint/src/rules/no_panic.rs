@@ -4,8 +4,9 @@
 //! overload is a `503` — never a worker falling over. A panic in a handler
 //! kills a pool thread; a panic while a reload lock is held poisons it and
 //! takes the whole reload path down with it. `.unwrap()`, `.expect(...)`
-//! and the panicking macros are therefore banned in the request handlers,
-//! the worker pool, the reload plumbing, and the oracle query kernel.
+//! and the panicking macros are therefore banned in the request parser,
+//! the connection loop, the request handlers and their state, the worker
+//! pool, the reload plumbing, and the oracle query kernel.
 //! Genuinely-unreachable startup-time cases use the allow escape hatch with
 //! a stated reason.
 
@@ -19,7 +20,7 @@ impl Rule for NoPanic {
     }
 
     fn summary(&self) -> &'static str {
-        "no .unwrap()/.expect()/panic! in serving paths (handlers, pool, reload, reactor, query kernel, frame codec)"
+        "no .unwrap()/.expect()/panic! in serving paths (handlers, state, http parser, connection loop, pool, reload, reactor, query kernel, frame codec)"
     }
 
     fn applies_to(&self, path: &str) -> bool {

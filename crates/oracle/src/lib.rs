@@ -98,7 +98,8 @@
 //! (k-nearest balls, hitting-set landmarks, MSSP columns, extraction /
 //! per-shard slicing) carrying the phase's simulated clique rounds, wall
 //! time, and message volume — the numbers `cc-serve --demo` logs at
-//! startup and `BENCH_oracle.json` records as `build_phase_*_ms`.
+//! startup and the benchmark ledger reports per phase as
+//! `oracle.clique_build.*_us` / `oracle.direct_build.*_us`.
 //!
 //! # Example
 //!

@@ -1,6 +1,5 @@
 //! Server tuning knobs.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,17 +76,6 @@ pub struct ServerConfig {
     /// epoll reactor on Linux, the poll loop elsewhere). `/stats` reports
     /// the resolved choice as `transport`.
     pub transport: Transport,
-    /// Default snapshot path for `POST /reload` (and SIGHUP in the
-    /// `cc-serve` binary). `None` means a reload request must name a path
-    /// explicitly (`/reload?path=...`). Ignored when the server is started
-    /// from a manifest or shard set, which carry their own reload sources.
-    pub reload_path: Option<PathBuf>,
-    /// Whether the metric registry records anything. `false` swaps in a
-    /// permanently disabled [`cc_telemetry::Registry`]: every counter,
-    /// gauge, and histogram handle becomes a no-op (and `/stats`,
-    /// `/metrics` report zeros). Exists so the bench harness can measure
-    /// instrumentation overhead; leave `true` in production.
-    pub telemetry_enabled: bool,
     /// Access/slow-query log every request is recorded to. `None` (the
     /// default) disables request logging entirely; the log's own
     /// threshold decides which requests it keeps (see
@@ -105,8 +93,6 @@ impl Default for ServerConfig {
             cache_capacity: 4096,
             read_timeout: Duration::from_secs(5),
             transport: Transport::Auto,
-            reload_path: None,
-            telemetry_enabled: true,
             access_log: None,
         }
     }
@@ -155,18 +141,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the default snapshot path `POST /reload` (and SIGHUP) loads.
-    pub fn with_reload_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.reload_path = Some(path.into());
-        self
-    }
-
-    /// Enables or disables the metric registry (enabled by default).
-    pub fn with_telemetry_enabled(mut self, enabled: bool) -> Self {
-        self.telemetry_enabled = enabled;
-        self
-    }
-
     /// Sets the access/slow-query log requests are recorded to.
     pub fn with_access_log(mut self, log: Arc<AccessLog>) -> Self {
         self.access_log = Some(log);
@@ -188,18 +162,14 @@ mod tests {
             .with_cache_capacity(7)
             .with_read_timeout(Duration::from_millis(250))
             .with_transport(Transport::Poll)
-            .with_reload_path("/tmp/next.snap")
-            .with_telemetry_enabled(false)
             .with_access_log(Arc::new(AccessLog::stderr(0)));
         assert_eq!(c.addr, "0.0.0.0:9999");
-        assert_eq!(c.reload_path.as_deref(), Some(std::path::Path::new("/tmp/next.snap")));
         assert_eq!(c.workers, 1, "worker count is clamped to at least 1");
         assert_eq!(c.backlog, 1, "backlog is clamped to at least 1");
         assert_eq!(c.max_body_bytes, 512);
         assert_eq!(c.cache_capacity, 7);
         assert_eq!(c.read_timeout, Duration::from_millis(250));
         assert_eq!(c.transport, Transport::Poll);
-        assert!(!c.telemetry_enabled);
         assert!(c.access_log.is_some());
     }
 

@@ -13,89 +13,30 @@
 //! is a `400` at the edge, never a panic inside the serving process.
 //!
 //! Every request clones the current generation (an `Arc` refcount bump)
-//! and answers entirely on that clone, so `POST /reload` — the whole
-//! artifact, or a single shard via `?shard=i` — can validate and swap a
-//! new snapshot while traffic is in flight: old requests finish on the old
-//! artifact, new requests see the new one, and a reload that fails
-//! validation changes nothing except the error surfaced in `/stats`. On
-//! every successful swap the hottest keys of the outgoing cache are
-//! replayed into the new generation ([`Generation::warmed_from`]), and
-//! `/stats` reports the count as `warmed_keys`.
+//! and answers entirely on that clone, so `POST /reload` can validate and
+//! swap a new snapshot while traffic is in flight (see [`crate::reload`];
+//! the state the handlers read — [`AppState`], its metric handles, the
+//! reload operation — lives in [`crate::state`]).
 //!
-//! All bookkeeping lives in a per-state [`cc_telemetry::Registry`]:
-//! counters and histograms are pre-registered handles (single atomic ops
-//! on the hot path), and both `GET /stats` and `GET /metrics` render from
-//! **one** registry snapshot taken after refreshing the point-in-time
-//! gauges (cache, uptime) — so the human view and the scrape view can
-//! never disagree about the same instant.
+//! Both `GET /stats` and `GET /metrics` render from **one** registry
+//! snapshot taken after refreshing the point-in-time gauges (cache,
+//! uptime) — so the human view and the scrape view can never disagree
+//! about the same instant.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::path::PathBuf;
+use std::sync::{Arc, PoisonError};
 
 use cc_matrix::Dist;
-use cc_oracle::shard::{OracleShard, ShardRouter};
-use cc_oracle::{serde, BackendDescriptor, DistanceOracle, OracleError, ShardDescriptor};
+use cc_oracle::{BackendDescriptor, ShardDescriptor};
 use cc_reactor::frame;
-use cc_telemetry::{
-    render_prometheus, AccessLog, Counter, Gauge, Histogram, Json, JsonObject, Registry,
-    RegistrySnapshot,
-};
+use cc_telemetry::{render_prometheus, Json, JsonObject, RegistrySnapshot};
 
 use crate::http::{Request, Response};
-use crate::reload::{Generation, ReloadHandle, SnapshotInfo, WARM_KEYS};
-use crate::source::{self, BackendSpec, LoadedBackend, LoadedSlice};
+use crate::reload::{Generation, ReloadTarget, SnapshotInfo};
+use crate::state::AppState;
 
 /// `Content-Type` of the `GET /metrics` exposition.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// What a successful reload installed, captured atomically with the swap —
-/// a response built from this cannot mix in state from a concurrent later
-/// reload.
-#[derive(Debug, Clone)]
-pub struct ReloadOutcome {
-    /// Identity of the artifact that was swapped in (the affected shard's
-    /// file for a single-shard reload).
-    pub info: SnapshotInfo,
-    /// Node count of the artifact that was swapped in.
-    pub n: usize,
-    /// Successful-swap count as of this swap (this reload included; a
-    /// full-set roll counts one per shard).
-    pub reloads: u64,
-}
-
-/// Shared per-server state: one hot-swappable [`Generation`] over a
-/// `Box<dyn QueryBackend>`, the reload source, and the metric registry.
-pub struct AppState {
-    handle: ReloadHandle,
-    /// Where `POST /reload` / SIGHUP reload from: a manifest (re-read each
-    /// time), a snapshot file, or a shard file set. `None` means a reload
-    /// must name a path explicitly.
-    spec: Option<BackendSpec>,
-    /// Result-cache capacity for the *next* generation: the startup value
-    /// until a manifest reload declares `cache_capacity`, which then
-    /// becomes the new default (so a later single-shard or explicit-path
-    /// reload cannot silently revert an operator's manifest setting).
-    cache_capacity: AtomicUsize,
-    /// Serializes load+swap so overlapping reloads apply in a definite
-    /// order; never held by the request path.
-    reload_lock: Mutex<()>,
-    last_reload_error: Mutex<Option<String>>,
-    started: Instant,
-    registry: Arc<Registry>,
-    metrics: Metrics,
-    access_log: Option<Arc<AccessLog>>,
-    /// Which accept/read transport feeds this state (`"epoll"` or
-    /// `"poll"`), surfaced in `/stats`; `"in-process"` until a server
-    /// binds it to a listener.
-    transport: &'static str,
-}
-
-/// Endpoint classes with their own `cc_request_duration_ns` series; the
-/// catch-all `other` class must stay last (it is the fallback of
-/// [`AppState::record_request`]).
-const ENDPOINT_CLASSES: [&str; 4] = ["distance", "batch", "reload", "other"];
 
 /// Maps a request path to its endpoint class — the `endpoint` label on
 /// `cc_request_duration_ns` / `cc_endpoint_requests_total` and the
@@ -109,519 +50,7 @@ pub fn endpoint_of(path: &str) -> &'static str {
     }
 }
 
-/// Pre-registered metric handles — created once per registry so the
-/// request path touches single atomics and never the registration lock.
-struct Metrics {
-    requests: Counter,
-    distance_requests: Counter,
-    batch_requests: Counter,
-    reload_requests: Counter,
-    batch_pairs: Counter,
-    client_errors: Counter,
-    load_shed: Counter,
-    accept_errors: Counter,
-    reloads: Counter,
-    reload_failures: Counter,
-    reload_duration: Arc<Histogram>,
-    /// Per-endpoint-class request latency, parallel to
-    /// [`ENDPOINT_CLASSES`].
-    durations: Vec<(&'static str, Arc<Histogram>)>,
-    cache_hits: Gauge,
-    cache_misses: Gauge,
-    cache_hit_rate: Gauge,
-    cache_len: Gauge,
-    cache_capacity: Gauge,
-    cache_warmed_keys: Gauge,
-    uptime: Gauge,
-}
-
-impl Metrics {
-    fn register(r: &Registry) -> Metrics {
-        r.describe("cc_requests_total", "Requests handled, any endpoint, any outcome.");
-        r.describe("cc_endpoint_requests_total", "Requests per query/reload endpoint.");
-        r.describe("cc_batch_pairs_total", "Distance pairs answered through POST /batch.");
-        r.describe("cc_client_errors_total", "Responses with a 4xx status.");
-        r.describe("cc_load_shed_total", "Connections shed with 503 by the acceptor.");
-        r.describe("cc_accept_errors_total", "accept(2) failures, transient or fatal.");
-        r.describe("cc_reloads_total", "Successful hot-reload swaps.");
-        r.describe("cc_reload_failures_total", "Reload attempts rejected by validation.");
-        r.describe("cc_request_duration_ns", "Wall time per request, first byte to flush.");
-        r.describe("cc_reload_duration_ns", "Wall time per successful reload, load to swap.");
-        r.describe("cc_pool_queue_depth", "Connections queued for a worker right now.");
-        r.describe("cc_cache_hits", "Result-cache hits of the serving generation.");
-        r.describe("cc_cache_misses", "Result-cache misses of the serving generation.");
-        r.describe("cc_cache_hit_rate", "Result-cache hit rate of the serving generation.");
-        r.describe("cc_cache_len", "Entries resident in the result cache.");
-        r.describe("cc_cache_capacity", "Result-cache capacity of the serving generation.");
-        r.describe("cc_cache_warmed_keys", "Keys replayed into the cache at the last reload.");
-        r.describe("cc_uptime_seconds", "Seconds since this serving state was created.");
-        // Registered here (owned by the worker pool) so a scrape before
-        // any traffic still sees the series.
-        let _ = r.gauge("cc_pool_queue_depth", &[]);
-        Metrics {
-            requests: r.counter("cc_requests_total", &[]),
-            distance_requests: r.counter("cc_endpoint_requests_total", &[("endpoint", "distance")]),
-            batch_requests: r.counter("cc_endpoint_requests_total", &[("endpoint", "batch")]),
-            reload_requests: r.counter("cc_endpoint_requests_total", &[("endpoint", "reload")]),
-            batch_pairs: r.counter("cc_batch_pairs_total", &[]),
-            client_errors: r.counter("cc_client_errors_total", &[]),
-            load_shed: r.counter("cc_load_shed_total", &[]),
-            accept_errors: r.counter("cc_accept_errors_total", &[]),
-            reloads: r.counter("cc_reloads_total", &[]),
-            reload_failures: r.counter("cc_reload_failures_total", &[]),
-            reload_duration: r.histogram("cc_reload_duration_ns", &[]),
-            durations: ENDPOINT_CLASSES
-                .iter()
-                .map(|&e| (e, r.histogram("cc_request_duration_ns", &[("endpoint", e)])))
-                .collect(),
-            cache_hits: r.gauge("cc_cache_hits", &[]),
-            cache_misses: r.gauge("cc_cache_misses", &[]),
-            cache_hit_rate: r.gauge("cc_cache_hit_rate", &[]),
-            cache_len: r.gauge("cc_cache_len", &[]),
-            cache_capacity: r.gauge("cc_cache_capacity", &[]),
-            cache_warmed_keys: r.gauge("cc_cache_warmed_keys", &[]),
-            uptime: r.gauge("cc_uptime_seconds", &[]),
-        }
-    }
-}
-
 impl AppState {
-    /// Wraps an in-process-built `oracle` for serving, with an LRU result
-    /// cache of `cache_capacity` entries and no default reload source.
-    pub fn new(oracle: DistanceOracle, cache_capacity: usize) -> AppState {
-        let info = SnapshotInfo::in_process(serde::payload_checksum(&oracle), "in-process");
-        AppState::with_info(oracle, info, cache_capacity, None)
-    }
-
-    /// [`AppState::new`] with an explicit artifact identity and a default
-    /// snapshot path for `POST /reload` / SIGHUP.
-    pub fn with_info(
-        oracle: DistanceOracle,
-        info: SnapshotInfo,
-        cache_capacity: usize,
-        reload_path: Option<PathBuf>,
-    ) -> AppState {
-        let loaded = LoadedBackend::mono(oracle, info);
-        AppState::from_loaded(loaded, reload_path.map(BackendSpec::mono), cache_capacity)
-    }
-
-    /// Router-mode state over a loaded shard set (slot `i` = shard `i`).
-    /// The set is re-validated here, so an inconsistent or mis-slotted set
-    /// can never start serving. The shard files become the default
-    /// full-set reload source.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`cc_oracle::shard::validate_set`] rejects.
-    pub fn with_shards(
-        shards: Vec<LoadedSlice<OracleShard>>,
-        cache_capacity: usize,
-    ) -> Result<AppState, OracleError> {
-        let spec = BackendSpec::sharded(shards.iter().map(|l| l.path.clone()).collect());
-        let slices = shards.into_iter().map(|l| (l.artifact, l.info));
-        let loaded = LoadedBackend::sharded(slices, spec.describe())?;
-        Ok(AppState::from_loaded(loaded, Some(spec), cache_capacity))
-    }
-
-    /// Router-mode state over in-process shard slices (no backing files),
-    /// for tests and benchmarks that partition an oracle directly.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`cc_oracle::shard::validate_set`] rejects.
-    pub fn with_in_process_shards(
-        shards: Vec<OracleShard>,
-        cache_capacity: usize,
-    ) -> Result<AppState, OracleError> {
-        let slices = shards.into_iter().map(|shard| {
-            let info = SnapshotInfo::in_process(serde::shard_checksum(&shard), "in-process");
-            (shard, info)
-        });
-        let loaded = LoadedBackend::sharded(slices, "in-process")?;
-        Ok(AppState::from_loaded(loaded, None, cache_capacity))
-    }
-
-    /// State serving whatever `spec` names — the manifest-driven startup
-    /// path. The spec's `cache_capacity` (when set) overrides
-    /// `default_cache_capacity`, and the spec becomes the reload source: a
-    /// manifest is **re-read on every bare `/reload` / SIGHUP**, so an
-    /// operator rolls a new artifact by updating manifest + files and
-    /// poking the endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`BackendSpec::load`] rejects — including an
-    /// `expected_set_id` mismatch, so a wrong-build artifact fails here,
-    /// before the socket ever accepts.
-    pub fn from_spec(
-        spec: BackendSpec,
-        default_cache_capacity: usize,
-    ) -> Result<AppState, Box<dyn std::error::Error>> {
-        let cache_capacity = spec.cache_capacity.unwrap_or(default_cache_capacity);
-        let loaded = spec.load()?;
-        Ok(AppState::from_loaded(loaded, Some(spec), cache_capacity))
-    }
-
-    fn from_loaded(
-        loaded: LoadedBackend,
-        spec: Option<BackendSpec>,
-        cache_capacity: usize,
-    ) -> AppState {
-        let registry = Arc::new(Registry::new());
-        let metrics = Metrics::register(&registry);
-        let mut handle = ReloadHandle::new(Generation::new(loaded, cache_capacity));
-        handle.set_duration_histogram(Arc::clone(&metrics.reload_duration));
-        AppState {
-            handle,
-            spec,
-            cache_capacity: AtomicUsize::new(cache_capacity),
-            reload_lock: Mutex::new(()),
-            last_reload_error: Mutex::new(None),
-            started: Instant::now(),
-            registry,
-            metrics,
-            access_log: None,
-            transport: "in-process",
-        }
-    }
-
-    /// Records which transport ([`crate::config::Transport`], as resolved
-    /// at bind time) feeds this state; reported by `GET /stats`.
-    pub fn set_transport_label(&mut self, label: &'static str) {
-        self.transport = label;
-    }
-
-    /// The metric registry backing `/stats` and `/metrics`. The server
-    /// registers the worker-pool queue-depth gauge here, and the binary
-    /// exports build-phase gauges into it after a `--demo` build.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// Replaces the registry with a permanently disabled one: every metric
-    /// handle becomes a no-op (used to measure instrumentation overhead).
-    /// Must be called before the state starts serving — existing handles
-    /// are re-created, so earlier recordings are discarded.
-    pub fn disable_telemetry(&mut self) {
-        self.registry = Arc::new(Registry::new_disabled());
-        self.metrics = Metrics::register(&self.registry);
-        self.handle.set_duration_histogram(Arc::clone(&self.metrics.reload_duration));
-    }
-
-    /// Sets the access/slow-query log every served request is recorded to.
-    pub fn set_access_log(&mut self, log: Arc<AccessLog>) {
-        self.access_log = Some(log);
-    }
-
-    /// The access/slow-query log, when one is configured.
-    pub fn access_log(&self) -> Option<&Arc<AccessLog>> {
-        self.access_log.as_ref()
-    }
-
-    /// Records one served request into the per-endpoint latency histogram
-    /// (`cc_request_duration_ns{endpoint=...}`); unknown endpoints land in
-    /// the `other` class.
-    pub fn record_request(&self, endpoint: &str, duration_ns: u64) {
-        let slot = self
-            .metrics
-            .durations
-            .iter()
-            .find(|(name, _)| *name == endpoint)
-            .or_else(|| self.metrics.durations.last());
-        if let Some((_, hist)) = slot {
-            hist.record(duration_ns);
-        }
-    }
-
-    /// True when this state routes over a shard set (right now — a
-    /// manifest reload can change the mode).
-    pub fn is_sharded(&self) -> bool {
-        self.handle.current().is_sharded()
-    }
-
-    /// The generation serving right now (backend + cache + identity). The
-    /// clone is an `Arc` refcount bump; holders keep the artifact alive
-    /// across a concurrent reload.
-    pub fn generation(&self) -> Arc<Generation> {
-        self.handle.current()
-    }
-
-    /// Successful hot-reload swaps so far (one per shard swapped in a
-    /// full-set roll).
-    pub fn reloads(&self) -> u64 {
-        self.metrics.reloads.get()
-    }
-
-    /// Reload attempts rejected by validation (the old artifact kept
-    /// serving each time).
-    pub fn reload_failures(&self) -> u64 {
-        self.metrics.reload_failures.get()
-    }
-
-    fn record_reload_failure(&self, msg: String) -> String {
-        self.metrics.reload_failures.inc();
-        *self.last_reload_error.lock().unwrap_or_else(PoisonError::into_inner) = Some(msg.clone());
-        msg
-    }
-
-    /// Installs a validated replacement backend as the next generation:
-    /// warms its cache from the outgoing one, swaps atomically (charging
-    /// `started.elapsed()` — the whole load → validate → warm → swap — to
-    /// `cc_reload_duration_ns`), and books `swap_units` successful swaps
-    /// (1 for a monolith or single shard, the shard count for a full-set
-    /// roll).
-    fn install(
-        &self,
-        loaded: LoadedBackend,
-        outgoing: &Generation,
-        swap_units: usize,
-        started: Instant,
-    ) -> ReloadOutcome {
-        let (info, n) = (loaded.info.clone(), loaded.n());
-        let next = Generation::new(loaded, self.cache_capacity.load(Ordering::Relaxed));
-        self.handle.swap_timed(next.warmed_from(outgoing, WARM_KEYS), started);
-        self.metrics.reloads.add(swap_units.max(1) as u64);
-        *self.last_reload_error.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        ReloadOutcome { info, n, reloads: self.metrics.reloads.get() }
-    }
-
-    /// Loads + validates the **monolithic** snapshot at `path` and, only
-    /// if it is fully valid, swaps it in atomically. On any failure the
-    /// serving generation is untouched and the error is recorded for
-    /// `/stats`.
-    ///
-    /// The load happens on the calling thread without blocking the request
-    /// path: queries keep cloning the old generation until the one-pointer
-    /// swap.
-    ///
-    /// # Errors
-    ///
-    /// The human-readable reason the snapshot was rejected (I/O, magic,
-    /// version, checksum, structure), or that this server currently routes
-    /// a shard set (reload a shard — or the manifest — instead).
-    pub fn reload_from(&self, path: &Path) -> Result<ReloadOutcome, String> {
-        let started = Instant::now();
-        let _serialized = self.reload_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let current = self.handle.current();
-        if current.is_sharded() {
-            return Err(self.record_reload_failure(
-                "this server routes a shard set: reload one shard with /reload?shard=i".to_owned(),
-            ));
-        }
-        // The manifest's set_id pin gates explicit-path reloads too: a
-        // wrong-build snapshot must not sneak past the gate the operator
-        // configured (docs/OPERATIONS.md). The build id compared is the
-        // checksum the loader just verified, not a re-serialization.
-        let pin = self.spec.as_ref().and_then(|s| s.expected_set_id);
-        let loaded = source::load_slice(path, serde::from_bytes_with_header).and_then(|loaded| {
-            let got = loaded.header.slot().set_id;
-            match pin {
-                Some(want) if want != got => {
-                    Err(format!("build id {got:016x} does not match the pinned set_id {want:016x}")
-                        .into())
-                }
-                _ => Ok(LoadedBackend::mono(loaded.artifact, loaded.info)),
-            }
-        });
-        match loaded {
-            Ok(loaded) => Ok(self.install(loaded, &current, 1, started)),
-            Err(e) => {
-                Err(self
-                    .record_reload_failure(format!("reload from {} rejected: {e}", path.display())))
-            }
-        }
-    }
-
-    /// Reloads shard `index` from `path` (router mode): the file must be a
-    /// valid per-shard snapshot declaring exactly this slot and the
-    /// serving set's shard count and `n`; the swap is atomic and every
-    /// other slice is shared into the new generation untouched. A new set
-    /// id is allowed — that is how a rolling rollout moves the set to a
-    /// new artifact generation one shard at a time (`/stats` reports
-    /// `set_uniform` so the roll's progress is observable).
-    ///
-    /// # Errors
-    ///
-    /// The human-readable rejection reason; the old generation keeps
-    /// serving.
-    pub fn reload_shard_from(&self, index: usize, path: &Path) -> Result<ReloadOutcome, String> {
-        let started = Instant::now();
-        let _serialized = self.reload_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let current = self.handle.current();
-        if !current.is_sharded() {
-            return Err(self.record_reload_failure(
-                "this server is monolithic: /reload takes no shard parameter".to_owned(),
-            ));
-        }
-        let count = current.shards().len();
-        if index >= count {
-            return Err(
-                self.record_reload_failure(format!("shard index {index} outside 0..{count}"))
-            );
-        }
-        let rolled =
-            source::load_slice(path, serde::from_shard_bytes_with_header).and_then(|loaded| {
-                let loaded = loaded.expect_slot(index, count)?;
-                if loaded.artifact.n() != current.n() {
-                    return Err(format!(
-                        "n = {} but the serving set has n = {} (a sharded artifact cannot \
-                         change n shard-by-shard)",
-                        loaded.artifact.n(),
-                        current.n()
-                    )
-                    .into());
-                }
-                let mut shards = current.shards().to_vec();
-                shards[index] = Arc::new(loaded.artifact);
-                let router = ShardRouter::assemble_rolling(shards.clone())?;
-                Ok((loaded.info, shards, router))
-            });
-        let (shard_info, shards, router) = match rolled {
-            Ok(rolled) => rolled,
-            Err(e) => {
-                return Err(self.record_reload_failure(format!(
-                    "reload of shard {index} from {} rejected: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let mut shard_infos = current.shard_infos().to_vec();
-        shard_infos[index] = shard_info.clone();
-        // Set-level identity: the shared set id, or "mixed" while a
-        // rolling rollout is in flight.
-        let mut info = SnapshotInfo::in_process(shards[0].set_id(), current.info().source.clone());
-        if !router.set_uniform() {
-            info.build_id = "mixed".to_owned();
-        }
-        let loaded = LoadedBackend { backend: Box::new(router), info, shards, shard_infos };
-        Ok(ReloadOutcome { info: shard_info, ..self.install(loaded, &current, 1, started) })
-    }
-
-    /// [`AppState::reload_from`] against the configured default source;
-    /// this is what SIGHUP triggers in the `cc-serve` binary. A manifest
-    /// source is **re-read** (mode, files, set id, cache capacity may all
-    /// change); a shard-file source rolls every shard all-or-nothing; a
-    /// snapshot source reloads the file.
-    ///
-    /// # Errors
-    ///
-    /// As the underlying reload, plus when no default source is
-    /// configured.
-    pub fn reload_default(&self) -> Result<ReloadOutcome, String> {
-        let Some(spec) = self.spec.clone() else {
-            return Err(self.record_reload_failure(
-                "no reload source configured: start with --manifest, or pass an explicit path"
-                    .to_owned(),
-            ));
-        };
-        // A spec names a manifest, one snapshot, or a shard file set.
-        match (spec.manifest_path(), spec.mono_path()) {
-            (Some(manifest), _) => self.reload_manifest(manifest),
-            (None, Some(path)) => self.reload_from(path),
-            (None, None) => self.reload_all_shards(),
-        }
-    }
-
-    /// Re-reads the manifest at `path` and swaps in whatever it now names
-    /// — new files, a new expected set id, a new cache capacity, even a
-    /// different mode or `n`. All-or-nothing: any load or validation
-    /// failure (including a set-id mismatch) keeps the old generation
-    /// serving.
-    ///
-    /// # Errors
-    ///
-    /// The first rejection reason; nothing was swapped.
-    pub fn reload_manifest(&self, path: &Path) -> Result<ReloadOutcome, String> {
-        let started = Instant::now();
-        let _serialized = self.reload_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let current = self.handle.current();
-        let loaded = BackendSpec::from_manifest(path).and_then(|spec| {
-            let capacity = spec.cache_capacity;
-            Ok((spec.load()?, capacity))
-        });
-        match loaded {
-            Ok((loaded, capacity)) => {
-                // A manifest-declared capacity becomes the default for
-                // every subsequent reload, not just this generation.
-                if let Some(capacity) = capacity {
-                    self.cache_capacity.store(capacity, Ordering::Relaxed);
-                }
-                let swap_units = loaded.shards.len();
-                Ok(self.install(loaded, &current, swap_units, started))
-            }
-            Err(e) => Err(self.record_reload_failure(format!("manifest reload rejected: {e}"))),
-        }
-    }
-
-    /// Reloads every shard from the startup file set, all-or-nothing: the
-    /// full replacement set is loaded and validated as one consistent set
-    /// before the swap, so a half-written rollout can never leave the tier
-    /// mixed by accident.
-    ///
-    /// # Errors
-    ///
-    /// The first rejection reason; nothing was swapped.
-    pub fn reload_all_shards(&self) -> Result<ReloadOutcome, String> {
-        let started = Instant::now();
-        let _serialized = self.reload_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let current = self.handle.current();
-        if !current.is_sharded() {
-            return Err(self.record_reload_failure(
-                "this server is monolithic: use /reload without shard semantics".to_owned(),
-            ));
-        }
-        let Some(spec) = self.spec.as_ref().filter(|s| s.is_sharded()) else {
-            return Err(self.record_reload_failure(
-                "this shard set has no snapshot files to reload from \
-                 (served from an in-process partition)"
-                    .to_owned(),
-            ));
-        };
-        let loaded = spec.load().and_then(|loaded| {
-            if loaded.n() != current.n() {
-                return Err(format!(
-                    "n = {} but the serving set has n = {} (restart to change the graph size)",
-                    loaded.n(),
-                    current.n()
-                )
-                .into());
-            }
-            Ok(loaded)
-        });
-        match loaded {
-            Ok(loaded) => {
-                let swap_units = loaded.shards.len();
-                Ok(self.install(loaded, &current, swap_units, started))
-            }
-            Err(e) => Err(self.record_reload_failure(format!("full-set reload rejected: {e}"))),
-        }
-    }
-
-    /// Total requests routed so far (any endpoint, any outcome).
-    pub fn requests(&self) -> u64 {
-        self.metrics.requests.get()
-    }
-
-    /// Records a 4xx produced below the router (protocol parse errors).
-    pub fn count_protocol_error(&self) {
-        self.metrics.requests.inc();
-        self.metrics.client_errors.inc();
-    }
-
-    /// Records a connection shed with `503` at the acceptor (queue full),
-    /// so `/stats` stays honest under the exact overload it diagnoses.
-    pub fn count_load_shed(&self) {
-        self.metrics.requests.inc();
-        self.metrics.load_shed.inc();
-    }
-
-    /// Records one failed `accept(2)` (transient or fatal). No request was
-    /// routed, so — unlike sheds — this does not bump `cc_requests_total`;
-    /// it only feeds `cc_accept_errors_total` for the overload runbook.
-    pub fn count_accept_error(&self) {
-        self.metrics.accept_errors.inc();
-    }
-
     /// Routes one request and maintains the counters.
     pub fn handle(&self, req: &Request) -> Response {
         self.metrics.requests.inc();
@@ -641,7 +70,7 @@ impl AppState {
             ("GET", "/healthz") => Response::text(200, "ok\n"),
             ("GET", "/distance") => self.distance(req),
             ("POST", "/batch") => self.batch(req),
-            ("POST", "/reload") => self.reload(req),
+            ("POST", "/reload") => self.reload_endpoint(req),
             ("GET", "/stats") => self.stats(),
             ("GET", "/metrics") => self.metrics_exposition(),
             ("GET", "/artifact") => self.artifact(),
@@ -708,42 +137,35 @@ impl AppState {
     }
 
     /// `POST /batch` — newline-separated `u v` (or `u,v`) pairs as text,
-    /// or a [`cc_reactor::frame`] request when the client negotiates the
-    /// binary content type. Both planes answer from the same
-    /// `try_query_batch` call, so they are answer-identical by
-    /// construction (and pinned so by the differential suite).
+    /// or a [`cc_reactor::frame`] request (`CCBQ` frame in, `CCBR` frame
+    /// out, zero decimal parsing/formatting on the hot path) when the
+    /// client negotiates the binary content type. The planes differ only
+    /// in decode and encode: both answer from the same `try_query_batch`
+    /// call, so they are answer-identical by construction (and pinned so
+    /// by the differential suite), and every malformed body or frame is a
+    /// 400 with a JSON error naming the defect on either.
     fn batch(&self, req: &Request) -> Response {
         self.metrics.batch_requests.inc();
-        if is_binary_batch(req) {
-            return self.batch_binary(req);
-        }
-        let Ok(text) = std::str::from_utf8(&req.body) else {
-            return Response::error_json(400, "batch body must be UTF-8");
+        let binary = is_binary_batch(req);
+        let decoded = if binary {
+            frame::decode_request_map(&req.body, |u, v| (u as usize, v as usize))
+                .map_err(|e| e.to_string())
+        } else {
+            parse_text_pairs(&req.body)
         };
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut ids =
-                line.split(|c: char| c == ',' || c.is_whitespace()).filter(|t| !t.is_empty());
-            let pair = match (ids.next(), ids.next(), ids.next()) {
-                (Some(a), Some(b), None) => a.parse().ok().zip(b.parse().ok()),
-                _ => None,
-            };
-            match pair {
-                Some(p) => pairs.push(p),
-                None => {
-                    return Response::error_json(
-                        400,
-                        format!("line {}: expected 'u v', got '{line}'", lineno + 1),
-                    )
-                }
-            }
-        }
+        let pairs = match decoded {
+            Ok(pairs) => pairs,
+            Err(msg) => return Response::error_json(400, msg),
+        };
         self.metrics.batch_pairs.add(pairs.len() as u64);
         match self.handle.current().cached().try_query_batch(&pairs) {
+            Ok(answers) if binary => Response {
+                status: 200,
+                content_type: frame::CONTENT_TYPE,
+                body: frame::encode_response_from(
+                    answers.iter().map(|d| d.value().unwrap_or(frame::UNREACHABLE)),
+                ),
+            },
             Ok(answers) => {
                 let mut body = String::with_capacity(16 + answers.len() * 8);
                 body.push_str("{\"count\":");
@@ -762,134 +184,40 @@ impl AppState {
         }
     }
 
-    /// The binary plane of `POST /batch`: a `CCBQ` frame in, a `CCBR`
-    /// frame out, zero decimal parsing/formatting on the hot path. Every
-    /// malformed frame is a 400 with a JSON error naming the defect, so a
-    /// misconfigured client gets the same diagnosability as the text plane.
-    fn batch_binary(&self, req: &Request) -> Response {
-        let pairs = match frame::decode_request_map(&req.body, |u, v| (u as usize, v as usize)) {
-            Ok(pairs) => pairs,
+    /// `POST /reload[?path=...][&shard=i]` — load, validate, and atomically
+    /// swap in a new snapshot ([`AppState::reload`]). A monolithic
+    /// generation swaps the whole artifact; a sharded one swaps shard `i`
+    /// (or, with no `shard` parameter, rolls the full set from its
+    /// manifest or startup files). A refused reload answers `400` and
+    /// leaves the old generation serving: the serving process is healthy
+    /// and still answering on the old artifact — the *request* failed.
+    fn reload_endpoint(&self, req: &Request) -> Response {
+        self.metrics.reload_requests.inc();
+        let target = match reload_target(req) {
+            Ok(target) => target,
+            Err(resp) => return resp,
+        };
+        let outcome = match self.reload(&target) {
+            Ok(outcome) => outcome,
             Err(e) => return Response::error_json(400, e.to_string()),
         };
-        self.metrics.batch_pairs.add(pairs.len() as u64);
-        match self.handle.current().cached().try_query_batch(&pairs) {
-            Ok(answers) => Response {
-                status: 200,
-                content_type: frame::CONTENT_TYPE,
-                body: frame::encode_response_from(
-                    answers.iter().map(|d| d.value().unwrap_or(frame::UNREACHABLE)),
-                ),
-            },
-            Err(e) => Response::error_json(400, e.to_string()),
-        }
-    }
-
-    /// `POST /reload[?path=...][&shard=i]` — load, validate, and atomically
-    /// swap in a new snapshot. A monolithic generation swaps the whole
-    /// artifact; a sharded one swaps shard `i` (or, with no `shard`
-    /// parameter, rolls the full set from its manifest or startup files).
-    /// A rejected snapshot answers `400` and leaves the old generation
-    /// serving.
-    fn reload(&self, req: &Request) -> Response {
-        self.metrics.reload_requests.inc();
-        let generation = self.handle.current();
-        match req.param("shard") {
-            Some(_) if !generation.is_sharded() => Response::error_json(
-                400,
-                "this server is monolithic: /reload takes no 'shard' parameter",
-            ),
-            Some(raw) => {
-                let Ok(index) = raw.parse::<usize>() else {
-                    return Response::error_json(
-                        400,
-                        format!("parameter 'shard' must be a shard index, got '{raw}'"),
-                    );
-                };
-                // Bounds-check before resolving the path: an out-of-range
-                // index must name the real problem (and land in
-                // reload_failures for monitoring), not claim a missing
-                // default path.
-                if index >= generation.shards().len() {
-                    return Response::error_json(
-                        400,
-                        self.record_reload_failure(format!(
-                            "shard index {index} outside 0..{}",
-                            generation.shards().len()
-                        )),
-                    );
-                }
-                let path = match req.param("path") {
-                    Some(p) if !p.is_empty() => PathBuf::from(p),
-                    // Each slice's default reload source is the file it
-                    // was last loaded from.
-                    _ => match &generation.shard_infos()[index] {
-                        info if info.source != "in-process" => PathBuf::from(&info.source),
-                        _ => {
-                            return Response::error_json(
-                                400,
-                                format!(
-                                    "shard {index} has no default snapshot file; \
-                                     pass /reload?shard={index}&path=FILE"
-                                ),
-                            )
-                        }
-                    },
-                };
-                match self.reload_shard_from(index, &path) {
-                    Ok(outcome) => {
-                        let mut o = JsonObject::new();
-                        o.set("reloaded", true);
-                        o.set("shard", index);
-                        o.set("snapshot", snapshot_obj(&outcome.info));
-                        o.set("reloads", outcome.reloads);
-                        Response::json(200, o.render())
-                    }
-                    Err(msg) => Response::error_json(400, msg),
-                }
+        let mut o = JsonObject::new();
+        o.set("reloaded", true);
+        match target {
+            ReloadTarget::Shard { index, .. } => {
+                o.set("shard", index);
+                o.set("snapshot", snapshot_obj(&outcome.info));
             }
-            None if generation.is_sharded() => {
-                // A bare reload of a routed set always comes from the
-                // configured source; silently ignoring `path` here would
-                // answer 200 without deploying the named file.
-                if req.param("path").is_some_and(|p| !p.is_empty()) {
-                    return Response::error_json(
-                        400,
-                        "this server routes a shard set: a bare /reload rolls the \
-                         configured manifest/files; use /reload?shard=i&path=FILE \
-                         to roll one slice",
-                    );
-                }
-                match self.reload_default() {
-                    Ok(outcome) => {
-                        let mut o = JsonObject::new();
-                        o.set("reloaded", true);
-                        o.set("shards", self.handle.current().shards().len());
-                        o.set("reloads", outcome.reloads);
-                        Response::json(200, o.render())
-                    }
-                    // The serving process is healthy and still answering on
-                    // the old artifact — the *request* failed: 4xx, not 5xx.
-                    Err(msg) => Response::error_json(400, msg),
-                }
+            _ if outcome.shards > 0 => {
+                o.set("shards", outcome.shards);
             }
-            None => {
-                let outcome = match req.param("path") {
-                    Some(p) if !p.is_empty() => self.reload_from(Path::new(p)),
-                    _ => self.reload_default(),
-                };
-                match outcome {
-                    Ok(outcome) => {
-                        let mut o = JsonObject::new();
-                        o.set("reloaded", true);
-                        o.set("snapshot", snapshot_obj(&outcome.info));
-                        o.set("n", outcome.n);
-                        o.set("reloads", outcome.reloads);
-                        Response::json(200, o.render())
-                    }
-                    Err(msg) => Response::error_json(400, msg),
-                }
+            _ => {
+                o.set("snapshot", snapshot_obj(&outcome.info));
+                o.set("n", outcome.n);
             }
         }
+        o.set("reloads", outcome.reloads);
+        Response::json(200, o.render())
     }
 
     /// `GET /stats` — request counters plus what the current generation
@@ -1018,6 +346,29 @@ fn is_binary_batch(req: &Request) -> bool {
     })
 }
 
+/// Decodes the text plane of `POST /batch`: one `u v` (or `u,v`) pair per
+/// non-blank line.
+fn parse_text_pairs(body: &[u8]) -> Result<Vec<(usize, usize)>, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "batch body must be UTF-8".to_owned())?;
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let mut ids = line.split(|c: char| c == ',' || c.is_whitespace()).filter(|t| !t.is_empty());
+        let pair = match (ids.next(), ids.next(), ids.next()) {
+            (Some(a), Some(b), None) => a.parse().ok().zip(b.parse().ok()),
+            _ => None,
+        };
+        match pair {
+            Some(p) => pairs.push(p),
+            None => return Err(format!("line {}: expected 'u v', got '{line}'", lineno + 1)),
+        }
+    }
+    Ok(pairs)
+}
+
 /// Parses a node-id query parameter, mapping every failure mode to a `400`
 /// that names the parameter.
 fn parse_id(req: &Request, name: &str) -> Result<usize, Response> {
@@ -1029,12 +380,56 @@ fn parse_id(req: &Request, name: &str) -> Result<usize, Response> {
     })
 }
 
+/// Parses the query of `POST /reload` into what to load. Whether the
+/// target fits the serving mode is [`AppState::reload`]'s call, made under
+/// the reload lock; only malformed parameters are refused here.
+fn reload_target(req: &Request) -> Result<ReloadTarget, Response> {
+    let decoded = req.param("path").filter(|raw| !raw.is_empty()).map(|raw| {
+        percent_decode(raw).map(PathBuf::from).map_err(|what| {
+            Response::error_json(400, format!("parameter 'path' {what}, got '{raw}'"))
+        })
+    });
+    let path = decoded.transpose()?;
+    match req.param("shard") {
+        Some(raw) => match raw.parse() {
+            Ok(index) => Ok(ReloadTarget::Shard { index, path }),
+            Err(_) => Err(Response::error_json(
+                400,
+                format!("parameter 'shard' must be a shard index, got '{raw}'"),
+            )),
+        },
+        None => Ok(path.map_or(ReloadTarget::Configured, ReloadTarget::Snapshot)),
+    }
+}
+
+/// Percent-decodes a query value that names a file (`%XX` → byte), the one
+/// parameter for which [`Request::query`]'s raw values are wrong: clients
+/// that encode query values send `/` as `%2F`. `+` is left alone — RFC 3986
+/// gives it no meaning in a query and it is a legal file-name character.
+fn percent_decode(raw: &str) -> Result<String, &'static str> {
+    let mut out = Vec::with_capacity(raw.len());
+    let mut bytes = raw.bytes();
+    while let Some(b) = bytes.next() {
+        if b != b'%' {
+            out.push(b);
+            continue;
+        }
+        let mut hex = || bytes.next().and_then(|h| char::from(h).to_digit(16));
+        match (hex(), hex()) {
+            (Some(hi), Some(lo)) => out.push((hi * 16 + lo) as u8),
+            _ => return Err("has a malformed %XX escape"),
+        }
+    }
+    String::from_utf8(out).map_err(|_| "does not percent-decode to UTF-8")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{self, BackendSpec};
     use cc_clique::Clique;
     use cc_graph::generators;
-    use cc_oracle::{OracleBuilder, ShardedArtifact};
+    use cc_oracle::{DistanceOracle, OracleBuilder, ShardedArtifact};
 
     fn oracle(n: usize, seed: u64) -> DistanceOracle {
         let g = generators::gnp_weighted(n, 0.2, 20, seed).unwrap();
@@ -1802,5 +1197,76 @@ mod tests {
         };
         assert_eq!(s.handle(&req).status, 200);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn reload_request(query: &[(&str, &str)]) -> Request {
+        Request { method: "POST".into(), ..get("/reload", query) }
+    }
+
+    /// What a URL-encoding client (`requests`' `params=`, Go's
+    /// `url.Values`, `curl --data-urlencode`) puts on the wire for `path`.
+    fn percent_encode(path: &std::path::Path) -> String {
+        path.display()
+            .to_string()
+            .bytes()
+            .map(|b| match b {
+                b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
+                    char::from(b).to_string()
+                }
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reload_path_is_percent_decoded_for_mono_and_shard_reloads() {
+        // Monolith: the encoded and the raw spelling load the same file.
+        let s = state();
+        let next = oracle(24, 77);
+        let path = temp_snapshot_dir("percent+path").join("next snapshot.snap");
+        std::fs::write(&path, cc_oracle::serde::to_bytes(&next)).unwrap();
+        let (raw, encoded) = (path.display().to_string(), percent_encode(&path));
+        assert!(encoded.contains("%2F") && encoded.contains("%20") && encoded.contains("%2B"));
+        for (i, spelling) in [encoded.as_str(), raw.as_str()].into_iter().enumerate() {
+            let resp = s.handle(&reload_request(&[("path", spelling)]));
+            assert_eq!(resp.status, 200, "path={spelling}: {}", body_str(&resp));
+            assert_eq!(s.generation().info().source, raw, "the decoded file is what loaded");
+            assert_eq!(s.reloads(), i as u64 + 1);
+        }
+
+        // Router: the same for one slot.
+        let (mono, sharded) = sharded_state(25, 3, 3);
+        let dir = temp_snapshot_dir("percent+shard dir");
+        let paths = source::write_shard_snapshots(&mono, 3, &dir).unwrap();
+        let (raw, encoded) = (paths[1].display().to_string(), percent_encode(&paths[1]));
+        for (i, spelling) in [encoded.as_str(), raw.as_str()].into_iter().enumerate() {
+            let resp = sharded.handle(&reload_request(&[("shard", "1"), ("path", spelling)]));
+            assert_eq!(resp.status, 200, "path={spelling}: {}", body_str(&resp));
+            assert_eq!(sharded.generation().shard_infos()[1].source, raw);
+            assert_eq!(sharded.reloads(), i as u64 + 1);
+        }
+
+        // Ids stay raw: an encoded shard index is malformed, not decoded.
+        let resp = sharded.handle(&reload_request(&[("shard", "%31"), ("path", &raw)]));
+        assert_eq!(resp.status, 400, "body: {}", body_str(&resp));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn malformed_path_escapes_are_400s_that_attempt_nothing() {
+        let (_, sharded) = sharded_state(25, 3, 2);
+        for (state, shard) in [(&state(), None), (&sharded, Some("0"))] {
+            for bad in ["%zz", "%ff", "/tmp/x%2", "%", "/tmp/%c3%28.snap"] {
+                let mut query = vec![("path", bad)];
+                query.extend(shard.map(|i| ("shard", i)));
+                let resp = state.handle(&reload_request(&query));
+                assert_eq!(resp.status, 400, "path={bad}: {}", body_str(&resp));
+                assert!(body_str(&resp).contains("parameter 'path'"), "{}", body_str(&resp));
+            }
+            assert_eq!((state.reloads(), state.reload_failures()), (0, 0));
+            let stats = body_str(&state.handle(&get("/stats", &[]))).to_owned();
+            assert!(stats.contains("\"last_reload_error\":null"), "stats: {stats}");
+        }
     }
 }

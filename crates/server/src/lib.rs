@@ -3,9 +3,10 @@
 //! `cc-oracle` turned the algorithms of *Fast Approximate Shortest Paths
 //! in the Congested Clique* (PODC 2019) into a build-once / query-many
 //! artifact; this crate puts that artifact on the network. A [`Server`]
-//! loads a [`cc_oracle::DistanceOracle`] — built in the simulated clique
-//! or from a versioned [`cc_oracle::serde`] snapshot file — and serves it
-//! over HTTP/1.1 on `std::net`.
+//! takes a [`cc_oracle::DistanceOracle`] already in memory
+//! ([`Server::start`]) or the versioned [`cc_oracle::serde`] snapshot
+//! files a [`BackendSpec`] names ([`Server::start_from_spec`]) and serves
+//! it over HTTP/1.1 on `std::net`.
 //!
 //! The entire data plane is written once against
 //! [`cc_oracle::QueryBackend`]: one hot-swappable [`Generation`] holds a
@@ -56,17 +57,20 @@
 //! set never serves.
 //!
 //! The build image has no tokio/hyper, so the transport is deliberately
-//! simple and fully owned, with two interchangeable front ends behind one
-//! **bounded worker thread-pool** ([`pool::WorkerPool`]): on Linux an
-//! **epoll reactor** (`cc-reactor`) owns the listener plus all idle
-//! keep-alive connections and hands only *ready* sockets to the pool, so
-//! accepts are event-driven and an idle connection costs no worker; the
-//! portable fallback is a sleep-polling accept loop with one worker
-//! pinned per connection. [`Transport`] (default `Auto`) selects between
-//! them — `cc-serve --transport poll` forces the fallback — and `/stats`
-//! reports the resolved choice. Both shed load (`503`) when the queue is
-//! full and shut down gracefully; the HTTP and handler layers cannot tell
-//! them apart.
+//! simple and fully owned, with two interchangeable front ends feeding one
+//! **bounded worker thread-pool** ([`pool::WorkerPool`]) whose workers run
+//! **one connection loop**: on Linux an **epoll reactor** (`cc-reactor`)
+//! owns the listener plus all idle keep-alive connections and hands only
+//! *ready* sockets to the pool — a worker lingers on a served connection
+//! for a few milliseconds, then gives it back to be parked — so accepts
+//! are event-driven and an idle connection costs no worker; the portable
+//! fallback is a sleep-polling accept loop whose workers linger for the
+//! whole read timeout, i.e. one worker pinned per connection.
+//! [`Transport`] (default `Auto`) selects between them — `cc-serve
+//! --transport poll` forces the fallback — and `/stats` reports the
+//! resolved choice. Both shed load (`503`) when the queue is full and
+//! shut down gracefully; the HTTP and handler layers cannot tell them
+//! apart.
 //!
 //! `POST /batch` additionally speaks a **length-prefixed binary frame
 //! format** (`Content-Type: application/x-cc-batch`, `cc_reactor::frame`):
@@ -86,7 +90,7 @@
 //! |---|---|
 //! | `GET /distance?u=&v=` | one estimate: `{"u":0,"v":5,"distance":12,"connected":true}` |
 //! | `POST /batch` | newline `u v` (or `u,v`) pairs → `{"count":n,"distances":[...]}`; binary frames with `Content-Type: application/x-cc-batch` |
-//! | `POST /reload[?path=]` | validate + atomically swap in a new snapshot (`400` keeps the old one serving) |
+//! | `POST /reload[?path=][&shard=]` | validate + atomically swap in a new snapshot (`400` keeps the old one serving); `path` is percent-decoded |
 //! | `GET /stats` | request + cache + reload counters, active snapshot identity |
 //! | `GET /metrics` | the same registry snapshot in Prometheus text exposition 0.0.4 |
 //! | `GET /healthz` | liveness: `ok` |
@@ -145,6 +149,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod client;
 mod config;
 mod handlers;
 pub mod http;
@@ -153,10 +158,14 @@ mod reactor;
 mod reload;
 mod server;
 pub mod source;
+mod state;
 
 pub use cc_reactor::frame;
+pub use client::BlockingClient;
 pub use config::{ServerConfig, Transport};
-pub use handlers::{AppState, ReloadOutcome};
-pub use reload::{Generation, ReloadHandle, SnapshotInfo, WARM_KEYS};
-pub use server::{BlockingClient, Server, ServerHandle};
+pub use reload::{
+    Generation, ReloadError, ReloadHandle, ReloadOutcome, ReloadTarget, SnapshotInfo, WARM_KEYS,
+};
+pub use server::{Server, ServerHandle};
 pub use source::{BackendSpec, LoadedBackend};
+pub use state::AppState;

@@ -25,7 +25,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cc_server::{source, Server, ServerConfig, SnapshotInfo, Transport};
+use cc_server::{
+    source, LoadedBackend, ReloadTarget, Server, ServerConfig, SnapshotInfo, Transport,
+};
 use cc_telemetry::AccessLog;
 
 /// SIGHUP → hot reload, the classic daemon convention. The handler only
@@ -253,7 +255,18 @@ fn main() -> ExitCode {
             return if msg.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(2) };
         }
     };
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+/// Loads or builds what `args` name, then writes the fixture or serves
+/// until stopped. `Err` is the message `main` reports before failing.
+fn run(args: &Args) -> Result<(), String> {
     let mut config = ServerConfig::default()
         .with_addr(args.addr.clone())
         .with_cache_capacity(args.cache)
@@ -269,34 +282,21 @@ fn main() -> ExitCode {
     // and cache capacity all come from the manifest, which is also
     // re-read on every bare /reload or SIGHUP.
     if let Some(manifest) = &args.manifest {
-        let spec = match cc_server::BackendSpec::from_manifest(manifest) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let spec = cc_server::BackendSpec::from_manifest(manifest).map_err(|e| e.to_string())?;
         eprintln!("loading {}", spec.describe());
-        return match Server::start_from_spec(&config, spec) {
-            Ok(handle) => {
-                let generation = handle.state().generation();
-                let desc = generation.descriptor();
-                // CI and scripts wait for this exact line on stdout.
-                println!(
-                    "cc-serve listening on http://{} (manifest, mode={}, n={}, {} KiB)",
-                    handle.addr(),
-                    desc.mode,
-                    desc.n,
-                    desc.artifact_bytes / 1024,
-                );
-                run_until_stopped(handle);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: cannot serve manifest {}: {e}", manifest.display());
-                ExitCode::FAILURE
-            }
-        };
+        let handle = Server::start_from_spec(&config, spec)
+            .map_err(|e| format!("cannot serve manifest {}: {e}", manifest.display()))?;
+        let desc = handle.state().generation().descriptor();
+        // CI and scripts wait for this exact line on stdout.
+        println!(
+            "cc-serve listening on http://{} (manifest, mode={}, n={}, {} KiB)",
+            handle.addr(),
+            desc.mode,
+            desc.n,
+            desc.artifact_bytes / 1024,
+        );
+        run_until_stopped(handle);
+        return Ok(());
     }
 
     let built = if let Some(n) = args.demo {
@@ -323,62 +323,37 @@ fn main() -> ExitCode {
                 (oracle, trace, "demo-direct")
             })
     };
-    let (oracle, trace, source_label) = match built {
-        Ok(built) => built,
-        Err(e) => {
-            eprintln!("error: demo build failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (oracle, trace, source_label) = built.map_err(|e| format!("demo build failed: {e}"))?;
     // One line per build phase; CI greps for `build-trace phase=`.
     eprintln!("{}", trace.log_lines());
-    let n = oracle.n();
-    let info = SnapshotInfo::in_process(cc_oracle::serde::payload_checksum(&oracle), source_label);
 
     if let Some(path) = &args.write_snapshot {
-        return match source::write_snapshot(&oracle, path) {
-            Ok(()) => {
-                println!("wrote snapshot to {} and exiting", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
+        source::write_snapshot(&oracle, path)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("wrote snapshot to {} and exiting", path.display());
+        return Ok(());
     }
-
     if let Some(dir) = &args.write_shards {
-        return match source::write_shard_snapshots(&oracle, args.shard_count, dir) {
-            Ok(paths) => {
-                println!("wrote {} shard snapshots to {} and exiting", paths.len(), dir.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: cannot write shard set to {}: {e}", dir.display());
-                ExitCode::FAILURE
-            }
-        };
+        let paths = source::write_shard_snapshots(&oracle, args.shard_count, dir)
+            .map_err(|e| format!("cannot write shard set to {}: {e}", dir.display()))?;
+        println!("wrote {} shard snapshots to {} and exiting", paths.len(), dir.display());
+        return Ok(());
     }
 
-    let (landmarks, kib) = (oracle.landmarks().len(), oracle.artifact_bytes() / 1024);
-    match Server::start_with_info(&config, oracle, info) {
-        Ok(handle) => {
-            // Build-phase cost next to the serving metrics on /metrics.
-            trace.export_gauges(handle.state().registry());
-            // CI and scripts wait for this exact line on stdout.
-            println!(
-                "cc-serve listening on http://{} (n={n}, landmarks={landmarks}, {kib} KiB)",
-                handle.addr()
-            );
-            run_until_stopped(handle);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", args.addr);
-            ExitCode::FAILURE
-        }
-    }
+    let (n, landmarks, kib) =
+        (oracle.n(), oracle.landmarks().len(), oracle.artifact_bytes() / 1024);
+    let info = SnapshotInfo::in_process(cc_oracle::serde::payload_checksum(&oracle), source_label);
+    let handle = Server::start(&config, LoadedBackend::mono(oracle, info))
+        .map_err(|e| format!("cannot bind {}: {e}", args.addr))?;
+    // Build-phase cost next to the serving metrics on /metrics.
+    trace.export_gauges(handle.state().registry());
+    // CI and scripts wait for this exact line on stdout.
+    println!(
+        "cc-serve listening on http://{} (n={n}, landmarks={landmarks}, {kib} KiB)",
+        handle.addr()
+    );
+    run_until_stopped(handle);
+    Ok(())
 }
 
 /// Installs the SIGHUP → reload watcher and blocks until the server stops.
@@ -396,7 +371,7 @@ fn run_until_stopped(handle: cc_server::ServerHandle) {
             .spawn(move || loop {
                 std::thread::sleep(Duration::from_millis(200));
                 if sighup::take() {
-                    match state.reload_default() {
+                    match state.reload(&ReloadTarget::Configured) {
                         Ok(outcome) => eprintln!(
                             "SIGHUP reload ok: build {} from {}",
                             outcome.info.build_id, outcome.info.source

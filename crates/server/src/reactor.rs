@@ -13,9 +13,10 @@
 //!
 //! Flow: `epoll_wait` → ready listener? accept a burst, park each new
 //! connection → ready connection? unregister it and submit to the pool →
-//! worker serves every pipelined request ([`serve_ready`]) and sends the
-//! still-open connection back over a channel, waking the reactor to
-//! re-park it. Connections idle past the read timeout are swept. Shutdown
+//! worker serves every pipelined request (`crate::server`'s `serve_ready`,
+//! the one connection loop both transports run) and sends the still-open
+//! connection back over a channel, waking the reactor to re-park it.
+//! Connections idle past the read timeout are swept. Shutdown
 //! ([`crate::ServerHandle::shutdown`]) wakes the reactor via its
 //! [`cc_reactor::Waker`]; it drops parked connections and joins the pool.
 
@@ -25,7 +26,7 @@ use std::sync::Arc;
 
 use cc_reactor::Poller;
 
-use crate::handlers::AppState;
+use crate::state::AppState;
 use crate::ServerConfig;
 
 /// Token under which the listening socket is registered; connection tokens
@@ -41,15 +42,24 @@ mod imp {
     use std::sync::{mpsc, Arc, Mutex};
     use std::time::{Duration, Instant};
 
-    use crate::pool::{SubmitError, WorkerPool};
+    use crate::pool::SubmitError;
     use crate::server::{
-        classify_accept_error, serve_ready, shed, AcceptBackoff, AcceptErrorClass, Conn,
+        classify_accept_error, shed, worker_pool, AcceptBackoff, AcceptErrorClass, Conn,
     };
     use cc_reactor::Event;
 
     /// Upper bound on one `epoll_wait`, so the shutdown flag and the idle
     /// sweep are checked regularly even on a silent server.
     const MAX_WAIT: Duration = Duration::from_millis(500);
+
+    /// How long a worker lingers on a just-served connection before
+    /// handing it back for parking. A client in a request/response loop
+    /// sends its next request within microseconds; catching it on the
+    /// worker keeps the exchange worker-local instead of paying a full
+    /// park → epoll → dispatch round-trip per request. Only connections
+    /// idle past this grace window cost a reactor cycle — and only those
+    /// stop occupying a worker.
+    const REPARK_GRACE: Duration = Duration::from_millis(5);
 
     struct Parked {
         conn: Conn,
@@ -85,33 +95,17 @@ mod imp {
         let (done_tx, done_rx) = mpsc::channel::<Conn>();
         let done_tx = Arc::new(Mutex::new(done_tx));
 
-        // The pool owns the connection handlers; dropping it at the end of
-        // this function drains the queue and joins the workers.
-        let pool: WorkerPool<Conn> = {
-            let state = Arc::clone(state);
-            let shutdown = Arc::clone(shutdown);
-            let max_body = config.max_body_bytes;
-            let read_timeout = config.read_timeout;
-            let done_tx = Arc::clone(&done_tx);
-            let depth = state.registry().gauge("cc_pool_queue_depth", &[]);
-            WorkerPool::with_queue_gauge(
-                "cc-serve-worker",
-                config.workers,
-                config.backlog,
-                depth,
-                move |conn| {
-                    if let Some(conn) = serve_ready(&state, conn, max_body, read_timeout, &shutdown)
-                    {
-                        if shutdown.load(Ordering::Acquire) {
-                            return; // shutting down: close instead of re-parking
-                        }
-                        let sent = done_tx.lock().map(|tx| tx.send(conn).is_ok()).unwrap_or(false);
-                        if sent {
-                            waker.wake();
-                        }
-                    }
-                },
-            )
+        let pool = {
+            let (stopping, done_tx) = (Arc::clone(shutdown), Arc::clone(&done_tx));
+            worker_pool(config, state, shutdown, REPARK_GRACE, move |conn| {
+                if stopping.load(Ordering::Acquire) {
+                    return; // shutting down: close instead of re-parking
+                }
+                let sent = done_tx.lock().map(|tx| tx.send(conn).is_ok()).unwrap_or(false);
+                if sent {
+                    waker.wake();
+                }
+            })
         };
 
         let idle = config.read_timeout;
@@ -234,11 +228,6 @@ mod imp {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     backoff.reset();
-                    // The listener is non-blocking; the connection is
-                    // served blocking by whichever worker gets it.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
                     if let Ok(conn) = Conn::new(stream, config.read_timeout) {
                         let token = *next_token;
                         *next_token += 1;

@@ -21,16 +21,23 @@
 //! pointer. In-flight requests that already cloned the old generation
 //! finish on the old artifact; its memory is freed when the last clone
 //! drops.
+//!
+//! What a reload *loads* is a [`ReloadTarget`]; resolving one against the
+//! generation being replaced ([`ReloadTarget::stage`]) is the whole reload
+//! operation short of the swap, which [`crate::AppState::reload`] performs
+//! under its lock and reports as a [`ReloadOutcome`] or a [`ReloadError`].
 
+use std::error::Error;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
-use cc_oracle::serde::SnapshotHeader;
-use cc_oracle::shard::OracleShard;
+use cc_oracle::serde::{self, SnapshotHeader};
+use cc_oracle::shard::{OracleShard, ShardRouter};
 use cc_oracle::{BackendDescriptor, CachingOracle, QueryBackend};
 use cc_telemetry::Histogram;
 
-use crate::source::LoadedBackend;
+use crate::source::{self, BackendSpec, LoadedBackend};
 
 /// Identity of a serving artifact, as reported by `/stats` and
 /// `/artifact`: snapshot format version, build id (payload checksum), when
@@ -172,6 +179,203 @@ impl Generation {
     pub fn warmed_keys(&self) -> u64 {
         self.warmed_keys
     }
+}
+
+/// What [`crate::AppState::reload`] should load.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReloadTarget {
+    /// The configured source (a bare `POST /reload`, SIGHUP): a manifest
+    /// is **re-read** (mode, files, set id, cache capacity may all
+    /// change), a shard-file source rolls every shard all-or-nothing, a
+    /// snapshot source reloads the file.
+    Configured,
+    /// This monolithic snapshot file (`/reload?path=FILE`); the configured
+    /// `set_id` pin still gates it.
+    Snapshot(PathBuf),
+    /// One slot of a routed set (`/reload?shard=i[&path=FILE]`), every
+    /// other slice shared into the new generation untouched. A new set id
+    /// is allowed — that is how a rolling rollout moves the set to a new
+    /// artifact generation one shard at a time (`/stats` reports
+    /// `set_uniform` so the roll's progress is observable).
+    Shard {
+        /// The slot to replace.
+        index: usize,
+        /// The per-shard snapshot to load; by default, the file the slice
+        /// was last loaded from.
+        path: Option<PathBuf>,
+    },
+}
+
+/// What a successful reload installed, captured atomically with the swap —
+/// a response built from this cannot mix in state from a concurrent later
+/// reload.
+#[derive(Debug, Clone)]
+pub struct ReloadOutcome {
+    /// Identity of the artifact that was swapped in (the affected shard's
+    /// file for a single-shard reload).
+    pub info: SnapshotInfo,
+    /// Node count of the artifact that was swapped in.
+    pub n: usize,
+    /// Shard count of the generation that was swapped in (0: a monolith).
+    pub shards: usize,
+    /// Successful-swap count as of this swap (this reload included; a
+    /// full-set roll counts one per shard).
+    pub reloads: u64,
+}
+
+/// Why a reload swapped nothing (the old generation keeps serving);
+/// displays as the human-readable reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReloadError {
+    /// The request does not fit the serving mode (a slot on a monolith, a
+    /// snapshot path on a routed set, a slot with no file to default to):
+    /// nothing was attempted, nothing is counted.
+    Unfit(String),
+    /// Attempted and refused (I/O, magic, version, checksum, structure,
+    /// slot, `set_id` pin, no configured source): counted in
+    /// `reload_failures` and recorded as `last_reload_error`.
+    Rejected(String),
+}
+
+impl std::fmt::Display for ReloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (ReloadError::Unfit(msg) | ReloadError::Rejected(msg)) = self;
+        f.write_str(msg)
+    }
+}
+
+/// The replacement a reload staged, plus the cache capacity a re-read
+/// manifest declares.
+type Staged = Result<(LoadedBackend, Option<usize>), ReloadError>;
+
+impl ReloadTarget {
+    /// Loads and validates the replacement for `current` this target
+    /// names, given the configured source — everything a reload does short
+    /// of the swap. Every precondition is checked here, against the
+    /// generation being replaced, and nowhere else.
+    pub(crate) fn stage(&self, current: &Generation, spec: Option<&BackendSpec>) -> Staged {
+        let pin = spec.and_then(|s| s.expected_set_id);
+        let rejected =
+            |what: &str, e: Box<dyn Error>| ReloadError::Rejected(format!("{what} rejected: {e}"));
+        let spec = match (self, spec) {
+            (ReloadTarget::Shard { index, path }, _) => {
+                return Ok((stage_shard(current, *index, path.as_deref())?, None));
+            }
+            (ReloadTarget::Snapshot(path), _) => return stage_snapshot(current, path, pin),
+            (ReloadTarget::Configured, Some(spec)) => spec,
+            (ReloadTarget::Configured, None) => {
+                return Err(ReloadError::Rejected(
+                    "no reload source configured: start with --manifest, or pass an explicit path"
+                        .to_owned(),
+                ));
+            }
+        };
+        // A spec names a manifest, one snapshot, or a shard file set.
+        match (spec.manifest_path(), spec.mono_path()) {
+            // Re-read: new files, a new expected set id, a new cache
+            // capacity, even a different mode or `n`.
+            (Some(manifest), _) => BackendSpec::from_manifest(manifest)
+                .and_then(|fresh| Ok((fresh.load()?, fresh.cache_capacity)))
+                .map_err(|e| rejected("manifest reload", e)),
+            (None, Some(path)) => stage_snapshot(current, path, pin),
+            (None, None) => {
+                let loaded = spec.load().and_then(|loaded| {
+                    if loaded.n() != current.n() {
+                        return Err(format!(
+                            "n = {} but the serving set has n = {} (restart to change the graph \
+                             size)",
+                            loaded.n(),
+                            current.n()
+                        )
+                        .into());
+                    }
+                    Ok((loaded, None))
+                });
+                loaded.map_err(|e| rejected("full-set reload", e))
+            }
+        }
+    }
+}
+
+/// Stages the monolithic snapshot at `path`. The manifest's `set_id` pin
+/// gates explicit-path reloads too: a wrong-build snapshot must not sneak
+/// past the gate the operator configured (docs/OPERATIONS.md).
+fn stage_snapshot(current: &Generation, path: &Path, pin: Option<u64>) -> Staged {
+    if current.is_sharded() {
+        // Silently rolling the configured source instead would answer 200
+        // without deploying the named file.
+        return Err(ReloadError::Unfit(
+            "this server routes a shard set: a bare /reload rolls the configured \
+             manifest/files; use /reload?shard=i&path=FILE to roll one slice"
+                .to_owned(),
+        ));
+    }
+    let mut spec = BackendSpec::mono(path);
+    spec.expected_set_id = pin;
+    spec.load()
+        .map(|loaded| (loaded, None))
+        .map_err(|e| ReloadError::Rejected(format!("reload from {} rejected: {e}", path.display())))
+}
+
+/// Stages `current` with slot `index` replaced by the per-shard snapshot
+/// at `path`, which must declare exactly this slot and the serving set's
+/// shard count and `n`.
+fn stage_shard(
+    current: &Generation,
+    index: usize,
+    path: Option<&Path>,
+) -> Result<LoadedBackend, ReloadError> {
+    if !current.is_sharded() {
+        return Err(ReloadError::Unfit(
+            "this server is monolithic: /reload takes no 'shard' parameter".to_owned(),
+        ));
+    }
+    let count = current.shards().len();
+    // Bounds-check before resolving the path: an out-of-range index must
+    // name the real problem (and land in reload_failures for monitoring),
+    // not claim a missing default path.
+    let Some(serving) = current.shard_infos().get(index) else {
+        return Err(ReloadError::Rejected(format!("shard index {index} outside 0..{count}")));
+    };
+    let path = match path {
+        Some(path) => path,
+        None if serving.source != "in-process" => Path::new(&serving.source),
+        None => {
+            return Err(ReloadError::Unfit(format!(
+                "shard {index} has no default snapshot file; pass /reload?shard={index}&path=FILE"
+            )));
+        }
+    };
+    let rolled = source::load_slice(path, serde::from_shard_bytes_with_header).and_then(|loaded| {
+        let loaded = loaded.expect_slot(index, count)?;
+        if loaded.artifact.n() != current.n() {
+            return Err(format!(
+                "n = {} but the serving set has n = {} (a sharded artifact cannot change n \
+                 shard-by-shard)",
+                loaded.artifact.n(),
+                current.n()
+            )
+            .into());
+        }
+        let mut shards = current.shards().to_vec();
+        let mut shard_infos = current.shard_infos().to_vec();
+        shards[index] = Arc::new(loaded.artifact);
+        shard_infos[index] = loaded.info;
+        let router = ShardRouter::assemble_rolling(shards.clone())?;
+        // Set-level identity: the shared set id, or "mixed" while a
+        // rolling rollout is in flight.
+        let mut info = SnapshotInfo::in_process(shards[0].set_id(), current.info().source.clone());
+        if !router.set_uniform() {
+            info.build_id = "mixed".to_owned();
+        }
+        Ok(LoadedBackend { backend: Box::new(router), info, shards, shard_infos })
+    });
+    rolled.map_err(|e: Box<dyn Error>| {
+        ReloadError::Rejected(format!(
+            "reload of shard {index} from {} rejected: {e}",
+            path.display()
+        ))
+    })
 }
 
 /// The swap point between the request path and reloads.

@@ -9,14 +9,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cc_oracle::DistanceOracle;
 use cc_reactor::{Poller, Waker};
 
 use crate::config::Transport;
-use crate::handlers::AppState;
 use crate::http::{read_request, write_response, HttpError, Response};
 use crate::pool::{SubmitError, WorkerPool};
-use crate::reload::SnapshotInfo;
+use crate::source::LoadedBackend;
+use crate::state::AppState;
 use crate::ServerConfig;
 
 /// How long the poll-loop acceptor sleeps when there is nothing to accept.
@@ -24,73 +23,41 @@ use crate::ServerConfig;
 const ACCEPT_IDLE: Duration = Duration::from_micros(500);
 
 /// The `cc-serve` front-end: binds, spawns the acceptor and worker pool,
-/// and serves a [`DistanceOracle`] until [`ServerHandle::shutdown`].
+/// and serves a distance oracle until [`ServerHandle::shutdown`].
 pub struct Server;
 
 impl Server {
-    /// Binds `config.addr` and starts serving `oracle` in the background.
-    ///
-    /// The artifact is reported as an in-process build; a server fronting
-    /// a loaded snapshot should use [`Server::start_with_info`] so
-    /// `/stats` and `/artifact` carry the snapshot's real identity.
+    /// Binds `config.addr` and starts serving an artifact already in
+    /// memory in the background, with no default reload source. A bare
+    /// [`cc_oracle::DistanceOracle`] is reported as an in-process build;
+    /// pass [`LoadedBackend::mono`] so `/stats` and `/artifact` carry
+    /// another identity.
     ///
     /// # Errors
     ///
     /// Propagates bind/configuration I/O errors — including `Unsupported`
     /// when [`Transport::Epoll`] is requested on a platform without epoll.
     /// Everything after a successful return is handled per-connection.
-    pub fn start(config: &ServerConfig, oracle: DistanceOracle) -> io::Result<ServerHandle> {
-        let info =
-            SnapshotInfo::in_process(cc_oracle::serde::payload_checksum(&oracle), "in-process");
-        Server::start_with_info(config, oracle, info)
-    }
-
-    /// [`Server::start`] with an explicit identity for the initial
-    /// artifact (version, build id, source path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind/configuration I/O errors.
-    pub fn start_with_info(
+    pub fn start(
         config: &ServerConfig,
-        oracle: DistanceOracle,
-        info: SnapshotInfo,
+        backend: impl Into<LoadedBackend>,
     ) -> io::Result<ServerHandle> {
-        let state =
-            AppState::with_info(oracle, info, config.cache_capacity, config.reload_path.clone());
-        Server::start_with_state(config, state)
+        Server::start_with_state(config, AppState::new(backend, config.cache_capacity))
     }
 
-    /// Starts a **router-tier** server over a loaded, validated shard set:
-    /// `/distance` and `/batch` are answered by combining the two owning
-    /// shards' half-results behind a router-level result cache,
-    /// `/reload?shard=i` hot-swaps one slice at a time, and `/stats` /
-    /// `/artifact` report per-shard build ids.
-    ///
-    /// # Errors
-    ///
-    /// Set-validation errors (mapped to `InvalidInput`) and bind I/O
-    /// errors. A missing or corrupt shard snapshot fails **here**, before
-    /// the socket ever accepts — the startup gate the router e2e suite
-    /// pins down.
-    pub fn start_sharded(
-        config: &ServerConfig,
-        shards: Vec<crate::source::LoadedSlice<cc_oracle::OracleShard>>,
-    ) -> io::Result<ServerHandle> {
-        let state = AppState::with_shards(shards, config.cache_capacity)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        Server::start_with_state(config, state)
-    }
-
-    /// Starts a server from a [`crate::source::BackendSpec`] — the
-    /// manifest-driven path (`cc-serve --manifest`). The spec decides the
-    /// tier; endpoints, reloads, and stats are identical either way.
+    /// Starts a server from a [`crate::source::BackendSpec`] — files that
+    /// can be re-read, named directly or by a manifest (`cc-serve
+    /// --manifest`) — which also becomes the reload source. The spec
+    /// decides the tier; endpoints, reloads, and stats are identical
+    /// either way.
     ///
     /// # Errors
     ///
     /// Everything [`crate::source::BackendSpec::load`] rejects (mapped to
     /// `InvalidInput`, naming the offending file — including an
-    /// `expected_set_id` mismatch) and bind I/O errors.
+    /// `expected_set_id` mismatch) and bind I/O errors. A missing, corrupt
+    /// or inconsistent artifact fails **here**, before the socket ever
+    /// accepts — the startup gate the router e2e suite pins down.
     pub fn start_from_spec(
         config: &ServerConfig,
         spec: crate::source::BackendSpec,
@@ -101,9 +68,6 @@ impl Server {
     }
 
     fn start_with_state(config: &ServerConfig, mut state: AppState) -> io::Result<ServerHandle> {
-        if !config.telemetry_enabled {
-            state.disable_telemetry();
-        }
         if let Some(log) = &config.access_log {
             state.set_access_log(Arc::clone(log));
         }
@@ -193,7 +157,7 @@ impl ServerHandle {
 
     /// An owned handle to the shared serving state, for threads that
     /// outlive borrows of this handle — e.g. the `cc-serve` binary's
-    /// SIGHUP watcher calling [`AppState::reload_default`].
+    /// SIGHUP watcher calling [`AppState::reload`].
     pub fn shared_state(&self) -> Arc<AppState> {
         Arc::clone(&self.state)
     }
@@ -302,36 +266,20 @@ pub(crate) fn accept_loop(
     state: &Arc<AppState>,
     shutdown: &Arc<AtomicBool>,
 ) {
-    // The pool owns the connection handlers; dropping it at the end of this
-    // function drains the queue and joins the workers.
-    let pool: WorkerPool<TcpStream> = {
-        let state = Arc::clone(state);
-        let shutdown = Arc::clone(shutdown);
-        let max_body = config.max_body_bytes;
-        let read_timeout = config.read_timeout;
-        let depth = state.registry().gauge("cc_pool_queue_depth", &[]);
-        WorkerPool::with_queue_gauge(
-            "cc-serve-worker",
-            config.workers,
-            config.backlog,
-            depth,
-            move |stream| {
-                serve_connection(&state, stream, max_body, read_timeout, &shutdown);
-            },
-        )
-    };
+    // Lingering for the whole read timeout pins a worker on each connection
+    // for its life; one that comes back idle has timed out, and dropping it
+    // closes it.
+    let pool = worker_pool(config, state, shutdown, config.read_timeout, drop);
     let mut backoff = AcceptBackoff::new();
     while !shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 backoff.reset();
-                // The listener is non-blocking for the shutdown poll; the
-                // accepted connection itself is served blocking.
-                let _ = stream.set_nonblocking(false);
-                match pool.try_submit(stream) {
+                let Ok(conn) = Conn::new(stream, config.read_timeout) else { continue };
+                match pool.try_submit(conn) {
                     Ok(()) => {}
-                    Err(SubmitError::Full(stream) | SubmitError::Closed(stream)) => {
-                        shed_stream(state, stream);
+                    Err(SubmitError::Full(mut conn) | SubmitError::Closed(mut conn)) => {
+                        shed(state, &mut conn.writer);
                     }
                 }
             }
@@ -351,17 +299,33 @@ pub(crate) fn accept_loop(
     }
 }
 
-/// Load-shedding at the edge: answer `503` inline on the acceptor thread
-/// (cheap, bounded write) rather than queueing unbounded work. Counted in
-/// `/stats` so shedding is visible exactly when monitoring needs it.
-fn shed_stream(state: &AppState, stream: TcpStream) {
-    // Never let a non-reading peer block the acceptor thread.
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut w = BufWriter::new(stream);
-    shed(state, &mut w);
+/// The worker pool both transports feed: every worker runs [`serve_ready`]
+/// with the transport's `linger` and passes a connection that came back
+/// idle to `idle`. The pool owns the connection handlers; dropping it
+/// drains the queue and joins the workers.
+pub(crate) fn worker_pool(
+    config: &ServerConfig,
+    state: &Arc<AppState>,
+    shutdown: &Arc<AtomicBool>,
+    linger: Duration,
+    idle: impl Fn(Conn) + Send + Sync + 'static,
+) -> WorkerPool<Conn> {
+    let (state, shutdown) = (Arc::clone(state), Arc::clone(shutdown));
+    let (max_body, read_timeout) = (config.max_body_bytes, config.read_timeout);
+    let depth = state.registry().gauge("cc_pool_queue_depth", &[]);
+    let work = move |conn| {
+        if let Some(conn) = serve_ready(&state, conn, max_body, read_timeout, linger, &shutdown) {
+            idle(conn);
+        }
+    };
+    WorkerPool::with_queue_gauge("cc-serve-worker", config.workers, config.backlog, depth, work)
 }
 
-/// The transport-independent half of load shedding: count and answer 503.
+/// Load-shedding at the edge, shared by both transports: answer `503`
+/// inline on the acceptor thread (cheap, and bounded by the connection's
+/// write timeout, so a non-reading peer cannot block it for long) rather
+/// than queueing unbounded work. Counted in `/stats` so shedding is visible
+/// exactly when monitoring needs it.
 pub(crate) fn shed(state: &AppState, w: &mut impl Write) {
     state.count_load_shed();
     let resp = Response::error_json(503, "server is at capacity, retry later");
@@ -373,7 +337,7 @@ pub(crate) fn shed(state: &AppState, w: &mut impl Write) {
 /// write syscall instead of four of each through the 8 KiB default — on
 /// loopback that also halves the scheduler ping-pong between the client
 /// and the serving worker.
-const IO_BUF: usize = 32 * 1024;
+pub(crate) const IO_BUF: usize = 32 * 1024;
 
 /// One accepted connection: buffered halves of the same socket, with read
 /// and write timeouts already armed. Both transports serve through this.
@@ -384,6 +348,9 @@ pub(crate) struct Conn {
 
 impl Conn {
     pub(crate) fn new(stream: TcpStream, timeout: Duration) -> io::Result<Conn> {
+        // The listener is non-blocking; the accepted connection is served
+        // blocking by whichever worker gets it.
+        stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         // A write timeout too: a client that sends requests but never reads
@@ -419,12 +386,7 @@ pub(crate) enum Served {
 /// Reads, handles, and answers exactly one request. The caller has already
 /// confirmed buffered input, so request-duration histograms never charge
 /// keep-alive idle time.
-pub(crate) fn serve_one(
-    state: &AppState,
-    conn: &mut Conn,
-    max_body: usize,
-    shutdown: &AtomicBool,
-) -> Served {
+fn serve_one(state: &AppState, conn: &mut Conn, max_body: usize, shutdown: &AtomicBool) -> Served {
     let started = std::time::Instant::now();
     match read_request(&mut conn.reader, max_body) {
         Ok(req) => {
@@ -471,54 +433,29 @@ pub(crate) fn serve_one(
     }
 }
 
-/// Serves one (possibly keep-alive) connection until close/timeout/error —
-/// the poll transport's worker body, one worker pinned per connection.
-fn serve_connection(
-    state: &AppState,
-    stream: TcpStream,
-    max_body: usize,
-    read_timeout: Duration,
-    shutdown: &AtomicBool,
-) {
-    let Ok(mut conn) = Conn::new(stream, read_timeout) else { return };
-    loop {
-        // Block until the first byte of the next request is buffered, and
-        // only then start the clock (see `serve_one`).
-        match conn.reader.fill_buf() {
-            Ok([]) => return, // clean EOF between requests
-            Ok(_) => {}
-            Err(_) => return, // timeout or reset while idle
-        }
-        if matches!(serve_one(state, &mut conn, max_body, shutdown), Served::Close) {
-            return;
-        }
-    }
-}
-
-/// How long a reactor worker lingers on a just-served connection before
-/// handing it back for parking. A client in a request/response loop sends
-/// its next request within microseconds; catching it here keeps the
-/// exchange worker-local instead of paying a full park → epoll → dispatch
-/// round-trip per request. Only connections idle past this grace window
-/// cost a reactor cycle — and only those stop occupying a worker.
-const REPARK_GRACE: Duration = Duration::from_millis(5);
-
-/// The reactor transport's worker body: serve every request already
-/// pipelined on the wire plus any that arrives within [`REPARK_GRACE`],
-/// then hand the idle connection back for parking (`Some`) instead of
-/// pinning a worker on it. `None` means closed.
-pub(crate) fn serve_ready(
+/// The worker body of both transports: serve every request already
+/// pipelined on the wire plus any that arrives within `linger` of the
+/// previous response, then hand the idle connection back (`Some`). `None`
+/// means closed.
+///
+/// The epoll reactor lingers for a few milliseconds and re-parks what
+/// comes back instead of pinning a worker on it; the poll transport lingers
+/// for the whole `read_timeout`, so what comes back has idled out.
+fn serve_ready(
     state: &AppState,
     mut conn: Conn,
     max_body: usize,
     read_timeout: Duration,
+    linger: Duration,
     shutdown: &AtomicBool,
 ) -> Option<Conn> {
     loop {
+        // Block until the first byte of the next request is buffered, and
+        // only then start the clock (see `serve_one`).
         match conn.reader.fill_buf() {
-            Ok([]) => return None,
+            Ok([]) => return None, // clean EOF between requests
             Ok(_) => {}
-            Err(_) => return None,
+            Err(_) => return None, // timeout or reset while idle
         }
         match serve_one(state, &mut conn, max_body, shutdown) {
             Served::Close => return None,
@@ -529,10 +466,10 @@ pub(crate) fn serve_ready(
                     // queue). Serve them before anything else.
                     continue;
                 }
-                // Grace read: wait briefly for a follow-up request. The
-                // timeout swap must round-trip — a connection with an
-                // unknown read timeout cannot be parked.
-                if conn.reader.get_ref().set_read_timeout(Some(REPARK_GRACE)).is_err() {
+                // Linger read: wait for a follow-up request. The timeout
+                // swap must round-trip — a connection with an unknown read
+                // timeout cannot be parked.
+                if conn.reader.get_ref().set_read_timeout(Some(linger)).is_err() {
                     return None;
                 }
                 let outcome = conn.reader.fill_buf().map(|buf| buf.is_empty());
@@ -540,13 +477,13 @@ pub(crate) fn serve_ready(
                     return None;
                 }
                 match outcome {
-                    Ok(true) => return None, // clean EOF in the grace window
+                    Ok(true) => return None, // clean EOF in the linger window
                     Ok(false) => {}          // next request is here: serve it
                     Err(e)
                         if e.kind() == io::ErrorKind::WouldBlock
                             || e.kind() == io::ErrorKind::TimedOut =>
                     {
-                        return Some(conn); // genuinely idle: park it
+                        return Some(conn); // genuinely idle: hand it back
                     }
                     Err(_) => return None,
                 }
@@ -563,135 +500,6 @@ fn respond(
 ) -> io::Result<()> {
     write_response(w, resp, keep_alive, head)?;
     w.flush()
-}
-
-/// A minimal blocking HTTP/1.1 client for the e2e tests, benches and
-/// examples in this workspace (keep-alive, `Content-Length` framing only).
-pub struct BlockingClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl BlockingClient {
-    /// Connects to a running server.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection errors.
-    pub fn connect(addr: SocketAddr) -> io::Result<BlockingClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let reader = BufReader::with_capacity(IO_BUF, stream.try_clone()?);
-        Ok(BlockingClient { reader, writer: stream })
-    }
-
-    /// Issues `GET target`, returning `(status, body)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors or malformed responses.
-    pub fn get(&mut self, target: &str) -> io::Result<(u16, Vec<u8>)> {
-        self.request("GET", target, None, &[])
-    }
-
-    /// Issues `HEAD target`, returning `(status, declared_content_length)`.
-    /// Per RFC 9110 §9.3.2 the response carries no body even though it
-    /// declares `Content-Length`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors or malformed responses.
-    pub fn head(&mut self, target: &str) -> io::Result<(u16, usize)> {
-        self.send_request("HEAD", target, None, &[])?;
-        self.read_head()
-    }
-
-    /// Issues `POST target` with `body`, returning `(status, body)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors or malformed responses.
-    pub fn post(&mut self, target: &str, body: &[u8]) -> io::Result<(u16, Vec<u8>)> {
-        self.request("POST", target, None, body)
-    }
-
-    /// [`BlockingClient::post`] with an explicit `Content-Type` — e.g.
-    /// [`cc_reactor::frame::CONTENT_TYPE`] for binary `/batch` frames.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors or malformed responses.
-    pub fn post_with_content_type(
-        &mut self,
-        target: &str,
-        content_type: &str,
-        body: &[u8],
-    ) -> io::Result<(u16, Vec<u8>)> {
-        self.request("POST", target, Some(content_type), body)
-    }
-
-    fn request(
-        &mut self,
-        method: &str,
-        target: &str,
-        content_type: Option<&str>,
-        body: &[u8],
-    ) -> io::Result<(u16, Vec<u8>)> {
-        self.send_request(method, target, content_type, body)?;
-        let (status, content_length) = self.read_head()?;
-        let mut body = vec![0u8; content_length];
-        std::io::Read::read_exact(&mut self.reader, &mut body)?;
-        Ok((status, body))
-    }
-
-    fn send_request(
-        &mut self,
-        method: &str,
-        target: &str,
-        content_type: Option<&str>,
-        body: &[u8],
-    ) -> io::Result<()> {
-        write!(self.writer, "{method} {target} HTTP/1.1\r\nHost: cc-serve\r\n")?;
-        if let Some(ct) = content_type {
-            write!(self.writer, "Content-Type: {ct}\r\n")?;
-        }
-        write!(self.writer, "Content-Length: {}\r\n\r\n", body.len())?;
-        self.writer.write_all(body)?;
-        self.writer.flush()
-    }
-
-    /// Reads the status line and headers; returns `(status, content_length)`
-    /// with the body left unread on the wire.
-    fn read_head(&mut self) -> io::Result<(u16, usize)> {
-        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
-            return Err(bad("server closed the connection"));
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("malformed status line"))?;
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(bad("connection closed inside headers"));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().map_err(|_| bad("bad content-length"))?;
-                }
-            }
-        }
-        Ok((status, content_length))
-    }
 }
 
 #[cfg(test)]

@@ -209,6 +209,15 @@ impl LoadedBackend {
     }
 }
 
+/// An oracle built in this process and never snapshotted: a monolithic
+/// backend whose identity is the build id the codec would store.
+impl From<DistanceOracle> for LoadedBackend {
+    fn from(oracle: DistanceOracle) -> LoadedBackend {
+        let info = SnapshotInfo::in_process(serde::payload_checksum(&oracle), "in-process");
+        LoadedBackend::mono(oracle, info)
+    }
+}
+
 /// What `BackendSpec` points at: one snapshot file, or an ordered shard
 /// file set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -368,7 +377,8 @@ impl BackendSpec {
                              /stats), got \"{raw}\""
                         )));
                     }
-                    set_id = Some(u64::from_str_radix(&raw, 16).expect("validated hex"));
+                    set_id =
+                        Some(u64::from_str_radix(&raw, 16).map_err(|e| reject(e.to_string()))?);
                 }
                 "cache_capacity" => {
                     if cache_capacity.is_some() {
@@ -463,14 +473,17 @@ impl BackendSpec {
     /// `expected_set_id` — an identity mismatch naming both the offending
     /// file and the two ids.
     pub fn load(&self) -> Result<LoadedBackend, Box<dyn Error>> {
-        // The pin is compared against the set id of a header the loader
-        // just verified (for a monolith: its own payload checksum), so no
-        // artifact is re-serialized to learn its identity.
+        // The pin — the one place it is checked, for startup, manifest
+        // and explicit-path reloads alike — is compared against the set id
+        // of a header the loader just verified (for a monolith: its own
+        // payload checksum), so no artifact is re-serialized to learn its
+        // identity.
         let pinned = |header: &SnapshotHeader, what: &str, path: &Path, has: &str| {
             let got = header.slot().set_id;
             match self.expected_set_id {
                 Some(want) if want != got => Err(format!(
-                    "{what} {} {has} {got:016x} but the manifest expects set_id {want:016x}",
+                    "{what} {} {has} {got:016x}, not the pinned set_id: the manifest expects \
+                     set_id {want:016x}",
                     path.display()
                 )),
                 _ => Ok(()),

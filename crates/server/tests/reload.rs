@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use cc_clique::Clique;
 use cc_graph::generators;
 use cc_oracle::{serde, DistanceOracle, OracleBuilder};
-use cc_server::{BlockingClient, Server, ServerConfig, ServerHandle};
+use cc_server::{BackendSpec, BlockingClient, Server, ServerConfig, ServerHandle};
 
 fn build_oracle(n: usize, seed: u64) -> DistanceOracle {
     let g = generators::gnp_weighted(n, 0.15, 30, seed).unwrap();
@@ -32,10 +32,8 @@ fn temp_path(name: &str) -> PathBuf {
 /// hammer clients + 1 reloader) — otherwise the reloader can queue behind
 /// hammer clients that only stop when the reloader finishes.
 fn start_on_snapshot(path: &Path) -> ServerHandle {
-    let loaded = cc_server::source::load_slice(path, serde::from_bytes_with_header).unwrap();
-    let config =
-        ServerConfig::default().with_addr("127.0.0.1:0").with_workers(8).with_reload_path(path);
-    Server::start_with_info(&config, loaded.artifact, loaded.info).expect("server start")
+    let config = ServerConfig::default().with_addr("127.0.0.1:0").with_workers(8);
+    Server::start_from_spec(&config, BackendSpec::mono(path)).expect("server start")
 }
 
 /// Extracts `"distance":<number|null>` from a `/distance` response body.

@@ -1,5 +1,5 @@
 //! Router-tier end-to-end over a real TCP socket: three per-shard
-//! snapshots served by `Server::start_sharded`, checked against Dijkstra
+//! snapshots served by `Server::start_from_spec`, checked against Dijkstra
 //! ground truth and the monolithic oracle, hammered while a single shard
 //! hot-reloads (zero non-200s), and startup / reload failure modes pinned
 //! down (a broken shard set never serves; a failed shard reload keeps the
@@ -12,7 +12,7 @@ use cc_clique::Clique;
 use cc_graph::{generators, reference, Graph};
 use cc_oracle::shard::combine;
 use cc_oracle::{serde, DistanceOracle, OracleBuilder, ShardedArtifact};
-use cc_server::{BlockingClient, Server, ServerConfig, ServerHandle};
+use cc_server::{BackendSpec, BlockingClient, Server, ServerConfig, ServerHandle};
 
 const N: usize = 30;
 const SHARDS: usize = 3;
@@ -37,9 +37,9 @@ fn start_router(
     workers: usize,
 ) -> (Vec<PathBuf>, ServerHandle) {
     let paths = cc_server::source::write_shard_snapshots(oracle, SHARDS, dir).unwrap();
-    let loaded = cc_server::source::load_shard_set(&paths).unwrap();
     let config = ServerConfig::default().with_addr("127.0.0.1:0").with_workers(workers);
-    let handle = Server::start_sharded(&config, loaded).expect("router start");
+    let handle = Server::start_from_spec(&config, BackendSpec::sharded(paths.clone()))
+        .expect("router start");
     (paths, handle)
 }
 
@@ -269,20 +269,20 @@ fn broken_shard_sets_are_clean_startup_errors_never_a_serving_process() {
     // An incomplete set.
     assert!(cc_server::source::load_shard_set(&paths[..2]).is_err());
 
-    // Server::start_sharded re-validates and refuses a mixed set (shards
+    // Server::start_from_spec validates and refuses a mixed set (shards
     // individually valid, but from two different artifact generations):
     // an Err before the socket ever accepts, never a serving process.
     let (_, other) = build_oracle(6);
     let other_dir = temp_dir("startup-other");
     let other_paths = cc_server::source::write_shard_snapshots(&other, SHARDS, &other_dir).unwrap();
-    let mut mixed = Vec::new();
-    for (i, path) in [&paths[0], &other_paths[1], &paths[2]].iter().enumerate() {
+    let mixed = vec![paths[0].clone(), other_paths[1].clone(), paths[2].clone()];
+    for (i, path) in mixed.iter().enumerate() {
         let shard =
             cc_server::source::load_slice(path, serde::from_shard_bytes_with_header).unwrap();
-        mixed.push(shard.expect_slot(i, SHARDS).unwrap());
+        shard.expect_slot(i, SHARDS).unwrap();
     }
-    let err = match Server::start_sharded(&ServerConfig::default().with_addr("127.0.0.1:0"), mixed)
-    {
+    let config = ServerConfig::default().with_addr("127.0.0.1:0");
+    let err = match Server::start_from_spec(&config, BackendSpec::sharded(mixed)) {
         Err(e) => e,
         Ok(_) => panic!("mixed set must not start"),
     };

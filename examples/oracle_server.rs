@@ -13,7 +13,7 @@ use std::time::Instant;
 use congested_clique::clique::Clique;
 use congested_clique::graph::generators;
 use congested_clique::oracle::OracleBuilder;
-use congested_clique::serve::{BlockingClient, Server, ServerConfig};
+use congested_clique::serve::{BackendSpec, BlockingClient, Server, ServerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 128;
@@ -46,10 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         loaded.info.build_id,
     );
 
-    // 3. Serve it over a real socket (ephemeral port). Keeping the file
-    //    around as the reload source lets us hot-swap below.
-    let config = ServerConfig::default().with_reload_path(&path);
-    let handle = Server::start_with_info(&config, loaded.artifact, loaded.info)?;
+    // 3. Serve it over a real socket (ephemeral port). Starting from the
+    //    file makes it the reload source, which lets us hot-swap below.
+    let handle = Server::start_from_spec(&ServerConfig::default(), BackendSpec::mono(&path))?;
     println!("serving on http://{}", handle.addr());
 
     // 4. Talk to it over HTTP.
