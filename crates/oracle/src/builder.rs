@@ -10,7 +10,7 @@ use cc_matrix::AugDist;
 use cc_telemetry::BuildTrace;
 
 use crate::error::invalid;
-use crate::oracle::ArtifactSlice;
+use crate::oracle::{ArtifactSlice, BuildParams, Sections};
 use crate::{DistanceOracle, OracleError};
 
 /// The default ball size `⌈√(n·ln n)⌉` — balancing ball size against the
@@ -27,9 +27,9 @@ pub(crate) fn default_k(n: usize) -> usize {
 ///
 /// `near[v]` holds node `v`'s `k`-nearest ball as `(id, augmented
 /// distance)` entries; `columns` is the row-major `n × |landmarks|` matrix
-/// with `Dist::INF.raw()` marking an unreachable landmark. `build_rounds`
-/// is left at 0 (the direct builder's value); the clique builder overwrites
-/// it with the simulator's count after extraction.
+/// with `Dist::INF.raw()` marking an unreachable landmark. The direct
+/// builder passes `build_rounds = 0`; the clique builder the simulator's
+/// count.
 ///
 /// # Panics
 ///
@@ -37,40 +37,30 @@ pub(crate) fn default_k(n: usize) -> usize {
 /// built over these balls (every ball contains its own node and the repair
 /// pass hits every non-empty set).
 pub(crate) fn extract_artifact(
-    n: usize,
-    k: usize,
-    epsilon: f64,
-    seed: u64,
+    params: BuildParams,
     near: &[Vec<(u32, AugDist)>],
     landmarks: &HittingSet,
     columns: Vec<u64>,
-) -> DistanceOracle {
+) -> Result<DistanceOracle, OracleError> {
     let landmark_ids: Vec<u32> = landmarks.members.iter().map(|&a| a as u32).collect();
-    debug_assert_eq!(columns.len(), n * landmark_ids.len());
-    let mut balls: Vec<Vec<(u32, u64)>> = Vec::with_capacity(n);
-    let mut nearest_landmark: Vec<(u32, u64)> = Vec::with_capacity(n);
-    for v in 0..n {
-        let mut ball: Vec<(u32, u64)> = near[v].iter().map(|&(c, a)| (c, a.dist)).collect();
-        ball.sort_unstable_by_key(|&(id, _)| id);
+    let mut sections = Sections::with_rows(near.len(), landmark_ids, columns);
+    for row in near {
         let (p, aug) = landmarks
-            .closest_of(near[v].iter().map(|(c, a)| (*c, a)))
+            .closest_of(row.iter().map(|(c, a)| (*c, a)))
             .expect("hitting set covers every ball");
-        let idx = landmark_ids.binary_search(&(p as u32)).expect("closest hitter is a landmark");
-        nearest_landmark.push((idx as u32, aug.dist));
-        balls.push(ball);
+        let idx =
+            sections.landmarks.binary_search(&(p as u32)).expect("closest hitter is a landmark");
+        sections.push_row((idx as u32, aug.dist), ball_by_id(row));
     }
-    DistanceOracle(ArtifactSlice {
-        n,
-        k,
-        epsilon,
-        seed,
-        build_rounds: 0,
-        landmarks: landmark_ids,
-        start: 0,
-        balls,
-        nearest_landmark,
-        columns,
-    })
+    Ok(DistanceOracle(ArtifactSlice::from_sections(params, 0..params.n, sections)?))
+}
+
+/// One `k`-nearest row as the artifact stores it: `(id, distance)` entries
+/// in ascending id order.
+pub(crate) fn ball_by_id(row: &[(u32, AugDist)]) -> Vec<(u32, u64)> {
+    let mut ball: Vec<(u32, u64)> = row.iter().map(|&(c, a)| (c, a.dist)).collect();
+    ball.sort_unstable_by_key(|&(id, _)| id);
+    ball
 }
 
 /// Appends one phase span to `trace`, charging the round/message/word
@@ -230,9 +220,8 @@ impl OracleBuilder {
                 }
             }
         }
-        let mut oracle =
-            extract_artifact(n, k, self.epsilon, self.seed, &near_rows, &landmarks, columns);
-        oracle.0.build_rounds = build_rounds;
+        let params = BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds };
+        let oracle = extract_artifact(params, &near_rows, &landmarks, columns)?;
         close_span(&mut trace, "local_extraction", clique, &report, started);
         Ok((oracle, trace))
     }

@@ -58,9 +58,9 @@ use cc_hopset::{HopsetConfig, HopsetSchedule};
 use cc_matrix::{AugDist, Dist};
 use cc_telemetry::BuildTrace;
 
-use crate::builder::{default_k, extract_artifact};
+use crate::builder::{ball_by_id, default_k, extract_artifact};
 use crate::error::invalid;
-use crate::oracle::ArtifactSlice;
+use crate::oracle::{ArtifactSlice, BuildParams, Sections};
 use crate::{DistanceOracle, OracleError};
 
 /// Order-preserving parallel map: `out[i] = f(i)` for `i in 0..count`,
@@ -466,12 +466,11 @@ impl DirectBuilder {
             Ok(columns)
         })?;
 
-        // Extraction — the kernel shared with the clique builder, which
-        // leaves build_rounds at 0: the direct path simulates nothing (the
-        // field is header-only and excluded from the payload checksum).
-        Ok(trace.time_local("local_extraction", || {
-            extract_artifact(n, k, self.epsilon, self.seed, near, &landmarks, columns)
-        }))
+        // Extraction — the kernel shared with the clique builder.
+        // build_rounds is 0: the direct path simulates nothing (the field
+        // is header-only and excluded from the payload checksum).
+        let params = BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds: 0 };
+        trace.time_local("local_extraction", || extract_artifact(params, near, &landmarks, columns))
     }
 
     /// Capped mode: `m` seeded-rank landmarks, exact Dijkstra columns.
@@ -505,48 +504,30 @@ impl DirectBuilder {
             par_map(threads, s, |i| dijkstra_exact(graph, landmark_ids[i] as usize))
         });
 
-        let result =
-            trace.time_local("local_extraction", || -> Result<DistanceOracle, OracleError> {
-                let mut columns = vec![Dist::INF.raw(); n * s];
-                let mut nearest_landmark: Vec<(u32, u64)> = Vec::with_capacity(n);
-                for v in 0..n {
-                    let mut pick: Option<(u64, u32)> = None;
-                    for (i, row) in rows.iter().enumerate() {
-                        if let Some(dv) = row[v] {
-                            columns[v * s + i] = dv;
-                            if pick.is_none_or(|p| (dv, i as u32) < p) {
-                                pick = Some((dv, i as u32));
-                            }
+        trace.time_local("local_extraction", || {
+            let mut sections = Sections::with_rows(n, landmark_ids, vec![Dist::INF.raw(); n * s]);
+            for (v, ball) in near.iter().enumerate() {
+                let mut pick: Option<(u64, u32)> = None;
+                for (i, row) in rows.iter().enumerate() {
+                    if let Some(dv) = row[v] {
+                        sections.columns[v * s + i] = dv;
+                        if pick.is_none_or(|p| (dv, i as u32) < p) {
+                            pick = Some((dv, i as u32));
                         }
                     }
-                    let Some((pd, pi)) = pick else {
-                        return Err(invalid(format!(
-                            "node {v} reaches no landmark; raise max_landmarks or use a \
+                }
+                let Some((pd, pi)) = pick else {
+                    return Err(invalid(format!(
+                        "node {v} reaches no landmark; raise max_landmarks or use a \
                          connected graph"
-                        )));
-                    };
-                    nearest_landmark.push((pi, pd));
-                }
-                let mut balls: Vec<Vec<(u32, u64)>> = Vec::with_capacity(n);
-                for row in near {
-                    let mut ball: Vec<(u32, u64)> = row.iter().map(|&(c, a)| (c, a.dist)).collect();
-                    ball.sort_unstable_by_key(|&(id, _)| id);
-                    balls.push(ball);
-                }
-                Ok(DistanceOracle(ArtifactSlice {
-                    n,
-                    k,
-                    epsilon: self.epsilon,
-                    seed: self.seed,
-                    build_rounds: 0,
-                    landmarks: landmark_ids.clone(),
-                    start: 0,
-                    balls,
-                    nearest_landmark,
-                    columns,
-                }))
-            })?;
-        Ok(result)
+                    )));
+                };
+                sections.push_row((pi, pd), ball_by_id(ball));
+            }
+            let params =
+                BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds: 0 };
+            Ok(DistanceOracle(ArtifactSlice::from_sections(params, 0..n, sections)?))
+        })
     }
 }
 

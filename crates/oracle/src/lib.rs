@@ -12,8 +12,10 @@
 //!   Thorup–Zwick-style sketch: per-node exact balls plus approximate
 //!   landmark columns. The artifact has **one definition**,
 //!   [`ArtifactSlice`] — the rows of a contiguous node range plus the
-//!   replicated landmark list and column matrix: a [`DistanceOracle`] is
-//!   the `0..n` slice, an [`OracleShard`] any other slot, and both are
+//!   replicated landmark list and column matrix, held as flat sections
+//!   (balls in CSR form) that are also the snapshot's layout: a
+//!   [`DistanceOracle`] is the `0..n` slice, an [`OracleShard`] any other
+//!   slot, both come out of one validating constructor, and both are
 //!   written and read by one codec ([`serde`]).
 //! * [`DirectBuilder`] computes the **same artifact without the clique**:
 //!   plain (optionally multithreaded) graph algorithms over the same
@@ -45,7 +47,9 @@
 //!   payload checksum ([`serde::SnapshotHeader`]), so a stale or corrupt
 //!   artifact is rejected ([`OracleError::SnapshotVersionMismatch`],
 //!   [`OracleError::SnapshotChecksumMismatch`]) instead of silently
-//!   served. The byte layout is specified in `docs/SNAPSHOT_FORMAT.md`.
+//!   served; the payload is the artifact's own sections written out whole,
+//!   so a load is a checksum pass and one bulk copy per section. The byte
+//!   layout is specified in `docs/SNAPSHOT_FORMAT.md`.
 //! * [`shard::ShardedArtifact`] partitions a built oracle by contiguous
 //!   node range — per-shard balls and nearest-landmark rows, replicated
 //!   landmark columns — and [`shard::ShardRouter`] answers queries over the

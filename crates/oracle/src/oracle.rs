@@ -1,17 +1,97 @@
 //! The immutable query-phase artifact, defined **once** ([`ArtifactSlice`]):
-//! storage, accessors, the footprint formula and the two row primitives
-//! every query is built from live here and nowhere else.
+//! storage, the one validating constructor, accessors, the footprint
+//! formula and the two row primitives every query is built from live here
+//! and nowhere else.
+//!
+//! The storage is the snapshot's layout ([`Sections`]): flat vectors, balls
+//! in CSR form — one `ball_offsets` entry per owned row plus one, indexing
+//! parallel `ball_ids` / `ball_dists` — so loading a snapshot is one bulk
+//! copy per section and nothing is allocated per node. Only the
+//! nearest-landmark rows differ from their on-disk shape: two sections on
+//! disk, one `(index, distance)` pair in memory, so the landmark path
+//! still reads one cache line per endpoint.
 
 use std::ops::{Deref, Range};
 
 use cc_matrix::Dist;
 
+use crate::error::corrupt;
 use crate::OracleError;
 
 /// The largest finite distance an oracle answer can carry: `u64::MAX` is the
 /// disconnected sentinel, so a landmark-path sum that reaches or overflows it
 /// is clamped here instead of masquerading as `Dist::INF`.
 pub const MAX_FINITE_DISTANCE: u64 = u64::MAX - 1;
+
+/// The scalars every slice of one build shares — the snapshot header's
+/// build fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BuildParams {
+    pub(crate) n: usize,
+    pub(crate) k: usize,
+    pub(crate) epsilon: f64,
+    pub(crate) seed: u64,
+    pub(crate) build_rounds: u64,
+}
+
+/// The artifact's data as flat vectors, in snapshot section order (`u64`
+/// sections, then `u32` sections). `m` is the number of owned rows, `s` the
+/// landmark count, `E` the total number of ball entries.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Sections {
+    /// Replicated: row-major `n × s` matrix of `(1+ε)`-approximate
+    /// distances to each landmark; `u64::MAX` encodes unreachable.
+    pub(crate) columns: Vec<u64>,
+    /// Per owned node (indexed by `node - start`): `(index into landmarks,
+    /// exact distance)` of its nearest landmark `p(v)`. On disk the `m`
+    /// distances and the `m` indices are a section each.
+    pub(crate) nearest_landmark: Vec<(u32, u64)>,
+    /// `E` exact distances, parallel to `ball_ids`.
+    pub(crate) ball_dists: Vec<u64>,
+    /// Replicated: landmark node ids, ascending.
+    pub(crate) landmarks: Vec<u32>,
+    /// `m + 1` CSR offsets: owned row `r`'s exact `k`-nearest ball is
+    /// entries `ball_offsets[r]..ball_offsets[r + 1]`.
+    pub(crate) ball_offsets: Vec<u32>,
+    /// `E` ball members, strictly ascending by node id within a row (for
+    /// `O(log k)` membership tests).
+    pub(crate) ball_ids: Vec<u32>,
+}
+
+impl Sections {
+    /// Empty per-row sections sized for `rows` owned nodes, around the
+    /// replicated `landmarks` and `columns`; rows arrive through
+    /// [`Sections::push_row`].
+    pub(crate) fn with_rows(rows: usize, landmarks: Vec<u32>, columns: Vec<u64>) -> Sections {
+        let mut ball_offsets = Vec::with_capacity(rows + 1);
+        ball_offsets.push(0);
+        Sections {
+            columns,
+            nearest_landmark: Vec::with_capacity(rows),
+            ball_dists: Vec::new(),
+            landmarks,
+            ball_offsets,
+            ball_ids: Vec::new(),
+        }
+    }
+
+    /// Appends the next owned node's row: its nearest-landmark pick and its
+    /// ball, members in ascending id order.
+    pub(crate) fn push_row(
+        &mut self,
+        nearest_landmark: (u32, u64),
+        ball: impl IntoIterator<Item = (u32, u64)>,
+    ) {
+        self.nearest_landmark.push(nearest_landmark);
+        for (id, d) in ball {
+            self.ball_ids.push(id);
+            self.ball_dists.push(d);
+        }
+        // An entry count past `u32::MAX` saturates here and is refused by
+        // `ArtifactSlice::from_sections`, never wrapped.
+        self.ball_offsets.push(u32::try_from(self.ball_ids.len()).unwrap_or(u32::MAX));
+    }
+}
 
 /// Rows `start..start+len` of an `n`-node build — the per-node state (exact
 /// `k`-nearest balls, nearest-landmark rows) of a contiguous node range —
@@ -22,91 +102,202 @@ pub const MAX_FINITE_DISTANCE: u64 = u64::MAX - 1;
 /// [`DistanceOracle`] (the slice is `0..n`, slot 0 of a 1-shard plan, so
 /// any pair can be answered) and [`crate::OracleShard`] (the slice is one
 /// slot of a [`crate::ShardPlan`], so only half-queries for owned nodes
-/// can).
+/// can). Every value of this type went through the crate's one validating
+/// constructor (`from_sections`), so the row primitives index without
+/// re-checking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArtifactSlice {
-    pub(crate) n: usize,
-    pub(crate) k: usize,
-    pub(crate) epsilon: f64,
-    pub(crate) seed: u64,
-    pub(crate) build_rounds: u64,
-    /// Replicated: landmark node ids, ascending.
-    pub(crate) landmarks: Vec<u32>,
+    params: BuildParams,
     /// First node whose rows this slice holds; `0` for a whole artifact.
-    pub(crate) start: usize,
-    /// Per owned node (indexed by `node - start`): the exact `k`-nearest
-    /// ball as `(node, distance)` sorted by node id (for `O(log k)`
-    /// membership tests).
-    pub(crate) balls: Vec<Vec<(u32, u64)>>,
-    /// Per owned node (indexed by `node - start`): `(index into landmarks,
-    /// exact distance)` of its nearest landmark `p(v)`.
-    pub(crate) nearest_landmark: Vec<(u32, u64)>,
-    /// Replicated: row-major `n × landmarks.len()` matrix of
-    /// `(1+ε)`-approximate distances to each landmark; `u64::MAX` encodes
-    /// unreachable.
-    pub(crate) columns: Vec<u64>,
+    start: usize,
+    sections: Sections,
 }
 
 impl ArtifactSlice {
+    /// The one constructor — both builders, partitioning and both snapshot
+    /// decoders end here — and so the one place the structural rules are
+    /// written: `sections` must hold exactly the rows `owned` of an
+    /// `params.n`-node build.
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError::CorruptSnapshot`] naming the first rule broken:
+    /// `owned` outside `0..n`; a section whose length is not the one
+    /// `n`, `s`, `owned` and `E` imply (`E` itself at most `u32::MAX`);
+    /// ball offsets that do not start at 0, decrease, or do not end at `E`;
+    /// a landmark or ball member id `≥ n`; a landmark index `≥ s`; an
+    /// infinite nearest-landmark or ball distance; a ball row whose ids are
+    /// not strictly ascending.
+    pub(crate) fn from_sections(
+        params: BuildParams,
+        owned: Range<usize>,
+        sections: Sections,
+    ) -> Result<ArtifactSlice, OracleError> {
+        let Sections { columns, nearest_landmark, ball_dists, landmarks, ball_offsets, ball_ids } =
+            &sections;
+        let (n, s, rows, entries) = (params.n, landmarks.len(), owned.len(), ball_ids.len());
+        if owned.start > owned.end || owned.end > n {
+            return Err(corrupt(format!("owned rows {owned:?} outside 0..{n}")));
+        }
+        if n.checked_mul(s) != Some(columns.len()) {
+            return Err(corrupt(format!(
+                "column matrix holds {} cells, not n·s = {n}·{s}",
+                columns.len()
+            )));
+        }
+        if nearest_landmark.len() != rows || ball_offsets.len() != rows + 1 {
+            return Err(corrupt(format!(
+                "{} nearest-landmark rows and {} ball offsets for {rows} owned rows",
+                nearest_landmark.len(),
+                ball_offsets.len()
+            )));
+        }
+        if u32::try_from(entries).is_err() || ball_dists.len() != entries {
+            return Err(corrupt(format!(
+                "{entries} ball ids (at most {}) against {} ball distances",
+                u32::MAX,
+                ball_dists.len()
+            )));
+        }
+        if ball_offsets.first() != Some(&0) {
+            return Err(corrupt("first ball offset is not 0"));
+        }
+        if ball_offsets.last().map(|&end| end as usize) != Some(entries) {
+            return Err(corrupt(format!("last ball offset is not the entry count {entries}")));
+        }
+        if let Some(a) = landmarks.iter().find(|&&a| a as usize >= n) {
+            return Err(corrupt(format!("landmark id {a} outside 0..{n}")));
+        }
+        for (v, &(idx, d)) in nearest_landmark.iter().enumerate() {
+            if idx as usize >= s {
+                return Err(corrupt(format!("node row {v}: landmark index {idx} outside 0..{s}")));
+            }
+            // A nearest-landmark distance is always finite (the hitting set
+            // guarantees a landmark inside each ball).
+            if d == Dist::INF.raw() {
+                return Err(corrupt(format!("node row {v}: infinite nearest-landmark distance")));
+            }
+        }
+        for (v, row) in ball_offsets.windows(2).enumerate() {
+            let (lo, hi) = (row[0] as usize, row[1] as usize);
+            // `get` refuses a decreasing pair and one that overshoots `E`.
+            let (Some(ids), Some(dists)) = (ball_ids.get(lo..hi), ball_dists.get(lo..hi)) else {
+                return Err(corrupt(format!(
+                    "node row {v}: ball offsets {lo}..{hi} are not an ascending range within \
+                     0..{entries}"
+                )));
+            };
+            if let Some(id) = ids.iter().find(|&&id| id as usize >= n) {
+                return Err(corrupt(format!("node row {v}: ball member {id} outside 0..{n}")));
+            }
+            // Strictly: a member listed twice would let the binary search
+            // answer with whichever copy it probes first.
+            if !ids.is_sorted_by(|a, b| a < b) {
+                return Err(corrupt(format!("node row {v}: ball ids not strictly ascending")));
+            }
+            // Ball members are reachable by construction, so a distance
+            // equal to the ∞ sentinel can only come from corruption — and
+            // would make `query` feed the sentinel into `Dist::fin`.
+            if dists.contains(&Dist::INF.raw()) {
+                return Err(corrupt(format!("node row {v}: infinite ball distance")));
+            }
+        }
+        Ok(ArtifactSlice { params, start: owned.start, sections })
+    }
+
+    /// The build scalars, as the snapshot header stores them.
+    pub(crate) fn params(&self) -> BuildParams {
+        self.params
+    }
+
+    /// The data, as the snapshot stores it section by section.
+    pub(crate) fn sections(&self) -> &Sections {
+        &self.sections
+    }
+
     /// Number of nodes the **whole build** covers (not just the owned rows).
     pub fn n(&self) -> usize {
-        self.n
+        self.params.n
     }
 
     /// The ball-size parameter `k` the artifact was built with.
     pub fn k(&self) -> usize {
-        self.k
+        self.params.k
     }
 
     /// The MSSP accuracy parameter `ε` the artifact was built with.
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.params.epsilon
     }
 
     /// The landmark-selection seed the artifact was built with.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.params.seed
     }
 
     /// Clique rounds the one-off build phase charged. Queries charge zero.
     pub fn build_rounds(&self) -> u64 {
-        self.build_rounds
+        self.params.build_rounds
     }
 
     /// The landmark node ids (ascending).
     pub fn landmarks(&self) -> &[u32] {
-        &self.landmarks
+        &self.sections.landmarks
     }
 
     /// The documented multiplicative stretch bound `3·(1+ε)` for answers
     /// outside the exact-ball regime. Every finite answer `est` satisfies
     /// `d(u,v) ≤ est ≤ stretch_bound() · d(u,v)`.
     pub fn stretch_bound(&self) -> f64 {
-        3.0 * (1.0 + self.epsilon)
+        3.0 * (1.0 + self.params.epsilon)
     }
 
     /// The contiguous node range whose rows this slice holds: `0..n` for a
     /// [`DistanceOracle`], the plan-assigned range for a shard.
     pub fn owned(&self) -> Range<usize> {
-        self.start..self.start + self.balls.len()
+        self.start..self.start + self.sections.nearest_landmark.len()
     }
 
-    /// Heap footprint in bytes (owned balls + nearest-landmark rows, plus
-    /// the replicated landmarks and columns), for capacity planning.
+    /// Heap footprint in bytes — every section as allocated: 12 bytes per
+    /// ball entry plus 4 per ball offset, 16 per nearest-landmark row, and
+    /// the replicated landmarks and columns — for capacity planning.
     pub fn artifact_bytes(&self) -> usize {
-        let ball_entries: usize = self.balls.iter().map(Vec::len).sum();
-        ball_entries * std::mem::size_of::<(u32, u64)>()
-            + self.columns.len() * 8
-            + self.landmarks.len() * 4
-            + self.nearest_landmark.len() * std::mem::size_of::<(u32, u64)>()
+        let s = &self.sections;
+        s.columns.len() * 8
+            + s.nearest_landmark.len() * std::mem::size_of::<(u32, u64)>()
+            + s.ball_dists.len() * 8
+            + s.landmarks.len() * 4
+            + s.ball_offsets.len() * 4
+            + s.ball_ids.len() * 4
+    }
+
+    /// The ball of the owned node `near`: member ids, strictly ascending,
+    /// and the parallel exact distances. (For diagnostics; the query path
+    /// is [`ArtifactSlice::ball_distance`].)
+    pub(crate) fn ball(&self, near: usize) -> (&[u32], &[u64]) {
+        let s = &self.sections;
+        let row = near - self.start;
+        let (lo, hi) = (s.ball_offsets[row] as usize, s.ball_offsets[row + 1] as usize);
+        (&s.ball_ids[lo..hi], &s.ball_dists[lo..hi])
     }
 
     /// Row primitive 1: the exact distance to `far` if it lies in the ball
-    /// of the owned node `near`.
+    /// of the owned node `near` — a binary search over the row's 4-byte
+    /// ids, then one distance read.
+    ///
+    /// The lookups go through `get` rather than indexing: the constructor's
+    /// rules make every one of them succeed, and leaving the panic branches
+    /// out of the kernel is worth ~12% of a uniform query. (Were a rule ever
+    /// broken, the `None` would send the pair to the landmark estimate —
+    /// still a sound upper bound.)
     #[inline]
     pub(crate) fn ball_distance(&self, near: usize, far: usize) -> Option<u64> {
-        let ball = &self.balls[near - self.start];
-        ball.binary_search_by_key(&(far as u32), |&(id, _)| id).ok().map(|i| ball[i].1)
+        let s = &self.sections;
+        let row = near - self.start;
+        let lo = *s.ball_offsets.get(row)? as usize;
+        let hi = *s.ball_offsets.get(row + 1)? as usize;
+        let i = s.ball_ids.get(lo..hi)?.binary_search(&(far as u32)).ok()?;
+        s.ball_dists.get(lo + i).copied()
     }
 
     /// Row primitive 2: the landmark-regime candidate
@@ -114,14 +305,17 @@ impl ArtifactSlice {
     /// `None` when `far` is unreachable from `near`'s nearest landmark.
     #[inline]
     pub(crate) fn via_landmark(&self, near: usize, far: usize) -> Option<u64> {
-        let (idx, to_landmark) = self.nearest_landmark[near - self.start];
-        let col = self.columns[far * self.landmarks.len() + idx as usize];
+        let s = &self.sections;
+        let (idx, to_landmark) = s.nearest_landmark[near - self.start];
+        let col = s.columns[far * s.landmarks.len() + idx as usize];
         // The pair is connected through this landmark, so the candidate
         // must stay finite: a sum that reaches the u64::MAX sentinel (or
         // overflows past it) is clamped to the largest finite value rather
         // than being misreported as "disconnected".
         (col != u64::MAX).then(|| {
-            to_landmark.checked_add(col).map_or(MAX_FINITE_DISTANCE, |s| s.min(MAX_FINITE_DISTANCE))
+            to_landmark
+                .checked_add(col)
+                .map_or(MAX_FINITE_DISTANCE, |sum| sum.min(MAX_FINITE_DISTANCE))
         })
     }
 }
@@ -211,21 +405,31 @@ impl DistanceOracle {
     ///
     /// [`OracleError::QueryOutOfRange`] if `u` or `v` is not in `0..n`.
     pub fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
-        check_pair(self.n, u, v)?;
+        check_pair(self.n(), u, v)?;
         Ok(self.query_unchecked(u, v))
     }
 
     /// The rows of `range` as a slice of their own, with the replicated
     /// state copied along: what partitioning cuts a shard from.
-    pub(crate) fn restrict(&self, range: Range<usize>) -> ArtifactSlice {
-        ArtifactSlice {
-            landmarks: self.landmarks.clone(),
-            start: range.start,
-            balls: self.balls[range.clone()].to_vec(),
-            nearest_landmark: self.nearest_landmark[range].to_vec(),
-            columns: self.columns.clone(),
-            ..self.0
-        }
+    pub(crate) fn restrict(&self, range: Range<usize>) -> Result<ArtifactSlice, OracleError> {
+        let s = &self.0.sections;
+        let offsets = s.ball_offsets.get(range.start..=range.end).unwrap_or_default();
+        let (Some(&base), Some(&end)) = (offsets.first(), offsets.last()) else {
+            return Err(corrupt(format!("rows {range:?} outside 0..{}", self.n())));
+        };
+        let entries = base as usize..end as usize;
+        ArtifactSlice::from_sections(
+            self.0.params,
+            range.clone(),
+            Sections {
+                columns: s.columns.clone(),
+                nearest_landmark: s.nearest_landmark[range].to_vec(),
+                ball_dists: s.ball_dists[entries.clone()].to_vec(),
+                landmarks: s.landmarks.clone(),
+                ball_offsets: offsets.iter().map(|&o| o - base).collect(),
+                ball_ids: s.ball_ids[entries].to_vec(),
+            },
+        )
     }
 
     /// The query kernel; callers must have validated `u, v < n`. The same
@@ -262,7 +466,7 @@ impl DistanceOracle {
     /// [`OracleError::QueryOutOfRange`] naming the first offending pair.
     pub fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
         for &(u, v) in pairs {
-            check_pair(self.n, u, v)?;
+            check_pair(self.n(), u, v)?;
         }
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         // Small batches are not worth the spawn cost.
@@ -282,6 +486,20 @@ impl DistanceOracle {
         });
         Ok(out)
     }
+}
+
+/// A hand-crafted artifact for the path `0 — 1 — 2` with edge weights
+/// `w01`, `w12` near `u64::MAX`, `k = 1` (balls are singletons) and
+/// node 1 the only landmark: the only route for `(0, 2)` is
+/// `w01 + w12`.
+#[cfg(test)]
+pub(crate) fn near_max_path_oracle(w01: u64, w12: u64) -> DistanceOracle {
+    let mut sections = Sections::with_rows(3, vec![1], vec![w01, 0, w12]);
+    for (id, to_landmark) in [(0, w01), (1, 0), (2, w12)] {
+        sections.push_row((0, to_landmark), [(id, 0)]);
+    }
+    let params = BuildParams { n: 3, k: 1, epsilon: 0.25, seed: 0, build_rounds: 0 };
+    DistanceOracle(ArtifactSlice::from_sections(params, 0..3, sections).unwrap())
 }
 
 #[cfg(test)]
@@ -386,25 +604,6 @@ mod tests {
         ));
     }
 
-    /// A hand-crafted artifact for the path `0 — 1 — 2` with edge weights
-    /// `w01`, `w12` near `u64::MAX`, `k = 1` (balls are singletons) and
-    /// node 1 the only landmark: the only route for `(0, 2)` is
-    /// `w01 + w12`.
-    fn near_max_path_oracle(w01: u64, w12: u64) -> DistanceOracle {
-        DistanceOracle(ArtifactSlice {
-            n: 3,
-            k: 1,
-            epsilon: 0.25,
-            seed: 0,
-            build_rounds: 0,
-            landmarks: vec![1],
-            start: 0,
-            balls: vec![vec![(0, 0)], vec![(1, 0)], vec![(2, 0)]],
-            nearest_landmark: vec![(0, w01), (0, 0), (0, w12)],
-            columns: vec![w01, 0, w12],
-        })
-    }
-
     #[test]
     fn saturating_landmark_sum_is_clamped_finite_not_reported_as_inf() {
         // Regression: `saturating_add` used to drive the sum to u64::MAX,
@@ -428,9 +627,46 @@ mod tests {
         assert_eq!(oracle.try_query(0, 2).unwrap(), Dist::fin(super::MAX_FINITE_DISTANCE));
         // A genuinely disconnected artifact still reports infinity.
         let mut disconnected = near_max_path_oracle(5, 7);
-        disconnected.0.columns = vec![u64::MAX, 0, u64::MAX];
-        disconnected.0.nearest_landmark[0].1 = 0;
-        disconnected.0.nearest_landmark[2].1 = 0;
+        disconnected.0.sections.columns = vec![u64::MAX, 0, u64::MAX];
+        disconnected.0.sections.nearest_landmark[0].1 = 0;
+        disconnected.0.sections.nearest_landmark[2].1 = 0;
         assert_eq!(disconnected.try_query(0, 2).unwrap(), Dist::INF);
+    }
+
+    #[test]
+    fn from_sections_names_every_broken_rule() {
+        let clean = near_max_path_oracle(5, 7).0;
+        type Edit<'a> = &'a dyn Fn(&mut Sections);
+        let rebuild = |edit: Edit| {
+            let mut sections = clean.sections.clone();
+            edit(&mut sections);
+            ArtifactSlice::from_sections(clean.params, 0..3, sections)
+        };
+        assert_eq!(rebuild(&|_| {}).unwrap(), clean);
+        let broken: [(&str, Edit); 12] = [
+            ("column matrix", &|s| s.columns.push(0)),
+            ("nearest-landmark rows", &|s| s.nearest_landmark.push((0, 0))),
+            ("ball distances", &|s| s.ball_dists.push(0)),
+            ("first ball offset", &|s| s.ball_offsets[0] = 1),
+            ("last ball offset", &|s| s.ball_offsets[3] = 2),
+            ("not an ascending range", &|s| s.ball_offsets[1] = 3),
+            ("landmark id 3", &|s| s.landmarks[0] = 3),
+            ("landmark index 1", &|s| s.nearest_landmark[2].0 = 1),
+            ("infinite nearest-landmark", &|s| s.nearest_landmark[1].1 = u64::MAX),
+            ("ball member 9", &|s| s.ball_ids[1] = 9),
+            ("infinite ball distance", &|s| s.ball_dists[2] = u64::MAX),
+            // The duplicate-member forgery: row 0 lists node 0 twice.
+            ("not strictly ascending", &|s| {
+                s.ball_ids = vec![0, 0, 2];
+                s.ball_offsets = vec![0, 2, 2, 3];
+            }),
+        ];
+        for (what, edit) in broken {
+            let err = rebuild(edit).unwrap_err().to_string();
+            assert!(err.contains(what), "expected `{what}` in: {err}");
+        }
+        // Rows outside the build, and more rows than the sections hold.
+        assert!(ArtifactSlice::from_sections(clean.params, 1..4, clean.sections.clone()).is_err());
+        assert!(ArtifactSlice::from_sections(clean.params, 0..2, clean.sections.clone()).is_err());
     }
 }

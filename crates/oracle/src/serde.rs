@@ -4,27 +4,48 @@
 //! can refuse a stale or corrupt artifact instead of silently loading it.
 //!
 //! The byte-level layout is specified in `docs/SNAPSHOT_FORMAT.md` at the
-//! workspace root. In short (all integers little-endian):
+//! workspace root. Format **v3** is the in-memory layout
+//! ([`crate::ArtifactSlice`]'s flat sections) written out whole, `u64`
+//! sections first so every section is naturally aligned with no padding
+//! (all integers little-endian; `m` owned rows, `E` ball entries):
 //!
 //! ```text
 //! ── header, 80 bytes ─────────────────────────────────────────────
 //! magic   b"CCOS"
-//! u32     format version (currently 2)
+//! u32     format version (currently 3)
 //! u64     n, k; f64 epsilon (IEEE bits); u64 landmark count s
 //! u64     seed, build_rounds, created_unix_secs
-//! u64     payload_len, payload checksum (FNV-1a 64)
+//! u64     payload_len, payload checksum (`checksum64`, below)
 //! ── payload, payload_len bytes ───────────────────────────────────
-//! s ×     u32 landmark ids
-//! n ×     (u32 idx, u64 dist)          nearest landmark per node
-//! n ×     u64 len, len × (u32, u64)    balls
-//! n·s ×   u64                          landmark columns (MAX = ∞)
+//! n·s ×   u64   landmark columns, row-major (MAX = ∞)
+//! m ×     u64   nearest-landmark distances
+//! E ×     u64   ball distances
+//! s ×     u32   landmark ids
+//! m ×     u32   nearest-landmark indices
+//! m+1 ×   u32   ball offsets (CSR: row r is entries off[r]..off[r+1])
+//! E ×     u32   ball member ids
 //! ```
+//!
+//! So [`to_bytes`] is one exact-capacity buffer filled section by section,
+//! and [`from_bytes`] is a checksum pass, one bulk copy per section, and
+//! the one validator every artifact goes through
+//! (`ArtifactSlice::from_sections`): nothing is decoded per field and
+//! nothing is allocated per node. `E` is not stored: it is what
+//! `payload_len` leaves after the sections the header sizes, and must
+//! equal the last ball offset.
 //!
 //! [`from_bytes`] rejects bad magic, an unsupported version
 //! ([`OracleError::SnapshotVersionMismatch`]) and a payload whose checksum
-//! disagrees with the header ([`OracleError::SnapshotChecksumMismatch`]),
-//! on top of the structural validation (truncation, trailing bytes,
-//! out-of-range indices, ∞-sentinel distances) the format always had.
+//! disagrees with the header ([`OracleError::SnapshotChecksumMismatch`])
+//! before any section is looked at, then everything structural (a length
+//! the bytes present cannot hold, out-of-range indices, ∞-sentinel
+//! distances, ball offsets that do not tile `0..E`, ball ids not strictly
+//! ascending).
+//!
+//! The checksum is a word-parallel 64-bit hash defined in this file and in
+//! the format document (four multiply-rotate lanes over 32-byte stripes);
+//! like the FNV-1a it replaces it is an integrity check that **always**
+//! detects a single-byte substitution, and it doubles as the build id.
 //!
 //! **Per-shard snapshots** (one slice of a [`crate::shard::ShardedArtifact`])
 //! are the same file with three differences, and go through the same
@@ -38,29 +59,35 @@
 //! shard file with [`OracleError::ShardSnapshot`] rather than serving a
 //! slice as a whole artifact.
 //!
+//! **Format v2** (interleaved per-node records, FNV-1a 64) is still *read*
+//! for one release — the `v2` submodule, selected by the version field the
+//! file itself carries and feeding the same validator — and never written;
+//! see the compatibility policy in `docs/SNAPSHOT_FORMAT.md`.
+//!
 //! The pre-versioning v1 layout (magic `b"CCO1"`, no build metadata, no
 //! checksum) is recognized and reported as [`OracleError::LegacySnapshot`].
 //! Its reader (`from_bytes_legacy`) was **removed** after the one-release
 //! migration window promised in `docs/SNAPSHOT_FORMAT.md`; v1 bytes are
 //! now rejected everywhere, never parsed.
 
-use cc_matrix::Dist;
+mod v2;
 
 use crate::error::corrupt;
-use crate::oracle::ArtifactSlice;
+use crate::oracle::{ArtifactSlice, BuildParams, Sections};
 use crate::shard::{OracleShard, ShardPlan, ShardSlot};
 use crate::{DistanceOracle, OracleError};
 
 /// Magic bytes opening a versioned (v2+) snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CCOS";
-/// The snapshot format version this build writes and accepts.
-pub const SNAPSHOT_VERSION: u32 = 2;
-/// Size of the fixed v2 header in bytes.
+/// The snapshot format version this build writes. (It also still reads
+/// version 2 — see the [module docs](self).)
+pub const SNAPSHOT_VERSION: u32 = 3;
+/// Size of the fixed header in bytes.
 pub const HEADER_LEN: usize = 80;
 
 /// Magic bytes opening a per-shard snapshot.
 pub const SHARD_MAGIC: &[u8; 4] = b"CCSH";
-/// Size of the fixed per-shard header in bytes: the 80-byte v2 header plus
+/// Size of the fixed per-shard header in bytes: the 80-byte header plus
 /// shard index (`u32`), shard count (`u32`), and set id (`u64`).
 pub const SHARD_HEADER_LEN: usize = 96;
 
@@ -74,7 +101,8 @@ const LEGACY_MAGIC: &[u8; 4] = b"CCO1";
 /// payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotHeader {
-    /// Snapshot format version (currently [`SNAPSHOT_VERSION`]).
+    /// Snapshot format version the file was written in
+    /// ([`SNAPSHOT_VERSION`], or 2 while its reader lasts).
     pub version: u32,
     /// Number of nodes the artifact covers (for a shard: the **parent
     /// artifact**, not just this slice).
@@ -94,9 +122,10 @@ pub struct SnapshotHeader {
     pub created_unix_secs: u64,
     /// Length of the payload in bytes.
     pub payload_len: u64,
-    /// FNV-1a 64 checksum of every byte after the fixed 80: the payload,
-    /// preceded in a per-shard snapshot by the shard fields (so a flipped
-    /// shard index or set id is caught like any payload corruption).
+    /// Checksum (the format version's hash) of every byte after the fixed
+    /// 80: the payload, preceded in a per-shard snapshot by the shard
+    /// fields (so a flipped shard index or set id is caught like any
+    /// payload corruption).
     pub checksum: u64,
     /// The shard fields of a per-shard (`CCSH`) snapshot — which slice of
     /// which set this file is; `None` for a monolithic (`CCOS`) one.
@@ -139,31 +168,75 @@ impl SnapshotHeader {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — tiny, dependency-free, and plenty to catch
-/// bit rot and truncation (this is an integrity check, not an authenticity
-/// one; snapshots come from trusted storage).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+// The checksum's constants: three odd multipliers and the four lane seeds
+// (`docs/SNAPSHOT_FORMAT.md` publishes them with the pseudocode).
+const K1: u64 = 0x9E37_79B1_85EB_CA87;
+const K2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const K3: u64 = 0x1656_67B1_9E37_79F9;
+const LANES: [u64; 4] =
+    [0x6A09_E667_F3BC_C908, 0xBB67_AE85_84CA_A73B, 0x3C6E_F372_FE94_F82B, 0xA54F_F53A_5F1D_36F1];
+
+/// One hash step. For a fixed `word` it permutes `acc`, and for a fixed
+/// `acc` it permutes `word` (xor, odd multiply and rotate are each
+/// invertible), which is what the substitution guarantee rests on.
+#[inline]
+fn mix(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(K1).rotate_left(31)
 }
 
-struct Writer {
-    buf: Vec<u8>,
+/// The v3 checksum: a word-parallel 64-bit hash over little-endian `u64`
+/// words. Four independent lanes each take one word of every 32-byte
+/// stripe; the lanes are folded into one state; the up-to-31-byte tail
+/// (whole words, then the last 1–7 bytes zero-extended) and the length are
+/// folded in; an xor-shift/multiply avalanche finishes.
+///
+/// Tiny, dependency-free, safe, and an order of magnitude faster than a
+/// byte-serial hash because the four multiply chains overlap. An integrity
+/// check, not an authenticity one (snapshots come from trusted storage) —
+/// but with FNV-1a's guarantee: a byte enters exactly one [`mix`] as part
+/// of its word, and every later step permutes the running state, so two
+/// inputs that differ in a single byte (indeed a single aligned word)
+/// **never** share a checksum.
+fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = LANES;
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    for stripe in stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe.as_chunks::<8>().0) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let [mut h, b, c, d] = lanes;
+    for lane in [b, c, d] {
+        h = mix(h, lane);
+    }
+    let (words, rest) = tail.as_chunks::<8>();
+    for word in words {
+        h = mix(h, u64::from_le_bytes(*word));
+    }
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h = mix(h, u64::from_le_bytes(last));
+    }
+    h = mix(h, bytes.len() as u64);
+    h = (h ^ (h >> 32)).wrapping_mul(K2);
+    h = (h ^ (h >> 29)).wrapping_mul(K3);
+    h ^ (h >> 32)
 }
 
-impl Writer {
-    fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
+/// The little-endian `u64`s of a section.
+fn u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.as_chunks::<8>().0.iter().map(|word| u64::from_le_bytes(*word))
 }
 
+/// The little-endian `u32`s of a section.
+fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.as_chunks::<4>().0.iter().map(|word| u32::from_le_bytes(*word))
+}
+
+/// A bounds-checked cursor: the header fields, the v3 section boundaries
+/// and the v2 records are all cut from the input through `take`, so no
+/// length a file claims is ever trusted past the bytes present.
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -199,87 +272,78 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The one payload writer: the shard fields of `slot` (if any), then the
-/// sections of `slice` — landmarks, the owned nearest-landmark rows and
-/// balls, the column matrix. Exactly the bytes the header checksum covers.
-fn write_checksummed(w: &mut Writer, slice: &ArtifactSlice, slot: Option<ShardSlot>) {
-    if let Some(slot) = slot {
-        w.u32(slot.index);
-        w.u32(slot.count);
-        w.u64(slot.set_id);
-    }
-    for &a in &slice.landmarks {
-        w.u32(a);
-    }
-    for &(idx, d) in &slice.nearest_landmark {
-        w.u32(idx);
-        w.u64(d);
-    }
-    for ball in &slice.balls {
-        w.u64(ball.len() as u64);
-        for &(id, d) in ball {
-            w.u32(id);
-            w.u64(d);
-        }
-    }
-    for &c in &slice.columns {
-        w.u64(c);
-    }
-}
-
-/// The checksum [`encode`] stores for `(slice, slot)`, without the header.
-fn checksum_of(slice: &ArtifactSlice, slot: Option<ShardSlot>) -> u64 {
-    let mut w = Writer { buf: Vec::with_capacity(slice.artifact_bytes() + 32) };
-    write_checksummed(&mut w, slice, slot);
-    fnv1a(&w.buf)
-}
-
-/// The one snapshot writer: the fixed 80-byte fields (magic by kind), then
-/// everything [`write_checksummed`] emits, with `payload_len` and the
-/// checksum patched in once the tail is known.
-fn encode(slice: &ArtifactSlice, slot: Option<ShardSlot>, created_unix_secs: u64) -> Vec<u8> {
+/// The one snapshot writer, returning the bytes and the checksum stored in
+/// them: the fixed 80-byte fields (magic by kind), the shard fields of
+/// `slot` (if any), then the sections of `slice` in format order — one
+/// exact-capacity buffer, with the checksum over everything after the
+/// fixed 80 patched in last.
+fn encode(
+    slice: &ArtifactSlice,
+    slot: Option<ShardSlot>,
+    created_unix_secs: u64,
+) -> (Vec<u8>, u64) {
+    let (p, s) = (slice.params(), slice.sections());
     let header_len = if slot.is_some() { SHARD_HEADER_LEN } else { HEADER_LEN };
-    let mut w = Writer { buf: Vec::with_capacity(header_len + slice.artifact_bytes() + 16) };
-    w.buf.extend_from_slice(if slot.is_some() { SHARD_MAGIC } else { SNAPSHOT_MAGIC });
-    w.u32(SNAPSHOT_VERSION);
-    w.u64(slice.n as u64);
-    w.u64(slice.k as u64);
-    w.u64(slice.epsilon.to_bits());
-    w.u64(slice.landmarks.len() as u64);
-    w.u64(slice.seed);
-    w.u64(slice.build_rounds);
-    w.u64(created_unix_secs);
-    w.buf.extend_from_slice(&[0; 16]); // payload_len and checksum, patched below
-    debug_assert_eq!(w.buf.len(), HEADER_LEN);
-    write_checksummed(&mut w, slice, slot);
-    let payload_len = (w.buf.len() - header_len) as u64;
-    let checksum = fnv1a(&w.buf[HEADER_LEN..]);
-    w.buf[HEADER_LEN - 16..HEADER_LEN - 8].copy_from_slice(&payload_len.to_le_bytes());
-    w.buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
-    w.buf
+    let payload_len = 8 * (s.columns.len() + s.nearest_landmark.len() + s.ball_dists.len())
+        + 4 * (s.landmarks.len()
+            + s.nearest_landmark.len()
+            + s.ball_offsets.len()
+            + s.ball_ids.len());
+    let mut buf = Vec::with_capacity(header_len + payload_len);
+    buf.extend_from_slice(if slot.is_some() { SHARD_MAGIC } else { SNAPSHOT_MAGIC });
+    buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    let fixed = [
+        p.n as u64,
+        p.k as u64,
+        p.epsilon.to_bits(),
+        s.landmarks.len() as u64,
+        p.seed,
+        p.build_rounds,
+        created_unix_secs,
+        payload_len as u64,
+        0, // the checksum, patched below
+    ];
+    buf.extend(fixed.into_iter().flat_map(u64::to_le_bytes));
+    debug_assert_eq!(buf.len(), HEADER_LEN);
+    if let Some(slot) = slot {
+        buf.extend_from_slice(&slot.index.to_le_bytes());
+        buf.extend_from_slice(&slot.count.to_le_bytes());
+        buf.extend_from_slice(&slot.set_id.to_le_bytes());
+    }
+    buf.extend(s.columns.iter().flat_map(|x| x.to_le_bytes()));
+    buf.extend(s.nearest_landmark.iter().flat_map(|(_, d)| d.to_le_bytes()));
+    buf.extend(s.ball_dists.iter().flat_map(|x| x.to_le_bytes()));
+    buf.extend(s.landmarks.iter().flat_map(|x| x.to_le_bytes()));
+    buf.extend(s.nearest_landmark.iter().flat_map(|(idx, _)| idx.to_le_bytes()));
+    buf.extend(s.ball_offsets.iter().flat_map(|x| x.to_le_bytes()));
+    buf.extend(s.ball_ids.iter().flat_map(|x| x.to_le_bytes()));
+    debug_assert_eq!(buf.len(), header_len + payload_len);
+    let checksum = checksum64(&buf[HEADER_LEN..]);
+    buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    (buf, checksum)
 }
 
 fn now_unix_secs() -> u64 {
     std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).map_or(0, |d| d.as_secs())
 }
 
-/// The FNV-1a 64 checksum [`to_bytes`] would store for `oracle`'s payload —
-/// i.e. the artifact's build id ([`SnapshotHeader::build_id`]) as a number.
-/// Lets a serving layer report a stable build id for an oracle that was
-/// built in-process and never touched disk.
+/// The checksum [`to_bytes`] would store for `oracle`'s payload — i.e. the
+/// artifact's build id ([`SnapshotHeader::build_id`]) as a number. Lets a
+/// serving layer report a stable build id for an oracle that was built
+/// in-process and never touched disk.
 pub fn payload_checksum(oracle: &DistanceOracle) -> u64 {
-    checksum_of(oracle, None)
+    encode(oracle, None, 0).1
 }
 
 /// The checksum [`to_shard_bytes`] would store for `shard` (over its shard
 /// fields and payload) — the shard file's build id as a number, for a
 /// slice that was partitioned in-process and never touched disk.
 pub fn shard_checksum(shard: &OracleShard) -> u64 {
-    checksum_of(shard, Some(shard.slot))
+    encode(shard, Some(shard.slot), 0).1
 }
 
 /// Serializes a built oracle into a self-contained, versioned byte snapshot
-/// (format v2: header with build metadata + checksummed payload).
+/// (format v3: header with build metadata + checksummed flat sections).
 pub fn to_bytes(oracle: &DistanceOracle) -> Vec<u8> {
     to_bytes_created_at(oracle, now_unix_secs())
 }
@@ -288,7 +352,7 @@ pub fn to_bytes(oracle: &DistanceOracle) -> Vec<u8> {
 /// callers that need byte-for-byte reproducible snapshots (tests, content-
 /// addressed artifact stores).
 pub fn to_bytes_created_at(oracle: &DistanceOracle, created_unix_secs: u64) -> Vec<u8> {
-    encode(oracle, None, created_unix_secs)
+    encode(oracle, None, created_unix_secs).0
 }
 
 /// Serializes one shard into a self-contained per-shard snapshot (magic
@@ -300,12 +364,13 @@ pub fn to_shard_bytes(shard: &OracleShard) -> Vec<u8> {
 /// [`to_shard_bytes`] with an explicit `created_unix_secs` header field,
 /// for byte-for-byte reproducible shard snapshots.
 pub fn to_shard_bytes_created_at(shard: &OracleShard, created_unix_secs: u64) -> Vec<u8> {
-    encode(shard, Some(shard.slot), created_unix_secs)
+    encode(shard, Some(shard.slot), created_unix_secs).0
 }
 
 /// The one header parser. `sharded` says which file kind the caller
 /// expects, which fixes the magic and whether the 16 shard-field bytes
-/// follow the fixed 80; the checksum always starts at byte 80.
+/// follow the fixed 80; the checksum always starts at byte 80, and the
+/// version field picks the hash it was computed with.
 fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleError> {
     let mut r = Reader { bytes, at: 0 };
     let magic = r.take(4)?;
@@ -330,12 +395,16 @@ fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleErr
         }
     }
     let version = r.u32()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(OracleError::SnapshotVersionMismatch {
-            found: version,
-            supported: SNAPSHOT_VERSION,
-        });
-    }
+    let hash: fn(&[u8]) -> u64 = match version {
+        SNAPSHOT_VERSION => checksum64,
+        v2::VERSION => v2::fnv1a,
+        _ => {
+            return Err(OracleError::SnapshotVersionMismatch {
+                found: version,
+                supported: SNAPSHOT_VERSION,
+            })
+        }
+    };
     let header_len = if sharded { SHARD_HEADER_LEN } else { HEADER_LEN };
     let payload_cap = bytes.len().saturating_sub(header_len);
     let n = r.len("n", payload_cap)?;
@@ -359,7 +428,7 @@ fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleErr
     // The checksum covers everything after itself (shard fields + payload),
     // so corruption in the shard index / count / set id is caught here, not
     // by downstream plan validation alone.
-    let computed = fnv1a(&bytes[HEADER_LEN..]);
+    let computed = hash(&bytes[HEADER_LEN..]);
     if computed != checksum {
         return Err(OracleError::SnapshotChecksumMismatch { stored: checksum, computed });
     }
@@ -392,13 +461,71 @@ fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleErr
     })
 }
 
-/// The one decoder: [`parse_header`], then the payload sections for the
-/// rows the header says the file owns.
+/// The one decoder: [`parse_header`] (which verifies the checksum), the
+/// payload cut into sections by the reader the file's version names, and
+/// the one constructor that validates them.
 fn decode(bytes: &[u8], sharded: bool) -> Result<(SnapshotHeader, ArtifactSlice), OracleError> {
     let header = parse_header(bytes, sharded)?;
-    let at = if sharded { SHARD_HEADER_LEN } else { HEADER_LEN };
-    let slice = read_sections(&mut Reader { bytes, at }, &header)?;
+    let payload = &bytes[if sharded { SHARD_HEADER_LEN } else { HEADER_LEN }..];
+    let sections = if header.version == v2::VERSION {
+        v2::read_sections(payload, &header)?
+    } else {
+        read_sections(payload, &header)?
+    };
+    let params = BuildParams {
+        n: header.n,
+        k: header.k,
+        epsilon: header.epsilon,
+        seed: header.seed,
+        build_rounds: header.build_rounds,
+    };
+    let slice = ArtifactSlice::from_sections(params, header.owned(), sections)?;
     Ok((header, slice))
+}
+
+/// Cuts a v3 payload into its seven sections and copies each out whole.
+/// The header sizes every section but the two per-ball-entry ones — `n·s`
+/// columns, `m` = |[`SnapshotHeader::owned`]| rows (`n` for a monolithic
+/// snapshot, the plan's range for a shard), `s` landmarks — so what they
+/// leave of the payload must be `E` whole 12-byte entries. All of it is
+/// checked against the bytes present before anything is allocated: `n` and
+/// `s` are only individually bounded by the input length, so their product
+/// can be quadratic in it.
+fn read_sections(payload: &[u8], header: &SnapshotHeader) -> Result<Sections, OracleError> {
+    let (n, s, rows) = (header.n, header.landmarks, header.owned().len());
+    let sized = || {
+        let cells = n.checked_mul(s)?;
+        let sized = cells
+            .checked_mul(8)?
+            .checked_add(rows.checked_mul(16)?)?
+            .checked_add(s.checked_mul(4)?)?
+            .checked_add(4)?;
+        Some((cells, payload.len().checked_sub(sized)?))
+    };
+    let Some((cells, ball_bytes)) = sized() else {
+        return Err(corrupt(format!(
+            "an {n} × {s} column matrix and {rows} rows need more than the {} payload bytes \
+             present",
+            payload.len()
+        )));
+    };
+    if ball_bytes % 12 != 0 {
+        return Err(corrupt(format!(
+            "{ball_bytes} bytes left for ball entries is not a whole number of 12-byte entries"
+        )));
+    }
+    let entries = ball_bytes / 12;
+    let mut r = Reader { bytes: payload, at: 0 };
+    let columns = u64s(r.take(cells * 8)?).collect();
+    let nearest_dists = r.take(rows * 8)?;
+    let ball_dists = u64s(r.take(entries * 8)?).collect();
+    let landmarks = u32s(r.take(s * 4)?).collect();
+    let nearest_indices = r.take(rows * 4)?;
+    let ball_offsets = u32s(r.take((rows + 1) * 4)?).collect();
+    let ball_ids = u32s(r.take(entries * 4)?).collect();
+    debug_assert_eq!(r.at, payload.len());
+    let nearest_landmark = u32s(nearest_indices).zip(u64s(nearest_dists)).collect();
+    Ok(Sections { columns, nearest_landmark, ball_dists, landmarks, ball_offsets, ball_ids })
 }
 
 /// Parses and fully validates the header of a versioned snapshot —
@@ -491,98 +618,6 @@ pub fn from_shard_bytes_with_header(
     let (header, slice) = decode(bytes, true)?;
     let slot = header.slot();
     Ok((header, OracleShard { slice, slot }))
-}
-
-/// Parses the payload sections (landmarks → columns) into the slice
-/// `header` describes, validating index bounds, ball ordering, sentinel
-/// rules, and that the reader ends exactly at the end of the input. The
-/// number of per-node rows present is the size of
-/// [`SnapshotHeader::owned`] (`n` for a monolithic snapshot, the plan's
-/// range for a shard); ids are always bounded by the full `n`, and the
-/// column matrix is always the full `n × s` (replicated into every shard).
-fn read_sections(
-    r: &mut Reader<'_>,
-    header: &SnapshotHeader,
-) -> Result<ArtifactSlice, OracleError> {
-    let (n, s) = (header.n, header.landmarks);
-    let owned = header.owned();
-    let rows = owned.len();
-    let total = r.bytes.len();
-    let mut landmarks = Vec::with_capacity(s);
-    for _ in 0..s {
-        let a = r.u32()?;
-        if a as usize >= n {
-            return Err(corrupt(format!("landmark id {a} outside 0..{n}")));
-        }
-        landmarks.push(a);
-    }
-    let mut nearest_landmark = Vec::with_capacity(rows);
-    for v in 0..rows {
-        let idx = r.u32()?;
-        let d = r.u64()?;
-        if idx as usize >= s {
-            return Err(corrupt(format!("node row {v}: landmark index {idx} outside 0..{s}")));
-        }
-        // A nearest-landmark distance is always finite (the hitting set
-        // guarantees a landmark inside each ball).
-        if d == Dist::INF.raw() {
-            return Err(corrupt(format!("node row {v}: infinite nearest-landmark distance")));
-        }
-        nearest_landmark.push((idx, d));
-    }
-    let mut balls = Vec::with_capacity(rows);
-    for v in 0..rows {
-        let len = r.len("ball", total)?;
-        let mut ball = Vec::with_capacity(len);
-        for _ in 0..len {
-            let id = r.u32()?;
-            if id as usize >= n {
-                return Err(corrupt(format!("node row {v}: ball member {id} outside 0..{n}")));
-            }
-            let d = r.u64()?;
-            // Ball members are reachable by construction, so a distance
-            // equal to the ∞ sentinel can only come from corruption — and
-            // would make `query` feed the sentinel into `Dist::fin`.
-            if d == Dist::INF.raw() {
-                return Err(corrupt(format!("node row {v}: infinite ball distance")));
-            }
-            ball.push((id, d));
-        }
-        if !ball.is_sorted_by_key(|&(id, _)| id) {
-            return Err(corrupt(format!("node row {v}: ball not sorted by id")));
-        }
-        balls.push(ball);
-    }
-    let cells = n.checked_mul(s).ok_or_else(|| corrupt("column matrix size overflows"))?;
-    // n and s are only individually bounded by the input length, so their
-    // product can be quadratic in it; every cell costs 8 bytes, so checking
-    // against the bytes actually left keeps the allocation linear in the
-    // input even for hostile snapshots.
-    if cells > (total - r.at) / 8 {
-        return Err(corrupt(format!(
-            "column matrix claims {cells} cells but only {} bytes remain",
-            total - r.at
-        )));
-    }
-    let mut columns = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        columns.push(r.u64()?);
-    }
-    if r.at != total {
-        return Err(corrupt(format!("{} trailing bytes", total - r.at)));
-    }
-    Ok(ArtifactSlice {
-        n,
-        k: header.k,
-        epsilon: header.epsilon,
-        seed: header.seed,
-        build_rounds: header.build_rounds,
-        landmarks,
-        start: owned.start,
-        balls,
-        nearest_landmark,
-        columns,
-    })
 }
 
 #[cfg(test)]
@@ -692,13 +727,16 @@ mod tests {
     fn rejects_out_of_range_indices_behind_a_recomputed_checksum() {
         let oracle = sample();
         let mut bytes = to_bytes(&oracle);
-        // Corrupt the first landmark id (right after the header), then
-        // recompute the checksum so only the structural validation can
-        // catch it.
-        bytes[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(oracle.n() as u32 + 7).to_le_bytes());
-        let sum = fnv1a(&bytes[HEADER_LEN..]);
+        // Corrupt the first landmark id (the first u32 after the three u64
+        // sections), then recompute the checksum so only the structural
+        // validation can catch it.
+        let s = oracle.sections();
+        let at = HEADER_LEN + 8 * (s.columns.len() + s.nearest_landmark.len() + s.ball_dists.len());
+        bytes[at..at + 4].copy_from_slice(&(oracle.n() as u32 + 7).to_le_bytes());
+        let sum = checksum64(&bytes[HEADER_LEN..]);
         bytes[72..80].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(from_bytes(&bytes), Err(OracleError::CorruptSnapshot { .. })));
+        let err = from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("landmark id"), "{err}");
     }
 
     /// Hand-built v1 bytes (the writer was removed with the reader): magic
@@ -824,7 +862,7 @@ mod tests {
         let mut bytes = to_shard_bytes(shard);
         let bogus_count = shard.n() as u32 + 1;
         bytes[84..88].copy_from_slice(&bogus_count.to_le_bytes());
-        let sum = fnv1a(&bytes[80..]);
+        let sum = checksum64(&bytes[80..]);
         bytes[72..80].copy_from_slice(&sum.to_le_bytes());
         let err = from_shard_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("impossible shard plan"), "{err}");
@@ -833,8 +871,66 @@ mod tests {
         // longer matches the payload's row count — structural rejection.
         let mut bytes = to_shard_bytes(shard);
         bytes[84..88].copy_from_slice(&5u32.to_le_bytes());
-        let sum = fnv1a(&bytes[80..]);
+        let sum = checksum64(&bytes[80..]);
         bytes[72..80].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(from_shard_bytes(&bytes), Err(OracleError::CorruptSnapshot { .. })));
+    }
+
+    /// The three vectors `docs/SNAPSHOT_FORMAT.md` publishes.
+    #[test]
+    fn checksum_matches_its_published_vectors() {
+        assert_eq!(checksum64(b""), 0x6de9_4a62_554e_18b3);
+        assert_eq!(checksum64(b"abc"), 0xd3e6_3ec3_ba6f_4475);
+        let kib: Vec<u8> =
+            (0..1024u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8).collect();
+        assert_eq!(checksum64(&kib), 0x5ad5_a4b6_55c8_8dd1);
+    }
+
+    #[test]
+    fn checksum_separates_every_length_from_its_prefix() {
+        // 0..=97 crosses every stripe and tail boundary three times over
+        // (32, 64, 96; every word and partial-word tail in between).
+        let bytes: Vec<u8> = (0..97u32).map(|i| (i * 37 + 11) as u8).collect();
+        let sums: Vec<u64> = (0..=97).map(|len| checksum64(&bytes[..len])).collect();
+        for len in 1..=97 {
+            assert_ne!(sums[len], sums[len - 1], "length {len} collides with its prefix");
+        }
+        // Zero bytes are not absorbed by the zero-extended tail either.
+        let zeros = [0u8; 97];
+        for len in 1..=97 {
+            assert_ne!(checksum64(&zeros[..len]), checksum64(&zeros[..len - 1]), "{len} zeros");
+        }
+    }
+
+    #[test]
+    fn every_single_byte_substitution_changes_the_checksum() {
+        // The guarantee, exhaustively, on a real (small) snapshot: every
+        // byte position × three substitutions (a low bit, the high bit,
+        // all bits).
+        let g = generators::gnp_weighted(12, 0.3, 30, 4).unwrap();
+        let mut clique = Clique::new(12);
+        let small = OracleBuilder::new().build(&mut clique, &g).unwrap();
+        let mut bytes = to_bytes(&small).split_off(HEADER_LEN);
+        let clean = checksum64(&bytes);
+        for at in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                bytes[at] ^= flip;
+                assert_ne!(checksum64(&bytes), clean, "byte {at} ^ {flip:#04x} undetected");
+                bytes[at] ^= flip;
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_is_its_header_plus_its_seven_sections_and_nothing_else() {
+        // No length words, no padding: v2 spent 8 bytes per row on a ball
+        // length where v3 spends 4 on an offset, plus 4.
+        let oracle = sample();
+        let s = oracle.sections();
+        let want = HEADER_LEN
+            + 8 * (s.columns.len() + s.nearest_landmark.len() + s.ball_dists.len())
+            + 4 * (s.landmarks.len() + s.nearest_landmark.len() + s.ball_ids.len())
+            + 4 * (oracle.n() + 1);
+        assert_eq!(to_bytes(&oracle).len(), want);
     }
 }

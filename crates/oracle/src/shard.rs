@@ -21,8 +21,11 @@
 //! run. A manifest-driven `cc-serve` in sharded mode is that router tier
 //! over HTTP.
 //!
-//! Per-shard snapshots (magic `CCSH`, the v2 header extended with shard
-//! index/count and a set id) are in [`crate::serde`]:
+//! A shard is the same [`ArtifactSlice`] a whole artifact is — flat
+//! sections, balls in CSR form — restricted to its rows, so cutting one is a
+//! handful of section copies. Per-shard snapshots (magic `CCSH`, the fixed
+//! header extended with shard index/count and a set id) are in
+//! [`crate::serde`]:
 //! [`crate::serde::to_shard_bytes`] / [`crate::serde::from_shard_bytes`].
 
 use std::borrow::Borrow;
@@ -198,7 +201,7 @@ impl OracleShard {
 
     /// The partition this shard belongs to.
     pub fn plan(&self) -> ShardPlan {
-        ShardPlan { n: self.n, count: self.count() }
+        ShardPlan { n: self.n(), count: self.count() }
     }
 
     /// The half-result for the pair `(near, far)` seen from `near`'s side.
@@ -218,7 +221,7 @@ impl OracleShard {
             "node {near} is not owned by shard {} ({owned:?})",
             self.slot.index
         );
-        assert!(far < self.n, "node {far} outside 0..{}", self.n);
+        assert!(far < self.n(), "node {far} outside 0..{}", self.n());
         HalfQuery {
             ball: self.ball_distance(near, far),
             via_landmark: self.via_landmark(near, far),
@@ -273,20 +276,24 @@ impl ShardedArtifact {
         // never reads a clock itself (cc-lint `determinism`).
         let set_id =
             trace.time_local("shard_set_id_checksum", || crate::serde::payload_checksum(oracle));
-        let shards: Vec<OracleShard> = (0..count)
+        let shards = (0..count)
             .map(|i| {
                 trace.time_local_words(&format!("partition_shard_{i}"), || {
-                    let slice = oracle.restrict(plan.range(i));
-                    let ball_words: usize = slice.balls.iter().map(|b| b.len() * 2).sum();
-                    let words = (ball_words
-                        + slice.columns.len()
-                        + slice.landmarks.len()
-                        + slice.nearest_landmark.len() * 2) as u64;
                     let slot = ShardSlot { index: i as u32, count: count as u32, set_id };
-                    (OracleShard { slice, slot }, words)
+                    let shard =
+                        oracle.restrict(plan.range(i)).map(|slice| OracleShard { slice, slot });
+                    let words = shard.as_ref().map_or(0, |shard| {
+                        let s = shard.sections();
+                        s.ball_ids.len() * 2
+                            + s.ball_offsets.len()
+                            + s.columns.len()
+                            + s.landmarks.len()
+                            + s.nearest_landmark.len() * 2
+                    });
+                    (shard, words as u64)
                 })
             })
-            .collect();
+            .collect::<Result<Vec<OracleShard>, OracleError>>()?;
         Ok((ShardedArtifact { shards }, trace))
     }
 
@@ -342,8 +349,8 @@ fn check_shape<S: Borrow<OracleShard>>(shards: &[S]) -> Result<ShardPlan, Oracle
         if shard.count() != first.count() {
             return Err(field_mismatch(i, "shard count", shard.count(), first.count()));
         }
-        if shard.n != first.n {
-            return Err(field_mismatch(i, "n", shard.n, first.n));
+        if shard.n() != first.n() {
+            return Err(field_mismatch(i, "n", shard.n(), first.n()));
         }
         let want = plan.range(i);
         if shard.owned() != want {
@@ -392,11 +399,11 @@ pub fn validate_set<S: Borrow<OracleShard>>(shards: &[S]) -> Result<ShardPlan, O
     let first = shards[0].borrow();
     for (i, shard) in shards.iter().enumerate() {
         let shard = shard.borrow();
-        if shard.k != first.k {
-            return Err(field_mismatch(i, "k", shard.k, first.k));
+        if shard.k() != first.k() {
+            return Err(field_mismatch(i, "k", shard.k(), first.k()));
         }
-        if shard.epsilon.to_bits() != first.epsilon.to_bits() {
-            return Err(field_mismatch(i, "epsilon", shard.epsilon, first.epsilon));
+        if shard.epsilon().to_bits() != first.epsilon().to_bits() {
+            return Err(field_mismatch(i, "epsilon", shard.epsilon(), first.epsilon()));
         }
         if shard.set_id() != first.set_id() {
             return Err(field_mismatch(
@@ -406,11 +413,11 @@ pub fn validate_set<S: Borrow<OracleShard>>(shards: &[S]) -> Result<ShardPlan, O
                 format_args!("{:016x}", first.set_id()),
             ));
         }
-        if shard.landmarks != first.landmarks {
+        if shard.landmarks() != first.landmarks() {
             return Err(set_mismatch(format!(
                 "shard {i}: landmark set differs from the set's ({} vs {} landmarks)",
-                shard.landmarks.len(),
-                first.landmarks.len()
+                shard.landmarks().len(),
+                first.landmarks().len()
             )));
         }
     }
@@ -644,18 +651,7 @@ mod tests {
     #[test]
     fn near_max_clamped_sums_survive_sharding() {
         let w = u64::MAX - 3;
-        let oracle = DistanceOracle(ArtifactSlice {
-            n: 3,
-            k: 1,
-            epsilon: 0.25,
-            seed: 0,
-            build_rounds: 0,
-            landmarks: vec![1],
-            start: 0,
-            balls: vec![vec![(0, 0)], vec![(1, 0)], vec![(2, 0)]],
-            nearest_landmark: vec![(0, w), (0, 0), (0, w)],
-            columns: vec![w, 0, w],
-        });
+        let oracle = crate::oracle::near_max_path_oracle(w, w);
         for count in [1usize, 2, 3] {
             let router = ShardedArtifact::partition(&oracle, count).unwrap().into_router().unwrap();
             assert_eq!(router.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE), "x{count}");

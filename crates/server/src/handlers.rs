@@ -684,7 +684,8 @@ mod tests {
         let expected_id = s.generation().info().build_id.clone();
         for text in [&body, &body_str(&s.handle(&get("/stats", &[]))).to_owned()] {
             assert!(text.contains(&format!("\"build_id\":\"{expected_id}\"")), "body: {text}");
-            assert!(text.contains("\"version\":2"), "body: {text}");
+            let version = format!("\"version\":{}", cc_oracle::serde::SNAPSHOT_VERSION);
+            assert!(text.contains(&version), "body: {text}");
             assert!(text.contains("\"source\":\"in-process\""), "body: {text}");
         }
     }

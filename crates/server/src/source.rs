@@ -9,6 +9,7 @@
 
 use std::error::Error;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cc_clique::Clique;
@@ -115,18 +116,42 @@ pub fn load_shard_set(paths: &[PathBuf]) -> Result<Vec<LoadedSlice<OracleShard>>
     Ok(loaded)
 }
 
-/// Writes `oracle` to `path` as a snapshot file.
+/// Replaces the file at `path` with `bytes` **atomically**: the bytes go to
+/// a sibling temporary file in the same directory, which is then renamed
+/// over `path`. A reader — a `POST /reload` or SIGHUP racing the rewrite —
+/// sees the old file or the new one, never a torn one, and a crash
+/// mid-write leaves the old file in place. No `fsync`: durability across
+/// power loss is the operator's call, atomicity is ours.
+fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
+    let mut name = std::ffi::OsString::from(".");
+    name.push(path.file_name().unwrap_or_default());
+    // Unique per process and per call, so concurrent writers never share a
+    // temporary file.
+    let unique = SEQUENCE.fetch_add(1, Ordering::Relaxed);
+    name.push(format!(".{}.{unique}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path)).inspect_err(|_| {
+        // Best effort: the write error is the one worth reporting.
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// Writes `oracle` to `path` as a snapshot file, atomically (temporary
+/// file + rename): a concurrent reload of `path` never reads a partial
+/// snapshot.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
 pub fn write_snapshot(oracle: &DistanceOracle, path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, serde::to_bytes(oracle))
+    write_atomically(path, &serde::to_bytes(oracle))
 }
 
 /// Partitions `oracle` into `count` shards and writes one snapshot per
 /// shard into `dir` as `shard-<i>.snap`, returning the paths in index
-/// order (ready to list under `shards = [...]` in a manifest).
+/// order (ready to list under `shards = [...]` in a manifest). Each file is
+/// replaced atomically, like [`write_snapshot`]'s.
 ///
 /// # Errors
 ///
@@ -141,7 +166,7 @@ pub fn write_shard_snapshots(
     let mut paths = Vec::with_capacity(count);
     for shard in sharded.shards() {
         let path = dir.join(format!("shard-{}.snap", shard.index()));
-        std::fs::write(&path, serde::to_shard_bytes(shard))?;
+        write_atomically(&path, &serde::to_shard_bytes(shard))?;
         paths.push(path);
     }
     Ok(paths)
@@ -736,6 +761,78 @@ mod tests {
         // A prime n falls back to a covering grid instead of failing.
         let g = direct_demo_graph(97, 1).unwrap();
         assert!(g.n() >= 97);
+    }
+
+    #[test]
+    fn a_reader_racing_rewrites_never_sees_a_torn_snapshot() {
+        use std::sync::atomic::AtomicBool;
+        // Two artifacts of different sizes, ~100 KB each, so a write in
+        // place would spend real time truncated or half-written.
+        let (a, _) = build_direct_demo_traced(900, 3, 0.25, 6, 16).unwrap();
+        let (b, _) = build_direct_demo_traced(900, 4, 0.25, 6, 12).unwrap();
+        // Start from an empty directory: the test ends by listing it.
+        std::fs::remove_dir_all(temp_dir("atomic")).ok();
+        let dir = temp_dir("atomic");
+        let path = dir.join("live.snap");
+        write_snapshot(&a, &path).unwrap();
+
+        // The reader sets the pace: the writer keeps alternating A and B
+        // until 200 reads have parsed, and both start together.
+        let (done, start) = (AtomicBool::new(false), std::sync::Barrier::new(2));
+        let (rewrites, torn) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                start.wait();
+                let mut rewrites = 0u32;
+                while !done.load(Ordering::SeqCst) {
+                    write_snapshot(if rewrites.is_multiple_of(2) { &b } else { &a }, &path)
+                        .unwrap();
+                    rewrites += 1;
+                }
+                rewrites
+            });
+            start.wait();
+            // The first bad read ends the run; it is reported only after the
+            // writer has been told to stop, or the scope would never join.
+            let torn = (0..200).find_map(|read| {
+                let bytes = std::fs::read(&path).unwrap_or_default();
+                match serde::from_bytes(&bytes) {
+                    Ok(seen) if seen == a || seen == b => None,
+                    Ok(_) => Some(format!("read {read} saw neither artifact")),
+                    Err(e) => Some(format!("read {read} saw a torn snapshot: {e}")),
+                }
+            });
+            done.store(true, Ordering::SeqCst);
+            (writer.join().unwrap(), torn)
+        });
+        assert_eq!(torn, None);
+        assert!(rewrites > 0, "the writer never ran against the reader");
+        // Every temporary file was renamed away.
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, [std::ffi::OsString::from("live.snap")]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_v2_snapshot_still_loads_and_reports_its_own_version() {
+        // The one-release reader, seen from the serving tier: the file is
+        // served, and `/stats`' `"version"` says it still needs rewriting.
+        let v2 = Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/road36_eps025_seed5.v2.ccos"
+        ));
+        let loaded = load_snapshot(v2).unwrap();
+        assert_eq!(loaded.info.version, 2);
+        assert_eq!(loaded.info.build_id, "25f6cc1c14cf25c4");
+        // Rewritten, it is a current-format file of the same artifact under
+        // a new id.
+        let path = temp_dir("v2-rewrite").join("rewritten.snap");
+        write_snapshot(&loaded.artifact, &path).unwrap();
+        let rewritten = load_snapshot(&path).unwrap();
+        assert_eq!(rewritten.info.version, serde::SNAPSHOT_VERSION);
+        assert_eq!(rewritten.artifact, loaded.artifact);
+        assert_ne!(rewritten.info.build_id, loaded.info.build_id);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

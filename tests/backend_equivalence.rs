@@ -22,6 +22,8 @@ use congested_clique::oracle::{
     MAX_FINITE_DISTANCE,
 };
 
+mod support;
+
 fn build(g: &Graph, seed: u64) -> DistanceOracle {
     let mut clique = Clique::new(g.n());
     OracleBuilder::new().epsilon(0.25).seed(seed).build(&mut clique, g).expect("oracle build")
@@ -126,25 +128,30 @@ fn disconnected_graphs_dispatch_bit_identically_including_infinity() {
 /// clamp value, not ∞.
 #[test]
 fn near_max_clamped_sums_survive_every_backend() {
+    use congested_clique::oracle::serde::from_bytes;
     let w = u64::MAX - 3;
-    let bytes = near_max_snapshot(w, w);
-    let oracle = congested_clique::oracle::serde::from_bytes(&bytes).expect("snapshot");
-    assert_eq!(oracle.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE));
-    check_dispatch_is_bit_identical(&oracle);
+    // The same artifact written by hand in both formats this build reads:
+    // v2 (proving the one-release reader) and v3.
+    let v2 = from_bytes(&near_max_snapshot(w, w)).expect("v2 snapshot");
+    let v3 = from_bytes(&support::near_max_snapshot_v3(w, w)).expect("v3 snapshot");
+    assert_eq!(v2, v3);
+    assert_eq!(v3.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE));
+    check_dispatch_is_bit_identical(&v2);
+    check_dispatch_is_bit_identical(&v3);
 
     // The exact-sentinel collision (sum == u64::MAX with no overflow).
-    let collide = congested_clique::oracle::serde::from_bytes(&near_max_snapshot(
-        u64::MAX / 2,
-        u64::MAX / 2 + 1,
-    ))
-    .expect("snapshot");
-    assert_eq!(collide.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE));
-    check_dispatch_is_bit_identical(&collide);
+    let (w01, w12) = (u64::MAX / 2, u64::MAX / 2 + 1);
+    for bytes in [near_max_snapshot(w01, w12), support::near_max_snapshot_v3(w01, w12)] {
+        let collide = from_bytes(&bytes).expect("snapshot");
+        assert_eq!(collide.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE));
+        check_dispatch_is_bit_identical(&collide);
+    }
 }
 
 /// Serializes the 3-node near-MAX path artifact through the documented
-/// snapshot byte format (mirroring `tests/shard_equivalence.rs`), so the
-/// hand-crafted oracle flows through the same loader a server would use.
+/// **v2** snapshot byte format (mirroring `tests/shard_equivalence.rs`), so
+/// the hand-crafted oracle flows through the same loader a server would
+/// use; its v3 twin is `support::near_max_snapshot_v3`.
 fn near_max_snapshot(w01: u64, w12: u64) -> Vec<u8> {
     let mut payload = Vec::new();
     // landmarks: [1]

@@ -9,7 +9,20 @@
 //! tie-break, a tweaked schedule constant, a serializer change) fails
 //! loudly even if it changes both builders in lockstep.
 //!
-//! Regenerating (only after an *intentional* format/pipeline change):
+//! Three kinds of fixture live under `tests/golden/`:
+//!
+//! * `road36_eps025_seed5.ccos` / `…shard1of3.ccsh` — the current format
+//!   (v3), which the writer must reproduce exactly;
+//! * `….v2.ccos` / `….v2.ccsh` — the same artifact as the v2 writer left it.
+//!   There is no v2 writer any more, so these are never regenerated: they
+//!   are what the one-release v2 *reader* is tested against, and go when it
+//!   does;
+//! * `road36_eps025_seed5.answers.txt` — every answer of the artifact,
+//!   generated before the v3 layout existed, which every way of obtaining
+//!   the artifact must still give.
+//!
+//! Regenerating the v3 fixtures (only after an *intentional*
+//! format/pipeline change):
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_artifact
@@ -17,14 +30,20 @@
 
 use congested_clique::clique::Clique;
 use congested_clique::graph::{generators, Graph};
+use congested_clique::matrix::Dist;
 use congested_clique::oracle::{
-    serde, DirectBuilder, DistanceOracle, OracleBuilder, ShardedArtifact,
+    serde, DirectBuilder, DistanceOracle, OracleBuilder, OracleError, ShardRouter, ShardedArtifact,
 };
 
 const GOLDEN_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/road36_eps025_seed5.ccos");
 const GOLDEN_SHARD_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/road36_eps025_seed5.shard1of3.ccsh");
+const V2_GOLDEN: &[u8] = include_bytes!("golden/road36_eps025_seed5.v2.ccos");
+const V2_GOLDEN_SHARD: &[u8] = include_bytes!("golden/road36_eps025_seed5.shard1of3.v2.ccsh");
+
+const ANSWERS_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/road36_eps025_seed5.answers.txt");
 
 /// The pinned configuration: a 6×6 road-like graph, default `k`, `ε = 0.25`,
 /// landmark seed 5.
@@ -118,5 +137,84 @@ fn golden_fixture_round_trips_and_serves() {
         for v in 0..36 {
             assert_eq!(oracle.try_query(u, v).unwrap(), live.try_query(u, v).unwrap());
         }
+    }
+}
+
+/// All 36 × 36 raw answers of one side, one line per `u`, `inf` for a
+/// disconnected pair — the text `road36_eps025_seed5.answers.txt` pins.
+fn answers_of(query: impl Fn(usize, usize) -> Dist) -> String {
+    let mut text = String::new();
+    for u in 0..36 {
+        let row: Vec<String> = (0..36)
+            .map(|v| query(u, v).value().map_or_else(|| "inf".to_string(), |d| d.to_string()))
+            .collect();
+        text.push_str(&row.join(" "));
+        text.push('\n');
+    }
+    text
+}
+
+#[test]
+fn pinned_answers_hold_from_every_side() {
+    let live = golden_direct_build();
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(ANSWERS_PATH, answers_of(|u, v| live.try_query(u, v).unwrap())).unwrap();
+    }
+    let pinned = std::fs::read_to_string(ANSWERS_PATH).expect("answers fixture missing");
+
+    let g = golden_graph();
+    let mut clique = Clique::new(g.n());
+    let via_clique = OracleBuilder::new().seed(5).build(&mut clique, &g).unwrap();
+    let loaded = serde::from_bytes(&read_golden()).unwrap();
+    let loaded_v2 = serde::from_bytes(V2_GOLDEN).unwrap();
+    // A 3-shard router whose middle slot comes off disk.
+    let mut shards = ShardedArtifact::partition(&live, 3).unwrap().into_shards();
+    shards[1] =
+        serde::from_shard_bytes(&read_fixture(GOLDEN_SHARD_PATH, canonical_shard_bytes)).unwrap();
+    let router = ShardRouter::assemble(shards).unwrap();
+
+    type Side<'a> = (&'a str, &'a dyn Fn(usize, usize) -> Dist);
+    let sides: [Side; 5] = [
+        ("fresh direct build", &|u, v| live.try_query(u, v).unwrap()),
+        ("clique build", &|u, v| via_clique.try_query(u, v).unwrap()),
+        ("committed v2 snapshot through the v2 reader", &|u, v| loaded_v2.try_query(u, v).unwrap()),
+        ("committed v3 snapshot", &|u, v| loaded.try_query(u, v).unwrap()),
+        ("router with slot 1 from the shard golden", &|u, v| router.try_query(u, v).unwrap()),
+    ];
+    for (side, query) in sides {
+        assert_eq!(answers_of(query), pinned, "{side} no longer gives the pinned answers");
+    }
+}
+
+#[test]
+fn v2_goldens_still_load_to_the_same_artifact() {
+    // The one-release reader: the files the v2 writer left behind decode,
+    // under the version their own header carries, to exactly the slices the
+    // fresh build and its partition hold — so re-encoding them gives the v3
+    // goldens.
+    let live = golden_direct_build();
+    let (header, oracle) = serde::from_bytes_with_header(V2_GOLDEN).unwrap();
+    assert_eq!(header.version, 2);
+    assert_eq!(oracle, live);
+    assert_eq!(canonical_bytes(&oracle), read_golden());
+
+    let (header, shard) = serde::from_shard_bytes_with_header(V2_GOLDEN_SHARD).unwrap();
+    assert_eq!(header.version, 2);
+    // The slice is the fresh partition's (the `ArtifactSlice` both deref
+    // to); the slot cannot be, because the ids are the v2 hash's: a v2 and
+    // a v3 file of one build differ in build id and set id, and the
+    // shard's set id is its v2 monolith's.
+    assert_eq!(*shard, *ShardedArtifact::partition(&live, 3).unwrap().into_shards()[1]);
+    assert_eq!((shard.index(), shard.count()), (1, 3));
+    assert_eq!(header.set_build_id(), serde::peek_header(V2_GOLDEN).unwrap().build_id());
+    assert_ne!(header.set_build_id(), serde::peek_header(&read_golden()).unwrap().build_id());
+
+    // So a set cannot mix formats: the v2 file among its v3 siblings is a
+    // named set-id mismatch, not a silently accepted slot.
+    let mut mixed = ShardedArtifact::partition(&live, 3).unwrap().into_shards();
+    mixed[1] = shard;
+    match ShardRouter::assemble(mixed) {
+        Err(OracleError::ShardSetMismatch { what }) => assert!(what.contains("set id"), "{what}"),
+        other => panic!("a mixed v2/v3 set must be refused, got {other:?}"),
     }
 }

@@ -20,6 +20,8 @@ use congested_clique::oracle::{
 };
 use proptest::prelude::*;
 
+mod support;
+
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
 fn build(g: &Graph, k: usize, epsilon: f64, seed: u64) -> DistanceOracle {
@@ -152,9 +154,9 @@ proptest! {
     }
 }
 
-/// FNV-1a 64, as specified in `docs/SNAPSHOT_FORMAT.md` — implemented here
-/// independently so the hand-crafted snapshot below really exercises the
-/// documented format, not a re-export of the implementation.
+/// FNV-1a 64, the v2 checksum specified in `docs/SNAPSHOT_FORMAT.md` —
+/// implemented here independently so the hand-crafted snapshot below really
+/// exercises the documented format, not a re-export of the implementation.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -204,7 +206,11 @@ fn near_max_weights_clamp_identically_through_the_router() {
     use congested_clique::oracle::MAX_FINITE_DISTANCE;
 
     for w in [u64::MAX - 3, u64::MAX / 2, u64::MAX / 2 + 1] {
-        let oracle = serde::from_bytes(&near_max_snapshot(w)).expect("crafted snapshot");
+        // Hand-written in both formats this build reads; the v2 bytes go
+        // through the one-release reader and must be the same artifact.
+        let oracle =
+            serde::from_bytes(&support::near_max_snapshot_v3(w, w)).expect("crafted v3 snapshot");
+        assert_eq!(serde::from_bytes(&near_max_snapshot(w)).expect("crafted v2 snapshot"), oracle);
         // Sanity: the monolith clamps the overflowing landmark sum.
         let expect = w.checked_add(w).map_or(MAX_FINITE_DISTANCE, |s| s.min(MAX_FINITE_DISTANCE));
         assert_eq!(oracle.try_query(0, 2).unwrap(), Dist::fin(expect), "w = {w}");

@@ -13,6 +13,15 @@
 //! so the serves-totally property remains the fallback for any mutation
 //! that parses.
 //!
+//! Everything here runs against the bytes the current writer produces
+//! (format v3: flat sections, ball offsets, the word-parallel checksum).
+//! What only structural validation can catch is forged behind a checksum
+//! recomputed with an **independent** implementation of the hash
+//! (`tests/support`): a ball member listed twice, ball offsets that do not
+//! start at 0 / decrease / stop short of the entry count, an entry count
+//! that disagrees with `payload_len`, a column matrix larger than the
+//! bytes present.
+//!
 //! The legacy (v1) decoder was removed after its one-release migration
 //! window: any byte stream opening with the v1 magic must now fail with
 //! `OracleError::LegacySnapshot`, never parse and never panic.
@@ -32,6 +41,9 @@ use congested_clique::oracle::{
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
+
+mod support;
+use support::reseal;
 
 /// One canonical snapshot, built once for the whole fuzz run.
 fn snapshot() -> &'static [u8] {
@@ -91,7 +103,7 @@ proptest! {
         let at = serde::HEADER_LEN + at_frac * payload_len / 10_000;
         let mut mutated = bytes.to_vec();
         mutated[at] ^= 1 << bit;
-        // No payload corruption may survive v2 validation, not even one
+        // No payload corruption may survive validation, not even one
         // that keeps the structure parseable (e.g. inside a distance).
         prop_assert!(
             serde::from_bytes(&mutated).is_err(),
@@ -139,6 +151,31 @@ proptest! {
         }
         match serde::from_bytes(&mutated) {
             Err(_) => {}
+            Ok(oracle) => assert_serves_totally(&oracle),
+        }
+    }
+
+    #[test]
+    fn resealed_corruption_never_panics_the_validator_or_the_queries(
+        seed in 0u64..1_000_000,
+        flips in 1usize..8,
+    ) {
+        // Past the checksum only the structural rules stand between forged
+        // sections and the query kernel's unchecked indexing: whatever they
+        // let through must still serve. Small values keep ids, indices and
+        // offsets plausible so that some forgeries do get through.
+        let mut mutated = snapshot().to_vec();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        for _ in 0..flips {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let at = 80 + (state as usize) % (mutated.len() - 80);
+            mutated[at] = (state >> 24) as u8 % 32;
+        }
+        reseal(&mut mutated);
+        match serde::from_bytes(&mutated) {
+            Err(e) => prop_assert!(matches!(e, OracleError::CorruptSnapshot { .. }), "{e}"),
             Ok(oracle) => assert_serves_totally(&oracle),
         }
     }
@@ -304,19 +341,6 @@ fn mixed_shard_sets_are_named_set_mismatches() {
 
 #[test]
 fn forged_shard_headers_behind_recomputed_checksums_are_still_rejected() {
-    let fnv = |bytes: &[u8]| -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    };
-    let reseal = |bytes: &mut [u8]| {
-        let sum = fnv(&bytes[80..]);
-        bytes[72..80].copy_from_slice(&sum.to_le_bytes());
-    };
-
     // Forge shard_index = shard_count (out of range) behind a recomputed
     // checksum: the recomputed-plan validation must reject it.
     let mut forged = shard_snapshot(0).to_vec();
@@ -349,4 +373,115 @@ fn forged_shard_headers_behind_recomputed_checksums_are_still_rejected() {
         set.push(serde::from_shard_bytes(shard_snapshot(i)).expect("clean shard"));
     }
     assert!(matches!(validate_set(&set), Err(OracleError::ShardSetMismatch { .. })));
+}
+
+/// Where the sections of a monolithic v3 snapshot start, derived from its
+/// header the way `docs/SNAPSHOT_FORMAT.md` says: `n`, `s` and
+/// `payload_len` are stored, `m = n`, and `E` is what is left.
+struct Layout {
+    entries: usize,
+    landmarks: usize,
+    ball_offsets: usize,
+    ball_ids: usize,
+}
+
+fn layout(bytes: &[u8]) -> Layout {
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (n, s, payload_len) = (field(8), field(32), field(64));
+    let entries = (payload_len - (8 * n * s + 16 * n + 4 * s + 4)) / 12;
+    let landmarks = 80 + 8 * (n * s + n + entries);
+    let ball_offsets = landmarks + 4 * s + 4 * n;
+    Layout { entries, landmarks, ball_offsets, ball_ids: ball_offsets + 4 * (n + 1) }
+}
+
+fn put_u32(bytes: &mut [u8], at: usize, x: u32) {
+    bytes[at..at + 4].copy_from_slice(&x.to_le_bytes());
+}
+
+fn get_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+/// The forgery must be refused as structurally corrupt, with `what` named.
+fn assert_corrupt(bytes: &[u8], what: &str) {
+    match serde::from_bytes(bytes) {
+        Err(OracleError::CorruptSnapshot { what: why }) => {
+            assert!(why.contains(what), "expected `{what}` in: {why}");
+        }
+        other => panic!("`{what}` forgery must be refused as corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_ball_member_listed_twice_is_rejected_behind_a_recomputed_checksum() {
+    // The v2 reader's `is_sorted_by_key` accepted equal neighbours, so a
+    // resealed file could list one member twice with two distances and the
+    // binary search answered with whichever copy it probed first.
+    let mut forged = snapshot().to_vec();
+    let at = layout(&forged);
+    assert!(get_u32(&forged, at.ball_offsets + 4) >= 2, "row 0 holds at least two members");
+    let first = get_u32(&forged, at.ball_ids);
+    put_u32(&mut forged, at.ball_ids + 4, first);
+    reseal(&mut forged);
+    assert_corrupt(&forged, "not strictly ascending");
+}
+
+#[test]
+fn forged_ball_offsets_are_rejected_behind_a_recomputed_checksum() {
+    let clean = snapshot();
+    let at = layout(clean);
+    let rows = 30;
+    let forge = |index: usize, value: u32| {
+        let mut forged = clean.to_vec();
+        put_u32(&mut forged, at.ball_offsets + 4 * index, value);
+        reseal(&mut forged);
+        forged
+    };
+    assert_corrupt(&forge(0, 1), "first ball offset");
+    let second = get_u32(clean, at.ball_offsets + 4);
+    assert_corrupt(&forge(2, second - 1), "not an ascending range");
+    assert_corrupt(&forge(1, at.entries as u32 + 1), "not an ascending range");
+    assert_corrupt(&forge(rows, at.entries as u32 - 1), "last ball offset");
+}
+
+#[test]
+fn an_entry_count_that_disagrees_with_payload_len_is_rejected() {
+    // One more 12-byte entry spliced into the two per-entry sections, every
+    // other section intact, `payload_len` and checksum made to match: the
+    // entry count the length implies is no longer the last offset.
+    let mut forged = snapshot().to_vec();
+    let at = layout(&forged);
+    let end = forged.len();
+    forged.splice(end..end, 0u32.to_le_bytes());
+    forged.splice(at.landmarks..at.landmarks, 0u64.to_le_bytes());
+    let payload_len = (forged.len() - 80) as u64;
+    forged[64..72].copy_from_slice(&payload_len.to_le_bytes());
+    reseal(&mut forged);
+    assert_corrupt(&forged, "last ball offset");
+    assert_eq!(layout(&forged).entries, at.entries + 1);
+
+    // And a payload that leaves a fraction of an entry.
+    let mut forged = snapshot().to_vec();
+    forged.extend_from_slice(&[0; 5]);
+    let payload_len = (forged.len() - 80) as u64;
+    forged[64..72].copy_from_slice(&payload_len.to_le_bytes());
+    reseal(&mut forged);
+    assert_corrupt(&forged, "12-byte entries");
+}
+
+#[test]
+fn a_column_matrix_larger_than_the_bytes_present_is_rejected_before_allocating() {
+    // `n` and `s` are each capped by the payload size, so their product can
+    // be quadratic in it: claim the largest `s` the header check lets
+    // through. (The header fields sit before the checksummed range, so no
+    // reseal is needed — and none would help.)
+    let mut forged = snapshot().to_vec();
+    let payload_len = (forged.len() - 80) as u64;
+    forged[32..40].copy_from_slice(&payload_len.to_le_bytes());
+    assert_corrupt(&forged, "need more than");
+    // Same through the shard reader, whose rows are a slice of `n`.
+    let mut forged = shard_snapshot(1).to_vec();
+    let payload_len = (forged.len() - 96) as u64;
+    forged[32..40].copy_from_slice(&payload_len.to_le_bytes());
+    assert!(matches!(serde::from_shard_bytes(&forged), Err(OracleError::CorruptSnapshot { .. })));
 }
