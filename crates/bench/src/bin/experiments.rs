@@ -25,61 +25,43 @@ use cc_graph::{generators, reference};
 use cc_hopset::{build_hopset, HopsetConfig};
 use cc_matrix::{Dist, MinPlus, SparseMatrix};
 
+/// Every experiment, by the subcommand that runs it, in `all` order.
+const EXPERIMENTS: [(&str, fn()); 17] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("oracle", oracle),
+    ("build-direct", build_direct),
+    ("ablate-cost", ablate_cost),
+    ("ablate-filter", ablate_filter),
+    ("ablate-shortcut", ablate_shortcut),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
     let started = Instant::now();
-    let all = which == "all";
-    if all || which == "e1" {
-        e1();
+    let chosen: Vec<fn()> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .map(|e| e.1)
+        .collect();
+    if chosen.is_empty() {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        eprintln!("experiments: unknown subcommand `{which}`; known: all, {}", known.join(", "));
+        std::process::exit(2);
     }
-    if all || which == "e2" {
-        e2();
-    }
-    if all || which == "e3" {
-        e3();
-    }
-    if all || which == "e4" {
-        e4();
-    }
-    if all || which == "e5" {
-        e5();
-    }
-    if all || which == "e6" {
-        e6();
-    }
-    if all || which == "e7" {
-        e7();
-    }
-    if all || which == "e8" {
-        e8();
-    }
-    if all || which == "e9" {
-        e9();
-    }
-    if all || which == "e10" {
-        e10();
-    }
-    if all || which == "e11" {
-        e11();
-    }
-    if all || which == "e12" {
-        e12();
-    }
-    if all || which == "oracle" {
-        oracle();
-    }
-    if all || which == "build-direct" {
-        build_direct();
-    }
-    if all || which == "ablate-cost" {
-        ablate_cost();
-    }
-    if all || which == "ablate-filter" {
-        ablate_filter();
-    }
-    if all || which == "ablate-shortcut" {
-        ablate_shortcut();
+    for run in chosen {
+        run();
     }
     eprintln!("[experiments] total wall time: {:.1}s", started.elapsed().as_secs_f64());
 }

@@ -136,8 +136,8 @@ pub trait QueryBackend: Send + Sync {
     /// either the whole batch is answered or nothing is computed.
     ///
     /// The default implementation validates and then answers pair-by-pair;
-    /// backends with a cheaper bulk path (threaded sharding, one snapshot
-    /// of mutable state for the whole batch) should override it.
+    /// backends with a cheaper bulk path (one validation pass, counters
+    /// bumped once for the whole batch) should override it.
     ///
     /// # Errors
     ///

@@ -1,18 +1,20 @@
-//! A bounded, sharded LRU result cache over **any** [`QueryBackend`].
+//! A bounded, lock-free, set-associative result cache over **any**
+//! [`QueryBackend`].
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{fence, AtomicU64};
 
 use cc_matrix::Dist;
 
+use crate::oracle::check_pair;
 use crate::{DistanceOracle, OracleError, QueryBackend};
 
-/// Number of independently locked shards. A power of two so the shard pick
-/// is a mask; 16 keeps contention low for the thread counts `query_batch`
-/// uses without bloating per-shard bookkeeping.
-const SHARDS: usize = 16;
+/// Entries per set: a sequence word plus three `(key, value)` pairs is seven
+/// words, the most that fit one 64-byte cache line.
+const WAYS: usize = 3;
+
+/// Key of an empty way: `lo = 1 > hi = 0`, which no canonical pair packs to.
+const EMPTY: u64 = 1 << 32;
 
 /// Snapshot of cache effectiveness counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,201 +23,141 @@ pub struct CacheStats {
     pub hits: u64,
     /// Queries that fell through to the backend.
     pub misses: u64,
-    /// Entries currently resident (across all shards).
+    /// Entries currently resident.
     pub len: usize,
-    /// Maximum resident entries (across all shards); `0` when the cache is
-    /// disabled (capacity 0 = pass-through).
+    /// Maximum resident entries: the requested capacity rounded up to whole
+    /// sets; `0` when the cache is disabled (capacity 0 = pass-through).
     pub capacity: usize,
 }
 
 impl CacheStats {
     /// Fraction of queries served from the cache (0 when nothing was asked).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 
-/// Multiply-shift hasher for the cache's packed pair keys. The keys are
-/// already well-mixed 64-bit values ((lo << 32) | hi node ids), so the
-/// default SipHash — ~25 ns per lookup, built to resist adversarial key
-/// collisions a distance cache doesn't face — is pure overhead on the
-/// query hot path. One Fibonacci multiply plus a fold gives uniform
-/// bucket spread for a few nanoseconds.
-#[derive(Default)]
-struct PairKeyHasher(u64);
-
-/// 2^64 / φ, the usual Fibonacci hashing multiplier.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl Hasher for PairKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by the u64-keyed map, but kept total).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FIB);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(FIB);
-    }
-}
-
-type PairKeyMap = HashMap<u64, usize, BuildHasherDefault<PairKeyHasher>>;
-
-/// One LRU shard: a map from packed pair key to a slot in an intrusive
-/// doubly-linked list ordered by recency (index-based, no unsafe).
-struct Shard {
-    map: PairKeyMap,
-    /// Slot storage: `(key, value, prev, next)`; `usize::MAX` terminates.
-    slots: Vec<(u64, u64, usize, usize)>,
-    head: usize,
-    tail: usize,
-    capacity: usize,
-}
-
-const NIL: usize = usize::MAX;
-
-/// Smallest batch worth the shard-grouping pass in the serial batch path;
-/// below this, grouping bookkeeping costs more than per-pair locking.
-const GROUPED_BATCH_MIN: usize = 64;
-
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
-            map: PairKeyMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
-            slots: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let (_, _, prev, next) = self.slots[slot];
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].3 = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].2 = prev,
-        }
-    }
-
-    fn push_front(&mut self, slot: usize) {
-        self.slots[slot].2 = NIL;
-        self.slots[slot].3 = self.head;
-        match self.head {
-            NIL => self.tail = slot,
-            h => self.slots[h].2 = slot,
-        }
-        self.head = slot;
-    }
-
-    fn get(&mut self, key: u64) -> Option<u64> {
-        let slot = *self.map.get(&key)?;
-        self.unlink(slot);
-        self.push_front(slot);
-        Some(self.slots[slot].1)
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    fn insert(&mut self, key: u64, value: u64) {
-        if let Some(&slot) = self.map.get(&key) {
-            self.slots[slot].1 = value;
-            self.unlink(slot);
-            self.push_front(slot);
-            return;
-        }
-        let slot = if self.slots.len() < self.capacity {
-            self.slots.push((key, value, NIL, NIL));
-            self.slots.len() - 1
-        } else {
-            // Evict the least-recently-used entry and reuse its slot.
-            let victim = self.tail;
-            self.unlink(victim);
-            self.map.remove(&self.slots[victim].0);
-            self.slots[victim].0 = key;
-            self.slots[victim].1 = value;
-            victim
-        };
-        self.map.insert(key, slot);
-        self.push_front(slot);
-    }
-
-    /// Resident keys in most-recently-used-first order.
-    fn keys_by_recency(&self) -> Vec<u64> {
-        let mut keys = Vec::with_capacity(self.map.len());
-        let mut at = self.head;
-        while at != NIL {
-            keys.push(self.slots[at].0);
-            at = self.slots[at].3;
-        }
-        keys
-    }
-}
-
-/// Any [`QueryBackend`] fronted by a bounded, sharded LRU cache of query
-/// results — a monolithic [`DistanceOracle`] (the default type parameter),
-/// a [`crate::ShardRouter`], or an erased `Box<dyn QueryBackend>`. Shards
-/// are locked independently, so concurrent querying threads rarely contend;
-/// hit/miss counters are lock-free atomics.
+/// One cache line: a sequence word guarding [`WAYS`] `[key, value]` slots,
+/// newest first. Readers never write and writers never wait.
 ///
-/// `CachingOracle` is itself a [`QueryBackend`], so caches stack anywhere a
-/// backend is expected. A capacity of `0` disables caching: every query
-/// passes straight through (and counts as a miss), which keeps `/stats`
-/// accounting uniform for cacheless deployments.
+/// A seqlock. The writer makes `seq` odd with a CAS, issues a release fence,
+/// rewrites the ways (relaxed) and publishes `seq + 2` with a release store.
+/// The reader loads `seq` (acquire, pairing with that store), the ways
+/// (relaxed), issues an acquire fence and reloads `seq`: had a way it saw
+/// come from a write still in progress, the two fences would synchronize and
+/// the reload would see the changed `seq`, so the read is thrown away: a
+/// value is only ever returned with the key it was stored under. (A `key ⊕
+/// value` tag cannot promise that; see the torn-read test.)
+#[repr(align(64))]
+struct Set {
+    seq: AtomicU64,
+    ways: [[AtomicU64; 2]; WAYS],
+}
+
+impl Set {
+    fn new() -> Set {
+        let ways = std::array::from_fn(|_| [AtomicU64::new(EMPTY), AtomicU64::new(0)]);
+        Set { seq: AtomicU64::new(0), ways }
+    }
+
+    /// The value stored under `key`; `None` if there is none or a writer
+    /// was active (a miss the caller answers from the backend).
+    fn lookup(&self, key: u64) -> Option<u64> {
+        let seq = self.seq.load(Acquire);
+        let found =
+            self.ways.iter().find(|[k, _]| k.load(Relaxed) == key).map(|[_, v]| v.load(Relaxed));
+        fence(Acquire);
+        found.filter(|_| seq & 1 == 0 && self.seq.load(Relaxed) == seq)
+    }
+
+    /// Shifts `(key, value)` in at way 0 (per-set FIFO) and returns the key
+    /// that fell off the last way ([`EMPTY`] while the set is filling); `None`
+    /// if another writer holds the set or `key` is already resident.
+    fn insert(&self, key: u64, value: u64) -> Option<u64> {
+        let seq = self.seq.load(Relaxed);
+        // Acquire pairs with the previous writer's release of `seq`: its
+        // ways are visible to the loads below.
+        if seq & 1 == 1 || self.seq.compare_exchange(seq, seq + 1, Acquire, Relaxed).is_err() {
+            return None;
+        }
+        fence(Release);
+        let old = self.ways.each_ref().map(|[k, v]| [k.load(Relaxed), v.load(Relaxed)]);
+        let fresh = old.iter().all(|&[k, _]| k != key);
+        if fresh {
+            let shifted = std::iter::once([key, value]).chain(old);
+            for ([k, v], [new_k, new_v]) in self.ways.iter().zip(shifted) {
+                k.store(new_k, Relaxed);
+                v.store(new_v, Relaxed);
+            }
+        }
+        self.seq.store(seq + 2, Release);
+        fresh.then_some(old[WAYS - 1][0])
+    }
+}
+
+/// What one call's misses did; added to the shared counters once, at its
+/// end (its hits are the pairs it was asked less the misses).
+#[derive(Default)]
+struct Tally {
+    misses: u64,
+    filled: u64,
+}
+
+/// Packs the pair, smaller id first: the oracle is symmetric, so `(u, v)`
+/// and `(v, u)` share one entry.
+fn key(u: usize, v: usize) -> u64 {
+    let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
+    ((lo as u64) << 32) | hi as u64
+}
+
+fn unkey(key: u64) -> (usize, usize) {
+    ((key >> 32) as usize, (key & 0xffff_ffff) as usize)
+}
+
+/// Any [`QueryBackend`] fronted by a bounded cache of query results — a
+/// monolithic [`DistanceOracle`] (the default type parameter), a
+/// [`crate::ShardRouter`], or an erased `Box<dyn QueryBackend>` — and itself
+/// a [`QueryBackend`], so caches stack anywhere a backend is expected.
+///
+/// One flat table of cache-line-sized sets, allocated once. A hit reads one
+/// line and writes nothing; a miss asks the backend and shifts the answer in
+/// at the front of its set, dropping the set's oldest entry (FIFO per set,
+/// not global LRU). Nothing blocks: an insert that finds another writer on
+/// its set is skipped, and threads that miss on one key together each ask
+/// the (immutable) backend and get the same answer.
 ///
 /// # Example
 ///
 /// ```
-/// use cc_clique::Clique;
-/// use cc_graph::generators;
 /// use cc_oracle::{CachingOracle, OracleBuilder};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let g = generators::gnp(32, 0.2, 1)?;
-/// let mut clique = Clique::new(32);
-/// let oracle = OracleBuilder::new().build(&mut clique, &g)?;
+/// let g = cc_graph::generators::gnp(32, 0.2, 1)?;
+/// let oracle = OracleBuilder::new().build(&mut cc_clique::Clique::new(32), &g)?;
 /// let cached = CachingOracle::new(oracle, 1024);
 /// let first = cached.try_query(0, 31)?;
-/// let second = cached.try_query(0, 31)?; // served from cache
-/// assert_eq!(first, second);
+/// assert_eq!(cached.try_query(31, 0)?, first); // served from the cache
 /// assert_eq!(cached.stats().hits, 1);
 /// # Ok(())
 /// # }
 /// ```
 pub struct CachingOracle<B: QueryBackend = DistanceOracle> {
     backend: B,
-    shards: Vec<Mutex<Shard>>,
+    sets: Box<[Set]>,
     hits: AtomicU64,
     misses: AtomicU64,
+    len: AtomicU64,
 }
 
 impl<B: QueryBackend> CachingOracle<B> {
-    /// Wraps `backend` with a cache holding at most `capacity` results
-    /// (rounded up to at least one entry per shard). A capacity of `0`
-    /// disables caching entirely: queries pass through and count as misses.
+    /// Wraps `backend` with a cache holding at least `capacity` results
+    /// (rounded up to whole sets). A capacity of `0` disables caching: every
+    /// query passes straight through and counts as a miss, which keeps
+    /// `/stats` accounting uniform for cacheless deployments.
     pub fn new(backend: B, capacity: usize) -> CachingOracle<B> {
-        let shards = if capacity == 0 {
-            Vec::new()
-        } else {
-            let per_shard = capacity.div_ceil(SHARDS).max(1);
-            (0..SHARDS).map(|_| Mutex::new(Shard::new(per_shard))).collect()
-        };
-        CachingOracle { backend, shards, hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
+        let sets = (0..capacity.div_ceil(WAYS)).map(|_| Set::new()).collect();
+        let [hits, misses, len] = [0; 3].map(AtomicU64::new);
+        CachingOracle { backend, sets, hits, misses, len }
     }
 
     /// The wrapped backend.
@@ -233,230 +175,119 @@ impl<B: QueryBackend> CachingOracle<B> {
         self.backend.n()
     }
 
-    pub(crate) fn key(u: usize, v: usize) -> u64 {
-        // The oracle is symmetric, so canonicalize the pair: doubles the
-        // effective capacity for undirected traffic.
-        let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
-        ((lo as u64) << 32) | hi as u64
+    /// The set `key` lives in — a Fibonacci (2⁶⁴/φ) multiply-shift hash,
+    /// range-reduced by a second multiply; `None` only when capacity is 0.
+    fn set(&self, key: u64) -> Option<&Set> {
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.sets.get(((u128::from(hash) * self.sets.len() as u128) >> 64) as usize)
     }
 
-    fn unkey(key: u64) -> (usize, usize) {
-        ((key >> 32) as usize, (key & 0xffff_ffff) as usize)
+    /// The lookup kernel; the caller has validated `u, v < n`. With no
+    /// table (capacity 0) every pair is a miss that inserts nothing.
+    fn answer(&self, u: usize, v: usize, tally: &mut Tally) -> Result<Dist, OracleError> {
+        let key = key(u, v);
+        let set = self.set(key);
+        if let Some(raw) = set.and_then(|s| s.lookup(key)) {
+            return Ok(Dist::from_raw(raw));
+        }
+        let answer = self.backend.try_query(u, v)?;
+        tally.misses += 1;
+        let evicted = set.and_then(|s| s.insert(key, answer.raw()));
+        tally.filled += u64::from(evicted == Some(EMPTY));
+        Ok(answer)
     }
 
-    fn check_pair(&self, u: usize, v: usize) -> Result<(), OracleError> {
-        crate::oracle::check_pair(self.backend.n(), u, v)
+    /// Relaxed: statistics, publishing nothing. Zero adds are skipped — each
+    /// would still be a locked read-modify-write.
+    fn record(&self, asked: usize, tally: &Tally) {
+        let hits = asked as u64 - tally.misses;
+        let adds = [(&self.hits, hits), (&self.misses, tally.misses), (&self.len, tally.filled)];
+        for (counter, add) in adds {
+            if add > 0 {
+                counter.fetch_add(add, Relaxed);
+            }
+        }
     }
 
-    /// Cached query for serving layers: identical answers to the wrapped
-    /// backend, plus counters. Out-of-range endpoints become
-    /// [`OracleError::QueryOutOfRange`], never a panic (and never a
-    /// poisoned shard lock — validation happens before locking).
+    /// Cached query: the wrapped backend's answer, plus counters. A refused
+    /// pair touches neither the table nor a counter.
     ///
     /// # Errors
     ///
     /// [`OracleError::QueryOutOfRange`] if `u` or `v` is out of range.
     pub fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
-        self.check_pair(u, v)?;
-        Ok(self.query_validated(u, v))
+        // Validated before keying: an id past 2³² would alias a valid key.
+        check_pair(self.backend.n(), u, v)?;
+        let mut tally = Tally::default();
+        let answer = self.answer(u, v, &mut tally)?;
+        self.record(1, &tally);
+        Ok(answer)
     }
 
-    /// The cache lookup kernel; callers must have validated `u, v < n`.
-    ///
-    /// The shard lock is taken exactly once and held across the miss
-    /// compute + insert: a second thread asking for the same key blocks
-    /// briefly and then *hits*, so a result is never computed (or a miss
-    /// counted) twice for one resident key. The backend query is cheap
-    /// (nanoseconds for the monolith, two half-queries for a router), far
-    /// cheaper than a second lock round-trip.
-    fn query_validated(&self, u: usize, v: usize) -> Dist {
-        if self.shards.is_empty() {
-            // Capacity 0: pass-through, accounted as a miss. The caller
-            // validated the pair, so the backend cannot refuse it; INF is
-            // the unreachable fallback, never a panic on a serving path.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return self.backend.try_query(u, v).unwrap_or(Dist::INF);
-        }
-        let key = Self::key(u, v);
-        let mut shard = self.shards[(key % SHARDS as u64) as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(raw) = shard.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Dist::from_raw(raw);
-        }
-        let answer = self.backend.try_query(u, v).unwrap_or(Dist::INF);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        shard.insert(key, answer.raw());
-        answer
-    }
-
-    /// Cached batch query (shard-parallel like the uncached batch):
-    /// validates every pair before computing anything.
+    /// Cached batch query, answered serially on the calling thread; every
+    /// pair is validated before anything is computed or counted.
     ///
     /// # Errors
     ///
     /// [`OracleError::QueryOutOfRange`] naming the first offending pair.
     pub fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
+        if self.sets.is_empty() {
+            // Pass-through: the backend's own batch path validates.
+            let answers = self.backend.try_query_batch(pairs)?;
+            self.misses.fetch_add(pairs.len() as u64, Relaxed);
+            return Ok(answers);
+        }
+        let n = self.backend.n();
+        pairs.iter().try_for_each(|&(u, v)| check_pair(n, u, v))?;
+        let mut tally = Tally::default();
+        let mut answers = Vec::with_capacity(pairs.len());
         for &(u, v) in pairs {
-            self.check_pair(u, v)?;
+            answers.push(self.answer(u, v, &mut tally)?);
         }
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if threads <= 1 || pairs.len() < 1024 {
-            if pairs.len() >= GROUPED_BATCH_MIN && !self.shards.is_empty() {
-                return Ok(self.query_batch_grouped(pairs));
-            }
-            return Ok(pairs.iter().map(|&(u, v)| self.query_validated(u, v)).collect());
-        }
-        let shard = pairs.len().div_ceil(threads);
-        let mut out = vec![Dist::INF; pairs.len()];
-        std::thread::scope(|scope| {
-            for (chunk_in, chunk_out) in pairs.chunks(shard).zip(out.chunks_mut(shard)) {
-                scope.spawn(move || {
-                    for (slot, &(u, v)) in chunk_out.iter_mut().zip(chunk_in) {
-                        *slot = self.query_validated(u, v);
-                    }
-                });
-            }
-        });
-        Ok(out)
+        self.record(pairs.len(), &tally);
+        Ok(answers)
     }
 
-    /// Serial batch kernel amortizing the per-pair overhead: pairs are
-    /// grouped by shard, each shard is locked exactly once for its whole
-    /// group, and the hit/miss counters are bumped once per batch. Answers
-    /// and per-shard LRU recency order are identical to the pair-at-a-time
-    /// path — within one shard, pairs are still processed in batch order.
-    /// Callers must have validated every pair and `!self.shards.is_empty()`.
-    fn query_batch_grouped(&self, pairs: &[(usize, usize)]) -> Vec<Dist> {
-        // Counting sort by shard: one pass to size the groups, one to
-        // scatter indices — no per-shard Vec growth on the hot path.
-        let keys: Vec<u64> = pairs.iter().map(|&(u, v)| Self::key(u, v)).collect();
-        let mut counts = [0usize; SHARDS];
-        for key in &keys {
-            counts[(key % SHARDS as u64) as usize] += 1;
-        }
-        let mut starts = [0usize; SHARDS];
-        let mut at = 0;
-        for (start, count) in starts.iter_mut().zip(counts) {
-            *start = at;
-            at += count;
-        }
-        let mut order = vec![0usize; pairs.len()];
-        let mut fill = starts;
-        for (i, key) in keys.iter().enumerate() {
-            let which = (key % SHARDS as u64) as usize;
-            order[fill[which]] = i;
-            fill[which] += 1;
-        }
-        let mut out = vec![Dist::INF; pairs.len()];
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (which, (start, count)) in starts.iter().zip(counts).enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let mut shard = self.shards[which].lock().unwrap_or_else(PoisonError::into_inner);
-            for &i in &order[*start..*start + count] {
-                if let Some(raw) = shard.get(keys[i]) {
-                    hits += 1;
-                    out[i] = Dist::from_raw(raw);
-                    continue;
-                }
-                let (u, v) = pairs[i];
-                // Pairs were validated before any shard work; INF is the
-                // unreachable fallback, never a panic under a shard lock.
-                let answer = self.backend.try_query(u, v).unwrap_or(Dist::INF);
-                misses += 1;
-                shard.insert(keys[i], answer.raw());
-                out[i] = answer;
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        out
-    }
-
-    /// The resident pairs in approximate hottest-first order, up to
-    /// `limit`: each shard's keys most-recently-used first, interleaved
-    /// round-robin across shards (exact global recency would need a global
-    /// lock order the sharded design deliberately avoids).
-    ///
-    /// This is the donor side of a cache warm-up: a serving layer replays
-    /// these pairs into a fresh generation's cache after a hot reload, so
-    /// the hit rate doesn't fall off a cliff at every swap.
+    /// Up to `limit` resident pairs, newest first: every set's front way,
+    /// then every second way, and so on (ways are in insertion order; a hit
+    /// does not reorder them). The donor side of a cache warm-up: a serving
+    /// layer replays these into a fresh generation's cache after a reload.
     pub fn hottest_keys(&self, limit: usize) -> Vec<(usize, usize)> {
-        if limit == 0 || self.shards.is_empty() {
-            return Vec::new();
-        }
-        let per_shard: Vec<Vec<u64>> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).keys_by_recency())
-            .collect();
-        let mut keys = Vec::with_capacity(limit.min(per_shard.iter().map(Vec::len).sum()));
-        let deepest = per_shard.iter().map(Vec::len).max().unwrap_or(0);
-        'fill: for depth in 0..deepest {
-            for shard in &per_shard {
-                if let Some(&key) = shard.get(depth) {
-                    keys.push(Self::unkey(key));
-                    if keys.len() == limit {
-                        break 'fill;
-                    }
-                }
-            }
-        }
-        keys
+        (0..WAYS)
+            .flat_map(|way| self.sets.iter().map(move |set| set.ways[way][0].load(Relaxed)))
+            .filter(|&key| key != EMPTY)
+            .take(limit)
+            .map(unkey)
+            .collect()
     }
 
     /// Computes and inserts `pairs` without touching the hit/miss counters
     /// (warm-up traffic is not client traffic), skipping out-of-range pairs
     /// (the new artifact may be smaller than the donor) and pairs already
-    /// resident. Returns how many entries were actually warmed.
-    ///
-    /// Answers are computed by **this** cache's backend, so a warm-up can
-    /// never leak a stale answer from the donor generation.
+    /// resident. Returns how many it computed — on a cache no one else is
+    /// writing, the entries it added. Answers come from **this** cache's
+    /// backend, so a warm-up never leaks a donor generation's answer.
     pub fn warm(&self, pairs: &[(usize, usize)]) -> usize {
-        if self.shards.is_empty() {
+        if self.sets.is_empty() {
             return 0;
         }
-        let mut warmed = 0;
-        for &(u, v) in pairs {
-            if self.check_pair(u, v).is_err() {
-                continue;
-            }
-            let key = Self::key(u, v);
-            let mut shard = self.shards[(key % SHARDS as u64) as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if shard.contains(key) {
-                continue;
-            }
-            // check_pair passed, so the backend cannot refuse; skipping on
-            // the unreachable error beats panicking under a shard lock.
-            let Ok(answer) = self.backend.try_query(u, v) else {
-                continue;
-            };
-            shard.insert(key, answer.raw());
-            warmed += 1;
+        let n = self.backend.n();
+        let mut tally = Tally::default();
+        for &(u, v) in pairs.iter().filter(|&&(u, v)| u < n && v < n) {
+            // In range, so not refused; a refusal would only leave it cold.
+            let _ = self.answer(u, v, &mut tally);
         }
-        warmed
+        self.len.fetch_add(tally.filled, Relaxed);
+        tally.misses as usize
     }
 
     /// Current hit/miss/occupancy counters.
     pub fn stats(&self) -> CacheStats {
-        // One acquisition per shard: len and capacity are read under the
-        // same guard, so the pair is consistent per shard.
-        let (mut len, mut capacity) = (0usize, 0usize);
-        for s in &self.shards {
-            let shard = s.lock().unwrap_or_else(PoisonError::into_inner);
-            len += shard.map.len();
-            capacity += shard.capacity;
-        }
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            len,
-            capacity,
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            len: self.len.load(Relaxed) as usize,
+            capacity: self.sets.len() * WAYS,
         }
     }
 }
@@ -467,40 +298,54 @@ mod tests {
     use crate::{OracleBuilder, ShardedArtifact};
     use cc_clique::Clique;
     use cc_graph::generators;
-
-    fn build(n: usize) -> DistanceOracle {
-        let g = generators::gnp_weighted(n, 0.15, 20, 11).unwrap();
-        let mut clique = Clique::new(n);
-        OracleBuilder::new().build(&mut clique, &g).unwrap()
-    }
+    use std::collections::HashSet;
 
     fn cached(n: usize, capacity: usize) -> CachingOracle {
-        CachingOracle::new(build(n), capacity)
+        let g = generators::gnp_weighted(n, 0.15, 20, 11).unwrap();
+        let oracle = OracleBuilder::new().build(&mut Clique::new(n), &g).unwrap();
+        CachingOracle::new(oracle, capacity)
+    }
+
+    fn counts<B: QueryBackend>(c: &CachingOracle<B>) -> (u64, u64, usize) {
+        (c.stats().hits, c.stats().misses, c.stats().len)
+    }
+
+    /// Asks every ordered pair once, holding each answer against the backend's.
+    fn sweep<B: QueryBackend>(c: &CachingOracle<B>) {
+        for (u, v) in (0..c.n()).flat_map(|u| (0..c.n()).map(move |v| (u, v))) {
+            assert_eq!(c.try_query(u, v).unwrap(), c.inner().try_query(u, v).unwrap(), "({u},{v})");
+        }
+    }
+
+    /// Eight threads, released together, each ask `rounds` of `keys` (odd
+    /// threads flipped) against the backend's answers; returns the requests.
+    fn hammer(c: &CachingOracle, keys: &[(usize, usize)], rounds: usize) -> u64 {
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for &(u, v) in keys.iter().cycle().skip(t * 7).step_by(13).take(rounds) {
+                        let (u, v) = if t % 2 == 0 { (u, v) } else { (v, u) };
+                        let expected = c.inner().try_query(u, v).unwrap();
+                        assert_eq!(c.try_query(u, v).unwrap(), expected, "({u},{v})");
+                    }
+                });
+            }
+        });
+        8 * rounds as u64
     }
 
     #[test]
     fn cached_answers_match_uncached() {
-        // Capacity comfortably above the 528 unique canonical pairs, so the
-        // second pass is served entirely from the cache.
-        let c = cached(32, 2048);
-        for u in 0..32 {
-            for v in 0..32 {
-                assert_eq!(
-                    c.try_query(u, v).unwrap(),
-                    c.inner().try_query(u, v).unwrap(),
-                    "({u},{v})"
-                );
-            }
-        }
-        let before = c.stats();
-        for u in 0..32 {
-            for v in 0..u {
-                assert_eq!(c.try_query(u, v).unwrap(), c.inner().try_query(u, v).unwrap());
-            }
-        }
-        let after = c.stats();
-        assert_eq!(after.misses, before.misses, "second pass must not miss");
-        assert!(after.hits > before.hits);
+        // Far more sets than the 528 canonical pairs: no set overflows its
+        // ways, so the second sweep is served from the cache.
+        let c = cached(32, 1 << 14);
+        sweep(&c);
+        assert_eq!(counts(&c), (1024 - 528, 528, 528));
+        sweep(&c);
+        assert_eq!(c.stats().misses, 528, "second pass must not miss");
     }
 
     #[test]
@@ -508,37 +353,38 @@ mod tests {
         let c = cached(16, 64);
         c.try_query(3, 7).unwrap();
         c.try_query(7, 3).unwrap();
-        let stats = c.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+        assert_eq!(counts(&c), (1, 1, 1));
     }
 
     #[test]
-    fn capacity_is_bounded_and_lru_evicts() {
-        let c = cached(32, SHARDS); // one entry per shard
-        for u in 0..32 {
-            for v in 0..32 {
-                c.try_query(u, v).unwrap();
-            }
+    fn capacity_is_bounded_and_fifo_evicts() {
+        for requested in [1, WAYS, WAYS + 1, 16, 64] {
+            let c = cached(32, requested);
+            sweep(&c);
+            let stats = c.stats();
+            assert_eq!(stats.capacity, requested.div_ceil(WAYS) * WAYS, "whole sets");
+            assert!(stats.capacity >= requested && stats.len <= stats.capacity, "{stats:?}");
+            assert_eq!(stats.len, c.hottest_keys(usize::MAX).len());
+            // Everything evicted long ago: re-querying the first pair misses.
+            c.try_query(0, 1).unwrap();
+            assert_eq!(c.stats().misses, stats.misses + 1);
         }
-        let stats = c.stats();
-        assert!(stats.len <= stats.capacity);
-        assert_eq!(stats.capacity, SHARDS);
-        // Everything evicted long ago: re-querying the first pair misses.
-        let misses_before = c.stats().misses;
-        c.try_query(0, 1).unwrap();
-        assert_eq!(c.stats().misses, misses_before + 1);
+        // Within one set the oldest entry goes first: the second (0, 1) is
+        // a hit, and is not saved by it.
+        let c = cached(32, WAYS);
+        c.try_query_batch(&[(0, 1), (0, 2), (0, 3), (0, 1), (0, 4)]).unwrap();
+        assert_eq!(c.hottest_keys(usize::MAX), [(0, 4), (0, 3), (0, 2)]);
     }
 
     #[test]
     fn zero_capacity_disables_caching_but_keeps_accounting() {
         let c = cached(16, 0);
-        for _ in 0..3 {
-            assert_eq!(c.try_query(0, 1).unwrap(), c.inner().try_query(0, 1).unwrap());
-        }
-        let stats = c.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 3), "pass-through counts misses only");
-        assert_eq!((stats.len, stats.capacity), (0, 0));
+        c.try_query(0, 1).unwrap();
+        let pairs = [(0, 1), (2, 3), (1, 0)];
+        assert_eq!(c.try_query_batch(&pairs).unwrap(), c.inner().try_query_batch(&pairs).unwrap());
+        assert!(c.try_query_batch(&[(0, 1), (16, 0)]).is_err(), "the backend validates");
+        assert_eq!(counts(&c), (0, 4, 0), "pass-through counts misses only");
+        assert_eq!(c.stats().capacity, 0);
         assert!(c.hottest_keys(10).is_empty());
         assert_eq!(c.warm(&[(0, 1)]), 0);
     }
@@ -547,147 +393,104 @@ mod tests {
     fn hit_rate_reflects_traffic() {
         let c = cached(16, 512);
         assert_eq!(c.stats().hit_rate(), 0.0);
-        c.try_query(0, 1).unwrap();
-        c.try_query(0, 1).unwrap();
-        c.try_query(0, 1).unwrap();
-        let stats = c.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 2);
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+        c.try_query_batch(&[(0, 1); 3]).unwrap();
+        assert_eq!(counts(&c), (2, 1, 1));
+        assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn counters_account_exactly_under_concurrent_hammer() {
-        // Regression for the check-then-insert race: the old code released
-        // the shard lock between lookup and insert, so two threads missing
-        // on the same key both computed and both counted a miss. With the
-        // lock held across the miss path, a key that fits in the cache
-        // misses exactly once, ever — and every request lands in exactly
-        // one counter.
-        let c = std::sync::Arc::new(cached(32, 4096));
-        // 48 distinct canonical pairs, hammered by 8 threads; capacity is
-        // far above the working set so nothing is ever evicted.
+        // No lock is held across a miss, so threads that miss on one key
+        // together each count a miss. What stays exact: every request lands
+        // in one counter, every key misses at least once, answers are right.
+        let c = cached(32, 4096);
         let keys: Vec<(usize, usize)> = (0..48).map(|i| (i % 32, (i * 7 + 1) % 32)).collect();
-        let unique: std::collections::HashSet<u64> =
-            keys.iter().map(|&(u, v)| CachingOracle::<DistanceOracle>::key(u, v)).collect();
-        let threads = 8;
-        let per_thread = 3_000;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let c = std::sync::Arc::clone(&c);
-                let keys = &keys;
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        let (u, v) = keys[(i * 13 + t * 7) % keys.len()];
-                        // Half the threads query the flipped pair to also
-                        // exercise canonicalization under contention.
-                        if t % 2 == 0 {
-                            c.try_query(u, v).unwrap();
-                        } else {
-                            c.try_query(v, u).unwrap();
-                        }
-                    }
-                });
-            }
-        });
-        let stats = c.stats();
-        let total = (threads * per_thread) as u64;
-        assert_eq!(stats.hits + stats.misses, total, "every request must count exactly once");
-        assert_eq!(
-            stats.misses,
-            unique.len() as u64,
-            "each resident key must be computed exactly once (no double-compute race)"
-        );
+        let unique: HashSet<u64> = keys.iter().map(|&(u, v)| key(u, v)).collect();
+        let total = hammer(&c, &keys, 3_000);
+        let (hits, misses, len) = counts(&c);
+        assert_eq!(hits + misses, total, "every request must count exactly once");
+        assert!(misses >= unique.len() as u64 && hits > total / 2, "{hits} hits, {misses} misses");
+        assert!(len <= unique.len(), "a racing miss must not be stored twice: {len}");
+    }
+
+    #[test]
+    fn torn_reads_never_pair_a_key_with_another_keys_value() {
+        // One set, 31 keys (0, h): every insert rewrites the line every
+        // reader is on. Keys are h and distances small, so for many (h₁, h₂)
+        // the word h₁ ⊕ d₁ ⊕ d₂ is a third queried key h₃ with d₃ ≠ d₂ — a
+        // `key ⊕ value` tag read across a racing insert would verify d₂ for
+        // h₃. The seqlock discards such reads.
+        let c = cached(32, 1);
+        assert_eq!(c.stats().capacity, WAYS, "one set");
+        let d = |h: usize| c.inner().try_query(0, h).unwrap().raw();
+        let aliases = |h1: usize, h2: usize| {
+            let h3 = h1 ^ (d(h1) ^ d(h2)) as usize;
+            h1 != h2 && (1..32).contains(&h3) && h3 != h2 && d(h3) != d(h2)
+        };
+        assert!((1..32).any(|h1| (1..32).any(|h2| aliases(h1, h2))), "fixture has no alias");
+        let keys: Vec<(usize, usize)> = (1..32).map(|h| (0, h)).collect();
+        let total = hammer(&c, &keys, 20_000);
+        let (hits, misses, len) = counts(&c);
+        assert!(hits > 0 && hits + misses == total && len <= WAYS, "{hits} + {misses}, {len}");
     }
 
     #[test]
     fn try_query_rejects_out_of_range_and_poisons_nothing() {
         let c = cached(16, 64);
-        assert!(matches!(
-            c.try_query(0, 16),
-            Err(crate::OracleError::QueryOutOfRange { u: 0, v: 16, n: 16 })
-        ));
+        let refused = c.try_query(0, 16);
+        assert!(matches!(refused, Err(OracleError::QueryOutOfRange { u: 0, v: 16, n: 16 })));
         assert!(c.try_query_batch(&[(0, 1), (16, 0)]).is_err());
-        // The rejection touched no shard lock and no counter...
-        let stats = c.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        // ...and the cache still serves normally afterwards.
+        assert_eq!(counts(&c), (0, 0, 0), "a rejection touches neither table nor counter");
         assert_eq!(c.try_query(0, 1).unwrap(), c.inner().try_query(0, 1).unwrap());
     }
 
     #[test]
     fn concurrent_queries_are_consistent() {
+        // Four threads push one batch through a cache far smaller than its
+        // working set: inserts and evictions race on every set.
         let c = cached(32, 128);
         let pairs: Vec<(usize, usize)> = (0..4096).map(|i| (i % 32, (i * 17 + 3) % 32)).collect();
-        let batch = c.try_query_batch(&pairs).unwrap();
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            assert_eq!(batch[i], c.inner().try_query(u, v).unwrap());
-        }
-        let stats = c.stats();
-        assert_eq!(stats.hits + stats.misses, 4096);
+        let expected = c.inner().try_query_batch(&pairs).unwrap();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| assert_eq!(c.try_query_batch(&pairs).unwrap(), expected));
+            }
+        });
+        let (hits, misses, len) = counts(&c);
+        assert!(hits + misses == 4 * 4096 && len <= c.stats().capacity, "{:?}", c.stats());
     }
 
     #[test]
     fn cache_stacks_over_a_shard_router() {
         // The cache is generic over the backend: fronting a ShardRouter
         // gives the router tier the pair cache the monolith always had.
-        let oracle = build(24);
+        let oracle = cached(24, 0).into_inner();
         let router = ShardedArtifact::partition(&oracle, 3).unwrap().into_router().unwrap();
         let c = CachingOracle::new(router, 512);
-        for u in 0..24 {
-            for v in 0..24 {
-                assert_eq!(
-                    c.try_query(u, v).unwrap(),
-                    oracle.try_query(u, v).unwrap(),
-                    "({u},{v})"
-                );
-            }
-        }
-        let stats = c.stats();
-        assert!(stats.hits > 0, "diagonal + symmetric revisits must hit");
-        assert_eq!(c.inner().n(), 24);
+        sweep(&c);
+        assert_eq!(c.try_query(5, 20).unwrap(), oracle.try_query(5, 20).unwrap());
+        assert!(c.stats().hits > 0, "diagonal + symmetric revisits must hit");
     }
 
     #[test]
-    fn hottest_keys_are_mru_first_and_warm_replays_them() {
+    fn hottest_keys_are_newest_first_and_warm_replays_them() {
         let c = cached(32, 2048);
-        // Touch 40 pairs, then re-touch a "hot" subset so it is most recent.
-        for i in 0..40 {
-            c.try_query(i % 32, (i * 7 + 1) % 32).unwrap();
-        }
-        let hot: Vec<(usize, usize)> = (0..6).map(|i| (i, (i * 7 + 1) % 32)).collect();
-        for &(u, v) in &hot {
-            c.try_query(u, v).unwrap();
-        }
+        let pairs: Vec<(usize, usize)> = (0..40).map(|i| (i % 32, (i * 7 + 1) % 32)).collect();
+        c.try_query_batch(&pairs).unwrap();
+        // Every resident pair is offered, once, in canonical form.
         let keys = c.hottest_keys(1024);
-        assert!(!keys.is_empty());
-        // Every hot pair must appear among the hottest keys (canonicalized).
-        for &(u, v) in &hot {
-            let canon = CachingOracle::<DistanceOracle>::key(u, v);
-            assert!(
-                keys.iter().any(|&(a, b)| CachingOracle::<DistanceOracle>::key(a, b) == canon),
-                "hot pair ({u},{v}) missing from hottest_keys"
-            );
-        }
-        // A bounded ask returns exactly that many.
-        assert_eq!(c.hottest_keys(3).len(), 3);
+        let offered: HashSet<u64> = keys.iter().map(|&(u, v)| key(u, v)).collect();
+        assert_eq!(offered, pairs.iter().map(|&(u, v)| key(u, v)).collect());
+        assert_eq!(keys.len(), offered.len());
+        assert_eq!(c.hottest_keys(3).len(), 3, "a bounded ask returns exactly that many");
 
-        // Replay into a fresh cache over the same artifact: the warmed
-        // pairs hit without ever missing, and warm-up itself counted
-        // neither hits nor misses.
+        // Replayed into a fresh cache over the same artifact, the warmed
+        // pairs all hit, and warm-up itself counted neither hits nor misses.
         let fresh = CachingOracle::new(c.inner().clone(), 2048);
-        let warmed = fresh.warm(&keys);
-        assert_eq!(warmed, keys.len());
-        assert_eq!(fresh.stats().hits, 0);
-        assert_eq!(fresh.stats().misses, 0);
-        assert_eq!(fresh.stats().len, keys.len());
-        for &(u, v) in &keys {
-            fresh.try_query(u, v).unwrap();
-        }
-        let stats = fresh.stats();
-        assert_eq!(stats.misses, 0, "warmed keys must all hit");
-        assert_eq!(stats.hits, keys.len() as u64);
-
+        assert_eq!(fresh.warm(&keys), keys.len());
+        assert_eq!(counts(&fresh), (0, 0, keys.len()));
+        fresh.try_query_batch(&keys).unwrap();
+        assert_eq!(counts(&fresh), (keys.len() as u64, 0, keys.len()), "warmed keys must hit");
         // Warming again is a no-op; out-of-range donors are skipped.
         assert_eq!(fresh.warm(&keys), 0);
         assert_eq!(fresh.warm(&[(0, 99), (99, 0)]), 0);

@@ -28,15 +28,17 @@
 //!   `3·(1+ε)·d(u, v)` otherwise (routing through the nearest landmark).
 //!   Queries take `O(log k)` time, need only `&self`, and are lock-free
 //!   (see *Query contract* below).
-//! * [`DistanceOracle::try_query_batch`] shards a batch across std threads
-//!   (the seam where a rayon pool or async front-end plugs in later).
+//! * [`DistanceOracle::try_query_batch`] answers a batch serially on the
+//!   calling thread — a serving worker is already one of a pool. A caller
+//!   that wants fan-out wraps `pairs.chunks(..)` in its own
+//!   `std::thread::scope`.
 //! * [`QueryBackend`] is the object-safe serving contract every tier
 //!   implements — monolithic oracle, shard router, and any cache over
 //!   either — so a serving layer holds one `Box<dyn QueryBackend>` and
 //!   never branches on which it is fronting. See `docs/BACKENDS.md`.
-//! * [`CachingOracle`] adds a bounded, sharded LRU result cache — over
-//!   **any** [`QueryBackend`], not just the monolith — with hit/miss
-//!   counters for repeated-query traffic and a warm-up API
+//! * [`CachingOracle`] adds a bounded, lock-free, set-associative result
+//!   cache — over **any** [`QueryBackend`], not just the monolith — with
+//!   hit/miss counters for repeated-query traffic and a warm-up API
 //!   ([`CachingOracle::hottest_keys`] / [`CachingOracle::warm`]) so a hot
 //!   reload does not restart from a cold cache.
 //! * [`serde::to_bytes`] / [`serde::from_bytes`] snapshot a built oracle so

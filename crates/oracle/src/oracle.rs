@@ -451,12 +451,10 @@ impl DistanceOracle {
         nearer_landmark(self.via_landmark(u, v), self.via_landmark(v, u))
     }
 
-    /// Answers a batch of queries, sharding the work across available CPU
-    /// cores with scoped std threads.
-    ///
-    /// (The container this workspace builds in has no rayon; std threads
-    /// over contiguous shards are the stand-in and the seam where a proper
-    /// work-stealing pool plugs in.)
+    /// Answers a batch of queries in request order, serially on the calling
+    /// thread: a serving worker is already one of a pool, and the kernel is
+    /// nanoseconds per pair. A caller that wants fan-out wraps
+    /// `pairs.chunks(..)` in its own `std::thread::scope`.
     ///
     /// Every pair is validated up front, so either the whole batch is
     /// answered or nothing is computed.
@@ -468,23 +466,7 @@ impl DistanceOracle {
         for &(u, v) in pairs {
             check_pair(self.n(), u, v)?;
         }
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        // Small batches are not worth the spawn cost.
-        if threads <= 1 || pairs.len() < 1024 {
-            return Ok(pairs.iter().map(|&(u, v)| self.query_unchecked(u, v)).collect());
-        }
-        let shard = pairs.len().div_ceil(threads);
-        let mut out = vec![Dist::INF; pairs.len()];
-        std::thread::scope(|scope| {
-            for (chunk_in, chunk_out) in pairs.chunks(shard).zip(out.chunks_mut(shard)) {
-                scope.spawn(move || {
-                    for (slot, &(u, v)) in chunk_out.iter_mut().zip(chunk_in) {
-                        *slot = self.query_unchecked(u, v);
-                    }
-                });
-            }
-        });
-        Ok(out)
+        Ok(pairs.iter().map(|&(u, v)| self.query_unchecked(u, v)).collect())
     }
 }
 

@@ -67,7 +67,8 @@ pub struct ServerConfig {
     pub backlog: usize,
     /// Largest accepted request body; anything bigger is a `413`.
     pub max_body_bytes: usize,
-    /// Capacity of the LRU result cache fronting the oracle.
+    /// Capacity of the result cache fronting the oracle (rounded up to
+    /// whole sets; `0` disables it).
     pub cache_capacity: usize,
     /// Per-connection read timeout; an idle keep-alive connection is closed
     /// after this long.

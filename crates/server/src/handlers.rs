@@ -23,6 +23,7 @@
 //! uptime) — so the human view and the scrape view can never disagree
 //! about the same instant.
 
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::{Arc, PoisonError};
 
@@ -126,7 +127,7 @@ impl AppState {
                 200,
                 format!(
                     "{{\"u\":{u},\"v\":{v},\"distance\":{},\"connected\":{}}}",
-                    dist_json(d),
+                    DistJson(d),
                     d.is_finite()
                 ),
             ),
@@ -167,15 +168,14 @@ impl AppState {
                 ),
             },
             Ok(answers) => {
-                let mut body = String::with_capacity(16 + answers.len() * 8);
-                body.push_str("{\"count\":");
-                body.push_str(&answers.len().to_string());
-                body.push_str(",\"distances\":[");
+                let mut body = String::with_capacity(32 + answers.len() * 8);
+                // Writing to a `String` cannot fail.
+                let _ = write!(body, "{{\"count\":{},\"distances\":[", answers.len());
                 for (i, d) in answers.iter().enumerate() {
                     if i > 0 {
                         body.push(',');
                     }
-                    body.push_str(&dist_json(*d));
+                    let _ = write!(body, "{}", DistJson(*d));
                 }
                 body.push_str("]}");
                 Response::json(200, body)
@@ -333,8 +333,16 @@ fn snapshot_obj(info: &SnapshotInfo) -> JsonObject {
     o
 }
 
-fn dist_json(d: Dist) -> String {
-    d.value().map_or_else(|| "null".to_owned(), |x| x.to_string())
+/// A distance as JSON: its value, or `null` when unreachable.
+struct DistJson(Dist);
+
+impl fmt::Display for DistJson {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0.value() {
+            Some(x) => write!(f, "{x}"),
+            None => f.write_str("null"),
+        }
+    }
 }
 
 /// True when the request negotiated the binary batch plane. Matches the
@@ -1097,7 +1105,8 @@ mod tests {
         assert_eq!(s.reloads(), 2, "a 2-shard roll books two swaps");
         let stats = body_str(&s.handle(&get("/stats", &[]))).to_owned();
         assert!(stats.contains("\"mode\":\"router\""), "stats: {stats}");
-        assert!(stats.contains("\"capacity\":64"), "manifest capacity must apply: {stats}");
+        // 64 requested, rounded up to 22 whole three-way sets.
+        assert!(stats.contains("\"capacity\":66"), "manifest capacity must apply: {stats}");
 
         // A manifest-declared capacity is the new default: a later
         // single-shard reload must not silently revert it.
@@ -1116,7 +1125,7 @@ mod tests {
         assert_eq!(s.handle(&req).status, 200);
         let stats = body_str(&s.handle(&get("/stats", &[]))).to_owned();
         assert!(
-            stats.contains("\"capacity\":64"),
+            stats.contains("\"capacity\":66"),
             "manifest capacity must survive a shard reload: {stats}"
         );
 

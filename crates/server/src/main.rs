@@ -112,7 +112,7 @@ OPTIONS:
                         (require the reactor), or poll (force the portable
                         sleep-polling loop); /stats reports the resolved
                         choice as \"transport\"
-    --cache N           LRU result-cache capacity (default 4096, 0 disables;
+    --cache N           result-cache capacity (default 4096, 0 disables;
                         a manifest's cache_capacity takes precedence)
     --seed S            demo build seed (default 7)
     --epsilon E         demo build accuracy, stretch is 3(1+E) (default 0.25)

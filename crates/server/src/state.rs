@@ -130,7 +130,7 @@ impl Metrics {
 }
 
 impl AppState {
-    /// Wraps an artifact already in memory for serving, with an LRU result
+    /// Wraps an artifact already in memory for serving, with a result
     /// cache of `cache_capacity` entries and no default reload source. A
     /// bare [`cc_oracle::DistanceOracle`] converts into a [`LoadedBackend`]
     /// reported as an in-process build; pass [`LoadedBackend::mono`] /

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  exact answers      : {exact_count}/{} (ball hits)", sample.len());
     println!("  worst stretch      : {worst:.3} (guarantee: <= {:.3})", oracle.stretch_bound());
 
-    // Serving: put a bounded LRU cache in front for skewed traffic.
+    // Serving: put a bounded cache in front for skewed traffic.
     let cached = CachingOracle::new(oracle.clone(), 4096);
     for rep in 0..3 {
         for &(u, v) in sample.iter().take(64) {

@@ -1,6 +1,7 @@
 //! The serving-contract suite for the [`QueryBackend`] trait: dispatching
 //! through `Box<dyn QueryBackend>` over every in-repo tier — monolithic
-//! oracle, cached monolith, shard router, cached router — must be
+//! oracle and shard router, bare and behind a result cache of every
+//! interesting capacity (off, one set, evicting, roomy) — must be
 //! **bit-identical** to calling the concrete type directly, for every
 //! pair of every standard graph family (gnp, road_like, disconnected
 //! multi-island), including ∞ for disconnected pairs and the
@@ -29,10 +30,16 @@ fn build(g: &Graph, seed: u64) -> DistanceOracle {
     OracleBuilder::new().epsilon(0.25).seed(seed).build(&mut clique, g).expect("oracle build")
 }
 
+/// Cache capacities every tier is fronted with: pass-through, one entry
+/// asked for (one set got), exactly one set, a few sets that evict
+/// constantly, and room for everything.
+const CACHE_CAPACITIES: [usize; 5] = [0, 1, 3, 64, 4096];
+
 /// Every in-repo backend arrangement over `oracle`, type-erased, with the
-/// label used in failure messages. Shard count 3 keeps same-shard,
-/// adjacent-shard and far-shard pairs in play.
-fn erased_backends(oracle: &DistanceOracle) -> Vec<(&'static str, Box<dyn QueryBackend>)> {
+/// label used in failure messages: the monolith and a router, bare and
+/// behind a cache of each of [`CACHE_CAPACITIES`]. Shard count 3 keeps
+/// same-shard, adjacent-shard and far-shard pairs in play.
+fn erased_backends(oracle: &DistanceOracle) -> Vec<(String, Box<dyn QueryBackend>)> {
     let count = 3.min(oracle.n());
     let router = || {
         ShardedArtifact::partition(oracle, count)
@@ -40,14 +47,15 @@ fn erased_backends(oracle: &DistanceOracle) -> Vec<(&'static str, Box<dyn QueryB
             .into_router()
             .expect("assemble")
     };
-    vec![
-        ("mono", Box::new(oracle.clone())),
-        ("cached-mono", Box::new(CachingOracle::new(oracle.clone(), 4096))),
-        // A zero-capacity (pass-through) cache must also be transparent.
-        ("uncached-mono", Box::new(CachingOracle::new(oracle.clone(), 0))),
-        ("router", Box::new(router())),
-        ("cached-router", Box::new(CachingOracle::new(router(), 4096))),
-    ]
+    let mut backends: Vec<(String, Box<dyn QueryBackend>)> =
+        vec![("mono".into(), Box::new(oracle.clone())), ("router".into(), Box::new(router()))];
+    for capacity in CACHE_CAPACITIES {
+        let mono = CachingOracle::new(oracle.clone(), capacity);
+        backends.push((format!("mono behind cache {capacity}"), Box::new(mono)));
+        let routed = CachingOracle::new(router(), capacity);
+        backends.push((format!("router behind cache {capacity}"), Box::new(routed)));
+    }
+    backends
 }
 
 /// Every pair, twice (the second pass hits the caches), plus the batch
