@@ -1,3 +1,4 @@
+// cc-lint-fixture-path: crates/oracle/src/direct.rs
 // A clock read inside a direct-build phase: the artifact stays the same,
 // but phase timing logic inside the kernel invites time-dependent behavior
 // (retry loops, adaptive cutoffs) that would break the bit-identity

@@ -1,3 +1,4 @@
+// cc-lint-fixture-path: crates/oracle/src/oracle.rs
 // Clocks in a query kernel: the answer (or its side effects) become a
 // function of wall time, breaking router/monolith bit-equivalence.
 fn query(&self, u: usize, v: usize) -> u64 {

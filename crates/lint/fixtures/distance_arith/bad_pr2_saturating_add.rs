@@ -1,3 +1,4 @@
+// cc-lint-fixture-path: crates/oracle/src/oracle.rs
 // The PR 2 bug, verbatim shape: two near-MAX finite distances saturate to
 // exactly u64::MAX — the infinity sentinel — so a connected pair reports as
 // unreachable.

@@ -1,3 +1,4 @@
+// cc-lint-fixture-path: crates/oracle/src/oracle.rs
 // The minimized fixed version: checked_add with the MAX_FINITE_DISTANCE
 // clamp, so overflow lands on the largest finite value, never the sentinel.
 fn query_unchecked(&self, u: usize, v: usize) -> Dist {

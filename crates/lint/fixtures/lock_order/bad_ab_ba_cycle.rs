@@ -1,7 +1,7 @@
 // The minimized two-function lock-order inversion: `ab` takes alpha then
-// beta, `ba` takes beta then alpha. Each function passes lock_discipline
-// (no same-binding double acquisition); only the cross-function order
-// graph sees the deadlock.
+// beta, `ba` takes beta then alpha. Each function is fine on its own (no
+// same-receiver double acquisition); only the cross-function order graph
+// sees the deadlock.
 use std::sync::Mutex;
 
 pub struct Pair {

@@ -1,7 +1,7 @@
 // cc-lint-fixture-path: crates/server/src/handlers.rs
-// A serving entry point two calls away from an expect: no_panic scans
-// only the entry's own file, so the panic hides in the helper chain
-// until the call graph connects them.
+// A serving entry point two calls away from an expect: the panic hides in
+// the helper chain — which in the real workspace may live in a file outside
+// the serving set — until the call graph connects them.
 pub fn handle(req: Request) -> Response {
     render(lookup(req.key))
 }

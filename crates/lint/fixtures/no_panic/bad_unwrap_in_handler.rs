@@ -1,3 +1,4 @@
+// cc-lint-fixture-path: crates/server/src/handlers.rs
 // Panics on the serving path: a poisoned lock or malformed request kills a
 // pool worker instead of degrading to an error response.
 fn handle(state: &AppState, req: &Request) -> Response {

@@ -1,3 +1,4 @@
+// cc-lint-fixture-path: crates/server/src/pool.rs
 // The escape hatch: a reasoned allow-comment suppresses the finding and is
 // recorded in the run summary.
 fn spawn_workers(n: usize) -> Vec<JoinHandle<()>> {

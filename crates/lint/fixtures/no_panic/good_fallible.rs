@@ -1,3 +1,4 @@
+// cc-lint-fixture-path: crates/server/src/handlers.rs
 // The fixed shape: malformed input is a 400, poison is recovered (the data
 // under a cc-serve lock is replaced wholesale, never left half-written).
 fn handle(state: &AppState, req: &Request) -> Response {

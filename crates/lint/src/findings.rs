@@ -1,27 +1,6 @@
-//! Findings, severities and report rendering (human and JSON).
+//! Findings and the report a lint run prints.
 
-use cc_telemetry::{Json, JsonObject};
-
-/// How a finding is treated at exit time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Counts toward a nonzero exit.
-    Deny,
-    /// Printed but never fails the run.
-    Warn,
-}
-
-impl Severity {
-    /// The lowercase display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
-/// One rule violation at a specific location.
+/// One rule violation at a specific location. Every finding fails the run.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// The rule that fired (e.g. `distance_arith`).
@@ -32,12 +11,9 @@ pub struct Finding {
     pub line: u32,
     /// What is wrong and what to do instead.
     pub message: String,
-    /// Severity after CLI `--deny`/`--warn` overrides.
-    pub severity: Severity,
 }
 
-/// An allow-comment that actually suppressed at least one finding, or was
-/// recorded for the summary.
+/// A well-formed allow-comment and what it did this run.
 #[derive(Debug, Clone)]
 pub struct UsedAllow {
     /// File containing the comment, relative to the workspace root.
@@ -55,7 +31,7 @@ pub struct UsedAllow {
 /// A whole lint run: findings (post-suppression) plus the allows in effect.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Surviving findings, in walk order.
+    /// Surviving findings, in rule-catalog order.
     pub findings: Vec<Finding>,
     /// Allow-comments seen in scanned files.
     pub allows: Vec<UsedAllow>,
@@ -64,30 +40,16 @@ pub struct Report {
 }
 
 impl Report {
-    /// Number of deny-severity findings (drives the exit code).
-    pub fn deny_count(&self) -> usize {
-        self.findings.iter().filter(|f| f.severity == Severity::Deny).count()
-    }
-
-    /// Renders the human-readable report.
-    pub fn render_human(&self) -> String {
+    /// Renders the report: one line per finding, a summary, the allows.
+    pub fn render(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
-            out.push_str(&format!(
-                "{}:{}: {}[{}] {}\n",
-                f.file,
-                f.line,
-                f.severity.name(),
-                f.rule,
-                f.message
-            ));
+            out.push_str(&format!("{}:{}: [{}] {}\n", f.file, f.line, f.rule, f.message));
         }
-        let warns = self.findings.len() - self.deny_count();
         out.push_str(&format!(
-            "cc-lint: {} files checked, {} deny, {} warn\n",
+            "cc-lint: {} files checked, {} findings\n",
             self.files_checked,
-            self.deny_count(),
-            warns
+            self.findings.len()
         ));
         if !self.allows.is_empty() {
             out.push_str("allows in effect:\n");
@@ -104,60 +66,20 @@ impl Report {
         }
         out
     }
-
-    /// Renders the machine-readable report via `cc-telemetry`'s JSON writer.
-    pub fn render_json(&self) -> String {
-        let findings: Vec<Json> = self
-            .findings
-            .iter()
-            .map(|f| {
-                let mut o = JsonObject::new();
-                o.set("rule", f.rule)
-                    .set("file", f.file.as_str())
-                    .set("line", u64::from(f.line))
-                    .set("severity", f.severity.name())
-                    .set("message", f.message.as_str());
-                Json::from(o)
-            })
-            .collect();
-        let allows: Vec<Json> = self
-            .allows
-            .iter()
-            .map(|a| {
-                let mut o = JsonObject::new();
-                o.set("file", a.file.as_str())
-                    .set("line", u64::from(a.line))
-                    .set(
-                        "rules",
-                        a.rules.iter().map(|r| Json::from(r.as_str())).collect::<Vec<_>>(),
-                    )
-                    .set("reason", a.reason.as_str())
-                    .set("suppressed", a.suppressed);
-                Json::from(o)
-            })
-            .collect();
-        let mut o = JsonObject::new();
-        o.set("files_checked", self.files_checked)
-            .set("deny", self.deny_count())
-            .set("warn", self.findings.len() - self.deny_count())
-            .set("findings", findings)
-            .set("allows", allows);
-        o.render()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Report {
-        Report {
+    #[test]
+    fn human_report_names_rule_file_line_and_allows() {
+        let report = Report {
             findings: vec![Finding {
                 rule: "sentinel",
                 file: "crates/x/src/a.rs".into(),
                 line: 7,
                 message: "literal `u64::MAX` comparison".into(),
-                severity: Severity::Deny,
             }],
             allows: vec![UsedAllow {
                 file: "crates/x/src/b.rs".into(),
@@ -167,23 +89,10 @@ mod tests {
                 suppressed: 1,
             }],
             files_checked: 2,
-        }
-    }
-
-    #[test]
-    fn human_report_names_rule_file_line_and_allows() {
-        let text = sample().render_human();
-        assert!(text.contains("crates/x/src/a.rs:7: deny[sentinel]"));
-        assert!(text.contains("2 files checked, 1 deny, 0 warn"));
+        };
+        let text = report.render();
+        assert!(text.contains("crates/x/src/a.rs:7: [sentinel] literal"));
+        assert!(text.contains("2 files checked, 1 findings"));
         assert!(text.contains("allow(no_panic) -- startup [1 suppressed]"));
-    }
-
-    #[test]
-    fn json_report_is_well_formed() {
-        let json = sample().render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains(r#""rule":"sentinel""#));
-        assert!(json.contains(r#""files_checked":2"#));
-        assert!(json.contains(r#""suppressed":1"#));
     }
 }

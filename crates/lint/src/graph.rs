@@ -1,6 +1,6 @@
-//! The workspace IR: call resolution, reachability, effective lock sets
-//! and lock-order cycle detection — the back half of the analyzer the
-//! four call-graph rules run on.
+//! The workspace IR every rule runs on: each file's tokens, test mask,
+//! allow-comments and parsed fns, plus call resolution, reachability,
+//! effective lock sets and lock-order cycle detection over all of them.
 //!
 //! Resolution is deliberately conservative in both directions. Method
 //! calls with std-collection names (`insert`, `get`, `next`, ...) never
@@ -13,22 +13,65 @@
 //! same-name dispatch, which is the right trade for deny-by-default
 //! rules — every edge it does draw corresponds to a real possible call.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use crate::parser::{FileIr, FnItem, STD_METHODS};
+use crate::lexer::{lex, test_code_mask, Allow, Token};
+use crate::parser::{parse_fns, FnItem, Site, STD_METHODS};
 
 /// A function's address in the workspace IR.
 pub type FnId = usize;
 
-/// The assembled workspace: every file's IR plus the resolved call graph.
-pub struct WorkspaceIr {
-    /// Per-file IR, in input order.
-    pub files: Vec<FileIr>,
+/// One source file as the rules see it.
+pub struct SourceFile {
+    /// Workspace-relative path with `/` separators.
+    pub path: String,
+    /// The token stream (comments already stripped by the lexer).
+    pub tokens: Vec<Token>,
+    /// One flag per token: true when inside `#[cfg(test)]` code.
+    pub test_mask: Vec<bool>,
+    /// Every `// cc-lint:` comment in the file, well-formed or not.
+    pub allows: Vec<Allow>,
+    /// All recovered functions, including carved-out closures.
+    pub fns: Vec<FnItem>,
+}
+
+impl SourceFile {
+    /// Lexes and parses `src` as the file at `path`.
+    pub fn new(path: &str, src: &str) -> SourceFile {
+        let lexed = lex(src);
+        let test_mask = test_code_mask(&lexed.tokens);
+        let fns = parse_fns(&lexed.tokens, &test_mask);
+        SourceFile {
+            path: path.to_owned(),
+            tokens: lexed.tokens,
+            test_mask,
+            allows: lexed.allows,
+            fns,
+        }
+    }
+}
+
+/// The assembled workspace: every file plus the resolved call graph.
+pub struct Workspace {
+    /// The files, in input order.
+    pub files: Vec<SourceFile>,
     /// Flat function table: `(file index, fn index within file)`.
     pub fn_table: Vec<(usize, usize)>,
     /// Resolved call edges: for each fn, the (callee, call-site line,
     /// lock keys held at the call) triples.
     pub edges: Vec<Vec<Edge>>,
+}
+
+/// A fact in a function reachable from some set of roots.
+pub struct Reached<'a> {
+    /// The file the fact sits in.
+    pub file: &'a str,
+    /// The fact.
+    pub site: &'a Site,
+    /// Qualified fn names from the root to the fn holding the fact (a
+    /// single name when the fact is in a root's own body).
+    pub chain: Vec<String>,
 }
 
 /// One resolved call edge.
@@ -42,9 +85,9 @@ pub struct Edge {
     pub held: Vec<String>,
 }
 
-impl WorkspaceIr {
+impl Workspace {
     /// Assembles the IR and resolves every call site.
-    pub fn build(files: Vec<FileIr>) -> WorkspaceIr {
+    pub fn build(files: Vec<SourceFile>) -> Workspace {
         let mut fn_table: Vec<(usize, usize)> = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             for (ji, _) in file.fns.iter().enumerate() {
@@ -103,7 +146,7 @@ impl WorkspaceIr {
                 }
             }
         }
-        WorkspaceIr { files, fn_table, edges }
+        Workspace { files, fn_table, edges }
     }
 
     /// The function behind an id.
@@ -117,11 +160,10 @@ impl WorkspaceIr {
         &self.files[self.fn_table[id].0].path
     }
 
-    /// Ids of every non-closure fn whose file is in `paths`.
+    /// Ids of every fn, carved-out closures included, whose file is in
+    /// `paths`.
     pub fn fns_in_files(&self, paths: &[&str]) -> Vec<FnId> {
-        (0..self.fn_table.len())
-            .filter(|&id| !self.fn_item(id).is_closure && paths.contains(&self.fn_path(id)))
-            .collect()
+        (0..self.fn_table.len()).filter(|&id| paths.contains(&self.fn_path(id))).collect()
     }
 
     /// BFS from `roots` over call edges. Returns, for each reached fn, the
@@ -139,7 +181,7 @@ impl WorkspaceIr {
         }
         while let Some(id) = queue.pop_front() {
             for e in &self.edges[id] {
-                if let std::collections::btree_map::Entry::Vacant(slot) = seen.entry(e.to) {
+                if let Entry::Vacant(slot) = seen.entry(e.to) {
                     slot.insert(Some((id, e.line)));
                     queue.push_back(e.to);
                 }
@@ -148,44 +190,34 @@ impl WorkspaceIr {
         seen
     }
 
-    /// BFS seeded from the *callees* of `roots` rather than the roots
-    /// themselves. Every reached fn therefore has a parent — including a
-    /// root that some other root calls — which is what `panic_path` needs:
-    /// a root's own body is out of scope, but a root used as a helper is
-    /// back in. (With multiple seeds the parent pointers can form a loop
-    /// between mutually-recursive roots; `chain_to` guards against that.)
-    pub fn reachable_via_call(&self, roots: &[FnId]) -> BTreeMap<FnId, Option<(FnId, u32)>> {
-        let mut seen: BTreeMap<FnId, Option<(FnId, u32)>> = BTreeMap::new();
-        let mut queue: VecDeque<FnId> = VecDeque::new();
-        for &r in roots {
-            for e in &self.edges[r] {
-                if let std::collections::btree_map::Entry::Vacant(slot) = seen.entry(e.to) {
-                    slot.insert(Some((r, e.line)));
-                    queue.push_back(e.to);
+    /// Every fact `facts` selects in a fn reachable from `roots`, once per
+    /// (file, line), with the call chain that reaches it.
+    pub fn reachable_sites(
+        &self,
+        roots: &[FnId],
+        facts: fn(&FnItem) -> &[Site],
+    ) -> Vec<Reached<'_>> {
+        let reached = self.reachable(roots);
+        let mut seen: BTreeSet<(&str, u32)> = BTreeSet::new();
+        let mut out = Vec::new();
+        for &id in reached.keys() {
+            let file = self.fn_path(id);
+            for site in facts(self.fn_item(id)) {
+                if seen.insert((file, site.line)) {
+                    out.push(Reached { file, site, chain: self.chain_to(&reached, id) });
                 }
             }
         }
-        while let Some(id) = queue.pop_front() {
-            for e in &self.edges[id] {
-                if let std::collections::btree_map::Entry::Vacant(slot) = seen.entry(e.to) {
-                    slot.insert(Some((id, e.line)));
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        seen
+        out
     }
 
-    /// The call chain from a BFS root to `id`, as qualified fn names.
-    pub fn chain_to(&self, parents: &BTreeMap<FnId, Option<(FnId, u32)>>, id: FnId) -> Vec<String> {
+    /// The call chain from a BFS root to `id`, as qualified fn names
+    /// (`parents` comes from [`Workspace::reachable`], whose parent
+    /// pointers always lead back to a root).
+    fn chain_to(&self, parents: &BTreeMap<FnId, Option<(FnId, u32)>>, id: FnId) -> Vec<String> {
         let mut chain = vec![self.fn_item(id).qualified_name()];
         let mut cur = id;
-        let mut visited: BTreeSet<FnId> = BTreeSet::new();
-        visited.insert(id);
         while let Some(Some((parent, _))) = parents.get(&cur) {
-            if !visited.insert(*parent) {
-                break;
-            }
             chain.push(self.fn_item(*parent).qualified_name());
             cur = *parent;
         }
@@ -360,19 +392,9 @@ pub fn find_lock_cycles(graph: &BTreeMap<String, BTreeMap<String, LockWitness>>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{lex, test_code_mask};
-    use crate::parser::parse_file;
 
-    fn build(files: &[(&str, &str)]) -> WorkspaceIr {
-        let irs = files
-            .iter()
-            .map(|(path, src)| {
-                let lexed = lex(src);
-                let mask = test_code_mask(&lexed.tokens);
-                parse_file(path, &lexed, &mask)
-            })
-            .collect();
-        WorkspaceIr::build(irs)
+    fn build(files: &[(&str, &str)]) -> Workspace {
+        Workspace::build(files.iter().map(|(path, src)| SourceFile::new(path, src)).collect())
     }
 
     #[test]

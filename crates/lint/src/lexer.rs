@@ -78,10 +78,6 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// All `// cc-lint:` comments found, well-formed or not.
     pub allows: Vec<Allow>,
-    /// 1-based lines of comments that open a safety justification
-    /// (`// SAFETY: ...`). The `unsafe_audit` rule requires one of these
-    /// within a few lines above every `unsafe` site.
-    pub safety_lines: Vec<u32>,
 }
 
 /// Lexes `src` into tokens. Never panics, whatever the input.
@@ -150,8 +146,6 @@ impl Lexer {
         let body = text.trim_start_matches('/').trim_start_matches('!').trim();
         if let Some(rest) = body.strip_prefix("cc-lint:") {
             self.out.allows.push(parse_allow(rest.trim(), line));
-        } else if body.starts_with("SAFETY:") {
-            self.out.safety_lines.push(line);
         }
     }
 
@@ -410,6 +404,13 @@ fn parse_allow(body: &str, line: u32) -> Allow {
 /// Marks tokens that live inside `#[cfg(test)]` modules or functions, so
 /// rules only fire on production code. Returns one flag per token.
 pub fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
+    attr_item_mask(tokens, attr_is_cfg_test)
+}
+
+/// Marks every token of each brace-bodied item carrying an attribute that
+/// `selects` accepts (it sees the tokens between `#[` and `]`), from the
+/// attribute through the item's closing brace. Returns one flag per token.
+pub fn attr_item_mask(tokens: &[Token], selects: fn(&[Token]) -> bool) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0;
     while i < tokens.len() {
@@ -418,8 +419,8 @@ pub fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
                 Some(c) => c,
                 None => break,
             };
-            if attr_is_cfg_test(&tokens[i + 2..close]) {
-                // Skip any further attributes between the cfg and the item.
+            if selects(&tokens[i + 2..close]) {
+                // Skip any further attributes between this one and the item.
                 let mut j = close + 1;
                 while j < tokens.len()
                     && tokens[j].is_punct("#")

@@ -9,21 +9,18 @@
 //! rules (no `syn`; the build image has no registry access) so the next
 //! occurrence fails CI instead of shipping.
 //!
-//! Two analysis tiers share one lexer:
-//!
-//! - **Token rules** ([`rules::Rule`]) see one file's token stream at a
-//!   time — pattern bans like `distance_arith` or `no_panic`.
-//! - **Workspace rules** ([`rules::WorkspaceRule`]) run over the whole
-//!   workspace IR: the parser ([`parser`]) recovers items and per-function
-//!   facts, the graph layer ([`graph`]) resolves calls, and the rules walk
-//!   reachability and lock order across function boundaries
-//!   (`lock_order`, `reactor_blocking`, `unsafe_audit`, `panic_path`).
+//! There is one of everything. The lexer ([`lexer`]) and the parser
+//! ([`parser`]) turn each file into a [`graph::SourceFile`] — tokens, test
+//! mask, allow-comments, functions with their facts — and
+//! [`graph::Workspace`] resolves calls across all of them. Every rule
+//! ([`rules::Rule`]) checks that one workspace, whether it is a pattern ban
+//! over tokens (`distance_arith`, `sentinel`) or a walk over the call graph
+//! (`no_panic`, `lock_order`, `reactor_blocking`). One driver ([`lint`])
+//! runs the registry, applies the allow-comments and polices them; the
+//! fixture corpus goes through it one file at a time.
 //!
 //! See `docs/LINTS.md` for the catalog and `crates/lint/fixtures/` for the
 //! known-bad corpus each rule is proven against.
-//!
-//! Unsafe code is forbidden (`#![forbid(unsafe_code)]`) — the checker
-//! practices what `unsafe_audit` preaches.
 
 #![forbid(unsafe_code)]
 
@@ -34,297 +31,104 @@ pub mod parser;
 pub mod rules;
 pub mod walk;
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::Path;
 
-use findings::{Finding, Report, Severity, UsedAllow};
-use graph::WorkspaceIr;
-use lexer::{lex, test_code_mask, Allow, Lexed};
-use rules::{FileContext, Rule};
+use findings::{Finding, Report, UsedAllow};
+use graph::{SourceFile, Workspace};
+use lexer::Allow;
 
 /// Name of the built-in rule that polices allow-comments themselves.
 pub const ALLOW_HYGIENE: &str = "allow_hygiene";
 
-/// Per-rule severity configuration (default: everything denies).
-#[derive(Debug, Default, Clone)]
-pub struct Config {
-    overrides: BTreeMap<String, Severity>,
-}
-
-impl Config {
-    /// Everything at deny — the CI posture.
-    pub fn deny_all() -> Config {
-        Config::default()
-    }
-
-    /// Sets one rule (or `"all"`) to the given severity.
-    pub fn set(&mut self, rule: &str, severity: Severity) {
-        self.overrides.insert(rule.to_owned(), severity);
-    }
-
-    /// Effective severity for a rule.
-    pub fn severity(&self, rule: &str) -> Severity {
-        self.overrides
-            .get(rule)
-            .or_else(|| self.overrides.get("all"))
-            .copied()
-            .unwrap_or(Severity::Deny)
-    }
-}
-
-/// True if `name` is a known rule name (token, workspace, or hygiene).
+/// True if `name` is a known rule name (the registry's, or hygiene).
 pub fn known_rule(name: &str) -> bool {
-    name == ALLOW_HYGIENE
-        || rules::all_rules().iter().any(|r| r.name() == name)
-        || rules::workspace_rules().iter().any(|r| r.name() == name)
+    name == ALLOW_HYGIENE || rules::all_rules().iter().any(|r| r.name() == name)
 }
 
-/// How a workspace lint run is scoped.
-#[derive(Debug, Default)]
-pub struct LintOptions {
-    /// When set, only findings anchored in these files are reported (the
-    /// `--changed-only` / explicit-path modes). The workspace IR is still
-    /// built from every file passed in, so call-graph rules see the whole
-    /// picture and only the *reporting* is narrowed.
-    pub report_files: Option<BTreeSet<String>>,
-    /// Flag well-formed allow-comments that suppressed nothing this run.
-    /// Only meaningful on full-workspace runs — a narrowed run cannot
-    /// know whether an allow is globally unused.
-    pub enforce_unused_allows: bool,
-}
-
-/// Lints a set of workspace-relative files under `root`: token rules per
-/// file, then the workspace rules over the assembled IR of *all* files.
-pub fn lint_workspace(
-    root: &Path,
-    files: &[PathBuf],
-    config: &Config,
-    opts: &LintOptions,
-) -> Report {
-    let registry = rules::all_rules();
-    let mut report = Report::default();
-    let in_scope = |path: &str| opts.report_files.as_ref().is_none_or(|s| s.contains(path));
-
-    // Lex every file once; token rules only on in-scope files.
-    let mut preps: Vec<(String, Lexed, Vec<bool>)> = Vec::new();
-    let mut raw: Vec<Finding> = Vec::new();
-    for rel in files {
-        let Ok(src) = walk::read_source(root, rel) else {
-            continue;
-        };
-        let path = rel.to_string_lossy().into_owned();
-        let lexed = lex(&src);
-        let mask = test_code_mask(&lexed.tokens);
-        if in_scope(&path) {
-            report.files_checked += 1;
-            let ctx = FileContext { path: &path, tokens: &lexed.tokens, test_mask: &mask };
-            for rule in &registry {
-                if !rule.applies_to(&path) {
-                    continue;
-                }
-                for f in rule.check(&ctx) {
-                    raw.push(Finding {
-                        rule: rule.name(),
-                        file: path.clone(),
-                        line: f.line,
-                        message: f.message,
-                        severity: config.severity(rule.name()),
-                    });
-                }
-            }
-        }
-        preps.push((path, lexed, mask));
+/// Reads every production source file under `root` into the workspace IR.
+///
+/// # Errors
+///
+/// Names the scope-list path the walk did not find, if any: `root` is not
+/// this workspace, or a listed file was renamed and its rule guards nothing.
+pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
+    let files = walk::workspace_files(root)
+        .iter()
+        .filter_map(|rel| Some(SourceFile::new(rel, &walk::read_source(root, rel).ok()?)))
+        .collect();
+    let ws = Workspace::build(files);
+    match rules::missing_scope_file(&ws) {
+        Some(path) => Err(format!(
+            "a rule's scope list names `{path}`, which is not under {}; wrong workspace root, \
+             or the file moved and crates/lint/src/rules/mod.rs did not follow",
+            root.display()
+        )),
+        None => Ok(ws),
     }
-
-    // Workspace pass: parse everything, assemble the graph, run the
-    // call-graph rules, narrow the *reporting* to in-scope files.
-    let irs: Vec<parser::FileIr> =
-        preps.iter().map(|(path, lexed, mask)| parser::parse_file(path, lexed, mask)).collect();
-    let ws = WorkspaceIr::build(irs);
-    for rule in rules::workspace_rules() {
-        for f in rule.check(&ws) {
-            if in_scope(&f.file) {
-                raw.push(Finding {
-                    rule: rule.name(),
-                    file: f.file,
-                    line: f.line,
-                    message: f.message,
-                    severity: config.severity(rule.name()),
-                });
-            }
-        }
-    }
-
-    let allows: Vec<(String, Vec<Allow>)> =
-        preps.into_iter().map(|(path, lexed, _)| (path, lexed.allows)).collect();
-    settle(raw, &allows, config, opts.enforce_unused_allows, &in_scope, &mut report);
-    report
 }
 
-/// True if an allow listing `allowed` suppresses a finding for `rule`.
-/// `panic_path` honors `no_panic` allows: a justified panic site needs one
-/// comment, not one per analysis tier.
-fn allow_covers(allowed: &[String], rule: &str) -> bool {
-    allowed.iter().any(|a| a == rule)
-        || (rule == "panic_path" && allowed.iter().any(|a| a == "no_panic"))
-}
-
-/// Applies allow-comments to raw findings, then reports allow hygiene:
-/// malformed/unknown/reasonless allows always, unused allows when
-/// `enforce_unused` (with the file:line span, so they are removable
-/// one-click).
-fn settle(
-    mut raw: Vec<Finding>,
-    allows: &[(String, Vec<Allow>)],
-    config: &Config,
-    enforce_unused: bool,
-    in_scope: &dyn Fn(&str) -> bool,
-    report: &mut Report,
-) {
-    let mut suppressed: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    raw.retain(|f| {
-        for (fi, (path, file_allows)) in allows.iter().enumerate() {
-            if *path != f.file {
-                continue;
-            }
-            for (ai, a) in file_allows.iter().enumerate() {
-                let covers_line = f.line == a.line || f.line == a.line + 1;
-                if a.well_formed && covers_line && allow_covers(&a.rules, f.rule) {
-                    *suppressed.entry((fi, ai)).or_default() += 1;
-                    return false;
-                }
-            }
+/// Lints a workspace: every rule, then the allow-comments. A well-formed
+/// allow listing a finding's rule, on the finding's line or the line above,
+/// suppresses it; what the allows themselves get wrong — malformed, naming
+/// no known rule, giving no reason, or suppressing nothing (with the
+/// file:line span, so they are removable one-click) — is reported under
+/// [`ALLOW_HYGIENE`].
+pub fn lint(ws: &Workspace) -> Report {
+    let mut findings: Vec<Finding> =
+        rules::all_rules().iter().flat_map(|rule| rule.check(ws)).collect();
+    let mut suppressed: BTreeMap<(&str, u32), usize> = BTreeMap::new();
+    findings.retain(|f| {
+        let covering = ws.files.iter().filter(|file| file.path == f.file).find_map(|file| {
+            let covers = |a: &&Allow| {
+                a.well_formed
+                    && (f.line == a.line || f.line == a.line + 1)
+                    && a.rules.iter().any(|r| r == f.rule)
+            };
+            file.allows.iter().find(covers).map(|a| (file.path.as_str(), a.line))
+        });
+        if let Some(allow) = covering {
+            *suppressed.entry(allow).or_default() += 1;
         }
-        true
+        covering.is_none()
     });
-    report.findings.extend(raw);
-
-    for (fi, (path, file_allows)) in allows.iter().enumerate() {
-        if !in_scope(path) {
-            continue;
-        }
-        for (ai, a) in file_allows.iter().enumerate() {
-            if let Some(problem) = allow_problem(a) {
-                report.findings.push(Finding {
-                    rule: ALLOW_HYGIENE,
-                    file: path.clone(),
-                    line: a.line,
-                    message: problem,
-                    severity: config.severity(ALLOW_HYGIENE),
-                });
-                continue;
-            }
-            let count = suppressed.get(&(fi, ai)).copied().unwrap_or(0);
-            if enforce_unused && count == 0 {
-                report.findings.push(Finding {
-                    rule: ALLOW_HYGIENE,
-                    file: path.clone(),
-                    line: a.line,
-                    message: format!(
-                        "unused allow({}) at {path}:{} — it suppressed nothing this run; \
-                         delete the comment",
+    let mut report = Report { findings, allows: Vec::new(), files_checked: ws.files.len() };
+    for file in &ws.files {
+        for a in &file.allows {
+            let count = suppressed.get(&(file.path.as_str(), a.line)).copied().unwrap_or(0);
+            let malformed = allow_problem(a);
+            let usable = malformed.is_none();
+            let problem = malformed.or_else(|| {
+                (count == 0).then(|| {
+                    format!(
+                        "unused allow({}) at {}:{} — it suppressed nothing this run; delete \
+                         the comment",
                         a.rules.join(", "),
+                        file.path,
                         a.line
-                    ),
-                    severity: config.severity(ALLOW_HYGIENE),
+                    )
+                })
+            });
+            if let Some(message) = problem {
+                report.findings.push(Finding {
+                    rule: ALLOW_HYGIENE,
+                    file: file.path.clone(),
+                    line: a.line,
+                    message,
                 });
             }
-            report.allows.push(UsedAllow {
-                file: path.clone(),
-                line: a.line,
-                rules: a.rules.clone(),
-                reason: a.reason.clone().unwrap_or_default(),
-                suppressed: count,
-            });
+            if usable {
+                report.allows.push(UsedAllow {
+                    file: file.path.clone(),
+                    line: a.line,
+                    rules: a.rules.clone(),
+                    reason: a.reason.clone().unwrap_or_default(),
+                    suppressed: count,
+                });
+            }
         }
     }
-}
-
-/// Lints one in-memory source file with the token rules and appends into
-/// `report`. `only` restricts the registry to one rule and ignores its
-/// path scoping — the fixture runner uses this to point a single rule at
-/// a bad snippet. Workspace rules do not run here; see
-/// [`lint_source_workspace`].
-pub fn lint_source(
-    path: &str,
-    src: &str,
-    registry: &[Box<dyn Rule>],
-    config: &Config,
-    only: Option<&str>,
-    report: &mut Report,
-) {
-    lint_source_opts(path, src, registry, config, only, false, report);
-}
-
-/// [`lint_source`] plus unused-allow enforcement (the allow-hygiene
-/// fixture corpus exercises it).
-fn lint_source_opts(
-    path: &str,
-    src: &str,
-    registry: &[Box<dyn Rule>],
-    config: &Config,
-    only: Option<&str>,
-    enforce_unused: bool,
-    report: &mut Report,
-) {
-    let lexed = lex(src);
-    let mask = test_code_mask(&lexed.tokens);
-    let ctx = FileContext { path, tokens: &lexed.tokens, test_mask: &mask };
-
-    let mut raw: Vec<Finding> = Vec::new();
-    for rule in registry {
-        let in_scope = match only {
-            Some(name) => rule.name() == name, // forced scope for fixtures
-            None => rule.applies_to(path),
-        };
-        if !in_scope {
-            continue;
-        }
-        for f in rule.check(&ctx) {
-            raw.push(Finding {
-                rule: rule.name(),
-                file: path.to_owned(),
-                line: f.line,
-                message: f.message,
-                severity: config.severity(rule.name()),
-            });
-        }
-    }
-    let allows = vec![(path.to_owned(), lexed.allows)];
-    settle(raw, &allows, config, enforce_unused, &|_| true, report);
-}
-
-/// Runs one workspace rule against a single in-memory file (fixture
-/// mode): the file parses into a one-file workspace IR, so call-graph
-/// rules exercise their whole pipeline on a minimized corpus entry.
-pub fn lint_source_workspace(
-    path: &str,
-    src: &str,
-    rule_name: &str,
-    config: &Config,
-    report: &mut Report,
-) {
-    let lexed = lex(src);
-    let mask = test_code_mask(&lexed.tokens);
-    let ir = parser::parse_file(path, &lexed, &mask);
-    let ws = WorkspaceIr::build(vec![ir]);
-    let mut raw: Vec<Finding> = Vec::new();
-    for rule in rules::workspace_rules() {
-        if rule.name() != rule_name {
-            continue;
-        }
-        for f in rule.check(&ws) {
-            raw.push(Finding {
-                rule: rule.name(),
-                file: f.file,
-                line: f.line,
-                message: f.message,
-                severity: config.severity(rule.name()),
-            });
-        }
-    }
-    let allows = vec![(path.to_owned(), lexed.allows)];
-    settle(raw, &allows, config, false, &|_| true, report);
+    report
 }
 
 /// Why an allow-comment is unacceptable, if it is.
@@ -344,99 +148,19 @@ fn allow_problem(a: &Allow) -> Option<String> {
     None
 }
 
-/// A fixture may point path-scoped rules at a real workspace location via
-/// a magic first comment: `// cc-lint-fixture-path: crates/...`.
-fn fixture_path_override(src: &str) -> Option<String> {
-    src.lines()
-        .find_map(|l| l.trim().strip_prefix("// cc-lint-fixture-path:"))
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Runs every rule against its fixture corpus under `fixtures_dir`.
-///
-/// Layout: `fixtures/<rule>/bad_*.rs` must each produce at least one
-/// `<rule>` finding; `fixtures/<rule>/good_*.rs` must produce none.
-/// Workspace-rule directories run through the parser/IR pipeline; a
-/// `// cc-lint-fixture-path:` comment lets a fixture impersonate a real
-/// workspace path for path-scoped rules (serving roots, the unsafe
-/// allowlist). Returns a log plus overall success — the gate that tests
-/// the gate.
-pub fn check_fixtures(fixtures_dir: &Path) -> (String, bool) {
-    let mut log = String::new();
-    let mut ok = true;
-    let mut cases = 0usize;
-    let mut dirs: Vec<PathBuf> = std::fs::read_dir(fixtures_dir)
-        .map(|rd| rd.flatten().map(|e| e.path()).filter(|p| p.is_dir()).collect())
-        .unwrap_or_default();
-    dirs.sort();
-    let registry = rules::all_rules();
-    let ws_rules: Vec<&'static str> = rules::workspace_rules().iter().map(|r| r.name()).collect();
-    for dir in dirs {
-        let rule = dir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        if !known_rule(&rule) {
-            log.push_str(&format!("FAIL {rule}: fixture dir names no known rule\n"));
-            ok = false;
-            continue;
-        }
-        let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .map(|rd| {
-                rd.flatten()
-                    .map(|e| e.path())
-                    .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-                    .collect()
-            })
-            .unwrap_or_default();
-        files.sort();
-        for file in files {
-            let name =
-                file.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-            let Ok(bytes) = std::fs::read(&file) else {
-                log.push_str(&format!("FAIL {rule}/{name}: unreadable\n"));
-                ok = false;
-                continue;
-            };
-            let src = String::from_utf8_lossy(&bytes);
-            let path = fixture_path_override(&src).unwrap_or_else(|| name.clone());
-            let mut report = Report::default();
-            if ws_rules.contains(&rule.as_str()) {
-                lint_source_workspace(&path, &src, &rule, &Config::deny_all(), &mut report);
-            } else {
-                // Force exactly this rule; allow_hygiene always runs (and,
-                // in its own corpus, also enforces unused allows).
-                let only = (rule != ALLOW_HYGIENE).then_some(rule.as_str());
-                let enforce_unused = rule == ALLOW_HYGIENE;
-                lint_source_opts(
-                    &path,
-                    &src,
-                    &registry,
-                    &Config::deny_all(),
-                    only,
-                    enforce_unused,
-                    &mut report,
-                );
-            }
-            let hits = report.findings.iter().filter(|f| f.rule == rule).count();
-            let want_bad = name.starts_with("bad_");
-            let pass = if want_bad { hits > 0 } else { hits == 0 };
-            cases += 1;
-            if pass {
-                log.push_str(&format!("ok   {rule}/{name} ({hits} findings)\n"));
-            } else {
-                ok = false;
-                log.push_str(&format!(
-                    "FAIL {rule}/{name}: expected {} findings, got {hits}\n",
-                    if want_bad { "\u{2265}1" } else { "0" }
-                ));
-                for f in report.findings.iter().filter(|f| f.rule == rule) {
-                    log.push_str(&format!("     {}:{} {}\n", f.file, f.line, f.message));
-                }
-            }
+    #[test]
+    fn an_allow_naming_a_retired_rule_is_a_hygiene_finding() {
+        for retired in ["panic_path", "lock_discipline", "unsafe_audit"] {
+            let src = format!("fn f() {{}} // cc-lint: allow({retired}) -- kept from before\n");
+            let ws = Workspace::build(vec![SourceFile::new("crates/x/src/lib.rs", &src)]);
+            let report = lint(&ws);
+            assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+            assert_eq!(report.findings[0].rule, ALLOW_HYGIENE);
+            assert!(report.findings[0].message.contains(retired));
         }
     }
-    log.push_str(&format!(
-        "cc-lint fixtures: {cases} cases, {}\n",
-        if ok { "all passed" } else { "FAILURES" }
-    ));
-    (log, ok)
 }

@@ -1,109 +1,24 @@
-//! The `cc-lint` binary: walks the workspace (or explicit paths, or the
-//! files changed since `HEAD`), runs the token and workspace rule
-//! catalogs, prints human or JSON reports, and exits nonzero on any
-//! deny-level finding. `--check-fixtures` runs the tool against its own
-//! known-bad corpus — the CI step that proves the gate still fires — and
-//! `--budget-ms` fails the run if the analyzer itself got slow.
+//! The `cc-lint` binary: finds the workspace root above the current
+//! directory, lints every production source file under it against the rule
+//! catalog, prints the report, and exits nonzero on any finding.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
-
-use cc_lint::findings::Severity;
-use cc_lint::{check_fixtures, known_rule, lint_workspace, rules, walk, Config, LintOptions};
 
 const USAGE: &str = "\
 cc-lint: workspace invariant checker
 
 USAGE:
-    cc-lint [--workspace | --changed-only | PATH...] [OPTIONS]
+    cc-lint               lint every production source file of the workspace
+                          around the current directory
+    cc-lint --list-rules  print the rule catalog and exit
 
-OPTIONS:
-    --workspace          lint every production source file under the
-                         workspace root (found by walking up from cwd)
-    --changed-only       lint only files changed since HEAD (git diff +
-                         untracked); the call-graph rules still see the
-                         whole workspace, only reporting is narrowed.
-                         Falls back to --workspace outside a git repo
-    --root DIR           use DIR as the workspace root
-    --deny RULE[,RULE]   treat RULE (or `all`) as deny (the default)
-    --warn RULE[,RULE]   treat RULE (or `all`) as warn (never fails)
-    --json               machine-readable output
-    --budget-ms N        fail (exit 1) if the lint pass itself takes
-                         longer than N milliseconds
-    --list-rules         print the rule catalog and exit
-    --check-fixtures     run the rules against their known-bad fixture
-                         corpus and fail unless every rule fires
-    -h, --help           this text
-
-Exit codes: 0 clean, 1 deny-level findings (or fixture/budget failures), 2 usage.
+Exit codes: 0 clean; 1 findings; 2 a run that checked nothing it can vouch for
+(bad usage, no workspace root, or a rule's scope list names a file that the
+walk did not find).
 ";
-
-struct Cli {
-    workspace: bool,
-    changed_only: bool,
-    root: Option<PathBuf>,
-    paths: Vec<PathBuf>,
-    config: Config,
-    json: bool,
-    budget_ms: Option<u64>,
-    list_rules: bool,
-    fixtures: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        workspace: false,
-        changed_only: false,
-        root: None,
-        paths: Vec::new(),
-        config: Config::deny_all(),
-        json: false,
-        budget_ms: None,
-        list_rules: false,
-        fixtures: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        match arg {
-            "--workspace" => cli.workspace = true,
-            "--changed-only" => cli.changed_only = true,
-            "--json" => cli.json = true,
-            "--list-rules" => cli.list_rules = true,
-            "--check-fixtures" => cli.fixtures = true,
-            "--root" | "--deny" | "--warn" | "--budget-ms" => {
-                i += 1;
-                let value = args.get(i).ok_or_else(|| format!("{arg} needs a value"))?;
-                match arg {
-                    "--root" => cli.root = Some(PathBuf::from(value)),
-                    "--budget-ms" => {
-                        cli.budget_ms =
-                            Some(value.parse().map_err(|_| format!("bad --budget-ms `{value}`"))?);
-                    }
-                    _ => {
-                        let severity =
-                            if arg == "--deny" { Severity::Deny } else { Severity::Warn };
-                        for rule in value.split(',').map(str::trim).filter(|r| !r.is_empty()) {
-                            if rule != "all" && !known_rule(rule) {
-                                return Err(format!("unknown rule `{rule}`"));
-                            }
-                            cli.config.set(rule, severity);
-                        }
-                    }
-                }
-            }
-            "-h" | "--help" => return Err(String::new()),
-            _ if arg.starts_with('-') => return Err(format!("unknown flag `{arg}`")),
-            _ => cli.paths.push(PathBuf::from(arg)),
-        }
-        i += 1;
-    }
-    Ok(cli)
-}
 
 /// Walks up from `start` to the directory whose `Cargo.toml` declares the
 /// workspace.
@@ -111,10 +26,8 @@ fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
         let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if std::fs::read_to_string(&manifest).is_ok_and(|text| text.contains("[workspace]")) {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;
@@ -122,143 +35,42 @@ fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Files changed since HEAD (tracked modifications plus untracked files),
-/// as workspace-relative paths — or `None` when git is unavailable or the
-/// root is not a repository (the caller falls back to a full walk).
-fn changed_files(root: &Path) -> Option<Vec<PathBuf>> {
-    let run = |args: &[&str]| -> Option<Vec<String>> {
-        let out = std::process::Command::new("git").args(args).current_dir(root).output().ok()?;
-        if !out.status.success() {
-            return None;
-        }
-        Some(
-            String::from_utf8_lossy(&out.stdout)
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
-                .map(str::to_owned)
-                .collect(),
-        )
-    };
-    let mut names = run(&["diff", "--name-only", "HEAD"])?;
-    // Untracked production files are usually exactly what is being edited.
-    names.extend(run(&["ls-files", "--others", "--exclude-standard"]).unwrap_or_default());
-    names.sort();
-    names.dedup();
-    Some(
-        names
-            .into_iter()
-            .filter(|n| n.ends_with(".rs"))
-            .map(PathBuf::from)
-            .filter(|p| walk::is_production_path(p) && root.join(p).is_file())
-            .collect(),
-    )
-}
-
 fn main() -> ExitCode {
-    let started = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] => {}
+        ["--list-rules"] => {
+            for rule in cc_lint::rules::all_rules() {
+                println!("{:<18} {}", rule.name(), rule.summary());
             }
-            eprintln!("cc-lint: {msg}");
+            println!(
+                "{:<18} allow-comments must be well-formed, reasoned, and suppress something",
+                cc_lint::ALLOW_HYGIENE
+            );
+            return ExitCode::SUCCESS;
+        }
+        _ => {
             eprint!("{USAGE}");
             return ExitCode::from(2);
         }
-    };
-
-    if cli.list_rules {
-        for rule in rules::all_rules() {
-            println!("{:<18} {}", rule.name(), rule.summary());
-        }
-        for rule in rules::workspace_rules() {
-            println!("{:<18} {}", rule.name(), rule.summary());
-        }
-        println!(
-            "{:<18} allow-comments must be well-formed with a stated reason",
-            cc_lint::ALLOW_HYGIENE
-        );
-        return ExitCode::SUCCESS;
     }
-
-    if cli.fixtures {
-        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        let (log, ok) = check_fixtures(&fixtures);
-        print!("{log}");
-        return if ok { ExitCode::SUCCESS } else { ExitCode::from(1) };
-    }
-
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let root = match cli.root.clone().or_else(|| find_workspace_root(&cwd)) {
-        Some(root) => root,
-        None => {
-            eprintln!("cc-lint: no workspace root found (run inside the repo or pass --root)");
+    let Some(root) = find_workspace_root(&cwd) else {
+        eprintln!("cc-lint: no workspace root found (run inside the repo)");
+        return ExitCode::from(2);
+    };
+    let ws = match cc_lint::load_workspace(&root) {
+        Ok(ws) => ws,
+        Err(msg) => {
+            eprintln!("cc-lint: {msg}");
             return ExitCode::from(2);
         }
     };
-
-    // The IR set is always the full workspace (the call-graph rules need
-    // every edge); `report_files` narrows which findings are *reported*.
-    let all_files = walk::workspace_files(&root);
-    let mut opts = LintOptions::default();
-    if cli.changed_only {
-        match changed_files(&root) {
-            Some(changed) => {
-                opts.report_files = Some(
-                    changed
-                        .iter()
-                        .map(|p| p.to_string_lossy().into_owned())
-                        .collect::<BTreeSet<_>>(),
-                );
-            }
-            None => eprintln!("cc-lint: not a git checkout; falling back to --workspace"),
-        }
-    } else if !cli.workspace && !cli.paths.is_empty() {
-        let scoped: BTreeSet<String> = cli
-            .paths
-            .iter()
-            .map(|p| {
-                // Accept both workspace-relative and cwd-relative paths.
-                if root.join(p).exists() {
-                    p.clone()
-                } else {
-                    cwd.join(p)
-                        .strip_prefix(&root)
-                        .map(Path::to_path_buf)
-                        .unwrap_or_else(|_| p.clone())
-                }
-            })
-            .map(|p| p.to_string_lossy().replace('\\', "/"))
-            .collect();
-        opts.report_files = Some(scoped);
-    }
-    // Unused allows are only decidable when every finding was in scope.
-    opts.enforce_unused_allows = opts.report_files.is_none();
-
-    let report = lint_workspace(&root, &all_files, &cli.config, &opts);
-    if cli.json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    let elapsed = started.elapsed();
-    if let Some(budget) = cli.budget_ms {
-        if elapsed.as_millis() > u128::from(budget) {
-            eprintln!(
-                "cc-lint: run took {}ms, over the {budget}ms budget — the analyzer may not \
-                 become the slowest CI stage",
-                elapsed.as_millis()
-            );
-            return ExitCode::from(1);
-        }
-    }
-    if report.deny_count() > 0 {
-        ExitCode::from(1)
-    } else {
+    let report = cc_lint::lint(&ws);
+    print!("{}", report.render());
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -2,8 +2,7 @@
 //! analyzer.
 //!
 //! A lightweight recursive-descent pass walks one file's tokens and
-//! recovers the items the workspace rules care about — `fn`s (with their
-//! `impl`/`trait` owner), `mod` spans, `unsafe` sites — and, per function,
+//! recovers its `fn`s (with their `impl`/`trait` owner) and, per function,
 //! the facts the call-graph rules consume: every call made (with the lock
 //! guards held at the call site), every lock acquisition and its guard
 //! scope, blocking calls (`thread::sleep`, unbounded `recv`, `join`,
@@ -11,7 +10,7 @@
 //! panicking macros).
 //!
 //! Like the lexer it feeds on, the parser is total: any token soup parses
-//! to *some* `FileIr` without panicking (see `tests/parser_props.rs`).
+//! to *some* list of fns without panicking (see `tests/parser_props.rs`).
 //! Two masks carve regions out of the IR entirely:
 //!
 //! - `#[cfg(test)]` items (the lexer's existing test mask), and
@@ -27,7 +26,7 @@
 //! closure built inside `reactor_loop` from making the whole serving stack
 //! "reachable from the reactor".
 
-use crate::lexer::{matching_bracket, Lexed, Token, TokenKind};
+use crate::lexer::{attr_item_mask, matching_bracket, Token, TokenKind};
 
 /// One lock acquisition inside a function body.
 #[derive(Debug, Clone)]
@@ -62,52 +61,18 @@ pub struct Call {
     pub held: Vec<String>,
 }
 
-/// Why a call is considered blocking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockingKind {
-    /// `thread::sleep(...)` / `std::thread::sleep(...)`.
-    Sleep,
-    /// A no-argument `.recv()` — unbounded channel wait (`try_recv` and
-    /// `recv_timeout` are fine).
-    RecvUnbounded,
-    /// A no-argument `.join()` — waits for another thread.
-    Join,
-    /// A `.wait(...)` call made while a lock guard is held.
-    WaitWhileLocked,
-}
-
-impl BlockingKind {
-    /// Short human name for messages.
-    pub fn describe(self) -> &'static str {
-        match self {
-            BlockingKind::Sleep => "`thread::sleep` blocks the thread",
-            BlockingKind::RecvUnbounded => "unbounded `.recv()` blocks until a sender acts",
-            BlockingKind::Join => "`.join()` blocks until another thread exits",
-            BlockingKind::WaitWhileLocked => "`.wait(...)` called while a lock guard is held",
-        }
-    }
-}
-
-/// A blocking fact inside a function body.
+/// A blocking or panicking expression inside a function body.
 #[derive(Debug, Clone)]
-pub struct BlockingSite {
-    /// What kind of blocking call this is.
-    pub kind: BlockingKind,
+pub struct Site {
     /// 1-based line.
     pub line: u32,
-}
-
-/// A potential panic inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// 1-based line.
-    pub line: u32,
-    /// What panics (`.unwrap()`, `` `panic!` ``, ...), for messages.
+    /// What happens there (`` `.unwrap(...)` ``, `` `thread::sleep` blocks
+    /// the thread ``, ...), for messages.
     pub what: String,
 }
 
 /// One recovered function (or carved-out closure body).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FnItem {
     /// The function name; closures get `{closure@<line>}`.
     pub name: String,
@@ -122,12 +87,12 @@ pub struct FnItem {
     pub calls: Vec<Call>,
     /// Lock acquisitions in the body, in source order.
     pub locks: Vec<LockAcq>,
-    /// Blocking facts in the body.
-    pub blocking: Vec<BlockingSite>,
-    /// Panic facts in the body.
-    pub panics: Vec<PanicSite>,
-    /// Lines of `unsafe` tokens in the body.
-    pub unsafe_lines: Vec<u32>,
+    /// Blocking facts in the body: `thread::sleep`, a no-argument `.recv()`
+    /// or `.join()`, a `.wait(...)` made with a lock guard in hand.
+    pub blocking: Vec<Site>,
+    /// Panic facts in the body: exact `.unwrap()` / `.expect(` methods (so
+    /// `unwrap_or_else` stays legal) and the always-panicking macros.
+    pub panics: Vec<Site>,
 }
 
 impl FnItem {
@@ -138,33 +103,6 @@ impl FnItem {
             None => self.name.clone(),
         }
     }
-}
-
-/// A `mod name { ... }` span, for module-scoped allowlists.
-#[derive(Debug, Clone)]
-pub struct ModSpan {
-    /// The module name.
-    pub name: String,
-    /// First line of the module item.
-    pub start_line: u32,
-    /// Line of the closing brace.
-    pub end_line: u32,
-}
-
-/// Everything the parser recovers from one file.
-#[derive(Debug, Default)]
-pub struct FileIr {
-    /// Workspace-relative path with `/` separators.
-    pub path: String,
-    /// All recovered functions, including carved-out closures.
-    pub fns: Vec<FnItem>,
-    /// Lines of every production (non-test, non-platform-negated)
-    /// `unsafe` token, whether inside a fn or not.
-    pub unsafe_lines: Vec<u32>,
-    /// Lines of `// SAFETY:` comments (from the lexer).
-    pub safety_lines: Vec<u32>,
-    /// `mod` spans, outermost first.
-    pub mods: Vec<ModSpan>,
 }
 
 /// Item keywords the body scanner must not mistake for calls.
@@ -324,32 +262,22 @@ pub const STD_METHODS: &[&str] = &[
     "is_char_boundary",
 ];
 
-/// Parses one lexed file into its IR. `test_mask` is the lexer's
-/// `#[cfg(test)]` mask; platform-negated regions are masked here.
-pub fn parse_file(path: &str, lexed: &Lexed, test_mask: &[bool]) -> FileIr {
-    let toks = &lexed.tokens;
-    let negated = platform_negated_mask(toks);
+/// Recovers every production fn (and carved-out closure) of one token
+/// stream. `test_mask` is the lexer's `#[cfg(test)]` mask; platform-negated
+/// regions are masked here.
+pub fn parse_fns(toks: &[Token], test_mask: &[bool]) -> Vec<FnItem> {
+    let negated = attr_item_mask(toks, attr_is_platform_negated);
     let skip: Vec<bool> =
         (0..toks.len()).map(|i| test_mask.get(i).copied().unwrap_or(false) || negated[i]).collect();
-    let mut ir = FileIr {
-        path: path.to_owned(),
-        safety_lines: lexed.safety_lines.clone(),
-        ..FileIr::default()
-    };
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_ident("unsafe") && !skip[i] {
-            ir.unsafe_lines.push(t.line);
-        }
-    }
-    let mut p = Parser { toks, skip: &skip, ir: &mut ir };
+    let mut p = Parser { toks, skip: &skip, fns: Vec::new() };
     p.items(0, toks.len(), None);
-    ir
+    p.fns
 }
 
 struct Parser<'a> {
     toks: &'a [Token],
     skip: &'a [bool],
-    ir: &'a mut FileIr,
+    fns: Vec<FnItem>,
 }
 
 impl Parser<'_> {
@@ -378,26 +306,14 @@ impl Parser<'_> {
                 let name = impl_owner(&self.toks[i + 1..open]);
                 self.items(open + 1, close.min(end), name.as_deref());
                 i = close.min(end) + 1;
-            } else if t.is_ident("mod") {
-                let name = self.toks.get(i + 1).filter(|n| n.kind == TokenKind::Ident);
-                let Some(name) = name.map(|n| n.text.clone()) else {
-                    i += 1;
-                    continue;
-                };
-                match self.toks.get(i + 2) {
-                    Some(b) if b.is_punct("{") => {
-                        let close = matching_bracket(self.toks, i + 2, "{", "}").unwrap_or(end - 1);
-                        self.ir.mods.push(ModSpan {
-                            name,
-                            start_line: t.line,
-                            end_line: self.toks[close.min(end - 1)].line,
-                        });
-                        // Module fns are free fns: owner resets.
-                        self.items(i + 3, close.min(end), None);
-                        i = close.min(end) + 1;
-                    }
-                    _ => i += 2,
-                }
+            } else if t.is_ident("mod")
+                && self.toks.get(i + 1).is_some_and(|n| n.kind == TokenKind::Ident)
+                && self.toks.get(i + 2).is_some_and(|b| b.is_punct("{"))
+            {
+                // Module fns are free fns: owner resets.
+                let close = matching_bracket(self.toks, i + 2, "{", "}").unwrap_or(end - 1);
+                self.items(i + 3, close.min(end), None);
+                i = close.min(end) + 1;
             } else if t.is_ident("fn") {
                 i = self.fn_item(i, end, owner);
             } else {
@@ -422,9 +338,19 @@ impl Parser<'_> {
             return fn_idx + 1; // `fn(` pointer type or truncated stream
         };
         // Body opens at the first `{` unless a `;` ends the item first
-        // (trait method / extern declaration: no body, no facts).
+        // (trait method / extern declaration: no body, no facts). A `;`
+        // inside brackets is an array length (`-> [u8; 4]`), not the end.
         let mut j = fn_idx + 2;
-        while j < end && !self.toks[j].is_punct("{") && !self.toks[j].is_punct(";") {
+        let mut nest: i64 = 0;
+        while j < end {
+            let t = &self.toks[j];
+            if t.is_punct("(") || t.is_punct("[") {
+                nest += 1;
+            } else if t.is_punct(")") || t.is_punct("]") {
+                nest -= 1;
+            } else if nest <= 0 && (t.is_punct("{") || t.is_punct(";")) {
+                break;
+            }
             j += 1;
         }
         if j >= end || self.toks[j].is_punct(";") {
@@ -435,15 +361,10 @@ impl Parser<'_> {
             name: name_tok.text.clone(),
             owner: owner.map(str::to_owned),
             line: self.toks[fn_idx].line,
-            is_closure: false,
-            calls: Vec::new(),
-            locks: Vec::new(),
-            blocking: Vec::new(),
-            panics: Vec::new(),
-            unsafe_lines: Vec::new(),
+            ..FnItem::default()
         };
         self.body(j + 1, close.min(end), &mut item, owner);
-        self.ir.fns.push(item);
+        self.fns.push(item);
         close.min(end) + 1
     }
 
@@ -494,17 +415,12 @@ impl Parser<'_> {
                     let close = matching_bracket(toks, body_open, "{", "}").unwrap_or(end - 1);
                     let mut closure = FnItem {
                         name: format!("{{closure@{}}}", t.line),
-                        owner: None,
                         line: t.line,
                         is_closure: true,
-                        calls: Vec::new(),
-                        locks: Vec::new(),
-                        blocking: Vec::new(),
-                        panics: Vec::new(),
-                        unsafe_lines: Vec::new(),
+                        ..FnItem::default()
                     };
                     self.body(body_open + 1, close.min(end), &mut closure, owner);
-                    self.ir.fns.push(closure);
+                    self.fns.push(closure);
                     i = close.min(end) + 1;
                     continue;
                 }
@@ -520,18 +436,16 @@ impl Parser<'_> {
                 i += 1;
                 continue;
             }
-            if t.is_ident("unsafe") {
-                item.unsafe_lines.push(t.line);
-                i += 1;
-                continue;
-            }
-            // Lock acquisition: `.lock()` / `.read()` / `.write()` with
-            // empty argument lists.
-            let is_acq = (t.is_ident("lock") || t.is_ident("read") || t.is_ident("write"))
-                && i > 0
+            // `.name(` method syntax, and whether its argument list is empty.
+            let method = i > 0
                 && toks[i - 1].is_punct(".")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(")"));
+                && toks.get(i + 1).is_some_and(|n| n.is_punct("("));
+            let no_args = toks.get(i + 2).is_some_and(|n| n.is_punct(")"));
+            // Lock acquisition: `.lock()` / `.read()` / `.write()` with empty
+            // argument lists, so `io::Read::read(&mut buf)` never matches.
+            let is_acq = method
+                && no_args
+                && (t.is_ident("lock") || t.is_ident("read") || t.is_ident("write"));
             if is_acq && i >= 2 {
                 let (raw, _field) = crate::rules::receiver_key(toks, i - 2);
                 if !raw.is_empty() {
@@ -550,60 +464,42 @@ impl Parser<'_> {
                 continue;
             }
             // Blocking facts.
+            let site = |what: String| Site { line: t.line, what };
             if t.is_ident("sleep")
                 && i >= 2
                 && toks[i - 1].is_punct("::")
                 && toks[i - 2].is_ident("thread")
                 && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
             {
-                item.blocking.push(BlockingSite { kind: BlockingKind::Sleep, line: t.line });
+                item.blocking.push(site("`thread::sleep` blocks the thread".into()));
                 i += 1;
                 continue;
             }
-            let empty_call = |name: &str| {
-                t.is_ident(name)
-                    && i > 0
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.is_punct(")"))
-            };
-            if empty_call("recv") {
-                item.blocking
-                    .push(BlockingSite { kind: BlockingKind::RecvUnbounded, line: t.line });
+            if method && no_args && t.is_ident("recv") {
+                item.blocking.push(site("unbounded `.recv()` blocks until a sender acts".into()));
                 i += 1;
                 continue;
             }
-            if empty_call("join") {
-                item.blocking.push(BlockingSite { kind: BlockingKind::Join, line: t.line });
+            if method && no_args && t.is_ident("join") {
+                item.blocking.push(site("`.join()` blocks until another thread exits".into()));
                 i += 1;
                 continue;
             }
-            if t.is_ident("wait")
-                && i > 0
-                && toks[i - 1].is_punct(".")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                && !guards.is_empty()
-            {
-                item.blocking
-                    .push(BlockingSite { kind: BlockingKind::WaitWhileLocked, line: t.line });
+            if method && t.is_ident("wait") && !guards.is_empty() {
+                item.blocking.push(site("`.wait(...)` called while a lock guard is held".into()));
                 i += 1;
                 continue;
             }
-            // Panic facts: exact `.unwrap()` / `.expect(` methods plus the
-            // always-panicking macros.
-            let panicking_method = (t.is_ident("unwrap") || t.is_ident("expect"))
-                && i > 0
-                && toks[i - 1].is_punct(".")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-            if panicking_method {
-                item.panics.push(PanicSite { line: t.line, what: format!("`.{}(...)`", t.text) });
+            // Panic facts.
+            if method && (t.is_ident("unwrap") || t.is_ident("expect")) {
+                item.panics.push(site(format!("`.{}(...)`", t.text)));
                 i += 1;
                 continue;
             }
             if crate::rules::PANIC_MACROS.contains(&t.text.as_str())
                 && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
             {
-                item.panics.push(PanicSite { line: t.line, what: format!("`{}!`", t.text) });
+                item.panics.push(site(format!("`{}!`", t.text)));
                 i += 2;
                 continue;
             }
@@ -613,7 +509,6 @@ impl Parser<'_> {
                 && !KEYWORDS.contains(&t.text.as_str())
                 && t.text != "drop"
             {
-                let method = i > 0 && toks[i - 1].is_punct(".");
                 let qualifier = (!method
                     && i >= 2
                     && toks[i - 1].is_punct("::")
@@ -731,48 +626,10 @@ fn qualify_lock_key(raw: &str, owner: Option<&str>, fn_name: &str) -> String {
     }
 }
 
-/// Masks items behind platform-negated cfgs (`#[cfg(not(unix))]`, `#[cfg(
-/// not(target_os = "linux"))]`): dead code on the deployment target that
-/// must not contribute call-graph edges. `cfg(not(test))` and friends are
-/// deliberately NOT masked — only negations naming a platform.
-pub fn platform_negated_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("[")) {
-            let Some(close) = matching_bracket(tokens, i + 1, "[", "]") else { break };
-            if attr_is_platform_negated(&tokens[i + 2..close]) {
-                // Skip further attributes, then mask to the item's block end.
-                let mut j = close + 1;
-                while j < tokens.len()
-                    && tokens[j].is_punct("#")
-                    && tokens.get(j + 1).is_some_and(|t| t.is_punct("["))
-                {
-                    match matching_bracket(tokens, j + 1, "[", "]") {
-                        Some(c) => j = c + 1,
-                        None => return mask,
-                    }
-                }
-                let open = (j..tokens.len()).find(|&k| tokens[k].is_punct("{"));
-                if let Some(open) = open {
-                    let end = matching_bracket(tokens, open, "{", "}").unwrap_or(tokens.len() - 1);
-                    for flag in mask.iter_mut().take(end + 1).skip(i) {
-                        *flag = true;
-                    }
-                    i = end + 1;
-                    continue;
-                }
-            }
-            i = close + 1;
-            continue;
-        }
-        i += 1;
-    }
-    mask
-}
-
-/// True for attrs like `cfg(not(unix))`: a `cfg` whose tokens contain
-/// `not` alongside a platform name.
+/// True for attrs like `cfg(not(unix))` or `cfg(not(target_os = "linux"))`:
+/// a `cfg` whose tokens contain `not` alongside a platform name. Items behind
+/// them are dead code on the deployment target and must not contribute
+/// call-graph edges; `cfg(not(test))` and friends are deliberately NOT masked.
 fn attr_is_platform_negated(attr: &[Token]) -> bool {
     const PLATFORMS: &[&str] = &["unix", "windows", "linux", "macos", "target_os", "target_arch"];
     attr.first().is_some_and(|t| t.is_ident("cfg"))
@@ -788,89 +645,82 @@ mod tests {
     use super::*;
     use crate::lexer::{lex, test_code_mask};
 
-    fn parse(src: &str) -> FileIr {
-        let lexed = lex(src);
-        let mask = test_code_mask(&lexed.tokens);
-        parse_file("test.rs", &lexed, &mask)
+    fn parse(src: &str) -> Vec<FnItem> {
+        let toks = lex(src).tokens;
+        parse_fns(&toks, &test_code_mask(&toks))
     }
 
     #[test]
     fn recovers_fns_with_impl_owner() {
-        let ir = parse("impl Foo { fn a(&self) {} }\nfn free() {}\nimpl X for Bar { fn b() {} }");
-        let names: Vec<String> = ir.fns.iter().map(FnItem::qualified_name).collect();
+        let fns = parse("impl Foo { fn a(&self) {} }\nfn free() {}\nimpl X for Bar { fn b() {} }");
+        let names: Vec<String> = fns.iter().map(FnItem::qualified_name).collect();
         assert_eq!(names, vec!["Foo::a", "free", "Bar::b"]);
     }
 
     #[test]
+    fn an_array_length_in_the_signature_does_not_end_the_item() {
+        let fns = parse("fn header(magic: [u8; 4]) -> [u8; 4] { magic.first().unwrap(); magic }");
+        assert_eq!(fns.len(), 1);
+        assert_eq!(fns[0].panics.len(), 1);
+    }
+
+    #[test]
     fn records_calls_with_held_locks() {
-        let ir = parse(
+        let fns = parse(
             "impl S { fn f(&self) { let g = self.m.lock(); helper(); } fn g(&self) { other(); } }",
         );
-        let f = &ir.fns[0];
+        let f = &fns[0];
         assert_eq!(f.locks.len(), 1);
         assert_eq!(f.locks[0].key, "S::self.m");
         let call = f.calls.iter().find(|c| c.name == "helper").unwrap();
         assert_eq!(call.held, vec!["S::self.m"]);
-        let g = &ir.fns[1];
+        let g = &fns[1];
         assert!(g.calls.iter().find(|c| c.name == "other").unwrap().held.is_empty());
     }
 
     #[test]
     fn statement_temporary_guard_dies_at_semicolon() {
-        let ir = parse("fn f(m: M) { m.lock().bump(); after(); }");
-        let f = &ir.fns[0];
-        let after = f.calls.iter().find(|c| c.name == "after").unwrap();
+        let fns = parse("fn f(m: M) { m.lock().bump(); after(); }");
+        let after = fns[0].calls.iter().find(|c| c.name == "after").unwrap();
         assert!(after.held.is_empty(), "temporary guard must not survive its statement");
     }
 
     #[test]
     fn closures_are_carved_out() {
-        let ir = parse("fn f() { run(move |x| { x.unwrap(); }); tail(); }");
-        let f = ir.fns.iter().find(|f| f.name == "f").unwrap();
+        let fns = parse("fn f() { run(move |x| { x.unwrap(); }); tail(); }");
+        let f = fns.iter().find(|f| f.name == "f").unwrap();
         assert!(f.panics.is_empty(), "closure panic must not attach to the builder fn");
         assert!(f.calls.iter().any(|c| c.name == "tail"));
-        let closure = ir.fns.iter().find(|f| f.is_closure).unwrap();
+        let closure = fns.iter().find(|f| f.is_closure).unwrap();
         assert_eq!(closure.panics.len(), 1);
     }
 
     #[test]
     fn platform_negated_items_are_invisible() {
         let src = "#[cfg(not(unix))]\nfn fallback() { std::thread::sleep(d); }\nfn real() {}";
-        let ir = parse(src);
-        assert!(ir.fns.iter().all(|f| f.name != "fallback"));
-        assert!(ir.fns.iter().any(|f| f.name == "real"));
+        let fns = parse(src);
+        assert!(fns.iter().all(|f| f.name != "fallback"));
+        assert!(fns.iter().any(|f| f.name == "real"));
     }
 
     #[test]
     fn blocking_and_panic_facts_are_recorded() {
-        let ir = parse(
+        let fns = parse(
             "fn f(rx: R, h: H) { std::thread::sleep(d); let v = rx.recv(); h.join(); x.expect(\"m\"); panic!(\"no\"); }",
         );
-        let f = &ir.fns[0];
-        let kinds: Vec<BlockingKind> = f.blocking.iter().map(|b| b.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![BlockingKind::Sleep, BlockingKind::RecvUnbounded, BlockingKind::Join]
-        );
-        assert_eq!(f.panics.len(), 2);
+        let blocking: Vec<&str> = fns[0].blocking.iter().map(|b| b.what.as_str()).collect();
+        assert_eq!(blocking.len(), 3, "{blocking:?}");
+        assert!(blocking[0].contains("sleep") && blocking[1].contains("recv"));
+        assert!(blocking[2].contains("join"));
+        assert_eq!(fns[0].panics.len(), 2);
     }
 
     #[test]
     fn wait_is_blocking_only_under_a_guard() {
         let free = parse("fn f(p: P) { p.wait(e); }");
-        assert!(free.fns[0].blocking.is_empty());
+        assert!(free[0].blocking.is_empty());
         let held = parse("fn f(&self, p: P) { let g = self.m.lock(); p.wait(e); }");
-        assert_eq!(held.fns[0].blocking.len(), 1);
-        assert_eq!(held.fns[0].blocking[0].kind, BlockingKind::WaitWhileLocked);
-    }
-
-    #[test]
-    fn mod_spans_and_unsafe_lines() {
-        let src = "mod sys {\n fn f() {\n // SAFETY: fine\n unsafe { x() }\n }\n}";
-        let ir = parse(src);
-        assert_eq!(ir.mods.len(), 1);
-        assert_eq!(ir.mods[0].name, "sys");
-        assert_eq!(ir.unsafe_lines, vec![4]);
-        assert_eq!(ir.safety_lines, vec![3]);
+        assert_eq!(held[0].blocking.len(), 1);
+        assert!(held[0].blocking[0].what.contains("while a lock guard is held"));
     }
 }

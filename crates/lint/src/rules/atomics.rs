@@ -10,7 +10,10 @@
 //! unflagged. Where `Relaxed` is genuinely right, the allow-comment states
 //! why.
 
-use super::{receiver_key, segment_match, FileContext, RawFinding, Rule};
+use super::{receiver_key, scan_tokens, segment_match, Rule};
+use crate::findings::Finding;
+use crate::graph::Workspace;
+use crate::lexer::TokenKind;
 
 /// Atomic methods that take an `Ordering` argument.
 const ATOMIC_METHODS: &[&str] = &[
@@ -44,53 +47,38 @@ impl Rule for AtomicsOrdering {
         "no Ordering::Relaxed on control-flow/depth/shutdown atomics without an annotation"
     }
 
-    fn applies_to(&self, _path: &str) -> bool {
-        true
-    }
-
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<RawFinding> {
-        let mut out = Vec::new();
-        let toks = ctx.tokens;
-        for i in 0..toks.len() {
-            if !ctx.is_code(i) || !toks[i].is_ident("Ordering") {
-                continue;
-            }
-            let relaxed = toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|t| t.is_ident("Relaxed"));
-            if !relaxed {
-                continue;
-            }
-            // Walk back to the atomic method this ordering is an argument
-            // of, stopping at a statement boundary.
-            let mut method = None;
-            for j in (0..i).rev() {
-                let t = &toks[j];
-                if t.is_punct(";") || t.is_punct("{") || t.is_punct("}") {
-                    break;
+    fn check(&self, ws: &Workspace) -> Vec<Finding> {
+        scan_tokens(
+            ws,
+            self.name(),
+            |_| true,
+            |toks, i| {
+                let relaxed = toks[i].is_ident("Ordering")
+                    && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
+                    && toks.get(i + 2).is_some_and(|t| t.is_ident("Relaxed"));
+                if !relaxed {
+                    return None;
                 }
-                if t.kind == crate::lexer::TokenKind::Ident
-                    && ATOMIC_METHODS.contains(&t.text.as_str())
-                    && j > 0
-                    && toks[j - 1].is_punct(".")
-                {
-                    method = Some(j);
-                    break;
-                }
-            }
-            let Some(m) = method else { continue };
-            let (_, field) = receiver_key(toks, m.saturating_sub(2));
-            let Some(name) = field else { continue };
-            if segment_match(&name, CONTROL_SEGMENTS) {
-                out.push(RawFinding {
-                    line: toks[i].line,
-                    message: format!(
-                        "`Ordering::Relaxed` on control-flow atomic `{name}` (the PR 6 \
-                         gauge-race shape); use Acquire/Release/SeqCst, or annotate why \
-                         Relaxed is safe here"
-                    ),
-                });
-            }
-        }
-        out
+                // Walk back to the atomic method this ordering is an argument
+                // of, stopping at a statement boundary.
+                let method = (0..i)
+                    .rev()
+                    .take_while(|&j| {
+                        !(toks[j].is_punct(";") || toks[j].is_punct("{") || toks[j].is_punct("}"))
+                    })
+                    .find(|&j| {
+                        toks[j].kind == TokenKind::Ident
+                            && ATOMIC_METHODS.contains(&toks[j].text.as_str())
+                            && j > 0
+                            && toks[j - 1].is_punct(".")
+                    })?;
+                let (_, field) = receiver_key(toks, method.saturating_sub(2));
+                let name = field.filter(|name| segment_match(name, CONTROL_SEGMENTS))?;
+                Some(format!(
+                    "`Ordering::Relaxed` on control-flow atomic `{name}` (the PR 6 gauge-race \
+                 shape); use Acquire/Release/SeqCst, or annotate why Relaxed is safe here"
+                ))
+            },
+        )
     }
 }

@@ -7,7 +7,9 @@
 //! happen. Build-phase tracing in the same files uses the allow escape
 //! hatch with a stated reason.
 
-use super::{path_in, FileContext, RawFinding, Rule, KERNEL_FILES};
+use super::{scan_tokens, Rule, KERNEL_FILES};
+use crate::findings::Finding;
+use crate::graph::Workspace;
 
 pub struct Determinism;
 
@@ -20,33 +22,25 @@ impl Rule for Determinism {
         "no Instant::now/SystemTime::now in query-kernel files"
     }
 
-    fn applies_to(&self, path: &str) -> bool {
-        path_in(path, KERNEL_FILES)
-    }
-
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<RawFinding> {
-        let mut out = Vec::new();
-        let toks = ctx.tokens;
-        for i in 0..toks.len() {
-            if !ctx.is_code(i) {
-                continue;
-            }
-            let t = &toks[i];
-            let clock = (t.is_ident("Instant") || t.is_ident("SystemTime"))
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|n| n.is_ident("now"));
-            if clock {
-                out.push(RawFinding {
-                    line: t.line,
-                    message: format!(
+    fn check(&self, ws: &Workspace) -> Vec<Finding> {
+        scan_tokens(
+            ws,
+            self.name(),
+            |path| KERNEL_FILES.contains(&path),
+            |toks, i| {
+                let t = &toks[i];
+                let clock = (t.is_ident("Instant") || t.is_ident("SystemTime"))
+                    && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
+                    && toks.get(i + 2).is_some_and(|n| n.is_ident("now"));
+                clock.then(|| {
+                    format!(
                         "`{}::now()` in a query-kernel file breaks answer determinism \
-                         (router/monolith bit-equivalence); move timing to the caller or \
-                         annotate build-phase tracing",
+                     (router/monolith bit-equivalence); move timing to the caller or \
+                     annotate build-phase tracing",
                         t.text
-                    ),
-                });
-            }
-        }
-        out
+                    )
+                })
+            },
+        )
     }
 }

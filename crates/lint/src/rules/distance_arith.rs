@@ -9,9 +9,10 @@
 //! the sentinel.
 
 use super::{
-    next_operand_ident, path_in, prev_operand_ident, segment_match, FileContext, RawFinding, Rule,
-    KERNEL_FILES,
+    next_operand_ident, prev_operand_ident, scan_tokens, segment_match, Rule, KERNEL_FILES,
 };
+use crate::findings::Finding;
+use crate::graph::Workspace;
 
 /// Identifier segments that mark an operand as distance-typed.
 const DISTANCE_SEGMENTS: &[&str] = &[
@@ -39,51 +40,40 @@ impl Rule for DistanceArith {
         "no saturating/wrapping/bare `+` on distances in oracle kernels; use checked_add + MAX_FINITE_DISTANCE clamp"
     }
 
-    fn applies_to(&self, path: &str) -> bool {
-        path_in(path, KERNEL_FILES)
-    }
-
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<RawFinding> {
-        let mut out = Vec::new();
-        for (i, tok) in ctx.tokens.iter().enumerate() {
-            if !ctx.is_code(i) {
-                continue;
-            }
-            let method_banned = (tok.is_ident("saturating_add") || tok.is_ident("wrapping_add"))
-                && i > 0
-                && ctx.tokens[i - 1].is_punct(".");
-            if method_banned {
-                out.push(RawFinding {
-                    line: tok.line,
-                    message: format!(
+    fn check(&self, ws: &Workspace) -> Vec<Finding> {
+        scan_tokens(
+            ws,
+            self.name(),
+            |path| KERNEL_FILES.contains(&path),
+            |toks, i| {
+                let tok = &toks[i];
+                let method_banned = (tok.is_ident("saturating_add")
+                    || tok.is_ident("wrapping_add"))
+                    && i > 0
+                    && toks[i - 1].is_punct(".");
+                if method_banned {
+                    return Some(format!(
                         "`{}` on a distance saturates into the `u64::MAX` infinity sentinel \
-                         (the PR 2 bug); use `checked_add(..).map_or(MAX_FINITE_DISTANCE, \
-                         |s| s.min(MAX_FINITE_DISTANCE))`",
+                     (the PR 2 bug); use `checked_add(..).map_or(MAX_FINITE_DISTANCE, \
+                     |s| s.min(MAX_FINITE_DISTANCE))`",
                         tok.text
-                    ),
-                });
-                continue;
-            }
-            if tok.is_punct("+") || tok.is_punct("+=") {
-                let lhs = (i > 0).then(|| prev_operand_ident(ctx.tokens, i - 1)).flatten();
-                let rhs = next_operand_ident(ctx.tokens, i + 1);
-                let culprit = [lhs, rhs]
+                    ));
+                }
+                if !(tok.is_punct("+") || tok.is_punct("+=")) {
+                    return None;
+                }
+                let lhs = (i > 0).then(|| prev_operand_ident(toks, i - 1)).flatten();
+                let rhs = next_operand_ident(toks, i + 1);
+                let name = [lhs, rhs]
                     .into_iter()
                     .flatten()
-                    .find(|name| segment_match(name, DISTANCE_SEGMENTS));
-                if let Some(name) = culprit {
-                    out.push(RawFinding {
-                        line: tok.line,
-                        message: format!(
-                            "bare `{}` on distance-typed operand `{name}` can overflow into \
-                             the infinity sentinel; use `checked_add` with a \
-                             `MAX_FINITE_DISTANCE` clamp",
-                            tok.text
-                        ),
-                    });
-                }
-            }
-        }
-        out
+                    .find(|n| segment_match(n, DISTANCE_SEGMENTS))?;
+                Some(format!(
+                    "bare `{}` on distance-typed operand `{name}` can overflow into the infinity \
+                 sentinel; use `checked_add` with a `MAX_FINITE_DISTANCE` clamp",
+                    tok.text
+                ))
+            },
+        )
     }
 }

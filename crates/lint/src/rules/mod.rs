@@ -1,114 +1,76 @@
-//! The rule trait, the rule registry, and shared token-pattern helpers.
+//! The rule trait, the rule registry, the scope lists, and shared
+//! token-pattern helpers.
 //!
 //! Every rule is named after the bug class it makes unwritable (see
-//! `docs/LINTS.md` for the catalog with the originating PRs). Rules see one
-//! file at a time as a [`FileContext`]: the token stream, a mask of
-//! `#[cfg(test)]` regions, and the file's workspace-relative path for
-//! scoping decisions.
+//! `docs/LINTS.md` for the catalog with the originating PRs). All rules see
+//! the same thing — the whole [`Workspace`] — and take what they need from
+//! it: the pattern bans walk each in-scope file's tokens ([`scan_tokens`]),
+//! the call-graph rules walk reachability and lock order across function
+//! boundaries.
 
 mod atomics;
 mod determinism;
 mod distance_arith;
 mod lock_order;
-mod locks;
 mod no_panic;
-mod panic_path;
 mod reactor_blocking;
 mod sentinel;
-mod unsafe_audit;
 
-use crate::graph::WorkspaceIr;
+use crate::findings::Finding;
+use crate::graph::Workspace;
 use crate::lexer::{Token, TokenKind};
-
-/// Everything a rule gets to look at for one file.
-pub struct FileContext<'a> {
-    /// Workspace-relative path with `/` separators.
-    pub path: &'a str,
-    /// The token stream (comments already stripped by the lexer).
-    pub tokens: &'a [Token],
-    /// One flag per token: true when inside `#[cfg(test)]` code.
-    pub test_mask: &'a [bool],
-}
-
-impl FileContext<'_> {
-    /// True when token `i` is production (non-test) code.
-    pub fn is_code(&self, i: usize) -> bool {
-        !self.test_mask.get(i).copied().unwrap_or(false)
-    }
-}
-
-/// A violation before severity assignment and allow filtering.
-#[derive(Debug)]
-pub struct RawFinding {
-    /// 1-based line of the offending token.
-    pub line: u32,
-    /// Human explanation, including what to write instead.
-    pub message: String,
-}
 
 /// One named, individually-suppressible invariant.
 pub trait Rule {
-    /// Stable rule name, used in `--deny`/`--warn` and allow-comments.
+    /// Stable rule name, used in allow-comments and fixture directories.
     fn name(&self) -> &'static str;
     /// One-line description for `--list-rules`.
     fn summary(&self) -> &'static str;
-    /// Whether this rule scans the given workspace-relative file.
-    fn applies_to(&self, path: &str) -> bool;
-    /// Scans one file.
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<RawFinding>;
+    /// Checks the assembled workspace.
+    fn check(&self, ws: &Workspace) -> Vec<Finding>;
 }
 
-/// The full rule registry, in catalog order.
+/// The rule registry, in catalog order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(distance_arith::DistanceArith),
         Box::new(sentinel::Sentinel),
         Box::new(no_panic::NoPanic),
         Box::new(atomics::AtomicsOrdering),
-        Box::new(locks::LockDiscipline),
         Box::new(determinism::Determinism),
-    ]
-}
-
-/// A violation found by a workspace rule (it knows its own file).
-#[derive(Debug)]
-pub struct WsFinding {
-    /// Workspace-relative path the finding anchors to.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Human explanation, including the cross-function evidence.
-    pub message: String,
-}
-
-/// A rule that runs once over the whole workspace IR instead of one file
-/// at a time — the call-graph rules.
-pub trait WorkspaceRule {
-    /// Stable rule name, used in `--deny`/`--warn` and allow-comments.
-    fn name(&self) -> &'static str;
-    /// One-line description for `--list-rules`.
-    fn summary(&self) -> &'static str;
-    /// Scans the assembled workspace.
-    fn check(&self, ws: &WorkspaceIr) -> Vec<WsFinding>;
-}
-
-/// The workspace-rule registry, in catalog order.
-pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![
         Box::new(lock_order::LockOrder),
         Box::new(reactor_blocking::ReactorBlocking),
-        Box::new(unsafe_audit::UnsafeAudit),
-        Box::new(panic_path::PanicPath),
     ]
 }
 
-/// Macros that unconditionally panic when reached (shared by `no_panic`,
-/// `panic_path` and the parser's fact extraction).
+/// The shape the pattern bans share: visits every production (non-test)
+/// token of every file `in_scope` accepts and files a `rule` finding, on
+/// that token's line, for each one `check` returns a message for.
+pub fn scan_tokens(
+    ws: &Workspace,
+    rule: &'static str,
+    in_scope: impl Fn(&str) -> bool,
+    check: impl Fn(&[Token], usize) -> Option<String>,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for file in ws.files.iter().filter(|f| in_scope(&f.path)) {
+        for (i, tok) in file.tokens.iter().enumerate() {
+            if file.test_mask[i] {
+                continue;
+            }
+            if let Some(message) = check(&file.tokens, i) {
+                out.push(Finding { rule, file: file.path.clone(), line: tok.line, message });
+            }
+        }
+    }
+    out
+}
+
+/// Macros that unconditionally panic when reached.
 pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// The serving-path files: `no_panic` polices their bodies directly and
-/// `panic_path` treats every function defined in them as a root that must
-/// not *reach* a panic.
+/// The serving-path files: every function and closure defined in them is a
+/// `no_panic` root that must not contain *or reach* a panic.
 pub const SERVING_FILES: &[&str] = &[
     "crates/server/src/handlers.rs",
     "crates/server/src/state.rs",
@@ -132,9 +94,26 @@ pub const KERNEL_FILES: &[&str] = &[
     "crates/oracle/src/direct.rs",
 ];
 
-/// True if `path` is one of the listed workspace-relative files.
-pub fn path_in(path: &str, list: &[&str]) -> bool {
-    list.contains(&path)
+/// The files whose functions make up the reactor dispatch path.
+pub const REACTOR_FILES: &[&str] =
+    &["crates/server/src/reactor.rs", "crates/reactor/src/poller.rs"];
+
+/// The two modules allowed to spell the ∞ sentinel literally: where it is
+/// defined.
+pub const CANONICAL_FILES: &[&str] = &["crates/matrix/src/elem.rs", "crates/oracle/src/oracle.rs"];
+
+/// Every scope list above.
+const SCOPE_LISTS: [&[&str]; 4] = [SERVING_FILES, KERNEL_FILES, REACTOR_FILES, CANONICAL_FILES];
+
+/// The first scope-list entry that is not among the workspace's files. The
+/// lists are plain strings: rename or split a file, or start a run from the
+/// wrong root, and a rule would otherwise silently guard nothing.
+pub fn missing_scope_file(ws: &Workspace) -> Option<&'static str> {
+    SCOPE_LISTS
+        .into_iter()
+        .flatten()
+        .copied()
+        .find(|listed| !ws.files.iter().any(|f| f.path == *listed))
 }
 
 /// True if any `_`-separated segment of `name` (lowercased) is in `pats`,
@@ -245,7 +224,21 @@ fn matching_bracket_rev(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::SourceFile;
     use crate::lexer::lex;
+
+    #[test]
+    fn a_scope_list_naming_a_file_the_walk_did_not_read_is_reported() {
+        let listed = SCOPE_LISTS.concat();
+        let all = |skip: &str| {
+            let files = listed.iter().filter(|p| **p != skip).map(|p| SourceFile::new(p, ""));
+            Workspace::build(files.collect())
+        };
+        assert_eq!(missing_scope_file(&all("")), None);
+        // As after PR 19's split of `handlers.rs`, had the list not followed.
+        assert_eq!(missing_scope_file(&all(SERVING_FILES[1])), Some(SERVING_FILES[1]));
+        assert_eq!(missing_scope_file(&all(CANONICAL_FILES[0])), Some(CANONICAL_FILES[0]));
+    }
 
     #[test]
     fn operand_resolution_takes_the_last_postfix_ident() {

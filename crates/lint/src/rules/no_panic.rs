@@ -1,4 +1,5 @@
-//! Rule `no_panic`: the serving paths never panic.
+//! Rule `no_panic`: the serving paths never panic — in their own bodies or
+//! anywhere they call.
 //!
 //! `cc-serve`'s contract (PR 2) is that malformed input is a `400` and
 //! overload is a `503` — never a worker falling over. A panic in a handler
@@ -6,11 +7,18 @@
 //! takes the whole reload path down with it. `.unwrap()`, `.expect(...)`
 //! and the panicking macros are therefore banned in the request parser,
 //! the connection loop, the request handlers and their state, the worker
-//! pool, the reload plumbing, and the oracle query kernel.
-//! Genuinely-unreachable startup-time cases use the allow escape hatch with
-//! a stated reason.
+//! pool, the reload plumbing, and the oracle query kernel — and in
+//! everything those call: a handler calling into `cache.rs` or
+//! `registry.rs` still dies if the callee `.expect(...)`s. Every function
+//! and every carved-out closure defined in the serving files is a root;
+//! any panic fact in a root's own body or in a function reachable from one
+//! is a finding, anchored at the panic site with the call chain in the
+//! message. Genuinely-unreachable startup-time cases use the allow escape
+//! hatch, at the panic site, with a stated reason.
 
-use super::{path_in, FileContext, RawFinding, Rule, PANIC_MACROS, SERVING_FILES};
+use super::{Rule, SERVING_FILES};
+use crate::findings::Finding;
+use crate::graph::Workspace;
 
 pub struct NoPanic;
 
@@ -20,51 +28,35 @@ impl Rule for NoPanic {
     }
 
     fn summary(&self) -> &'static str {
-        "no .unwrap()/.expect()/panic! in serving paths (handlers, state, http parser, connection loop, pool, reload, reactor, query kernel, frame codec)"
+        "no .unwrap()/.expect()/panic! in, or reachable from, the serving paths (handlers, state, http parser, connection loop, pool, reload, reactor, query kernel, frame codec)"
     }
 
-    fn applies_to(&self, path: &str) -> bool {
-        path_in(path, SERVING_FILES)
-    }
-
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<RawFinding> {
-        let mut out = Vec::new();
-        let toks = ctx.tokens;
-        for i in 0..toks.len() {
-            if !ctx.is_code(i) {
-                continue;
-            }
-            let t = &toks[i];
-            // `.unwrap()` / `.expect(`: exact method names only, so
-            // `unwrap_or` / `unwrap_or_else` stay legal.
-            let panicking_method = (t.is_ident("unwrap") || t.is_ident("expect"))
-                && i > 0
-                && toks[i - 1].is_punct(".")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-            if panicking_method {
-                out.push(RawFinding {
-                    line: t.line,
+    fn check(&self, ws: &Workspace) -> Vec<Finding> {
+        let roots = ws.fns_in_files(SERVING_FILES);
+        ws.reachable_sites(&roots, |f| &f.panics)
+            .into_iter()
+            .map(|r| {
+                let route = if r.chain.len() > 1 {
+                    format!(
+                        "is reachable from serving entry `{}` (call chain {})",
+                        r.chain[0],
+                        r.chain.join(" -> ")
+                    )
+                } else {
+                    format!("sits on a serving path, in `{}`", r.chain[0])
+                };
+                Finding {
+                    rule: self.name(),
+                    file: r.file.to_owned(),
+                    line: r.site.line,
                     message: format!(
-                        "`.{}(...)` can panic on a serving path (poisoning locks, killing \
-                         pool workers); return an error, use `unwrap_or_else`, or recover \
-                         from poison with `PoisonError::into_inner`",
-                        t.text
+                        "{} can panic and {route}; a panic here kills a pool worker — and \
+                         poisons any lock held — return an error, degrade to an error \
+                         response, or recover from poison with `PoisonError::into_inner`",
+                        r.site.what
                     ),
-                });
-                continue;
-            }
-            let panicking_macro = PANIC_MACROS.contains(&t.text.as_str())
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("!"));
-            if panicking_macro {
-                out.push(RawFinding {
-                    line: t.line,
-                    message: format!(
-                        "`{}!` panics on a serving path; degrade to an error response instead",
-                        t.text
-                    ),
-                });
-            }
-        }
-        out
+                }
+            })
+            .collect()
     }
 }

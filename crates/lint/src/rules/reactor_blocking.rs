@@ -9,19 +9,16 @@
 //! reactor files as a root and walks the resolved call graph: any
 //! blocking fact in a reachable function is a finding, with the call
 //! chain from the root named in the message. Worker-pool handler bodies
-//! are closures and closures get no incoming edges, so work the reactor
-//! merely *schedules* is not "reachable from the reactor".
+//! are closures: closures are not roots here and get no incoming edges, so
+//! work the reactor merely *schedules* is not "reachable from the reactor".
 
-use super::{WorkspaceRule, WsFinding};
-use crate::graph::WorkspaceIr;
-
-/// The files whose functions make up the reactor dispatch path.
-pub const REACTOR_FILES: &[&str] =
-    &["crates/server/src/reactor.rs", "crates/reactor/src/poller.rs"];
+use super::{Rule, REACTOR_FILES};
+use crate::findings::Finding;
+use crate::graph::Workspace;
 
 pub struct ReactorBlocking;
 
-impl WorkspaceRule for ReactorBlocking {
+impl Rule for ReactorBlocking {
     fn name(&self) -> &'static str {
         "reactor_blocking"
     }
@@ -30,37 +27,28 @@ impl WorkspaceRule for ReactorBlocking {
         "no sleep/unbounded recv/join/lock-held wait reachable from the reactor dispatch loop"
     }
 
-    fn check(&self, ws: &WorkspaceIr) -> Vec<WsFinding> {
-        let roots = ws.fns_in_files(REACTOR_FILES);
-        let reached = ws.reachable(&roots);
-        let mut out = Vec::new();
-        let mut seen: std::collections::BTreeSet<(String, u32)> = std::collections::BTreeSet::new();
-        for &id in reached.keys() {
-            let f = ws.fn_item(id);
-            for b in &f.blocking {
-                let file = ws.fn_path(id).to_owned();
-                if !seen.insert((file.clone(), b.line)) {
-                    continue;
-                }
-                let chain = ws.chain_to(&reached, id);
-                let route = if chain.len() > 1 {
-                    format!("reachable from the reactor via {}", chain.join(" -> "))
+    fn check(&self, ws: &Workspace) -> Vec<Finding> {
+        let mut roots = ws.fns_in_files(REACTOR_FILES);
+        roots.retain(|&id| !ws.fn_item(id).is_closure);
+        ws.reachable_sites(&roots, |f| &f.blocking)
+            .into_iter()
+            .map(|r| {
+                let route = if r.chain.len() > 1 {
+                    format!("reachable from the reactor via {}", r.chain.join(" -> "))
                 } else {
-                    format!("on the reactor thread in `{}`", chain[0])
+                    format!("on the reactor thread in `{}`", r.chain[0])
                 };
-                out.push(WsFinding {
-                    file,
-                    line: b.line,
+                Finding {
+                    rule: self.name(),
+                    file: r.file.to_owned(),
+                    line: r.site.line,
                     message: format!(
-                        "{} — {}; every parked connection stalls while the reactor is \
-                         blocked (defer with a deadline and return to the event loop \
-                         instead)",
-                        b.kind.describe(),
-                        route
+                        "{} — {route}; every parked connection stalls while the reactor is \
+                         blocked (defer with a deadline and return to the event loop instead)",
+                        r.site.what
                     ),
-                });
-            }
-        }
-        out
+                }
+            })
+            .collect()
     }
 }

@@ -10,11 +10,9 @@
 //! (`Dist::INF.raw()`, `MAX_FINITE_DISTANCE`) or a locally-documented
 //! `const` marker instead.
 
-use super::{path_in, FileContext, RawFinding, Rule};
-
-/// The two modules allowed to spell the sentinel literally: where it is
-/// defined.
-const CANONICAL: &[&str] = &["crates/matrix/src/elem.rs", "crates/oracle/src/oracle.rs"];
+use super::{scan_tokens, Rule, CANONICAL_FILES};
+use crate::findings::Finding;
+use crate::graph::Workspace;
 
 /// Operators that make an adjacent `u64::MAX` a comparison (match arms
 /// count: `u64::MAX => ...` is a comparison in disguise).
@@ -31,46 +29,39 @@ impl Rule for Sentinel {
         "no literal u64::MAX comparisons outside the canonical constants modules"
     }
 
-    fn applies_to(&self, path: &str) -> bool {
-        !path_in(path, CANONICAL)
-    }
-
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<RawFinding> {
-        let mut out = Vec::new();
-        let toks = ctx.tokens;
-        for i in 0..toks.len() {
-            if !ctx.is_code(i) || !toks[i].is_ident("u64") {
-                continue;
-            }
-            let is_max = toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|t| t.is_ident("MAX"));
-            if !is_max {
-                continue;
-            }
-            // Extend over an optional `- 1` so `u64::MAX - 1 == x` is seen
-            // as one literal.
-            let mut end = i + 2;
-            if toks.get(end + 1).is_some_and(|t| t.is_punct("-"))
-                && toks.get(end + 2).is_some_and(|t| t.text == "1")
-            {
-                end += 2;
-            }
-            let before = i.checked_sub(1).and_then(|j| toks.get(j));
-            let after = toks.get(end + 1);
-            let compared = [before, after]
-                .into_iter()
-                .flatten()
-                .any(|t| COMPARISONS.contains(&t.text.as_str()));
-            if compared {
-                out.push(RawFinding {
-                    line: toks[i].line,
-                    message: "comparison against literal `u64::MAX` restates the infinity \
-                              encoding inline; compare against `Dist::INF.raw()`, \
-                              `MAX_FINITE_DISTANCE`, or a named local sentinel const"
-                        .to_owned(),
-                });
-            }
-        }
-        out
+    fn check(&self, ws: &Workspace) -> Vec<Finding> {
+        scan_tokens(
+            ws,
+            self.name(),
+            |path| !CANONICAL_FILES.contains(&path),
+            |toks, i| {
+                let is_max = toks[i].is_ident("u64")
+                    && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
+                    && toks.get(i + 2).is_some_and(|t| t.is_ident("MAX"));
+                if !is_max {
+                    return None;
+                }
+                // Extend over an optional `- 1` so `u64::MAX - 1 == x` is seen
+                // as one literal.
+                let mut end = i + 2;
+                if toks.get(end + 1).is_some_and(|t| t.is_punct("-"))
+                    && toks.get(end + 2).is_some_and(|t| t.text == "1")
+                {
+                    end += 2;
+                }
+                let before = i.checked_sub(1).and_then(|j| toks.get(j));
+                let after = toks.get(end + 1);
+                let compared = [before, after]
+                    .into_iter()
+                    .flatten()
+                    .any(|t| COMPARISONS.contains(&t.text.as_str()));
+                compared.then(|| {
+                    "comparison against literal `u64::MAX` restates the infinity encoding inline; \
+                 compare against `Dist::INF.raw()`, `MAX_FINITE_DISTANCE`, or a named local \
+                 sentinel const"
+                        .to_owned()
+                })
+            },
+        )
     }
 }

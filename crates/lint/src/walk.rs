@@ -6,21 +6,21 @@
 //! whatever idioms they like; the rules police shipping code).
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &[".git", "target", "shim", "fixtures", "tests", "benches", "examples"];
 
 /// Collects workspace source files, returning workspace-relative paths with
 /// `/` separators (stable across platforms for rule scoping and output).
-pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
+pub fn workspace_files(root: &Path) -> Vec<String> {
     let mut files = Vec::new();
     collect(root, root, &mut files);
     files.sort();
     files
 }
 
-fn collect(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
+fn collect(root: &Path, dir: &Path, out: &mut Vec<String>) {
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
         Err(_) => return,
@@ -41,28 +41,16 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// True if a workspace-relative path is production source the walker
-/// would have visited (no path component in the skip list): the
-/// `--changed-only` filter for git-reported paths.
-pub fn is_production_path(rel: &Path) -> bool {
-    rel.components().all(|c| {
-        let name = c.as_os_str().to_string_lossy();
-        !SKIP_DIRS.contains(&name.as_ref())
-    })
-}
-
 /// Rewrites a relative path to use `/` separators.
-fn normalize(rel: &Path) -> PathBuf {
-    let joined = rel
-        .components()
+fn normalize(rel: &Path) -> String {
+    rel.components()
         .map(|c| c.as_os_str().to_string_lossy().into_owned())
         .collect::<Vec<_>>()
-        .join("/");
-    PathBuf::from(joined)
+        .join("/")
 }
 
 /// Reads a source file leniently: invalid UTF-8 is replaced, not fatal.
-pub fn read_source(root: &Path, rel: &Path) -> std::io::Result<String> {
+pub fn read_source(root: &Path, rel: &str) -> std::io::Result<String> {
     let bytes = fs::read(root.join(rel))?;
     Ok(String::from_utf8_lossy(&bytes).into_owned())
 }
@@ -77,10 +65,10 @@ mod tests {
         // levels up (the workspace root) and check the exclusions hold.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let files = workspace_files(&root);
-        assert!(files.iter().any(|f| f.to_string_lossy() == "crates/lint/src/walk.rs"));
-        assert!(!files.iter().any(|f| f.to_string_lossy().contains("shim/")));
-        assert!(!files.iter().any(|f| f.to_string_lossy().contains("fixtures/")));
-        assert!(!files.iter().any(|f| f.to_string_lossy().contains("/tests/")));
-        assert!(!files.iter().any(|f| f.to_string_lossy().contains("target/")));
+        assert!(files.iter().any(|f| f == "crates/lint/src/walk.rs"));
+        assert!(!files.iter().any(|f| f.contains("shim/")));
+        assert!(!files.iter().any(|f| f.contains("fixtures/")));
+        assert!(!files.iter().any(|f| f.contains("/tests/")));
+        assert!(!files.iter().any(|f| f.contains("target/")));
     }
 }

@@ -1,39 +1,94 @@
 //! The gate tests the gate: every rule must fire on its known-bad corpus
 //! (including the literal pre-fix PR 2 and PR 6 code) and stay silent on
-//! the minimized fixed versions. CI runs the same check via
-//! `cc-lint --check-fixtures`.
+//! the minimized fixed versions, and the catalog in `docs/LINTS.md` must
+//! name exactly the rules the binary runs.
+//!
+//! Layout: `fixtures/<rule>/bad_*.rs` must each produce at least one
+//! `<rule>` finding; `fixtures/<rule>/good_*.rs` must produce none. Each
+//! fixture is linted as a one-file workspace by the same driver the binary
+//! uses; a `// cc-lint-fixture-path: crates/...` comment lets it impersonate
+//! a real workspace path for the path-scoped rules (serving roots, kernel
+//! files, the reactor).
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+use cc_lint::findings::Finding;
+use cc_lint::graph::{SourceFile, Workspace};
+
+fn fixtures_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
+}
+
+/// File names directly under `dir`, sorted.
+fn entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// The `rule` findings of `fixtures/<rule>/<name>` linted on its own.
+fn findings_of(rule: &str, name: &str) -> Vec<Finding> {
+    let src = std::fs::read_to_string(fixtures_dir().join(rule).join(name)).expect("fixture");
+    let path = src
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("// cc-lint-fixture-path:"))
+        .map_or(name, str::trim);
+    let ws = Workspace::build(vec![SourceFile::new(path, &src)]);
+    cc_lint::lint(&ws).findings.into_iter().filter(|f| f.rule == rule).collect()
+}
+
+/// Every name the binary knows: the registry plus `allow_hygiene`.
+fn rule_names() -> BTreeSet<String> {
+    let mut names: BTreeSet<String> =
+        cc_lint::rules::all_rules().iter().map(|r| r.name().to_owned()).collect();
+    names.insert(cc_lint::ALLOW_HYGIENE.to_owned());
+    names
+}
 
 #[test]
 fn every_rule_fires_on_bad_and_stays_silent_on_good() {
-    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let (log, ok) = cc_lint::check_fixtures(&fixtures);
-    assert!(ok, "fixture corpus failed:\n{log}");
+    let mut failures = Vec::new();
+    for rule in entries(&fixtures_dir()) {
+        for name in entries(&fixtures_dir().join(&rule)) {
+            let want_bad = name.starts_with("bad_");
+            assert!(want_bad || name.starts_with("good_"), "{rule}/{name}: neither bad_ nor good_");
+            let hits = findings_of(&rule, &name);
+            if want_bad == hits.is_empty() {
+                failures.push(format!("{rule}/{name}: {} findings {hits:?}", hits.len()));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "fixture corpus failed:\n{}", failures.join("\n"));
 }
 
 #[test]
 fn every_rule_has_both_bad_and_good_fixtures() {
-    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let mut names: Vec<&'static str> =
-        cc_lint::rules::all_rules().iter().map(|r| r.name()).collect();
-    names.extend(cc_lint::rules::workspace_rules().iter().map(|r| r.name()));
-    for rule in names {
-        let dir = fixtures.join(rule);
-        let files: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap_or_else(|e| panic!("no fixture dir for rule `{rule}`: {e}"))
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            files.iter().any(|n| n.starts_with("bad_")),
-            "rule `{rule}` has no known-bad fixture"
-        );
-        assert!(
-            files.iter().any(|n| n.starts_with("good_")),
-            "rule `{rule}` has no known-good fixture"
-        );
+    let dirs: BTreeSet<String> = entries(&fixtures_dir()).into_iter().collect();
+    assert_eq!(dirs, rule_names(), "one fixture directory per rule, and no others");
+    for rule in dirs {
+        let files = entries(&fixtures_dir().join(&rule));
+        for prefix in ["bad_", "good_"] {
+            assert!(files.iter().any(|n| n.starts_with(prefix)), "`{rule}` has no {prefix}* file");
+        }
     }
+}
+
+/// The catalog table in `docs/LINTS.md` (rows opening with a back-quoted
+/// rule name) cannot drift from what `--list-rules` prints.
+#[test]
+fn the_documented_catalog_is_the_registry() {
+    let doc = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/LINTS.md");
+    let documented: BTreeSet<String> = std::fs::read_to_string(doc)
+        .expect("docs/LINTS.md")
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split_once('`').map(|(name, _)| name.to_owned()))
+        .collect();
+    assert_eq!(documented, rule_names());
 }
 
 /// Regression pin for the lock-order analysis: the hand-built AB/BA cycle
@@ -42,25 +97,21 @@ fn every_rule_has_both_bad_and_good_fixtures() {
 /// ordering without re-deriving the graph.
 #[test]
 fn lock_order_cycle_message_names_the_full_cycle() {
-    let fixture =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/lock_order/bad_ab_ba_cycle.rs");
-    let src = std::fs::read_to_string(&fixture).expect("fixture readable");
-    let mut report = cc_lint::findings::Report::default();
-    cc_lint::lint_source_workspace(
-        "crates/server/src/pool.rs",
-        &src,
-        "lock_order",
-        &cc_lint::Config::default(),
-        &mut report,
-    );
-    assert_eq!(report.findings.len(), 1, "expected exactly one cycle finding: {report:?}");
-    let f = &report.findings[0];
-    assert_eq!(f.rule, "lock_order");
+    let findings = findings_of("lock_order", "bad_ab_ba_cycle.rs");
+    assert_eq!(findings.len(), 1, "expected exactly one cycle finding: {findings:?}");
     for needle in ["Pair::ab", "Pair::ba", "alpha", "beta", "deadlock"] {
         assert!(
-            f.message.contains(needle),
+            findings[0].message.contains(needle),
             "lock_order message must name `{needle}`; got: {}",
-            f.message
+            findings[0].message
         );
     }
+}
+
+/// Every serving fn is a root, so a panic in one that another calls is
+/// reached twice — in its own body and through the call — and filed once.
+#[test]
+fn a_panic_site_is_filed_once_however_many_roots_reach_it() {
+    let findings = findings_of("no_panic", "bad_root_reached_from_root.rs");
+    assert_eq!(findings.len(), 1, "{findings:?}");
 }

@@ -5,9 +5,8 @@
 //! bytes it is fed, and rule-looking text *inside* strings and comments
 //! never produces findings.
 
-use cc_lint::findings::Report;
+use cc_lint::graph::{SourceFile, Workspace};
 use cc_lint::lexer::{lex, test_code_mask};
-use cc_lint::{lint_source, rules, Config};
 use proptest::prelude::*;
 
 proptest! {
@@ -59,20 +58,14 @@ proptest! {
         } else {
             format!("fn f() {{ // {payload}\n    use_it();\n}}\n")
         };
-        let registry = rules::all_rules();
-        let mut report = Report::default();
-        // Force every rule in turn so path scoping can't mask a leak.
-        for rule in &registry {
-            lint_source(
-                "crates/oracle/src/oracle.rs",
-                &src,
-                &registry,
-                &Config::deny_all(),
-                Some(rule.name()),
-                &mut report,
-            );
+        // Two paths so that scoping cannot mask a leak: the first is a
+        // kernel and a serving file, the second a kernel outside the
+        // sentinel's canonical modules.
+        for path in ["crates/oracle/src/oracle.rs", "crates/oracle/src/shard.rs"] {
+            let ws = Workspace::build(vec![SourceFile::new(path, &src)]);
+            let findings = cc_lint::lint(&ws).findings;
+            prop_assert_eq!(findings.len(), 0, "findings from literal text: {:?}", findings);
         }
-        prop_assert_eq!(report.findings.len(), 0, "findings from literal text: {:?}", report.findings);
     }
 }
 

@@ -8,13 +8,12 @@
 //! impl owner attached, no matter how the surrounding items are shuffled.
 
 use cc_lint::lexer::{lex, test_code_mask};
-use cc_lint::parser::parse_file;
+use cc_lint::parser::{parse_fns, FnItem};
 use proptest::prelude::*;
 
-fn parse(src: &str) -> cc_lint::parser::FileIr {
-    let lexed = lex(src);
-    let mask = test_code_mask(&lexed.tokens);
-    parse_file("crates/x/src/lib.rs", &lexed, &mask)
+fn parse(src: &str) -> Vec<FnItem> {
+    let toks = lex(src).tokens;
+    parse_fns(&toks, &test_code_mask(&toks))
 }
 
 proptest! {
@@ -74,9 +73,8 @@ proptest! {
         if with_impl {
             src.push_str("}\n");
         }
-        let ir = parse(&src);
-        let named: Vec<&str> = ir
-            .fns
+        let fns = parse(&src);
+        let named: Vec<&str> = fns
             .iter()
             .filter(|f| !f.is_closure)
             .map(|f| f.name.as_str())
@@ -88,8 +86,7 @@ proptest! {
                 ITEMS[i].0
             );
             if with_impl {
-                let f = ir
-                    .fns
+                let f = fns
                     .iter()
                     .find(|f| f.name == ITEMS[i].0)
                     .expect("present per assertion above");
@@ -120,7 +117,7 @@ proptest! {
         for _ in 0..extra_close {
             src.push_str("} ");
         }
-        let ir = parse(&src);
-        prop_assert!(ir.fns.iter().any(|f| f.name == "solo"), "solo not recovered");
+        let fns = parse(&src);
+        prop_assert!(fns.iter().any(|f| f.name == "solo"), "solo not recovered");
     }
 }

@@ -80,7 +80,12 @@ impl std::fmt::Display for OracleError {
             OracleError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
             OracleError::CorruptSnapshot { what } => write!(f, "corrupt snapshot: {what}"),
             OracleError::SnapshotVersionMismatch { found, supported } => {
-                write!(f, "snapshot format version {found} is not supported (this build reads v{supported})")
+                write!(
+                    f,
+                    "snapshot format version {found} is not supported (this build reads only \
+                     v{supported}; rebuild the artifact, or rewrite the file with a release that \
+                     still reads v{found})"
+                )
             }
             OracleError::SnapshotChecksumMismatch { stored, computed } => {
                 write!(
@@ -155,9 +160,9 @@ mod tests {
         assert!(corrupt("bad magic").to_string().contains("bad magic"));
         let e = OracleError::QueryOutOfRange { u: 3, v: 99, n: 16 };
         assert_eq!(e.to_string(), "query (3, 99) outside 0..16");
-        let e = OracleError::SnapshotVersionMismatch { found: 7, supported: 2 };
-        assert!(e.to_string().contains("version 7"), "{e}");
-        assert!(e.to_string().contains("v2"), "{e}");
+        let e = OracleError::SnapshotVersionMismatch { found: 2, supported: 3 };
+        assert!(e.to_string().contains("version 2"), "{e}");
+        assert!(e.to_string().contains("only v3"), "{e}");
         let e = OracleError::SnapshotChecksumMismatch { stored: 0xabcd, computed: 0x1234 };
         assert!(e.to_string().contains("000000000000abcd"), "{e}");
         assert!(e.to_string().contains("0000000000001234"), "{e}");

@@ -59,18 +59,17 @@
 //! shard file with [`OracleError::ShardSnapshot`] rather than serving a
 //! slice as a whole artifact.
 //!
-//! **Format v2** (interleaved per-node records, FNV-1a 64) is still *read*
-//! for one release — the `v2` submodule, selected by the version field the
-//! file itself carries and feeding the same validator — and never written;
-//! see the compatibility policy in `docs/SNAPSHOT_FORMAT.md`.
+//! **Format v2** (interleaved per-node records, FNV-1a 64) was read for
+//! the one release after v3 landed and is now refused like any other
+//! version this build does not write:
+//! [`OracleError::SnapshotVersionMismatch`], never a parse; see the
+//! compatibility policy in `docs/SNAPSHOT_FORMAT.md`.
 //!
 //! The pre-versioning v1 layout (magic `b"CCO1"`, no build metadata, no
 //! checksum) is recognized and reported as [`OracleError::LegacySnapshot`].
-//! Its reader (`from_bytes_legacy`) was **removed** after the one-release
-//! migration window promised in `docs/SNAPSHOT_FORMAT.md`; v1 bytes are
-//! now rejected everywhere, never parsed.
-
-mod v2;
+//! Its reader (`from_bytes_legacy`) went the same way after its own
+//! one-release migration window; v1 bytes are rejected everywhere, never
+//! parsed.
 
 use crate::error::corrupt;
 use crate::oracle::{ArtifactSlice, BuildParams, Sections};
@@ -79,8 +78,8 @@ use crate::{DistanceOracle, OracleError};
 
 /// Magic bytes opening a versioned (v2+) snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CCOS";
-/// The snapshot format version this build writes. (It also still reads
-/// version 2 — see the [module docs](self).)
+/// The snapshot format version this build writes, and the only one it
+/// reads.
 pub const SNAPSHOT_VERSION: u32 = 3;
 /// Size of the fixed header in bytes.
 pub const HEADER_LEN: usize = 80;
@@ -102,7 +101,7 @@ const LEGACY_MAGIC: &[u8; 4] = b"CCO1";
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotHeader {
     /// Snapshot format version the file was written in
-    /// ([`SNAPSHOT_VERSION`], or 2 while its reader lasts).
+    /// ([`SNAPSHOT_VERSION`]).
     pub version: u32,
     /// Number of nodes the artifact covers (for a shard: the **parent
     /// artifact**, not just this slice).
@@ -234,9 +233,9 @@ fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes.as_chunks::<4>().0.iter().map(|word| u32::from_le_bytes(*word))
 }
 
-/// A bounds-checked cursor: the header fields, the v3 section boundaries
-/// and the v2 records are all cut from the input through `take`, so no
-/// length a file claims is ever trusted past the bytes present.
+/// A bounds-checked cursor: the header fields and the section boundaries
+/// are all cut from the input through `take`, so no length a file claims
+/// is ever trusted past the bytes present.
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -369,8 +368,7 @@ pub fn to_shard_bytes_created_at(shard: &OracleShard, created_unix_secs: u64) ->
 
 /// The one header parser. `sharded` says which file kind the caller
 /// expects, which fixes the magic and whether the 16 shard-field bytes
-/// follow the fixed 80; the checksum always starts at byte 80, and the
-/// version field picks the hash it was computed with.
+/// follow the fixed 80; the checksum always starts at byte 80.
 fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleError> {
     let mut r = Reader { bytes, at: 0 };
     let magic = r.take(4)?;
@@ -395,16 +393,12 @@ fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleErr
         }
     }
     let version = r.u32()?;
-    let hash: fn(&[u8]) -> u64 = match version {
-        SNAPSHOT_VERSION => checksum64,
-        v2::VERSION => v2::fnv1a,
-        _ => {
-            return Err(OracleError::SnapshotVersionMismatch {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            })
-        }
-    };
+    if version != SNAPSHOT_VERSION {
+        return Err(OracleError::SnapshotVersionMismatch {
+            found: version,
+            supported: SNAPSHOT_VERSION,
+        });
+    }
     let header_len = if sharded { SHARD_HEADER_LEN } else { HEADER_LEN };
     let payload_cap = bytes.len().saturating_sub(header_len);
     let n = r.len("n", payload_cap)?;
@@ -428,7 +422,7 @@ fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleErr
     // The checksum covers everything after itself (shard fields + payload),
     // so corruption in the shard index / count / set id is caught here, not
     // by downstream plan validation alone.
-    let computed = hash(&bytes[HEADER_LEN..]);
+    let computed = checksum64(&bytes[HEADER_LEN..]);
     if computed != checksum {
         return Err(OracleError::SnapshotChecksumMismatch { stored: checksum, computed });
     }
@@ -462,16 +456,11 @@ fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleErr
 }
 
 /// The one decoder: [`parse_header`] (which verifies the checksum), the
-/// payload cut into sections by the reader the file's version names, and
-/// the one constructor that validates them.
+/// payload cut into sections, and the one constructor that validates them.
 fn decode(bytes: &[u8], sharded: bool) -> Result<(SnapshotHeader, ArtifactSlice), OracleError> {
     let header = parse_header(bytes, sharded)?;
     let payload = &bytes[if sharded { SHARD_HEADER_LEN } else { HEADER_LEN }..];
-    let sections = if header.version == v2::VERSION {
-        v2::read_sections(payload, &header)?
-    } else {
-        read_sections(payload, &header)?
-    };
+    let sections = read_sections(payload, &header)?;
     let params = BuildParams {
         n: header.n,
         k: header.k,

@@ -814,28 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn a_v2_snapshot_still_loads_and_reports_its_own_version() {
-        // The one-release reader, seen from the serving tier: the file is
-        // served, and `/stats`' `"version"` says it still needs rewriting.
-        let v2 = Path::new(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/golden/road36_eps025_seed5.v2.ccos"
-        ));
-        let loaded = load_snapshot(v2).unwrap();
-        assert_eq!(loaded.info.version, 2);
-        assert_eq!(loaded.info.build_id, "25f6cc1c14cf25c4");
-        // Rewritten, it is a current-format file of the same artifact under
-        // a new id.
-        let path = temp_dir("v2-rewrite").join("rewritten.snap");
-        write_snapshot(&loaded.artifact, &path).unwrap();
-        let rewritten = load_snapshot(&path).unwrap();
-        assert_eq!(rewritten.info.version, serde::SNAPSHOT_VERSION);
-        assert_eq!(rewritten.artifact, loaded.artifact);
-        assert_ne!(rewritten.info.build_id, loaded.info.build_id);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn corrupt_snapshot_files_are_rejected() {
         let path = temp_dir("garbage").join("garbage.snap");
         std::fs::write(&path, b"definitely not an oracle").unwrap();

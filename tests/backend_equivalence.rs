@@ -138,65 +138,15 @@ fn disconnected_graphs_dispatch_bit_identically_including_infinity() {
 fn near_max_clamped_sums_survive_every_backend() {
     use congested_clique::oracle::serde::from_bytes;
     let w = u64::MAX - 3;
-    // The same artifact written by hand in both formats this build reads:
-    // v2 (proving the one-release reader) and v3.
-    let v2 = from_bytes(&near_max_snapshot(w, w)).expect("v2 snapshot");
+    // Written by hand in the documented snapshot format, so the crafted
+    // oracle flows through the same loader a server would use.
     let v3 = from_bytes(&support::near_max_snapshot_v3(w, w)).expect("v3 snapshot");
-    assert_eq!(v2, v3);
     assert_eq!(v3.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE));
-    check_dispatch_is_bit_identical(&v2);
     check_dispatch_is_bit_identical(&v3);
 
     // The exact-sentinel collision (sum == u64::MAX with no overflow).
     let (w01, w12) = (u64::MAX / 2, u64::MAX / 2 + 1);
-    for bytes in [near_max_snapshot(w01, w12), support::near_max_snapshot_v3(w01, w12)] {
-        let collide = from_bytes(&bytes).expect("snapshot");
-        assert_eq!(collide.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE));
-        check_dispatch_is_bit_identical(&collide);
-    }
-}
-
-/// Serializes the 3-node near-MAX path artifact through the documented
-/// **v2** snapshot byte format (mirroring `tests/shard_equivalence.rs`), so
-/// the hand-crafted oracle flows through the same loader a server would
-/// use; its v3 twin is `support::near_max_snapshot_v3`.
-fn near_max_snapshot(w01: u64, w12: u64) -> Vec<u8> {
-    let mut payload = Vec::new();
-    // landmarks: [1]
-    payload.extend_from_slice(&1u32.to_le_bytes());
-    // nearest landmark per node: (0, w01), (0, 0), (0, w12)
-    for d in [w01, 0, w12] {
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(&d.to_le_bytes());
-    }
-    // balls: each node's singleton {self: 0}
-    for id in 0u32..3 {
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.extend_from_slice(&id.to_le_bytes());
-        payload.extend_from_slice(&0u64.to_le_bytes());
-    }
-    // columns (3×1): w01, 0, w12
-    for c in [w01, 0, w12] {
-        payload.extend_from_slice(&c.to_le_bytes());
-    }
-
-    let mut bytes = Vec::with_capacity(80 + payload.len());
-    bytes.extend_from_slice(b"CCOS");
-    bytes.extend_from_slice(&2u32.to_le_bytes());
-    for field in [3u64, 1, 0.25f64.to_bits(), 1, 0, 0, 0, payload.len() as u64, fnv1a64(&payload)] {
-        bytes.extend_from_slice(&field.to_le_bytes());
-    }
-    bytes.extend_from_slice(&payload);
-    bytes
-}
-
-/// Independent FNV-1a 64 implementation (not the crate's), so a checksum
-/// bug cannot hide by agreeing with itself.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let collide = from_bytes(&support::near_max_snapshot_v3(w01, w12)).expect("snapshot");
+    assert_eq!(collide.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE));
+    check_dispatch_is_bit_identical(&collide);
 }

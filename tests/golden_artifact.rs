@@ -9,14 +9,10 @@
 //! tie-break, a tweaked schedule constant, a serializer change) fails
 //! loudly even if it changes both builders in lockstep.
 //!
-//! Three kinds of fixture live under `tests/golden/`:
+//! Two kinds of fixture live under `tests/golden/`:
 //!
 //! * `road36_eps025_seed5.ccos` / `…shard1of3.ccsh` — the current format
 //!   (v3), which the writer must reproduce exactly;
-//! * `….v2.ccos` / `….v2.ccsh` — the same artifact as the v2 writer left it.
-//!   There is no v2 writer any more, so these are never regenerated: they
-//!   are what the one-release v2 *reader* is tested against, and go when it
-//!   does;
 //! * `road36_eps025_seed5.answers.txt` — every answer of the artifact,
 //!   generated before the v3 layout existed, which every way of obtaining
 //!   the artifact must still give.
@@ -39,9 +35,6 @@ const GOLDEN_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/road36_eps025_seed5.ccos");
 const GOLDEN_SHARD_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/road36_eps025_seed5.shard1of3.ccsh");
-const V2_GOLDEN: &[u8] = include_bytes!("golden/road36_eps025_seed5.v2.ccos");
-const V2_GOLDEN_SHARD: &[u8] = include_bytes!("golden/road36_eps025_seed5.shard1of3.v2.ccsh");
-
 const ANSWERS_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/road36_eps025_seed5.answers.txt");
 
@@ -166,7 +159,6 @@ fn pinned_answers_hold_from_every_side() {
     let mut clique = Clique::new(g.n());
     let via_clique = OracleBuilder::new().seed(5).build(&mut clique, &g).unwrap();
     let loaded = serde::from_bytes(&read_golden()).unwrap();
-    let loaded_v2 = serde::from_bytes(V2_GOLDEN).unwrap();
     // A 3-shard router whose middle slot comes off disk.
     let mut shards = ShardedArtifact::partition(&live, 3).unwrap().into_shards();
     shards[1] =
@@ -174,10 +166,9 @@ fn pinned_answers_hold_from_every_side() {
     let router = ShardRouter::assemble(shards).unwrap();
 
     type Side<'a> = (&'a str, &'a dyn Fn(usize, usize) -> Dist);
-    let sides: [Side; 5] = [
+    let sides: [Side; 4] = [
         ("fresh direct build", &|u, v| live.try_query(u, v).unwrap()),
         ("clique build", &|u, v| via_clique.try_query(u, v).unwrap()),
-        ("committed v2 snapshot through the v2 reader", &|u, v| loaded_v2.try_query(u, v).unwrap()),
         ("committed v3 snapshot", &|u, v| loaded.try_query(u, v).unwrap()),
         ("router with slot 1 from the shard golden", &|u, v| router.try_query(u, v).unwrap()),
     ];
@@ -187,34 +178,17 @@ fn pinned_answers_hold_from_every_side() {
 }
 
 #[test]
-fn v2_goldens_still_load_to_the_same_artifact() {
-    // The one-release reader: the files the v2 writer left behind decode,
-    // under the version their own header carries, to exactly the slices the
-    // fresh build and its partition hold — so re-encoding them gives the v3
-    // goldens.
-    let live = golden_direct_build();
-    let (header, oracle) = serde::from_bytes_with_header(V2_GOLDEN).unwrap();
-    assert_eq!(header.version, 2);
-    assert_eq!(oracle, live);
-    assert_eq!(canonical_bytes(&oracle), read_golden());
-
-    let (header, shard) = serde::from_shard_bytes_with_header(V2_GOLDEN_SHARD).unwrap();
-    assert_eq!(header.version, 2);
-    // The slice is the fresh partition's (the `ArtifactSlice` both deref
-    // to); the slot cannot be, because the ids are the v2 hash's: a v2 and
-    // a v3 file of one build differ in build id and set id, and the
-    // shard's set id is its v2 monolith's.
-    assert_eq!(*shard, *ShardedArtifact::partition(&live, 3).unwrap().into_shards()[1]);
-    assert_eq!((shard.index(), shard.count()), (1, 3));
-    assert_eq!(header.set_build_id(), serde::peek_header(V2_GOLDEN).unwrap().build_id());
-    assert_ne!(header.set_build_id(), serde::peek_header(&read_golden()).unwrap().build_id());
-
-    // So a set cannot mix formats: the v2 file among its v3 siblings is a
-    // named set-id mismatch, not a silently accepted slot.
-    let mut mixed = ShardedArtifact::partition(&live, 3).unwrap().into_shards();
-    mixed[1] = shard;
-    match ShardRouter::assemble(mixed) {
-        Err(OracleError::ShardSetMismatch { what }) => assert!(what.contains("set id"), "{what}"),
-        other => panic!("a mixed v2/v3 set must be refused, got {other:?}"),
-    }
+fn a_version_2_header_is_refused_not_parsed() {
+    // The v2 reader lasted the one release after v3: a file that says it is
+    // version 2 is a version mismatch before any byte after the version
+    // field is looked at — here the rest is a valid v3 file, and equally if
+    // it is cut off right there.
+    let refused = |e| matches!(e, OracleError::SnapshotVersionMismatch { found: 2, supported: 3 });
+    let mut bytes = read_golden();
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    assert!(refused(serde::from_bytes(&bytes).unwrap_err()));
+    assert!(refused(serde::peek_header(&bytes[..8]).unwrap_err()));
+    let mut shard = read_fixture(GOLDEN_SHARD_PATH, canonical_shard_bytes);
+    shard[4..8].copy_from_slice(&2u32.to_le_bytes());
+    assert!(refused(serde::from_shard_bytes(&shard).unwrap_err()));
 }

@@ -154,63 +154,19 @@ proptest! {
     }
 }
 
-/// FNV-1a 64, the v2 checksum specified in `docs/SNAPSHOT_FORMAT.md` —
-/// implemented here independently so the hand-crafted snapshot below really
-/// exercises the documented format, not a re-export of the implementation.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Builds the v2 snapshot bytes for the 3-node path `0 — 1 — 2` with both
-/// edge weights `w` (near `u64::MAX`), `k = 1` and node 1 the only
-/// landmark: the only route for the pair `(0, 2)` is the landmark sum
-/// `w + w`, which overflows and must clamp to `MAX_FINITE_DISTANCE`.
-fn near_max_snapshot(w: u64) -> Vec<u8> {
-    let mut payload = Vec::new();
-    // landmarks: [1]
-    payload.extend_from_slice(&1u32.to_le_bytes());
-    // nearest landmark per node: (0, w), (0, 0), (0, w)
-    for d in [w, 0, w] {
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(&d.to_le_bytes());
-    }
-    // balls: each node's singleton {self: 0}
-    for id in 0u32..3 {
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.extend_from_slice(&id.to_le_bytes());
-        payload.extend_from_slice(&0u64.to_le_bytes());
-    }
-    // columns (3×1): w, 0, w
-    for c in [w, 0, w] {
-        payload.extend_from_slice(&c.to_le_bytes());
-    }
-
-    let mut bytes = Vec::with_capacity(80 + payload.len());
-    bytes.extend_from_slice(b"CCOS");
-    bytes.extend_from_slice(&2u32.to_le_bytes());
-    for field in [3u64, 1, 0.25f64.to_bits(), 1, 0, 0, 0, payload.len() as u64, fnv1a(&payload)] {
-        bytes.extend_from_slice(&field.to_le_bytes());
-    }
-    bytes.extend_from_slice(&payload);
-    bytes
-}
-
+/// The 3-node path `0 — 1 — 2` with both edge weights `w` (near
+/// `u64::MAX`), `k = 1` and node 1 the only landmark, hand-written in the
+/// documented snapshot format: the only route for the pair `(0, 2)` is the
+/// landmark sum `w + w`, which overflows and must clamp to
+/// `MAX_FINITE_DISTANCE`.
 #[test]
 fn near_max_weights_clamp_identically_through_the_router() {
     use congested_clique::matrix::Dist;
     use congested_clique::oracle::MAX_FINITE_DISTANCE;
 
     for w in [u64::MAX - 3, u64::MAX / 2, u64::MAX / 2 + 1] {
-        // Hand-written in both formats this build reads; the v2 bytes go
-        // through the one-release reader and must be the same artifact.
         let oracle =
             serde::from_bytes(&support::near_max_snapshot_v3(w, w)).expect("crafted v3 snapshot");
-        assert_eq!(serde::from_bytes(&near_max_snapshot(w)).expect("crafted v2 snapshot"), oracle);
         // Sanity: the monolith clamps the overflowing landmark sum.
         let expect = w.checked_add(w).map_or(MAX_FINITE_DISTANCE, |s| s.min(MAX_FINITE_DISTANCE));
         assert_eq!(oracle.try_query(0, 2).unwrap(), Dist::fin(expect), "w = {w}");
