@@ -12,14 +12,16 @@
 //!   [`crate::sssp::bellman_ford`] (`O(SPD)` rounds).
 
 use cc_clique::{Clique, Envelope};
+use cc_distance::fixpoint::iterate_to_fixpoint;
 use cc_distance::DistanceError;
 use cc_graph::Graph;
-use cc_matrix::{Dist, MinPlus, SparseMatrix};
+use cc_matrix::{Dist, MinPlus};
 
 use crate::run::Stopwatch;
 use crate::ApspRun;
 
-/// Exact APSP by `⌈log₂ n⌉` dense distance-product squarings —
+/// Exact APSP by at most `⌈log₂ n⌉` dense distance-product squarings (the
+/// loop ends once a squaring changes no row) —
 /// `Õ(n^{1/3})` rounds (\[13\]). Polynomial but exact; the experiments
 /// compare its round growth against the polylogarithmic `(2+ε)`
 /// approximation (E9/E10).
@@ -54,17 +56,16 @@ pub fn exact_apsp_squaring(clique: &mut Clique, graph: &Graph) -> Result<ApspRun
     }
     let watch = Stopwatch::start(clique);
     let dist = clique.with_phase("apsp_squaring", |clique| {
-        let mut x = graph.weight_matrix();
+        let start = graph.weight_matrix().rows().to_vec();
         let squarings = (n.max(2) as f64).log2().ceil() as usize;
-        for _ in 0..squarings {
+        let x = iterate_to_fixpoint(clique, start, squarings, |clique, rows| {
             // Undirected distance matrices are symmetric: columns = rows,
             // so the right operand needs no transpose exchange.
-            let rows = cc_matmul::dense_multiply::<MinPlus>(clique, x.rows(), x.rows())?;
-            x = SparseMatrix::from_rows(rows);
-        }
+            Ok::<_, DistanceError>(cc_matmul::dense_multiply::<MinPlus>(clique, rows, rows)?)
+        })?;
         let mut dist = vec![vec![Dist::INF; n]; n];
-        for (v, row) in dist.iter_mut().enumerate() {
-            for (u, val) in x.row(v).iter() {
+        for (row, held) in dist.iter_mut().zip(&x) {
+            for (u, val) in held.iter() {
                 row[u as usize] = *val;
             }
         }

@@ -5,9 +5,10 @@
 //! pair and every power `W^{2^ℓ}`, a **midpoint** of an optimal
 //! hop-bounded path. Recursing on midpoints reconstructs a full shortest
 //! path with *local* computation only — the distributed part is the same
-//! `⌈log₂ n⌉` squarings as the exact-APSP baseline.
+//! at most `⌈log₂ n⌉` squarings as the exact-APSP baseline.
 
 use cc_clique::Clique;
+use cc_distance::fixpoint::iterate_to_fixpoint;
 use cc_distance::{product_with_witnesses, DistanceError};
 use cc_graph::Graph;
 use cc_matrix::{Dist, SparseRow, WitnessedDist};
@@ -79,7 +80,7 @@ impl ApspPaths {
     }
 }
 
-/// Builds exact all-pairs shortest **paths**: `⌈log₂ n⌉` witnessed
+/// Builds exact all-pairs shortest **paths**: at most `⌈log₂ n⌉` witnessed
 /// squarings of the weight matrix (each a Theorem 8 product over the
 /// witness semiring), after which every node can answer distance *and*
 /// route queries for its row locally.
@@ -114,7 +115,7 @@ pub fn exact_apsp_paths(clique: &mut Clique, graph: &Graph) -> Result<ApspPaths,
     let watch = Stopwatch::start(clique);
     let levels = clique.with_phase("apsp_paths", |clique| {
         let w = graph.weight_matrix();
-        let mut current: Vec<SparseRow<WitnessedDist>> = w
+        let current: Vec<SparseRow<WitnessedDist>> = w
             .rows()
             .iter()
             .map(|row| {
@@ -129,7 +130,9 @@ pub fn exact_apsp_paths(clique: &mut Clique, graph: &Graph) -> Result<ApspPaths,
             .collect();
         let mut levels = vec![current.clone()];
         let squarings = (n.max(2) as f64).log2().ceil() as usize;
-        for _ in 0..squarings {
+        // A squaring that changes no row (witnesses included) ends the loop:
+        // every later table would be a copy of the top one.
+        iterate_to_fixpoint(clique, current, squarings, |clique, current| {
             // Project to plain distances, square with witnesses.
             let plain: Vec<SparseRow<Dist>> = current
                 .iter()
@@ -140,9 +143,9 @@ pub fn exact_apsp_paths(clique: &mut Clique, graph: &Graph) -> Result<ApspPaths,
             // Distance matrices of undirected graphs are symmetric, so the
             // column layout of the right operand equals the row layout.
             let next = product_with_witnesses(clique, &plain, &plain, n)?;
-            current = next;
-            levels.push(current.clone());
-        }
+            levels.push(next.clone());
+            Ok::<_, DistanceError>(next)
+        })?;
         Ok::<_, DistanceError>(levels)
     })?;
     let (rounds, _) = watch.stop(clique);

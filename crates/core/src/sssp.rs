@@ -58,7 +58,9 @@ pub fn bellman_ford(
 
 /// The Bellman-Ford loop on an explicit graph: every iteration, all nodes
 /// broadcast their tentative distance (one word, one round) and relax over
-/// their incident edges. Stops at convergence or after `max_iterations`.
+/// their incident edges. Stops after `max_iterations`, or at convergence as
+/// the nodes can see it: the snapshot just broadcast equals the previous
+/// one, so relaxing over it again changes nothing.
 fn bf_loop(
     clique: &mut Clique,
     graph: &Graph,
@@ -68,10 +70,13 @@ fn bf_loop(
     let n = graph.n();
     let mut dist = vec![Dist::INF; n];
     dist[source] = Dist::ZERO;
+    let mut previous: Option<Vec<u64>> = None;
     for _ in 0..max_iterations {
         let snapshot: Vec<u64> = dist.iter().map(|d| d.raw()).collect();
         let snapshot = clique.all_broadcast(snapshot)?;
-        let mut changed = false;
+        if previous.as_ref() == Some(&snapshot) {
+            break;
+        }
         for v in 0..n {
             for &(u, w) in graph.neighbors(v) {
                 // The snapshot carries raw dist words; decode via from_raw
@@ -80,14 +85,11 @@ fn bf_loop(
                     let cand = Dist::fin(snapshot[u]).checked_add(Dist::fin(w));
                     if cand < dist[v] {
                         dist[v] = cand;
-                        changed = true;
                     }
                 }
             }
         }
-        if !changed {
-            break;
-        }
+        previous = Some(snapshot);
     }
     Ok(dist)
 }

@@ -1,0 +1,208 @@
+//! The hop loops as first written — a fixed number of one-shot products —
+//! kept as the reference the fixpoint loops must equal, row for row, at no
+//! more rounds.
+
+use cc_clique::Clique;
+use cc_graph::{generators, DiGraph, Graph};
+use cc_matmul::layout::transpose_exchange;
+use cc_matrix::{AugDist, AugMinPlus, SparseMatrix, SparseRow};
+
+use crate::source_detection::restrict_to_sources;
+use crate::{k_nearest_matrix, source_detection_all_matrix, source_detection_k_matrix};
+
+type Rows = Vec<SparseRow<AugDist>>;
+
+fn restrict(w: &SparseMatrix<AugDist>, sources: &[usize]) -> SparseMatrix<AugDist> {
+    let in_s: Vec<bool> = (0..w.n()).map(|v| sources.contains(&v)).collect();
+    restrict_to_sources(w, &in_s)
+}
+
+fn source_detection_all_fixed(
+    clique: &mut Clique,
+    w: &SparseMatrix<AugDist>,
+    sources: &[usize],
+    d: usize,
+) -> Rows {
+    let mut u = restrict(w, sources);
+    for _ in 1..d {
+        let u_cols = transpose_exchange::<AugMinPlus>(clique, u.rows()).unwrap();
+        let rows =
+            cc_matmul::sparse_multiply::<AugMinPlus>(clique, w.rows(), &u_cols, sources.len())
+                .unwrap();
+        u = SparseMatrix::from_rows(rows);
+    }
+    u.rows().to_vec()
+}
+
+fn source_detection_k_fixed(
+    clique: &mut Clique,
+    w: &SparseMatrix<AugDist>,
+    sources: &[usize],
+    d: usize,
+    k: usize,
+) -> Rows {
+    let mut x = restrict(w, sources).filtered::<AugMinPlus>(k);
+    for _ in 1..d {
+        let x_cols = transpose_exchange::<AugMinPlus>(clique, x.rows()).unwrap();
+        let rows =
+            cc_matmul::filtered_multiply::<AugMinPlus>(clique, w.rows(), &x_cols, k).unwrap();
+        x = SparseMatrix::from_rows(rows);
+    }
+    x.rows().to_vec()
+}
+
+fn k_nearest_fixed(clique: &mut Clique, w: &SparseMatrix<AugDist>, k: usize) -> Rows {
+    let mut x = w.filtered::<AugMinPlus>(k);
+    let squarings = (usize::BITS - (k - 1).leading_zeros()) as usize;
+    for _ in 0..squarings {
+        let x_cols = transpose_exchange::<AugMinPlus>(clique, x.rows()).unwrap();
+        let rows =
+            cc_matmul::filtered_multiply::<AugMinPlus>(clique, x.rows(), &x_cols, k).unwrap();
+        x = SparseMatrix::from_rows(rows);
+    }
+    x.rows().to_vec()
+}
+
+/// Runs both loops on fresh cliques; asserts equal rows and `rounds ≤
+/// reference`; returns the fixpoint loop's clique for further checks.
+fn assert_same(
+    what: &str,
+    n: usize,
+    new: impl FnOnce(&mut Clique) -> Rows,
+    fixed: impl FnOnce(&mut Clique) -> Rows,
+) -> Clique {
+    let (mut c_new, mut c_fixed) = (Clique::new(n), Clique::new(n));
+    assert_eq!(new(&mut c_new), fixed(&mut c_fixed), "{what}: rows differ");
+    assert!(
+        c_new.rounds() <= c_fixed.rounds(),
+        "{what}: {} rounds > reference {}",
+        c_new.rounds(),
+        c_fixed.rounds()
+    );
+    c_new
+}
+
+/// Every graph family the issue names, as augmented weight matrices of one
+/// size class each; the last is a `DiGraph` whose `W` is not symmetric.
+fn fixtures() -> Vec<(&'static str, SparseMatrix<AugDist>)> {
+    let undirected: Vec<(&'static str, Graph)> = vec![
+        ("gnp", generators::gnp(24, 0.2, 3).unwrap()),
+        ("gnp_weighted", generators::gnp_weighted(24, 0.15, 30, 4).unwrap()),
+        ("grid_weighted", generators::grid_weighted(5, 5, 12, 5).unwrap()),
+        ("star", generators::star(16).unwrap()),
+        ("cliques_with_bridges", generators::cliques_with_bridges(4, 5, 6).unwrap()),
+        ("disconnected", Graph::from_edges(18, (0..7).map(|v| (v, v + 1, 2 + v as u64))).unwrap()),
+    ];
+    let mut out: Vec<_> =
+        undirected.into_iter().map(|(name, g)| (name, g.augmented_weight_matrix())).collect();
+    // One-way cycle plus a few chords: reachability differs by direction.
+    let arcs = (0..20).map(|v| (v, (v + 1) % 20, 1 + v as u64 % 3)).chain([(0, 7, 9), (12, 3, 1)]);
+    out.push(("digraph", DiGraph::from_arcs(20, arcs).unwrap().augmented_weight_matrix()));
+    out
+}
+
+fn executed(clique: &Clique, phase: &str) -> u64 {
+    clique.metrics().phases.get(&format!("{phase}/fixpoint/all_broadcast")).map_or(0, |p| p.rounds)
+}
+
+#[test]
+fn source_detection_all_equals_the_fixed_count_loop() {
+    for (name, w) in fixtures() {
+        let n = w.n();
+        let sources = [1, n / 2, n - 1];
+        for d in [1, 2, 5, n] {
+            let clique = assert_same(
+                &format!("all, {name}, d={d}"),
+                n,
+                |c| source_detection_all_matrix(c, &w, &sources, d).unwrap(),
+                |c| source_detection_all_fixed(c, &w, &sources, d),
+            );
+            assert!(executed(&clique, "source_detection_all") <= (d - 1) as u64);
+            if d == 1 {
+                assert_eq!(clique.rounds(), 0, "{name}: d = 1 runs no product");
+            }
+        }
+    }
+}
+
+#[test]
+fn source_detection_k_equals_the_fixed_count_loop() {
+    for (name, w) in fixtures() {
+        let n = w.n();
+        let sources = [0, 2, n / 2, n - 2];
+        for (d, k) in [(1, 2), (3, 1), (6, 2), (n, 3)] {
+            assert_same(
+                &format!("k, {name}, d={d}, k={k}"),
+                n,
+                |c| source_detection_k_matrix(c, &w, &sources, d, k).unwrap(),
+                |c| source_detection_k_fixed(c, &w, &sources, d, k),
+            );
+        }
+    }
+}
+
+#[test]
+fn k_nearest_equals_the_fixed_count_loop() {
+    for (name, w) in fixtures() {
+        let n = w.n();
+        for k in [1, 2, 5, n] {
+            assert_same(
+                &format!("k_nearest, {name}, k={k}"),
+                n,
+                |c| k_nearest_matrix(c, &w, k).unwrap(),
+                |c| k_nearest_fixed(c, &w, k),
+            );
+        }
+    }
+}
+
+#[test]
+fn sources_nobody_reaches_exit_after_one_product() {
+    // Node 9 is isolated: only its own row ever holds it, the first product
+    // returns the hop-1 iterate, and the loop ends there whatever `d` is.
+    let g = Graph::from_edges(10, (0..8).map(|v| (v, v + 1, 1))).unwrap();
+    let w = g.augmented_weight_matrix();
+    let clique = assert_same(
+        "isolated source",
+        10,
+        |c| source_detection_all_matrix(c, &w, &[9], 9).unwrap(),
+        |c| source_detection_all_fixed(c, &w, &[9], 9),
+    );
+    assert_eq!(executed(&clique, "source_detection_all"), 1);
+}
+
+#[test]
+fn a_path_runs_every_product_and_pays_one_flag_round_each() {
+    // The case the exit cannot help: hop-d detection from one end of a
+    // path changes a new row in every product, so the bound binds.
+    let w = generators::path(32).unwrap().augmented_weight_matrix();
+    let clique = assert_same(
+        "path(32), d=31",
+        32,
+        |c| source_detection_all_matrix(c, &w, &[0], 31).unwrap(),
+        |c| source_detection_all_fixed(c, &w, &[0], 31),
+    );
+    let phases = &clique.metrics().phases;
+    assert_eq!(phases["source_detection_all/fixpoint/all_broadcast"].rounds, 30);
+    assert_eq!(phases["source_detection_all/sparse_mm/sizes/all_broadcast"].invocations, 30);
+}
+
+#[test]
+fn an_asymmetric_w_is_transposed_once_per_detection() {
+    // The prepared W really carries its transpose: one transpose for W plus
+    // one per executed product for the iterate, none inside the products.
+    let (_, w) = fixtures().pop().expect("the digraph fixture");
+    let mut clique = Clique::new(w.n());
+    source_detection_all_matrix(&mut clique, &w, &[0, 5], w.n()).unwrap();
+    let phases = &clique.metrics().phases;
+    let products = phases["source_detection_all/sparse_mm/sizes/all_broadcast"].invocations;
+    assert!(products > 1, "fixture exits too early to tell");
+    assert_eq!(phases["source_detection_all/transpose/route"].invocations, products + 1);
+    assert_eq!(phases["source_detection_all/counts/all_broadcast"].invocations, products + 1);
+    assert!(!phases.contains_key("source_detection_all/sparse_mm/transpose/route"));
+    assert!(!phases.contains_key("source_detection_all/sparse_mm/counts/all_broadcast"));
+    assert_eq!(
+        phases["source_detection_all/sparse_mm/deliver_s/balance/sort"].invocations, 1,
+        "W is balanced by the first product only"
+    );
+}

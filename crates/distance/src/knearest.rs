@@ -8,13 +8,17 @@
 //! per row, then square with ρ-filtered multiplication `⌈log₂ k⌉` times —
 //! `W̄, W̄², W̄⁴, …` Lemma 17's hop consistency guarantees the `k` smallest
 //! entries of each filtered power are exact, and nodes in `N_k(v)` are at
-//! most `k` hops away, so `2^{⌈log₂ k⌉} ≥ k` hops suffice.
+//! most `k` hops away, so `2^{⌈log₂ k⌉} ≥ k` hops suffice — at most that
+//! many squarings, fewer when a squaring changes no row
+//! ([`crate::fixpoint`]).
 
 use cc_clique::Clique;
 use cc_graph::Graph;
+use cc_matmul::{layout, Operand, Side};
 use cc_matrix::{AugMinPlus, SparseRow};
 
 use crate::error::invalid;
+use crate::fixpoint::iterate_to_fixpoint;
 use crate::DistanceError;
 
 /// **Theorem 18**: the `k` nearest nodes of every node, with exact
@@ -103,14 +107,18 @@ pub fn k_nearest_matrix(
     let k = k.min(n);
     clique.with_phase("knearest", |clique| {
         // Local input: node v knows its incident edges, i.e. row v of W.
-        let mut x = w.filtered::<AugMinPlus>(k);
+        let start = w.filtered::<AugMinPlus>(k).rows().to_vec();
         let squarings = (usize::BITS - (k - 1).leading_zeros()) as usize; // ceil(log2 k)
-        for _ in 0..squarings {
-            let x_cols = cc_matmul::layout::transpose_exchange::<AugMinPlus>(clique, x.rows())?;
-            let rows = cc_matmul::filtered_multiply::<AugMinPlus>(clique, x.rows(), &x_cols, k)?;
-            x = cc_matrix::SparseMatrix::from_rows(rows);
-        }
-        Ok(x.rows().to_vec())
+        iterate_to_fixpoint(clique, start, squarings, |clique, rows| {
+            // One transpose serves both sides of `x ⋆ x`: the left operand's
+            // opposite layout is the right operand's held one and vice versa.
+            let cols = layout::transpose_exchange::<AugMinPlus>(clique, rows)?;
+            let mut left = Operand::from_layouts(clique, Side::Left, rows, &cols)?;
+            let mut right = Operand::from_layouts(clique, Side::Right, &cols, rows)?;
+            Ok(cc_matmul::filtered_multiply_prepared::<AugMinPlus>(
+                clique, &mut left, &mut right, k,
+            )?)
+        })
     })
 }
 

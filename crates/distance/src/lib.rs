@@ -20,6 +20,11 @@
 //!   plus a one-round repair step; the round cost `O((log log n)³)` of the
 //!   cited construction \[PY18\] is charged explicitly — see DESIGN.md).
 //!
+//! The tools that repeat a product — `k_nearest`'s squarings and source
+//! detection's hops — run through [`fixpoint::iterate_to_fixpoint`]: at most
+//! the theorem's number of products, fewer when the iterate stops changing,
+//! with termination detected by a one-word broadcast per product.
+//!
 //! All tools work on directed or undirected non-negative integer-weighted
 //! graphs; this workspace exercises them on the undirected graphs of
 //! [`cc_graph`].
@@ -34,6 +39,9 @@
 #![allow(clippy::needless_range_loop)]
 
 mod error;
+#[cfg(test)]
+mod fixed_count;
+pub mod fixpoint;
 mod hitting;
 mod knearest;
 mod source_detection;

@@ -6,14 +6,21 @@
 //! of them (the unfiltered variant, `O((m^{1/3}|S|^{2/3}/n + 1)·d)`
 //! rounds). Both iterate `W_{i+1} = W ⋆ W_i` with the augmented weight
 //! matrix, exploiting that the *output* stays `|S|`-sparse per row; the
-//! dependence on `d` is linear precisely because each multiplication must
-//! stay sparse (§1.3).
+//! dependence on `d` is at most linear — each multiplication must stay
+//! sparse (§1.3), so there are up to `d − 1` of them, fewer when the iterate
+//! reaches its fixpoint first ([`crate::fixpoint`]).
+//!
+//! `W` is the same in every product, so it is prepared once per detection
+//! ([`cc_matmul::Operand`]); the iterate comes out of a product by rows and
+//! is handed to the next one with those rows and their one transpose.
 
 use cc_clique::Clique;
 use cc_graph::Graph;
+use cc_matmul::{layout, Operand, Side};
 use cc_matrix::{AugDist, AugMinPlus, SparseMatrix, SparseRow};
 
 use crate::error::invalid;
+use crate::fixpoint::iterate_to_fixpoint;
 use crate::DistanceError;
 
 fn validate(
@@ -44,7 +51,10 @@ fn validate(
 
 /// Restriction of the augmented weight matrix to source columns: the
 /// matrix `U_1` (or `W_1`) of Theorem 19.
-fn restrict_to_sources(w: &SparseMatrix<AugDist>, in_s: &[bool]) -> SparseMatrix<AugDist> {
+pub(crate) fn restrict_to_sources(
+    w: &SparseMatrix<AugDist>,
+    in_s: &[bool],
+) -> SparseMatrix<AugDist> {
     let rows = w
         .rows()
         .iter()
@@ -55,6 +65,32 @@ fn restrict_to_sources(w: &SparseMatrix<AugDist>, in_s: &[bool]) -> SparseMatrix
         })
         .collect();
     SparseMatrix::from_rows(rows)
+}
+
+/// The hop loop both variants share: `start` is the hop-1 iterate, and each
+/// of the up to `d − 1` steps multiplies the prepared `W` by the current
+/// iterate with `multiply(clique, w, iterate)`.
+fn hop_loop(
+    clique: &mut Clique,
+    w: &SparseMatrix<AugDist>,
+    start: &SparseMatrix<AugDist>,
+    d: usize,
+    multiply: impl Fn(
+        &mut Clique,
+        &mut Operand<'_, AugDist>,
+        &mut Operand<'_, AugDist>,
+    ) -> Result<Vec<SparseRow<AugDist>>, cc_matmul::MatmulError>,
+) -> Result<Vec<SparseRow<AugDist>>, DistanceError> {
+    let start = start.rows().to_vec();
+    if d == 1 {
+        return Ok(start);
+    }
+    let mut w = Operand::prepare::<AugMinPlus>(clique, Side::Left, w.rows())?;
+    iterate_to_fixpoint(clique, start, d - 1, |clique, rows| {
+        let cols = layout::transpose_exchange::<AugMinPlus>(clique, rows)?;
+        let mut iterate = Operand::from_layouts(clique, Side::Right, &cols, rows)?;
+        Ok(multiply(clique, &mut w, &mut iterate)?)
+    })
 }
 
 /// **Theorem 19 (filtered variant)**: every node learns its `k` nearest
@@ -98,13 +134,10 @@ pub fn source_detection_k_matrix(
     let k = k.min(clique.n());
     clique.with_phase("source_detection_k", |clique| {
         // W_1: the k lightest edges towards S per node.
-        let mut x = restrict_to_sources(w, &in_s).filtered::<AugMinPlus>(k);
-        for _ in 1..d {
-            let x_cols = cc_matmul::layout::transpose_exchange::<AugMinPlus>(clique, x.rows())?;
-            let rows = cc_matmul::filtered_multiply::<AugMinPlus>(clique, w.rows(), &x_cols, k)?;
-            x = SparseMatrix::from_rows(rows);
-        }
-        Ok(x.rows().to_vec())
+        let start = restrict_to_sources(w, &in_s).filtered::<AugMinPlus>(k);
+        hop_loop(clique, w, &start, d, |clique, w, x| {
+            cc_matmul::filtered_multiply_prepared::<AugMinPlus>(clique, w, x, k)
+        })
     })
 }
 
@@ -158,14 +191,9 @@ pub fn source_detection_all_matrix(
     let in_s = validate(clique, w.n(), sources, d)?;
     let rho_hat = sources.len().max(1);
     clique.with_phase("source_detection_all", |clique| {
-        let mut u = restrict_to_sources(w, &in_s);
-        for _ in 1..d {
-            let u_cols = cc_matmul::layout::transpose_exchange::<AugMinPlus>(clique, u.rows())?;
-            let rows =
-                cc_matmul::sparse_multiply::<AugMinPlus>(clique, w.rows(), &u_cols, rho_hat)?;
-            u = SparseMatrix::from_rows(rows);
-        }
-        Ok(u.rows().to_vec())
+        hop_loop(clique, w, &restrict_to_sources(w, &in_s), d, |clique, w, u| {
+            cc_matmul::sparse_multiply_prepared::<AugMinPlus>(clique, w, u, rho_hat)
+        })
     })
 }
 
@@ -250,11 +278,13 @@ mod tests {
 
     #[test]
     fn round_cost_scales_linearly_in_d() {
-        let g = generators::gnp(32, 0.2, 8).unwrap();
+        // On a path every product reaches one node more, so none of the
+        // d − 1 products is saved by the fixpoint exit and growth is real.
+        let g = generators::path(32).unwrap();
         let mut c2 = Clique::new(32);
-        source_detection_all(&mut c2, &g, &[0, 1, 2, 3], 2).unwrap();
+        source_detection_all(&mut c2, &g, &[0], 2).unwrap();
         let mut c8 = Clique::new(32);
-        source_detection_all(&mut c8, &g, &[0, 1, 2, 3], 8).unwrap();
+        source_detection_all(&mut c8, &g, &[0], 8).unwrap();
         let (r2, r8) = (c2.rounds(), c8.rounds());
         // 7 multiplications vs 1: expect roughly linear growth in d.
         assert!(r8 > 3 * r2 && r8 < 14 * r2.max(1), "r2={r2}, r8={r8}");

@@ -38,6 +38,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use cc_clique::Clique;
+use cc_distance::fixpoint::iterate_to_fixpoint;
 use cc_distance::{hitting_set, k_nearest, source_detection_all, DistanceError, HittingSet};
 use cc_graph::Graph;
 
@@ -89,8 +90,9 @@ impl HopsetConfig {
             .min(n)
             .max(2.min(n));
         let mut exploration = self.exploration_hops.unwrap_or((4 * beta).min(n)).clamp(1, n);
-        // The iterative schedule costs (log n)·4β hop-steps. Whenever that
-        // budget reaches n, a *single* level with exploration n is both
+        // The iterative schedule costs at most (log n)·4β hop-steps (levels
+        // and hop loops both end early at a fixpoint). Whenever that budget
+        // reaches n, a *single* level with exploration n is both
         // cheaper and stronger (it learns the exact A1-to-A1 distances); the
         // theory schedule only pays off once n ≫ 4β·log n — the asymptotic
         // regime.
@@ -257,20 +259,28 @@ pub fn build_hopset(
         let bunch_edges = edges.len();
 
         // Step 3: iterative levels — A1-to-A1 edges from bounded
-        // explorations in G ∪ H^{l-1}.
-        for level in 0..levels {
+        // explorations in G ∪ H^{l-1}. A level that adds no edge leaves the
+        // union as it found it, so every later level would repeat it: the
+        // iterate is each node's count of edges added so far.
+        let mut level = 0;
+        iterate_to_fixpoint(clique, vec![0usize; n], levels, |clique, added| {
             let rows = clique.with_phase(&format!("level{level}"), |clique| {
                 source_detection_all(clique, &union, &a1.members, exploration)
             })?;
+            level += 1;
+            let mut added = added.to_vec();
             for &v in &a1.members {
+                let before = edges.len();
                 for (u, a) in rows[v].iter() {
                     let u = u as usize;
                     if a1.contains(u) && u != v {
                         add_edge(&mut union, &mut edges, v, u, a.dist);
                     }
                 }
+                added[v] += edges.len() - before;
             }
-        }
+            Ok::<_, DistanceError>(added)
+        })?;
 
         Ok(Hopset { edges, beta, epsilon: config.epsilon, a1, bunch_edges })
     })

@@ -11,10 +11,10 @@
 use std::ops::Range;
 
 use cc_clique::{Clique, Envelope, NodeId};
-use cc_matrix::{Semiring, SparseRow};
 
+use crate::operand::Operand;
 use crate::partition::{balanced_partition, doubly_balanced_partition};
-use crate::{layout, MatmulError};
+use crate::MatmulError;
 
 /// The dimensions `(a, b, c)` of the cube partition: `b` row blocks, `a`
 /// column blocks, and `c` middle blocks per `(i, j)` pair, with
@@ -205,35 +205,33 @@ impl CubePartition {
 
     /// Builds the partition of Lemma 9 on the clique in `O(1)` rounds.
     ///
-    /// Inputs: node `v` holds row `v` of `S` (`s_rows[v]`) and column `v` of
-    /// `T` (`t_cols[v]`); `s_row_counts` / `t_col_counts` are the
-    /// already-broadcast per-slice non-zero counts.
+    /// Inputs: the two prepared operands — node `v` holds row `v` and column
+    /// `v` of `S`, column `v` and row `v` of `T`, and everyone knows the
+    /// broadcast row counts of `S` and column counts of `T`.
     ///
-    /// Steps (all `O(1)` rounds): (1) everyone computes the row/column
-    /// blocks from the broadcast counts via Lemma 5; (2) the inputs are
-    /// transposed so node `v` holds column `v` of `S` and row `v` of `T`;
-    /// (3) node `v` sends each subtask node the non-zero counts of its
-    /// slices; (4) each subtask group computes its Lemma 7 middle partition
-    /// and broadcasts the block boundaries.
+    /// Steps: (1) everyone computes the row/column blocks from the broadcast
+    /// counts via Lemma 5 (local); (2) node `v` sends each subtask node the
+    /// non-zero counts of column `v` of `S` and row `v` of `T` per block;
+    /// (3) each subtask group computes its Lemma 7 middle partition and
+    /// broadcasts the block boundaries.
     ///
     /// # Errors
     ///
     /// Returns [`MatmulError::Clique`] on malformed communication (dimension
     /// bugs in the caller).
-    pub fn build<S: Semiring>(
+    pub fn build<E: Clone + PartialEq>(
         clique: &mut Clique,
         shape: CubeShape,
-        s_rows: &[SparseRow<S::Elem>],
-        t_cols: &[SparseRow<S::Elem>],
-        s_row_counts: &[u64],
-        t_col_counts: &[u64],
+        s: &Operand<'_, E>,
+        t: &Operand<'_, E>,
     ) -> Result<CubePartition, MatmulError> {
         let n = clique.n();
         let CubeShape { a, b, c } = shape;
+        let (s_cols, t_rows) = (s.opposite(), t.opposite());
 
         // (1) Globally-known row and column blocks (Lemma 5).
-        let row_blocks = balanced_partition(s_row_counts, b);
-        let col_blocks = balanced_partition(t_col_counts, a);
+        let row_blocks = balanced_partition(s.counts(), b);
+        let col_blocks = balanced_partition(t.counts(), a);
         let mut row_block_of = vec![0usize; n];
         for (i, block) in row_blocks.iter().enumerate() {
             for &r in block {
@@ -247,11 +245,7 @@ impl CubePartition {
             }
         }
 
-        // (2) Transpose: node v obtains column v of S and row v of T.
-        let s_cols = layout::transpose_exchange::<S>(clique, s_rows)?;
-        let t_rows = layout::transpose_exchange::<S>(clique, t_cols)?;
-
-        // (3) Per-slice counts to each subtask node: node v sends to node
+        // (2) Per-slice counts to each subtask node: node v sends to node
         // u = (i, j, k) the pair (nz(S[C^S_i, v]), nz(T[v, C^T_j])).
         let mut msgs = Vec::with_capacity(n * shape.subtasks());
         let mut cnt_s = vec![0u64; b];
@@ -276,7 +270,7 @@ impl CubePartition {
         }
         let inboxes = clique.with_phase("cube/slice_counts", |cl| cl.route(msgs))?;
 
-        // (4) Each (i, j) group computes its Lemma 7 partition; the k-th
+        // (3) Each (i, j) group computes its Lemma 7 partition; the k-th
         // member broadcasts its own block boundary (2 words).
         let mut mid_ranges = vec![Vec::new(); a * b];
         let mut boundary_payload = vec![(u64::MAX, u64::MAX); n];
@@ -371,6 +365,12 @@ impl TaskAssignment {
         TaskAssignment { sigma, by_task }
     }
 
+    /// Whether no node is assigned anything. An assignment is computed from
+    /// broadcast data, so every node can tell.
+    pub fn is_empty(&self) -> bool {
+        self.sigma.iter().all(Option::is_none)
+    }
+
     /// Nodes assigned to subtask `(i, j, k)`.
     pub fn nodes_for(&self, cube: &CubePartition, i: usize, j: usize, k: usize) -> &[NodeId] {
         &self.by_task[(i * cube.shape.a + j) * cube.shape.c + k]
@@ -380,6 +380,7 @@ impl TaskAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operand::Side;
     use cc_matrix::{Dist, MinPlus, SparseMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -443,12 +444,10 @@ mod tests {
         let t = random_matrix(n, 500, 2);
         let t_cols = t.transpose();
         let mut clique = Clique::new(n);
-        let (sc, _, rho_s) = layout::broadcast_counts(&mut clique, s.rows()).unwrap();
-        let (tc, _, rho_t) = layout::broadcast_counts(&mut clique, t_cols.rows()).unwrap();
-        let shape = CubeShape::choose(n, rho_s, rho_t, 8);
-        let cube =
-            CubePartition::build::<MinPlus>(&mut clique, shape, s.rows(), t_cols.rows(), &sc, &tc)
-                .unwrap();
+        let s_op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
+        let t_op = Operand::prepare::<MinPlus>(&mut clique, Side::Right, t_cols.rows()).unwrap();
+        let shape = CubeShape::choose(n, s_op.density(), t_op.density(), 8);
+        let cube = CubePartition::build(&mut clique, shape, &s_op, &t_op).unwrap();
 
         // Blocks cover everything exactly once.
         let mut seen = vec![false; n];

@@ -17,6 +17,7 @@ use cc_matrix::{Entry, Semiring, SparseRow};
 
 use crate::cube::{CubePartition, TaskAssignment};
 use crate::key_index::KeyIndex;
+use crate::operand::{held_entries, Operand, Side};
 use crate::MatmulError;
 
 /// The input slices one node needs for its assigned subtask.
@@ -78,23 +79,37 @@ impl<E: Payload> Payload for BalanceItem<E> {
 /// the buffer arrives empty.
 type Targets<'a> = &'a dyn Fn(u32, u32, &mut Vec<NodeId>);
 
+/// Entries in global coordinates, grouped by the node that holds them.
+pub(crate) type PerNode<E> = Vec<Vec<Entry<E>>>;
+
 /// Balances weighted entries across nodes (Lemma 10) and then fans each
-/// entry out to the subtask nodes given by `targets`.
-///
-/// `per_node[v]` are the entries initially held by node `v`; `targets(r, c,
-/// buf)` lists the recipients of entry `(r, c)` (its duplication weight is
-/// the length of that list). It is asked twice per entry — by the initial
-/// holder for the weight, by the balanced holder for the fan-out — into one
-/// reused buffer.
+/// entry out to the subtask nodes given by `targets` (Lemma 11), which is
+/// asked twice per entry — by the initial holder for the weight, by the
+/// balanced holder for the fan-out.
 fn balance_and_fanout<SR: Semiring>(
     clique: &mut Clique,
     per_node: Vec<Vec<Entry<SR::Elem>>>,
     targets: Targets<'_>,
 ) -> Result<Vec<Vec<Entry<SR::Elem>>>, MatmulError> {
+    let (balanced, total_weight) = balance::<SR>(clique, per_node, targets)?;
+    fanout::<SR>(clique, &balanced, targets, total_weight)
+}
+
+/// Lemma 10: balances weighted entries across nodes. Returns, per balanced
+/// holder, the entries it now holds, and the total duplication weight.
+///
+/// `per_node[v]` are the entries initially held by node `v`; `targets(r, c,
+/// buf)` lists the recipients of entry `(r, c)` into a buffer that arrives
+/// empty, and an entry's duplication weight is the length of that list.
+fn balance<SR: Semiring>(
+    clique: &mut Clique,
+    per_node: Vec<Vec<Entry<SR::Elem>>>,
+    targets: Targets<'_>,
+) -> Result<(PerNode<SR::Elem>, usize), MatmulError> {
     let n = clique.n();
     let mut recipients: Vec<NodeId> = Vec::new();
 
-    // Lemma 10, step 1: global sort by descending duplication weight.
+    // Step 1: global sort by descending duplication weight.
     let mut total_weight = 0usize;
     let items: Vec<Vec<BalanceItem<SR::Elem>>> = per_node
         .into_iter()
@@ -120,12 +135,12 @@ fn balance_and_fanout<SR: Semiring>(
     let counts = clique.with_phase("balance", |cl| cl.all_broadcast(counts))?;
     let total: u64 = counts.iter().sum();
     if total == 0 {
-        return Ok(vec![Vec::new(); n]);
+        return Ok((vec![Vec::new(); n], 0));
     }
     let sorted = clique.with_phase("balance", |cl| cl.sort(items))?;
     let run = (total as usize).div_ceil(n);
 
-    // Lemma 10, step 2: deal rank r to node r mod n (round-robin over the
+    // Step 2: deal rank r to node r mod n (round-robin over the
     // descending-weight order = the constructive Lemma 5 with k = n).
     let mut deal = Vec::with_capacity(total as usize);
     for (holder, batch) in sorted.into_iter().enumerate() {
@@ -135,30 +150,117 @@ fn balance_and_fanout<SR: Semiring>(
         }
     }
     let balanced = clique.with_phase("balance", |cl| cl.route(deal))?;
+    let balanced = balanced
+        .into_iter()
+        .map(|batch| {
+            batch
+                .into_iter()
+                .map(|env| Entry::new(env.payload.row, env.payload.col, env.payload.val))
+                .collect()
+        })
+        .collect();
+    Ok((balanced, total_weight))
+}
 
-    // Lemma 11: fan every entry out to its subtask nodes.
-    let mut fanout = Vec::with_capacity(total_weight);
-    for (holder, batch) in balanced.into_iter().enumerate() {
-        for env in batch {
-            let item = env.payload;
+/// Lemma 11: every balanced holder fans each of its entries out to the
+/// subtask nodes `targets` names; `total_weight` is the number of copies.
+fn fanout<SR: Semiring>(
+    clique: &mut Clique,
+    balanced: &[Vec<Entry<SR::Elem>>],
+    targets: Targets<'_>,
+    total_weight: usize,
+) -> Result<Vec<Vec<Entry<SR::Elem>>>, MatmulError> {
+    let mut recipients: Vec<NodeId> = Vec::new();
+    let mut copies = Vec::with_capacity(total_weight);
+    for (holder, batch) in balanced.iter().enumerate() {
+        for entry in batch {
             recipients.clear();
-            targets(item.row, item.col, &mut recipients);
+            targets(entry.row, entry.col, &mut recipients);
             for &dst in &recipients {
-                fanout.push(Envelope::new(
-                    holder,
-                    dst,
-                    Entry::new(item.row, item.col, item.val.clone()),
-                ));
+                copies.push(Envelope::new(holder, dst, entry.clone()));
             }
         }
     }
-    debug_assert_eq!(fanout.len(), total_weight, "weights are the fan-out sizes");
-    let inboxes = clique.with_phase("fanout", |cl| cl.route(fanout))?;
+    debug_assert_eq!(copies.len(), total_weight, "weights are the fan-out sizes");
+    let inboxes = clique.with_phase("fanout", |cl| cl.route(copies))?;
     Ok(inboxes.into_iter().map(|batch| batch.into_iter().map(|e| e.payload).collect()).collect())
+}
+
+/// One operand's half of a `σ1` delivery: fan its entries out from where
+/// Lemma 10 puts them, running the balancing only if no earlier delivery of
+/// this operand did. `weight` is the duplication weight every entry has under
+/// `σ1` — what makes the placement reusable.
+fn deliver_canonical_side<SR: Semiring>(
+    clique: &mut Clique,
+    operand: &mut Operand<'_, SR::Elem>,
+    targets: Targets<'_>,
+    weight: usize,
+) -> Result<Vec<Vec<Entry<SR::Elem>>>, MatmulError> {
+    let placement = match operand.sigma1_placement.take() {
+        Some(placement) => placement,
+        None => balance::<SR>(clique, operand.entries(), targets)?.0,
+    };
+    debug_assert!(
+        placement.iter().flatten().all(|e| {
+            let mut recipients = Vec::new();
+            targets(e.row, e.col, &mut recipients);
+            recipients.len() == weight
+        }),
+        "a placement is reusable only while every entry weighs the same"
+    );
+    let entries: usize = placement.iter().map(Vec::len).sum();
+    let delivered = fanout::<SR>(clique, &placement, targets, entries * weight)?;
+    operand.sigma1_placement = Some(placement);
+    Ok(delivered)
+}
+
+fn into_inputs<E>(
+    n: usize,
+    s_delivered: Vec<Vec<Entry<E>>>,
+    t_delivered: Vec<Vec<Entry<E>>>,
+) -> Vec<SubtaskInput<E>> {
+    let mut out: Vec<SubtaskInput<E>> = s_delivered
+        .into_iter()
+        .zip(t_delivered)
+        .map(|(s_entries, t_entries)| SubtaskInput { s_entries, t_entries })
+        .collect();
+    out.resize_with(n, SubtaskInput::default);
+    out
+}
+
+/// Lemma 11 under the canonical assignment `σ1`: every subtask node learns
+/// its `S`-block and `T`-block.
+///
+/// An operand whose placement an earlier delivery computed skips Lemma 10's
+/// broadcast, sort and deal — its balanced holders were sent those entries
+/// then — and only fans out against the new cube.
+///
+/// # Errors
+///
+/// Returns [`MatmulError::Clique`] on malformed communication.
+pub fn deliver_canonical_inputs<SR: Semiring>(
+    clique: &mut Clique,
+    cube: &CubePartition,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+) -> Result<Vec<SubtaskInput<SR::Elem>>, MatmulError> {
+    let sigma1 = &TaskAssignment::new(cube, cube.sigma1());
+    let s_targets = |r: u32, c: u32, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, sigma1, out);
+    let s_delivered = clique.with_phase("deliver_s", |cl| {
+        deliver_canonical_side::<SR>(cl, s, &s_targets, cube.shape.a)
+    })?;
+    let t_targets = |r: u32, c: u32, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, sigma1, out);
+    let t_delivered = clique.with_phase("deliver_t", |cl| {
+        deliver_canonical_side::<SR>(cl, t, &t_targets, cube.shape.b)
+    })?;
+    Ok(into_inputs(clique.n(), s_delivered, t_delivered))
 }
 
 /// Lemma 11: every node assigned a subtask by `assignment` learns its
 /// `S`-block and `T`-block.
+///
+/// An assignment that names no node is skipped without communication: it
+/// was computed from broadcast data, so every node knows nothing is due.
 ///
 /// # Errors
 ///
@@ -171,36 +273,23 @@ pub fn deliver_subtask_inputs<SR: Semiring>(
     assignment: &TaskAssignment,
 ) -> Result<Vec<SubtaskInput<SR::Elem>>, MatmulError> {
     let n = clique.n();
+    if assignment.is_empty() {
+        return Ok(into_inputs(n, Vec::new(), Vec::new()));
+    }
 
-    // S entries start row-distributed.
-    let s_per_node: Vec<Vec<Entry<SR::Elem>>> = s_rows
-        .iter()
-        .enumerate()
-        .map(|(r, row)| row.iter().map(|(c, v)| Entry::new(r as u32, c, v.clone())).collect())
-        .collect();
+    // S entries start row-distributed, T entries column-distributed.
     let s_targets =
         |r: u32, c: u32, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, assignment, out);
-    let s_delivered = clique
-        .with_phase("deliver_s", |cl| balance_and_fanout::<SR>(cl, s_per_node, &s_targets))?;
-
-    // T entries start column-distributed.
-    let t_per_node: Vec<Vec<Entry<SR::Elem>>> = t_cols
-        .iter()
-        .enumerate()
-        .map(|(c, col)| col.iter().map(|(r, v)| Entry::new(r, c as u32, v.clone())).collect())
-        .collect();
+    let s_delivered = clique.with_phase("deliver_s", |cl| {
+        balance_and_fanout::<SR>(cl, held_entries(Side::Left, s_rows), &s_targets)
+    })?;
     let t_targets =
         |r: u32, c: u32, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, assignment, out);
-    let t_delivered = clique
-        .with_phase("deliver_t", |cl| balance_and_fanout::<SR>(cl, t_per_node, &t_targets))?;
+    let t_delivered = clique.with_phase("deliver_t", |cl| {
+        balance_and_fanout::<SR>(cl, held_entries(Side::Right, t_cols), &t_targets)
+    })?;
 
-    let mut out: Vec<SubtaskInput<SR::Elem>> = s_delivered
-        .into_iter()
-        .zip(t_delivered)
-        .map(|(s_entries, t_entries)| SubtaskInput { s_entries, t_entries })
-        .collect();
-    out.resize_with(n, SubtaskInput::default);
-    Ok(out)
+    Ok(into_inputs(n, s_delivered, t_delivered))
 }
 
 /// The buffers of [`local_product`]. One multiplication computes thousands

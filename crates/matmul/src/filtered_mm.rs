@@ -21,10 +21,13 @@ use cc_clique::{Clique, Envelope, NodeId, Payload};
 use cc_matrix::{Entry, OrderedSemiring, Searchable, SparseRow};
 
 use crate::cube::{CubePartition, CubeShape, Sigma, TaskAssignment};
-use crate::deliver::{deliver_subtask_inputs, local_product, ProductScratch};
+use crate::deliver::{
+    deliver_canonical_inputs, deliver_subtask_inputs, local_product, ProductScratch,
+};
 use crate::key_index::KeyIndex;
+use crate::operand::{check_pair, Operand, Side};
 use crate::sum::sum_intermediates;
-use crate::{layout, MatmulError};
+use crate::MatmulError;
 
 /// A combined `(value, column)` ordinal on the wire. The value is an
 /// `O(log n)`-bit semiring element and the column an index, so the pair is
@@ -171,93 +174,134 @@ where
             n,
         });
     }
-    let rho = rho.clamp(1, n);
     clique.with_phase("filtered_mm", |clique| {
-        // Lemma 9 partition, shaped for output density ρ.
-        let (s_counts, _, rho_s) = layout::broadcast_counts(clique, s_rows)?;
-        let (t_counts, _, rho_t) = layout::broadcast_counts(clique, t_cols)?;
-        let shape = CubeShape::choose(n, rho_s, rho_t, rho);
-        let cube = CubePartition::build::<SR>(clique, shape, s_rows, t_cols, &s_counts, &t_counts)?;
-
-        // σ1 delivery + local slice products.
-        let sigma1 = TaskAssignment::new(&cube, cube.sigma1());
-        let inputs = deliver_subtask_inputs::<SR>(clique, &cube, s_rows, t_cols, &sigma1)?;
-        let mut scratch = ProductScratch::default();
-        let mut products: Vec<Vec<Entry<SR::Elem>>> =
-            inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
-
-        // Lemma 15: per-row cutoffs via lockstep distributed binary search.
-        let cutoffs = row_cutoffs::<SR>(clique, &cube, &products, rho)?;
-        for (v, product) in products.iter_mut().enumerate() {
-            product.retain(|e| cutoffs.keeps(v, e));
-        }
-
-        // Lemma 16: balance survivors inside each group B_ik.
-        let weights: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
-        let weights = clique.with_phase("weights", |cl| cl.all_broadcast(weights))?;
-        let c_eff = cube.c_eff();
-        let mut sigma_vec: Sigma = vec![None; n];
-        let mut helper_chunk = vec![0usize; n];
-        for i in 0..cube.shape.b {
-            let alpha_i = (cube.row_blocks[i].len() * cube.shape.b).div_ceil(n).max(1);
-            let chunk = (rho * alpha_i * c_eff).max(1);
-            for k in 0..cube.shape.c {
-                let members = cube.group_bik(i, k);
-                let mut pool = members.iter().copied();
-                for &v in &members {
-                    let extra = weights[v] as usize / chunk;
-                    let triple = cube.triple_of(v).expect("members have triples");
-                    for _ in 0..extra {
-                        // Lemma 16 proves the group pool always suffices.
-                        let helper =
-                            pool.next().ok_or(MatmulError::DensityHintTooSmall { hint: rho })?;
-                        sigma_vec[helper] = Some(triple);
-                    }
-                }
-                for &v in &members {
-                    helper_chunk[v] = chunk;
-                }
-            }
-        }
-        let sigma = TaskAssignment::new(&cube, sigma_vec);
-        let dup_inputs = deliver_subtask_inputs::<SR>(clique, &cube, s_rows, t_cols, &sigma)?;
-
-        // Responsibility split, like Lemma 12 but with group-local chunks.
-        let mut intermediates: Vec<Vec<Entry<SR::Elem>>> = vec![Vec::new(); n];
-        for v in 0..cube.shape.subtasks() {
-            let (i, j, k) = cube.triple_of(v).expect("subtask nodes have triples");
-            let chunk = helper_chunk[v].max(1);
-            // A node may be both σ1 owner and helper of the same task; it
-            // then takes two parts (cf. Lemma 12 step 3), so duplicates stay.
-            let mut owners = vec![v];
-            owners.extend(sigma.nodes_for(&cube, i, j, k).iter().copied());
-            owners.sort_unstable();
-            let len = products[v].len();
-            let parts = len.div_ceil(chunk);
-            debug_assert!(parts <= owners.len(), "Lemma 16 guarantees enough owners");
-            for (o, owner) in owners.iter().enumerate().take(parts) {
-                let lo = o * chunk;
-                let hi = ((o + 1) * chunk).min(len);
-                if *owner == v {
-                    intermediates[*owner].extend_from_slice(&products[v][lo..hi]);
-                } else {
-                    // Helper: recompute + filter locally (it holds the
-                    // inputs via the σ delivery and the cutoffs via the
-                    // group broadcast).
-                    let mut prod = local_product::<SR>(&mut scratch, &dup_inputs[*owner]);
-                    prod.retain(|e| cutoffs.keeps(*owner, e));
-                    intermediates[*owner].extend_from_slice(&prod[lo..hi]);
-                }
-            }
-        }
-
-        // Theorem 8's summation, then the final local filter.
-        let mut rows = sum_intermediates::<SR>(clique, intermediates)?;
-        for row in &mut rows {
-            row.filter_smallest::<SR>(rho);
-        }
-        Ok(rows)
+        let mut s = Operand::prepare::<SR>(clique, Side::Left, s_rows)?;
+        let mut t = Operand::prepare::<SR>(clique, Side::Right, t_cols)?;
+        product::<SR>(clique, &mut s, &mut t, rho)
     })
+}
+
+/// [`filtered_multiply`] on operands the caller prepared — and may hand in
+/// again: whatever an operand already carries (its broadcast counts, its
+/// opposite layout, its `σ1` placement once a product computed it) is used,
+/// not re-communicated. Same product, same errors.
+///
+/// # Panics
+///
+/// Panics unless `s` is a [`Side::Left`] and `t` a [`Side::Right`] operand.
+///
+/// # Errors
+///
+/// Same as [`filtered_multiply`].
+pub fn filtered_multiply_prepared<SR>(
+    clique: &mut Clique,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+    rho: usize,
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError>
+where
+    SR: OrderedSemiring,
+    SR::Elem: Searchable,
+{
+    check_pair(clique.n(), s, t)?;
+    clique.with_phase("filtered_mm", |clique| product::<SR>(clique, s, t, rho))
+}
+
+/// Theorem 14 from prepared operands on, inside the caller's phase.
+fn product<SR>(
+    clique: &mut Clique,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+    rho: usize,
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError>
+where
+    SR: OrderedSemiring,
+    SR::Elem: Searchable,
+{
+    let n = clique.n();
+    let rho = rho.clamp(1, n);
+
+    // Lemma 9 partition, shaped for output density ρ.
+    let shape = CubeShape::choose(n, s.density(), t.density(), rho);
+    let cube = CubePartition::build(clique, shape, s, t)?;
+
+    // σ1 delivery + local slice products.
+    let inputs = deliver_canonical_inputs::<SR>(clique, &cube, s, t)?;
+    let mut scratch = ProductScratch::default();
+    let mut products: Vec<Vec<Entry<SR::Elem>>> =
+        inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
+
+    // Lemma 15: per-row cutoffs via lockstep distributed binary search.
+    let cutoffs = row_cutoffs::<SR>(clique, &cube, &products, rho)?;
+    for (v, product) in products.iter_mut().enumerate() {
+        product.retain(|e| cutoffs.keeps(v, e));
+    }
+
+    // Lemma 16: balance survivors inside each group B_ik.
+    let weights: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
+    let weights = clique.with_phase("weights", |cl| cl.all_broadcast(weights))?;
+    let c_eff = cube.c_eff();
+    let mut sigma_vec: Sigma = vec![None; n];
+    let mut helper_chunk = vec![0usize; n];
+    for i in 0..cube.shape.b {
+        let alpha_i = (cube.row_blocks[i].len() * cube.shape.b).div_ceil(n).max(1);
+        let chunk = (rho * alpha_i * c_eff).max(1);
+        for k in 0..cube.shape.c {
+            let members = cube.group_bik(i, k);
+            let mut pool = members.iter().copied();
+            for &v in &members {
+                let extra = weights[v] as usize / chunk;
+                let triple = cube.triple_of(v).expect("members have triples");
+                for _ in 0..extra {
+                    // Lemma 16 proves the group pool always suffices.
+                    let helper =
+                        pool.next().ok_or(MatmulError::DensityHintTooSmall { hint: rho })?;
+                    sigma_vec[helper] = Some(triple);
+                }
+            }
+            for &v in &members {
+                helper_chunk[v] = chunk;
+            }
+        }
+    }
+    let sigma = TaskAssignment::new(&cube, sigma_vec);
+    let dup_inputs = deliver_subtask_inputs::<SR>(clique, &cube, s.held(), t.held(), &sigma)?;
+
+    // Responsibility split, like Lemma 12 but with group-local chunks.
+    let mut intermediates: Vec<Vec<Entry<SR::Elem>>> = vec![Vec::new(); n];
+    for v in 0..cube.shape.subtasks() {
+        let (i, j, k) = cube.triple_of(v).expect("subtask nodes have triples");
+        let chunk = helper_chunk[v].max(1);
+        // A node may be both σ1 owner and helper of the same task; it
+        // then takes two parts (cf. Lemma 12 step 3), so duplicates stay.
+        let mut owners = vec![v];
+        owners.extend(sigma.nodes_for(&cube, i, j, k).iter().copied());
+        owners.sort_unstable();
+        let len = products[v].len();
+        let parts = len.div_ceil(chunk);
+        debug_assert!(parts <= owners.len(), "Lemma 16 guarantees enough owners");
+        for (o, owner) in owners.iter().enumerate().take(parts) {
+            let lo = o * chunk;
+            let hi = ((o + 1) * chunk).min(len);
+            if *owner == v {
+                intermediates[*owner].extend_from_slice(&products[v][lo..hi]);
+            } else {
+                // Helper: recompute + filter locally (it holds the
+                // inputs via the σ delivery and the cutoffs via the
+                // group broadcast).
+                let mut prod = local_product::<SR>(&mut scratch, &dup_inputs[*owner]);
+                prod.retain(|e| cutoffs.keeps(*owner, e));
+                intermediates[*owner].extend_from_slice(&prod[lo..hi]);
+            }
+        }
+    }
+
+    // Theorem 8's summation, then the final local filter.
+    let mut rows = sum_intermediates::<SR>(clique, intermediates)?;
+    for row in &mut rows {
+        row.filter_smallest::<SR>(rho);
+    }
+    Ok(rows)
 }
 
 /// Lemma 15: for every group `B_{ik}` and row, finds the `(value, column)`
@@ -517,16 +561,13 @@ mod tests {
         let t = random_matrix(n, 90, 22);
         let t_cols = t.transpose();
         let mut clique = Clique::new(n);
-        let (sc, _, rho_s) = layout::broadcast_counts(&mut clique, s.rows()).unwrap();
-        let (tc, _, rho_t) = layout::broadcast_counts(&mut clique, t_cols.rows()).unwrap();
-        let shape = CubeShape::choose(n, rho_s, rho_t, rho);
-        let cube =
-            CubePartition::build::<MinPlus>(&mut clique, shape, s.rows(), t_cols.rows(), &sc, &tc)
-                .unwrap();
-        let sigma1 = TaskAssignment::new(&cube, cube.sigma1());
+        let mut s_op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
+        let mut t_op =
+            Operand::prepare::<MinPlus>(&mut clique, Side::Right, t_cols.rows()).unwrap();
+        let shape = CubeShape::choose(n, s_op.density(), t_op.density(), rho);
+        let cube = CubePartition::build(&mut clique, shape, &s_op, &t_op).unwrap();
         let inputs =
-            deliver_subtask_inputs::<MinPlus>(&mut clique, &cube, s.rows(), t_cols.rows(), &sigma1)
-                .unwrap();
+            deliver_canonical_inputs::<MinPlus>(&mut clique, &cube, &mut s_op, &mut t_op).unwrap();
         let mut scratch = ProductScratch::default();
         let products: Vec<Vec<Entry<Dist>>> =
             inputs.iter().map(|input| local_product::<MinPlus>(&mut scratch, input)).collect();

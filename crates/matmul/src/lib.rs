@@ -20,6 +20,12 @@
 //!   (`O(n^{1/3})` rounds for dense inputs), used as the baseline the paper
 //!   compares against conceptually.
 //!
+//! [`sparse_multiply`] and [`filtered_multiply`] take the paper's input
+//! layout and prepare both operands themselves; a caller that multiplies by
+//! the same matrix repeatedly prepares it once as an [`Operand`] — broadcast
+//! counts, both layouts, the `σ1` placement of Lemma 10 — and calls
+//! [`sparse_multiply_prepared`] / [`filtered_multiply_prepared`].
+//!
 //! All algorithms run on the [`cc_clique::Clique`] simulator and account
 //! every word they move; differential tests check them against
 //! [`cc_matrix::SparseMatrix::multiply`].
@@ -51,6 +57,7 @@ mod error;
 mod filtered_mm;
 mod key_index;
 pub mod layout;
+mod operand;
 pub mod partition;
 mod sparse_mm;
 mod sum;
@@ -58,6 +65,7 @@ mod sum;
 pub use cube::{CubePartition, CubeShape, Sigma, TaskAssignment};
 pub use dense_mm::dense_multiply;
 pub use error::MatmulError;
-pub use filtered_mm::filtered_multiply;
-pub use sparse_mm::{sparse_multiply, sparse_multiply_auto, AutoProduct};
+pub use filtered_mm::{filtered_multiply, filtered_multiply_prepared};
+pub use operand::{Operand, Side};
+pub use sparse_mm::{sparse_multiply, sparse_multiply_auto, sparse_multiply_prepared, AutoProduct};
 pub use sum::sum_intermediates;

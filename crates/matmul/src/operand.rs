@@ -1,0 +1,240 @@
+//! A product operand together with what the clique already knows about it.
+//!
+//! A product `S ⋆ T` starts from the paper's input layout (§2.1) — node `v`
+//! holds row `v` of `S` and column `v` of `T` — and then spends its first
+//! rounds learning things that depend on one operand only: the broadcast
+//! slice sizes (Lemma 9's block weights), the opposite layout (the per-slice
+//! counts behind the Lemma 7 middle partition), and, under the canonical
+//! assignment `σ1`, where Lemma 10's sort-and-deal puts each entry. An
+//! [`Operand`] carries all of that, so a caller that multiplies by the same
+//! matrix again — the `W` of Theorem 19's `W ⋆ U_i` — pays for it once, and
+//! a caller that already holds both layouts of a matrix hands them over
+//! instead of having one transposed back.
+
+use std::borrow::Cow;
+
+use cc_clique::Clique;
+use cc_matrix::{Entry, Semiring, SparseMatrix, SparseRow};
+
+use crate::deliver::PerNode;
+use crate::{layout, MatmulError};
+
+/// Which side of a product an [`Operand`] is laid out for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The left operand `S`: node `v` holds row `v`.
+    Left,
+    /// The right operand `T`: node `v` holds column `v`.
+    Right,
+}
+
+/// One operand of a distributed product: the slices the nodes hold, plus
+/// everything about them that earlier, charged primitives already told the
+/// nodes.
+#[derive(Debug, Clone)]
+pub struct Operand<'a, E: Clone> {
+    side: Side,
+    /// Slice `v` at node `v`: rows of a left operand, columns of a right one.
+    held: &'a [SparseRow<E>],
+    /// The other layout of the same matrix (node `v` holds column `v` of a
+    /// left operand, row `v` of a right one).
+    opposite: Cow<'a, [SparseRow<E>]>,
+    /// `held[v].nnz()` for every `v`, as broadcast.
+    counts: Vec<u64>,
+    density: usize,
+    /// Where Lemma 10 put each entry under `σ1`, once a delivery computed it:
+    /// per holder, the entries in global coordinates. Under `σ1` every entry
+    /// of one operand has the same duplication weight (`a` for `S`, `b` for
+    /// `T`), so the balancing sort orders by position alone and its outcome
+    /// does not depend on the other operand or on the cube's shape.
+    pub(crate) sigma1_placement: Option<PerNode<E>>,
+}
+
+impl<'a, E: Clone + PartialEq> Operand<'a, E> {
+    /// Prepares an operand from the layout its side starts in: broadcasts
+    /// the slice sizes (one round) and obtains the opposite layout by a
+    /// transpose exchange (`O(1)` rounds).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatmulError::Clique`] if `held.len()` differs from the
+    /// clique size or an entry addresses a node outside the clique.
+    pub fn prepare<S: Semiring<Elem = E>>(
+        clique: &mut Clique,
+        side: Side,
+        held: &'a [SparseRow<E>],
+    ) -> Result<Self, MatmulError> {
+        let (counts, _, density) = layout::broadcast_counts(clique, held)?;
+        let opposite = layout::transpose_exchange::<S>(clique, held)?;
+        Ok(Operand {
+            side,
+            held,
+            opposite: Cow::Owned(opposite),
+            counts,
+            density,
+            sigma1_placement: None,
+        })
+    }
+
+    /// Prepares an operand whose two layouts the nodes both hold already —
+    /// an iterate that came out of a product by rows and was transposed by
+    /// the caller, say. Only the slice sizes are broadcast (one round).
+    ///
+    /// `opposite` must be the transpose of `held`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatmulError::Clique`] if `held.len()` differs from the
+    /// clique size.
+    pub fn from_layouts(
+        clique: &mut Clique,
+        side: Side,
+        held: &'a [SparseRow<E>],
+        opposite: &'a [SparseRow<E>],
+    ) -> Result<Self, MatmulError> {
+        debug_assert!(
+            SparseMatrix::from_rows(held.to_vec()).transpose().rows() == opposite,
+            "the two layouts must describe one matrix"
+        );
+        let (counts, _, density) = layout::broadcast_counts(clique, held)?;
+        Ok(Operand {
+            side,
+            held,
+            opposite: Cow::Borrowed(opposite),
+            counts,
+            density,
+            sigma1_placement: None,
+        })
+    }
+
+    /// The held slices: row `v` (left) or column `v` (right) at node `v`.
+    pub(crate) fn held(&self) -> &'a [SparseRow<E>] {
+        self.held
+    }
+
+    /// The opposite layout: column `v` (left) or row `v` (right) at node `v`.
+    pub(crate) fn opposite(&self) -> &[SparseRow<E>] {
+        &self.opposite
+    }
+
+    /// The broadcast per-slice non-zero counts of the held layout.
+    pub(crate) fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// The density `ρ = ⌈nnz / n⌉` (at least 1) derived from the counts.
+    pub(crate) fn density(&self) -> usize {
+        self.density
+    }
+
+    /// The held entries in global `(row, col)` coordinates, per holder.
+    pub(crate) fn entries(&self) -> PerNode<E> {
+        held_entries(self.side, self.held)
+    }
+}
+
+/// The entries of `held` — rows of a left operand, columns of a right one —
+/// in global `(row, col)` coordinates, per holder.
+pub(crate) fn held_entries<E: Clone + PartialEq>(side: Side, held: &[SparseRow<E>]) -> PerNode<E> {
+    held.iter()
+        .enumerate()
+        .map(|(v, slice)| {
+            slice
+                .iter()
+                .map(|(x, val)| match side {
+                    Side::Left => Entry::new(v as u32, x, val.clone()),
+                    Side::Right => Entry::new(x, v as u32, val.clone()),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Checks that `s` and `t` are a left and a right operand of clique size.
+pub(crate) fn check_pair<E: Clone + PartialEq>(
+    n: usize,
+    s: &Operand<'_, E>,
+    t: &Operand<'_, E>,
+) -> Result<(), MatmulError> {
+    assert!(
+        s.side == Side::Left && t.side == Side::Right,
+        "a product takes a left operand (held by rows) and a right one (held by columns)"
+    );
+    if s.held.len() != n || t.held.len() != n {
+        return Err(MatmulError::DimensionMismatch {
+            s_rows: s.held.len(),
+            t_cols: t.held.len(),
+            n,
+        });
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cc_matrix::{Dist, MinPlus};
+
+    fn sample() -> SparseMatrix<Dist> {
+        let mut m = SparseMatrix::zeros(4);
+        m.set(0, 1, Dist::fin(1));
+        m.set(0, 3, Dist::fin(2));
+        m.set(2, 1, Dist::fin(3));
+        m.set(3, 0, Dist::fin(4));
+        m
+    }
+
+    #[test]
+    fn prepare_costs_one_broadcast_and_one_transpose() {
+        let m = sample();
+        let mut clique = Clique::new(4);
+        let op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, m.rows()).unwrap();
+        assert_eq!(op.counts(), &[2, 0, 1, 1]);
+        assert_eq!(op.density(), 1);
+        assert_eq!(op.opposite(), m.transpose().rows());
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["counts/all_broadcast"].invocations, 1);
+        assert_eq!(phases["transpose/route"].invocations, 1);
+        assert_eq!(phases.len(), 2);
+    }
+
+    #[test]
+    fn from_layouts_only_broadcasts_the_counts() {
+        let m = sample();
+        let t = m.transpose();
+        let mut clique = Clique::new(4);
+        let op = Operand::from_layouts(&mut clique, Side::Right, t.rows(), m.rows()).unwrap();
+        assert_eq!(op.counts(), &[1, 2, 0, 1]);
+        assert_eq!(clique.rounds(), 1);
+        assert_eq!(clique.metrics().phases.len(), 1);
+    }
+
+    #[test]
+    fn entries_are_in_global_coordinates_on_either_side() {
+        let m = sample();
+        let t = m.transpose();
+        let mut clique = Clique::new(4);
+        let left = Operand::from_layouts(&mut clique, Side::Left, m.rows(), t.rows()).unwrap();
+        let right = Operand::from_layouts(&mut clique, Side::Right, t.rows(), m.rows()).unwrap();
+        let positions = |op: &Operand<'_, Dist>| {
+            let mut p: Vec<(u32, u32)> = op.entries().iter().flatten().map(Entry::pos).collect();
+            p.sort_unstable();
+            p
+        };
+        assert_eq!(positions(&left), vec![(0, 1), (0, 3), (2, 1), (3, 0)]);
+        assert_eq!(positions(&left), positions(&right));
+        // A column holder holds exactly the entries of its column.
+        assert!(right.entries()[1].iter().all(|e| e.col == 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "left operand")]
+    fn a_product_refuses_two_left_operands() {
+        let m = sample();
+        let t = m.transpose();
+        let mut clique = Clique::new(4);
+        let a = Operand::from_layouts(&mut clique, Side::Left, m.rows(), t.rows()).unwrap();
+        let b = a.clone();
+        let _ = check_pair(4, &a, &b);
+    }
+}

@@ -15,9 +15,12 @@ use cc_clique::Clique;
 use cc_matrix::{Semiring, SparseRow};
 
 use crate::cube::{CubePartition, CubeShape, Sigma, TaskAssignment};
-use crate::deliver::{deliver_subtask_inputs, local_product, ProductScratch};
+use crate::deliver::{
+    deliver_canonical_inputs, deliver_subtask_inputs, local_product, ProductScratch,
+};
+use crate::operand::{check_pair, Operand, Side};
 use crate::sum::sum_intermediates;
-use crate::{layout, MatmulError};
+use crate::MatmulError;
 
 /// Builds the duplication assignment `σ2` of Lemma 12: a subtask whose
 /// product has `nz ≥ chunk` entries receives `⌊nz/chunk⌋` helper nodes from
@@ -100,63 +103,96 @@ pub fn sparse_multiply<SR: Semiring>(
             n,
         });
     }
-    let rho_hat = rho_hat.clamp(1, n);
     clique.with_phase("sparse_mm", |clique| {
-        // Lemma 9: globally known cube partition.
-        let (s_counts, _, rho_s) = layout::broadcast_counts(clique, s_rows)?;
-        let (t_counts, _, rho_t) = layout::broadcast_counts(clique, t_cols)?;
-        let shape = CubeShape::choose(n, rho_s, rho_t, rho_hat);
-        let cube = CubePartition::build::<SR>(clique, shape, s_rows, t_cols, &s_counts, &t_counts)?;
+        let mut s = Operand::prepare::<SR>(clique, Side::Left, s_rows)?;
+        let mut t = Operand::prepare::<SR>(clique, Side::Right, t_cols)?;
+        product::<SR>(clique, &mut s, &mut t, rho_hat)
+    })
+}
 
-        // Lemma 11 with σ1 + local products.
-        let sigma1 = TaskAssignment::new(&cube, cube.sigma1());
-        let inputs = deliver_subtask_inputs::<SR>(clique, &cube, s_rows, t_cols, &sigma1)?;
-        let mut scratch = ProductScratch::default();
-        let products: Vec<_> =
-            inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
+/// [`sparse_multiply`] on operands the caller prepared — and may hand in
+/// again: whatever an operand already carries (its broadcast counts, its
+/// opposite layout, its `σ1` placement once a product computed it) is used,
+/// not re-communicated. Same product, same errors.
+///
+/// # Panics
+///
+/// Panics unless `s` is a [`Side::Left`] and `t` a [`Side::Right`] operand.
+///
+/// # Errors
+///
+/// Same as [`sparse_multiply`].
+pub fn sparse_multiply_prepared<SR: Semiring>(
+    clique: &mut Clique,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+    rho_hat: usize,
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
+    check_pair(clique.n(), s, t)?;
+    clique.with_phase("sparse_mm", |clique| product::<SR>(clique, s, t, rho_hat))
+}
 
-        // Lemma 12: duplicate dense subtasks.
-        let sizes: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
-        let sizes = clique.with_phase("sizes", |cl| cl.all_broadcast(sizes))?;
-        let chunk = (rho_hat * cube.c_eff()).max(1) as u64;
-        let sigma2_vec = build_sigma2(&cube, &sizes, chunk, rho_hat)?;
-        let sigma2 = TaskAssignment::new(&cube, sigma2_vec);
-        let dup_inputs = deliver_subtask_inputs::<SR>(clique, &cube, s_rows, t_cols, &sigma2)?;
+/// Theorem 8 from prepared operands on, inside the caller's phase.
+fn product<SR: Semiring>(
+    clique: &mut Clique,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+    rho_hat: usize,
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
+    let n = clique.n();
+    let rho_hat = rho_hat.clamp(1, n);
 
-        // Responsibility split: owners of subtask v are [v] ++ σ2-helpers
-        // (sorted); owner index o takes the o-th chunk of the product.
-        let mut intermediates: Vec<Vec<_>> = vec![Vec::new(); n];
-        for v in 0..cube.shape.subtasks() {
-            let (i, j, k) = cube.triple_of(v).expect("subtask nodes have triples");
-            // A node may serve as both the σ1 owner and a σ2 helper of the
-            // same task; it then takes two parts (paper, Lemma 12 step 3),
-            // so duplicates are kept.
-            let mut owners = vec![v];
-            owners.extend(sigma2.nodes_for(&cube, i, j, k).iter().copied());
-            owners.sort_unstable();
-            // Recompute the product once per distinct owner (σ1 owner has it;
-            // σ2 owners recomputed it from dup_inputs — same entries).
-            let prod_len = sizes[v] as usize;
-            let parts = prod_len.div_ceil(chunk as usize);
-            debug_assert!(parts <= owners.len(), "Lemma 12 guarantees enough owners");
-            for (o, owner) in owners.iter().enumerate().take(parts) {
-                let lo = o * chunk as usize;
-                let hi = ((o + 1) * chunk as usize).min(prod_len);
-                if *owner == v {
-                    intermediates[*owner].extend_from_slice(&products[v][lo..hi]);
-                } else {
-                    // σ2 owner: recompute locally from its delivered inputs.
-                    // (Computation is free in the model; entries are already
-                    // at the node via the σ2 delivery.)
-                    let prod = local_product::<SR>(&mut scratch, &dup_inputs[*owner]);
-                    intermediates[*owner].extend_from_slice(&prod[lo..hi]);
-                }
+    // Lemma 9: globally known cube partition.
+    let shape = CubeShape::choose(n, s.density(), t.density(), rho_hat);
+    let cube = CubePartition::build(clique, shape, s, t)?;
+
+    // Lemma 11 with σ1 + local products.
+    let inputs = deliver_canonical_inputs::<SR>(clique, &cube, s, t)?;
+    let mut scratch = ProductScratch::default();
+    let products: Vec<_> =
+        inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
+
+    // Lemma 12: duplicate dense subtasks.
+    let sizes: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
+    let sizes = clique.with_phase("sizes", |cl| cl.all_broadcast(sizes))?;
+    let chunk = (rho_hat * cube.c_eff()).max(1) as u64;
+    let sigma2_vec = build_sigma2(&cube, &sizes, chunk, rho_hat)?;
+    let sigma2 = TaskAssignment::new(&cube, sigma2_vec);
+    let dup_inputs = deliver_subtask_inputs::<SR>(clique, &cube, s.held(), t.held(), &sigma2)?;
+
+    // Responsibility split: owners of subtask v are [v] ++ σ2-helpers
+    // (sorted); owner index o takes the o-th chunk of the product.
+    let mut intermediates: Vec<Vec<_>> = vec![Vec::new(); n];
+    for v in 0..cube.shape.subtasks() {
+        let (i, j, k) = cube.triple_of(v).expect("subtask nodes have triples");
+        // A node may serve as both the σ1 owner and a σ2 helper of the
+        // same task; it then takes two parts (paper, Lemma 12 step 3),
+        // so duplicates are kept.
+        let mut owners = vec![v];
+        owners.extend(sigma2.nodes_for(&cube, i, j, k).iter().copied());
+        owners.sort_unstable();
+        // Recompute the product once per distinct owner (σ1 owner has it;
+        // σ2 owners recomputed it from dup_inputs — same entries).
+        let prod_len = sizes[v] as usize;
+        let parts = prod_len.div_ceil(chunk as usize);
+        debug_assert!(parts <= owners.len(), "Lemma 12 guarantees enough owners");
+        for (o, owner) in owners.iter().enumerate().take(parts) {
+            let lo = o * chunk as usize;
+            let hi = ((o + 1) * chunk as usize).min(prod_len);
+            if *owner == v {
+                intermediates[*owner].extend_from_slice(&products[v][lo..hi]);
+            } else {
+                // σ2 owner: recompute locally from its delivered inputs.
+                // (Computation is free in the model; entries are already
+                // at the node via the σ2 delivery.)
+                let prod = local_product::<SR>(&mut scratch, &dup_inputs[*owner]);
+                intermediates[*owner].extend_from_slice(&prod[lo..hi]);
             }
         }
+    }
 
-        // Lemma 13: balanced summation into row owners.
-        sum_intermediates::<SR>(clique, intermediates)
-    })
+    // Lemma 13: balanced summation into row owners.
+    sum_intermediates::<SR>(clique, intermediates)
 }
 
 /// A product computed with an automatically discovered density estimate:
@@ -273,6 +309,59 @@ mod tests {
             sparse_multiply_auto::<MinPlus>(&mut clique, w.rows(), t_cols.rows()).unwrap();
         assert_eq!(SparseMatrix::from_rows(rows), w.multiply::<MinPlus>(&w));
         assert!(used >= 1);
+    }
+
+    #[test]
+    fn a_reused_left_operand_is_prepared_and_balanced_once() {
+        // S ⋆ T1 then S ⋆ T2 from one prepared S: the one-shot products,
+        // entry for entry, while the second product re-sends nothing that
+        // depends on S alone.
+        let n = 24;
+        let s = random_matrix(n, 90, 11);
+        let (t1, t2) = (random_matrix(n, 60, 12), random_matrix(n, 200, 13));
+        let mut clique = Clique::new(n);
+        let mut left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
+        let mut products_run = 0;
+        for t in [&t1, &t2] {
+            let (t_rows, t_cols) = (t.rows(), t.transpose());
+            let mut right =
+                Operand::from_layouts(&mut clique, Side::Right, t_cols.rows(), t_rows).unwrap();
+            let rows =
+                sparse_multiply_prepared::<MinPlus>(&mut clique, &mut left, &mut right, n).unwrap();
+            assert_eq!(SparseMatrix::from_rows(rows), s.multiply::<MinPlus>(t));
+            products_run += 1;
+
+            let mut one_shot = Clique::new(n);
+            let expected =
+                sparse_multiply::<MinPlus>(&mut one_shot, s.rows(), t_cols.rows(), n).unwrap();
+            assert_eq!(SparseMatrix::from_rows(expected), s.multiply::<MinPlus>(t));
+        }
+        let phases = &clique.metrics().phases;
+        // Counts: S once, each T once. Transposes: S once (the Ts came with
+        // both layouts). σ1 balancing of S: the first product only.
+        assert_eq!(phases["counts/all_broadcast"].invocations, 1 + products_run);
+        assert_eq!(phases["transpose/route"].invocations, 1);
+        assert!(!phases.contains_key("sparse_mm/transpose/route"));
+        let s_balances = phases["sparse_mm/deliver_s/balance/sort"].invocations;
+        let t_balances = phases["sparse_mm/deliver_t/balance/sort"].invocations;
+        assert_eq!(t_balances - s_balances, 1, "S skipped exactly one σ1 balancing");
+        assert_eq!(phases["sparse_mm/deliver_s/fanout/route"].invocations, t_balances);
+    }
+
+    #[test]
+    fn an_empty_sigma2_delivery_is_skipped() {
+        // Identity ⋆ identity: every subtask product is tiny, so σ2 names
+        // nobody and only the σ1 delivery communicates.
+        let n = 8;
+        let id = SparseMatrix::<Dist>::identity::<MinPlus>(n);
+        let mut clique = Clique::new(n);
+        sparse_multiply::<MinPlus>(&mut clique, id.rows(), id.rows(), n).unwrap();
+        let phases = &clique.metrics().phases;
+        for side in ["deliver_s", "deliver_t"] {
+            for leaf in ["balance/all_broadcast", "balance/sort", "balance/route", "fanout/route"] {
+                assert_eq!(phases[&format!("sparse_mm/{side}/{leaf}")].invocations, 1, "{side}");
+            }
+        }
     }
 
     #[test]

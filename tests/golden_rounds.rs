@@ -44,20 +44,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 3_139,
-    messages: 1_328_194,
-    words: 1_732_560,
-    phase_labels: 54,
-    invocations: 2_547,
+    rounds: 834,
+    messages: 324_535,
+    words: 446_152,
+    phase_labels: 55,
+    invocations: 687,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 5_588,
-    messages: 2_660_972,
-    words: 3_353_041,
-    phase_labels: 108,
-    invocations: 4_786,
+    rounds: 1_020,
+    messages: 404_609,
+    words: 530_253,
+    phase_labels: 109,
+    invocations: 800,
     dist_digest: 12_639_840_282_067_814_693,
 };
 
