@@ -2,7 +2,9 @@
 //! `clique_paper` workload (Theorem 3 MSSP, Theorem 2/31 APSP at n = 32)
 //! must charge **exactly** the rounds, messages and words they charged when
 //! this file was written — in total and in every phase — and return the same
-//! distances.
+//! distances. A third section pins the three products of `cc-matmul` on their
+//! own (neither headline run reaches `dense_multiply` or a one-shot
+//! `filtered_multiply`): per-phase report and a digest of the output rows.
 //!
 //! The simulator's host cost may be optimised freely; *what is simulated*
 //! may not change by accident. A change that reorders, merges, drops or adds
@@ -19,10 +21,14 @@
 use congested_clique::clique::{Clique, RoundReport};
 use congested_clique::core::{apsp, mssp};
 use congested_clique::graph::{generators, reference, Graph};
-use congested_clique::matrix::Dist;
+use congested_clique::matmul::{dense_multiply, filtered_multiply, sparse_multiply, MatmulError};
+use congested_clique::matrix::{Dist, MinPlus, SparseMatrix, SparseRow};
 
 const GOLDEN_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/clique_n32_reports.txt");
+
+const PRODUCTS_GOLDEN_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/products_n32_reports.txt");
 
 const N: usize = 32;
 const EPSILON: f64 = 0.5;
@@ -30,6 +36,7 @@ const SOURCES: [usize; 8] = [1, 5, 9, 13, 17, 21, 25, 29];
 
 const MSSP_HEADER: &str = "# mssp(gnp_weighted(32, 5/32, 40, 42), sources 1,5,..,29, eps 0.5)";
 const APSP_HEADER: &str = "# unweighted_2eps(gnp(32, 5/32, 42), eps 0.5)";
+const PRODUCT_OPERAND: &str = "W * W, W = weight_matrix(gnp_weighted(32, 5/32, 40, 42))";
 
 /// Totals of one pinned run: what `Clique::report()` must read, the number
 /// of primitive invocations behind it, and an FNV-1a digest of the output
@@ -83,14 +90,25 @@ fn run_apsp() -> (Vec<Vec<Dist>>, RoundReport) {
     (run.dist, clique.report())
 }
 
-fn digest(dist: &[Vec<Dist>]) -> u64 {
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for d in dist.iter().flatten() {
-        for byte in d.value().unwrap_or(u64::MAX).to_le_bytes() {
+    for word in words {
+        for byte in word.to_le_bytes() {
             h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     h
+}
+
+fn digest(dist: &[Vec<Dist>]) -> u64 {
+    fnv1a(dist.iter().flatten().map(|d| d.value().unwrap_or(u64::MAX)))
+}
+
+/// Digest of distributed output rows: `(row, column, value)` per entry.
+fn rows_digest(rows: &[SparseRow<Dist>]) -> u64 {
+    fnv1a(rows.iter().enumerate().flat_map(|(r, row)| {
+        row.iter().flat_map(move |(c, d)| [r as u64, c as u64, d.value().unwrap_or(u64::MAX)])
+    }))
 }
 
 fn invocations(report: &RoundReport) -> u64 {
@@ -154,15 +172,12 @@ fn apsp_report_and_distances_are_pinned() {
     }
 }
 
-#[test]
-fn every_phase_matches_the_committed_reports() {
-    let (_, mssp) = run_mssp();
-    let (_, apsp) = run_apsp();
-    let got = rendered(&mssp, &apsp);
+/// Compares `got` with the committed file at `path`, line by line.
+fn assert_matches_golden(path: &str, got: &str) {
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN_PATH, &got).unwrap();
+        std::fs::write(path, got).unwrap();
     }
-    let want = std::fs::read_to_string(GOLDEN_PATH).expect(
+    let want = std::fs::read_to_string(path).expect(
         "golden reports missing; regenerate with UPDATE_GOLDEN=1 cargo test --test golden_rounds",
     );
     if got != want {
@@ -174,10 +189,63 @@ fn every_phase_matches_the_committed_reports() {
             .map(|(w, g)| format!("  golden: {}\n  now:    {}", w.trim(), g.trim()))
             .collect();
         panic!(
-            "per-phase reports differ from {GOLDEN_PATH} ({} vs {} lines); first differences:\n{}",
+            "per-phase reports differ from {path} ({} vs {} lines); first differences:\n{}",
             want.lines().count(),
             got.lines().count(),
             moved.join("\n")
         );
     }
+}
+
+#[test]
+fn every_phase_matches_the_committed_reports() {
+    let (_, mssp) = run_mssp();
+    let (_, apsp) = run_apsp();
+    assert_matches_golden(GOLDEN_PATH, &rendered(&mssp, &apsp));
+}
+
+type ProductRows = Result<Vec<SparseRow<Dist>>, MatmulError>;
+
+/// `W ⋆ W` for the weight matrix of the MSSP fixture, on a fresh clique.
+fn run_product(
+    w: &SparseMatrix<Dist>,
+    multiply: impl FnOnce(&mut Clique, &[SparseRow<Dist>], &[SparseRow<Dist>]) -> ProductRows,
+) -> (Vec<SparseRow<Dist>>, RoundReport) {
+    let mut clique = Clique::new(N);
+    let rows = multiply(&mut clique, w.rows(), w.transpose().rows()).unwrap();
+    (rows, clique.report())
+}
+
+/// The three products of `cc-matmul`, each on its own: `ρ̂ = 16` is below
+/// the true output density 25 (so Lemma 12 assigns helpers and the second
+/// delivery runs) and `ρ = 8` makes Lemma 15 search and Lemma 16 re-balance.
+#[test]
+fn standalone_products_match_the_committed_reports() {
+    let w = weighted_graph().weight_matrix();
+    let square = w.multiply::<MinPlus>(&w);
+
+    let (sparse, sparse_report) =
+        run_product(&w, |cl, s, t| sparse_multiply::<MinPlus>(cl, s, t, 16));
+    assert_eq!(SparseMatrix::from_rows(sparse.clone()), square);
+    assert_eq!(sparse_report.phases["sparse_mm/deliver_s/balance/sort"].invocations, 2);
+
+    let (filtered, filtered_report) =
+        run_product(&w, |cl, s, t| filtered_multiply::<MinPlus>(cl, s, t, 8));
+    assert_eq!(SparseMatrix::from_rows(filtered.clone()), square.filtered::<MinPlus>(8));
+    assert_eq!(filtered_report.phases["filtered_mm/deliver_s/balance/sort"].invocations, 2);
+
+    let (dense, dense_report) = run_product(&w, dense_multiply::<MinPlus>);
+    assert_eq!(SparseMatrix::from_rows(dense.clone()), square);
+
+    let section = |call: &str, rows: &[SparseRow<Dist>], report: &RoundReport| {
+        let digest = rows_digest(rows);
+        format!("# {call} of {PRODUCT_OPERAND}\n{report}rows_digest={digest}\n")
+    };
+    let got = [
+        section("sparse_multiply(rho_hat 16)", &sparse, &sparse_report),
+        section("filtered_multiply(rho 8)", &filtered, &filtered_report),
+        section("dense_multiply", &dense, &dense_report),
+    ]
+    .concat();
+    assert_matches_golden(PRODUCTS_GOLDEN_PATH, &got);
 }
