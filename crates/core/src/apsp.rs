@@ -19,7 +19,9 @@
 //!   ball–edge–ball case).
 
 use cc_clique::{Clique, Envelope};
-use cc_distance::{distance_through_sets, hitting_set, k_nearest, DistanceError, HittingSet};
+use cc_distance::{
+    check_size, distance_through_sets, hitting_set, k_nearest, DistanceError, HittingSet,
+};
 use cc_graph::Graph;
 use cc_matrix::{AugDist, Dist, MinPlus, SparseRow};
 
@@ -146,11 +148,7 @@ fn landmark_phase(
 }
 
 fn validate(clique: &Clique, graph: &Graph, epsilon: f64) -> Result<(), DistanceError> {
-    if graph.n() != clique.n() {
-        return Err(DistanceError::InvalidParameter {
-            what: format!("graph has {} nodes but clique has {}", graph.n(), clique.n()),
-        });
-    }
+    check_size(clique, graph.n())?;
     if !epsilon.is_finite() || epsilon <= 0.0 {
         return Err(DistanceError::InvalidParameter { what: "APSP needs epsilon > 0".to_owned() });
     }

@@ -13,7 +13,7 @@
 
 use cc_clique::{Clique, Envelope};
 use cc_distance::fixpoint::iterate_to_fixpoint;
-use cc_distance::DistanceError;
+use cc_distance::{check_size, DistanceError};
 use cc_graph::Graph;
 use cc_matrix::{Dist, MinPlus};
 
@@ -49,11 +49,7 @@ use crate::ApspRun;
 /// ```
 pub fn exact_apsp_squaring(clique: &mut Clique, graph: &Graph) -> Result<ApspRun, DistanceError> {
     let n = clique.n();
-    if graph.n() != n {
-        return Err(DistanceError::InvalidParameter {
-            what: format!("graph has {} nodes but clique has {n}", graph.n()),
-        });
-    }
+    check_size(clique, graph.n())?;
     let watch = Stopwatch::start(clique);
     let dist = clique.with_phase("apsp_squaring", |clique| {
         let start = graph.weight_matrix().rows().to_vec();
@@ -125,10 +121,11 @@ fn bounded_distance(g: &Graph, src: usize, dst: usize, limit: u64) -> Option<u64
 /// The spanner route to approximate APSP (§1.1): a `(2k-1)`-spanner is
 /// built (substitution: the deterministic Congested Clique construction of
 /// \[52\] is replaced by the classical greedy spanner with the same
-/// stretch/size interface, charging the cited polylog construction cost —
-/// see DESIGN.md), its `O(n^{1+1/k})` edges are broadcast so every node
-/// knows the whole spanner (`Õ(n^{1/k})` rounds — the dominant term), and
-/// every node answers all queries locally.
+/// stretch/size interface and charged `⌈log₂ n⌉²` rounds for the cited
+/// polylog construction — the substitution [`cc_distance::hitting_set`]
+/// makes for the same paper), its `O(n^{1+1/k})` edges are broadcast so
+/// every node knows the whole spanner (`Õ(n^{1/k})` rounds — the dominant
+/// term), and every node answers all queries locally.
 ///
 /// # Errors
 ///
@@ -158,11 +155,7 @@ pub fn spanner_apsp(
     k: usize,
 ) -> Result<ApspRun, DistanceError> {
     let n = clique.n();
-    if graph.n() != n {
-        return Err(DistanceError::InvalidParameter {
-            what: format!("graph has {} nodes but clique has {n}", graph.n()),
-        });
-    }
+    check_size(clique, graph.n())?;
     if k == 0 {
         return Err(DistanceError::InvalidParameter {
             what: "spanner stretch parameter k must be at least 1".to_owned(),

@@ -14,7 +14,7 @@
 //! deterministic.
 
 use cc_clique::Clique;
-use cc_distance::{hitting_set, k_nearest, DistanceError};
+use cc_distance::{check_size, hitting_set, k_nearest, DistanceError};
 use cc_graph::Graph;
 use cc_matrix::Dist;
 
@@ -51,11 +51,7 @@ pub fn diameter_approx(
     graph: &Graph,
     epsilon: f64,
 ) -> Result<DiameterRun, DistanceError> {
-    if graph.n() != clique.n() {
-        return Err(DistanceError::InvalidParameter {
-            what: format!("graph has {} nodes but clique has {}", graph.n(), clique.n()),
-        });
-    }
+    check_size(clique, graph.n())?;
     if !epsilon.is_finite() || epsilon <= 0.0 {
         return Err(DistanceError::InvalidParameter {
             what: "diameter approximation needs epsilon > 0".to_owned(),

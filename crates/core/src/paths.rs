@@ -9,7 +9,7 @@
 
 use cc_clique::Clique;
 use cc_distance::fixpoint::iterate_to_fixpoint;
-use cc_distance::{product_with_witnesses, DistanceError};
+use cc_distance::{check_size, product_with_witnesses, DistanceError};
 use cc_graph::Graph;
 use cc_matrix::{Dist, SparseRow, WitnessedDist};
 
@@ -107,11 +107,7 @@ impl ApspPaths {
 /// ```
 pub fn exact_apsp_paths(clique: &mut Clique, graph: &Graph) -> Result<ApspPaths, DistanceError> {
     let n = clique.n();
-    if graph.n() != n {
-        return Err(DistanceError::InvalidParameter {
-            what: format!("graph has {} nodes but clique has {n}", graph.n()),
-        });
-    }
+    check_size(clique, graph.n())?;
     let watch = Stopwatch::start(clique);
     let levels = clique.with_phase("apsp_paths", |clique| {
         let w = graph.weight_matrix();

@@ -10,7 +10,7 @@
 //! previous `Õ(n^{1/3})` bound.
 
 use cc_clique::Clique;
-use cc_distance::{k_nearest, DistanceError};
+use cc_distance::{check_size, k_nearest, DistanceError};
 use cc_graph::Graph;
 use cc_matrix::Dist;
 
@@ -18,11 +18,7 @@ use crate::run::Stopwatch;
 use crate::SsspRun;
 
 fn validate(clique: &Clique, graph: &Graph, source: usize) -> Result<(), DistanceError> {
-    if graph.n() != clique.n() {
-        return Err(DistanceError::InvalidParameter {
-            what: format!("graph has {} nodes but clique has {}", graph.n(), clique.n()),
-        });
-    }
+    check_size(clique, graph.n())?;
     if source >= graph.n() {
         return Err(DistanceError::InvalidParameter {
             what: format!("source {source} outside 0..{}", graph.n()),

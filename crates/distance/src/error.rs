@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use cc_clique::CliqueError;
+use cc_clique::{Clique, CliqueError};
 use cc_matmul::MatmulError;
 
 /// Errors raised by the distance tools.
@@ -55,6 +55,19 @@ pub(crate) fn invalid(what: impl Into<String>) -> DistanceError {
     DistanceError::InvalidParameter { what: what.into() }
 }
 
+/// The check every entry point of the workspace opens with: an input on
+/// `nodes` nodes (a graph, a matrix) needs a clique of exactly that size.
+///
+/// # Errors
+///
+/// [`DistanceError::InvalidParameter`] if the sizes differ.
+pub fn check_size(clique: &Clique, nodes: usize) -> Result<(), DistanceError> {
+    if nodes != clique.n() {
+        return Err(invalid(format!("input has {nodes} nodes but clique has {}", clique.n())));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,5 +78,8 @@ mod tests {
         assert!(e.to_string().contains("multiplication"));
         assert!(Error::source(&e).is_some());
         assert!(invalid("k must be positive").to_string().contains('k'));
+        let e = check_size(&Clique::new(9), 8).unwrap_err();
+        assert!(e.to_string().ends_with("input has 8 nodes but clique has 9"), "{e}");
+        assert_eq!(check_size(&Clique::new(8), 8), Ok(()));
     }
 }

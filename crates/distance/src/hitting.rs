@@ -5,7 +5,7 @@
 //! deterministic construction of Parter–Yogev [52] running in
 //! `O((log log n)³)` rounds; reproducing that separate paper is out of
 //! scope, so this implementation substitutes a construction with the same
-//! *interface* (see DESIGN.md):
+//! *interface*:
 //!
 //! * membership is decided by a seeded hash with probability
 //!   `p = min(1, 2·ln n / k)` — deterministic given the seed, no
@@ -108,8 +108,10 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// **Lemma 4**: a hitting set of size `O(n log n / k)` for the family
 /// `{S_v}` (with `|S_v| ≥ k` for the size bound; smaller non-empty sets are
-/// still guaranteed hit via the repair step). Charged
-/// `O((log log n)³)` rounds plus one repair broadcast.
+/// still guaranteed hit via the repair step). The deterministic
+/// construction the paper cites \[52\] is substituted by seeded sampling
+/// with the same interface, and its `O((log log n)³)` rounds are what is
+/// charged, plus one repair broadcast.
 ///
 /// Empty sets are skipped (nothing to hit).
 ///

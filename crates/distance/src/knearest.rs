@@ -17,7 +17,7 @@ use cc_graph::Graph;
 use cc_matmul::{layout, Operand, Side};
 use cc_matrix::{AugMinPlus, SparseRow};
 
-use crate::error::invalid;
+use crate::error::{check_size, invalid};
 use crate::fixpoint::iterate_to_fixpoint;
 use crate::DistanceError;
 
@@ -56,13 +56,7 @@ pub fn k_nearest(
     graph: &Graph,
     k: usize,
 ) -> Result<Vec<SparseRow<cc_matrix::AugDist>>, DistanceError> {
-    if graph.n() != clique.n() {
-        return Err(invalid(format!(
-            "graph has {} nodes but clique has {}",
-            graph.n(),
-            clique.n()
-        )));
-    }
+    check_size(clique, graph.n())?;
     k_nearest_matrix(clique, &graph.augmented_weight_matrix(), k)
 }
 

@@ -18,7 +18,8 @@
 //! * [`hitting_set`] — **Lemma 4**: deterministic-given-seed hitting sets of
 //!   size `O(n log n / k)` with guaranteed coverage (pseudorandom sampling
 //!   plus a one-round repair step; the round cost `O((log log n)³)` of the
-//!   cited construction \[PY18\] is charged explicitly — see DESIGN.md).
+//!   cited construction \[PY18\] is charged explicitly, as [`hitting_set`]
+//!   states).
 //!
 //! The tools that repeat a product — `k_nearest`'s squarings and source
 //! detection's hops — run through [`fixpoint::iterate_to_fixpoint`]: at most
@@ -48,9 +49,7 @@ mod source_detection;
 mod through_sets;
 mod witness;
 
-pub mod product;
-
-pub use error::DistanceError;
+pub use error::{check_size, DistanceError};
 pub use hitting::{hitting_set, hitting_set_local, HittingSet};
 pub use knearest::{k_nearest, k_nearest_matrix};
 pub use source_detection::{

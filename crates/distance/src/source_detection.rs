@@ -19,7 +19,7 @@ use cc_graph::Graph;
 use cc_matmul::{layout, Operand, Side};
 use cc_matrix::{AugDist, AugMinPlus, SparseMatrix, SparseRow};
 
-use crate::error::invalid;
+use crate::error::{check_size, invalid};
 use crate::fixpoint::iterate_to_fixpoint;
 use crate::DistanceError;
 
@@ -30,9 +30,7 @@ fn validate(
     d: usize,
 ) -> Result<Vec<bool>, DistanceError> {
     let n = clique.n();
-    if matrix_n != n {
-        return Err(invalid(format!("input has {matrix_n} nodes but clique has {n}")));
-    }
+    check_size(clique, matrix_n)?;
     if sources.is_empty() {
         return Err(invalid("source detection needs at least one source"));
     }

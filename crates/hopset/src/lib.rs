@@ -39,7 +39,9 @@
 
 use cc_clique::Clique;
 use cc_distance::fixpoint::iterate_to_fixpoint;
-use cc_distance::{hitting_set, k_nearest, source_detection_all, DistanceError, HittingSet};
+use cc_distance::{
+    check_size, hitting_set, k_nearest, source_detection_all, DistanceError, HittingSet,
+};
 use cc_graph::Graph;
 
 /// Tuning knobs for the hopset construction.
@@ -209,11 +211,7 @@ pub fn build_hopset(
     config: HopsetConfig,
 ) -> Result<Hopset, DistanceError> {
     let n = clique.n();
-    if graph.n() != n {
-        return Err(DistanceError::InvalidParameter {
-            what: format!("graph has {} nodes but clique has {n}", graph.n()),
-        });
-    }
+    check_size(clique, graph.n())?;
     if !config.epsilon.is_finite() || config.epsilon <= 0.0 {
         return Err(DistanceError::InvalidParameter {
             what: "hopset needs epsilon > 0".to_owned(),

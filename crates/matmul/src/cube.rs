@@ -12,7 +12,7 @@ use std::ops::Range;
 
 use cc_clique::{Clique, Envelope, NodeId};
 
-use crate::operand::Operand;
+use crate::operand::Prepared;
 use crate::partition::{balanced_partition, doubly_balanced_partition};
 use crate::MatmulError;
 
@@ -20,7 +20,7 @@ use crate::MatmulError;
 /// column blocks, and `c` middle blocks per `(i, j)` pair, with
 /// `a·b·c ≤ n` subtasks (nodes beyond `a·b·c` idle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CubeShape {
+pub(crate) struct CubeShape {
     /// Number of column blocks `C^T_j`.
     pub a: usize,
     /// Number of row blocks `C^S_i`.
@@ -84,14 +84,13 @@ impl CubeShape {
 /// A globally-known partition of the product cube `V³` into subcubes
 /// (Lemma 9), plus the node ↔ subtask correspondence.
 #[derive(Debug, Clone)]
-pub struct CubePartition {
-    n: usize,
+pub(crate) struct CubePartition {
+    /// The clique size the partition was built for.
+    pub n: usize,
     /// The partition dimensions.
     pub shape: CubeShape,
     /// Row blocks `C^S_i`, `i ∈ [b]` (sorted node lists).
     pub row_blocks: Vec<Vec<usize>>,
-    /// Column blocks `C^T_j`, `j ∈ [a]`.
-    pub col_blocks: Vec<Vec<usize>>,
     /// For each row `r`: the block index `i` with `r ∈ C^S_i`.
     pub row_block_of: Vec<usize>,
     /// For each column `c`: the block index `j` with `c ∈ C^T_j`.
@@ -116,12 +115,18 @@ fn mid_block_table(n: usize, mid_ranges: &[Vec<Range<usize>>]) -> Vec<u32> {
     table
 }
 
-impl CubePartition {
-    /// The clique size the partition was built for.
-    pub fn n(&self) -> usize {
-        self.n
+/// Inverts a partition of `0..n` into blocks: index → the block holding it.
+fn block_index(n: usize, blocks: &[Vec<usize>]) -> Vec<usize> {
+    let mut block_of = vec![0; n];
+    for (b, block) in blocks.iter().enumerate() {
+        for &x in block {
+            block_of[x] = b;
+        }
     }
+    block_of
+}
 
+impl CubePartition {
     /// The node responsible for subtask `(i, j, k)` under the canonical
     /// assignment `σ1`.
     pub fn node_for(&self, i: usize, j: usize, k: usize) -> NodeId {
@@ -138,9 +143,10 @@ impl CubePartition {
         Some((ij / self.shape.a, ij % self.shape.a, k))
     }
 
-    /// The canonical assignment `σ1` as a per-node vector.
-    pub fn sigma1(&self) -> Sigma {
-        (0..self.n).map(|v| self.triple_of(v)).collect()
+    /// The canonical assignment `σ1`: every subtask node computes its own.
+    pub fn sigma1(&self) -> TaskAssignment {
+        let by_task = (0..self.shape.subtasks()).map(|v| vec![v]).collect();
+        TaskAssignment { canonical: true, by_task }
     }
 
     /// The middle block index `k` with `col ∈ C^{ij}_k`.
@@ -175,29 +181,15 @@ impl CubePartition {
             let size = n.div_ceil(parts);
             (0..parts).map(|p| (p * size).min(n)..((p + 1) * size).min(n)).collect()
         };
-        let row_ranges = even(shape.b);
-        let col_ranges = even(shape.a);
-        let mid = even(shape.c);
-        let to_blocks = |ranges: &[Range<usize>]| -> Vec<Vec<usize>> {
-            ranges.iter().map(|r| r.clone().collect()).collect()
-        };
-        let block_of = |ranges: &[Range<usize>]| -> Vec<usize> {
-            let mut out = vec![0; n];
-            for (b, r) in ranges.iter().enumerate() {
-                for v in r.clone() {
-                    out[v] = b;
-                }
-            }
-            out
-        };
-        let mid_ranges = vec![mid; shape.a * shape.b];
+        let blocks = |parts| even(parts).into_iter().map(Iterator::collect).collect::<Vec<_>>();
+        let row_blocks: Vec<Vec<usize>> = blocks(shape.b);
+        let mid_ranges = vec![even(shape.c); shape.a * shape.b];
         CubePartition {
             n,
             shape,
-            row_blocks: to_blocks(&row_ranges),
-            col_blocks: to_blocks(&col_ranges),
-            row_block_of: block_of(&row_ranges),
-            col_block_of: block_of(&col_ranges),
+            row_block_of: block_index(n, &row_blocks),
+            col_block_of: block_index(n, &blocks(shape.a)),
+            row_blocks,
             mid_block: mid_block_table(n, &mid_ranges),
             mid_ranges,
         }
@@ -222,28 +214,18 @@ impl CubePartition {
     pub fn build<E: Clone + PartialEq>(
         clique: &mut Clique,
         shape: CubeShape,
-        s: &Operand<'_, E>,
-        t: &Operand<'_, E>,
+        s: &Prepared<'_, E>,
+        t: &Prepared<'_, E>,
     ) -> Result<CubePartition, MatmulError> {
         let n = clique.n();
         let CubeShape { a, b, c } = shape;
-        let (s_cols, t_rows) = (s.opposite(), t.opposite());
+        let (s_cols, t_rows) = (&s.opposite, &t.opposite);
 
         // (1) Globally-known row and column blocks (Lemma 5).
-        let row_blocks = balanced_partition(s.counts(), b);
-        let col_blocks = balanced_partition(t.counts(), a);
-        let mut row_block_of = vec![0usize; n];
-        for (i, block) in row_blocks.iter().enumerate() {
-            for &r in block {
-                row_block_of[r] = i;
-            }
-        }
-        let mut col_block_of = vec![0usize; n];
-        for (j, block) in col_blocks.iter().enumerate() {
-            for &cidx in block {
-                col_block_of[cidx] = j;
-            }
-        }
+        let row_blocks = balanced_partition(&s.counts, b);
+        let col_blocks = balanced_partition(&t.counts, a);
+        let row_block_of = block_index(n, &row_blocks);
+        let col_block_of = block_index(n, &col_blocks);
 
         // (2) Per-slice counts to each subtask node: node v sends to node
         // u = (i, j, k) the pair (nz(S[C^S_i, v]), nz(T[v, C^T_j])).
@@ -296,7 +278,6 @@ impl CubePartition {
             n,
             shape,
             row_blocks,
-            col_blocks,
             row_block_of,
             col_block_of,
             mid_block: mid_block_table(n, &mid_ranges),
@@ -316,7 +297,7 @@ impl CubePartition {
         let i = self.row_block_of[r as usize];
         for j in 0..self.shape.a {
             let k = self.mid_block_of(i, j, c as usize);
-            out.extend_from_slice(assigned.nodes_for(self, i, j, k));
+            out.extend_from_slice(assigned.nodes_for(self.node_for(i, j, k)));
         }
     }
 
@@ -332,55 +313,53 @@ impl CubePartition {
         let j = self.col_block_of[c as usize];
         for i in 0..self.shape.b {
             let k = self.mid_block_of(i, j, r as usize);
-            out.extend_from_slice(assigned.nodes_for(self, i, j, k));
+            out.extend_from_slice(assigned.nodes_for(self.node_for(i, j, k)));
         }
     }
 }
 
-/// A per-node subtask assignment vector: `sigma[v]` is the `(i, j, k)`
-/// triple node `v` computes, or `None` for idle nodes.
-pub type Sigma = Vec<Option<(usize, usize, usize)>>;
-
 /// An assignment `σ : V → subtasks` (Lemma 11): which nodes compute which
-/// subtask's product. The canonical `σ1` maps node `v` to its own triple;
-/// the balancing steps (Lemmas 12 and 16) construct sparse assignments that
-/// duplicate dense subtasks.
+/// subtask's product, a subtask being named by its `σ1` node. The canonical
+/// `σ1` maps every subtask node to itself; the balancing steps (Lemmas 12
+/// and 16) construct sparse assignments that duplicate dense subtasks.
 #[derive(Debug, Clone)]
-pub struct TaskAssignment {
-    /// Per node: the assigned subtask, if any.
-    pub sigma: Sigma,
-    /// Reverse index: subtask linear id → assigned nodes (sorted).
+pub(crate) struct TaskAssignment {
+    /// Whether this is `σ1` itself (not merely equal to it): only then is
+    /// the placement Lemma 10 computes for an operand reusable.
+    pub canonical: bool,
+    /// Reverse index: subtask → assigned nodes (sorted).
     by_task: Vec<Vec<NodeId>>,
 }
 
 impl TaskAssignment {
-    /// Builds the reverse index for an assignment vector.
-    pub fn new(cube: &CubePartition, sigma: Sigma) -> Self {
+    /// Builds the reverse index of a per-node assignment vector: `sigma[v]`
+    /// is the subtask node `v` computes, or `None` for idle nodes.
+    pub fn new(cube: &CubePartition, sigma: &[Option<NodeId>]) -> Self {
         let mut by_task = vec![Vec::new(); cube.shape.subtasks()];
-        for (v, t) in sigma.iter().enumerate() {
-            if let Some((i, j, k)) = t {
-                by_task[(i * cube.shape.a + j) * cube.shape.c + k].push(v);
+        for (v, task) in sigma.iter().enumerate() {
+            if let Some(task) = task {
+                by_task[*task].push(v);
             }
         }
-        TaskAssignment { sigma, by_task }
+        TaskAssignment { canonical: false, by_task }
     }
 
     /// Whether no node is assigned anything. An assignment is computed from
     /// broadcast data, so every node can tell.
     pub fn is_empty(&self) -> bool {
-        self.sigma.iter().all(Option::is_none)
+        self.by_task.iter().all(Vec::is_empty)
     }
 
-    /// Nodes assigned to subtask `(i, j, k)`.
-    pub fn nodes_for(&self, cube: &CubePartition, i: usize, j: usize, k: usize) -> &[NodeId] {
-        &self.by_task[(i * cube.shape.a + j) * cube.shape.c + k]
+    /// Nodes assigned to the subtask of `σ1` node `task`.
+    pub fn nodes_for(&self, task: NodeId) -> &[NodeId] {
+        &self.by_task[task]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operand::Side;
+    use crate::operand::{Operand, Side};
     use cc_matrix::{Dist, MinPlus, SparseMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -444,10 +423,12 @@ mod tests {
         let t = random_matrix(n, 500, 2);
         let t_cols = t.transpose();
         let mut clique = Clique::new(n);
-        let s_op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
-        let t_op = Operand::prepare::<MinPlus>(&mut clique, Side::Right, t_cols.rows()).unwrap();
-        let shape = CubeShape::choose(n, s_op.density(), t_op.density(), 8);
-        let cube = CubePartition::build(&mut clique, shape, &s_op, &t_op).unwrap();
+        let mut s_op = Operand::unprepared(Side::Left, s.rows());
+        let mut t_op = Operand::unprepared(Side::Right, t_cols.rows());
+        let s_known = s_op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
+        let t_known = t_op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
+        let shape = CubeShape::choose(n, s_known.density, t_known.density, 8);
+        let cube = CubePartition::build(&mut clique, shape, s_known, t_known).unwrap();
 
         // Blocks cover everything exactly once.
         let mut seen = vec![false; n];
@@ -522,10 +503,14 @@ mod tests {
     #[test]
     fn assignment_reverse_index() {
         let cube = CubePartition::uniform(8, CubeShape { a: 2, b: 2, c: 2 });
-        let assigned = TaskAssignment::new(&cube, cube.sigma1());
+        let assigned = cube.sigma1();
+        assert!(assigned.canonical);
         for v in 0..8 {
-            let (i, j, k) = cube.triple_of(v).unwrap();
-            assert_eq!(assigned.nodes_for(&cube, i, j, k), &[v]);
+            assert_eq!(assigned.nodes_for(v), &[v]);
         }
+        let helpers = TaskAssignment::new(&cube, &[None, Some(5), None, Some(5), Some(0)]);
+        assert_eq!(helpers.nodes_for(5), &[1, 3]);
+        assert_eq!(helpers.nodes_for(0), &[4]);
+        assert!(!helpers.canonical && !helpers.is_empty());
     }
 }

@@ -10,14 +10,13 @@
 //! partition, every node sends and receives `O(ρS·a + n)` words for `S` and
 //! `O(ρT·b + n)` for `T`, i.e. `O(ρS·a/n + ρT·b/n + 1)` rounds.
 
-use std::cmp::Ordering;
-
-use cc_clique::{Clique, Envelope, NodeId, Payload};
-use cc_matrix::{Entry, Semiring, SparseRow};
+use cc_clique::{Clique, Envelope, NodeId};
+use cc_matrix::{Entry, Semiring};
 
 use crate::cube::{CubePartition, TaskAssignment};
 use crate::key_index::KeyIndex;
-use crate::operand::{held_entries, Operand, Side};
+use crate::keyed::Keyed;
+use crate::operand::Operand;
 use crate::MatmulError;
 
 /// The input slices one node needs for its assigned subtask.
@@ -29,52 +28,6 @@ pub struct SubtaskInput<E> {
     pub t_entries: Vec<Entry<E>>,
 }
 
-/// A weighted entry in the Lemma 10 balancing sort. Ordered by *descending*
-/// duplication weight (then position, for determinism); the value tags along
-/// and does not participate in the order.
-#[derive(Debug, Clone)]
-struct BalanceItem<E> {
-    neg_weight: u64,
-    row: u32,
-    col: u32,
-    val: E,
-}
-
-impl<E> BalanceItem<E> {
-    fn key(&self) -> (u64, u32, u32) {
-        (self.neg_weight, self.row, self.col)
-    }
-}
-
-impl<E> Default for SubtaskInput<E> {
-    fn default() -> Self {
-        SubtaskInput { s_entries: Vec::new(), t_entries: Vec::new() }
-    }
-}
-
-impl<E> PartialEq for BalanceItem<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for BalanceItem<E> {}
-impl<E> PartialOrd for BalanceItem<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for BalanceItem<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-impl<E: Payload> Payload for BalanceItem<E> {
-    fn words(&self) -> usize {
-        // Entry plus its O(log n)-bit weight ride in O(1) words.
-        self.val.words()
-    }
-}
-
 /// Fills the buffer it is handed with the recipients of entry `(row, col)`;
 /// the buffer arrives empty.
 type Targets<'a> = &'a dyn Fn(u32, u32, &mut Vec<NodeId>);
@@ -82,36 +35,102 @@ type Targets<'a> = &'a dyn Fn(u32, u32, &mut Vec<NodeId>);
 /// Entries in global coordinates, grouped by the node that holds them.
 pub(crate) type PerNode<E> = Vec<Vec<Entry<E>>>;
 
-/// Balances weighted entries across nodes (Lemma 10) and then fans each
-/// entry out to the subtask nodes given by `targets` (Lemma 11), which is
-/// asked twice per entry — by the initial holder for the weight, by the
-/// balanced holder for the fan-out.
-fn balance_and_fanout<SR: Semiring>(
+/// Lemma 11: every node assigned a subtask by `assignment` learns its
+/// `S`-block and `T`-block.
+///
+/// An assignment that names no node is skipped without communication (and
+/// the result is empty): it was computed from broadcast data, so every node
+/// knows nothing is due. Under `σ1`, an operand whose placement an earlier
+/// delivery computed skips Lemma 10's broadcast, sort and deal — its balanced
+/// holders were sent those entries then — and only fans out against the new
+/// cube.
+///
+/// # Errors
+///
+/// Returns [`MatmulError::Clique`] on malformed communication.
+pub(crate) fn deliver<SR: Semiring>(
     clique: &mut Clique,
-    per_node: Vec<Vec<Entry<SR::Elem>>>,
+    cube: &CubePartition,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+    assignment: &TaskAssignment,
+) -> Result<Vec<SubtaskInput<SR::Elem>>, MatmulError> {
+    if assignment.is_empty() {
+        return Ok(Vec::new());
+    }
+    // S entries start row-distributed, T entries column-distributed.
+    let s_targets =
+        |r: u32, c: u32, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, assignment, out);
+    let s_delivered = clique.with_phase("deliver_s", |cl| {
+        half_delivery::<SR>(cl, s, assignment.canonical, &s_targets)
+    })?;
+    let t_targets =
+        |r: u32, c: u32, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, assignment, out);
+    let t_delivered = clique.with_phase("deliver_t", |cl| {
+        half_delivery::<SR>(cl, t, assignment.canonical, &t_targets)
+    })?;
+    Ok(s_delivered
+        .into_iter()
+        .zip(t_delivered)
+        .map(|(s_entries, t_entries)| SubtaskInput { s_entries, t_entries })
+        .collect())
+}
+
+/// One operand's half of a delivery: every entry goes from where Lemma 10
+/// puts it to the nodes `targets` names. A `reusable` (`σ1`) placement is
+/// taken from the operand if an earlier delivery left one, and left there.
+fn half_delivery<SR: Semiring>(
+    clique: &mut Clique,
+    operand: &mut Operand<'_, SR::Elem>,
+    reusable: bool,
     targets: Targets<'_>,
-) -> Result<Vec<Vec<Entry<SR::Elem>>>, MatmulError> {
-    let (balanced, total_weight) = balance::<SR>(clique, per_node, targets)?;
-    fanout::<SR>(clique, &balanced, targets, total_weight)
+) -> Result<PerNode<SR::Elem>, MatmulError> {
+    let kept = if reusable { operand.sigma1_placement.take() } else { None };
+    let placement = match kept {
+        Some(placement) => placement,
+        None => balance::<SR>(clique, operand.entries(), targets)?,
+    };
+    let mut recipients: Vec<NodeId> = Vec::new();
+    let mut weight = None;
+    // Every entry a delivery moves is needed somewhere: at least one copy each.
+    let mut copies = Vec::with_capacity(placement.iter().map(Vec::len).sum());
+    for (holder, batch) in placement.iter().enumerate() {
+        for entry in batch {
+            recipients.clear();
+            targets(entry.row, entry.col, &mut recipients);
+            debug_assert!(
+                !reusable || *weight.get_or_insert(recipients.len()) == recipients.len(),
+                "a placement is reusable only while every entry weighs the same"
+            );
+            for &dst in &recipients {
+                copies.push(Envelope::new(holder, dst, entry.clone()));
+            }
+        }
+    }
+    let inboxes = clique.with_phase("fanout", |cl| cl.route(copies))?;
+    if reusable {
+        operand.sigma1_placement = Some(placement);
+    }
+    Ok(inboxes.into_iter().map(|batch| batch.into_iter().map(|e| e.payload).collect()).collect())
 }
 
 /// Lemma 10: balances weighted entries across nodes. Returns, per balanced
-/// holder, the entries it now holds, and the total duplication weight.
+/// holder, the entries it now holds.
 ///
 /// `per_node[v]` are the entries initially held by node `v`; `targets(r, c,
 /// buf)` lists the recipients of entry `(r, c)` into a buffer that arrives
 /// empty, and an entry's duplication weight is the length of that list.
 fn balance<SR: Semiring>(
     clique: &mut Clique,
-    per_node: Vec<Vec<Entry<SR::Elem>>>,
+    per_node: PerNode<SR::Elem>,
     targets: Targets<'_>,
-) -> Result<(PerNode<SR::Elem>, usize), MatmulError> {
+) -> Result<PerNode<SR::Elem>, MatmulError> {
     let n = clique.n();
     let mut recipients: Vec<NodeId> = Vec::new();
 
-    // Step 1: global sort by descending duplication weight.
-    let mut total_weight = 0usize;
-    let items: Vec<Vec<BalanceItem<SR::Elem>>> = per_node
+    // Step 1: global sort by descending duplication weight, then position
+    // (for determinism).
+    let items: Vec<Vec<Keyed<SR::Elem>>> = per_node
         .into_iter()
         .map(|entries| {
             entries
@@ -119,13 +138,7 @@ fn balance<SR: Semiring>(
                 .map(|e| {
                     recipients.clear();
                     targets(e.row, e.col, &mut recipients);
-                    total_weight += recipients.len();
-                    BalanceItem {
-                        neg_weight: u64::MAX - recipients.len() as u64,
-                        row: e.row,
-                        col: e.col,
-                        val: e.val,
-                    }
+                    Keyed { key: (u64::MAX - recipients.len() as u64, e.row, e.col), val: e.val }
                 })
                 .collect()
         })
@@ -135,7 +148,7 @@ fn balance<SR: Semiring>(
     let counts = clique.with_phase("balance", |cl| cl.all_broadcast(counts))?;
     let total: u64 = counts.iter().sum();
     if total == 0 {
-        return Ok((vec![Vec::new(); n], 0));
+        return Ok(vec![Vec::new(); n]);
     }
     let sorted = clique.with_phase("balance", |cl| cl.sort(items))?;
     let run = (total as usize).div_ceil(n);
@@ -150,146 +163,15 @@ fn balance<SR: Semiring>(
         }
     }
     let balanced = clique.with_phase("balance", |cl| cl.route(deal))?;
-    let balanced = balanced
+    Ok(balanced
         .into_iter()
         .map(|batch| {
             batch
                 .into_iter()
-                .map(|env| Entry::new(env.payload.row, env.payload.col, env.payload.val))
+                .map(|env| Entry::new(env.payload.key.1, env.payload.key.2, env.payload.val))
                 .collect()
         })
-        .collect();
-    Ok((balanced, total_weight))
-}
-
-/// Lemma 11: every balanced holder fans each of its entries out to the
-/// subtask nodes `targets` names; `total_weight` is the number of copies.
-fn fanout<SR: Semiring>(
-    clique: &mut Clique,
-    balanced: &[Vec<Entry<SR::Elem>>],
-    targets: Targets<'_>,
-    total_weight: usize,
-) -> Result<Vec<Vec<Entry<SR::Elem>>>, MatmulError> {
-    let mut recipients: Vec<NodeId> = Vec::new();
-    let mut copies = Vec::with_capacity(total_weight);
-    for (holder, batch) in balanced.iter().enumerate() {
-        for entry in batch {
-            recipients.clear();
-            targets(entry.row, entry.col, &mut recipients);
-            for &dst in &recipients {
-                copies.push(Envelope::new(holder, dst, entry.clone()));
-            }
-        }
-    }
-    debug_assert_eq!(copies.len(), total_weight, "weights are the fan-out sizes");
-    let inboxes = clique.with_phase("fanout", |cl| cl.route(copies))?;
-    Ok(inboxes.into_iter().map(|batch| batch.into_iter().map(|e| e.payload).collect()).collect())
-}
-
-/// One operand's half of a `σ1` delivery: fan its entries out from where
-/// Lemma 10 puts them, running the balancing only if no earlier delivery of
-/// this operand did. `weight` is the duplication weight every entry has under
-/// `σ1` — what makes the placement reusable.
-fn deliver_canonical_side<SR: Semiring>(
-    clique: &mut Clique,
-    operand: &mut Operand<'_, SR::Elem>,
-    targets: Targets<'_>,
-    weight: usize,
-) -> Result<Vec<Vec<Entry<SR::Elem>>>, MatmulError> {
-    let placement = match operand.sigma1_placement.take() {
-        Some(placement) => placement,
-        None => balance::<SR>(clique, operand.entries(), targets)?.0,
-    };
-    debug_assert!(
-        placement.iter().flatten().all(|e| {
-            let mut recipients = Vec::new();
-            targets(e.row, e.col, &mut recipients);
-            recipients.len() == weight
-        }),
-        "a placement is reusable only while every entry weighs the same"
-    );
-    let entries: usize = placement.iter().map(Vec::len).sum();
-    let delivered = fanout::<SR>(clique, &placement, targets, entries * weight)?;
-    operand.sigma1_placement = Some(placement);
-    Ok(delivered)
-}
-
-fn into_inputs<E>(
-    n: usize,
-    s_delivered: Vec<Vec<Entry<E>>>,
-    t_delivered: Vec<Vec<Entry<E>>>,
-) -> Vec<SubtaskInput<E>> {
-    let mut out: Vec<SubtaskInput<E>> = s_delivered
-        .into_iter()
-        .zip(t_delivered)
-        .map(|(s_entries, t_entries)| SubtaskInput { s_entries, t_entries })
-        .collect();
-    out.resize_with(n, SubtaskInput::default);
-    out
-}
-
-/// Lemma 11 under the canonical assignment `σ1`: every subtask node learns
-/// its `S`-block and `T`-block.
-///
-/// An operand whose placement an earlier delivery computed skips Lemma 10's
-/// broadcast, sort and deal — its balanced holders were sent those entries
-/// then — and only fans out against the new cube.
-///
-/// # Errors
-///
-/// Returns [`MatmulError::Clique`] on malformed communication.
-pub fn deliver_canonical_inputs<SR: Semiring>(
-    clique: &mut Clique,
-    cube: &CubePartition,
-    s: &mut Operand<'_, SR::Elem>,
-    t: &mut Operand<'_, SR::Elem>,
-) -> Result<Vec<SubtaskInput<SR::Elem>>, MatmulError> {
-    let sigma1 = &TaskAssignment::new(cube, cube.sigma1());
-    let s_targets = |r: u32, c: u32, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, sigma1, out);
-    let s_delivered = clique.with_phase("deliver_s", |cl| {
-        deliver_canonical_side::<SR>(cl, s, &s_targets, cube.shape.a)
-    })?;
-    let t_targets = |r: u32, c: u32, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, sigma1, out);
-    let t_delivered = clique.with_phase("deliver_t", |cl| {
-        deliver_canonical_side::<SR>(cl, t, &t_targets, cube.shape.b)
-    })?;
-    Ok(into_inputs(clique.n(), s_delivered, t_delivered))
-}
-
-/// Lemma 11: every node assigned a subtask by `assignment` learns its
-/// `S`-block and `T`-block.
-///
-/// An assignment that names no node is skipped without communication: it
-/// was computed from broadcast data, so every node knows nothing is due.
-///
-/// # Errors
-///
-/// Returns [`MatmulError::Clique`] on malformed communication.
-pub fn deliver_subtask_inputs<SR: Semiring>(
-    clique: &mut Clique,
-    cube: &CubePartition,
-    s_rows: &[SparseRow<SR::Elem>],
-    t_cols: &[SparseRow<SR::Elem>],
-    assignment: &TaskAssignment,
-) -> Result<Vec<SubtaskInput<SR::Elem>>, MatmulError> {
-    let n = clique.n();
-    if assignment.is_empty() {
-        return Ok(into_inputs(n, Vec::new(), Vec::new()));
-    }
-
-    // S entries start row-distributed, T entries column-distributed.
-    let s_targets =
-        |r: u32, c: u32, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, assignment, out);
-    let s_delivered = clique.with_phase("deliver_s", |cl| {
-        balance_and_fanout::<SR>(cl, held_entries(Side::Left, s_rows), &s_targets)
-    })?;
-    let t_targets =
-        |r: u32, c: u32, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, assignment, out);
-    let t_delivered = clique.with_phase("deliver_t", |cl| {
-        balance_and_fanout::<SR>(cl, held_entries(Side::Right, t_cols), &t_targets)
-    })?;
-
-    Ok(into_inputs(n, s_delivered, t_delivered))
+        .collect())
 }
 
 /// The buffers of [`local_product`]. One multiplication computes thousands
@@ -373,7 +255,10 @@ pub fn local_product<SR: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_matrix::{AugDist, AugMinPlus, Boolean, Dist, MinPlus, WitnessedDist, WitnessedMinPlus};
+    use crate::operand::Side;
+    use cc_matrix::{
+        AugDist, AugMinPlus, Boolean, Dist, MinPlus, SparseMatrix, WitnessedDist, WitnessedMinPlus,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -540,11 +425,11 @@ mod tests {
         // the entries naming it, in (holder, deal) order, whatever the
         // balancing did in between.
         let n = 6;
-        let per_node: Vec<Vec<Entry<Dist>>> = (0..n as u32)
-            .map(|v| {
-                (0..n as u32).map(|c| Entry::new(v, c, Dist::fin((v * 10 + c) as u64))).collect()
-            })
-            .collect();
+        let mut full = SparseMatrix::zeros(n);
+        for (v, c) in (0..n).flat_map(|v| (0..n).map(move |c| (v, c))) {
+            full.set(v, c, Dist::fin((v * 10 + c) as u64));
+        }
+        let mut rows = Operand::unprepared(Side::Left, full.rows());
         let targets = |r: u32, c: u32, out: &mut Vec<NodeId>| {
             assert!(out.is_empty(), "the buffer is handed over empty");
             out.push(r as usize);
@@ -553,7 +438,8 @@ mod tests {
             }
         };
         let mut clique = Clique::new(n);
-        let delivered = balance_and_fanout::<MinPlus>(&mut clique, per_node, &targets).unwrap();
+        let delivered = half_delivery::<MinPlus>(&mut clique, &mut rows, false, &targets).unwrap();
+        assert!(rows.sigma1_placement.is_none(), "not σ1: nothing to keep");
         for (v, inbox) in delivered.iter().enumerate() {
             let mut positions: Vec<(u32, u32)> = inbox.iter().map(Entry::pos).collect();
             positions.sort_unstable();

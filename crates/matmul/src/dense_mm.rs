@@ -3,15 +3,16 @@
 //!
 //! Uniform cube partition `a = b ≈ n^{1/3}`, `c = n/(a·b)`: every node
 //! receives two `~n^{2/3} × n^{2/3}` blocks (`n^{4/3}` words ⇒ `n^{1/3}`
-//! rounds), multiplies locally, and the block products are summed with the
-//! same balanced summation as the sparse algorithm.
+//! rounds), multiplies locally, and the block products are summed: the
+//! shared pipeline (see the crate docs) under the plan with nothing
+//! theorem-specific in it — a cube that needs no communication, hence
+//! operands nobody prepares, no thinning and no helpers.
 
 use cc_clique::Clique;
 use cc_matrix::{Semiring, SparseRow};
 
-use crate::cube::{CubePartition, CubeShape, TaskAssignment};
-use crate::deliver::{deliver_subtask_inputs, local_product, ProductScratch};
-use crate::sum::sum_intermediates;
+use crate::operand::{Operand, Side};
+use crate::pipeline::{product, Plan};
 use crate::MatmulError;
 
 /// Computes `P = S ⋆ T` with the dense 3D algorithm: `Θ(n^{1/3})` rounds
@@ -48,23 +49,10 @@ pub fn dense_multiply<SR: Semiring>(
     s_rows: &[SparseRow<SR::Elem>],
     t_cols: &[SparseRow<SR::Elem>],
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
-    let n = clique.n();
-    if s_rows.len() != n || t_cols.len() != n {
-        return Err(MatmulError::DimensionMismatch {
-            s_rows: s_rows.len(),
-            t_cols: t_cols.len(),
-            n,
-        });
-    }
-    clique.with_phase("dense_mm", |clique| {
-        let cube = CubePartition::uniform(n, CubeShape::uniform(n));
-        let sigma1 = TaskAssignment::new(&cube, cube.sigma1());
-        let inputs = deliver_subtask_inputs::<SR>(clique, &cube, s_rows, t_cols, &sigma1)?;
-        let mut scratch = ProductScratch::default();
-        let intermediates: Vec<_> =
-            inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
-        sum_intermediates::<SR>(clique, intermediates)
-    })
+    let plan = Plan { label: "dense_mm", cube_density: None, thin: None, helpers: None };
+    let mut s = Operand::unprepared(Side::Left, s_rows);
+    let mut t = Operand::unprepared(Side::Right, t_cols);
+    product::<SR>(clique, &plan, &mut s, &mut t)
 }
 
 #[cfg(test)]

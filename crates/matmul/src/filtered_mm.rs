@@ -12,6 +12,10 @@
 //! group (Lemma 16), summed like in Theorem 8, and the final rows filtered
 //! once more locally.
 //!
+//! Everything but the search, Lemma 16's helper policy (one pool per group,
+//! chunk `ρ·α_i·c`) and the final filter is the shared pipeline's (see the
+//! crate docs), which runs the search as its thinning step.
+//!
 //! The search runs over *combined ordinals* `ordinal(value)·n + column`, so
 //! it directly finds the `(value, column)` cutoff pair — the paper's
 //! lexicographic cutoff `(r, s)` — in one search instead of a value search
@@ -20,13 +24,10 @@
 use cc_clique::{Clique, Envelope, NodeId, Payload};
 use cc_matrix::{Entry, OrderedSemiring, Searchable, SparseRow};
 
-use crate::cube::{CubePartition, CubeShape, Sigma, TaskAssignment};
-use crate::deliver::{
-    deliver_canonical_inputs, deliver_subtask_inputs, local_product, ProductScratch,
-};
+use crate::cube::CubePartition;
 use crate::key_index::KeyIndex;
-use crate::operand::{check_pair, Operand, Side};
-use crate::sum::sum_intermediates;
+use crate::operand::{Operand, Side};
+use crate::pipeline::{product, HelperScope, Helpers, Keep, Plan};
 use crate::MatmulError;
 
 /// A combined `(value, column)` ordinal on the wire. The value is an
@@ -166,19 +167,9 @@ where
     SR: OrderedSemiring,
     SR::Elem: Searchable,
 {
-    let n = clique.n();
-    if s_rows.len() != n || t_cols.len() != n {
-        return Err(MatmulError::DimensionMismatch {
-            s_rows: s_rows.len(),
-            t_cols: t_cols.len(),
-            n,
-        });
-    }
-    clique.with_phase("filtered_mm", |clique| {
-        let mut s = Operand::prepare::<SR>(clique, Side::Left, s_rows)?;
-        let mut t = Operand::prepare::<SR>(clique, Side::Right, t_cols)?;
-        product::<SR>(clique, &mut s, &mut t, rho)
-    })
+    let mut s = Operand::unprepared(Side::Left, s_rows);
+    let mut t = Operand::unprepared(Side::Right, t_cols);
+    filtered_multiply_prepared::<SR>(clique, &mut s, &mut t, rho)
 }
 
 /// [`filtered_multiply`] on operands the caller prepared — and may hand in
@@ -203,101 +194,33 @@ where
     SR: OrderedSemiring,
     SR::Elem: Searchable,
 {
-    check_pair(clique.n(), s, t)?;
-    clique.with_phase("filtered_mm", |clique| product::<SR>(clique, s, t, rho))
-}
-
-/// Theorem 14 from prepared operands on, inside the caller's phase.
-fn product<SR>(
-    clique: &mut Clique,
-    s: &mut Operand<'_, SR::Elem>,
-    t: &mut Operand<'_, SR::Elem>,
-    rho: usize,
-) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError>
-where
-    SR: OrderedSemiring,
-    SR::Elem: Searchable,
-{
-    let n = clique.n();
-    let rho = rho.clamp(1, n);
-
-    // Lemma 9 partition, shaped for output density ρ.
-    let shape = CubeShape::choose(n, s.density(), t.density(), rho);
-    let cube = CubePartition::build(clique, shape, s, t)?;
-
-    // σ1 delivery + local slice products.
-    let inputs = deliver_canonical_inputs::<SR>(clique, &cube, s, t)?;
-    let mut scratch = ProductScratch::default();
-    let mut products: Vec<Vec<Entry<SR::Elem>>> =
-        inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
-
+    let rho = rho.clamp(1, clique.n());
     // Lemma 15: per-row cutoffs via lockstep distributed binary search.
-    let cutoffs = row_cutoffs::<SR>(clique, &cube, &products, rho)?;
-    for (v, product) in products.iter_mut().enumerate() {
-        product.retain(|e| cutoffs.keeps(v, e));
-    }
-
-    // Lemma 16: balance survivors inside each group B_ik.
-    let weights: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
-    let weights = clique.with_phase("weights", |cl| cl.all_broadcast(weights))?;
-    let c_eff = cube.c_eff();
-    let mut sigma_vec: Sigma = vec![None; n];
-    let mut helper_chunk = vec![0usize; n];
-    for i in 0..cube.shape.b {
-        let alpha_i = (cube.row_blocks[i].len() * cube.shape.b).div_ceil(n).max(1);
-        let chunk = (rho * alpha_i * c_eff).max(1);
-        for k in 0..cube.shape.c {
-            let members = cube.group_bik(i, k);
-            let mut pool = members.iter().copied();
-            for &v in &members {
-                let extra = weights[v] as usize / chunk;
-                let triple = cube.triple_of(v).expect("members have triples");
-                for _ in 0..extra {
-                    // Lemma 16 proves the group pool always suffices.
-                    let helper =
-                        pool.next().ok_or(MatmulError::DensityHintTooSmall { hint: rho })?;
-                    sigma_vec[helper] = Some(triple);
-                }
-            }
-            for &v in &members {
-                helper_chunk[v] = chunk;
+    let thin = |cl: &mut Clique, cube: &CubePartition, products: &[Vec<Entry<SR::Elem>>]| {
+        let cutoffs = row_cutoffs::<SR>(cl, cube, products, rho)?;
+        Ok(Box::new(move |v, e: &Entry<SR::Elem>| cutoffs.keeps(v, e)) as Keep<'_, SR::Elem>)
+    };
+    // Lemma 16: survivors are balanced inside each group B_ik, whose own
+    // members are the pool (the lemma proves it always suffices).
+    let scopes = |cube: &CubePartition| {
+        let mut scopes: Vec<HelperScope> = Vec::with_capacity(cube.shape.b * cube.shape.c);
+        for i in 0..cube.shape.b {
+            let alpha_i = (cube.row_blocks[i].len() * cube.shape.b).div_ceil(cube.n).max(1);
+            let chunk = (rho * alpha_i * cube.c_eff()).max(1);
+            for k in 0..cube.shape.c {
+                let members = cube.group_bik(i, k);
+                scopes.push((members.clone(), members, chunk));
             }
         }
-    }
-    let sigma = TaskAssignment::new(&cube, sigma_vec);
-    let dup_inputs = deliver_subtask_inputs::<SR>(clique, &cube, s.held(), t.held(), &sigma)?;
-
-    // Responsibility split, like Lemma 12 but with group-local chunks.
-    let mut intermediates: Vec<Vec<Entry<SR::Elem>>> = vec![Vec::new(); n];
-    for v in 0..cube.shape.subtasks() {
-        let (i, j, k) = cube.triple_of(v).expect("subtask nodes have triples");
-        let chunk = helper_chunk[v].max(1);
-        // A node may be both σ1 owner and helper of the same task; it
-        // then takes two parts (cf. Lemma 12 step 3), so duplicates stay.
-        let mut owners = vec![v];
-        owners.extend(sigma.nodes_for(&cube, i, j, k).iter().copied());
-        owners.sort_unstable();
-        let len = products[v].len();
-        let parts = len.div_ceil(chunk);
-        debug_assert!(parts <= owners.len(), "Lemma 16 guarantees enough owners");
-        for (o, owner) in owners.iter().enumerate().take(parts) {
-            let lo = o * chunk;
-            let hi = ((o + 1) * chunk).min(len);
-            if *owner == v {
-                intermediates[*owner].extend_from_slice(&products[v][lo..hi]);
-            } else {
-                // Helper: recompute + filter locally (it holds the
-                // inputs via the σ delivery and the cutoffs via the
-                // group broadcast).
-                let mut prod = local_product::<SR>(&mut scratch, &dup_inputs[*owner]);
-                prod.retain(|e| cutoffs.keeps(*owner, e));
-                intermediates[*owner].extend_from_slice(&prod[lo..hi]);
-            }
-        }
-    }
-
-    // Theorem 8's summation, then the final local filter.
-    let mut rows = sum_intermediates::<SR>(clique, intermediates)?;
+        scopes
+    };
+    let plan = Plan {
+        label: "filtered_mm",
+        cube_density: Some(rho),
+        thin: Some(&thin),
+        helpers: Some(Helpers { sizes_label: "weights", hint: rho, scopes: &scopes }),
+    };
+    let mut rows = product::<SR>(clique, &plan, s, t)?;
     for row in &mut rows {
         row.filter_smallest::<SR>(rho);
     }
@@ -341,10 +264,10 @@ where
         // Init: members report (row, count, min, max) to coordinators. The
         // coordinator of slot t within group (i, k) is member t mod a.
         let mut init_msgs = Vec::new();
-        for v in 0..cube.shape.subtasks() {
-            let (i, _j, k) = cube.triple_of(v).expect("subtask nodes have triples");
+        for (v, ordinals) in row_ordinals.iter().enumerate() {
+            let Some((i, _j, k)) = cube.triple_of(v) else { continue };
             for (t, &row) in cube.row_blocks[i].iter().enumerate() {
-                let ords = row_ordinals[v].row(t);
+                let ords = ordinals.row(t);
                 let (Some(&min_o), Some(&max_o)) = (ords.first(), ords.last()) else {
                     continue;
                 };
@@ -462,6 +385,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::CubeShape;
+    use crate::deliver::{deliver, local_product, ProductScratch};
     use cc_matrix::{AugDist, AugMinPlus, Dist, MinPlus, SparseMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -561,13 +486,14 @@ mod tests {
         let t = random_matrix(n, 90, 22);
         let t_cols = t.transpose();
         let mut clique = Clique::new(n);
-        let mut s_op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
-        let mut t_op =
-            Operand::prepare::<MinPlus>(&mut clique, Side::Right, t_cols.rows()).unwrap();
-        let shape = CubeShape::choose(n, s_op.density(), t_op.density(), rho);
-        let cube = CubePartition::build(&mut clique, shape, &s_op, &t_op).unwrap();
-        let inputs =
-            deliver_canonical_inputs::<MinPlus>(&mut clique, &cube, &mut s_op, &mut t_op).unwrap();
+        let mut s_op = Operand::unprepared(Side::Left, s.rows());
+        let mut t_op = Operand::unprepared(Side::Right, t_cols.rows());
+        let s_known = s_op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
+        let t_known = t_op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
+        let shape = CubeShape::choose(n, s_known.density, t_known.density, rho);
+        let cube = CubePartition::build(&mut clique, shape, s_known, t_known).unwrap();
+        let sigma1 = cube.sigma1();
+        let inputs = deliver::<MinPlus>(&mut clique, &cube, &mut s_op, &mut t_op, &sigma1).unwrap();
         let mut scratch = ProductScratch::default();
         let products: Vec<Vec<Entry<Dist>>> =
             inputs.iter().map(|input| local_product::<MinPlus>(&mut scratch, input)).collect();

@@ -7,7 +7,7 @@
 //! whether the slices are rows or columns is part of the call convention.
 
 use cc_clique::{Clique, Envelope};
-use cc_matrix::{Entry, Semiring, SparseRow};
+use cc_matrix::{Semiring, SparseRow};
 
 use crate::MatmulError;
 
@@ -63,24 +63,6 @@ pub fn broadcast_counts<E: Clone + PartialEq>(
     Ok((counts, total, rho))
 }
 
-/// Converts per-node sparse slices into a flat entry list with global
-/// coordinates, interpreting slice `v` as **row** `v`.
-pub fn rows_to_entries<E: Clone + PartialEq>(rows: &[SparseRow<E>]) -> Vec<Entry<E>> {
-    rows.iter()
-        .enumerate()
-        .flat_map(|(r, row)| row.iter().map(move |(c, v)| Entry::new(r as u32, c, v.clone())))
-        .collect()
-}
-
-/// Converts per-node sparse slices into a flat entry list with global
-/// coordinates, interpreting slice `v` as **column** `v`.
-pub fn cols_to_entries<E: Clone + PartialEq>(cols: &[SparseRow<E>]) -> Vec<Entry<E>> {
-    cols.iter()
-        .enumerate()
-        .flat_map(|(c, col)| col.iter().map(move |(r, v)| Entry::new(r, c as u32, v.clone())))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,19 +96,5 @@ mod tests {
         assert_eq!(total, 4);
         assert_eq!(rho, 1);
         assert_eq!(clique.rounds(), 1);
-    }
-
-    #[test]
-    fn entry_conversions_roundtrip() {
-        let m = sample();
-        let entries = rows_to_entries(m.rows());
-        assert_eq!(entries.len(), m.nnz());
-        let rebuilt = SparseMatrix::from_entries::<MinPlus>(4, entries);
-        assert_eq!(rebuilt, m);
-
-        let t = m.transpose();
-        let entries = cols_to_entries(t.rows());
-        let rebuilt = SparseMatrix::from_entries::<MinPlus>(4, entries);
-        assert_eq!(rebuilt, m);
     }
 }

@@ -5,26 +5,38 @@
 //!
 //! * [`sparse_multiply`] — **Theorem 8**: output-sensitive sparse
 //!   multiplication over any semiring in
-//!   `O((ρS·ρT·ρ̂)^{1/3}/n^{2/3} + 1)` rounds, built from the cube partition
-//!   (Lemma 9, [`CubePartition`]), load balancing (Lemma 10), subtask input
-//!   delivery (Lemma 11), duplication of dense subtasks (Lemma 12) and
-//!   balanced summation (Lemma 13);
+//!   `O((ρS·ρT·ρ̂)^{1/3}/n^{2/3} + 1)` rounds;
 //! * [`sparse_multiply_auto`] — the same without knowing the output density
 //!   (doubling search, `O(log n)` overhead);
 //! * [`filtered_multiply`] — **Theorem 14**: ρ-filtered multiplication,
 //!   keeping only the `ρ` smallest entries per output row, in
-//!   `O((ρS·ρT·ρ)^{1/3}/n^{2/3} + log W)` rounds via distributed binary
-//!   search for per-row cutoffs (Lemma 15) and group-local balancing
-//!   (Lemma 16);
+//!   `O((ρS·ρT·ρ)^{1/3}/n^{2/3} + log W)` rounds;
 //! * [`dense_multiply`] — the classical 3D dense algorithm
 //!   (`O(n^{1/3})` rounds for dense inputs), used as the baseline the paper
 //!   compares against conceptually.
 //!
+//! All three are one pipeline, written once (`pipeline.rs`); a
+//! multiplication is a *plan* that says which of its steps run and with what:
+//!
+//! | step | licensed by | Theorem 8 | Theorem 14 | dense | phase label |
+//! |------|-------------|-----------|------------|-------|-------------|
+//! | prepare operands | §2.1 | unless prepared | unless prepared | — | `counts`, `transpose` |
+//! | cube partition | Lemma 9 | for `ρ̂` | for `ρ` | uniform, free | `cube/*` |
+//! | `σ1` delivery | Lemmas 10 + 11 | yes | yes | yes | `deliver_s/*`, `deliver_t/*` |
+//! | local products | free | yes | yes | yes | — |
+//! | thinning | Lemma 15 | — | per-row cutoffs | — | `cutoff_search` |
+//! | helper assignment | Lemma 12 / 16 | one pool `0..n`, chunk `ρ̂·c` | a pool per group `B_ik`, chunk `ρ·α_i·c` | — | `sizes` / `weights` |
+//! | `σ2` delivery | Lemmas 10 + 11 | unless `σ2 = ∅` | unless `σ2 = ∅` | — | `deliver_s/*`, `deliver_t/*` |
+//! | responsibility split | Lemma 12, step 3 | yes | yes | — | — |
+//! | summation | Lemma 13 | yes | yes | yes | `sum` |
+//! | final row filter | Theorem 14 | — | yes | — | — |
+//!
 //! [`sparse_multiply`] and [`filtered_multiply`] take the paper's input
-//! layout and prepare both operands themselves; a caller that multiplies by
-//! the same matrix repeatedly prepares it once as an [`Operand`] — broadcast
-//! counts, both layouts, the `σ1` placement of Lemma 10 — and calls
-//! [`sparse_multiply_prepared`] / [`filtered_multiply_prepared`].
+//! layout and have the pipeline prepare both operands; a caller that
+//! multiplies by the same matrix repeatedly prepares it once as an
+//! [`Operand`] — broadcast counts, both layouts, the `σ1` placement of
+//! Lemma 10 — and calls [`sparse_multiply_prepared`] /
+//! [`filtered_multiply_prepared`].
 //!
 //! All algorithms run on the [`cc_clique::Clique`] simulator and account
 //! every word they move; differential tests check them against
@@ -56,16 +68,16 @@ mod dense_mm;
 mod error;
 mod filtered_mm;
 mod key_index;
+mod keyed;
 pub mod layout;
 mod operand;
 pub mod partition;
+mod pipeline;
 mod sparse_mm;
 mod sum;
 
-pub use cube::{CubePartition, CubeShape, Sigma, TaskAssignment};
 pub use dense_mm::dense_multiply;
 pub use error::MatmulError;
 pub use filtered_mm::{filtered_multiply, filtered_multiply_prepared};
 pub use operand::{Operand, Side};
 pub use sparse_mm::{sparse_multiply, sparse_multiply_auto, sparse_multiply_prepared, AutoProduct};
-pub use sum::sum_intermediates;

@@ -33,21 +33,30 @@ pub enum Side {
 /// nodes.
 #[derive(Debug, Clone)]
 pub struct Operand<'a, E: Clone> {
-    side: Side,
+    pub(crate) side: Side,
     /// Slice `v` at node `v`: rows of a left operand, columns of a right one.
-    held: &'a [SparseRow<E>],
-    /// The other layout of the same matrix (node `v` holds column `v` of a
-    /// left operand, row `v` of a right one).
-    opposite: Cow<'a, [SparseRow<E>]>,
-    /// `held[v].nnz()` for every `v`, as broadcast.
-    counts: Vec<u64>,
-    density: usize,
+    pub(crate) held: &'a [SparseRow<E>],
+    /// `None` only inside a one-shot product, until (and unless — the dense
+    /// baseline never does) the pipeline prepares the operand it was handed.
+    prepared: Option<Prepared<'a, E>>,
     /// Where Lemma 10 put each entry under `σ1`, once a delivery computed it:
     /// per holder, the entries in global coordinates. Under `σ1` every entry
     /// of one operand has the same duplication weight (`a` for `S`, `b` for
     /// `T`), so the balancing sort orders by position alone and its outcome
     /// does not depend on the other operand or on the cube's shape.
     pub(crate) sigma1_placement: Option<PerNode<E>>,
+}
+
+/// What preparing an operand tells the nodes.
+#[derive(Debug, Clone)]
+pub(crate) struct Prepared<'a, E: Clone> {
+    /// The other layout of the same matrix (node `v` holds column `v` of a
+    /// left operand, row `v` of a right one).
+    pub opposite: Cow<'a, [SparseRow<E>]>,
+    /// `held[v].nnz()` for every `v`, as broadcast.
+    pub counts: Vec<u64>,
+    /// The density `ρ = ⌈nnz / n⌉` (at least 1) derived from the counts.
+    pub density: usize,
 }
 
 impl<'a, E: Clone + PartialEq> Operand<'a, E> {
@@ -64,16 +73,9 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         side: Side,
         held: &'a [SparseRow<E>],
     ) -> Result<Self, MatmulError> {
-        let (counts, _, density) = layout::broadcast_counts(clique, held)?;
-        let opposite = layout::transpose_exchange::<S>(clique, held)?;
-        Ok(Operand {
-            side,
-            held,
-            opposite: Cow::Owned(opposite),
-            counts,
-            density,
-            sigma1_placement: None,
-        })
+        let mut operand = Operand::unprepared(side, held);
+        operand.ensure_prepared::<S>(clique)?;
+        Ok(operand)
     }
 
     /// Prepares an operand whose two layouts the nodes both hold already —
@@ -97,77 +99,45 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
             "the two layouts must describe one matrix"
         );
         let (counts, _, density) = layout::broadcast_counts(clique, held)?;
-        Ok(Operand {
-            side,
-            held,
-            opposite: Cow::Borrowed(opposite),
-            counts,
-            density,
-            sigma1_placement: None,
-        })
+        let prepared = Prepared { opposite: Cow::Borrowed(opposite), counts, density };
+        Ok(Operand { prepared: Some(prepared), ..Operand::unprepared(side, held) })
     }
 
-    /// The held slices: row `v` (left) or column `v` (right) at node `v`.
-    pub(crate) fn held(&self) -> &'a [SparseRow<E>] {
-        self.held
+    /// The paper's input layout and nothing else; no communication.
+    pub(crate) fn unprepared(side: Side, held: &'a [SparseRow<E>]) -> Self {
+        Operand { side, held, prepared: None, sigma1_placement: None }
     }
 
-    /// The opposite layout: column `v` (left) or row `v` (right) at node `v`.
-    pub(crate) fn opposite(&self) -> &[SparseRow<E>] {
-        &self.opposite
-    }
-
-    /// The broadcast per-slice non-zero counts of the held layout.
-    pub(crate) fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The density `ρ = ⌈nnz / n⌉` (at least 1) derived from the counts.
-    pub(crate) fn density(&self) -> usize {
-        self.density
+    /// What the nodes know about the held slices, after telling them as
+    /// [`Operand::prepare`] does if nothing has yet.
+    pub(crate) fn ensure_prepared<S: Semiring<Elem = E>>(
+        &mut self,
+        clique: &mut Clique,
+    ) -> Result<&Prepared<'a, E>, MatmulError> {
+        if self.prepared.is_none() {
+            let (counts, _, density) = layout::broadcast_counts(clique, self.held)?;
+            let opposite = Cow::Owned(layout::transpose_exchange::<S>(clique, self.held)?);
+            self.prepared = Some(Prepared { opposite, counts, density });
+        }
+        Ok(self.prepared.as_ref().expect("prepared just above, if not before"))
     }
 
     /// The held entries in global `(row, col)` coordinates, per holder.
     pub(crate) fn entries(&self) -> PerNode<E> {
-        held_entries(self.side, self.held)
+        self.held
+            .iter()
+            .enumerate()
+            .map(|(v, slice)| {
+                slice
+                    .iter()
+                    .map(|(x, val)| match self.side {
+                        Side::Left => Entry::new(v as u32, x, val.clone()),
+                        Side::Right => Entry::new(x, v as u32, val.clone()),
+                    })
+                    .collect()
+            })
+            .collect()
     }
-}
-
-/// The entries of `held` — rows of a left operand, columns of a right one —
-/// in global `(row, col)` coordinates, per holder.
-pub(crate) fn held_entries<E: Clone + PartialEq>(side: Side, held: &[SparseRow<E>]) -> PerNode<E> {
-    held.iter()
-        .enumerate()
-        .map(|(v, slice)| {
-            slice
-                .iter()
-                .map(|(x, val)| match side {
-                    Side::Left => Entry::new(v as u32, x, val.clone()),
-                    Side::Right => Entry::new(x, v as u32, val.clone()),
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Checks that `s` and `t` are a left and a right operand of clique size.
-pub(crate) fn check_pair<E: Clone + PartialEq>(
-    n: usize,
-    s: &Operand<'_, E>,
-    t: &Operand<'_, E>,
-) -> Result<(), MatmulError> {
-    assert!(
-        s.side == Side::Left && t.side == Side::Right,
-        "a product takes a left operand (held by rows) and a right one (held by columns)"
-    );
-    if s.held.len() != n || t.held.len() != n {
-        return Err(MatmulError::DimensionMismatch {
-            s_rows: s.held.len(),
-            t_cols: t.held.len(),
-            n,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -189,9 +159,10 @@ mod tests {
         let m = sample();
         let mut clique = Clique::new(4);
         let op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, m.rows()).unwrap();
-        assert_eq!(op.counts(), &[2, 0, 1, 1]);
-        assert_eq!(op.density(), 1);
-        assert_eq!(op.opposite(), m.transpose().rows());
+        let known = op.prepared.as_ref().unwrap();
+        assert_eq!(known.counts, [2, 0, 1, 1]);
+        assert_eq!(known.density, 1);
+        assert_eq!(&*known.opposite, m.transpose().rows());
         let phases = &clique.metrics().phases;
         assert_eq!(phases["counts/all_broadcast"].invocations, 1);
         assert_eq!(phases["transpose/route"].invocations, 1);
@@ -204,7 +175,7 @@ mod tests {
         let t = m.transpose();
         let mut clique = Clique::new(4);
         let op = Operand::from_layouts(&mut clique, Side::Right, t.rows(), m.rows()).unwrap();
-        assert_eq!(op.counts(), &[1, 2, 0, 1]);
+        assert_eq!(op.prepared.unwrap().counts, [1, 2, 0, 1]);
         assert_eq!(clique.rounds(), 1);
         assert_eq!(clique.metrics().phases.len(), 1);
     }
@@ -233,8 +204,8 @@ mod tests {
         let m = sample();
         let t = m.transpose();
         let mut clique = Clique::new(4);
-        let a = Operand::from_layouts(&mut clique, Side::Left, m.rows(), t.rows()).unwrap();
-        let b = a.clone();
-        let _ = check_pair(4, &a, &b);
+        let mut a = Operand::from_layouts(&mut clique, Side::Left, m.rows(), t.rows()).unwrap();
+        let mut b = a.clone();
+        let _ = crate::sparse_multiply_prepared::<MinPlus>(&mut clique, &mut a, &mut b, 1);
     }
 }

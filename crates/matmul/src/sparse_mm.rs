@@ -2,54 +2,18 @@
 //!
 //! Computes `P = S ⋆ T` over an arbitrary semiring in
 //! `O((ρS·ρT·ρ̂)^{1/3}/n^{2/3} + 1)` rounds, where `ρ̂` is the (promised)
-//! density of the cancellation-free output. Pipeline:
-//!
-//! 1. cube partition (Lemma 9) — `O(1)` rounds;
-//! 2. subtask input delivery with the canonical assignment `σ1`
-//!    (Lemmas 10+11) and local products — `O(ρS·a/n + ρT·b/n + 1)` rounds;
-//! 3. duplication of dense subtasks (Lemma 12) via a second delivery with
-//!    `σ2`, then responsibility splitting — same cost again;
-//! 4. balanced summation (Lemma 13) — `O(ρ̂·c/n + 1)` rounds.
+//! density of the cancellation-free output. The steps are the shared
+//! pipeline's (see the crate docs); Theorem 8's own are a Lemma 9 cube shaped
+//! for `ρ̂` and Lemma 12's helper policy — one pool `0..n`, one chunk `ρ̂·c` —
+//! plus the doubling search for an unknown `ρ̂`.
 
 use cc_clique::Clique;
 use cc_matrix::{Semiring, SparseRow};
 
-use crate::cube::{CubePartition, CubeShape, Sigma, TaskAssignment};
-use crate::deliver::{
-    deliver_canonical_inputs, deliver_subtask_inputs, local_product, ProductScratch,
-};
-use crate::operand::{check_pair, Operand, Side};
-use crate::sum::sum_intermediates;
+use crate::cube::CubePartition;
+use crate::operand::{Operand, Side};
+use crate::pipeline::{product, HelperScope, Helpers, Plan};
 use crate::MatmulError;
-
-/// Builds the duplication assignment `σ2` of Lemma 12: a subtask whose
-/// product has `nz ≥ chunk` entries receives `⌊nz/chunk⌋` helper nodes from
-/// the pool `0..n`.
-///
-/// Returns `Err` if the pool runs out — which happens exactly when the
-/// promised output density underestimates the truth.
-fn build_sigma2(
-    cube: &CubePartition,
-    product_sizes: &[u64],
-    chunk: u64,
-    hint: usize,
-) -> Result<Sigma, MatmulError> {
-    let n = cube.n();
-    let mut sigma2: Sigma = vec![None; n];
-    let mut pool = 0usize;
-    for v in 0..cube.shape.subtasks() {
-        let extra = (product_sizes[v] / chunk) as usize;
-        let triple = cube.triple_of(v).expect("subtask nodes have triples");
-        for _ in 0..extra {
-            if pool >= n {
-                return Err(MatmulError::DensityHintTooSmall { hint });
-            }
-            sigma2[pool] = Some(triple);
-            pool += 1;
-        }
-    }
-    Ok(sigma2)
-}
 
 /// **Theorem 8**: computes `P = S ⋆ T` on the clique, given that the
 /// cancellation-free output density is at most `rho_hat`.
@@ -95,19 +59,9 @@ pub fn sparse_multiply<SR: Semiring>(
     t_cols: &[SparseRow<SR::Elem>],
     rho_hat: usize,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
-    let n = clique.n();
-    if s_rows.len() != n || t_cols.len() != n {
-        return Err(MatmulError::DimensionMismatch {
-            s_rows: s_rows.len(),
-            t_cols: t_cols.len(),
-            n,
-        });
-    }
-    clique.with_phase("sparse_mm", |clique| {
-        let mut s = Operand::prepare::<SR>(clique, Side::Left, s_rows)?;
-        let mut t = Operand::prepare::<SR>(clique, Side::Right, t_cols)?;
-        product::<SR>(clique, &mut s, &mut t, rho_hat)
-    })
+    let mut s = Operand::unprepared(Side::Left, s_rows);
+    let mut t = Operand::unprepared(Side::Right, t_cols);
+    sparse_multiply_prepared::<SR>(clique, &mut s, &mut t, rho_hat)
 }
 
 /// [`sparse_multiply`] on operands the caller prepared — and may hand in
@@ -128,71 +82,20 @@ pub fn sparse_multiply_prepared<SR: Semiring>(
     t: &mut Operand<'_, SR::Elem>,
     rho_hat: usize,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
-    check_pair(clique.n(), s, t)?;
-    clique.with_phase("sparse_mm", |clique| product::<SR>(clique, s, t, rho_hat))
-}
-
-/// Theorem 8 from prepared operands on, inside the caller's phase.
-fn product<SR: Semiring>(
-    clique: &mut Clique,
-    s: &mut Operand<'_, SR::Elem>,
-    t: &mut Operand<'_, SR::Elem>,
-    rho_hat: usize,
-) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
-    let n = clique.n();
-    let rho_hat = rho_hat.clamp(1, n);
-
-    // Lemma 9: globally known cube partition.
-    let shape = CubeShape::choose(n, s.density(), t.density(), rho_hat);
-    let cube = CubePartition::build(clique, shape, s, t)?;
-
-    // Lemma 11 with σ1 + local products.
-    let inputs = deliver_canonical_inputs::<SR>(clique, &cube, s, t)?;
-    let mut scratch = ProductScratch::default();
-    let products: Vec<_> =
-        inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
-
-    // Lemma 12: duplicate dense subtasks.
-    let sizes: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
-    let sizes = clique.with_phase("sizes", |cl| cl.all_broadcast(sizes))?;
-    let chunk = (rho_hat * cube.c_eff()).max(1) as u64;
-    let sigma2_vec = build_sigma2(&cube, &sizes, chunk, rho_hat)?;
-    let sigma2 = TaskAssignment::new(&cube, sigma2_vec);
-    let dup_inputs = deliver_subtask_inputs::<SR>(clique, &cube, s.held(), t.held(), &sigma2)?;
-
-    // Responsibility split: owners of subtask v are [v] ++ σ2-helpers
-    // (sorted); owner index o takes the o-th chunk of the product.
-    let mut intermediates: Vec<Vec<_>> = vec![Vec::new(); n];
-    for v in 0..cube.shape.subtasks() {
-        let (i, j, k) = cube.triple_of(v).expect("subtask nodes have triples");
-        // A node may serve as both the σ1 owner and a σ2 helper of the
-        // same task; it then takes two parts (paper, Lemma 12 step 3),
-        // so duplicates are kept.
-        let mut owners = vec![v];
-        owners.extend(sigma2.nodes_for(&cube, i, j, k).iter().copied());
-        owners.sort_unstable();
-        // Recompute the product once per distinct owner (σ1 owner has it;
-        // σ2 owners recomputed it from dup_inputs — same entries).
-        let prod_len = sizes[v] as usize;
-        let parts = prod_len.div_ceil(chunk as usize);
-        debug_assert!(parts <= owners.len(), "Lemma 12 guarantees enough owners");
-        for (o, owner) in owners.iter().enumerate().take(parts) {
-            let lo = o * chunk as usize;
-            let hi = ((o + 1) * chunk as usize).min(prod_len);
-            if *owner == v {
-                intermediates[*owner].extend_from_slice(&products[v][lo..hi]);
-            } else {
-                // σ2 owner: recompute locally from its delivered inputs.
-                // (Computation is free in the model; entries are already
-                // at the node via the σ2 delivery.)
-                let prod = local_product::<SR>(&mut scratch, &dup_inputs[*owner]);
-                intermediates[*owner].extend_from_slice(&prod[lo..hi]);
-            }
-        }
-    }
-
-    // Lemma 13: balanced summation into row owners.
-    sum_intermediates::<SR>(clique, intermediates)
+    let rho_hat = rho_hat.clamp(1, clique.n());
+    // Lemma 12: a subtask whose product has `nz ≥ chunk` entries receives
+    // `⌊nz/chunk⌋` helper nodes from the pool `0..n`.
+    let scopes = |cube: &CubePartition| -> Vec<HelperScope> {
+        let chunk = (rho_hat * cube.c_eff()).max(1);
+        vec![((0..cube.shape.subtasks()).collect(), (0..cube.n).collect(), chunk)]
+    };
+    let plan = Plan {
+        label: "sparse_mm",
+        cube_density: Some(rho_hat),
+        thin: None,
+        helpers: Some(Helpers { sizes_label: "sizes", hint: rho_hat, scopes: &scopes }),
+    };
+    product::<SR>(clique, &plan, s, t)
 }
 
 /// A product computed with an automatically discovered density estimate:
@@ -230,6 +133,8 @@ pub fn sparse_multiply_auto<SR: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::CubeShape;
+    use crate::pipeline::assign_helpers;
     use cc_matrix::{Dist, MinPlus, SparseMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -309,6 +214,23 @@ mod tests {
             sparse_multiply_auto::<MinPlus>(&mut clique, w.rows(), t_cols.rows()).unwrap();
         assert_eq!(SparseMatrix::from_rows(rows), w.multiply::<MinPlus>(&w));
         assert!(used >= 1);
+
+        // The same exhaustion in Lemma 16's shape — a pool that is one group
+        // B_ik, not 0..n. No product reaches it (the lemma's counting holds
+        // for every thinned slice), so the shared assignment is handed one
+        // directly: 2 members, 3 helpers owed.
+        let cube = CubePartition::uniform(n, CubeShape { a: 2, b: 2, c: 4 });
+        let group = cube.group_bik(1, 2);
+        let mut sizes = vec![0u64; n];
+        sizes[group[0]] = 10;
+        sizes[group[1]] = 21;
+        let scope = |chunk| [(group.clone(), group.clone(), chunk)];
+        let err = assign_helpers(&cube, &sizes, &scope(10), 3).unwrap_err();
+        assert_eq!(err, MatmulError::DensityHintTooSmall { hint: 3 });
+        let (helpers, chunk_of) = assign_helpers(&cube, &sizes, &scope(11), 3).unwrap();
+        assert_eq!(helpers.nodes_for(group[0]), &[] as &[usize]);
+        assert_eq!(helpers.nodes_for(group[1]), &[group[0]]);
+        assert_eq!((chunk_of[group[0]], chunk_of[group[1]]), (11, 11));
     }
 
     #[test]

@@ -9,55 +9,11 @@
 //! straddle node boundaries, and route the per-row sums to their row owners.
 //! With at most `L` values per node this takes `O(L/n + 1)` rounds.
 
-use std::cmp::Ordering;
-
-use cc_clique::{Clique, Envelope, Payload};
+use cc_clique::{Clique, Envelope};
 use cc_matrix::{Entry, Semiring, SparseRow};
 
+use crate::keyed::Keyed;
 use crate::MatmulError;
-
-/// A positioned intermediate value in the summation sort. Ordered by
-/// position key then provenance `(src, seq)` so the global order is total;
-/// the value itself does not participate in the order.
-#[derive(Debug, Clone)]
-struct SumItem<E> {
-    key: u64,
-    src: u32,
-    seq: u32,
-    val: E,
-}
-
-impl<E> SumItem<E> {
-    fn sort_key(&self) -> (u64, u32, u32) {
-        (self.key, self.src, self.seq)
-    }
-}
-
-impl<E> PartialEq for SumItem<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.sort_key() == other.sort_key()
-    }
-}
-impl<E> Eq for SumItem<E> {}
-impl<E> PartialOrd for SumItem<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for SumItem<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.sort_key().cmp(&other.sort_key())
-    }
-}
-impl<E: Payload> Payload for SumItem<E> {
-    fn words(&self) -> usize {
-        self.val.words()
-    }
-}
-
-fn pos_key(row: u32, col: u32) -> u64 {
-    ((row as u64) << 32) | col as u64
-}
 
 /// Accumulates per-node intermediate values into the distributed output
 /// matrix (node `r` ends holding output row `r`).
@@ -65,7 +21,7 @@ fn pos_key(row: u32, col: u32) -> u64 {
 /// # Errors
 ///
 /// Returns [`MatmulError::Clique`] on malformed communication.
-pub fn sum_intermediates<SR: Semiring>(
+pub(crate) fn sum_intermediates<SR: Semiring>(
     clique: &mut Clique,
     per_node: Vec<Vec<Entry<SR::Elem>>>,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
@@ -80,9 +36,10 @@ pub fn sum_intermediates<SR: Semiring>(
         per_node.into_iter().map(Vec::into_iter).collect();
     let mut out: Vec<SparseRow<SR::Elem>> = vec![SparseRow::new(); n];
     for rep in 0..reps {
-        // Each node contributes its next up-to-n values this repetition;
-        // `seq` is the value's offset in the node's original list.
-        let batch: Vec<Vec<SumItem<SR::Elem>>> = pending
+        // Each node contributes its next up-to-n values this repetition,
+        // keyed by position, then by provenance — the node and the value's
+        // offset in the node's original list — so the global order is total.
+        let batch: Vec<Vec<Keyed<SR::Elem>>> = pending
             .iter_mut()
             .enumerate()
             .map(|(v, values)| {
@@ -90,11 +47,9 @@ pub fn sum_intermediates<SR: Semiring>(
                     .by_ref()
                     .take(n)
                     .enumerate()
-                    .map(|(off, e)| SumItem {
-                        key: pos_key(e.row, e.col),
-                        src: v as u32,
-                        seq: (rep * n + off) as u32,
-                        val: e.val,
+                    .map(|(off, e)| {
+                        let position = ((e.row as u64) << 32) | e.col as u64;
+                        Keyed { key: (position, v as u32, (rep * n + off) as u32), val: e.val }
                     })
                     .collect()
             })
@@ -110,8 +65,8 @@ pub fn sum_intermediates<SR: Semiring>(
                 let mut acc: Vec<(u64, SR::Elem)> = Vec::with_capacity(items.len());
                 for item in items {
                     match acc.last_mut() {
-                        Some((k, v)) if *k == item.key => *v = SR::add(v, &item.val),
-                        _ => acc.push((item.key, item.val)),
+                        Some((k, v)) if *k == item.key.0 => *v = SR::add(v, &item.val),
+                        _ => acc.push((item.key.0, item.val)),
                     }
                 }
                 acc

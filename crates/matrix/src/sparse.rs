@@ -223,15 +223,6 @@ impl<E: Clone + PartialEq> SparseMatrix<E> {
         &self.rows[v]
     }
 
-    /// Mutable row `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    pub fn row_mut(&mut self, v: usize) -> &mut SparseRow<E> {
-        &mut self.rows[v]
-    }
-
     /// All rows in order.
     pub fn rows(&self) -> &[SparseRow<E>] {
         &self.rows
@@ -276,17 +267,6 @@ impl<E: Clone + PartialEq> SparseMatrix<E> {
             .flat_map(|(r, row)| row.iter().map(move |(c, v)| Entry::new(r as u32, c, v.clone())))
     }
 
-    /// Number of non-zeros in each column.
-    pub fn col_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n];
-        for row in &self.rows {
-            for (c, _) in row.iter() {
-                counts[c as usize] += 1;
-            }
-        }
-        counts
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> SparseMatrix<E> {
         let mut rows: Vec<Vec<(u32, E)>> = vec![Vec::new(); self.n];
@@ -327,22 +307,6 @@ impl<E: Clone + PartialEq> SparseMatrix<E> {
         let mut out = self.clone();
         for row in &mut out.rows {
             row.filter_smallest::<S>(rho);
-        }
-        out
-    }
-
-    /// Elementwise combination with semiring addition (e.g. min of two
-    /// distance estimates).
-    pub fn add_elementwise<S: Semiring<Elem = E>>(
-        &self,
-        other: &SparseMatrix<E>,
-    ) -> SparseMatrix<E> {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let mut out = self.clone();
-        for (r, row) in other.rows.iter().enumerate() {
-            for (c, v) in row.iter() {
-                out.rows[r].accumulate::<S>(c, v.clone());
-            }
         }
         out
     }
@@ -478,18 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn add_elementwise_takes_min() {
-        let mut a = SparseMatrix::<Dist>::zeros(2);
-        a.set(0, 1, Dist::fin(5));
-        let mut b = SparseMatrix::<Dist>::zeros(2);
-        b.set(0, 1, Dist::fin(3));
-        b.set(1, 0, Dist::fin(9));
-        let c = a.add_elementwise::<MinPlus>(&b);
-        assert_eq!(c.get(0, 1), Some(&Dist::fin(3)));
-        assert_eq!(c.get(1, 0), Some(&Dist::fin(9)));
-    }
-
-    #[test]
     fn from_entries_accumulates() {
         let m = SparseMatrix::from_entries::<MinPlus>(
             3,
@@ -502,12 +454,5 @@ mod tests {
         assert_eq!(m.get(0, 1), Some(&Dist::fin(2)));
         assert_eq!(m.get(2, 2), Some(&Dist::fin(1)));
         assert_eq!(m.nnz(), 2);
-    }
-
-    #[test]
-    fn col_counts_counts() {
-        let m = line_graph(4);
-        let counts = m.col_counts();
-        assert_eq!(counts, vec![2, 3, 3, 2]);
     }
 }

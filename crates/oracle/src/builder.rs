@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use cc_clique::Clique;
 use cc_core::mssp::mssp;
-use cc_distance::{hitting_set, k_nearest, HittingSet};
+use cc_distance::{check_size, hitting_set, k_nearest, DistanceError, HittingSet};
 use cc_graph::Graph;
 use cc_matrix::AugDist;
 use cc_telemetry::BuildTrace;
@@ -171,8 +171,8 @@ impl OracleBuilder {
         graph: &Graph,
     ) -> Result<(DistanceOracle, BuildTrace), OracleError> {
         let n = graph.n();
-        if n != clique.n() {
-            return Err(invalid(format!("graph has {n} nodes but clique has {}", clique.n())));
+        if let Err(DistanceError::InvalidParameter { what }) = check_size(clique, n) {
+            return Err(invalid(what));
         }
         if n == 0 {
             return Err(invalid("oracle needs a non-empty graph"));
