@@ -42,8 +42,10 @@ impl Payload for Ord128 {
     }
 }
 
+/// The combined ordinal of `(val, col)`, offset by one so that `min − 1`
+/// below a row's smallest entry is exact even at value 0 in column 0.
 fn combined<E: Searchable>(val: &E, col: u32, n: usize) -> u128 {
-    val.to_ordinal() * (n as u128) + col as u128
+    val.to_ordinal() * (n as u128) + col as u128 + 1
 }
 
 /// State of one per-row binary search, held by its coordinator.
@@ -294,7 +296,7 @@ where
                     contributors: Vec::new(),
                 });
                 s.contributors.push(env.src);
-                s.lo = s.lo.min(min_o.0.saturating_sub(1));
+                s.lo = s.lo.min(min_o.0 - 1);
                 s.hi = s.hi.max(max_o.0);
                 s.total += cnt;
             }
@@ -475,6 +477,55 @@ mod tests {
         assert_eq!(SparseMatrix::from_rows(rows), expected);
     }
 
+    /// Lemma 15's input as `product` hands it over: the cube shaped for `rho`
+    /// and every node's σ1 slice product.
+    fn slice_products<SR>(
+        clique: &mut Clique,
+        s: &SparseMatrix<SR::Elem>,
+        t: &SparseMatrix<SR::Elem>,
+        rho: usize,
+    ) -> (CubePartition, Vec<Vec<Entry<SR::Elem>>>)
+    where
+        SR: OrderedSemiring,
+        SR::Elem: Searchable,
+    {
+        let n = clique.n();
+        let t_cols = t.transpose();
+        let mut s_op = Operand::unprepared(Side::Left, s.rows());
+        let mut t_op = Operand::unprepared(Side::Right, t_cols.rows());
+        let s_known = s_op.ensure_prepared::<SR>(clique).unwrap();
+        let t_known = t_op.ensure_prepared::<SR>(clique).unwrap();
+        let shape = CubeShape::choose(n, s_known.density, t_known.density, rho);
+        let cube = CubePartition::build(clique, shape, s_known, t_known).unwrap();
+        let sigma1 = cube.sigma1();
+        let inputs = deliver::<SR>(clique, &cube, &mut s_op, &mut t_op, &sigma1).unwrap();
+        let mut scratch = ProductScratch::default();
+        let products =
+            inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
+        (cube, products)
+    }
+
+    #[test]
+    fn a_zero_value_in_column_zero_still_leaves_exactly_rho() {
+        // Row 0 of S·T is 0, 0, 5 in columns 0, 1, 2: its smallest combined
+        // ordinal is value 0 at column 0, the bottom of the ordinal range.
+        let n = 4;
+        let rho = 1;
+        let mut s = SparseMatrix::<Dist>::zeros(n);
+        let mut t = SparseMatrix::<Dist>::zeros(n);
+        s.set_in::<MinPlus>(0, 0, Dist::fin(0));
+        t.set_in::<MinPlus>(0, 0, Dist::fin(0));
+        t.set_in::<MinPlus>(0, 1, Dist::fin(0));
+        t.set_in::<MinPlus>(0, 2, Dist::fin(5));
+        let mut clique = Clique::new(n);
+        let (cube, products) = slice_products::<MinPlus>(&mut clique, &s, &t, rho);
+        assert_eq!(products.iter().map(Vec::len).sum::<usize>(), 3);
+        let cutoffs = row_cutoffs::<MinPlus>(&mut clique, &cube, &products, rho).unwrap();
+        let survivors: usize =
+            (0..n).map(|v| products[v].iter().filter(|e| cutoffs.keeps(v, e)).count()).sum();
+        assert_eq!(survivors, rho, "Lemma 16 counts on at most ρ survivors per row");
+    }
+
     #[test]
     fn cutoffs_are_the_rho_th_smallest_of_each_group_row() {
         // Lemma 15 on its own: after the search every member of B_ik holds,
@@ -484,19 +535,9 @@ mod tests {
         let rho = 2;
         let s = random_matrix(n, 90, 21);
         let t = random_matrix(n, 90, 22);
-        let t_cols = t.transpose();
         let mut clique = Clique::new(n);
-        let mut s_op = Operand::unprepared(Side::Left, s.rows());
-        let mut t_op = Operand::unprepared(Side::Right, t_cols.rows());
-        let s_known = s_op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
-        let t_known = t_op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
-        let shape = CubeShape::choose(n, s_known.density, t_known.density, rho);
-        let cube = CubePartition::build(&mut clique, shape, s_known, t_known).unwrap();
-        let sigma1 = cube.sigma1();
-        let inputs = deliver::<MinPlus>(&mut clique, &cube, &mut s_op, &mut t_op, &sigma1).unwrap();
-        let mut scratch = ProductScratch::default();
-        let products: Vec<Vec<Entry<Dist>>> =
-            inputs.iter().map(|input| local_product::<MinPlus>(&mut scratch, input)).collect();
+        let (cube, products) = slice_products::<MinPlus>(&mut clique, &s, &t, rho);
+        let shape = cube.shape;
 
         let cutoffs = row_cutoffs::<MinPlus>(&mut clique, &cube, &products, rho).unwrap();
         let mut searched = 0;
