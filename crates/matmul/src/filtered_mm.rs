@@ -6,7 +6,7 @@
 //! `O((ρS·ρT·ρ)^{1/3}/n^{2/3} + log W)` rounds. The crux: the intermediate
 //! slice matrices `P_k` can be dense, so before summation each group
 //! `B_{ik}` (the `a` nodes producing rows `C^S_i` of slice `P_k`) runs a
-//! **distributed binary search** over the value space to find, per row, the
+//! **distributed search** over the value space to find, per row, the
 //! cutoff below which exactly `ρ` entries survive (Lemma 15). Everything
 //! above the cutoff is discarded, the survivors are re-balanced inside the
 //! group (Lemma 16), summed like in Theorem 8, and the final rows filtered
@@ -16,10 +16,16 @@
 //! chunk `ρ·α_i·c`) and the final filter is the shared pipeline's (see the
 //! crate docs), which runs the search as its thinning step.
 //!
-//! The search runs over *combined ordinals* `ordinal(value)·n + column`, so
-//! it directly finds the `(value, column)` cutoff pair — the paper's
+//! The search runs over *combined ordinals* `ordinal(value)·n + column + 1`,
+//! so it directly finds the `(value, column)` cutoff pair — the paper's
 //! lexicographic cutoff `(r, s)` — in one search instead of a value search
-//! plus a tie-resolution query.
+//! plus a tie-resolution query. That space is almost all empty (an
+//! [`AugDist`](cc_matrix::AugDist) ordinal spends 20 bits on hops, so a
+//! bisection takes ~30 steps), so the search *snaps*: every query's replies
+//! name the row's nearest ordinals on either side of the midpoint, and the
+//! bounds move to those instead of to the midpoint. It never takes more
+//! steps than bisection — the lemma's `O(log W)` — and in the pinned n = 32
+//! runs at most 6, against bisection's 27–32.
 
 use cc_clique::{Clique, Envelope, NodeId, Payload};
 use cc_matrix::{Entry, OrderedSemiring, Searchable, SparseRow};
@@ -48,7 +54,46 @@ fn combined<E: Searchable>(val: &E, col: u32, n: usize) -> u128 {
     val.to_ordinal() * (n as u128) + col as u128 + 1
 }
 
-/// State of one per-row binary search, held by its coordinator.
+/// The answer to a query `mid` about one row: how many of its ordinals are
+/// `≤ mid`, the largest of those and the smallest above `mid`. A member
+/// answers for its own entries, the coordinator folds the answers into the
+/// group's. `0` and `u128::MAX` stand for "none": no combined ordinal is 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Reply {
+    count: u64,
+    pred: u128,
+    succ: u128,
+}
+
+impl Reply {
+    /// The fold of no answers.
+    const NONE: Reply = Reply { count: 0, pred: 0, succ: u128::MAX };
+
+    /// The answer of the ascending ordinals `ords` to the query `mid`.
+    fn of(ords: &[u128], mid: u128) -> Reply {
+        let count = ords.partition_point(|&o| o <= mid);
+        let pred = count.checked_sub(1).map_or(0, |last| ords[last]);
+        let succ = ords.get(count).copied().unwrap_or(u128::MAX);
+        Reply { count: count as u64, pred, succ }
+    }
+
+    fn fold(self, other: Reply) -> Reply {
+        Reply {
+            count: self.count + other.count,
+            pred: self.pred.max(other.pred),
+            succ: self.succ.min(other.succ),
+        }
+    }
+}
+
+/// A count and two combined ordinals (see [`Ord128`]).
+impl Payload for Reply {
+    fn words(&self) -> usize {
+        3
+    }
+}
+
+/// State of one per-row search, held by its coordinator.
 #[derive(Debug)]
 struct Search {
     /// Invariant: count(≤ lo) < ρ ≤ count(≤ hi).
@@ -56,8 +101,8 @@ struct Search {
     hi: u128,
     /// Entries of this row across the group, summed from the init reports.
     total: u64,
-    /// Sum of the members' replies to the query in flight.
-    replied: u64,
+    /// The fold of the members' replies to the query in flight.
+    replied: Reply,
     /// Group members that reported entries for this row, ascending.
     contributors: Vec<NodeId>,
 }
@@ -70,6 +115,23 @@ impl Search {
 
     fn midpoint(&self) -> u128 {
         self.lo + (self.hi - self.lo) / 2
+    }
+
+    /// Narrows `(lo, hi]` by the group's `reply` to the midpoint query,
+    /// snapping each bound to the nearest ordinal that exists — at least as
+    /// far as bisection moves it. An exact count of `ρ` or `ρ − 1` names
+    /// the ρ-th smallest ordinal outright and closes the search.
+    fn narrow(&mut self, reply: Reply, rho: u64) {
+        if reply.count >= rho {
+            self.hi = reply.pred;
+        } else {
+            self.lo = reply.succ - 1;
+        }
+        if reply.count == rho {
+            self.lo = self.hi - 1;
+        } else if reply.count + 1 == rho {
+            self.hi = reply.succ;
+        }
     }
 }
 
@@ -197,7 +259,7 @@ where
     SR::Elem: Searchable,
 {
     let rho = rho.clamp(1, clique.n());
-    // Lemma 15: per-row cutoffs via lockstep distributed binary search.
+    // Lemma 15: per-row cutoffs via a lockstep distributed search.
     let thin = |cl: &mut Clique, cube: &CubePartition, products: &[Vec<Entry<SR::Elem>>]| {
         let cutoffs = row_cutoffs::<SR>(cl, cube, products, rho)?;
         Ok(Box::new(move |v, e: &Entry<SR::Elem>| cutoffs.keeps(v, e)) as Keep<'_, SR::Elem>)
@@ -233,6 +295,16 @@ where
 /// cutoff such that exactly `ρ` entries of that row of `P_k` survive (or
 /// no cutoff if the row already has at most `ρ` entries). Afterwards,
 /// **every member of the group** knows the cutoffs of all the group's rows.
+///
+/// Each row's coordinator keeps `count(≤ lo) < ρ ≤ count(≤ hi)` over the
+/// row's combined ordinals, from `lo = min − 1`, `hi = max`. A step queries
+/// the midpoint `mid` of `(lo, hi]`; the members' replies fold into `Σcount`,
+/// the largest ordinal `≤ mid` and the smallest `> mid`, and the coordinator
+/// sets `hi` to the former if `Σcount ≥ ρ`, else `lo` to the latter minus
+/// one ([`Search::narrow`]). Both are at least as tight as bisection's
+/// `mid`, so a search takes at most `⌈log₂(hi₀ − lo₀)⌉` steps; `Σcount = ρ`
+/// or `ρ − 1` ends it at once. It ends at `hi = lo + 1`: `hi` is then
+/// exactly the ρ-th smallest ordinal, the cutoff bisection would find.
 ///
 /// All per-row state is kept in dense vectors indexed by the row's slot in
 /// its row block, so every message batch is emitted in ascending
@@ -292,7 +364,7 @@ where
                     lo: u128::MAX,
                     hi: 0,
                     total: 0,
-                    replied: 0,
+                    replied: Reply::NONE,
                     contributors: Vec::new(),
                 });
                 s.contributors.push(env.src);
@@ -310,7 +382,7 @@ where
             }
         }
 
-        // Lockstep binary search: one (query, reply) route pair per step.
+        // Lockstep search: one (query, reply) route pair per step.
         loop {
             let mut queries = Vec::new();
             for (coord, slots) in searches.iter().enumerate() {
@@ -332,29 +404,23 @@ where
                 for env in inbox {
                     let (row, mid) = env.payload;
                     let ords = row_ordinals[member].row(slot_of_row[row as usize] as usize);
-                    let cnt = ords.partition_point(|&o| o <= mid.0) as u64;
-                    replies.push(Envelope::new(member, env.src, (row, cnt)));
+                    replies.push(Envelope::new(member, env.src, (row, Reply::of(ords, mid.0))));
                 }
             }
             let inboxes = clique.route(replies)?;
             for (coord, inbox) in inboxes.into_iter().enumerate() {
                 for env in inbox {
-                    let (row, cnt) = env.payload;
+                    let (row, reply) = env.payload;
                     let s = searches[coord][slot_of_row[row as usize] as usize]
                         .as_mut()
                         .expect("reply matches search");
-                    s.replied += cnt;
+                    s.replied = s.replied.fold(reply);
                 }
                 // Exactly the searches that were open sent a query, and each
                 // heard back from all its contributors.
                 for s in searches[coord].iter_mut().flatten().filter(|s| s.open()) {
-                    let mid = s.midpoint();
-                    if s.replied >= rho as u64 {
-                        s.hi = mid;
-                    } else {
-                        s.lo = mid;
-                    }
-                    s.replied = 0;
+                    let reply = std::mem::replace(&mut s.replied, Reply::NONE);
+                    s.narrow(reply, rho as u64);
                 }
             }
         }
@@ -389,7 +455,7 @@ mod tests {
     use super::*;
     use crate::cube::CubeShape;
     use crate::deliver::{deliver, local_product, ProductScratch};
-    use cc_matrix::{AugDist, AugMinPlus, Dist, MinPlus, SparseMatrix};
+    use cc_matrix::{AugDist, AugMinPlus, Dist, MinPlus, Semiring, SparseMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -526,23 +592,42 @@ mod tests {
         assert_eq!(survivors, rho, "Lemma 16 counts on at most ρ survivors per row");
     }
 
-    #[test]
-    fn cutoffs_are_the_rho_th_smallest_of_each_group_row() {
-        // Lemma 15 on its own: after the search every member of B_ik holds,
-        // for each row of the group's slice with more than ρ entries, exactly
-        // the ρ-th smallest (value, column) ordinal — and nothing otherwise.
-        let n = 16;
-        let rho = 2;
-        let s = random_matrix(n, 90, 21);
-        let t = random_matrix(n, 90, 22);
-        let mut clique = Clique::new(n);
-        let (cube, products) = slice_products::<MinPlus>(&mut clique, &s, &t, rho);
-        let shape = cube.shape;
+    /// One row's search run on the host over the group's ascending
+    /// `ordinals`: the cutoff it ends on, its steps, and the steps bisection
+    /// of its starting range needs, `⌈log₂(hi₀ − lo₀)⌉`.
+    fn search_on_host(ordinals: &[u128], rho: usize) -> (u128, u32, u32) {
+        let (lo, hi) = (ordinals[0] - 1, ordinals[ordinals.len() - 1]);
+        let total = ordinals.len() as u64;
+        let mut search = Search { lo, hi, total, replied: Reply::NONE, contributors: Vec::new() };
+        let mut steps = 0;
+        while search.open() {
+            search.narrow(Reply::of(ordinals, search.midpoint()), rho as u64);
+            steps += 1;
+        }
+        (search.hi, steps, u128::BITS - (hi - lo - 1).leading_zeros())
+    }
 
-        let cutoffs = row_cutoffs::<MinPlus>(&mut clique, &cube, &products, rho).unwrap();
-        let mut searched = 0;
-        for i in 0..shape.b {
-            for k in 0..shape.c {
+    /// Lemma 15 on one fixture: after the search every member of B_ik
+    /// holds, for each row of the group's slice with more than ρ entries,
+    /// exactly the ρ-th smallest (value, column) ordinal — and nothing
+    /// otherwise — and no row's search took more steps than bisection would
+    /// have. Returns the number of rows searched.
+    fn check_cutoffs<SR>(
+        s: &SparseMatrix<SR::Elem>,
+        t: &SparseMatrix<SR::Elem>,
+        rho: usize,
+    ) -> usize
+    where
+        SR: OrderedSemiring,
+        SR::Elem: Searchable,
+    {
+        let n = s.n();
+        let mut clique = Clique::new(n);
+        let (cube, products) = slice_products::<SR>(&mut clique, s, t, rho);
+        let cutoffs = row_cutoffs::<SR>(&mut clique, &cube, &products, rho).unwrap();
+        let (mut searched, mut most_steps) = (0, 0);
+        for i in 0..cube.shape.b {
+            for k in 0..cube.shape.c {
                 let group = cube.group_bik(i, k);
                 for (slot, &row) in cube.row_blocks[i].iter().enumerate() {
                     let mut ordinals: Vec<u128> = group
@@ -553,7 +638,13 @@ mod tests {
                         .collect();
                     ordinals.sort_unstable();
                     let expected = (ordinals.len() > rho).then(|| ordinals[rho - 1]);
-                    searched += usize::from(expected.is_some());
+                    if let Some(cutoff) = expected {
+                        let (found, steps, bisection) = search_on_host(&ordinals, rho);
+                        assert_eq!(found, cutoff, "group ({i},{k}) row {row}");
+                        assert!(steps <= bisection, "row {row}: {steps} > {bisection} steps");
+                        most_steps = most_steps.max(steps);
+                        searched += 1;
+                    }
                     for &member in &group {
                         assert_eq!(
                             cutoffs.by_node[member][slot], expected,
@@ -563,10 +654,63 @@ mod tests {
                 }
             }
         }
-        assert!(searched > 0, "fixture too sparse to exercise the search");
-        for idle in shape.subtasks()..n {
+        for idle in cube.shape.subtasks()..n {
             assert!(cutoffs.by_node[idle].is_empty());
         }
+        // Lockstep: the init route, a query and a reply route per step of the
+        // longest search, and the broadcast of the cutoffs.
+        let routes = clique.report().phases["cutoff_search/route"].invocations;
+        assert_eq!(routes, 2 + 2 * u64::from(most_steps));
+        searched
+    }
+
+    /// `m` over the augmented semiring, each entry given a random hop count.
+    fn with_hops(m: &SparseMatrix<Dist>, seed: u64) -> SparseMatrix<AugDist> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut aug = SparseMatrix::zeros(m.n());
+        for (r, row) in m.rows().iter().enumerate() {
+            for (c, d) in row.iter() {
+                let hops = rng.gen_range(1..m.n() as u32);
+                aug.set_in::<AugMinPlus>(r, c as usize, AugDist::fin(d.value().unwrap(), hops));
+            }
+        }
+        aug
+    }
+
+    /// The `n × n` matrix with every entry `val`.
+    fn full<SR: Semiring>(n: usize, val: SR::Elem) -> SparseMatrix<SR::Elem> {
+        let mut m = SparseMatrix::zeros(n);
+        for r in 0..n {
+            for c in 0..n {
+                m.set_in::<SR>(r, c, val.clone());
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn cutoffs_are_the_rho_th_smallest_of_each_group_row() {
+        let n = 20;
+        let k = (n as f64).sqrt().ceil() as usize;
+        let mut searched = 0;
+        for rho in [1, 2, 4, k] {
+            for seed in 0..4 {
+                let s = random_matrix(n, 120, 2 * seed);
+                let t = random_matrix(n, 120, 2 * seed + 1);
+                searched += check_cutoffs::<MinPlus>(&s, &t, rho);
+                let (s, t) = (with_hops(&s, seed), with_hops(&t, seed + 1));
+                searched += check_cutoffs::<AugMinPlus>(&s, &t, rho);
+            }
+            // All values equal, so the column alone orders a row — at 1, and
+            // at 0, where column 0 holds the smallest possible ordinal.
+            for value in [0, 1] {
+                let s = full::<MinPlus>(n, Dist::fin(value));
+                searched += check_cutoffs::<MinPlus>(&s, &s, rho);
+                let s = full::<AugMinPlus>(n, AugDist::fin(value, value as u32));
+                searched += check_cutoffs::<AugMinPlus>(&s, &s, rho);
+            }
+        }
+        assert!(searched >= 5_000, "fixtures too sparse to exercise the search: {searched}");
     }
 
     #[test]
@@ -578,8 +722,9 @@ mod tests {
         let t_cols = t.transpose();
         filtered_multiply::<MinPlus>(&mut clique, s.rows(), t_cols.rows(), 4).unwrap();
         // log W for 1000-bounded weights and n=32 is ~15 bits plus column
-        // bits; the whole multiply should stay well under ~200 rounds and
-        // nowhere near n^2.
-        assert!(clique.rounds() < 250, "got {} rounds", clique.rounds());
+        // bits, but the snapped search pays for the ordinals that exist: the
+        // whole multiply takes 41 rounds (65 when the search bisected the
+        // value space), nowhere near n^2.
+        assert!(clique.rounds() < 48, "got {} rounds", clique.rounds());
     }
 }

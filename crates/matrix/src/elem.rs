@@ -275,10 +275,9 @@ impl Payload for WitnessedDist {
 /// — the value space `R'` that Theorem 14's cutoff binary search (Lemma 15)
 /// searches over.
 ///
-/// Requirements: `a < b ⟺ a.to_ordinal() < b.to_ordinal()`, and
-/// `from_ordinal` must round *down* to a representable element (it is only
-/// ever used on midpoints between two ordinals of real elements, so exact
-/// inverse mapping is not required — monotonicity is).
+/// Requirement: `a < b ⟺ a.to_ordinal() < b.to_ordinal()`. The search
+/// only compares ordinals of real elements with each other and with points
+/// between them, so no decoding is needed.
 ///
 /// # Example
 ///
@@ -288,28 +287,22 @@ impl Payload for WitnessedDist {
 /// let a = AugDist::fin(3, 1);
 /// let b = AugDist::fin(3, 2);
 /// assert!(a.to_ordinal() < b.to_ordinal());
-/// assert_eq!(AugDist::from_ordinal(a.to_ordinal()), a);
 /// ```
-pub trait Searchable: Sized {
+pub trait Searchable {
     /// Order-preserving encoding into `u128`.
     fn to_ordinal(&self) -> u128;
-    /// Decoding; must be monotone (see trait docs).
-    fn from_ordinal(o: u128) -> Self;
 }
 
 impl Searchable for Dist {
     fn to_ordinal(&self) -> u128 {
         self.0 as u128
     }
-    fn from_ordinal(o: u128) -> Self {
-        Dist(o.min(u64::MAX as u128) as u64)
-    }
 }
 
 /// Width of the hops field inside [`AugDist`] ordinals. Hop counts are
 /// bounded by the number of nodes, so 20 bits cover any clique up to a
-/// million nodes while keeping the binary-search range (hence the
-/// `O(log W)` term of Theorem 14) tight.
+/// million nodes. Most of the ordinal range is therefore empty; Lemma 15's
+/// search snaps to the ordinals that exist, so it does not pay for the gaps.
 const HOP_BITS: u32 = 20;
 
 impl Searchable for AugDist {
@@ -320,11 +313,6 @@ impl Searchable for AugDist {
         );
         let hops = (self.hops as u128).min((1 << HOP_BITS) - 1);
         ((self.dist as u128) << HOP_BITS) | hops
-    }
-    fn from_ordinal(o: u128) -> Self {
-        let dist = (o >> HOP_BITS).min(u64::MAX as u128) as u64;
-        let hops = (o & ((1 << HOP_BITS) - 1)) as u32;
-        AugDist { dist, hops }
     }
 }
 

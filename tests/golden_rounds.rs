@@ -51,20 +51,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 834,
-    messages: 324_535,
-    words: 446_152,
+    rounds: 620,
+    messages: 281_097,
+    words: 364_422,
     phase_labels: 55,
-    invocations: 687,
+    invocations: 473,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 1_020,
-    messages: 404_609,
-    words: 530_253,
+    rounds: 828,
+    messages: 379_605,
+    words: 484_277,
     phase_labels: 109,
-    invocations: 800,
+    invocations: 608,
     dist_digest: 12_639_840_282_067_814_693,
 };
 
