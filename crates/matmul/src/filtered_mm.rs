@@ -678,7 +678,7 @@ mod tests {
     }
 
     /// The `n × n` matrix with every entry `val`.
-    fn full<SR: Semiring>(n: usize, val: SR::Elem) -> SparseMatrix<SR::Elem> {
+    fn full<SR: Semiring>(n: usize, val: &SR::Elem) -> SparseMatrix<SR::Elem> {
         let mut m = SparseMatrix::zeros(n);
         for r in 0..n {
             for c in 0..n {
@@ -704,9 +704,9 @@ mod tests {
             // All values equal, so the column alone orders a row — at 1, and
             // at 0, where column 0 holds the smallest possible ordinal.
             for value in [0, 1] {
-                let s = full::<MinPlus>(n, Dist::fin(value));
+                let s = full::<MinPlus>(n, &Dist::fin(value));
                 searched += check_cutoffs::<MinPlus>(&s, &s, rho);
-                let s = full::<AugMinPlus>(n, AugDist::fin(value, value as u32));
+                let s = full::<AugMinPlus>(n, &AugDist::fin(value, value as u32));
                 searched += check_cutoffs::<AugMinPlus>(&s, &s, rho);
             }
         }

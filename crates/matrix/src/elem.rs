@@ -272,7 +272,7 @@ impl Payload for WitnessedDist {
 }
 
 /// An element with an order-preserving embedding into a finite integer range
-/// — the value space `R'` that Theorem 14's cutoff binary search (Lemma 15)
+/// — the value space `R'` that Theorem 14's cutoff search (Lemma 15)
 /// searches over.
 ///
 /// Requirement: `a < b ⟺ a.to_ordinal() < b.to_ordinal()`. The search
