@@ -15,12 +15,13 @@
 //!   node sends at most `n` words and receives at most `n` words is delivered
 //!   in `O(1)` rounds; larger patterns are charged proportionally
 //!   (`ceil(load/n)` round-units).
-//! * [`Clique::broadcast`] / [`Clique::all_broadcast`] — one-to-all and
-//!   all-to-all broadcast of `O(1)` words per node per round.
+//! * [`Clique::all_broadcast`] — all-to-all broadcast of `O(1)` words per
+//!   node per round.
 //! * [`Clique::sort`] — Lenzen's sorting: `≤ n` words per node are globally
 //!   sorted in `O(1)` rounds, with node `i` receiving the `i`-th batch.
 //! * [`Clique::charge`] — explicit round charge for a primitive whose cost is
-//!   cited from the literature (used only for Lemma 4 hitting sets).
+//!   cited from the literature (Lemma 4 hitting sets, the spanner
+//!   baseline's construction, diameter's `N_k(w)` announcement).
 //!
 //! Every primitive *physically moves the data* (so algorithms cannot cheat),
 //! *validates* the model's bandwidth constraints, and *accounts* rounds,
@@ -65,8 +66,8 @@
 //!   one buffer reserved at the total, runs the one (stable) comparison sort
 //!   the primitive is for — `O(m log m)`, linear on pre-sorted input — and
 //!   cuts the result into `n` runs, each allocated at its exact length.
-//! * [`Clique::broadcast`] / [`Clique::all_broadcast`] only measure and
-//!   hand the payload back: no copy, no allocation.
+//! * [`Clique::all_broadcast`] only measures and hands the payload back:
+//!   no copy, no allocation.
 //! * Recording a primitive into [`Metrics`] allocates nothing: the joined
 //!   phase prefix is kept incrementally by [`Clique::with_phase`] (push on
 //!   entry, truncate on exit), the leaf is appended in place for the lookup,

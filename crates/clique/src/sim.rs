@@ -181,8 +181,9 @@ impl Clique {
     /// Charges `rounds` rounds explicitly, attributed to the current phase.
     ///
     /// Used for primitives whose cost is cited from the literature rather
-    /// than decomposed into routing (only the Lemma 4 hitting-set
-    /// `O((log log n)³)` charge in this workspace).
+    /// than decomposed into routing. Three sites charge in this workspace:
+    /// the Lemma 4 hitting set (`O((log log n)³)`), the spanner baseline's
+    /// cited construction, and diameter's `N_k(w)` announcement.
     pub fn charge(&mut self, label: &str, rounds: u64) {
         self.record(label, rounds, 0, 0, 0);
     }
@@ -240,22 +241,6 @@ impl Clique {
             inboxes[m.dst].push(m);
         }
         Ok(inboxes)
-    }
-
-    /// Node `src` broadcasts `payload` to every node.
-    ///
-    /// Charges `broadcast_per_unit · max(words, 1)` rounds (one word per link
-    /// per round). Returns the payload, now known to all nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliqueError::InvalidNode`] if `src` is outside the clique.
-    pub fn broadcast<T: Payload>(&mut self, src: NodeId, payload: T) -> Result<T> {
-        self.check_node(src)?;
-        let w = payload.words() as u64;
-        let rounds = self.cost.broadcast_per_unit * w.max(1);
-        self.record("broadcast", rounds, (self.n - 1) as u64, w * (self.n as u64 - 1), w);
-        Ok(payload)
     }
 
     /// Every node broadcasts its entry of `per_node` to every other node.
@@ -408,15 +393,6 @@ mod tests {
         // Sorted by src, insertion order within src.
         let payloads: Vec<u64> = a[0].iter().map(|e| e.payload).collect();
         assert_eq!(payloads, vec![10, 11, 20, 30]);
-    }
-
-    #[test]
-    fn broadcast_charges_per_word() {
-        let mut c = Clique::new(4);
-        c.broadcast(2, (1u64, 2u64, 3u64)).unwrap();
-        assert_eq!(c.rounds(), 3);
-        let err = c.broadcast(9, 0u64).unwrap_err();
-        assert_eq!(err, CliqueError::InvalidNode { node: 9, n: 4 });
     }
 
     #[test]

@@ -92,11 +92,3 @@ proptest! {
         prop_assert_eq!(cons.rounds(), 16 * unit.rounds());
     }
 }
-
-#[test]
-fn broadcast_rejects_foreign_nodes_and_charges_words() {
-    let mut clique = Clique::new(3);
-    assert!(clique.broadcast(7, 1u64).is_err());
-    clique.broadcast(1, [5u64; 4]).unwrap();
-    assert_eq!(clique.rounds(), 4);
-}

@@ -171,7 +171,9 @@ pub fn spanner_apsp(
         let spanner = greedy_spanner(graph, k);
 
         // Dissemination: balance the edges across nodes (one routing step),
-        // then broadcast batch by batch until everyone knows the spanner.
+        // announce how many each node holds (one round: no node knows the
+        // others' counts), then broadcast batch by batch until everyone
+        // knows the spanner.
         let edges: Vec<(usize, usize, u64)> = spanner.edges().collect();
         let balance: Vec<Envelope<(u64, u64, u64)>> = edges
             .iter()
@@ -179,7 +181,8 @@ pub fn spanner_apsp(
             .map(|(i, &(u, v, w))| Envelope::new(u, i % n, (u as u64, v as u64, w)))
             .collect();
         let held = clique.route(balance)?;
-        let batches = held.iter().map(|h| h.len()).max().unwrap_or(0);
+        let lengths = clique.all_broadcast(held.iter().map(|h| h.len() as u64).collect())?;
+        let batches = lengths.into_iter().max().unwrap_or(0) as usize;
         for b in 0..batches {
             let payload: Vec<(u64, u64, u64)> = (0..n)
                 .map(|v| held[v].get(b).map_or((u64::MAX, u64::MAX, u64::MAX), |e| e.payload))
@@ -292,6 +295,20 @@ mod tests {
             r3.rounds,
             r1.rounds
         );
+    }
+
+    #[test]
+    fn spanner_broadcast_loop_is_bounded_by_the_announced_lengths() {
+        // The loop bound is the max of the lengths every node broadcast
+        // first, so `all_broadcast` runs once for them plus once per batch.
+        let g = generators::gnp_weighted(32, 0.3, 20, 5).unwrap();
+        let mut clique = Clique::new(32);
+        let run = spanner_apsp(&mut clique, &g, 2).unwrap();
+        let edges = greedy_spanner(&g, 2).m();
+        let batches = edges.div_ceil(32) as u64;
+        assert!(batches > 1, "fixture must need several batches: {edges} edges");
+        let phase = &run.report.phases["spanner_apsp/all_broadcast"];
+        assert_eq!(phase.invocations, batches + 1);
     }
 
     #[test]

@@ -1,60 +1,56 @@
-//! The serving contract every query tier implements: [`QueryBackend`].
+//! The artifact a serving tier answers from: a closed [`Backend`] enum.
 //!
-//! The paper's build-once / query-many structure means every serving
-//! arrangement of the artifact — the monolithic [`DistanceOracle`], the
-//! sharded [`ShardRouter`], and either of them behind a
-//! [`crate::CachingOracle`] — answers the *same* fallible query contract.
-//! This module names that contract once, object-safely, so a serving layer
-//! (like `cc-serve`) can hold a `Box<dyn QueryBackend>` and never branch on
-//! which tier it is fronting, and so alternative approximation backends can
-//! plug in later without touching the HTTP layer.
+//! The paper's build-once / query-many structure has exactly two serving
+//! shapes here: the whole [`DistanceOracle`], answered locally, and a
+//! [`ShardRouter`] over its row slices. [`Backend`] names them once, so a
+//! serving layer (like `cc-serve`) holds one value — usually behind a
+//! [`crate::CachingOracle`] — and still gets the router's slices back
+//! ([`Backend::shards`]) when it rolls one.
 //!
 //! # The contract
 //!
-//! * [`QueryBackend::try_query`] / [`QueryBackend::try_query_batch`] are
+//! * [`Backend::try_query`] / [`Backend::try_query_batch`] are
 //!   **fallible-first**: an endpoint outside `0..n` is
-//!   [`OracleError::QueryOutOfRange`], never a panic. Answers must be
-//!   bit-identical across backends serving the same artifact — the
-//!   `tests/backend_equivalence.rs` suite pins this down for every in-repo
-//!   implementation.
-//! * [`QueryBackend::n`] bounds the id space, so wrappers (caches, routers)
-//!   can validate without knowing the concrete backend.
-//! * [`QueryBackend::descriptor`] reports what is being served — mode,
-//!   build parameters, stretch guarantee, per-shard layout, cache counters
-//!   — so `/stats`- and `/artifact`-style endpoints are written once
-//!   against the trait.
+//!   [`OracleError::QueryOutOfRange`], never a panic. Answers are
+//!   bit-identical across variants serving the same artifact, cached or
+//!   not — the `tests/backend_equivalence.rs` suite pins this down.
+//! * [`Backend::descriptor`] reports what is being served — mode, build
+//!   parameters, stretch guarantee, per-shard layout, and (through the
+//!   cache) its counters — so `/stats`- and `/artifact`-style endpoints are
+//!   written once.
 //!
-//! # Example: dispatch over erased backends
+//! # Example
 //!
 //! ```
 //! use cc_clique::Clique;
 //! use cc_graph::generators;
-//! use cc_oracle::{CachingOracle, OracleBuilder, QueryBackend, ShardedArtifact};
+//! use cc_oracle::{Backend, CachingOracle, OracleBuilder, ShardedArtifact};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = generators::gnp_weighted(24, 0.2, 30, 7)?;
 //! let mut clique = Clique::new(24);
 //! let oracle = OracleBuilder::new().build(&mut clique, &g)?;
 //!
-//! // Three tiers, one contract: answers are bit-identical.
-//! let backends: Vec<Box<dyn QueryBackend>> = vec![
-//!     Box::new(oracle.clone()),
-//!     Box::new(ShardedArtifact::partition(&oracle, 3)?.into_router()?),
-//!     Box::new(CachingOracle::new(oracle.clone(), 1024)),
-//! ];
+//! // Both shapes, one type: answers are bit-identical.
+//! let router = ShardedArtifact::partition(&oracle, 3)?.into_router()?;
+//! let backends = [Backend::from(oracle.clone()), Backend::from(router)];
 //! for backend in &backends {
 //!     assert_eq!(backend.try_query(0, 23)?, oracle.try_query(0, 23)?);
 //! }
+//! let cached = CachingOracle::new(oracle.clone(), 1024);
+//! assert_eq!(cached.try_query(0, 23)?, oracle.try_query(0, 23)?);
 //! # Ok(())
 //! # }
 //! ```
+
+use std::sync::Arc;
 
 use cc_matrix::Dist;
 
 use crate::cache::CacheStats;
 use crate::oracle::{check_pair, ArtifactSlice};
-use crate::shard::ShardRouter;
-use crate::{CachingOracle, DistanceOracle, OracleError};
+use crate::shard::{OracleShard, ShardRouter};
+use crate::{DistanceOracle, OracleError};
 
 /// What one shard of a routed backend serves, as reported by
 /// [`BackendDescriptor::shards`].
@@ -73,11 +69,11 @@ pub struct ShardDescriptor {
 }
 
 /// A self-description of a serving backend: everything a `/stats` or
-/// `/artifact` endpoint reports, with no downcasting.
+/// `/artifact` endpoint reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendDescriptor {
     /// The serving tier: `"mono"` for a monolithic oracle, `"router"` for a
-    /// shard set. A caching wrapper keeps its inner backend's mode.
+    /// shard set. A caching wrapper keeps its backend's mode.
     pub mode: &'static str,
     /// Number of nodes the backend covers.
     pub n: usize,
@@ -101,7 +97,8 @@ pub struct BackendDescriptor {
     pub seed: u64,
     /// Per-shard layout, in slot order; empty for a monolithic backend.
     pub shards: Vec<ShardDescriptor>,
-    /// Result-cache counters, when a [`CachingOracle`] fronts the backend.
+    /// Result-cache counters, when a [`crate::CachingOracle`] fronts the
+    /// backend.
     pub cache: Option<CacheStats>,
 }
 
@@ -114,99 +111,75 @@ impl BackendDescriptor {
     }
 }
 
-/// The object-safe query contract every serving tier implements; see the
-/// [module docs](self) for the guarantees and an example.
-///
-/// Implementations must be `Send + Sync`: a backend is shared across worker
-/// threads by the serving layer.
-pub trait QueryBackend: Send + Sync {
+/// The artifact a serving tier answers from; see the [module docs](self)
+/// for the contract and an example.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Backend {
+    /// The whole artifact, answered by the monolithic query kernel.
+    Mono(DistanceOracle),
+    /// A shard set, answered by combining one half-query per endpoint.
+    Router(ShardRouter),
+}
+
+impl Backend {
     /// Number of nodes the backend covers; queries must name endpoints in
     /// `0..n`.
-    fn n(&self) -> usize;
+    pub fn n(&self) -> usize {
+        match self {
+            Backend::Mono(oracle) => oracle.n(),
+            Backend::Router(router) => router.n(),
+        }
+    }
 
-    /// Distance estimate for the pair `(u, v)`; identical answers across
-    /// every backend serving the same artifact.
+    /// Distance estimate for the pair `(u, v)`.
     ///
     /// # Errors
     ///
     /// [`OracleError::QueryOutOfRange`] if `u` or `v` is not in `0..n`.
-    fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError>;
+    pub fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
+        check_pair(self.n(), u, v)?;
+        Ok(self.query_unchecked(u, v))
+    }
+
+    /// The variant's query kernel; callers must have validated `u, v < n`.
+    /// Kept out of line: inlined, both kernels would bloat the result
+    /// cache's hit path, which calls this only on a miss.
+    #[inline(never)]
+    pub(crate) fn query_unchecked(&self, u: usize, v: usize) -> Dist {
+        match self {
+            Backend::Mono(oracle) => oracle.query_unchecked(u, v),
+            Backend::Router(router) => router.query_unchecked(u, v),
+        }
+    }
 
     /// Answers a batch in request order. Validates every pair up front:
     /// either the whole batch is answered or nothing is computed.
     ///
-    /// The default implementation validates and then answers pair-by-pair;
-    /// backends with a cheaper bulk path (one validation pass, counters
-    /// bumped once for the whole batch) should override it.
-    ///
     /// # Errors
     ///
     /// [`OracleError::QueryOutOfRange`] naming the first offending pair.
-    fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
-        let n = self.n();
-        for &(u, v) in pairs {
-            check_pair(n, u, v)?;
+    pub fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
+        match self {
+            Backend::Mono(oracle) => oracle.try_query_batch(pairs),
+            Backend::Router(router) => router.try_query_batch(pairs),
         }
-        pairs.iter().map(|&(u, v)| self.try_query(u, v)).collect()
     }
 
-    /// What this backend serves: mode, build parameters, per-shard layout,
-    /// cache counters. Called per monitoring request, so it should be cheap
-    /// (no artifact traversal beyond summing per-shard sizes).
-    fn descriptor(&self) -> BackendDescriptor;
-}
-
-/// The one descriptor body: what a backend serving exactly `slice`
-/// reports. A router starts from its first slice and widens.
-fn describe(mode: &'static str, slice: &ArtifactSlice) -> BackendDescriptor {
-    BackendDescriptor {
-        mode,
-        n: slice.n(),
-        k: slice.k(),
-        epsilon: slice.epsilon(),
-        landmark_count: slice.landmarks().len(),
-        artifact_bytes: slice.artifact_bytes(),
-        stretch_bound: slice.stretch_bound(),
-        build_rounds: slice.build_rounds(),
-        seed: slice.seed(),
-        shards: Vec::new(),
-        cache: None,
-    }
-}
-
-impl QueryBackend for DistanceOracle {
-    fn n(&self) -> usize {
-        self.0.n()
+    /// The router's slices in slot order; empty for a monolith.
+    pub fn shards(&self) -> &[Arc<OracleShard>] {
+        match self {
+            Backend::Mono(_) => &[],
+            Backend::Router(router) => router.shards(),
+        }
     }
 
-    fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
-        DistanceOracle::try_query(self, u, v)
-    }
-
-    fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
-        DistanceOracle::try_query_batch(self, pairs)
-    }
-
-    fn descriptor(&self) -> BackendDescriptor {
-        describe("mono", self)
-    }
-}
-
-impl QueryBackend for ShardRouter {
-    fn n(&self) -> usize {
-        ShardRouter::n(self)
-    }
-
-    fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
-        ShardRouter::try_query(self, u, v)
-    }
-
-    fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
-        ShardRouter::try_query_batch(self, pairs)
-    }
-
-    fn descriptor(&self) -> BackendDescriptor {
-        let shards = self.shards();
+    /// What this backend serves: mode, build parameters, per-shard layout.
+    /// Cheap: no artifact traversal beyond summing per-shard sizes.
+    pub fn descriptor(&self) -> BackendDescriptor {
+        let shards = match self {
+            Backend::Mono(oracle) => return describe("mono", oracle),
+            Backend::Router(router) => router.shards(),
+        };
         let mut desc = describe("router", &shards[0]);
         for s in &shards[1..] {
             // During a rolling rollout the slices may come from builds with
@@ -230,49 +203,40 @@ impl QueryBackend for ShardRouter {
     }
 }
 
-impl<B: QueryBackend> QueryBackend for CachingOracle<B> {
-    fn n(&self) -> usize {
-        CachingOracle::n(self)
-    }
-
-    fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
-        CachingOracle::try_query(self, u, v)
-    }
-
-    fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
-        CachingOracle::try_query_batch(self, pairs)
-    }
-
-    fn descriptor(&self) -> BackendDescriptor {
-        BackendDescriptor { cache: Some(self.stats()), ..self.inner().descriptor() }
+impl From<DistanceOracle> for Backend {
+    fn from(oracle: DistanceOracle) -> Backend {
+        Backend::Mono(oracle)
     }
 }
 
-/// Boxed backends dispatch through to the boxed value, so
-/// `CachingOracle<Box<dyn QueryBackend>>` — a cache over *any* tier — and
-/// nested erasure both work.
-impl<B: QueryBackend + ?Sized> QueryBackend for Box<B> {
-    fn n(&self) -> usize {
-        (**self).n()
+impl From<ShardRouter> for Backend {
+    fn from(router: ShardRouter) -> Backend {
+        Backend::Router(router)
     }
+}
 
-    fn try_query(&self, u: usize, v: usize) -> Result<Dist, OracleError> {
-        (**self).try_query(u, v)
-    }
-
-    fn try_query_batch(&self, pairs: &[(usize, usize)]) -> Result<Vec<Dist>, OracleError> {
-        (**self).try_query_batch(pairs)
-    }
-
-    fn descriptor(&self) -> BackendDescriptor {
-        (**self).descriptor()
+/// The one descriptor body: what a backend serving exactly `slice`
+/// reports. A router starts from its first slice and widens.
+fn describe(mode: &'static str, slice: &ArtifactSlice) -> BackendDescriptor {
+    BackendDescriptor {
+        mode,
+        n: slice.n(),
+        k: slice.k(),
+        epsilon: slice.epsilon(),
+        landmark_count: slice.landmarks().len(),
+        artifact_bytes: slice.artifact_bytes(),
+        stretch_bound: slice.stretch_bound(),
+        build_rounds: slice.build_rounds(),
+        seed: slice.seed(),
+        shards: Vec::new(),
+        cache: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OracleBuilder, ShardedArtifact};
+    use crate::{CachingOracle, OracleBuilder, ShardedArtifact};
     use cc_clique::Clique;
     use cc_graph::generators;
 
@@ -286,13 +250,7 @@ mod tests {
     fn erased_backends_agree_with_the_concrete_oracle() {
         let oracle = build(20, 3);
         let router = ShardedArtifact::partition(&oracle, 3).unwrap().into_router().unwrap();
-        let backends: Vec<Box<dyn QueryBackend>> = vec![
-            Box::new(oracle.clone()),
-            Box::new(router.clone()),
-            Box::new(CachingOracle::new(oracle.clone(), 256)),
-            Box::new(CachingOracle::new(router, 256)),
-        ];
-        for backend in &backends {
+        for backend in [Backend::from(oracle.clone()), Backend::from(router)] {
             assert_eq!(backend.n(), 20);
             for u in 0..20 {
                 for v in 0..20 {
@@ -319,7 +277,9 @@ mod tests {
     #[test]
     fn descriptors_name_the_tier_and_the_build() {
         let oracle = build(21, 5);
-        let mono = oracle.descriptor();
+        let mono = Backend::from(oracle.clone());
+        assert!(mono.shards().is_empty());
+        let mono = mono.descriptor();
         assert_eq!(mono.mode, "mono");
         assert_eq!(mono.n, 21);
         assert_eq!(mono.k, oracle.k());
@@ -330,7 +290,9 @@ mod tests {
         assert!(mono.set_uniform());
 
         let router = ShardedArtifact::partition(&oracle, 3).unwrap().into_router().unwrap();
-        let routed = router.descriptor();
+        let routed = Backend::from(router.clone());
+        assert_eq!(routed.shards(), router.shards());
+        let routed = routed.descriptor();
         assert_eq!(routed.mode, "router");
         assert_eq!(routed.n, 21);
         assert_eq!(routed.shards.len(), 3);
@@ -353,15 +315,5 @@ mod tests {
         assert_eq!(desc.mode, "router");
         let stats = desc.cache.expect("cached backend must report cache stats");
         assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn boxed_dispatch_is_transparent() {
-        let oracle = build(12, 9);
-        let boxed: Box<dyn QueryBackend> = Box::new(oracle.clone());
-        let rebox: Box<Box<dyn QueryBackend>> = Box::new(boxed);
-        assert_eq!(rebox.n(), 12);
-        assert_eq!(rebox.try_query(1, 11).unwrap(), oracle.try_query(1, 11).unwrap());
-        assert_eq!(rebox.descriptor(), oracle.descriptor());
     }
 }

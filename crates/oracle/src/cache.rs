@@ -1,5 +1,4 @@
-//! A bounded, lock-free, set-associative result cache over **any**
-//! [`QueryBackend`].
+//! A bounded, lock-free, set-associative result cache over a [`Backend`].
 
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{fence, AtomicU64};
@@ -7,7 +6,7 @@ use std::sync::atomic::{fence, AtomicU64};
 use cc_matrix::Dist;
 
 use crate::oracle::check_pair;
-use crate::{DistanceOracle, OracleError, QueryBackend};
+use crate::{Backend, BackendDescriptor, OracleError};
 
 /// Entries per set: a sequence word plus three `(key, value)` pairs is seven
 /// words, the most that fit one 64-byte cache line.
@@ -114,10 +113,8 @@ fn unkey(key: u64) -> (usize, usize) {
     ((key >> 32) as usize, (key & 0xffff_ffff) as usize)
 }
 
-/// Any [`QueryBackend`] fronted by a bounded cache of query results — a
-/// monolithic [`DistanceOracle`] (the default type parameter), a
-/// [`crate::ShardRouter`], or an erased `Box<dyn QueryBackend>` — and itself
-/// a [`QueryBackend`], so caches stack anywhere a backend is expected.
+/// A [`Backend`] — a monolithic [`crate::DistanceOracle`] or a
+/// [`crate::ShardRouter`] — fronted by a bounded cache of query results.
 ///
 /// One flat table of cache-line-sized sets, allocated once. A hit reads one
 /// line and writes nothing; a miss asks the backend and shifts the answer in
@@ -141,32 +138,33 @@ fn unkey(key: u64) -> (usize, usize) {
 /// # Ok(())
 /// # }
 /// ```
-pub struct CachingOracle<B: QueryBackend = DistanceOracle> {
-    backend: B,
+pub struct CachingOracle {
+    backend: Backend,
     sets: Box<[Set]>,
     hits: AtomicU64,
     misses: AtomicU64,
     len: AtomicU64,
 }
 
-impl<B: QueryBackend> CachingOracle<B> {
-    /// Wraps `backend` with a cache holding at least `capacity` results
+impl CachingOracle {
+    /// Wraps `backend` (either variant of [`Backend`], or a value that
+    /// converts into one) with a cache holding at least `capacity` results
     /// (rounded up to whole sets). A capacity of `0` disables caching: every
     /// query passes straight through and counts as a miss, which keeps
     /// `/stats` accounting uniform for cacheless deployments.
-    pub fn new(backend: B, capacity: usize) -> CachingOracle<B> {
+    pub fn new(backend: impl Into<Backend>, capacity: usize) -> CachingOracle {
         let sets = (0..capacity.div_ceil(WAYS)).map(|_| Set::new()).collect();
         let [hits, misses, len] = [0; 3].map(AtomicU64::new);
-        CachingOracle { backend, sets, hits, misses, len }
+        CachingOracle { backend: backend.into(), sets, hits, misses, len }
     }
 
     /// The wrapped backend.
-    pub fn inner(&self) -> &B {
+    pub fn inner(&self) -> &Backend {
         &self.backend
     }
 
     /// Consumes the wrapper, returning the backend.
-    pub fn into_inner(self) -> B {
+    pub fn into_inner(self) -> Backend {
         self.backend
     }
 
@@ -184,17 +182,17 @@ impl<B: QueryBackend> CachingOracle<B> {
 
     /// The lookup kernel; the caller has validated `u, v < n`. With no
     /// table (capacity 0) every pair is a miss that inserts nothing.
-    fn answer(&self, u: usize, v: usize, tally: &mut Tally) -> Result<Dist, OracleError> {
+    fn answer(&self, u: usize, v: usize, tally: &mut Tally) -> Dist {
         let key = key(u, v);
         let set = self.set(key);
         if let Some(raw) = set.and_then(|s| s.lookup(key)) {
-            return Ok(Dist::from_raw(raw));
+            return Dist::from_raw(raw);
         }
-        let answer = self.backend.try_query(u, v)?;
+        let answer = self.backend.query_unchecked(u, v);
         tally.misses += 1;
         let evicted = set.and_then(|s| s.insert(key, answer.raw()));
         tally.filled += u64::from(evicted == Some(EMPTY));
-        Ok(answer)
+        answer
     }
 
     /// Relaxed: statistics, publishing nothing. Zero adds are skipped — each
@@ -219,7 +217,7 @@ impl<B: QueryBackend> CachingOracle<B> {
         // Validated before keying: an id past 2³² would alias a valid key.
         check_pair(self.backend.n(), u, v)?;
         let mut tally = Tally::default();
-        let answer = self.answer(u, v, &mut tally)?;
+        let answer = self.answer(u, v, &mut tally);
         self.record(1, &tally);
         Ok(answer)
     }
@@ -240,10 +238,7 @@ impl<B: QueryBackend> CachingOracle<B> {
         let n = self.backend.n();
         pairs.iter().try_for_each(|&(u, v)| check_pair(n, u, v))?;
         let mut tally = Tally::default();
-        let mut answers = Vec::with_capacity(pairs.len());
-        for &(u, v) in pairs {
-            answers.push(self.answer(u, v, &mut tally)?);
-        }
+        let answers = pairs.iter().map(|&(u, v)| self.answer(u, v, &mut tally)).collect();
         self.record(pairs.len(), &tally);
         Ok(answers)
     }
@@ -274,8 +269,7 @@ impl<B: QueryBackend> CachingOracle<B> {
         let n = self.backend.n();
         let mut tally = Tally::default();
         for &(u, v) in pairs.iter().filter(|&&(u, v)| u < n && v < n) {
-            // In range, so not refused; a refusal would only leave it cold.
-            let _ = self.answer(u, v, &mut tally);
+            self.answer(u, v, &mut tally);
         }
         self.len.fetch_add(tally.filled, Relaxed);
         tally.misses as usize
@@ -289,6 +283,11 @@ impl<B: QueryBackend> CachingOracle<B> {
             len: self.len.load(Relaxed) as usize,
             capacity: self.sets.len() * WAYS,
         }
+    }
+
+    /// The backend's [`Backend::descriptor`], plus this cache's counters.
+    pub fn descriptor(&self) -> BackendDescriptor {
+        BackendDescriptor { cache: Some(self.stats()), ..self.backend.descriptor() }
     }
 }
 
@@ -306,12 +305,12 @@ mod tests {
         CachingOracle::new(oracle, capacity)
     }
 
-    fn counts<B: QueryBackend>(c: &CachingOracle<B>) -> (u64, u64, usize) {
+    fn counts(c: &CachingOracle) -> (u64, u64, usize) {
         (c.stats().hits, c.stats().misses, c.stats().len)
     }
 
     /// Asks every ordered pair once, holding each answer against the backend's.
-    fn sweep<B: QueryBackend>(c: &CachingOracle<B>) {
+    fn sweep(c: &CachingOracle) {
         for (u, v) in (0..c.n()).flat_map(|u| (0..c.n()).map(move |v| (u, v))) {
             assert_eq!(c.try_query(u, v).unwrap(), c.inner().try_query(u, v).unwrap(), "({u},{v})");
         }
@@ -462,9 +461,9 @@ mod tests {
 
     #[test]
     fn cache_stacks_over_a_shard_router() {
-        // The cache is generic over the backend: fronting a ShardRouter
-        // gives the router tier the pair cache the monolith always had.
-        let oracle = cached(24, 0).into_inner();
+        // Either backend variant: fronting a ShardRouter gives the router
+        // tier the pair cache the monolith always had.
+        let Backend::Mono(oracle) = cached(24, 0).into_inner() else { unreachable!() };
         let router = ShardedArtifact::partition(&oracle, 3).unwrap().into_router().unwrap();
         let c = CachingOracle::new(router, 512);
         sweep(&c);

@@ -32,13 +32,13 @@
 //!   calling thread — a serving worker is already one of a pool. A caller
 //!   that wants fan-out wraps `pairs.chunks(..)` in its own
 //!   `std::thread::scope`.
-//! * [`QueryBackend`] is the object-safe serving contract every tier
-//!   implements — monolithic oracle, shard router, and any cache over
-//!   either — so a serving layer holds one `Box<dyn QueryBackend>` and
-//!   never branches on which it is fronting. See `docs/BACKENDS.md`.
+//! * [`Backend`] is the closed set of serving shapes — `Mono` (a
+//!   [`DistanceOracle`]) or `Router` (a [`ShardRouter`]) — with one query
+//!   contract, so a serving layer holds one value and still reaches the
+//!   router's slices. See `docs/BACKENDS.md`.
 //! * [`CachingOracle`] adds a bounded, lock-free, set-associative result
-//!   cache — over **any** [`QueryBackend`], not just the monolith — with
-//!   hit/miss counters for repeated-query traffic and a warm-up API
+//!   cache — over either [`Backend`] variant — with hit/miss counters for
+//!   repeated-query traffic and a warm-up API
 //!   ([`CachingOracle::hottest_keys`] / [`CachingOracle::warm`]) so a hot
 //!   reload does not restart from a cold cache.
 //! * [`serde::to_bytes`] / [`serde::from_bytes`] snapshot a built oracle so
@@ -83,13 +83,13 @@
 //!
 //! # Query contract: fallible-first
 //!
-//! The query contract is **fallible-first**, shared by every backend
-//! through the [`QueryBackend`] trait:
+//! The query contract is **fallible-first**, shared by every serving
+//! shape:
 //!
 //! * [`DistanceOracle::try_query`] / [`DistanceOracle::try_query_batch`]
-//!   (and the same pair on [`CachingOracle`] and [`ShardRouter`]) return
-//!   `Result<_, OracleError>`: an endpoint outside `0..n` is
-//!   [`OracleError::QueryOutOfRange`]. **Network front-ends must use
+//!   (and the same pair on [`Backend`], [`CachingOracle`] and
+//!   [`ShardRouter`]) return `Result<_, OracleError>`: an endpoint outside
+//!   `0..n` is [`OracleError::QueryOutOfRange`]. **Network front-ends must use
 //!   these** — validation happens at the edge, and a malformed request
 //!   becomes a client error instead of a crashed (or lock-poisoned)
 //!   serving process. This is what `cc-serve` does. (The panicking
@@ -157,7 +157,7 @@ pub mod shard;
 #[doc(hidden)]
 pub mod testkit;
 
-pub use backend::{BackendDescriptor, QueryBackend, ShardDescriptor};
+pub use backend::{Backend, BackendDescriptor, ShardDescriptor};
 pub use builder::OracleBuilder;
 pub use cache::{CacheStats, CachingOracle};
 pub use direct::DirectBuilder;

@@ -324,43 +324,112 @@ impl ShardedArtifact {
     }
 }
 
-/// The shape every router needs, strict or rolling: slot `i` holds the
-/// shard declaring index `i`, every shard declares the same count and `n`,
-/// and every shard's owned range matches the recomputed [`ShardPlan`].
-/// Returns the plan.
-fn check_shape<S: Borrow<OracleShard>>(shards: &[S]) -> Result<ShardPlan, OracleError> {
-    let first = shards.first().ok_or_else(|| set_mismatch("empty shard set"))?.borrow();
+/// A shard set the strict gate refused: why, and the slot it blames — the
+/// first slot whose shard disagrees with slot 0's, or slot 0 itself when
+/// the set has the wrong size — so a loader can name the file sitting there.
+#[derive(Debug)]
+pub struct SetRejection {
+    /// The blamed slot.
+    pub slot: usize,
+    /// Why the set was refused.
+    pub error: OracleError,
+}
+
+impl From<SetRejection> for OracleError {
+    fn from(rejection: SetRejection) -> OracleError {
+        rejection.error
+    }
+}
+
+/// The one set check, blaming the first slot that fails it. The shape is
+/// what every router needs, strict or rolling: slot `i` holds the shard
+/// declaring index `i`, every shard declares the same count and `n`, and
+/// every shard's owned range matches the recomputed [`ShardPlan`]. A
+/// `strict` set must also agree on `k`, `ε`, set id and landmarks. Returns
+/// the plan.
+fn check_set<S: Borrow<OracleShard>>(
+    shards: &[S],
+    strict: bool,
+) -> Result<ShardPlan, SetRejection> {
+    let at = |slot| move |error| SetRejection { slot, error };
+    let first = shards.first().ok_or_else(|| at(0)(set_mismatch("empty shard set")))?.borrow();
     if shards.len() != first.count() {
-        return Err(set_mismatch(format!(
-            "set declares {} shards but {} were provided",
+        return Err(at(0)(set_mismatch(format!(
+            "shard 0 declares a {}-shard set but {} shards were provided",
             first.count(),
             shards.len()
-        )));
+        ))));
     }
     let plan = first.plan();
     for (i, shard) in shards.iter().enumerate() {
-        let shard = shard.borrow();
-        if shard.index() != i {
-            return Err(OracleError::ShardIndexMismatch {
-                expected: i as u32,
-                found: shard.slot.index,
-            });
-        }
-        if shard.count() != first.count() {
-            return Err(field_mismatch(i, "shard count", shard.count(), first.count()));
-        }
-        if shard.n() != first.n() {
-            return Err(field_mismatch(i, "n", shard.n(), first.n()));
-        }
-        let want = plan.range(i);
-        if shard.owned() != want {
-            return Err(corrupt(format!(
-                "shard {i} owns {:?} but the plan assigns {want:?}",
-                shard.owned()
-            )));
+        check_shape(i, shard.borrow(), first, plan).map_err(at(i))?;
+    }
+    if strict {
+        for (i, shard) in shards.iter().enumerate() {
+            check_identity(i, shard.borrow(), first).map_err(at(i))?;
         }
     }
     Ok(plan)
+}
+
+/// Slot `i`'s part of the shape check, against slot 0's shard `first`.
+fn check_shape(
+    i: usize,
+    shard: &OracleShard,
+    first: &OracleShard,
+    plan: ShardPlan,
+) -> Result<(), OracleError> {
+    if shard.index() != i {
+        return Err(OracleError::ShardIndexMismatch {
+            expected: i as u32,
+            found: shard.slot.index,
+        });
+    }
+    if shard.count() != first.count() {
+        return Err(field_mismatch(i, "shard count", shard.count(), first.count()));
+    }
+    if shard.n() != first.n() {
+        return Err(set_mismatch(format!(
+            "shard {i}: n = {} but the set has n = {} (a sharded artifact cannot change n \
+             shard-by-shard)",
+            shard.n(),
+            first.n()
+        )));
+    }
+    let want = plan.range(i);
+    if shard.owned() != want {
+        return Err(corrupt(format!(
+            "shard {i} owns {:?} but the plan assigns {want:?}",
+            shard.owned()
+        )));
+    }
+    Ok(())
+}
+
+/// Slot `i`'s part of the strict check: the build it was cut from.
+fn check_identity(i: usize, shard: &OracleShard, first: &OracleShard) -> Result<(), OracleError> {
+    if shard.k() != first.k() {
+        return Err(field_mismatch(i, "k", shard.k(), first.k()));
+    }
+    if shard.epsilon().to_bits() != first.epsilon().to_bits() {
+        return Err(field_mismatch(i, "epsilon", shard.epsilon(), first.epsilon()));
+    }
+    if shard.set_id() != first.set_id() {
+        return Err(field_mismatch(
+            i,
+            "set id",
+            format_args!("{:016x}", shard.set_id()),
+            format_args!("{:016x}", first.set_id()),
+        ));
+    }
+    if shard.landmarks() != first.landmarks() {
+        return Err(set_mismatch(format!(
+            "shard {i}: landmark set differs from the set's ({} vs {} landmarks)",
+            shard.landmarks().len(),
+            first.landmarks().len()
+        )));
+    }
+    Ok(())
 }
 
 fn field_mismatch(
@@ -395,33 +464,7 @@ fn field_mismatch(
 ///   match the plan (possible only for hand-built shards; the snapshot
 ///   reader already enforces this).
 pub fn validate_set<S: Borrow<OracleShard>>(shards: &[S]) -> Result<ShardPlan, OracleError> {
-    let plan = check_shape(shards)?;
-    let first = shards[0].borrow();
-    for (i, shard) in shards.iter().enumerate() {
-        let shard = shard.borrow();
-        if shard.k() != first.k() {
-            return Err(field_mismatch(i, "k", shard.k(), first.k()));
-        }
-        if shard.epsilon().to_bits() != first.epsilon().to_bits() {
-            return Err(field_mismatch(i, "epsilon", shard.epsilon(), first.epsilon()));
-        }
-        if shard.set_id() != first.set_id() {
-            return Err(field_mismatch(
-                i,
-                "set id",
-                format_args!("{:016x}", shard.set_id()),
-                format_args!("{:016x}", first.set_id()),
-            ));
-        }
-        if shard.landmarks() != first.landmarks() {
-            return Err(set_mismatch(format!(
-                "shard {i}: landmark set differs from the set's ({} vs {} landmarks)",
-                shard.landmarks().len(),
-                first.landmarks().len()
-            )));
-        }
-    }
-    Ok(plan)
+    Ok(check_set(shards, true)?)
 }
 
 /// Routes distance queries over a complete, validated shard set, combining
@@ -467,17 +510,17 @@ impl ShardRouter {
     ///
     /// Everything [`validate_set`] rejects.
     pub fn assemble(shards: Vec<OracleShard>) -> Result<ShardRouter, OracleError> {
-        ShardRouter::assemble_shared(shards.into_iter().map(Arc::new).collect())
+        Ok(ShardRouter::assemble_shared(shards.into_iter().map(Arc::new).collect())?)
     }
 
     /// [`ShardRouter::assemble`] over already-shared slices: no copy, same
-    /// strict validation.
+    /// strict validation, and a rejection names the slot it blames.
     ///
     /// # Errors
     ///
-    /// Everything [`validate_set`] rejects.
-    pub fn assemble_shared(shards: Vec<Arc<OracleShard>>) -> Result<ShardRouter, OracleError> {
-        let plan = validate_set(&shards)?;
+    /// Everything [`validate_set`] rejects, as a [`SetRejection`].
+    pub fn assemble_shared(shards: Vec<Arc<OracleShard>>) -> Result<ShardRouter, SetRejection> {
+        let plan = check_set(&shards, true)?;
         Ok(ShardRouter { plan, shards })
     }
 
@@ -501,7 +544,7 @@ impl ShardRouter {
     /// * [`OracleError::CorruptSnapshot`] — a slice's owned range does not
     ///   match the plan.
     pub fn assemble_rolling(shards: Vec<Arc<OracleShard>>) -> Result<ShardRouter, OracleError> {
-        let plan = check_shape(&shards)?;
+        let plan = check_set(&shards, false)?;
         Ok(ShardRouter { plan, shards })
     }
 
@@ -538,7 +581,7 @@ impl ShardRouter {
     }
 
     /// The routed kernel; callers must have validated `u, v < n`.
-    fn query_unchecked(&self, u: usize, v: usize) -> Dist {
+    pub(crate) fn query_unchecked(&self, u: usize, v: usize) -> Dist {
         if u == v {
             return Dist::ZERO;
         }

@@ -19,9 +19,6 @@ pub enum Transport {
     /// back to the poll loop elsewhere. The default.
     #[default]
     Auto,
-    /// Require the epoll reactor; starting the server fails with
-    /// `Unsupported` where epoll is unavailable.
-    Epoll,
     /// Force the portable sleep-polling accept loop.
     Poll,
 }
@@ -32,7 +29,6 @@ impl Transport {
     pub fn label(self) -> &'static str {
         match self {
             Transport::Auto => "auto",
-            Transport::Epoll => "epoll",
             Transport::Poll => "poll",
         }
     }
@@ -44,9 +40,8 @@ impl std::str::FromStr for Transport {
     fn from_str(s: &str) -> Result<Transport, String> {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(Transport::Auto),
-            "epoll" => Ok(Transport::Epoll),
             "poll" => Ok(Transport::Poll),
-            other => Err(format!("unknown transport '{other}' (expected auto, epoll, or poll)")),
+            other => Err(format!("unknown transport '{other}' (expected auto or poll)")),
         }
     }
 }
@@ -176,13 +171,14 @@ mod tests {
 
     #[test]
     fn transport_parses_case_insensitively_and_rejects_garbage() {
-        assert_eq!("auto".parse(), Ok(Transport::Auto));
-        assert_eq!("EPOLL".parse(), Ok(Transport::Epoll));
+        assert_eq!("AUTO".parse(), Ok(Transport::Auto));
         assert_eq!("Poll".parse(), Ok(Transport::Poll));
         assert_eq!(ServerConfig::default().transport, Transport::Auto);
-        let err = "kqueue".parse::<Transport>().unwrap_err();
-        assert!(err.contains("kqueue") && err.contains("epoll"), "err: {err}");
-        for t in [Transport::Auto, Transport::Epoll, Transport::Poll] {
+        for garbage in ["kqueue", "epoll"] {
+            let err = garbage.parse::<Transport>().unwrap_err();
+            assert!(err.contains(garbage) && err.contains("auto or poll"), "err: {err}");
+        }
+        for t in [Transport::Auto, Transport::Poll] {
             assert_eq!(t.label().parse(), Ok(t), "label must round-trip");
         }
     }

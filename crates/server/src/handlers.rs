@@ -1,12 +1,12 @@
 //! Routing and endpoint handlers: pure functions from a parsed [`Request`]
 //! to a [`Response`], so every route is unit-testable without a socket.
 //!
-//! Every endpoint is written **once against [`cc_oracle::QueryBackend`]**:
-//! the serving state is a single hot-swappable [`Generation`] holding a
-//! `Box<dyn QueryBackend>` (a monolithic oracle or a shard router) behind
-//! its result cache. Queries, stats, and artifact metadata never branch on
-//! which tier is serving — the backend describes itself through
-//! [`cc_oracle::QueryBackend::descriptor`].
+//! Every endpoint is written **once against [`cc_oracle::Backend`]**: the
+//! serving state is a single hot-swappable [`Generation`] holding one (a
+//! monolithic oracle or a shard router) behind its result cache. Queries,
+//! stats, and artifact metadata never branch on which tier is serving —
+//! the backend describes itself through
+//! [`cc_oracle::CachingOracle::descriptor`].
 //!
 //! All id validation goes through the backend's **fallible** query API
 //! (`try_query` / `try_query_batch`): a malformed or out-of-range request

@@ -226,25 +226,9 @@ impl Response {
 
     /// A JSON error body `{"error": "..."}` with proper string escaping.
     pub fn error_json(status: u16, message: impl AsRef<str>) -> Response {
-        Response::json(status, format!("{{\"error\":\"{}\"}}", json_escape(message.as_ref())))
+        let message = cc_telemetry::json::escape(message.as_ref());
+        Response::json(status, format!("{{\"error\":\"{message}\"}}"))
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The reason phrase for the status codes `cc-serve` emits.
@@ -422,6 +406,12 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"));
         assert!(text.contains("Connection: close"));
         assert!(text.ends_with("{\"error\":\"a \\\"quoted\\\" id\"}"));
+    }
+
+    #[test]
+    fn error_json_escapes_quotes_backslashes_and_control_characters() {
+        let resp = Response::error_json(400, "bad \"id\" C:\\x\u{1}\n");
+        assert_eq!(resp.body, br#"{"error":"bad \"id\" C:\\x\u0001\n"}"#);
     }
 
     #[test]

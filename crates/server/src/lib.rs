@@ -8,14 +8,12 @@
 //! files a [`BackendSpec`] names ([`Server::start_from_spec`]) and serves
 //! it over HTTP/1.1 on `std::net`.
 //!
-//! The entire data plane is written once against
-//! [`cc_oracle::QueryBackend`]: one hot-swappable [`Generation`] holds a
-//! `Box<dyn QueryBackend>` — a monolithic oracle or a
-//! [`cc_oracle::ShardRouter`] over a sharded artifact (`docs/SHARDING.md`)
-//! — behind a generic [`cc_oracle::CachingOracle`], so **every tier gets
-//! the same result cache** and no endpoint branches on what it is
-//! serving. The contract and how to add a backend are documented in
-//! `docs/BACKENDS.md`.
+//! The entire data plane is written once against [`cc_oracle::Backend`]:
+//! one hot-swappable [`Generation`] holds a backend — a monolithic oracle
+//! or a [`cc_oracle::ShardRouter`] over a sharded artifact
+//! (`docs/SHARDING.md`) — behind a [`cc_oracle::CachingOracle`], so
+//! **every tier gets the same result cache** and no endpoint branches on
+//! what it is serving. The contract is documented in `docs/BACKENDS.md`.
 //!
 //! What to serve is declared by a [`source::BackendSpec`] — a **manifest
 //! file** (`--manifest set.toml`) naming the mode, artifact files,
@@ -52,9 +50,9 @@
 //! half-results **bit-identically to the monolithic oracle**,
 //! `/reload?shard=i` rolls one slice at a time (sharing the rest), and
 //! `/stats` reports per-shard build ids plus whether the set is uniform.
-//! Startup strictly validates the set (matching `n`/`k`/`ε`/landmarks/
-//! set id, every shard in its declared slot), so a mixed or mis-slotted
-//! set never serves.
+//! Startup passes the set through one gate (matching `n`/`k`/`ε`/
+//! landmarks/set id, every shard in its declared slot; a rejection names
+//! the file to fix), so a mixed or mis-slotted set never serves.
 //!
 //! The build image has no tokio/hyper, so the transport is deliberately
 //! simple and fully owned, with two interchangeable front ends feeding one

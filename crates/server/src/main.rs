@@ -108,10 +108,9 @@ OPTIONS:
     --addr HOST:PORT    bind address (default 127.0.0.1:8317; port 0 = ephemeral)
     --workers N         worker threads (default: CPU count, capped at 16)
     --transport MODE    accept/connection transport: auto (default; epoll
-                        reactor on Linux, poll loop elsewhere), epoll
-                        (require the reactor), or poll (force the portable
-                        sleep-polling loop); /stats reports the resolved
-                        choice as \"transport\"
+                        reactor on Linux, poll loop elsewhere) or poll
+                        (force the portable sleep-polling loop); /stats
+                        reports the resolved choice as \"transport\"
     --cache N           result-cache capacity (default 4096, 0 disables;
                         a manifest's cache_capacity takes precedence)
     --seed S            demo build seed (default 7)

@@ -2,17 +2,15 @@
 //! request path keep answering on the current snapshot while a new one is
 //! loaded, validated, and swapped in — with zero dropped requests.
 //!
-//! A [`Generation`] is one immutable serving unit: **any**
-//! [`QueryBackend`] (a monolithic oracle, a shard router — erased to
-//! `Box<dyn QueryBackend>` by [`LoadedBackend`]) behind its own
-//! [`CachingOracle`], plus the identity of the snapshot(s) it came from.
-//! Because the cache wraps the backend generically, the router tier gets
-//! the same result cache the monolith always had, and a swap replaces
-//! backend + cache as one unit — answers from an old artifact can never
-//! leak into a new generation. What *does* carry over is heat:
-//! [`Generation::warmed_from`] replays the hottest keys of the outgoing
-//! cache against the **new** backend, so the hit rate doesn't fall off a
-//! cliff at every reload.
+//! A [`Generation`] is one immutable serving unit: a [`Backend`] (a
+//! monolithic oracle or a shard router) behind its own [`CachingOracle`],
+//! plus the identity of the snapshot(s) it came from. Because the cache
+//! wraps either variant, the router tier gets the same result cache the
+//! monolith always had, and a swap replaces backend + cache as one unit —
+//! answers from an old artifact can never leak into a new generation.
+//! What *does* carry over is heat: [`Generation::warmed_from`] replays the
+//! hottest keys of the outgoing cache against the **new** backend, so the
+//! hit rate doesn't fall off a cliff at every reload.
 //!
 //! The build image has no `arc-swap` crate, so the handle is an
 //! `RwLock<Arc<Generation>>` used as a pointer cell: readers take the read
@@ -33,8 +31,8 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 use cc_oracle::serde::{self, SnapshotHeader};
-use cc_oracle::shard::{OracleShard, ShardRouter};
-use cc_oracle::{BackendDescriptor, CachingOracle, QueryBackend};
+use cc_oracle::shard::ShardRouter;
+use cc_oracle::{Backend, BackendDescriptor, CachingOracle};
 use cc_telemetry::Histogram;
 
 use crate::source::{self, BackendSpec, LoadedBackend};
@@ -92,29 +90,27 @@ impl SnapshotInfo {
 /// incoming generation's cache (see [`Generation::warmed_from`]).
 pub const WARM_KEYS: usize = 1024;
 
-/// One immutable serving generation: a type-erased [`QueryBackend`] behind
-/// its result cache, plus the identity of the snapshot(s) it came from. A
-/// reload builds a fresh `Generation` and swaps it in whole; the cache
-/// starts empty (answers from the old artifact must not leak into the new
-/// one) but can be pre-warmed with [`Generation::warmed_from`].
+/// One immutable serving generation: a [`Backend`] behind its result
+/// cache, plus the identity of the snapshot(s) it came from. A reload
+/// builds a fresh `Generation` and swaps it in whole; the cache starts
+/// empty (answers from the old artifact must not leak into the new one)
+/// but can be pre-warmed with [`Generation::warmed_from`].
 pub struct Generation {
-    cached: CachingOracle<Box<dyn QueryBackend>>,
+    cached: CachingOracle,
     info: SnapshotInfo,
-    shards: Vec<Arc<OracleShard>>,
     shard_infos: Vec<SnapshotInfo>,
     warmed_keys: u64,
 }
 
 impl Generation {
     /// Wraps a [`LoadedBackend`] — [`LoadedBackend::mono`],
-    /// [`LoadedBackend::sharded`], or the output of
+    /// [`LoadedBackend::router`], or the output of
     /// [`crate::source::BackendSpec::load`] — for serving with a fresh
     /// cache of `cache_capacity` entries (`0` disables caching).
     pub fn new(loaded: LoadedBackend, cache_capacity: usize) -> Generation {
         Generation {
             cached: CachingOracle::new(loaded.backend, cache_capacity),
             info: loaded.info,
-            shards: loaded.shards,
             shard_infos: loaded.shard_infos,
             warmed_keys: 0,
         }
@@ -132,12 +128,12 @@ impl Generation {
     }
 
     /// The cache-fronted query interface — the one the request path uses.
-    pub fn cached(&self) -> &CachingOracle<Box<dyn QueryBackend>> {
+    pub fn cached(&self) -> &CachingOracle {
         &self.cached
     }
 
     /// The backend behind the cache.
-    pub fn backend(&self) -> &dyn QueryBackend {
+    pub fn backend(&self) -> &Backend {
         self.cached.inner()
     }
 
@@ -147,7 +143,7 @@ impl Generation {
     }
 
     /// What this generation serves (mode, build parameters, shard layout,
-    /// cache counters) — [`QueryBackend::descriptor`] through the cache.
+    /// cache counters) — [`CachingOracle::descriptor`].
     pub fn descriptor(&self) -> BackendDescriptor {
         self.cached.descriptor()
     }
@@ -158,20 +154,14 @@ impl Generation {
         &self.info
     }
 
-    /// The shared slices of a sharded generation, in slot order; empty for
-    /// a monolith.
-    pub fn shards(&self) -> &[Arc<OracleShard>] {
-        &self.shards
-    }
-
-    /// Per-slice snapshot identities, parallel to [`Generation::shards`].
+    /// Per-slice snapshot identities, parallel to [`Backend::shards`].
     pub fn shard_infos(&self) -> &[SnapshotInfo] {
         &self.shard_infos
     }
 
     /// True when this generation routes a shard set.
     pub fn is_sharded(&self) -> bool {
-        !self.shards.is_empty()
+        matches!(self.backend(), Backend::Router(_))
     }
 
     /// How many cache entries [`Generation::warmed_from`] replayed into
@@ -318,23 +308,23 @@ fn stage_snapshot(current: &Generation, path: &Path, pin: Option<u64>) -> Staged
 }
 
 /// Stages `current` with slot `index` replaced by the per-shard snapshot
-/// at `path`, which must declare exactly this slot and the serving set's
-/// shard count and `n`.
+/// at `path`; [`ShardRouter::assemble_rolling`] holds it to the slot, the
+/// shard count and the `n` of the serving set.
 fn stage_shard(
     current: &Generation,
     index: usize,
     path: Option<&Path>,
 ) -> Result<LoadedBackend, ReloadError> {
-    if !current.is_sharded() {
+    let Backend::Router(router) = current.backend() else {
         return Err(ReloadError::Unfit(
             "this server is monolithic: /reload takes no 'shard' parameter".to_owned(),
         ));
-    }
-    let count = current.shards().len();
+    };
     // Bounds-check before resolving the path: an out-of-range index must
     // name the real problem (and land in reload_failures for monitoring),
     // not claim a missing default path.
     let Some(serving) = current.shard_infos().get(index) else {
+        let count = router.shards().len();
         return Err(ReloadError::Rejected(format!("shard index {index} outside 0..{count}")));
     };
     let path = match path {
@@ -347,28 +337,12 @@ fn stage_shard(
         }
     };
     let rolled = source::load_slice(path, serde::from_shard_bytes_with_header).and_then(|loaded| {
-        let loaded = loaded.expect_slot(index, count)?;
-        if loaded.artifact.n() != current.n() {
-            return Err(format!(
-                "n = {} but the serving set has n = {} (a sharded artifact cannot change n \
-                 shard-by-shard)",
-                loaded.artifact.n(),
-                current.n()
-            )
-            .into());
-        }
-        let mut shards = current.shards().to_vec();
-        let mut shard_infos = current.shard_infos().to_vec();
+        let mut shards = router.shards().to_vec();
         shards[index] = Arc::new(loaded.artifact);
+        let mut shard_infos = current.shard_infos().to_vec();
         shard_infos[index] = loaded.info;
-        let router = ShardRouter::assemble_rolling(shards.clone())?;
-        // Set-level identity: the shared set id, or "mixed" while a
-        // rolling rollout is in flight.
-        let mut info = SnapshotInfo::in_process(shards[0].set_id(), current.info().source.clone());
-        if !router.set_uniform() {
-            info.build_id = "mixed".to_owned();
-        }
-        Ok(LoadedBackend { backend: Box::new(router), info, shards, shard_infos })
+        let router = ShardRouter::assemble_rolling(shards)?;
+        Ok(LoadedBackend::router(router, shard_infos, current.info().source.clone()))
     });
     rolled.map_err(|e: Box<dyn Error>| {
         ReloadError::Rejected(format!(
@@ -378,11 +352,8 @@ fn stage_shard(
     })
 }
 
-/// The swap point between the request path and reloads.
-///
-/// Generic over the unit it swaps: the server stores a [`Generation`]
-/// (over `Box<dyn QueryBackend>`), so one handle serves every tier —
-/// monolith, router, cached or not.
+/// The swap point between the request path and reloads: one handle
+/// serves every tier — monolith or router, cached or not.
 ///
 /// # Example
 ///
@@ -412,14 +383,14 @@ fn stage_shard(
 /// # Ok(())
 /// # }
 /// ```
-pub struct ReloadHandle<T = Generation> {
-    current: RwLock<Arc<T>>,
+pub struct ReloadHandle {
+    current: RwLock<Arc<Generation>>,
     duration: Option<Arc<Histogram>>,
 }
 
-impl<T> ReloadHandle<T> {
+impl ReloadHandle {
     /// Starts with `initial` as the serving generation.
-    pub fn new(initial: T) -> ReloadHandle<T> {
+    pub fn new(initial: Generation) -> ReloadHandle {
         ReloadHandle { current: RwLock::new(Arc::new(initial)), duration: None }
     }
 
@@ -433,7 +404,7 @@ impl<T> ReloadHandle<T> {
     /// The generation serving right now. The read lock is held only for
     /// the `Arc` clone, so this never blocks behind a load — only behind
     /// the pointer swap itself, which is a few instructions.
-    pub fn current(&self) -> Arc<T> {
+    pub fn current(&self) -> Arc<Generation> {
         Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
@@ -441,7 +412,7 @@ impl<T> ReloadHandle<T> {
     /// one. Callers must fully load **and validate** the new artifact
     /// before calling this; in-flight requests holding the old `Arc`
     /// finish on the old artifact.
-    pub fn swap(&self, next: T) -> Arc<T> {
+    pub fn swap(&self, next: Generation) -> Arc<Generation> {
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         std::mem::replace(&mut *slot, Arc::new(next))
     }
@@ -450,7 +421,7 @@ impl<T> ReloadHandle<T> {
     /// be taken before the load/validate/warm work, so the recorded
     /// duration covers load → validate → warm → swap — to the histogram
     /// set by [`set_duration_histogram`](Self::set_duration_histogram).
-    pub fn swap_timed(&self, next: T, started: Instant) -> Arc<T> {
+    pub fn swap_timed(&self, next: Generation, started: Instant) -> Arc<Generation> {
         let prev = self.swap(next);
         if let Some(duration) = &self.duration {
             duration.record(started.elapsed().as_nanos() as u64);
@@ -581,16 +552,17 @@ mod tests {
         assert!(!mono.is_sharded());
         assert_eq!(mono.n(), 20);
 
-        // ...and an erased sharded one through the same type.
+        // ...and a sharded one through the same type.
         let shards = cc_oracle::ShardedArtifact::partition(&oracle, 2).unwrap().into_shards();
-        let slices = shards.into_iter().map(|s| {
-            let info = SnapshotInfo::in_process(shard_checksum(&s), "in-process");
-            (s, info)
-        });
-        let routed = Generation::new(LoadedBackend::sharded(slices, "in-process").unwrap(), 64);
+        let infos = shards
+            .iter()
+            .map(|s| SnapshotInfo::in_process(shard_checksum(s), "in-process"))
+            .collect();
+        let router = ShardRouter::assemble(shards).unwrap();
+        let routed = Generation::new(LoadedBackend::router(router, infos, "in-process"), 64);
         assert_eq!(routed.descriptor().mode, "router");
         assert!(routed.is_sharded());
-        assert_eq!(routed.shards().len(), 2);
+        assert_eq!(routed.backend().shards().len(), 2);
         assert_eq!(routed.shard_infos().len(), 2);
         for v in 0..20 {
             assert_eq!(

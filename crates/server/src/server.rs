@@ -35,9 +35,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind/configuration I/O errors — including `Unsupported`
-    /// when [`Transport::Epoll`] is requested on a platform without epoll.
-    /// Everything after a successful return is handled per-connection.
+    /// Propagates bind/configuration I/O errors. Everything after a
+    /// successful return is handled per-connection.
     pub fn start(
         config: &ServerConfig,
         backend: impl Into<LoadedBackend>,
@@ -77,7 +76,7 @@ impl Server {
 
         // Resolve the transport before sharing the state so `/stats` can
         // report the choice actually running, not the one requested.
-        let poller = resolve_poller(config.transport, &listener)?;
+        let poller = resolve_poller(config.transport, &listener);
         state.set_transport_label(if poller.is_some() { "epoll" } else { "poll" });
         let waker = poller.as_ref().map(Poller::waker);
 
@@ -106,22 +105,14 @@ impl Server {
 }
 
 /// Resolves the configured [`Transport`] to `Some(poller)` (epoll reactor,
-/// listener already registered) or `None` (portable poll loop).
-fn resolve_poller(transport: Transport, listener: &TcpListener) -> io::Result<Option<Poller>> {
-    let poller = match transport {
-        Transport::Poll => return Ok(None),
-        // Explicit epoll: surface the failure instead of silently degrading.
-        Transport::Epoll => Poller::new()?,
-        Transport::Auto => match Poller::new() {
-            Ok(p) => p,
-            Err(_) => return Ok(None),
-        },
-    };
-    match register_listener(&poller, listener) {
-        Ok(()) => Ok(Some(poller)),
-        Err(e) if transport == Transport::Epoll => Err(e),
-        Err(_) => Ok(None),
+/// listener already registered) or `None` (the portable poll loop: forced,
+/// or where epoll is unavailable).
+fn resolve_poller(transport: Transport, listener: &TcpListener) -> Option<Poller> {
+    if transport == Transport::Poll {
+        return None;
     }
+    let poller = Poller::new().ok()?;
+    register_listener(&poller, listener).ok().map(|()| poller)
 }
 
 #[cfg(unix)]

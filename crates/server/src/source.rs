@@ -4,8 +4,9 @@
 //! loaders and an in-process demo build in the simulated clique.
 //!
 //! [`BackendSpec::load`] is the single artifact-loading entry point: it
-//! resolves to a type-erased [`LoadedBackend`] (`Box<dyn QueryBackend>`)
-//! so the rest of the server never branches on what it is serving.
+//! resolves to a [`LoadedBackend`] — a [`Backend`] plus the identities it
+//! reports — and a shard set passes one gate on the way
+//! ([`load_shard_set`]).
 
 use std::error::Error;
 use std::path::{Path, PathBuf};
@@ -15,17 +16,17 @@ use std::sync::Arc;
 use cc_clique::Clique;
 use cc_graph::{generators, Graph};
 use cc_oracle::serde::{self, SnapshotHeader};
-use cc_oracle::shard::{validate_set, OracleShard, ShardRouter};
+use cc_oracle::shard::ShardRouter;
 use cc_oracle::{
-    DirectBuilder, DistanceOracle, OracleBuilder, OracleError, QueryBackend, ShardedArtifact,
+    Backend, DirectBuilder, DistanceOracle, OracleBuilder, OracleError, ShardedArtifact,
 };
 
 use crate::reload::SnapshotInfo;
 
 /// One snapshot file loaded from disk — a monolithic snapshot
-/// (`A = DistanceOracle`) or one shard of a set (`A = OracleShard`) — with
-/// the header the loader verified, the identity it reports, and the path
-/// it was read from (which doubles as a shard's default reload source).
+/// (`A = DistanceOracle`) or one shard of a set (`A =
+/// cc_oracle::OracleShard`) — with the header the loader verified and the
+/// identity it reports.
 #[derive(Debug)]
 pub struct LoadedSlice<A> {
     /// The validated artifact.
@@ -35,8 +36,6 @@ pub struct LoadedSlice<A> {
     pub header: SnapshotHeader,
     /// Where it came from and what it is, for `/stats` and `/artifact`.
     pub info: SnapshotInfo,
-    /// The file this slice was read from.
-    pub path: PathBuf,
 }
 
 /// Loads one **versioned** [`cc_oracle::serde`] snapshot file through
@@ -57,63 +56,40 @@ pub fn load_slice<A>(
     let bytes = std::fs::read(path)?;
     let (header, artifact) = decode(&bytes)?;
     let info = SnapshotInfo::from_header(&header, path.display().to_string());
-    Ok(LoadedSlice { artifact, header, info, path: path.to_path_buf() })
+    Ok(LoadedSlice { artifact, header, info })
 }
 
-impl LoadedSlice<OracleShard> {
-    /// Checks the shard fills slot `index` of a set of `count` shards.
-    ///
-    /// # Errors
-    ///
-    /// [`cc_oracle::OracleError::ShardIndexMismatch`] /
-    /// [`cc_oracle::OracleError::ShardSetMismatch`] when the file belongs
-    /// to a different slot or set shape.
-    pub fn expect_slot(self, index: usize, count: usize) -> Result<Self, OracleError> {
-        if self.artifact.index() != index {
-            return Err(OracleError::ShardIndexMismatch {
-                expected: index as u32,
-                found: self.artifact.index() as u32,
-            });
-        }
-        if self.artifact.count() != count {
-            return Err(OracleError::ShardSetMismatch {
-                what: format!(
-                    "{} declares a {}-shard set but {count} shard files were given",
-                    self.path.display(),
-                    self.artifact.count()
-                ),
-            });
-        }
-        Ok(self)
-    }
-}
-
-/// Loads a complete shard set — `paths[i]` must hold shard `i` — and
-/// validates it as one consistent artifact ([`validate_set`]): matching
-/// shard count, `n`, `k`, `ε`, landmarks, and set id, with every slice's
-/// owned range matching the recomputed [`cc_oracle::shard::ShardPlan`].
+/// Loads a complete shard set — `paths[i]` must hold shard `i` — through
+/// the one set gate, [`ShardRouter::assemble_shared`]: every slice in its
+/// slot and owning the range the recomputed
+/// [`cc_oracle::shard::ShardPlan`] assigns, with matching shard count,
+/// `n`, `k`, `ε`, landmarks, and set id. Returns the router and each
+/// slice's per-file identity, in slot order.
 ///
 /// # Errors
 ///
-/// The first per-file failure (I/O, corruption, wrong slot), or the set
-/// validation error — each prefixed with the offending path so a startup
-/// failure names the file to fix.
-pub fn load_shard_set(paths: &[PathBuf]) -> Result<Vec<LoadedSlice<OracleShard>>, Box<dyn Error>> {
+/// The first per-file failure (I/O, corruption, a monolithic snapshot), or
+/// the set's rejection — each prefixed with the slot and path of the file
+/// to fix.
+pub fn load_shard_set(
+    paths: &[PathBuf],
+) -> Result<(ShardRouter, Vec<SnapshotInfo>), Box<dyn Error>> {
     if paths.is_empty() {
         return Err("router mode needs at least one shard snapshot".into());
     }
-    let mut loaded = Vec::with_capacity(paths.len());
+    let named =
+        |i: usize, e: &dyn std::fmt::Display| format!("shard {i} ({}): {e}", paths[i].display());
+    let (mut shards, mut infos) =
+        (Vec::with_capacity(paths.len()), Vec::with_capacity(paths.len()));
     for (i, path) in paths.iter().enumerate() {
-        let shard = load_slice(path, serde::from_shard_bytes_with_header)
-            .and_then(|shard| Ok(shard.expect_slot(i, paths.len())?))
-            .map_err(|e| format!("shard {i} ({}): {e}", path.display()))?;
-        loaded.push(shard);
+        let loaded =
+            load_slice(path, serde::from_shard_bytes_with_header).map_err(|e| named(i, &e))?;
+        shards.push(Arc::new(loaded.artifact));
+        infos.push(loaded.info);
     }
-    // Validate by reference: each shard carries the replicated column
-    // matrix, so cloning the set just to check it would double peak memory.
-    let refs: Vec<&OracleShard> = loaded.iter().map(|l| &l.artifact).collect();
-    validate_set(&refs)?;
-    Ok(loaded)
+    let router =
+        ShardRouter::assemble_shared(shards).map_err(|fault| named(fault.slot, &fault.error))?;
+    Ok((router, infos))
 }
 
 /// Replaces the file at `path` with `bytes` **atomically**: the bytes go to
@@ -172,60 +148,41 @@ pub fn write_shard_snapshots(
     Ok(paths)
 }
 
-/// A fully loaded, validated, **type-erased** serving backend, ready to be
-/// wrapped in a [`crate::Generation`]: the backend itself, its identity
-/// for `/stats` / `/artifact`, and — for a sharded backend — the shared
-/// slices (so a single-shard reload can rebuild the router without deep
-/// copies) with their per-file identities.
+/// A fully loaded, validated serving backend, ready to be wrapped in a
+/// [`crate::Generation`]: the [`Backend`] itself, its identity for
+/// `/stats` / `/artifact`, and — for a router — each slice's per-file
+/// identity.
+#[derive(Debug)]
 pub struct LoadedBackend {
     /// The serving backend: a monolithic oracle or a shard router.
-    pub backend: Box<dyn QueryBackend>,
+    pub backend: Backend,
     /// Identity of the artifact as a whole (the snapshot for a monolith,
     /// the set id for a shard set).
     pub info: SnapshotInfo,
-    /// The shared slices in slot order; empty for a monolithic backend.
-    pub shards: Vec<Arc<OracleShard>>,
-    /// Per-slice snapshot identities, parallel to `shards`.
+    /// Per-slice snapshot identities, parallel to [`Backend::shards`];
+    /// empty for a monolith.
     pub shard_infos: Vec<SnapshotInfo>,
-}
-
-impl std::fmt::Debug for LoadedBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoadedBackend")
-            .field("mode", &self.backend.descriptor().mode)
-            .field("n", &self.backend.n())
-            .field("info", &self.info)
-            .field("shards", &self.shards.len())
-            .finish()
-    }
 }
 
 impl LoadedBackend {
     /// A monolithic backend from a loaded snapshot.
     pub fn mono(oracle: DistanceOracle, info: SnapshotInfo) -> LoadedBackend {
-        LoadedBackend {
-            backend: Box::new(oracle),
-            info,
-            shards: Vec::new(),
-            shard_infos: Vec::new(),
-        }
+        LoadedBackend { backend: Backend::Mono(oracle), info, shard_infos: Vec::new() }
     }
 
-    /// A router backend over a strictly validated shard set, given each
-    /// slice (in slot order) with its per-file identity.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`validate_set`] rejects.
-    pub fn sharded(
-        slices: impl IntoIterator<Item = (OracleShard, SnapshotInfo)>,
+    /// A router backend, given each slice's per-file identity in slot
+    /// order. The set as a whole is reported under `source` by its shared
+    /// set id, or as `"mixed"` while a rolling rollout is in flight.
+    pub fn router(
+        router: ShardRouter,
+        shard_infos: Vec<SnapshotInfo>,
         source: impl Into<String>,
-    ) -> Result<LoadedBackend, OracleError> {
-        let (shards, shard_infos): (Vec<_>, Vec<_>) =
-            slices.into_iter().map(|(shard, info)| (Arc::new(shard), info)).unzip();
-        let router = ShardRouter::assemble_shared(shards.clone())?;
-        let info = SnapshotInfo::in_process(router.shards()[0].set_id(), source);
-        Ok(LoadedBackend { backend: Box::new(router), info, shards, shard_infos })
+    ) -> LoadedBackend {
+        let mut info = SnapshotInfo::in_process(router.shards()[0].set_id(), source);
+        if !router.set_uniform() {
+            info.build_id = "mixed".to_owned();
+        }
+        LoadedBackend { backend: Backend::Router(router), info, shard_infos }
     }
 
     /// Number of nodes the backend covers.
@@ -447,27 +404,6 @@ impl BackendSpec {
         self.manifest.as_deref()
     }
 
-    /// True when the spec names a shard set.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.kind, SpecKind::Sharded { .. })
-    }
-
-    /// Number of shard files (0 for a monolithic spec).
-    pub fn shard_count(&self) -> usize {
-        match &self.kind {
-            SpecKind::Mono { .. } => 0,
-            SpecKind::Sharded { paths } => paths.len(),
-        }
-    }
-
-    /// Shard `index`'s file, when the spec names a shard set.
-    pub fn shard_path(&self, index: usize) -> Option<&Path> {
-        match &self.kind {
-            SpecKind::Mono { .. } => None,
-            SpecKind::Sharded { paths } => paths.get(index).map(PathBuf::as_path),
-        }
-    }
-
     /// The snapshot file, when the spec is monolithic.
     pub fn mono_path(&self) -> Option<&Path> {
         match &self.kind {
@@ -503,28 +439,24 @@ impl BackendSpec {
         // of a header the loader just verified (for a monolith: its own
         // payload checksum), so no artifact is re-serialized to learn its
         // identity.
-        let pinned = |header: &SnapshotHeader, what: &str, path: &Path, has: &str| {
-            let got = header.slot().set_id;
-            match self.expected_set_id {
-                Some(want) if want != got => Err(format!(
-                    "{what} {} {has} {got:016x}, not the pinned set_id: the manifest expects \
+        let pinned = |got: u64, what: &str, path: &Path, has: &str| match self.expected_set_id {
+            Some(want) if want != got => Err(format!(
+                "{what} {} {has} {got:016x}, not the pinned set_id: the manifest expects \
                      set_id {want:016x}",
-                    path.display()
-                )),
-                _ => Ok(()),
-            }
+                path.display()
+            )),
+            _ => Ok(()),
         };
         match &self.kind {
             SpecKind::Mono { path } => {
                 let loaded = load_slice(path, serde::from_bytes_with_header)?;
-                pinned(&loaded.header, "snapshot", path, "has build id")?;
+                pinned(loaded.header.slot().set_id, "snapshot", path, "has build id")?;
                 Ok(LoadedBackend::mono(loaded.artifact, loaded.info))
             }
             SpecKind::Sharded { paths } => {
-                let loaded = load_shard_set(paths)?;
-                pinned(&loaded[0].header, "shard set", &paths[0], "declares set id")?;
-                let slices = loaded.into_iter().map(|l| (l.artifact, l.info));
-                Ok(LoadedBackend::sharded(slices, self.describe())?)
+                let (router, shard_infos) = load_shard_set(paths)?;
+                pinned(router.shards()[0].set_id(), "shard set", &paths[0], "declares set id")?;
+                Ok(LoadedBackend::router(router, shard_infos, self.describe()))
             }
         }
     }
@@ -747,11 +679,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let dir = temp_dir("direct-shards");
         let paths = write_shard_snapshots(&oracle, 3, &dir).unwrap();
-        let loaded = load_shard_set(&paths).unwrap();
-        let router = cc_oracle::ShardRouter::assemble(
-            loaded.iter().map(|l| l.artifact.clone()).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let (router, _) = load_shard_set(&paths).unwrap();
         for (u, v) in [(0, 95), (17, 60), (5, 5)] {
             assert_eq!(router.try_query(u, v).unwrap(), oracle.try_query(u, v).unwrap());
         }
@@ -842,11 +770,7 @@ mod tests {
         let paths = write_shard_snapshots(&oracle, 3, &dir).unwrap();
         assert_eq!(paths.len(), 3);
 
-        let loaded = load_shard_set(&paths).unwrap();
-        let router = cc_oracle::ShardRouter::assemble(
-            loaded.iter().map(|l| l.artifact.clone()).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let (router, _) = load_shard_set(&paths).unwrap();
         for u in 0..21 {
             for v in 0..21 {
                 assert_eq!(
@@ -896,10 +820,9 @@ mod tests {
             base,
         )
         .unwrap();
-        assert!(!mono.is_sharded());
-        assert_eq!(mono.mono_path(), Some(Path::new("/artifacts/oracle.snap")));
-        assert_eq!(mono.cache_capacity, Some(512));
-        assert_eq!(mono.expected_set_id, None);
+        let mut want = BackendSpec::mono("/artifacts/oracle.snap");
+        want.cache_capacity = Some(512);
+        assert_eq!(mono, want);
 
         let sharded = BackendSpec::parse_manifest(
             "mode = \"sharded\"\nset_id = \"00ffee29ec16e4f4\"\nshards = [\n    \
@@ -907,18 +830,19 @@ mod tests {
             base,
         )
         .unwrap();
-        assert!(sharded.is_sharded());
-        assert_eq!(sharded.shard_count(), 2);
-        assert_eq!(sharded.shard_path(0), Some(Path::new("/artifacts/a/shard-0.snap")));
-        assert_eq!(sharded.shard_path(1), Some(Path::new("/artifacts/a/shard-1.snap")));
-        assert_eq!(sharded.expected_set_id, Some(0x00ff_ee29_ec16_e4f4));
+        let mut want = BackendSpec::sharded(vec![
+            "/artifacts/a/shard-0.snap".into(),
+            "/artifacts/a/shard-1.snap".into(),
+        ]);
+        want.expected_set_id = Some(0x00ff_ee29_ec16_e4f4);
+        assert_eq!(sharded, want);
         // An absolute path stays absolute.
         let abs = BackendSpec::parse_manifest(
             "mode = \"mono\"\nsnapshot = \"/elsewhere/o.snap\"\n",
             base,
         )
         .unwrap();
-        assert_eq!(abs.mono_path(), Some(Path::new("/elsewhere/o.snap")));
+        assert_eq!(abs, BackendSpec::mono("/elsewhere/o.snap"));
     }
 
     #[test]
@@ -977,7 +901,7 @@ mod tests {
         assert_eq!(spec.manifest_path(), Some(manifest.as_path()));
         let loaded = spec.load().unwrap();
         assert_eq!(loaded.n(), 20);
-        assert_eq!(loaded.shards.len(), 2);
+        assert_eq!(loaded.backend.shards().len(), 2);
         assert_eq!(loaded.shard_infos.len(), 2);
         assert_eq!(loaded.info.build_id, format!("{set_id:016x}"));
         for u in 0..20 {

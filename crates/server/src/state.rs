@@ -12,8 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use cc_oracle::shard::OracleShard;
-use cc_oracle::{serde, OracleError};
+use cc_oracle::{serde, OracleError, OracleShard, ShardRouter};
 use cc_telemetry::{AccessLog, Counter, Gauge, Histogram, Registry};
 
 use crate::reload::{
@@ -22,7 +21,7 @@ use crate::reload::{
 use crate::source::{BackendSpec, LoadedBackend};
 
 /// Shared per-server state: one hot-swappable [`Generation`] over a
-/// `Box<dyn QueryBackend>`, the reload source, and the metric registry.
+/// [`cc_oracle::Backend`], the reload source, and the metric registry.
 pub struct AppState {
     pub(crate) handle: ReloadHandle,
     /// Where `POST /reload` / SIGHUP reload from: a manifest (re-read each
@@ -134,7 +133,7 @@ impl AppState {
     /// cache of `cache_capacity` entries and no default reload source. A
     /// bare [`cc_oracle::DistanceOracle`] converts into a [`LoadedBackend`]
     /// reported as an in-process build; pass [`LoadedBackend::mono`] /
-    /// [`LoadedBackend::sharded`] to give it another identity.
+    /// [`LoadedBackend::router`] to give it another identity.
     pub fn new(backend: impl Into<LoadedBackend>, cache_capacity: usize) -> AppState {
         AppState::from_loaded(backend.into(), None, cache_capacity)
     }
@@ -144,16 +143,17 @@ impl AppState {
     ///
     /// # Errors
     ///
-    /// Everything [`cc_oracle::shard::validate_set`] rejects.
+    /// Everything [`ShardRouter::assemble`] rejects.
     pub fn with_in_process_shards(
         shards: Vec<OracleShard>,
         cache_capacity: usize,
     ) -> Result<AppState, OracleError> {
-        let slices = shards.into_iter().map(|shard| {
-            let info = SnapshotInfo::in_process(serde::shard_checksum(&shard), "in-process");
-            (shard, info)
-        });
-        Ok(AppState::new(LoadedBackend::sharded(slices, "in-process")?, cache_capacity))
+        let infos = shards
+            .iter()
+            .map(|shard| SnapshotInfo::in_process(serde::shard_checksum(shard), "in-process"))
+            .collect();
+        let router = ShardRouter::assemble(shards)?;
+        Ok(AppState::new(LoadedBackend::router(router, infos, "in-process"), cache_capacity))
     }
 
     /// State serving whatever `spec` names — the manifest-driven startup
@@ -292,7 +292,7 @@ impl AppState {
         target: &ReloadTarget,
         started: Instant,
     ) -> ReloadOutcome {
-        let (n, shards) = (loaded.n(), loaded.shards.len());
+        let (n, shards) = (loaded.n(), loaded.backend.shards().len());
         let (info, swap_units) = match target {
             ReloadTarget::Shard { index, .. } => (loaded.shard_infos[*index].clone(), 1),
             _ => (loaded.info.clone(), shards.max(1)),

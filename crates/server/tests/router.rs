@@ -279,7 +279,7 @@ fn broken_shard_sets_are_clean_startup_errors_never_a_serving_process() {
     for (i, path) in mixed.iter().enumerate() {
         let shard =
             cc_server::source::load_slice(path, serde::from_shard_bytes_with_header).unwrap();
-        shard.expect_slot(i, SHARDS).unwrap();
+        assert_eq!((shard.artifact.index(), shard.artifact.count()), (i, SHARDS));
     }
     let config = ServerConfig::default().with_addr("127.0.0.1:0");
     let err = match Server::start_from_spec(&config, BackendSpec::sharded(mixed)) {

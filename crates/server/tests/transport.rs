@@ -71,29 +71,6 @@ fn both_transports_serve_byte_identical_answers_and_report_their_label() {
     poll.shutdown();
 }
 
-#[test]
-fn explicit_epoll_is_honoured_or_rejected_per_platform() {
-    let (_g, oracle) = build_oracle(16, 3);
-    let config = ServerConfig::default().with_addr("127.0.0.1:0").with_transport(Transport::Epoll);
-    match Server::start(&config, oracle) {
-        Ok(handle) => {
-            if !cfg!(target_os = "linux") {
-                panic!("explicit epoll must fail off-Linux");
-            }
-            let mut client = BlockingClient::connect(handle.addr()).unwrap();
-            let (status, body) = client.get("/stats").unwrap();
-            assert_eq!(status, 200);
-            assert!(String::from_utf8(body).unwrap().contains("\"transport\":\"epoll\""));
-            handle.shutdown();
-        }
-        Err(e) => {
-            if cfg!(target_os = "linux") {
-                panic!("epoll must work on Linux: {e}");
-            }
-        }
-    }
-}
-
 /// The reactor's reason to exist: many live keep-alive connections served
 /// by a handful of workers. Under the poll transport each of these
 /// connections would pin a worker for its lifetime, so 24 concurrent

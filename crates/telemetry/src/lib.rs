@@ -55,7 +55,7 @@
 mod events;
 mod expo;
 mod hist;
-mod json;
+pub mod json;
 mod registry;
 mod trace;
 

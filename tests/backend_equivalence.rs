@@ -1,14 +1,13 @@
-//! The serving-contract suite for the [`QueryBackend`] trait: dispatching
-//! through `Box<dyn QueryBackend>` over every in-repo tier — monolithic
-//! oracle and shard router, bare and behind a result cache of every
-//! interesting capacity (off, one set, evicting, roomy) — must be
-//! **bit-identical** to calling the concrete type directly, for every
-//! pair of every standard graph family (gnp, road_like, disconnected
-//! multi-island), including ∞ for disconnected pairs and the
-//! `MAX_FINITE_DISTANCE` clamp for landmark sums that brush `u64::MAX`.
+//! The serving-contract suite for [`Backend`]: every variant — monolithic
+//! oracle and shard router — bare and behind a result cache of every
+//! interesting capacity (off, one set, evicting, roomy) must answer
+//! **bit-identically** to the concrete oracle, for every pair of every
+//! standard graph family (gnp, road_like, disconnected multi-island),
+//! including ∞ for disconnected pairs and the `MAX_FINITE_DISTANCE` clamp
+//! for landmark sums that brush `u64::MAX`.
 //!
-//! This is the safety net under the serving-plane redesign: `cc-serve`
-//! holds exactly one `Box<dyn QueryBackend>`, so if erasure, caching, or
+//! This is the safety net under the serving plane: `cc-serve` answers
+//! through exactly one cached `Backend`, so if dispatch, caching, or
 //! routing perturbed a single bit, it would change wire answers. It never
 //! may.
 
@@ -19,8 +18,8 @@ use congested_clique::clique::Clique;
 use congested_clique::graph::{generators, Graph};
 use congested_clique::matrix::Dist;
 use congested_clique::oracle::{
-    CachingOracle, DistanceOracle, OracleBuilder, QueryBackend, ShardedArtifact,
-    MAX_FINITE_DISTANCE,
+    Backend, BackendDescriptor, CachingOracle, DistanceOracle, OracleBuilder, OracleError,
+    ShardedArtifact, MAX_FINITE_DISTANCE,
 };
 
 mod support;
@@ -30,75 +29,91 @@ fn build(g: &Graph, seed: u64) -> DistanceOracle {
     OracleBuilder::new().epsilon(0.25).seed(seed).build(&mut clique, g).expect("oracle build")
 }
 
-/// Cache capacities every tier is fronted with: pass-through, one entry
+/// Cache capacities every variant is fronted with: pass-through, one entry
 /// asked for (one set got), exactly one set, a few sets that evict
 /// constantly, and room for everything.
 const CACHE_CAPACITIES: [usize; 5] = [0, 1, 3, 64, 4096];
 
-/// Every in-repo backend arrangement over `oracle`, type-erased, with the
-/// label used in failure messages: the monolith and a router, bare and
-/// behind a cache of each of [`CACHE_CAPACITIES`]. Shard count 3 keeps
-/// same-shard, adjacent-shard and far-shard pairs in play.
-fn erased_backends(oracle: &DistanceOracle) -> Vec<(String, Box<dyn QueryBackend>)> {
+/// Both [`Backend`] variants over `oracle`, with the label used in failure
+/// messages. Shard count 3 keeps same-shard, adjacent-shard and far-shard
+/// pairs in play.
+fn backends(oracle: &DistanceOracle) -> [(&'static str, Backend); 2] {
     let count = 3.min(oracle.n());
-    let router = || {
-        ShardedArtifact::partition(oracle, count)
-            .expect("partition")
-            .into_router()
-            .expect("assemble")
-    };
-    let mut backends: Vec<(String, Box<dyn QueryBackend>)> =
-        vec![("mono".into(), Box::new(oracle.clone())), ("router".into(), Box::new(router()))];
-    for capacity in CACHE_CAPACITIES {
-        let mono = CachingOracle::new(oracle.clone(), capacity);
-        backends.push((format!("mono behind cache {capacity}"), Box::new(mono)));
-        let routed = CachingOracle::new(router(), capacity);
-        backends.push((format!("router behind cache {capacity}"), Box::new(routed)));
-    }
-    backends
+    let router = ShardedArtifact::partition(oracle, count)
+        .expect("partition")
+        .into_router()
+        .expect("assemble");
+    [("mono", oracle.clone().into()), ("router", router.into())]
 }
 
 /// Every pair, twice (the second pass hits the caches), plus the batch
-/// path and out-of-range rejection: erased answers must equal the
-/// monolith's direct answers exactly.
-fn check_dispatch_is_bit_identical(oracle: &DistanceOracle) {
+/// path and out-of-range rejection through one serving path: answers must
+/// equal the monolith's direct answers exactly.
+fn check_served(
+    oracle: &DistanceOracle,
+    label: &str,
+    query: impl Fn(usize, usize) -> Result<Dist, OracleError>,
+    batch: impl Fn(&[(usize, usize)]) -> Result<Vec<Dist>, OracleError>,
+    desc: &BackendDescriptor,
+) {
     let n = oracle.n();
-    for (label, backend) in erased_backends(oracle) {
-        assert_eq!(backend.n(), n, "{label}");
-        for pass in 0..2 {
-            for u in 0..n {
-                for v in 0..n {
-                    assert_eq!(
-                        backend.try_query(u, v).unwrap(),
-                        oracle.try_query(u, v).unwrap(),
-                        "({u},{v}) via {label}, pass {pass}"
-                    );
-                }
+    for pass in 0..2 {
+        for u in 0..n {
+            for v in 0..n {
+                assert_eq!(
+                    query(u, v).unwrap(),
+                    oracle.try_query(u, v).unwrap(),
+                    "({u},{v}) via {label}, pass {pass}"
+                );
             }
         }
-        let pairs: Vec<(usize, usize)> = (0..2 * n).map(|i| (i % n, (i * 7 + 3) % n)).collect();
-        assert_eq!(
-            backend.try_query_batch(&pairs).unwrap(),
-            oracle.try_query_batch(&pairs).unwrap(),
-            "batch via {label}"
+    }
+    let pairs: Vec<(usize, usize)> = (0..2 * n).map(|i| (i % n, (i * 7 + 3) % n)).collect();
+    assert_eq!(
+        batch(&pairs).unwrap(),
+        oracle.try_query_batch(&pairs).unwrap(),
+        "batch via {label}"
+    );
+    // Validation is part of the contract: same error, same fields.
+    assert!(
+        matches!(
+            query(0, n),
+            Err(OracleError::QueryOutOfRange { u: 0, v, n: got }) if v == n && got == n
+        ),
+        "{label} must reject out-of-range pairs"
+    );
+    let mut bad = pairs;
+    bad.push((n, 0));
+    assert!(batch(&bad).is_err(), "{label} must reject bad batches");
+    // The descriptor agrees with the artifact on the basics.
+    assert_eq!(desc.n, n, "{label}");
+    assert_eq!(desc.k, oracle.k(), "{label}");
+    assert_eq!(desc.landmark_count, oracle.landmarks().len(), "{label}");
+}
+
+/// Every variant, bare and behind a cache of each of
+/// [`CACHE_CAPACITIES`], checked against the concrete oracle.
+fn check_dispatch_is_bit_identical(oracle: &DistanceOracle) {
+    for (label, backend) in backends(oracle) {
+        assert_eq!(backend.n(), oracle.n(), "{label}");
+        check_served(
+            oracle,
+            label,
+            |u, v| backend.try_query(u, v),
+            |pairs| backend.try_query_batch(pairs),
+            &backend.descriptor(),
         );
-        // Validation is part of the contract: same error, same fields.
-        assert!(
-            matches!(
-                backend.try_query(0, n),
-                Err(congested_clique::oracle::OracleError::QueryOutOfRange { u: 0, v, n: got })
-                    if v == n && got == n
-            ),
-            "{label} must reject out-of-range pairs"
-        );
-        let mut bad = pairs;
-        bad.push((n, 0));
-        assert!(backend.try_query_batch(&bad).is_err(), "{label} must reject bad batches");
-        // The descriptor agrees with the artifact on the basics.
-        let desc = backend.descriptor();
-        assert_eq!(desc.n, n, "{label}");
-        assert_eq!(desc.k, oracle.k(), "{label}");
-        assert_eq!(desc.landmark_count, oracle.landmarks().len(), "{label}");
+        for capacity in CACHE_CAPACITIES {
+            let cached = CachingOracle::new(backend.clone(), capacity);
+            assert_eq!(cached.n(), oracle.n(), "{label}");
+            check_served(
+                oracle,
+                &format!("{label} behind cache {capacity}"),
+                |u, v| cached.try_query(u, v),
+                |pairs| cached.try_query_batch(pairs),
+                &cached.descriptor(),
+            );
+        }
     }
 }
 
@@ -132,7 +147,7 @@ fn disconnected_graphs_dispatch_bit_identically_including_infinity() {
 /// The hand-crafted near-`u64::MAX` path artifact from the monolithic
 /// clamp regression tests: `0 — 1 — 2` with weights near the sentinel,
 /// `k = 1`, node 1 the only landmark. The clamped sum must come out of
-/// every erased backend bit-identically — and equal to the documented
+/// every variant bit-identically — and equal to the documented
 /// clamp value, not ∞.
 #[test]
 fn near_max_clamped_sums_survive_every_backend() {
