@@ -15,10 +15,16 @@
 //!   node sends at most `n` words and receives at most `n` words is delivered
 //!   in `O(1)` rounds; larger patterns are charged proportionally
 //!   (`ceil(load/n)` round-units).
+//! * [`Clique::route_together`] — independent message patterns in shared
+//!   rounds: Lenzen's routing of their union, charged once on the per-node
+//!   loads summed over the batches (not a sum of per-batch ceilings), with
+//!   each batch's inboxes returned apart. [`Clique::route`] is its one-batch
+//!   case.
 //! * [`Clique::all_broadcast`] — all-to-all broadcast of `O(1)` words per
 //!   node per round.
 //! * [`Clique::sort`] — Lenzen's sorting: `≤ n` words per node are globally
-//!   sorted in `O(1)` rounds, with node `i` receiving the `i`-th batch.
+//!   sorted in `O(1)` rounds, with node `i` receiving the `i`-th batch;
+//!   `L > n` words per node are charged `ceil(L/n)`.
 //! * [`Clique::charge`] — explicit round charge for a primitive whose cost is
 //!   cited from the literature (Lemma 4 hitting sets, the spanner
 //!   baseline's construction, diameter's `N_k(w)` announcement).
@@ -50,18 +56,19 @@
 //! primitives. Each one is `O(messages)` host time and touches a message
 //! once:
 //!
-//! * [`Clique::route`] makes **one pass** over the batch that validates both
-//!   endpoints, sums the per-node send/receive loads, counts each inbox and
-//!   notices whether the batch already is in `src` order; then one pass that
-//!   moves every envelope into an inbox allocated at its exact final
-//!   capacity (an inbox never grows, an empty one is never allocated).
-//!   Delivery order is `(src, insertion)`: a batch whose sources are
-//!   non-decreasing — how callers emit almost always, looping over nodes —
-//!   is delivered as is, and only an out-of-order batch pays one stable
-//!   comparison sort by `src`. An invalid endpoint anywhere in the batch
-//!   returns the error before any metric is touched. Per call it allocates
-//!   three `n`-sized count vectors and the non-empty inboxes, nothing per
-//!   message.
+//! * [`Clique::route_together`] (and so [`Clique::route`]) makes **one
+//!   pass** over the batches that validates both endpoints, sums the
+//!   per-node send/receive loads, counts each inbox and notices whether each
+//!   batch already is in `src` order; then one pass per batch that moves
+//!   every envelope into an inbox allocated at its exact final capacity (an
+//!   inbox never grows, an empty one is never allocated). Delivery order is
+//!   `(src, insertion)`: a batch whose sources are non-decreasing — how
+//!   callers emit almost always, looping over nodes — is delivered as is,
+//!   and only an out-of-order batch pays one stable comparison sort by
+//!   `src`. An invalid endpoint anywhere in any batch returns the error
+//!   before any metric is touched. Per call it allocates two `n`-sized load
+//!   vectors, one `n`-sized count vector per batch and the non-empty
+//!   inboxes, nothing per message.
 //! * [`Clique::sort`] measures the loads in one pass, moves all items into
 //!   one buffer reserved at the total, runs the one (stable) comparison sort
 //!   the primitive is for — `O(m log m)`, linear on pre-sorted input — and

@@ -37,26 +37,15 @@ pub struct Metrics {
     pub messages: u64,
     /// Total words moved so far.
     pub words: u64,
-    /// Largest per-node word load (send or receive) seen in a single
-    /// primitive invocation.
-    pub max_node_load: u64,
     /// Per-phase breakdown.
     pub phases: BTreeMap<String, PhaseStats>,
 }
 
 impl Metrics {
-    pub(crate) fn record(
-        &mut self,
-        phase: &str,
-        rounds: u64,
-        messages: u64,
-        words: u64,
-        load: u64,
-    ) {
+    pub(crate) fn record(&mut self, phase: &str, rounds: u64, messages: u64, words: u64) {
         self.rounds += rounds;
         self.messages += messages;
         self.words += words;
-        self.max_node_load = self.max_node_load.max(load);
         // A label is copied only the first time it is seen.
         if let Some(stats) = self.phases.get_mut(phase) {
             stats.absorb(rounds, messages, words);
@@ -120,13 +109,12 @@ mod tests {
     #[test]
     fn record_accumulates_totals_and_phases() {
         let mut m = Metrics::default();
-        m.record("a", 2, 10, 20, 5);
-        m.record("a", 1, 5, 5, 9);
-        m.record("b", 3, 0, 0, 0);
+        m.record("a", 2, 10, 20);
+        m.record("a", 1, 5, 5);
+        m.record("b", 3, 0, 0);
         assert_eq!(m.rounds, 6);
         assert_eq!(m.messages, 15);
         assert_eq!(m.words, 25);
-        assert_eq!(m.max_node_load, 9);
         assert_eq!(m.phases["a"].rounds, 3);
         assert_eq!(m.phases["a"].invocations, 2);
         assert_eq!(m.phases["b"].rounds, 3);
@@ -135,7 +123,7 @@ mod tests {
     #[test]
     fn report_display_lists_phases() {
         let mut m = Metrics::default();
-        m.record("knearest/square", 4, 2, 2, 1);
+        m.record("knearest/square", 4, 2, 2);
         let report = RoundReport {
             n: 8,
             rounds: m.rounds,

@@ -152,13 +152,13 @@ impl Clique {
 
     /// Records one primitive invocation under the current phase, with `leaf`
     /// appended to the label (in place, then removed again).
-    fn record(&mut self, leaf: &str, rounds: u64, messages: u64, words: u64, load: u64) {
+    fn record(&mut self, leaf: &str, rounds: u64, messages: u64, words: u64) {
         let mark = self.phase_prefix.len();
         if self.phase_depth > 0 && !leaf.is_empty() {
             self.phase_prefix.push('/');
         }
         self.phase_prefix.push_str(leaf);
-        self.metrics.record(&self.phase_prefix, rounds, messages, words, load);
+        self.metrics.record(&self.phase_prefix, rounds, messages, words);
         self.phase_prefix.truncate(mark);
     }
 
@@ -185,7 +185,7 @@ impl Clique {
     /// the Lemma 4 hitting set (`O((log log n)³)`), the spanner baseline's
     /// cited construction, and diameter's `N_k(w)` announcement.
     pub fn charge(&mut self, label: &str, rounds: u64) {
-        self.record(label, rounds, 0, 0, 0);
+        self.record(label, rounds, 0, 0);
     }
 
     /// Delivers an arbitrary message pattern via Lenzen's routing.
@@ -201,46 +201,72 @@ impl Clique {
     /// Returns [`CliqueError::InvalidNode`] if any envelope references a node
     /// outside the clique.
     pub fn route<T: Payload>(&mut self, msgs: Vec<Envelope<T>>) -> Result<Vec<Vec<Envelope<T>>>> {
-        // The one pass over the batch: validate, sum the loads, count each
-        // inbox and notice whether the batch already is in `src` order.
+        let [inboxes] = self.route_together([msgs])?;
+        Ok(inboxes)
+    }
+
+    /// Delivers `K` independent message patterns in shared rounds: Lenzen's
+    /// routing of their union.
+    ///
+    /// Returns one set of inboxes per batch, each exactly what
+    /// [`Clique::route`] of that batch alone returns. With per-node load
+    /// `L = max_v max(Σ_b sent_v, Σ_b received_v)` words summed over the
+    /// batches, charges `route_per_unit · ceil(L/n)` rounds once — not a sum
+    /// of per-batch ceilings. Batches that are all empty are free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliqueError::InvalidNode`] if any envelope of any batch
+    /// references a node outside the clique; no metric is touched then.
+    pub fn route_together<T: Payload, const K: usize>(
+        &mut self,
+        batches: [Vec<Envelope<T>>; K],
+    ) -> Result<[Vec<Vec<Envelope<T>>>; K]> {
+        // The one pass over the batches: validate, sum the loads, count each
+        // inbox and notice whether each batch already is in `src` order.
         let mut sent = vec![0u64; self.n];
         let mut recv = vec![0u64; self.n];
-        let mut inbox_len = vec![0usize; self.n];
-        let mut words = 0u64;
-        let mut in_src_order = true;
-        let mut prev_src = 0;
-        for m in &msgs {
-            self.check_node(m.src)?;
-            self.check_node(m.dst)?;
-            let w = m.payload.words() as u64;
-            sent[m.src] += w;
-            recv[m.dst] += w;
-            inbox_len[m.dst] += 1;
-            words += w;
-            in_src_order &= prev_src <= m.src;
-            prev_src = m.src;
+        let mut shapes = [(); K].map(|()| (vec![0usize; self.n], true));
+        let (mut messages, mut words) = (0u64, 0u64);
+        for (msgs, (inbox_len, in_src_order)) in batches.iter().zip(&mut shapes) {
+            let mut prev_src = 0;
+            for m in msgs {
+                self.check_node(m.src)?;
+                self.check_node(m.dst)?;
+                let w = m.payload.words() as u64;
+                sent[m.src] += w;
+                recv[m.dst] += w;
+                inbox_len[m.dst] += 1;
+                words += w;
+                *in_src_order &= prev_src <= m.src;
+                prev_src = m.src;
+            }
+            messages += msgs.len() as u64;
         }
         let load = sent.iter().chain(recv.iter()).copied().max().unwrap_or(0);
-        let rounds = if msgs.is_empty() {
+        let rounds = if messages == 0 {
             0
         } else {
             self.cost.route_per_unit * load.div_ceil(self.n as u64).max(1)
         };
-        self.record("route", rounds, msgs.len() as u64, words, load);
+        self.record("route", rounds, messages, words);
 
         // Deterministic delivery order: stable by source, preserving the
         // per-source insertion order. Callers almost always emit per source
         // in ascending order, so the sort is the exception.
-        let mut msgs = msgs;
-        if !in_src_order {
-            msgs.sort_by_key(|m| m.src);
-        }
-        let mut inboxes: Vec<Vec<Envelope<T>>> =
-            inbox_len.into_iter().map(Vec::with_capacity).collect();
-        for m in msgs {
-            inboxes[m.dst].push(m);
-        }
-        Ok(inboxes)
+        let mut shapes = shapes.into_iter();
+        Ok(batches.map(|mut msgs| {
+            let (inbox_len, in_src_order) = shapes.next().expect("one shape per batch");
+            if !in_src_order {
+                msgs.sort_by_key(|m| m.src);
+            }
+            let mut inboxes: Vec<Vec<Envelope<T>>> =
+                inbox_len.into_iter().map(Vec::with_capacity).collect();
+            for m in msgs {
+                inboxes[m.dst].push(m);
+            }
+            inboxes
+        }))
     }
 
     /// Every node broadcasts its entry of `per_node` to every other node.
@@ -258,13 +284,7 @@ impl Clique {
         let total_w: u64 = per_node.iter().map(|p| p.words() as u64).sum();
         let rounds = self.cost.broadcast_per_unit * max_w.max(1);
         let fanout = self.n as u64 - 1;
-        self.record(
-            "all_broadcast",
-            rounds,
-            self.n as u64 * fanout,
-            total_w * fanout,
-            max_w * fanout / (self.n as u64).max(1),
-        );
+        self.record("all_broadcast", rounds, self.n as u64 * fanout, total_w * fanout);
         Ok(per_node)
     }
 
@@ -275,7 +295,11 @@ impl Clique {
     /// run length `ceil(total/n)` (the last run may be shorter). With
     /// `L = max_v items_v · words_per_item`, charges
     /// `sort_per_unit · ceil(L/n)` rounds — `O(1)` when every node holds at
-    /// most `n` words, the precondition of Lenzen's algorithm.
+    /// most `n` words, the precondition of Lenzen's algorithm. For `L > n`
+    /// the charge grows linearly in `L/n`, what moving every node's items
+    /// in `ceil(L/n)` batches of `n` words costs. Lemma 13's summation
+    /// relies on that charge: it sorts every node's whole list of
+    /// intermediate values in one call.
     ///
     /// Ties are broken by the items' full `Ord`; callers that need a strict
     /// global order should include a tiebreaker (e.g. `(key, src, seq)`).
@@ -299,7 +323,7 @@ impl Clique {
         } else {
             self.cost.sort_per_unit * load.div_ceil(self.n as u64).max(1)
         };
-        self.record("sort", rounds, total as u64, total_words, load);
+        self.record("sort", rounds, total as u64, total_words);
 
         let mut all: Vec<T> = Vec::with_capacity(total);
         for items in per_node {

@@ -2,11 +2,62 @@
 //! charges always reflect the worst per-node load, delivery is lossless and
 //! deterministic, and capacity rules can't be cheated.
 
-use cc_clique::{Clique, CostModel, Envelope};
+use cc_clique::{Clique, CliqueError, CostModel, Envelope};
 use proptest::prelude::*;
 
 fn arb_msgs(n: usize, max: usize) -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
     prop::collection::vec((0..n, 0..n, 0u64..1000), 0..max)
+}
+
+fn envelopes(msgs: &[(usize, usize, u64)]) -> Vec<Envelope<u64>> {
+    msgs.iter().map(|&(s, d, p)| Envelope::new(s, d, p)).collect()
+}
+
+/// `len` one-word messages from node 0 to nodes `1, 2, …` in turn.
+fn from_node_0(n: usize, len: usize) -> Vec<Envelope<u64>> {
+    (0..len).map(|i| Envelope::new(0, 1 + i % (n - 1), i as u64)).collect()
+}
+
+#[test]
+fn route_together_charges_the_summed_load_once() {
+    let n = 8;
+    // Two half loads on node 0 fill one round together, as one batch would.
+    let mut c = Clique::new(n);
+    c.route_together([from_node_0(n, n / 2), from_node_0(n, n / 2)]).unwrap();
+    assert_eq!(c.rounds(), 1);
+    // Two full loads need two.
+    let mut c = Clique::new(n);
+    c.route_together([from_node_0(n, n), from_node_0(n, n)]).unwrap();
+    assert_eq!(c.rounds(), 2);
+    // Separately, the half loads would have cost a round each.
+    let mut c = Clique::new(n);
+    c.route(from_node_0(n, n / 2)).unwrap();
+    c.route(from_node_0(n, n / 2)).unwrap();
+    assert_eq!(c.rounds(), 2);
+}
+
+#[test]
+fn route_together_of_empty_batches_is_free() {
+    let mut c = Clique::new(5);
+    let [a, b] = c.route_together([Vec::<Envelope<u64>>::new(), Vec::new()]).unwrap();
+    assert!(a.iter().chain(&b).all(Vec::is_empty));
+    assert_eq!((a.len(), b.len()), (5, 5));
+    assert_eq!((c.rounds(), c.metrics().messages), (0, 0));
+}
+
+#[test]
+fn route_together_rejects_a_bad_endpoint_in_any_batch_untouched() {
+    let n = 4;
+    for bad_batch in 0..3 {
+        let mut batches = [from_node_0(n, 5), from_node_0(n, 3), from_node_0(n, 7)];
+        batches[bad_batch].insert(1, Envelope::new(2, n + 1, 0));
+        let mut c = Clique::new(n);
+        c.charge("before", 2);
+        let before = c.metrics().clone();
+        let err = c.route_together(batches).unwrap_err();
+        assert_eq!(err, CliqueError::InvalidNode { node: n + 1, n });
+        assert_eq!(c.metrics(), &before, "batch {bad_batch}: a rejected call leaves no trace");
+    }
 }
 
 proptest! {
@@ -14,8 +65,6 @@ proptest! {
     fn route_charges_exactly_ceil_of_max_load(msgs in arb_msgs(6, 120)) {
         let n = 6;
         let mut clique = Clique::new(n);
-        let envelopes: Vec<Envelope<u64>> =
-            msgs.iter().map(|&(s, d, p)| Envelope::new(s, d, p)).collect();
         let mut sent = vec![0u64; n];
         let mut recv = vec![0u64; n];
         for &(s, d, _) in &msgs {
@@ -24,7 +73,7 @@ proptest! {
         }
         let load = sent.iter().chain(recv.iter()).copied().max().unwrap_or(0);
         let expected = if msgs.is_empty() { 0 } else { load.div_ceil(n as u64).max(1) };
-        let inboxes = clique.route(envelopes).unwrap();
+        let inboxes = clique.route(envelopes(&msgs)).unwrap();
         prop_assert_eq!(clique.rounds(), expected);
         // Lossless: every message arrives exactly once.
         let delivered: usize = inboxes.iter().map(Vec::len).sum();
@@ -81,10 +130,31 @@ proptest! {
     }
 
     #[test]
+    fn route_together_delivers_each_batch_as_route_would(
+        a in arb_msgs(6, 50),
+        b in arb_msgs(6, 50),
+        c in arb_msgs(6, 50),
+    ) {
+        // Each batch's inboxes are those of routing it alone; the rounds are
+        // those of routing the union: one ceiling of the summed loads.
+        let n = 6;
+        let batches = [&a, &b, &c].map(|msgs| envelopes(msgs));
+        let mut together = Clique::new(n);
+        let got = together.route_together(batches.clone()).unwrap();
+        for (batch, inboxes) in batches.iter().zip(&got) {
+            let mut alone = Clique::new(n);
+            prop_assert_eq!(&alone.route(batch.clone()).unwrap(), inboxes);
+        }
+        let union: Vec<Envelope<u64>> = batches.concat();
+        let mut once = Clique::new(n);
+        once.route(union.clone()).unwrap();
+        prop_assert_eq!(together.rounds(), once.rounds());
+        prop_assert_eq!(together.metrics().messages, union.len() as u64);
+        prop_assert_eq!(together.metrics().phases["route"].invocations, 1);
+    }
+
+    #[test]
     fn conservative_cost_model_scales_linearly(msgs in arb_msgs(6, 60)) {
-        let envelopes = |v: &Vec<(usize, usize, u64)>| -> Vec<Envelope<u64>> {
-            v.iter().map(|&(s, d, p)| Envelope::new(s, d, p)).collect()
-        };
         let mut unit = Clique::new(6);
         unit.route(envelopes(&msgs)).unwrap();
         let mut cons = Clique::with_cost_model(6, CostModel::conservative());

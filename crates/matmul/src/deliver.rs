@@ -45,6 +45,11 @@ pub(crate) type PerNode<E> = Vec<Vec<Entry<E>>>;
 /// holders were sent those entries then — and only fans out against the new
 /// cube.
 ///
+/// The two sides are independent: each broadcasts its counts and sorts on
+/// its own (`deliver_s/balance/*`, `deliver_t/balance/*`), then both deals
+/// share the rounds of one route (`deliver/balance/route`) and both fan-outs
+/// those of another (`deliver/fanout/route`).
+///
 /// # Errors
 ///
 /// Returns [`MatmulError::Clique`] on malformed communication.
@@ -61,35 +66,118 @@ pub(crate) fn deliver<SR: Semiring>(
     // S entries start row-distributed, T entries column-distributed.
     let s_targets =
         |r: u32, c: u32, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, assignment, out);
-    let s_delivered = clique.with_phase("deliver_s", |cl| {
-        half_delivery::<SR>(cl, s, assignment.canonical, &s_targets)
-    })?;
     let t_targets =
         |r: u32, c: u32, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, assignment, out);
-    let t_delivered = clique.with_phase("deliver_t", |cl| {
-        half_delivery::<SR>(cl, t, assignment.canonical, &t_targets)
-    })?;
-    Ok(s_delivered
+    let reusable = assignment.canonical;
+    let s_kept = if reusable { s.sigma1_placement.take() } else { None };
+    let t_kept = if reusable { t.sigma1_placement.take() } else { None };
+
+    // Lemma 10 for each side without a kept placement; an empty deal
+    // stands for a side whose placement is reused.
+    let s_deal = match s_kept {
+        Some(_) => Vec::new(),
+        None => clique.with_phase("deliver_s/balance", |cl| deal::<SR>(cl, s, &s_targets))?,
+    };
+    let t_deal = match t_kept {
+        Some(_) => Vec::new(),
+        None => clique.with_phase("deliver_t/balance", |cl| deal::<SR>(cl, t, &t_targets))?,
+    };
+    let [s_dealt, t_dealt] =
+        clique.with_phase("deliver/balance", |cl| cl.route_together([s_deal, t_deal]))?;
+    let s_placement = s_kept.unwrap_or_else(|| placement(s_dealt));
+    let t_placement = t_kept.unwrap_or_else(|| placement(t_dealt));
+
+    // Lemma 11: both fan-outs in shared rounds.
+    let copies =
+        [fan_out(&s_placement, &s_targets, reusable), fan_out(&t_placement, &t_targets, reusable)];
+    let [s_inboxes, t_inboxes] =
+        clique.with_phase("deliver/fanout", |cl| cl.route_together(copies))?;
+    if reusable {
+        s.sigma1_placement = Some(s_placement);
+        t.sigma1_placement = Some(t_placement);
+    }
+    let payloads =
+        |inbox: Vec<Envelope<Entry<SR::Elem>>>| inbox.into_iter().map(|e| e.payload).collect();
+    Ok(s_inboxes
         .into_iter()
-        .zip(t_delivered)
-        .map(|(s_entries, t_entries)| SubtaskInput { s_entries, t_entries })
+        .zip(t_inboxes)
+        .map(|(s_in, t_in)| SubtaskInput { s_entries: payloads(s_in), t_entries: payloads(t_in) })
         .collect())
 }
 
-/// One operand's half of a delivery: every entry goes from where Lemma 10
-/// puts it to the nodes `targets` names. A `reusable` (`σ1`) placement is
-/// taken from the operand if an earlier delivery left one, and left there.
-fn half_delivery<SR: Semiring>(
+/// Lemma 10's broadcast and sort for one operand: the deal that balances
+/// its entries across nodes by duplication weight, still to be routed.
+///
+/// `targets(r, c, buf)` lists the recipients of entry `(r, c)` into a buffer
+/// that arrives empty, and an entry's duplication weight is the length of
+/// that list.
+fn deal<SR: Semiring>(
     clique: &mut Clique,
-    operand: &mut Operand<'_, SR::Elem>,
-    reusable: bool,
+    operand: &Operand<'_, SR::Elem>,
     targets: Targets<'_>,
-) -> Result<PerNode<SR::Elem>, MatmulError> {
-    let kept = if reusable { operand.sigma1_placement.take() } else { None };
-    let placement = match kept {
-        Some(placement) => placement,
-        None => balance::<SR>(clique, operand.entries(), targets)?,
-    };
+) -> Result<Vec<Envelope<Keyed<SR::Elem>>>, MatmulError> {
+    let n = clique.n();
+    let mut recipients: Vec<NodeId> = Vec::new();
+
+    // Step 1: global sort by descending duplication weight, then position
+    // (for determinism).
+    let items: Vec<Vec<Keyed<SR::Elem>>> = operand
+        .entries()
+        .into_iter()
+        .map(|entries| {
+            entries
+                .into_iter()
+                .map(|e| {
+                    recipients.clear();
+                    targets(e.row, e.col, &mut recipients);
+                    Keyed { key: (u64::MAX - recipients.len() as u64, e.row, e.col), val: e.val }
+                })
+                .collect()
+        })
+        .collect();
+    // Everyone learns the total count, hence the global rank layout.
+    let counts: Vec<u64> = items.iter().map(|v| v.len() as u64).collect();
+    let total: u64 = clique.all_broadcast(counts)?.iter().sum();
+    if total == 0 {
+        return Ok(Vec::new());
+    }
+    let sorted = clique.sort(items)?;
+    let run = (total as usize).div_ceil(n);
+
+    // Step 2: deal rank r to node r mod n (round-robin over the
+    // descending-weight order = the constructive Lemma 5 with k = n).
+    let mut deal = Vec::with_capacity(total as usize);
+    for (holder, batch) in sorted.into_iter().enumerate() {
+        for (off, item) in batch.into_iter().enumerate() {
+            let rank = holder * run + off;
+            deal.push(Envelope::new(holder, rank % n, item));
+        }
+    }
+    Ok(deal)
+}
+
+/// The entries every node holds once a deal is delivered: the sort key
+/// carried each entry's position.
+fn placement<E>(dealt: Vec<Vec<Envelope<Keyed<E>>>>) -> PerNode<E> {
+    dealt
+        .into_iter()
+        .map(|inbox| {
+            inbox
+                .into_iter()
+                .map(|env| Entry::new(env.payload.key.1, env.payload.key.2, env.payload.val))
+                .collect()
+        })
+        .collect()
+}
+
+/// Lemma 11's fan-out for one operand: a copy of every placed entry to each
+/// node `targets` names. A `reusable` (`σ1`) placement must weigh every
+/// entry the same.
+fn fan_out<E: Clone>(
+    placement: &PerNode<E>,
+    targets: Targets<'_>,
+    reusable: bool,
+) -> Vec<Envelope<Entry<E>>> {
     let mut recipients: Vec<NodeId> = Vec::new();
     let mut weight = None;
     // Every entry a delivery moves is needed somewhere: at least one copy each.
@@ -107,71 +195,7 @@ fn half_delivery<SR: Semiring>(
             }
         }
     }
-    let inboxes = clique.with_phase("fanout", |cl| cl.route(copies))?;
-    if reusable {
-        operand.sigma1_placement = Some(placement);
-    }
-    Ok(inboxes.into_iter().map(|batch| batch.into_iter().map(|e| e.payload).collect()).collect())
-}
-
-/// Lemma 10: balances weighted entries across nodes. Returns, per balanced
-/// holder, the entries it now holds.
-///
-/// `per_node[v]` are the entries initially held by node `v`; `targets(r, c,
-/// buf)` lists the recipients of entry `(r, c)` into a buffer that arrives
-/// empty, and an entry's duplication weight is the length of that list.
-fn balance<SR: Semiring>(
-    clique: &mut Clique,
-    per_node: PerNode<SR::Elem>,
-    targets: Targets<'_>,
-) -> Result<PerNode<SR::Elem>, MatmulError> {
-    let n = clique.n();
-    let mut recipients: Vec<NodeId> = Vec::new();
-
-    // Step 1: global sort by descending duplication weight, then position
-    // (for determinism).
-    let items: Vec<Vec<Keyed<SR::Elem>>> = per_node
-        .into_iter()
-        .map(|entries| {
-            entries
-                .into_iter()
-                .map(|e| {
-                    recipients.clear();
-                    targets(e.row, e.col, &mut recipients);
-                    Keyed { key: (u64::MAX - recipients.len() as u64, e.row, e.col), val: e.val }
-                })
-                .collect()
-        })
-        .collect();
-    // Everyone learns the total count, hence the global rank layout.
-    let counts: Vec<u64> = items.iter().map(|v| v.len() as u64).collect();
-    let counts = clique.with_phase("balance", |cl| cl.all_broadcast(counts))?;
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return Ok(vec![Vec::new(); n]);
-    }
-    let sorted = clique.with_phase("balance", |cl| cl.sort(items))?;
-    let run = (total as usize).div_ceil(n);
-
-    // Step 2: deal rank r to node r mod n (round-robin over the
-    // descending-weight order = the constructive Lemma 5 with k = n).
-    let mut deal = Vec::with_capacity(total as usize);
-    for (holder, batch) in sorted.into_iter().enumerate() {
-        for (off, item) in batch.into_iter().enumerate() {
-            let rank = holder * run + off;
-            deal.push(Envelope::new(holder, rank % n, item));
-        }
-    }
-    let balanced = clique.with_phase("balance", |cl| cl.route(deal))?;
-    Ok(balanced
-        .into_iter()
-        .map(|batch| {
-            batch
-                .into_iter()
-                .map(|env| Entry::new(env.payload.key.1, env.payload.key.2, env.payload.val))
-                .collect()
-        })
-        .collect())
+    copies
 }
 
 /// The buffers of [`local_product`]. One multiplication computes thousands
@@ -255,6 +279,7 @@ pub fn local_product<SR: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::CubeShape;
     use crate::operand::Side;
     use cc_matrix::{
         AugDist, AugMinPlus, Boolean, Dist, MinPlus, SparseMatrix, WitnessedDist, WitnessedMinPlus,
@@ -421,37 +446,60 @@ mod tests {
 
     #[test]
     fn fan_out_asks_for_targets_into_one_buffer() {
-        // Entry (r, c) goes to nodes r and c: every inbox then holds exactly
-        // the entries naming it, in (holder, deal) order, whatever the
-        // balancing did in between.
-        let n = 6;
+        // Every inbox holds exactly the entries whose targets name its node,
+        // whatever the balancing did in between: a recipient buffer handed
+        // over with the last entry's targets still in it would show here.
+        let n = 8;
         let mut full = SparseMatrix::zeros(n);
-        for (v, c) in (0..n).flat_map(|v| (0..n).map(move |c| (v, c))) {
-            full.set(v, c, Dist::fin((v * 10 + c) as u64));
+        for (r, c) in (0..n).flat_map(|r| (0..n).map(move |c| (r, c))) {
+            full.set(r, c, Dist::fin((r * 10 + c) as u64));
         }
-        let mut rows = Operand::unprepared(Side::Left, full.rows());
-        let targets = |r: u32, c: u32, out: &mut Vec<NodeId>| {
-            assert!(out.is_empty(), "the buffer is handed over empty");
-            out.push(r as usize);
-            if c != r {
-                out.push(c as usize);
-            }
-        };
+        let cols = full.transpose();
+        let cube = CubePartition::uniform(n, CubeShape { a: 2, b: 2, c: 2 });
+        let sigma1 = cube.sigma1();
+        let (mut s, mut t) = (
+            Operand::unprepared(Side::Left, full.rows()),
+            Operand::unprepared(Side::Right, cols.rows()),
+        );
         let mut clique = Clique::new(n);
-        let delivered = half_delivery::<MinPlus>(&mut clique, &mut rows, false, &targets).unwrap();
-        assert!(rows.sigma1_placement.is_none(), "not σ1: nothing to keep");
-        for (v, inbox) in delivered.iter().enumerate() {
-            let mut positions: Vec<(u32, u32)> = inbox.iter().map(Entry::pos).collect();
-            positions.sort_unstable();
-            let mut expected: Vec<(u32, u32)> = (0..n as u32)
-                .flat_map(|r| (0..n as u32).map(move |c| (r, c)))
-                .filter(|&(r, c)| r as usize == v || c as usize == v)
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(positions, expected, "node {v}");
+        let first = deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
+        let positions_for = |v: NodeId, targets: Targets<'_>| {
+            let mut recipients = Vec::new();
+            let all = (0..n as u32).flat_map(|r| (0..n as u32).map(move |c| (r, c)));
+            all.filter(|&(r, c)| {
+                recipients.clear();
+                targets(r, c, &mut recipients);
+                recipients.contains(&v)
+            })
+            .collect::<Vec<_>>()
+        };
+        let sorted = |entries: &[Entry<Dist>]| {
+            let mut p: Vec<(u32, u32)> = entries.iter().map(Entry::pos).collect();
+            p.sort_unstable();
+            p
+        };
+        for (v, input) in first.iter().enumerate() {
+            let s_targets = |r, c, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, &sigma1, out);
+            let t_targets = |r, c, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, &sigma1, out);
+            assert_eq!(sorted(&input.s_entries), positions_for(v, &s_targets), "S at node {v}");
+            assert_eq!(sorted(&input.t_entries), positions_for(v, &t_targets), "T at node {v}");
         }
-        // 36 entries dealt + (2·36 − 6) fanned out, nothing else routed.
-        assert_eq!(clique.metrics().phases["balance/route"].messages, 36);
-        assert_eq!(clique.metrics().phases["fanout/route"].messages, 66);
+        // 64 entries a side dealt in one route; each S entry fanned out to
+        // a = 2 nodes and each T entry to b = 2, in one more.
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["deliver/balance/route"].messages, 2 * 64);
+        assert_eq!(phases["deliver/fanout/route"].messages, 2 * 2 * 64);
+
+        // σ1 again: both placements are reused, so nothing is dealt and the
+        // same copies arrive.
+        let again = deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
+        for (a, b) in first.iter().zip(&again) {
+            assert_eq!((&a.s_entries, &a.t_entries), (&b.s_entries, &b.t_entries));
+        }
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["deliver_s/balance/sort"].invocations, 1);
+        assert_eq!(phases["deliver_t/balance/sort"].invocations, 1);
+        assert_eq!(phases["deliver/balance/route"].messages, 2 * 64, "nothing dealt again");
+        assert_eq!(phases["deliver/fanout/route"].invocations, 2);
     }
 }

@@ -22,14 +22,22 @@
 //! |------|-------------|-----------|------------|-------|-------------|
 //! | prepare operands | §2.1 | unless prepared | unless prepared | — | `counts`, `transpose` |
 //! | cube partition | Lemma 9 | for `ρ̂` | for `ρ` | uniform, free | `cube/*` |
-//! | `σ1` delivery | Lemmas 10 + 11 | yes | yes | yes | `deliver_s/*`, `deliver_t/*` |
+//! | `σ1` delivery | Lemmas 10 + 11 | yes | yes | yes | `deliver_s/balance/*`, `deliver_t/balance/*`, `deliver/{balance,fanout}/route` |
 //! | local products | free | yes | yes | yes | — |
 //! | thinning | Lemma 15 | — | per-row cutoffs | — | `cutoff_search` |
 //! | helper assignment | Lemma 12 / 16 | one pool `0..n`, chunk `ρ̂·c` | a pool per group `B_ik`, chunk `ρ·α_i·c` | — | `sizes` / `weights` |
-//! | `σ2` delivery | Lemmas 10 + 11 | unless `σ2 = ∅` | unless `σ2 = ∅` | — | `deliver_s/*`, `deliver_t/*` |
+//! | `σ2` delivery | Lemmas 10 + 11 | unless `σ2 = ∅` | unless `σ2 = ∅` | — | as `σ1` delivery |
 //! | responsibility split | Lemma 12, step 3 | yes | yes | — | — |
-//! | summation | Lemma 13 | yes | yes | yes | `sum` |
+//! | summation | Lemma 13 | yes | yes | yes | `sum/sort`, `sum/route` |
 //! | final row filter | Theorem 14 | — | yes | — | — |
+//!
+//! A delivery balances each operand on its own — a count broadcast and a
+//! sort per side — and then moves both sides together: the two Lemma 10
+//! deals share the rounds of one route, and the two Lemma 11 fan-outs those
+//! of another ([`cc_clique::Clique::route_together`]). A side whose `σ1`
+//! placement is reused deals nothing. The summation is one pass: one sort of
+//! every node's whole list of intermediate values and one route to the row
+//! owners.
 //!
 //! [`sparse_multiply`] and [`filtered_multiply`] take the paper's input
 //! layout and have the pipeline prepare both operands; a caller that

@@ -267,7 +267,10 @@ mod tests {
         let s_balances = phases["sparse_mm/deliver_s/balance/sort"].invocations;
         let t_balances = phases["sparse_mm/deliver_t/balance/sort"].invocations;
         assert_eq!(t_balances - s_balances, 1, "S skipped exactly one σ1 balancing");
-        assert_eq!(phases["sparse_mm/deliver_s/fanout/route"].invocations, t_balances);
+        // One shared deal route and one shared fan-out route per delivery,
+        // and T is balanced in every delivery.
+        assert_eq!(phases["sparse_mm/deliver/balance/route"].invocations, t_balances);
+        assert_eq!(phases["sparse_mm/deliver/fanout/route"].invocations, t_balances);
     }
 
     #[test]
@@ -280,9 +283,12 @@ mod tests {
         sparse_multiply::<MinPlus>(&mut clique, id.rows(), id.rows(), n).unwrap();
         let phases = &clique.metrics().phases;
         for side in ["deliver_s", "deliver_t"] {
-            for leaf in ["balance/all_broadcast", "balance/sort", "balance/route", "fanout/route"] {
+            for leaf in ["balance/all_broadcast", "balance/sort"] {
                 assert_eq!(phases[&format!("sparse_mm/{side}/{leaf}")].invocations, 1, "{side}");
             }
+        }
+        for leaf in ["balance/route", "fanout/route"] {
+            assert_eq!(phases[&format!("sparse_mm/deliver/{leaf}")].invocations, 1, "{leaf}");
         }
     }
 

@@ -3,11 +3,19 @@
 //! After the subtask products, every node holds a bounded number of
 //! *intermediate values* — partial sums `p_{vWu}` for positions of the
 //! output matrix, with each elementary product contributing to exactly one
-//! intermediate value. This module accumulates them into the output rows:
-//! repeatedly take `n` values per node, globally sort by position (Lenzen
-//! sort, `O(1)` rounds), combine equal positions locally, fix the runs that
-//! straddle node boundaries, and route the per-row sums to their row owners.
-//! With at most `L` values per node this takes `O(L/n + 1)` rounds.
+//! intermediate value. This module accumulates them into the output rows in
+//! one pass: globally sort every node's whole list by position (Lenzen
+//! sort), combine equal positions locally, and route the per-position sums
+//! straight to their row owners, which add up what arrives.
+//!
+//! Nothing needs fixing at run boundaries. After the global sort the values
+//! of one position are contiguous, so only a holder's first and last runs
+//! can be shared with another holder, and each of the `n − 1` boundaries
+//! between consecutive holders repeats at most one position. The owner of
+//! row `r` therefore receives at most `distinct(r) + (n − 1) ≤ 2n − 1` sums,
+//! and a holder sends at most its run of `⌈Σ_v L_v / n⌉ ≤ L` values. With at
+//! most `L` values per node, the sort costs `⌈L/n⌉` rounds and the route
+//! `max(2, ⌈L/n⌉)`: `O(L/n + 1)` in all, Lemma 13's bound.
 
 use cc_clique::{Clique, Envelope};
 use cc_matrix::{Entry, Semiring, SparseRow};
@@ -25,129 +33,64 @@ pub(crate) fn sum_intermediates<SR: Semiring>(
     clique: &mut Clique,
     per_node: Vec<Vec<Entry<SR::Elem>>>,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
-    let n = clique.n();
+    // Every value is keyed by position, then by provenance — the node and
+    // the value's offset in the node's list — so the global order is total.
+    let keyed: Vec<Vec<Keyed<SR::Elem>>> = per_node
+        .into_iter()
+        .enumerate()
+        .map(|(v, values)| {
+            values
+                .into_iter()
+                .enumerate()
+                .map(|(off, e)| {
+                    let position = ((e.row as u64) << 32) | e.col as u64;
+                    Keyed { key: (position, v as u32, off as u32), val: e.val }
+                })
+                .collect()
+        })
+        .collect();
 
-    // Everyone learns the number of repetitions.
-    let lens: Vec<u64> = per_node.iter().map(|q| q.len() as u64).collect();
-    let lens = clique.with_phase("sum", |cl| cl.all_broadcast(lens))?;
-    let reps = lens.iter().map(|&l| (l as usize).div_ceil(n)).max().unwrap_or(0);
+    // (1) One global sort by position.
+    let sorted = clique.with_phase("sum", |cl| cl.sort(keyed))?;
 
-    let mut pending: Vec<std::vec::IntoIter<Entry<SR::Elem>>> =
-        per_node.into_iter().map(Vec::into_iter).collect();
-    let mut out: Vec<SparseRow<SR::Elem>> = vec![SparseRow::new(); n];
-    for rep in 0..reps {
-        // Each node contributes its next up-to-n values this repetition,
-        // keyed by position, then by provenance — the node and the value's
-        // offset in the node's original list — so the global order is total.
-        let batch: Vec<Vec<Keyed<SR::Elem>>> = pending
-            .iter_mut()
-            .enumerate()
-            .map(|(v, values)| {
-                values
-                    .by_ref()
-                    .take(n)
-                    .enumerate()
-                    .map(|(off, e)| {
-                        let position = ((e.row as u64) << 32) | e.col as u64;
-                        Keyed { key: (position, v as u32, (rep * n + off) as u32), val: e.val }
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // (1) Global sort by position.
-        let sorted = clique.with_phase("sum", |cl| cl.sort(batch))?;
-
-        // (2) Local combine of equal positions.
-        let mut combined: Vec<Vec<(u64, SR::Elem)>> = sorted
-            .into_iter()
-            .map(|items| {
-                let mut acc: Vec<(u64, SR::Elem)> = Vec::with_capacity(items.len());
-                for item in items {
-                    match acc.last_mut() {
-                        Some((k, v)) if *k == item.key.0 => *v = SR::add(v, &item.val),
-                        _ => acc.push((item.key.0, item.val)),
-                    }
+    // (2) Local combine of equal positions, each sum addressed to the owner
+    // of its row.
+    let mut sums: Vec<Envelope<Entry<SR::Elem>>> = Vec::new();
+    for (v, items) in sorted.into_iter().enumerate() {
+        let first = sums.len();
+        for Keyed { key: (position, ..), val } in items {
+            let (row, col) = ((position >> 32) as u32, position as u32);
+            match sums[first..].last_mut() {
+                Some(last) if last.payload.pos() == (row, col) => {
+                    last.payload.val = SR::add(&last.payload.val, &val);
                 }
-                acc
-            })
-            .collect();
-
-        // (3) Boundary fix: positions straddling node boundaries are merged
-        // at the smallest-id holder. Broadcast (min, max) keys; an empty
-        // holder broadcasts `EMPTY_SPAN` bounds, which no real key equals.
-        const EMPTY_SPAN: u64 = u64::MAX;
-        let spans: Vec<(u64, u64)> = combined
-            .iter()
-            .map(|c| {
-                if c.is_empty() {
-                    (EMPTY_SPAN, EMPTY_SPAN)
-                } else {
-                    (c.first().expect("nonempty").0, c.last().expect("nonempty").0)
-                }
-            })
-            .collect();
-        let spans = clique.with_phase("sum", |cl| cl.all_broadcast(spans))?;
-        // The smallest-id holder of key k, as seen from holder v: every
-        // earlier holder of k must end with k (global sorted order), so it
-        // is the first node whose max equals k — or v itself.
-        let owner_of = |key: u64, v: usize| -> usize {
-            (0..v).find(|&t| spans[t].1 == key && spans[t].0 != EMPTY_SPAN).unwrap_or(v)
-        };
-        // `kept_from[v]` is 1 if v shipped its first run away, else 0.
-        let mut kept_from = vec![0usize; n];
-        let mut boundary_msgs = Vec::new();
-        for v in 0..n {
-            if combined[v].is_empty() {
-                continue;
-            }
-            let min_key = combined[v][0].0;
-            let owner = owner_of(min_key, v);
-            if owner != v {
-                // Every key before ours is <= min_key, so only the first run
-                // can be shared; ship its sum to the owner.
-                let val = std::mem::replace(&mut combined[v][0].1, SR::zero());
-                kept_from[v] = 1;
-                boundary_msgs.push(Envelope::new(v, owner, (min_key, val)));
-            }
-        }
-        let inboxes = clique.with_phase("sum", |cl| cl.route(boundary_msgs))?;
-        for (v, inbox) in inboxes.into_iter().enumerate() {
-            for env in inbox {
-                let (k, val) = env.payload;
-                // The owner's max is k and an owner never ships k away (no
-                // earlier node ends with it), so the shared run is its last.
-                match combined[v][kept_from[v]..].last_mut() {
-                    Some((key, cur)) if *key == k => *cur = SR::add(cur, &val),
-                    _ => unreachable!("the owner of a boundary key ends with that key"),
-                }
-            }
-        }
-
-        // (4) Route per-position sums to their row owners.
-        let kept: usize = combined.iter().zip(&kept_from).map(|(c, &from)| c.len() - from).sum();
-        let mut finals: Vec<Envelope<Entry<SR::Elem>>> = Vec::with_capacity(kept);
-        for (v, items) in combined.into_iter().enumerate() {
-            for (k, val) in items.into_iter().skip(kept_from[v]) {
-                let row = (k >> 32) as u32;
-                let col = (k & 0xffff_ffff) as u32;
-                finals.push(Envelope::new(v, row as usize, Entry::new(row, col, val)));
-            }
-        }
-        let inboxes = clique.with_phase("sum", |cl| cl.route(finals))?;
-        for (r, inbox) in inboxes.into_iter().enumerate() {
-            for env in inbox {
-                out[r].accumulate::<SR>(env.payload.col, env.payload.val);
+                _ => sums.push(Envelope::new(v, row as usize, Entry::new(row, col, val))),
             }
         }
     }
-    Ok(out)
+
+    // (3) One route to the row owners, which add up the sums of a position
+    // its holders shared. Holders send in position order, so every row
+    // arrives in column order.
+    let inboxes = clique.with_phase("sum", |cl| cl.route(sums))?;
+    Ok(inboxes
+        .into_iter()
+        .map(|inbox| {
+            let mut row = SparseRow::new();
+            for env in inbox {
+                row.accumulate::<SR>(env.payload.col, env.payload.val);
+            }
+            row
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cc_matrix::{Dist, MinPlus};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sums_duplicate_positions_across_nodes() {
@@ -171,7 +114,9 @@ mod tests {
     fn handles_multi_repetition_loads() {
         let n = 4;
         let mut clique = Clique::new(n);
-        // Node 0 holds 10 values for the same position: forces 3 repetitions.
+        // Node 0 holds 10 > n values for the same position: the one sort is
+        // charged ⌈10/4⌉ = 3 rounds, and the 4 holders of the position each
+        // send one sum to its row owner in one round.
         let per_node = vec![
             (0..10).map(|i| Entry::new(2, 1, Dist::fin(20 - i))).collect(),
             vec![],
@@ -180,8 +125,9 @@ mod tests {
         ];
         let rows = sum_intermediates::<MinPlus>(&mut clique, per_node).unwrap();
         assert_eq!(rows[2].get(1), Some(&Dist::fin(5)));
-        let rounds = clique.rounds();
-        assert!(rounds >= 3, "expected multiple repetitions, got {rounds} rounds");
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["sum/sort"].rounds, 3);
+        assert_eq!((phases["sum/route"].rounds, phases["sum/route"].messages), (1, 4));
     }
 
     #[test]
@@ -189,7 +135,7 @@ mod tests {
         let mut clique = Clique::new(3);
         let rows = sum_intermediates::<MinPlus>(&mut clique, vec![vec![], vec![], vec![]]).unwrap();
         assert!(rows.iter().all(|r| r.is_empty()));
-        assert!(clique.rounds() <= 1);
+        assert_eq!(clique.rounds(), 0);
     }
 
     /// Sequential reference: add every value at its position.
@@ -205,7 +151,7 @@ mod tests {
     fn three_consecutive_holders_share_one_boundary_key() {
         // n = 4, 8 values => runs of 2 per holder after the sort. Position
         // (1, 1) occurs five times: it ends holder 0 and fills holders 1 and
-        // 2, so both ship their (only) run to holder 0.
+        // 2, so all three send a partial sum of it to row owner 1.
         let n = 4;
         let shared = |d| Entry::new(1, 1, Dist::fin(d));
         let per_node = vec![
@@ -218,18 +164,38 @@ mod tests {
         let rows = sum_intermediates::<MinPlus>(&mut clique, per_node.clone()).unwrap();
         assert_eq!(rows, reference_sum(n, &per_node));
         assert_eq!(rows[1].get(1), Some(&Dist::fin(2)));
-        // One repetition: the boundary route carried the two shipped runs,
-        // the final route the 4 distinct positions.
+        // One route: 4 distinct positions, plus 2 more partial sums of the
+        // position three holders share.
         let route = clique.metrics().phases["sum/route"];
-        assert_eq!(route.invocations, 2);
-        assert_eq!(route.messages, 2 + 4);
+        assert_eq!(route.invocations, 1);
+        assert_eq!(route.messages, 4 + 2);
+    }
+
+    #[test]
+    fn a_row_owner_receives_at_most_2n_minus_1_sums() {
+        // n = 4, 12 values of row 0 => runs of 3. Every boundary between
+        // holders splits a column: c0 c0 c1 | c1 c2 c2 | c2 c3 c3 | c3 c3 c3.
+        // Row owner 0 receives distinct(0) + (n − 1) = 4 + 3 = 2n − 1 sums,
+        // the bound behind Lemma 13's O(1) rounds: ⌈7/4⌉ = 2.
+        let n = 4;
+        let cols = [0, 0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3];
+        let per_node: Vec<Vec<Entry<Dist>>> = (0..n)
+            .map(|v| {
+                (0..3).map(|i| Entry::new(0, cols[3 * v + i], Dist::fin(9 - i as u64))).collect()
+            })
+            .collect();
+        let mut clique = Clique::new(n);
+        let rows = sum_intermediates::<MinPlus>(&mut clique, per_node.clone()).unwrap();
+        assert_eq!(rows, reference_sum(n, &per_node));
+        let route = clique.metrics().phases["sum/route"];
+        assert_eq!((route.messages, route.rounds), (2 * n as u64 - 1, 2));
     }
 
     #[test]
     fn holder_whose_only_run_is_shipped_keeps_nothing() {
         // n = 3, 3 values => one value per holder, all for position (2, 0):
-        // holders 1 and 2 each hold a single run and ship it to holder 0,
-        // leaving their lists empty; only holder 0 routes a final sum.
+        // each holder's only run is its whole list, and each sends it to
+        // row owner 2, which adds up the three.
         let n = 3;
         let per_node: Vec<Vec<Entry<Dist>>> =
             (0..n).map(|v| vec![Entry::new(2, 0, Dist::fin(30 - v as u64))]).collect();
@@ -238,14 +204,14 @@ mod tests {
         assert_eq!(rows, reference_sum(n, &per_node));
         assert_eq!(rows[2].get(0), Some(&Dist::fin(28)));
         let route = clique.metrics().phases["sum/route"];
-        assert_eq!(route.messages, 2 + 1);
+        assert_eq!(route.messages, 3);
     }
 
     #[test]
     fn shipped_first_run_and_received_last_run_on_one_holder() {
-        // Holder 1 ships its first run (0, 1) to holder 0 *and* owns the run
-        // (0, 3) that holder 2 starts with: offsets and "last run" must not
-        // be confused.
+        // Holder 1 shares its first run (0, 1) with holder 0 *and* its last
+        // run (0, 3) with holder 2: both partial sums of each reach row
+        // owner 0.
         let n = 3;
         let at = |c, d| Entry::new(0, c, Dist::fin(d));
         let per_node = vec![
@@ -291,6 +257,59 @@ mod tests {
         assert_eq!(rows[0].get(0), Some(&Dist::fin(10)));
         for r in 1..n {
             assert_eq!(rows[r].nnz(), 0);
+        }
+    }
+
+    #[test]
+    fn one_position_spread_over_every_holder_reaches_its_owner_n_times() {
+        // 3n values of position (2, 1), unevenly held: after the sort every
+        // holder's whole run is that position, so its owner receives one
+        // partial sum from each of the n holders, in one round.
+        let n = 6;
+        let per_node: Vec<Vec<Entry<Dist>>> = (0..n)
+            .map(|v| {
+                let len = if v % 2 == 0 { 5 } else { 1 };
+                (0..len).map(|i| Entry::new(2, 1, Dist::fin(40 - (v * 5 + i) as u64))).collect()
+            })
+            .collect();
+        let mut clique = Clique::new(n);
+        let rows = sum_intermediates::<MinPlus>(&mut clique, per_node.clone()).unwrap();
+        assert_eq!(rows, reference_sum(n, &per_node));
+        assert_eq!(rows[2].get(1), Some(&Dist::fin(40 - 25)));
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["sum/sort"].rounds, 1);
+        let route = phases["sum/route"];
+        assert_eq!((route.invocations, route.messages, route.rounds), (1, n as u64, 1));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_pass_sums_match_the_reference_within_lemma_13s_rounds(
+            n in 2usize..12,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Up to 5n values per node at random positions: one sort charged
+            // ⌈L_max/n⌉ and one route of at most 2 rounds.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let per_node: Vec<Vec<Entry<Dist>>> = (0..n)
+                .map(|_| {
+                    let len = rng.gen_range(0..=5 * n);
+                    (0..len)
+                        .map(|_| {
+                            let (r, c) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                            Entry::new(r, c, Dist::fin(rng.gen_range(1..100)))
+                        })
+                        .collect()
+                })
+                .collect();
+            let l_max = per_node.iter().map(Vec::len).max().unwrap_or(0);
+            let mut clique = Clique::new(n);
+            let rows = sum_intermediates::<MinPlus>(&mut clique, per_node.clone()).unwrap();
+            proptest::prop_assert_eq!(rows, reference_sum(n, &per_node));
+            let phases = &clique.metrics().phases;
+            proptest::prop_assert_eq!(phases["sum/sort"].rounds, l_max.div_ceil(n) as u64);
+            let route = phases["sum/route"];
+            proptest::prop_assert!(route.invocations == 1 && route.rounds <= 2, "{route:?}");
         }
     }
 }

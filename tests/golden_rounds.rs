@@ -51,20 +51,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 620,
-    messages: 281_097,
-    words: 364_422,
-    phase_labels: 55,
-    invocations: 473,
+    rounds: 447,
+    messages: 228_792,
+    words: 273_942,
+    phase_labels: 46,
+    invocations: 293,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 828,
-    messages: 379_605,
-    words: 484_277,
-    phase_labels: 109,
-    invocations: 608,
+    rounds: 650,
+    messages: 315_982,
+    words: 378_758,
+    phase_labels: 91,
+    invocations: 408,
     dist_digest: 12_639_840_282_067_814_693,
 };
 

@@ -5,9 +5,10 @@
 //! asserted, the theorem's stretch bound is checked at every size, and the
 //! `path(n)` family — where hop-bounded detection changes a row in every
 //! product, so no fixpoint exit applies and the hop bound is paid in full —
-//! is printed beside it. So is the share of MSSP's rounds Lemma 15's
-//! cutoff search takes, which is asserted too: it is an `O(log W)` additive
-//! term that must not come to dominate the run again.
+//! is printed beside it. Each run's rounds are split by phase family and
+//! printed per n as shares, so a cut that only pays off at n = 32 shows.
+//! Lemma 15's cutoff search is asserted per filtered product: it is an
+//! `O(log W)` additive term that must not come to dominate a product again.
 //!
 //! Opt-in (n = 256 is seconds in release, minutes in debug): CI runs it with
 //! `--ignored`.
@@ -16,35 +17,55 @@
 //! cargo test --release --test round_shape -- --ignored --nocapture
 //! ```
 
-use congested_clique::clique::Clique;
+use congested_clique::clique::{Clique, RoundReport};
 use congested_clique::core::{apsp, mssp, stretch};
 use congested_clique::graph::{generators, reference, Graph};
 
 const SIZES: [usize; 4] = [32, 64, 128, 256];
 const EPSILON: f64 = 0.5;
 const MAX_SLOPE: f64 = 0.4;
-/// Measured 0.08 / 0.12 / 0.15 / 0.17 on `gnp_weighted` at n = 32…256;
-/// bisecting the value space took 0.32–0.36.
-const MAX_SEARCH_SHARE: f64 = 0.2;
+/// Measured 12.3 / 18 / 18.2 / 21 rounds per filtered product on
+/// `gnp_weighted` at n = 32…256; bisecting the value space paid
+/// `2 + 2·(27–32)` per search.
+const MAX_SEARCH_ROUNDS_PER_PRODUCT: f64 = 32.0;
+
+/// Phase families by a substring of their labels, first match wins; every
+/// other label is "other".
+const FAMILIES: [(&str, &str); 5] = [
+    ("delivery", "/deliver"),
+    ("summation", "/sum/"),
+    ("cube", "/cube/"),
+    ("cutoff", "/cutoff_search/"),
+    ("hitting set", "hitting_set"),
+];
+const CUTOFF: usize = 3;
 
 /// Eight sources spread over `0..n`, as in the golden ledger at n = 32.
 fn sources(n: usize) -> Vec<usize> {
     (0..8).map(|i| 1 + i * (n / 8)).collect()
 }
 
-/// Rounds of a run's Lemma 15 cutoff search: every phase under that label.
-fn cutoff_search_rounds(clique: &Clique) -> u64 {
-    let report = clique.report();
+/// A run's rounds per phase family, in `FAMILIES` order and then "other".
+fn family_rounds(report: &RoundReport) -> [u64; 6] {
+    let mut rounds = [0; 6];
+    for (label, stats) in &report.phases {
+        let family = FAMILIES.iter().position(|(_, part)| label.contains(part));
+        rounds[family.unwrap_or(FAMILIES.len())] += stats.rounds;
+    }
+    rounds
+}
+
+/// Filtered products a run executed: each builds its cube once.
+fn filtered_products(report: &RoundReport) -> u64 {
     report
         .phases
         .iter()
-        .filter(|(label, _)| label.contains("/cutoff_search/"))
-        .map(|(_, p)| p.rounds)
+        .filter(|(label, _)| label.ends_with("filtered_mm/cube/boundaries/all_broadcast"))
+        .map(|(_, p)| p.invocations)
         .sum()
 }
 
-/// MSSP's rounds and the cutoff search's part of them.
-fn mssp_rounds(g: &Graph) -> (u64, u64) {
+fn mssp_report(g: &Graph) -> RoundReport {
     let n = g.n();
     let sources = sources(n);
     let mut clique = Clique::new(n);
@@ -57,10 +78,10 @@ fn mssp_rounds(g: &Graph) -> (u64, u64) {
     stretch::assert_sound(&run.dist, &exact);
     let worst = stretch::max_stretch(&run.dist, &exact);
     assert!(worst <= 1.0 + EPSILON + 1e-9, "mssp n={n}: stretch {worst}");
-    (run.rounds, cutoff_search_rounds(&clique))
+    clique.report()
 }
 
-fn apsp_rounds(g: &Graph) -> u64 {
+fn apsp_report(g: &Graph) -> RoundReport {
     let n = g.n();
     let mut clique = Clique::new(n);
     let run = apsp::weighted_3eps(&mut clique, g, EPSILON).expect("weighted_3eps");
@@ -68,7 +89,7 @@ fn apsp_rounds(g: &Graph) -> u64 {
     stretch::assert_sound(&run.dist, &exact);
     let worst = stretch::max_stretch(&run.dist, &exact);
     assert!(worst <= 3.0 + EPSILON + 1e-9, "(3+eps) n={n}: stretch {worst}");
-    run.rounds
+    clique.report()
 }
 
 /// Least-squares slope of `log rounds` against `log n`.
@@ -82,39 +103,51 @@ fn log_log_slope(points: &[(usize, u64)]) -> f64 {
     cov / var
 }
 
-/// The MSSP and (3+ε) slopes, and the cutoff search's largest share of
-/// MSSP's rounds.
+/// Prints a run's rounds and each phase family's share of them.
+fn print_shares(family: &str, run: &str, n: usize, report: &RoundReport) {
+    let shares: Vec<String> = family_rounds(report)
+        .iter()
+        .zip(FAMILIES.iter().map(|(name, _)| *name).chain(["other"]))
+        .map(|(&r, name)| format!("{name} {:.2}", r as f64 / report.rounds as f64))
+        .collect();
+    println!("{family}: {run} n={n} {} rounds: {}", report.rounds, shares.join(", "));
+}
+
+/// The MSSP and (3+ε) slopes, and the most cutoff-search rounds MSSP paid
+/// per filtered product at any n.
 fn measure(family: &str, graph_of: impl Fn(usize) -> Graph) -> [f64; 3] {
     let mut mssp_points = Vec::new();
-    let mut search_points = Vec::new();
     let mut apsp_points = Vec::new();
+    let mut per_product = Vec::new();
     for n in SIZES {
         let g = graph_of(n);
-        let (mssp, search) = mssp_rounds(&g);
-        mssp_points.push((n, mssp));
-        search_points.push((n, search));
-        apsp_points.push((n, apsp_rounds(&g)));
+        let mssp = mssp_report(&g);
+        let apsp = apsp_report(&g);
+        print_shares(family, "mssp", n, &mssp);
+        print_shares(family, "weighted_3eps", n, &apsp);
+        let products = filtered_products(&mssp);
+        per_product.push(family_rounds(&mssp)[CUTOFF] as f64 / products.max(1) as f64);
+        mssp_points.push((n, mssp.rounds));
+        apsp_points.push((n, apsp.rounds));
     }
     let slopes = [log_log_slope(&mssp_points), log_log_slope(&apsp_points)];
-    let shares: Vec<f64> =
-        mssp_points.iter().zip(&search_points).map(|(m, s)| s.1 as f64 / m.1 as f64).collect();
-    let share = shares.iter().copied().fold(0.0, f64::max);
     println!("{family}: mssp(8 sources) {mssp_points:?} slope {:.2}", slopes[0]);
-    println!("{family}: cutoff_search   {search_points:?} share of mssp {shares:.2?}");
     println!("{family}: weighted_3eps   {apsp_points:?} slope {:.2}", slopes[1]);
-    [slopes[0], slopes[1], share]
+    println!("{family}: mssp cutoff_search rounds per filtered product {per_product:.1?}");
+    [slopes[0], slopes[1], per_product.iter().copied().fold(0.0, f64::max)]
 }
 
 #[test]
 #[ignore = "opt-in tier: n = 256 on the simulator is seconds in release, minutes in debug; CI runs it with --ignored"]
 fn rounds_grow_sublinearly_on_sparse_random_graphs() {
-    let [mssp_slope, apsp_slope, search_share] =
+    let [mssp_slope, apsp_slope, search_per_product] =
         measure("gnp_weighted", |n| generators::gnp_weighted(n, 5.0 / n as f64, 40, 42).unwrap());
     assert!(mssp_slope <= MAX_SLOPE, "mssp log-log slope {mssp_slope:.2} > {MAX_SLOPE}");
     assert!(apsp_slope <= MAX_SLOPE, "(3+eps) log-log slope {apsp_slope:.2} > {MAX_SLOPE}");
     assert!(
-        search_share <= MAX_SEARCH_SHARE,
-        "cutoff_search takes {search_share:.2} of mssp's rounds > {MAX_SEARCH_SHARE}"
+        search_per_product <= MAX_SEARCH_ROUNDS_PER_PRODUCT,
+        "cutoff_search takes {search_per_product:.1} rounds per filtered product > \
+         {MAX_SEARCH_ROUNDS_PER_PRODUCT}"
     );
     // The family the exit cannot help: reported, stretch-checked, not gated.
     measure("path", |n| generators::path(n).unwrap());
