@@ -1209,6 +1209,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn explicit_path_reload_checks_the_pin_of_the_manifest_last_applied() {
+        let dir = temp_snapshot_dir("repin");
+        let (a, b) = (oracle(20, 9), oracle(20, 31));
+        let id = |o: &DistanceOracle| format!("{:016x}", cc_oracle::serde::payload_checksum(o));
+        let file = |name: &str, o: &DistanceOracle| {
+            let path = dir.join(name);
+            std::fs::write(&path, cc_oracle::serde::to_bytes(o)).unwrap();
+            path.display().to_string()
+        };
+        let (a_path, _, b_copy) = (file("a.snap", &a), file("b.snap", &b), file("b-copy.snap", &b));
+        let manifest = dir.join("mono.toml");
+        let pin = |snapshot: &str, set_id: &str| {
+            let text =
+                format!("mode = \"mono\"\nsnapshot = \"{snapshot}\"\nset_id = \"{set_id}\"\n");
+            std::fs::write(&manifest, text).unwrap();
+        };
+        pin("a.snap", &id(&a));
+        let s = AppState::from_spec(BackendSpec::from_manifest(&manifest).unwrap(), 256).unwrap();
+
+        // The manifest moves to build B and a bare /reload applies it.
+        pin("b.snap", &id(&b));
+        let resp = s.handle(&post("/reload", b""));
+        assert_eq!(resp.status, 200, "body: {}", body_str(&resp));
+
+        // From now on B's pin gates explicit paths: a copy of B loads, A
+        // is refused and B keeps serving.
+        let resp = s.handle(&reload_request(&[("path", &b_copy)]));
+        assert_eq!(resp.status, 200, "body: {}", body_str(&resp));
+        let resp = s.handle(&reload_request(&[("path", &a_path)]));
+        assert_eq!(resp.status, 400, "body: {}", body_str(&resp));
+        let named_pin = format!("expects set_id {}", id(&b));
+        assert!(body_str(&resp).contains(&named_pin), "body: {}", body_str(&resp));
+        assert_eq!(s.reload_failures(), 1);
+        assert_eq!(s.generation().info().build_id, id(&b));
+
+        // A manifest re-read that is rejected leaves B's pin in force.
+        pin("a.snap", "00000000deadbeef");
+        assert_eq!(s.handle(&post("/reload", b"")).status, 400);
+        let resp = s.handle(&reload_request(&[("path", &a_path)]));
+        assert!(body_str(&resp).contains(&named_pin), "body: {}", body_str(&resp));
+        assert_eq!(s.handle(&reload_request(&[("path", &b_copy)])).status, 200);
+        assert_eq!(s.reload_failures(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     fn reload_request(query: &[(&str, &str)]) -> Request {
         Request { method: "POST".into(), ..get("/reload", query) }
     }
