@@ -28,7 +28,6 @@
 //! [`crate::serde`]:
 //! [`crate::serde::to_shard_bytes`] / [`crate::serde::from_shard_bytes`].
 
-use std::borrow::Borrow;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -347,12 +346,9 @@ impl From<SetRejection> for OracleError {
 /// every shard's owned range matches the recomputed [`ShardPlan`]. A
 /// `strict` set must also agree on `k`, `ε`, set id and landmarks. Returns
 /// the plan.
-fn check_set<S: Borrow<OracleShard>>(
-    shards: &[S],
-    strict: bool,
-) -> Result<ShardPlan, SetRejection> {
+fn check_set(shards: &[Arc<OracleShard>], strict: bool) -> Result<ShardPlan, SetRejection> {
     let at = |slot| move |error| SetRejection { slot, error };
-    let first = shards.first().ok_or_else(|| at(0)(set_mismatch("empty shard set")))?.borrow();
+    let first = shards.first().ok_or_else(|| at(0)(set_mismatch("empty shard set")))?;
     if shards.len() != first.count() {
         return Err(at(0)(set_mismatch(format!(
             "shard 0 declares a {}-shard set but {} shards were provided",
@@ -362,11 +358,11 @@ fn check_set<S: Borrow<OracleShard>>(
     }
     let plan = first.plan();
     for (i, shard) in shards.iter().enumerate() {
-        check_shape(i, shard.borrow(), first, plan).map_err(at(i))?;
+        check_shape(i, shard, first, plan).map_err(at(i))?;
     }
     if strict {
         for (i, shard) in shards.iter().enumerate() {
-            check_identity(i, shard.borrow(), first).map_err(at(i))?;
+            check_identity(i, shard, first).map_err(at(i))?;
         }
     }
     Ok(plan)
@@ -441,32 +437,6 @@ fn field_mismatch(
     set_mismatch(format!("shard {i}: {what} = {got} but the set has {what} = {want}"))
 }
 
-/// Validates that `shards` form one complete, consistent set: slot `i`
-/// holds the shard declaring index `i`, every shard declares the same
-/// count/`n`/`k`/`ε`/landmarks/set id, and every shard's owned range
-/// matches the recomputed [`ShardPlan`]. Returns the plan.
-///
-/// This is the startup gate for any router tier: a shard file from a
-/// different artifact generation (or the right file in the wrong slot)
-/// must fail **here**, not by serving subtly wrong distances.
-///
-/// Accepts owned shards or references (`&[OracleShard]` and
-/// `&[&OracleShard]` both work), so a caller holding shards inside larger
-/// structs can validate without cloning the replicated column matrices.
-///
-/// # Errors
-///
-/// * [`OracleError::ShardIndexMismatch`] — shard `i`'s slot holds a file
-///   declaring a different index.
-/// * [`OracleError::ShardSetMismatch`] — wrong number of shards, or any
-///   disagreement on `count`/`n`/`k`/`ε`/landmarks/set id.
-/// * [`OracleError::CorruptSnapshot`] — a shard's owned range does not
-///   match the plan (possible only for hand-built shards; the snapshot
-///   reader already enforces this).
-pub fn validate_set<S: Borrow<OracleShard>>(shards: &[S]) -> Result<ShardPlan, OracleError> {
-    Ok(check_set(shards, true)?)
-}
-
 /// Routes distance queries over a complete, validated shard set, combining
 /// the two per-endpoint half-results exactly as the monolithic
 /// [`DistanceOracle::try_query`] would — the equivalence the
@@ -503,12 +473,24 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Builds a router from the full shard set, validating it first (see
-    /// [`validate_set`]).
+    /// Builds a router from the full shard set, validating it first: slot
+    /// `i` holds the shard declaring index `i`, every shard declares the
+    /// same count/`n`/`k`/`ε`/landmarks/set id, and every shard's owned
+    /// range matches the recomputed [`ShardPlan`].
+    ///
+    /// This is the startup gate for any router tier: a shard file from a
+    /// different artifact generation (or the right file in the wrong slot)
+    /// must fail **here**, not by serving subtly wrong distances.
     ///
     /// # Errors
     ///
-    /// Everything [`validate_set`] rejects.
+    /// * [`OracleError::ShardIndexMismatch`] — shard `i`'s slot holds a file
+    ///   declaring a different index.
+    /// * [`OracleError::ShardSetMismatch`] — wrong number of shards, or any
+    ///   disagreement on `count`/`n`/`k`/`ε`/landmarks/set id.
+    /// * [`OracleError::CorruptSnapshot`] — a shard's owned range does not
+    ///   match the plan (possible only for hand-built shards; the snapshot
+    ///   reader already enforces this).
     pub fn assemble(shards: Vec<OracleShard>) -> Result<ShardRouter, OracleError> {
         Ok(ShardRouter::assemble_shared(shards.into_iter().map(Arc::new).collect())?)
     }
@@ -518,7 +500,7 @@ impl ShardRouter {
     ///
     /// # Errors
     ///
-    /// Everything [`validate_set`] rejects, as a [`SetRejection`].
+    /// Everything [`ShardRouter::assemble`] rejects, as a [`SetRejection`].
     pub fn assemble_shared(shards: Vec<Arc<OracleShard>>) -> Result<ShardRouter, SetRejection> {
         let plan = check_set(&shards, true)?;
         Ok(ShardRouter { plan, shards })

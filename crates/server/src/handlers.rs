@@ -89,7 +89,7 @@ impl AppState {
     /// snapshot. `/stats` and `/metrics` both render from the result, so
     /// the two views can never disagree about the same instant.
     fn observe(&self) -> (Arc<Generation>, BackendDescriptor, RegistrySnapshot) {
-        let generation = self.handle.current();
+        let generation = self.generation();
         let desc = generation.descriptor();
         if let Some(cache) = &desc.cache {
             self.metrics.cache_hits.set(cache.hits as f64);
@@ -122,7 +122,7 @@ impl AppState {
             (Ok(u), Ok(v)) => (u, v),
             (Err(resp), _) | (_, Err(resp)) => return resp,
         };
-        match self.handle.current().cached().try_query(u, v) {
+        match self.generation().cached().try_query(u, v) {
             Ok(d) => Response::json(
                 200,
                 format!(
@@ -159,7 +159,7 @@ impl AppState {
             Err(msg) => return Response::error_json(400, msg),
         };
         self.metrics.batch_pairs.add(pairs.len() as u64);
-        match self.handle.current().cached().try_query_batch(&pairs) {
+        match self.generation().cached().try_query_batch(&pairs) {
             Ok(answers) if binary => Response {
                 status: 200,
                 content_type: frame::CONTENT_TYPE,
@@ -201,19 +201,20 @@ impl AppState {
             Ok(outcome) => outcome,
             Err(e) => return Response::error_json(400, e.to_string()),
         };
+        let installed = &outcome.generation;
         let mut o = JsonObject::new();
         o.set("reloaded", true);
         match target {
             ReloadTarget::Shard { index, .. } => {
                 o.set("shard", index);
-                o.set("snapshot", snapshot_obj(&outcome.info));
+                o.set("snapshot", snapshot_obj(&installed.shard_infos()[index]));
             }
-            _ if outcome.shards > 0 => {
-                o.set("shards", outcome.shards);
+            _ if installed.is_sharded() => {
+                o.set("shards", installed.backend().shards().len());
             }
             _ => {
-                o.set("snapshot", snapshot_obj(&outcome.info));
-                o.set("n", outcome.n);
+                o.set("snapshot", snapshot_obj(installed.info()));
+                o.set("n", installed.n());
             }
         }
         o.set("reloads", outcome.reloads);
@@ -269,7 +270,7 @@ impl AppState {
     /// guarantee; per-shard identities for a routed set. Driven entirely by
     /// [`cc_oracle::BackendDescriptor`].
     fn artifact(&self) -> Response {
-        let generation = self.handle.current();
+        let generation = self.generation();
         let desc = generation.descriptor();
         let mut o = JsonObject::new();
         tier_members(&mut o, &generation, &desc, |e, s| {
@@ -323,10 +324,11 @@ fn tier_members(
     }
 }
 
-/// Renders a [`SnapshotInfo`] as a JSON object.
+/// Renders a [`SnapshotInfo`] as a JSON object; every served artifact is
+/// in the current snapshot format.
 fn snapshot_obj(info: &SnapshotInfo) -> JsonObject {
     let mut o = JsonObject::new();
-    o.set("version", info.version);
+    o.set("version", cc_oracle::serde::SNAPSHOT_VERSION);
     o.set("build_id", info.build_id.as_str());
     o.set("created_unix_secs", info.created_unix_secs);
     o.set("source", info.source.as_str());

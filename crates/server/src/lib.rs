@@ -31,20 +31,21 @@
 //! `cc-serve --slow-query-ns`) emits JSON-lines request/slow-query
 //! records. The metric catalog lives in `docs/OBSERVABILITY.md`.
 //!
-//! The artifact is **hot-swappable under traffic**: it lives behind a
-//! [`ReloadHandle`], and `POST /reload` (or `SIGHUP` to the `cc-serve`
-//! binary) loads + validates a new snapshot off the request path and
-//! swaps it in atomically — in-flight queries finish on the old
-//! [`Generation`], a snapshot that fails validation (bad magic/version/
-//! checksum, see `docs/SNAPSHOT_FORMAT.md`) changes nothing, and both
-//! `/stats` and `/artifact` report the active artifact's [`SnapshotInfo`]
-//! (format version, build id, source) plus the reload history. On every
-//! successful swap the hottest keys of the outgoing cache are **replayed
-//! against the new artifact** ([`Generation::warmed_from`]), so the hit
-//! rate survives the reload; `/stats` reports the count as
-//! `warmed_keys`. A manifest server re-reads its manifest on every bare
-//! `/reload`, so a rollout is "update files + manifest, poke the
-//! endpoint". The operator's handbook is `docs/OPERATIONS.md`.
+//! The artifact is **hot-swappable under traffic**: [`AppState::reload`],
+//! behind `POST /reload` and `SIGHUP` to the `cc-serve` binary, loads +
+//! validates a new snapshot off the request path and swaps one pointer to
+//! it — in-flight queries finish on the old [`Generation`], a snapshot
+//! that fails validation (bad magic/version/checksum, see
+//! `docs/SNAPSHOT_FORMAT.md`) changes nothing, and both `/stats` and
+//! `/artifact` report the active artifact's [`SnapshotInfo`] (build id,
+//! source) plus the reload history. On every successful swap the hottest
+//! keys of the outgoing cache are **replayed against the new artifact**
+//! ([`Generation::warmed_from`]), so the hit rate survives the reload;
+//! `/stats` reports the count as `warmed_keys`. A manifest server
+//! re-reads its manifest on every bare `/reload`, so a rollout is "update
+//! files + manifest, poke the endpoint", and the manifest last applied is
+//! the one whose `set_id` pin gates `/reload?path=`. The operator's
+//! handbook is `docs/OPERATIONS.md`.
 //!
 //! In router mode `/distance` and `/batch` combine the two owning shards'
 //! half-results **bit-identically to the monolithic oracle**,
@@ -161,9 +162,7 @@ mod state;
 pub use cc_reactor::frame;
 pub use client::BlockingClient;
 pub use config::{ServerConfig, Transport};
-pub use reload::{
-    Generation, ReloadError, ReloadHandle, ReloadOutcome, ReloadTarget, SnapshotInfo, WARM_KEYS,
-};
+pub use reload::{Generation, ReloadError, ReloadOutcome, ReloadTarget, SnapshotInfo, WARM_KEYS};
 pub use server::{Server, ServerHandle};
 pub use source::{BackendSpec, LoadedBackend};
 pub use state::AppState;

@@ -371,10 +371,13 @@ fn run_until_stopped(handle: cc_server::ServerHandle) {
                 std::thread::sleep(Duration::from_millis(200));
                 if sighup::take() {
                     match state.reload(&ReloadTarget::Configured) {
-                        Ok(outcome) => eprintln!(
-                            "SIGHUP reload ok: build {} from {}",
-                            outcome.info.build_id, outcome.info.source
-                        ),
+                        Ok(outcome) => {
+                            let info = outcome.generation.info();
+                            eprintln!(
+                                "SIGHUP reload ok: build {} from {}",
+                                info.build_id, info.source
+                            );
+                        }
                         Err(e) => eprintln!("SIGHUP reload failed: {e}"),
                     }
                 }

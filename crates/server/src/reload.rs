@@ -1,50 +1,36 @@
-//! Atomic hot-swap of the served artifact: a [`ReloadHandle`] lets the
-//! request path keep answering on the current snapshot while a new one is
-//! loaded, validated, and swapped in — with zero dropped requests.
-//!
-//! A [`Generation`] is one immutable serving unit: a [`Backend`] (a
-//! monolithic oracle or a shard router) behind its own [`CachingOracle`],
-//! plus the identity of the snapshot(s) it came from. Because the cache
-//! wraps either variant, the router tier gets the same result cache the
-//! monolith always had, and a swap replaces backend + cache as one unit —
-//! answers from an old artifact can never leak into a new generation.
-//! What *does* carry over is heat: [`Generation::warmed_from`] replays the
-//! hottest keys of the outgoing cache against the **new** backend, so the
-//! hit rate doesn't fall off a cliff at every reload.
-//!
-//! The build image has no `arc-swap` crate, so the handle is an
-//! `RwLock<Arc<Generation>>` used as a pointer cell: readers take the read
-//! lock only long enough to clone the `Arc` (a refcount bump, never held
-//! across a query), and a swap takes the write lock only to replace the
-//! pointer. In-flight requests that already cloned the old generation
-//! finish on the old artifact; its memory is freed when the last clone
-//! drops.
+//! What a hot swap of the served artifact swaps: a [`Generation`] is one
+//! immutable serving unit, a [`Backend`] (a monolithic oracle or a shard
+//! router) behind its own [`CachingOracle`], plus the identity of the
+//! snapshot(s) it came from. Because the cache wraps either variant, the
+//! router tier gets the same result cache the monolith always had, and a
+//! swap replaces backend + cache as one unit — answers from an old
+//! artifact can never leak into a new generation. What *does* carry over
+//! is heat: [`Generation::warmed_from`] replays the hottest keys of the
+//! outgoing cache against the **new** backend, so the hit rate doesn't
+//! fall off a cliff at every reload.
 //!
 //! What a reload *loads* is a [`ReloadTarget`]; resolving one against the
-//! generation being replaced ([`ReloadTarget::stage`]) is the whole reload
-//! operation short of the swap, which [`crate::AppState::reload`] performs
-//! under its lock and reports as a [`ReloadOutcome`] or a [`ReloadError`].
+//! generation being replaced and the source in force
+//! ([`ReloadTarget::stage`]) builds the whole next generation. Swapping it
+//! in is [`crate::AppState::reload`]'s job, which reports a
+//! [`ReloadOutcome`] or a [`ReloadError`].
 
 use std::error::Error;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, PoisonError, RwLock};
-use std::time::Instant;
+use std::sync::Arc;
 
 use cc_oracle::serde::{self, SnapshotHeader};
 use cc_oracle::shard::ShardRouter;
 use cc_oracle::{Backend, BackendDescriptor, CachingOracle};
-use cc_telemetry::Histogram;
 
 use crate::source::{self, BackendSpec, LoadedBackend};
 
 /// Identity of a serving artifact, as reported by `/stats` and
-/// `/artifact`: snapshot format version, build id (payload checksum), when
-/// the snapshot was written, and where it came from.
+/// `/artifact`: build id (payload checksum), when the snapshot was
+/// written, and where it came from. Every served artifact is in the
+/// current snapshot format, `serde::SNAPSHOT_VERSION`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// Snapshot format version the artifact was loaded from (the current
-    /// `serde::SNAPSHOT_VERSION` for in-process builds).
-    pub version: u32,
     /// Stable artifact identity: the payload checksum as 16 hex digits.
     /// Identical artifacts share a build id; any payload difference
     /// changes it.
@@ -64,7 +50,6 @@ impl SnapshotInfo {
     /// the shard's set id.
     pub fn from_header(header: &SnapshotHeader, source: impl Into<String>) -> SnapshotInfo {
         SnapshotInfo {
-            version: header.version,
             build_id: header.build_id(),
             created_unix_secs: header.created_unix_secs,
             source: source.into(),
@@ -73,12 +58,11 @@ impl SnapshotInfo {
 
     /// Info synthesized for something that is not one snapshot file — an
     /// oracle or shard built in-process and never snapshotted, or a shard
-    /// set as a whole: current format version, and the id the codec would
-    /// store (`serde::payload_checksum` for an oracle,
-    /// `serde::shard_checksum` for a shard, the shared set id for a set).
+    /// set as a whole: the id the codec would store
+    /// (`serde::payload_checksum` for an oracle, `serde::shard_checksum`
+    /// for a shard, the shared set id for a set).
     pub fn in_process(build_id: u64, source: impl Into<String>) -> SnapshotInfo {
         SnapshotInfo {
-            version: cc_oracle::serde::SNAPSHOT_VERSION,
             build_id: format!("{build_id:016x}"),
             created_unix_secs: 0,
             source: source.into(),
@@ -199,15 +183,10 @@ pub enum ReloadTarget {
 /// What a successful reload installed, captured atomically with the swap —
 /// a response built from this cannot mix in state from a concurrent later
 /// reload.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ReloadOutcome {
-    /// Identity of the artifact that was swapped in (the affected shard's
-    /// file for a single-shard reload).
-    pub info: SnapshotInfo,
-    /// Node count of the artifact that was swapped in.
-    pub n: usize,
-    /// Shard count of the generation that was swapped in (0: a monolith).
-    pub shards: usize,
+    /// The generation that was swapped in.
+    pub generation: Arc<Generation>,
     /// Successful-swap count as of this swap (this reload included; a
     /// full-set roll counts one per shard).
     pub reloads: u64,
@@ -234,63 +213,85 @@ impl std::fmt::Display for ReloadError {
     }
 }
 
-/// The replacement a reload staged, plus the cache capacity a re-read
-/// manifest declares.
-type Staged = Result<(LoadedBackend, Option<usize>), ReloadError>;
+impl Error for ReloadError {}
 
 impl ReloadTarget {
-    /// Loads and validates the replacement for `current` this target
-    /// names, given the configured source — everything a reload does short
+    /// Loads and validates the generation that replaces `current` — the
+    /// backend this target names, its identities and its cache capacity —
+    /// given `spec`, the source in force: everything a reload does short
     /// of the swap. Every precondition is checked here, against the
     /// generation being replaced, and nowhere else.
-    pub(crate) fn stage(&self, current: &Generation, spec: Option<&BackendSpec>) -> Staged {
-        let pin = spec.and_then(|s| s.expected_set_id);
+    ///
+    /// A manifest re-read that loads replaces `spec`, so its `set_id` pin
+    /// gates later explicit-path reloads and its `cache_capacity`, when it
+    /// declares one, sizes the cache. Otherwise the capacity carries over
+    /// from `current` (rounding to whole sets is idempotent), and a
+    /// rejected re-read leaves `spec` as it was.
+    pub(crate) fn stage(
+        &self,
+        current: &Generation,
+        spec: &mut Option<BackendSpec>,
+    ) -> Result<Generation, ReloadError> {
+        let mut capacity = current.cached().stats().capacity;
+        let pin = spec.as_ref().and_then(|s| s.expected_set_id);
         let rejected =
             |what: &str, e: Box<dyn Error>| ReloadError::Rejected(format!("{what} rejected: {e}"));
-        let spec = match (self, spec) {
+        let loaded = match (self, spec.as_ref()) {
             (ReloadTarget::Shard { index, path }, _) => {
-                return Ok((stage_shard(current, *index, path.as_deref())?, None));
+                stage_shard(current, *index, path.as_deref())?
             }
-            (ReloadTarget::Snapshot(path), _) => return stage_snapshot(current, path, pin),
-            (ReloadTarget::Configured, Some(spec)) => spec,
+            (ReloadTarget::Snapshot(path), _) => stage_snapshot(current, path, pin)?,
             (ReloadTarget::Configured, None) => {
                 return Err(ReloadError::Rejected(
                     "no reload source configured: start with --manifest, or pass an explicit path"
                         .to_owned(),
                 ));
             }
-        };
-        // A spec names a manifest, one snapshot, or a shard file set.
-        match (spec.manifest_path(), spec.mono_path()) {
-            // Re-read: new files, a new expected set id, a new cache
-            // capacity, even a different mode or `n`.
-            (Some(manifest), _) => BackendSpec::from_manifest(manifest)
-                .and_then(|fresh| Ok((fresh.load()?, fresh.cache_capacity)))
-                .map_err(|e| rejected("manifest reload", e)),
-            (None, Some(path)) => stage_snapshot(current, path, pin),
-            (None, None) => {
-                let loaded = spec.load().and_then(|loaded| {
-                    if loaded.n() != current.n() {
-                        return Err(format!(
-                            "n = {} but the serving set has n = {} (restart to change the graph \
-                             size)",
-                            loaded.n(),
-                            current.n()
-                        )
-                        .into());
+            // A spec names a manifest, one snapshot, or a shard file set.
+            (ReloadTarget::Configured, Some(configured)) => {
+                match (configured.manifest_path(), configured.mono_path()) {
+                    // Re-read: new files, a new expected set id, a new
+                    // cache capacity, even a different mode or `n`.
+                    (Some(manifest), _) => {
+                        let reread = |e| rejected("manifest reload", e);
+                        let fresh = BackendSpec::from_manifest(manifest).map_err(reread)?;
+                        let loaded = fresh.load().map_err(reread)?;
+                        capacity = fresh.cache_capacity.unwrap_or(capacity);
+                        *spec = Some(fresh);
+                        loaded
                     }
-                    Ok((loaded, None))
-                });
-                loaded.map_err(|e| rejected("full-set reload", e))
+                    (None, Some(path)) => stage_snapshot(current, path, pin)?,
+                    (None, None) => {
+                        let loaded = configured.load().and_then(|loaded| {
+                            if loaded.n() != current.n() {
+                                return Err(format!(
+                                    "n = {} but the serving set has n = {} (restart to change \
+                                     the graph size)",
+                                    loaded.n(),
+                                    current.n()
+                                )
+                                .into());
+                            }
+                            Ok(loaded)
+                        });
+                        loaded.map_err(|e| rejected("full-set reload", e))?
+                    }
+                }
             }
-        }
+        };
+        Ok(Generation::new(loaded, capacity))
     }
 }
 
-/// Stages the monolithic snapshot at `path`. The manifest's `set_id` pin
-/// gates explicit-path reloads too: a wrong-build snapshot must not sneak
-/// past the gate the operator configured (docs/OPERATIONS.md).
-fn stage_snapshot(current: &Generation, path: &Path, pin: Option<u64>) -> Staged {
+/// Stages the monolithic snapshot at `path`. The `set_id` pin of the
+/// source in force gates explicit-path reloads too: a wrong-build snapshot
+/// must not sneak past the gate the operator configured
+/// (docs/OPERATIONS.md).
+fn stage_snapshot(
+    current: &Generation,
+    path: &Path,
+    pin: Option<u64>,
+) -> Result<LoadedBackend, ReloadError> {
     if current.is_sharded() {
         // Silently rolling the configured source instead would answer 200
         // without deploying the named file.
@@ -303,7 +304,6 @@ fn stage_snapshot(current: &Generation, path: &Path, pin: Option<u64>) -> Staged
     let mut spec = BackendSpec::mono(path);
     spec.expected_set_id = pin;
     spec.load()
-        .map(|loaded| (loaded, None))
         .map_err(|e| ReloadError::Rejected(format!("reload from {} rejected: {e}", path.display())))
 }
 
@@ -352,84 +352,6 @@ fn stage_shard(
     })
 }
 
-/// The swap point between the request path and reloads: one handle
-/// serves every tier — monolith or router, cached or not.
-///
-/// # Example
-///
-/// ```
-/// use cc_oracle::serde::payload_checksum;
-/// use cc_server::{Generation, LoadedBackend, ReloadHandle, SnapshotInfo};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let old = cc_server::source::build_demo(16, 1, 0.25)?;
-/// let new = cc_server::source::build_demo(16, 2, 0.25)?;
-/// let old_info = SnapshotInfo::in_process(payload_checksum(&old), "demo");
-/// let new_info = SnapshotInfo::in_process(payload_checksum(&new), "demo-2");
-///
-/// let handle = ReloadHandle::new(Generation::new(LoadedBackend::mono(old, old_info), 1024));
-///
-/// // The request path clones the current generation (a refcount bump)...
-/// let serving = handle.current();
-/// let before = serving.cached().try_query(0, 15)?;
-///
-/// // ...a reload swaps in a validated replacement atomically...
-/// handle.swap(Generation::new(LoadedBackend::mono(new, new_info), 1024));
-///
-/// // ...and the clone taken before the swap still answers on the old
-/// // artifact, so an in-flight request never sees a half-swapped state.
-/// assert_eq!(serving.cached().try_query(0, 15)?, before);
-/// assert_eq!(handle.current().info().source, "demo-2");
-/// # Ok(())
-/// # }
-/// ```
-pub struct ReloadHandle {
-    current: RwLock<Arc<Generation>>,
-    duration: Option<Arc<Histogram>>,
-}
-
-impl ReloadHandle {
-    /// Starts with `initial` as the serving generation.
-    pub fn new(initial: Generation) -> ReloadHandle {
-        ReloadHandle { current: RwLock::new(Arc::new(initial)), duration: None }
-    }
-
-    /// Sets the histogram [`swap_timed`](Self::swap_timed) records reload
-    /// durations (nanoseconds) into — `cc_reload_duration_ns` when the
-    /// server wires it up.
-    pub fn set_duration_histogram(&mut self, duration: Arc<Histogram>) {
-        self.duration = Some(duration);
-    }
-
-    /// The generation serving right now. The read lock is held only for
-    /// the `Arc` clone, so this never blocks behind a load — only behind
-    /// the pointer swap itself, which is a few instructions.
-    pub fn current(&self) -> Arc<Generation> {
-        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Atomically replaces the serving generation, returning the previous
-    /// one. Callers must fully load **and validate** the new artifact
-    /// before calling this; in-flight requests holding the old `Arc`
-    /// finish on the old artifact.
-    pub fn swap(&self, next: Generation) -> Arc<Generation> {
-        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        std::mem::replace(&mut *slot, Arc::new(next))
-    }
-
-    /// [`swap`](Self::swap), charging the whole reload — `started` should
-    /// be taken before the load/validate/warm work, so the recorded
-    /// duration covers load → validate → warm → swap — to the histogram
-    /// set by [`set_duration_histogram`](Self::set_duration_histogram).
-    pub fn swap_timed(&self, next: Generation, started: Instant) -> Arc<Generation> {
-        let prev = self.swap(next);
-        if let Some(duration) = &self.duration {
-            duration.record(started.elapsed().as_nanos() as u64);
-        }
-        prev
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,85 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn swap_is_atomic_and_old_readers_finish_on_the_old_artifact() {
-        let a = build_demo(20, 3, 0.5).unwrap();
-        let b = build_demo(20, 4, 0.5).unwrap();
-        let a_answers: Vec<_> = (0..20).map(|v| a.try_query(0, v).unwrap()).collect();
-        let b_answers: Vec<_> = (0..20).map(|v| b.try_query(0, v).unwrap()).collect();
-
-        let handle = ReloadHandle::new(mono(&a, "a", 64));
-        let held = handle.current();
-        let prev = handle.swap(mono(&b, "b", 64));
-        assert_eq!(prev.info().source, "a");
-
-        // The pre-swap clone still serves A; fresh clones serve B.
-        for v in 0..20 {
-            assert_eq!(held.cached().try_query(0, v).unwrap(), a_answers[v]);
-            assert_eq!(handle.current().cached().try_query(0, v).unwrap(), b_answers[v]);
-        }
-    }
-
-    #[test]
-    fn concurrent_readers_always_see_a_complete_generation() {
-        let a = build_demo(16, 5, 0.5).unwrap();
-        let b = build_demo(16, 6, 0.5).unwrap();
-        let a_ans: Vec<_> = (0..16).map(|v| a.try_query(3, v).unwrap()).collect();
-        let b_ans: Vec<_> = (0..16).map(|v| b.try_query(3, v).unwrap()).collect();
-        let handle = ReloadHandle::new(mono(&a, "a", 64));
-
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let handle = &handle;
-                let (a_ans, b_ans) = (&a_ans, &b_ans);
-                scope.spawn(move || {
-                    for _ in 0..2_000 {
-                        let generation = handle.current();
-                        let src = generation.info().source.clone();
-                        // Every answer from one clone must be internally
-                        // consistent with exactly that generation.
-                        for v in 0..16 {
-                            let d = generation.cached().try_query(3, v).unwrap();
-                            let want = if src == "a" { a_ans[v] } else { b_ans[v] };
-                            assert_eq!(d, want, "generation {src} answered inconsistently");
-                        }
-                    }
-                });
-            }
-            let handle = &handle;
-            scope.spawn(move || {
-                for i in 0..50 {
-                    let (oracle, name) = if i % 2 == 0 { (&b, "b") } else { (&a, "a") };
-                    handle.swap(mono(oracle, name, 64));
-                }
-            });
-        });
-    }
-
-    #[test]
-    fn swap_timed_charges_the_reload_histogram() {
-        let registry = cc_telemetry::Registry::new();
-        let hist = registry.histogram("cc_reload_duration_ns", &[]);
-        let a = build_demo(12, 3, 0.5).unwrap();
-        let b = build_demo(12, 4, 0.5).unwrap();
-        let mut handle = ReloadHandle::new(mono(&a, "a", 64));
-        handle.set_duration_histogram(Arc::clone(&hist));
-
-        let started = Instant::now();
-        let next = mono(&b, "b", 64);
-        let prev = handle.swap_timed(next, started);
-        assert_eq!(prev.info().source, "a");
-        assert_eq!(handle.current().info().source, "b");
-        assert_eq!(hist.snapshot().count(), 1, "one reload, one recording");
-    }
-
-    #[test]
     fn snapshot_info_variants_describe_their_origin() {
         let oracle = build_demo(12, 9, 0.5).unwrap();
         let bytes = cc_oracle::serde::to_bytes_created_at(&oracle, 1_753_000_000);
         let header = cc_oracle::serde::peek_header(&bytes).unwrap();
 
         let from_file = SnapshotInfo::from_header(&header, "/tmp/x.snap");
-        assert_eq!(from_file.version, cc_oracle::serde::SNAPSHOT_VERSION);
         assert_eq!(from_file.created_unix_secs, 1_753_000_000);
         assert_eq!(from_file.source, "/tmp/x.snap");
 
@@ -536,7 +385,6 @@ mod tests {
         let shard_bytes = cc_oracle::serde::to_shard_bytes_created_at(&shards[0], 7);
         let shard_header = cc_oracle::serde::peek_shard_header(&shard_bytes).unwrap();
         let from_shard = SnapshotInfo::from_header(&shard_header, "/tmp/s0.snap");
-        assert_eq!(from_shard.version, cc_oracle::serde::SNAPSHOT_VERSION);
         assert_ne!(from_shard.build_id, from_file.build_id);
         let built_shard = SnapshotInfo::in_process(shard_checksum(&shards[0]), "x");
         assert_eq!(from_shard.build_id, built_shard.build_id);

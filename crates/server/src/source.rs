@@ -658,7 +658,6 @@ mod tests {
         write_snapshot(&oracle, &path).unwrap();
         let back = load_snapshot(&path).unwrap();
         assert_eq!(back.artifact, oracle);
-        assert_eq!(back.info.version, serde::SNAPSHOT_VERSION);
         assert_eq!(back.info.build_id, format!("{:016x}", serde::payload_checksum(&oracle)));
         assert_eq!(back.info.source, path.display().to_string());
         std::fs::remove_file(&path).ok();

@@ -8,34 +8,30 @@
 //! on the hot path).
 
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use cc_oracle::{serde, OracleError, OracleShard, ShardRouter};
 use cc_telemetry::{AccessLog, Counter, Gauge, Histogram, Registry};
 
 use crate::reload::{
-    Generation, ReloadError, ReloadHandle, ReloadOutcome, ReloadTarget, SnapshotInfo, WARM_KEYS,
+    Generation, ReloadError, ReloadOutcome, ReloadTarget, SnapshotInfo, WARM_KEYS,
 };
 use crate::source::{BackendSpec, LoadedBackend};
 
 /// Shared per-server state: one hot-swappable [`Generation`] over a
 /// [`cc_oracle::Backend`], the reload source, and the metric registry.
 pub struct AppState {
-    pub(crate) handle: ReloadHandle,
-    /// Where `POST /reload` / SIGHUP reload from: a manifest (re-read each
-    /// time), a snapshot file, or a shard file set. `None` means a reload
-    /// must name a path explicitly.
-    spec: Option<BackendSpec>,
-    /// Result-cache capacity for the *next* generation: the startup value
-    /// until a manifest reload declares `cache_capacity`, which then
-    /// becomes the new default (so a later single-shard or explicit-path
-    /// reload cannot silently revert an operator's manifest setting).
-    cache_capacity: AtomicUsize,
-    /// Serializes load+swap so overlapping reloads apply in a definite
-    /// order; never held by the request path.
-    reload_lock: Mutex<()>,
+    /// The serving generation, used as a pointer cell (the build image has
+    /// no `arc-swap`): readers hold the read lock only to clone the `Arc`,
+    /// a reload holds the write lock only to replace it.
+    current: RwLock<Arc<Generation>>,
+    /// The source in force — where `POST /reload` / SIGHUP reload from,
+    /// and whose `set_id` pin gates explicit paths: a manifest (re-read
+    /// each time, and replaced by a re-read that loads), a snapshot file,
+    /// or a shard file set. `None` means a reload must name a path. Its
+    /// lock serializes reloads; the request path never takes it.
+    spec: Mutex<Option<BackendSpec>>,
     pub(crate) last_reload_error: Mutex<Option<String>>,
     pub(crate) started: Instant,
     pub(crate) registry: Arc<Registry>,
@@ -183,18 +179,13 @@ impl AppState {
         cache_capacity: usize,
     ) -> AppState {
         let registry = Arc::new(Registry::new());
-        let metrics = Metrics::register(&registry);
-        let mut handle = ReloadHandle::new(Generation::new(loaded, cache_capacity));
-        handle.set_duration_histogram(Arc::clone(&metrics.reload_duration));
         AppState {
-            handle,
-            spec,
-            cache_capacity: AtomicUsize::new(cache_capacity),
-            reload_lock: Mutex::new(()),
+            current: RwLock::new(Arc::new(Generation::new(loaded, cache_capacity))),
+            spec: Mutex::new(spec),
             last_reload_error: Mutex::new(None),
             started: Instant::now(),
+            metrics: Metrics::register(&registry),
             registry,
-            metrics,
             access_log: None,
             transport: "in-process",
         }
@@ -220,7 +211,6 @@ impl AppState {
     pub fn disable_telemetry(&mut self) {
         self.registry = Arc::new(Registry::new_disabled());
         self.metrics = Metrics::register(&self.registry);
-        self.handle.set_duration_histogram(Arc::clone(&self.metrics.reload_duration));
     }
 
     /// Sets the access/slow-query log every served request is recorded to.
@@ -251,14 +241,16 @@ impl AppState {
     /// True when this state routes over a shard set (right now — a
     /// manifest reload can change the mode).
     pub fn is_sharded(&self) -> bool {
-        self.handle.current().is_sharded()
+        self.generation().is_sharded()
     }
 
     /// The generation serving right now (backend + cache + identity). The
     /// clone is an `Arc` refcount bump; holders keep the artifact alive
-    /// across a concurrent reload.
+    /// across a concurrent reload. The read lock is held only for the
+    /// clone, so this never waits behind a load — only behind the swap of
+    /// one pointer.
     pub fn generation(&self) -> Arc<Generation> {
-        self.handle.current()
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Successful hot-reload swaps so far (one per shard swapped in a
@@ -273,46 +265,63 @@ impl AppState {
         self.metrics.reload_failures.get()
     }
 
-    fn record_reload_failure(&self, msg: &str) {
-        self.metrics.reload_failures.inc();
-        *self.last_reload_error.lock().unwrap_or_else(PoisonError::into_inner) =
-            Some(msg.to_owned());
-    }
-
-    /// Installs a validated replacement backend as the next generation:
-    /// warms its cache from the outgoing one, swaps atomically (charging
-    /// `started.elapsed()` — the whole load → validate → warm → swap — to
-    /// `cc_reload_duration_ns`), and books the successful swaps: one for a
-    /// single slot (reporting that slice's identity), else one per shard
-    /// rolled (one for a monolith).
+    /// Installs `next`: warms its cache from the outgoing one, swaps it in
+    /// (charging `started.elapsed()` — the whole load → validate → warm →
+    /// swap — to `cc_reload_duration_ns`), and books the successful swaps:
+    /// one for a single slot, else one per shard rolled (one for a
+    /// monolith).
     fn install(
         &self,
-        loaded: LoadedBackend,
+        next: Generation,
         outgoing: &Generation,
         target: &ReloadTarget,
         started: Instant,
     ) -> ReloadOutcome {
-        let (n, shards) = (loaded.n(), loaded.backend.shards().len());
-        let (info, swap_units) = match target {
-            ReloadTarget::Shard { index, .. } => (loaded.shard_infos[*index].clone(), 1),
-            _ => (loaded.info.clone(), shards.max(1)),
+        let swaps = match target {
+            ReloadTarget::Shard { .. } => 1,
+            _ => next.backend().shards().len().max(1),
         };
-        let next = Generation::new(loaded, self.cache_capacity.load(Ordering::Relaxed));
-        self.handle.swap_timed(next.warmed_from(outgoing, WARM_KEYS), started);
-        self.metrics.reloads.add(swap_units as u64);
+        let generation = Arc::new(next.warmed_from(outgoing, WARM_KEYS));
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&generation);
+        self.metrics.reload_duration.record(started.elapsed().as_nanos() as u64);
+        self.metrics.reloads.add(swaps as u64);
         *self.last_reload_error.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        ReloadOutcome { info, n, shards, reloads: self.metrics.reloads.get() }
+        ReloadOutcome { generation, reloads: self.metrics.reloads.get() }
     }
 
     /// Loads + validates what `target` names and, only if it is fully
     /// valid, swaps it in atomically — the single reload path behind `POST
     /// /reload`, SIGHUP, and embedding callers. On any failure the serving
-    /// generation is untouched.
+    /// generation and the source in force are untouched.
     ///
-    /// Reloads are serialized, and the target is resolved under that lock,
-    /// against the generation being replaced. The load happens on the
-    /// calling thread without blocking the request path: queries keep
-    /// cloning the old generation until the one-pointer swap.
+    /// Reloads are serialized by the lock on the source in force, and the
+    /// target is resolved under it, against the generation being replaced
+    /// (`ReloadTarget::stage`). The load happens on the calling thread
+    /// without blocking the request path: queries keep cloning the old
+    /// generation until the one-pointer swap, and a clone taken before it
+    /// finishes on the old artifact.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cc_server::{source, AppState, ReloadTarget};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let (old, new) = (source::build_demo(16, 1, 0.25)?, source::build_demo(16, 2, 0.25)?);
+    /// let path = std::env::temp_dir().join(format!("cc-doc-{}.snap", std::process::id()));
+    /// source::write_snapshot(&new, &path)?;
+    ///
+    /// let state = AppState::new(old.clone(), 1024);
+    /// let serving = state.generation();
+    /// let outcome = state.reload(&ReloadTarget::Snapshot(path.clone()))?;
+    /// // The clone taken before the swap still answers on the old artifact.
+    /// assert_eq!(serving.cached().try_query(0, 15)?, old.try_query(0, 15)?);
+    /// assert_eq!(outcome.generation.cached().try_query(0, 15)?, new.try_query(0, 15)?);
+    /// assert!(std::sync::Arc::ptr_eq(&outcome.generation, &state.generation()));
+    /// # std::fs::remove_file(&path)?;
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
@@ -321,24 +330,16 @@ impl AppState {
     /// refused — only that one is counted and recorded for `/stats`.
     pub fn reload(&self, target: &ReloadTarget) -> Result<ReloadOutcome, ReloadError> {
         let started = Instant::now();
-        let _serialized = self.reload_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let current = self.handle.current();
-        match target.stage(&current, self.spec.as_ref()) {
-            Ok((loaded, capacity)) => {
-                // A manifest-declared capacity becomes the default for
-                // every subsequent reload, not just this generation.
-                if let Some(capacity) = capacity {
-                    self.cache_capacity.store(capacity, Ordering::Relaxed);
-                }
-                Ok(self.install(loaded, &current, target, started))
+        let mut spec = self.spec.lock().unwrap_or_else(PoisonError::into_inner);
+        let outgoing = self.generation();
+        let next = target.stage(&outgoing, &mut spec).inspect_err(|e| {
+            if let ReloadError::Rejected(msg) = e {
+                self.metrics.reload_failures.inc();
+                *self.last_reload_error.lock().unwrap_or_else(PoisonError::into_inner) =
+                    Some(msg.clone());
             }
-            Err(e) => {
-                if let ReloadError::Rejected(msg) = &e {
-                    self.record_reload_failure(msg);
-                }
-                Err(e)
-            }
-        }
+        })?;
+        Ok(self.install(next, &outgoing, target, started))
     }
 
     /// [`AppState::reload`] of the **monolithic** snapshot at `path`.
@@ -382,5 +383,113 @@ impl AppState {
     /// it only feeds `cc_accept_errors_total` for the overload runbook.
     pub fn count_accept_error(&self) {
         self.metrics.accept_errors.inc();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::{build_demo, write_snapshot};
+    use cc_matrix::Dist;
+    use cc_oracle::DistanceOracle;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    /// Writes `oracle` as the snapshot file `name`, unique per test.
+    fn snapshot(name: &str, oracle: &DistanceOracle) -> PathBuf {
+        let dir = std::env::temp_dir().join("cc-serve-state-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        write_snapshot(oracle, &path).unwrap();
+        path
+    }
+
+    fn row(oracle: &DistanceOracle, u: usize) -> Vec<Dist> {
+        (0..oracle.n()).map(|v| oracle.try_query(u, v).unwrap()).collect()
+    }
+
+    #[test]
+    fn a_generation_held_across_a_reload_answers_from_the_old_artifact() {
+        let (a, b) = (build_demo(20, 3, 0.5).unwrap(), build_demo(20, 4, 0.5).unwrap());
+        let path = snapshot("held-b.snap", &b);
+        let state = AppState::new(a.clone(), 64);
+        let held = state.generation();
+        state.reload_from(&path).unwrap();
+
+        // The pre-reload clone still serves A; fresh clones serve B.
+        assert_eq!(held.info().source, "in-process");
+        for v in 0..20 {
+            assert_eq!(held.cached().try_query(0, v).unwrap(), a.try_query(0, v).unwrap());
+            let fresh = state.generation().cached().try_query(0, v).unwrap();
+            assert_eq!(fresh, b.try_query(0, v).unwrap());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_readers_only_ever_see_whole_generations() {
+        let (a, b) = (build_demo(16, 5, 0.5).unwrap(), build_demo(16, 6, 0.5).unwrap());
+        let (a_path, b_path) = (snapshot("race-a.snap", &a), snapshot("race-b.snap", &b));
+        let state = AppState::from_spec(BackendSpec::mono(&a_path), 64).unwrap();
+        let want = [
+            (a_path.display().to_string(), row(&a, 3)),
+            (b_path.display().to_string(), row(&b, 3)),
+        ];
+        let (start, done) = (Barrier::new(5), AtomicBool::new(false));
+
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::SeqCst) {
+                        // Every answer from one clone must be those of
+                        // exactly the artifact it reports.
+                        let generation = state.generation();
+                        let source = &generation.info().source;
+                        let (_, row) = want.iter().find(|(s, _)| s == source).unwrap();
+                        let got: Vec<Dist> =
+                            (0..16).map(|v| generation.cached().try_query(3, v).unwrap()).collect();
+                        assert_eq!(&got, row, "generation {source} answered inconsistently");
+                    }
+                });
+            }
+            start.wait();
+            for i in 0..50 {
+                state.reload_from(if i % 2 == 0 { &b_path } else { &a_path }).unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(state.reloads(), 50);
+        std::fs::remove_file(&a_path).ok();
+        std::fs::remove_file(&b_path).ok();
+    }
+
+    #[test]
+    fn reload_duration_counts_successful_reloads_only() {
+        let (a, b) = (build_demo(12, 3, 0.5).unwrap(), build_demo(12, 4, 0.5).unwrap());
+        let path = snapshot("timed-b.snap", &b);
+        let bad = path.with_file_name("timed-bad.snap");
+        std::fs::write(&bad, b"these are not oracle bytes").unwrap();
+        let recorded = |s: &AppState| s.metrics.reload_duration.snapshot().count();
+
+        let state = AppState::new(a.clone(), 64);
+        state.reload_from(&path).unwrap();
+        state.reload_from(&path).unwrap();
+        assert!(state.reload_from(&bad).is_err());
+        assert_eq!((recorded(&state), state.reloads(), state.reload_failures()), (2, 2, 1));
+
+        // With telemetry disabled nothing is recorded, and reloads still swap.
+        let mut quiet = AppState::new(a, 64);
+        quiet.disable_telemetry();
+        let outcome = quiet.reload_from(&path).unwrap();
+        assert_eq!(outcome.generation.info().source, path.display().to_string());
+        assert_eq!(
+            quiet.generation().cached().try_query(0, 11).unwrap(),
+            b.try_query(0, 11).unwrap()
+        );
+        assert_eq!(recorded(&quiet), 0);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&bad).ok();
     }
 }

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "snapshot: {} bytes on disk (format v{}, build {}), reloads identically\n",
         std::fs::metadata(&path)?.len(),
-        loaded.info.version,
+        loaded.header.version,
         loaded.info.build_id,
     );
 

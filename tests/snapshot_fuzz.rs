@@ -35,7 +35,6 @@
 
 use congested_clique::clique::Clique;
 use congested_clique::graph::generators;
-use congested_clique::oracle::shard::validate_set;
 use congested_clique::oracle::{
     serde, DistanceOracle, OracleBuilder, OracleError, ShardRouter, ShardedArtifact,
 };
@@ -316,7 +315,7 @@ fn mixed_shard_sets_are_named_set_mismatches() {
     // Same shape, different artifact generation: the set ids disagree.
     let theirs = ShardedArtifact::partition(other_oracle(), 3).expect("partition").into_shards();
     let mixed = vec![ours[0].clone(), theirs[1].clone(), ours[2].clone()];
-    match validate_set(&mixed) {
+    match ShardRouter::assemble(mixed) {
         Err(OracleError::ShardSetMismatch { what }) => {
             assert!(what.contains("set id"), "must name the field: {what}");
         }
@@ -330,13 +329,14 @@ fn mixed_shard_sets_are_named_set_mismatches() {
         OracleBuilder::new().epsilon(0.25).seed(23).build(&mut clique, &g).expect("build");
     let reparam_shards = ShardedArtifact::partition(&reparam, 3).expect("partition").into_shards();
     let mixed = vec![ours[0].clone(), ours[1].clone(), reparam_shards[2].clone()];
-    match validate_set(&mixed) {
+    match ShardRouter::assemble(mixed) {
         Err(OracleError::ShardSetMismatch { .. }) => {}
         other => panic!("mixed build parameters must be rejected, got {other:?}"),
     }
 
     // An incomplete set is rejected, never a panic.
-    assert!(matches!(validate_set(&ours[..2]), Err(OracleError::ShardSetMismatch { .. })));
+    let incomplete = ShardRouter::assemble(ours[..2].to_vec());
+    assert!(matches!(incomplete, Err(OracleError::ShardSetMismatch { .. })));
 }
 
 #[test]
@@ -372,7 +372,7 @@ fn forged_shard_headers_behind_recomputed_checksums_are_still_rejected() {
     for i in 1..3 {
         set.push(serde::from_shard_bytes(shard_snapshot(i)).expect("clean shard"));
     }
-    assert!(matches!(validate_set(&set), Err(OracleError::ShardSetMismatch { .. })));
+    assert!(matches!(ShardRouter::assemble(set), Err(OracleError::ShardSetMismatch { .. })));
 }
 
 /// Where the sections of a monolithic v3 snapshot start, derived from its
