@@ -80,19 +80,19 @@ fn ball_phase(
     Ok(near)
 }
 
-/// Through-sets phase: combine exact ball distances into
-/// `min_{w ∈ N(u) ∩ N(v)} d(u,w)+d(w,v)` estimates (Theorem 20).
-fn through_balls(
+/// The exact ball distances as per-node `(member, distance)` sets.
+fn ball_sets(near: &[SparseRow<AugDist>]) -> Vec<Vec<(usize, Dist)>> {
+    near.iter().map(|row| row.iter().map(|(c, a)| (c as usize, a.to_dist())).collect()).collect()
+}
+
+/// Through-sets phase: combine per-node sets of known distances into
+/// `min_{w ∈ S(u) ∩ S(v)} d(u,w)+d(w,v)` estimates (Theorem 20).
+fn through_sets(
     clique: &mut Clique,
-    near: &[SparseRow<AugDist>],
+    sets: &[Vec<(usize, Dist)>],
     est: &mut Estimates,
 ) -> Result<(), DistanceError> {
-    let sets: Vec<Vec<(usize, Dist)>> = near
-        .iter()
-        .map(|row| row.iter().map(|(c, a)| (c as usize, a.to_dist())).collect())
-        .collect();
-    let rows = distance_through_sets(clique, &sets)?;
-    for (v, row) in rows.iter().enumerate() {
+    for (v, row) in distance_through_sets(clique, sets)?.iter().enumerate() {
         for (u, d) in row.iter() {
             est.improve(v, u as usize, *d);
         }
@@ -167,20 +167,7 @@ pub fn weighted_3eps(
     graph: &Graph,
     epsilon: f64,
 ) -> Result<ApspRun, DistanceError> {
-    validate(clique, graph, epsilon)?;
-    let watch = Stopwatch::start(clique);
-    let n = graph.n();
-    let k = (n as f64).sqrt().ceil() as usize;
-    let mut est = Estimates::from_graph(graph);
-    clique.with_phase("apsp3", |clique| {
-        let near = ball_phase(clique, graph, k, &mut est)?;
-        let sets: Vec<Vec<usize>> =
-            near.iter().map(|r| r.iter().map(|(c, _)| c as usize).collect()).collect();
-        let landmarks = hitting_set(clique, &sets, k, 0xA5)?;
-        landmark_phase(clique, graph, &near, &landmarks, epsilon / 2.0, &mut est)
-    })?;
-    let (rounds, report) = watch.stop(clique);
-    Ok(ApspRun { dist: est.d, rounds, report })
+    weighted(clique, graph, epsilon, "apsp3", 0xA5, false)
 }
 
 /// **Theorem 28**: deterministic `(2+ε, (1+ε)W)`-approximate weighted APSP
@@ -214,17 +201,31 @@ pub fn weighted_2eps(
     graph: &Graph,
     epsilon: f64,
 ) -> Result<ApspRun, DistanceError> {
+    weighted(clique, graph, epsilon, "apsp2w", 0xB7, true)
+}
+
+/// Both weighted variants, under phase `label`: `√n`-balls, through-balls
+/// if `through_balls` (Theorem 28), landmarks hitting the balls with `seed`.
+fn weighted(
+    clique: &mut Clique,
+    graph: &Graph,
+    epsilon: f64,
+    label: &str,
+    seed: u64,
+    through_balls: bool,
+) -> Result<ApspRun, DistanceError> {
     validate(clique, graph, epsilon)?;
     let watch = Stopwatch::start(clique);
-    let n = graph.n();
-    let k = (n as f64).sqrt().ceil() as usize;
+    let k = (graph.n() as f64).sqrt().ceil() as usize;
     let mut est = Estimates::from_graph(graph);
-    clique.with_phase("apsp2w", |clique| {
+    clique.with_phase(label, |clique| {
         let near = ball_phase(clique, graph, k, &mut est)?;
-        through_balls(clique, &near, &mut est)?;
+        if through_balls {
+            through_sets(clique, &ball_sets(&near), &mut est)?;
+        }
         let sets: Vec<Vec<usize>> =
             near.iter().map(|r| r.iter().map(|(c, _)| c as usize).collect()).collect();
-        let landmarks = hitting_set(clique, &sets, k, 0xB7)?;
+        let landmarks = hitting_set(clique, &sets, k, seed)?;
         landmark_phase(clique, graph, &near, &landmarks, epsilon / 2.0, &mut est)
     })?;
     let (rounds, report) = watch.stop(clique);
@@ -276,12 +277,7 @@ pub fn unweighted_2eps(
                         .collect()
                 })
                 .collect();
-            let rows = distance_through_sets(clique, &sets)?;
-            for (v, row) in rows.iter().enumerate() {
-                for (u, d) in row.iter() {
-                    est.improve(v, u as usize, *d);
-                }
-            }
+            through_sets(clique, &sets, &mut est)?;
         }
 
         // ---- Phase 2: shortest paths entirely inside the low-degree
@@ -289,7 +285,7 @@ pub fn unweighted_2eps(
         let gp = graph.low_degree_subgraph(k);
         let kp = (n as f64).powf(0.25).ceil() as usize;
         let near = ball_phase(clique, &gp, kp, &mut est)?;
-        through_balls(clique, &near, &mut est)?;
+        through_sets(clique, &ball_sets(&near), &mut est)?;
 
         // Hitting set A' over the G' balls only (dropped nodes are covered
         // by phase 1 and contribute empty sets).
@@ -303,9 +299,7 @@ pub fn unweighted_2eps(
             })
             .collect();
         let low_landmarks = hitting_set(clique, &sets, kp, 0xD3)?;
-        if !low_landmarks.is_empty() {
-            landmark_phase(clique, &gp, &near, &low_landmarks, eps_in, &mut est)?;
-        }
+        landmark_phase(clique, &gp, &near, &low_landmarks, eps_in, &mut est)?;
 
         // ---- Phase 3: the ball–edge–ball product M1 · M2 · M3 (line 11):
         // δ'(u,v) = min { d(u,u') + 1 + d(v',v) : u' ∈ N_{k'}(u),

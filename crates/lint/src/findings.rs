@@ -13,34 +13,17 @@ pub struct Finding {
     pub message: String,
 }
 
-/// A well-formed allow-comment and what it did this run.
-#[derive(Debug, Clone)]
-pub struct UsedAllow {
-    /// File containing the comment, relative to the workspace root.
-    pub file: String,
-    /// 1-based line of the comment.
-    pub line: u32,
-    /// Rules it lists.
-    pub rules: Vec<String>,
-    /// The stated reason.
-    pub reason: String,
-    /// How many findings it suppressed this run.
-    pub suppressed: usize,
-}
-
-/// A whole lint run: findings (post-suppression) plus the allows in effect.
+/// A whole lint run: every finding, and how many files were scanned.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Surviving findings, in rule-catalog order.
+    /// The findings, in rule-catalog order.
     pub findings: Vec<Finding>,
-    /// Allow-comments seen in scanned files.
-    pub allows: Vec<UsedAllow>,
     /// Number of files scanned.
     pub files_checked: usize,
 }
 
 impl Report {
-    /// Renders the report: one line per finding, a summary, the allows.
+    /// Renders the report: one line per finding, then a summary.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -51,19 +34,6 @@ impl Report {
             self.files_checked,
             self.findings.len()
         ));
-        if !self.allows.is_empty() {
-            out.push_str("allows in effect:\n");
-            for a in &self.allows {
-                out.push_str(&format!(
-                    "  {}:{} allow({}) -- {} [{} suppressed]\n",
-                    a.file,
-                    a.line,
-                    a.rules.join(", "),
-                    a.reason,
-                    a.suppressed
-                ));
-            }
-        }
         out
     }
 }
@@ -73,7 +43,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn human_report_names_rule_file_line_and_allows() {
+    fn human_report_names_rule_file_line_and_count() {
         let report = Report {
             findings: vec![Finding {
                 rule: "sentinel",
@@ -81,18 +51,10 @@ mod tests {
                 line: 7,
                 message: "literal `u64::MAX` comparison".into(),
             }],
-            allows: vec![UsedAllow {
-                file: "crates/x/src/b.rs".into(),
-                line: 3,
-                rules: vec!["no_panic".into()],
-                reason: "startup".into(),
-                suppressed: 1,
-            }],
             files_checked: 2,
         };
         let text = report.render();
         assert!(text.contains("crates/x/src/a.rs:7: [sentinel] literal"));
         assert!(text.contains("2 files checked, 1 findings"));
-        assert!(text.contains("allow(no_panic) -- startup [1 suppressed]"));
     }
 }

@@ -1,6 +1,6 @@
-//! The workspace IR every rule runs on: each file's tokens, test mask,
-//! allow-comments and parsed fns, plus call resolution, reachability,
-//! effective lock sets and lock-order cycle detection over all of them.
+//! The workspace IR every rule runs on: each file's tokens, test mask and
+//! parsed fns, plus call resolution, reachability, effective lock sets and
+//! lock-order cycle detection over all of them.
 //!
 //! Resolution is deliberately conservative in both directions. Method
 //! calls with std-collection names (`insert`, `get`, `next`, ...) never
@@ -16,7 +16,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use crate::lexer::{lex, test_code_mask, Allow, Token};
+use crate::lexer::{lex, test_code_mask, Token};
 use crate::parser::{parse_fns, FnItem, Site, STD_METHODS};
 
 /// A function's address in the workspace IR.
@@ -30,8 +30,6 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// One flag per token: true when inside `#[cfg(test)]` code.
     pub test_mask: Vec<bool>,
-    /// Every `// cc-lint:` comment in the file, well-formed or not.
-    pub allows: Vec<Allow>,
     /// All recovered functions, including carved-out closures.
     pub fns: Vec<FnItem>,
 }
@@ -39,16 +37,10 @@ pub struct SourceFile {
 impl SourceFile {
     /// Lexes and parses `src` as the file at `path`.
     pub fn new(path: &str, src: &str) -> SourceFile {
-        let lexed = lex(src);
-        let test_mask = test_code_mask(&lexed.tokens);
-        let fns = parse_fns(&lexed.tokens, &test_mask);
-        SourceFile {
-            path: path.to_owned(),
-            tokens: lexed.tokens,
-            test_mask,
-            allows: lexed.allows,
-            fns,
-        }
+        let tokens = lex(src);
+        let test_mask = test_code_mask(&tokens);
+        let fns = parse_fns(&tokens, &test_mask);
+        SourceFile { path: path.to_owned(), tokens, test_mask, fns }
     }
 }
 

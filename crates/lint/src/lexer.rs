@@ -4,8 +4,7 @@
 //! does not need to: every rule in the catalog is expressible over a token
 //! stream that understands strings, char literals, lifetimes and comments.
 //! The lexer therefore produces exactly that — a flat `Vec<Token>` with line
-//! numbers, comments consumed (never tokenized), and `// cc-lint: allow(...)`
-//! comments extracted as structured [`Allow`] records.
+//! numbers, comments consumed (never tokenized).
 //!
 //! The input is arbitrary bytes: invalid UTF-8, unterminated strings and
 //! stray quotes must all lex to *something* without panicking (see the
@@ -55,41 +54,16 @@ impl Token {
     }
 }
 
-/// A `// cc-lint: allow(rule, ...) -- reason` comment.
-#[derive(Debug, Clone)]
-pub struct Allow {
-    /// 1-based line the comment sits on. The allow suppresses findings on
-    /// this line and on the next line (so it works both trailing and as a
-    /// standalone comment above the offending statement).
-    pub line: u32,
-    /// The rule names listed inside `allow(...)`.
-    pub rules: Vec<String>,
-    /// The text after `--`, if present and non-empty.
-    pub reason: Option<String>,
-    /// True if the comment matched the full `allow(...)` grammar; malformed
-    /// `cc-lint:` comments are reported by the `allow_hygiene` rule.
-    pub well_formed: bool,
-}
-
-/// The result of lexing one file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// The token stream, comments and whitespace removed.
-    pub tokens: Vec<Token>,
-    /// All `// cc-lint:` comments found, well-formed or not.
-    pub allows: Vec<Allow>,
-}
-
 /// Lexes `src` into tokens. Never panics, whatever the input.
-pub fn lex(src: &str) -> Lexed {
-    Lexer { chars: src.chars().collect(), pos: 0, line: 1, out: Lexed::default() }.run()
+pub fn lex(src: &str) -> Vec<Token> {
+    Lexer { chars: src.chars().collect(), pos: 0, line: 1, out: Vec::new() }.run()
 }
 
 struct Lexer {
     chars: Vec<char>,
     pos: usize,
     line: u32,
-    out: Lexed,
+    out: Vec<Token>,
 }
 
 impl Lexer {
@@ -109,10 +83,10 @@ impl Lexer {
     }
 
     fn push(&mut self, kind: TokenKind, text: String, line: u32) {
-        self.out.tokens.push(Token { kind, text, line });
+        self.out.push(Token { kind, text, line });
     }
 
-    fn run(mut self) -> Lexed {
+    fn run(mut self) -> Vec<Token> {
         while let Some(c) = self.peek(0) {
             let line = self.line;
             match c {
@@ -133,19 +107,8 @@ impl Lexer {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
-        }
-        // `//`, `///`, `//!` prefixes all stripped the same way.
-        let body = text.trim_start_matches('/').trim_start_matches('!').trim();
-        if let Some(rest) = body.strip_prefix("cc-lint:") {
-            self.out.allows.push(parse_allow(rest.trim(), line));
         }
     }
 
@@ -384,23 +347,6 @@ impl Lexer {
     }
 }
 
-/// Parses the body after `cc-lint:`, e.g. `allow(no_panic) -- startup path`.
-fn parse_allow(body: &str, line: u32) -> Allow {
-    let (spec, reason) = match body.split_once("--") {
-        Some((s, r)) => (s.trim(), Some(r.trim().to_owned()).filter(|r| !r.is_empty())),
-        None => (body.trim(), None),
-    };
-    let rules: Vec<String> = spec
-        .strip_prefix("allow(")
-        .and_then(|rest| rest.strip_suffix(')'))
-        .map(|names| {
-            names.split(',').map(|n| n.trim().to_owned()).filter(|n| !n.is_empty()).collect()
-        })
-        .unwrap_or_default();
-    let well_formed = !rules.is_empty();
-    Allow { line, rules, reason, well_formed }
-}
-
 /// Marks tokens that live inside `#[cfg(test)]` modules or functions, so
 /// rules only fire on production code. Returns one flag per token.
 pub fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
@@ -450,9 +396,23 @@ pub fn attr_item_mask(tokens: &[Token], selects: fn(&[Token]) -> bool) -> Vec<bo
     mask
 }
 
-/// True if the attribute tokens (between `#[` and `]`) are a `cfg(test)`.
+/// True if the attribute tokens (between `#[` and `]`) are `cfg(test)` or a
+/// `cfg(all(..))` with `test` among its direct arguments: only those gates
+/// compile the item out of production. `cfg(not(test))` and
+/// `cfg(any(test, ..))` items ship, so the rules must see them.
 fn attr_is_cfg_test(attr: &[Token]) -> bool {
-    attr.first().is_some_and(|t| t.is_ident("cfg")) && attr.iter().any(|t| t.is_ident("test"))
+    let texts: Vec<&str> = attr.iter().map(|t| t.text.as_str()).collect();
+    match texts[..] {
+        ["cfg", "(", "test", ")"] => true,
+        ["cfg", "(", "all", "(", ref args @ .., ")", ")"] => {
+            let mut depth = 0;
+            args.iter().any(|&t| {
+                depth += i32::from(t == "(") - i32::from(t == ")");
+                depth == 0 && t == "test"
+            })
+        }
+        _ => false,
+    }
 }
 
 /// Index of the bracket closing `tokens[open]`, for nesting-aware pairs.
@@ -481,7 +441,7 @@ mod tests {
     use super::*;
 
     fn texts(src: &str) -> Vec<String> {
-        lex(src).tokens.into_iter().map(|t| t.text).collect()
+        lex(src).into_iter().map(|t| t.text).collect()
     }
 
     #[test]
@@ -493,53 +453,34 @@ mod tests {
 
     #[test]
     fn strings_and_comments_hide_their_content() {
-        let lexed = lex("let s = \"a.unwrap() // not code\"; // .unwrap()\n/* .expect( */ call();");
-        assert!(!lexed.tokens.iter().any(|t| t.kind == TokenKind::Ident && t.text == "unwrap"));
-        assert!(!lexed.tokens.iter().any(|t| t.is_ident("expect")));
-        assert!(lexed.tokens.iter().any(|t| t.is_ident("call")));
+        let tokens =
+            lex("let s = \"a.unwrap() // not code\"; // .unwrap()\n/* .expect( */ call();");
+        assert!(!tokens.iter().any(|t| t.kind == TokenKind::Ident && t.text == "unwrap"));
+        assert!(!tokens.iter().any(|t| t.is_ident("expect")));
+        assert!(tokens.iter().any(|t| t.is_ident("call")));
     }
 
     #[test]
     fn raw_strings_and_byte_strings() {
-        let lexed = lex(r##"let a = r#"u64::MAX "quoted""#; let b = b"panic!";"##);
-        let strs: Vec<_> = lexed.tokens.iter().filter(|t| t.kind == TokenKind::Str).collect();
+        let tokens = lex(r##"let a = r#"u64::MAX "quoted""#; let b = b"panic!";"##);
+        let strs: Vec<_> = tokens.iter().filter(|t| t.kind == TokenKind::Str).collect();
         assert_eq!(strs.len(), 2);
-        assert!(!lexed.tokens.iter().any(|t| t.is_ident("panic")));
+        assert!(!tokens.iter().any(|t| t.is_ident("panic")));
     }
 
     #[test]
     fn lifetimes_are_not_chars() {
-        let lexed = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
-        assert!(lexed.tokens.iter().any(|t| t.kind == TokenKind::Lifetime && t.text == "'a"));
-        assert!(lexed.tokens.iter().any(|t| t.kind == TokenKind::Char && t.text == "'x'"));
-    }
-
-    #[test]
-    fn allow_comments_are_extracted_with_reason() {
-        let lexed = lex("x(); // cc-lint: allow(no_panic, sentinel) -- startup only\n");
-        assert_eq!(lexed.allows.len(), 1);
-        let a = &lexed.allows[0];
-        assert_eq!(a.rules, vec!["no_panic", "sentinel"]);
-        assert_eq!(a.reason.as_deref(), Some("startup only"));
-        assert!(a.well_formed);
-    }
-
-    #[test]
-    fn allow_without_reason_or_rules_is_flagged_malformed() {
-        let a = &lex("// cc-lint: allow(no_panic)\n").allows[0];
-        assert_eq!(a.reason, None);
-        assert!(a.well_formed);
-        let b = &lex("// cc-lint: allow() -- why\n").allows[0];
-        assert!(!b.well_formed);
+        let tokens = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
+        assert!(tokens.iter().any(|t| t.kind == TokenKind::Lifetime && t.text == "'a"));
+        assert!(tokens.iter().any(|t| t.kind == TokenKind::Char && t.text == "'x'"));
     }
 
     #[test]
     fn cfg_test_mod_is_masked() {
         let src = "fn prod() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { y.unwrap(); } }";
-        let lexed = lex(src);
-        let mask = test_code_mask(&lexed.tokens);
-        let unwraps: Vec<bool> = lexed
-            .tokens
+        let tokens = lex(src);
+        let mask = test_code_mask(&tokens);
+        let unwraps: Vec<bool> = tokens
             .iter()
             .zip(&mask)
             .filter(|(t, _)| t.is_ident("unwrap"))
@@ -549,10 +490,28 @@ mod tests {
     }
 
     #[test]
+    fn only_gates_that_compile_code_out_are_masked() {
+        for (gate, masked) in [
+            ("cfg(test)", true),
+            ("cfg(all(test, target_os = \"linux\"))", true),
+            ("cfg(all(unix, test))", true),
+            ("cfg(not(test))", false),
+            ("cfg(any(test, unix))", false),
+            ("cfg(all(not(test), unix))", false),
+            ("cfg(feature = \"test\")", false),
+        ] {
+            let tokens = lex(&format!("#[{gate}]\nfn f() {{ x.unwrap(); }}"));
+            let mask = test_code_mask(&tokens);
+            let unwrap = tokens.iter().position(|t| t.is_ident("unwrap")).unwrap();
+            assert_eq!(mask[unwrap], masked, "{gate}");
+        }
+    }
+
+    #[test]
     fn line_numbers_survive_multiline_constructs() {
         let src = "let a = \"line\none\";\nlet b = 1;\n";
-        let lexed = lex(src);
-        let b = lexed.tokens.iter().find(|t| t.is_ident("b")).map(|t| t.line);
+        let tokens = lex(src);
+        let b = tokens.iter().find(|t| t.is_ident("b")).map(|t| t.line);
         assert_eq!(b, Some(3));
     }
 

@@ -43,10 +43,6 @@ fn main() -> ExitCode {
             for rule in cc_lint::rules::all_rules() {
                 println!("{:<18} {}", rule.name(), rule.summary());
             }
-            println!(
-                "{:<18} allow-comments must be well-formed, reasoned, and suppress something",
-                cc_lint::ALLOW_HYGIENE
-            );
             return ExitCode::SUCCESS;
         }
         _ => {

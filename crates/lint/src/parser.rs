@@ -646,7 +646,7 @@ mod tests {
     use crate::lexer::{lex, test_code_mask};
 
     fn parse(src: &str) -> Vec<FnItem> {
-        let toks = lex(src).tokens;
+        let toks = lex(src);
         parse_fns(&toks, &test_code_mask(&toks))
     }
 

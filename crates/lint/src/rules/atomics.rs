@@ -7,8 +7,7 @@
 //! shutdown flag, a "done" latch) *looks* fine locally. This rule flags
 //! `Ordering::Relaxed` whenever the atomic's name matches a control-flow /
 //! depth / shutdown pattern; plain counters (hits, misses, bytes) stay
-//! unflagged. Where `Relaxed` is genuinely right, the allow-comment states
-//! why.
+//! unflagged.
 
 use super::{receiver_key, scan_tokens, segment_match, Rule};
 use crate::findings::Finding;
@@ -44,7 +43,7 @@ impl Rule for AtomicsOrdering {
     }
 
     fn summary(&self) -> &'static str {
-        "no Ordering::Relaxed on control-flow/depth/shutdown atomics without an annotation"
+        "no Ordering::Relaxed on control-flow/depth/shutdown atomics"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
@@ -76,7 +75,7 @@ impl Rule for AtomicsOrdering {
                 let name = field.filter(|name| segment_match(name, CONTROL_SEGMENTS))?;
                 Some(format!(
                     "`Ordering::Relaxed` on control-flow atomic `{name}` (the PR 6 gauge-race \
-                 shape); use Acquire/Release/SeqCst, or annotate why Relaxed is safe here"
+                 shape); use Acquire/Release/SeqCst"
                 ))
             },
         )

@@ -4,8 +4,8 @@
 //! monolith; that only holds while a query's result is a pure function of
 //! the artifact and the input pair. `Instant::now` / `SystemTime::now` in a
 //! kernel file is either dead weight or a time-dependent answer waiting to
-//! happen. Build-phase tracing in the same files uses the allow escape
-//! hatch with a stated reason.
+//! happen. Build-phase tracing in the same files times itself through
+//! `cc_telemetry::BuildTrace::time_local`, which holds the clock.
 
 use super::{scan_tokens, Rule, KERNEL_FILES};
 use crate::findings::Finding;
@@ -35,8 +35,8 @@ impl Rule for Determinism {
                 clock.then(|| {
                     format!(
                         "`{}::now()` in a query-kernel file breaks answer determinism \
-                     (router/monolith bit-equivalence); move timing to the caller or \
-                     annotate build-phase tracing",
+                     (router/monolith bit-equivalence); move timing to the caller, or time \
+                     a build phase with `BuildTrace::time_local`",
                         t.text
                     )
                 })

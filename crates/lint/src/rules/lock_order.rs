@@ -10,8 +10,7 @@
 //!   could both miss and both compute. Any second `.lock()` / `.read()` /
 //!   `.write()` on the same receiver inside one function body means the
 //!   state observed under the first guard may be stale by the second. Hold
-//!   one guard across the whole decision, or annotate why the
-//!   re-acquisition is benign.
+//!   one guard across the whole decision.
 //! - **Order cycles**: thread 1 runs `fn ab` (alpha, then beta) while
 //!   thread 2 runs `fn ba` (beta, then alpha) — each function is
 //!   individually well-behaved. The rule builds the global lock-order

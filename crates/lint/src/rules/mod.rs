@@ -20,9 +20,9 @@ use crate::findings::Finding;
 use crate::graph::Workspace;
 use crate::lexer::{Token, TokenKind};
 
-/// One named, individually-suppressible invariant.
+/// One named invariant.
 pub trait Rule {
-    /// Stable rule name, used in allow-comments and fixture directories.
+    /// Stable rule name, used in findings and fixture directories.
     fn name(&self) -> &'static str;
     /// One-line description for `--list-rules`.
     fn summary(&self) -> &'static str;
@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn operand_resolution_takes_the_last_postfix_ident() {
-        let toks = lex("self.nearest_landmark.len() + to_landmark").tokens;
+        let toks = lex("self.nearest_landmark.len() + to_landmark");
         let plus = toks.iter().position(|t| t.is_punct("+")).unwrap();
         assert_eq!(prev_operand_ident(&toks, plus - 1).as_deref(), Some("len"));
         assert_eq!(next_operand_ident(&toks, plus + 1).as_deref(), Some("to_landmark"));
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn receiver_keys_collapse_index_arguments() {
-        let toks = lex("self.shards[(key % N) as usize].lock()").tokens;
+        let toks = lex("self.shards[(key % N) as usize].lock()");
         let lock = toks.iter().position(|t| t.is_ident("lock")).unwrap();
         let (key, field) = receiver_key(&toks, lock - 2);
         assert_eq!(key, "self.shards[]");

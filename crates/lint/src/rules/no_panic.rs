@@ -13,8 +13,8 @@
 //! and every carved-out closure defined in the serving files is a root;
 //! any panic fact in a root's own body or in a function reachable from one
 //! is a finding, anchored at the panic site with the call chain in the
-//! message. Genuinely-unreachable startup-time cases use the allow escape
-//! hatch, at the panic site, with a stated reason.
+//! message. Startup is no exception: a failure there is returned to the
+//! caller, never `.expect`ed.
 
 use super::{Rule, SERVING_FILES};
 use crate::findings::Finding;

@@ -42,12 +42,9 @@ fn findings_of(rule: &str, name: &str) -> Vec<Finding> {
     cc_lint::lint(&ws).findings.into_iter().filter(|f| f.rule == rule).collect()
 }
 
-/// Every name the binary knows: the registry plus `allow_hygiene`.
+/// Every rule name in the registry.
 fn rule_names() -> BTreeSet<String> {
-    let mut names: BTreeSet<String> =
-        cc_lint::rules::all_rules().iter().map(|r| r.name().to_owned()).collect();
-    names.insert(cc_lint::ALLOW_HYGIENE.to_owned());
-    names
+    cc_lint::rules::all_rules().iter().map(|r| r.name().to_owned()).collect()
 }
 
 #[test]

@@ -18,9 +18,9 @@ proptest! {
     ) {
         let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let lexed = lex(&src);
+        let tokens = lex(&src);
         // The mask pass walks the same stream; it must be total too.
-        let _ = test_code_mask(&lexed.tokens);
+        let _ = test_code_mask(&tokens);
     }
 
     #[test]
@@ -33,8 +33,8 @@ proptest! {
             "u64::MAX", ".unwrap()", "fn f() {", "}", "'a", "'x'", "\n",
         ];
         let src: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
-        let lexed = lex(&src);
-        let _ = test_code_mask(&lexed.tokens);
+        let tokens = lex(&src);
+        let _ = test_code_mask(&tokens);
     }
 
     #[test]
@@ -74,7 +74,7 @@ fn tokens_reconstruct_known_kernel_shapes() {
     // A smoke check that the real fixed kernel shape lexes the way the
     // distance rule expects: checked_add present, no banned method tokens.
     let src = "let via = to_landmark.checked_add(col).map_or(MAX, |s| s.min(MAX));";
-    let lexed = lex(src);
-    assert!(lexed.tokens.iter().any(|t| t.is_ident("checked_add")));
-    assert!(!lexed.tokens.iter().any(|t| t.is_ident("saturating_add")));
+    let tokens = lex(src);
+    assert!(tokens.iter().any(|t| t.is_ident("checked_add")));
+    assert!(!tokens.iter().any(|t| t.is_ident("saturating_add")));
 }

@@ -12,7 +12,7 @@ use cc_lint::parser::{parse_fns, FnItem};
 use proptest::prelude::*;
 
 fn parse(src: &str) -> Vec<FnItem> {
-    let toks = lex(src).tokens;
+    let toks = lex(src);
     parse_fns(&toks, &test_code_mask(&toks))
 }
 

@@ -281,7 +281,7 @@ mod tests {
         );
         // The three distributed phases account for exactly the build rounds;
         // extraction is local and charges none.
-        assert_eq!(trace.total_rounds(), oracle.build_rounds());
+        assert_eq!(trace.spans().iter().map(|s| s.rounds).sum::<u64>(), oracle.build_rounds());
         assert_eq!(trace.span("local_extraction").unwrap().rounds, 0);
         assert!(trace.span("mssp_columns").unwrap().rounds > 0);
         assert!(trace.span("k_nearest_balls").unwrap().words > 0, "phase 1 moves data");

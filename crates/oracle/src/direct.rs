@@ -612,7 +612,7 @@ mod tests {
             phases,
             vec!["k_nearest_balls", "hitting_set_landmarks", "mssp_columns", "local_extraction"]
         );
-        assert_eq!(trace.total_rounds(), 0, "nothing is simulated");
+        assert_eq!(trace.spans().iter().map(|s| s.rounds).sum::<u64>(), 0, "nothing is simulated");
     }
 
     #[test]

@@ -244,9 +244,6 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::time::Instant;
 
-    // This file is under the `no_panic` lint, and the lint's test mask only
-    // recognizes plain `#[cfg(test)]` (not this `cfg(all(...))` gate), so
-    // these tests propagate errors instead of unwrapping.
     type TestResult = Result<(), io::Error>;
 
     #[test]

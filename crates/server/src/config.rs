@@ -57,9 +57,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads handling connections.
     pub workers: usize,
-    /// Accepted connections that may wait for a worker before the acceptor
-    /// starts shedding load with `503`.
-    pub backlog: usize,
     /// Largest accepted request body; anything bigger is a `413`.
     pub max_body_bytes: usize,
     /// Capacity of the result cache fronting the oracle (rounded up to
@@ -84,7 +81,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: std::thread::available_parallelism().map_or(4, |p| p.get()).min(16),
-            backlog: 128,
             max_body_bytes: 1 << 20,
             cache_capacity: 4096,
             read_timeout: Duration::from_secs(5),
@@ -104,12 +100,6 @@ impl ServerConfig {
     /// Sets the worker thread count (minimum 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the pending-connection backlog (minimum 1).
-    pub fn with_backlog(mut self, backlog: usize) -> Self {
-        self.backlog = backlog.max(1);
         self
     }
 
@@ -153,7 +143,6 @@ mod tests {
         let c = ServerConfig::default()
             .with_addr("0.0.0.0:9999")
             .with_workers(0)
-            .with_backlog(0)
             .with_max_body_bytes(512)
             .with_cache_capacity(7)
             .with_read_timeout(Duration::from_millis(250))
@@ -161,7 +150,6 @@ mod tests {
             .with_access_log(Arc::new(AccessLog::stderr(0)));
         assert_eq!(c.addr, "0.0.0.0:9999");
         assert_eq!(c.workers, 1, "worker count is clamped to at least 1");
-        assert_eq!(c.backlog, 1, "backlog is clamped to at least 1");
         assert_eq!(c.max_body_bytes, 512);
         assert_eq!(c.cache_capacity, 7);
         assert_eq!(c.read_timeout, Duration::from_millis(250));

@@ -343,7 +343,7 @@ fn run(args: &Args) -> Result<(), String> {
         (oracle.n(), oracle.landmarks().len(), oracle.artifact_bytes() / 1024);
     let info = SnapshotInfo::in_process(cc_oracle::serde::payload_checksum(&oracle), source_label);
     let handle = Server::start(&config, LoadedBackend::mono(oracle, info))
-        .map_err(|e| format!("cannot bind {}: {e}", args.addr))?;
+        .map_err(|e| format!("cannot serve on {}: {e}", args.addr))?;
     // Build-phase cost next to the serving metrics on /metrics.
     trace.export_gauges(handle.state().registry());
     // CI and scripts wait for this exact line on stdout.
@@ -363,7 +363,7 @@ fn run(args: &Args) -> Result<(), String> {
 /// documented reload path would silently keep the default SIGHUP
 /// disposition (terminate the process).
 fn run_until_stopped(handle: cc_server::ServerHandle) {
-    if sighup::install() {
+    let watching = sighup::install() && {
         let state = handle.shared_state();
         std::thread::Builder::new()
             .name("cc-serve-sighup".to_owned())
@@ -382,8 +382,9 @@ fn run_until_stopped(handle: cc_server::ServerHandle) {
                     }
                 }
             })
-            .expect("spawn SIGHUP watcher thread");
-    } else {
+            .is_ok()
+    };
+    if !watching {
         eprintln!(
             "warning: could not install the SIGHUP handler; \
              hot reload is available via POST /reload only"

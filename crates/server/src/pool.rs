@@ -5,6 +5,7 @@
 //! hands connections to [`WorkerPool::try_submit`] and sheds load when the
 //! queue is full, exactly the contract an executor would satisfy.
 
+use std::io;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -24,43 +25,27 @@ pub enum SubmitError<T> {
 pub struct WorkerPool<T> {
     tx: Option<SyncSender<T>>,
     workers: Vec<JoinHandle<()>>,
-    depth: Option<Gauge>,
+    depth: Gauge,
 }
 
 impl<T: Send + 'static> WorkerPool<T> {
     /// Spawns `workers` threads that run `handler` on every submitted job.
     /// At most `backlog` jobs wait in the queue; submission never blocks.
-    pub fn new<F>(name: &str, workers: usize, backlog: usize, handler: F) -> WorkerPool<T>
-    where
-        F: Fn(T) + Send + Sync + 'static,
-    {
-        Self::build(name, workers, backlog, None, handler)
-    }
-
-    /// Like [`new`](Self::new), but tracks the number of queued (accepted
-    /// but not yet dequeued) jobs in `depth` — incremented on a successful
-    /// [`try_submit`](Self::try_submit), decremented when a worker picks
-    /// the job up.
+    /// `depth` tracks the queued (accepted but not yet dequeued) jobs:
+    /// incremented on a successful [`try_submit`](Self::try_submit),
+    /// decremented when a worker picks the job up.
+    ///
+    /// # Errors
+    ///
+    /// The error of the first spawn that fails; the workers already running
+    /// are shut down and joined first.
     pub fn with_queue_gauge<F>(
         name: &str,
         workers: usize,
         backlog: usize,
         depth: Gauge,
         handler: F,
-    ) -> WorkerPool<T>
-    where
-        F: Fn(T) + Send + Sync + 'static,
-    {
-        Self::build(name, workers, backlog, Some(depth), handler)
-    }
-
-    fn build<F>(
-        name: &str,
-        workers: usize,
-        backlog: usize,
-        depth: Option<Gauge>,
-        handler: F,
-    ) -> WorkerPool<T>
+    ) -> io::Result<WorkerPool<T>>
     where
         F: Fn(T) + Send + Sync + 'static,
     {
@@ -69,35 +54,30 @@ impl<T: Send + 'static> WorkerPool<T> {
         // work queue (held only for the duration of one `recv`).
         let rx = Arc::new(Mutex::new(rx));
         let handler = Arc::new(handler);
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let handler = Arc::clone(&handler);
-                let depth = depth.clone();
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || loop {
-                        // Take the lock only to dequeue, then release it
-                        // before running the (possibly long) handler.
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => break,
-                        };
-                        match job {
-                            Ok(job) => {
-                                if let Some(depth) = &depth {
-                                    depth.dec();
-                                }
-                                handler(job);
-                            }
-                            Err(_) => break, // all senders dropped: shutdown
+        // Dropping a partly built pool (the `?` below) closes the queue and
+        // joins the workers spawned so far.
+        let mut pool = WorkerPool { tx: Some(tx), workers: Vec::new(), depth };
+        for i in 0..workers.max(1) {
+            let (rx, handler, depth) = (Arc::clone(&rx), Arc::clone(&handler), pool.depth.clone());
+            let worker =
+                std::thread::Builder::new().name(format!("{name}-{i}")).spawn(move || loop {
+                    // Take the lock only to dequeue, then release it before
+                    // running the (possibly long) handler.
+                    let job = match rx.lock() {
+                        Ok(guard) => guard.recv(),
+                        Err(_) => break,
+                    };
+                    match job {
+                        Ok(job) => {
+                            depth.dec();
+                            handler(job);
                         }
-                    })
-                    // cc-lint: allow(no_panic) -- worker spawn happens once at pool construction, before any request is accepted; failing to spawn is fatal by design
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        WorkerPool { tx: Some(tx), workers, depth }
+                        Err(_) => break, // all senders dropped: shutdown
+                    }
+                })?;
+            pool.workers.push(worker);
+        }
+        Ok(pool)
     }
 
     /// Enqueues `job` without blocking.
@@ -114,15 +94,11 @@ impl<T: Send + 'static> WorkerPool<T> {
                 // Count the job before handing it over: a worker may
                 // dequeue (and decrement) the instant `try_send` returns,
                 // and incrementing afterwards would let the gauge read -1.
-                if let Some(depth) = &self.depth {
-                    depth.inc();
-                }
+                self.depth.inc();
                 match tx.try_send(job) {
                     Ok(()) => Ok(()),
                     Err(e) => {
-                        if let Some(depth) = &self.depth {
-                            depth.dec();
-                        }
+                        self.depth.dec();
                         match e {
                             TrySendError::Full(job) => Err(SubmitError::Full(job)),
                             TrySendError::Disconnected(job) => Err(SubmitError::Closed(job)),
@@ -132,7 +108,9 @@ impl<T: Send + 'static> WorkerPool<T> {
             }
         }
     }
+}
 
+impl<T> WorkerPool<T> {
     /// Stops accepting jobs, drains the queue, and joins every worker.
     pub fn shutdown(&mut self) {
         self.tx = None; // closes the channel; workers exit after the drain
@@ -144,10 +122,7 @@ impl<T: Send + 'static> WorkerPool<T> {
 
 impl<T> Drop for WorkerPool<T> {
     fn drop(&mut self) {
-        self.tx = None;
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -157,14 +132,19 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
+    fn depth() -> Gauge {
+        cc_telemetry::Registry::new().gauge("pool_queue_depth", &[])
+    }
+
     #[test]
     fn every_submitted_job_runs_and_shutdown_joins() {
         let done = Arc::new(AtomicU64::new(0));
         let mut pool = {
             let done = Arc::clone(&done);
-            WorkerPool::new("t", 4, 16, move |x: u64| {
+            WorkerPool::with_queue_gauge("t", 4, 16, depth(), move |x: u64| {
                 done.fetch_add(x, Ordering::Relaxed);
             })
+            .unwrap()
         };
         let mut submitted = 0u64;
         for i in 0..100u64 {
@@ -194,9 +174,10 @@ mod tests {
         let held = gate.lock().unwrap();
         let pool = {
             let gate = Arc::clone(&gate);
-            WorkerPool::new("t", 1, 1, move |_x: u64| {
+            WorkerPool::with_queue_gauge("t", 1, 1, depth(), move |_x: u64| {
                 let _guard = gate.lock();
             })
+            .unwrap()
         };
         // First job occupies the worker (blocked on the gate), second fills
         // the queue; the third must be shed immediately.
@@ -237,6 +218,7 @@ mod tests {
             WorkerPool::with_queue_gauge("t", 1, 4, depth.clone(), move |_x: u64| {
                 let _guard = gate.lock();
             })
+            .unwrap()
         };
         pool.try_submit(1).unwrap();
         // Wait for the lone worker to dequeue job 1 (and block on the gate).

@@ -22,10 +22,13 @@
 
 use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::mpsc::Receiver;
+use std::time::Duration;
 
 use cc_reactor::Poller;
 
+use crate::pool::WorkerPool;
+use crate::server::Conn;
 use crate::state::AppState;
 use crate::ServerConfig;
 
@@ -33,33 +36,31 @@ use crate::ServerConfig;
 /// start above it and are never reused for the listener.
 pub(crate) const LISTENER_TOKEN: u64 = 0;
 
+/// How long a worker lingers on a just-served connection before handing it
+/// back for parking. A client in a request/response loop sends its next
+/// request within microseconds; catching it on the worker keeps the exchange
+/// worker-local instead of paying a full park → epoll → dispatch round-trip
+/// per request. Only connections idle past this grace window cost a reactor
+/// cycle — and only those stop occupying a worker.
+pub(crate) const REPARK_GRACE: Duration = Duration::from_millis(5);
+
 #[cfg(unix)]
 mod imp {
-    use super::{AppState, Poller, ServerConfig, TcpListener, LISTENER_TOKEN};
+    use super::{
+        AppState, Conn, Poller, Receiver, ServerConfig, TcpListener, WorkerPool, LISTENER_TOKEN,
+    };
     use std::collections::HashMap;
     use std::io;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{mpsc, Arc, Mutex};
     use std::time::{Duration, Instant};
 
     use crate::pool::SubmitError;
-    use crate::server::{
-        classify_accept_error, shed, worker_pool, AcceptBackoff, AcceptErrorClass, Conn,
-    };
+    use crate::server::{classify_accept_error, shed, AcceptBackoff, AcceptErrorClass};
     use cc_reactor::Event;
 
     /// Upper bound on one `epoll_wait`, so the shutdown flag and the idle
     /// sweep are checked regularly even on a silent server.
     const MAX_WAIT: Duration = Duration::from_millis(500);
-
-    /// How long a worker lingers on a just-served connection before
-    /// handing it back for parking. A client in a request/response loop
-    /// sends its next request within microseconds; catching it on the
-    /// worker keeps the exchange worker-local instead of paying a full
-    /// park → epoll → dispatch round-trip per request. Only connections
-    /// idle past this grace window cost a reactor cycle — and only those
-    /// stop occupying a worker.
-    const REPARK_GRACE: Duration = Duration::from_millis(5);
 
     struct Parked {
         conn: Conn,
@@ -84,30 +85,12 @@ mod imp {
     pub(super) fn reactor_loop(
         listener: &TcpListener,
         config: &ServerConfig,
-        state: &Arc<AppState>,
-        shutdown: &Arc<AtomicBool>,
+        state: &AppState,
+        shutdown: &AtomicBool,
         poller: &Poller,
+        pool: WorkerPool<Conn>,
+        reparked: &Receiver<Conn>,
     ) {
-        let waker = poller.waker();
-        // Workers return still-open connections on this channel; `Sender`
-        // is not `Sync`, hence the mutex (uncontended in practice — sends
-        // are short and the reactor never holds it).
-        let (done_tx, done_rx) = mpsc::channel::<Conn>();
-        let done_tx = Arc::new(Mutex::new(done_tx));
-
-        let pool = {
-            let (stopping, done_tx) = (Arc::clone(shutdown), Arc::clone(&done_tx));
-            worker_pool(config, state, shutdown, REPARK_GRACE, move |conn| {
-                if stopping.load(Ordering::Acquire) {
-                    return; // shutting down: close instead of re-parking
-                }
-                let sent = done_tx.lock().map(|tx| tx.send(conn).is_ok()).unwrap_or(false);
-                if sent {
-                    waker.wake();
-                }
-            })
-        };
-
         let idle = config.read_timeout;
         let mut parked: HashMap<u64, Parked> = HashMap::new();
         let mut next_token: u64 = LISTENER_TOKEN + 1;
@@ -172,7 +155,7 @@ mod imp {
             // Re-park connections the workers finished with. Tokens are
             // per-parking, not per-connection: a fresh one each time keeps
             // stale events (already-removed tokens) harmless.
-            while let Ok(conn) = done_rx.try_recv() {
+            while let Ok(conn) = reparked.try_recv() {
                 let token = next_token;
                 next_token += 1;
                 park(poller, &mut parked, conn, token, Instant::now() + idle);
@@ -195,7 +178,7 @@ mod imp {
             let _ = poller.delete(p.conn.fd());
         }
         drop(pool);
-        while done_rx.try_recv().is_ok() {}
+        while reparked.try_recv().is_ok() {}
     }
 
     /// Registers a connection for readiness and remembers its deadline; a
@@ -266,17 +249,21 @@ mod imp {
     }
 }
 
-/// Runs the epoll transport until shutdown. See the module docs for the
-/// event flow; the portable poll loop is `crate::server`'s `accept_loop`.
+/// Runs the epoll transport until shutdown, dispatching ready connections
+/// to `pool` and re-parking those its workers send back on `reparked`. See
+/// the module docs for the event flow; the portable poll loop is
+/// `crate::server`'s `accept_loop`.
 #[cfg(unix)]
 pub(crate) fn reactor_loop(
     listener: &TcpListener,
     config: &ServerConfig,
-    state: &Arc<AppState>,
-    shutdown: &Arc<AtomicBool>,
+    state: &AppState,
+    shutdown: &AtomicBool,
     poller: &Poller,
+    pool: WorkerPool<Conn>,
+    reparked: &Receiver<Conn>,
 ) {
-    imp::reactor_loop(listener, config, state, shutdown, poller);
+    imp::reactor_loop(listener, config, state, shutdown, poller, pool, reparked);
 }
 
 /// Off-unix stand-in. Unreachable in practice — transport resolution never
@@ -286,9 +273,11 @@ pub(crate) fn reactor_loop(
 pub(crate) fn reactor_loop(
     listener: &TcpListener,
     config: &ServerConfig,
-    state: &Arc<AppState>,
-    shutdown: &Arc<AtomicBool>,
+    state: &AppState,
+    shutdown: &AtomicBool,
     _poller: &Poller,
+    pool: WorkerPool<Conn>,
+    _reparked: &Receiver<Conn>,
 ) {
-    crate::server::accept_loop(listener, config, state, shutdown);
+    crate::server::accept_loop(listener, config, state, shutdown, &pool);
 }

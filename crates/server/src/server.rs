@@ -5,7 +5,7 @@
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -14,6 +14,7 @@ use cc_reactor::{Poller, Waker};
 use crate::config::Transport;
 use crate::http::{read_request, write_response, HttpError, Response};
 use crate::pool::{SubmitError, WorkerPool};
+use crate::reactor::REPARK_GRACE;
 use crate::source::LoadedBackend;
 use crate::state::AppState;
 use crate::ServerConfig;
@@ -21,6 +22,10 @@ use crate::ServerConfig;
 /// How long the poll-loop acceptor sleeps when there is nothing to accept.
 /// The epoll reactor has no such floor: accepts are event-driven.
 const ACCEPT_IDLE: Duration = Duration::from_micros(500);
+
+/// Accepted connections that may wait for a worker before the acceptor
+/// starts shedding load with `503`.
+const BACKLOG: usize = 128;
 
 /// The `cc-serve` front-end: binds, spawns the acceptor and worker pool,
 /// and serves a distance oracle until [`ServerHandle::shutdown`].
@@ -35,8 +40,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind/configuration I/O errors. Everything after a
-    /// successful return is handled per-connection.
+    /// Propagates bind/configuration I/O errors and a failure to spawn the
+    /// worker or acceptor threads. Everything after a successful return is
+    /// handled per-connection.
     pub fn start(
         config: &ServerConfig,
         backend: impl Into<LoadedBackend>,
@@ -54,7 +60,8 @@ impl Server {
     ///
     /// Everything [`crate::source::BackendSpec::load`] rejects (mapped to
     /// `InvalidInput`, naming the offending file — including an
-    /// `expected_set_id` mismatch) and bind I/O errors. A missing, corrupt
+    /// `expected_set_id` mismatch), bind I/O errors and thread spawn
+    /// failures. A missing, corrupt
     /// or inconsistent artifact fails **here**, before the socket ever
     /// accepts — the startup gate the router e2e suite pins down.
     pub fn start_from_spec(
@@ -82,21 +89,40 @@ impl Server {
 
         let state = Arc::new(state);
         let shutdown = Arc::new(AtomicBool::new(false));
+        // The pool exists before the acceptor does, so a failed spawn is this
+        // call's error rather than an acceptor that dies after `Ok`.
         let acceptor = {
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            let config = config.clone();
+            let (state, shutdown, config) =
+                (Arc::clone(&state), Arc::clone(&shutdown), config.clone());
             match poller {
-                Some(poller) => std::thread::Builder::new()
-                    .name("cc-serve-reactor".to_owned())
-                    .spawn(move || {
-                        crate::reactor::reactor_loop(
-                            &listener, &config, &state, &shutdown, &poller,
-                        );
-                    })?,
-                None => std::thread::Builder::new()
-                    .name("cc-serve-accept".to_owned())
-                    .spawn(move || accept_loop(&listener, &config, &state, &shutdown))?,
+                Some(poller) => {
+                    // Workers send still-open connections back and wake the
+                    // reactor to re-park them; during shutdown they close them.
+                    let (reparked_tx, reparked) = mpsc::channel::<Conn>();
+                    let (stopping, waker) = (Arc::clone(&shutdown), poller.waker());
+                    let repark = move |conn| {
+                        if !stopping.load(Ordering::Acquire) && reparked_tx.send(conn).is_ok() {
+                            waker.wake();
+                        }
+                    };
+                    let pool = worker_pool(&config, &state, &shutdown, REPARK_GRACE, repark)?;
+                    std::thread::Builder::new().name("cc-serve-reactor".to_owned()).spawn(
+                        move || {
+                            crate::reactor::reactor_loop(
+                                &listener, &config, &state, &shutdown, &poller, pool, &reparked,
+                            );
+                        },
+                    )?
+                }
+                None => {
+                    // Lingering for the whole read timeout pins a worker on
+                    // each connection for its life; one that comes back idle
+                    // has timed out, and dropping it closes it.
+                    let pool = worker_pool(&config, &state, &shutdown, config.read_timeout, drop)?;
+                    std::thread::Builder::new()
+                        .name("cc-serve-accept".to_owned())
+                        .spawn(move || accept_loop(&listener, &config, &state, &shutdown, &pool))?
+                }
             }
         };
 
@@ -254,13 +280,10 @@ impl AcceptBackoff {
 pub(crate) fn accept_loop(
     listener: &TcpListener,
     config: &ServerConfig,
-    state: &Arc<AppState>,
-    shutdown: &Arc<AtomicBool>,
+    state: &AppState,
+    shutdown: &AtomicBool,
+    pool: &WorkerPool<Conn>,
 ) {
-    // Lingering for the whole read timeout pins a worker on each connection
-    // for its life; one that comes back idle has timed out, and dropping it
-    // closes it.
-    let pool = worker_pool(config, state, shutdown, config.read_timeout, drop);
     let mut backoff = AcceptBackoff::new();
     while !shutdown.load(Ordering::Acquire) {
         match listener.accept() {
@@ -294,13 +317,13 @@ pub(crate) fn accept_loop(
 /// with the transport's `linger` and passes a connection that came back
 /// idle to `idle`. The pool owns the connection handlers; dropping it
 /// drains the queue and joins the workers.
-pub(crate) fn worker_pool(
+fn worker_pool(
     config: &ServerConfig,
     state: &Arc<AppState>,
     shutdown: &Arc<AtomicBool>,
     linger: Duration,
     idle: impl Fn(Conn) + Send + Sync + 'static,
-) -> WorkerPool<Conn> {
+) -> io::Result<WorkerPool<Conn>> {
     let (state, shutdown) = (Arc::clone(state), Arc::clone(shutdown));
     let (max_body, read_timeout) = (config.max_body_bytes, config.read_timeout);
     let depth = state.registry().gauge("cc_pool_queue_depth", &[]);
@@ -309,7 +332,7 @@ pub(crate) fn worker_pool(
             idle(conn);
         }
     };
-    WorkerPool::with_queue_gauge("cc-serve-worker", config.workers, config.backlog, depth, work)
+    WorkerPool::with_queue_gauge("cc-serve-worker", config.workers, BACKLOG, depth, work)
 }
 
 /// Load-shedding at the edge, shared by both transports: answer `503`

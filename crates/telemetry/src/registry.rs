@@ -172,11 +172,6 @@ impl Registry {
         Registry { inner: Mutex::new(Inner::default()), enabled: false }
     }
 
-    /// Whether handles from this registry record at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Attaches help text to a metric family (`# HELP` in the exposition).
     pub fn describe(&self, family: &str, help: &str) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -305,7 +300,6 @@ mod tests {
         g.set(7.0);
         g.inc();
         h.record(1);
-        assert!(!r.is_enabled());
         let snap = r.snapshot();
         assert_eq!(snap.counter_value("c", &[]), Some(0));
         assert_eq!(snap.gauge_value("g", &[]), Some(0.0));

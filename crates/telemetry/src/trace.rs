@@ -5,10 +5,9 @@
 //! one aggregate. The oracle builder (k-nearest balls → hitting-set
 //! landmarks → MSSP columns) and the shard partitioner fill a
 //! [`BuildTrace`] with one [`PhaseSpan`] per phase; the trace can then be
-//! exported as registry gauges (for `/metrics`), JSON (for benches), or
-//! human-readable log lines (for `cc-serve --demo`).
+//! read span by span (the benchmark ledger does), exported as registry
+//! gauges (for `/metrics`), or printed as log lines (for `cc-serve --demo`).
 
-use crate::json::{Json, JsonObject};
 use crate::registry::Registry;
 
 /// One instrumented build phase.
@@ -49,8 +48,7 @@ impl BuildTrace {
     /// This is the one place build-phase code is allowed to read a wall
     /// clock: keeping the `Instant::now()` pair here means the oracle's
     /// kernel files (scanned by cc-lint's `determinism` rule) never touch a
-    /// clock themselves — traced build phases call this instead of opening
-    /// an allow-comment escape hatch.
+    /// clock themselves — traced build phases call this instead.
     pub fn time_local<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
         let started = std::time::Instant::now();
         let out = f();
@@ -79,16 +77,6 @@ impl BuildTrace {
         self.spans.iter().find(|s| s.name == name)
     }
 
-    /// Total wall time across phases, nanoseconds.
-    pub fn total_wall_ns(&self) -> u64 {
-        self.spans.iter().map(|s| s.wall_ns).sum()
-    }
-
-    /// Total rounds across phases.
-    pub fn total_rounds(&self) -> u64 {
-        self.spans.iter().map(|s| s.rounds).sum()
-    }
-
     /// Publishes the trace as `cc_build_phase_*{phase="..."}` gauges so
     /// `/metrics` exposes build-phase cost next to the serving metrics.
     pub fn export_gauges(&self, registry: &Registry) {
@@ -101,24 +89,6 @@ impl BuildTrace {
             registry.gauge("cc_build_phase_rounds", &labels).set(s.rounds as f64);
             registry.gauge("cc_build_phase_words", &labels).set(s.words as f64);
         }
-    }
-
-    /// The trace as a JSON array of span objects.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.spans
-                .iter()
-                .map(|s| {
-                    let mut o = JsonObject::new();
-                    o.set("phase", s.name.as_str());
-                    o.set("wall_ns", s.wall_ns);
-                    o.set("rounds", s.rounds);
-                    o.set("messages", s.messages);
-                    o.set("words", s.words);
-                    o.into()
-                })
-                .collect(),
-        )
     }
 
     /// One log line per span, for `cc-serve --demo` startup output.
@@ -155,8 +125,8 @@ mod tests {
     #[test]
     fn totals_and_lookup() {
         let t = sample();
-        assert_eq!(t.total_wall_ns(), 9_500_000);
-        assert_eq!(t.total_rounds(), 36);
+        assert_eq!(t.spans().iter().map(|s| s.wall_ns).sum::<u64>(), 9_500_000);
+        assert_eq!(t.spans().iter().map(|s| s.rounds).sum::<u64>(), 36);
         assert_eq!(t.span("mssp_columns").unwrap().words, 3600);
         assert!(t.span("nope").is_none());
     }
@@ -193,13 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn json_and_log_lines_list_every_phase() {
-        let t = sample();
-        let json = t.to_json().render();
-        assert!(json.starts_with('['));
-        assert!(json.contains("\"phase\":\"k_nearest_balls\""));
-        assert!(json.contains("\"words\":3600"));
-        let lines = t.log_lines();
+    fn log_lines_list_every_phase() {
+        let lines = sample().log_lines();
         assert_eq!(lines.lines().count(), 3);
         assert!(lines.contains("build-trace phase=mssp_columns rounds=25"));
     }
