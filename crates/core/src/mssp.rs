@@ -46,24 +46,9 @@ pub fn mssp(
     sources: &[usize],
     epsilon: f64,
 ) -> Result<MsspRun, DistanceError> {
-    mssp_with_config(clique, graph, sources, HopsetConfig::new(epsilon))
-}
-
-/// [`mssp`] with full control over the hopset construction (used by the
-/// ablation experiments and by callers that reuse one hopset for several
-/// source sets).
-///
-/// # Errors
-///
-/// Same as [`mssp`].
-pub fn mssp_with_config(
-    clique: &mut Clique,
-    graph: &Graph,
-    sources: &[usize],
-    config: HopsetConfig,
-) -> Result<MsspRun, DistanceError> {
     let watch = Stopwatch::start(clique);
-    let hopset = clique.with_phase("mssp", |cl| build_hopset(cl, graph, config))?;
+    let hopset =
+        clique.with_phase("mssp", |cl| build_hopset(cl, graph, HopsetConfig::new(epsilon)))?;
     mssp_finish(clique, graph, sources, &hopset, watch)
 }
 

@@ -1,6 +1,6 @@
-//! The hop loops as first written — a fixed number of one-shot products —
-//! kept as the reference the fixpoint loops must equal, row for row, at no
-//! more rounds.
+//! The hop loops as first written — a fixed number of one-shot products on
+//! the augmented weight matrix — kept as the reference the fixpoint loops
+//! must equal, row for row, at no more rounds.
 
 use cc_clique::Clique;
 use cc_graph::{generators, DiGraph, Graph};
@@ -8,7 +8,7 @@ use cc_matmul::layout::transpose_exchange;
 use cc_matrix::{AugDist, AugMinPlus, SparseMatrix, SparseRow};
 
 use crate::source_detection::restrict_to_sources;
-use crate::{k_nearest_matrix, source_detection_all_matrix, source_detection_k_matrix};
+use crate::{k_nearest, source_detection_all, source_detection_k};
 
 type Rows = Vec<SparseRow<AugDist>>;
 
@@ -82,9 +82,9 @@ fn assert_same(
     c_new
 }
 
-/// Every graph family the issue names, as augmented weight matrices of one
-/// size class each; the last is a `DiGraph` whose `W` is not symmetric.
-fn fixtures() -> Vec<(&'static str, SparseMatrix<AugDist>)> {
+/// The graph families the fixpoint loops are held to, as arc sets of one
+/// size class each; the last is one-way, so its `W` is not symmetric.
+fn fixtures() -> Vec<(&'static str, DiGraph)> {
     let undirected: Vec<(&'static str, Graph)> = vec![
         ("gnp", generators::gnp(24, 0.2, 3).unwrap()),
         ("gnp_weighted", generators::gnp_weighted(24, 0.15, 30, 4).unwrap()),
@@ -94,10 +94,10 @@ fn fixtures() -> Vec<(&'static str, SparseMatrix<AugDist>)> {
         ("disconnected", Graph::from_edges(18, (0..7).map(|v| (v, v + 1, 2 + v as u64))).unwrap()),
     ];
     let mut out: Vec<_> =
-        undirected.into_iter().map(|(name, g)| (name, g.augmented_weight_matrix())).collect();
+        undirected.into_iter().map(|(name, g)| (name, DiGraph::clone(&g))).collect();
     // One-way cycle plus a few chords: reachability differs by direction.
     let arcs = (0..20).map(|v| (v, (v + 1) % 20, 1 + v as u64 % 3)).chain([(0, 7, 9), (12, 3, 1)]);
-    out.push(("digraph", DiGraph::from_arcs(20, arcs).unwrap().augmented_weight_matrix()));
+    out.push(("digraph", DiGraph::from_arcs(20, arcs).unwrap()));
     out
 }
 
@@ -107,14 +107,14 @@ fn executed(clique: &Clique, phase: &str) -> u64 {
 
 #[test]
 fn source_detection_all_equals_the_fixed_count_loop() {
-    for (name, w) in fixtures() {
-        let n = w.n();
+    for (name, g) in fixtures() {
+        let (n, w) = (g.n(), g.augmented_weight_matrix());
         let sources = [1, n / 2, n - 1];
         for d in [1, 2, 5, n] {
             let clique = assert_same(
                 &format!("all, {name}, d={d}"),
                 n,
-                |c| source_detection_all_matrix(c, &w, &sources, d).unwrap(),
+                |c| source_detection_all(c, &g, &sources, d).unwrap(),
                 |c| source_detection_all_fixed(c, &w, &sources, d),
             );
             assert!(executed(&clique, "source_detection_all") <= (d - 1) as u64);
@@ -127,14 +127,14 @@ fn source_detection_all_equals_the_fixed_count_loop() {
 
 #[test]
 fn source_detection_k_equals_the_fixed_count_loop() {
-    for (name, w) in fixtures() {
-        let n = w.n();
+    for (name, g) in fixtures() {
+        let (n, w) = (g.n(), g.augmented_weight_matrix());
         let sources = [0, 2, n / 2, n - 2];
         for (d, k) in [(1, 2), (3, 1), (6, 2), (n, 3)] {
             assert_same(
                 &format!("k, {name}, d={d}, k={k}"),
                 n,
-                |c| source_detection_k_matrix(c, &w, &sources, d, k).unwrap(),
+                |c| source_detection_k(c, &g, &sources, d, k).unwrap(),
                 |c| source_detection_k_fixed(c, &w, &sources, d, k),
             );
         }
@@ -143,13 +143,13 @@ fn source_detection_k_equals_the_fixed_count_loop() {
 
 #[test]
 fn k_nearest_equals_the_fixed_count_loop() {
-    for (name, w) in fixtures() {
-        let n = w.n();
+    for (name, g) in fixtures() {
+        let (n, w) = (g.n(), g.augmented_weight_matrix());
         for k in [1, 2, 5, n] {
             assert_same(
                 &format!("k_nearest, {name}, k={k}"),
                 n,
-                |c| k_nearest_matrix(c, &w, k).unwrap(),
+                |c| k_nearest(c, &g, k).unwrap(),
                 |c| k_nearest_fixed(c, &w, k),
             );
         }
@@ -165,7 +165,7 @@ fn sources_nobody_reaches_exit_after_one_product() {
     let clique = assert_same(
         "isolated source",
         10,
-        |c| source_detection_all_matrix(c, &w, &[9], 9).unwrap(),
+        |c| source_detection_all(c, &g, &[9], 9).unwrap(),
         |c| source_detection_all_fixed(c, &w, &[9], 9),
     );
     assert_eq!(executed(&clique, "source_detection_all"), 1);
@@ -175,11 +175,12 @@ fn sources_nobody_reaches_exit_after_one_product() {
 fn a_path_runs_every_product_and_pays_one_flag_round_each() {
     // The case the exit cannot help: hop-d detection from one end of a
     // path changes a new row in every product, so the bound binds.
-    let w = generators::path(32).unwrap().augmented_weight_matrix();
+    let g = generators::path(32).unwrap();
+    let w = g.augmented_weight_matrix();
     let clique = assert_same(
         "path(32), d=31",
         32,
-        |c| source_detection_all_matrix(c, &w, &[0], 31).unwrap(),
+        |c| source_detection_all(c, &g, &[0], 31).unwrap(),
         |c| source_detection_all_fixed(c, &w, &[0], 31),
     );
     let phases = &clique.metrics().phases;
@@ -191,9 +192,9 @@ fn a_path_runs_every_product_and_pays_one_flag_round_each() {
 fn an_asymmetric_w_is_transposed_once_per_detection() {
     // The prepared W really carries its transpose: one transpose for W plus
     // one per executed product for the iterate, none inside the products.
-    let (_, w) = fixtures().pop().expect("the digraph fixture");
-    let mut clique = Clique::new(w.n());
-    source_detection_all_matrix(&mut clique, &w, &[0, 5], w.n()).unwrap();
+    let (_, g) = fixtures().pop().expect("the digraph fixture");
+    let mut clique = Clique::new(g.n());
+    source_detection_all(&mut clique, &g, &[0, 5], g.n()).unwrap();
     let phases = &clique.metrics().phases;
     let products = phases["source_detection_all/sparse_mm/sizes/all_broadcast"].invocations;
     assert!(products > 1, "fixture exits too early to tell");

@@ -13,9 +13,9 @@
 //! ([`crate::fixpoint`]).
 
 use cc_clique::Clique;
-use cc_graph::Graph;
+use cc_graph::DiGraph;
 use cc_matmul::{layout, Operand, Side};
-use cc_matrix::{AugMinPlus, SparseRow};
+use cc_matrix::{AugDist, AugMinPlus, SparseRow};
 
 use crate::error::{check_size, invalid};
 use crate::fixpoint::iterate_to_fixpoint;
@@ -25,8 +25,10 @@ use crate::DistanceError;
 /// `(distance, hops)` values, in `O((k/n^{2/3} + log n)·log k)` rounds.
 ///
 /// Returns one sparse augmented row per node: the entries are `N_k(v)` (at
-/// most `k`, fewer if `v`'s component is smaller), including `v` itself at
-/// `(0, 0)`.
+/// most `k`, fewer if fewer nodes are reachable from `v`), including `v`
+/// itself at `(0, 0)`. Distances run along arcs, so on a [`DiGraph`] row
+/// `v` lists the nodes nearest to `v` along *outgoing* paths; an undirected
+/// [`cc_graph::Graph`] derefs to its symmetric arcs.
 ///
 /// # Errors
 ///
@@ -39,68 +41,36 @@ use crate::DistanceError;
 /// ```
 /// use cc_clique::Clique;
 /// use cc_distance::k_nearest;
-/// use cc_graph::generators;
+/// use cc_graph::{generators, DiGraph};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::path(8)?;
-/// let mut clique = Clique::new(8);
-/// let near = k_nearest(&mut clique, &g, 3)?;
+/// let near = k_nearest(&mut Clique::new(8), &g, 3)?;
 /// // Node 0's 3 nearest on a path: itself, 1 and 2.
 /// let ids: Vec<u32> = near[0].iter().map(|(c, _)| c).collect();
 /// assert_eq!(ids, vec![0, 1, 2]);
+///
+/// // One-way path 0 -> 1 -> 2 -> 3: the sink only knows itself.
+/// let g = DiGraph::from_arcs(4, (0..3).map(|v| (v, v + 1, 1)))?;
+/// let near = k_nearest(&mut Clique::new(4), &g, 2)?;
+/// assert_eq!(near[0].iter().map(|(c, _)| c).collect::<Vec<_>>(), vec![0, 1]);
+/// assert_eq!(near[3].nnz(), 1);
 /// # Ok(())
 /// # }
 /// ```
 pub fn k_nearest(
     clique: &mut Clique,
-    graph: &Graph,
+    graph: &DiGraph,
     k: usize,
-) -> Result<Vec<SparseRow<cc_matrix::AugDist>>, DistanceError> {
+) -> Result<Vec<SparseRow<AugDist>>, DistanceError> {
     check_size(clique, graph.n())?;
-    k_nearest_matrix(clique, &graph.augmented_weight_matrix(), k)
-}
-
-/// [`k_nearest`] on an explicit augmented weight matrix — the directed
-/// form of Theorem 18 (the paper's distance tools work on directed graphs;
-/// §3). Row `v` of the result lists the `k` nodes nearest to `v` along
-/// *outgoing* paths.
-///
-/// # Errors
-///
-/// Same conditions as [`k_nearest`].
-///
-/// # Example
-///
-/// ```
-/// use cc_clique::Clique;
-/// use cc_distance::k_nearest_matrix;
-/// use cc_graph::DiGraph;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // One-way path 0 -> 1 -> 2 -> 3.
-/// let g = DiGraph::from_arcs(4, (0..3).map(|v| (v, v + 1, 1)))?;
-/// let mut clique = Clique::new(4);
-/// let near = k_nearest_matrix(&mut clique, &g.augmented_weight_matrix(), 2)?;
-/// assert_eq!(near[0].iter().map(|(c, _)| c).collect::<Vec<_>>(), vec![0, 1]);
-/// assert_eq!(near[3].nnz(), 1); // the sink only knows itself
-/// # Ok(())
-/// # }
-/// ```
-pub fn k_nearest_matrix(
-    clique: &mut Clique,
-    w: &cc_matrix::SparseMatrix<cc_matrix::AugDist>,
-    k: usize,
-) -> Result<Vec<SparseRow<cc_matrix::AugDist>>, DistanceError> {
-    let n = clique.n();
-    if w.n() != n {
-        return Err(invalid(format!("matrix has {} rows but clique has {n}", w.n())));
-    }
     if k == 0 {
         return Err(invalid("k-nearest needs k >= 1"));
     }
-    let k = k.min(n);
+    let k = k.min(clique.n());
+    let w = graph.augmented_weight_matrix();
     clique.with_phase("knearest", |clique| {
-        // Local input: node v knows its incident edges, i.e. row v of W.
+        // Local input: node v knows its outgoing arcs, i.e. row v of W.
         let start = w.filtered::<AugMinPlus>(k).rows().to_vec();
         let squarings = (usize::BITS - (k - 1).leading_zeros()) as usize; // ceil(log2 k)
         iterate_to_fixpoint(clique, start, squarings, |clique, rows| {
@@ -119,7 +89,7 @@ pub fn k_nearest_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_graph::{generators, reference};
+    use cc_graph::{generators, reference, Graph};
 
     fn check_against_reference(g: &Graph, k: usize) {
         let mut clique = Clique::new(g.n());

@@ -26,9 +26,11 @@
 //! the theorem's number of products, fewer when the iterate stops changing,
 //! with termination detected by a one-word broadcast per product.
 //!
-//! All tools work on directed or undirected non-negative integer-weighted
-//! graphs; this workspace exercises them on the undirected graphs of
-//! [`cc_graph`].
+//! The tools take arcs: [`k_nearest`] and both source detections accept a
+//! [`cc_graph::DiGraph`] with non-negative integer weights, as the paper
+//! states them (§3). An undirected [`cc_graph::Graph`] derefs to its own
+//! symmetric arcs, so the hopset-based algorithms pass their `&Graph`
+//! unchanged.
 //!
 //! Unsafe code is forbidden (`#![forbid(unsafe_code)]`), as across the
 //! whole workspace.
@@ -51,10 +53,7 @@ mod witness;
 
 pub use error::{check_size, DistanceError};
 pub use hitting::{hitting_set, hitting_set_local, HittingSet};
-pub use knearest::{k_nearest, k_nearest_matrix};
-pub use source_detection::{
-    source_detection_all, source_detection_all_matrix, source_detection_k,
-    source_detection_k_matrix,
-};
+pub use knearest::k_nearest;
+pub use source_detection::{source_detection_all, source_detection_k};
 pub use through_sets::distance_through_sets;
 pub use witness::product_with_witnesses;

@@ -10,12 +10,16 @@
 //! sparse (§1.3), so there are up to `d − 1` of them, fewer when the iterate
 //! reaches its fixpoint first ([`crate::fixpoint`]).
 //!
+//! Distances run along arcs: both variants take a [`DiGraph`], and row `v`
+//! holds distances *from* `v` to the sources; an undirected
+//! [`cc_graph::Graph`] derefs to its symmetric arcs.
+//!
 //! `W` is the same in every product, so it is prepared once per detection
 //! ([`cc_matmul::Operand`]); the iterate comes out of a product by rows and
 //! is handed to the next one with those rows and their one transpose.
 
 use cc_clique::Clique;
-use cc_graph::Graph;
+use cc_graph::DiGraph;
 use cc_matmul::{layout, Operand, Side};
 use cc_matrix::{AugDist, AugMinPlus, SparseMatrix, SparseRow};
 
@@ -25,12 +29,12 @@ use crate::DistanceError;
 
 fn validate(
     clique: &Clique,
-    matrix_n: usize,
+    graph: &DiGraph,
     sources: &[usize],
     d: usize,
 ) -> Result<Vec<bool>, DistanceError> {
     let n = clique.n();
-    check_size(clique, matrix_n)?;
+    check_size(clique, graph.n())?;
     if sources.is_empty() {
         return Err(invalid("source detection needs at least one source"));
     }
@@ -104,36 +108,21 @@ fn hop_loop(
 /// * [`DistanceError::Matmul`] if a multiplication subroutine fails.
 pub fn source_detection_k(
     clique: &mut Clique,
-    graph: &Graph,
+    graph: &DiGraph,
     sources: &[usize],
     d: usize,
     k: usize,
 ) -> Result<Vec<SparseRow<AugDist>>, DistanceError> {
-    source_detection_k_matrix(clique, &graph.augmented_weight_matrix(), sources, d, k)
-}
-
-/// [`source_detection_k`] on an explicit augmented weight matrix — the
-/// directed form (distances along outgoing paths).
-///
-/// # Errors
-///
-/// Same as [`source_detection_k`].
-pub fn source_detection_k_matrix(
-    clique: &mut Clique,
-    w: &SparseMatrix<AugDist>,
-    sources: &[usize],
-    d: usize,
-    k: usize,
-) -> Result<Vec<SparseRow<AugDist>>, DistanceError> {
-    let in_s = validate(clique, w.n(), sources, d)?;
+    let in_s = validate(clique, graph, sources, d)?;
     if k == 0 {
         return Err(invalid("source detection needs k >= 1"));
     }
     let k = k.min(clique.n());
+    let w = graph.augmented_weight_matrix();
     clique.with_phase("source_detection_k", |clique| {
-        // W_1: the k lightest edges towards S per node.
-        let start = restrict_to_sources(w, &in_s).filtered::<AugMinPlus>(k);
-        hop_loop(clique, w, &start, d, |clique, w, x| {
+        // W_1: the k lightest arcs towards S per node.
+        let start = restrict_to_sources(&w, &in_s).filtered::<AugMinPlus>(k);
+        hop_loop(clique, &w, &start, d, |clique, w, x| {
             cc_matmul::filtered_multiply_prepared::<AugMinPlus>(clique, w, x, k)
         })
     })
@@ -167,29 +156,15 @@ pub fn source_detection_k_matrix(
 /// ```
 pub fn source_detection_all(
     clique: &mut Clique,
-    graph: &Graph,
+    graph: &DiGraph,
     sources: &[usize],
     d: usize,
 ) -> Result<Vec<SparseRow<AugDist>>, DistanceError> {
-    source_detection_all_matrix(clique, &graph.augmented_weight_matrix(), sources, d)
-}
-
-/// [`source_detection_all`] on an explicit augmented weight matrix — the
-/// directed form (distances along outgoing paths).
-///
-/// # Errors
-///
-/// Same as [`source_detection_all`].
-pub fn source_detection_all_matrix(
-    clique: &mut Clique,
-    w: &SparseMatrix<AugDist>,
-    sources: &[usize],
-    d: usize,
-) -> Result<Vec<SparseRow<AugDist>>, DistanceError> {
-    let in_s = validate(clique, w.n(), sources, d)?;
+    let in_s = validate(clique, graph, sources, d)?;
     let rho_hat = sources.len().max(1);
+    let w = graph.augmented_weight_matrix();
     clique.with_phase("source_detection_all", |clique| {
-        hop_loop(clique, w, &restrict_to_sources(w, &in_s), d, |clique, w, u| {
+        hop_loop(clique, &w, &restrict_to_sources(&w, &in_s), d, |clique, w, u| {
             cc_matmul::sparse_multiply_prepared::<AugMinPlus>(clique, w, u, rho_hat)
         })
     })
@@ -198,7 +173,7 @@ pub fn source_detection_all_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_graph::{generators, reference};
+    use cc_graph::{generators, reference, Graph};
 
     fn check_all_against_reference(g: &Graph, sources: &[usize], d: usize) {
         let mut clique = Clique::new(g.n());

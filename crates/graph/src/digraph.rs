@@ -1,22 +1,22 @@
-//! Directed graphs.
+//! Directed graphs — the workspace's one adjacency store.
 //!
 //! The paper's distance *tools* (§3: k-nearest, source detection, distance
 //! through sets) work on directed graphs — only the hopset-based headline
 //! algorithms require undirectedness (and §8 explains why directed
-//! sub-polynomial APSP would imply faster matrix multiplication). This
-//! module provides the directed input type and sequential references; the
-//! matrix-level tool entry points in `cc-distance` consume its weight
-//! matrices directly.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! sub-polynomial APSP would imply faster matrix multiplication). So the
+//! tools in `cc-distance` and every sequential reference in
+//! [`crate::reference`] take a [`DiGraph`]. An undirected [`crate::Graph`]
+//! is the symmetric case: it holds a `DiGraph` with two arcs of one weight
+//! per edge and derefs to it, so a `&Graph` is accepted wherever a
+//! `&DiGraph` is.
 
 use cc_matrix::{AugDist, AugMinPlus, Dist, MinPlus, SparseMatrix};
 
 use crate::GraphError;
 
-/// A directed graph with non-negative integer arc weights. Parallel arcs
-/// collapse to the lightest; self-loops are rejected.
+/// A directed graph with non-negative integer arc weights, stored as
+/// out-adjacency lists sorted by head. Parallel arcs collapse to the
+/// lightest; self-loops are rejected.
 ///
 /// # Example
 ///
@@ -32,15 +32,13 @@ use crate::GraphError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiGraph {
-    n: usize,
     out: Vec<Vec<(usize, u64)>>,
-    m: usize,
 }
 
 impl DiGraph {
     /// An arcless digraph on `n` nodes.
     pub fn empty(n: usize) -> Self {
-        DiGraph { n, out: vec![Vec::new(); n], m: 0 }
+        DiGraph { out: vec![Vec::new(); n] }
     }
 
     /// Builds a digraph from arcs `(u, v, w)` meaning `u → v`.
@@ -60,47 +58,43 @@ impl DiGraph {
     }
 
     /// Inserts arc `u → v` with weight `w` (lighter weight wins on
-    /// duplicates).
+    /// duplicates). Returns whether the arc is new.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
-    pub fn add_arc(&mut self, u: usize, v: usize, w: u64) -> Result<(), GraphError> {
-        if u >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: u, n: self.n });
-        }
-        if v >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: v, n: self.n });
+    pub fn add_arc(&mut self, u: usize, v: usize, w: u64) -> Result<bool, GraphError> {
+        let n = self.n();
+        if let Some(node) = [u, v].into_iter().find(|&x| x >= n) {
+            return Err(GraphError::NodeOutOfRange { node, n });
         }
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        match self.out[u].binary_search_by_key(&v, |&(x, _)| x) {
-            Ok(i) => self.out[u][i].1 = self.out[u][i].1.min(w),
+        let list = &mut self.out[u];
+        match list.binary_search_by_key(&v, |&(x, _)| x) {
+            Ok(i) => {
+                list[i].1 = list[i].1.min(w);
+                Ok(false)
+            }
             Err(i) => {
-                self.out[u].insert(i, (v, w));
-                self.m += 1;
+                list.insert(i, (v, w));
+                Ok(true)
             }
         }
-        Ok(())
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.n
+        self.out.len()
     }
 
-    /// Number of arcs.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Outgoing arcs of `v`, sorted by head.
+    /// Outgoing arcs of `v` with their weights, sorted by head.
     ///
     /// # Panics
     ///
     /// Panics if `v >= n`.
-    pub fn out_neighbors(&self, v: usize) -> &[(usize, u64)] {
+    pub fn neighbors(&self, v: usize) -> &[(usize, u64)] {
         &self.out[v]
     }
 
@@ -109,82 +103,31 @@ impl DiGraph {
         self.out[u].binary_search_by_key(&v, |&(x, _)| x).ok().map(|i| self.out[u][i].1)
     }
 
-    /// Iterates over all arcs as `(u, v, w)`.
+    /// Iterates over all arcs as `(u, v, w)`, by tail and then by head.
     pub fn arcs(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         self.out.iter().enumerate().flat_map(|(u, list)| list.iter().map(move |&(v, w)| (u, v, w)))
     }
 
-    /// The weight matrix over min-plus: `0` diagonal, `w(u,v)` on arcs.
+    /// The weight matrix over min-plus: `0` on the diagonal, `w(u,v)` on
+    /// arcs, `∞` (implicit) elsewhere.
     pub fn weight_matrix(&self) -> SparseMatrix<Dist> {
-        let mut m = SparseMatrix::identity::<MinPlus>(self.n);
+        let mut m = SparseMatrix::identity::<MinPlus>(self.n());
         for (u, v, w) in self.arcs() {
             m.set_in::<MinPlus>(u, v, Dist::fin(w));
         }
         m
     }
 
-    /// The augmented weight matrix of §3.1: `(0,0)` diagonal, `(w,1)` on
-    /// arcs — the input the directed distance tools consume.
+    /// The augmented weight matrix `W` of §3.1: `(0,0)` on the diagonal,
+    /// `(w(u,v), 1)` on arcs, `(∞,∞)` (implicit) elsewhere — the input of
+    /// the distance tools.
     pub fn augmented_weight_matrix(&self) -> SparseMatrix<AugDist> {
-        let mut m = SparseMatrix::identity::<AugMinPlus>(self.n);
+        let mut m = SparseMatrix::identity::<AugMinPlus>(self.n());
         for (u, v, w) in self.arcs() {
             m.set_in::<AugMinPlus>(u, v, AugDist::fin(w, 1));
         }
         m
     }
-}
-
-/// Directed single-source distances over the augmented order: per node, the
-/// pair `(d(src,·), minimal hops among shortest paths)`.
-///
-/// # Panics
-///
-/// Panics if `src >= g.n()`.
-pub fn dijkstra_directed(g: &DiGraph, src: usize) -> Vec<Option<(u64, u32)>> {
-    assert!(src < g.n(), "source out of range");
-    let mut best: Vec<Option<(u64, u32)>> = vec![None; g.n()];
-    let mut heap = BinaryHeap::new();
-    heap.push(Reverse((0u64, 0u32, src)));
-    while let Some(Reverse((d, h, v))) = heap.pop() {
-        match best[v] {
-            Some(b) if b <= (d, h) => continue,
-            _ => {}
-        }
-        best[v] = Some((d, h));
-        for &(u, w) in g.out_neighbors(v) {
-            let cand = (d + w, h + 1);
-            if best[u].is_none_or(|b| cand < b) {
-                heap.push(Reverse((cand.0, cand.1, u)));
-            }
-        }
-    }
-    best
-}
-
-/// Directed hop-bounded distances `d^β(src, ·)`.
-///
-/// # Panics
-///
-/// Panics if `src >= g.n()`.
-pub fn hop_bounded_directed(g: &DiGraph, src: usize, beta: usize) -> Vec<Option<u64>> {
-    assert!(src < g.n(), "source out of range");
-    let mut cur: Vec<Option<u64>> = vec![None; g.n()];
-    cur[src] = Some(0);
-    for _ in 0..beta {
-        let mut next = cur.clone();
-        for v in 0..g.n() {
-            if let Some(d) = cur[v] {
-                for &(u, w) in g.out_neighbors(v) {
-                    let cand = d + w;
-                    if next[u].is_none_or(|b| cand < b) {
-                        next[u] = Some(cand);
-                    }
-                }
-            }
-        }
-        cur = next;
-    }
-    cur
 }
 
 /// A random digraph: every ordered pair becomes an arc with probability
@@ -224,36 +167,45 @@ pub fn gnp_directed(n: usize, p: f64, max_weight: u64, seed: u64) -> Result<DiGr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{dijkstra_with_hops, hop_bounded};
 
     #[test]
     fn arcs_are_one_way() {
-        let g = DiGraph::from_arcs(3, [(0, 1, 2), (1, 2, 3), (0, 1, 1)]).unwrap();
-        assert_eq!(g.m(), 2);
-        assert_eq!(g.weight(0, 1), Some(1)); // parallel arc keeps min
+        let mut g = DiGraph::from_arcs(3, [(0, 1, 2), (1, 2, 3)]).unwrap();
+        assert!(!g.add_arc(0, 1, 1).unwrap()); // parallel arc keeps min
+        assert_eq!(g.arcs().count(), 2);
+        assert_eq!(g.weight(0, 1), Some(1));
         assert_eq!(g.weight(1, 0), None);
-        assert_eq!(g.out_neighbors(0), &[(1, 1)]);
+        assert_eq!(g.neighbors(0), &[(1, 1)]);
     }
 
     #[test]
     fn rejects_malformed_arcs() {
-        assert!(DiGraph::from_arcs(2, [(0, 5, 1)]).is_err());
-        assert!(DiGraph::from_arcs(2, [(1, 1, 1)]).is_err());
+        assert_eq!(
+            DiGraph::from_arcs(2, [(0, 5, 1)]).unwrap_err(),
+            GraphError::NodeOutOfRange { node: 5, n: 2 }
+        );
+        assert_eq!(
+            DiGraph::from_arcs(2, [(1, 1, 1)]).unwrap_err(),
+            GraphError::SelfLoop { node: 1 }
+        );
     }
 
     #[test]
     fn directed_dijkstra_respects_orientation() {
         let g = DiGraph::from_arcs(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
-        let from0 = dijkstra_directed(&g, 0);
+        let from0 = dijkstra_with_hops(&g, 0);
         assert_eq!(from0[3], Some((3, 3)));
-        let from3 = dijkstra_directed(&g, 3);
+        let from3 = dijkstra_with_hops(&g, 3);
         assert_eq!(from3[0], None); // no way back
     }
 
     #[test]
-    fn hop_bounded_directed_limits_hops() {
+    fn hop_bounded_limits_hops_along_arcs() {
         let g = DiGraph::from_arcs(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
-        assert_eq!(hop_bounded_directed(&g, 0, 2)[3], None);
-        assert_eq!(hop_bounded_directed(&g, 0, 3)[3], Some(3));
+        assert_eq!(hop_bounded(&g, 0, 2)[3], None);
+        assert_eq!(hop_bounded(&g, 0, 3)[3], Some(3));
+        assert_eq!(hop_bounded(&g, 3, 3)[0], None);
     }
 
     #[test]
@@ -269,7 +221,7 @@ mod tests {
     fn gnp_directed_is_strongly_connected() {
         let g = gnp_directed(24, 0.05, 9, 3).unwrap();
         for v in [0, 7, 23] {
-            assert!(dijkstra_directed(&g, v).iter().all(Option::is_some));
+            assert!(dijkstra_with_hops(&g, v).iter().all(Option::is_some));
         }
         assert!(gnp_directed(1, 0.5, 1, 0).is_err());
     }

@@ -1,13 +1,18 @@
-use cc_matrix::{AugDist, AugMinPlus, Dist, MinPlus, SparseMatrix};
+use std::ops::Deref;
 
-use crate::GraphError;
+use crate::{DiGraph, GraphError};
 
 /// An undirected graph with non-negative integer edge weights — the input
 /// class of the paper (§1.5: weights are non-negative integers in `poly(n)`).
 ///
-/// Stored as adjacency lists sorted by neighbour id; parallel edges collapse
-/// to the lightest weight, self-loops are rejected. Unweighted graphs are the
-/// special case of all weights `1`.
+/// Stored as the symmetric [`DiGraph`] holding each edge `{u, v}` as the
+/// arcs `u → v` and `v → u` of one weight, to which a `Graph` derefs for
+/// `n`, `weight`, `neighbors`, `arcs` and both weight matrices — so it is
+/// accepted wherever a `&DiGraph` is: the §3 distance tools and every
+/// [`crate::reference`] function. It adds only what is undirected: edge
+/// insertion, the edge count, degrees and edges with `u < v`. Parallel
+/// edges collapse to the lightest weight, self-loops are rejected.
+/// Unweighted graphs are the special case of all weights `1`.
 ///
 /// # Example
 ///
@@ -18,6 +23,7 @@ use crate::GraphError;
 /// let g = Graph::from_edges(4, [(0, 1, 3), (1, 2, 1), (2, 3, 2)])?;
 /// assert_eq!(g.n(), 4);
 /// assert_eq!(g.m(), 3);
+/// assert_eq!(g.arcs().count(), 6); // two arcs per edge
 /// assert_eq!(g.weight(1, 2), Some(1));
 /// assert_eq!(g.degree(1), 2);
 /// # Ok(())
@@ -25,16 +31,23 @@ use crate::GraphError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    n: usize,
-    adj: Vec<Vec<(usize, u64)>>,
+    digraph: DiGraph,
     m: usize,
     max_weight: u64,
+}
+
+impl Deref for Graph {
+    type Target = DiGraph;
+
+    fn deref(&self) -> &DiGraph {
+        &self.digraph
+    }
 }
 
 impl Graph {
     /// An edgeless graph on `n` nodes.
     pub fn empty(n: usize) -> Self {
-        Graph { n, adj: vec![Vec::new(); n], m: 0, max_weight: 0 }
+        Graph { digraph: DiGraph::empty(n), m: 0, max_weight: 0 }
     }
 
     /// Builds a graph from weighted edges `(u, v, w)`.
@@ -68,50 +81,22 @@ impl Graph {
         Self::from_edges(n, edges.into_iter().map(|(u, v)| (u, v, 1)))
     }
 
-    /// Inserts edge `{u, v}` with weight `w` (keeping the lighter weight if
-    /// the edge exists).
+    /// Inserts edge `{u, v}` with weight `w` as its two arcs (keeping the
+    /// lighter weight if the edge exists).
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
     pub fn add_edge(&mut self, u: usize, v: usize, w: u64) -> Result<(), GraphError> {
-        if u >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: u, n: self.n });
-        }
-        if v >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: v, n: self.n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
-        let inserted = Self::insert_half(&mut self.adj[u], v, w);
-        Self::insert_half(&mut self.adj[v], u, w);
-        if inserted {
+        if self.digraph.add_arc(u, v, w)? {
             self.m += 1;
         }
+        self.digraph.add_arc(v, u, w)?;
         self.max_weight = self.max_weight.max(w);
         Ok(())
     }
 
-    fn insert_half(list: &mut Vec<(usize, u64)>, v: usize, w: u64) -> bool {
-        match list.binary_search_by_key(&v, |&(x, _)| x) {
-            Ok(i) => {
-                list[i].1 = list[i].1.min(w);
-                false
-            }
-            Err(i) => {
-                list.insert(i, (v, w));
-                true
-            }
-        }
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of edges.
+    /// Number of edges (half the number of arcs).
     pub fn m(&self) -> usize {
         self.m
     }
@@ -127,21 +112,7 @@ impl Graph {
     ///
     /// Panics if `v >= n`.
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
-    }
-
-    /// Neighbours of `v` with edge weights, sorted by neighbour id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    pub fn neighbors(&self, v: usize) -> &[(usize, u64)] {
-        &self.adj[v]
-    }
-
-    /// Weight of edge `{u, v}`, if present.
-    pub fn weight(&self, u: usize, v: usize) -> Option<u64> {
-        self.adj[u].binary_search_by_key(&v, |&(x, _)| x).ok().map(|i| self.adj[u][i].1)
+        self.neighbors(v).len()
     }
 
     /// Whether edge `{u, v}` is present.
@@ -151,9 +122,7 @@ impl Graph {
 
     /// Iterates over each undirected edge once, as `(u, v, w)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, list)| {
-            list.iter().filter(move |&&(v, _)| u < v).map(move |&(v, w)| (u, v, w))
-        })
+        self.arcs().filter(|&(u, v, _)| u < v)
     }
 
     /// Whether every weight is `1` (the paper's unweighted case).
@@ -165,36 +134,14 @@ impl Graph {
     /// (used by the unweighted APSP algorithm, §6.3). Node ids are preserved;
     /// removed nodes become isolated.
     pub fn low_degree_subgraph(&self, threshold: usize) -> Graph {
-        let keep: Vec<bool> = (0..self.n).map(|v| self.degree(v) < threshold).collect();
-        let mut g = Graph::empty(self.n);
+        let keep: Vec<bool> = (0..self.n()).map(|v| self.degree(v) < threshold).collect();
+        let mut g = Graph::empty(self.n());
         for (u, v, w) in self.edges() {
             if keep[u] && keep[v] {
                 g.add_edge(u, v, w).expect("edges of a valid graph remain valid");
             }
         }
         g
-    }
-
-    /// The weight matrix over the min-plus semiring: `0` on the diagonal,
-    /// `w(u,v)` on edges, `∞` (implicit) elsewhere.
-    pub fn weight_matrix(&self) -> SparseMatrix<Dist> {
-        let mut m = SparseMatrix::identity::<MinPlus>(self.n);
-        for (u, v, w) in self.edges() {
-            m.set_in::<MinPlus>(u, v, Dist::fin(w));
-            m.set_in::<MinPlus>(v, u, Dist::fin(w));
-        }
-        m
-    }
-
-    /// The augmented weight matrix `W` of §3.1: `(0,0)` on the diagonal,
-    /// `(w(u,v), 1)` on edges, `(∞,∞)` (implicit) elsewhere.
-    pub fn augmented_weight_matrix(&self) -> SparseMatrix<AugDist> {
-        let mut m = SparseMatrix::identity::<AugMinPlus>(self.n);
-        for (u, v, w) in self.edges() {
-            m.set_in::<AugMinPlus>(u, v, AugDist::fin(w, 1));
-            m.set_in::<AugMinPlus>(v, u, AugDist::fin(w, 1));
-        }
-        m
     }
 
     /// Merges another edge set into this graph (e.g. `G ∪ H` for a hopset
@@ -218,6 +165,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_matrix::{AugDist, Dist};
 
     #[test]
     fn build_and_query() {

@@ -2,9 +2,12 @@
 //!
 //! Support crate for the Congested Clique shortest-paths reproduction:
 //!
-//! * [`Graph`] — undirected graphs with non-negative integer weights
-//!   (the paper's input class, §1.5), plus conversion to the weight matrices
-//!   the distributed algorithms consume;
+//! * [`DiGraph`] — the one adjacency store, non-negative integer arc
+//!   weights, plus the weight matrices the distributed algorithms consume;
+//!   the §3 distance tools and every [`mod@reference`] function take arcs;
+//! * [`Graph`] — undirected graphs (the paper's input class, §1.5), which
+//!   deref to their symmetric `DiGraph` of two arcs per edge. The
+//!   hopset-based algorithms take a `Graph`: the type enforces undirectedness;
 //! * [`generators`] — deterministic, seeded workload generators covering the
 //!   regimes that drive the paper's case analyses (dense/sparse, low/high
 //!   diameter, high-degree vs. low-degree shortest paths);
@@ -42,6 +45,6 @@ mod graph;
 pub mod generators;
 pub mod reference;
 
-pub use digraph::{dijkstra_directed, gnp_directed, hop_bounded_directed, DiGraph};
+pub use digraph::{gnp_directed, DiGraph};
 pub use error::GraphError;
 pub use graph::Graph;

@@ -6,18 +6,22 @@
 //! distances, hop-consistent `(distance, hops)` pairs, hop-bounded distances
 //! (for hopset verification), diameter, and shortest-path diameter (for the
 //! Bellman-Ford baseline's round bound).
+//!
+//! Every function takes a [`DiGraph`] and follows arcs. An undirected
+//! [`crate::Graph`] derefs to its symmetric digraph, so `&graph` is accepted
+//! as is and the answers are the undirected ones.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::Graph;
+use crate::DiGraph;
 
 /// Single-source shortest path distances by Dijkstra; `None` = unreachable.
 ///
 /// # Panics
 ///
 /// Panics if `src >= g.n()`.
-pub fn dijkstra(g: &Graph, src: usize) -> Vec<Option<u64>> {
+pub fn dijkstra(g: &DiGraph, src: usize) -> Vec<Option<u64>> {
     dijkstra_with_hops(g, src).into_iter().map(|o| o.map(|(d, _)| d)).collect()
 }
 
@@ -28,7 +32,7 @@ pub fn dijkstra(g: &Graph, src: usize) -> Vec<Option<u64>> {
 /// # Panics
 ///
 /// Panics if `src >= g.n()`.
-pub fn dijkstra_with_hops(g: &Graph, src: usize) -> Vec<Option<(u64, u32)>> {
+pub fn dijkstra_with_hops(g: &DiGraph, src: usize) -> Vec<Option<(u64, u32)>> {
     assert!(src < g.n(), "source out of range");
     let mut best: Vec<Option<(u64, u32)>> = vec![None; g.n()];
     let mut heap = BinaryHeap::new();
@@ -54,7 +58,7 @@ pub fn dijkstra_with_hops(g: &Graph, src: usize) -> Vec<Option<(u64, u32)>> {
 /// # Panics
 ///
 /// Panics if `src >= g.n()`.
-pub fn bfs(g: &Graph, src: usize) -> Vec<Option<u64>> {
+pub fn bfs(g: &DiGraph, src: usize) -> Vec<Option<u64>> {
     assert!(src < g.n(), "source out of range");
     let mut dist = vec![None; g.n()];
     dist[src] = Some(0);
@@ -72,7 +76,7 @@ pub fn bfs(g: &Graph, src: usize) -> Vec<Option<u64>> {
 }
 
 /// All-pairs shortest path distances (repeated Dijkstra).
-pub fn all_pairs(g: &Graph) -> Vec<Vec<Option<u64>>> {
+pub fn all_pairs(g: &DiGraph) -> Vec<Vec<Option<u64>>> {
     (0..g.n()).map(|v| dijkstra(g, v)).collect()
 }
 
@@ -82,7 +86,7 @@ pub fn all_pairs(g: &Graph) -> Vec<Vec<Option<u64>>> {
 /// # Panics
 ///
 /// Panics if `src >= g.n()`.
-pub fn hop_bounded(g: &Graph, src: usize, beta: usize) -> Vec<Option<u64>> {
+pub fn hop_bounded(g: &DiGraph, src: usize, beta: usize) -> Vec<Option<u64>> {
     assert!(src < g.n(), "source out of range");
     let mut cur: Vec<Option<u64>> = vec![None; g.n()];
     cur[src] = Some(0);
@@ -111,7 +115,7 @@ pub fn hop_bounded(g: &Graph, src: usize, beta: usize) -> Vec<Option<u64>> {
 /// # Panics
 ///
 /// Panics if `v >= g.n()`.
-pub fn k_nearest(g: &Graph, v: usize, k: usize) -> Vec<(usize, u64, u32)> {
+pub fn k_nearest(g: &DiGraph, v: usize, k: usize) -> Vec<(usize, u64, u32)> {
     let best = dijkstra_with_hops(g, v);
     let mut reachable: Vec<(u64, u32, usize)> =
         best.iter().enumerate().filter_map(|(u, o)| o.map(|(d, h)| (d, h, u))).collect();
@@ -121,15 +125,15 @@ pub fn k_nearest(g: &Graph, v: usize, k: usize) -> Vec<(usize, u64, u32)> {
 }
 
 /// Exact diameter: the largest finite pairwise distance. `None` for graphs
-/// with no edges.
-pub fn diameter(g: &Graph) -> Option<u64> {
+/// with no arcs.
+pub fn diameter(g: &DiGraph) -> Option<u64> {
     all_pairs(g).iter().flat_map(|row| row.iter().flatten()).copied().max().filter(|&d| d > 0)
 }
 
 /// Shortest-path diameter: the maximum over connected pairs of the minimal
 /// hop count among shortest paths — the quantity that bounds distributed
 /// Bellman-Ford's round count (§7.1, Lemma 32).
-pub fn shortest_path_diameter(g: &Graph) -> usize {
+pub fn shortest_path_diameter(g: &DiGraph) -> usize {
     let mut spd = 0usize;
     for v in 0..g.n() {
         for entry in dijkstra_with_hops(g, v).into_iter().flatten() {
@@ -145,14 +149,14 @@ pub fn shortest_path_diameter(g: &Graph) -> usize {
 /// # Panics
 ///
 /// Panics if `v >= g.n()`.
-pub fn eccentricity(g: &Graph, v: usize) -> Option<u64> {
+pub fn eccentricity(g: &DiGraph, v: usize) -> Option<u64> {
     dijkstra(g, v).into_iter().flatten().max().filter(|&d| d > 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, Graph};
 
     #[test]
     fn dijkstra_on_weighted_path() {

@@ -7,7 +7,7 @@
 //! guards held at the call site), every lock acquisition and its guard
 //! scope, blocking calls (`thread::sleep`, unbounded `recv`, `join`,
 //! `wait` under a lock), and panic sites (`.unwrap()`, `.expect(`, the
-//! panicking macros).
+//! panicking macros and the `assert` family).
 //!
 //! Like the lexer it feeds on, the parser is total: any token soup parses
 //! to *some* list of fns without panicking (see `tests/parser_props.rs`).
@@ -91,7 +91,8 @@ pub struct FnItem {
     /// or `.join()`, a `.wait(...)` made with a lock guard in hand.
     pub blocking: Vec<Site>,
     /// Panic facts in the body: exact `.unwrap()` / `.expect(` methods (so
-    /// `unwrap_or_else` stays legal) and the always-panicking macros.
+    /// `unwrap_or_else` stays legal) and the macros of
+    /// [`crate::rules::PANIC_MACROS`].
     pub panics: Vec<Site>,
 }
 

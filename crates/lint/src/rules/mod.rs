@@ -66,8 +66,11 @@ pub fn scan_tokens(
     out
 }
 
-/// Macros that unconditionally panic when reached.
-pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Macros that panic when reached: the unconditional ones and the `assert`
+/// family, which ships in release builds. `debug_assert*` compiles out and
+/// stays legal.
+pub const PANIC_MACROS: &[&str] =
+    &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 
 /// The serving-path files: every function and closure defined in them is a
 /// `no_panic` root that must not contain *or reach* a panic.

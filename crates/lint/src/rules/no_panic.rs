@@ -4,8 +4,9 @@
 //! `cc-serve`'s contract (PR 2) is that malformed input is a `400` and
 //! overload is a `503` — never a worker falling over. A panic in a handler
 //! kills a pool thread; a panic while a reload lock is held poisons it and
-//! takes the whole reload path down with it. `.unwrap()`, `.expect(...)`
-//! and the panicking macros are therefore banned in the request parser,
+//! takes the whole reload path down with it. `.unwrap()`, `.expect(...)`,
+//! the panicking macros and the `assert` family (`debug_assert*` compiles
+//! out and stays legal) are therefore banned in the request parser,
 //! the connection loop, the request handlers and their state, the worker
 //! pool, the reload plumbing, and the oracle query kernel — and in
 //! everything those call: a handler calling into `cache.rs` or
@@ -28,7 +29,7 @@ impl Rule for NoPanic {
     }
 
     fn summary(&self) -> &'static str {
-        "no .unwrap()/.expect()/panic! in, or reachable from, the serving paths (handlers, state, http parser, connection loop, pool, reload, reactor, query kernel, frame codec)"
+        "no .unwrap()/.expect()/panic!/assert! in, or reachable from, the serving paths (handlers, state, http parser, connection loop, pool, reload, reactor, query kernel, frame codec)"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Finding> {

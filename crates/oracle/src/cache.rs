@@ -163,11 +163,6 @@ impl CachingOracle {
         &self.backend
     }
 
-    /// Consumes the wrapper, returning the backend.
-    pub fn into_inner(self) -> Backend {
-        self.backend
-    }
-
     /// Number of nodes the wrapped backend covers.
     pub fn n(&self) -> usize {
         self.backend.n()
@@ -463,8 +458,9 @@ mod tests {
     fn cache_stacks_over_a_shard_router() {
         // Either backend variant: fronting a ShardRouter gives the router
         // tier the pair cache the monolith always had.
-        let Backend::Mono(oracle) = cached(24, 0).into_inner() else { unreachable!() };
-        let router = ShardedArtifact::partition(&oracle, 3).unwrap().into_router().unwrap();
+        let mono = cached(24, 0);
+        let Backend::Mono(oracle) = mono.inner() else { unreachable!() };
+        let router = ShardedArtifact::partition(oracle, 3).unwrap().into_router().unwrap();
         let c = CachingOracle::new(router, 512);
         sweep(&c);
         assert_eq!(c.try_query(5, 20).unwrap(), oracle.try_query(5, 20).unwrap());

@@ -98,14 +98,14 @@
 //!
 //! # Build observability
 //!
-//! [`OracleBuilder::build_traced`] and
-//! [`shard::ShardedArtifact::partition_traced`] additionally return a
-//! [`cc_telemetry::BuildTrace`] with one span per construction phase
-//! (k-nearest balls, hitting-set landmarks, MSSP columns, extraction /
-//! per-shard slicing) carrying the phase's simulated clique rounds, wall
+//! [`OracleBuilder::build_traced`] and [`DirectBuilder::build_traced`]
+//! additionally return a [`cc_telemetry::BuildTrace`] with one span per
+//! construction phase (k-nearest balls, hitting-set landmarks, MSSP
+//! columns, extraction) carrying the phase's simulated clique rounds, wall
 //! time, and message volume — the numbers `cc-serve --demo` logs at
 //! startup and the benchmark ledger reports per phase as
-//! `oracle.clique_build.*_us` / `oracle.direct_build.*_us`.
+//! `oracle.clique_build.*_us` / `oracle.direct_build.*_us`. Partitioning
+//! into shards is one local copy per slice and is not traced.
 //!
 //! # Example
 //!

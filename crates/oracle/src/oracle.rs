@@ -197,7 +197,7 @@ impl ArtifactSlice {
             }
             // Ball members are reachable by construction, so a distance
             // equal to the ∞ sentinel can only come from corruption — and
-            // would make `query` feed the sentinel into `Dist::fin`.
+            // would make the query kernel answer ∞ for a pair in a ball.
             if dists.contains(&Dist::INF.raw()) {
                 return Err(corrupt(format!("node row {v}: infinite ball distance")));
             }
@@ -322,12 +322,13 @@ impl ArtifactSlice {
 
 /// The smaller of the two landmark candidates of a pair (both are sound,
 /// so the minimum is); [`Dist::INF`] when neither endpoint's nearest
-/// landmark reaches the other endpoint.
+/// landmark reaches the other endpoint. The candidates are clamped to
+/// [`MAX_FINITE_DISTANCE`] already, so the answer is finite by construction.
 #[inline]
 pub(crate) fn nearer_landmark(a: Option<u64>, b: Option<u64>) -> Dist {
     match (a, b) {
-        (Some(a), Some(b)) => Dist::fin(a.min(b)),
-        (Some(d), None) | (None, Some(d)) => Dist::fin(d),
+        (Some(a), Some(b)) => Dist::from_raw(a.min(b)),
+        (Some(d), None) | (None, Some(d)) => Dist::from_raw(d),
         (None, None) => Dist::INF,
     }
 }
@@ -439,12 +440,13 @@ impl DistanceOracle {
         if u == v {
             return Dist::ZERO;
         }
-        // Exact regime: one endpoint inside the other's ball.
+        // Exact regime: one endpoint inside the other's ball. Ball distances
+        // are finite by construction (`from_sections` refuses an ∞ one).
         if let Some(d) = self.ball_distance(u, v) {
-            return Dist::fin(d);
+            return Dist::from_raw(d);
         }
         if let Some(d) = self.ball_distance(v, u) {
-            return Dist::fin(d);
+            return Dist::from_raw(d);
         }
         // Landmark regime: route through the nearest landmark of either
         // endpoint, whichever gives the smaller (still sound) estimate.

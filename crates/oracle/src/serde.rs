@@ -100,9 +100,6 @@ const LEGACY_MAGIC: &[u8; 4] = b"CCO1";
 /// payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotHeader {
-    /// Snapshot format version the file was written in
-    /// ([`SNAPSHOT_VERSION`]).
-    pub version: u32,
     /// Number of nodes the artifact covers (for a shard: the **parent
     /// artifact**, not just this slice).
     pub n: usize,
@@ -441,7 +438,6 @@ fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleErr
     };
     debug_assert_eq!(r.at, header_len);
     Ok(SnapshotHeader {
-        version,
         n,
         k,
         epsilon,
@@ -641,7 +637,6 @@ mod tests {
         let oracle = sample();
         let bytes = to_bytes_created_at(&oracle, 1_753_000_000);
         let header = peek_header(&bytes).unwrap();
-        assert_eq!(header.version, SNAPSHOT_VERSION);
         assert_eq!(header.n, oracle.n());
         assert_eq!(header.k, oracle.k());
         assert_eq!(header.epsilon, oracle.epsilon());
@@ -764,7 +759,6 @@ mod tests {
         for shard in &shards {
             let bytes = to_shard_bytes_created_at(shard, 1_753_000_000);
             let header = peek_shard_header(&bytes).unwrap();
-            assert_eq!(header.version, SNAPSHOT_VERSION);
             assert_eq!(header.n, shard.n());
             assert_eq!(header.k, shard.k());
             assert_eq!(header.epsilon, shard.epsilon());

@@ -32,7 +32,6 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use cc_matrix::Dist;
-use cc_telemetry::BuildTrace;
 
 use crate::error::{corrupt, invalid, set_mismatch};
 use crate::oracle::{check_pair, nearer_landmark, ArtifactSlice};
@@ -81,13 +80,11 @@ impl ShardPlan {
         self.count
     }
 
-    /// The contiguous node range shard `index` owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= count`.
+    /// The contiguous node range shard `index` owns. `index` must be in
+    /// `0..count`: callers check it (a snapshot's slot when its header is
+    /// parsed), and debug builds assert it.
     pub fn range(&self, index: usize) -> std::ops::Range<usize> {
-        assert!(index < self.count, "shard index {index} outside 0..{}", self.count);
+        debug_assert!(index < self.count, "shard index {index} outside 0..{}", self.count);
         let base = self.n / self.count;
         let extra = self.n % self.count;
         let start = index * base + index.min(extra);
@@ -95,13 +92,10 @@ impl ShardPlan {
         start..start + len
     }
 
-    /// The shard owning node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
+    /// The shard owning node `v`. `v` must be in `0..n`: routers check it at
+    /// their edge, and debug builds assert it.
     pub fn owner(&self, v: usize) -> usize {
-        assert!(v < self.n, "node {v} outside 0..{}", self.n);
+        debug_assert!(v < self.n, "node {v} outside 0..{}", self.n);
         let base = self.n / self.count;
         let extra = self.n % self.count;
         // The first `extra` shards each own `base + 1` nodes.
@@ -135,11 +129,13 @@ pub struct HalfQuery {
 /// [`Dist::INF`] when neither endpoint reaches the other through a ball or
 /// a landmark.
 pub fn combine(u_half: HalfQuery, v_half: HalfQuery) -> Dist {
+    // Ball distances are finite by construction: an artifact slice refuses
+    // an ∞ one.
     if let Some(d) = u_half.ball {
-        return Dist::fin(d);
+        return Dist::from_raw(d);
     }
     if let Some(d) = v_half.ball {
-        return Dist::fin(d);
+        return Dist::from_raw(d);
     }
     nearer_landmark(u_half.via_landmark, v_half.via_landmark)
 }
@@ -209,18 +205,17 @@ impl OracleShard {
     /// of `far` — the two row primitives of the monolithic query kernel,
     /// evaluated eagerly for one side.
     ///
-    /// # Panics
-    ///
-    /// Panics if `near` is not owned by this shard or `far` is not in
-    /// `0..n`; routers must validate first (see [`ShardRouter::try_query`]).
+    /// `near` must be owned by this shard and `far` in `0..n`: routers
+    /// validate first (see [`ShardRouter::try_query`]), and debug builds
+    /// assert it.
     pub fn half_query(&self, near: usize, far: usize) -> HalfQuery {
         let owned = self.owned();
-        assert!(
+        debug_assert!(
             owned.contains(&near),
             "node {near} is not owned by shard {} ({owned:?})",
             self.slot.index
         );
-        assert!(far < self.n(), "node {far} outside 0..{}", self.n());
+        debug_assert!(far < self.n(), "node {far} outside 0..{}", self.n());
         HalfQuery {
             ball: self.ball_distance(near, far),
             via_landmark: self.via_landmark(near, far),
@@ -252,48 +247,15 @@ impl ShardedArtifact {
         oracle: &DistanceOracle,
         count: usize,
     ) -> Result<ShardedArtifact, OracleError> {
-        Self::partition_traced(oracle, count).map(|(artifact, _)| artifact)
-    }
-
-    /// Like [`partition`](Self::partition), but also returns a
-    /// [`BuildTrace`] with one span per phase: the set-id checksum pass
-    /// plus one span per shard slice, each reporting the words of
-    /// artifact state copied into that slice (per-node state sliced by
-    /// range, landmark list and column matrix replicated). Partitioning
-    /// is purely local, so every span charges zero clique rounds.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`partition`](Self::partition).
-    pub fn partition_traced(
-        oracle: &DistanceOracle,
-        count: usize,
-    ) -> Result<(ShardedArtifact, BuildTrace), OracleError> {
-        let mut trace = BuildTrace::new();
         let plan = ShardPlan::new(oracle.n(), count)?;
-        // Timing goes through the BuildTrace helpers so this kernel file
-        // never reads a clock itself (cc-lint `determinism`).
-        let set_id =
-            trace.time_local("shard_set_id_checksum", || crate::serde::payload_checksum(oracle));
+        let set_id = crate::serde::payload_checksum(oracle);
         let shards = (0..count)
             .map(|i| {
-                trace.time_local_words(&format!("partition_shard_{i}"), || {
-                    let slot = ShardSlot { index: i as u32, count: count as u32, set_id };
-                    let shard =
-                        oracle.restrict(plan.range(i)).map(|slice| OracleShard { slice, slot });
-                    let words = shard.as_ref().map_or(0, |shard| {
-                        let s = shard.sections();
-                        s.ball_ids.len() * 2
-                            + s.ball_offsets.len()
-                            + s.columns.len()
-                            + s.landmarks.len()
-                            + s.nearest_landmark.len() * 2
-                    });
-                    (shard, words as u64)
-                })
+                let slot = ShardSlot { index: i as u32, count: count as u32, set_id };
+                oracle.restrict(plan.range(i)).map(|slice| OracleShard { slice, slot })
             })
             .collect::<Result<Vec<OracleShard>, OracleError>>()?;
-        Ok((ShardedArtifact { shards }, trace))
+        Ok(ShardedArtifact { shards })
     }
 
     /// The partition underlying this artifact.

@@ -2,11 +2,11 @@
 //!
 //! The PODC 2019 construction is analyzed in *rounds*, so "make builds
 //! cheap" needs per-phase round/wall/message-volume numbers rather than
-//! one aggregate. The oracle builder (k-nearest balls → hitting-set
-//! landmarks → MSSP columns) and the shard partitioner fill a
-//! [`BuildTrace`] with one [`PhaseSpan`] per phase; the trace can then be
-//! read span by span (the benchmark ledger does), exported as registry
-//! gauges (for `/metrics`), or printed as log lines (for `cc-serve --demo`).
+//! one aggregate. The oracle builders (k-nearest balls → hitting-set
+//! landmarks → MSSP columns) fill a [`BuildTrace`] with one [`PhaseSpan`]
+//! per phase; the trace can then be read span by span (the benchmark
+//! ledger does), exported as registry gauges (for `/metrics`), or printed
+//! as log lines (for `cc-serve --demo`).
 
 use crate::registry::Registry;
 
@@ -53,17 +53,6 @@ impl BuildTrace {
         let started = std::time::Instant::now();
         let out = f();
         self.record(name, started.elapsed().as_nanos() as u64, 0, 0, 0);
-        out
-    }
-
-    /// Like [`time_local`](Self::time_local), but for local phases that
-    /// also report a data volume: `f` returns `(result, words)` and the
-    /// span records the words (e.g. artifact state copied while slicing a
-    /// shard).
-    pub fn time_local_words<T>(&mut self, name: &str, f: impl FnOnce() -> (T, u64)) -> T {
-        let started = std::time::Instant::now();
-        let (out, words) = f();
-        self.record(name, started.elapsed().as_nanos() as u64, 0, 0, words);
         out
     }
 
@@ -153,13 +142,9 @@ mod tests {
         let mut t = BuildTrace::new();
         let out = t.time_local("local_extraction", || 41 + 1);
         assert_eq!(out, 42);
-        let got = t.time_local_words("partition_shard_0", || ("shard", 128));
-        assert_eq!(got, "shard");
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!((spans[0].rounds, spans[0].messages, spans[0].words), (0, 0, 0));
-        assert_eq!((spans[1].rounds, spans[1].messages, spans[1].words), (0, 0, 128));
-        assert_eq!(t.span("partition_shard_0").unwrap().words, 128);
+        let span = t.span("local_extraction").unwrap();
+        assert_eq!((span.rounds, span.messages, span.words), (0, 0, 0));
+        assert_eq!(t.spans().len(), 1);
     }
 
     #[test]

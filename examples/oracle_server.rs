@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "snapshot: {} bytes on disk (format v{}, build {}), reloads identically\n",
         std::fs::metadata(&path)?.len(),
-        loaded.header.version,
+        congested_clique::oracle::serde::SNAPSHOT_VERSION,
         loaded.info.build_id,
     );
 
