@@ -62,7 +62,9 @@ pub struct ShardDescriptor {
     pub owned_start: usize,
     /// Number of contiguous nodes the shard owns.
     pub owned_len: usize,
-    /// Heap footprint of the slice in bytes.
+    /// Heap footprint of the slice in bytes
+    /// ([`ArtifactSlice::artifact_bytes`]: its columns count in full even
+    /// when another slot shares them).
     pub artifact_bytes: usize,
     /// Identity of the artifact generation the slice was cut from.
     pub set_id: u64,
@@ -85,7 +87,9 @@ pub struct BackendDescriptor {
     pub epsilon: f64,
     /// Number of landmarks in the underlying build.
     pub landmark_count: usize,
-    /// Heap footprint in bytes (summed over shards for a router).
+    /// Heap footprint in bytes. For a router, summed over shards with each
+    /// column allocation counted once: a slot holding the same allocation
+    /// as an earlier slot adds its bytes less the columns.
     pub artifact_bytes: usize,
     /// The documented multiplicative stretch bound `3·(1+ε)`; for a
     /// mixed-generation routed set, the weakest (largest) bound across
@@ -117,7 +121,8 @@ impl BackendDescriptor {
 pub enum Backend {
     /// The whole artifact, answered by the monolithic query kernel.
     Mono(DistanceOracle),
-    /// A shard set, answered by combining one half-query per endpoint.
+    /// A shard set, answered by the monolith's kernel over the shards
+    /// owning the two endpoints.
     Router(ShardRouter),
 }
 
@@ -181,13 +186,15 @@ impl Backend {
             Backend::Router(router) => router.shards(),
         };
         let mut desc = describe("router", &shards[0]);
-        for s in &shards[1..] {
+        for (i, s) in shards.iter().enumerate().skip(1) {
             // During a rolling rollout the slices may come from builds with
             // different ε: report the **weakest** guarantee actually served,
             // not shard 0's (for a uniform set they coincide).
             desc.epsilon = desc.epsilon.max(s.epsilon());
             desc.stretch_bound = desc.stretch_bound.max(s.stretch_bound());
-            desc.artifact_bytes += s.artifact_bytes();
+            let columns = &s.sections().columns;
+            let held = shards[..i].iter().any(|t| Arc::ptr_eq(&t.sections().columns, columns));
+            desc.artifact_bytes += s.artifact_bytes() - if held { columns.len() * 8 } else { 0 };
         }
         desc.shards = shards
             .iter()
@@ -302,9 +309,15 @@ mod tests {
             21,
             "shards must cover every node"
         );
+        // One column matrix for the set: the monolith's bytes plus what each
+        // further shard repeats, its landmark list and one more ball offset.
+        let columns = oracle.n() * oracle.landmarks().len() * 8;
+        let repeated = 2 * (oracle.landmarks().len() * 4 + 4);
+        assert_eq!(routed.artifact_bytes, oracle.artifact_bytes() + repeated);
         assert_eq!(
             routed.artifact_bytes,
-            routed.shards.iter().map(|s| s.artifact_bytes).sum::<usize>()
+            routed.shards.iter().map(|s| s.artifact_bytes).sum::<usize>() - 2 * columns,
+            "each slice still reports its own columns"
         );
 
         // A cache keeps the inner mode and adds its counters.

@@ -51,6 +51,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use cc_distance::hitting_set_local;
 use cc_graph::Graph;
@@ -505,12 +506,14 @@ impl DirectBuilder {
         });
 
         trace.time_local("local_extraction", || {
-            let mut sections = Sections::with_rows(n, landmark_ids, vec![Dist::INF.raw(); n * s]);
+            // The rows go in as they are picked; the columns once filled.
+            let mut columns = vec![Dist::INF.raw(); n * s];
+            let mut sections = Sections::with_rows(n, landmark_ids, Vec::new());
             for (v, ball) in near.iter().enumerate() {
                 let mut pick: Option<(u64, u32)> = None;
                 for (i, row) in rows.iter().enumerate() {
                     if let Some(dv) = row[v] {
-                        sections.columns[v * s + i] = dv;
+                        columns[v * s + i] = dv;
                         if pick.is_none_or(|p| (dv, i as u32) < p) {
                             pick = Some((dv, i as u32));
                         }
@@ -524,6 +527,7 @@ impl DirectBuilder {
                 };
                 sections.push_row((pi, pd), ball_by_id(ball));
             }
+            sections.columns = Arc::new(columns);
             let params =
                 BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds: 0 };
             Ok(DistanceOracle(ArtifactSlice::from_sections(params, 0..n, sections)?))

@@ -12,7 +12,8 @@
 //!   Thorup–Zwick-style sketch: per-node exact balls plus approximate
 //!   landmark columns. The artifact has **one definition**,
 //!   [`ArtifactSlice`] — the rows of a contiguous node range plus the
-//!   replicated landmark list and column matrix, held as flat sections
+//!   landmark list and the column matrix every slice needs whole (behind
+//!   an `Arc`, so a shard set shares one allocation), held as flat sections
 //!   (balls in CSR form) that are also the snapshot's layout: a
 //!   [`DistanceOracle`] is the `0..n` slice, an [`OracleShard`] any other
 //!   slot, both come out of one validating constructor, and both are
@@ -53,10 +54,12 @@
 //!   so a load is a checksum pass and one bulk copy per section. The byte
 //!   layout is specified in `docs/SNAPSHOT_FORMAT.md`.
 //! * [`shard::ShardedArtifact`] partitions a built oracle by contiguous
-//!   node range — per-shard balls and nearest-landmark rows, replicated
-//!   landmark columns — and [`shard::ShardRouter`] answers queries over the
-//!   set **bit-identically to the monolith** by combining one
-//!   [`shard::HalfQuery`] per endpoint. Per-shard snapshots
+//!   node range — per-shard balls and nearest-landmark rows, one shared
+//!   landmark column matrix — and [`shard::ShardRouter`] answers queries
+//!   over the set **bit-identically to the monolith** by running the
+//!   monolith's kernel over the two shards owning the endpoints
+//!   ([`shard::HalfQuery`] + [`shard::combine`] give the same answer for a
+//!   router that cannot read both slices). Per-shard snapshots
 //!   ([`serde::to_shard_bytes`]) are the same file plus a [`ShardSlot`] —
 //!   shard index/count and a shared set id — so a router tier (a
 //!   sharded-manifest `cc-serve`) can load, verify, and hot-swap each

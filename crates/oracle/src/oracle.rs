@@ -12,6 +12,7 @@
 //! still reads one cache line per endpoint.
 
 use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use cc_matrix::Dist;
 
@@ -22,6 +23,11 @@ use crate::OracleError;
 /// disconnected sentinel, so a landmark-path sum that reaches or overflows it
 /// is clamped here instead of masquerading as `Dist::INF`.
 pub const MAX_FINITE_DISTANCE: u64 = u64::MAX - 1;
+
+/// The most nodes a build may cover: ball members, landmarks and the
+/// result cache's keys all hold node ids as `u32`, so ids stop at
+/// `2³² − 1`.
+pub(crate) const MAX_NODES: u64 = 1 << 32;
 
 /// The scalars every slice of one build shares — the snapshot header's
 /// build fields.
@@ -40,8 +46,11 @@ pub(crate) struct BuildParams {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Sections {
     /// Replicated: row-major `n × s` matrix of `(1+ε)`-approximate
-    /// distances to each landmark; `u64::MAX` encodes unreachable.
-    pub(crate) columns: Vec<u64>,
+    /// distances to each landmark; `u64::MAX` encodes unreachable. Behind
+    /// an `Arc` so every slice of one process can hold one allocation:
+    /// [`DistanceOracle::restrict`] clones the handle, and
+    /// [`crate::OracleShard::share_columns`] adopts a peer's.
+    pub(crate) columns: Arc<Vec<u64>>,
     /// Per owned node (indexed by `node - start`): `(index into landmarks,
     /// exact distance)` of its nearest landmark `p(v)`. On disk the `m`
     /// distances and the `m` indices are a section each.
@@ -60,13 +69,13 @@ pub(crate) struct Sections {
 
 impl Sections {
     /// Empty per-row sections sized for `rows` owned nodes, around the
-    /// replicated `landmarks` and `columns`; rows arrive through
-    /// [`Sections::push_row`].
+    /// replicated `landmarks` and `columns` (moved in, never copied); rows
+    /// arrive through [`Sections::push_row`].
     pub(crate) fn with_rows(rows: usize, landmarks: Vec<u32>, columns: Vec<u64>) -> Sections {
         let mut ball_offsets = Vec::with_capacity(rows + 1);
         ball_offsets.push(0);
         Sections {
-            columns,
+            columns: Arc::new(columns),
             nearest_landmark: Vec::with_capacity(rows),
             ball_dists: Vec::new(),
             landmarks,
@@ -122,9 +131,9 @@ impl ArtifactSlice {
     /// # Errors
     ///
     /// [`OracleError::CorruptSnapshot`] naming the first rule broken:
-    /// `owned` outside `0..n`; a section whose length is not the one
-    /// `n`, `s`, `owned` and `E` imply (`E` itself at most `u32::MAX`);
-    /// ball offsets that do not start at 0, decrease, or do not end at `E`;
+    /// `n` above `2³²` (node ids are `u32`); `owned` outside `0..n`; a
+    /// section whose length is not the one `n`, `s`, `owned` and `E` imply
+    /// (`E` itself at most `u32::MAX`); ball offsets that do not start at 0, decrease, or do not end at `E`;
     /// a landmark or ball member id `≥ n`; a landmark index `≥ s`; an
     /// infinite nearest-landmark or ball distance; a ball row whose ids are
     /// not strictly ascending.
@@ -136,6 +145,9 @@ impl ArtifactSlice {
         let Sections { columns, nearest_landmark, ball_dists, landmarks, ball_offsets, ball_ids } =
             &sections;
         let (n, s, rows, entries) = (params.n, landmarks.len(), owned.len(), ball_ids.len());
+        if n as u64 > MAX_NODES {
+            return Err(corrupt(format!("n = {n} nodes exceeds the u32 id space ({MAX_NODES})")));
+        }
         if owned.start > owned.end || owned.end > n {
             return Err(corrupt(format!("owned rows {owned:?} outside 0..{n}")));
         }
@@ -215,6 +227,19 @@ impl ArtifactSlice {
         &self.sections
     }
 
+    /// The data, for tests that forge a slice.
+    #[cfg(test)]
+    pub(crate) fn sections_mut(&mut self) -> &mut Sections {
+        &mut self.sections
+    }
+
+    /// Holds `columns` in place of an equal column matrix; the caller
+    /// compared them.
+    pub(crate) fn adopt_columns(&mut self, columns: Arc<Vec<u64>>) {
+        debug_assert!(columns == self.sections.columns, "adopted columns must be equal");
+        self.sections.columns = columns;
+    }
+
     /// Number of nodes the **whole build** covers (not just the owned rows).
     pub fn n(&self) -> usize {
         self.params.n
@@ -260,7 +285,10 @@ impl ArtifactSlice {
 
     /// Heap footprint in bytes — every section as allocated: 12 bytes per
     /// ball entry plus 4 per ball offset, 16 per nearest-landmark row, and
-    /// the replicated landmarks and columns — for capacity planning.
+    /// the replicated landmarks and columns — for capacity planning. The
+    /// columns count in full even when another slice shares them; a
+    /// router's [`crate::Backend::descriptor`] counts a shared allocation
+    /// once.
     pub fn artifact_bytes(&self) -> usize {
         let s = &self.sections;
         s.columns.len() * 8
@@ -318,6 +346,29 @@ impl ArtifactSlice {
                 .map_or(MAX_FINITE_DISTANCE, |sum| sum.min(MAX_FINITE_DISTANCE))
         })
     }
+}
+
+/// The query kernel — the one place a pair is answered, by the monolith
+/// as `(self, self)` and by a router with the slices owning `u` and `v`.
+/// `a` must own `u`, `b` must own `v`, and both must be in `0..n`.
+///
+/// Evaluated lazily: `u`'s ball in `a`, then `v`'s ball in `b` (both are
+/// exact, so the first hit is the answer), and only when both miss the
+/// two landmark candidates, whichever is smaller (both are sound).
+#[inline]
+pub(crate) fn answer(a: &ArtifactSlice, b: &ArtifactSlice, u: usize, v: usize) -> Dist {
+    if u == v {
+        return Dist::ZERO;
+    }
+    // Ball distances are finite by construction (`from_sections` refuses an
+    // ∞ one).
+    if let Some(d) = a.ball_distance(u, v) {
+        return Dist::from_raw(d);
+    }
+    if let Some(d) = b.ball_distance(v, u) {
+        return Dist::from_raw(d);
+    }
+    nearer_landmark(a.via_landmark(u, v), b.via_landmark(v, u))
 }
 
 /// The smaller of the two landmark candidates of a pair (both are sound,
@@ -410,8 +461,9 @@ impl DistanceOracle {
         Ok(self.query_unchecked(u, v))
     }
 
-    /// The rows of `range` as a slice of their own, with the replicated
-    /// state copied along: what partitioning cuts a shard from.
+    /// The rows of `range` as a slice of their own, with the landmark list
+    /// copied along and the column matrix shared: what partitioning cuts a
+    /// shard from.
     pub(crate) fn restrict(&self, range: Range<usize>) -> Result<ArtifactSlice, OracleError> {
         let s = &self.0.sections;
         let offsets = s.ball_offsets.get(range.start..=range.end).unwrap_or_default();
@@ -423,7 +475,7 @@ impl DistanceOracle {
             self.0.params,
             range.clone(),
             Sections {
-                columns: s.columns.clone(),
+                columns: Arc::clone(&s.columns),
                 nearest_landmark: s.nearest_landmark[range].to_vec(),
                 ball_dists: s.ball_dists[entries.clone()].to_vec(),
                 landmarks: s.landmarks.clone(),
@@ -433,24 +485,10 @@ impl DistanceOracle {
         )
     }
 
-    /// The query kernel; callers must have validated `u, v < n`. The same
-    /// two row primitives as [`crate::OracleShard::half_query`], evaluated
-    /// lazily: the landmark columns are only touched when both balls miss.
+    /// The query kernel over the whole artifact; callers must have
+    /// validated `u, v < n`.
     pub(crate) fn query_unchecked(&self, u: usize, v: usize) -> Dist {
-        if u == v {
-            return Dist::ZERO;
-        }
-        // Exact regime: one endpoint inside the other's ball. Ball distances
-        // are finite by construction (`from_sections` refuses an ∞ one).
-        if let Some(d) = self.ball_distance(u, v) {
-            return Dist::from_raw(d);
-        }
-        if let Some(d) = self.ball_distance(v, u) {
-            return Dist::from_raw(d);
-        }
-        // Landmark regime: route through the nearest landmark of either
-        // endpoint, whichever gives the smaller (still sound) estimate.
-        nearer_landmark(self.via_landmark(u, v), self.via_landmark(v, u))
+        answer(self, self, u, v)
     }
 
     /// Answers a batch of queries in request order, serially on the calling
@@ -611,7 +649,7 @@ mod tests {
         assert_eq!(oracle.try_query(0, 2).unwrap(), Dist::fin(super::MAX_FINITE_DISTANCE));
         // A genuinely disconnected artifact still reports infinity.
         let mut disconnected = near_max_path_oracle(5, 7);
-        disconnected.0.sections.columns = vec![u64::MAX, 0, u64::MAX];
+        disconnected.0.sections.columns = Arc::new(vec![u64::MAX, 0, u64::MAX]);
         disconnected.0.sections.nearest_landmark[0].1 = 0;
         disconnected.0.sections.nearest_landmark[2].1 = 0;
         assert_eq!(disconnected.try_query(0, 2).unwrap(), Dist::INF);
@@ -628,7 +666,7 @@ mod tests {
         };
         assert_eq!(rebuild(&|_| {}).unwrap(), clean);
         let broken: [(&str, Edit); 12] = [
-            ("column matrix", &|s| s.columns.push(0)),
+            ("column matrix", &|s| Arc::make_mut(&mut s.columns).push(0)),
             ("nearest-landmark rows", &|s| s.nearest_landmark.push((0, 0))),
             ("ball distances", &|s| s.ball_dists.push(0)),
             ("first ball offset", &|s| s.ball_offsets[0] = 1),
@@ -652,5 +690,21 @@ mod tests {
         // Rows outside the build, and more rows than the sections hold.
         assert!(ArtifactSlice::from_sections(clean.params, 1..4, clean.sections.clone()).is_err());
         assert!(ArtifactSlice::from_sections(clean.params, 0..2, clean.sections.clone()).is_err());
+    }
+
+    #[test]
+    fn from_sections_refuses_more_nodes_than_u32_ids_can_name() {
+        // No rows, no landmarks, nothing owned: every section is empty and
+        // consistent, so only the node bound can refuse it.
+        let empty = || Sections::with_rows(0, Vec::new(), Vec::new());
+        let params = |n| BuildParams { n, k: 1, epsilon: 0.25, seed: 0, build_rounds: 0 };
+        let too_many = (1usize << 32) + 1;
+        match ArtifactSlice::from_sections(params(too_many), 0..0, empty()) {
+            Err(OracleError::CorruptSnapshot { what }) => {
+                assert!(what.contains("u32 id space"), "must name the bound: {what}");
+            }
+            other => panic!("n = 2^32 + 1 must be refused, got {other:?}"),
+        }
+        assert!(ArtifactSlice::from_sections(params(1 << 32), 0..0, empty()).is_ok());
     }
 }

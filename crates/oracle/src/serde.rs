@@ -71,6 +71,8 @@
 //! one-release migration window; v1 bytes are rejected everywhere, never
 //! parsed.
 
+use std::sync::Arc;
+
 use crate::error::corrupt;
 use crate::oracle::{ArtifactSlice, BuildParams, Sections};
 use crate::shard::{OracleShard, ShardPlan, ShardSlot};
@@ -501,7 +503,7 @@ fn read_sections(payload: &[u8], header: &SnapshotHeader) -> Result<Sections, Or
     }
     let entries = ball_bytes / 12;
     let mut r = Reader { bytes: payload, at: 0 };
-    let columns = u64s(r.take(cells * 8)?).collect();
+    let columns = Arc::new(u64s(r.take(cells * 8)?).collect());
     let nearest_dists = r.take(rows * 8)?;
     let ball_dists = u64s(r.take(entries * 8)?).collect();
     let landmarks = u32s(r.take(s * 4)?).collect();

@@ -1,7 +1,6 @@
-//! Shard a built oracle by contiguous node range and answer queries by
-//! combining **two half-results** — exactly the way the monolithic
-//! [`DistanceOracle::try_query`] combines them, so a [`ShardRouter`] is
-//! bit-identical to the monolith it was partitioned from.
+//! Shard a built oracle by contiguous node range and answer queries with
+//! the monolith's own kernel over the two slices owning the endpoints, so a
+//! [`ShardRouter`] is bit-identical to the monolith it was partitioned from.
 //!
 //! The paper's artifact is "build once in the clique, query locally
 //! forever"; at production scale one process cannot hold every node's ball.
@@ -10,20 +9,25 @@
 //! * **balls and nearest-landmark rows are per-node state** — shard them by
 //!   contiguous node range ([`ShardPlan`]);
 //! * **the landmark column matrix is global state the landmark regime needs
-//!   for *both* endpoints** — replicate it to every shard, so a single
-//!   shard can finish the landmark path for any pair it owns an endpoint
-//!   of. Landmark columns are `n × s` with `s ≈ √(n·k)` — the replicated
-//!   part shrinks relative to the sharded part as the deployment grows.
+//!   for *both* endpoints** — every shard holds it, so a single shard can
+//!   finish the landmark path for any pair it owns an endpoint of. Each
+//!   shard *file* carries its own copy; in one process the shards of a set
+//!   hold one allocation behind an `Arc` ([`ShardedArtifact::partition`]
+//!   shares the oracle's, and a loader calls [`OracleShard::share_columns`]
+//!   per decoded file). Landmark columns are `n × s` with `s ≈ √(n·k)`.
 //!
-//! A query `(u, v)` then decomposes into two [`HalfQuery`] lookups — one on
-//! the shard owning `u`, one on the shard owning `v` (the same shard when
-//! they are co-located) — and a pure [`combine`] step any router tier can
-//! run. A manifest-driven `cc-serve` in sharded mode is that router tier
+//! A routed query `(u, v)` runs the monolith's kernel with `u`'s ball read
+//! from the shard owning `u` and `v`'s from the shard owning `v` (the same
+//! shard when they are co-located), lazily: a ball hit ends it. The same
+//! answer also decomposes into two [`HalfQuery`] lookups, one per owning
+//! shard, and a pure [`combine`] step — the seam an out-of-process router
+//! tier would use; tests pin `combine` equal to the router for every pair.
+//! A manifest-driven `cc-serve` in sharded mode is the in-process router
 //! over HTTP.
 //!
 //! A shard is the same [`ArtifactSlice`] a whole artifact is — flat
 //! sections, balls in CSR form — restricted to its rows, so cutting one is a
-//! handful of section copies. Per-shard snapshots (magic `CCSH`, the fixed
+//! handful of row-section copies. Per-shard snapshots (magic `CCSH`, the fixed
 //! header extended with shard index/count and a set id) are in
 //! [`crate::serde`]:
 //! [`crate::serde::to_shard_bytes`] / [`crate::serde::from_shard_bytes`].
@@ -34,7 +38,7 @@ use std::sync::Arc;
 use cc_matrix::Dist;
 
 use crate::error::{corrupt, invalid, set_mismatch};
-use crate::oracle::{check_pair, nearer_landmark, ArtifactSlice};
+use crate::oracle::{answer, check_pair, nearer_landmark, ArtifactSlice, MAX_NODES};
 use crate::{DistanceOracle, OracleError};
 
 /// A deterministic partition of `0..n` into `count` contiguous, balanced
@@ -44,10 +48,42 @@ use crate::{DistanceOracle, OracleError};
 ///
 /// The first `n % count` shards own one extra node, so range sizes differ
 /// by at most one.
+///
+/// [`ShardPlan::owner`] divides by a range width on every routed query, so
+/// the plan precomputes `M = ⌈2⁶⁴/d⌉` for both widths `d` and multiplies
+/// instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     n: usize,
     count: usize,
+    /// The first `extra` shards own `base + 1` nodes, the rest `base`;
+    /// together the wide ones own `0..wide`.
+    base: usize,
+    extra: usize,
+    wide: usize,
+    /// `v / (base + 1)` and `v / base` for `v < n`.
+    by_wide: Reciprocal,
+    by_base: Reciprocal,
+}
+
+/// Division by a fixed `d` as one multiply and one shift: with
+/// `M = ⌈2⁶⁴/d⌉`, `⌊v/d⌋ = ⌊v·M / 2⁶⁴⌋` for every `v < 2³²` when `d ≤ 2³²`
+/// (Lemire, Kaser and Kurz, arXiv 1902.01961, Theorem 1 with `N = 32`,
+/// `F = 64`). `M` is a `u128` because `d = 1` makes it `2⁶⁴`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Reciprocal(u128);
+
+impl Reciprocal {
+    /// The reciprocal of `d ≥ 1`.
+    fn of(d: usize) -> Reciprocal {
+        Reciprocal((1u128 << 64).div_ceil(d as u128))
+    }
+
+    /// `⌊v/d⌋`, exact for `v < 2³²` and `d ≤ 2³²`.
+    #[inline]
+    fn divide(self, v: usize) -> usize {
+        ((v as u128 * self.0) >> 64) as usize
+    }
 }
 
 impl ShardPlan {
@@ -55,8 +91,9 @@ impl ShardPlan {
     ///
     /// # Errors
     ///
-    /// [`OracleError::InvalidParameter`] when `n == 0`, `count == 0`, or
-    /// `count > n` (an empty shard would own no nodes and serve nothing).
+    /// [`OracleError::InvalidParameter`] when `n == 0`, `count == 0`,
+    /// `count > n` (an empty shard would own no nodes and serve nothing), or
+    /// `n > 2³²` (node ids are `u32`).
     pub fn new(n: usize, count: usize) -> Result<ShardPlan, OracleError> {
         if n == 0 {
             return Err(invalid("shard plan over an empty node set (n = 0)"));
@@ -67,7 +104,26 @@ impl ShardPlan {
         if count > n {
             return Err(invalid(format!("shard count {count} exceeds node count {n}")));
         }
-        Ok(ShardPlan { n, count })
+        if n as u64 > MAX_NODES {
+            return Err(invalid(format!("n = {n} nodes exceeds the u32 id space ({MAX_NODES})")));
+        }
+        Ok(ShardPlan::shaped(n, count))
+    }
+
+    /// The one place a plan is built. The shape must be valid (`1 ≤ count ≤
+    /// n ≤ 2³²`): [`ShardPlan::new`] checks it, and a shard's own `(n,
+    /// count)` passed the same checks when it was cut or decoded.
+    fn shaped(n: usize, count: usize) -> ShardPlan {
+        let (base, extra) = (n / count, n % count);
+        ShardPlan {
+            n,
+            count,
+            base,
+            extra,
+            wide: extra * (base + 1),
+            by_wide: Reciprocal::of(base + 1),
+            by_base: Reciprocal::of(base),
+        }
     }
 
     /// Number of nodes the plan covers.
@@ -85,32 +141,29 @@ impl ShardPlan {
     /// parsed), and debug builds assert it.
     pub fn range(&self, index: usize) -> std::ops::Range<usize> {
         debug_assert!(index < self.count, "shard index {index} outside 0..{}", self.count);
-        let base = self.n / self.count;
-        let extra = self.n % self.count;
-        let start = index * base + index.min(extra);
-        let len = base + usize::from(index < extra);
+        let start = index * self.base + index.min(self.extra);
+        let len = self.base + usize::from(index < self.extra);
         start..start + len
     }
 
-    /// The shard owning node `v`. `v` must be in `0..n`: routers check it at
-    /// their edge, and debug builds assert it.
+    /// The shard owning node `v`, without a division. `v` must be in
+    /// `0..n`: routers check it at their edge, and debug builds assert it.
+    #[inline]
     pub fn owner(&self, v: usize) -> usize {
         debug_assert!(v < self.n, "node {v} outside 0..{}", self.n);
-        let base = self.n / self.count;
-        let extra = self.n % self.count;
-        // The first `extra` shards each own `base + 1` nodes.
-        let wide = extra * (base + 1);
-        if v < wide {
-            v / (base + 1)
+        if v < self.wide {
+            self.by_wide.divide(v)
         } else {
-            extra + (v - wide) / base
+            self.extra + self.by_base.divide(v - self.wide)
         }
     }
 }
 
 /// One endpoint's contribution to a distance query: computable entirely on
 /// the shard owning that endpoint, combinable by [`combine`] without any
-/// further artifact access.
+/// further artifact access. The in-process router does not build these (it
+/// stops at the first ball hit); they are the wire shape of a router that
+/// cannot read both slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HalfQuery {
     /// Exact distance if the *far* endpoint lies in the near endpoint's
@@ -122,12 +175,12 @@ pub struct HalfQuery {
     pub via_landmark: Option<u64>,
 }
 
-/// Combines the two half-results for a pair `(u, v)` with `u != v` exactly
-/// as [`DistanceOracle::try_query`] does: `u`'s ball is consulted first, then
-/// `v`'s (both are exact, so the order only matters for symmetry of the
-/// code path, not the answer), then the smaller landmark candidate;
-/// [`Dist::INF`] when neither endpoint reaches the other through a ball or
-/// a landmark.
+/// Combines the two half-results for a pair `(u, v)` with `u != v` into
+/// the answer [`DistanceOracle::try_query`] and [`ShardRouter::try_query`]
+/// give: `u`'s ball first, then `v`'s (both are exact, so the order only
+/// matters for symmetry of the code path, not the answer), then the smaller
+/// landmark candidate; [`Dist::INF`] when neither endpoint reaches the
+/// other through a ball or a landmark.
 pub fn combine(u_half: HalfQuery, v_half: HalfQuery) -> Dist {
     // Ball distances are finite by construction: an artifact slice refuses
     // an ∞ one.
@@ -157,8 +210,9 @@ pub struct ShardSlot {
 
 /// One shard of a partitioned oracle: the [`ArtifactSlice`] holding the
 /// balls and nearest-landmark rows of its contiguous node range plus the
-/// **replicated** landmark list and full `n × s` column matrix (so
-/// [`OracleShard::half_query`] never needs another shard), tagged with the
+/// landmark list and full `n × s` column matrix (so
+/// [`OracleShard::half_query`] never needs another shard; the matrix may be
+/// one allocation shared with the rest of the set), tagged with the
 /// [`ShardSlot`] it fills. Derefs to the slice for the parent build's
 /// parameters, [`ArtifactSlice::owned`] and
 /// [`ArtifactSlice::artifact_bytes`].
@@ -196,14 +250,33 @@ impl OracleShard {
 
     /// The partition this shard belongs to.
     pub fn plan(&self) -> ShardPlan {
-        ShardPlan { n: self.n(), count: self.count() }
+        ShardPlan::shaped(self.n(), self.count())
+    }
+
+    /// Adopts the column allocation of the first peer whose column matrix
+    /// equals this shard's cell for cell, dropping this shard's own copy;
+    /// keeps its own when no peer's does. Equality is by value, never
+    /// inferred from the set id: a forged file, or a checksum collision
+    /// between two builds, must not borrow another build's columns. So
+    /// adopting never changes an answer.
+    ///
+    /// A loader calls this right after decoding each file of a set, so the
+    /// copy it frees is what the next decode allocates into.
+    pub fn share_columns(&mut self, peers: &[Arc<OracleShard>]) {
+        let mine = &self.slice.sections().columns;
+        // `Arc`'s `==` is pointer-first, so an adopted peer costs no scan.
+        let shared =
+            peers.iter().map(|peer| &peer.sections().columns).find(|&theirs| theirs == mine);
+        if let Some(theirs) = shared.cloned() {
+            self.slice.adopt_columns(theirs);
+        }
     }
 
     /// The half-result for the pair `(near, far)` seen from `near`'s side.
     /// Every lookup touches only this shard's data: `near`'s ball (is `far`
-    /// inside?), `near`'s nearest-landmark row, and the replicated column
-    /// of `far` — the two row primitives of the monolithic query kernel,
-    /// evaluated eagerly for one side.
+    /// inside?), `near`'s nearest-landmark row, and the column
+    /// of `far` — the two row primitives of the query kernel, evaluated
+    /// eagerly for one side.
     ///
     /// `near` must be owned by this shard and `far` in `0..n`: routers
     /// validate first (see [`ShardRouter::try_query`]), and debug builds
@@ -235,9 +308,9 @@ impl ShardedArtifact {
     /// Partitions `oracle` into `count` shards along a [`ShardPlan`].
     ///
     /// The per-node state (balls, nearest-landmark rows) is split by node
-    /// range; the landmark list and column matrix are replicated into every
-    /// shard; every shard carries the parent's payload checksum as its
-    /// `set_id`.
+    /// range; the landmark list is copied into every shard, and every shard
+    /// holds the oracle's own column allocation; every shard carries the
+    /// parent's payload checksum as its `set_id`.
     ///
     /// # Errors
     ///
@@ -399,9 +472,9 @@ fn field_mismatch(
     set_mismatch(format!("shard {i}: {what} = {got} but the set has {what} = {want}"))
 }
 
-/// Routes distance queries over a complete, validated shard set, combining
-/// the two per-endpoint half-results exactly as the monolithic
-/// [`DistanceOracle::try_query`] would — the equivalence the
+/// Routes distance queries over a complete, validated shard set with the
+/// monolithic [`DistanceOracle::try_query`]'s kernel, reading each
+/// endpoint's rows from the shard that owns it — the equivalence the
 /// `tests/shard_equivalence.rs` suite pins down bit-for-bit.
 ///
 /// # Example
@@ -429,8 +502,7 @@ fn field_mismatch(
 pub struct ShardRouter {
     plan: ShardPlan,
     /// `Arc` so a serving layer can roll one slice without deep-copying the
-    /// others (each slice carries the replicated column matrix); see
-    /// [`ShardRouter::with_shard_replaced`].
+    /// others.
     shards: Vec<Arc<OracleShard>>,
 }
 
@@ -476,7 +548,7 @@ impl ShardRouter {
     /// every slice must declare its slot, the shared shard count and `n`,
     /// and own the range the recomputed [`ShardPlan`] assigns. What is
     /// *not* required is agreement on set id, `k`, `ε`, or the landmark
-    /// set: each half-query is computed entirely within one slice, so a
+    /// set: each endpoint's half of a query is read from one slice, so a
     /// mixed set stays sound pair-by-pair while
     /// [`ShardRouter::set_uniform`] reports the roll's progress.
     ///
@@ -513,8 +585,8 @@ impl ShardRouter {
         self.shards.windows(2).all(|w| w[0].set_id() == w[1].set_id())
     }
 
-    /// Distance estimate for `(u, v)`: two half-queries on the owning
-    /// shards, combined exactly like the monolithic query kernel.
+    /// Distance estimate for `(u, v)`: the monolithic query kernel over the
+    /// shards owning `u` and `v`.
     ///
     /// # Errors
     ///
@@ -526,12 +598,7 @@ impl ShardRouter {
 
     /// The routed kernel; callers must have validated `u, v < n`.
     pub(crate) fn query_unchecked(&self, u: usize, v: usize) -> Dist {
-        if u == v {
-            return Dist::ZERO;
-        }
-        let u_half = self.shards[self.plan.owner(u)].half_query(u, v);
-        let v_half = self.shards[self.plan.owner(v)].half_query(v, u);
-        combine(u_half, v_half)
+        answer(&self.shards[self.plan.owner(u)], &self.shards[self.plan.owner(v)], u, v)
     }
 
     /// Answers a batch of queries in request order.
@@ -595,20 +662,77 @@ mod tests {
     }
 
     #[test]
-    fn router_is_bit_identical_to_the_monolith() {
-        let oracle = build(33, 5);
-        for count in [1usize, 2, 3, 7] {
-            let router = ShardedArtifact::partition(&oracle, count).unwrap().into_router().unwrap();
-            for u in 0..33 {
-                for v in 0..33 {
-                    assert_eq!(
-                        router.try_query(u, v).unwrap(),
-                        oracle.try_query(u, v).unwrap(),
-                        "({u},{v}) with {count} shards"
+    fn plan_refuses_more_nodes_than_u32_ids_can_name() {
+        match ShardPlan::new((1 << 32) + 1, 1) {
+            Err(OracleError::InvalidParameter { what }) => {
+                assert!(what.contains("u32 id space"), "must name the bound: {what}");
+            }
+            other => panic!("n = 2^32 + 1 must be refused, got {other:?}"),
+        }
+        assert!(ShardPlan::new(1 << 32, 1).is_ok());
+    }
+
+    /// The multiply-shift owner against plain division at the largest `n`
+    /// a plan accepts, where the reciprocals are least exact: every range
+    /// boundary ±1 and `n − 1`. At `count = 2³²` every node is a boundary,
+    /// so that plan is checked on its first and last 2¹⁶ ranges.
+    #[test]
+    fn owner_divides_exactly_at_two_to_the_32_nodes() {
+        let n = 1usize << 32;
+        let reference = |count: usize, v: usize| {
+            let (base, extra) = (n / count, n % count);
+            let wide = extra * (base + 1);
+            if v < wide {
+                v / (base + 1)
+            } else {
+                extra + (v - wide) / base
+            }
+        };
+        for count in [1usize, 2, 3, 7, 1000, 1 << 32] {
+            let plan = ShardPlan::new(n, count).unwrap();
+            let edge = 1 << 16;
+            let checked = (0..count.min(edge)).chain(count.saturating_sub(edge).max(edge)..count);
+            for i in checked {
+                let start = plan.range(i).start;
+                for v in [start.saturating_sub(1), start, start + 1, n - 1] {
+                    if v < n {
+                        assert_eq!(
+                            plan.owner(v),
+                            reference(count, v),
+                            "owner({v}) at count {count}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(plan.owner(n - 1), count - 1, "count {count}");
+        }
+    }
+
+    /// Every pair through the router, against the monolith and against
+    /// the out-of-process seam, `combine` of one half-query per owner.
+    fn assert_router_agrees(oracle: &DistanceOracle, counts: &[usize]) {
+        let n = oracle.n();
+        for &count in counts {
+            let router = ShardedArtifact::partition(oracle, count).unwrap().into_router().unwrap();
+            let (plan, shards) = (router.plan(), router.shards());
+            for u in 0..n {
+                for v in 0..n {
+                    let routed = router.try_query(u, v).unwrap();
+                    assert_eq!(routed, oracle.try_query(u, v).unwrap(), "({u},{v}) x{count}");
+                    let halves = combine(
+                        shards[plan.owner(u)].half_query(u, v),
+                        shards[plan.owner(v)].half_query(v, u),
                     );
+                    let seam = if u == v { Dist::ZERO } else { halves };
+                    assert_eq!(routed, seam, "({u},{v}) x{count}: combine disagrees");
                 }
             }
         }
+    }
+
+    #[test]
+    fn router_is_bit_identical_to_the_monolith() {
+        assert_router_agrees(&build(33, 5), &[1, 2, 3, 7]);
     }
 
     #[test]
@@ -618,18 +742,7 @@ mod tests {
             cc_graph::Graph::from_edges(9, [(0, 1, 2), (1, 2, 3), (4, 5, 1), (5, 6, 9)]).unwrap();
         let mut clique = Clique::new(9);
         let oracle = OracleBuilder::new().build(&mut clique, &g).unwrap();
-        for count in [1usize, 2, 3] {
-            let router = ShardedArtifact::partition(&oracle, count).unwrap().into_router().unwrap();
-            for u in 0..9 {
-                for v in 0..9 {
-                    assert_eq!(
-                        router.try_query(u, v).unwrap(),
-                        oracle.try_query(u, v).unwrap(),
-                        "({u},{v}) x{count}"
-                    );
-                }
-            }
-        }
+        assert_router_agrees(&oracle, &[1, 2, 3, 7]);
     }
 
     /// The 3-node near-`u64::MAX` path artifact from the monolithic clamp
@@ -642,16 +755,40 @@ mod tests {
         for count in [1usize, 2, 3] {
             let router = ShardedArtifact::partition(&oracle, count).unwrap().into_router().unwrap();
             assert_eq!(router.try_query(0, 2).unwrap(), Dist::fin(MAX_FINITE_DISTANCE), "x{count}");
-            for u in 0..3 {
-                for v in 0..3 {
-                    assert_eq!(
-                        router.try_query(u, v).unwrap(),
-                        oracle.try_query(u, v).unwrap(),
-                        "({u},{v}) x{count}"
-                    );
-                }
-            }
         }
+        assert_router_agrees(&oracle, &[1, 2, 3]);
+    }
+
+    #[test]
+    fn partition_shares_the_oracles_column_allocation() {
+        let oracle = build(21, 4);
+        let columns = &oracle.sections().columns;
+        for shard in ShardedArtifact::partition(&oracle, 3).unwrap().shards() {
+            assert!(Arc::ptr_eq(&shard.sections().columns, columns), "shard {}", shard.index());
+        }
+    }
+
+    #[test]
+    fn share_columns_adopts_only_an_equal_matrix() {
+        let oracle = build(21, 4);
+        let shards = ShardedArtifact::partition(&oracle, 3).unwrap().into_shards();
+        let peers = vec![Arc::new(shards[0].clone())];
+        let shared = |shard: &OracleShard| {
+            Arc::ptr_eq(&shard.sections().columns, &peers[0].sections().columns)
+        };
+        // Equal cells in an allocation of its own, as a decoded file has.
+        let mut copy = shards[1].clone();
+        copy.slice.sections_mut().columns = Arc::new(oracle.sections().columns.to_vec());
+        assert!(!shared(&copy));
+        copy.share_columns(&peers);
+        assert!(shared(&copy), "an equal matrix must be adopted");
+        assert_eq!(copy, shards[1]);
+        // Same set id, one cell changed: keeps its own.
+        let mut forged = shards[1].clone();
+        Arc::make_mut(&mut forged.slice.sections_mut().columns)[0] ^= 1;
+        forged.share_columns(&peers);
+        assert_eq!(forged.set_id(), peers[0].set_id());
+        assert!(!shared(&forged), "a different matrix must not be adopted");
     }
 
     #[test]

@@ -47,8 +47,8 @@
 //! the one whose `set_id` pin gates `/reload?path=`. The operator's
 //! handbook is `docs/OPERATIONS.md`.
 //!
-//! In router mode `/distance` and `/batch` combine the two owning shards'
-//! half-results **bit-identically to the monolithic oracle**,
+//! In router mode `/distance` and `/batch` run the monolith's kernel over
+//! the two owning shards, **bit-identically to the monolithic oracle**,
 //! `/reload?shard=i` rolls one slice at a time (sharing the rest), and
 //! `/stats` reports per-shard build ids plus whether the set is uniform.
 //! Startup passes the set through one gate (matching `n`/`k`/`ε`/

@@ -309,7 +309,8 @@ fn stage_snapshot(
 
 /// Stages `current` with slot `index` replaced by the per-shard snapshot
 /// at `path`; [`ShardRouter::assemble_rolling`] holds it to the slot, the
-/// shard count and the `n` of the serving set.
+/// shard count and the `n` of the serving set. The new slice adopts a
+/// serving slot's column allocation when the matrices are equal.
 fn stage_shard(
     current: &Generation,
     index: usize,
@@ -337,8 +338,10 @@ fn stage_shard(
         }
     };
     let rolled = source::load_slice(path, serde::from_shard_bytes_with_header).and_then(|loaded| {
+        let mut shard = loaded.artifact;
+        shard.share_columns(router.shards());
         let mut shards = router.shards().to_vec();
-        shards[index] = Arc::new(loaded.artifact);
+        shards[index] = Arc::new(shard);
         let mut shard_infos = current.shard_infos().to_vec();
         shard_infos[index] = loaded.info;
         let router = ShardRouter::assemble_rolling(shards)?;

@@ -66,6 +66,11 @@ pub fn load_slice<A>(
 /// `n`, `k`, `ε`, landmarks, and set id. Returns the router and each
 /// slice's per-file identity, in slot order.
 ///
+/// Every file carries the column matrix; each decoded copy is dropped for
+/// an equal one already loaded ([`cc_oracle::OracleShard::share_columns`]),
+/// so a set from one build holds one matrix, and the next decode reuses
+/// the freed copy's memory.
+///
 /// # Errors
 ///
 /// The first per-file failure (I/O, corruption, a monolithic snapshot), or
@@ -82,8 +87,9 @@ pub fn load_shard_set(
     let (mut shards, mut infos) =
         (Vec::with_capacity(paths.len()), Vec::with_capacity(paths.len()));
     for (i, path) in paths.iter().enumerate() {
-        let loaded =
+        let mut loaded =
             load_slice(path, serde::from_shard_bytes_with_header).map_err(|e| named(i, &e))?;
+        loaded.artifact.share_columns(&shards);
         shards.push(Arc::new(loaded.artifact));
         infos.push(loaded.info);
     }

@@ -379,3 +379,58 @@ fn failed_shard_reload_keeps_the_old_generation_serving() {
     std::fs::remove_file(small_path).ok();
     handle.shutdown();
 }
+
+/// What a routed generation reports as its footprint.
+fn served_bytes(handle: &ServerHandle) -> usize {
+    handle.state().generation().descriptor().artifact_bytes
+}
+
+/// A set loaded from its files holds one column matrix, not one per file:
+/// its footprint is the monolith's plus what each further shard repeats
+/// (its landmark list and one ball offset). Rolling one slot to another
+/// build's shard adds that build's matrix; rolling every slot leaves one.
+#[test]
+fn a_loaded_set_holds_one_column_matrix_until_a_roll_mixes_builds() {
+    let (_, a) = build_oracle(61);
+    let (_, b) = build_oracle(62);
+    let dir = temp_dir("footprint");
+    let (paths, handle) = start_router(&a, &dir, 2);
+    let one_matrix =
+        |o: &DistanceOracle| o.artifact_bytes() + (SHARDS - 1) * (o.landmarks().len() * 4 + 4);
+    assert_eq!(served_bytes(&handle), one_matrix(&a));
+
+    let a_shards = ShardedArtifact::partition(&a, SHARDS).unwrap().into_shards();
+    let b_shards = ShardedArtifact::partition(&b, SHARDS).unwrap().into_shards();
+    let a_columns = N * a.landmarks().len() * 8;
+    let b_paths: Vec<PathBuf> = b_shards
+        .iter()
+        .map(|shard| {
+            let path = dir.join(format!("b-shard-{}.snap", shard.index()));
+            std::fs::write(&path, serde::to_shard_bytes(shard)).unwrap();
+            path
+        })
+        .collect();
+    let mut client = BlockingClient::connect(handle.addr()).unwrap();
+    let mut roll = |slot: usize| {
+        let url = format!("/reload?shard={slot}&path={}", b_paths[slot].display());
+        let (status, body) = client.post(&url, b"").unwrap();
+        assert_eq!(status, 200, "roll of slot {slot}: {}", String::from_utf8_lossy(&body));
+    };
+
+    // Slot 1 from B: B's slice counts in full, A's rows leave, A's matrix
+    // stays for slots 0 and 2.
+    roll(1);
+    let mixed =
+        one_matrix(&a) - (a_shards[1].artifact_bytes() - a_columns) + b_shards[1].artifact_bytes();
+    assert_eq!(served_bytes(&handle), mixed);
+
+    // The other slots adopt B's matrix from slot 1: one matrix again.
+    roll(0);
+    roll(2);
+    assert_eq!(served_bytes(&handle), one_matrix(&b));
+
+    for p in paths.into_iter().chain(b_paths) {
+        std::fs::remove_file(p).ok();
+    }
+    handle.shutdown();
+}
