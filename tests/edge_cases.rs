@@ -12,6 +12,7 @@ use congested_clique::graph::{generators, reference, Graph};
 use congested_clique::hopset::{build_hopset, HopsetConfig};
 use congested_clique::matmul::{dense_multiply, filtered_multiply, sparse_multiply};
 use congested_clique::matrix::{Dist, MinPlus, SparseMatrix};
+use congested_clique::oracle::{testkit, DirectBuilder, OracleBuilder};
 
 #[test]
 fn single_node_clique_runs_everything() {
@@ -132,6 +133,29 @@ fn huge_weights_do_not_overflow() {
     let mut clique = Clique::new(4);
     let run = apsp::weighted_3eps(&mut clique, &g, 0.5).unwrap();
     assert!(run.dist[0][3].value().unwrap() >= 3 * big);
+}
+
+/// A path whose length overflows is no path: the augmented semiring's rule
+/// (§3.1, `AugDist::combine`). On the path 0–1–2–3 with weights 2⁶³, 2⁶³, 1
+/// the length of 0–1–2 is 2⁶⁴, so nodes 2 and 3 are unreachable from 0.
+#[test]
+fn overflowing_path_is_no_path_everywhere() {
+    let half = 1u64 << 63;
+    let g = Graph::from_edges(4, [(0, 1, half), (1, 2, half), (2, 3, 1)]).unwrap();
+    assert_eq!(reference::dijkstra(&g, 0), vec![Some(0), Some(half), None, None]);
+    for k in [None, Some(1), Some(2), Some(4)] {
+        let (mut via_clique, mut direct) = (OracleBuilder::new(), DirectBuilder::new());
+        if let Some(k) = k {
+            via_clique = via_clique.k(k);
+            direct = direct.k(k);
+        }
+        let clique_built = via_clique.build(&mut Clique::new(4), &g).unwrap();
+        testkit::assert_same_artifact(&direct.build(&g).unwrap(), &clique_built);
+        // A capped build returns Ok or Err, never panics.
+        for m in 1..=4 {
+            let _ = direct.clone().max_landmarks(m).build(&g);
+        }
+    }
 }
 
 #[test]
