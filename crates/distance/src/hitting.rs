@@ -57,18 +57,7 @@ impl HittingSet {
         &self,
         row: &SparseRow<cc_matrix::AugDist>,
     ) -> Option<(usize, cc_matrix::AugDist)> {
-        self.closest_of(row.iter())
-    }
-
-    /// [`closest_in_row`](Self::closest_in_row) over any `(id, distance)`
-    /// entry stream — the same selection rule for callers (like the direct
-    /// builder) that hold plain vectors instead of sparse rows.
-    pub fn closest_of<'a>(
-        &self,
-        entries: impl IntoIterator<Item = (u32, &'a cc_matrix::AugDist)>,
-    ) -> Option<(usize, cc_matrix::AugDist)> {
-        entries
-            .into_iter()
+        row.iter()
             .filter(|(c, _)| self.contains(*c as usize))
             .min_by_key(|(c, a)| (**a, *c))
             .map(|(c, a)| (c as usize, *a))

@@ -43,6 +43,7 @@ use cc_distance::{
     check_size, hitting_set, k_nearest, source_detection_all, DistanceError, HittingSet,
 };
 use cc_graph::Graph;
+use cc_matrix::{AugDist, SparseRow};
 
 /// Tuning knobs for the hopset construction.
 ///
@@ -181,6 +182,27 @@ impl Hopset {
     }
 }
 
+/// Step 2's bunch of node `v`, `B(v) = {u ∈ N_k(v) : d(v,u) < d(v, A₁)} ∪
+/// {p(v)}`, as `(u, d(v, u))` edges leaving `v` (itself excluded). `ball`
+/// is `N_k(v)` as [`cc_distance::k_nearest`] returns it and `p(v)` is its
+/// closest `A₁` member. Empty when `v ∈ A₁`, and when the ball holds no
+/// `A₁` member (an isolated node).
+///
+/// The one bunch rule: [`build_hopset`] adds these edges, and so does
+/// `cc-oracle`'s direct builder when it re-runs the construction.
+pub fn bunch<'a>(
+    a1: &'a HittingSet,
+    v: usize,
+    ball: &'a SparseRow<AugDist>,
+) -> impl Iterator<Item = (usize, u64)> + 'a {
+    let hub = if a1.contains(v) { None } else { a1.closest_in_row(ball) };
+    hub.into_iter().flat_map(move |(p, pd)| {
+        ball.iter()
+            .filter(move |&(u, a)| (*a < pd || u as usize == p) && u as usize != v)
+            .map(|(u, a)| (u as usize, a.dist))
+    })
+}
+
 /// **Theorem 25**: builds a `(β, ε)`-hopset with `O(n^{3/2} log n)` edges
 /// and `β = O(log n / ε)` in `O(log² n / ε)` rounds.
 ///
@@ -240,18 +262,8 @@ pub fn build_hopset(
             }
         };
         for v in 0..n {
-            if a1.contains(v) {
-                continue;
-            }
-            let Some((p, pd)) = a1.closest_in_row(&near[v]) else {
-                continue; // isolated node: empty bunch
-            };
-            for (u, a) in near[v].iter() {
-                let u = u as usize;
-                // Bunch: strictly closer than A1, plus p(v) itself.
-                if *a < pd || u == p {
-                    add_edge(&mut union, &mut edges, v, u, a.dist);
-                }
+            for (u, w) in bunch(&a1, v, &near[v]) {
+                add_edge(&mut union, &mut edges, v, u, w);
             }
         }
         let bunch_edges = edges.len();

@@ -87,14 +87,17 @@ pub const SERVING_FILES: &[&str] = &[
     "crates/reactor/src/frame.rs",
 ];
 
-/// The oracle's build/query/combine/shard kernels: the files where distance
-/// arithmetic happens and where outputs must be pure functions of their
-/// inputs (the direct builder's bit-identity contract rides on this).
+/// The distance kernels — the oracle's build/query/combine/shard files and
+/// `cc_graph::reference`, the one sequential search the direct builder
+/// runs: the files where distance arithmetic happens and where outputs must
+/// be pure functions of their inputs (the direct builder's bit-identity
+/// contract rides on this).
 pub const KERNEL_FILES: &[&str] = &[
     "crates/oracle/src/oracle.rs",
     "crates/oracle/src/shard.rs",
     "crates/oracle/src/cache.rs",
     "crates/oracle/src/direct.rs",
+    "crates/graph/src/reference.rs",
 ];
 
 /// The files whose functions make up the reactor dispatch path.

@@ -6,7 +6,7 @@ use cc_clique::Clique;
 use cc_core::mssp::mssp;
 use cc_distance::{check_size, hitting_set, k_nearest, DistanceError, HittingSet};
 use cc_graph::Graph;
-use cc_matrix::AugDist;
+use cc_matrix::{AugDist, SparseRow};
 use cc_telemetry::BuildTrace;
 
 use crate::error::invalid;
@@ -21,15 +21,21 @@ pub(crate) fn default_k(n: usize) -> usize {
     ((n as f64) * (n.max(2) as f64).ln()).sqrt().ceil() as usize
 }
 
+/// The member ids of every `k`-nearest ball: the sets the landmarks must
+/// hit (Lemma 4).
+pub(crate) fn ball_members(near: &[SparseRow<AugDist>]) -> Vec<Vec<usize>> {
+    near.iter().map(|row| row.iter().map(|(c, _)| c as usize).collect()).collect()
+}
+
 /// The purely local extraction kernel shared by both builders: per-node
-/// balls sorted by id, the nearest-landmark row (`p(v)` by the augmented
+/// balls in id order, the nearest-landmark row (`p(v)` by the augmented
 /// order, then id), and the already-flattened column matrix.
 ///
-/// `near[v]` holds node `v`'s `k`-nearest ball as `(id, augmented
-/// distance)` entries; `columns` is the row-major `n × |landmarks|` matrix
-/// with `Dist::INF.raw()` marking an unreachable landmark. The direct
-/// builder passes `build_rounds = 0`; the clique builder the simulator's
-/// count.
+/// `near[v]` is node `v`'s `k`-nearest ball as [`k_nearest`] returns it
+/// (the direct builder's search returns the same shape); `columns` is the
+/// row-major `n × |landmarks|` matrix with `Dist::INF.raw()` marking an
+/// unreachable landmark. The direct builder passes `build_rounds = 0`; the
+/// clique builder the simulator's count.
 ///
 /// # Panics
 ///
@@ -38,29 +44,19 @@ pub(crate) fn default_k(n: usize) -> usize {
 /// pass hits every non-empty set).
 pub(crate) fn extract_artifact(
     params: BuildParams,
-    near: &[Vec<(u32, AugDist)>],
+    near: &[SparseRow<AugDist>],
     landmarks: &HittingSet,
     columns: Vec<u64>,
 ) -> Result<DistanceOracle, OracleError> {
     let landmark_ids: Vec<u32> = landmarks.members.iter().map(|&a| a as u32).collect();
     let mut sections = Sections::with_rows(near.len(), landmark_ids, columns);
     for row in near {
-        let (p, aug) = landmarks
-            .closest_of(row.iter().map(|(c, a)| (*c, a)))
-            .expect("hitting set covers every ball");
+        let (p, aug) = landmarks.closest_in_row(row).expect("hitting set covers every ball");
         let idx =
             sections.landmarks.binary_search(&(p as u32)).expect("closest hitter is a landmark");
-        sections.push_row((idx as u32, aug.dist), ball_by_id(row));
+        sections.push_row((idx as u32, aug.dist), row.iter().map(|(c, a)| (c, a.dist)));
     }
     Ok(DistanceOracle(ArtifactSlice::from_sections(params, 0..params.n, sections)?))
-}
-
-/// One `k`-nearest row as the artifact stores it: `(id, distance)` entries
-/// in ascending id order.
-pub(crate) fn ball_by_id(row: &[(u32, AugDist)]) -> Vec<(u32, u64)> {
-    let mut ball: Vec<(u32, u64)> = row.iter().map(|&(c, a)| (c, a.dist)).collect();
-    ball.sort_unstable_by_key(|&(id, _)| id);
-    ball
 }
 
 /// Appends one phase span to `trace`, charging the round/message/word
@@ -196,9 +192,7 @@ impl OracleBuilder {
         // Phase 2 — Lemma 4: a landmark set hitting every ball. Balls always
         // contain their own node, so every node gets a landmark in its ball.
         let (report, started) = (clique.report(), Instant::now());
-        let sets: Vec<Vec<usize>> =
-            near.iter().map(|row| row.iter().map(|(c, _)| c as usize).collect()).collect();
-        let landmarks = hitting_set(clique, &sets, k, self.seed)?;
+        let landmarks = hitting_set(clique, &ball_members(&near), k, self.seed)?;
         close_span(&mut trace, "hitting_set_landmarks", clique, &report, started);
 
         // Phase 3 — Theorem 3: (1+ε) distance columns from the landmarks.
@@ -209,8 +203,6 @@ impl OracleBuilder {
 
         // Extraction — purely local, no further communication.
         let (report, started) = (clique.report(), Instant::now());
-        let near_rows: Vec<Vec<(u32, AugDist)>> =
-            near.iter().map(|row| row.iter().map(|(c, a)| (c, *a)).collect()).collect();
         let s = landmarks.len();
         let mut columns = vec![cc_matrix::Dist::INF.raw(); n * s];
         for v in 0..n {
@@ -221,7 +213,7 @@ impl OracleBuilder {
             }
         }
         let params = BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds };
-        let oracle = extract_artifact(params, &near_rows, &landmarks, columns)?;
+        let oracle = extract_artifact(params, &near, &landmarks, columns)?;
         close_span(&mut trace, "local_extraction", clique, &report, started);
         Ok((oracle, trace))
     }

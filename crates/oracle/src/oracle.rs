@@ -271,8 +271,14 @@ impl ArtifactSlice {
     }
 
     /// The documented multiplicative stretch bound `3·(1+ε)` for answers
-    /// outside the exact-ball regime. Every finite answer `est` satisfies
-    /// `d(u,v) ≤ est ≤ stretch_bound() · d(u,v)`.
+    /// outside the exact-ball regime. A faithful build holds it — every
+    /// [`OracleBuilder`](crate::OracleBuilder) artifact, and every
+    /// [`DirectBuilder`](crate::DirectBuilder) artifact built without
+    /// [`max_landmarks`](crate::DirectBuilder::max_landmarks): each finite
+    /// answer `est` satisfies `d(u,v) ≤ est ≤ stretch_bound() · d(u,v)`. A
+    /// capped build reports the same value without holding it: its
+    /// landmarks need not hit every ball, so its answers are sound but can
+    /// exceed the bound (`docs/BUILDERS.md`).
     pub fn stretch_bound(&self) -> f64 {
         3.0 * (1.0 + self.params.epsilon)
     }

@@ -82,12 +82,12 @@ fn direct_builder_matches_on_disconnected_islands() {
     }
 }
 
-/// Near-sentinel weights: one edge carries almost the largest weight the
-/// build can sum without overflowing (`Dist::checked_add` panics past
-/// `u64::MAX`; both builders share that contract, so the heaviest usable
-/// edge is just under `u64::MAX / 2` — build-time relaxations may sum two
-/// path distances that each contain it once). The artifact must carry the
-/// huge distances exactly.
+/// Near-sentinel weights: one edge weighs just under `u64::MAX / 2`, so a
+/// build-time relaxation that sums two path distances containing it comes
+/// close to `u64::MAX` without passing it. Every such sum is a real path
+/// here, and the artifact must carry the huge distances exactly. (Both
+/// builders compute in the augmented semiring, where a sum that overflows
+/// is no path; `tests/edge_cases.rs` pins that case.)
 #[test]
 fn direct_builder_matches_on_near_max_finite_weights() {
     let huge = u64::MAX / 2 - 64;
