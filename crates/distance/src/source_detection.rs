@@ -193,6 +193,17 @@ mod tests {
         check_all_against_reference(&g, &[0, 3, 7], 1);
         check_all_against_reference(&g, &[0, 3, 7], 2);
         check_all_against_reference(&g, &[0, 3, 7], 4);
+        // Past the hop diameter, below n − 1: every shortest path from the
+        // sources has fewer than d − 1 hops, so the clique loop and
+        // `reference::hop_bounded` both stop at their fixpoint, the
+        // reference by its Bellman–Ford exit rather than its Dijkstra
+        // shortcut.
+        let d = 12;
+        for s in [0, 3, 7] {
+            let hops = reference::dijkstra_with_hops(&g, s).into_iter().flatten();
+            assert!(hops.map(|(_, h)| h as usize).max().unwrap() < d - 1, "source {s}");
+        }
+        check_all_against_reference(&g, &[0, 3, 7], d);
     }
 
     #[test]

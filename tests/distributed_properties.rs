@@ -5,18 +5,31 @@
 // Node-indexed loops over parallel per-node vectors are the domain idiom.
 #![allow(clippy::needless_range_loop)]
 
+use std::ops::Range;
+
 use congested_clique::clique::Clique;
 use congested_clique::core::{mssp, sssp};
 use congested_clique::distance::k_nearest;
 use congested_clique::graph::{reference, Graph};
 use congested_clique::matmul::{filtered_multiply, sparse_multiply_auto};
 use congested_clique::matrix::{Dist, Entry, MinPlus, SparseMatrix};
+use congested_clique::oracle::{testkit, DirectBuilder, OracleBuilder};
 use proptest::prelude::*;
+
+/// Every weight in [2⁶², 2⁶³]: some two-arc paths and every path of four
+/// or more arcs overflow `u64`, and an overflowing path is no path (§3.1).
+const HUGE: Range<u64> = (1 << 62)..(1 << 63) + 1;
 
 /// Arbitrary connected weighted graph on exactly `n` nodes.
 fn arb_graph(n: usize) -> impl Strategy<Value = Graph> {
-    let extra = prop::collection::vec((0..n, 0..n, 1u64..50), 0..3 * n);
-    let spine = prop::collection::vec(1u64..50, n - 1);
+    arb_graph_weighted(n, 1..50)
+}
+
+/// Arbitrary weighted graph on exactly `n` nodes, a path spine plus extra
+/// edges, every weight drawn from `weights`.
+fn arb_graph_weighted(n: usize, weights: Range<u64>) -> impl Strategy<Value = Graph> {
+    let extra = prop::collection::vec((0..n, 0..n, weights.clone()), 0..3 * n);
+    let spine = prop::collection::vec(weights, n - 1);
     (extra, spine).prop_map(move |(extra, spine)| {
         let mut g = Graph::empty(n);
         for (i, w) in spine.into_iter().enumerate() {
@@ -29,6 +42,20 @@ fn arb_graph(n: usize) -> impl Strategy<Value = Graph> {
         }
         g
     })
+}
+
+/// The clique's `k_nearest` equals the sequential search, node by node, in
+/// the augmented order `(distance, hops, id)`.
+fn assert_k_nearest_matches_reference(g: &Graph, k: usize) {
+    let mut clique = Clique::new(g.n());
+    let got = k_nearest(&mut clique, g, k).unwrap();
+    for v in 0..g.n() {
+        let mut items: Vec<(u64, u32, usize)> =
+            got[v].iter().map(|(c, a)| (a.dist, a.hops, c as usize)).collect();
+        items.sort_unstable();
+        let got_v: Vec<(usize, u64, u32)> = items.into_iter().map(|(d, h, u)| (u, d, h)).collect();
+        assert_eq!(got_v, reference::k_nearest(g, v, k), "node {v}, k={k}");
+    }
 }
 
 fn arb_matrix(n: usize, max_entries: usize) -> impl Strategy<Value = SparseMatrix<Dist>> {
@@ -73,17 +100,17 @@ proptest! {
 
     #[test]
     fn k_nearest_matches_dijkstra_prefix(g in arb_graph(14), k in 1usize..8) {
-        let mut clique = Clique::new(14);
-        let got = k_nearest(&mut clique, &g, k).unwrap();
-        for v in 0..14 {
-            let expected = reference::k_nearest(&g, v, k);
-            let mut items: Vec<(u64, u32, usize)> =
-                got[v].iter().map(|(c, a)| (a.dist, a.hops, c as usize)).collect();
-            items.sort_unstable();
-            let got_v: Vec<(usize, u64, u32)> =
-                items.into_iter().map(|(d, h, u)| (u, d, h)).collect();
-            prop_assert_eq!(got_v, expected);
-        }
+        assert_k_nearest_matches_reference(&g, k);
+    }
+
+    #[test]
+    fn huge_weights_overflow_to_no_path_in_the_clique_and_both_builders(
+        g in arb_graph_weighted(12, HUGE),
+        k in 1usize..13,
+    ) {
+        assert_k_nearest_matches_reference(&g, 12);
+        let built = OracleBuilder::new().k(k).build(&mut Clique::new(12), &g).unwrap();
+        testkit::assert_same_artifact(&DirectBuilder::new().k(k).build(&g).unwrap(), &built);
     }
 
     #[test]
