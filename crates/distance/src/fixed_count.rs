@@ -101,8 +101,15 @@ fn fixtures() -> Vec<(&'static str, DiGraph)> {
     out
 }
 
+/// The invocations of `phase`'s leaf `leaf`, 0 if it never ran.
+fn invocations(clique: &Clique, phase: &str, leaf: &str) -> u64 {
+    clique.metrics().phases.get(&format!("{phase}/{leaf}")).map_or(0, |p| p.invocations)
+}
+
+/// The products a detection ran: each broadcasts its subtask product sizes
+/// once (Lemma 12).
 fn executed(clique: &Clique, phase: &str) -> u64 {
-    clique.metrics().phases.get(&format!("{phase}/fixpoint/all_broadcast")).map_or(0, |p| p.rounds)
+    invocations(clique, phase, "sparse_mm/sizes/all_broadcast")
 }
 
 #[test]
@@ -159,7 +166,8 @@ fn k_nearest_equals_the_fixed_count_loop() {
 #[test]
 fn sources_nobody_reaches_exit_after_one_product() {
     // Node 9 is isolated: only its own row ever holds it, the first product
-    // returns the hop-1 iterate, and the loop ends there whatever `d` is.
+    // returns the hop-1 iterate, and the loop ends there whatever `d` is —
+    // at the second step's counts broadcast, whose flag bits are all 0.
     let g = Graph::from_edges(10, (0..8).map(|v| (v, v + 1, 1))).unwrap();
     let w = g.augmented_weight_matrix();
     let clique = assert_same(
@@ -168,13 +176,20 @@ fn sources_nobody_reaches_exit_after_one_product() {
         |c| source_detection_all(c, &g, &[9], 9).unwrap(),
         |c| source_detection_all_fixed(c, &w, &[9], 9),
     );
-    assert_eq!(executed(&clique, "source_detection_all"), 1);
+    let phase = "source_detection_all";
+    assert_eq!(executed(&clique, phase), 1);
+    // W's preparation, the first step, and the second step's opening.
+    assert_eq!(invocations(&clique, phase, "counts/all_broadcast"), 3);
+    assert_eq!(invocations(&clique, phase, "transpose/route"), 3);
+    assert_eq!(invocations(&clique, phase, "fixpoint/all_broadcast"), 0);
 }
 
 #[test]
-fn a_path_runs_every_product_and_pays_one_flag_round_each() {
+fn a_path_runs_every_product_and_pays_no_flag_round() {
     // The case the exit cannot help: hop-d detection from one end of a
-    // path changes a new row in every product, so the bound binds.
+    // path changes a new row in every product, so the bound binds. The
+    // changed bits ride in the counts of steps 2..=30, and no flag follows
+    // step 30.
     let g = generators::path(32).unwrap();
     let w = g.augmented_weight_matrix();
     let clique = assert_same(
@@ -183,9 +198,10 @@ fn a_path_runs_every_product_and_pays_one_flag_round_each() {
         |c| source_detection_all(c, &g, &[0], 31).unwrap(),
         |c| source_detection_all_fixed(c, &w, &[0], 31),
     );
-    let phases = &clique.metrics().phases;
-    assert_eq!(phases["source_detection_all/fixpoint/all_broadcast"].rounds, 30);
-    assert_eq!(phases["source_detection_all/sparse_mm/sizes/all_broadcast"].invocations, 30);
+    let phase = "source_detection_all";
+    assert_eq!(executed(&clique, phase), 30);
+    assert_eq!(invocations(&clique, phase, "counts/all_broadcast"), 1 + 30);
+    assert_eq!(invocations(&clique, phase, "fixpoint/all_broadcast"), 0);
 }
 
 #[test]

@@ -73,15 +73,21 @@ pub fn k_nearest(
         // Local input: node v knows its outgoing arcs, i.e. row v of W.
         let start = w.filtered::<AugMinPlus>(k).rows().to_vec();
         let squarings = (usize::BITS - (k - 1).leading_zeros()) as usize; // ceil(log2 k)
-        iterate_to_fixpoint(clique, start, squarings, |clique, rows| {
+        iterate_to_fixpoint(clique, start, squarings, |clique, rows, changed| {
+            // The row counts open the step and carry the changed bits.
+            let row_counts = layout::broadcast_counts(clique, rows, changed)?;
+            if row_counts.flagged() == Some(false) {
+                return Ok(None);
+            }
             // One transpose serves both sides of `x ⋆ x`: the left operand's
             // opposite layout is the right operand's held one and vice versa.
             let cols = layout::transpose_exchange::<AugMinPlus>(clique, rows)?;
-            let mut left = Operand::from_layouts(clique, Side::Left, rows, &cols)?;
-            let mut right = Operand::from_layouts(clique, Side::Right, &cols, rows)?;
-            Ok(cc_matmul::filtered_multiply_prepared::<AugMinPlus>(
+            let col_counts = layout::broadcast_counts(clique, &cols, None)?;
+            let mut left = Operand::from_layouts(Side::Left, rows, &cols, row_counts);
+            let mut right = Operand::from_layouts(Side::Right, &cols, rows, col_counts);
+            Ok(Some(cc_matmul::filtered_multiply_prepared::<AugMinPlus>(
                 clique, &mut left, &mut right, k,
-            )?)
+            )?))
         })
     })
 }

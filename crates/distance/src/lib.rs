@@ -24,7 +24,8 @@
 //! The tools that repeat a product — `k_nearest`'s squarings and source
 //! detection's hops — run through [`fixpoint::iterate_to_fixpoint`]: at most
 //! the theorem's number of products, fewer when the iterate stops changing,
-//! with termination detected by a one-word broadcast per product.
+//! with termination detected by a bit that rides in the next product's
+//! counts broadcast.
 //!
 //! The tools take arcs: [`k_nearest`] and both source detections accept a
 //! [`cc_graph::DiGraph`] with non-negative integer weights, as the paper

@@ -88,10 +88,15 @@ fn hop_loop(
         return Ok(start);
     }
     let mut w = Operand::prepare::<AugMinPlus>(clique, Side::Left, w.rows())?;
-    iterate_to_fixpoint(clique, start, d - 1, |clique, rows| {
+    iterate_to_fixpoint(clique, start, d - 1, |clique, rows, changed| {
+        // The column counts the product needs carry the changed bits.
         let cols = layout::transpose_exchange::<AugMinPlus>(clique, rows)?;
-        let mut iterate = Operand::from_layouts(clique, Side::Right, &cols, rows)?;
-        Ok(multiply(clique, &mut w, &mut iterate)?)
+        let counts = layout::broadcast_counts(clique, &cols, changed)?;
+        if counts.flagged() == Some(false) {
+            return Ok(None);
+        }
+        let mut iterate = Operand::from_layouts(Side::Right, &cols, rows, counts);
+        Ok(Some(multiply(clique, &mut w, &mut iterate)?))
     })
 }
 

@@ -11,6 +11,7 @@
 use std::ops::Range;
 
 use cc_clique::{Clique, Envelope, NodeId};
+use cc_matrix::SparseRow;
 
 use crate::operand::Prepared;
 use crate::partition::{balanced_partition, doubly_balanced_partition};
@@ -204,8 +205,9 @@ impl CubePartition {
     /// Steps: (1) everyone computes the row/column blocks from the broadcast
     /// counts via Lemma 5 (local); (2) node `v` sends each subtask node the
     /// non-zero counts of column `v` of `S` and row `v` of `T` per block;
-    /// (3) each subtask group computes its Lemma 7 middle partition and
-    /// broadcasts the block boundaries.
+    /// (3) every member of a subtask group computes the group's Lemma 7
+    /// middle partition and broadcasts the end of its own range (1 word).
+    /// A cube with `c = 1` skips (2) and (3) and costs no round at all.
     ///
     /// # Errors
     ///
@@ -222,57 +224,19 @@ impl CubePartition {
         let (s_cols, t_rows) = (&s.opposite, &t.opposite);
 
         // (1) Globally-known row and column blocks (Lemma 5).
-        let row_blocks = balanced_partition(&s.counts, b);
-        let col_blocks = balanced_partition(&t.counts, a);
+        let row_blocks = balanced_partition(s.counts.per_node(), b);
+        let col_blocks = balanced_partition(t.counts.per_node(), a);
         let row_block_of = block_index(n, &row_blocks);
         let col_block_of = block_index(n, &col_blocks);
 
-        // (2) Per-slice counts to each subtask node: node v sends to node
-        // u = (i, j, k) the pair (nz(S[C^S_i, v]), nz(T[v, C^T_j])).
-        let mut msgs = Vec::with_capacity(n * shape.subtasks());
-        let mut cnt_s = vec![0u64; b];
-        let mut cnt_t = vec![0u64; a];
-        for v in 0..n {
-            cnt_s.fill(0);
-            for (r, _) in s_cols[v].iter() {
-                cnt_s[row_block_of[r as usize]] += 1;
-            }
-            cnt_t.fill(0);
-            for (cidx, _) in t_rows[v].iter() {
-                cnt_t[col_block_of[cidx as usize]] += 1;
-            }
-            for i in 0..b {
-                for j in 0..a {
-                    for k in 0..c {
-                        let u = (i * a + j) * c + k;
-                        msgs.push(Envelope::new(v, u, (cnt_s[i], cnt_t[j])));
-                    }
-                }
-            }
-        }
-        let inboxes = clique.with_phase("cube/slice_counts", |cl| cl.route(msgs))?;
-
-        // (3) Each (i, j) group computes its Lemma 7 partition; the k-th
-        // member broadcasts its own block boundary (2 words).
-        let mut mid_ranges = vec![Vec::new(); a * b];
-        let mut boundary_payload = vec![(u64::MAX, u64::MAX); n];
-        for i in 0..b {
-            for j in 0..a {
-                let leader = (i * a + j) * c; // node (i, j, 0)
-                let mut w1 = vec![0u64; n];
-                let mut w2 = vec![0u64; n];
-                for e in &inboxes[leader] {
-                    w1[e.src] = e.payload.0;
-                    w2[e.src] = e.payload.1;
-                }
-                let parts = doubly_balanced_partition(&w1, &w2, c);
-                for (k, r) in parts.iter().enumerate() {
-                    boundary_payload[leader + k] = (r.start as u64, r.end as u64);
-                }
-                mid_ranges[i * a + j] = parts;
-            }
-        }
-        clique.with_phase("cube/boundaries", |cl| cl.all_broadcast(boundary_payload))?;
+        // (2)–(3) are skipped when c = 1: the shape is a function of the
+        // broadcast densities, so every node knows the one middle range is
+        // 0..n.
+        let mid_ranges = if c == 1 {
+            vec![vec![0..n]; a * b]
+        } else {
+            middle_ranges(clique, shape, s_cols, t_rows, &row_block_of, &col_block_of)?
+        };
 
         Ok(CubePartition {
             n,
@@ -316,6 +280,76 @@ impl CubePartition {
             out.extend_from_slice(assigned.nodes_for(self.node_for(i, j, k)));
         }
     }
+}
+
+/// Steps (2) and (3) of [`CubePartition::build`], for `c > 1`: the middle
+/// ranges `C^{ij}_k` of every `(i, j)` group, as every node learns them.
+///
+/// (2) Node `v` sends every subtask node `u = (i, j, k)` the pair
+/// `(nz(S[C^S_i, v]), nz(T[v, C^T_j]))`, read from column `v` of `S` and
+/// row `v` of `T`. (3) Member `k` of each group computes the group's Lemma 7
+/// partition from the pairs it received and broadcasts one word, the `end`
+/// of range `k`; idle nodes broadcast a word of nothing. Every node rebuilds
+/// the ranges from the decoded ends: `start_0 = 0` and `start_k = end_{k−1}`.
+fn middle_ranges<E: Clone + PartialEq>(
+    clique: &mut Clique,
+    shape: CubeShape,
+    s_cols: &[SparseRow<E>],
+    t_rows: &[SparseRow<E>],
+    row_block_of: &[usize],
+    col_block_of: &[usize],
+) -> Result<Vec<Vec<Range<usize>>>, MatmulError> {
+    let n = clique.n();
+    let CubeShape { a, b, c } = shape;
+    let mut msgs = Vec::with_capacity(n * shape.subtasks());
+    let mut cnt_s = vec![0u64; b];
+    let mut cnt_t = vec![0u64; a];
+    for v in 0..n {
+        cnt_s.fill(0);
+        for (r, _) in s_cols[v].iter() {
+            cnt_s[row_block_of[r as usize]] += 1;
+        }
+        cnt_t.fill(0);
+        for (cidx, _) in t_rows[v].iter() {
+            cnt_t[col_block_of[cidx as usize]] += 1;
+        }
+        for i in 0..b {
+            for j in 0..a {
+                for k in 0..c {
+                    let u = (i * a + j) * c + k;
+                    msgs.push(Envelope::new(v, u, (cnt_s[i], cnt_t[j])));
+                }
+            }
+        }
+    }
+    let inboxes = clique.with_phase("cube/slice_counts", |cl| cl.route(msgs))?;
+
+    let mut ends: Vec<Option<u64>> = vec![None; n];
+    for (ij, group) in ends[..shape.subtasks()].chunks_mut(c).enumerate() {
+        // Every member received the same pairs, so all compute the same
+        // partition (once here, on the first member's inbox); member k keeps
+        // the end of range k.
+        let (mut w1, mut w2) = (vec![0u64; n], vec![0u64; n]);
+        for e in &inboxes[ij * c] {
+            (w1[e.src], w2[e.src]) = e.payload;
+        }
+        for (end, range) in group.iter_mut().zip(doubly_balanced_partition(&w1, &w2, c)) {
+            *end = Some(range.end as u64);
+        }
+    }
+    let ends = clique.with_phase("cube/boundaries", |cl| cl.all_broadcast(ends))?;
+    Ok(ends[..shape.subtasks()]
+        .chunks(c)
+        .map(|group| {
+            group
+                .iter()
+                .scan(0, |start, end| {
+                    let end = end.expect("every subtask node broadcasts an end") as usize;
+                    Some(std::mem::replace(start, end)..end)
+                })
+                .collect()
+        })
+        .collect())
 }
 
 /// An assignment `σ : V → subtasks` (Lemma 11): which nodes compute which
@@ -427,7 +461,7 @@ mod tests {
         let mut t_op = Operand::unprepared(Side::Right, t_cols.rows());
         let s_known = s_op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
         let t_known = t_op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
-        let shape = CubeShape::choose(n, s_known.density, t_known.density, 8);
+        let shape = CubeShape::choose(n, s_known.counts.density(), t_known.counts.density(), 8);
         let cube = CubePartition::build(&mut clique, shape, s_known, t_known).unwrap();
 
         // Blocks cover everything exactly once.
@@ -498,6 +532,66 @@ mod tests {
 
         // O(1) rounds for the whole build (constant number of primitives).
         assert!(clique.rounds() <= 12, "cube build took {} rounds", clique.rounds());
+    }
+
+    /// Both operands prepared on `clique`, and the cube of `shape` built
+    /// from them; returns the cube and the rounds the build alone took.
+    fn build_on(
+        clique: &mut Clique,
+        shape: CubeShape,
+        s: &SparseMatrix<Dist>,
+        t_cols: &SparseMatrix<Dist>,
+    ) -> (CubePartition, u64) {
+        let mut s_op = Operand::unprepared(Side::Left, s.rows());
+        let mut t_op = Operand::unprepared(Side::Right, t_cols.rows());
+        let s_known = s_op.ensure_prepared::<MinPlus>(clique).unwrap();
+        let t_known = t_op.ensure_prepared::<MinPlus>(clique).unwrap();
+        let before = clique.rounds();
+        let cube = CubePartition::build(clique, shape, s_known, t_known).unwrap();
+        (cube, clique.rounds() - before)
+    }
+
+    #[test]
+    fn boundaries_are_one_word_per_node_and_rebuild_the_lemma_7_ranges() {
+        let n = 24;
+        let (s, t) = (random_matrix(n, 150, 3), random_matrix(n, 90, 4));
+        let shape = CubeShape { a: 2, b: 3, c: 4 };
+        let mut clique = Clique::new(n);
+        let (cube, _) = build_on(&mut clique, shape, &s, &t.transpose());
+        let boundaries = &clique.metrics().phases["cube/boundaries/all_broadcast"];
+        assert_eq!((boundaries.rounds, boundaries.words), (1, (n * (n - 1)) as u64));
+        // What the members partitioned: per middle index, the entries of
+        // S's column in row block i and of T's row in column block j.
+        let s_cols = s.transpose();
+        for i in 0..shape.b {
+            for j in 0..shape.a {
+                let count = |slice: &SparseRow<Dist>, block_of: &[usize], block| {
+                    slice.iter().filter(|(x, _)| block_of[*x as usize] == block).count() as u64
+                };
+                let w1: Vec<u64> =
+                    s_cols.rows().iter().map(|col| count(col, &cube.row_block_of, i)).collect();
+                let w2: Vec<u64> =
+                    t.rows().iter().map(|row| count(row, &cube.col_block_of, j)).collect();
+                assert_eq!(
+                    cube.mid_ranges[i * shape.a + j],
+                    doubly_balanced_partition(&w1, &w2, shape.c),
+                    "group ({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cube_with_one_middle_block_costs_no_round() {
+        let n = 16;
+        let (s, t) = (random_matrix(n, 60, 5), random_matrix(n, 60, 6));
+        let shape = CubeShape { a: 4, b: 4, c: 1 };
+        let mut clique = Clique::new(n);
+        let (cube, rounds) = build_on(&mut clique, shape, &s, &t.transpose());
+        assert_eq!(rounds, 0);
+        assert!(cube.mid_ranges.iter().all(|ranges| ranges.len() == 1 && ranges[0] == (0..n)));
+        let phases = &clique.metrics().phases;
+        assert!(!phases.keys().any(|label| label.starts_with("cube/")), "{phases:?}");
     }
 
     #[test]

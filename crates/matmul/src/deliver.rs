@@ -41,14 +41,16 @@ pub(crate) type PerNode<E> = Vec<Vec<Entry<E>>>;
 /// An assignment that names no node is skipped without communication (and
 /// the result is empty): it was computed from broadcast data, so every node
 /// knows nothing is due. Under `σ1`, an operand whose placement an earlier
-/// delivery computed skips Lemma 10's broadcast, sort and deal — its balanced
-/// holders were sent those entries then — and only fans out against the new
-/// cube.
+/// delivery computed skips Lemma 10's sort and deal — its balanced holders
+/// were sent those entries then — and only fans out against the new cube.
 ///
-/// The two sides are independent: each broadcasts its counts and sorts on
-/// its own (`deliver_s/balance/*`, `deliver_t/balance/*`), then both deals
+/// The two sides are independent: each sorts on its own
+/// (`deliver_s/balance/sort`, `deliver_t/balance/sort`), then both deals
 /// share the rounds of one route (`deliver/balance/route`) and both fan-outs
-/// those of another (`deliver/fanout/route`).
+/// those of another (`deliver/fanout/route`). A deal needs the operand's
+/// total entry count, which a prepared operand's broadcast counts already
+/// give; only an unprepared one — the dense baseline's — broadcasts its
+/// counts first (`deliver_s/balance/all_broadcast`, and likewise for `T`).
 ///
 /// # Errors
 ///
@@ -105,8 +107,8 @@ pub(crate) fn deliver<SR: Semiring>(
         .collect())
 }
 
-/// Lemma 10's broadcast and sort for one operand: the deal that balances
-/// its entries across nodes by duplication weight, still to be routed.
+/// Lemma 10's sort for one operand: the deal that balances its entries
+/// across nodes by duplication weight, still to be routed.
 ///
 /// `targets(r, c, buf)` lists the recipients of entry `(r, c)` into a buffer
 /// that arrives empty, and an entry's duplication weight is the length of
@@ -135,9 +137,13 @@ fn deal<SR: Semiring>(
                 .collect()
         })
         .collect();
-    // Everyone learns the total count, hence the global rank layout.
-    let counts: Vec<u64> = items.iter().map(|v| v.len() as u64).collect();
-    let total: u64 = clique.all_broadcast(counts)?.iter().sum();
+    // Everyone knows the total count, hence the global rank layout: a
+    // prepared operand's slice sizes were broadcast when it was prepared,
+    // and only an unprepared one (the dense baseline's) broadcasts them now.
+    let total: u64 = match operand.prepared() {
+        Some(known) => known.counts.per_node().iter().sum(),
+        None => clique.all_broadcast(items.iter().map(|v| v.len() as u64).collect())?.iter().sum(),
+    };
     if total == 0 {
         return Ok(Vec::new());
     }
@@ -442,6 +448,42 @@ mod tests {
         let product = local_product::<MinPlus>(&mut scratch, &input);
         assert_eq!(product, vec![Entry::new(4, 5, Dist::fin(3))]);
         assert_matches_reference::<MinPlus>(&mut scratch, "explicit zeros", &input);
+    }
+
+    #[test]
+    fn only_an_unprepared_operand_broadcasts_its_deal_counts() {
+        // A product prepares both operands, so each deal reads its total
+        // off the operand's counts; the dense baseline's operands are never
+        // prepared, and each of its two deals broadcasts them once.
+        let n = 16;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut m = SparseMatrix::zeros(n);
+        for _ in 0..60 {
+            m.set_in::<MinPlus>(
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                Dist::fin(rng.gen_range(1..9)),
+            );
+        }
+        let (cols, expected) = (m.transpose(), m.multiply::<MinPlus>(&m));
+        let balance_broadcasts = |clique: &Clique, label: &str| {
+            ["deliver_s", "deliver_t"].map(|side| {
+                let phase = format!("{label}/{side}/balance/all_broadcast");
+                clique.metrics().phases.get(&phase).map_or(0, |p| p.invocations)
+            })
+        };
+
+        let mut clique = Clique::new(n);
+        let rows =
+            crate::sparse_multiply::<MinPlus>(&mut clique, m.rows(), cols.rows(), n).unwrap();
+        assert_eq!(SparseMatrix::from_rows(rows), expected);
+        assert!(clique.metrics().phases["sparse_mm/deliver_s/balance/sort"].invocations >= 1);
+        assert_eq!(balance_broadcasts(&clique, "sparse_mm"), [0, 0]);
+
+        let mut clique = Clique::new(n);
+        let rows = crate::dense_multiply::<MinPlus>(&mut clique, m.rows(), cols.rows()).unwrap();
+        assert_eq!(SparseMatrix::from_rows(rows), expected);
+        assert_eq!(balance_broadcasts(&clique, "dense_mm"), [1, 1]);
     }
 
     #[test]

@@ -561,7 +561,7 @@ mod tests {
         let mut t_op = Operand::unprepared(Side::Right, t_cols.rows());
         let s_known = s_op.ensure_prepared::<SR>(clique).unwrap();
         let t_known = t_op.ensure_prepared::<SR>(clique).unwrap();
-        let shape = CubeShape::choose(n, s_known.density, t_known.density, rho);
+        let shape = CubeShape::choose(n, s_known.counts.density(), t_known.counts.density(), rho);
         let cube = CubePartition::build(clique, shape, s_known, t_known).unwrap();
         let sigma1 = cube.sigma1();
         let inputs = deliver::<SR>(clique, &cube, &mut s_op, &mut t_op, &sigma1).unwrap();
@@ -723,8 +723,8 @@ mod tests {
         filtered_multiply::<MinPlus>(&mut clique, s.rows(), t_cols.rows(), 4).unwrap();
         // log W for 1000-bounded weights and n=32 is ~15 bits plus column
         // bits, but the snapped search pays for the ordinals that exist: the
-        // whole multiply takes 41 rounds (65 when the search bisected the
+        // whole multiply takes 30 rounds (65 when the search bisected the
         // value space), nowhere near n^2.
-        assert!(clique.rounds() < 48, "got {} rounds", clique.rounds());
+        assert!(clique.rounds() < 36, "got {} rounds", clique.rounds());
     }
 }

@@ -6,7 +6,7 @@
 //! matrix is simply a `Vec<SparseRow<E>>` of length `n`, indexed by owner;
 //! whether the slices are rows or columns is part of the call convention.
 
-use cc_clique::{Clique, Envelope};
+use cc_clique::{Clique, CliqueError, Envelope};
 use cc_matrix::{Semiring, SparseRow};
 
 use crate::MatmulError;
@@ -44,23 +44,69 @@ pub fn transpose_exchange<S: Semiring>(
         .collect())
 }
 
-/// Broadcasts every node's slice size; returns `(per-node counts, total,
-/// density ρ)`. One all-to-all broadcast round.
+/// What one counts broadcast told every node: the slice sizes, the density
+/// derived from them, and the flags that rode along in the words' high bits.
+///
+/// Only [`broadcast_counts`] makes one, so whatever reads a `Counts` reads
+/// broadcast values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Counts {
+    per_node: Vec<u64>,
+    density: usize,
+    flagged: Option<bool>,
+}
+
+impl Counts {
+    /// `slices[v].nnz()` for every node `v`.
+    pub fn per_node(&self) -> &[u64] {
+        &self.per_node
+    }
+
+    /// The density `ρ = ⌈nnz / n⌉`, at least 1.
+    pub fn density(&self) -> usize {
+        self.density
+    }
+
+    /// `None` if the broadcast carried no flags, else whether any node set
+    /// its flag.
+    pub fn flagged(&self) -> Option<bool> {
+        self.flagged
+    }
+}
+
+/// The bit of a count word that carries a node's flag. A count is at most
+/// `n`, far below it.
+const FLAG_BIT: u64 = 1 << 63;
+
+/// Broadcasts every node's slice size in one word; node `v`'s `flags[v]`,
+/// if given, rides in the word's high bit. One all-to-all broadcast round.
 ///
 /// # Errors
 ///
-/// Returns [`MatmulError::Clique`] if `slices.len()` differs from the clique
-/// size.
+/// Returns [`MatmulError::Clique`] if `slices.len()` or `flags.len()`
+/// differs from the clique size.
 pub fn broadcast_counts<E: Clone + PartialEq>(
     clique: &mut Clique,
     slices: &[SparseRow<E>],
-) -> Result<(Vec<u64>, u64, usize), MatmulError> {
-    let counts: Vec<u64> = slices.iter().map(|r| r.nnz() as u64).collect();
-    let counts = clique.with_phase("counts", |c| c.all_broadcast(counts))?;
-    let total: u64 = counts.iter().sum();
-    let n = clique.n() as u64;
-    let rho = total.div_ceil(n).max(1) as usize;
-    Ok((counts, total, rho))
+    flags: Option<&[bool]>,
+) -> Result<Counts, MatmulError> {
+    let n = clique.n();
+    if let Some(flags) = flags.filter(|f| f.len() != n) {
+        return Err(CliqueError::WrongLength { expected: n, got: flags.len() }.into());
+    }
+    let words: Vec<u64> = slices
+        .iter()
+        .enumerate()
+        .map(|(v, r)| {
+            let flag = flags.and_then(|f| f.get(v)).copied().unwrap_or(false);
+            r.nnz() as u64 | if flag { FLAG_BIT } else { 0 }
+        })
+        .collect();
+    let words = clique.with_phase("counts", |c| c.all_broadcast(words))?;
+    let flagged = flags.map(|_| words.iter().any(|w| w & FLAG_BIT != 0));
+    let per_node: Vec<u64> = words.into_iter().map(|w| w & !FLAG_BIT).collect();
+    let density = per_node.iter().sum::<u64>().div_ceil(n as u64).max(1) as usize;
+    Ok(Counts { per_node, density, flagged })
 }
 
 #[cfg(test)]
@@ -91,10 +137,27 @@ mod tests {
     fn broadcast_counts_reports_density() {
         let m = sample();
         let mut clique = Clique::new(4);
-        let (counts, total, rho) = broadcast_counts(&mut clique, m.rows()).unwrap();
-        assert_eq!(counts, vec![2, 0, 1, 1]);
-        assert_eq!(total, 4);
-        assert_eq!(rho, 1);
+        let counts = broadcast_counts(&mut clique, m.rows(), None).unwrap();
+        assert_eq!(counts.per_node(), [2, 0, 1, 1]);
+        assert_eq!(counts.density(), 1);
+        assert_eq!(counts.flagged(), None);
         assert_eq!(clique.rounds(), 1);
+    }
+
+    #[test]
+    fn flags_ride_in_the_count_words() {
+        let m = sample();
+        let mut clique = Clique::new(4);
+        let raised =
+            broadcast_counts(&mut clique, m.rows(), Some(&[false, false, true, false])).unwrap();
+        assert_eq!(raised.per_node(), [2, 0, 1, 1], "the flag bit is not part of the count");
+        assert_eq!(raised.flagged(), Some(true));
+        let lowered = broadcast_counts(&mut clique, m.rows(), Some(&[false; 4])).unwrap();
+        assert_eq!(lowered.flagged(), Some(false));
+        // One word per node each time: the flags cost no extra round.
+        assert_eq!(clique.rounds(), 2);
+        assert_eq!(clique.metrics().phases["counts/all_broadcast"].words, 2 * 4 * 3);
+        let err = broadcast_counts(&mut clique, m.rows(), Some(&[true; 3])).unwrap_err();
+        assert_eq!(err, MatmulError::Clique(CliqueError::WrongLength { expected: 4, got: 3 }));
     }
 }

@@ -21,8 +21,8 @@
 //! | step | licensed by | Theorem 8 | Theorem 14 | dense | phase label |
 //! |------|-------------|-----------|------------|-------|-------------|
 //! | prepare operands | §2.1 | unless prepared | unless prepared | — | `counts`, `transpose` |
-//! | cube partition | Lemma 9 | for `ρ̂` | for `ρ` | uniform, free | `cube/*` |
-//! | `σ1` delivery | Lemmas 10 + 11 | yes | yes | yes | `deliver_s/balance/*`, `deliver_t/balance/*`, `deliver/{balance,fanout}/route` |
+//! | cube partition | Lemma 9 | for `ρ̂`, free if `c = 1` | for `ρ`, free if `c = 1` | uniform, free | `cube/*` |
+//! | `σ1` delivery | Lemmas 10 + 11 | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/*`, `deliver_t/balance/*`, `deliver/{balance,fanout}/route` |
 //! | local products | free | yes | yes | yes | — |
 //! | thinning | Lemma 15 | — | per-row cutoffs | — | `cutoff_search` |
 //! | helper assignment | Lemma 12 / 16 | one pool `0..n`, chunk `ρ̂·c` | a pool per group `B_ik`, chunk `ρ·α_i·c` | — | `sizes` / `weights` |
@@ -31,13 +31,19 @@
 //! | summation | Lemma 13 | yes | yes | yes | `sum/sort`, `sum/route` |
 //! | final row filter | Theorem 14 | — | yes | — | — |
 //!
-//! A delivery balances each operand on its own — a count broadcast and a
-//! sort per side — and then moves both sides together: the two Lemma 10
-//! deals share the rounds of one route, and the two Lemma 11 fan-outs those
-//! of another ([`cc_clique::Clique::route_together`]). A side whose `σ1`
-//! placement is reused deals nothing. The summation is one pass: one sort of
-//! every node's whole list of intermediate values and one route to the row
-//! owners.
+//! A delivery balances each operand on its own — a sort per side, laid out
+//! by the operand's total entry count — and then moves both sides together:
+//! the two Lemma 10 deals share the rounds of one route, and the two
+//! Lemma 11 fan-outs those of another
+//! ([`cc_clique::Clique::route_together`]). A side whose `σ1` placement is
+//! reused deals nothing. Nothing the nodes already know is sent again: a
+//! prepared operand's total comes from the counts broadcast when it was
+//! prepared (only the dense baseline's unprepared operands broadcast theirs
+//! in the delivery); each member of a Lemma 9 group broadcasts one word, the
+//! end of its middle range, and every node rebuilds the ranges from those
+//! ends; and a cube with `c = 1` has the one middle range `0..n`, so it
+//! sends nothing. The summation is one pass: one sort of every node's whole
+//! list of intermediate values and one route to the row owners.
 //!
 //! [`sparse_multiply`] and [`filtered_multiply`] take the paper's input
 //! layout and have the pipeline prepare both operands; a caller that

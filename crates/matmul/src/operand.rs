@@ -17,7 +17,8 @@ use cc_clique::Clique;
 use cc_matrix::{Entry, Semiring, SparseMatrix, SparseRow};
 
 use crate::deliver::PerNode;
-use crate::{layout, MatmulError};
+use crate::layout::{self, Counts};
+use crate::MatmulError;
 
 /// Which side of a product an [`Operand`] is laid out for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,10 +54,8 @@ pub(crate) struct Prepared<'a, E: Clone> {
     /// The other layout of the same matrix (node `v` holds column `v` of a
     /// left operand, row `v` of a right one).
     pub opposite: Cow<'a, [SparseRow<E>]>,
-    /// `held[v].nnz()` for every `v`, as broadcast.
-    pub counts: Vec<u64>,
-    /// The density `ρ = ⌈nnz / n⌉` (at least 1) derived from the counts.
-    pub density: usize,
+    /// `held[v].nnz()` for every `v` and the density, as broadcast.
+    pub counts: Counts,
 }
 
 impl<'a, E: Clone + PartialEq> Operand<'a, E> {
@@ -78,29 +77,28 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         Ok(operand)
     }
 
-    /// Prepares an operand whose two layouts the nodes both hold already —
-    /// an iterate that came out of a product by rows and was transposed by
-    /// the caller, say. Only the slice sizes are broadcast (one round).
+    /// An operand whose two layouts the nodes both hold already — an iterate
+    /// that came out of a product by rows and was transposed by the caller,
+    /// say — and whose slice sizes they broadcast: `counts` is what
+    /// [`layout::broadcast_counts`] returned for `held`. No communication.
     ///
     /// `opposite` must be the transpose of `held`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatmulError::Clique`] if `held.len()` differs from the
-    /// clique size.
     pub fn from_layouts(
-        clique: &mut Clique,
         side: Side,
         held: &'a [SparseRow<E>],
         opposite: &'a [SparseRow<E>],
-    ) -> Result<Self, MatmulError> {
+        counts: Counts,
+    ) -> Self {
         debug_assert!(
             SparseMatrix::from_rows(held.to_vec()).transpose().rows() == opposite,
             "the two layouts must describe one matrix"
         );
-        let (counts, _, density) = layout::broadcast_counts(clique, held)?;
-        let prepared = Prepared { opposite: Cow::Borrowed(opposite), counts, density };
-        Ok(Operand { prepared: Some(prepared), ..Operand::unprepared(side, held) })
+        debug_assert!(
+            held.iter().map(|r| r.nnz() as u64).eq(counts.per_node().iter().copied()),
+            "the counts must be those of the held slices"
+        );
+        let prepared = Prepared { opposite: Cow::Borrowed(opposite), counts };
+        Operand { prepared: Some(prepared), ..Operand::unprepared(side, held) }
     }
 
     /// The paper's input layout and nothing else; no communication.
@@ -115,11 +113,16 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         clique: &mut Clique,
     ) -> Result<&Prepared<'a, E>, MatmulError> {
         if self.prepared.is_none() {
-            let (counts, _, density) = layout::broadcast_counts(clique, self.held)?;
+            let counts = layout::broadcast_counts(clique, self.held, None)?;
             let opposite = Cow::Owned(layout::transpose_exchange::<S>(clique, self.held)?);
-            self.prepared = Some(Prepared { opposite, counts, density });
+            self.prepared = Some(Prepared { opposite, counts });
         }
         Ok(self.prepared.as_ref().expect("prepared just above, if not before"))
+    }
+
+    /// What the nodes were told about the held slices, if they were.
+    pub(crate) fn prepared(&self) -> Option<&Prepared<'a, E>> {
+        self.prepared.as_ref()
     }
 
     /// The held entries in global `(row, col)` coordinates, per holder.
@@ -160,8 +163,8 @@ mod tests {
         let mut clique = Clique::new(4);
         let op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, m.rows()).unwrap();
         let known = op.prepared.as_ref().unwrap();
-        assert_eq!(known.counts, [2, 0, 1, 1]);
-        assert_eq!(known.density, 1);
+        assert_eq!(known.counts.per_node(), [2, 0, 1, 1]);
+        assert_eq!(known.counts.density(), 1);
         assert_eq!(&*known.opposite, m.transpose().rows());
         let phases = &clique.metrics().phases;
         assert_eq!(phases["counts/all_broadcast"].invocations, 1);
@@ -169,13 +172,24 @@ mod tests {
         assert_eq!(phases.len(), 2);
     }
 
+    /// [`Operand::from_layouts`] after the counts broadcast it takes.
+    fn from_layouts<'a>(
+        clique: &mut Clique,
+        side: Side,
+        held: &'a [SparseRow<Dist>],
+        opposite: &'a [SparseRow<Dist>],
+    ) -> Operand<'a, Dist> {
+        let counts = layout::broadcast_counts(clique, held, None).unwrap();
+        Operand::from_layouts(side, held, opposite, counts)
+    }
+
     #[test]
     fn from_layouts_only_broadcasts_the_counts() {
         let m = sample();
         let t = m.transpose();
         let mut clique = Clique::new(4);
-        let op = Operand::from_layouts(&mut clique, Side::Right, t.rows(), m.rows()).unwrap();
-        assert_eq!(op.prepared.unwrap().counts, [1, 2, 0, 1]);
+        let op = from_layouts(&mut clique, Side::Right, t.rows(), m.rows());
+        assert_eq!(op.prepared.unwrap().counts.per_node(), [1, 2, 0, 1]);
         assert_eq!(clique.rounds(), 1);
         assert_eq!(clique.metrics().phases.len(), 1);
     }
@@ -185,8 +199,8 @@ mod tests {
         let m = sample();
         let t = m.transpose();
         let mut clique = Clique::new(4);
-        let left = Operand::from_layouts(&mut clique, Side::Left, m.rows(), t.rows()).unwrap();
-        let right = Operand::from_layouts(&mut clique, Side::Right, t.rows(), m.rows()).unwrap();
+        let left = from_layouts(&mut clique, Side::Left, m.rows(), t.rows());
+        let right = from_layouts(&mut clique, Side::Right, t.rows(), m.rows());
         let positions = |op: &Operand<'_, Dist>| {
             let mut p: Vec<(u32, u32)> = op.entries().iter().flatten().map(Entry::pos).collect();
             p.sort_unstable();
@@ -204,7 +218,7 @@ mod tests {
         let m = sample();
         let t = m.transpose();
         let mut clique = Clique::new(4);
-        let mut a = Operand::from_layouts(&mut clique, Side::Left, m.rows(), t.rows()).unwrap();
+        let mut a = from_layouts(&mut clique, Side::Left, m.rows(), t.rows());
         let mut b = a.clone();
         let _ = crate::sparse_multiply_prepared::<MinPlus>(&mut clique, &mut a, &mut b, 1);
     }

@@ -97,7 +97,7 @@ pub(crate) fn product<SR: Semiring>(
             Some(rho) => {
                 let s = s.ensure_prepared::<SR>(clique)?;
                 let t = t.ensure_prepared::<SR>(clique)?;
-                let shape = CubeShape::choose(n, s.density, t.density, rho);
+                let shape = CubeShape::choose(n, s.counts.density(), t.counts.density(), rho);
                 CubePartition::build(clique, shape, s, t)?
             }
             None => CubePartition::uniform(n, CubeShape::uniform(n)),

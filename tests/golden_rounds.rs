@@ -51,20 +51,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 447,
-    messages: 228_792,
-    words: 273_942,
-    phase_labels: 46,
-    invocations: 293,
+    rounds: 383,
+    messages: 175_736,
+    words: 207_510,
+    phase_labels: 36,
+    invocations: 241,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 650,
-    messages: 315_982,
-    words: 378_758,
-    phase_labels: 91,
-    invocations: 408,
+    rounds: 542,
+    messages: 234_096,
+    words: 268_554,
+    phase_labels: 72,
+    invocations: 328,
     dist_digest: 12_639_840_282_067_814_693,
 };
 
