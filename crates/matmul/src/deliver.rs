@@ -4,18 +4,29 @@
 //! For an assignment `σ` of nodes to subtasks, every assigned node must
 //! learn its submatrices `S[C^S_i, C^{ij}_k]` and `T[C^{ij}_k, C^T_j]`.
 //! Entries are *duplicated* (an `S` entry is needed by one subtask per
-//! column block), so senders are first re-balanced by total duplication
+//! column block), so senders may first be re-balanced by total duplication
 //! weight (Lemma 10: Lenzen sort by weight + round-robin deal, the
-//! constructive Lemma 5) and then fan the entries out. With the Lemma 9
-//! partition, every node sends and receives `O(ρS·a + n)` words for `S` and
-//! `O(ρT·b + n)` for `T`, i.e. `O(ρS·a/n + ρT·b/n + 1)` rounds.
+//! constructive Lemma 5) before they fan the entries out. With the Lemma 9
+//! partition, every node then sends and receives `O(ρS·a + n)` words for `S`
+//! and `O(ρT·b + n)` for `T`, i.e. `O(ρS·a/n + ρT·b/n + 1)` rounds.
+//!
+//! The balance is only worth its rounds when the input layout would fan out
+//! more slowly. Under `σ1` every entry of `S` weighs `a` and every entry of
+//! `T` weighs `b`, so each node's fan-out send load follows from the
+//! broadcast slice sizes alone, for the input layout and for the balanced
+//! one alike. [`plan`] predicts the sort, deal and fan-out rounds of every
+//! choice from those sizes, under the clique's cost model, and balances only
+//! the sides whose balance pays; the fan-out's receive load is the same
+//! whatever the choice, so the plan never costs more rounds than balancing
+//! both sides would. `σ2` deliveries balance both sides.
 
-use cc_clique::{Clique, Envelope, NodeId};
+use cc_clique::{Clique, CostModel, Envelope, NodeId};
 use cc_matrix::{Entry, Semiring};
 
-use crate::cube::{CubePartition, TaskAssignment};
+use crate::cube::{CubePartition, CubeShape, TaskAssignment};
 use crate::key_index::KeyIndex;
 use crate::keyed::Keyed;
+use crate::layout::{self, Counts};
 use crate::operand::Operand;
 use crate::MatmulError;
 
@@ -35,22 +46,134 @@ type Targets<'a> = &'a dyn Fn(u32, u32, &mut Vec<NodeId>);
 /// Entries in global coordinates, grouped by the node that holds them.
 pub(crate) type PerNode<E> = Vec<Vec<Entry<E>>>;
 
+/// Where one side of a delivery fans out from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Placing {
+    /// The input layout, as [`Operand::entries`] lists it.
+    InPlace,
+    /// The placement an earlier `σ1` delivery balanced.
+    Kept,
+    /// A placement Lemma 10 balances now, by a sort and a deal.
+    Balanced,
+}
+
+/// The rounds [`predict`] expects a delivery to charge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Predicted {
+    /// Each side's balancing sort (`deliver_s/balance/sort`,
+    /// `deliver_t/balance/sort`).
+    pub sort: [u64; 2],
+    /// The deal route both sides share (`deliver/balance/route`).
+    pub deal: u64,
+    /// What the fan-out's send load charges; the fan-out route
+    /// (`deliver/fanout/route`) charges the larger of this and its receive
+    /// load, which no placing changes.
+    pub send: u64,
+}
+
+impl Predicted {
+    fn total(&self) -> u64 {
+        self.sort.iter().sum::<u64>() + self.deal + self.send
+    }
+}
+
+/// The rounds a `σ1` delivery spends on its sorts, its deal and its fan-out
+/// sends when its two sides are placed as `placing`, computed from their
+/// broadcast `counts` and the cube's `(a, b)` alone.
+///
+/// Under `σ1` every entry of `S` goes to `a` nodes and every entry of `T` to
+/// `b`. A side in place holds `c_v` entries at node `v`; a kept or balanced
+/// one holds `⌊total/n⌋ + [v < total mod n]`, what dealing rank `r` to node
+/// `r mod n` leaves. Each entry is one word, as every element type of the
+/// workspace is, and every primitive charges its cost model's rounds per
+/// `⌈load/n⌉`.
+pub(crate) fn predict(
+    cost: &CostModel,
+    shape: CubeShape,
+    counts: [&Counts; 2],
+    placing: [Placing; 2],
+) -> Predicted {
+    let n = counts[0].per_node().len() as u64;
+    let total = counts.map(|c| c.per_node().iter().sum::<u64>());
+    let mut sort = [0; 2];
+    let mut dealt = 0;
+    for side in 0..2 {
+        if placing[side] == Placing::Balanced {
+            let most = counts[side].per_node().iter().copied().max().unwrap_or(0);
+            sort[side] = cost.sort_per_unit * most.div_ceil(n);
+            dealt += total[side].div_ceil(n);
+        }
+    }
+    let held = |side: usize, v: u64| match placing[side] {
+        Placing::InPlace => counts[side].per_node()[v as usize],
+        Placing::Kept | Placing::Balanced => total[side] / n + u64::from(v < total[side] % n),
+    };
+    let (a, b) = (shape.a as u64, shape.b as u64);
+    let send = (0..n).map(|v| held(0, v) * a + held(1, v) * b).max().unwrap_or(0);
+    Predicted {
+        sort,
+        deal: cost.route_per_unit * dealt.div_ceil(n),
+        send: cost.route_per_unit * send.div_ceil(n),
+    }
+}
+
+/// Which sides a `σ1` delivery balances: of the placings open to it, the one
+/// [`predict`] charges fewest rounds, balancing less on a tie. A side with a
+/// `kept` placement reuses it, at no cost.
+///
+/// Every input is a broadcast value or the cube's shape, so every node
+/// computes the same plan. Balancing both sides is always open and every
+/// other plan sorts and deals less, so the plan never charges more than
+/// balancing both would.
+pub(crate) fn plan(
+    cost: &CostModel,
+    shape: CubeShape,
+    counts: [&Counts; 2],
+    kept: [bool; 2],
+) -> [Placing; 2] {
+    let open = |kept: bool| {
+        if kept {
+            &[Placing::Kept][..]
+        } else {
+            &[Placing::InPlace, Placing::Balanced][..]
+        }
+    };
+    let mut best = ([Placing::Balanced; 2], u64::MAX);
+    for &s in open(kept[0]) {
+        for &t in open(kept[1]) {
+            let rounds = predict(cost, shape, counts, [s, t]).total();
+            if rounds < best.1 {
+                best = ([s, t], rounds);
+            }
+        }
+    }
+    best.0
+}
+
 /// Lemma 11: every node assigned a subtask by `assignment` learns its
 /// `S`-block and `T`-block.
 ///
 /// An assignment that names no node is skipped without communication (and
 /// the result is empty): it was computed from broadcast data, so every node
-/// knows nothing is due. Under `σ1`, an operand whose placement an earlier
-/// delivery computed skips Lemma 10's sort and deal — its balanced holders
-/// were sent those entries then — and only fans out against the new cube.
+/// knows nothing is due.
 ///
-/// The two sides are independent: each sorts on its own
-/// (`deliver_s/balance/sort`, `deliver_t/balance/sort`), then both deals
-/// share the rounds of one route (`deliver/balance/route`) and both fan-outs
-/// those of another (`deliver/fanout/route`). A deal needs the operand's
-/// total entry count, which a prepared operand's broadcast counts already
-/// give; only an unprepared one — the dense baseline's — broadcasts its
-/// counts first (`deliver_s/balance/all_broadcast`, and likewise for `T`).
+/// Under `σ1`, [`plan`] decides from both operands' broadcast counts which
+/// sides Lemma 10 balances: a side that does not pay for its balance fans
+/// out straight from the input layout, and a side whose balanced placement
+/// an earlier delivery computed reuses it — its balanced holders were sent
+/// those entries then. Only balanced placements are kept for later `σ1`
+/// deliveries, which decide again against their own cubes. Under `σ2` both
+/// sides are balanced: the helpers make entry weights uneven, and only each
+/// entry's holder knows its weight.
+///
+/// Each balanced side sorts on its own (`deliver_s/balance/sort`,
+/// `deliver_t/balance/sort`), then the deals share the rounds of one route
+/// (`deliver/balance/route`, absent when neither side deals) and both
+/// fan-outs those of another (`deliver/fanout/route`). The plan and the
+/// deals read the operands' broadcast counts: a prepared operand's come with
+/// it, and only an unprepared one — the dense baseline's — broadcasts its
+/// counts first (`deliver_s/counts/all_broadcast`, and likewise for `T`),
+/// unless both sides reuse their placements.
 ///
 /// # Errors
 ///
@@ -74,20 +197,40 @@ pub(crate) fn deliver<SR: Semiring>(
     let s_kept = if reusable { s.sigma1_placement.take() } else { None };
     let t_kept = if reusable { t.sigma1_placement.take() } else { None };
 
-    // Lemma 10 for each side without a kept placement; an empty deal
-    // stands for a side whose placement is reused.
-    let s_deal = match s_kept {
-        Some(_) => Vec::new(),
-        None => clique.with_phase("deliver_s/balance", |cl| deal::<SR>(cl, s, &s_targets))?,
+    let (placing, totals) = if s_kept.is_some() && t_kept.is_some() {
+        ([Placing::Kept; 2], [0; 2])
+    } else {
+        let counts = [known_counts(clique, s, "deliver_s")?, known_counts(clique, t, "deliver_t")?];
+        let counts = [&counts[0], &counts[1]];
+        let placing = if reusable {
+            plan(clique.cost_model(), cube.shape, counts, [s_kept.is_some(), t_kept.is_some()])
+        } else {
+            [Placing::Balanced; 2]
+        };
+        (placing, counts.map(|c| c.per_node().iter().sum()))
     };
-    let t_deal = match t_kept {
-        Some(_) => Vec::new(),
-        None => clique.with_phase("deliver_t/balance", |cl| deal::<SR>(cl, t, &t_targets))?,
+
+    // Lemma 10 for each side the plan balances; an empty deal stands for a
+    // side that is not balanced now.
+    let s_deal = match placing[0] {
+        Placing::Balanced => {
+            clique.with_phase("deliver_s/balance", |cl| deal::<SR>(cl, s, totals[0], &s_targets))?
+        }
+        Placing::InPlace | Placing::Kept => Vec::new(),
     };
-    let [s_dealt, t_dealt] =
-        clique.with_phase("deliver/balance", |cl| cl.route_together([s_deal, t_deal]))?;
-    let s_placement = s_kept.unwrap_or_else(|| placement(s_dealt));
-    let t_placement = t_kept.unwrap_or_else(|| placement(t_dealt));
+    let t_deal = match placing[1] {
+        Placing::Balanced => {
+            clique.with_phase("deliver_t/balance", |cl| deal::<SR>(cl, t, totals[1], &t_targets))?
+        }
+        Placing::InPlace | Placing::Kept => Vec::new(),
+    };
+    let [s_dealt, t_dealt] = if s_deal.is_empty() && t_deal.is_empty() {
+        [Vec::new(), Vec::new()]
+    } else {
+        clique.with_phase("deliver/balance", |cl| cl.route_together([s_deal, t_deal]))?
+    };
+    let s_placement = placed(s, placing[0], s_kept, s_dealt);
+    let t_placement = placed(t, placing[1], t_kept, t_dealt);
 
     // Lemma 11: both fan-outs in shared rounds.
     let copies =
@@ -95,8 +238,8 @@ pub(crate) fn deliver<SR: Semiring>(
     let [s_inboxes, t_inboxes] =
         clique.with_phase("deliver/fanout", |cl| cl.route_together(copies))?;
     if reusable {
-        s.sigma1_placement = Some(s_placement);
-        t.sigma1_placement = Some(t_placement);
+        s.sigma1_placement = (placing[0] != Placing::InPlace).then_some(s_placement);
+        t.sigma1_placement = (placing[1] != Placing::InPlace).then_some(t_placement);
     }
     let payloads =
         |inbox: Vec<Envelope<Entry<SR::Elem>>>| inbox.into_iter().map(|e| e.payload).collect();
@@ -107,8 +250,22 @@ pub(crate) fn deliver<SR: Semiring>(
         .collect())
 }
 
-/// Lemma 10's sort for one operand: the deal that balances its entries
-/// across nodes by duplication weight, still to be routed.
+/// The operand's broadcast slice sizes: those a prepared operand carries,
+/// or for an unprepared one those of a counts broadcast now, under `label`.
+fn known_counts<E: Clone + PartialEq>(
+    clique: &mut Clique,
+    operand: &Operand<'_, E>,
+    label: &str,
+) -> Result<Counts, MatmulError> {
+    match operand.prepared() {
+        Some(known) => Ok(known.counts.clone()),
+        None => clique.with_phase(label, |cl| layout::broadcast_counts(cl, operand.held, None)),
+    }
+}
+
+/// Lemma 10's sort for one operand of `total` entries: the deal that
+/// balances its entries across nodes by duplication weight, still to be
+/// routed.
 ///
 /// `targets(r, c, buf)` lists the recipients of entry `(r, c)` into a buffer
 /// that arrives empty, and an entry's duplication weight is the length of
@@ -116,8 +273,12 @@ pub(crate) fn deliver<SR: Semiring>(
 fn deal<SR: Semiring>(
     clique: &mut Clique,
     operand: &Operand<'_, SR::Elem>,
+    total: u64,
     targets: Targets<'_>,
 ) -> Result<Vec<Envelope<Keyed<SR::Elem>>>, MatmulError> {
+    if total == 0 {
+        return Ok(Vec::new());
+    }
     let n = clique.n();
     let mut recipients: Vec<NodeId> = Vec::new();
 
@@ -137,17 +298,8 @@ fn deal<SR: Semiring>(
                 .collect()
         })
         .collect();
-    // Everyone knows the total count, hence the global rank layout: a
-    // prepared operand's slice sizes were broadcast when it was prepared,
-    // and only an unprepared one (the dense baseline's) broadcasts them now.
-    let total: u64 = match operand.prepared() {
-        Some(known) => known.counts.per_node().iter().sum(),
-        None => clique.all_broadcast(items.iter().map(|v| v.len() as u64).collect())?.iter().sum(),
-    };
-    if total == 0 {
-        return Ok(Vec::new());
-    }
     let sorted = clique.sort(items)?;
+    // Everyone knows the total count, hence the global rank layout.
     let run = (total as usize).div_ceil(n);
 
     // Step 2: deal rank r to node r mod n (round-robin over the
@@ -162,18 +314,28 @@ fn deal<SR: Semiring>(
     Ok(deal)
 }
 
-/// The entries every node holds once a deal is delivered: the sort key
-/// carried each entry's position.
-fn placement<E>(dealt: Vec<Vec<Envelope<Keyed<E>>>>) -> PerNode<E> {
-    dealt
-        .into_iter()
-        .map(|inbox| {
-            inbox
-                .into_iter()
-                .map(|env| Entry::new(env.payload.key.1, env.payload.key.2, env.payload.val))
-                .collect()
-        })
-        .collect()
+/// The entries every node fans out, as `placing` says: the placement `kept`
+/// from an earlier delivery, the input layout, or what a deal delivered (the
+/// sort key carried each entry's position).
+fn placed<E: Clone + PartialEq>(
+    operand: &Operand<'_, E>,
+    placing: Placing,
+    kept: Option<PerNode<E>>,
+    dealt: Vec<Vec<Envelope<Keyed<E>>>>,
+) -> PerNode<E> {
+    match (kept, placing) {
+        (Some(kept), _) => kept,
+        (None, Placing::InPlace) => operand.entries(),
+        (None, Placing::Kept | Placing::Balanced) => dealt
+            .into_iter()
+            .map(|inbox| {
+                inbox
+                    .into_iter()
+                    .map(|env| Entry::new(env.payload.key.1, env.payload.key.2, env.payload.val))
+                    .collect()
+            })
+            .collect(),
+    }
 }
 
 /// Lemma 11's fan-out for one operand: a copy of every placed entry to each
@@ -452,45 +614,92 @@ mod tests {
 
     #[test]
     fn only_an_unprepared_operand_broadcasts_its_deal_counts() {
-        // A product prepares both operands, so each deal reads its total
-        // off the operand's counts; the dense baseline's operands are never
-        // prepared, and each of its two deals broadcasts them once.
-        let n = 16;
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut m = SparseMatrix::zeros(n);
-        for _ in 0..60 {
-            m.set_in::<MinPlus>(
-                rng.gen_range(0..n),
-                rng.gen_range(0..n),
-                Dist::fin(rng.gen_range(1..9)),
-            );
-        }
-        let (cols, expected) = (m.transpose(), m.multiply::<MinPlus>(&m));
-        let balance_broadcasts = |clique: &Clique, label: &str| {
+        // A prepared operand's counts came with it, so a delivery plans and
+        // deals from them; an unprepared one broadcasts them in the delivery,
+        // once per side.
+        let n = 32;
+        let (s_matrix, t_matrix) = (star(n, 0), permutation(n, 3));
+        let t_cols = t_matrix.transpose();
+        let cube = CubePartition::uniform(n, CubeShape { a: 4, b: 2, c: 4 });
+        let sigma1 = cube.sigma1();
+        let count_broadcasts = |clique: &Clique, label: &str| {
             ["deliver_s", "deliver_t"].map(|side| {
-                let phase = format!("{label}/{side}/balance/all_broadcast");
+                let phase = format!("{label}{side}/counts/all_broadcast");
                 clique.metrics().phases.get(&phase).map_or(0, |p| p.invocations)
             })
         };
+        for prepared in [true, false] {
+            let mut clique = Clique::new(n);
+            let (mut s, mut t) = if prepared {
+                let mut prepare =
+                    |side, held| Operand::prepare::<MinPlus>(&mut clique, side, held).unwrap();
+                (prepare(Side::Left, s_matrix.rows()), prepare(Side::Right, t_cols.rows()))
+            } else {
+                let s = Operand::unprepared(Side::Left, s_matrix.rows());
+                (s, Operand::unprepared(Side::Right, t_cols.rows()))
+            };
+            let inputs = deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
+            assert_blocks_arrived(&cube, &s_matrix, &t_matrix, &inputs);
+            // The star row is sorted and dealt: the deal read S's total.
+            assert_eq!(clique.metrics().phases["deliver_s/balance/sort"].invocations, 1);
+            let expected = if prepared { [0, 0] } else { [1, 1] };
+            assert_eq!(count_broadcasts(&clique, ""), expected, "prepared: {prepared}");
+        }
 
+        // The dense baseline's operands are never prepared.
         let mut clique = Clique::new(n);
         let rows =
-            crate::sparse_multiply::<MinPlus>(&mut clique, m.rows(), cols.rows(), n).unwrap();
-        assert_eq!(SparseMatrix::from_rows(rows), expected);
-        assert!(clique.metrics().phases["sparse_mm/deliver_s/balance/sort"].invocations >= 1);
-        assert_eq!(balance_broadcasts(&clique, "sparse_mm"), [0, 0]);
+            crate::dense_multiply::<MinPlus>(&mut clique, s_matrix.rows(), t_cols.rows()).unwrap();
+        assert_eq!(SparseMatrix::from_rows(rows), s_matrix.multiply::<MinPlus>(&t_matrix));
+        assert_eq!(count_broadcasts(&clique, "dense_mm/"), [1, 1]);
+    }
 
-        let mut clique = Clique::new(n);
-        let rows = crate::dense_multiply::<MinPlus>(&mut clique, m.rows(), cols.rows()).unwrap();
-        assert_eq!(SparseMatrix::from_rows(rows), expected);
-        assert_eq!(balance_broadcasts(&clique, "dense_mm"), [1, 1]);
+    /// Asserts that every node's input holds exactly the entries of `s` and
+    /// `t` whose `σ1` targets name it.
+    fn assert_blocks_arrived(
+        cube: &CubePartition,
+        s: &SparseMatrix<Dist>,
+        t: &SparseMatrix<Dist>,
+        inputs: &[SubtaskInput<Dist>],
+    ) {
+        let sigma1 = cube.sigma1();
+        let expected = |m: &SparseMatrix<Dist>, targets: Targets<'_>| {
+            let mut per_node: PerNode<Dist> = vec![Vec::new(); cube.n];
+            let mut recipients = Vec::new();
+            for e in m.entries() {
+                recipients.clear();
+                targets(e.row, e.col, &mut recipients);
+                for &v in &recipients {
+                    per_node[v].push(e);
+                }
+            }
+            per_node
+        };
+        let s_targets = |r, c, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, &sigma1, out);
+        let t_targets = |r, c, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, &sigma1, out);
+        let by_position = |entries: &[Entry<Dist>]| {
+            let mut sorted = entries.to_vec();
+            sorted.sort_unstable_by_key(Entry::pos);
+            sorted
+        };
+        let (s_want, t_want) = (expected(s, &s_targets), expected(t, &t_targets));
+        for (v, input) in inputs.iter().enumerate() {
+            assert_eq!(by_position(&input.s_entries), by_position(&s_want[v]), "S at node {v}");
+            assert_eq!(by_position(&input.t_entries), by_position(&t_want[v]), "T at node {v}");
+        }
+    }
+
+    /// The rounds charged under each phase whose label ends in `leaf`.
+    fn rounds_under(clique: &Clique, leaf: &str) -> u64 {
+        let phases = &clique.metrics().phases;
+        phases.iter().filter(|(label, _)| label.ends_with(leaf)).map(|(_, p)| p.rounds).sum()
     }
 
     #[test]
     fn fan_out_asks_for_targets_into_one_buffer() {
-        // Every inbox holds exactly the entries whose targets name its node,
-        // whatever the balancing did in between: a recipient buffer handed
-        // over with the last entry's targets still in it would show here.
+        // Every inbox holds exactly the entries whose targets name its node:
+        // a recipient buffer handed over with the last entry's targets still
+        // in it would show here.
         let n = 8;
         let mut full = SparseMatrix::zeros(n);
         for (r, c) in (0..n).flat_map(|r| (0..n).map(move |c| (r, c))) {
@@ -505,43 +714,204 @@ mod tests {
         );
         let mut clique = Clique::new(n);
         let first = deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
-        let positions_for = |v: NodeId, targets: Targets<'_>| {
-            let mut recipients = Vec::new();
-            let all = (0..n as u32).flat_map(|r| (0..n as u32).map(move |c| (r, c)));
-            all.filter(|&(r, c)| {
-                recipients.clear();
-                targets(r, c, &mut recipients);
-                recipients.contains(&v)
-            })
-            .collect::<Vec<_>>()
-        };
-        let sorted = |entries: &[Entry<Dist>]| {
-            let mut p: Vec<(u32, u32)> = entries.iter().map(Entry::pos).collect();
-            p.sort_unstable();
-            p
-        };
-        for (v, input) in first.iter().enumerate() {
-            let s_targets = |r, c, out: &mut Vec<NodeId>| cube.s_entry_targets(r, c, &sigma1, out);
-            let t_targets = |r, c, out: &mut Vec<NodeId>| cube.t_entry_targets(r, c, &sigma1, out);
-            assert_eq!(sorted(&input.s_entries), positions_for(v, &s_targets), "S at node {v}");
-            assert_eq!(sorted(&input.t_entries), positions_for(v, &t_targets), "T at node {v}");
-        }
-        // 64 entries a side dealt in one route; each S entry fanned out to
-        // a = 2 nodes and each T entry to b = 2, in one more.
+        assert_blocks_arrived(&cube, &full, &full, &first);
+        // Every node holds 8 entries a side, as a balance would leave it: both
+        // sides fan out from the input layout, each S entry to a = 2 nodes
+        // and each T entry to b = 2, and nothing is dealt.
         let phases = &clique.metrics().phases;
-        assert_eq!(phases["deliver/balance/route"].messages, 2 * 64);
         assert_eq!(phases["deliver/fanout/route"].messages, 2 * 2 * 64);
+        assert!(!phases.keys().any(|label| label.contains("balance")));
+        assert!(s.sigma1_placement.is_none() && t.sigma1_placement.is_none());
 
-        // σ1 again: both placements are reused, so nothing is dealt and the
+        // σ1 again: no placement was kept, so the delivery plans again from
+        // the counts — unprepared operands broadcast them again — and the
         // same copies arrive.
         let again = deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
         for (a, b) in first.iter().zip(&again) {
             assert_eq!((&a.s_entries, &a.t_entries), (&b.s_entries, &b.t_entries));
         }
         let phases = &clique.metrics().phases;
-        assert_eq!(phases["deliver_s/balance/sort"].invocations, 1);
-        assert_eq!(phases["deliver_t/balance/sort"].invocations, 1);
-        assert_eq!(phases["deliver/balance/route"].messages, 2 * 64, "nothing dealt again");
+        assert_eq!(phases["deliver_s/counts/all_broadcast"].invocations, 2);
+        assert_eq!(phases["deliver_t/counts/all_broadcast"].invocations, 2);
         assert_eq!(phases["deliver/fanout/route"].invocations, 2);
+        assert!(!phases.keys().any(|label| label.contains("balance")));
+    }
+
+    /// Row 0 full and the diagonal elsewhere, every value distinct, shifted
+    /// by `shift` columns: a star row on its input holder.
+    fn star(n: usize, shift: usize) -> SparseMatrix<Dist> {
+        let mut m = SparseMatrix::zeros(n);
+        for c in 0..n {
+            m.set(0, (c + shift) % n, Dist::fin(c as u64 + 1));
+        }
+        for r in 1..n {
+            m.set(r, (r + shift) % n, Dist::fin((n + r) as u64));
+        }
+        m
+    }
+
+    /// A permutation matrix: row `r` holds column `(r + shift) mod n`.
+    fn permutation(n: usize, shift: usize) -> SparseMatrix<Dist> {
+        let mut m = SparseMatrix::zeros(n);
+        for r in 0..n {
+            m.set(r, (r + shift) % n, Dist::fin(r as u64 + 1));
+        }
+        m
+    }
+
+    #[test]
+    fn a_skewed_operand_is_still_balanced() {
+        // S's row 0 holds 32 entries of weight a = 4: 128 words on one node,
+        // 4 rounds of sending, where a sort and a deal (a round each) leave
+        // every node 1 or 2 entries. T's one entry per column fits as it is.
+        let n = 32;
+        let (s_matrix, t_matrix) = (star(n, 0), permutation(n, 3));
+        let t_cols = t_matrix.transpose();
+        let cube = CubePartition::uniform(n, CubeShape { a: 4, b: 2, c: 4 });
+        let sigma1 = cube.sigma1();
+        let mut s = Operand::unprepared(Side::Left, s_matrix.rows());
+        let mut t = Operand::unprepared(Side::Right, t_cols.rows());
+        let mut clique = Clique::new(n);
+        let first = deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
+        assert_blocks_arrived(&cube, &s_matrix, &t_matrix, &first);
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["deliver_s/balance/sort"].rounds, 1);
+        assert!(!phases.contains_key("deliver_t/balance/sort"));
+        assert_eq!(phases["deliver/balance/route"].messages, 2 * n as u64 - 1);
+        // 1 or 2 S entries of weight 4 and one T entry of weight 2 per node.
+        assert_eq!(phases["deliver/fanout/route"].rounds, 1);
+        assert!(s.sigma1_placement.is_some() && t.sigma1_placement.is_none());
+
+        // σ1 again: S reuses its balanced placement, T is planned again.
+        let again = deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
+        assert_blocks_arrived(&cube, &s_matrix, &t_matrix, &again);
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["deliver_s/balance/sort"].invocations, 1);
+        assert_eq!(phases["deliver/balance/route"].invocations, 1, "nothing dealt again");
+        assert_eq!(phases["deliver/fanout/route"].invocations, 2);
+        assert_eq!(phases["deliver/fanout/route"].rounds, 2);
+    }
+
+    #[test]
+    fn the_plan_reads_the_counts_and_not_the_entries() {
+        // Two operand pairs with equal counts and different entries: the same
+        // sides are balanced, at the same cost, and both arrive intact.
+        let n = 32;
+        let cube = CubePartition::uniform(n, CubeShape { a: 4, b: 2, c: 4 });
+        let sigma1 = cube.sigma1();
+        let balancing = |s_matrix: &SparseMatrix<Dist>, t_matrix: &SparseMatrix<Dist>| {
+            let t_cols = t_matrix.transpose();
+            let mut s = Operand::unprepared(Side::Left, s_matrix.rows());
+            let mut t = Operand::unprepared(Side::Right, t_cols.rows());
+            let mut clique = Clique::new(n);
+            let inputs = deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
+            assert_blocks_arrived(&cube, s_matrix, t_matrix, &inputs);
+            let mut balance: Vec<(String, u64, u64)> = (clique.metrics().phases.iter())
+                .filter(|(label, _)| label.contains("balance"))
+                .map(|(label, p)| (label.clone(), p.rounds, p.messages))
+                .collect();
+            balance.sort();
+            balance
+        };
+        let first = balancing(&star(n, 0), &permutation(n, 1));
+        assert_eq!(first.len(), 2, "S is sorted and dealt, T is not: {first:?}");
+        assert_eq!(first, balancing(&star(n, 7), &permutation(n, 20)));
+
+        let counts = |m: &SparseMatrix<Dist>| {
+            layout::broadcast_counts(&mut Clique::new(n), m.rows(), None).unwrap()
+        };
+        let (s_counts, t_counts) = (counts(&star(n, 0)), counts(&permutation(n, 0)));
+        let planned = plan(&CostModel::unit(), cube.shape, [&s_counts, &t_counts], [false; 2]);
+        assert_eq!(planned, [Placing::Balanced, Placing::InPlace]);
+    }
+
+    /// An `n × n` matrix of up to `nnz` random entries, plus a full random
+    /// row when `skewed`.
+    fn random_operand(rng: &mut StdRng, n: usize, nnz: usize, skewed: bool) -> SparseMatrix<Dist> {
+        let mut m = SparseMatrix::zeros(n);
+        if skewed {
+            let hot = rng.gen_range(0..n);
+            for c in 0..n {
+                m.set(hot, c, Dist::fin(rng.gen_range(1..50)));
+            }
+        }
+        for _ in 0..nnz {
+            m.set(rng.gen_range(0..n), rng.gen_range(0..n), Dist::fin(rng.gen_range(1..50)));
+        }
+        m
+    }
+
+    #[test]
+    fn predicted_rounds_are_the_rounds_charged() {
+        // Random operands, skewed or not, on random cube shapes and both cost
+        // models, delivered twice under σ1 (the second time against another
+        // cube, reusing what the first balanced): the predicted sorts and
+        // deal are exactly what the clique charged; the fan-out charged the
+        // larger of the predicted send load and the receive load; and no
+        // plan costs more than balancing every side that may be balanced.
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut balanced = [0; 3];
+        for case in 0..100 {
+            let n = [8, 16, 27, 32][case % 4];
+            let cost = if case % 5 == 0 { CostModel::conservative() } else { CostModel::unit() };
+            let nnz = [n / 2, n, 3 * n, n * n / 2][rng.gen_range(0..4)];
+            let (s_skewed, t_skewed, t_nnz) =
+                (rng.gen_bool(0.7), rng.gen_bool(0.7), rng.gen_range(0..3 * n));
+            let s_matrix = random_operand(&mut rng, n, nnz, s_skewed);
+            let t_matrix = random_operand(&mut rng, n, t_nnz, t_skewed);
+            let t_cols = t_matrix.transpose();
+            let mut s = Operand::unprepared(Side::Left, s_matrix.rows());
+            let mut t = Operand::unprepared(Side::Right, t_cols.rows());
+            let counts = [s_matrix.rows(), t_cols.rows()]
+                .map(|held| layout::broadcast_counts(&mut Clique::new(n), held, None).unwrap());
+            let counts = [&counts[0], &counts[1]];
+            let mut clique = Clique::with_cost_model(n, cost);
+            for delivery in 0..2 {
+                let a = rng.gen_range(1..=n.min(8));
+                let b = rng.gen_range(1..=(n / a).min(8));
+                let shape = CubeShape { a, b, c: rng.gen_range(1..=n / (a * b)) };
+                let cube = CubePartition::uniform(n, shape);
+                let sigma1 = cube.sigma1();
+                let what = format!("case {case} delivery {delivery}, n = {n}, {shape:?}");
+                let kept = [s.sigma1_placement.is_some(), t.sigma1_placement.is_some()];
+                let placing = plan(&cost, shape, counts, kept);
+                let predicted = predict(&cost, shape, counts, placing);
+                let [s_sorted, t_sorted, dealt, fanned] = [
+                    "deliver_s/balance/sort",
+                    "deliver_t/balance/sort",
+                    "deliver/balance/route",
+                    "deliver/fanout/route",
+                ]
+                .map(|leaf| rounds_under(&clique, leaf));
+
+                let inputs =
+                    deliver::<MinPlus>(&mut clique, &cube, &mut s, &mut t, &sigma1).unwrap();
+                assert_blocks_arrived(&cube, &s_matrix, &t_matrix, &inputs);
+                let charged = |leaf: &str, before: u64| rounds_under(&clique, leaf) - before;
+                let sorts = [
+                    charged("deliver_s/balance/sort", s_sorted),
+                    charged("deliver_t/balance/sort", t_sorted),
+                ];
+                assert_eq!(sorts, predicted.sort, "{what}: sorts");
+                assert_eq!(charged("deliver/balance/route", dealt), predicted.deal, "{what}: deal");
+                let received =
+                    inputs.iter().map(|i| (i.s_entries.len() + i.t_entries.len()) as u64);
+                let receive = cost.route_per_unit * received.max().unwrap_or(0).div_ceil(n as u64);
+                let fan_out = charged("deliver/fanout/route", fanned);
+                assert_eq!(fan_out, predicted.send.max(receive), "{what}: fan-out");
+
+                let balance_all = kept.map(|k| if k { Placing::Kept } else { Placing::Balanced });
+                let all = predict(&cost, shape, counts, balance_all);
+                let all_rounds = all.sort.iter().sum::<u64>() + all.deal + all.send.max(receive);
+                assert!(
+                    sorts.iter().sum::<u64>() + predicted.deal + fan_out <= all_rounds,
+                    "{what}: the plan costs more than balancing"
+                );
+                let sides_balanced = placing.iter().filter(|&&p| p == Placing::Balanced).count();
+                balanced[sides_balanced] += 1;
+            }
+        }
+        // The cases reach every plan size: none, one and two sides balanced.
+        assert!(balanced.iter().all(|&count| count > 0), "{balanced:?}");
     }
 }

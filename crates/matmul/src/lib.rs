@@ -22,34 +22,43 @@
 //! |------|-------------|-----------|------------|-------|-------------|
 //! | prepare operands | §2.1 | unless prepared | unless prepared | — | `counts`, `transpose` |
 //! | cube partition | Lemma 9 | for `ρ̂`, free if `c = 1` | for `ρ`, free if `c = 1` | uniform, free | `cube/*` |
-//! | `σ1` delivery | Lemmas 10 + 11 | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/*`, `deliver_t/balance/*`, `deliver/{balance,fanout}/route` |
+//! | `σ1` delivery | Lemmas 10 + 11, balancing only the sides whose balance pays | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/sort`, `deliver_t/balance/sort`, `deliver/{balance,fanout}/route`; dense: `deliver_{s,t}/counts` |
 //! | local products | free | yes | yes | yes | — |
 //! | thinning | Lemma 15 | — | per-row cutoffs | — | `cutoff_search` |
 //! | helper assignment | Lemma 12 / 16 | one pool `0..n`, chunk `ρ̂·c` | a pool per group `B_ik`, chunk `ρ·α_i·c` | — | `sizes` / `weights` |
-//! | `σ2` delivery | Lemmas 10 + 11 | unless `σ2 = ∅` | unless `σ2 = ∅` | — | as `σ1` delivery |
+//! | `σ2` delivery | Lemmas 10 + 11, both sides balanced | unless `σ2 = ∅` | unless `σ2 = ∅` | — | as `σ1` delivery |
 //! | responsibility split | Lemma 12, step 3 | yes | yes | — | — |
 //! | summation | Lemma 13 | yes | yes | yes | `sum/sort`, `sum/route` |
 //! | final row filter | Theorem 14 | — | yes | — | — |
 //!
-//! A delivery balances each operand on its own — a sort per side, laid out
-//! by the operand's total entry count — and then moves both sides together:
-//! the two Lemma 10 deals share the rounds of one route, and the two
-//! Lemma 11 fan-outs those of another
-//! ([`cc_clique::Clique::route_together`]). A side whose `σ1` placement is
-//! reused deals nothing. Nothing the nodes already know is sent again: a
-//! prepared operand's total comes from the counts broadcast when it was
-//! prepared (only the dense baseline's unprepared operands broadcast theirs
-//! in the delivery); each member of a Lemma 9 group broadcasts one word, the
-//! end of its middle range, and every node rebuilds the ranges from those
-//! ends; and a cube with `c = 1` has the one middle range `0..n`, so it
-//! sends nothing. The summation is one pass: one sort of every node's whole
-//! list of intermediate values and one route to the row owners.
+//! A `σ1` delivery first decides which operands Lemma 10 balances. Under
+//! `σ1` every entry of `S` goes to `a` nodes and every entry of `T` to `b`,
+//! so the broadcast slice sizes tell every node what each side's fan-out
+//! would send from the input layout and from a balanced one. The plan
+//! predicts each choice's sort, deal and fan-out-send rounds and takes the
+//! cheapest, balancing less on a tie; the fan-out's receive load is the same
+//! for every choice, so the plan never costs more than balancing both sides.
+//! A balanced side sorts on its own, laid out by the operand's total entry
+//! count, and then both sides move together: the Lemma 10 deals share the
+//! rounds of one route, skipped when nothing is dealt, and the two Lemma 11
+//! fan-outs those of another ([`cc_clique::Clique::route_together`]). A
+//! side that is not balanced fans out from where it is held, and a side
+//! whose balanced `σ1` placement an earlier delivery kept reuses it. A `σ2`
+//! delivery balances both sides, as only an entry's holder knows its weight.
+//! Nothing the nodes already know is sent again: a prepared operand's
+//! counts come from the broadcast made when it was prepared (only the dense
+//! baseline's unprepared operands broadcast theirs in the delivery); each
+//! member of a Lemma 9 group broadcasts one word, the end of its middle
+//! range, and every node rebuilds the ranges from those ends; and a cube
+//! with `c = 1` has the one middle range `0..n`, so it sends nothing. The
+//! summation is one pass: one sort of every node's whole list of
+//! intermediate values and one route to the row owners.
 //!
 //! [`sparse_multiply`] and [`filtered_multiply`] take the paper's input
 //! layout and have the pipeline prepare both operands; a caller that
 //! multiplies by the same matrix repeatedly prepares it once as an
-//! [`Operand`] — broadcast counts, both layouts, the `σ1` placement of
-//! Lemma 10 — and calls [`sparse_multiply_prepared`] /
+//! [`Operand`] — broadcast counts, both layouts, and the `σ1` placement of
+//! Lemma 10 once a delivery balanced it — and calls [`sparse_multiply_prepared`] /
 //! [`filtered_multiply_prepared`].
 //!
 //! All algorithms run on the [`cc_clique::Clique`] simulator and account

@@ -5,11 +5,12 @@
 //! rounds learning things that depend on one operand only: the broadcast
 //! slice sizes (Lemma 9's block weights), the opposite layout (the per-slice
 //! counts behind the Lemma 7 middle partition), and, under the canonical
-//! assignment `σ1`, where Lemma 10's sort-and-deal puts each entry. An
-//! [`Operand`] carries all of that, so a caller that multiplies by the same
-//! matrix again — the `W` of Theorem 19's `W ⋆ U_i` — pays for it once, and
-//! a caller that already holds both layouts of a matrix hands them over
-//! instead of having one transposed back.
+//! assignment `σ1`, where Lemma 10's sort-and-deal puts each entry once a
+//! delivery chose to balance the operand. An [`Operand`] carries all of
+//! that, so a caller that multiplies by the same matrix again — the `W` of
+//! Theorem 19's `W ⋆ U_i` — pays for it once, and a caller that already
+//! holds both layouts of a matrix hands them over instead of having one
+//! transposed back.
 
 use std::borrow::Cow;
 
@@ -40,11 +41,15 @@ pub struct Operand<'a, E: Clone> {
     /// `None` only inside a one-shot product, until (and unless — the dense
     /// baseline never does) the pipeline prepares the operand it was handed.
     prepared: Option<Prepared<'a, E>>,
-    /// Where Lemma 10 put each entry under `σ1`, once a delivery computed it:
-    /// per holder, the entries in global coordinates. Under `σ1` every entry
-    /// of one operand has the same duplication weight (`a` for `S`, `b` for
-    /// `T`), so the balancing sort orders by position alone and its outcome
-    /// does not depend on the other operand or on the cube's shape.
+    /// Where Lemma 10 put each entry under `σ1`, once a delivery balanced
+    /// the operand: per holder, the entries in global coordinates. Under
+    /// `σ1` every entry of one operand has the same duplication weight (`a`
+    /// for `S`, `b` for `T`), so the balancing sort orders by position alone
+    /// and its outcome does not depend on the other operand or on the cube's
+    /// shape. Only a balanced placement is kept — node `v` holds
+    /// `⌊total/n⌋ + [v < total mod n]` entries of it — so its sizes follow
+    /// from the broadcast counts; a delivery that leaves the operand where it
+    /// is held keeps nothing, and the next one decides again.
     pub(crate) sigma1_placement: Option<PerNode<E>>,
 }
 

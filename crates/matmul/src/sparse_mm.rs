@@ -238,21 +238,27 @@ mod tests {
     fn a_reused_left_operand_is_prepared_and_balanced_once() {
         // S ⋆ T1 then S ⋆ T2 from one prepared S: the one-shot products,
         // entry for entry, while the second product re-sends nothing that
-        // depends on S alone.
+        // depends on S alone. S's full row 0 does not fit as it is held once
+        // the cube sends each S entry to several nodes.
         let n = 24;
-        let s = random_matrix(n, 90, 11);
-        let (t1, t2) = (random_matrix(n, 60, 12), random_matrix(n, 200, 13));
+        let mut s = random_matrix(n, 90, 11);
+        for c in 0..n {
+            s.set_in::<MinPlus>(0, c, Dist::fin(1));
+        }
+        let ts = [random_matrix(n, 60, 12), random_matrix(n, 200, 13), random_matrix(n, 150, 14)];
         let mut clique = Clique::new(n);
         let mut left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
-        let mut products_run = 0;
-        for t in [&t1, &t2] {
+        let mut s_balances = Vec::new();
+        for t in &ts {
             let (t_rows, t_cols) = (t.rows(), t.transpose());
             let counts = layout::broadcast_counts(&mut clique, t_cols.rows(), None).unwrap();
             let mut right = Operand::from_layouts(Side::Right, t_cols.rows(), t_rows, counts);
             let rows =
                 sparse_multiply_prepared::<MinPlus>(&mut clique, &mut left, &mut right, n).unwrap();
             assert_eq!(SparseMatrix::from_rows(rows), s.multiply::<MinPlus>(t));
-            products_run += 1;
+            let phases = &clique.metrics().phases;
+            let sorts = phases.get("sparse_mm/deliver_s/balance/sort").map_or(0, |p| p.invocations);
+            s_balances.push(sorts);
 
             let mut one_shot = Clique::new(n);
             let expected =
@@ -261,35 +267,66 @@ mod tests {
         }
         let phases = &clique.metrics().phases;
         // Counts: S once, each T once. Transposes: S once (the Ts came with
-        // both layouts). σ1 balancing of S: the first product only.
-        assert_eq!(phases["counts/all_broadcast"].invocations, 1 + products_run);
+        // both layouts). σ1 balancing of S: once. The first cube leaves S in
+        // place, the second balances it, and the third reuses the placement.
+        assert_eq!(phases["counts/all_broadcast"].invocations, 1 + 3);
         assert_eq!(phases["transpose/route"].invocations, 1);
         assert!(!phases.contains_key("sparse_mm/transpose/route"));
-        let s_balances = phases["sparse_mm/deliver_s/balance/sort"].invocations;
-        let t_balances = phases["sparse_mm/deliver_t/balance/sort"].invocations;
-        assert_eq!(t_balances - s_balances, 1, "S skipped exactly one σ1 balancing");
-        // One shared deal route and one shared fan-out route per delivery,
-        // and T is balanced in every delivery.
-        assert_eq!(phases["sparse_mm/deliver/balance/route"].invocations, t_balances);
-        assert_eq!(phases["sparse_mm/deliver/fanout/route"].invocations, t_balances);
+        assert_eq!(s_balances, [0, 1, 1]);
+        // Every T fits as it is held, and no helper is assigned: one deal
+        // route, S's, and one fan-out route per product.
+        assert!(!phases.contains_key("sparse_mm/deliver_t/balance/sort"));
+        assert_eq!(phases["sparse_mm/deliver/balance/route"].invocations, 1);
+        assert_eq!(phases["sparse_mm/deliver/fanout/route"].invocations, 3);
     }
 
     #[test]
     fn an_empty_sigma2_delivery_is_skipped() {
         // Identity ⋆ identity: every subtask product is tiny, so σ2 names
-        // nobody and only the σ1 delivery communicates.
+        // nobody and only the σ1 delivery communicates. Every node holds one
+        // entry a side, as a balance would leave it, so nothing is balanced.
         let n = 8;
         let id = SparseMatrix::<Dist>::identity::<MinPlus>(n);
         let mut clique = Clique::new(n);
         sparse_multiply::<MinPlus>(&mut clique, id.rows(), id.rows(), n).unwrap();
         let phases = &clique.metrics().phases;
         for side in ["deliver_s", "deliver_t"] {
-            assert_eq!(phases[&format!("sparse_mm/{side}/balance/sort")].invocations, 1, "{side}");
-            // The deal's total comes from the operand's broadcast counts.
-            assert!(!phases.contains_key(&format!("sparse_mm/{side}/balance/all_broadcast")));
+            assert!(!phases.contains_key(&format!("sparse_mm/{side}/balance/sort")), "{side}");
+            // The plan reads the operand's broadcast counts.
+            assert!(!phases.contains_key(&format!("sparse_mm/{side}/counts/all_broadcast")));
         }
-        for leaf in ["balance/route", "fanout/route"] {
-            assert_eq!(phases[&format!("sparse_mm/deliver/{leaf}")].invocations, 1, "{leaf}");
+        assert!(!phases.contains_key("sparse_mm/deliver/balance/route"));
+        assert_eq!(phases["sparse_mm/deliver/fanout/route"].invocations, 1);
+    }
+
+    #[test]
+    fn a_product_whose_input_layout_fits_is_not_balanced() {
+        // Every row and every column of a circulant holds d entries: each
+        // node holds what a balance would leave it, for S and for T alike,
+        // so neither the product nor the dense baseline sorts or deals.
+        let (n, d) = (32, 5);
+        let mut w = SparseMatrix::<Dist>::zeros(n);
+        for r in 0..n {
+            for k in 0..d {
+                w.set(r, (r + 3 * k) % n, Dist::fin((r * d + k) as u64 + 1));
+            }
+        }
+        let t_cols = w.transpose();
+        let expected = w.multiply::<MinPlus>(&w);
+        let mut clique = Clique::new(n);
+        let rows = sparse_multiply::<MinPlus>(&mut clique, w.rows(), t_cols.rows(), 16).unwrap();
+        assert_eq!(SparseMatrix::from_rows(rows), expected);
+        let mut dense = Clique::new(n);
+        let rows = crate::dense_multiply::<MinPlus>(&mut dense, w.rows(), t_cols.rows()).unwrap();
+        assert_eq!(SparseMatrix::from_rows(rows), expected);
+        for (label, clique) in [("sparse_mm", &clique), ("dense_mm", &dense)] {
+            let phases = &clique.metrics().phases;
+            for leaf in
+                ["deliver_s/balance/sort", "deliver_t/balance/sort", "deliver/balance/route"]
+            {
+                assert!(!phases.contains_key(&format!("{label}/{leaf}")), "{label}/{leaf}");
+            }
+            assert_eq!(phases[&format!("{label}/deliver/fanout/route")].invocations, 1, "{label}");
         }
     }
 
