@@ -20,7 +20,8 @@
 
 use cc_clique::{Clique, Envelope};
 use cc_distance::{
-    check_size, distance_through_sets, hitting_set, k_nearest, DistanceError, HittingSet,
+    check_epsilon, check_size, distance_through_sets, hitting_set, k_nearest, DistanceError,
+    HittingSet,
 };
 use cc_graph::Graph;
 use cc_matrix::{AugDist, Dist, MinPlus, SparseRow};
@@ -149,10 +150,7 @@ fn landmark_phase(
 
 fn validate(clique: &Clique, graph: &Graph, epsilon: f64) -> Result<(), DistanceError> {
     check_size(clique, graph.n())?;
-    if !epsilon.is_finite() || epsilon <= 0.0 {
-        return Err(DistanceError::InvalidParameter { what: "APSP needs epsilon > 0".to_owned() });
-    }
-    Ok(())
+    check_epsilon(epsilon)
 }
 
 /// §6.1: deterministic `(3+ε)`-approximate weighted APSP in

@@ -14,6 +14,7 @@
 use cc_clique::{Clique, Envelope};
 use cc_distance::fixpoint::{broadcast_changed, iterate_to_fixpoint};
 use cc_distance::{check_size, DistanceError};
+use cc_graph::reference::Search;
 use cc_graph::Graph;
 use cc_matrix::{Dist, MinPlus};
 
@@ -82,43 +83,13 @@ fn greedy_spanner(graph: &Graph, k: usize) -> Graph {
     let mut edges: Vec<(u64, usize, usize)> = graph.edges().map(|(u, v, w)| (w, u, v)).collect();
     edges.sort_unstable();
     let mut spanner = Graph::empty(graph.n());
+    let mut search = Search::new();
     for (w, u, v) in edges {
-        // Bounded Dijkstra from u: stop beyond stretch * w.
-        let limit = stretch.saturating_mul(w);
-        let within = bounded_distance(&spanner, u, v, limit);
-        if within.is_none() {
+        if search.dijkstra(&spanner, u)[v].is_none_or(|d| d > stretch.saturating_mul(w)) {
             spanner.add_edge(u, v, w).expect("edges of a valid graph remain valid");
         }
     }
     spanner
-}
-
-/// Distance from `src` to `dst` in `g` if it is at most `limit`.
-fn bounded_distance(g: &Graph, src: usize, dst: usize, limit: u64) -> Option<u64> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut best: Vec<Option<u64>> = vec![None; g.n()];
-    let mut heap = BinaryHeap::new();
-    heap.push(Reverse((0u64, src)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > limit {
-            return None;
-        }
-        if v == dst {
-            return Some(d);
-        }
-        match best[v] {
-            Some(b) if b <= d => continue,
-            _ => best[v] = Some(d),
-        }
-        for &(u, w) in g.neighbors(v) {
-            let nd = d + w;
-            if nd <= limit && best[u].is_none_or(|b| nd < b) {
-                heap.push(Reverse((nd, u)));
-            }
-        }
-    }
-    None
 }
 
 /// The spanner route to approximate APSP (§1.1): a `(2k-1)`-spanner is

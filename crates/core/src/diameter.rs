@@ -14,9 +14,8 @@
 //! deterministic.
 
 use cc_clique::Clique;
-use cc_distance::{check_size, hitting_set, k_nearest, DistanceError};
+use cc_distance::{check_epsilon, check_size, hitting_set, k_nearest, DistanceError};
 use cc_graph::Graph;
-use cc_matrix::Dist;
 
 use crate::mssp::mssp;
 use crate::run::Stopwatch;
@@ -27,7 +26,8 @@ use crate::DiameterRun;
 ///
 /// # Errors
 ///
-/// [`DistanceError::InvalidParameter`] for `ε ≤ 0` or size mismatch;
+/// [`DistanceError::InvalidParameter`] for a non-finite or non-positive `ε`
+/// or size mismatch;
 /// [`DistanceError::Matmul`] if a subroutine fails.
 ///
 /// # Example
@@ -52,11 +52,7 @@ pub fn diameter_approx(
     epsilon: f64,
 ) -> Result<DiameterRun, DistanceError> {
     check_size(clique, graph.n())?;
-    if !epsilon.is_finite() || epsilon <= 0.0 {
-        return Err(DistanceError::InvalidParameter {
-            what: "diameter approximation needs epsilon > 0".to_owned(),
-        });
-    }
+    check_epsilon(epsilon)?;
     let watch = Stopwatch::start(clique);
     let n = graph.n();
     let k = (((n as f64).sqrt() * (n.max(2) as f64).log2()).ceil() as usize).clamp(1, n);
@@ -83,13 +79,18 @@ pub fn diameter_approx(
         let nkw: Vec<usize> = near[w].iter().map(|(c, _)| c as usize).collect();
         let run_w = mssp(clique, graph, &nkw, epsilon)?;
 
-        // (6): the estimate is the largest distance seen; global max via a
-        // one-word broadcast.
-        let local_max = |dists: &[Vec<Dist>]| -> u64 {
-            dists.iter().flat_map(|row| row.iter().filter_map(|d| d.value())).max().unwrap_or(0)
-        };
-        let est = local_max(&run_s.dist).max(local_max(&run_w.dist));
-        clique.all_broadcast(vec![est; n])?;
+        // (6): the estimate is the largest distance seen. Node v holds row v
+        // of both runs and broadcasts its largest finite entry (one word);
+        // every node takes the largest word that arrives.
+        let own_max: Vec<u64> = run_s
+            .dist
+            .iter()
+            .zip(&run_w.dist)
+            .map(|(s_row, w_row)| {
+                s_row.iter().chain(w_row).filter_map(|d| d.value()).max().unwrap_or(0)
+            })
+            .collect();
+        let est = clique.all_broadcast(own_max)?.into_iter().max().unwrap_or(0);
         Ok::<u64, DistanceError>(est)
     })?;
 
@@ -167,6 +168,19 @@ mod tests {
         let (est, d) = check(&generators::star(24).unwrap(), 0.25);
         assert_eq!(d, 2);
         assert!(est <= 2);
+    }
+
+    #[test]
+    fn the_estimate_is_the_largest_word_the_nodes_broadcast() {
+        // Pinned: step (6) is one one-word broadcast per node (the second
+        // of the phase's two, after step (4)'s), and the estimate is the
+        // largest entry of either MSSP run.
+        let g = generators::gnp_weighted(24, 0.2, 9, 4).unwrap();
+        let run = diameter_approx(&mut Clique::new(24), &g, 0.25).unwrap();
+        assert_eq!(run.estimate, 11);
+        assert_eq!((run.rounds, run.report.messages, run.report.words), (1089, 296_283, 355_201));
+        let broadcast = &run.report.phases["diameter/all_broadcast"];
+        assert_eq!((broadcast.rounds, broadcast.messages, broadcast.invocations), (2, 1104, 2));
     }
 
     #[test]

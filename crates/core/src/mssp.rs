@@ -20,7 +20,7 @@ use crate::MsspRun;
 /// # Errors
 ///
 /// * [`DistanceError::InvalidParameter`] for empty/out-of-range sources,
-///   `ε ≤ 0`, or graph/clique size mismatch;
+///   a non-finite or non-positive `ε`, or graph/clique size mismatch;
 /// * [`DistanceError::Matmul`] if a subroutine fails.
 ///
 /// # Example

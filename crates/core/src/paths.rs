@@ -151,26 +151,26 @@ pub fn exact_apsp_paths(clique: &mut Clique, graph: &Graph) -> Result<ApspPaths,
     Ok(ApspPaths { levels, rounds })
 }
 
-/// Checks that `path` is a real walk in `graph` from `u` to `v` with total
-/// weight `expected` — the validation predicate used by tests and examples.
-pub fn is_shortest_path(graph: &Graph, path: &[usize], u: usize, v: usize, expected: u64) -> bool {
-    if path.first() != Some(&u) || path.last() != Some(&v) {
-        return false;
-    }
-    let mut total = 0u64;
-    for pair in path.windows(2) {
-        match graph.weight(pair[0], pair[1]) {
-            Some(w) => total += w,
-            None => return false,
-        }
-    }
-    total == expected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cc_graph::{generators, reference};
+
+    /// Checks that `path` is a real walk in `graph` from `u` to `v` with
+    /// total weight `expected`.
+    fn is_shortest_path(graph: &Graph, path: &[usize], u: usize, v: usize, expected: u64) -> bool {
+        if path.first() != Some(&u) || path.last() != Some(&v) {
+            return false;
+        }
+        let mut total = 0u64;
+        for pair in path.windows(2) {
+            match graph.weight(pair[0], pair[1]) {
+                Some(w) => total += w,
+                None => return false,
+            }
+        }
+        total == expected
+    }
 
     fn check_all_paths(g: &Graph) {
         let mut clique = Clique::new(g.n());

@@ -68,6 +68,19 @@ pub fn check_size(clique: &Clique, nodes: usize) -> Result<(), DistanceError> {
     Ok(())
 }
 
+/// The one check that admits an accuracy parameter `ε`: finite and `> 0`.
+/// Every entry point that takes one runs it before any round or search.
+///
+/// # Errors
+///
+/// [`DistanceError::InvalidParameter`] for any other `epsilon`.
+pub fn check_epsilon(epsilon: f64) -> Result<(), DistanceError> {
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(invalid(format!("epsilon must be finite and > 0, got {epsilon}")));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,5 +94,10 @@ mod tests {
         let e = check_size(&Clique::new(9), 8).unwrap_err();
         assert!(e.to_string().ends_with("input has 8 nodes but clique has 9"), "{e}");
         assert_eq!(check_size(&Clique::new(8), 8), Ok(()));
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let e = check_epsilon(bad).unwrap_err();
+            assert!(e.to_string().ends_with(&format!("> 0, got {bad}")), "{e}");
+        }
+        assert_eq!(check_epsilon(f64::MIN_POSITIVE), Ok(()));
     }
 }

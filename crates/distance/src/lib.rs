@@ -52,7 +52,7 @@ mod source_detection;
 mod through_sets;
 mod witness;
 
-pub use error::{check_size, DistanceError};
+pub use error::{check_epsilon, check_size, DistanceError};
 pub use hitting::{hitting_set, hitting_set_local, HittingSet};
 pub use knearest::k_nearest;
 pub use source_detection::{source_detection_all, source_detection_k};

@@ -7,7 +7,9 @@
 //! distances, hop-consistent `(distance, hops)` pairs, `k`-nearest balls,
 //! hop-bounded distances (for hopset verification and the direct builder's
 //! columns), diameter, and shortest-path diameter (for the Bellman-Ford
-//! baseline's round bound).
+//! baseline's round bound). The greedy spanner of
+//! `cc_core::baselines::spanner_apsp` asks a [`Search`] for the distances
+//! it keeps each edge by.
 //!
 //! Lengths are those of the augmented min-plus semiring (§3.1): every
 //! relaxation extends a path with [`AugDist::combine`], so a path whose

@@ -40,7 +40,8 @@
 use cc_clique::Clique;
 use cc_distance::fixpoint::{broadcast_changed, iterate_to_fixpoint};
 use cc_distance::{
-    check_size, hitting_set, k_nearest, source_detection_all, DistanceError, HittingSet,
+    check_epsilon, check_size, hitting_set, k_nearest, source_detection_all, DistanceError,
+    HittingSet,
 };
 use cc_graph::Graph;
 use cc_matrix::{AugDist, SparseRow};
@@ -83,7 +84,7 @@ impl HopsetConfig {
     /// This is the **single source of truth** for the schedule — both the
     /// clique construction ([`build_hopset`]) and `cc-oracle`'s direct
     /// builder resolve their parameters here, so the two paths cannot
-    /// drift. Assumes `ε > 0` (callers validate before resolving).
+    /// drift.
     pub fn schedule(&self, n: usize) -> HopsetSchedule {
         let log_n = (n.max(2) as f64).log2();
         let k = (((n as f64).sqrt() * log_n).ceil() as usize).clamp(1, n);
@@ -208,8 +209,8 @@ pub fn bunch<'a>(
 ///
 /// # Errors
 ///
-/// * [`DistanceError::InvalidParameter`] if `ε ≤ 0` or graph/clique sizes
-///   mismatch;
+/// * [`DistanceError::InvalidParameter`] for a non-finite or non-positive
+///   `ε` or if graph/clique sizes mismatch;
 /// * [`DistanceError::Matmul`] if a multiplication subroutine fails.
 ///
 /// # Example
@@ -234,11 +235,7 @@ pub fn build_hopset(
 ) -> Result<Hopset, DistanceError> {
     let n = clique.n();
     check_size(clique, graph.n())?;
-    if !config.epsilon.is_finite() || config.epsilon <= 0.0 {
-        return Err(DistanceError::InvalidParameter {
-            what: "hopset needs epsilon > 0".to_owned(),
-        });
-    }
+    check_epsilon(config.epsilon)?;
     let HopsetSchedule { k, beta, exploration, levels } = config.schedule(n);
 
     clique.with_phase("hopset", |clique| {

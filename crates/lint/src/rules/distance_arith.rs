@@ -1,12 +1,15 @@
-//! Rule `distance_arith`: distance arithmetic in the oracle kernels must be
-//! `checked_add` + `MAX_FINITE_DISTANCE` clamp.
+//! Rule `distance_arith`: distance arithmetic in the distance kernels goes
+//! through one of two rules. A path is extended in the semiring
+//! (`Dist::checked_add`, `AugDist::combine`), where a length that does not
+//! fit a word is no path; a serving estimate is summed with `checked_add`
+//! and clamped to `MAX_FINITE_DISTANCE`, so it never turns a connected pair
+//! into ∞.
 //!
 //! Originating bug (PR 2): `to_landmark.saturating_add(col)` saturated two
 //! near-`u64::MAX` finite distances to exactly `u64::MAX` — the ∞ sentinel —
 //! so connected pairs were reported unreachable. `saturating_add`,
 //! `wrapping_add`, and bare `+` on distance-typed operands are all banned in
-//! the kernels; overflow must clamp to `MAX_FINITE_DISTANCE`, never reach
-//! the sentinel.
+//! the kernels.
 
 use super::{
     next_operand_ident, prev_operand_ident, scan_tokens, segment_match, Rule, KERNEL_FILES,
@@ -29,6 +32,11 @@ const DISTANCE_SEGMENTS: &[&str] = &[
     "w",
 ];
 
+/// The two rules a finding points to.
+const ADVICE: &str = "extend a path with the semiring's `Dist::checked_add` / \
+     `AugDist::combine` (a length that overflows is no path), or sum a serving estimate with \
+     `checked_add` and clamp it to `MAX_FINITE_DISTANCE` (it stays finite)";
+
 pub struct DistanceArith;
 
 impl Rule for DistanceArith {
@@ -37,7 +45,7 @@ impl Rule for DistanceArith {
     }
 
     fn summary(&self) -> &'static str {
-        "no saturating/wrapping/bare `+` on distances in oracle kernels; use checked_add + MAX_FINITE_DISTANCE clamp"
+        "no saturating/wrapping/bare `+` on distances in the distance kernels; extend a path with the semiring's checked_add/combine, or clamp an estimate to MAX_FINITE_DISTANCE"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
@@ -54,8 +62,7 @@ impl Rule for DistanceArith {
                 if method_banned {
                     return Some(format!(
                         "`{}` on a distance saturates into the `u64::MAX` infinity sentinel \
-                     (the PR 2 bug); use `checked_add(..).map_or(MAX_FINITE_DISTANCE, \
-                     |s| s.min(MAX_FINITE_DISTANCE))`",
+                     (the originating bug); {ADVICE}",
                         tok.text
                     ));
                 }
@@ -70,7 +77,7 @@ impl Rule for DistanceArith {
                     .find(|n| segment_match(n, DISTANCE_SEGMENTS))?;
                 Some(format!(
                     "bare `{}` on distance-typed operand `{name}` can overflow into the infinity \
-                 sentinel; use `checked_add` with a `MAX_FINITE_DISTANCE` clamp",
+                 sentinel; {ADVICE}",
                     tok.text
                 ))
             },

@@ -87,17 +87,21 @@ pub const SERVING_FILES: &[&str] = &[
     "crates/reactor/src/frame.rs",
 ];
 
-/// The distance kernels — the oracle's build/query/combine/shard files and
-/// `cc_graph::reference`, the one sequential search the direct builder
-/// runs: the files where distance arithmetic happens and where outputs must
-/// be pure functions of their inputs (the direct builder's bit-identity
-/// contract rides on this).
+/// The distance kernels — the oracle's build/query/combine/shard files,
+/// `cc_graph::reference` (the one sequential search the direct builder and
+/// the spanner baseline run), `cc-matrix`'s elements and semirings (which
+/// own the length rule) and the baselines: the files where distance
+/// arithmetic happens and where outputs must be pure functions of their
+/// inputs (the direct builder's bit-identity contract rides on this).
 pub const KERNEL_FILES: &[&str] = &[
     "crates/oracle/src/oracle.rs",
     "crates/oracle/src/shard.rs",
     "crates/oracle/src/cache.rs",
     "crates/oracle/src/direct.rs",
     "crates/graph/src/reference.rs",
+    "crates/matrix/src/elem.rs",
+    "crates/matrix/src/semiring.rs",
+    "crates/core/src/baselines.rs",
 ];
 
 /// The files whose functions make up the reactor dispatch path.

@@ -105,7 +105,8 @@ pub fn doubly_balanced_partition(w1: &[u64], w2: &[u64], k: usize) -> Vec<Range<
     parts
 }
 
-/// Weight of `range` under `weights` (helper shared by tests and callers).
+/// Weight of `range` under `weights`: the quantity the partitions above
+/// bound, which their property tests check with it.
 pub fn range_weight(weights: &[u64], range: &Range<usize>) -> u64 {
     weights[range.clone()].iter().sum()
 }

@@ -8,7 +8,8 @@ use cc_clique::Payload;
 /// so a `u64` with a dedicated infinity sentinel covers the whole value
 /// space. `Dist` is the element type of the min-plus semiring
 /// ([`MinPlus`](crate::MinPlus)): addition of the semiring is `min`,
-/// multiplication is saturating `+` (so `∞ + x = ∞`).
+/// multiplication is [`Dist::checked_add`], under which `∞ + x = ∞` and a
+/// sum that does not fit a word is no path.
 ///
 /// # Example
 ///
@@ -61,14 +62,26 @@ impl Dist {
         self.0
     }
 
-    /// Infinity-absorbing addition of path lengths.
+    /// Path concatenation under the workspace's one length rule: the sum
+    /// of two lengths, or [`Dist::INF`] when either is infinite or the sum
+    /// overflows `u64` or lands on its `u64::MAX` sentinel. A length that
+    /// does not fit a word is no path.
+    #[inline]
     pub fn checked_add(self, other: Dist) -> Dist {
-        if self.is_finite() && other.is_finite() {
-            Dist(self.0.checked_add(other.0).expect("distance overflow"))
-        } else {
-            Dist::INF
-        }
+        extend(self.0, other.0).map_or(Dist::INF, Dist)
     }
+}
+
+/// The one length rule of the workspace: extends a path of length `a` by
+/// one of length `b`. `None` — no path — when either is the `u64::MAX` ∞
+/// sentinel, or when the sum overflows `u64` or lands on the sentinel. Every
+/// semiring multiplication over lengths ([`Dist::checked_add`],
+/// [`AugDist::combine`], [`WitnessedMinPlus`](crate::WitnessedMinPlus))
+/// calls it. It, `checked_add` and `combine` are `#[inline]`: they run in
+/// the inner loops of every product, in other crates.
+#[inline]
+pub(crate) fn extend(a: u64, b: u64) -> Option<u64> {
+    a.checked_add(b).filter(|&sum| sum != u64::MAX)
 }
 
 impl fmt::Display for Dist {
@@ -138,19 +151,15 @@ impl AugDist {
         self.dist != u64::MAX
     }
 
-    /// Path concatenation: adds lengths and hop counts, absorbing infinity.
-    /// A sum that overflows (or lands on a reserved `MAX` sentinel) clamps
-    /// to [`AugDist::INF`]: a distance too large to represent is
-    /// indistinguishable from unreachable, and this runs on serving paths
-    /// where a panic would kill the worker.
+    /// Path concatenation: adds lengths under the one length rule of
+    /// [`Dist::checked_add`] and adds hop counts, absorbing infinity. A
+    /// length or hop count that overflows (or lands on its `MAX` sentinel)
+    /// gives [`AugDist::INF`]: this runs on serving paths, where a panic
+    /// would kill the worker.
+    #[inline]
     pub fn combine(self, other: AugDist) -> AugDist {
-        if !(self.is_finite() && other.is_finite()) {
-            return AugDist::INF;
-        }
-        match (self.dist.checked_add(other.dist), self.hops.checked_add(other.hops)) {
-            (Some(dist), Some(hops)) if dist != u64::MAX && hops != u32::MAX => {
-                AugDist { dist, hops }
-            }
+        match (extend(self.dist, other.dist), self.hops.checked_add(other.hops)) {
+            (Some(dist), Some(hops)) if hops != u32::MAX => AugDist { dist, hops },
             _ => AugDist::INF,
         }
     }

@@ -15,6 +15,11 @@
 //! * a sequential reference [`SparseMatrix::multiply`] used by differential
 //!   tests against the distributed algorithms.
 //!
+//! Lengths follow one rule, defined once here and applied by every semiring
+//! multiplication over them ([`Dist::checked_add`], [`AugDist::combine`],
+//! [`WitnessedMinPlus`]): a length that overflows `u64`, or lands on its
+//! `u64::MAX` ∞ sentinel, is no path.
+//!
 //! # Example: distance product
 //!
 //! ```

@@ -3,6 +3,7 @@ use std::fmt::Debug;
 
 use cc_clique::Payload;
 
+use crate::elem::extend;
 use crate::{AugDist, Dist, WitnessedDist};
 
 /// A semiring `(R, +, ·, 0, 1)` whose elements fit in an `O(log n)`-bit
@@ -66,7 +67,9 @@ pub trait OrderedSemiring: Semiring {
 /// The min-plus (tropical) semiring over [`Dist`]: `(ℕ∪{∞}, min, +, ∞, 0)`.
 ///
 /// Powers of a weight matrix over this semiring are exact shortest-path
-/// distances.
+/// distances. Multiplication is [`Dist::checked_add`], the one length rule:
+/// a length that overflows `u64` or reaches its `u64::MAX` ∞ sentinel is
+/// no path, so a product answers ∞ exactly where a sequential search does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MinPlus;
 
@@ -136,8 +139,10 @@ impl OrderedSemiring for AugMinPlus {
 /// contraction index achieving the minimum (see
 /// `cc_distance::product_with_witnesses`).
 ///
-/// Infinite results are canonicalised to [`WitnessedDist::INF`] so the
-/// additive identity stays unique and annihilation holds exactly.
+/// Distances extend under the one length rule of [`Dist::checked_add`]: a
+/// length that does not fit a word is no path. Infinite results are
+/// canonicalised to [`WitnessedDist::INF`] so the additive identity stays
+/// unique and annihilation holds exactly.
 ///
 /// **Algebraic status.** Projected to distances this is exactly
 /// [`MinPlus`] (a semiring homomorphism), and identities, associativity
@@ -162,12 +167,11 @@ impl Semiring for WitnessedMinPlus {
         *a.min(b)
     }
     fn mul(a: &WitnessedDist, b: &WitnessedDist) -> WitnessedDist {
-        if !a.is_finite() || !b.is_finite() {
-            return WitnessedDist::INF;
-        }
-        WitnessedDist {
-            dist: a.dist.checked_add(b.dist).expect("distance overflow"),
-            via: if b.via != u32::MAX { b.via } else { a.via },
+        match extend(a.dist, b.dist) {
+            Some(dist) => {
+                WitnessedDist { dist, via: if b.via != u32::MAX { b.via } else { a.via } }
+            }
+            None => WitnessedDist::INF,
         }
     }
 }

@@ -4,12 +4,12 @@ use std::time::Instant;
 
 use cc_clique::Clique;
 use cc_core::mssp::mssp;
-use cc_distance::{check_size, hitting_set, k_nearest, DistanceError, HittingSet};
+use cc_distance::{check_epsilon, check_size, hitting_set, k_nearest, HittingSet};
 use cc_graph::Graph;
 use cc_matrix::{AugDist, SparseRow};
 use cc_telemetry::BuildTrace;
 
-use crate::error::invalid;
+use crate::error::{invalid, rejected};
 use crate::oracle::{ArtifactSlice, BuildParams, Sections};
 use crate::{DistanceOracle, OracleError};
 
@@ -145,8 +145,8 @@ impl OracleBuilder {
     ///
     /// # Errors
     ///
-    /// * [`OracleError::InvalidParameter`] for `k = 0`, `ε ≤ 0`, or a
-    ///   graph/clique size mismatch;
+    /// * [`OracleError::InvalidParameter`] for `k = 0`, a non-finite or
+    ///   non-positive `ε`, or a graph/clique size mismatch;
     /// * [`OracleError::Build`] if a distributed substrate fails.
     pub fn build(&self, clique: &mut Clique, graph: &Graph) -> Result<DistanceOracle, OracleError> {
         self.build_traced(clique, graph).map(|(oracle, _)| oracle)
@@ -167,15 +167,11 @@ impl OracleBuilder {
         graph: &Graph,
     ) -> Result<(DistanceOracle, BuildTrace), OracleError> {
         let n = graph.n();
-        if let Err(DistanceError::InvalidParameter { what }) = check_size(clique, n) {
-            return Err(invalid(what));
-        }
+        check_size(clique, n).map_err(rejected)?;
         if n == 0 {
             return Err(invalid("oracle needs a non-empty graph"));
         }
-        if self.epsilon <= 0.0 {
-            return Err(invalid("oracle needs epsilon > 0"));
-        }
+        check_epsilon(self.epsilon).map_err(rejected)?;
         let k = self.k.unwrap_or_else(|| default_k(n)).min(n);
         if k == 0 {
             return Err(invalid("oracle needs k >= 1"));

@@ -58,7 +58,7 @@
 
 use std::sync::Arc;
 
-use cc_distance::hitting_set_local;
+use cc_distance::{check_epsilon, hitting_set_local};
 use cc_graph::reference::Search;
 use cc_graph::Graph;
 use cc_hopset::{bunch, HopsetConfig, HopsetSchedule};
@@ -66,7 +66,7 @@ use cc_matrix::{AugDist, Dist, SparseRow};
 use cc_telemetry::BuildTrace;
 
 use crate::builder::{ball_members, default_k, extract_artifact};
-use crate::error::invalid;
+use crate::error::{invalid, rejected};
 use crate::oracle::{ArtifactSlice, BuildParams, Sections};
 use crate::{DistanceOracle, OracleError};
 
@@ -280,9 +280,9 @@ impl DirectBuilder {
     ///
     /// # Errors
     ///
-    /// * [`OracleError::InvalidParameter`] for an empty graph, `ε ≤ 0`,
-    ///   `k = 0`, `max_landmarks = 0`, or (capped mode) a node that
-    ///   reaches no landmark;
+    /// * [`OracleError::InvalidParameter`] for an empty graph, a non-finite
+    ///   or non-positive `ε`, `k = 0`, `max_landmarks = 0`, or (capped mode)
+    ///   a node that reaches no landmark;
     /// * [`OracleError::Build`] if the hitting-set kernel rejects its
     ///   input.
     pub fn build_traced(&self, graph: &Graph) -> Result<(DistanceOracle, BuildTrace), OracleError> {
@@ -290,9 +290,7 @@ impl DirectBuilder {
         if n == 0 {
             return Err(invalid("oracle needs a non-empty graph"));
         }
-        if self.epsilon <= 0.0 {
-            return Err(invalid("oracle needs epsilon > 0"));
-        }
+        check_epsilon(self.epsilon).map_err(rejected)?;
         let k = self.k.unwrap_or_else(|| default_k(n)).min(n);
         if k == 0 {
             return Err(invalid("oracle needs k >= 1"));

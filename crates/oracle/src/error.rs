@@ -142,6 +142,15 @@ pub(crate) fn invalid(what: impl Into<String>) -> OracleError {
     OracleError::InvalidParameter { what: what.into() }
 }
 
+/// A parameter a `cc-distance` check rejected, as this crate's
+/// [`OracleError::InvalidParameter`].
+pub(crate) fn rejected(e: DistanceError) -> OracleError {
+    match e {
+        DistanceError::InvalidParameter { what } => invalid(what),
+        e => OracleError::Build(e),
+    }
+}
+
 pub(crate) fn corrupt(what: impl Into<String>) -> OracleError {
     OracleError::CorruptSnapshot { what: what.into() }
 }

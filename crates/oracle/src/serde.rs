@@ -73,6 +73,8 @@
 
 use std::sync::Arc;
 
+use cc_distance::check_epsilon;
+
 use crate::error::corrupt;
 use crate::oracle::{ArtifactSlice, BuildParams, Sections};
 use crate::shard::{OracleShard, ShardPlan, ShardSlot};
@@ -403,7 +405,7 @@ fn parse_header(bytes: &[u8], sharded: bool) -> Result<SnapshotHeader, OracleErr
     let n = r.len("n", payload_cap)?;
     let k = r.len("k", payload_cap)?;
     let epsilon = f64::from_bits(r.u64()?);
-    if epsilon <= 0.0 || !epsilon.is_finite() {
+    if check_epsilon(epsilon).is_err() {
         return Err(corrupt(format!("epsilon {epsilon} out of range")));
     }
     let landmarks = r.len("landmark count", payload_cap)?;

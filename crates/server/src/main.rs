@@ -114,10 +114,10 @@ OPTIONS:
     --cache N           result-cache capacity (default 4096, 0 disables;
                         a manifest's cache_capacity takes precedence)
     --seed S            demo build seed (default 7)
-    --epsilon E         demo build accuracy (default 0.25); a --demo build
-                        answers within 3(1+E) of the true distance, a capped
-                        --demo-direct build is sound but holds no such bound
-                        (docs/BUILDERS.md)
+    --epsilon E         demo build accuracy (default 0.25), finite and > 0;
+                        a --demo build answers within 3(1+E) of the true
+                        distance, a capped --demo-direct build is sound but
+                        holds no such bound (docs/BUILDERS.md)
     --k K               --demo-direct ball size (default 16; --demo keeps the
                         paper's default ~sqrt(n ln n))
     --max-landmarks M   --demo-direct landmark cap (default 64): bounds the

@@ -10,7 +10,7 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Mutex;
 
 use crate::json::JsonObject;
 
@@ -94,36 +94,37 @@ impl AccessLog {
     }
 }
 
-/// An in-memory `Write` sink sharable across threads — lets tests (and
-/// the bench) capture log output.
-#[derive(Debug, Clone, Default)]
-pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    /// An empty shared buffer.
-    pub fn new() -> SharedBuf {
-        SharedBuf::default()
-    }
-
-    /// The buffered bytes as a string (lossy).
-    pub fn contents(&self) -> String {
-        String::from_utf8_lossy(&self.0.lock().unwrap_or_else(PoisonError::into_inner)).into_owned()
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner).extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, PoisonError};
+
     use super::*;
+
+    /// An in-memory `Write` sink sharable across threads, to capture log
+    /// output.
+    #[derive(Debug, Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl SharedBuf {
+        fn new() -> SharedBuf {
+            SharedBuf::default()
+        }
+
+        fn contents(&self) -> String {
+            String::from_utf8_lossy(&self.0.lock().unwrap_or_else(PoisonError::into_inner))
+                .into_owned()
+        }
+    }
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner).extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     fn rec<'a>(id: u64, path: &'a str, duration_ns: u64) -> AccessRecord<'a> {
         AccessRecord { id, method: "GET", path, status: 200, endpoint: "distance", duration_ns }

@@ -59,7 +59,7 @@ pub mod json;
 mod registry;
 mod trace;
 
-pub use events::{AccessLog, AccessRecord, SharedBuf};
+pub use events::{AccessLog, AccessRecord};
 pub use expo::render_prometheus;
 pub use hist::{HistSnapshot, Histogram, BUCKETS};
 pub use json::{Json, JsonObject};

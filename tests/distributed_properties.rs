@@ -8,7 +8,7 @@
 use std::ops::Range;
 
 use congested_clique::clique::Clique;
-use congested_clique::core::{mssp, sssp};
+use congested_clique::core::{baselines, mssp, paths, sssp};
 use congested_clique::distance::k_nearest;
 use congested_clique::graph::{reference, Graph};
 use congested_clique::matmul::{filtered_multiply, sparse_multiply_auto};
@@ -111,6 +111,28 @@ proptest! {
         assert_k_nearest_matches_reference(&g, 12);
         let built = OracleBuilder::new().k(k).build(&mut Clique::new(12), &g).unwrap();
         testkit::assert_same_artifact(&DirectBuilder::new().k(k).build(&g).unwrap(), &built);
+    }
+
+    #[test]
+    fn huge_weights_overflow_to_no_path_in_the_exact_algorithms(
+        g in arb_graph_weighted(12, HUGE),
+        source in 0usize..12,
+    ) {
+        let exact = reference::all_pairs(&g);
+        let squaring = baselines::exact_apsp_squaring(&mut Clique::new(12), &g).unwrap();
+        let tables = paths::exact_apsp_paths(&mut Clique::new(12), &g).unwrap();
+        let bf = sssp::bellman_ford(&mut Clique::new(12), &g, source, None).unwrap();
+        let fast = sssp::exact_sssp(&mut Clique::new(12), &g, source).unwrap();
+        for u in 0..12 {
+            for v in 0..12 {
+                prop_assert_eq!(squaring.dist[u][v].value(), exact[u][v]);
+                prop_assert_eq!(tables.distance(u, v), exact[u][v]);
+            }
+        }
+        for v in 0..12 {
+            prop_assert_eq!(bf.dist[v].value(), exact[source][v]);
+            prop_assert_eq!(fast.dist[v].value(), exact[source][v]);
+        }
     }
 
     #[test]

@@ -7,12 +7,12 @@
 
 use congested_clique::clique::Clique;
 use congested_clique::core::{apsp, baselines, diameter, mssp, paths, sssp};
-use congested_clique::distance::{distance_through_sets, hitting_set, k_nearest};
+use congested_clique::distance::{distance_through_sets, hitting_set, k_nearest, DistanceError};
 use congested_clique::graph::{generators, reference, Graph};
 use congested_clique::hopset::{build_hopset, HopsetConfig};
 use congested_clique::matmul::{dense_multiply, filtered_multiply, sparse_multiply};
 use congested_clique::matrix::{Dist, MinPlus, SparseMatrix};
-use congested_clique::oracle::{testkit, DirectBuilder, OracleBuilder};
+use congested_clique::oracle::{serde, testkit, DirectBuilder, OracleBuilder, OracleError};
 
 #[test]
 fn single_node_clique_runs_everything() {
@@ -158,6 +158,77 @@ fn overflowing_path_is_no_path_everywhere() {
     }
 }
 
+/// Two graphs whose lengths do not all fit a word: the path 0…7 with every
+/// weight 2⁶² (four arcs weigh 2⁶⁴) and the triangle 0–1, 1–2, 0–2 at
+/// 3·2⁶² plus the edge 2–3 at 2⁶² (every two-arc path overflows).
+fn overflowing_graphs() -> [Graph; 2] {
+    let q = 1u64 << 62;
+    [
+        Graph::from_edges(8, (0..7).map(|v| (v, v + 1, q))).unwrap(),
+        Graph::from_edges(4, [(0, 1, 3 * q), (1, 2, 3 * q), (0, 2, 3 * q), (2, 3, q)]).unwrap(),
+    ]
+}
+
+/// The exact algorithms extend lengths in the semirings, so they answer
+/// what the sequential search answers, ∞ where a length overflows.
+#[test]
+fn exact_algorithms_equal_the_reference_when_lengths_overflow() {
+    for g in overflowing_graphs() {
+        let n = g.n();
+        let exact = reference::all_pairs(&g);
+        let squaring = baselines::exact_apsp_squaring(&mut Clique::new(n), &g).unwrap();
+        let tables = paths::exact_apsp_paths(&mut Clique::new(n), &g).unwrap();
+        for u in 0..n {
+            let bf = sssp::bellman_ford(&mut Clique::new(n), &g, u, None).unwrap();
+            let fast = sssp::exact_sssp(&mut Clique::new(n), &g, u).unwrap();
+            for v in 0..n {
+                assert_eq!(squaring.dist[u][v].value(), exact[u][v], "squaring ({u},{v})");
+                assert_eq!(tables.distance(u, v), exact[u][v], "witnessed paths ({u},{v})");
+                assert_eq!(bf.dist[v].value(), exact[u][v], "bellman-ford ({u},{v})");
+                assert_eq!(fast.dist[v].value(), exact[u][v], "exact sssp ({u},{v})");
+            }
+        }
+    }
+}
+
+/// The approximations never underestimate and answer ∞ wherever the
+/// sequential search does; they may answer ∞ where a detour overflows.
+#[test]
+fn approximations_stay_sound_when_lengths_overflow() {
+    let eps = 0.5;
+    for g in overflowing_graphs() {
+        let n = g.n();
+        let exact = reference::all_pairs(&g);
+        let runs = [
+            ("(3+eps)", apsp::weighted_3eps(&mut Clique::new(n), &g, eps).unwrap()),
+            ("(2+eps)", apsp::weighted_2eps(&mut Clique::new(n), &g, eps).unwrap()),
+            ("spanner k=2", baselines::spanner_apsp(&mut Clique::new(n), &g, 2).unwrap()),
+            ("spanner k=3", baselines::spanner_apsp(&mut Clique::new(n), &g, 3).unwrap()),
+        ];
+        for (name, run) in &runs {
+            for u in 0..n {
+                for v in 0..n {
+                    let (est, d) = (run.dist[u][v].value(), exact[u][v]);
+                    match d {
+                        Some(d) => assert!(est.is_none_or(|e| e >= d), "{name} ({u},{v})"),
+                        None => assert_eq!(est, None, "{name} ({u},{v})"),
+                    }
+                }
+            }
+        }
+        if n == 4 {
+            // Stretch 3 or 5 cannot span 1–2 through 0: that path overflows.
+            for (name, run) in &runs[2..] {
+                assert_eq!(run.dist[1][2].value(), Some(3 << 62), "{name}");
+            }
+        }
+        let run = diameter::diameter_approx(&mut Clique::new(n), &g, eps).unwrap();
+        // Claim 35's bounds around the longest length that fits a word.
+        let longest = reference::diameter(&g).unwrap();
+        assert!(diameter::within_claim35(run.estimate, longest, eps), "{}", run.estimate);
+    }
+}
+
 #[test]
 fn hitting_set_with_k_exceeding_set_sizes() {
     // k larger than every set: sampling probability 1 would be used, but
@@ -199,5 +270,36 @@ fn epsilon_extremes() {
     let run = mssp::mssp(&mut clique, &g, &[0], 1e-6).unwrap();
     for v in 0..16 {
         assert_eq!(run.dist[v][0].value(), exact[v]);
+    }
+}
+
+/// One check admits ε — finite and > 0 — and every entry point runs it
+/// before any round or search.
+#[test]
+fn an_epsilon_that_is_not_finite_and_positive_is_refused_before_any_round() {
+    let g = generators::gnp_weighted(16, 0.2, 9, 5).unwrap();
+    let refused =
+        |r: Result<(), DistanceError>| matches!(r, Err(DistanceError::InvalidParameter { .. }));
+    for eps in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+        let mut clique = Clique::new(16);
+        let built = OracleBuilder::new().epsilon(eps).build(&mut clique, &g);
+        assert!(matches!(built, Err(OracleError::InvalidParameter { .. })), "{eps}: {built:?}");
+        for direct in [DirectBuilder::new(), DirectBuilder::new().max_landmarks(4)] {
+            let built = direct.epsilon(eps).build(&g);
+            assert!(matches!(built, Err(OracleError::InvalidParameter { .. })), "{eps}: {built:?}");
+        }
+        assert!(refused(mssp::mssp(&mut clique, &g, &[0], eps).map(drop)), "{eps}");
+        assert!(refused(apsp::weighted_3eps(&mut clique, &g, eps).map(drop)), "{eps}");
+        assert!(refused(diameter::diameter_approx(&mut clique, &g, eps).map(drop)), "{eps}");
+        assert!(refused(build_hopset(&mut clique, &g, HopsetConfig::new(eps)).map(drop)), "{eps}");
+        assert_eq!(clique.rounds(), 0, "{eps}");
+    }
+    // The snapshot reader refuses the same values in a header (offset 24).
+    let oracle = OracleBuilder::new().build(&mut Clique::new(16), &g).unwrap();
+    for eps in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+        let mut bytes = serde::to_bytes(&oracle);
+        bytes[24..32].copy_from_slice(&eps.to_bits().to_le_bytes());
+        let read = serde::from_bytes(&bytes);
+        assert!(matches!(read, Err(OracleError::CorruptSnapshot { .. })), "{eps}: {read:?}");
     }
 }
