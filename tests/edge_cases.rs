@@ -158,6 +158,18 @@ fn overflowing_path_is_no_path_everywhere() {
     }
 }
 
+/// An arc weighing `u64::MAX`, the ∞ sentinel, has no finite weight to
+/// multiply with: the graph refuses it at input, so no algorithm meets it.
+#[test]
+fn an_arc_weighing_the_infinity_sentinel_is_refused_at_input() {
+    let built = Graph::from_edges(2, [(0, 1, u64::MAX)]);
+    if let Ok(g) = &built {
+        // What refusing prevents: the weight matrices have no element for it.
+        let _ = k_nearest(&mut Clique::new(2), g, 2);
+    }
+    assert!(built.is_err(), "a sentinel-weight edge was accepted");
+}
+
 /// Two graphs whose lengths do not all fit a word: the path 0…7 with every
 /// weight 2⁶² (four arcs weigh 2⁶⁴) and the triangle 0–1, 1–2, 0–2 at
 /// 3·2⁶² plus the edge 2–3 at 2⁶² (every two-arc path overflows).
