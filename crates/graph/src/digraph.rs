@@ -45,7 +45,7 @@ impl DiGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
+    /// Same conditions as [`DiGraph::add_arc`].
     pub fn from_arcs(
         n: usize,
         arcs: impl IntoIterator<Item = (usize, usize, u64)>,
@@ -62,7 +62,8 @@ impl DiGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
+    /// Returns [`GraphError::NodeOutOfRange`], [`GraphError::SelfLoop`], or
+    /// [`GraphError::InfiniteWeight`] for `w == u64::MAX`.
     pub fn add_arc(&mut self, u: usize, v: usize, w: u64) -> Result<bool, GraphError> {
         let n = self.n();
         if let Some(node) = [u, v].into_iter().find(|&x| x >= n) {
@@ -70,6 +71,9 @@ impl DiGraph {
         }
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
+        }
+        if w == u64::MAX {
+            return Err(GraphError::InfiniteWeight { u, v });
         }
         let list = &mut self.out[u];
         match list.binary_search_by_key(&v, |&(x, _)| x) {

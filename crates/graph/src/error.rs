@@ -17,6 +17,14 @@ pub enum GraphError {
         /// The node with the loop.
         node: usize,
     },
+    /// An arc weighed `u64::MAX`, the semirings' ∞ sentinel: no finite
+    /// element stands for it, so the graph refuses it at input.
+    InfiniteWeight {
+        /// The arc's tail.
+        u: usize,
+        /// The arc's head.
+        v: usize,
+    },
     /// A generator was called with parameters outside its domain.
     InvalidParameter {
         /// Human-readable description of the violated constraint.
@@ -31,6 +39,9 @@ impl fmt::Display for GraphError {
                 write!(f, "node {node} is outside the graph 0..{n}")
             }
             GraphError::SelfLoop { node } => write!(f, "self-loop at node {node}"),
+            GraphError::InfiniteWeight { u, v } => {
+                write!(f, "arc {u} -> {v} weighs u64::MAX, the infinity sentinel")
+            }
             GraphError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
         }
     }
@@ -46,5 +57,6 @@ mod tests {
     fn display() {
         assert!(GraphError::SelfLoop { node: 3 }.to_string().contains('3'));
         assert!(GraphError::NodeOutOfRange { node: 8, n: 4 }.to_string().contains("0..4"));
+        assert!(GraphError::InfiniteWeight { u: 2, v: 5 }.to_string().contains("2 -> 5"));
     }
 }

@@ -57,7 +57,8 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`] for
-    /// malformed edges.
+    /// malformed edges, and [`GraphError::InfiniteWeight`] for a weight of
+    /// `u64::MAX`.
     pub fn from_edges(
         n: usize,
         edges: impl IntoIterator<Item = (usize, usize, u64)>,
@@ -86,7 +87,7 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
+    /// Same conditions as [`Graph::from_edges`].
     pub fn add_edge(&mut self, u: usize, v: usize, w: u64) -> Result<(), GraphError> {
         if self.digraph.add_arc(u, v, w)? {
             self.m += 1;

@@ -219,8 +219,8 @@ impl Search {
     }
 }
 
-/// One arc of weight `w` as a semiring element. An arc weighing the
-/// `u64::MAX` sentinel is not finite, so no path can use it.
+/// One arc of weight `w` as a semiring element. A graph refuses an arc
+/// weighing the `u64::MAX` sentinel, so every arc is finite.
 fn arc(w: u64) -> AugDist {
     AugDist { dist: w, hops: 1 }
 }
@@ -418,12 +418,12 @@ mod tests {
         for beta in 0..5 {
             assert_eq!(hop_bounded(&g, 0, beta)[2..], [None, None], "beta={beta}");
         }
-        // A sum landing exactly on the ∞ sentinel is no path, and neither is
-        // an arc of that weight.
+        // A sum landing exactly on the ∞ sentinel is no path; an arc of that
+        // weight is refused when the graph is built.
         let g = Graph::from_edges(3, [(0, 1, u64::MAX / 2), (1, 2, u64::MAX / 2 + 1)]).unwrap();
         assert_eq!(dijkstra(&g, 0), vec![Some(0), Some(u64::MAX / 2), None]);
-        let g = Graph::from_edges(2, [(0, 1, u64::MAX)]).unwrap();
-        assert_eq!(all_pairs(&g), vec![vec![Some(0), None], vec![None, Some(0)]]);
+        let refused = Graph::from_edges(2, [(0, 1, u64::MAX)]).unwrap_err();
+        assert_eq!(refused, crate::GraphError::InfiniteWeight { u: 0, v: 1 });
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::ops::Range;
 use congested_clique::clique::Clique;
 use congested_clique::core::{baselines, mssp, paths, sssp};
 use congested_clique::distance::k_nearest;
-use congested_clique::graph::{reference, Graph};
+use congested_clique::graph::{reference, Graph, GraphError};
 use congested_clique::matmul::{filtered_multiply, sparse_multiply_auto};
 use congested_clique::matrix::{Dist, Entry, MinPlus, SparseMatrix};
 use congested_clique::oracle::{testkit, DirectBuilder, OracleBuilder};
@@ -117,7 +117,18 @@ proptest! {
     fn huge_weights_overflow_to_no_path_in_the_exact_algorithms(
         g in arb_graph_weighted(12, HUGE),
         source in 0usize..12,
+        u in 0usize..12,
+        v in 0usize..12,
     ) {
+        // The ∞ sentinel itself is no weight: refused, the graph unchanged.
+        let mut offered = g.clone();
+        if u != v {
+            prop_assert_eq!(
+                offered.add_edge(u, v, u64::MAX),
+                Err(GraphError::InfiniteWeight { u, v })
+            );
+            prop_assert_eq!(offered.m(), g.m());
+        }
         let exact = reference::all_pairs(&g);
         let squaring = baselines::exact_apsp_squaring(&mut Clique::new(12), &g).unwrap();
         let tables = paths::exact_apsp_paths(&mut Clique::new(12), &g).unwrap();

@@ -8,7 +8,7 @@
 use congested_clique::clique::Clique;
 use congested_clique::core::{apsp, baselines, diameter, mssp, paths, sssp};
 use congested_clique::distance::{distance_through_sets, hitting_set, k_nearest, DistanceError};
-use congested_clique::graph::{generators, reference, Graph};
+use congested_clique::graph::{generators, reference, DiGraph, Graph, GraphError};
 use congested_clique::hopset::{build_hopset, HopsetConfig};
 use congested_clique::matmul::{dense_multiply, filtered_multiply, sparse_multiply};
 use congested_clique::matrix::{Dist, MinPlus, SparseMatrix};
@@ -158,16 +158,19 @@ fn overflowing_path_is_no_path_everywhere() {
     }
 }
 
-/// An arc weighing `u64::MAX`, the ∞ sentinel, has no finite weight to
-/// multiply with: the graph refuses it at input, so no algorithm meets it.
+/// An arc weighing `u64::MAX`, the ∞ sentinel, has no finite element in the
+/// weight matrices: the graph refuses it at input, and the graph it was
+/// offered to is left as it was.
 #[test]
 fn an_arc_weighing_the_infinity_sentinel_is_refused_at_input() {
-    let built = Graph::from_edges(2, [(0, 1, u64::MAX)]);
-    if let Ok(g) = &built {
-        // What refusing prevents: the weight matrices have no element for it.
-        let _ = k_nearest(&mut Clique::new(2), g, 2);
-    }
-    assert!(built.is_err(), "a sentinel-weight edge was accepted");
+    let refused = Graph::from_edges(2, [(0, 1, u64::MAX)]).unwrap_err();
+    assert_eq!(refused, GraphError::InfiniteWeight { u: 0, v: 1 });
+    let mut g = Graph::from_edges(3, [(0, 1, u64::MAX - 1)]).unwrap();
+    assert_eq!(g.add_edge(1, 2, u64::MAX), Err(GraphError::InfiniteWeight { u: 1, v: 2 }));
+    assert_eq!((g.m(), g.max_weight()), (1, u64::MAX - 1));
+    let near = k_nearest(&mut Clique::new(3), &g, 3).unwrap();
+    assert_eq!(near[0].iter().map(|(c, _)| c).collect::<Vec<_>>(), vec![0, 1]);
+    assert!(DiGraph::from_arcs(2, [(1, 0, u64::MAX)]).is_err());
 }
 
 /// Two graphs whose lengths do not all fit a word: the path 0…7 with every
