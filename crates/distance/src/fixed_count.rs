@@ -106,10 +106,10 @@ fn invocations(clique: &Clique, phase: &str, leaf: &str) -> u64 {
     clique.metrics().phases.get(&format!("{phase}/{leaf}")).map_or(0, |p| p.invocations)
 }
 
-/// The products a detection ran: each broadcasts its subtask product sizes
-/// once (Lemma 12).
+/// The products a detection ran: each broadcasts its owner load words once,
+/// whether the row owners or the pipeline then compute it.
 fn executed(clique: &Clique, phase: &str) -> u64 {
-    invocations(clique, phase, "sparse_mm/sizes/all_broadcast")
+    invocations(clique, phase, "sparse_mm/owner/loads/all_broadcast")
 }
 
 #[test]
@@ -212,7 +212,7 @@ fn an_asymmetric_w_is_transposed_once_per_detection() {
     let mut clique = Clique::new(g.n());
     source_detection_all(&mut clique, &g, &[0, 5], g.n()).unwrap();
     let phases = &clique.metrics().phases;
-    let products = phases["source_detection_all/sparse_mm/sizes/all_broadcast"].invocations;
+    let products = executed(&clique, "source_detection_all");
     assert!(products > 1, "fixture exits too early to tell");
     assert_eq!(phases["source_detection_all/transpose/route"].invocations, products + 1);
     assert_eq!(phases["source_detection_all/counts/all_broadcast"].invocations, products + 1);

@@ -152,7 +152,7 @@ mod tests {
         changed: Option<&[bool]>,
         cap: u32,
     ) -> Result<Option<Vec<SparseRow<Dist>>>, MatmulError> {
-        let counts = layout::broadcast_counts(clique, rows, changed)?;
+        let counts = layout::broadcast_counts(clique, rows, None, changed)?;
         if counts.flagged() == Some(false) {
             return Ok(None);
         }

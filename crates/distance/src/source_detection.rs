@@ -89,9 +89,10 @@ fn hop_loop(
     }
     let mut w = Operand::prepare::<AugMinPlus>(clique, Side::Left, w.rows())?;
     iterate_to_fixpoint(clique, start, d - 1, |clique, rows, changed| {
-        // The column counts the product needs carry the changed bits.
+        // The column counts the product needs carry the changed bits, and
+        // the row counts the owner product's loads are computed from.
         let cols = layout::transpose_exchange::<AugMinPlus>(clique, rows)?;
-        let counts = layout::broadcast_counts(clique, &cols, changed)?;
+        let counts = layout::broadcast_counts(clique, &cols, Some(rows), changed)?;
         if counts.flagged() == Some(false) {
             return Ok(None);
         }

@@ -10,7 +10,7 @@
 
 use std::ops::Range;
 
-use cc_clique::{Clique, Envelope, NodeId};
+use cc_clique::{Clique, CostModel, Envelope, NodeId};
 use cc_matrix::SparseRow;
 
 use crate::operand::Prepared;
@@ -79,6 +79,18 @@ impl CubeShape {
     /// Total number of subtasks `a·b·c`.
     pub fn subtasks(&self) -> usize {
         self.a * self.b * self.c
+    }
+
+    /// The rounds [`CubePartition::build`] charges for this shape: none if
+    /// `c = 1`; else the slice-counts route, whose subtask nodes each
+    /// receive a two-word pair from all `n` nodes (`2n` words, two units),
+    /// and the one-word boundaries broadcast.
+    pub fn build_rounds(&self, cost: &CostModel) -> u64 {
+        if self.c == 1 {
+            0
+        } else {
+            2 * cost.route_per_unit + cost.broadcast_per_unit
+        }
     }
 }
 
@@ -592,6 +604,24 @@ mod tests {
         assert!(cube.mid_ranges.iter().all(|ranges| ranges.len() == 1 && ranges[0] == (0..n)));
         let phases = &clique.metrics().phases;
         assert!(!phases.keys().any(|label| label.starts_with("cube/")), "{phases:?}");
+    }
+
+    #[test]
+    fn build_rounds_are_the_rounds_the_build_charges() {
+        let n = 24;
+        let (s, t) = (random_matrix(n, 150, 7), random_matrix(n, 90, 8));
+        for cost in [CostModel::unit(), CostModel::conservative()] {
+            for shape in [
+                CubeShape { a: 2, b: 3, c: 4 },
+                CubeShape { a: 1, b: 1, c: 24 },
+                CubeShape { a: 5, b: 1, c: 3 },
+                CubeShape { a: 4, b: 6, c: 1 },
+            ] {
+                let mut clique = Clique::with_cost_model(n, cost);
+                let (_, rounds) = build_on(&mut clique, shape, &s, &t.transpose());
+                assert_eq!(rounds, shape.build_rounds(&cost), "{shape:?} under {cost:?}");
+            }
+        }
     }
 
     #[test]

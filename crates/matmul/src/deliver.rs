@@ -150,6 +150,61 @@ pub(crate) fn plan(
     best.0
 }
 
+/// What [`predict_owner`] weighs: the rounds the owner product's route
+/// charges, and a floor no run of the pipeline on the same operands goes
+/// below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OwnerCost {
+    /// `route_per_unit·⌈L/n⌉` for the largest load word `L`: exactly what
+    /// the owner route charges.
+    pub route: u64,
+    /// The cube's broadcasts, the `σ1` delivery's sorts, deal and fan-out
+    /// sends ([`predict`] under [`plan`]), the helper sizes broadcast, and —
+    /// if some elementary product is non-zero, so that the summation has
+    /// something to sort — one summation sort and one route.
+    pub floor: u64,
+}
+
+impl OwnerCost {
+    /// Whether the owner product charges no more than the pipeline would.
+    pub fn fits(&self) -> bool {
+        self.route <= self.floor
+    }
+}
+
+/// The owner product's cost against the pipeline's floor, from broadcast
+/// words and the cube's shape alone: the operands' `counts`, whether each
+/// side `kept` a `σ1` placement, and every node's `loads` word — its owner
+/// route load `max(send, recv)`, with the flag bit raised if some
+/// elementary product through the node is non-zero.
+///
+/// The pipeline always builds the cube (free if `c = 1`), delivers under
+/// `σ1` as [`plan`] places it — its fan-out charges at least the predicted
+/// sends — and broadcasts its subtask product sizes (Lemmas 12 and 16). A
+/// non-zero elementary product leaves at least one intermediate value in
+/// every semiring of the workspace (a sum of non-zero elements is
+/// non-zero, and Lemma 15 keeps a row's smallest entries), so the summation
+/// then sorts and routes at least one unit each. Every node computes the
+/// same `OwnerCost`, and the owner product never charges more than the
+/// pipeline when it [`OwnerCost::fits`].
+pub(crate) fn predict_owner(
+    cost: &CostModel,
+    shape: CubeShape,
+    counts: [&Counts; 2],
+    kept: [bool; 2],
+    loads: &[u64],
+) -> OwnerCost {
+    let n = loads.len() as u64;
+    let most = loads.iter().map(|w| w & !layout::FLAG_BIT).max().unwrap_or(0);
+    let summed = loads.iter().any(|w| w & layout::FLAG_BIT != 0);
+    let sigma1 = predict(cost, shape, counts, plan(cost, shape, counts, kept)).total();
+    let sum = if summed { cost.sort_per_unit + cost.route_per_unit } else { 0 };
+    OwnerCost {
+        route: cost.route_per_unit * most.div_ceil(n),
+        floor: shape.build_rounds(cost) + sigma1 + cost.broadcast_per_unit + sum,
+    }
+}
+
 /// Lemma 11: every node assigned a subtask by `assignment` learns its
 /// `S`-block and `T`-block.
 ///
@@ -259,7 +314,9 @@ fn known_counts<E: Clone + PartialEq>(
 ) -> Result<Counts, MatmulError> {
     match operand.prepared() {
         Some(known) => Ok(known.counts.clone()),
-        None => clique.with_phase(label, |cl| layout::broadcast_counts(cl, operand.held, None)),
+        None => {
+            clique.with_phase(label, |cl| layout::broadcast_counts(cl, operand.held, None, None))
+        }
     }
 }
 
@@ -818,7 +875,7 @@ mod tests {
         assert_eq!(first, balancing(&star(n, 7), &permutation(n, 20)));
 
         let counts = |m: &SparseMatrix<Dist>| {
-            layout::broadcast_counts(&mut Clique::new(n), m.rows(), None).unwrap()
+            layout::broadcast_counts(&mut Clique::new(n), m.rows(), None, None).unwrap()
         };
         let (s_counts, t_counts) = (counts(&star(n, 0)), counts(&permutation(n, 0)));
         let planned = plan(&CostModel::unit(), cube.shape, [&s_counts, &t_counts], [false; 2]);
@@ -862,8 +919,9 @@ mod tests {
             let t_cols = t_matrix.transpose();
             let mut s = Operand::unprepared(Side::Left, s_matrix.rows());
             let mut t = Operand::unprepared(Side::Right, t_cols.rows());
-            let counts = [s_matrix.rows(), t_cols.rows()]
-                .map(|held| layout::broadcast_counts(&mut Clique::new(n), held, None).unwrap());
+            let counts = [s_matrix.rows(), t_cols.rows()].map(|held| {
+                layout::broadcast_counts(&mut Clique::new(n), held, None, None).unwrap()
+            });
             let counts = [&counts[0], &counts[1]];
             let mut clique = Clique::with_cost_model(n, cost);
             for delivery in 0..2 {

@@ -49,7 +49,8 @@ pub fn dense_multiply<SR: Semiring>(
     s_rows: &[SparseRow<SR::Elem>],
     t_cols: &[SparseRow<SR::Elem>],
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
-    let plan = Plan { label: "dense_mm", cube_density: None, thin: None, helpers: None };
+    let plan =
+        Plan { label: "dense_mm", cube_density: None, thin: None, helpers: None, owner: false };
     let mut s = Operand::unprepared(Side::Left, s_rows);
     let mut t = Operand::unprepared(Side::Right, t_cols);
     product::<SR>(clique, &plan, &mut s, &mut t)

@@ -258,6 +258,22 @@ where
     SR: OrderedSemiring,
     SR::Elem: Searchable,
 {
+    filtered_product::<SR>(clique, s, t, rho, true)
+}
+
+/// [`filtered_multiply_prepared`], with the owner product allowed if
+/// `owner`.
+pub(crate) fn filtered_product<SR>(
+    clique: &mut Clique,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+    rho: usize,
+    owner: bool,
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError>
+where
+    SR: OrderedSemiring,
+    SR::Elem: Searchable,
+{
     let rho = rho.clamp(1, clique.n());
     // Lemma 15: per-row cutoffs via a lockstep distributed search.
     let thin = |cl: &mut Clique, cube: &CubePartition, products: &[Vec<Entry<SR::Elem>>]| {
@@ -283,6 +299,7 @@ where
         cube_density: Some(rho),
         thin: Some(&thin),
         helpers: Some(Helpers { sizes_label: "weights", hint: rho, scopes: &scopes }),
+        owner,
     };
     let mut rows = product::<SR>(clique, &plan, s, t)?;
     for row in &mut rows {
@@ -720,7 +737,10 @@ mod tests {
         let t = random_matrix(n, 4 * n, 6);
         let mut clique = Clique::new(n);
         let t_cols = t.transpose();
-        filtered_multiply::<MinPlus>(&mut clique, s.rows(), t_cols.rows(), 4).unwrap();
+        // The pipeline's cost: the row owners would take this product.
+        let mut left = Operand::unprepared(Side::Left, s.rows());
+        let mut right = Operand::unprepared(Side::Right, t_cols.rows());
+        filtered_product::<MinPlus>(&mut clique, &mut left, &mut right, 4, false).unwrap();
         // log W for 1000-bounded weights and n=32 is ~15 bits plus column
         // bits, but the snapped search pays for the ordinals that exist: the
         // whole multiply takes 30 rounds (65 when the search bisected the

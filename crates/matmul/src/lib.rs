@@ -103,4 +103,6 @@ pub use dense_mm::dense_multiply;
 pub use error::MatmulError;
 pub use filtered_mm::{filtered_multiply, filtered_multiply_prepared};
 pub use operand::{Operand, Side};
+#[doc(hidden)]
+pub use pipeline::{audit, ProductAudit};
 pub use sparse_mm::{sparse_multiply, sparse_multiply_auto, sparse_multiply_prepared, AutoProduct};

@@ -59,14 +59,15 @@ pub(crate) struct Prepared<'a, E: Clone> {
     /// The other layout of the same matrix (node `v` holds column `v` of a
     /// left operand, row `v` of a right one).
     pub opposite: Cow<'a, [SparseRow<E>]>,
-    /// `held[v].nnz()` for every `v` and the density, as broadcast.
+    /// `held[v].nnz()` for every `v`, the density, and — if the broadcast
+    /// carried them — `opposite[v].nnz()`.
     pub counts: Counts,
 }
 
 impl<'a, E: Clone + PartialEq> Operand<'a, E> {
-    /// Prepares an operand from the layout its side starts in: broadcasts
-    /// the slice sizes (one round) and obtains the opposite layout by a
-    /// transpose exchange (`O(1)` rounds).
+    /// Prepares an operand from the layout its side starts in: obtains the
+    /// opposite layout by a transpose exchange (`O(1)` rounds) and broadcasts
+    /// the sizes of both layouts' slices (one round).
     ///
     /// # Errors
     ///
@@ -87,6 +88,10 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
     /// say — and whose slice sizes they broadcast: `counts` is what
     /// [`layout::broadcast_counts`] returned for `held`. No communication.
     ///
+    /// A right operand whose `counts` carry the opposite layout's sizes (its
+    /// row counts) may be multiplied at the row owners; without them the
+    /// product always runs the pipeline.
+    ///
     /// `opposite` must be the transpose of `held`.
     pub fn from_layouts(
         side: Side,
@@ -101,6 +106,12 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         debug_assert!(
             held.iter().map(|r| r.nnz() as u64).eq(counts.per_node().iter().copied()),
             "the counts must be those of the held slices"
+        );
+        debug_assert!(
+            counts
+                .opposite()
+                .is_none_or(|c| opposite.iter().map(|r| r.nnz() as u64).eq(c.iter().copied())),
+            "the opposite counts must be those of the opposite slices"
         );
         let prepared = Prepared { opposite: Cow::Borrowed(opposite), counts };
         Operand { prepared: Some(prepared), ..Operand::unprepared(side, held) }
@@ -118,9 +129,9 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         clique: &mut Clique,
     ) -> Result<&Prepared<'a, E>, MatmulError> {
         if self.prepared.is_none() {
-            let counts = layout::broadcast_counts(clique, self.held, None)?;
-            let opposite = Cow::Owned(layout::transpose_exchange::<S>(clique, self.held)?);
-            self.prepared = Some(Prepared { opposite, counts });
+            let opposite = layout::transpose_exchange::<S>(clique, self.held)?;
+            let counts = layout::broadcast_counts(clique, self.held, Some(&opposite), None)?;
+            self.prepared = Some(Prepared { opposite: Cow::Owned(opposite), counts });
         }
         Ok(self.prepared.as_ref().expect("prepared just above, if not before"))
     }
@@ -169,6 +180,7 @@ mod tests {
         let op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, m.rows()).unwrap();
         let known = op.prepared.as_ref().unwrap();
         assert_eq!(known.counts.per_node(), [2, 0, 1, 1]);
+        assert_eq!(known.counts.opposite(), Some(&[1, 2, 0, 1][..]));
         assert_eq!(known.counts.density(), 1);
         assert_eq!(&*known.opposite, m.transpose().rows());
         let phases = &clique.metrics().phases;
@@ -184,7 +196,7 @@ mod tests {
         held: &'a [SparseRow<Dist>],
         opposite: &'a [SparseRow<Dist>],
     ) -> Operand<'a, Dist> {
-        let counts = layout::broadcast_counts(clique, held, None).unwrap();
+        let counts = layout::broadcast_counts(clique, held, Some(opposite), None).unwrap();
         Operand::from_layouts(side, held, opposite, counts)
     }
 

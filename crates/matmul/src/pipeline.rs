@@ -2,12 +2,15 @@
 //! baseline (step table in the crate docs): a multiplication is a [`Plan`]
 //! handed to [`product`], and every step exists once.
 
-use cc_clique::{Clique, NodeId};
+use std::cell::RefCell;
+
+use cc_clique::{Clique, Envelope, NodeId};
 use cc_matrix::{Entry, Semiring, SparseRow};
 
 use crate::cube::{CubePartition, CubeShape, TaskAssignment};
-use crate::deliver::{deliver, local_product, PerNode, ProductScratch};
-use crate::operand::{Operand, Side};
+use crate::deliver::{deliver, local_product, predict_owner, PerNode, ProductScratch};
+use crate::layout::FLAG_BIT;
+use crate::operand::{Operand, Prepared, Side};
 use crate::sum::sum_intermediates;
 use crate::MatmulError;
 
@@ -22,6 +25,10 @@ pub(crate) struct Plan<'p, E> {
     pub thin: Option<&'p Thin<'p, E>>,
     /// Lemma 12 or 16, if dense subtasks are duplicated.
     pub helpers: Option<Helpers<'p>>,
+    /// Whether the row owners may compute the product instead, when the
+    /// broadcast loads show it fits (Theorems 8 and 14; never the dense
+    /// baseline).
+    pub owner: bool,
 }
 
 /// Whether node `v` keeps entry `e` of its slice product.
@@ -72,10 +79,11 @@ pub(crate) fn assign_helpers(
     Ok((TaskAssignment::new(cube, &sigma), chunk_of))
 }
 
-/// Computes `S ⋆ T` as `plan` says: cube → σ1 delivery → local products →
-/// thinning → helper assignment → σ2 delivery → responsibility split →
-/// summation. Node `v` ends holding row `v` of the result. Panics and errors
-/// are those the public entry points document.
+/// Computes `S ⋆ T` as `plan` says: the owner product if the plan allows it
+/// and it fits, else cube → σ1 delivery → local products → thinning →
+/// helper assignment → σ2 delivery → responsibility split → summation. Node
+/// `v` ends holding row `v` of the result. Panics and errors are those the
+/// public entry points document.
 pub(crate) fn product<SR: Semiring>(
     clique: &mut Clique,
     plan: &Plan<'_, SR::Elem>,
@@ -92,76 +100,493 @@ pub(crate) fn product<SR: Semiring>(
         return Err(MatmulError::DimensionMismatch { s_rows, t_cols, n });
     }
     clique.with_phase(plan.label, |clique| {
-        // Lemma 9: globally known cube partition.
-        let cube = match plan.cube_density {
+        // Lemma 9's shape, from the densities of the prepared operands.
+        let shape = match plan.cube_density {
             Some(rho) => {
-                let s = s.ensure_prepared::<SR>(clique)?;
-                let t = t.ensure_prepared::<SR>(clique)?;
-                let shape = CubeShape::choose(n, s.counts.density(), t.counts.density(), rho);
-                CubePartition::build(clique, shape, s, t)?
+                let s_density = s.ensure_prepared::<SR>(clique)?.counts.density();
+                let t_density = t.ensure_prepared::<SR>(clique)?.counts.density();
+                CubeShape::choose(n, s_density, t_density, rho)
             }
-            None => CubePartition::uniform(n, CubeShape::uniform(n)),
+            None => CubeShape::uniform(n),
         };
-
-        // Lemmas 10 + 11 with σ1, then the local slice products.
-        let inputs = deliver::<SR>(clique, &cube, s, t, &cube.sigma1())?;
-        let mut scratch = ProductScratch::default();
-        let mut products: PerNode<SR::Elem> =
-            inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
-
-        // Lemma 15: drop what the per-row cutoffs exclude.
-        let keep = plan.thin.map(|thin| thin(clique, &cube, &products)).transpose()?;
-        if let Some(keep) = &keep {
-            for (v, product) in products.iter_mut().enumerate() {
-                product.retain(|e| keep(v, e));
+        if plan.owner {
+            if let Some(rows) = owner_product::<SR>(clique, plan, shape, s, t)? {
+                return Ok(rows);
             }
         }
-
-        // Lemma 12 / 16: duplicate dense subtasks onto helpers, which learn
-        // the subtask's inputs by a second delivery.
-        let intermediates = match &plan.helpers {
-            None => products,
-            Some(helpers) => {
-                let sizes: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
-                let sizes = clique.with_phase(helpers.sizes_label, |cl| cl.all_broadcast(sizes))?;
-                let (sigma2, chunk_of) =
-                    assign_helpers(&cube, &sizes, &(helpers.scopes)(&cube), helpers.hint)?;
-                let helper_inputs = deliver::<SR>(clique, &cube, s, t, &sigma2)?;
-
-                // Responsibility split: owners of subtask v are [v] ++ its
-                // helpers (sorted); owner index o takes the o-th chunk.
-                let mut parts_of: PerNode<SR::Elem> = vec![Vec::new(); n];
-                for (v, product) in products.iter().enumerate().take(cube.shape.subtasks()) {
-                    // A node may serve as both the σ1 owner and a helper of
-                    // the same task; it then takes two parts (paper, Lemma 12
-                    // step 3), so duplicates are kept.
-                    let mut owners = vec![v];
-                    owners.extend_from_slice(sigma2.nodes_for(v));
-                    owners.sort_unstable();
-                    let chunk = chunk_of[v];
-                    let parts = product.len().div_ceil(chunk);
-                    debug_assert!(parts <= owners.len(), "Lemmas 12 and 16: enough owners");
-                    for (o, &owner) in owners.iter().enumerate().take(parts) {
-                        let part = o * chunk..((o + 1) * chunk).min(product.len());
-                        if owner == v {
-                            parts_of[owner].extend_from_slice(&product[part]);
-                            continue;
-                        }
-                        // A helper recomputes (and thins) the product locally,
-                        // free in the model: the inputs reached it by the second
-                        // delivery, the cutoffs by the group broadcast.
-                        let mut again = local_product::<SR>(&mut scratch, &helper_inputs[owner]);
-                        if let Some(keep) = &keep {
-                            again.retain(|e| keep(owner, e));
-                        }
-                        parts_of[owner].extend_from_slice(&again[part]);
-                    }
-                }
-                parts_of
-            }
-        };
-
-        // Lemma 13: balanced summation into row owners.
-        sum_intermediates::<SR>(clique, intermediates)
+        pipeline::<SR>(clique, plan, shape, s, t)
     })
+}
+
+/// The owner product, if it fits: node `u` sends row `u` of `T` to every
+/// `v` with `S[v,u] ≠ 0` in one route (`owner/route`), and node `v`
+/// multiplies its row of `S` by the rows it received and its own. First
+/// every node broadcasts its load word (`owner/loads`), and
+/// [`predict_owner`] decides from those words and the operands' counts; a
+/// product that does not fit returns `None` and runs the pipeline. A right
+/// operand whose counts lack its row counts is never multiplied here.
+fn owner_product<SR: Semiring>(
+    clique: &mut Clique,
+    plan: &Plan<'_, SR::Elem>,
+    shape: CubeShape,
+    s: &Operand<'_, SR::Elem>,
+    t: &Operand<'_, SR::Elem>,
+) -> Result<Option<Vec<SparseRow<SR::Elem>>>, MatmulError> {
+    let (Some(s_known), Some(t_known)) = (s.prepared(), t.prepared()) else {
+        return Ok(None);
+    };
+    let Some(t_row_counts) = t_known.counts.opposite() else {
+        return Ok(None);
+    };
+    let n = clique.n();
+    let loads: Vec<u64> =
+        (0..n).map(|w| owner_load::<SR>(w, s.held, s_known, t_known, t_row_counts)).collect();
+    let loads = clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads))?;
+    let kept = [s.sigma1_placement.is_some(), t.sigma1_placement.is_some()];
+    let counts = [&s_known.counts, &t_known.counts];
+    let cost = predict_owner(clique.cost_model(), shape, counts, kept, &loads);
+    let auditing = AUDIT.with(|audit| audit.borrow().is_some());
+    let pipeline_rounds = if auditing {
+        let mut scratch = clique.clone();
+        pipeline::<SR>(&mut scratch, plan, shape, &mut s.clone(), &mut t.clone())?;
+        Some(scratch.rounds() - clique.rounds())
+    } else {
+        None
+    };
+    let rows = if cost.fits() {
+        let before = clique.rounds();
+        let rows = owner_rows::<SR>(clique, s.held, s_known, t_known)?;
+        debug_assert_eq!(clique.rounds() - before, cost.route, "the route charged its prediction");
+        Some(rows)
+    } else {
+        None
+    };
+    if let Some(pipeline_rounds) = pipeline_rounds {
+        let record = ProductAudit {
+            label: plan.label,
+            owner: rows.is_some(),
+            owner_rounds: cost.route,
+            floor: cost.floor,
+            pipeline_rounds,
+        };
+        AUDIT.with(|audit| audit.borrow_mut().as_mut().map(|records| records.push(record)));
+    }
+    Ok(rows)
+}
+
+/// Node `w`'s owner load word, from what it holds — row `w` of `S`, column
+/// `w` of `S` and row `w` of `T` — and the broadcast row counts of `T`: the
+/// larger of what it sends (row `w` of `T` to every other `v` with
+/// `S[v,w] ≠ 0`) and what it receives (row `u` of `T` from every other `u`
+/// with `S[w,u] ≠ 0`), in entries of one word each, with [`FLAG_BIT`] raised
+/// if some product `S[v,w]·T[w,x]` is non-zero.
+fn owner_load<SR: Semiring>(
+    w: NodeId,
+    s_rows: &[SparseRow<SR::Elem>],
+    s_known: &Prepared<'_, SR::Elem>,
+    t_known: &Prepared<'_, SR::Elem>,
+    t_row_counts: &[u64],
+) -> u64 {
+    let (s_col, t_row) = (&s_known.opposite[w], &t_known.opposite[w]);
+    let me = w as u32;
+    let targets = s_col.nnz() - usize::from(s_col.get(me).is_some());
+    let send = (targets * t_row.nnz()) as u64;
+    let recv: u64 =
+        s_rows[w].iter().filter(|&(u, _)| u != me).map(|(u, _)| t_row_counts[u as usize]).sum();
+    let non_zero =
+        s_col.iter().any(|(_, a)| t_row.iter().any(|(_, b)| !SR::is_zero(&SR::mul(a, b))));
+    send.max(recv) | if non_zero { FLAG_BIT } else { 0 }
+}
+
+/// The owner route and the local rows: node `v` computes row `v` of `S ⋆ T`
+/// as `SparseMatrix::multiply` does, from its row of `S`, the rows of `T` it
+/// received and its own row of `T`.
+fn owner_rows<SR: Semiring>(
+    clique: &mut Clique,
+    s_rows: &[SparseRow<SR::Elem>],
+    s_known: &Prepared<'_, SR::Elem>,
+    t_known: &Prepared<'_, SR::Elem>,
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
+    let (s_cols, t_rows) = (&s_known.opposite, &t_known.opposite);
+    let mut msgs = Vec::new();
+    for (u, (s_col, t_row)) in s_cols.iter().zip(t_rows.iter()).enumerate() {
+        for (v, _) in s_col.iter().filter(|&(v, _)| v as usize != u) {
+            for (x, val) in t_row.iter() {
+                msgs.push(Envelope::new(u, v as usize, Entry::new(u as u32, x, val.clone())));
+            }
+        }
+    }
+    let inboxes = clique.with_phase("owner", |cl| cl.route(msgs))?;
+    Ok(inboxes
+        .into_iter()
+        .enumerate()
+        .map(|(v, inbox)| {
+            let s_row = &s_rows[v];
+            let mut acc: Vec<(u32, SR::Elem)> = Vec::new();
+            if let Some(a) = s_row.get(v as u32) {
+                acc.extend(t_rows[v].iter().map(|(x, b)| (x, SR::mul(a, b))));
+            }
+            for Entry { row: u, col: x, val } in inbox.into_iter().map(|env| env.payload) {
+                let a = s_row.get(u).expect("row u of T was sent only where S[v,u] is non-zero");
+                acc.push((x, SR::mul(a, &val)));
+            }
+            SparseRow::from_entries::<SR>(acc)
+        })
+        .collect())
+}
+
+/// The pipeline on the cube of `shape`: cube → σ1 delivery → local
+/// products → thinning → helper assignment → σ2 delivery → responsibility
+/// split → summation.
+fn pipeline<SR: Semiring>(
+    clique: &mut Clique,
+    plan: &Plan<'_, SR::Elem>,
+    shape: CubeShape,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
+    let n = clique.n();
+    // Lemma 9: globally known cube partition.
+    let cube = match (plan.cube_density, s.prepared(), t.prepared()) {
+        (Some(_), Some(s), Some(t)) => CubePartition::build(clique, shape, s, t)?,
+        _ => CubePartition::uniform(n, shape),
+    };
+
+    // Lemmas 10 + 11 with σ1, then the local slice products.
+    let inputs = deliver::<SR>(clique, &cube, s, t, &cube.sigma1())?;
+    let mut scratch = ProductScratch::default();
+    let mut products: PerNode<SR::Elem> =
+        inputs.iter().map(|input| local_product::<SR>(&mut scratch, input)).collect();
+
+    // Lemma 15: drop what the per-row cutoffs exclude.
+    let keep = plan.thin.map(|thin| thin(clique, &cube, &products)).transpose()?;
+    if let Some(keep) = &keep {
+        for (v, product) in products.iter_mut().enumerate() {
+            product.retain(|e| keep(v, e));
+        }
+    }
+
+    // Lemma 12 / 16: duplicate dense subtasks onto helpers, which learn
+    // the subtask's inputs by a second delivery.
+    let intermediates = match &plan.helpers {
+        None => products,
+        Some(helpers) => {
+            let sizes: Vec<u64> = products.iter().map(|p| p.len() as u64).collect();
+            let sizes = clique.with_phase(helpers.sizes_label, |cl| cl.all_broadcast(sizes))?;
+            let (sigma2, chunk_of) =
+                assign_helpers(&cube, &sizes, &(helpers.scopes)(&cube), helpers.hint)?;
+            let helper_inputs = deliver::<SR>(clique, &cube, s, t, &sigma2)?;
+
+            // Responsibility split: owners of subtask v are [v] ++ its
+            // helpers (sorted); owner index o takes the o-th chunk.
+            let mut parts_of: PerNode<SR::Elem> = vec![Vec::new(); n];
+            for (v, product) in products.iter().enumerate().take(cube.shape.subtasks()) {
+                // A node may serve as both the σ1 owner and a helper of
+                // the same task; it then takes two parts (paper, Lemma 12
+                // step 3), so duplicates are kept.
+                let mut owners = vec![v];
+                owners.extend_from_slice(sigma2.nodes_for(v));
+                owners.sort_unstable();
+                let chunk = chunk_of[v];
+                let parts = product.len().div_ceil(chunk);
+                debug_assert!(parts <= owners.len(), "Lemmas 12 and 16: enough owners");
+                for (o, &owner) in owners.iter().enumerate().take(parts) {
+                    let part = o * chunk..((o + 1) * chunk).min(product.len());
+                    if owner == v {
+                        parts_of[owner].extend_from_slice(&product[part]);
+                        continue;
+                    }
+                    // A helper recomputes (and thins) the product locally,
+                    // free in the model: the inputs reached it by the second
+                    // delivery, the cutoffs by the group broadcast.
+                    let mut again = local_product::<SR>(&mut scratch, &helper_inputs[owner]);
+                    if let Some(keep) = &keep {
+                        again.retain(|e| keep(owner, e));
+                    }
+                    parts_of[owner].extend_from_slice(&again[part]);
+                }
+            }
+            parts_of
+        }
+    };
+
+    // Lemma 13: balanced summation into row owners.
+    sum_intermediates::<SR>(clique, intermediates)
+}
+
+/// What [`audit`] records of one product that weighed the owner product:
+/// the owner route's rounds and the floor [`predict_owner`] compared them
+/// with, whether it took the owner product, and the rounds the pipeline
+/// charges on the same operands, in the same state.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProductAudit {
+    /// The plan's phase label (`sparse_mm` or `filtered_mm`).
+    pub label: &'static str,
+    /// Whether the owner product ran.
+    pub owner: bool,
+    /// The rounds the owner route charges (or would have).
+    pub owner_rounds: u64,
+    /// The pipeline's floor the route was held to.
+    pub floor: u64,
+    /// The rounds the pipeline charges on the same operands.
+    pub pipeline_rounds: u64,
+}
+
+thread_local! {
+    static AUDIT: RefCell<Option<Vec<ProductAudit>>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` and returns, beside its result, a [`ProductAudit`] of every
+/// product on this thread that weighed the owner product. While auditing,
+/// each such product also runs the pipeline on copies of the clique and the
+/// operands, so the rounds `f` charges are those it charges unaudited. A
+/// test seam: the check that the owner product never charges more than the
+/// pipeline, on whole runs of the algorithms built on this crate.
+#[doc(hidden)]
+pub fn audit<R>(f: impl FnOnce() -> R) -> (R, Vec<ProductAudit>) {
+    let outer = AUDIT.with(|audit| audit.replace(Some(Vec::new())));
+    let out = f();
+    let records = AUDIT.with(|audit| audit.replace(outer)).unwrap_or_default();
+    (out, records)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::filtered_mm::filtered_product;
+    use crate::sparse_mm::sparse_product;
+    use cc_clique::CostModel;
+    use cc_matrix::{
+        AugDist, AugMinPlus, Dist, MinPlus, OrderedSemiring, Searchable, SparseMatrix,
+        WitnessedDist, WitnessedMinPlus,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// An `n × n` matrix with about `per_row` random entries a row, plus
+    /// the diagonal when `diagonal`, values drawn by `val`.
+    fn random<SR: Semiring>(
+        rng: &mut StdRng,
+        n: usize,
+        per_row: usize,
+        diagonal: bool,
+        val: impl Fn(&mut StdRng) -> SR::Elem,
+    ) -> SparseMatrix<SR::Elem> {
+        let mut entries = Vec::new();
+        for r in 0..n as u32 {
+            if diagonal {
+                entries.push(Entry::new(r, r, val(rng)));
+            }
+            for _ in 0..per_row {
+                entries.push(Entry::new(r, rng.gen_range(0..n as u32), val(rng)));
+            }
+        }
+        SparseMatrix::from_entries::<SR>(n, entries)
+    }
+
+    /// A product with the owner product allowed (`true`) or not, on a fresh
+    /// clique under `cost`: the rows, the clique, and the audit of the one
+    /// product.
+    type Run<E> = (Vec<SparseRow<E>>, Clique, Vec<ProductAudit>);
+
+    /// Runs `multiply` both ways and checks the owner side against the
+    /// pipeline side and against `expected`; returns whether the owner
+    /// product ran.
+    fn check<E: Clone + PartialEq + std::fmt::Debug>(
+        what: &str,
+        label: &str,
+        expected: &SparseMatrix<E>,
+        run: impl Fn(bool) -> Run<E>,
+    ) -> bool {
+        let (with, clique, audits) = run(true);
+        let (without, plain, _) = run(false);
+        assert_eq!(SparseMatrix::from_rows(with.clone()), *expected, "{what}");
+        assert_eq!(with, without, "{what}: the owner product differs from the pipeline's");
+        let phases = &clique.metrics().phases;
+        let [record] = &audits[..] else { panic!("{what}: one audited product, got {audits:?}") };
+        assert!(record.floor <= record.pipeline_rounds, "{what}: {record:?}");
+        assert_eq!(record.owner, phases.contains_key(&format!("{label}/owner/route")), "{what}");
+        assert!(!plain.metrics().phases.keys().any(|l| l.contains("/owner/")), "{what}");
+        if record.owner {
+            assert!(record.owner_rounds <= record.pipeline_rounds, "{what}: {record:?}");
+            assert_eq!(phases[&format!("{label}/owner/route")].rounds, record.owner_rounds);
+            // Loads, then the route: nothing of the pipeline ran.
+            let pipeline_phases = phases.keys().filter(|l| {
+                l.starts_with(label)
+                    && !l.contains("/owner/")
+                    && !l.ends_with("counts/all_broadcast")
+            });
+            assert!(pipeline_phases.filter(|l| !l.ends_with("transpose/route")).count() == 0);
+        } else {
+            assert!(record.owner_rounds > record.floor, "{what}: {record:?}");
+            assert_eq!(clique.rounds(), plain.rounds() + 1, "{what}: the loads word is one round");
+        }
+        record.owner
+    }
+
+    /// Sparse products of random operands at n = 8, 16, 32, densities from
+    /// one entry a row to half the row, under both cost models.
+    fn sparse_products<SR: Semiring>(seed: u64, val: impl Fn(&mut StdRng) -> SR::Elem + Copy)
+    where
+        SR::Elem: std::fmt::Debug,
+    {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut taken = [0; 2];
+        for (case, n) in [8, 16, 32].into_iter().cycle().take(24).enumerate() {
+            let cost = if case % 3 == 0 { CostModel::conservative() } else { CostModel::unit() };
+            let per_row = [1, 2, 3, n][case % 4];
+            let s = random::<SR>(&mut rng, n, per_row, case % 2 == 0, val);
+            let t = random::<SR>(&mut rng, n, [1, 2, n][case % 3], case % 5 != 0, val);
+            let (t_cols, expected) = (t.transpose(), s.multiply::<SR>(&t));
+            let rho_hat = expected.density();
+            let run = |owner| {
+                let mut clique = Clique::with_cost_model(n, cost);
+                let mut left = Operand::unprepared(Side::Left, s.rows());
+                let mut right = Operand::unprepared(Side::Right, t_cols.rows());
+                let (rows, audits) = audit(|| {
+                    sparse_product::<SR>(&mut clique, &mut left, &mut right, rho_hat, owner)
+                });
+                (rows.unwrap(), clique, audits)
+            };
+            let what = format!("case {case}: n = {n}, {per_row} a row, {cost:?}");
+            taken[usize::from(check(&what, "sparse_mm", &expected, run))] += 1;
+        }
+        assert!(taken.iter().all(|&count| count > 0), "both paths reached: {taken:?}");
+    }
+
+    /// Filtered products as [`sparse_products`], with ρ ∈ {1, 3, n}.
+    fn filtered_products<SR>(seed: u64, val: impl Fn(&mut StdRng) -> SR::Elem + Copy)
+    where
+        SR: OrderedSemiring,
+        SR::Elem: Searchable + std::fmt::Debug,
+    {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut taken = [0; 2];
+        for (case, n) in [8, 16, 32].into_iter().cycle().take(24).enumerate() {
+            let cost = if case % 3 == 0 { CostModel::conservative() } else { CostModel::unit() };
+            let per_row = [1, 2, 3, n][case % 4];
+            let rho = [1, 3, n][case % 3];
+            let s = random::<SR>(&mut rng, n, per_row, case % 2 == 0, val);
+            let t = random::<SR>(&mut rng, n, [1, 2, n][(case / 4) % 3], true, val);
+            let (t_cols, expected) = (t.transpose(), s.multiply::<SR>(&t).filtered::<SR>(rho));
+            let run = |owner| {
+                let mut clique = Clique::with_cost_model(n, cost);
+                let mut left = Operand::unprepared(Side::Left, s.rows());
+                let mut right = Operand::unprepared(Side::Right, t_cols.rows());
+                let (rows, audits) = audit(|| {
+                    filtered_product::<SR>(&mut clique, &mut left, &mut right, rho, owner)
+                });
+                (rows.unwrap(), clique, audits)
+            };
+            let what = format!("case {case}: n = {n}, {per_row} a row, ρ = {rho}, {cost:?}");
+            taken[usize::from(check(&what, "filtered_mm", &expected, run))] += 1;
+        }
+        assert!(taken.iter().all(|&count| count > 0), "both paths reached: {taken:?}");
+    }
+
+    #[test]
+    fn owner_products_equal_the_pipeline_over_min_plus() {
+        sparse_products::<MinPlus>(41, |rng| Dist::fin(rng.gen_range(1..50)));
+        filtered_products::<MinPlus>(42, |rng| Dist::fin(rng.gen_range(1..50)));
+    }
+
+    #[test]
+    fn owner_products_equal_the_pipeline_over_aug_min_plus() {
+        let val = |rng: &mut StdRng| AugDist::fin(rng.gen_range(1..6), rng.gen_range(1..4));
+        sparse_products::<AugMinPlus>(43, val);
+        filtered_products::<AugMinPlus>(44, val);
+    }
+
+    #[test]
+    fn owner_products_equal_the_pipeline_over_witnessed_min_plus() {
+        // Few distinct distances, so ties between witnesses meet in one cell.
+        sparse_products::<WitnessedMinPlus>(45, |rng| {
+            if rng.gen_bool(0.5) {
+                WitnessedDist::direct(rng.gen_range(1..4))
+            } else {
+                WitnessedDist::via(rng.gen_range(1..4), rng.gen_range(0..30))
+            }
+        });
+    }
+
+    #[test]
+    fn the_owner_product_reports_no_density_hint() {
+        // Rows r + {0, 1, 2, 3} times rows r + {0, 4, 8, 12}: every node
+        // sends and receives 16 entries, and the square is full. A hint of 1
+        // is too small for Lemma 12; the row owners need none.
+        let n = 16;
+        let circulant = |step: usize| {
+            let mut m = SparseMatrix::<Dist>::zeros(n);
+            for r in 0..n {
+                for k in 0..4 {
+                    m.set(r, (r + step * k) % n, Dist::fin((r + k) as u64 + 1));
+                }
+            }
+            m
+        };
+        let (s, t) = (circulant(1), circulant(4));
+        let t_cols = t.transpose();
+        let product = |owner| {
+            let mut left = Operand::unprepared(Side::Left, s.rows());
+            let mut right = Operand::unprepared(Side::Right, t_cols.rows());
+            sparse_product::<MinPlus>(&mut Clique::new(n), &mut left, &mut right, 1, owner)
+        };
+        let err = product(false).unwrap_err();
+        assert_eq!(err, MatmulError::DensityHintTooSmall { hint: 1 });
+        let rows = product(true).unwrap();
+        assert_eq!(SparseMatrix::from_rows(rows), s.multiply::<MinPlus>(&t));
+        assert!(rows_full(&s.multiply::<MinPlus>(&t), n));
+    }
+
+    fn rows_full(m: &SparseMatrix<Dist>, n: usize) -> bool {
+        m.rows().iter().all(|row| row.nnz() == n)
+    }
+
+    #[test]
+    fn a_perturbed_private_row_changes_no_other_nodes_choice() {
+        // Node x's row of S fills up after x broadcast its load word. Every
+        // node decides from its copy of the broadcast words — the operands'
+        // counts and the load words — so no node's choice moves. Had the
+        // row filled up before the broadcast, x's word would have grown
+        // past the floor and the choice would have moved.
+        let (n, x) = (32, 5);
+        let mut rng = StdRng::seed_from_u64(46);
+        let val = |rng: &mut StdRng| Dist::fin(rng.gen_range(1..50));
+        let s = random::<MinPlus>(&mut rng, n, 1, true, val);
+        let t = random::<MinPlus>(&mut rng, n, n / 2, true, val);
+        let t_cols = t.transpose();
+        let mut clique = Clique::new(n);
+        let left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
+        let right = Operand::prepare::<MinPlus>(&mut clique, Side::Right, t_cols.rows()).unwrap();
+        let (s_known, t_known) = (left.prepared().unwrap(), right.prepared().unwrap());
+        let t_row_counts = t_known.counts.opposite().unwrap();
+        let shape = CubeShape::choose(n, s_known.counts.density(), t_known.counts.density(), n);
+        let words = |rows: &[SparseRow<Dist>], known: &Prepared<'_, Dist>| -> Vec<u64> {
+            (0..n).map(|w| owner_load::<MinPlus>(w, rows, known, t_known, t_row_counts)).collect()
+        };
+        let counts = [&s_known.counts, &t_known.counts];
+        let choices = |copies: &[Vec<u64>]| -> Vec<bool> {
+            let cost = CostModel::unit();
+            copies
+                .iter()
+                .map(|loads| predict_owner(&cost, shape, counts, [false; 2], loads).fits())
+                .collect()
+        };
+        let loads = clique.all_broadcast(words(s.rows(), s_known)).unwrap();
+        let copies = vec![loads.clone(); n];
+        let before = choices(&copies);
+        assert!(before.iter().all(|&fits| fits), "the sparse product fits");
+
+        let mut perturbed = s.clone();
+        for c in 0..n {
+            perturbed.set(x, c, Dist::fin(1));
+        }
+        assert_eq!(choices(&copies), before, "a choice moved with a private row");
+        let cols = perturbed.transpose();
+        let known = Prepared { opposite: cols.rows().into(), counts: s_known.counts.clone() };
+        let early = words(perturbed.rows(), &known);
+        assert!(early[x] > loads[x], "x's word: {} before, {} after", loads[x], early[x]);
+        assert!(choices(&[early]).iter().all(|&fits| !fits), "the perturbation is material");
+    }
 }

@@ -82,6 +82,17 @@ pub fn sparse_multiply_prepared<SR: Semiring>(
     t: &mut Operand<'_, SR::Elem>,
     rho_hat: usize,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
+    sparse_product::<SR>(clique, s, t, rho_hat, true)
+}
+
+/// [`sparse_multiply_prepared`], with the owner product allowed if `owner`.
+pub(crate) fn sparse_product<SR: Semiring>(
+    clique: &mut Clique,
+    s: &mut Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
+    rho_hat: usize,
+    owner: bool,
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
     let rho_hat = rho_hat.clamp(1, clique.n());
     // Lemma 12: a subtask whose product has `nz ≥ chunk` entries receives
     // `⌊nz/chunk⌋` helper nodes from the pool `0..n`.
@@ -94,6 +105,7 @@ pub fn sparse_multiply_prepared<SR: Semiring>(
         cube_density: Some(rho_hat),
         thin: None,
         helpers: Some(Helpers { sizes_label: "sizes", hint: rho_hat, scopes: &scopes }),
+        owner,
     };
     product::<SR>(clique, &plan, s, t)
 }
@@ -149,6 +161,18 @@ mod tests {
             m.set_in::<MinPlus>(r, c, Dist::fin(rng.gen_range(1..1000)));
         }
         m
+    }
+
+    /// [`sparse_multiply`] without the owner product: the pipeline, always.
+    fn pipeline_only(
+        clique: &mut Clique,
+        s_rows: &[SparseRow<Dist>],
+        t_cols: &[SparseRow<Dist>],
+        rho_hat: usize,
+    ) -> Result<Vec<SparseRow<Dist>>, MatmulError> {
+        let mut s = Operand::unprepared(Side::Left, s_rows);
+        let mut t = Operand::unprepared(Side::Right, t_cols);
+        sparse_product::<MinPlus>(clique, &mut s, &mut t, rho_hat, false)
     }
 
     fn check_product(n: usize, s: &SparseMatrix<Dist>, t: &SparseMatrix<Dist>, rho_hat: usize) {
@@ -251,7 +275,7 @@ mod tests {
         let mut s_balances = Vec::new();
         for t in &ts {
             let (t_rows, t_cols) = (t.rows(), t.transpose());
-            let counts = layout::broadcast_counts(&mut clique, t_cols.rows(), None).unwrap();
+            let counts = layout::broadcast_counts(&mut clique, t_cols.rows(), None, None).unwrap();
             let mut right = Operand::from_layouts(Side::Right, t_cols.rows(), t_rows, counts);
             let rows =
                 sparse_multiply_prepared::<MinPlus>(&mut clique, &mut left, &mut right, n).unwrap();
@@ -288,7 +312,7 @@ mod tests {
         let n = 8;
         let id = SparseMatrix::<Dist>::identity::<MinPlus>(n);
         let mut clique = Clique::new(n);
-        sparse_multiply::<MinPlus>(&mut clique, id.rows(), id.rows(), n).unwrap();
+        pipeline_only(&mut clique, id.rows(), id.rows(), n).unwrap();
         let phases = &clique.metrics().phases;
         for side in ["deliver_s", "deliver_t"] {
             assert!(!phases.contains_key(&format!("sparse_mm/{side}/balance/sort")), "{side}");
@@ -314,7 +338,7 @@ mod tests {
         let t_cols = w.transpose();
         let expected = w.multiply::<MinPlus>(&w);
         let mut clique = Clique::new(n);
-        let rows = sparse_multiply::<MinPlus>(&mut clique, w.rows(), t_cols.rows(), 16).unwrap();
+        let rows = pipeline_only(&mut clique, w.rows(), t_cols.rows(), 16).unwrap();
         assert_eq!(SparseMatrix::from_rows(rows), expected);
         let mut dense = Clique::new(n);
         let rows = crate::dense_multiply::<MinPlus>(&mut dense, w.rows(), t_cols.rows()).unwrap();

@@ -18,10 +18,12 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_rounds
 //! ```
 
-use congested_clique::clique::{Clique, RoundReport};
+use congested_clique::clique::{Clique, CostModel, RoundReport};
 use congested_clique::core::{apsp, mssp};
 use congested_clique::graph::{generators, reference, Graph};
-use congested_clique::matmul::{dense_multiply, filtered_multiply, sparse_multiply, MatmulError};
+use congested_clique::matmul::{
+    audit, dense_multiply, filtered_multiply, sparse_multiply, MatmulError,
+};
 use congested_clique::matrix::{Dist, MinPlus, SparseMatrix, SparseRow};
 
 const GOLDEN_PATH: &str =
@@ -51,20 +53,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 368,
-    messages: 162_220,
-    words: 193_994,
-    phase_labels: 36,
-    invocations: 223,
+    rounds: 259,
+    messages: 122_087,
+    words: 143_925,
+    phase_labels: 24,
+    invocations: 134,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 499,
-    messages: 214_444,
-    words: 248_902,
-    phase_labels: 69,
-    invocations: 274,
+    rounds: 415,
+    messages: 187_025,
+    words: 212_461,
+    phase_labels: 58,
+    invocations: 201,
     dist_digest: 12_639_840_282_067_814_693,
 };
 
@@ -77,14 +79,20 @@ fn unweighted_graph() -> Graph {
 }
 
 fn run_mssp() -> (Vec<Vec<Dist>>, RoundReport) {
-    let mut clique = Clique::new(N);
+    mssp_on(Clique::new(N))
+}
+
+fn run_apsp() -> (Vec<Vec<Dist>>, RoundReport) {
+    apsp_on(Clique::new(N))
+}
+
+fn mssp_on(mut clique: Clique) -> (Vec<Vec<Dist>>, RoundReport) {
     let run = mssp::mssp(&mut clique, &weighted_graph(), &SOURCES, EPSILON).unwrap();
     assert_eq!(run.rounds, clique.rounds(), "fresh clique: run delta == cumulative rounds");
     (run.dist, clique.report())
 }
 
-fn run_apsp() -> (Vec<Vec<Dist>>, RoundReport) {
-    let mut clique = Clique::new(N);
+fn apsp_on(mut clique: Clique) -> (Vec<Vec<Dist>>, RoundReport) {
     let run = apsp::unweighted_2eps(&mut clique, &unweighted_graph(), EPSILON).unwrap();
     assert_eq!(run.rounds, clique.rounds(), "fresh clique: run delta == cumulative rounds");
     (run.dist, clique.report())
@@ -172,6 +180,40 @@ fn apsp_report_and_distances_are_pinned() {
     }
 }
 
+/// Every product of both runs that weighed the owner product, under both
+/// cost models: the owner product ran only where its route charges no more
+/// than the pipeline charges on the same operands, and the floor the route
+/// was held to is one the pipeline never went below. Auditing runs each
+/// product's pipeline on copies, so the runs still charge their pinned
+/// rounds and return their pinned distances. `--nocapture` prints the
+/// products, one line each.
+#[test]
+fn the_owner_product_never_charges_more_than_the_pipeline() {
+    for cost in [CostModel::unit(), CostModel::conservative()] {
+        let runs: [(&str, fn(Clique) -> (Vec<Vec<Dist>>, RoundReport), &Pinned); 2] =
+            [("mssp", mssp_on, &MSSP_PINNED), ("unweighted_2eps", apsp_on, &APSP_PINNED)];
+        for (what, run, pinned) in runs {
+            let ((dist, report), audits) = audit(|| run(Clique::with_cost_model(N, cost)));
+            assert_eq!(digest(&dist), pinned.dist_digest, "{what}: distances moved");
+            if cost == CostModel::unit() {
+                assert_eq!(report.rounds, pinned.rounds, "{what}: auditing moved the rounds");
+            }
+            let owner = audits.iter().filter(|a| a.owner).count();
+            println!("{what} under {cost:?}: {owner} of {} products at the owners", audits.len());
+            for (i, a) in audits.iter().enumerate() {
+                let path = if a.owner { "owner" } else { "pipeline" };
+                println!(
+                    "  {i:2} {:11} {path:8} route {:3}  floor {:3}  pipeline {:3}",
+                    a.label, a.owner_rounds, a.floor, a.pipeline_rounds
+                );
+                assert!(a.floor <= a.pipeline_rounds, "{what} product {i}: {a:?}");
+                assert_eq!(a.owner, a.owner_rounds <= a.floor, "{what} product {i}: {a:?}");
+            }
+            assert!(owner > 0, "{what}: no product ran at the owners");
+        }
+    }
+}
+
 /// Compares `got` with the committed file at `path`, line by line.
 fn assert_matches_golden(path: &str, got: &str) {
     if std::env::var("UPDATE_GOLDEN").is_ok() {
@@ -216,25 +258,32 @@ fn run_product(
     (rows, clique.report())
 }
 
-/// The three products of `cc-matmul`, each on its own: `ρ̂ = 16` is below
-/// the true output density 25 (so Lemma 12 assigns helpers and the second
-/// delivery runs) and `ρ = 8` makes Lemma 15 search and Lemma 16 re-balance.
+/// The three products of `cc-matmul`, each on its own. `W` has about six
+/// entries a row, so the row owners compute both theorems' products: one
+/// loads broadcast and one route after the operands are prepared, the same
+/// rows as the pipeline's (`ρ̂ = 16`, below the true output density 25,
+/// had Lemma 12 assign helpers; `ρ = 8` had Lemma 15 search). The dense
+/// baseline never takes the owner product.
 #[test]
 fn standalone_products_match_the_committed_reports() {
     let w = weighted_graph().weight_matrix();
     let square = w.multiply::<MinPlus>(&w);
+    let at_the_owners = |report: &RoundReport, label: &str| {
+        let phases = report.phases.keys().filter(|l| !l.ends_with("counts/all_broadcast"));
+        let mut leaves: Vec<&str> = phases.map(|l| &l[label.len() + 1..]).collect();
+        leaves.sort_unstable();
+        assert_eq!(leaves, ["owner/loads/all_broadcast", "owner/route", "transpose/route"]);
+    };
 
     let (sparse, sparse_report) =
         run_product(&w, |cl, s, t| sparse_multiply::<MinPlus>(cl, s, t, 16));
     assert_eq!(SparseMatrix::from_rows(sparse.clone()), square);
-    // The σ1 delivery fans out from the input layout; only the helpers'
-    // σ2 delivery balances.
-    assert_eq!(sparse_report.phases["sparse_mm/deliver_s/balance/sort"].invocations, 1);
+    at_the_owners(&sparse_report, "sparse_mm");
 
     let (filtered, filtered_report) =
         run_product(&w, |cl, s, t| filtered_multiply::<MinPlus>(cl, s, t, 8));
     assert_eq!(SparseMatrix::from_rows(filtered.clone()), square.filtered::<MinPlus>(8));
-    assert_eq!(filtered_report.phases["filtered_mm/deliver_s/balance/sort"].invocations, 1);
+    at_the_owners(&filtered_report, "filtered_mm");
 
     let (dense, dense_report) = run_product(&w, dense_multiply::<MinPlus>);
     assert_eq!(SparseMatrix::from_rows(dense.clone()), square);
