@@ -74,11 +74,12 @@ fn e1() {
         "rho_S=rho_T",
         "rho_out",
         "rounds (Thm 8)",
+        "computed by",
         "formula",
         "rounds (dense 3D)",
         "correct",
     ]);
-    let mut pts = Vec::new();
+    let (mut owner_rounds, mut pts) = (Vec::new(), Vec::new());
     for rho in [1usize, 2, 4, 8, 16, 32, 64] {
         let s = random_sparse(n, rho, 10 + rho as u64);
         let t = random_sparse(n, rho, 20 + rho as u64);
@@ -92,27 +93,50 @@ fn e1() {
                 .expect("multiply");
         let ok = SparseMatrix::from_rows(p) == expected;
         let rounds = clique.rounds();
+        let route = clique.metrics().phases.get("sparse_mm/owner/route").map(|p| p.rounds);
 
         let mut clique = Clique::new(n);
         cc_matmul::dense_multiply::<MinPlus>(&mut clique, s.rows(), t_cols.rows()).expect("dense");
         let dense_rounds = clique.rounds();
 
         let f = thm8_formula(n, rho, rho, rho_out);
-        pts.push((f, rounds as f64));
+        match route {
+            Some(route) => owner_rounds.push((rounds, route)),
+            None => pts.push((f, rounds as f64)),
+        }
         table.row(vec![
             rho.to_string(),
             rho_out.to_string(),
             rounds.to_string(),
+            (if route.is_some() { "row owners" } else { "pipeline" }).into(),
             format!("{f:.2}"),
             dense_rounds.to_string(),
             ok.to_string(),
         ]);
     }
     table.print();
-    let (a, b) = cc_bench::linear_fit(&pts);
-    println!(
-        "linear fit: rounds ~ {a:.0} + {b:.1}·formula — a constant pipeline floor of ~{a:.0} rounds plus ~{b:.0} rounds per formula unit (theory predicts linearity in the formula)\n",
-    );
+    let span = |values: &[u64]| {
+        let (lo, hi) = (values.iter().min(), values.iter().max());
+        lo.zip(hi).map(|(lo, hi)| if lo == hi { lo.to_string() } else { format!("{lo}–{hi}") })
+    };
+    let (rounds, routes): (Vec<u64>, Vec<u64>) = owner_rounds.iter().copied().unzip();
+    if let (Some(rounds), Some(routes)) = (span(&rounds), span(&routes)) {
+        println!(
+            "row owners: {rounds} rounds for {} products — preparing both operands, one load word and a route of {routes} — wherever the route fits under the pipeline's floor",
+            owner_rounds.len()
+        );
+    }
+    if pts.len() >= 2 {
+        let (a, b) = cc_bench::linear_fit(&pts);
+        println!(
+            "pipeline, linear fit: rounds ~ {a:.0} + {b:.1}·formula — a constant pipeline floor of ~{a:.0} rounds plus ~{b:.0} rounds per formula unit (theory predicts linearity in the formula)",
+        );
+    } else {
+        for (f, rounds) in &pts {
+            println!("pipeline: {rounds} rounds at formula {f:.2}, one of them the load word");
+        }
+    }
+    println!();
 }
 
 /// E2 — Theorem 14: filtered MM stays flat while unfiltered output grows.

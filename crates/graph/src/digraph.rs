@@ -72,7 +72,7 @@ impl DiGraph {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if w == u64::MAX {
+        if w == Dist::INF.raw() {
             return Err(GraphError::InfiniteWeight { u, v });
         }
         let list = &mut self.out[u];

@@ -21,6 +21,7 @@
 //! | step | licensed by | Theorem 8 | Theorem 14 | dense | phase label |
 //! |------|-------------|-----------|------------|-------|-------------|
 //! | prepare operands | §2.1 | unless prepared | unless prepared | — | `counts`, `transpose` |
+//! | owner product, if it fits (then no later step runs) | Lenzen routing | if `T`'s row counts were broadcast | same, then the final row filter | — | `owner/loads`, `owner/route` |
 //! | cube partition | Lemma 9 | for `ρ̂`, free if `c = 1` | for `ρ`, free if `c = 1` | uniform, free | `cube/*` |
 //! | `σ1` delivery | Lemmas 10 + 11, balancing only the sides whose balance pays | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/sort`, `deliver_t/balance/sort`, `deliver/{balance,fanout}/route`; dense: `deliver_{s,t}/counts` |
 //! | local products | free | yes | yes | yes | — |
@@ -30,6 +31,19 @@
 //! | responsibility split | Lemma 12, step 3 | yes | yes | — | — |
 //! | summation | Lemma 13 | yes | yes | yes | `sum/sort`, `sum/route` |
 //! | final row filter | Theorem 14 | — | yes | — | — |
+//!
+//! Before the cube, a product may skip the pipeline: if the row owners can
+//! compute it cheaper, node `u` sends row `u` of `T` to every `v` with
+//! `S[v,u] ≠ 0` in one route and node `v` multiplies its row locally — the
+//! same exact product, so the same output. Every node broadcasts one load
+//! word, the larger of what it would send and receive (its receive load
+//! reads `T`'s row counts, which ride in the counts word beside the column
+//! counts). The owner product runs only when its route charges no more
+//! rounds than a floor the pipeline cannot go below, computed from the
+//! same words: the cube's broadcasts, the `σ1` delivery as the plan below
+//! places it, the helper sizes broadcast, and one summation sort and route.
+//! Products that do not fit — a dense square, the hopset's k-nearest
+//! squarings — pay the one load word and run the pipeline unchanged.
 //!
 //! A `σ1` delivery first decides which operands Lemma 10 balances. Under
 //! `σ1` every entry of `S` goes to `a` nodes and every entry of `T` to `b`,

@@ -22,7 +22,8 @@ use crate::MatmulError;
 /// of `T` (`t_cols[v]`); output layout: node `v` holds row `v` of `P`.
 ///
 /// The result is always the exact product — `rho_hat` only drives load
-/// balancing. Rounds: `O((ρS·ρT·ρ̂)^{1/3}/n^{2/3} + 1)`.
+/// balancing. Rounds: `O((ρS·ρT·ρ̂)^{1/3}/n^{2/3} + 1)`, and no more than
+/// the pipeline's when the row owners compute the product (crate docs).
 ///
 /// # Errors
 ///
@@ -30,7 +31,9 @@ use crate::MatmulError;
 ///   clique size;
 /// * [`MatmulError::DensityHintTooSmall`] if `rho_hat` is below the true
 ///   output density and balancing becomes impossible (retry with a doubled
-///   hint, or use [`sparse_multiply_auto`]);
+///   hint, or use [`sparse_multiply_auto`]). A product the row owners
+///   compute needs no hint and never reports it, so a small hint yields
+///   either the exact product or this error;
 /// * [`MatmulError::Clique`] on malformed communication (internal bug).
 ///
 /// # Example

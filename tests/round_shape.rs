@@ -6,10 +6,12 @@
 //! theorem's stretch bound is checked at every size. The `path(n)` family —
 //! where hop-bounded detection changes a row in every product, so no
 //! fixpoint exit applies and the hop bound is paid in full — runs beside it
-//! with its own MSSP slope gate. Each run's rounds are split by phase family and
-//! printed per n as shares, so a cut that only pays off at n = 32 shows.
-//! Lemma 15's cutoff search is asserted per filtered product: it is an
-//! `O(log W)` additive term that must not come to dominate a product again.
+//! with its own MSSP slope gate and n = 256 ceiling. Each run's rounds are
+//! split by phase family and printed per n as shares, beside how many of its
+//! products the row owners computed, so a cut that only pays off at n = 32
+//! shows. Lemma 15's cutoff search is asserted per filtered product that
+//! runs the pipeline: it is an `O(log W)` additive term that must not come
+//! to dominate a product again.
 //!
 //! Opt-in (n = 256 is seconds in release, minutes in debug): CI runs it with
 //! `--ignored`.
@@ -25,27 +27,32 @@ use congested_clique::graph::{generators, reference, Graph};
 const SIZES: [usize; 4] = [32, 64, 128, 256];
 const EPSILON: f64 = 0.5;
 const MAX_SLOPE: f64 = 0.4;
-/// The `path` family's MSSP slope: measured 0.429, where no fixpoint exit
-/// applies and every hop step runs.
-const MAX_PATH_SLOPE: f64 = 0.43;
+/// The `path` family's MSSP slope: measured 0.405 (0.429 before products
+/// ran at the row owners), where no fixpoint exit applies and every hop
+/// step runs.
+const MAX_PATH_SLOPE: f64 = 0.405;
 /// MSSP and (3+ε) rounds on `gnp_weighted` at n = 256: ceilings at the
 /// measured counts, so a change that adds rounds at scale fails here.
-const MAX_ROUNDS_AT_256: [u64; 2] = [421, 619];
-/// Measured 12.3 / 18 / 18.2 / 21 rounds per filtered product on
-/// `gnp_weighted` at n = 32…256; bisecting the value space paid
+const MAX_ROUNDS_AT_256: [u64; 2] = [344, 490];
+/// MSSP rounds on `path` at n = 256, the measured count.
+const MAX_PATH_ROUNDS_AT_256: u64 = 599;
+/// Measured 13.3 / 19 / 22.5 / 26 rounds per filtered product that runs
+/// the pipeline on `gnp_weighted` at n = 32…256 (the products the row
+/// owners take are the small ones); bisecting the value space paid
 /// `2 + 2·(27–32)` per search.
 const MAX_SEARCH_ROUNDS_PER_PRODUCT: f64 = 32.0;
 
 /// Phase families by a substring of their labels, first match wins; every
 /// other label is "other".
-const FAMILIES: [(&str, &str); 5] = [
+const FAMILIES: [(&str, &str); 6] = [
+    ("owner", "/owner/"),
     ("delivery", "/deliver"),
     ("summation", "/sum/"),
     ("cube", "/cube/"),
     ("cutoff", "/cutoff_search/"),
     ("hitting set", "hitting_set"),
 ];
-const CUTOFF: usize = 3;
+const CUTOFF: usize = 4;
 
 /// Eight sources spread over `0..n`, as in the golden ledger at n = 32.
 fn sources(n: usize) -> Vec<usize> {
@@ -53,8 +60,8 @@ fn sources(n: usize) -> Vec<usize> {
 }
 
 /// A run's rounds per phase family, in `FAMILIES` order and then "other".
-fn family_rounds(report: &RoundReport) -> [u64; 6] {
-    let mut rounds = [0; 6];
+fn family_rounds(report: &RoundReport) -> [u64; 7] {
+    let mut rounds = [0; 7];
     for (label, stats) in &report.phases {
         let family = FAMILIES.iter().position(|(_, part)| label.contains(part));
         rounds[family.unwrap_or(FAMILIES.len())] += stats.rounds;
@@ -62,15 +69,20 @@ fn family_rounds(report: &RoundReport) -> [u64; 6] {
     rounds
 }
 
-/// Filtered products a run executed: each broadcasts its Lemma 16 weights
-/// once.
-fn filtered_products(report: &RoundReport) -> u64 {
+/// The invocations of every phase whose label ends in `leaf`.
+fn invocations(report: &RoundReport, leaf: &str) -> u64 {
     report
         .phases
         .iter()
-        .filter(|(label, _)| label.ends_with("filtered_mm/weights/all_broadcast"))
+        .filter(|(label, _)| label.ends_with(leaf))
         .map(|(_, p)| p.invocations)
         .sum()
+}
+
+/// Filtered products a run executed in the pipeline: each broadcasts its
+/// Lemma 16 weights once.
+fn filtered_products(report: &RoundReport) -> u64 {
+    invocations(report, "filtered_mm/weights/all_broadcast")
 }
 
 fn mssp_report(g: &Graph) -> RoundReport {
@@ -111,14 +123,21 @@ fn log_log_slope(points: &[(usize, u64)]) -> f64 {
     cov / var
 }
 
-/// Prints a run's rounds and each phase family's share of them.
+/// Prints a run's rounds, each phase family's share of them, and how many
+/// of its products the row owners computed.
 fn print_shares(family: &str, run: &str, n: usize, report: &RoundReport) {
     let shares: Vec<String> = family_rounds(report)
         .iter()
         .zip(FAMILIES.iter().map(|(name, _)| *name).chain(["other"]))
         .map(|(&r, name)| format!("{name} {:.2}", r as f64 / report.rounds as f64))
         .collect();
-    println!("{family}: {run} n={n} {} rounds: {}", report.rounds, shares.join(", "));
+    let (owner, weighed) =
+        (invocations(report, "/owner/route"), invocations(report, "/owner/loads/all_broadcast"));
+    println!(
+        "{family}: {run} n={n} {} rounds: {}; {owner} of {weighed} products at the owners",
+        report.rounds,
+        shares.join(", ")
+    );
 }
 
 /// The MSSP and (3+ε) slopes and the most cutoff-search rounds MSSP paid
@@ -140,8 +159,8 @@ fn measure(family: &str, graph_of: impl Fn(usize) -> Graph) -> ([f64; 3], [u64; 
         apsp_points.push((n, apsp.rounds));
     }
     let slopes = [log_log_slope(&mssp_points), log_log_slope(&apsp_points)];
-    println!("{family}: mssp(8 sources) {mssp_points:?} slope {:.2}", slopes[0]);
-    println!("{family}: weighted_3eps   {apsp_points:?} slope {:.2}", slopes[1]);
+    println!("{family}: mssp(8 sources) {mssp_points:?} slope {:.3}", slopes[0]);
+    println!("{family}: weighted_3eps   {apsp_points:?} slope {:.3}", slopes[1]);
     println!("{family}: mssp cutoff_search rounds per filtered product {per_product:.1?}");
     let largest = [mssp_points[SIZES.len() - 1].1, apsp_points[SIZES.len() - 1].1];
     ([slopes[0], slopes[1], per_product.iter().copied().fold(0.0, f64::max)], largest)
@@ -163,9 +182,13 @@ fn rounds_grow_sublinearly_on_sparse_random_graphs() {
          {MAX_SEARCH_ROUNDS_PER_PRODUCT}"
     );
     // The family the exit cannot help: stretch-checked, and its MSSP slope
-    // gated on its own.
-    let ([path_slope, ..], _) = measure("path", |n| generators::path(n).unwrap());
-    assert!(path_slope <= MAX_PATH_SLOPE, "path mssp slope {path_slope:.2} > {MAX_PATH_SLOPE}");
+    // and rounds at n = 256 gated on their own.
+    let ([path_slope, ..], [path_at_256, _]) = measure("path", |n| generators::path(n).unwrap());
+    assert!(path_slope <= MAX_PATH_SLOPE, "path mssp slope {path_slope:.3} > {MAX_PATH_SLOPE}");
+    assert!(
+        path_at_256 <= MAX_PATH_ROUNDS_AT_256,
+        "path mssp at n = 256: {path_at_256} rounds > {MAX_PATH_ROUNDS_AT_256}"
+    );
 }
 
 #[test]
