@@ -133,7 +133,7 @@ fn owner_product<SR: Semiring>(
     t: &Operand<'_, SR::Elem>,
 ) -> Result<Option<Vec<SparseRow<SR::Elem>>>, MatmulError> {
     let (Some(s_known), Some(t_known)) = (s.prepared(), t.prepared()) else {
-        return Ok(None);
+        unreachable!("a plan that allows the owner product shapes its cube from prepared operands");
     };
     let Some(t_row_counts) = t_known.counts.opposite() else {
         return Ok(None);
@@ -242,9 +242,13 @@ fn pipeline<SR: Semiring>(
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
     let n = clique.n();
     // Lemma 9: globally known cube partition.
-    let cube = match (plan.cube_density, s.prepared(), t.prepared()) {
-        (Some(_), Some(s), Some(t)) => CubePartition::build(clique, shape, s, t)?,
-        _ => CubePartition::uniform(n, shape),
+    let cube = match plan.cube_density {
+        Some(_) => {
+            let s = s.ensure_prepared::<SR>(clique)?;
+            let t = t.ensure_prepared::<SR>(clique)?;
+            CubePartition::build(clique, shape, s, t)?
+        }
+        None => CubePartition::uniform(n, shape),
     };
 
     // Lemmas 10 + 11 with σ1, then the local slice products.
@@ -510,8 +514,9 @@ mod tests {
     #[test]
     fn the_owner_product_reports_no_density_hint() {
         // Rows r + {0, 1, 2, 3} times rows r + {0, 4, 8, 12}: every node
-        // sends and receives 16 entries, and the square is full. A hint of 1
-        // is too small for Lemma 12; the row owners need none.
+        // sends and receives 12 entries (its own row of T stays), and the
+        // square is full. A hint of 1 is too small for Lemma 12; the row
+        // owners need none.
         let n = 16;
         let circulant = |step: usize| {
             let mut m = SparseMatrix::<Dist>::zeros(n);
@@ -529,15 +534,11 @@ mod tests {
             let mut right = Operand::unprepared(Side::Right, t_cols.rows());
             sparse_product::<MinPlus>(&mut Clique::new(n), &mut left, &mut right, 1, owner)
         };
+        let expected = s.multiply::<MinPlus>(&t);
+        assert!(expected.rows().iter().all(|row| row.nnz() == n));
         let err = product(false).unwrap_err();
         assert_eq!(err, MatmulError::DensityHintTooSmall { hint: 1 });
-        let rows = product(true).unwrap();
-        assert_eq!(SparseMatrix::from_rows(rows), s.multiply::<MinPlus>(&t));
-        assert!(rows_full(&s.multiply::<MinPlus>(&t), n));
-    }
-
-    fn rows_full(m: &SparseMatrix<Dist>, n: usize) -> bool {
-        m.rows().iter().all(|row| row.nnz() == n)
+        assert_eq!(SparseMatrix::from_rows(product(true).unwrap()), expected);
     }
 
     #[test]

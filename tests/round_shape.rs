@@ -27,9 +27,8 @@ use congested_clique::graph::{generators, reference, Graph};
 const SIZES: [usize; 4] = [32, 64, 128, 256];
 const EPSILON: f64 = 0.5;
 const MAX_SLOPE: f64 = 0.4;
-/// The `path` family's MSSP slope: measured 0.405 (0.429 before products
-/// ran at the row owners), where no fixpoint exit applies and every hop
-/// step runs.
+/// The `path` family's MSSP slope: measured 0.405, where no fixpoint exit
+/// applies and every hop step runs.
 const MAX_PATH_SLOPE: f64 = 0.405;
 /// MSSP and (3+ε) rounds on `gnp_weighted` at n = 256: ceilings at the
 /// measured counts, so a change that adds rounds at scale fails here.
