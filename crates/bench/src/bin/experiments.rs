@@ -79,7 +79,7 @@ fn e1() {
         "rounds (dense 3D)",
         "correct",
     ]);
-    let (mut owner_rounds, mut pts) = (Vec::new(), Vec::new());
+    let (mut owner_rounds, mut pts, mut load_words) = (Vec::new(), Vec::new(), 0);
     for rho in [1usize, 2, 4, 8, 16, 32, 64] {
         let s = random_sparse(n, rho, 10 + rho as u64);
         let t = random_sparse(n, rho, 20 + rho as u64);
@@ -93,13 +93,16 @@ fn e1() {
                 .expect("multiply");
         let ok = SparseMatrix::from_rows(p) == expected;
         let rounds = clique.rounds();
-        let route = clique.metrics().phases.get("sparse_mm/owner/route").map(|p| p.rounds);
+        let phases = &clique.metrics().phases;
+        let route = phases.get("sparse_mm/owner/route").map(|p| p.rounds);
+        let load_word = phases.contains_key("sparse_mm/owner/loads/all_broadcast");
 
         let mut clique = Clique::new(n);
         cc_matmul::dense_multiply::<MinPlus>(&mut clique, s.rows(), t_cols.rows()).expect("dense");
         let dense_rounds = clique.rounds();
 
         let f = thm8_formula(n, rho, rho, rho_out);
+        load_words += u64::from(load_word);
         match route {
             Some(route) => owner_rounds.push((rounds, route)),
             None => pts.push((f, rounds as f64)),
@@ -122,10 +125,14 @@ fn e1() {
     let (rounds, routes): (Vec<u64>, Vec<u64>) = owner_rounds.iter().copied().unzip();
     if let (Some(rounds), Some(routes)) = (span(&rounds), span(&routes)) {
         println!(
-            "row owners: {rounds} rounds for {} products — preparing both operands, one load word and a route of {routes} — wherever the route fits under the pipeline's floor",
+            "row owners: {rounds} rounds for {} products — preparing both operands and a route of {routes} — wherever the route fits under the pipeline's floor",
             owner_rounds.len()
         );
     }
+    println!(
+        "load words: {load_words} of {} products broadcast one; the operands' counts chose every other path",
+        owner_rounds.len() + pts.len()
+    );
     if pts.len() >= 2 {
         let (a, b) = cc_bench::linear_fit(&pts);
         println!(
@@ -133,7 +140,7 @@ fn e1() {
         );
     } else {
         for (f, rounds) in &pts {
-            println!("pipeline: {rounds} rounds at formula {f:.2}, one of them the load word");
+            println!("pipeline: {rounds} rounds at formula {f:.2}");
         }
     }
     println!();

@@ -4,6 +4,7 @@
 
 use cc_clique::Clique;
 use cc_graph::{generators, DiGraph, Graph};
+use cc_matmul::audit;
 use cc_matmul::layout::transpose_exchange;
 use cc_matrix::{AugDist, AugMinPlus, SparseMatrix, SparseRow};
 
@@ -106,10 +107,12 @@ fn invocations(clique: &Clique, phase: &str, leaf: &str) -> u64 {
     clique.metrics().phases.get(&format!("{phase}/{leaf}")).map_or(0, |p| p.invocations)
 }
 
-/// The products a detection ran: each broadcasts its owner load words once,
-/// whether the row owners or the pipeline then compute it.
+/// The products a detection ran: each either routes rows of the iterate to
+/// the row owners once or, in the pipeline, broadcasts its Lemma 12 product
+/// sizes once.
 fn executed(clique: &Clique, phase: &str) -> u64 {
-    invocations(clique, phase, "sparse_mm/owner/loads/all_broadcast")
+    invocations(clique, phase, "sparse_mm/owner/route")
+        + invocations(clique, phase, "sparse_mm/sizes/all_broadcast")
 }
 
 #[test]
@@ -178,9 +181,12 @@ fn sources_nobody_reaches_exit_after_one_product() {
     );
     let phase = "source_detection_all";
     assert_eq!(executed(&clique, phase), 1);
-    // W's preparation, the first step, and the second step's opening.
+    // W's preparation, the first step's row counts, and the second step's
+    // opening. The row owners multiply by the iterate's rows, and the last
+    // step stops on its flag: W is the one matrix transposed.
     assert_eq!(invocations(&clique, phase, "counts/all_broadcast"), 3);
-    assert_eq!(invocations(&clique, phase, "transpose/route"), 3);
+    assert_eq!(invocations(&clique, phase, "transpose/route"), 1);
+    assert_eq!(invocations(&clique, phase, "sparse_mm/owner/route"), 1);
     assert_eq!(invocations(&clique, phase, "fixpoint/all_broadcast"), 0);
 }
 
@@ -202,22 +208,35 @@ fn a_path_runs_every_product_and_pays_no_flag_round() {
     assert_eq!(executed(&clique, phase), 30);
     assert_eq!(invocations(&clique, phase, "counts/all_broadcast"), 1 + 30);
     assert_eq!(invocations(&clique, phase, "fixpoint/all_broadcast"), 0);
+    // One source: every iterate holds at most one entry a row, and the row
+    // owners multiply by it without a transpose or a load word.
+    assert_eq!(invocations(&clique, phase, "sparse_mm/owner/route"), 30);
+    assert_eq!(invocations(&clique, phase, "transpose/route"), 1);
+    assert_eq!(invocations(&clique, phase, "sparse_mm/owner/loads/all_broadcast"), 0);
 }
 
 #[test]
 fn an_asymmetric_w_is_transposed_once_per_detection() {
-    // The prepared W really carries its transpose: one transpose for W plus
-    // one per executed product for the iterate, none inside the products.
+    // The prepared W really carries its transpose: one transpose for W, and
+    // one for the iterate in each step whose product ran the pipeline or
+    // could not choose from the iterate's row counts; every other step hands
+    // the iterate over by rows and the row owners multiply by them.
     let (_, g) = fixtures().pop().expect("the digraph fixture");
     let mut clique = Clique::new(g.n());
-    source_detection_all(&mut clique, &g, &[0, 5], g.n()).unwrap();
+    let ((), audits) =
+        audit(|| source_detection_all(&mut clique, &g, &[0, 5], g.n()).map(drop).unwrap());
     let phases = &clique.metrics().phases;
     let products = executed(&clique, "source_detection_all");
     assert!(products > 1, "fixture exits too early to tell");
-    assert_eq!(phases["source_detection_all/transpose/route"].invocations, products + 1);
+    assert_eq!(audits.len() as u64, products);
+    assert!(audits.iter().all(|a| a.owner || a.transposed), "the pipeline reads the columns");
+    let transposed = audits.iter().filter(|a| a.transposed).count() as u64;
+    let in_products =
+        |leaf: &str| invocations(&clique, "source_detection_all", &format!("sparse_mm/{leaf}"));
+    assert_eq!(phases["source_detection_all/transpose/route"].invocations, 1);
+    assert_eq!(in_products("transpose/route"), transposed);
     assert_eq!(phases["source_detection_all/counts/all_broadcast"].invocations, products + 1);
-    assert!(!phases.contains_key("source_detection_all/sparse_mm/transpose/route"));
-    assert!(!phases.contains_key("source_detection_all/sparse_mm/counts/all_broadcast"));
+    assert_eq!(in_products("counts/all_broadcast"), transposed);
     // W holds one or two arcs per row, as a balance would leave them: no
     // product balances it, so none has a placement to reuse either.
     assert_eq!(

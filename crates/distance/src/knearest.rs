@@ -75,16 +75,18 @@ pub fn k_nearest(
         let squarings = (usize::BITS - (k - 1).leading_zeros()) as usize; // ceil(log2 k)
         iterate_to_fixpoint(clique, start, squarings, |clique, rows, changed| {
             // The row counts open the step and carry the changed bits.
-            let row_counts = layout::broadcast_counts(clique, rows, None, changed)?;
-            if row_counts.flagged() == Some(false) {
+            let opening = layout::broadcast_counts(clique, rows, None, changed)?;
+            if opening.flagged() == Some(false) {
                 return Ok(None);
             }
             // One transpose serves both sides of `x ⋆ x`: the left operand's
             // opposite layout is the right operand's held one and vice versa.
             // The column counts carry the row counts again, for the owner
-            // product's loads: a second count in the same word.
+            // product's choice: a second count in the same word. Read from
+            // the other side, that word is the left operand's counts too.
             let cols = layout::transpose_exchange::<AugMinPlus>(clique, rows)?;
             let col_counts = layout::broadcast_counts(clique, &cols, Some(rows), None)?;
+            let row_counts = col_counts.transposed().expect("the row counts rode along");
             let mut left = Operand::from_layouts(Side::Left, rows, &cols, row_counts);
             let mut right = Operand::from_layouts(Side::Right, &cols, rows, col_counts);
             Ok(Some(cc_matmul::filtered_multiply_prepared::<AugMinPlus>(

@@ -16,7 +16,9 @@
 //!
 //! `W` is the same in every product, so it is prepared once per detection
 //! ([`cc_matmul::Operand`]); the iterate comes out of a product by rows and
-//! is handed to the next one with those rows and their one transpose.
+//! is handed to the next one by those rows and their broadcast counts. The
+//! row owners multiply by its rows alone, so only a product that runs the
+//! pipeline, or cannot choose without the column counts, transposes it.
 
 use cc_clique::Clique;
 use cc_graph::DiGraph;
@@ -89,14 +91,15 @@ fn hop_loop(
     }
     let mut w = Operand::prepare::<AugMinPlus>(clique, Side::Left, w.rows())?;
     iterate_to_fixpoint(clique, start, d - 1, |clique, rows, changed| {
-        // The column counts the product needs carry the changed bits, and
-        // the row counts the owner product's loads are computed from.
-        let cols = layout::transpose_exchange::<AugMinPlus>(clique, rows)?;
-        let counts = layout::broadcast_counts(clique, &cols, Some(rows), changed)?;
+        // The row counts open the step and carry the changed bits, so the
+        // last step stops before anything else. The iterate is handed over
+        // by rows: the row owners multiply by its rows, and only a product
+        // that needs its columns transposes it.
+        let counts = layout::broadcast_counts(clique, rows, None, changed)?;
         if counts.flagged() == Some(false) {
             return Ok(None);
         }
-        let mut iterate = Operand::from_layouts(Side::Right, &cols, rows, counts);
+        let mut iterate = Operand::from_opposite(Side::Right, rows, counts);
         Ok(Some(multiply(clique, &mut w, &mut iterate)?))
     })
 }

@@ -77,9 +77,32 @@ impl Predicted {
     }
 }
 
+/// One side's slice sizes as [`predict`] reads them, from a broadcast
+/// [`Counts`]: the held slices' sizes, or — when only the opposite layout's
+/// were broadcast — just the total, which both layouts share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sizes<'c> {
+    n: u64,
+    total: u64,
+    per_node: Option<&'c [u64]>,
+}
+
+impl<'c> Sizes<'c> {
+    /// The held slices' sizes, from their broadcast.
+    pub fn held(counts: &'c Counts) -> Self {
+        Sizes { per_node: Some(counts.per_node()), ..Sizes::opposite(counts) }
+    }
+
+    /// The total alone, from a broadcast of the opposite layout's sizes.
+    pub fn opposite(counts: &Counts) -> Self {
+        let per_node = counts.per_node();
+        Sizes { n: per_node.len() as u64, total: per_node.iter().sum(), per_node: None }
+    }
+}
+
 /// The rounds a `σ1` delivery spends on its sorts, its deal and its fan-out
 /// sends when its two sides are placed as `placing`, computed from their
-/// broadcast `counts` and the cube's `(a, b)` alone.
+/// broadcast `sizes` and the cube's `(a, b)` alone.
 ///
 /// Under `σ1` every entry of `S` goes to `a` nodes and every entry of `T` to
 /// `b`. A side in place holds `c_v` entries at node `v`; a kept or balanced
@@ -87,29 +110,36 @@ impl Predicted {
 /// `r mod n` leaves. Each entry is one word, as every element type of the
 /// workspace is, and every primitive charges its cost model's rounds per
 /// `⌈load/n⌉`.
+///
+/// Exact when both sides' per-node sizes are known. A side known only by its
+/// total is bounded from below: its balancing sort by the average slice
+/// (`⌈total/n⌉` entries, one unit if it has any), and — in place — its
+/// fan-out sends by none at all, with the busiest sender at least the
+/// average one (`⌈(a·ΣS + b·ΣT)/n⌉`).
 pub(crate) fn predict(
     cost: &CostModel,
     shape: CubeShape,
-    counts: [&Counts; 2],
+    sizes: [Sizes<'_>; 2],
     placing: [Placing; 2],
 ) -> Predicted {
-    let n = counts[0].per_node().len() as u64;
-    let total = counts.map(|c| c.per_node().iter().sum::<u64>());
+    let n = sizes[0].n;
+    let total = sizes.map(|side| side.total);
     let mut sort = [0; 2];
     let mut dealt = 0;
     for side in 0..2 {
         if placing[side] == Placing::Balanced {
-            let most = counts[side].per_node().iter().copied().max().unwrap_or(0);
-            sort[side] = cost.sort_per_unit * most.div_ceil(n);
+            let most = sizes[side].per_node.map_or(0, |c| c.iter().copied().max().unwrap_or(0));
+            sort[side] = cost.sort_per_unit * most.max(total[side].div_ceil(n)).div_ceil(n);
             dealt += total[side].div_ceil(n);
         }
     }
-    let held = |side: usize, v: u64| match placing[side] {
-        Placing::InPlace => counts[side].per_node()[v as usize],
+    let holding = |side: usize, v: u64| match placing[side] {
+        Placing::InPlace => sizes[side].per_node.map_or(0, |c| c[v as usize]),
         Placing::Kept | Placing::Balanced => total[side] / n + u64::from(v < total[side] % n),
     };
     let (a, b) = (shape.a as u64, shape.b as u64);
-    let send = (0..n).map(|v| held(0, v) * a + held(1, v) * b).max().unwrap_or(0);
+    let busiest = (0..n).map(|v| holding(0, v) * a + holding(1, v) * b).max().unwrap_or(0);
+    let send = busiest.max((total[0] * a + total[1] * b).div_ceil(n));
     Predicted {
         sort,
         deal: cost.route_per_unit * dealt.div_ceil(n),
@@ -128,7 +158,7 @@ pub(crate) fn predict(
 pub(crate) fn plan(
     cost: &CostModel,
     shape: CubeShape,
-    counts: [&Counts; 2],
+    sizes: [Sizes<'_>; 2],
     kept: [bool; 2],
 ) -> [Placing; 2] {
     let open = |kept: bool| {
@@ -141,13 +171,31 @@ pub(crate) fn plan(
     let mut best = ([Placing::Balanced; 2], u64::MAX);
     for &s in open(kept[0]) {
         for &t in open(kept[1]) {
-            let rounds = predict(cost, shape, counts, [s, t]).total();
+            let rounds = predict(cost, shape, sizes, [s, t]).total();
             if rounds < best.1 {
                 best = ([s, t], rounds);
             }
         }
     }
     best.0
+}
+
+/// A floor no run of the pipeline on the same operands goes below: the
+/// cube's broadcasts, the `σ1` delivery's sorts, deal and fan-out sends
+/// ([`predict`] under [`plan`]), the helper sizes broadcast, and — if
+/// `summed`, some elementary product being non-zero, so that the summation
+/// has something to sort — one summation sort and one route. From `sizes`
+/// that know a side only by its total, a floor under that floor.
+fn pipeline_floor(
+    cost: &CostModel,
+    shape: CubeShape,
+    sizes: [Sizes<'_>; 2],
+    kept: [bool; 2],
+    summed: bool,
+) -> u64 {
+    let sigma1 = predict(cost, shape, sizes, plan(cost, shape, sizes, kept)).total();
+    let sum = if summed { cost.sort_per_unit + cost.route_per_unit } else { 0 };
+    shape.build_rounds(cost) + sigma1 + cost.broadcast_per_unit + sum
 }
 
 /// What [`predict_owner`] weighs: the rounds the owner product's route
@@ -158,10 +206,9 @@ pub(crate) struct OwnerCost {
     /// `route_per_unit·⌈L/n⌉` for the largest load word `L`: exactly what
     /// the owner route charges.
     pub route: u64,
-    /// The cube's broadcasts, the `σ1` delivery's sorts, deal and fan-out
-    /// sends ([`predict`] under [`plan`]), the helper sizes broadcast, and —
-    /// if some elementary product is non-zero, so that the summation has
-    /// something to sort — one summation sort and one route.
+    /// The pipeline's floor ([`pipeline_floor`]), with the summation's sort
+    /// and route if a load word's flag says the summation has something to
+    /// sort.
     pub floor: u64,
 }
 
@@ -173,9 +220,9 @@ impl OwnerCost {
 }
 
 /// The owner product's cost against the pipeline's floor, from broadcast
-/// words and the cube's shape alone: the operands' `counts`, whether each
-/// side `kept` a `σ1` placement, and every node's `loads` word — its owner
-/// route load `max(send, recv)`, with the flag bit raised if some
+/// words and the cube's shape alone: the operands' held `sizes`, whether
+/// each side `kept` a `σ1` placement, and every node's `loads` word — its
+/// owner route load `max(send, recv)`, with the flag bit raised if some
 /// elementary product through the node is non-zero.
 ///
 /// The pipeline always builds the cube (free if `c = 1`), delivers under
@@ -190,19 +237,62 @@ impl OwnerCost {
 pub(crate) fn predict_owner(
     cost: &CostModel,
     shape: CubeShape,
-    counts: [&Counts; 2],
+    sizes: [Sizes<'_>; 2],
     kept: [bool; 2],
     loads: &[u64],
 ) -> OwnerCost {
     let n = loads.len() as u64;
     let most = loads.iter().map(|w| w & !layout::FLAG_BIT).max().unwrap_or(0);
     let summed = loads.iter().any(|w| w & layout::FLAG_BIT != 0);
-    let sigma1 = predict(cost, shape, counts, plan(cost, shape, counts, kept)).total();
-    let sum = if summed { cost.sort_per_unit + cost.route_per_unit } else { 0 };
     OwnerCost {
         route: cost.route_per_unit * most.div_ceil(n),
-        floor: shape.build_rounds(cost) + sigma1 + cost.broadcast_per_unit + sum,
+        floor: pipeline_floor(cost, shape, sizes, kept, summed),
     }
+}
+
+/// The owner route's largest load word, bounded from broadcast counts alone
+/// — `S`'s row and column counts and `T`'s row counts — as `[least, most]`.
+///
+/// Node `w` sends row `w` of `T` to every node of column `w` of `S` but
+/// itself, and receives row `u` of `T` from every `u` of row `w` of `S` but
+/// itself. So its word is at least `(|col w of S| − 1)·|row w of T|` and at
+/// most the larger of `|col w of S|·|row w of T|` and
+/// `min(|row w of S|·max_u |row u of T|, Σ_u |row u of T|)`.
+pub(crate) fn owner_load_bounds(s_rows: &[u64], s_cols: &[u64], t_rows: &[u64]) -> [u64; 2] {
+    let (widest, all) = (t_rows.iter().copied().max().unwrap_or(0), t_rows.iter().sum::<u64>());
+    let mut bounds = [0; 2];
+    for w in 0..t_rows.len() {
+        let send = s_cols[w] * t_rows[w];
+        bounds[0] = bounds[0].max(send.saturating_sub(t_rows[w]));
+        bounds[1] = bounds[1].max(send.max((s_rows[w] * widest).min(all)));
+    }
+    bounds
+}
+
+/// The owner product's choice from broadcast counts alone, if they settle
+/// it: `Some(true)` if the route's most, `route_per_unit·⌈most/n⌉` for the
+/// `load` bounds of [`owner_load_bounds`], is within the pipeline's floor
+/// without its summation term; `Some(false)` if the route's least exceeds
+/// the floor with it; else `None`, and the load words decide. Every input is
+/// a broadcast value, so every node makes the same choice, and when it makes
+/// one it is the one [`predict_owner`]'s [`OwnerCost::fits`] would make from
+/// the load words. From `sizes` that know a side only by its total, the
+/// floor is bounded from below, so the counts can choose the owner product
+/// but not the pipeline.
+pub(crate) fn owner_by_counts(
+    cost: &CostModel,
+    shape: CubeShape,
+    sizes: [Sizes<'_>; 2],
+    kept: [bool; 2],
+    load: [u64; 2],
+) -> Option<bool> {
+    let n = sizes[0].n;
+    let [least, most] = load.map(|words| cost.route_per_unit * words.div_ceil(n));
+    if most <= pipeline_floor(cost, shape, sizes, kept, false) {
+        return Some(true);
+    }
+    let exact = sizes.iter().all(|side| side.per_node.is_some());
+    (exact && least > pipeline_floor(cost, shape, sizes, kept, true)).then_some(false)
 }
 
 /// Lemma 11: every node assigned a subtask by `assignment` learns its
@@ -256,13 +346,13 @@ pub(crate) fn deliver<SR: Semiring>(
         ([Placing::Kept; 2], [0; 2])
     } else {
         let counts = [known_counts(clique, s, "deliver_s")?, known_counts(clique, t, "deliver_t")?];
-        let counts = [&counts[0], &counts[1]];
+        let sizes = [Sizes::held(&counts[0]), Sizes::held(&counts[1])];
         let placing = if reusable {
-            plan(clique.cost_model(), cube.shape, counts, [s_kept.is_some(), t_kept.is_some()])
+            plan(clique.cost_model(), cube.shape, sizes, [s_kept.is_some(), t_kept.is_some()])
         } else {
             [Placing::Balanced; 2]
         };
-        (placing, counts.map(|c| c.per_node().iter().sum()))
+        (placing, sizes.map(|side| side.total))
     };
 
     // Lemma 10 for each side the plan balances; an empty deal stands for a
@@ -315,7 +405,7 @@ fn known_counts<E: Clone + PartialEq>(
     match operand.prepared() {
         Some(known) => Ok(known.counts.clone()),
         None => {
-            clique.with_phase(label, |cl| layout::broadcast_counts(cl, operand.held, None, None))
+            clique.with_phase(label, |cl| layout::broadcast_counts(cl, operand.held(), None, None))
         }
     }
 }
@@ -878,7 +968,8 @@ mod tests {
             layout::broadcast_counts(&mut Clique::new(n), m.rows(), None, None).unwrap()
         };
         let (s_counts, t_counts) = (counts(&star(n, 0)), counts(&permutation(n, 0)));
-        let planned = plan(&CostModel::unit(), cube.shape, [&s_counts, &t_counts], [false; 2]);
+        let sizes = [Sizes::held(&s_counts), Sizes::held(&t_counts)];
+        let planned = plan(&CostModel::unit(), cube.shape, sizes, [false; 2]);
         assert_eq!(planned, [Placing::Balanced, Placing::InPlace]);
     }
 
@@ -922,7 +1013,7 @@ mod tests {
             let counts = [s_matrix.rows(), t_cols.rows()].map(|held| {
                 layout::broadcast_counts(&mut Clique::new(n), held, None, None).unwrap()
             });
-            let counts = [&counts[0], &counts[1]];
+            let counts = [Sizes::held(&counts[0]), Sizes::held(&counts[1])];
             let mut clique = Clique::with_cost_model(n, cost);
             for delivery in 0..2 {
                 let a = rng.gen_range(1..=n.min(8));

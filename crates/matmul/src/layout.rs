@@ -71,7 +71,8 @@ impl Counts {
 
     /// `opposite[v].nnz()` for every node `v`, if the broadcast carried the
     /// opposite layout's sizes: a right operand's row counts, which the owner
-    /// product's receive loads are computed from.
+    /// product's receive loads are computed from, or a left operand's column
+    /// counts, which bound its send loads.
     pub fn opposite(&self) -> Option<&[u64]> {
         self.opposite.as_deref()
     }
@@ -80,6 +81,16 @@ impl Counts {
     /// its flag.
     pub fn flagged(&self) -> Option<bool> {
         self.flagged
+    }
+
+    /// The same broadcast read from the opposite layout's side, if it carried
+    /// the opposite layout's sizes: those become the per-node sizes, and the
+    /// held ones the opposite sizes. The two layouts of one matrix hold the
+    /// same entries, so the density stays. No communication: `x ⋆ x` reads
+    /// its left operand's counts off its right operand's broadcast.
+    pub fn transposed(&self) -> Option<Counts> {
+        let per_node = self.opposite.clone()?;
+        Some(Counts { per_node, opposite: Some(self.per_node.clone()), ..self.clone() })
     }
 }
 
@@ -196,6 +207,13 @@ mod tests {
         assert_eq!(both.opposite(), Some(&[1, 2, 0, 1][..]));
         assert_eq!((both.density(), both.flagged()), (1, Some(true)));
         assert_eq!(clique.rounds(), 1);
+        // Read from the other side, the same word gives the column counts.
+        let across = both.transposed().unwrap();
+        assert_eq!(across.per_node(), [1, 2, 0, 1]);
+        assert_eq!(across.opposite(), Some(&[2, 0, 1, 1][..]));
+        assert_eq!((across.density(), across.transposed()), (1, Some(both)));
+        let held_only = broadcast_counts(&mut clique, m.rows(), None, None).unwrap();
+        assert_eq!(held_only.transposed(), None);
         let err = broadcast_counts(&mut clique, m.rows(), Some(&t.rows()[..2]), None).unwrap_err();
         assert_eq!(err, MatmulError::Clique(CliqueError::WrongLength { expected: 4, got: 2 }));
     }

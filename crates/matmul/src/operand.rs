@@ -8,16 +8,18 @@
 //! assignment `σ1`, where Lemma 10's sort-and-deal puts each entry once a
 //! delivery chose to balance the operand. An [`Operand`] carries all of
 //! that, so a caller that multiplies by the same matrix again — the `W` of
-//! Theorem 19's `W ⋆ U_i` — pays for it once, and a caller that already
-//! holds both layouts of a matrix hands them over instead of having one
-//! transposed back.
+//! Theorem 19's `W ⋆ U_i` — pays for it once, a caller that already holds
+//! both layouts of a matrix hands them over instead of having one transposed
+//! back, and a caller that holds only the opposite layout — the iterate
+//! `U_i`, which comes out of a product by rows — hands that over, to be
+//! transposed only by a product that reads the held layout.
 
 use std::borrow::Cow;
 
 use cc_clique::Clique;
 use cc_matrix::{Entry, Semiring, SparseMatrix, SparseRow};
 
-use crate::deliver::PerNode;
+use crate::deliver::{PerNode, Sizes};
 use crate::layout::{self, Counts};
 use crate::MatmulError;
 
@@ -36,11 +38,7 @@ pub enum Side {
 #[derive(Debug, Clone)]
 pub struct Operand<'a, E: Clone> {
     pub(crate) side: Side,
-    /// Slice `v` at node `v`: rows of a left operand, columns of a right one.
-    pub(crate) held: &'a [SparseRow<E>],
-    /// `None` only inside a one-shot product, until (and unless — the dense
-    /// baseline never does) the pipeline prepares the operand it was handed.
-    prepared: Option<Prepared<'a, E>>,
+    known: Known<'a, E>,
     /// Where Lemma 10 put each entry under `σ1`, once a delivery balanced
     /// the operand: per holder, the entries in global coordinates. Under
     /// `σ1` every entry of one operand has the same duplication weight (`a`
@@ -53,9 +51,25 @@ pub struct Operand<'a, E: Clone> {
     pub(crate) sigma1_placement: Option<PerNode<E>>,
 }
 
+/// What the nodes hold of an operand and what broadcasts told them of it.
+#[derive(Debug, Clone)]
+enum Known<'a, E: Clone> {
+    /// The layout its side starts in and nothing else: a one-shot product's
+    /// operand until (and unless — the dense baseline never does) the
+    /// pipeline prepares it.
+    Held(&'a [SparseRow<E>]),
+    /// The opposite layout and its broadcast slice sizes: the held layout is
+    /// one transpose away, learned only once a product reads it.
+    Opposite(&'a [SparseRow<E>], Counts),
+    /// Both layouts, and the held slices' sizes.
+    Prepared(Prepared<'a, E>),
+}
+
 /// What preparing an operand tells the nodes.
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared<'a, E: Clone> {
+    /// Slice `v` at node `v`: rows of a left operand, columns of a right one.
+    pub held: Cow<'a, [SparseRow<E>]>,
     /// The other layout of the same matrix (node `v` holds column `v` of a
     /// left operand, row `v` of a right one).
     pub opposite: Cow<'a, [SparseRow<E>]>,
@@ -103,47 +117,133 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
             SparseMatrix::from_rows(held.to_vec()).transpose().rows() == opposite,
             "the two layouts must describe one matrix"
         );
+        debug_assert!(sizes_match(held, counts.per_node()), "the counts must be the held slices'");
         debug_assert!(
-            held.iter().map(|r| r.nnz() as u64).eq(counts.per_node().iter().copied()),
-            "the counts must be those of the held slices"
-        );
-        debug_assert!(
-            counts
-                .opposite()
-                .is_none_or(|c| opposite.iter().map(|r| r.nnz() as u64).eq(c.iter().copied())),
+            counts.opposite().is_none_or(|c| sizes_match(opposite, c)),
             "the opposite counts must be those of the opposite slices"
         );
-        let prepared = Prepared { opposite: Cow::Borrowed(opposite), counts };
-        Operand { prepared: Some(prepared), ..Operand::unprepared(side, held) }
+        let prepared =
+            Prepared { held: Cow::Borrowed(held), opposite: Cow::Borrowed(opposite), counts };
+        Operand { side, known: Known::Prepared(prepared), sigma1_placement: None }
+    }
+
+    /// An operand the nodes hold in the opposite layout only — an iterate
+    /// that came out of a product by rows, handed over as a right operand —
+    /// whose slice sizes they broadcast: `counts` is what
+    /// [`layout::broadcast_counts`] returned for `opposite`. No
+    /// communication.
+    ///
+    /// The row owners multiply by such a right operand without its columns,
+    /// so a product transposes it (and broadcasts its column counts) only if
+    /// it runs the pipeline, or if it cannot choose without those counts.
+    pub fn from_opposite(side: Side, opposite: &'a [SparseRow<E>], counts: Counts) -> Self {
+        debug_assert!(
+            sizes_match(opposite, counts.per_node()),
+            "the counts must be the opposite slices'"
+        );
+        Operand { side, known: Known::Opposite(opposite, counts), sigma1_placement: None }
     }
 
     /// The paper's input layout and nothing else; no communication.
     pub(crate) fn unprepared(side: Side, held: &'a [SparseRow<E>]) -> Self {
-        Operand { side, held, prepared: None, sigma1_placement: None }
+        Operand { side, known: Known::Held(held), sigma1_placement: None }
     }
 
-    /// What the nodes know about the held slices, after telling them as
-    /// [`Operand::prepare`] does if nothing has yet.
+    /// What the nodes know about both layouts, after telling them as
+    /// [`Operand::prepare`] does if nothing has yet: the layout they hold is
+    /// transposed into the other, and the held slices' sizes are broadcast
+    /// with the opposite ones'.
     pub(crate) fn ensure_prepared<S: Semiring<Elem = E>>(
         &mut self,
         clique: &mut Clique,
     ) -> Result<&Prepared<'a, E>, MatmulError> {
-        if self.prepared.is_none() {
-            let opposite = layout::transpose_exchange::<S>(clique, self.held)?;
-            let counts = layout::broadcast_counts(clique, self.held, Some(&opposite), None)?;
-            self.prepared = Some(Prepared { opposite: Cow::Owned(opposite), counts });
+        let layouts = match self.known {
+            Known::Prepared(_) => None,
+            Known::Held(held) => Some((
+                Cow::Borrowed(held),
+                Cow::Owned(layout::transpose_exchange::<S>(clique, held)?),
+            )),
+            Known::Opposite(opposite, _) => Some((
+                Cow::Owned(layout::transpose_exchange::<S>(clique, opposite)?),
+                Cow::Borrowed(opposite),
+            )),
+        };
+        if let Some((held, opposite)) = layouts {
+            let counts = layout::broadcast_counts(clique, &held, Some(&opposite), None)?;
+            self.known = Known::Prepared(Prepared { held, opposite, counts });
         }
-        Ok(self.prepared.as_ref().expect("prepared just above, if not before"))
+        Ok(self.prepared().expect("prepared just above, if not before"))
     }
 
-    /// What the nodes were told about the held slices, if they were.
+    /// The density, from whichever layout's sizes the nodes were told, after
+    /// preparing the operand if they were told none.
+    pub(crate) fn ensure_density<S: Semiring<Elem = E>>(
+        &mut self,
+        clique: &mut Clique,
+    ) -> Result<usize, MatmulError> {
+        Ok(match &self.known {
+            Known::Opposite(_, counts) => counts.density(),
+            Known::Held(_) | Known::Prepared(_) => {
+                self.ensure_prepared::<S>(clique)?.counts.density()
+            }
+        })
+    }
+
+    /// What the nodes were told about both layouts, if they were.
     pub(crate) fn prepared(&self) -> Option<&Prepared<'a, E>> {
-        self.prepared.as_ref()
+        match &self.known {
+            Known::Prepared(known) => Some(known),
+            Known::Held(_) | Known::Opposite(..) => None,
+        }
+    }
+
+    /// The opposite layout and its broadcast slice sizes, if the nodes hold
+    /// the one and were told the other.
+    pub(crate) fn opposite_known(&self) -> Option<(&[SparseRow<E>], &[u64])> {
+        match &self.known {
+            Known::Opposite(opposite, counts) => Some((opposite, counts.per_node())),
+            Known::Prepared(known) => Some((&known.opposite, known.counts.opposite()?)),
+            Known::Held(_) => None,
+        }
+    }
+
+    /// What a delivery plan can read of the operand's slice sizes: the held
+    /// slices', if they were broadcast, else the total of the opposite
+    /// slices', if those were.
+    pub(crate) fn sizes(&self) -> Option<Sizes<'_>> {
+        match &self.known {
+            Known::Prepared(known) => Some(Sizes::held(&known.counts)),
+            Known::Opposite(_, counts) => Some(Sizes::opposite(counts)),
+            Known::Held(_) => None,
+        }
+    }
+
+    /// The number of slices, one per node, in whichever layout is held.
+    pub(crate) fn len(&self) -> usize {
+        match &self.known {
+            Known::Held(slices) | Known::Opposite(slices, _) => slices.len(),
+            Known::Prepared(known) => known.held.len(),
+        }
+    }
+
+    /// Slice `v` at node `v` for every `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an operand handed over in the opposite layout that no
+    /// product prepared yet: every product reads the held layout only after
+    /// [`Operand::ensure_prepared`].
+    pub(crate) fn held(&self) -> &[SparseRow<E>] {
+        match &self.known {
+            Known::Held(held) => held,
+            Known::Prepared(known) => &known.held,
+            Known::Opposite(..) => panic!("the held layout is read only once it is prepared"),
+        }
     }
 
     /// The held entries in global `(row, col)` coordinates, per holder.
     pub(crate) fn entries(&self) -> PerNode<E> {
-        self.held
+        self.held()
             .iter()
             .enumerate()
             .map(|(v, slice)| {
@@ -157,6 +257,11 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
             })
             .collect()
     }
+}
+
+/// Whether `counts` are the sizes of `slices`.
+fn sizes_match<E: Clone + PartialEq>(slices: &[SparseRow<E>], counts: &[u64]) -> bool {
+    slices.iter().map(|r| r.nnz() as u64).eq(counts.iter().copied())
 }
 
 #[cfg(test)]
@@ -178,7 +283,7 @@ mod tests {
         let m = sample();
         let mut clique = Clique::new(4);
         let op = Operand::prepare::<MinPlus>(&mut clique, Side::Left, m.rows()).unwrap();
-        let known = op.prepared.as_ref().unwrap();
+        let known = op.prepared().unwrap();
         assert_eq!(known.counts.per_node(), [2, 0, 1, 1]);
         assert_eq!(known.counts.opposite(), Some(&[1, 2, 0, 1][..]));
         assert_eq!(known.counts.density(), 1);
@@ -206,9 +311,34 @@ mod tests {
         let t = m.transpose();
         let mut clique = Clique::new(4);
         let op = from_layouts(&mut clique, Side::Right, t.rows(), m.rows());
-        assert_eq!(op.prepared.unwrap().counts.per_node(), [1, 2, 0, 1]);
+        assert_eq!(op.prepared().unwrap().counts.per_node(), [1, 2, 0, 1]);
         assert_eq!(clique.rounds(), 1);
         assert_eq!(clique.metrics().phases.len(), 1);
+    }
+
+    #[test]
+    fn an_operand_handed_over_by_rows_is_transposed_only_when_prepared() {
+        // A right operand from its rows and their counts: the rows and row
+        // counts are known at once; its columns cost one transpose and one
+        // counts broadcast, which carries the row counts again.
+        let m = sample();
+        let mut clique = Clique::new(4);
+        let row_counts = layout::broadcast_counts(&mut clique, m.rows(), None, None).unwrap();
+        let mut op = Operand::from_opposite(Side::Right, m.rows(), row_counts);
+        assert!(op.prepared().is_none());
+        assert_eq!(op.opposite_known(), Some((m.rows(), &[2, 0, 1, 1][..])));
+        assert_eq!(op.ensure_density::<MinPlus>(&mut clique).unwrap(), 1);
+        assert_eq!(clique.rounds(), 1, "the density came with the row counts");
+        let known = op.ensure_prepared::<MinPlus>(&mut clique).unwrap();
+        assert_eq!(&*known.held, m.transpose().rows());
+        assert_eq!(known.counts.per_node(), [1, 2, 0, 1]);
+        assert_eq!(known.counts.opposite(), Some(&[2, 0, 1, 1][..]));
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["counts/all_broadcast"].invocations, 2);
+        assert_eq!(phases["transpose/route"].invocations, 1);
+        let cols = m.transpose();
+        let both = from_layouts(&mut clique, Side::Right, cols.rows(), m.rows());
+        assert_eq!(op.entries(), both.entries());
     }
 
     #[test]

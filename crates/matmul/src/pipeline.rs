@@ -8,9 +8,12 @@ use cc_clique::{Clique, Envelope, NodeId};
 use cc_matrix::{Entry, Semiring, SparseRow};
 
 use crate::cube::{CubePartition, CubeShape, TaskAssignment};
-use crate::deliver::{deliver, local_product, predict_owner, PerNode, ProductScratch};
+use crate::deliver::{
+    deliver, local_product, owner_by_counts, owner_load_bounds, predict_owner, PerNode,
+    ProductScratch, Sizes,
+};
 use crate::layout::FLAG_BIT;
-use crate::operand::{Operand, Prepared, Side};
+use crate::operand::{Operand, Side};
 use crate::sum::sum_intermediates;
 use crate::MatmulError;
 
@@ -26,8 +29,8 @@ pub(crate) struct Plan<'p, E> {
     /// Lemma 12 or 16, if dense subtasks are duplicated.
     pub helpers: Option<Helpers<'p>>,
     /// Whether the row owners may compute the product instead, when the
-    /// broadcast loads show it fits (Theorems 8 and 14; never the dense
-    /// baseline).
+    /// broadcast counts or loads show it fits (Theorems 8 and 14; never the
+    /// dense baseline).
     pub owner: bool,
 }
 
@@ -95,16 +98,18 @@ pub(crate) fn product<SR: Semiring>(
         s.side == Side::Left && t.side == Side::Right,
         "a product takes a left operand (held by rows) and a right one (held by columns)"
     );
-    if s.held.len() != n || t.held.len() != n {
-        let (s_rows, t_cols) = (s.held.len(), t.held.len());
+    if s.len() != n || t.len() != n {
+        let (s_rows, t_cols) = (s.len(), t.len());
         return Err(MatmulError::DimensionMismatch { s_rows, t_cols, n });
     }
     clique.with_phase(plan.label, |clique| {
-        // Lemma 9's shape, from the densities of the prepared operands.
+        // Lemma 9's shape, from the densities of the prepared operands (a
+        // right operand handed over by rows knows its density from its row
+        // counts, and is not prepared for it).
         let shape = match plan.cube_density {
             Some(rho) => {
-                let s_density = s.ensure_prepared::<SR>(clique)?.counts.density();
-                let t_density = t.ensure_prepared::<SR>(clique)?.counts.density();
+                let s_density = s.ensure_density::<SR>(clique)?;
+                let t_density = t.ensure_density::<SR>(clique)?;
                 CubeShape::choose(n, s_density, t_density, rho)
             }
             None => CubeShape::uniform(n),
@@ -120,48 +125,91 @@ pub(crate) fn product<SR: Semiring>(
 
 /// The owner product, if it fits: node `u` sends row `u` of `T` to every
 /// `v` with `S[v,u] ≠ 0` in one route (`owner/route`), and node `v`
-/// multiplies its row of `S` by the rows it received and its own. First
-/// every node broadcasts its load word (`owner/loads`), and
-/// [`predict_owner`] decides from those words and the operands' counts; a
-/// product that does not fit returns `None` and runs the pipeline. A right
-/// operand whose counts lack its row counts is never multiplied here.
+/// multiplies its row of `S` by the rows it received and its own. A product
+/// that does not fit returns `None` and runs the pipeline. A right operand
+/// that does not know its row counts is never multiplied here.
+///
+/// The choice is learned one fact at a time, each only while the choice is
+/// still open ([`owner_by_counts`]): first the broadcast counts, which bound
+/// the route's load; then, for a right operand handed over by rows, its
+/// columns and their counts (a transpose and a counts broadcast, which the
+/// pipeline needs anyway), which pin the pipeline's floor; and last every
+/// node's load word (`owner/loads`), from which [`predict_owner`] decides.
 fn owner_product<SR: Semiring>(
     clique: &mut Clique,
     plan: &Plan<'_, SR::Elem>,
     shape: CubeShape,
     s: &Operand<'_, SR::Elem>,
-    t: &Operand<'_, SR::Elem>,
+    t: &mut Operand<'_, SR::Elem>,
 ) -> Result<Option<Vec<SparseRow<SR::Elem>>>, MatmulError> {
-    let (Some(s_known), Some(t_known)) = (s.prepared(), t.prepared()) else {
-        unreachable!("a plan that allows the owner product shapes its cube from prepared operands");
+    let Some(s_known) = s.prepared() else {
+        unreachable!("a plan that allows the owner product shapes its cube from a prepared S");
     };
-    let Some(t_row_counts) = t_known.counts.opposite() else {
+    let Some((_, t_row_counts)) = t.opposite_known() else {
         return Ok(None);
     };
-    let n = clique.n();
-    let loads: Vec<u64> =
-        (0..n).map(|w| owner_load::<SR>(w, s.held, s_known, t_known, t_row_counts)).collect();
-    let loads = clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads))?;
+    let s_counts = &s_known.counts;
+    let load = s_counts
+        .opposite()
+        .map(|s_cols| owner_load_bounds(s_counts.per_node(), s_cols, t_row_counts));
+    let (n, cost) = (clique.n(), *clique.cost_model());
     let kept = [s.sigma1_placement.is_some(), t.sigma1_placement.is_some()];
-    let counts = [&s_known.counts, &t_known.counts];
-    let cost = predict_owner(clique.cost_model(), shape, counts, kept, &loads);
-    let rows = if cost.fits() {
+    let by_counts = |t: Sizes<'_>| {
+        let sizes = [Sizes::held(s_counts), t];
+        load.and_then(|load| owner_by_counts(&cost, shape, sizes, kept, load))
+    };
+    let mut choice = by_counts(t.sizes().expect("a right operand that knows its row counts"));
+    let transposed = choice.is_none() && t.prepared().is_none();
+    if transposed {
+        choice = by_counts(Sizes::held(&t.ensure_prepared::<SR>(clique)?.counts));
+    }
+    let sizes =
+        [Sizes::held(s_counts), t.sizes().expect("a right operand that knows its row counts")];
+    let (t_rows, t_row_counts) = t.opposite_known().expect("preparing keeps the row counts");
+    let loads = || -> Vec<u64> {
+        let (s_rows, s_cols) = (s.held(), &s_known.opposite[..]);
+        (0..n).map(|w| owner_load::<SR>(w, s_rows, s_cols, t_rows, t_row_counts)).collect()
+    };
+    let fits = match choice {
+        Some(fits) => fits,
+        None => {
+            let loads = clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads()))?;
+            predict_owner(&cost, shape, sizes, kept, &loads).fits()
+        }
+    };
+    let rows = if fits {
         let before = clique.rounds();
-        let rows = owner_rows::<SR>(clique, s.held, s_known, t_known)?;
-        debug_assert_eq!(clique.rounds() - before, cost.route, "the route charged its prediction");
+        let rows = owner_rows::<SR>(clique, s.held(), &s_known.opposite, t_rows)?;
+        debug_assert_eq!(
+            clique.rounds() - before,
+            predict_owner(&cost, shape, sizes, kept, &loads()).route,
+            "the route charged what its load words predict"
+        );
         Some(rows)
     } else {
         None
     };
     if AUDIT.with(|audit| audit.borrow().is_some()) {
-        let mut scratch = clique.clone();
+        // The pipeline on copies, its right operand prepared first if the
+        // choice did not need it to be, so the floor is the exact one.
+        let (mut scratch, mut t) = (clique.clone(), t.clone());
+        let t_counts = &t.ensure_prepared::<SR>(&mut scratch)?.counts;
+        let exact = predict_owner(
+            &cost,
+            shape,
+            [Sizes::held(s_counts), Sizes::held(t_counts)],
+            kept,
+            &loads(),
+        );
         let before = scratch.rounds();
-        let ran = pipeline::<SR>(&mut scratch, plan, shape, &mut s.clone(), &mut t.clone());
+        let ran = pipeline::<SR>(&mut scratch, plan, shape, &mut s.clone(), &mut t);
         let record = ProductAudit {
             label: plan.label,
             owner: rows.is_some(),
-            owner_rounds: cost.route,
-            floor: cost.floor,
+            by_counts: choice.is_some(),
+            transposed,
+            owner_rounds: exact.route,
+            floor: exact.floor,
             pipeline_rounds: ran.ok().map(|_| scratch.rounds() - before),
         };
         AUDIT.with(|audit| audit.borrow_mut().as_mut().map(|records| records.push(record)));
@@ -178,11 +226,11 @@ fn owner_product<SR: Semiring>(
 fn owner_load<SR: Semiring>(
     w: NodeId,
     s_rows: &[SparseRow<SR::Elem>],
-    s_known: &Prepared<'_, SR::Elem>,
-    t_known: &Prepared<'_, SR::Elem>,
+    s_cols: &[SparseRow<SR::Elem>],
+    t_rows: &[SparseRow<SR::Elem>],
     t_row_counts: &[u64],
 ) -> u64 {
-    let (s_col, t_row) = (&s_known.opposite[w], &t_known.opposite[w]);
+    let (s_col, t_row) = (&s_cols[w], &t_rows[w]);
     let me = w as u32;
     let targets = s_col.nnz() - usize::from(s_col.get(me).is_some());
     let send = (targets * t_row.nnz()) as u64;
@@ -199,10 +247,9 @@ fn owner_load<SR: Semiring>(
 fn owner_rows<SR: Semiring>(
     clique: &mut Clique,
     s_rows: &[SparseRow<SR::Elem>],
-    s_known: &Prepared<'_, SR::Elem>,
-    t_known: &Prepared<'_, SR::Elem>,
+    s_cols: &[SparseRow<SR::Elem>],
+    t_rows: &[SparseRow<SR::Elem>],
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
-    let (s_cols, t_rows) = (&s_known.opposite, &t_known.opposite);
     let mut msgs = Vec::new();
     for (u, (s_col, t_row)) in s_cols.iter().zip(t_rows.iter()).enumerate() {
         for (v, _) in s_col.iter().filter(|&(v, _)| v as usize != u) {
@@ -314,9 +361,12 @@ fn pipeline<SR: Semiring>(
 }
 
 /// What [`audit`] records of one product that weighed the owner product:
-/// the owner route's rounds and the floor [`predict_owner`] compared them
-/// with, whether it took the owner product, and the rounds the pipeline
-/// charges on the same operands, in the same state.
+/// whether it took the owner product, whether the broadcast counts chose or
+/// the load words did, and whether the right operand was transposed to
+/// choose; the owner route's rounds and the pipeline's floor
+/// as [`predict_owner`] computes them from every node's load word and both
+/// operands' held counts; and the rounds the pipeline charges on the same
+/// operands, in the same state, its right operand prepared.
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProductAudit {
@@ -324,9 +374,15 @@ pub struct ProductAudit {
     pub label: &'static str,
     /// Whether the owner product ran.
     pub owner: bool,
+    /// Whether the broadcast counts made the choice, with no load word.
+    pub by_counts: bool,
+    /// Whether the right operand, handed over by rows, was transposed and
+    /// its column counts broadcast before the choice, because its row counts
+    /// left the choice open.
+    pub transposed: bool,
     /// The rounds the owner route charges (or would have).
     pub owner_rounds: u64,
-    /// The pipeline's floor the route was held to.
+    /// The pipeline's floor.
     pub floor: u64,
     /// The rounds the pipeline charges on the same operands, or `None` if
     /// it reports an error there (a density hint too small for Lemma 12).
@@ -355,6 +411,8 @@ pub fn audit<R>(f: impl FnOnce() -> R) -> (R, Vec<ProductAudit>) {
 mod tests {
     use super::*;
     use crate::filtered_mm::filtered_product;
+    use crate::layout::{self, Counts};
+    use crate::operand::Prepared;
     use crate::sparse_mm::sparse_product;
     use cc_clique::CostModel;
     use cc_matrix::{
@@ -409,6 +467,9 @@ mod tests {
         assert!(record.floor <= pipeline_rounds, "{what}: {record:?}");
         assert_eq!(record.owner, phases.contains_key(&format!("{label}/owner/route")), "{what}");
         assert!(!plain.metrics().phases.keys().any(|l| l.contains("/owner/")), "{what}");
+        // The load words are broadcast exactly when the counts straddle.
+        let loads = phases.contains_key(&format!("{label}/owner/loads/all_broadcast"));
+        assert_eq!(loads, !record.by_counts, "{what}: {record:?}");
         if record.owner {
             assert!(record.owner_rounds <= pipeline_rounds, "{what}: {record:?}");
             assert_eq!(phases[&format!("{label}/owner/route")].rounds, record.owner_rounds);
@@ -419,13 +480,79 @@ mod tests {
             assert!(other.is_empty(), "{what}: {other:?}");
         } else {
             assert!(record.owner_rounds > record.floor, "{what}: {record:?}");
-            assert_eq!(clique.rounds(), plain.rounds() + 1, "{what}: the loads word is one round");
+            let word = u64::from(loads);
+            assert_eq!(clique.rounds(), plain.rounds() + word, "{what}: a load word is one round");
         }
         record.owner
     }
 
+    /// What the counts rule says of `S ⋆ T` against the load words, from
+    /// operands prepared on a scratch clique: the load bounds hold the largest
+    /// load word between them, and when the counts choose — with `T`'s column
+    /// counts, or from its row counts alone — they choose what the load words
+    /// do. Returns the choice with the column counts.
+    fn check_counts_rule<SR: Semiring>(
+        what: &str,
+        cost: CostModel,
+        s: &SparseMatrix<SR::Elem>,
+        t: &SparseMatrix<SR::Elem>,
+        rho: usize,
+    ) -> Option<bool> {
+        let n = s.n();
+        let mut clique = Clique::with_cost_model(n, cost);
+        let t_cols = t.transpose();
+        let left = Operand::prepare::<SR>(&mut clique, Side::Left, s.rows()).unwrap();
+        let right = Operand::prepare::<SR>(&mut clique, Side::Right, t_cols.rows()).unwrap();
+        let (s_known, t_known) = (left.prepared().unwrap(), right.prepared().unwrap());
+        let (s_counts, t_counts) = (&s_known.counts, &t_known.counts);
+        let t_row_counts = t_counts.opposite().unwrap();
+        let load =
+            owner_load_bounds(s_counts.per_node(), s_counts.opposite().unwrap(), t_row_counts);
+        let loads: Vec<u64> = (0..n)
+            .map(|w| owner_load::<SR>(w, s.rows(), &s_known.opposite, t.rows(), t_row_counts))
+            .collect();
+        let most = loads.iter().map(|w| w & !FLAG_BIT).max().unwrap();
+        assert!(load[0] <= most && most <= load[1], "{what}: {load:?} against {most}");
+        let shape = CubeShape::choose(n, s_counts.density(), t_counts.density(), rho);
+        let exact = [Sizes::held(s_counts), Sizes::held(t_counts)];
+        let predicted = predict_owner(&cost, shape, exact, [false; 2], &loads);
+        let route = |words: u64| cost.route_per_unit * words.div_ceil(n as u64);
+        assert!(route(load[0]) <= predicted.route && predicted.route <= route(load[1]), "{what}");
+        let fits = predicted.fits();
+        let with_columns = owner_by_counts(&cost, shape, exact, [false; 2], load);
+        let by_rows = t_counts.transposed().unwrap();
+        let rows_only = [Sizes::held(s_counts), Sizes::opposite(&by_rows)];
+        let from_rows = owner_by_counts(&cost, shape, rows_only, [false; 2], load);
+        for choice in [with_columns, from_rows].into_iter().flatten() {
+            assert_eq!(choice, fits, "{what}: the counts chose against the load words");
+        }
+        assert_ne!(from_rows, Some(false), "{what}: row counts alone never choose the pipeline");
+        if from_rows.is_some() {
+            assert_eq!(with_columns, from_rows, "{what}: the column counts only narrow");
+        }
+        with_columns
+    }
+
+    /// The right operand of a random case: held by columns, or handed over by
+    /// rows after their counts broadcast, as source detection hands its
+    /// iterate over.
+    fn right_operand<'a, E: Clone + PartialEq>(
+        clique: &mut Clique,
+        by_rows: bool,
+        t_rows: &'a [SparseRow<E>],
+        t_cols: &'a [SparseRow<E>],
+    ) -> Operand<'a, E> {
+        if by_rows {
+            let counts = layout::broadcast_counts(clique, t_rows, None, None).unwrap();
+            Operand::from_opposite(Side::Right, t_rows, counts)
+        } else {
+            Operand::unprepared(Side::Right, t_cols)
+        }
+    }
+
     /// Sparse products of random operands at n = 8, 16, 32, from one random
-    /// entry a row to `n`, under both cost models.
+    /// entry a row to `n`, under both cost models, with `T` held by columns
+    /// and handed over by rows.
     fn sparse_products<SR: Semiring>(seed: u64, val: impl Fn(&mut StdRng) -> SR::Elem + Copy)
     where
         SR::Elem: std::fmt::Debug,
@@ -439,17 +566,21 @@ mod tests {
             let t = random::<SR>(&mut rng, n, [1, 2, n][case % 3], case % 5 != 0, val);
             let (t_cols, expected) = (t.transpose(), s.multiply::<SR>(&t));
             let rho_hat = expected.density();
-            let run = |owner| {
-                let mut clique = Clique::with_cost_model(n, cost);
-                let mut left = Operand::unprepared(Side::Left, s.rows());
-                let mut right = Operand::unprepared(Side::Right, t_cols.rows());
-                let (rows, audits) = audit(|| {
-                    sparse_product::<SR>(&mut clique, &mut left, &mut right, rho_hat, owner)
-                });
-                (rows.unwrap(), clique, audits)
-            };
             let what = format!("case {case}: n = {n}, {per_row} a row, {cost:?}");
-            taken[usize::from(check(&what, "sparse_mm", &expected, run))] += 1;
+            check_counts_rule::<SR>(&what, cost, &s, &t, rho_hat);
+            for by_rows in [false, true] {
+                let run = |owner| {
+                    let mut clique = Clique::with_cost_model(n, cost);
+                    let mut left = Operand::unprepared(Side::Left, s.rows());
+                    let mut right = right_operand(&mut clique, by_rows, t.rows(), t_cols.rows());
+                    let (rows, audits) = audit(|| {
+                        sparse_product::<SR>(&mut clique, &mut left, &mut right, rho_hat, owner)
+                    });
+                    (rows.unwrap(), clique, audits)
+                };
+                let what = format!("{what}, T by rows: {by_rows}");
+                taken[usize::from(check(&what, "sparse_mm", &expected, run))] += 1;
+            }
         }
         assert!(taken.iter().all(|&count| count > 0), "both paths reached: {taken:?}");
     }
@@ -469,17 +600,21 @@ mod tests {
             let s = random::<SR>(&mut rng, n, per_row, case % 2 == 0, val);
             let t = random::<SR>(&mut rng, n, [1, 2, n][(case / 4) % 3], true, val);
             let (t_cols, expected) = (t.transpose(), s.multiply::<SR>(&t).filtered::<SR>(rho));
-            let run = |owner| {
-                let mut clique = Clique::with_cost_model(n, cost);
-                let mut left = Operand::unprepared(Side::Left, s.rows());
-                let mut right = Operand::unprepared(Side::Right, t_cols.rows());
-                let (rows, audits) = audit(|| {
-                    filtered_product::<SR>(&mut clique, &mut left, &mut right, rho, owner)
-                });
-                (rows.unwrap(), clique, audits)
-            };
             let what = format!("case {case}: n = {n}, {per_row} a row, ρ = {rho}, {cost:?}");
-            taken[usize::from(check(&what, "filtered_mm", &expected, run))] += 1;
+            check_counts_rule::<SR>(&what, cost, &s, &t, rho);
+            for by_rows in [false, true] {
+                let run = |owner| {
+                    let mut clique = Clique::with_cost_model(n, cost);
+                    let mut left = Operand::unprepared(Side::Left, s.rows());
+                    let mut right = right_operand(&mut clique, by_rows, t.rows(), t_cols.rows());
+                    let (rows, audits) = audit(|| {
+                        filtered_product::<SR>(&mut clique, &mut left, &mut right, rho, owner)
+                    });
+                    (rows.unwrap(), clique, audits)
+                };
+                let what = format!("{what}, T by rows: {by_rows}");
+                taken[usize::from(check(&what, "filtered_mm", &expected, run))] += 1;
+            }
         }
         assert!(taken.iter().all(|&count| count > 0), "both paths reached: {taken:?}");
     }
@@ -507,6 +642,57 @@ mod tests {
                 WitnessedDist::via(rng.gen_range(1..4), rng.gen_range(0..30))
             }
         });
+    }
+
+    #[test]
+    fn the_load_words_settle_what_the_counts_straddle() {
+        // T's rows 0..16 are full and the others hold their diagonal entry,
+        // so a row of S that reaches only the short rows of T receives
+        // little, while the counts bound its receive load by all of T
+        // (528 words, 17 rounds), far above the floor: they cannot tell it
+        // from a row of S that reaches the full rows, which receives 17
+        // rounds' worth. Neither row sends more than one round, so the
+        // counts straddle the floor and the load words choose: the owners
+        // for the first, the pipeline for the second. Handed over by rows,
+        // T is transposed first, as the row counts alone cannot choose.
+        let (n, dense) = (32, 16);
+        let mut t = SparseMatrix::<Dist>::identity::<MinPlus>(n);
+        for r in 0..dense {
+            for c in 0..n {
+                t.set(r, c, Dist::fin((r + c) as u64 + 1));
+            }
+        }
+        let t_cols = t.transpose();
+        for (reach, owner) in [(dense..n, true), (0..dense + 1, false)] {
+            let mut s = SparseMatrix::<Dist>::identity::<MinPlus>(n);
+            for c in reach.clone() {
+                s.set(dense, c, Dist::fin(c as u64 + 1));
+            }
+            let expected = s.multiply::<MinPlus>(&t);
+            let rho_hat = expected.density();
+            let what = format!("row {dense} of S reaches {reach:?}");
+            let choice = check_counts_rule::<MinPlus>(&what, CostModel::unit(), &s, &t, rho_hat);
+            assert_eq!(choice, None, "{what}: the counts straddle");
+            for by_rows in [false, true] {
+                let run = |owner| {
+                    let mut clique = Clique::new(n);
+                    let mut left = Operand::unprepared(Side::Left, s.rows());
+                    let mut right = right_operand(&mut clique, by_rows, t.rows(), t_cols.rows());
+                    let (rows, audits) = audit(|| {
+                        sparse_product::<MinPlus>(
+                            &mut clique,
+                            &mut left,
+                            &mut right,
+                            rho_hat,
+                            owner,
+                        )
+                    });
+                    (rows.unwrap(), clique, audits)
+                };
+                let what = format!("{what}, T by rows: {by_rows}");
+                assert_eq!(check(&what, "sparse_mm", &expected, run), owner, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -541,12 +727,15 @@ mod tests {
 
     #[test]
     fn a_perturbed_private_row_changes_no_other_nodes_choice() {
-        // Node x's row of S fills up after x broadcast its load word. Every
-        // node decides from its copy of the broadcast words — the operands'
-        // counts and the load words — so no node's choice moves. Had the
-        // row filled up before the broadcast, x's word would have grown
-        // past the floor and the choice would have moved.
+        // Node x's row of S fills up after the counts broadcast, and again
+        // after x broadcast its load word. Every node decides from its copy
+        // of the broadcast words — the operands' counts, then the load words
+        // — so no node's choice moves, by the counts rule or by the load
+        // words. Had the row filled up before either broadcast, the counts
+        // would no longer have settled the choice, and x's word would have
+        // grown past the floor.
         let (n, x) = (32, 5);
+        let cost = CostModel::unit();
         let mut rng = StdRng::seed_from_u64(46);
         let val = |rng: &mut StdRng| Dist::fin(rng.gen_range(1..50));
         let s = random::<MinPlus>(&mut rng, n, 1, true, val);
@@ -556,32 +745,45 @@ mod tests {
         let left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
         let right = Operand::prepare::<MinPlus>(&mut clique, Side::Right, t_cols.rows()).unwrap();
         let (s_known, t_known) = (left.prepared().unwrap(), right.prepared().unwrap());
-        let t_row_counts = t_known.counts.opposite().unwrap();
-        let shape = CubeShape::choose(n, s_known.counts.density(), t_known.counts.density(), n);
-        let words = |rows: &[SparseRow<Dist>], known: &Prepared<'_, Dist>| -> Vec<u64> {
-            (0..n).map(|w| owner_load::<MinPlus>(w, rows, known, t_known, t_row_counts)).collect()
+        let t_counts = &t_known.counts;
+        let t_row_counts = t_counts.opposite().unwrap();
+        let shape = CubeShape::choose(n, s_known.counts.density(), t_counts.density(), n);
+        let by_counts = |s_counts: &Counts| {
+            let load =
+                owner_load_bounds(s_counts.per_node(), s_counts.opposite().unwrap(), t_row_counts);
+            let sizes = [Sizes::held(s_counts), Sizes::held(t_counts)];
+            owner_by_counts(&cost, shape, sizes, [false; 2], load)
         };
-        let counts = [&s_known.counts, &t_known.counts];
+        let counted = vec![s_known.counts.clone(); n];
+        let before: Vec<_> = counted.iter().map(by_counts).collect();
+        assert!(before.iter().all(|&choice| choice == Some(true)), "the counts choose the owners");
+
+        let words = |known: &Prepared<'_, Dist>| -> Vec<u64> {
+            let (rows, cols) = (&known.held[..], &known.opposite[..]);
+            (0..n).map(|w| owner_load::<MinPlus>(w, rows, cols, t.rows(), t_row_counts)).collect()
+        };
+        let sizes = [Sizes::held(&s_known.counts), Sizes::held(t_counts)];
         let choices = |copies: &[Vec<u64>]| -> Vec<bool> {
-            let cost = CostModel::unit();
-            copies
-                .iter()
-                .map(|loads| predict_owner(&cost, shape, counts, [false; 2], loads).fits())
-                .collect()
+            let fits = |loads| predict_owner(&cost, shape, sizes, [false; 2], loads).fits();
+            copies.iter().map(|loads| fits(loads)).collect()
         };
-        let loads = clique.all_broadcast(words(s.rows(), s_known)).unwrap();
+        let loads = clique.all_broadcast(words(s_known)).unwrap();
         let copies = vec![loads.clone(); n];
-        let before = choices(&copies);
-        assert!(before.iter().all(|&fits| fits), "the sparse product fits");
+        let fitted = choices(&copies);
+        assert!(fitted.iter().all(|&fits| fits), "the sparse product fits");
 
         let mut perturbed = s.clone();
         for c in 0..n {
             perturbed.set(x, c, Dist::fin(1));
         }
-        assert_eq!(choices(&copies), before, "a choice moved with a private row");
-        let cols = perturbed.transpose();
-        let known = Prepared { opposite: cols.rows().into(), counts: s_known.counts.clone() };
-        let early = words(perturbed.rows(), &known);
+        let now: Vec<_> = counted.iter().map(by_counts).collect();
+        assert_eq!(now, before, "a counts choice moved with a private row");
+        assert_eq!(choices(&copies), fitted, "a load word choice moved with a private row");
+
+        let early = Operand::prepare::<MinPlus>(&mut clique, Side::Left, perturbed.rows()).unwrap();
+        let early = early.prepared().unwrap();
+        assert_eq!(by_counts(&early.counts), None, "counts broadcast late no longer settle it");
+        let early = words(early);
         assert!(early[x] > loads[x], "x's word: {} before, {} after", loads[x], early[x]);
         assert!(choices(&[early]).iter().all(|&fits| !fits), "the perturbation is material");
     }

@@ -53,20 +53,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 259,
-    messages: 122_087,
-    words: 143_925,
-    phase_labels: 24,
-    invocations: 134,
+    rounds: 226,
+    messages: 106_967,
+    words: 126_581,
+    phase_labels: 21,
+    invocations: 110,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 415,
-    messages: 187_025,
-    words: 212_461,
-    phase_labels: 58,
-    invocations: 201,
+    rounds: 383,
+    messages: 167_194,
+    words: 190_655,
+    phase_labels: 54,
+    invocations: 173,
     dist_digest: 12_639_840_282_067_814_693,
 };
 
@@ -183,38 +183,61 @@ fn apsp_report_and_distances_are_pinned() {
     }
 }
 
+/// Which of each run's products the row owners compute (`o`) and which run
+/// the pipeline (`p`), in order, under the unit and the conservative cost
+/// model: the paths the products took when the load words alone chose, which
+/// the broadcast counts must choose alike.
+const PATHS: [(&str, [&str; 2]); 2] = [
+    ("mssp", ["opppooooooooo", "opppooooooooo"]),
+    ("unweighted_2eps", ["oppoooopppooooooooooo", "oppoooppppooooooooooo"]),
+];
+
 /// Every product of both runs that weighed the owner product, under both
-/// cost models: the owner product ran only where its route charges no more
-/// than the pipeline charges on the same operands, and the floor the route
-/// was held to is one the pipeline never went below. Auditing runs each
-/// product's pipeline on copies, so the runs still charge their pinned
-/// rounds and return their pinned distances. `--nocapture` prints the
-/// products, one line each.
+/// cost models: each took its pinned path, whether the broadcast counts or
+/// the load words chose it; the owner product ran only where its route
+/// charges no more than the pipeline charges on the same operands; and the
+/// floor the route was held to is one the pipeline never went below.
+/// Auditing runs each product's pipeline on copies, so the runs still charge
+/// their pinned rounds and return their pinned distances. `--nocapture`
+/// prints the products, one line each.
 #[test]
 fn the_owner_product_never_charges_more_than_the_pipeline() {
-    for cost in [CostModel::unit(), CostModel::conservative()] {
-        for (what, pinned) in [("mssp", &MSSP_PINNED), ("unweighted_2eps", &APSP_PINNED)] {
+    for (model, cost) in [CostModel::unit(), CostModel::conservative()].into_iter().enumerate() {
+        for ((what, paths), pinned) in PATHS.iter().zip([&MSSP_PINNED, &APSP_PINNED]) {
             let clique = Clique::with_cost_model(N, cost);
-            let run = if what == "mssp" { mssp_on } else { apsp_on };
+            let run = if *what == "mssp" { mssp_on } else { apsp_on };
             let ((dist, report), audits) = audit(|| run(clique));
             assert_eq!(digest(&dist), pinned.dist_digest, "{what}: distances moved");
             if cost == CostModel::unit() {
                 assert_eq!(report.rounds, pinned.rounds, "{what}: auditing moved the rounds");
             }
             let owner = audits.iter().filter(|a| a.owner).count();
-            println!("{what} under {cost:?}: {owner} of {} products at the owners", audits.len());
+            let by_counts = audits.iter().filter(|a| a.by_counts).count();
+            println!(
+                "{what} under {cost:?}: {owner} of {} products at the owners, \
+                 {by_counts} chosen by the counts",
+                audits.len()
+            );
             for (i, a) in audits.iter().enumerate() {
                 let path = if a.owner { "owner" } else { "pipeline" };
+                // The counts, with the right operand's column counts if its
+                // row counts left the choice open, or the load words.
+                let by = match (a.by_counts, a.transposed) {
+                    (true, false) => "counts",
+                    (true, true) => "columns",
+                    (false, _) => "loads",
+                };
                 let pipeline = a.pipeline_rounds.expect("the runs' density hints suffice");
                 println!(
-                    "  {i:2} {:11} {path:8} route {:3}  floor {:3}  pipeline {pipeline:3}",
+                    "  {i:2} {:11} {path:8} by {by:7} route {:3}  floor {:3}  pipeline {pipeline:3}",
                     a.label, a.owner_rounds, a.floor
                 );
                 assert!(a.floor <= pipeline, "{what} product {i}: {a:?}");
                 assert!(!a.owner || a.owner_rounds <= pipeline, "{what} product {i}: {a:?}");
                 assert_eq!(a.owner, a.owner_rounds <= a.floor, "{what} product {i}: {a:?}");
             }
-            assert!(owner > 0, "{what}: no product ran at the owners");
+            let taken: String = audits.iter().map(|a| if a.owner { 'o' } else { 'p' }).collect();
+            assert_eq!(taken, paths[model], "{what} under {cost:?}: a product changed its path");
         }
     }
 }
@@ -264,9 +287,9 @@ fn run_product(
 }
 
 /// The three products of `cc-matmul`, each on its own. `W` has about six
-/// entries a row, so the row owners compute both theorems' products: one
-/// loads broadcast and one route after the operands are prepared, the same
-/// rows as the pipeline's (`ρ̂ = 16`, below the true output density 25,
+/// entries a row, so the row owners compute both theorems' products: the
+/// operands' counts settle it, and one route follows their preparation,
+/// the same rows as the pipeline's (`ρ̂ = 16`, below the true output density 25,
 /// had Lemma 12 assign helpers; `ρ = 8` had Lemma 15 search). The dense
 /// baseline never takes the owner product.
 #[test]
@@ -277,7 +300,7 @@ fn standalone_products_match_the_committed_reports() {
         let phases = report.phases.keys().filter(|l| !l.ends_with("counts/all_broadcast"));
         let mut leaves: Vec<&str> = phases.map(|l| &l[label.len() + 1..]).collect();
         leaves.sort_unstable();
-        assert_eq!(leaves, ["owner/loads/all_broadcast", "owner/route", "transpose/route"]);
+        assert_eq!(leaves, ["owner/route", "transpose/route"]);
     };
 
     let (sparse, sparse_report) =
