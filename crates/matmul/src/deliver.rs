@@ -186,7 +186,15 @@ pub(crate) fn plan(
 /// `summed`, some elementary product being non-zero, so that the summation
 /// has something to sort — one summation sort and one route. From `sizes`
 /// that know a side only by its total, a floor under that floor.
-fn pipeline_floor(
+///
+/// The pipeline always builds the cube (free if `c = 1`), delivers under
+/// `σ1` as [`plan`] places it — its fan-out charges at least the predicted
+/// sends — and broadcasts its subtask product sizes (Lemmas 12 and 16). A
+/// non-zero elementary product leaves at least one intermediate value in
+/// every semiring of the workspace (a sum of non-zero elements is
+/// non-zero, and Lemma 15 keeps a row's smallest entries), so the summation
+/// then sorts and routes at least one unit each.
+pub(crate) fn pipeline_floor(
     cost: &CostModel,
     shape: CubeShape,
     sizes: [Sizes<'_>; 2],
@@ -198,101 +206,77 @@ fn pipeline_floor(
     shape.build_rounds(cost) + sigma1 + cost.broadcast_per_unit + sum
 }
 
-/// What [`predict_owner`] weighs: the rounds the owner product's route
-/// charges, and a floor no run of the pipeline on the same operands goes
-/// below.
+/// What the nodes know of the owner route's largest load word `L`: `least
+/// ≤ L ≤ most`, and whether some elementary product is non-zero, if they
+/// know that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct OwnerCost {
-    /// `route_per_unit·⌈L/n⌉` for the largest load word `L`: exactly what
-    /// the owner route charges.
-    pub route: u64,
-    /// The pipeline's floor ([`pipeline_floor`]), with the summation's sort
-    /// and route if a load word's flag says the summation has something to
-    /// sort.
-    pub floor: u64,
+pub(crate) struct Load {
+    pub least: u64,
+    pub most: u64,
+    pub summed: Option<bool>,
 }
 
-impl OwnerCost {
-    /// Whether the owner product charges no more than the pipeline would.
-    pub fn fits(&self) -> bool {
-        self.route <= self.floor
+impl Load {
+    /// Bounds from broadcast counts alone: `S`'s row and column counts and
+    /// `T`'s row counts.
+    ///
+    /// Node `w` sends row `w` of `T` to every node of column `w` of `S` but
+    /// itself, and receives row `u` of `T` from every `u` of row `w` of `S`
+    /// but itself. So its word is at least `(|col w of S| − 1)·|row w of T|`
+    /// and at most the larger of `|col w of S|·|row w of T|` and
+    /// `min(|row w of S|·max_u |row u of T|, Σ_u |row u of T|)`.
+    pub fn from_counts(s_rows: &[u64], s_cols: &[u64], t_rows: &[u64]) -> Load {
+        let (widest, all) = (t_rows.iter().copied().max().unwrap_or(0), t_rows.iter().sum::<u64>());
+        let mut load = Load { least: 0, most: 0, summed: None };
+        for w in 0..t_rows.len() {
+            let send = s_cols[w] * t_rows[w];
+            load.least = load.least.max(send.saturating_sub(t_rows[w]));
+            load.most = load.most.max(send.max((s_rows[w] * widest).min(all)));
+        }
+        load
+    }
+
+    /// The largest of every node's broadcast load word — its owner route
+    /// load `max(send, recv)`, with the flag bit raised if some elementary
+    /// product through the node is non-zero.
+    pub fn from_words(words: &[u64]) -> Load {
+        let most = words.iter().map(|w| w & !layout::FLAG_BIT).max().unwrap_or(0);
+        let summed = words.iter().any(|w| w & layout::FLAG_BIT != 0);
+        Load { least: most, most, summed: Some(summed) }
+    }
+
+    /// What the owner route charges at `least` and at `most` on `n` nodes:
+    /// `route_per_unit·⌈L/n⌉` for a largest load word `L`.
+    pub fn route(&self, cost: &CostModel, n: u64) -> [u64; 2] {
+        [self.least, self.most].map(|words| cost.route_per_unit * words.div_ceil(n))
     }
 }
 
-/// The owner product's cost against the pipeline's floor, from broadcast
-/// words and the cube's shape alone: the operands' held `sizes`, whether
-/// each side `kept` a `σ1` placement, and every node's `loads` word — its
-/// owner route load `max(send, recv)`, with the flag bit raised if some
-/// elementary product through the node is non-zero.
-///
-/// The pipeline always builds the cube (free if `c = 1`), delivers under
-/// `σ1` as [`plan`] places it — its fan-out charges at least the predicted
-/// sends — and broadcasts its subtask product sizes (Lemmas 12 and 16). A
-/// non-zero elementary product leaves at least one intermediate value in
-/// every semiring of the workspace (a sum of non-zero elements is
-/// non-zero, and Lemma 15 keeps a row's smallest entries), so the summation
-/// then sorts and routes at least one unit each. Every node computes the
-/// same `OwnerCost`, and the owner product never charges more than the
-/// pipeline when it [`OwnerCost::fits`].
-pub(crate) fn predict_owner(
+/// The owner product's choice from broadcast words and the cube's shape
+/// alone, if `load` settles it: `Some(true)` — the owners — if the route's
+/// most is within the pipeline's floor, counting the summation only if it
+/// surely has something to sort; `Some(false)` — the pipeline — if both
+/// sides' per-node `sizes` are known and the route's least exceeds the
+/// floor, counting the summation unless it surely has nothing to sort; else
+/// `None`, and the nodes learn the next fact. Every node makes the same
+/// choice, and the owner product never charges more than the pipeline when
+/// it is chosen. Load words with exact `sizes` always settle the choice;
+/// from `sizes` that know a side only by its total the floor is bounded from
+/// below, so the pipeline is never chosen.
+pub(crate) fn owner_choice(
     cost: &CostModel,
     shape: CubeShape,
     sizes: [Sizes<'_>; 2],
     kept: [bool; 2],
-    loads: &[u64],
-) -> OwnerCost {
-    let n = loads.len() as u64;
-    let most = loads.iter().map(|w| w & !layout::FLAG_BIT).max().unwrap_or(0);
-    let summed = loads.iter().any(|w| w & layout::FLAG_BIT != 0);
-    OwnerCost {
-        route: cost.route_per_unit * most.div_ceil(n),
-        floor: pipeline_floor(cost, shape, sizes, kept, summed),
-    }
-}
-
-/// The owner route's largest load word, bounded from broadcast counts alone
-/// — `S`'s row and column counts and `T`'s row counts — as `[least, most]`.
-///
-/// Node `w` sends row `w` of `T` to every node of column `w` of `S` but
-/// itself, and receives row `u` of `T` from every `u` of row `w` of `S` but
-/// itself. So its word is at least `(|col w of S| − 1)·|row w of T|` and at
-/// most the larger of `|col w of S|·|row w of T|` and
-/// `min(|row w of S|·max_u |row u of T|, Σ_u |row u of T|)`.
-pub(crate) fn owner_load_bounds(s_rows: &[u64], s_cols: &[u64], t_rows: &[u64]) -> [u64; 2] {
-    let (widest, all) = (t_rows.iter().copied().max().unwrap_or(0), t_rows.iter().sum::<u64>());
-    let mut bounds = [0; 2];
-    for w in 0..t_rows.len() {
-        let send = s_cols[w] * t_rows[w];
-        bounds[0] = bounds[0].max(send.saturating_sub(t_rows[w]));
-        bounds[1] = bounds[1].max(send.max((s_rows[w] * widest).min(all)));
-    }
-    bounds
-}
-
-/// The owner product's choice from broadcast counts alone, if they settle
-/// it: `Some(true)` if the route's most, `route_per_unit·⌈most/n⌉` for the
-/// `load` bounds of [`owner_load_bounds`], is within the pipeline's floor
-/// without its summation term; `Some(false)` if the route's least exceeds
-/// the floor with it; else `None`, and the load words decide. Every input is
-/// a broadcast value, so every node makes the same choice, and when it makes
-/// one it is the one [`predict_owner`]'s [`OwnerCost::fits`] would make from
-/// the load words. From `sizes` that know a side only by its total, the
-/// floor is bounded from below, so the counts can choose the owner product
-/// but not the pipeline.
-pub(crate) fn owner_by_counts(
-    cost: &CostModel,
-    shape: CubeShape,
-    sizes: [Sizes<'_>; 2],
-    kept: [bool; 2],
-    load: [u64; 2],
+    load: Load,
 ) -> Option<bool> {
-    let n = sizes[0].n;
-    let [least, most] = load.map(|words| cost.route_per_unit * words.div_ceil(n));
-    if most <= pipeline_floor(cost, shape, sizes, kept, false) {
+    let [least, most] = load.route(cost, sizes[0].n);
+    let floor = |summed| pipeline_floor(cost, shape, sizes, kept, summed);
+    if most <= floor(load.summed == Some(true)) {
         return Some(true);
     }
     let exact = sizes.iter().all(|side| side.per_node.is_some());
-    (exact && least > pipeline_floor(cost, shape, sizes, kept, true)).then_some(false)
+    (exact && least > floor(load.summed != Some(false))).then_some(false)
 }
 
 /// Lemma 11: every node assigned a subtask by `assignment` learns its

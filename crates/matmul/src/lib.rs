@@ -21,7 +21,7 @@
 //! | step | licensed by | Theorem 8 | Theorem 14 | dense | phase label |
 //! |------|-------------|-----------|------------|-------|-------------|
 //! | prepare operands | §2.1 | unless prepared; a right operand handed over by rows only if the pipeline runs or its row counts cannot choose | same | — | `counts`, `transpose` |
-//! | owner product, if it fits (then no later step runs) | Lenzen routing | if `T`'s row counts were broadcast; load words only where the counts straddle the floor | same, then the final row filter | — | `owner/loads`, `owner/route` |
+//! | owner product, if it fits (then no later step runs) | Lenzen routing | if `T`'s row counts were broadcast; one rule asked after each fact, load words only where the counts straddle the floor | same, then the final row filter | — | `owner/loads`, `owner/route` |
 //! | cube partition | Lemma 9 | for `ρ̂`, free if `c = 1` | for `ρ`, free if `c = 1` | uniform, free | `cube/*` |
 //! | `σ1` delivery | Lemmas 10 + 11, balancing only the sides whose balance pays | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/sort`, `deliver_t/balance/sort`, `deliver/{balance,fanout}/route`; dense: `deliver_{s,t}/counts` |
 //! | local products | free | yes | yes | yes | — |
@@ -40,16 +40,20 @@
 //! below: the cube's broadcasts, the `σ1` delivery as the plan below places
 //! it, the helper sizes broadcast, and one summation sort and route. Each
 //! node's route load is the larger of what it would send and receive, and
-//! the broadcast counts already bound it — `S`'s row and column counts and
-//! `T`'s row counts, which ride in the counts word beside `T`'s column
-//! counts. A route whose most fits under the floor without its summation
-//! term runs at once; one whose least exceeds the floor with it leaves the
-//! product to the pipeline. Only a product the counts straddle broadcasts
-//! one load word a node, its exact load, and decides from those. A right
-//! operand handed over by rows ([`Operand::from_opposite`]: source
-//! detection's iterate) reaches the owner route without its columns, which
-//! the route does not read; it is transposed, and its column counts
-//! broadcast, only if the pipeline runs or the floor needs them to decide.
+//! what the nodes know of the largest is an interval: the broadcast counts
+//! — `S`'s row and column counts and `T`'s row counts, which ride in the
+//! counts word beside `T`'s column counts — bound it on both sides, and one
+//! load word a node pins it. One rule decides from the interval: the owners
+//! if the route at its most fits under the floor, the pipeline if the route
+//! at its least exceeds it and both operands' per-node counts are known,
+//! else the nodes learn the next fact; the summation term counts toward the
+//! first floor only if it surely runs and toward the second unless it
+//! surely does not. Only a product the counts straddle broadcasts the load
+//! words, and those always settle it. A right operand handed over by rows
+//! ([`Operand::from_opposite`]: source detection's iterate) reaches the
+//! owner route without its columns, which the route does not read; it is
+//! transposed, and its column counts broadcast, only if the pipeline runs
+//! or the floor needs them to decide.
 //! Products that do not fit — a dense square, the hopset's k-nearest
 //! squarings — run the pipeline unchanged.
 //!

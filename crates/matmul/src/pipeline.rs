@@ -9,8 +9,7 @@ use cc_matrix::{Entry, Semiring, SparseRow};
 
 use crate::cube::{CubePartition, CubeShape, TaskAssignment};
 use crate::deliver::{
-    deliver, local_product, owner_by_counts, owner_load_bounds, predict_owner, PerNode,
-    ProductScratch, Sizes,
+    deliver, local_product, owner_choice, pipeline_floor, Load, PerNode, ProductScratch, Sizes,
 };
 use crate::layout::FLAG_BIT;
 use crate::operand::{Operand, Side};
@@ -129,12 +128,12 @@ pub(crate) fn product<SR: Semiring>(
 /// that does not fit returns `None` and runs the pipeline. A right operand
 /// that does not know its row counts is never multiplied here.
 ///
-/// The choice is learned one fact at a time, each only while the choice is
-/// still open ([`owner_by_counts`]): first the broadcast counts, which bound
+/// The choice is [`owner_choice`]'s, asked again after each fact the nodes
+/// learn while it is still open: first the broadcast counts, which bound
 /// the route's load; then, for a right operand handed over by rows, its
 /// columns and their counts (a transpose and a counts broadcast, which the
 /// pipeline needs anyway), which pin the pipeline's floor; and last every
-/// node's load word (`owner/loads`), from which [`predict_owner`] decides.
+/// node's load word (`owner/loads`), which settle it.
 fn owner_product<SR: Semiring>(
     clique: &mut Clique,
     plan: &Plan<'_, SR::Elem>,
@@ -149,40 +148,39 @@ fn owner_product<SR: Semiring>(
         return Ok(None);
     };
     let s_counts = &s_known.counts;
-    let load = s_counts
+    let counted = s_counts
         .opposite()
-        .map(|s_cols| owner_load_bounds(s_counts.per_node(), s_cols, t_row_counts));
+        .map(|s_cols| Load::from_counts(s_counts.per_node(), s_cols, t_row_counts));
     let (n, cost) = (clique.n(), *clique.cost_model());
     let kept = [s.sigma1_placement.is_some(), t.sigma1_placement.is_some()];
-    let by_counts = |t: Sizes<'_>| {
-        let sizes = [Sizes::held(s_counts), t];
-        load.and_then(|load| owner_by_counts(&cost, shape, sizes, kept, load))
+    let choose = |t: &Operand<'_, SR::Elem>, load| {
+        let t_sizes = t.sizes().expect("a right operand that knows its row counts");
+        owner_choice(&cost, shape, [Sizes::held(s_counts), t_sizes], kept, load)
     };
-    let mut choice = by_counts(t.sizes().expect("a right operand that knows its row counts"));
+    let mut choice = counted.and_then(|load| choose(t, load));
     let transposed = choice.is_none() && t.prepared().is_none();
     if transposed {
-        choice = by_counts(Sizes::held(&t.ensure_prepared::<SR>(clique)?.counts));
+        t.ensure_prepared::<SR>(clique)?;
+        choice = counted.and_then(|load| choose(t, load));
     }
-    let sizes =
-        [Sizes::held(s_counts), t.sizes().expect("a right operand that knows its row counts")];
     let (t_rows, t_row_counts) = t.opposite_known().expect("preparing keeps the row counts");
     let loads = || -> Vec<u64> {
         let (s_rows, s_cols) = (s.held(), &s_known.opposite[..]);
         (0..n).map(|w| owner_load::<SR>(w, s_rows, s_cols, t_rows, t_row_counts)).collect()
     };
-    let fits = match choice {
-        Some(fits) => fits,
+    let owner = match choice {
+        Some(owner) => owner,
         None => {
-            let loads = clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads()))?;
-            predict_owner(&cost, shape, sizes, kept, &loads).fits()
+            let words = clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads()))?;
+            choose(t, Load::from_words(&words)).expect("the load words settle the choice")
         }
     };
-    let rows = if fits {
+    let rows = if owner {
         let before = clique.rounds();
         let rows = owner_rows::<SR>(clique, s.held(), &s_known.opposite, t_rows)?;
         debug_assert_eq!(
             clique.rounds() - before,
-            predict_owner(&cost, shape, sizes, kept, &loads()).route,
+            Load::from_words(&loads()).route(&cost, n as u64)[1],
             "the route charged what its load words predict"
         );
         Some(rows)
@@ -194,13 +192,9 @@ fn owner_product<SR: Semiring>(
         // choice did not need it to be, so the floor is the exact one.
         let (mut scratch, mut t) = (clique.clone(), t.clone());
         let t_counts = &t.ensure_prepared::<SR>(&mut scratch)?.counts;
-        let exact = predict_owner(
-            &cost,
-            shape,
-            [Sizes::held(s_counts), Sizes::held(t_counts)],
-            kept,
-            &loads(),
-        );
+        let exact = [Sizes::held(s_counts), Sizes::held(t_counts)];
+        let load = Load::from_words(&loads());
+        let floor = pipeline_floor(&cost, shape, exact, kept, load.summed == Some(true));
         let before = scratch.rounds();
         let ran = pipeline::<SR>(&mut scratch, plan, shape, &mut s.clone(), &mut t);
         let record = ProductAudit {
@@ -208,8 +202,8 @@ fn owner_product<SR: Semiring>(
             owner: rows.is_some(),
             by_counts: choice.is_some(),
             transposed,
-            owner_rounds: exact.route,
-            floor: exact.floor,
+            owner_rounds: load.route(&cost, n as u64)[1],
+            floor,
             pipeline_rounds: ran.ok().map(|_| scratch.rounds() - before),
         };
         AUDIT.with(|audit| audit.borrow_mut().as_mut().map(|records| records.push(record)));
@@ -363,10 +357,11 @@ fn pipeline<SR: Semiring>(
 /// What [`audit`] records of one product that weighed the owner product:
 /// whether it took the owner product, whether the broadcast counts chose or
 /// the load words did, and whether the right operand was transposed to
-/// choose; the owner route's rounds and the pipeline's floor
-/// as [`predict_owner`] computes them from every node's load word and both
-/// operands' held counts; and the rounds the pipeline charges on the same
-/// operands, in the same state, its right operand prepared.
+/// choose; the owner route's rounds ([`Load::route`]) and the pipeline's
+/// floor ([`pipeline_floor`]) at the [`Load`] of every node's load word and
+/// both operands' held counts, as [`owner_choice`] weighs them; and the
+/// rounds the pipeline charges on the same operands, in the same state, its
+/// right operand prepared.
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProductAudit {
@@ -448,6 +443,9 @@ mod tests {
     /// product.
     type Run<E> = (Vec<SparseRow<E>>, Clique, Vec<ProductAudit>);
 
+    /// What a product returns.
+    type Rows<E> = Result<Vec<SparseRow<E>>, MatmulError>;
+
     /// Runs `multiply` both ways and checks the owner side against the
     /// pipeline side and against `expected`; returns whether the owner
     /// product ran.
@@ -486,11 +484,12 @@ mod tests {
         record.owner
     }
 
-    /// What the counts rule says of `S ⋆ T` against the load words, from
-    /// operands prepared on a scratch clique: the load bounds hold the largest
-    /// load word between them, and when the counts choose — with `T`'s column
-    /// counts, or from its row counts alone — they choose what the load words
-    /// do. Returns the choice with the column counts.
+    /// What [`owner_choice`] says of `S ⋆ T` from the counts against what it
+    /// says from the load words, from operands prepared on a scratch clique:
+    /// the counts' interval holds the largest load word, and when the counts
+    /// choose — with `T`'s column counts, or from its row counts alone — they
+    /// choose what the load words do. Returns the choice with the column
+    /// counts.
     fn check_counts_rule<SR: Semiring>(
         what: &str,
         cost: CostModel,
@@ -506,23 +505,20 @@ mod tests {
         let (s_known, t_known) = (left.prepared().unwrap(), right.prepared().unwrap());
         let (s_counts, t_counts) = (&s_known.counts, &t_known.counts);
         let t_row_counts = t_counts.opposite().unwrap();
-        let load =
-            owner_load_bounds(s_counts.per_node(), s_counts.opposite().unwrap(), t_row_counts);
+        let counted =
+            Load::from_counts(s_counts.per_node(), s_counts.opposite().unwrap(), t_row_counts);
         let loads: Vec<u64> = (0..n)
             .map(|w| owner_load::<SR>(w, s.rows(), &s_known.opposite, t.rows(), t_row_counts))
             .collect();
-        let most = loads.iter().map(|w| w & !FLAG_BIT).max().unwrap();
-        assert!(load[0] <= most && most <= load[1], "{what}: {load:?} against {most}");
+        let words = Load::from_words(&loads);
+        assert!(counted.least <= words.most && words.most <= counted.most, "{what}: {counted:?}");
         let shape = CubeShape::choose(n, s_counts.density(), t_counts.density(), rho);
+        let choose = |sizes, load| owner_choice(&cost, shape, sizes, [false; 2], load);
         let exact = [Sizes::held(s_counts), Sizes::held(t_counts)];
-        let predicted = predict_owner(&cost, shape, exact, [false; 2], &loads);
-        let route = |words: u64| cost.route_per_unit * words.div_ceil(n as u64);
-        assert!(route(load[0]) <= predicted.route && predicted.route <= route(load[1]), "{what}");
-        let fits = predicted.fits();
-        let with_columns = owner_by_counts(&cost, shape, exact, [false; 2], load);
+        let fits = choose(exact, words).expect("the load words settle the choice");
+        let with_columns = choose(exact, counted);
         let by_rows = t_counts.transposed().unwrap();
-        let rows_only = [Sizes::held(s_counts), Sizes::opposite(&by_rows)];
-        let from_rows = owner_by_counts(&cost, shape, rows_only, [false; 2], load);
+        let from_rows = choose([Sizes::held(s_counts), Sizes::opposite(&by_rows)], counted);
         for choice in [with_columns, from_rows].into_iter().flatten() {
             assert_eq!(choice, fits, "{what}: the counts chose against the load words");
         }
@@ -533,20 +529,27 @@ mod tests {
         with_columns
     }
 
-    /// The right operand of a random case: held by columns, or handed over by
-    /// rows after their counts broadcast, as source detection hands its
-    /// iterate over.
-    fn right_operand<'a, E: Clone + PartialEq>(
-        clique: &mut Clique,
+    /// `multiply` as [`check`] runs it, with the owner product allowed or
+    /// not: on a fresh clique under `cost`, audited, `S` in its input layout
+    /// and `T` held by columns, or handed over by rows after their counts
+    /// broadcast, as source detection hands its iterate over.
+    fn runner<'a, E: Clone + PartialEq>(
+        cost: CostModel,
+        (s, t, t_cols): (&'a SparseMatrix<E>, &'a SparseMatrix<E>, &'a SparseMatrix<E>),
         by_rows: bool,
-        t_rows: &'a [SparseRow<E>],
-        t_cols: &'a [SparseRow<E>],
-    ) -> Operand<'a, E> {
-        if by_rows {
-            let counts = layout::broadcast_counts(clique, t_rows, None, None).unwrap();
-            Operand::from_opposite(Side::Right, t_rows, counts)
-        } else {
-            Operand::unprepared(Side::Right, t_cols)
+        multiply: impl Fn(&mut Clique, &mut Operand<'_, E>, &mut Operand<'_, E>, bool) -> Rows<E> + 'a,
+    ) -> impl Fn(bool) -> Run<E> + 'a {
+        move |owner| {
+            let mut clique = Clique::with_cost_model(s.n(), cost);
+            let mut left = Operand::unprepared(Side::Left, s.rows());
+            let mut right = if by_rows {
+                let counts = layout::broadcast_counts(&mut clique, t.rows(), None, None).unwrap();
+                Operand::from_opposite(Side::Right, t.rows(), counts)
+            } else {
+                Operand::unprepared(Side::Right, t_cols.rows())
+            };
+            let (rows, audits) = audit(|| multiply(&mut clique, &mut left, &mut right, owner));
+            (rows.unwrap(), clique, audits)
         }
     }
 
@@ -569,15 +572,9 @@ mod tests {
             let what = format!("case {case}: n = {n}, {per_row} a row, {cost:?}");
             check_counts_rule::<SR>(&what, cost, &s, &t, rho_hat);
             for by_rows in [false, true] {
-                let run = |owner| {
-                    let mut clique = Clique::with_cost_model(n, cost);
-                    let mut left = Operand::unprepared(Side::Left, s.rows());
-                    let mut right = right_operand(&mut clique, by_rows, t.rows(), t_cols.rows());
-                    let (rows, audits) = audit(|| {
-                        sparse_product::<SR>(&mut clique, &mut left, &mut right, rho_hat, owner)
-                    });
-                    (rows.unwrap(), clique, audits)
-                };
+                let run = runner(cost, (&s, &t, &t_cols), by_rows, |cl, l, r, owner| {
+                    sparse_product::<SR>(cl, l, r, rho_hat, owner)
+                });
                 let what = format!("{what}, T by rows: {by_rows}");
                 taken[usize::from(check(&what, "sparse_mm", &expected, run))] += 1;
             }
@@ -603,15 +600,9 @@ mod tests {
             let what = format!("case {case}: n = {n}, {per_row} a row, ρ = {rho}, {cost:?}");
             check_counts_rule::<SR>(&what, cost, &s, &t, rho);
             for by_rows in [false, true] {
-                let run = |owner| {
-                    let mut clique = Clique::with_cost_model(n, cost);
-                    let mut left = Operand::unprepared(Side::Left, s.rows());
-                    let mut right = right_operand(&mut clique, by_rows, t.rows(), t_cols.rows());
-                    let (rows, audits) = audit(|| {
-                        filtered_product::<SR>(&mut clique, &mut left, &mut right, rho, owner)
-                    });
-                    (rows.unwrap(), clique, audits)
-                };
+                let run = runner(cost, (&s, &t, &t_cols), by_rows, |cl, l, r, owner| {
+                    filtered_product::<SR>(cl, l, r, rho, owner)
+                });
                 let what = format!("{what}, T by rows: {by_rows}");
                 taken[usize::from(check(&what, "filtered_mm", &expected, run))] += 1;
             }
@@ -649,12 +640,14 @@ mod tests {
         // T's rows 0..16 are full and the others hold their diagonal entry,
         // so a row of S that reaches only the short rows of T receives
         // little, while the counts bound its receive load by all of T
-        // (528 words, 17 rounds), far above the floor: they cannot tell it
-        // from a row of S that reaches the full rows, which receives 17
-        // rounds' worth. Neither row sends more than one round, so the
-        // counts straddle the floor and the load words choose: the owners
-        // for the first, the pipeline for the second. Handed over by rows,
-        // T is transposed first, as the row counts alone cannot choose.
+        // (528 words, 17 rounds under unit cost), far above the floor: they
+        // cannot tell it from a row of S that reaches the full rows, which
+        // receives 17 rounds' worth. Neither row sends more than one round,
+        // so the counts straddle the floor and the load words choose: the
+        // owners for the first, the pipeline for the second — as a sparse
+        // product or a filtered one (ρ ∈ {1, 3, n}), under either cost
+        // model. Handed over by rows, T is transposed first, as the row
+        // counts alone cannot choose.
         let (n, dense) = (32, 16);
         let mut t = SparseMatrix::<Dist>::identity::<MinPlus>(n);
         for r in 0..dense {
@@ -668,29 +661,27 @@ mod tests {
             for c in reach.clone() {
                 s.set(dense, c, Dist::fin(c as u64 + 1));
             }
-            let expected = s.multiply::<MinPlus>(&t);
-            let rho_hat = expected.density();
-            let what = format!("row {dense} of S reaches {reach:?}");
-            let choice = check_counts_rule::<MinPlus>(&what, CostModel::unit(), &s, &t, rho_hat);
-            assert_eq!(choice, None, "{what}: the counts straddle");
-            for by_rows in [false, true] {
-                let run = |owner| {
-                    let mut clique = Clique::new(n);
-                    let mut left = Operand::unprepared(Side::Left, s.rows());
-                    let mut right = right_operand(&mut clique, by_rows, t.rows(), t_cols.rows());
-                    let (rows, audits) = audit(|| {
-                        sparse_product::<MinPlus>(
-                            &mut clique,
-                            &mut left,
-                            &mut right,
-                            rho_hat,
-                            owner,
-                        )
-                    });
-                    (rows.unwrap(), clique, audits)
+            let (product, operands) = (s.multiply::<MinPlus>(&t), (&s, &t, &t_cols));
+            // `None` is the sparse product at its true density.
+            for filter in [None, Some(1), Some(3), Some(n)] {
+                let (label, expected, rho) = match filter {
+                    None => ("sparse_mm", product.clone(), product.density()),
+                    Some(rho) => ("filtered_mm", product.filtered::<MinPlus>(rho), rho),
                 };
-                let what = format!("{what}, T by rows: {by_rows}");
-                assert_eq!(check(&what, "sparse_mm", &expected, run), owner, "{what}");
+                for cost in [CostModel::unit(), CostModel::conservative()] {
+                    let what = format!("row {dense} of S reaches {reach:?}: {label}, ρ = {rho}");
+                    let what = format!("{what}, {cost:?}");
+                    let choice = check_counts_rule::<MinPlus>(&what, cost, &s, &t, rho);
+                    assert_eq!(choice, None, "{what}: the counts straddle");
+                    for by_rows in [false, true] {
+                        let run = runner(cost, operands, by_rows, |cl, l, r, owner| match filter {
+                            None => sparse_product::<MinPlus>(cl, l, r, rho, owner),
+                            Some(_) => filtered_product::<MinPlus>(cl, l, r, rho, owner),
+                        });
+                        let what = format!("{what}, T by rows: {by_rows}");
+                        assert_eq!(check(&what, label, &expected, run), owner, "{what}");
+                    }
+                }
             }
         }
     }
@@ -748,11 +739,12 @@ mod tests {
         let t_counts = &t_known.counts;
         let t_row_counts = t_counts.opposite().unwrap();
         let shape = CubeShape::choose(n, s_known.counts.density(), t_counts.density(), n);
+        let sizes = [Sizes::held(&s_known.counts), Sizes::held(t_counts)];
+        let choose = |load| owner_choice(&cost, shape, sizes, [false; 2], load);
         let by_counts = |s_counts: &Counts| {
             let load =
-                owner_load_bounds(s_counts.per_node(), s_counts.opposite().unwrap(), t_row_counts);
-            let sizes = [Sizes::held(s_counts), Sizes::held(t_counts)];
-            owner_by_counts(&cost, shape, sizes, [false; 2], load)
+                Load::from_counts(s_counts.per_node(), s_counts.opposite().unwrap(), t_row_counts);
+            owner_choice(&cost, shape, [Sizes::held(s_counts), sizes[1]], [false; 2], load)
         };
         let counted = vec![s_known.counts.clone(); n];
         let before: Vec<_> = counted.iter().map(by_counts).collect();
@@ -762,15 +754,13 @@ mod tests {
             let (rows, cols) = (&known.held[..], &known.opposite[..]);
             (0..n).map(|w| owner_load::<MinPlus>(w, rows, cols, t.rows(), t_row_counts)).collect()
         };
-        let sizes = [Sizes::held(&s_known.counts), Sizes::held(t_counts)];
-        let choices = |copies: &[Vec<u64>]| -> Vec<bool> {
-            let fits = |loads| predict_owner(&cost, shape, sizes, [false; 2], loads).fits();
-            copies.iter().map(|loads| fits(loads)).collect()
+        let choices = |copies: &[Vec<u64>]| -> Vec<Option<bool>> {
+            copies.iter().map(|loads| choose(Load::from_words(loads))).collect()
         };
         let loads = clique.all_broadcast(words(s_known)).unwrap();
         let copies = vec![loads.clone(); n];
         let fitted = choices(&copies);
-        assert!(fitted.iter().all(|&fits| fits), "the sparse product fits");
+        assert!(fitted.iter().all(|&choice| choice == Some(true)), "the sparse product fits");
 
         let mut perturbed = s.clone();
         for c in 0..n {
@@ -785,6 +775,6 @@ mod tests {
         assert_eq!(by_counts(&early.counts), None, "counts broadcast late no longer settle it");
         let early = words(early);
         assert!(early[x] > loads[x], "x's word: {} before, {} after", loads[x], early[x]);
-        assert!(choices(&[early]).iter().all(|&fits| !fits), "the perturbation is material");
+        assert_eq!(choices(&[early]), [Some(false)], "the perturbation is material");
     }
 }

@@ -185,8 +185,9 @@ fn apsp_report_and_distances_are_pinned() {
 
 /// Which of each run's products the row owners compute (`o`) and which run
 /// the pipeline (`p`), in order, under the unit and the conservative cost
-/// model: the paths the products took when the load words alone chose, which
-/// the broadcast counts must choose alike.
+/// model: the paths the products took when the one owner rule was asked of
+/// the load words alone, which it must choose alike when the broadcast
+/// counts, or the columns after them, settle it first.
 const PATHS: [(&str, [&str; 2]); 2] = [
     ("mssp", ["opppooooooooo", "opppooooooooo"]),
     ("unweighted_2eps", ["oppoooopppooooooooooo", "oppoooppppooooooooooo"]),

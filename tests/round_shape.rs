@@ -2,15 +2,15 @@
 //! Theorem 3 MSSP and the `(3+ε)` weighted APSP are polylogarithmic in the
 //! paper, so on sparse random graphs their rounds must grow far slower than
 //! any polynomial the baselines pay. The log-log slope over n = 32..256 is
-//! asserted, and so are ceilings on both runs' rounds at n = 256; the
-//! theorem's stretch bound is checked at every size. The `path(n)` family —
-//! where hop-bounded detection changes a row in every product, so no
-//! fixpoint exit applies and the hop bound is paid in full — runs beside it
-//! with its own MSSP slope gate and n = 256 ceiling. Each run's rounds are
-//! split by phase family and printed per n as shares, beside how many of its
-//! products the row owners computed and what choosing their paths spent
-//! (load words, iterate transposes), so a cut that only pays off at n = 32
-//! shows. Lemma 15's cutoff search is asserted per filtered product that
+//! asserted, and so are ceilings on both runs' rounds at every n and the
+//! load words each run spent; the theorem's stretch bound is checked at
+//! every size. The `path(n)` family — where hop-bounded detection changes a
+//! row in every product, so no fixpoint exit applies and the hop bound is
+//! paid in full — runs beside it with its own MSSP slope gate, ceilings and
+//! load words. Each run's rounds are split by phase family and printed per
+//! n as shares, beside how many of its products the row owners computed and
+//! what choosing their paths spent (load words, iterate transposes), so a
+//! cut that only pays off at n = 32 shows. Lemma 15's cutoff search is asserted per filtered product that
 //! runs the pipeline: it is an `O(log W)` additive term that must not come
 //! to dominate a product again.
 //!
@@ -31,11 +31,17 @@ const MAX_SLOPE: f64 = 0.4;
 /// The `path` family's MSSP slope: measured 0.3511, where no fixpoint exit
 /// applies and every hop step runs.
 const MAX_PATH_SLOPE: f64 = 0.352;
-/// MSSP and (3+ε) rounds on `gnp_weighted` at n = 256: ceilings at the
-/// measured counts, so a change that adds rounds at scale fails here.
-const MAX_ROUNDS_AT_256: [u64; 2] = [295, 454];
-/// MSSP rounds on `path` at n = 256, the measured count.
-const MAX_PATH_ROUNDS_AT_256: u64 = 387;
+/// MSSP and (3+ε) rounds at each of `SIZES`: ceilings at the measured
+/// counts, so a change that adds rounds at any size fails here.
+const MAX_ROUNDS: [[u64; 4]; 2] = [[226, 308, 270, 295], [351, 458, 426, 454]];
+/// The same on `path`.
+const MAX_PATH_ROUNDS: [[u64; 4]; 2] = [[196, 260, 385, 387], [326, 396, 522, 523]];
+/// The load words MSSP and (3+ε) broadcast at each of `SIZES`, as measured:
+/// only a product the broadcast counts straddle spends one a node, so a
+/// change in what chooses a product's path shows here.
+const LOAD_WORDS: [[u64; 4]; 2] = [[0, 0, 0, 0], [1, 0, 0, 0]];
+/// The same on `path`.
+const PATH_LOAD_WORDS: [[u64; 4]; 2] = [[1, 0, 1, 0], [2, 1, 1, 1]];
 /// Measured 13.3 / 19 / 22.5 / 26 rounds per filtered product that runs
 /// the pipeline on `gnp_weighted` at n = 32…256 (the products the row
 /// owners take are the small ones); bisecting the value space paid
@@ -151,18 +157,30 @@ fn print_shares(family: &str, run: &str, n: usize, report: &RoundReport) {
 }
 
 /// The MSSP and (3+ε) slopes and the most cutoff-search rounds MSSP paid
-/// per filtered product at any n; then MSSP's and (3+ε)'s rounds at the
-/// largest n.
-fn measure(family: &str, graph_of: impl Fn(usize) -> Graph) -> ([f64; 3], [u64; 2]) {
+/// per filtered product at any n, after checking both runs' rounds against
+/// `ceilings` and their load words against `load_words` at every n.
+fn measure(
+    family: &str,
+    graph_of: impl Fn(usize) -> Graph,
+    ceilings: [[u64; 4]; 2],
+    load_words: [[u64; 4]; 2],
+) -> [f64; 3] {
     let mut mssp_points = Vec::new();
     let mut apsp_points = Vec::new();
     let mut per_product = Vec::new();
-    for n in SIZES {
+    for (i, n) in SIZES.into_iter().enumerate() {
         let g = graph_of(n);
         let mssp = mssp_report(&g);
         let apsp = apsp_report(&g);
-        print_shares(family, "mssp", n, &mssp);
-        print_shares(family, "weighted_3eps", n, &apsp);
+        for (j, (run, report)) in
+            [("mssp", &mssp), ("weighted_3eps", &apsp)].into_iter().enumerate()
+        {
+            print_shares(family, run, n, report);
+            let (rounds, ceiling) = (report.rounds, ceilings[j][i]);
+            assert!(rounds <= ceiling, "{family} {run} at n = {n}: {rounds} rounds > {ceiling}");
+            let spent = invocations(report, "/owner/loads/all_broadcast");
+            assert_eq!(spent, load_words[j][i], "{family} {run} at n = {n}: load words");
+        }
         let products = filtered_products(&mssp);
         per_product.push(family_rounds(&mssp)[CUTOFF] as f64 / products.max(1) as f64);
         mssp_points.push((n, mssp.rounds));
@@ -172,33 +190,27 @@ fn measure(family: &str, graph_of: impl Fn(usize) -> Graph) -> ([f64; 3], [u64; 
     println!("{family}: mssp(8 sources) {mssp_points:?} slope {:.3}", slopes[0]);
     println!("{family}: weighted_3eps   {apsp_points:?} slope {:.3}", slopes[1]);
     println!("{family}: mssp cutoff_search rounds per filtered product {per_product:.1?}");
-    let largest = [mssp_points[SIZES.len() - 1].1, apsp_points[SIZES.len() - 1].1];
-    ([slopes[0], slopes[1], per_product.iter().copied().fold(0.0, f64::max)], largest)
+    [slopes[0], slopes[1], per_product.iter().copied().fold(0.0, f64::max)]
 }
 
 #[test]
 #[ignore = "opt-in tier: n = 256 on the simulator is seconds in release, minutes in debug; CI runs it with --ignored"]
 fn rounds_grow_sublinearly_on_sparse_random_graphs() {
-    let ([mssp_slope, apsp_slope, search_per_product], at_256) =
-        measure("gnp_weighted", |n| generators::gnp_weighted(n, 5.0 / n as f64, 40, 42).unwrap());
+    let gnp = |n| generators::gnp_weighted(n, 5.0 / n as f64, 40, 42).unwrap();
+    let [mssp_slope, apsp_slope, search_per_product] =
+        measure("gnp_weighted", gnp, MAX_ROUNDS, LOAD_WORDS);
     assert!(mssp_slope <= MAX_SLOPE, "mssp log-log slope {mssp_slope:.2} > {MAX_SLOPE}");
     assert!(apsp_slope <= MAX_SLOPE, "(3+eps) log-log slope {apsp_slope:.2} > {MAX_SLOPE}");
-    for ((run, rounds), ceiling) in ["mssp", "(3+eps)"].iter().zip(at_256).zip(MAX_ROUNDS_AT_256) {
-        assert!(rounds <= ceiling, "{run} at n = 256: {rounds} rounds > {ceiling}");
-    }
     assert!(
         search_per_product <= MAX_SEARCH_ROUNDS_PER_PRODUCT,
         "cutoff_search takes {search_per_product:.1} rounds per filtered product > \
          {MAX_SEARCH_ROUNDS_PER_PRODUCT}"
     );
-    // The family the exit cannot help: stretch-checked, and its MSSP slope
-    // and rounds at n = 256 gated on their own.
-    let ([path_slope, ..], [path_at_256, _]) = measure("path", |n| generators::path(n).unwrap());
+    // The family the exit cannot help: stretch-checked, and its MSSP slope,
+    // rounds and load words gated on their own.
+    let path = |n| generators::path(n).unwrap();
+    let [path_slope, ..] = measure("path", path, MAX_PATH_ROUNDS, PATH_LOAD_WORDS);
     assert!(path_slope <= MAX_PATH_SLOPE, "path mssp slope {path_slope:.3} > {MAX_PATH_SLOPE}");
-    assert!(
-        path_at_256 <= MAX_PATH_ROUNDS_AT_256,
-        "path mssp at n = 256: {path_at_256} rounds > {MAX_PATH_ROUNDS_AT_256}"
-    );
 }
 
 #[test]
