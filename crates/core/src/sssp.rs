@@ -199,10 +199,11 @@ mod tests {
     #[test]
     fn exact_on_path_grows_sublinearly_unlike_bellman_ford() {
         // Path: SPD = n-1, so plain BF needs ~n rounds. The shortcut
-        // algorithm pays a large polylog constant (the log W searches inside
-        // k-nearest) but grows like n^{1/6}: its round *growth* between two
-        // sizes must be a small fraction of BF's. (The absolute crossover
-        // happens at larger n and is measured in the E11 experiment.)
+        // algorithm pays a large polylog constant (k-nearest's squarings,
+        // with a log W search each where 2k < n) but grows like n^{1/6}: its
+        // round *growth* between two sizes must be a small fraction of BF's.
+        // (The absolute crossover happens at larger n and is measured in
+        // the E11 experiment.)
         let g_small = generators::path(48).unwrap();
         let g_large = generators::path(96).unwrap();
         let (bf_small, fast_small) = check_exact(&g_small, 0);

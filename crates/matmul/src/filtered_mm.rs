@@ -16,6 +16,15 @@
 //! chunk `ρ·α_i·c`) and the final filter is the shared pipeline's (see the
 //! crate docs), which runs the search as its thinning step.
 //!
+//! The search pays only where it cuts a row by a large factor. Where
+//! `2ρ ≥ n` it cannot halve one, and Theorem 8 at `ρ̂ = n ≤ 2ρ` costs at
+//! most `2^{1/3}` times Theorem 14's volume term and no `log W`: such a
+//! product keeps Theorem 14's cube, skips the search and Lemma 16, balances
+//! its whole slices by Lemma 12 at `ρ̂ = n` (one pool `0..n`, chunk `n·c`,
+//! a hint no output exceeds) and filters its rows at the end, to the same
+//! output. The hopset's k-nearest squarings run there for every n ≤ 256,
+//! as `k = ⌈√n·log₂ n⌉ ≥ n/2`.
+//!
 //! The search runs over *combined ordinals* `ordinal(value)·n + column + 1`,
 //! so it directly finds the `(value, column)` cutoff pair — the paper's
 //! lexicographic cutoff `(r, s)` — in one search instead of a value search
@@ -34,6 +43,7 @@ use crate::cube::CubePartition;
 use crate::key_index::KeyIndex;
 use crate::operand::{Operand, Side};
 use crate::pipeline::{product, HelperScope, Helpers, Keep, Plan};
+use crate::sparse_mm::lemma_12_scopes;
 use crate::MatmulError;
 
 /// A combined `(value, column)` ordinal on the wire. The value is an
@@ -192,6 +202,9 @@ impl RowCutoffs {
 ///
 /// Rounds: `O((ρS·ρT·ρ)^{1/3}/n^{2/3} + log W)` where `W` is the size of
 /// the value space (for min-plus with `poly(n)` weights, `log W = O(log n)`).
+/// Where `2ρ ≥ n` the `log W` term is not paid: the pipeline skips Lemma 15's
+/// search and balances by Lemma 12 at `ρ̂ = n`, within `2^{1/3}` of the
+/// volume term (module docs).
 ///
 /// # Errors
 ///
@@ -274,7 +287,8 @@ where
     SR: OrderedSemiring,
     SR::Elem: Searchable,
 {
-    let rho = rho.clamp(1, clique.n());
+    let n = clique.n();
+    let rho = rho.clamp(1, n);
     // Lemma 15: per-row cutoffs via a lockstep distributed search.
     let thin = |cl: &mut Clique, cube: &CubePartition, products: &[Vec<Entry<SR::Elem>>]| {
         let cutoffs = row_cutoffs::<SR>(cl, cube, products, rho)?;
@@ -282,7 +296,7 @@ where
     };
     // Lemma 16: survivors are balanced inside each group B_ik, whose own
     // members are the pool (the lemma proves it always suffices).
-    let scopes = |cube: &CubePartition| {
+    let lemma_16 = |cube: &CubePartition| {
         let mut scopes: Vec<HelperScope> = Vec::with_capacity(cube.shape.b * cube.shape.c);
         for i in 0..cube.shape.b {
             let alpha_i = (cube.row_blocks[i].len() * cube.shape.b).div_ceil(cube.n).max(1);
@@ -294,11 +308,20 @@ where
         }
         scopes
     };
+    // Where `2ρ ≥ n` thinning cannot halve a row: no search, and the whole
+    // slices are balanced by Lemma 12 at `ρ̂ = n` (module docs). Every node
+    // knows `ρ` and `n`, so every node makes the same choice.
+    let lemma_12 = |cube: &CubePartition| lemma_12_scopes(cube, n);
+    let search = 2 * rho < n;
     let plan = Plan {
         label: "filtered_mm",
         cube_density: Some(rho),
-        thin: Some(&thin),
-        helpers: Some(Helpers { sizes_label: "weights", hint: rho, scopes: &scopes }),
+        thin: if search { Some(&thin) } else { None },
+        helpers: Some(if search {
+            Helpers { sizes_label: "weights", hint: rho, scopes: &lemma_16 }
+        } else {
+            Helpers { sizes_label: "sizes", hint: n, scopes: &lemma_12 }
+        }),
         owner,
     };
     let mut rows = product::<SR>(clique, &plan, s, t)?;
@@ -728,6 +751,77 @@ mod tests {
             }
         }
         assert!(searched >= 5_000, "fixtures too sparse to exercise the search: {searched}");
+    }
+
+    /// The `n × n` matrix with every entry a random weight.
+    fn dense_matrix(n: usize, seed: u64) -> SparseMatrix<Dist> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = SparseMatrix::zeros(n);
+        for r in 0..n {
+            for c in 0..n {
+                m.set_in::<MinPlus>(r, c, Dist::fin(rng.gen_range(1..1000)));
+            }
+        }
+        m
+    }
+
+    /// The pipeline's ρ-filtered product of `S ⋆ T` (the row owners would
+    /// take the sparse fixtures) against the reference, and whether it ran
+    /// Lemma 15 as the `2ρ ≥ n` rule says: a search with a query step on a
+    /// `dense` fixture, whose every slice row holds `n > ρ` entries; none,
+    /// with Lemma 12's sizes for Lemma 16's weights, where `2ρ ≥ n`.
+    fn check_boundary<SR>(
+        s: &SparseMatrix<SR::Elem>,
+        t: &SparseMatrix<SR::Elem>,
+        rho: usize,
+        dense: bool,
+    ) where
+        SR: OrderedSemiring,
+        SR::Elem: Searchable,
+    {
+        let n = s.n();
+        let what = format!("n = {n}, ρ = {rho}, dense: {dense}");
+        let mut clique = Clique::new(n);
+        let t_cols = t.transpose();
+        let mut left = Operand::unprepared(Side::Left, s.rows());
+        let mut right = Operand::unprepared(Side::Right, t_cols.rows());
+        let rows = match filtered_product::<SR>(&mut clique, &mut left, &mut right, rho, false) {
+            Ok(rows) => rows,
+            Err(e) => panic!("{what}: {e}"),
+        };
+        let expected = s.multiply::<SR>(t).filtered::<SR>(rho);
+        assert!(SparseMatrix::from_rows(rows) == expected, "{what}: rows differ");
+        let phases = &clique.metrics().phases;
+        let routes = phases.get("filtered_mm/cutoff_search/route").map_or(0, |p| p.invocations);
+        let weights = phases.contains_key("filtered_mm/weights/all_broadcast");
+        let sizes = phases.contains_key("filtered_mm/sizes/all_broadcast");
+        if 2 * rho >= n {
+            assert_eq!((routes, weights, sizes), (0, false, true), "{what}");
+        } else {
+            assert!(weights && !sizes, "{what}");
+            // The init route, a query and a reply route per step, and the
+            // cutoffs' broadcast.
+            assert!(routes >= if dense { 4 } else { 1 }, "{what}: {routes} search routes");
+        }
+    }
+
+    #[test]
+    fn where_two_rho_reaches_n_the_search_is_skipped() {
+        for n in [31usize, 32] {
+            let half = n.div_ceil(2);
+            for (seed, dense) in [(7, true), (8, false)] {
+                let (s, t) = if dense {
+                    (dense_matrix(n, seed), dense_matrix(n, seed + 10))
+                } else {
+                    (random_matrix(n, 6 * n, seed), random_matrix(n, 6 * n, seed + 10))
+                };
+                let (aug_s, aug_t) = (with_hops(&s, seed), with_hops(&t, seed + 1));
+                for rho in [half - 1, half] {
+                    check_boundary::<MinPlus>(&s, &t, rho, dense);
+                    check_boundary::<AugMinPlus>(&aug_s, &aug_t, rho, dense);
+                }
+            }
+        }
     }
 
     #[test]

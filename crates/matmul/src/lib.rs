@@ -25,8 +25,8 @@
 //! | cube partition | Lemma 9 | for `ρ̂`, free if `c = 1` | for `ρ`, free if `c = 1` | uniform, free | `cube/*` |
 //! | `σ1` delivery | Lemmas 10 + 11, balancing only the sides whose balance pays | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/sort`, `deliver_t/balance/sort`, `deliver/{balance,fanout}/route`; dense: `deliver_{s,t}/counts` |
 //! | local products | free | yes | yes | yes | — |
-//! | thinning | Lemma 15 | — | per-row cutoffs | — | `cutoff_search` |
-//! | helper assignment | Lemma 12 / 16 | one pool `0..n`, chunk `ρ̂·c` | a pool per group `B_ik`, chunk `ρ·α_i·c` | — | `sizes` / `weights` |
+//! | thinning | Lemma 15 | — | per-row cutoffs if `2ρ < n` | — | `cutoff_search` |
+//! | helper assignment | Lemma 12 / 16 | one pool `0..n`, chunk `ρ̂·c` | if `2ρ < n` a pool per group `B_ik`, chunk `ρ·α_i·c`; else Lemma 12's at `ρ̂ = n` | — | `sizes` (Theorem 8; Theorem 14 if `2ρ ≥ n`) / `weights` |
 //! | `σ2` delivery | Lemmas 10 + 11, both sides balanced | unless `σ2 = ∅` | unless `σ2 = ∅` | — | as `σ1` delivery |
 //! | responsibility split | Lemma 12, step 3 | yes | yes | — | — |
 //! | summation | Lemma 13 | yes | yes | yes | `sum/sort`, `sum/route` |
@@ -56,6 +56,13 @@
 //! or the floor needs them to decide.
 //! Products that do not fit — a dense square, the hopset's k-nearest
 //! squarings — run the pipeline unchanged.
+//!
+//! A Theorem 14 product with `2ρ ≥ n` runs the pipeline without Lemma 15:
+//! thinning cannot halve a row there, so the search's `log W` rounds buy
+//! little. Its slices are summed whole, balanced by Lemma 12 at `ρ̂ = n`,
+//! which no output exceeds, and the final filter alone thins; the cube
+//! stays Theorem 14's, shaped for `ρ`. Every node knows `ρ` and `n`, so the
+//! choice costs no message, and the output is the same.
 //!
 //! A `σ1` delivery first decides which operands Lemma 10 balances. Under
 //! `σ1` every entry of `S` goes to `a` nodes and every entry of `T` to `b`,

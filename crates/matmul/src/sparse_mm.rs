@@ -97,12 +97,7 @@ pub(crate) fn sparse_product<SR: Semiring>(
     owner: bool,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
     let rho_hat = rho_hat.clamp(1, clique.n());
-    // Lemma 12: a subtask whose product has `nz ≥ chunk` entries receives
-    // `⌊nz/chunk⌋` helper nodes from the pool `0..n`.
-    let scopes = |cube: &CubePartition| -> Vec<HelperScope> {
-        let chunk = (rho_hat * cube.c_eff()).max(1);
-        vec![((0..cube.shape.subtasks()).collect(), (0..cube.n).collect(), chunk)]
-    };
+    let scopes = |cube: &CubePartition| lemma_12_scopes(cube, rho_hat);
     let plan = Plan {
         label: "sparse_mm",
         cube_density: Some(rho_hat),
@@ -111,6 +106,15 @@ pub(crate) fn sparse_product<SR: Semiring>(
         owner,
     };
     product::<SR>(clique, &plan, s, t)
+}
+
+/// Lemma 12's helper policy for an output density of at most `rho_hat`: a
+/// subtask whose product has `nz ≥ chunk` entries receives `⌊nz/chunk⌋`
+/// helper nodes from the one pool `0..n`, with `chunk = ρ̂·c`. The pool runs
+/// out only if `rho_hat` underestimates the output density.
+pub(crate) fn lemma_12_scopes(cube: &CubePartition, rho_hat: usize) -> Vec<HelperScope> {
+    let chunk = (rho_hat * cube.c_eff()).max(1);
+    vec![((0..cube.shape.subtasks()).collect(), (0..cube.n).collect(), chunk)]
 }
 
 /// A product computed with an automatically discovered density estimate:

@@ -4,7 +4,8 @@
 //! this file was written — in total and in every phase — and return the same
 //! distances. A third section pins the three products of `cc-matmul` on their
 //! own (neither headline run reaches `dense_multiply` or a one-shot
-//! `filtered_multiply`): per-phase report and a digest of the output rows.
+//! `filtered_multiply`), and Theorem 14 once more at `ρ = n/2`, where it
+//! skips Lemma 15: per-phase report and a digest of the output rows.
 //!
 //! The simulator's host cost may be optimised freely; *what is simulated*
 //! may not change by accident. A change that reorders, merges, drops or adds
@@ -39,6 +40,7 @@ const SOURCES: [usize; 8] = [1, 5, 9, 13, 17, 21, 25, 29];
 const MSSP_HEADER: &str = "# mssp(gnp_weighted(32, 5/32, 40, 42), sources 1,5,..,29, eps 0.5)";
 const APSP_HEADER: &str = "# unweighted_2eps(gnp(32, 5/32, 42), eps 0.5)";
 const PRODUCT_OPERAND: &str = "W * W, W = weight_matrix(gnp_weighted(32, 5/32, 40, 42))";
+const SQUARE_OPERAND: &str = "W2 * W2, W2 = W * W";
 
 /// Totals of one pinned run: what `Clique::report()` must read, the number
 /// of primitive invocations behind it, and an FNV-1a digest of the output
@@ -53,20 +55,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 226,
-    messages: 106_967,
-    words: 126_581,
-    phase_labels: 21,
-    invocations: 110,
+    rounds: 176,
+    messages: 108_498,
+    words: 114_968,
+    phase_labels: 20,
+    invocations: 70,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 383,
-    messages: 167_194,
-    words: 190_655,
-    phase_labels: 54,
-    invocations: 173,
+    rounds: 351,
+    messages: 167_074,
+    words: 180_571,
+    phase_labels: 53,
+    invocations: 145,
     dist_digest: 12_639_840_282_067_814_693,
 };
 
@@ -277,7 +279,7 @@ fn every_phase_matches_the_committed_reports() {
 
 type ProductRows = Result<Vec<SparseRow<Dist>>, MatmulError>;
 
-/// `W ⋆ W` for the weight matrix of the MSSP fixture, on a fresh clique.
+/// `W ⋆ W` for a matrix `W`, on a fresh clique.
 fn run_product(
     w: &SparseMatrix<Dist>,
     multiply: impl FnOnce(&mut Clique, &[SparseRow<Dist>], &[SparseRow<Dist>]) -> ProductRows,
@@ -291,8 +293,10 @@ fn run_product(
 /// entries a row, so the row owners compute both theorems' products: the
 /// operands' counts settle it, and one route follows their preparation,
 /// the same rows as the pipeline's (`ρ̂ = 16`, below the true output density 25,
-/// had Lemma 12 assign helpers; `ρ = 8` had Lemma 15 search). The dense
-/// baseline never takes the owner product.
+/// had Lemma 12 assign helpers; `ρ = 8`, below `n/2`, had Lemma 15 search).
+/// The dense baseline never takes the owner product. A fourth block pins
+/// Theorem 14 at `ρ = n/2` in the pipeline, on the square `W²` with about
+/// 25 entries a row, which the row owners do not take.
 #[test]
 fn standalone_products_match_the_committed_reports() {
     let w = weighted_graph().weight_matrix();
@@ -318,14 +322,25 @@ fn standalone_products_match_the_committed_reports() {
     assert_eq!(SparseMatrix::from_rows(dense.clone()), square);
     assert!(!dense_report.phases.keys().any(|label| label.contains("/balance/")));
 
-    let section = |call: &str, rows: &[SparseRow<Dist>], report: &RoundReport| {
+    // At ρ = n/2 the pipeline skips Lemma 15: W² ⋆ W² does not fit the row
+    // owners, and its slices are summed whole and balanced by Lemma 12.
+    let (half, half_report) =
+        run_product(&square, |cl, s, t| filtered_multiply::<MinPlus>(cl, s, t, N / 2));
+    let fourth = square.multiply::<MinPlus>(&square);
+    assert_eq!(SparseMatrix::from_rows(half.clone()), fourth.filtered::<MinPlus>(N / 2));
+    let labels: Vec<&str> = half_report.phases.keys().map(String::as_str).collect();
+    assert!(labels.contains(&"filtered_mm/sizes/all_broadcast"), "{labels:?}");
+    assert!(!labels.iter().any(|l| l.contains("cutoff_search") || l.contains("weights")));
+
+    let section = |call: &str, operand: &str, rows: &[SparseRow<Dist>], report: &RoundReport| {
         let digest = rows_digest(rows);
-        format!("# {call} of {PRODUCT_OPERAND}\n{report}rows_digest={digest}\n")
+        format!("# {call} of {operand}\n{report}rows_digest={digest}\n")
     };
     let got = [
-        section("sparse_multiply(rho_hat 16)", &sparse, &sparse_report),
-        section("filtered_multiply(rho 8)", &filtered, &filtered_report),
-        section("dense_multiply", &dense, &dense_report),
+        section("sparse_multiply(rho_hat 16)", PRODUCT_OPERAND, &sparse, &sparse_report),
+        section("filtered_multiply(rho 8)", PRODUCT_OPERAND, &filtered, &filtered_report),
+        section("dense_multiply", PRODUCT_OPERAND, &dense, &dense_report),
+        section("filtered_multiply(rho 16)", SQUARE_OPERAND, &half, &half_report),
     ]
     .concat();
     assert_matches_golden(PRODUCTS_GOLDEN_PATH, &got);
