@@ -19,6 +19,10 @@
 //! is handed to the next one by those rows and their broadcast counts. The
 //! row owners multiply by its rows alone, so only a product that runs the
 //! pipeline, or cannot choose without the column counts, transposes it.
+//! The prepared `W` remembers the rows of `U_i` the row owners were sent,
+//! so the next hop step's route sends only the entries of `U_{i+1}` that
+//! changed, and a tombstone for each one a filter dropped; a step whose
+//! product runs the pipeline sends whole rows again at the next route.
 
 use cc_clique::Clique;
 use cc_graph::DiGraph;

@@ -21,14 +21,14 @@
 //! | step | licensed by | Theorem 8 | Theorem 14 | dense | phase label |
 //! |------|-------------|-----------|------------|-------|-------------|
 //! | prepare operands | §2.1 | unless prepared; a right operand handed over by rows only if the pipeline runs or its row counts cannot choose | same | — | `counts`, `transpose` |
-//! | owner product, if it fits (then no later step runs) | Lenzen routing | if `T`'s row counts were broadcast; one rule asked after each fact, load words only where the counts straddle the floor | same, then the final row filter | — | `owner/loads`, `owner/route` |
+//! | owner product, if it fits (then no later step runs) | Lenzen routing | if `T`'s row counts were broadcast; one rule asked after each fact, load words only where the counts straddle the floor; routes only what changed since `S`'s last owner route | same, then the final row filter | — | `owner/loads`, `owner/route` |
 //! | cube partition | Lemma 9 | for `ρ̂`, free if `c = 1` | for `ρ`, free if `c = 1` | uniform, free | `cube/*` |
 //! | `σ1` delivery | Lemmas 10 + 11, balancing only the sides whose balance pays | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/sort`, `deliver_t/balance/sort`, `deliver/{balance,fanout}/route`; dense: `deliver_{s,t}/counts` |
 //! | local products | free | yes | yes | yes | — |
 //! | thinning | Lemma 15 | — | per-row cutoffs if `2ρ < n` | — | `cutoff_search` |
 //! | helper assignment | Lemma 12 / 16 | one pool `0..n`, chunk `ρ̂·c` | if `2ρ < n` a pool per group `B_ik`, chunk `ρ·α_i·c`; else Lemma 12's at `ρ̂ = n` | — | `sizes` (Theorem 8; Theorem 14 if `2ρ ≥ n`) / `weights` |
-//! | `σ2` delivery | Lemmas 10 + 11, both sides balanced | unless `σ2 = ∅` | unless `σ2 = ∅` | — | as `σ1` delivery |
-//! | responsibility split | Lemma 12, step 3 | yes | yes | — | — |
+//! | `σ2` delivery | Lemmas 10 + 11, both sides balanced | if the split lowers the summation's `⌈load/n⌉` | same | — | as `σ1` delivery |
+//! | responsibility split | Lemma 12, step 3 | with the `σ2` delivery | same | — | — |
 //! | summation | Lemma 13 | yes | yes | yes | `sum/sort`, `sum/route` |
 //! | final row filter | Theorem 14 | — | yes | — | — |
 //!
@@ -56,6 +56,26 @@
 //! or the floor needs them to decide.
 //! Products that do not fit — a dense square, the hopset's k-nearest
 //! squarings — run the pipeline unchanged.
+//!
+//! Row `u` of `T` goes to the same nodes in every product with the same
+//! `S`, so a left [`Operand`] remembers the rows its last owner route
+//! delivered, and the next one sends, per row, only the entries that
+//! changed and a zero — a tombstone — for each entry now absent, or the
+//! whole row where that is no shorter; the broadcast row counts tell a
+//! receiver which it got. Theorem 19's hop steps multiply one prepared `W`
+//! by an iterate that changes little from step to step, so most of their
+//! routes shrink to what changed. The choice still reads whole rows, which
+//! bound the route from above. A product that runs the pipeline empties
+//! the memory, so the next route sends whole rows.
+//!
+//! Lemma 12's helpers (and Lemma 16's) pay only where they lower the
+//! summation's largest load: every node is already a subtask node, so a
+//! helper's part lands beside a whole product of its own. After the sizes
+//! broadcast and the helper assignment, every node computes the largest
+//! load with the responsibility split and without it; the `σ2` delivery
+//! and the split run only if the split lowers `⌈load/n⌉`, and otherwise
+//! each subtask node sums its whole product, at no more rounds. The
+//! assignment still runs, so a hint too small is reported as before.
 //!
 //! A Theorem 14 product with `2ρ ≥ n` runs the pipeline without Lemma 15:
 //! thinning cannot halve a row there, so the search's `log W` rounds buy

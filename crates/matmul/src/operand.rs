@@ -13,6 +13,12 @@
 //! back, and a caller that holds only the opposite layout — the iterate
 //! `U_i`, which comes out of a product by rows — hands that over, to be
 //! transposed only by a product that reads the held layout.
+//!
+//! A left operand also remembers the rows of the last right operand that
+//! the row owners multiplied it by: row `u` went to every `v` with
+//! `S[v,u] ≠ 0`, so a later owner route with the same `S` sends only what
+//! changed in each row — in Theorem 19, what `U_{i+1}` changed of `U_i`. A
+//! product that runs the pipeline delivers no rows, and empties the memory.
 
 use std::borrow::Cow;
 
@@ -49,6 +55,12 @@ pub struct Operand<'a, E: Clone> {
     /// from the broadcast counts; a delivery that leaves the operand where it
     /// is held keeps nothing, and the next one decides again.
     pub(crate) sigma1_placement: Option<PerNode<E>>,
+    /// What the row owners of a left operand remember: the rows of the last
+    /// right operand an owner route delivered, as they rebuilt them. Row `u`
+    /// is known to node `u` and to every `v` with `S[v,u] ≠ 0`, the nodes it
+    /// was routed to, so the next owner route sends only what changed in it.
+    /// Empty until an owner route runs, and emptied when the pipeline runs.
+    pub(crate) routed: Vec<SparseRow<E>>,
 }
 
 /// What the nodes hold of an operand and what broadcasts told them of it.
@@ -124,7 +136,12 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         );
         let prepared =
             Prepared { held: Cow::Borrowed(held), opposite: Cow::Borrowed(opposite), counts };
-        Operand { side, known: Known::Prepared(prepared), sigma1_placement: None }
+        Operand {
+            side,
+            known: Known::Prepared(prepared),
+            sigma1_placement: None,
+            routed: Vec::new(),
+        }
     }
 
     /// An operand the nodes hold in the opposite layout only — an iterate
@@ -141,12 +158,17 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
             sizes_match(opposite, counts.per_node()),
             "the counts must be the opposite slices'"
         );
-        Operand { side, known: Known::Opposite(opposite, counts), sigma1_placement: None }
+        Operand {
+            side,
+            known: Known::Opposite(opposite, counts),
+            sigma1_placement: None,
+            routed: Vec::new(),
+        }
     }
 
     /// The paper's input layout and nothing else; no communication.
     pub(crate) fn unprepared(side: Side, held: &'a [SparseRow<E>]) -> Self {
-        Operand { side, known: Known::Held(held), sigma1_placement: None }
+        Operand { side, known: Known::Held(held), sigma1_placement: None, routed: Vec::new() }
     }
 
     /// What the nodes know about both layouts, after telling them as

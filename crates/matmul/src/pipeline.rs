@@ -3,6 +3,7 @@
 //! handed to [`product`], and every step exists once.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use cc_clique::{Clique, Envelope, NodeId};
 use cc_matrix::{Entry, Semiring, SparseRow};
@@ -25,7 +26,8 @@ pub(crate) struct Plan<'p, E> {
     pub cube_density: Option<usize>,
     /// Lemma 15, if the slice products are thinned before they are summed.
     pub thin: Option<&'p Thin<'p, E>>,
-    /// Lemma 12 or 16, if dense subtasks are duplicated.
+    /// Lemma 12 or 16, if dense subtasks may be duplicated: they are where
+    /// that lowers the summation's largest load.
     pub helpers: Option<Helpers<'p>>,
     /// Whether the row owners may compute the product instead, when the
     /// broadcast counts or loads show it fits (Theorems 8 and 14; never the
@@ -83,9 +85,10 @@ pub(crate) fn assign_helpers(
 
 /// Computes `S ⋆ T` as `plan` says: the owner product if the plan allows it
 /// and it fits, else cube → σ1 delivery → local products → thinning →
-/// helper assignment → σ2 delivery → responsibility split → summation. Node
-/// `v` ends holding row `v` of the result. Panics and errors are those the
-/// public entry points document.
+/// helper assignment → σ2 delivery and responsibility split, if they lower
+/// the summation's largest load → summation. Node `v` ends holding row `v`
+/// of the result. Panics and errors are those the public entry points
+/// document.
 pub(crate) fn product<SR: Semiring>(
     clique: &mut Clique,
     plan: &Plan<'_, SR::Elem>,
@@ -133,12 +136,14 @@ pub(crate) fn product<SR: Semiring>(
 /// the route's load; then, for a right operand handed over by rows, its
 /// columns and their counts (a transpose and a counts broadcast, which the
 /// pipeline needs anyway), which pin the pipeline's floor; and last every
-/// node's load word (`owner/loads`), which settle it.
+/// node's load word (`owner/loads`), which settle it. Both read whole rows
+/// of `T`; the route sends only what changed since the rows `S` remembers
+/// ([`owner_rows`]), which the choice's bound bounds from above.
 fn owner_product<SR: Semiring>(
     clique: &mut Clique,
     plan: &Plan<'_, SR::Elem>,
     shape: CubeShape,
-    s: &Operand<'_, SR::Elem>,
+    s: &mut Operand<'_, SR::Elem>,
     t: &mut Operand<'_, SR::Elem>,
 ) -> Result<Option<Vec<SparseRow<SR::Elem>>>, MatmulError> {
     let Some(s_known) = s.prepared() else {
@@ -164,25 +169,30 @@ fn owner_product<SR: Semiring>(
         choice = counted.and_then(|load| choose(t, load));
     }
     let (t_rows, t_row_counts) = t.opposite_known().expect("preparing keeps the row counts");
-    let loads = || -> Vec<u64> {
-        let (s_rows, s_cols) = (s.held(), &s_known.opposite[..]);
-        (0..n).map(|w| owner_load::<SR>(w, s_rows, s_cols, t_rows, t_row_counts)).collect()
+    let (s_rows, s_cols) = (s.held(), &s_known.opposite[..]);
+    let loads = |sent: &[u64]| -> Vec<u64> {
+        (0..n).map(|w| owner_load::<SR>(w, s_rows, s_cols, t_rows, sent)).collect()
     };
-    let owner = match choice {
-        Some(owner) => owner,
-        None => {
-            let words = clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads()))?;
-            choose(t, Load::from_words(&words)).expect("the load words settle the choice")
+    let (owner, read) = match (choice, counted) {
+        (Some(owner), Some(counted)) => (owner, counted),
+        _ => {
+            let words =
+                clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads(t_row_counts)))?;
+            let words = Load::from_words(&words);
+            (choose(t, words).expect("the load words settle the choice"), words)
         }
     };
     let rows = if owner {
         let before = clique.rounds();
-        let rows = owner_rows::<SR>(clique, s.held(), &s_known.opposite, t_rows)?;
+        let (rows, sent) =
+            owner_rows::<SR>(clique, s_rows, s_cols, t_rows, t_row_counts, &s.routed)?;
+        let charged = clique.rounds() - before;
         debug_assert_eq!(
-            clique.rounds() - before,
-            Load::from_words(&loads()).route(&cost, n as u64)[1],
-            "the route charged what its load words predict"
+            charged,
+            Load::from_words(&loads(&sent)).route(&cost, n as u64)[1],
+            "the route charged what its load words, counted in the rows it sent, predict"
         );
+        debug_assert!(charged <= read.route(&cost, n as u64)[1], "the choice bounded the route");
         Some(rows)
     } else {
         None
@@ -193,7 +203,7 @@ fn owner_product<SR: Semiring>(
         let (mut scratch, mut t) = (clique.clone(), t.clone());
         let t_counts = &t.ensure_prepared::<SR>(&mut scratch)?.counts;
         let exact = [Sizes::held(s_counts), Sizes::held(t_counts)];
-        let load = Load::from_words(&loads());
+        let load = Load::from_words(&loads(t_row_counts));
         let floor = pipeline_floor(&cost, shape, exact, kept, load.summed == Some(true));
         let before = scratch.rounds();
         let ran = pipeline::<SR>(&mut scratch, plan, shape, &mut s.clone(), &mut t);
@@ -208,52 +218,79 @@ fn owner_product<SR: Semiring>(
         };
         AUDIT.with(|audit| audit.borrow_mut().as_mut().map(|records| records.push(record)));
     }
+    if owner {
+        s.routed = t_rows.to_vec();
+    }
     Ok(rows)
 }
 
 /// Node `w`'s owner load word, from what it holds — row `w` of `S`, column
-/// `w` of `S` and row `w` of `T` — and the broadcast row counts of `T`: the
-/// larger of what it sends (row `w` of `T` to every other `v` with
-/// `S[v,w] ≠ 0`) and what it receives (row `u` of `T` from every other `u`
-/// with `S[w,u] ≠ 0`), in entries of one word each, with [`FLAG_BIT`] raised
-/// if some product `S[v,w]·T[w,x]` is non-zero.
+/// `w` of `S` and row `w` of `T` — and how many entries each node sends of
+/// its row of `T`, `sent` (the broadcast row counts of `T`, for whole
+/// rows): the larger of what it sends (`sent[w]` to every other `v` with
+/// `S[v,w] ≠ 0`) and what it receives (`sent[u]` from every other `u` with
+/// `S[w,u] ≠ 0`), in entries of one word each, with [`FLAG_BIT`] raised if
+/// some product `S[v,w]·T[w,x]` is non-zero.
 fn owner_load<SR: Semiring>(
     w: NodeId,
     s_rows: &[SparseRow<SR::Elem>],
     s_cols: &[SparseRow<SR::Elem>],
     t_rows: &[SparseRow<SR::Elem>],
-    t_row_counts: &[u64],
+    sent: &[u64],
 ) -> u64 {
     let (s_col, t_row) = (&s_cols[w], &t_rows[w]);
     let me = w as u32;
     let targets = s_col.nnz() - usize::from(s_col.get(me).is_some());
-    let send = (targets * t_row.nnz()) as u64;
-    let recv: u64 =
-        s_rows[w].iter().filter(|&(u, _)| u != me).map(|(u, _)| t_row_counts[u as usize]).sum();
+    let send = targets as u64 * sent[w];
+    let recv: u64 = s_rows[w].iter().filter(|&(u, _)| u != me).map(|(u, _)| sent[u as usize]).sum();
     let non_zero =
         s_col.iter().any(|(_, a)| t_row.iter().any(|(_, b)| !SR::is_zero(&SR::mul(a, b))));
     send.max(recv) | if non_zero { FLAG_BIT } else { 0 }
 }
 
-/// The owner route and the local rows: node `v` computes row `v` of `S ⋆ T`
-/// as `SparseMatrix::multiply` does, from its row of `S`, the rows of `T` it
-/// received and its own row of `T`.
+/// The rows of `S ⋆ T` at their owners, and how many entries each node sent
+/// of its row of `T`.
+type Routed<E> = (Vec<SparseRow<E>>, Vec<u64>);
+
+/// The owner route and the local rows. Row `u` of `T` goes to the same
+/// nodes in every product with this `S`, so if they were sent row `u` as
+/// `routed[u]` before, node `u` sends only the entries that differ from it,
+/// and a zero — a tombstone — for each of its columns now absent; where
+/// that is no shorter than the row, or nothing was routed, it sends the
+/// whole row. A receiver tells the two apart by the number of entries, as
+/// the broadcast row counts of `T` say how long the whole row is. Node `v`
+/// rebuilds each row it reads and computes row `v` of `S ⋆ T` as
+/// `SparseMatrix::multiply` does, with its own row of `T`. Returns the rows
+/// and how many entries each node sent of its row.
 fn owner_rows<SR: Semiring>(
     clique: &mut Clique,
     s_rows: &[SparseRow<SR::Elem>],
     s_cols: &[SparseRow<SR::Elem>],
     t_rows: &[SparseRow<SR::Elem>],
-) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
+    t_row_counts: &[u64],
+    routed: &[SparseRow<SR::Elem>],
+) -> Result<Routed<SR::Elem>, MatmulError> {
     let mut msgs = Vec::new();
+    let mut sent = vec![0; t_rows.len()];
     for (u, (s_col, t_row)) in s_cols.iter().zip(t_rows.iter()).enumerate() {
-        for (v, _) in s_col.iter().filter(|&(v, _)| v as usize != u) {
-            for (x, val) in t_row.iter() {
-                msgs.push(Envelope::new(u, v as usize, Entry::new(u as u32, x, val.clone())));
+        let targets: Vec<usize> =
+            s_col.iter().map(|(v, _)| v as usize).filter(|&v| v != u).collect();
+        if targets.is_empty() {
+            continue;
+        }
+        let update = match routed.get(u).map(|old| changes::<SR>(old, t_row)) {
+            Some(delta) if delta.len() < t_row.nnz() => delta,
+            _ => t_row.iter().map(|(x, val)| (x, val.clone())).collect(),
+        };
+        sent[u] = update.len() as u64;
+        for v in targets {
+            for (x, val) in &update {
+                msgs.push(Envelope::new(u, v, Entry::new(u as u32, *x, val.clone())));
             }
         }
     }
     let inboxes = clique.with_phase("owner", |cl| cl.route(msgs))?;
-    Ok(inboxes
+    let rows = inboxes
         .into_iter()
         .enumerate()
         .map(|(v, inbox)| {
@@ -262,18 +299,50 @@ fn owner_rows<SR: Semiring>(
             if let Some(a) = s_row.get(v as u32) {
                 acc.extend(t_rows[v].iter().map(|(x, b)| (x, SR::mul(a, b))));
             }
-            for Entry { row: u, col: x, val } in inbox.into_iter().map(|env| env.payload) {
-                let a = s_row.get(u).expect("row u of T was sent only where S[v,u] is non-zero");
-                acc.push((x, SR::mul(a, &val)));
+            // Inboxes arrive in sender order, as `S`'s row lists them.
+            let mut from = inbox.chunk_by(|x, y| x.src == y.src).peekable();
+            for (u, a) in s_row.iter().filter(|&(u, _)| u as usize != v) {
+                let got = from.next_if(|got| got[0].src == u as usize).unwrap_or_default();
+                if got.len() as u64 != t_row_counts[u as usize] {
+                    // A delta: the remembered row, less what it replaces.
+                    let replaced = |x| got.binary_search_by_key(&x, |env| env.payload.col).is_ok();
+                    let old = routed[u as usize].iter().filter(|&(x, _)| !replaced(x));
+                    acc.extend(old.map(|(x, b)| (x, SR::mul(a, b))));
+                }
+                let live = got.iter().map(|env| &env.payload).filter(|e| !SR::is_zero(&e.val));
+                acc.extend(live.map(|e| (e.col, SR::mul(a, &e.val))));
             }
+            debug_assert!(
+                from.next().is_none(),
+                "row u of T was sent only where S[v,u] is non-zero"
+            );
             SparseRow::from_entries::<SR>(acc)
         })
-        .collect())
+        .collect();
+    Ok((rows, sent))
+}
+
+/// What changed from row `old` to row `new`, in column order: each entry of
+/// `new` whose value differs from `old`'s in its column, and a zero for each
+/// column of `old` that `new` lacks.
+fn changes<SR: Semiring>(
+    old: &SparseRow<SR::Elem>,
+    new: &SparseRow<SR::Elem>,
+) -> Vec<(u32, SR::Elem)> {
+    let mut out: Vec<(u32, SR::Elem)> = new
+        .iter()
+        .filter(|&(x, val)| old.get(x) != Some(val))
+        .map(|(x, val)| (x, val.clone()))
+        .collect();
+    out.extend(old.iter().filter(|&(x, _)| new.get(x).is_none()).map(|(x, _)| (x, SR::zero())));
+    out.sort_unstable_by_key(|&(x, _)| x);
+    out
 }
 
 /// The pipeline on the cube of `shape`: cube → σ1 delivery → local
-/// products → thinning → helper assignment → σ2 delivery → responsibility
-/// split → summation.
+/// products → thinning → helper assignment → σ2 delivery and
+/// responsibility split, if they lower the summation's largest load →
+/// summation. It empties what `S` remembers of owner routes.
 fn pipeline<SR: Semiring>(
     clique: &mut Clique,
     plan: &Plan<'_, SR::Elem>,
@@ -282,6 +351,8 @@ fn pipeline<SR: Semiring>(
     t: &mut Operand<'_, SR::Elem>,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
     let n = clique.n();
+    // No owner route delivers this product's right operand.
+    s.routed.clear();
     // Lemma 9: globally known cube partition.
     let cube = match plan.cube_density {
         Some(_) => {
@@ -307,7 +378,11 @@ fn pipeline<SR: Semiring>(
     }
 
     // Lemma 12 / 16: duplicate dense subtasks onto helpers, which learn
-    // the subtask's inputs by a second delivery.
+    // the subtask's inputs by a second delivery — where that lowers the
+    // summation's largest load. Every node is a subtask node already, so a
+    // helper's part lands beside a whole product of its own and often
+    // lowers nothing; then each subtask node sums its whole product, which
+    // by the same measure costs no more.
     let intermediates = match &plan.helpers {
         None => products,
         Some(helpers) => {
@@ -315,25 +390,20 @@ fn pipeline<SR: Semiring>(
             let sizes = clique.with_phase(helpers.sizes_label, |cl| cl.all_broadcast(sizes))?;
             let (sigma2, chunk_of) =
                 assign_helpers(&cube, &sizes, &(helpers.scopes)(&cube), helpers.hint)?;
-            let helper_inputs = deliver::<SR>(clique, &cube, s, t, &sigma2)?;
-
-            // Responsibility split: owners of subtask v are [v] ++ its
-            // helpers (sorted); owner index o takes the o-th chunk.
-            let mut parts_of: PerNode<SR::Elem> = vec![Vec::new(); n];
-            for (v, product) in products.iter().enumerate().take(cube.shape.subtasks()) {
-                // A node may serve as both the σ1 owner and a helper of
-                // the same task; it then takes two parts (paper, Lemma 12
-                // step 3), so duplicates are kept.
-                let mut owners = vec![v];
-                owners.extend_from_slice(sigma2.nodes_for(v));
-                owners.sort_unstable();
-                let chunk = chunk_of[v];
-                let parts = product.len().div_ceil(chunk);
-                debug_assert!(parts <= owners.len(), "Lemmas 12 and 16: enough owners");
-                for (o, &owner) in owners.iter().enumerate().take(parts) {
-                    let part = o * chunk..((o + 1) * chunk).min(product.len());
+            let parts = split(&cube, &sizes, &sigma2, &chunk_of);
+            let mut split_loads = vec![0u64; n];
+            for (_, owner, part) in &parts {
+                split_loads[*owner] += part.len() as u64;
+            }
+            let units = |loads: &[u64]| loads.iter().max().map_or(0, |l| l.div_ceil(n as u64));
+            if units(&split_loads) >= units(&sizes) {
+                products
+            } else {
+                let helper_inputs = deliver::<SR>(clique, &cube, s, t, &sigma2)?;
+                let mut parts_of: PerNode<SR::Elem> = vec![Vec::new(); n];
+                for (v, owner, part) in parts {
                     if owner == v {
-                        parts_of[owner].extend_from_slice(&product[part]);
+                        parts_of[owner].extend_from_slice(&products[v][part]);
                         continue;
                     }
                     // A helper recomputes (and thins) the product locally,
@@ -345,13 +415,39 @@ fn pipeline<SR: Semiring>(
                     }
                     parts_of[owner].extend_from_slice(&again[part]);
                 }
+                parts_of
             }
-            parts_of
         }
     };
 
     // Lemma 13: balanced summation into row owners.
     sum_intermediates::<SR>(clique, intermediates)
+}
+
+/// Lemma 12's responsibility split (step 3), from the broadcast product
+/// sizes and the helper assignment: `(v, owner, part)` for each part of
+/// subtask `v`'s product. The owners of `v` are `v` and its helpers,
+/// ascending, and the `o`-th takes the `o`-th chunk. A node may serve as
+/// both the `σ1` owner and a helper of the same task; it then takes two
+/// parts (paper, Lemma 12 step 3), so duplicates are kept.
+fn split(
+    cube: &CubePartition,
+    sizes: &[u64],
+    sigma2: &TaskAssignment,
+    chunk_of: &[usize],
+) -> Vec<(NodeId, NodeId, Range<usize>)> {
+    let mut parts = Vec::new();
+    for v in 0..cube.shape.subtasks() {
+        let mut owners = vec![v];
+        owners.extend_from_slice(sigma2.nodes_for(v));
+        owners.sort_unstable();
+        let (len, chunk) = (sizes[v] as usize, chunk_of[v]);
+        debug_assert!(len.div_ceil(chunk) <= owners.len(), "Lemmas 12 and 16: enough owners");
+        for (o, &owner) in owners.iter().enumerate().take(len.div_ceil(chunk)) {
+            parts.push((v, owner, o * chunk..((o + 1) * chunk).min(len)));
+        }
+    }
+    parts
 }
 
 /// What [`audit`] records of one product that weighed the owner product:
@@ -408,7 +504,7 @@ mod tests {
     use crate::filtered_mm::filtered_product;
     use crate::layout::{self, Counts};
     use crate::operand::Prepared;
-    use crate::sparse_mm::sparse_product;
+    use crate::sparse_mm::{lemma_12_scopes, sparse_multiply_auto, sparse_product};
     use cc_clique::CostModel;
     use cc_matrix::{
         AugDist, AugMinPlus, Dist, MinPlus, OrderedSemiring, Searchable, SparseMatrix,
@@ -776,5 +872,206 @@ mod tests {
         let early = words(early);
         assert!(early[x] > loads[x], "x's word: {} before, {} after", loads[x], early[x]);
         assert_eq!(choices(&[early]), [Some(false)], "the perturbation is material");
+    }
+
+    #[test]
+    fn an_owner_route_sends_only_what_changed_since_the_last() {
+        // One prepared S times T1, T2 and T3 in turn, each handed over by
+        // rows as source detection hands over its iterate; then a pipeline
+        // product, and T3 again. S holds its diagonal and two more entries a
+        // column, so every row of T goes to two other nodes. T2 lowers the
+        // diagonal of the even rows and adds an entry to every third row;
+        // T3 drops an entry from rows 1, 9 and 13, as a filter does, empties
+        // row 5 and replaces row 7. A route after the first sends, per row,
+        // what changed (a tombstone for each dropped entry), or the whole
+        // row where that is no shorter: rows 5 and 7 of T3. The pipeline
+        // empties what S remembers, so the last route sends whole rows.
+        let n = 16;
+        let fin = |v: usize| Dist::fin(v as u64);
+        let mut s = SparseMatrix::<Dist>::identity::<MinPlus>(n);
+        for v in 0..n {
+            s.set(v, (v + 1) % n, fin(2));
+            s.set(v, (v + 3) % n, fin(3));
+        }
+        let mut t1 = SparseMatrix::<Dist>::zeros(n);
+        for u in 0..n {
+            for k in 0..4 {
+                t1.set(u, (u + 2 * k) % n, fin(u + k + 10));
+            }
+        }
+        let mut t2 = t1.clone();
+        for u in 0..n {
+            if u % 2 == 0 {
+                t2.set(u, u, fin(u + 5));
+            }
+            if u % 3 == 0 {
+                t2.set(u, (u + 1) % n, fin(1));
+            }
+        }
+        let t3_rows = t2.rows().iter().enumerate().map(|(u, row)| match u {
+            5 => SparseRow::new(),
+            7 => SparseRow::from_sorted(vec![(8, fin(1)), (10, fin(1))]),
+            1 | 9 | 13 => SparseRow::from_sorted(
+                row.iter()
+                    .filter(|&(x, _)| x as usize != (u + 6) % n)
+                    .map(|(x, v)| (x, *v))
+                    .collect(),
+            ),
+            _ => row.clone(),
+        });
+        let t3 = SparseMatrix::from_rows(t3_rows.collect());
+        let whole = |t: &SparseMatrix<Dist>| 2 * t.nnz() as u64;
+        // Per row: T2 changes [u even] + [3 | u] entries; T3 drops one entry
+        // of rows 1, 9 and 13 and sends row 7 whole (2 entries), row 5 whole
+        // (none).
+        let t2_changes: usize =
+            (0..n).map(|u| usize::from(u % 2 == 0) + usize::from(u % 3 == 0)).sum();
+        let expected = [whole(&t1), 2 * t2_changes as u64, 2 * (3 + 2), whole(&t3)];
+
+        for filter in [None, Some(3)] {
+            let label = if filter.is_some() { "filtered_mm" } else { "sparse_mm" };
+            let mut clique = Clique::new(n);
+            let mut left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
+            let mut sent = Vec::new();
+            for (step, t) in [&t1, &t2, &t3, &t3].into_iter().enumerate() {
+                if step == 3 {
+                    // A pipeline product of the same S, which clears the memory.
+                    let t_cols = t1.transpose();
+                    let mut right = Operand::unprepared(Side::Right, t_cols.rows());
+                    match filter {
+                        None => {
+                            sparse_product::<MinPlus>(&mut clique, &mut left, &mut right, n, false)
+                        }
+                        Some(rho) => filtered_product::<MinPlus>(
+                            &mut clique,
+                            &mut left,
+                            &mut right,
+                            rho,
+                            false,
+                        ),
+                    }
+                    .unwrap();
+                    assert!(
+                        left.routed.is_empty(),
+                        "{label}: the pipeline clears what S remembers"
+                    );
+                }
+                let route = format!("{label}/owner/route");
+                let before = clique
+                    .metrics()
+                    .phases
+                    .get(&route)
+                    .map_or((0, 0), |p| (p.invocations, p.messages));
+                let counts = layout::broadcast_counts(&mut clique, t.rows(), None, None).unwrap();
+                let mut right = Operand::from_opposite(Side::Right, t.rows(), counts);
+                let rows = match filter {
+                    None => sparse_product::<MinPlus>(&mut clique, &mut left, &mut right, n, true),
+                    Some(rho) => {
+                        filtered_product::<MinPlus>(&mut clique, &mut left, &mut right, rho, true)
+                    }
+                }
+                .unwrap();
+                let product = s.multiply::<MinPlus>(t);
+                let product =
+                    filter.map_or(product.clone(), |rho| product.filtered::<MinPlus>(rho));
+                assert_eq!(SparseMatrix::from_rows(rows), product, "{label}, step {step}");
+                let after = &clique.metrics().phases[&route];
+                assert_eq!(after.invocations, before.0 + 1, "{label}, step {step}: at the owners");
+                sent.push(after.messages - before.1);
+            }
+            assert_eq!(sent, expected, "{label}: entries routed per product");
+        }
+    }
+
+    /// What the pipeline's sparse product at `rho_hat` sees of `S ⋆ T` when
+    /// it weighs its helpers, from its own steps on a scratch clique: how
+    /// many helpers Lemma 12 assigns, and the largest summation load without
+    /// the split and with it.
+    fn helper_loads(s: &SparseMatrix<Dist>, t: &SparseMatrix<Dist>, rho_hat: usize) -> [u64; 3] {
+        let n = s.n();
+        let mut clique = Clique::new(n);
+        let t_cols = t.transpose();
+        let mut left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
+        let mut right =
+            Operand::prepare::<MinPlus>(&mut clique, Side::Right, t_cols.rows()).unwrap();
+        let cube = {
+            let (s, t) = (left.prepared().unwrap(), right.prepared().unwrap());
+            let shape = CubeShape::choose(n, s.counts.density(), t.counts.density(), rho_hat);
+            CubePartition::build(&mut clique, shape, s, t).unwrap()
+        };
+        let inputs =
+            deliver::<MinPlus>(&mut clique, &cube, &mut left, &mut right, &cube.sigma1()).unwrap();
+        let mut scratch = ProductScratch::default();
+        let sizes: Vec<u64> = inputs
+            .iter()
+            .map(|input| local_product::<MinPlus>(&mut scratch, input).len() as u64)
+            .collect();
+        let scopes = lemma_12_scopes(&cube, rho_hat);
+        let (sigma2, chunk_of) = assign_helpers(&cube, &sizes, &scopes, rho_hat).unwrap();
+        let helpers = (0..cube.shape.subtasks()).map(|v| sigma2.nodes_for(v).len() as u64).sum();
+        let mut loads = vec![0; n];
+        for (_, owner, part) in split(&cube, &sizes, &sigma2, &chunk_of) {
+            loads[owner] += part.len() as u64;
+        }
+        [helpers, *sizes.iter().max().unwrap(), *loads.iter().max().unwrap()]
+    }
+
+    #[test]
+    fn helpers_run_only_where_they_lower_the_summation_load() {
+        let (n, rho_hat) = (32, 8);
+        // Every row of S and every column of T holds one entry, so Lemma 5
+        // deals row r to row block r mod b and column c to column block
+        // c mod a. Rows ≡ 0 mod b of S hit middle 0, and row 0 of T covers
+        // the columns ≡ 0 mod a: their whole product sits in one subtask.
+        let CubeShape { a, b, .. } = CubeShape::choose(n, 1, 1, rho_hat);
+        let fin = |v: usize| Dist::fin(v as u64 + 1);
+        let mut s = SparseMatrix::<Dist>::zeros(n);
+        let mut t = SparseMatrix::<Dist>::zeros(n);
+        for v in 0..n {
+            s.set(v, if v % b == 0 { 0 } else { v }, fin(v));
+            t.set(if v % a == 0 { 0 } else { v }, v, fin(v));
+        }
+        // Random operands of a few entries a row, as the benchmark's
+        // products have, with a hint half their output density: Lemma 12
+        // assigns helpers, whose parts land beside whole products.
+        let mut rng = StdRng::seed_from_u64(0);
+        let val = |rng: &mut StdRng| Dist::fin(rng.gen_range(1..50));
+        let u = random::<MinPlus>(&mut rng, n, 5, true, val);
+        let w = random::<MinPlus>(&mut rng, n, 5, true, val);
+        let half = u.multiply::<MinPlus>(&w).density() / 2;
+        let cases = [("one dense subtask", &s, &t, rho_hat, true), ("random", &u, &w, half, false)];
+        for (what, s, t, rho_hat, pays) in cases {
+            let [helpers, whole, split] = helper_loads(s, t, rho_hat);
+            let units = |load: u64| load.div_ceil(n as u64);
+            assert!(helpers > 0, "{what}: Lemma 12 assigns helpers");
+            assert_eq!(units(split) < units(whole), pays, "{what}: {split} against {whole}");
+            let mut clique = Clique::new(n);
+            let t_cols = t.transpose();
+            let mut left = Operand::unprepared(Side::Left, s.rows());
+            let mut right = Operand::unprepared(Side::Right, t_cols.rows());
+            let rows =
+                sparse_product::<MinPlus>(&mut clique, &mut left, &mut right, rho_hat, false)
+                    .unwrap();
+            assert_eq!(SparseMatrix::from_rows(rows), s.multiply::<MinPlus>(t), "{what}");
+            let phases = &clique.metrics().phases;
+            let deliveries = phases["sparse_mm/deliver/fanout/route"].invocations;
+            assert_eq!(deliveries, 1 + u64::from(pays), "{what}: σ2 runs only if it pays");
+            let sorted = phases["sparse_mm/sum/sort"].rounds;
+            assert_eq!(sorted, units(if pays { split } else { whole }), "{what}");
+        }
+        // The doubling search stops where it did before the rule, as the
+        // helper assignment still reports a hint too small: on the star's
+        // square, whose rows are full, at ρ̂ = 16.
+        let mut star = SparseMatrix::<Dist>::identity::<MinPlus>(n);
+        for v in 1..n {
+            star.set(0, v, fin(v));
+            star.set(v, 0, fin(v));
+        }
+        let star_cols = star.transpose();
+        let auto =
+            sparse_multiply_auto::<MinPlus>(&mut Clique::new(n), star.rows(), star_cols.rows());
+        let (rows, used) = auto.unwrap();
+        assert_eq!(SparseMatrix::from_rows(rows), star.multiply::<MinPlus>(&star));
+        assert_eq!(used, 16);
     }
 }

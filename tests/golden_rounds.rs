@@ -55,20 +55,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 176,
-    messages: 108_498,
-    words: 114_968,
-    phase_labels: 20,
-    invocations: 70,
+    rounds: 128,
+    messages: 72_005,
+    words: 78_475,
+    phase_labels: 17,
+    invocations: 58,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 351,
-    messages: 167_074,
-    words: 180_571,
-    phase_labels: 53,
-    invocations: 145,
+    rounds: 294,
+    messages: 124_915,
+    words: 138_412,
+    phase_labels: 44,
+    invocations: 125,
     dist_digest: 12_639_840_282_067_814_693,
 };
 
