@@ -95,7 +95,7 @@ impl Clique {
         &self.cost
     }
 
-    /// Cumulative metrics since construction (or the last [`Clique::reset`]).
+    /// Cumulative metrics since construction.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -114,11 +114,6 @@ impl Clique {
             words: self.metrics.words,
             phases: self.metrics.phases.clone(),
         }
-    }
-
-    /// Clears all metrics (the clique itself carries no other state).
-    pub fn reset(&mut self) {
-        self.metrics = Metrics::default();
     }
 
     /// Runs `f` with all communication attributed to phase `label`.
@@ -476,8 +471,6 @@ mod tests {
         let r = c.report();
         assert_eq!(r.rounds, 5);
         assert_eq!(r.n, 2);
-        c.reset();
-        assert_eq!(c.rounds(), 0);
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //!
 //! in `O(log² n/ε)` rounds — a near-`3/2` approximation. The classical
 //! sampling of `Õ(√n)` BFS roots becomes a hitting set of the `N_k` balls
-//! plus two MSSP invocations; exact ball distances make the construction
-//! deterministic.
+//! plus two MSSP invocations, which share one hopset; exact ball distances
+//! make the construction deterministic.
 
 use cc_clique::Clique;
 use cc_distance::{check_epsilon, check_size, hitting_set, k_nearest, DistanceError};
 use cc_graph::Graph;
+use cc_hopset::{build_hopset, HopsetConfig};
 
-use crate::mssp::mssp;
+use crate::mssp::mssp_with_hopset;
 use crate::run::Stopwatch;
 use crate::DiameterRun;
 
@@ -55,7 +56,8 @@ pub fn diameter_approx(
     check_epsilon(epsilon)?;
     let watch = Stopwatch::start(clique);
     let n = graph.n();
-    let k = (((n as f64).sqrt() * (n.max(2) as f64).log2()).ceil() as usize).clamp(1, n);
+    let config = HopsetConfig::new(epsilon);
+    let k = config.schedule(n).k;
 
     let estimate = clique.with_phase("diameter", |clique| {
         // (1)–(2): exact balls and their hitting set S.
@@ -64,8 +66,10 @@ pub fn diameter_approx(
             near.iter().map(|r| r.iter().map(|(c, _)| c as usize).collect()).collect();
         let s = hitting_set(clique, &sets, k, 0xD1A)?;
 
-        // (3): (1+ε) distances from everyone to S.
-        let run_s = mssp(clique, graph, &s.members, epsilon)?;
+        // (3): (1+ε) distances from everyone to S, on a hopset that step (5)
+        // uses again.
+        let hopset = clique.with_phase("mssp", |cl| build_hopset(cl, graph, config))?;
+        let run_s = mssp_with_hopset(clique, graph, &s.members, &hopset)?;
 
         // (4): d(v, p(v)) is exact (p(v) ∈ N_k(v)); broadcast it.
         let dp: Vec<u64> =
@@ -77,7 +81,7 @@ pub fn diameter_approx(
         let w = (0..n).max_by_key(|&v| (dp[v], std::cmp::Reverse(v))).expect("n >= 1");
         clique.charge("announce_nkw", 1);
         let nkw: Vec<usize> = near[w].iter().map(|(c, _)| c as usize).collect();
-        let run_w = mssp(clique, graph, &nkw, epsilon)?;
+        let run_w = mssp_with_hopset(clique, graph, &nkw, &hopset)?;
 
         // (6): the estimate is the largest distance seen. Node v holds row v
         // of both runs and broadcasts its largest finite entry (one word);
@@ -178,7 +182,7 @@ mod tests {
         let g = generators::gnp_weighted(24, 0.2, 9, 4).unwrap();
         let run = diameter_approx(&mut Clique::new(24), &g, 0.25).unwrap();
         assert_eq!(run.estimate, 11);
-        assert_eq!((run.rounds, run.report.messages, run.report.words), (425, 148_594, 164_947));
+        assert_eq!((run.rounds, run.report.messages, run.report.words), (313, 111_401, 123_981));
         let broadcast = &run.report.phases["diameter/all_broadcast"];
         assert_eq!((broadcast.rounds, broadcast.messages, broadcast.invocations), (2, 1104, 2));
     }

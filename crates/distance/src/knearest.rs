@@ -11,10 +11,15 @@
 //! most `k` hops away, so `2^{⌈log₂ k⌉} ≥ k` hops suffice — at most that
 //! many squarings, fewer when a squaring changes no row
 //! ([`crate::fixpoint`]).
+//!
+//! Each squaring is `X ⋆ X` on both operands of one
+//! [`Operand::prepare_square`]: the row counts that open the step carry its
+//! changed bits, and one transpose and one counts broadcast of the columns
+//! give both operands both layouts and their counts.
 
 use cc_clique::Clique;
 use cc_graph::DiGraph;
-use cc_matmul::{layout, Operand, Side};
+use cc_matmul::{filtered_multiply_prepared, layout, Operand};
 use cc_matrix::{AugDist, AugMinPlus, SparseRow};
 
 use crate::error::{check_size, invalid};
@@ -79,19 +84,9 @@ pub fn k_nearest(
             if opening.flagged() == Some(false) {
                 return Ok(None);
             }
-            // One transpose serves both sides of `x ⋆ x`: the left operand's
-            // opposite layout is the right operand's held one and vice versa.
-            // The column counts carry the row counts again, for the owner
-            // product's choice: a second count in the same word. Read from
-            // the other side, that word is the left operand's counts too.
-            let cols = layout::transpose_exchange::<AugMinPlus>(clique, rows)?;
-            let col_counts = layout::broadcast_counts(clique, &cols, Some(rows), None)?;
-            let row_counts = col_counts.transposed().expect("the row counts rode along");
-            let mut left = Operand::from_layouts(Side::Left, rows, &cols, row_counts);
-            let mut right = Operand::from_layouts(Side::Right, &cols, rows, col_counts);
-            Ok(Some(cc_matmul::filtered_multiply_prepared::<AugMinPlus>(
-                clique, &mut left, &mut right, k,
-            )?))
+            let (mut left, mut right) = Operand::prepare_square::<AugMinPlus>(clique, rows)?;
+            let square = filtered_multiply_prepared::<AugMinPlus>(clique, &mut left, &mut right, k);
+            Ok(Some(square?))
         })
     })
 }

@@ -14,11 +14,14 @@
 //! holds distances *from* `v` to the sources; an undirected
 //! [`cc_graph::Graph`] derefs to its symmetric arcs.
 //!
-//! `W` is the same in every product, so it is prepared once per detection
-//! ([`cc_matmul::Operand`]); the iterate comes out of a product by rows and
-//! is handed to the next one by those rows and their broadcast counts. The
-//! row owners multiply by its rows alone, so only a product that runs the
-//! pipeline, or cannot choose without the column counts, transposes it.
+//! Each hop step is the paper's `W ⋆ U_i`, on the two operand shapes
+//! [`cc_matmul::Operand`] has for it: `W` is the same in every product, so
+//! it is prepared once per detection ([`cc_matmul::Operand::prepare`]); the
+//! iterate comes out of a product by rows and is handed to the next one by
+//! those rows and their broadcast counts
+//! ([`cc_matmul::Operand::from_opposite`]). The row owners multiply by its
+//! rows alone, so only a product that runs the pipeline, or cannot choose
+//! without the column counts, transposes it.
 //! The prepared `W` remembers the rows of `U_i` the row owners were sent,
 //! so the next hop step's route sends only the entries of `U_{i+1}` that
 //! changed, and a tombstone for each one a filter dropped; a step whose
@@ -103,7 +106,7 @@ fn hop_loop(
         if counts.flagged() == Some(false) {
             return Ok(None);
         }
-        let mut iterate = Operand::from_opposite(Side::Right, rows, counts);
+        let mut iterate = Operand::from_opposite(rows, counts);
         Ok(Some(multiply(clique, &mut w, &mut iterate)?))
     })
 }

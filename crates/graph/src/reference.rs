@@ -309,16 +309,6 @@ pub fn shortest_path_diameter(g: &DiGraph) -> usize {
     spd
 }
 
-/// Maximum finite distance from `v` (its eccentricity); `None` if `v` is
-/// isolated.
-///
-/// # Panics
-///
-/// Panics if `v >= g.n()`.
-pub fn eccentricity(g: &DiGraph, v: usize) -> Option<u64> {
-    dijkstra(g, v).into_iter().flatten().max().filter(|&d| d > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,13 +388,6 @@ mod tests {
         let spd = shortest_path_diameter(&g);
         assert!(spd >= 6, "chained cliques have long shortest paths, got {spd}");
         assert_eq!(shortest_path_diameter(&generators::complete(8).unwrap()), 1);
-    }
-
-    #[test]
-    fn eccentricity_on_path() {
-        let g = generators::path(5).unwrap();
-        assert_eq!(eccentricity(&g, 0), Some(4));
-        assert_eq!(eccentricity(&g, 2), Some(2));
     }
 
     #[test]

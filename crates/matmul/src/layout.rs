@@ -87,8 +87,9 @@ impl Counts {
     /// the opposite layout's sizes: those become the per-node sizes, and the
     /// held ones the opposite sizes. The two layouts of one matrix hold the
     /// same entries, so the density stays. No communication: `x ⋆ x` reads
-    /// its left operand's counts off its right operand's broadcast.
-    pub fn transposed(&self) -> Option<Counts> {
+    /// its left operand's counts off its right operand's broadcast
+    /// ([`crate::Operand::prepare_square`]).
+    pub(crate) fn transposed(&self) -> Option<Counts> {
         let per_node = self.opposite.clone()?;
         Some(Counts { per_node, opposite: Some(self.per_node.clone()), ..self.clone() })
     }

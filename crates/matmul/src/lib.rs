@@ -21,7 +21,7 @@
 //! | step | licensed by | Theorem 8 | Theorem 14 | dense | phase label |
 //! |------|-------------|-----------|------------|-------|-------------|
 //! | prepare operands | §2.1 | unless prepared; a right operand handed over by rows only if the pipeline runs or its row counts cannot choose | same | — | `counts`, `transpose` |
-//! | owner product, if it fits (then no later step runs) | Lenzen routing | if `T`'s row counts were broadcast; one rule asked after each fact, load words only where the counts straddle the floor; routes only what changed since `S`'s last owner route | same, then the final row filter | — | `owner/loads`, `owner/route` |
+//! | owner product, if it fits (then no later step runs) | Lenzen routing | yes; one rule asked after each fact, load words only where the counts straddle the floor; routes only what changed since `S`'s last owner route | same, then the final row filter | — | `owner/loads`, `owner/route` |
 //! | cube partition | Lemma 9 | for `ρ̂`, free if `c = 1` | for `ρ`, free if `c = 1` | uniform, free | `cube/*` |
 //! | `σ1` delivery | Lemmas 10 + 11, balancing only the sides whose balance pays | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/sort`, `deliver_t/balance/sort`, `deliver/{balance,fanout}/route`; dense: `deliver_{s,t}/counts` |
 //! | local products | free | yes | yes | yes | — |
@@ -108,11 +108,22 @@
 //! intermediate values and one route to the row owners.
 //!
 //! [`sparse_multiply`] and [`filtered_multiply`] take the paper's input
-//! layout and have the pipeline prepare both operands; a caller that
-//! multiplies by the same matrix repeatedly prepares it once as an
-//! [`Operand`] — broadcast counts, both layouts, and the `σ1` placement of
-//! Lemma 10 once a delivery balanced it — and calls [`sparse_multiply_prepared`] /
-//! [`filtered_multiply_prepared`].
+//! layout and have the pipeline prepare both operands. A caller that holds
+//! more hands [`Operand`]s — broadcast counts, the layouts the nodes hold,
+//! and the `σ1` placement of Lemma 10 once a delivery balanced it — to
+//! [`sparse_multiply_prepared`] / [`filtered_multiply_prepared`], built in
+//! one of three shapes:
+//!
+//! * [`Operand::prepare`], either side: a matrix multiplied by again, such
+//!   as Theorem 19's `W`, prepared once (one transpose, one counts
+//!   broadcast);
+//! * [`Operand::from_opposite`]: a right operand held by rows with their
+//!   broadcast counts, such as Theorem 19's iterate `U_i`;
+//! * [`Operand::prepare_square`]: both operands of `X ⋆ X`, such as Theorem
+//!   18's squarings, from one transpose and one counts broadcast.
+//!
+//! Every prepared operand knows the slice sizes of both its layouts, so the
+//! owner product's choice always starts from the counts.
 //!
 //! All algorithms run on the [`cc_clique::Clique`] simulator and account
 //! every word they move; differential tests check them against

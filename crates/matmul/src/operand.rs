@@ -7,12 +7,20 @@
 //! counts behind the Lemma 7 middle partition), and, under the canonical
 //! assignment `σ1`, where Lemma 10's sort-and-deal puts each entry once a
 //! delivery chose to balance the operand. An [`Operand`] carries all of
-//! that, so a caller that multiplies by the same matrix again — the `W` of
-//! Theorem 19's `W ⋆ U_i` — pays for it once, a caller that already holds
-//! both layouts of a matrix hands them over instead of having one transposed
-//! back, and a caller that holds only the opposite layout — the iterate
-//! `U_i`, which comes out of a product by rows — hands that over, to be
-//! transposed only by a product that reads the held layout.
+//! that, and a caller builds one in one of three shapes:
+//!
+//! * [`Operand::prepare`], either side, from the layout the side starts in:
+//!   one transpose and one counts broadcast. A caller that multiplies by the
+//!   same matrix again — the `W` of Theorem 19's `W ⋆ U_i` — pays for it
+//!   once.
+//! * [`Operand::from_opposite`], a right operand held by rows with their
+//!   broadcast counts: the iterate `U_i`, which comes out of a product by
+//!   rows. It is transposed only by a product that reads its columns.
+//! * [`Operand::prepare_square`], both operands of `X ⋆ X` — Theorem 18's
+//!   squarings — from one transpose and one counts broadcast.
+//!
+//! Every prepared operand knows both layouts' slice sizes, so the owner
+//! product can always weigh its route from the counts.
 //!
 //! A left operand also remembers the rows of the last right operand that
 //! the row owners multiplied it by: row `u` went to every `v` with
@@ -23,7 +31,7 @@
 use std::borrow::Cow;
 
 use cc_clique::Clique;
-use cc_matrix::{Entry, Semiring, SparseMatrix, SparseRow};
+use cc_matrix::{Entry, Semiring, SparseRow};
 
 use crate::deliver::{PerNode, Sizes};
 use crate::layout::{self, Counts};
@@ -85,9 +93,17 @@ pub(crate) struct Prepared<'a, E: Clone> {
     /// The other layout of the same matrix (node `v` holds column `v` of a
     /// left operand, row `v` of a right one).
     pub opposite: Cow<'a, [SparseRow<E>]>,
-    /// `held[v].nnz()` for every `v`, the density, and — if the broadcast
-    /// carried them — `opposite[v].nnz()`.
+    /// `held[v].nnz()` for every `v`, the density, and `opposite[v].nnz()`:
+    /// every way of preparing an operand broadcasts both layouts' sizes.
     pub counts: Counts,
+}
+
+impl<E: Clone> Prepared<'_, E> {
+    /// `opposite[v].nnz()` for every `v`: a right operand's row counts, or a
+    /// left operand's column counts.
+    pub fn opposite_counts(&self) -> &[u64] {
+        self.counts.opposite().expect("preparing broadcasts both layouts' sizes")
+    }
 }
 
 impl<'a, E: Clone + PartialEq> Operand<'a, E> {
@@ -109,66 +125,58 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         Ok(operand)
     }
 
-    /// An operand whose two layouts the nodes both hold already — an iterate
-    /// that came out of a product by rows and was transposed by the caller,
-    /// say — and whose slice sizes they broadcast: `counts` is what
-    /// [`layout::broadcast_counts`] returned for `held`. No communication.
+    /// Both operands of the square `X ⋆ X` from the rows of `X` — Theorem
+    /// 18's squarings: one transpose exchange gives the columns, and one
+    /// counts broadcast of the columns carries the row counts in the same
+    /// words. The left operand holds the rows and the right one the columns,
+    /// and each reads the other's layout and counts as its opposite ones.
     ///
-    /// A right operand whose `counts` carry the opposite layout's sizes (its
-    /// row counts) may be multiplied at the row owners; without them the
-    /// product always runs the pipeline.
+    /// # Errors
     ///
-    /// `opposite` must be the transpose of `held`.
-    pub fn from_layouts(
-        side: Side,
-        held: &'a [SparseRow<E>],
-        opposite: &'a [SparseRow<E>],
-        counts: Counts,
-    ) -> Self {
-        debug_assert!(
-            SparseMatrix::from_rows(held.to_vec()).transpose().rows() == opposite,
-            "the two layouts must describe one matrix"
-        );
-        debug_assert!(sizes_match(held, counts.per_node()), "the counts must be the held slices'");
-        debug_assert!(
-            counts.opposite().is_none_or(|c| sizes_match(opposite, c)),
-            "the opposite counts must be those of the opposite slices"
-        );
-        let prepared =
-            Prepared { held: Cow::Borrowed(held), opposite: Cow::Borrowed(opposite), counts };
-        Operand {
-            side,
-            known: Known::Prepared(prepared),
-            sigma1_placement: None,
-            routed: Vec::new(),
-        }
+    /// As [`Operand::prepare`].
+    pub fn prepare_square<S: Semiring<Elem = E>>(
+        clique: &mut Clique,
+        rows: &'a [SparseRow<E>],
+    ) -> Result<(Self, Self), MatmulError> {
+        let cols = layout::transpose_exchange::<S>(clique, rows)?;
+        let col_counts = layout::broadcast_counts(clique, &cols, Some(rows), None)?;
+        let row_counts = col_counts.transposed().expect("the row counts rode along");
+        let left = Known::Prepared(Prepared {
+            held: Cow::Borrowed(rows),
+            opposite: Cow::Owned(cols.clone()),
+            counts: row_counts,
+        });
+        let right = Known::Prepared(Prepared {
+            held: Cow::Owned(cols),
+            opposite: Cow::Borrowed(rows),
+            counts: col_counts,
+        });
+        Ok((Operand::new(Side::Left, left), Operand::new(Side::Right, right)))
     }
 
-    /// An operand the nodes hold in the opposite layout only — an iterate
-    /// that came out of a product by rows, handed over as a right operand —
-    /// whose slice sizes they broadcast: `counts` is what
-    /// [`layout::broadcast_counts`] returned for `opposite`. No
-    /// communication.
+    /// A right operand the nodes hold in the opposite layout only — an
+    /// iterate that came out of a product by rows — whose slice sizes they
+    /// broadcast: `counts` is what [`layout::broadcast_counts`] returned for
+    /// `opposite`. No communication.
     ///
-    /// The row owners multiply by such a right operand without its columns,
-    /// so a product transposes it (and broadcasts its column counts) only if
-    /// it runs the pipeline, or if it cannot choose without those counts.
-    pub fn from_opposite(side: Side, opposite: &'a [SparseRow<E>], counts: Counts) -> Self {
+    /// The row owners multiply by such an operand without its columns, so a
+    /// product transposes it (and broadcasts its column counts) only if it
+    /// runs the pipeline, or if it cannot choose without those counts.
+    pub fn from_opposite(opposite: &'a [SparseRow<E>], counts: Counts) -> Self {
         debug_assert!(
             sizes_match(opposite, counts.per_node()),
             "the counts must be the opposite slices'"
         );
-        Operand {
-            side,
-            known: Known::Opposite(opposite, counts),
-            sigma1_placement: None,
-            routed: Vec::new(),
-        }
+        Operand::new(Side::Right, Known::Opposite(opposite, counts))
     }
 
     /// The paper's input layout and nothing else; no communication.
     pub(crate) fn unprepared(side: Side, held: &'a [SparseRow<E>]) -> Self {
-        Operand { side, known: Known::Held(held), sigma1_placement: None, routed: Vec::new() }
+        Operand::new(side, Known::Held(held))
+    }
+
+    fn new(side: Side, known: Known<'a, E>) -> Self {
+        Operand { side, known, sigma1_placement: None, routed: Vec::new() }
     }
 
     /// What the nodes know about both layouts, after telling them as
@@ -224,7 +232,7 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
     pub(crate) fn opposite_known(&self) -> Option<(&[SparseRow<E>], &[u64])> {
         match &self.known {
             Known::Opposite(opposite, counts) => Some((opposite, counts.per_node())),
-            Known::Prepared(known) => Some((&known.opposite, known.counts.opposite()?)),
+            Known::Prepared(known) => Some((&known.opposite, known.opposite_counts())),
             Known::Held(_) => None,
         }
     }
@@ -289,7 +297,8 @@ fn sizes_match<E: Clone + PartialEq>(slices: &[SparseRow<E>], counts: &[u64]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_matrix::{Dist, MinPlus};
+    use crate::filtered_mm::filtered_product;
+    use cc_matrix::{Dist, MinPlus, SparseMatrix};
 
     fn sample() -> SparseMatrix<Dist> {
         let mut m = SparseMatrix::zeros(4);
@@ -316,26 +325,37 @@ mod tests {
         assert_eq!(phases.len(), 2);
     }
 
-    /// [`Operand::from_layouts`] after the counts broadcast it takes.
-    fn from_layouts<'a>(
-        clique: &mut Clique,
-        side: Side,
-        held: &'a [SparseRow<Dist>],
-        opposite: &'a [SparseRow<Dist>],
-    ) -> Operand<'a, Dist> {
-        let counts = layout::broadcast_counts(clique, held, Some(opposite), None).unwrap();
-        Operand::from_layouts(side, held, opposite, counts)
-    }
-
     #[test]
-    fn from_layouts_only_broadcasts_the_counts() {
-        let m = sample();
-        let t = m.transpose();
+    fn prepare_square_transposes_once_and_broadcasts_once() {
+        // X ⋆ X from the rows of X: one transpose gives the columns, and the
+        // column counts carry the row counts in the same words, so both
+        // operands know both layouts and both layouts' counts.
+        let mut m = sample();
+        for v in 0..4 {
+            m.set(v, v, Dist::fin(0));
+        }
+        let cols = m.transpose();
         let mut clique = Clique::new(4);
-        let op = from_layouts(&mut clique, Side::Right, t.rows(), m.rows());
-        assert_eq!(op.prepared().unwrap().counts.per_node(), [1, 2, 0, 1]);
-        assert_eq!(clique.rounds(), 1);
-        assert_eq!(clique.metrics().phases.len(), 1);
+        let (left, right) = Operand::prepare_square::<MinPlus>(&mut clique, m.rows()).unwrap();
+        let phases = &clique.metrics().phases;
+        assert_eq!(phases["transpose/route"].invocations, 1);
+        assert_eq!(phases["counts/all_broadcast"].invocations, 1);
+        assert_eq!(phases.len(), 2);
+        let (row_counts, col_counts) = (&[3, 1, 2, 2][..], &[2, 3, 1, 2][..]);
+        let (l, r) = (left.prepared().unwrap(), right.prepared().unwrap());
+        assert_eq!((l.counts.per_node(), l.opposite_counts()), (row_counts, col_counts));
+        assert_eq!((r.counts.per_node(), r.opposite_counts()), (col_counts, row_counts));
+        assert_eq!((&*l.held, &*l.opposite), (m.rows(), cols.rows()));
+        assert_eq!((&*r.held, &*r.opposite), (cols.rows(), m.rows()));
+        // The filtered square, at the row owners or through the pipeline.
+        for rho in 1..=4 {
+            let expected = m.multiply::<MinPlus>(&m).filtered::<MinPlus>(rho);
+            for owner in [true, false] {
+                let (mut cl, mut x, mut y) = (clique.clone(), left.clone(), right.clone());
+                let square = filtered_product::<MinPlus>(&mut cl, &mut x, &mut y, rho, owner);
+                assert_eq!(SparseMatrix::from_rows(square.unwrap()), expected, "ρ = {rho}");
+            }
+        }
     }
 
     #[test]
@@ -346,7 +366,7 @@ mod tests {
         let m = sample();
         let mut clique = Clique::new(4);
         let row_counts = layout::broadcast_counts(&mut clique, m.rows(), None, None).unwrap();
-        let mut op = Operand::from_opposite(Side::Right, m.rows(), row_counts);
+        let mut op = Operand::from_opposite(m.rows(), row_counts);
         assert!(op.prepared().is_none());
         assert_eq!(op.opposite_known(), Some((m.rows(), &[2, 0, 1, 1][..])));
         assert_eq!(op.ensure_density::<MinPlus>(&mut clique).unwrap(), 1);
@@ -359,7 +379,7 @@ mod tests {
         assert_eq!(phases["counts/all_broadcast"].invocations, 2);
         assert_eq!(phases["transpose/route"].invocations, 1);
         let cols = m.transpose();
-        let both = from_layouts(&mut clique, Side::Right, cols.rows(), m.rows());
+        let both = Operand::prepare::<MinPlus>(&mut clique, Side::Right, cols.rows()).unwrap();
         assert_eq!(op.entries(), both.entries());
     }
 
@@ -368,8 +388,8 @@ mod tests {
         let m = sample();
         let t = m.transpose();
         let mut clique = Clique::new(4);
-        let left = from_layouts(&mut clique, Side::Left, m.rows(), t.rows());
-        let right = from_layouts(&mut clique, Side::Right, t.rows(), m.rows());
+        let left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, m.rows()).unwrap();
+        let right = Operand::prepare::<MinPlus>(&mut clique, Side::Right, t.rows()).unwrap();
         let positions = |op: &Operand<'_, Dist>| {
             let mut p: Vec<(u32, u32)> = op.entries().iter().flatten().map(Entry::pos).collect();
             p.sort_unstable();
@@ -385,9 +405,8 @@ mod tests {
     #[should_panic(expected = "left operand")]
     fn a_product_refuses_two_left_operands() {
         let m = sample();
-        let t = m.transpose();
         let mut clique = Clique::new(4);
-        let mut a = from_layouts(&mut clique, Side::Left, m.rows(), t.rows());
+        let mut a = Operand::prepare::<MinPlus>(&mut clique, Side::Left, m.rows()).unwrap();
         let mut b = a.clone();
         let _ = crate::sparse_multiply_prepared::<MinPlus>(&mut clique, &mut a, &mut b, 1);
     }

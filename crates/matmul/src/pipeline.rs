@@ -128,8 +128,7 @@ pub(crate) fn product<SR: Semiring>(
 /// The owner product, if it fits: node `u` sends row `u` of `T` to every
 /// `v` with `S[v,u] ≠ 0` in one route (`owner/route`), and node `v`
 /// multiplies its row of `S` by the rows it received and its own. A product
-/// that does not fit returns `None` and runs the pipeline. A right operand
-/// that does not know its row counts is never multiplied here.
+/// that does not fit returns `None` and runs the pipeline.
 ///
 /// The choice is [`owner_choice`]'s, asked again after each fact the nodes
 /// learn while it is still open: first the broadcast counts, which bound
@@ -146,36 +145,30 @@ fn owner_product<SR: Semiring>(
     s: &mut Operand<'_, SR::Elem>,
     t: &mut Operand<'_, SR::Elem>,
 ) -> Result<Option<Vec<SparseRow<SR::Elem>>>, MatmulError> {
-    let Some(s_known) = s.prepared() else {
-        unreachable!("a plan that allows the owner product shapes its cube from a prepared S");
-    };
-    let Some((_, t_row_counts)) = t.opposite_known() else {
-        return Ok(None);
-    };
+    let s_known = s.prepared().expect("the cube was shaped from a prepared S");
     let s_counts = &s_known.counts;
-    let counted = s_counts
-        .opposite()
-        .map(|s_cols| Load::from_counts(s_counts.per_node(), s_cols, t_row_counts));
+    let (_, t_row_counts) = t.opposite_known().expect("the cube was shaped from T's counts");
+    let counted = Load::from_counts(s_counts.per_node(), s_known.opposite_counts(), t_row_counts);
     let (n, cost) = (clique.n(), *clique.cost_model());
     let kept = [s.sigma1_placement.is_some(), t.sigma1_placement.is_some()];
     let choose = |t: &Operand<'_, SR::Elem>, load| {
         let t_sizes = t.sizes().expect("a right operand that knows its row counts");
         owner_choice(&cost, shape, [Sizes::held(s_counts), t_sizes], kept, load)
     };
-    let mut choice = counted.and_then(|load| choose(t, load));
+    let mut choice = choose(t, counted);
     let transposed = choice.is_none() && t.prepared().is_none();
     if transposed {
         t.ensure_prepared::<SR>(clique)?;
-        choice = counted.and_then(|load| choose(t, load));
+        choice = choose(t, counted);
     }
     let (t_rows, t_row_counts) = t.opposite_known().expect("preparing keeps the row counts");
     let (s_rows, s_cols) = (s.held(), &s_known.opposite[..]);
     let loads = |sent: &[u64]| -> Vec<u64> {
         (0..n).map(|w| owner_load::<SR>(w, s_rows, s_cols, t_rows, sent)).collect()
     };
-    let (owner, read) = match (choice, counted) {
-        (Some(owner), Some(counted)) => (owner, counted),
-        _ => {
+    let (owner, read) = match choice {
+        Some(owner) => (owner, counted),
+        None => {
             let words =
                 clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads(t_row_counts)))?;
             let words = Load::from_words(&words);
@@ -640,7 +633,7 @@ mod tests {
             let mut left = Operand::unprepared(Side::Left, s.rows());
             let mut right = if by_rows {
                 let counts = layout::broadcast_counts(&mut clique, t.rows(), None, None).unwrap();
-                Operand::from_opposite(Side::Right, t.rows(), counts)
+                Operand::from_opposite(t.rows(), counts)
             } else {
                 Operand::unprepared(Side::Right, t_cols.rows())
             };
@@ -963,7 +956,7 @@ mod tests {
                     .get(&route)
                     .map_or((0, 0), |p| (p.invocations, p.messages));
                 let counts = layout::broadcast_counts(&mut clique, t.rows(), None, None).unwrap();
-                let mut right = Operand::from_opposite(Side::Right, t.rows(), counts);
+                let mut right = Operand::from_opposite(t.rows(), counts);
                 let rows = match filter {
                     None => sparse_product::<MinPlus>(&mut clique, &mut left, &mut right, n, true),
                     Some(rho) => {

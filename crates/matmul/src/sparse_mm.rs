@@ -153,7 +153,6 @@ pub fn sparse_multiply_auto<SR: Semiring>(
 mod tests {
     use super::*;
     use crate::cube::CubeShape;
-    use crate::layout;
     use crate::pipeline::assign_helpers;
     use cc_matrix::{Dist, MinPlus, SparseMatrix};
     use rand::rngs::StdRng;
@@ -281,11 +280,12 @@ mod tests {
         let mut left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
         let mut s_balances = Vec::new();
         for t in &ts {
-            let (t_rows, t_cols) = (t.rows(), t.transpose());
-            let counts = layout::broadcast_counts(&mut clique, t_cols.rows(), None, None).unwrap();
-            let mut right = Operand::from_layouts(Side::Right, t_cols.rows(), t_rows, counts);
+            let t_cols = t.transpose();
+            let mut right =
+                Operand::prepare::<MinPlus>(&mut clique, Side::Right, t_cols.rows()).unwrap();
+            // The pipeline alone: its delivery is what this test pins.
             let rows =
-                sparse_multiply_prepared::<MinPlus>(&mut clique, &mut left, &mut right, n).unwrap();
+                sparse_product::<MinPlus>(&mut clique, &mut left, &mut right, n, false).unwrap();
             assert_eq!(SparseMatrix::from_rows(rows), s.multiply::<MinPlus>(t));
             let phases = &clique.metrics().phases;
             let sorts = phases.get("sparse_mm/deliver_s/balance/sort").map_or(0, |p| p.invocations);
@@ -297,11 +297,11 @@ mod tests {
             assert_eq!(SparseMatrix::from_rows(expected), s.multiply::<MinPlus>(t));
         }
         let phases = &clique.metrics().phases;
-        // Counts: S once, each T once. Transposes: S once (the Ts came with
-        // both layouts). σ1 balancing of S: once. The first cube leaves S in
+        // Counts: S once, each T once. Transposes: S once, each T once,
+        // before its product. σ1 balancing of S: once. The first cube leaves S in
         // place, the second balances it, and the third reuses the placement.
         assert_eq!(phases["counts/all_broadcast"].invocations, 1 + 3);
-        assert_eq!(phases["transpose/route"].invocations, 1);
+        assert_eq!(phases["transpose/route"].invocations, 1 + 3);
         assert!(!phases.contains_key("sparse_mm/transpose/route"));
         assert_eq!(s_balances, [0, 1, 1]);
         // Every T fits as it is held, and no helper is assigned: one deal

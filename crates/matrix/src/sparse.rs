@@ -129,21 +129,6 @@ impl<E: Clone + PartialEq> SparseRow<E> {
         order.sort_unstable();
         self.entries = order.into_iter().map(|i| self.entries[i].clone()).collect();
     }
-
-    /// The cutoff of this row for threshold `rho`: the `rho`-th smallest
-    /// `(value, column)` pair, or the largest if fewer than `rho` entries.
-    ///
-    /// Returns `None` for an empty row. Matches the cutoff definition used by
-    /// Lemma 15.
-    pub fn cutoff<S: OrderedSemiring<Elem = E>>(&self, rho: usize) -> Option<(E, u32)> {
-        if self.entries.is_empty() || rho == 0 {
-            return None;
-        }
-        let mut pairs: Vec<(&E, u32)> = self.entries.iter().map(|(c, v)| (v, *c)).collect();
-        pairs.sort_by(|a, b| S::cmp_elems(a.0, b.0).then(a.1.cmp(&b.1)));
-        let idx = rho.min(pairs.len()) - 1;
-        Some((pairs[idx].0.clone(), pairs[idx].1))
-    }
 }
 
 /// An `n × n` sparse matrix over a semiring, stored row-major.
@@ -367,18 +352,6 @@ mod tests {
             SparseRow::from_entries::<MinPlus>(vec![(2, Dist::fin(5)), (0, Dist::fin(5))]);
         row.filter_smallest::<MinPlus>(1);
         assert_eq!(row.iter().collect::<Vec<_>>(), vec![(0, &Dist::fin(5))]);
-    }
-
-    #[test]
-    fn row_cutoff_matches_filter_boundary() {
-        let row = SparseRow::from_entries::<MinPlus>(vec![
-            (0, Dist::fin(5)),
-            (1, Dist::fin(3)),
-            (2, Dist::fin(5)),
-        ]);
-        assert_eq!(row.cutoff::<MinPlus>(2), Some((Dist::fin(5), 0)));
-        assert_eq!(row.cutoff::<MinPlus>(10), Some((Dist::fin(5), 2)));
-        assert_eq!(SparseRow::<Dist>::new().cutoff::<MinPlus>(3), None);
     }
 
     #[test]

@@ -517,10 +517,9 @@ fn read_sections(payload: &[u8], header: &SnapshotHeader) -> Result<Sections, Or
     Ok(Sections { columns, nearest_landmark, ball_dists, landmarks, ball_offsets, ball_ids })
 }
 
-/// Parses and fully validates the header of a versioned snapshot —
-/// including the payload checksum — **without** building the oracle. This
-/// is how a serving tier inspects "what am I about to swap in?" cheaply
-/// (one linear scan, no allocation proportional to the artifact).
+/// Reconstructs an oracle from a [`to_bytes`] snapshot, validating the
+/// header (magic, version, checksum) and the payload structure (index
+/// bounds, sorted balls, sentinel rules, exact length).
 ///
 /// # Errors
 ///
@@ -531,20 +530,8 @@ fn read_sections(payload: &[u8], header: &SnapshotHeader) -> Result<Sections, Or
 ///   from a different format generation.
 /// * [`OracleError::SnapshotChecksumMismatch`] when the payload does not
 ///   hash to the header's checksum.
-/// * [`OracleError::CorruptSnapshot`] for bad magic, truncation, or
-///   implausible header fields.
-pub fn peek_header(bytes: &[u8]) -> Result<SnapshotHeader, OracleError> {
-    parse_header(bytes, false)
-}
-
-/// Reconstructs an oracle from a [`to_bytes`] snapshot, validating the
-/// header (magic, version, checksum) and the payload structure (index
-/// bounds, sorted balls, sentinel rules, exact length).
-///
-/// # Errors
-///
-/// Everything [`peek_header`] rejects, plus
-/// [`OracleError::CorruptSnapshot`] for structural payload damage.
+/// * [`OracleError::CorruptSnapshot`] for bad magic, truncation,
+///   implausible header fields, or structural payload damage.
 pub fn from_bytes(bytes: &[u8]) -> Result<DistanceOracle, OracleError> {
     Ok(from_bytes_with_header(bytes)?.1)
 }
@@ -563,24 +550,6 @@ pub fn from_bytes_with_header(
     Ok((header, DistanceOracle(slice)))
 }
 
-/// Parses and fully validates the header of a **per-shard** snapshot —
-/// including the checksum over shard fields + payload — without building
-/// the shard. This is how a router tier inspects a shard file (index,
-/// count, set id — [`SnapshotHeader::shard`] is always `Some`) before
-/// deciding to swap it in.
-///
-/// # Errors
-///
-/// * [`OracleError::LegacySnapshot`] for removed v1 bytes.
-/// * [`OracleError::CorruptSnapshot`] for monolithic (`CCOS`) bytes, bad
-///   magic, truncation, an impossible shard plan (`count == 0`,
-///   `count > n`, `index >= count`), or implausible header fields.
-/// * [`OracleError::SnapshotVersionMismatch`] /
-///   [`OracleError::SnapshotChecksumMismatch`] as for [`peek_header`].
-pub fn peek_shard_header(bytes: &[u8]) -> Result<SnapshotHeader, OracleError> {
-    parse_header(bytes, true)
-}
-
 /// Reconstructs one shard from a [`to_shard_bytes`] snapshot, validating
 /// the header and the payload structure (index bounds, sorted balls,
 /// sentinel rules, the owned-range size implied by the recomputed
@@ -588,8 +557,13 @@ pub fn peek_shard_header(bytes: &[u8]) -> Result<SnapshotHeader, OracleError> {
 ///
 /// # Errors
 ///
-/// Everything [`peek_shard_header`] rejects, plus
-/// [`OracleError::CorruptSnapshot`] for structural payload damage.
+/// * [`OracleError::LegacySnapshot`] for removed v1 bytes.
+/// * [`OracleError::SnapshotVersionMismatch`] /
+///   [`OracleError::SnapshotChecksumMismatch`] as for [`from_bytes`].
+/// * [`OracleError::CorruptSnapshot`] for monolithic (`CCOS`) bytes, bad
+///   magic, truncation, an impossible shard plan (`count == 0`,
+///   `count > n`, `index >= count`), implausible header fields, or
+///   structural payload damage.
 pub fn from_shard_bytes(bytes: &[u8]) -> Result<OracleShard, OracleError> {
     Ok(from_shard_bytes_with_header(bytes)?.1)
 }
@@ -640,7 +614,8 @@ mod tests {
     fn header_describes_the_artifact_and_survives_the_trip() {
         let oracle = sample();
         let bytes = to_bytes_created_at(&oracle, 1_753_000_000);
-        let header = peek_header(&bytes).unwrap();
+        let (header, back) = from_bytes_with_header(&bytes).unwrap();
+        assert_eq!(back, oracle);
         assert_eq!(header.n, oracle.n());
         assert_eq!(header.k, oracle.k());
         assert_eq!(header.epsilon, oracle.epsilon());
@@ -649,14 +624,10 @@ mod tests {
         assert_eq!(header.build_rounds, oracle.build_rounds());
         assert_eq!(header.created_unix_secs, 1_753_000_000);
         assert_eq!(header.payload_len as usize, bytes.len() - HEADER_LEN);
-        // from_bytes_with_header agrees with peek_header.
-        let (h2, back) = from_bytes_with_header(&bytes).unwrap();
-        assert_eq!(h2, header);
-        assert_eq!(back, oracle);
         // The build id is the checksum and ignores the write timestamp.
         assert_eq!(header.build_id(), format!("{:016x}", header.checksum));
         assert_eq!(header.checksum, payload_checksum(&oracle));
-        let later = peek_header(&to_bytes_created_at(&oracle, 1_999_999_999)).unwrap();
+        let later = from_bytes_with_header(&to_bytes_created_at(&oracle, 1_999_999_999)).unwrap().0;
         assert_eq!(later.build_id(), header.build_id());
         assert_eq!(format!("{:016x}", payload_checksum(&oracle)), header.build_id());
         // A monolith is slot 0 of a 1-shard plan whose set id is its own.
@@ -746,7 +717,6 @@ mod tests {
     fn legacy_v1_bytes_are_rejected_never_parsed() {
         let legacy = crafted_legacy_bytes();
         assert!(matches!(from_bytes(&legacy), Err(OracleError::LegacySnapshot)));
-        assert!(matches!(peek_header(&legacy), Err(OracleError::LegacySnapshot)));
         // The shard reader names the same problem rather than misreading.
         assert!(matches!(from_shard_bytes(&legacy), Err(OracleError::LegacySnapshot)));
         // Even a bare magic prefix is identified as legacy, not "truncated".
@@ -762,7 +732,8 @@ mod tests {
         let shards = sample_shards(3);
         for shard in &shards {
             let bytes = to_shard_bytes_created_at(shard, 1_753_000_000);
-            let header = peek_shard_header(&bytes).unwrap();
+            let (header, back) = from_shard_bytes_with_header(&bytes).unwrap();
+            assert_eq!(&back, shard);
             assert_eq!(header.n, shard.n());
             assert_eq!(header.k, shard.k());
             assert_eq!(header.epsilon, shard.epsilon());
@@ -775,19 +746,16 @@ mod tests {
             assert_eq!(header.created_unix_secs, 1_753_000_000);
             assert_eq!(header.owned(), shard.owned());
             assert_eq!(header.payload_len as usize, bytes.len() - SHARD_HEADER_LEN);
-            let (h2, back) = from_shard_bytes_with_header(&bytes).unwrap();
-            assert_eq!(h2, header);
-            assert_eq!(&back, shard);
         }
         // Shard build ids are distinct per slice; the set id is shared and
         // equals the monolithic build id; the timestamp changes neither.
-        let ids: Vec<String> = shards
-            .iter()
-            .map(|s| peek_shard_header(&to_shard_bytes_created_at(s, 1)).unwrap().build_id())
-            .collect();
+        let header_at = |shard, secs| {
+            from_shard_bytes_with_header(&to_shard_bytes_created_at(shard, secs)).unwrap().0
+        };
+        let ids: Vec<String> = shards.iter().map(|s| header_at(s, 1).build_id()).collect();
         assert_eq!(ids.len(), 3);
         assert_ne!(ids[0], ids[1]);
-        let later = peek_shard_header(&to_shard_bytes_created_at(&shards[0], 99)).unwrap();
+        let later = header_at(&shards[0], 99);
         assert_eq!(later.build_id(), ids[0]);
         assert_eq!(later.set_build_id(), format!("{:016x}", payload_checksum(&sample())));
     }
@@ -797,7 +765,6 @@ mod tests {
         let mono = to_bytes(&sample());
         let shard = to_shard_bytes(&sample_shards(2)[0]);
         assert!(matches!(from_bytes(&shard), Err(OracleError::ShardSnapshot)));
-        assert!(matches!(peek_header(&shard), Err(OracleError::ShardSnapshot)));
         let err = from_shard_bytes(&mono).unwrap_err();
         assert!(err.to_string().contains("monolithic"), "error must say why: {err}");
     }

@@ -371,7 +371,7 @@ mod tests {
     fn snapshot_info_variants_describe_their_origin() {
         let oracle = build_demo(12, 9, 0.5).unwrap();
         let bytes = cc_oracle::serde::to_bytes_created_at(&oracle, 1_753_000_000);
-        let header = cc_oracle::serde::peek_header(&bytes).unwrap();
+        let (header, _) = cc_oracle::serde::from_bytes_with_header(&bytes).unwrap();
 
         let from_file = SnapshotInfo::from_header(&header, "/tmp/x.snap");
         assert_eq!(from_file.created_unix_secs, 1_753_000_000);
@@ -386,7 +386,8 @@ mod tests {
         // monolithic build id, stable across loads of the same slice.
         let shards = cc_oracle::ShardedArtifact::partition(&oracle, 2).unwrap().into_shards();
         let shard_bytes = cc_oracle::serde::to_shard_bytes_created_at(&shards[0], 7);
-        let shard_header = cc_oracle::serde::peek_shard_header(&shard_bytes).unwrap();
+        let (shard_header, _) =
+            cc_oracle::serde::from_shard_bytes_with_header(&shard_bytes).unwrap();
         let from_shard = SnapshotInfo::from_header(&shard_header, "/tmp/s0.snap");
         assert_ne!(from_shard.build_id, from_file.build_id);
         let built_shard = SnapshotInfo::in_process(shard_checksum(&shards[0]), "x");

@@ -101,8 +101,8 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`], suitable for quantile math,
-/// merging across shards, and rendering.
+/// A point-in-time copy of a [`Histogram`], suitable for merging across
+/// shards and rendering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket counts (not cumulative).
@@ -127,28 +127,6 @@ impl HistSnapshot {
     /// bucket.
     pub fn upper_bound(i: usize) -> u64 {
         bucket_upper_bound(i)
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`), reported as the upper bound of
-    /// the bucket containing that rank — an overestimate by at most 2×.
-    /// Returns 0 for an empty histogram; ranks landing in the overflow
-    /// bucket report `u64::MAX`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the requested quantile, 1-based; q=0 means rank 1.
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper_bound(i);
-            }
-        }
-        u64::MAX
     }
 
     /// Adds another snapshot's buckets and sum into this one
@@ -194,30 +172,6 @@ mod tests {
         assert_eq!(snap.count(), 3);
         // The sum saturates instead of wrapping.
         assert_eq!(snap.sum, u64::MAX);
-        assert_eq!(snap.quantile(0.5), u64::MAX);
-    }
-
-    #[test]
-    fn quantiles_read_bucket_upper_bounds() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record(100); // bucket ub 128
-        }
-        for _ in 0..10 {
-            h.record(5_000); // bucket ub 8192
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.quantile(0.5), 128);
-        assert_eq!(snap.quantile(0.9), 128);
-        assert_eq!(snap.quantile(0.99), 8192);
-        assert_eq!(snap.quantile(1.0), 8192);
-        // Within-2× guarantee: ub/2 < sample <= ub.
-        assert!(snap.quantile(0.5) < 2 * 100);
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_zero() {
-        assert_eq!(Histogram::new().snapshot().quantile(0.99), 0);
     }
 
     #[test]
@@ -242,23 +196,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn quantile_is_monotone_in_q(
-            values in prop::collection::vec(0u64..u64::MAX, 1..200),
-            qa in 0u32..1001,
-            qb in 0u32..1001,
-        ) {
-            let h = Histogram::new();
-            for v in &values {
-                h.record(*v);
-            }
-            let snap = h.snapshot();
-            let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
-            prop_assert!(
-                snap.quantile(lo as f64 / 1000.0) <= snap.quantile(hi as f64 / 1000.0)
-            );
-        }
-
         #[test]
         fn every_sample_lands_in_exactly_one_bucket(
             values in prop::collection::vec(0u64..u64::MAX, 0..200),

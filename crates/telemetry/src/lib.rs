@@ -9,9 +9,11 @@
 //!
 //! * [`Histogram`] — a fixed-bucket, log₂-scaled latency histogram backed
 //!   by an atomic bucket array. `record(ns)` is lock-free and wait-free on
-//!   the hot path; [`HistSnapshot::quantile`] answers p50/p99 from a
-//!   consistent snapshot. Bucket `i` holds values in `(2^(i-1), 2^i]`, so
-//!   a reported quantile is always within 2× of the true value.
+//!   the hot path; a [`HistSnapshot`] is a consistent copy of the buckets,
+//!   which [`render_prometheus`] exposes. Bucket `i` holds values in
+//!   `(2^(i-1), 2^i]`, so a quantile read off a bucket's upper bound — the
+//!   first whose cumulative count reaches the rank — is always within 2× of
+//!   the true value.
 //! * [`Registry`] — a process-wide named collection of [`Counter`]s,
 //!   [`Gauge`]s, and histograms. Registration takes a short lock;
 //!   the handles it returns are plain `Arc`s whose operations are

@@ -89,7 +89,7 @@ fn clique_builder_reproduces_the_golden_build_id() {
     // The clique build differs only in the header-only build_rounds field,
     // so the comparison is the payload checksum (= build id), which covers
     // every landmark, ball, nearest-landmark row, and column byte.
-    let golden = serde::peek_header(&read_golden()).unwrap();
+    let (golden, _) = serde::from_bytes_with_header(&read_golden()).unwrap();
     let g = golden_graph();
     let mut clique = Clique::new(g.n());
     let oracle = OracleBuilder::new().seed(5).build(&mut clique, &g).unwrap();
@@ -98,7 +98,7 @@ fn clique_builder_reproduces_the_golden_build_id() {
         golden.checksum,
         "clique build no longer reproduces the committed artifact"
     );
-    let header = serde::peek_header(&canonical_bytes(&oracle)).unwrap();
+    let (header, _) = serde::from_bytes_with_header(&canonical_bytes(&oracle)).unwrap();
     assert_eq!(header.build_id(), golden.build_id());
 }
 
@@ -114,7 +114,8 @@ fn shard_codec_reproduces_the_golden_shard_bytes_exactly() {
     // it carries is the monolithic golden's build id.
     let (header, shard) = serde::from_shard_bytes_with_header(&golden).unwrap();
     assert_eq!((shard.index(), shard.count(), shard.owned()), (1, 3, 12..24));
-    assert_eq!(header.set_build_id(), serde::peek_header(&read_golden()).unwrap().build_id());
+    let (golden_header, _) = serde::from_bytes_with_header(&read_golden()).unwrap();
+    assert_eq!(header.set_build_id(), golden_header.build_id());
     assert_eq!(serde::to_shard_bytes_created_at(&shard, 0), golden);
 }
 
@@ -187,7 +188,7 @@ fn a_version_2_header_is_refused_not_parsed() {
     let mut bytes = read_golden();
     bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
     assert!(refused(serde::from_bytes(&bytes).unwrap_err()));
-    assert!(refused(serde::peek_header(&bytes[..8]).unwrap_err()));
+    assert!(refused(serde::from_bytes(&bytes[..8]).unwrap_err()));
     let mut shard = read_fixture(GOLDEN_SHARD_PATH, canonical_shard_bytes);
     shard[4..8].copy_from_slice(&2u32.to_le_bytes());
     assert!(refused(serde::from_shard_bytes(&shard).unwrap_err()));

@@ -126,7 +126,6 @@ proptest! {
             bytes.push((state >> 24) as u8);
         }
         prop_assert!(matches!(serde::from_bytes(&bytes), Err(OracleError::LegacySnapshot)));
-        prop_assert!(matches!(serde::peek_header(&bytes), Err(OracleError::LegacySnapshot)));
         prop_assert!(matches!(
             serde::from_shard_bytes(&bytes),
             Err(OracleError::LegacySnapshot)
