@@ -182,7 +182,7 @@ mod tests {
         let g = generators::gnp_weighted(24, 0.2, 9, 4).unwrap();
         let run = diameter_approx(&mut Clique::new(24), &g, 0.25).unwrap();
         assert_eq!(run.estimate, 11);
-        assert_eq!((run.rounds, run.report.messages, run.report.words), (313, 111_401, 123_981));
+        assert_eq!((run.rounds, run.report.messages, run.report.words), (271, 89_576, 98_097));
         let broadcast = &run.report.phases["diameter/all_broadcast"];
         assert_eq!((broadcast.rounds, broadcast.messages, broadcast.invocations), (2, 1104, 2));
     }

@@ -1,6 +1,7 @@
 //! The hop loops as first written — a fixed number of one-shot products on
-//! the augmented weight matrix — kept as the reference the fixpoint loops
-//! must equal, row for row, at no more rounds.
+//! the augmented weight matrix, each by the whole iterate — kept as the
+//! reference the fixpoint and semi-naive loops must equal, row for row, at
+//! no more rounds.
 
 use cc_clique::Clique;
 use cc_graph::{generators, DiGraph, Graph};
@@ -135,18 +136,43 @@ fn source_detection_all_equals_the_fixed_count_loop() {
     }
 }
 
+/// How many entries the reference loop's filter drops from the rows it
+/// held, over its `d − 1` steps: an entry of `x_i` in no column of `x_{i+1}`.
+fn filter_drops(w: &SparseMatrix<AugDist>, sources: &[usize], d: usize, k: usize) -> usize {
+    let mut x = restrict(w, sources).filtered::<AugMinPlus>(k);
+    let mut drops = 0;
+    for _ in 1..d {
+        let next = w.multiply::<AugMinPlus>(&x).filtered::<AugMinPlus>(k);
+        drops += x.entries().filter(|e| next.get(e.row as usize, e.col as usize).is_none()).count();
+        x = next;
+    }
+    drops
+}
+
 #[test]
 fn source_detection_k_equals_the_fixed_count_loop() {
-    for (name, g) in fixtures() {
+    let standard = fixtures().into_iter().map(|(name, g)| {
+        let n = g.n();
+        (name, g, vec![0, 2, n / 2, n - 2], vec![(1, 2), (3, 1), (6, 2), (n, 3)])
+    });
+    // Node 0 holds source 1 (10 away) after one hop and source 3 (2 away)
+    // after two: with k = 1 the filter drops a held entry mid-run, which the
+    // semi-naive loop's minimum must drop as the reference does.
+    let drop = Graph::from_edges(6, [(0, 1, 10), (0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)]);
+    let drop = ("filter_drop", DiGraph::clone(&drop.unwrap()), vec![1, 3], vec![(4, 1)]);
+    for (name, g, sources, cases) in standard.chain([drop]) {
         let (n, w) = (g.n(), g.augmented_weight_matrix());
-        let sources = [0, 2, n / 2, n - 2];
-        for (d, k) in [(1, 2), (3, 1), (6, 2), (n, 3)] {
+        for (d, k) in cases {
+            let what = format!("k, {name}, d={d}, k={k}");
             assert_same(
-                &format!("k, {name}, d={d}, k={k}"),
+                &what,
                 n,
                 |c| source_detection_k(c, &g, &sources, d, k).unwrap(),
                 |c| source_detection_k_fixed(c, &w, &sources, d, k),
             );
+            if name == "filter_drop" {
+                assert!(filter_drops(&w, &sources, d, k) > 0, "{what}: the filter drops nothing");
+            }
         }
     }
 }
@@ -170,7 +196,7 @@ fn k_nearest_equals_the_fixed_count_loop() {
 fn sources_nobody_reaches_exit_after_one_product() {
     // Node 9 is isolated: only its own row ever holds it, the first product
     // returns the hop-1 iterate, and the loop ends there whatever `d` is —
-    // at the second step's counts broadcast, whose flag bits are all 0.
+    // at the second step's counts broadcast, as its frontier is empty.
     let g = Graph::from_edges(10, (0..8).map(|v| (v, v + 1, 1))).unwrap();
     let w = g.augmented_weight_matrix();
     let clique = assert_same(
@@ -182,8 +208,8 @@ fn sources_nobody_reaches_exit_after_one_product() {
     let phase = "source_detection_all";
     assert_eq!(executed(&clique, phase), 1);
     // W's preparation, the first step's row counts, and the second step's
-    // opening. The row owners multiply by the iterate's rows, and the last
-    // step stops on its flag: W is the one matrix transposed.
+    // opening. The row owners multiply by the frontier's rows, and the last
+    // step stops on its counts: W is the one matrix transposed.
     assert_eq!(invocations(&clique, phase, "counts/all_broadcast"), 3);
     assert_eq!(invocations(&clique, phase, "transpose/route"), 1);
     assert_eq!(invocations(&clique, phase, "sparse_mm/owner/route"), 1);
@@ -193,9 +219,8 @@ fn sources_nobody_reaches_exit_after_one_product() {
 #[test]
 fn a_path_runs_every_product_and_pays_no_flag_round() {
     // The case the exit cannot help: hop-d detection from one end of a
-    // path changes a new row in every product, so the bound binds. The
-    // changed bits ride in the counts of steps 2..=30, and no flag follows
-    // step 30.
+    // path changes a new row in every product, so the bound binds. Each
+    // step opens with its frontier's counts, and nothing follows step 30.
     let g = generators::path(32).unwrap();
     let w = g.augmented_weight_matrix();
     let clique = assert_same(
@@ -208,7 +233,7 @@ fn a_path_runs_every_product_and_pays_no_flag_round() {
     assert_eq!(executed(&clique, phase), 30);
     assert_eq!(invocations(&clique, phase, "counts/all_broadcast"), 1 + 30);
     assert_eq!(invocations(&clique, phase, "fixpoint/all_broadcast"), 0);
-    // One source: every iterate holds at most one entry a row, and the row
+    // One source: every frontier holds at most one entry a row, and the row
     // owners multiply by it without a transpose or a load word.
     assert_eq!(invocations(&clique, phase, "sparse_mm/owner/route"), 30);
     assert_eq!(invocations(&clique, phase, "transpose/route"), 1);
@@ -218,9 +243,9 @@ fn a_path_runs_every_product_and_pays_no_flag_round() {
 #[test]
 fn an_asymmetric_w_is_transposed_once_per_detection() {
     // The prepared W really carries its transpose: one transpose for W, and
-    // one for the iterate in each step whose product ran the pipeline or
-    // could not choose from the iterate's row counts; every other step hands
-    // the iterate over by rows and the row owners multiply by them.
+    // one for the frontier in each step whose product ran the pipeline or
+    // could not choose from the frontier's row counts; every other step
+    // hands the frontier over by rows and the row owners multiply by them.
     let (_, g) = fixtures().pop().expect("the digraph fixture");
     let mut clique = Clique::new(g.n());
     let ((), audits) =

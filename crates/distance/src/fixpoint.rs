@@ -1,11 +1,16 @@
 //! The one hop loop: repeat a deterministic step until nothing changes.
 //!
-//! Theorem 19's `U_{i+1} = W ⋆ U_i`, Theorem 18's squarings, the hopset's
-//! levels and the dense-squaring baseline all repeat a step a bounded number
-//! of times, and on most inputs the iterate stops changing long before the
+//! Theorem 18's squarings, the hopset's levels, the exact squaring
+//! baselines and the witnessed paths all repeat a step a bounded number of
+//! times, and on most inputs the iterate stops changing long before the
 //! bound. Since the step is a function of the iterate, `f(x) = x` implies
 //! `fᵏ(x) = x`: stopping at the first fixpoint returns the bound-iteration
 //! output bit for bit.
+//!
+//! Theorem 19's `U_{i+1} = W ⋆ U_i` stops the same way but runs its own
+//! loop, as its step reads only what the last one changed: it multiplies
+//! the frontier, and a frontier with no entry is the fixpoint, which its
+//! row counts show ([`crate::source_detection_all`]).
 //!
 //! Termination is detected inside the model. After each step every node
 //! compares what it now holds with what it held (local, free), and the next

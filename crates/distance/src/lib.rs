@@ -21,11 +21,12 @@
 //!   cited construction \[PY18\] is charged explicitly, as [`hitting_set`]
 //!   states).
 //!
-//! The tools that repeat a product — `k_nearest`'s squarings and source
-//! detection's hops — run through [`fixpoint::iterate_to_fixpoint`]: at most
-//! the theorem's number of products, fewer when the iterate stops changing,
-//! with termination detected by a bit that rides in the next product's
-//! counts broadcast.
+//! The tools that repeat a product stop when the iterate stops changing,
+//! after at most the theorem's number of products. `k_nearest`'s squarings
+//! run through [`fixpoint::iterate_to_fixpoint`], with termination detected
+//! by a bit that rides in the next product's counts broadcast; source
+//! detection's hops are semi-naive — each multiplies only the entries the
+//! last one changed — and stop once the counts of those show none.
 //!
 //! The tools take arcs: [`k_nearest`] and both source detections accept a
 //! [`cc_graph::DiGraph`] with non-negative integer weights, as the paper

@@ -8,24 +8,47 @@
 //! matrix, exploiting that the *output* stays `|S|`-sparse per row; the
 //! dependence on `d` is at most linear — each multiplication must stay
 //! sparse (§1.3), so there are up to `d − 1` of them, fewer when the iterate
-//! reaches its fixpoint first ([`crate::fixpoint`]).
+//! reaches its fixpoint first.
 //!
 //! Distances run along arcs: both variants take a [`DiGraph`], and row `v`
 //! holds distances *from* `v` to the sources; an undirected
 //! [`cc_graph::Graph`] derefs to its symmetric arcs.
 //!
-//! Each hop step is the paper's `W ⋆ U_i`, on the two operand shapes
-//! [`cc_matmul::Operand`] has for it: `W` is the same in every product, so
-//! it is prepared once per detection ([`cc_matmul::Operand::prepare`]); the
-//! iterate comes out of a product by rows and is handed to the next one by
-//! those rows and their broadcast counts
-//! ([`cc_matmul::Operand::from_opposite`]). The row owners multiply by its
-//! rows alone, so only a product that runs the pipeline, or cannot choose
-//! without the column counts, transposes it.
-//! The prepared `W` remembers the rows of `U_i` the row owners were sent,
-//! so the next hop step's route sends only the entries of `U_{i+1}` that
-//! changed, and a tombstone for each one a filter dropped; a step whose
-//! product runs the pipeline sends whole rows again at the next route.
+//! Each hop step is semi-naive. `W`'s diagonal is `(0, 0)`, so the iterate
+//! only ever decreases, and by distributivity `W ⋆ U_i = min(U_i, W ⋆ Δ_i)`,
+//! where `Δ_i` holds the entries of `U_i` that step `i − 1` changed (all of
+//! `U_1` at the first step): an entry of `U_i` outside `Δ_i` is one of
+//! `U_{i−1}`, and its products with `W` are bounded by `U_i = W ⋆ U_{i−1}`
+//! already. So a step
+//! multiplies only its frontier `Δ_i`, and each node then takes the minimum
+//! with the row it holds (local, free). A node changed exactly when its row
+//! of `Δ` is non-empty, so the step opens by broadcasting `Δ_i`'s row
+//! counts, and the loop stops once every count is 0 — at the first fixpoint,
+//! so the output is the bound-iteration output bit for bit.
+//!
+//! The filtered variant keeps the `k` smallest of `min(U_i, P)`, where `P` is
+//! the `k`-filtered `W ⋆ Δ_i`; what `P` drops is beaten by `k` entries of
+//! `P`, so it keeps `f_k(min(U_i, W ⋆ Δ_i))`. That equals Theorem 19's
+//! `U_{i+1} = f_k(W ⋆ U_i)` although `U_i` is itself filtered. Write `D_i`
+//! for the exact hop-`i` distances to the sources; Theorem 19 gives
+//! `U_i = f_k(D_i)`. Every entry of `min(U_i, W ⋆ Δ_i)` is the length of a
+//! path of at most `i + 1` hops, so it is at least `D_{i+1}`'s in its column.
+//! And it holds `D_{i+1}`'s value in each of the `k` columns `f_k(D_{i+1})`
+//! keeps: such a column `c` is reached through a first arc `(v, w)` with `c`
+//! among `w`'s `k` nearest within `i` hops, so `D_{i+1}[v,c] = W[v,w] +
+//! U_i[w,c]`. If `U_i[w,c]` changed at step `i − 1`, `W ⋆ Δ_i` is at most
+//! that sum in column `c`; if not, it is `U_{i−1}[w,c]`, so `D_i[v,c] =
+//! D_{i+1}[v,c]`, which makes `c` one of `v`'s `k` nearest within `i` hops
+//! as well, held in `U_i[v,c]`. The `k` smallest of a row that lies above `D_{i+1}` and
+//! meets it on `f_k(D_{i+1})`'s columns are those columns, so both loops
+//! keep the same rows.
+//!
+//! `W` is the same in every product, so it is prepared once per detection
+//! ([`cc_matmul::Operand::prepare`]); the frontier comes out of the local
+//! minimum by rows and is handed to the product by those rows and their
+//! broadcast counts ([`cc_matmul::Operand::from_opposite`]). The row owners
+//! multiply by its rows alone, so only a product that runs the pipeline, or
+//! cannot choose without the column counts, transposes it.
 
 use cc_clique::Clique;
 use cc_graph::DiGraph;
@@ -33,7 +56,6 @@ use cc_matmul::{layout, Operand, Side};
 use cc_matrix::{AugDist, AugMinPlus, SparseMatrix, SparseRow};
 
 use crate::error::{check_size, invalid};
-use crate::fixpoint::iterate_to_fixpoint;
 use crate::DistanceError;
 
 fn validate(
@@ -79,36 +101,57 @@ pub(crate) fn restrict_to_sources(
 }
 
 /// The hop loop both variants share: `start` is the hop-1 iterate, and each
-/// of the up to `d − 1` steps multiplies the prepared `W` by the current
-/// iterate with `multiply(clique, w, iterate)`.
+/// of the up to `d − 1` steps multiplies the prepared `W` by the frontier
+/// with `multiply(clique, w, frontier)` and takes the minimum with the
+/// iterate, keeping the `keep` smallest entries a row if given.
 fn hop_loop(
     clique: &mut Clique,
     w: &SparseMatrix<AugDist>,
     start: &SparseMatrix<AugDist>,
     d: usize,
+    keep: Option<usize>,
     multiply: impl Fn(
         &mut Clique,
         &mut Operand<'_, AugDist>,
         &mut Operand<'_, AugDist>,
     ) -> Result<Vec<SparseRow<AugDist>>, cc_matmul::MatmulError>,
 ) -> Result<Vec<SparseRow<AugDist>>, DistanceError> {
-    let start = start.rows().to_vec();
+    let mut held = start.rows().to_vec();
     if d == 1 {
-        return Ok(start);
+        return Ok(held);
     }
     let mut w = Operand::prepare::<AugMinPlus>(clique, Side::Left, w.rows())?;
-    iterate_to_fixpoint(clique, start, d - 1, |clique, rows, changed| {
-        // The row counts open the step and carry the changed bits, so the
-        // last step stops before anything else. The iterate is handed over
-        // by rows: the row owners multiply by its rows, and only a product
-        // that needs its columns transposes it.
-        let counts = layout::broadcast_counts(clique, rows, None, changed)?;
-        if counts.flagged() == Some(false) {
-            return Ok(None);
+    let mut frontier = held.clone();
+    for _ in 1..d {
+        // The frontier's row counts open the step: all 0 means no node
+        // changed, and the loop stops before anything else.
+        let counts = layout::broadcast_counts(clique, &frontier, None, None)?;
+        if counts.per_node().iter().all(|&count| count == 0) {
+            break;
         }
-        let mut iterate = Operand::from_opposite(rows, counts);
-        Ok(Some(multiply(clique, &mut w, &mut iterate)?))
-    })
+        let product = multiply(clique, &mut w, &mut Operand::from_opposite(&frontier, counts))?;
+        frontier = held.iter_mut().zip(&product).map(|(row, p)| lower(row, p, keep)).collect();
+    }
+    Ok(held)
+}
+
+/// Node-local: replaces `row` by its minimum with `product`, keeping the
+/// `keep` smallest entries if given, and returns what changed — each entry
+/// of the new row that is absent from the old one or holds another value.
+fn lower(
+    row: &mut SparseRow<AugDist>,
+    product: &SparseRow<AugDist>,
+    keep: Option<usize>,
+) -> SparseRow<AugDist> {
+    let entries = row.iter().chain(product.iter()).map(|(c, v)| (c, *v)).collect();
+    let mut next = SparseRow::from_entries::<AugMinPlus>(entries);
+    if let Some(k) = keep {
+        next.filter_smallest::<AugMinPlus>(k);
+    }
+    let changed = next.iter().filter(|&(c, v)| row.get(c) != Some(v)).map(|(c, v)| (c, *v));
+    let changed = SparseRow::from_sorted(changed.collect());
+    *row = next;
+    changed
 }
 
 /// **Theorem 19 (filtered variant)**: every node learns its `k` nearest
@@ -138,7 +181,7 @@ pub fn source_detection_k(
     clique.with_phase("source_detection_k", |clique| {
         // W_1: the k lightest arcs towards S per node.
         let start = restrict_to_sources(&w, &in_s).filtered::<AugMinPlus>(k);
-        hop_loop(clique, &w, &start, d, |clique, w, x| {
+        hop_loop(clique, &w, &start, d, Some(k), |clique, w, x| {
             cc_matmul::filtered_multiply_prepared::<AugMinPlus>(clique, w, x, k)
         })
     })
@@ -180,7 +223,7 @@ pub fn source_detection_all(
     let rho_hat = sources.len().max(1);
     let w = graph.augmented_weight_matrix();
     clique.with_phase("source_detection_all", |clique| {
-        hop_loop(clique, &w, &restrict_to_sources(&w, &in_s), d, |clique, w, u| {
+        hop_loop(clique, &w, &restrict_to_sources(&w, &in_s), d, None, |clique, w, u| {
             cc_matmul::sparse_multiply_prepared::<AugMinPlus>(clique, w, u, rho_hat)
         })
     })
@@ -189,6 +232,7 @@ pub fn source_detection_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_clique::CostModel;
     use cc_graph::{generators, reference, Graph};
 
     fn check_all_against_reference(g: &Graph, sources: &[usize], d: usize) {
@@ -227,6 +271,46 @@ mod tests {
         let g = generators::path(10).unwrap();
         check_all_against_reference(&g, &[0, 9], 3);
         check_all_against_reference(&g, &[5], 9);
+    }
+
+    #[test]
+    fn a_hop_step_in_the_pipeline_multiplies_only_the_frontier() {
+        // A route costs 16 rounds a unit under the conservative cost model,
+        // so on a weighted gnp(32, 8/32) with every node a source the second
+        // hop step runs the pipeline, which transposes its right operand.
+        // The transpose routes one message per entry, so it shows what the
+        // step multiplied: the frontier Δ_i, the entries of U_i the step
+        // before changed, and not the whole iterate U_i.
+        let (n, d) = (32, 32);
+        let g = generators::gnp_weighted(n, 8.0 / 32.0, 40, 42).unwrap();
+        let sources: Vec<usize> = (0..n).collect();
+        let mut clique = Clique::with_cost_model(n, CostModel::conservative());
+        let (rows, audits) =
+            cc_matmul::audit(|| source_detection_all(&mut clique, &g, &sources, d).unwrap());
+        assert!(audits.iter().any(|a| !a.owner), "some hop step runs the pipeline");
+        // U_1, then U_{i+1} = W ⋆ U_i on the host, one step per product.
+        let w = g.augmented_weight_matrix();
+        let in_s: Vec<bool> = (0..n).map(|v| sources.contains(&v)).collect();
+        let mut iterate = restrict_to_sources(&w, &in_s);
+        let mut frontier = iterate.nnz();
+        let [mut frontiers, mut iterates] = [0; 2];
+        for product in &audits {
+            if product.transposed || !product.owner {
+                frontiers += frontier;
+                iterates += iterate.nnz();
+            }
+            let next = w.multiply::<AugMinPlus>(&iterate);
+            let changed = |e: &cc_matrix::Entry<AugDist>| {
+                iterate.get(e.row as usize, e.col as usize) != Some(&e.val)
+            };
+            frontier = next.entries().filter(changed).count();
+            iterate = next;
+        }
+        assert_eq!(SparseMatrix::from_rows(rows), iterate);
+        let phases = &clique.metrics().phases;
+        let routed = phases["source_detection_all/sparse_mm/transpose/route"].messages;
+        assert_eq!(routed, frontiers as u64, "the transposes routed the frontiers");
+        assert!(frontiers < iterates, "{frontiers} frontier entries, {iterates} iterate entries");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | step | licensed by | Theorem 8 | Theorem 14 | dense | phase label |
 //! |------|-------------|-----------|------------|-------|-------------|
 //! | prepare operands | §2.1 | unless prepared; a right operand handed over by rows only if the pipeline runs or its row counts cannot choose | same | — | `counts`, `transpose` |
-//! | owner product, if it fits (then no later step runs) | Lenzen routing | yes; one rule asked after each fact, load words only where the counts straddle the floor; routes only what changed since `S`'s last owner route | same, then the final row filter | — | `owner/loads`, `owner/route` |
+//! | owner product, if it fits (then no later step runs) | Lenzen routing | yes; one rule asked after each fact, load words only where the counts straddle the floor; routes whole rows of `T` | same, then the final row filter | — | `owner/loads`, `owner/route` |
 //! | cube partition | Lemma 9 | for `ρ̂`, free if `c = 1` | for `ρ`, free if `c = 1` | uniform, free | `cube/*` |
 //! | `σ1` delivery | Lemmas 10 + 11, balancing only the sides whose balance pays | yes | yes | yes, plus a count broadcast per side | `deliver_s/balance/sort`, `deliver_t/balance/sort`, `deliver/{balance,fanout}/route`; dense: `deliver_{s,t}/counts` |
 //! | local products | free | yes | yes | yes | — |
@@ -50,23 +50,19 @@
 //! first floor only if it surely runs and toward the second unless it
 //! surely does not. Only a product the counts straddle broadcasts the load
 //! words, and those always settle it. A right operand handed over by rows
-//! ([`Operand::from_opposite`]: source detection's iterate) reaches the
+//! ([`Operand::from_opposite`]: source detection's frontier) reaches the
 //! owner route without its columns, which the route does not read; it is
 //! transposed, and its column counts broadcast, only if the pipeline runs
 //! or the floor needs them to decide.
 //! Products that do not fit — a dense square, the hopset's k-nearest
 //! squarings — run the pipeline unchanged.
 //!
-//! Row `u` of `T` goes to the same nodes in every product with the same
-//! `S`, so a left [`Operand`] remembers the rows its last owner route
-//! delivered, and the next one sends, per row, only the entries that
-//! changed and a zero — a tombstone — for each entry now absent, or the
-//! whole row where that is no shorter; the broadcast row counts tell a
-//! receiver which it got. Theorem 19's hop steps multiply one prepared `W`
-//! by an iterate that changes little from step to step, so most of their
-//! routes shrink to what changed. The choice still reads whole rows, which
-//! bound the route from above. A product that runs the pipeline empties
-//! the memory, so the next route sends whole rows.
+//! The route always sends whole rows of `T`. Theorem 19's hop steps keep
+//! it short by what they hand over: not the iterate `U_i` but its frontier
+//! `Δ_i`, the entries the last step changed, which they multiply by one
+//! prepared `W` and fold into `U_i` locally (`cc_distance`'s source
+//! detection). So the choice's counts, the route and, where the pipeline
+//! runs, its cube all see the frontier.
 //!
 //! Lemma 12's helpers (and Lemma 16's) pay only where they lower the
 //! summation's largest load: every node is already a subtask node, so a
@@ -118,7 +114,7 @@
 //!   as Theorem 19's `W`, prepared once (one transpose, one counts
 //!   broadcast);
 //! * [`Operand::from_opposite`]: a right operand held by rows with their
-//!   broadcast counts, such as Theorem 19's iterate `U_i`;
+//!   broadcast counts, such as the frontier `Δ_i` of Theorem 19's iterate;
 //! * [`Operand::prepare_square`]: both operands of `X ⋆ X`, such as Theorem
 //!   18's squarings, from one transpose and one counts broadcast.
 //!

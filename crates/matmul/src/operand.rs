@@ -11,22 +11,17 @@
 //!
 //! * [`Operand::prepare`], either side, from the layout the side starts in:
 //!   one transpose and one counts broadcast. A caller that multiplies by the
-//!   same matrix again — the `W` of Theorem 19's `W ⋆ U_i` — pays for it
+//!   same matrix again — the `W` of Theorem 19's `W ⋆ Δ_i` — pays for it
 //!   once.
 //! * [`Operand::from_opposite`], a right operand held by rows with their
-//!   broadcast counts: the iterate `U_i`, which comes out of a product by
+//!   broadcast counts: the frontier `Δ_i` of Theorem 19's iterate — the
+//!   entries the last hop step changed — which comes out of a product by
 //!   rows. It is transposed only by a product that reads its columns.
 //! * [`Operand::prepare_square`], both operands of `X ⋆ X` — Theorem 18's
 //!   squarings — from one transpose and one counts broadcast.
 //!
 //! Every prepared operand knows both layouts' slice sizes, so the owner
 //! product can always weigh its route from the counts.
-//!
-//! A left operand also remembers the rows of the last right operand that
-//! the row owners multiplied it by: row `u` went to every `v` with
-//! `S[v,u] ≠ 0`, so a later owner route with the same `S` sends only what
-//! changed in each row — in Theorem 19, what `U_{i+1}` changed of `U_i`. A
-//! product that runs the pipeline delivers no rows, and empties the memory.
 
 use std::borrow::Cow;
 
@@ -63,12 +58,6 @@ pub struct Operand<'a, E: Clone> {
     /// from the broadcast counts; a delivery that leaves the operand where it
     /// is held keeps nothing, and the next one decides again.
     pub(crate) sigma1_placement: Option<PerNode<E>>,
-    /// What the row owners of a left operand remember: the rows of the last
-    /// right operand an owner route delivered, as they rebuilt them. Row `u`
-    /// is known to node `u` and to every `v` with `S[v,u] ≠ 0`, the nodes it
-    /// was routed to, so the next owner route sends only what changed in it.
-    /// Empty until an owner route runs, and emptied when the pipeline runs.
-    pub(crate) routed: Vec<SparseRow<E>>,
 }
 
 /// What the nodes hold of an operand and what broadcasts told them of it.
@@ -154,8 +143,8 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         Ok((Operand::new(Side::Left, left), Operand::new(Side::Right, right)))
     }
 
-    /// A right operand the nodes hold in the opposite layout only — an
-    /// iterate that came out of a product by rows — whose slice sizes they
+    /// A right operand the nodes hold in the opposite layout only — a hop
+    /// step's frontier, held by rows — whose slice sizes they
     /// broadcast: `counts` is what [`layout::broadcast_counts`] returned for
     /// `opposite`. No communication.
     ///
@@ -176,7 +165,7 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
     }
 
     fn new(side: Side, known: Known<'a, E>) -> Self {
-        Operand { side, known, sigma1_placement: None, routed: Vec::new() }
+        Operand { side, known, sigma1_placement: None }
     }
 
     /// What the nodes know about both layouts, after telling them as

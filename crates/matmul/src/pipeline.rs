@@ -135,9 +135,7 @@ pub(crate) fn product<SR: Semiring>(
 /// the route's load; then, for a right operand handed over by rows, its
 /// columns and their counts (a transpose and a counts broadcast, which the
 /// pipeline needs anyway), which pin the pipeline's floor; and last every
-/// node's load word (`owner/loads`), which settle it. Both read whole rows
-/// of `T`; the route sends only what changed since the rows `S` remembers
-/// ([`owner_rows`]), which the choice's bound bounds from above.
+/// node's load word (`owner/loads`), which settle it.
 fn owner_product<SR: Semiring>(
     clique: &mut Clique,
     plan: &Plan<'_, SR::Elem>,
@@ -163,27 +161,25 @@ fn owner_product<SR: Semiring>(
     }
     let (t_rows, t_row_counts) = t.opposite_known().expect("preparing keeps the row counts");
     let (s_rows, s_cols) = (s.held(), &s_known.opposite[..]);
-    let loads = |sent: &[u64]| -> Vec<u64> {
-        (0..n).map(|w| owner_load::<SR>(w, s_rows, s_cols, t_rows, sent)).collect()
+    let loads = || -> Vec<u64> {
+        (0..n).map(|w| owner_load::<SR>(w, s_rows, s_cols, t_rows, t_row_counts)).collect()
     };
     let (owner, read) = match choice {
         Some(owner) => (owner, counted),
         None => {
-            let words =
-                clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads(t_row_counts)))?;
+            let words = clique.with_phase("owner/loads", |cl| cl.all_broadcast(loads()))?;
             let words = Load::from_words(&words);
             (choose(t, words).expect("the load words settle the choice"), words)
         }
     };
     let rows = if owner {
         let before = clique.rounds();
-        let (rows, sent) =
-            owner_rows::<SR>(clique, s_rows, s_cols, t_rows, t_row_counts, &s.routed)?;
+        let rows = owner_rows::<SR>(clique, s_rows, s_cols, t_rows)?;
         let charged = clique.rounds() - before;
         debug_assert_eq!(
             charged,
-            Load::from_words(&loads(&sent)).route(&cost, n as u64)[1],
-            "the route charged what its load words, counted in the rows it sent, predict"
+            Load::from_words(&loads()).route(&cost, n as u64)[1],
+            "the route charged what its load words predict"
         );
         debug_assert!(charged <= read.route(&cost, n as u64)[1], "the choice bounded the route");
         Some(rows)
@@ -196,7 +192,7 @@ fn owner_product<SR: Semiring>(
         let (mut scratch, mut t) = (clique.clone(), t.clone());
         let t_counts = &t.ensure_prepared::<SR>(&mut scratch)?.counts;
         let exact = [Sizes::held(s_counts), Sizes::held(t_counts)];
-        let load = Load::from_words(&loads(t_row_counts));
+        let load = Load::from_words(&loads());
         let floor = pipeline_floor(&cost, shape, exact, kept, load.summed == Some(true));
         let before = scratch.rounds();
         let ran = pipeline::<SR>(&mut scratch, plan, shape, &mut s.clone(), &mut t);
@@ -211,74 +207,47 @@ fn owner_product<SR: Semiring>(
         };
         AUDIT.with(|audit| audit.borrow_mut().as_mut().map(|records| records.push(record)));
     }
-    if owner {
-        s.routed = t_rows.to_vec();
-    }
     Ok(rows)
 }
 
 /// Node `w`'s owner load word, from what it holds — row `w` of `S`, column
-/// `w` of `S` and row `w` of `T` — and how many entries each node sends of
-/// its row of `T`, `sent` (the broadcast row counts of `T`, for whole
-/// rows): the larger of what it sends (`sent[w]` to every other `v` with
-/// `S[v,w] ≠ 0`) and what it receives (`sent[u]` from every other `u` with
-/// `S[w,u] ≠ 0`), in entries of one word each, with [`FLAG_BIT`] raised if
-/// some product `S[v,w]·T[w,x]` is non-zero.
+/// `w` of `S` and row `w` of `T` — and the broadcast row counts of `T`: the
+/// larger of what it sends (its row of `T` to every other `v` with
+/// `S[v,w] ≠ 0`) and what it receives (row `u` of `T` from every other `u`
+/// with `S[w,u] ≠ 0`), in entries of one word each, with [`FLAG_BIT`] raised
+/// if some product `S[v,w]·T[w,x]` is non-zero.
 fn owner_load<SR: Semiring>(
     w: NodeId,
     s_rows: &[SparseRow<SR::Elem>],
     s_cols: &[SparseRow<SR::Elem>],
     t_rows: &[SparseRow<SR::Elem>],
-    sent: &[u64],
+    t_row_counts: &[u64],
 ) -> u64 {
     let (s_col, t_row) = (&s_cols[w], &t_rows[w]);
     let me = w as u32;
     let targets = s_col.nnz() - usize::from(s_col.get(me).is_some());
-    let send = targets as u64 * sent[w];
-    let recv: u64 = s_rows[w].iter().filter(|&(u, _)| u != me).map(|(u, _)| sent[u as usize]).sum();
+    let send = targets as u64 * t_row_counts[w];
+    let recv: u64 =
+        s_rows[w].iter().filter(|&(u, _)| u != me).map(|(u, _)| t_row_counts[u as usize]).sum();
     let non_zero =
         s_col.iter().any(|(_, a)| t_row.iter().any(|(_, b)| !SR::is_zero(&SR::mul(a, b))));
     send.max(recv) | if non_zero { FLAG_BIT } else { 0 }
 }
 
-/// The rows of `S ⋆ T` at their owners, and how many entries each node sent
-/// of its row of `T`.
-type Routed<E> = (Vec<SparseRow<E>>, Vec<u64>);
-
-/// The owner route and the local rows. Row `u` of `T` goes to the same
-/// nodes in every product with this `S`, so if they were sent row `u` as
-/// `routed[u]` before, node `u` sends only the entries that differ from it,
-/// and a zero — a tombstone — for each of its columns now absent; where
-/// that is no shorter than the row, or nothing was routed, it sends the
-/// whole row. A receiver tells the two apart by the number of entries, as
-/// the broadcast row counts of `T` say how long the whole row is. Node `v`
-/// rebuilds each row it reads and computes row `v` of `S ⋆ T` as
-/// `SparseMatrix::multiply` does, with its own row of `T`. Returns the rows
-/// and how many entries each node sent of its row.
+/// The owner route and the local rows: node `u` sends its row of `T` whole
+/// to every `v ≠ u` with `S[v,u] ≠ 0`, and node `v` computes row `v` of
+/// `S ⋆ T` as `SparseMatrix::multiply` does, with its own row of `T`.
 fn owner_rows<SR: Semiring>(
     clique: &mut Clique,
     s_rows: &[SparseRow<SR::Elem>],
     s_cols: &[SparseRow<SR::Elem>],
     t_rows: &[SparseRow<SR::Elem>],
-    t_row_counts: &[u64],
-    routed: &[SparseRow<SR::Elem>],
-) -> Result<Routed<SR::Elem>, MatmulError> {
+) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
     let mut msgs = Vec::new();
-    let mut sent = vec![0; t_rows.len()];
     for (u, (s_col, t_row)) in s_cols.iter().zip(t_rows.iter()).enumerate() {
-        let targets: Vec<usize> =
-            s_col.iter().map(|(v, _)| v as usize).filter(|&v| v != u).collect();
-        if targets.is_empty() {
-            continue;
-        }
-        let update = match routed.get(u).map(|old| changes::<SR>(old, t_row)) {
-            Some(delta) if delta.len() < t_row.nnz() => delta,
-            _ => t_row.iter().map(|(x, val)| (x, val.clone())).collect(),
-        };
-        sent[u] = update.len() as u64;
-        for v in targets {
-            for (x, val) in &update {
-                msgs.push(Envelope::new(u, v, Entry::new(u as u32, *x, val.clone())));
+        for v in s_col.iter().map(|(v, _)| v as usize).filter(|&v| v != u) {
+            for (x, val) in t_row.iter() {
+                msgs.push(Envelope::new(u, v, Entry::new(u as u32, x, val.clone())));
             }
         }
     }
@@ -293,49 +262,20 @@ fn owner_rows<SR: Semiring>(
                 acc.extend(t_rows[v].iter().map(|(x, b)| (x, SR::mul(a, b))));
             }
             // Inboxes arrive in sender order, as `S`'s row lists them.
-            let mut from = inbox.chunk_by(|x, y| x.src == y.src).peekable();
-            for (u, a) in s_row.iter().filter(|&(u, _)| u as usize != v) {
-                let got = from.next_if(|got| got[0].src == u as usize).unwrap_or_default();
-                if got.len() as u64 != t_row_counts[u as usize] {
-                    // A delta: the remembered row, less what it replaces.
-                    let replaced = |x| got.binary_search_by_key(&x, |env| env.payload.col).is_ok();
-                    let old = routed[u as usize].iter().filter(|&(x, _)| !replaced(x));
-                    acc.extend(old.map(|(x, b)| (x, SR::mul(a, b))));
-                }
-                let live = got.iter().map(|env| &env.payload).filter(|e| !SR::is_zero(&e.val));
-                acc.extend(live.map(|e| (e.col, SR::mul(a, &e.val))));
+            for got in inbox.chunk_by(|x, y| x.src == y.src) {
+                let a = s_row.get(got[0].src as u32).expect("row u of T went where S[v,u] ≠ 0");
+                acc.extend(got.iter().map(|env| (env.payload.col, SR::mul(a, &env.payload.val))));
             }
-            debug_assert!(
-                from.next().is_none(),
-                "row u of T was sent only where S[v,u] is non-zero"
-            );
             SparseRow::from_entries::<SR>(acc)
         })
         .collect();
-    Ok((rows, sent))
-}
-
-/// What changed from row `old` to row `new`, in column order: each entry of
-/// `new` whose value differs from `old`'s in its column, and a zero for each
-/// column of `old` that `new` lacks.
-fn changes<SR: Semiring>(
-    old: &SparseRow<SR::Elem>,
-    new: &SparseRow<SR::Elem>,
-) -> Vec<(u32, SR::Elem)> {
-    let mut out: Vec<(u32, SR::Elem)> = new
-        .iter()
-        .filter(|&(x, val)| old.get(x) != Some(val))
-        .map(|(x, val)| (x, val.clone()))
-        .collect();
-    out.extend(old.iter().filter(|&(x, _)| new.get(x).is_none()).map(|(x, _)| (x, SR::zero())));
-    out.sort_unstable_by_key(|&(x, _)| x);
-    out
+    Ok(rows)
 }
 
 /// The pipeline on the cube of `shape`: cube → σ1 delivery → local
 /// products → thinning → helper assignment → σ2 delivery and
 /// responsibility split, if they lower the summation's largest load →
-/// summation. It empties what `S` remembers of owner routes.
+/// summation.
 fn pipeline<SR: Semiring>(
     clique: &mut Clique,
     plan: &Plan<'_, SR::Elem>,
@@ -344,8 +284,6 @@ fn pipeline<SR: Semiring>(
     t: &mut Operand<'_, SR::Elem>,
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError> {
     let n = clique.n();
-    // No owner route delivers this product's right operand.
-    s.routed.clear();
     // Lemma 9: globally known cube partition.
     let cube = match plan.cube_density {
         Some(_) => {
@@ -865,115 +803,6 @@ mod tests {
         let early = words(early);
         assert!(early[x] > loads[x], "x's word: {} before, {} after", loads[x], early[x]);
         assert_eq!(choices(&[early]), [Some(false)], "the perturbation is material");
-    }
-
-    #[test]
-    fn an_owner_route_sends_only_what_changed_since_the_last() {
-        // One prepared S times T1, T2 and T3 in turn, each handed over by
-        // rows as source detection hands over its iterate; then a pipeline
-        // product, and T3 again. S holds its diagonal and two more entries a
-        // column, so every row of T goes to two other nodes. T2 lowers the
-        // diagonal of the even rows and adds an entry to every third row;
-        // T3 drops an entry from rows 1, 9 and 13, as a filter does, empties
-        // row 5 and replaces row 7. A route after the first sends, per row,
-        // what changed (a tombstone for each dropped entry), or the whole
-        // row where that is no shorter: rows 5 and 7 of T3. The pipeline
-        // empties what S remembers, so the last route sends whole rows.
-        let n = 16;
-        let fin = |v: usize| Dist::fin(v as u64);
-        let mut s = SparseMatrix::<Dist>::identity::<MinPlus>(n);
-        for v in 0..n {
-            s.set(v, (v + 1) % n, fin(2));
-            s.set(v, (v + 3) % n, fin(3));
-        }
-        let mut t1 = SparseMatrix::<Dist>::zeros(n);
-        for u in 0..n {
-            for k in 0..4 {
-                t1.set(u, (u + 2 * k) % n, fin(u + k + 10));
-            }
-        }
-        let mut t2 = t1.clone();
-        for u in 0..n {
-            if u % 2 == 0 {
-                t2.set(u, u, fin(u + 5));
-            }
-            if u % 3 == 0 {
-                t2.set(u, (u + 1) % n, fin(1));
-            }
-        }
-        let t3_rows = t2.rows().iter().enumerate().map(|(u, row)| match u {
-            5 => SparseRow::new(),
-            7 => SparseRow::from_sorted(vec![(8, fin(1)), (10, fin(1))]),
-            1 | 9 | 13 => SparseRow::from_sorted(
-                row.iter()
-                    .filter(|&(x, _)| x as usize != (u + 6) % n)
-                    .map(|(x, v)| (x, *v))
-                    .collect(),
-            ),
-            _ => row.clone(),
-        });
-        let t3 = SparseMatrix::from_rows(t3_rows.collect());
-        let whole = |t: &SparseMatrix<Dist>| 2 * t.nnz() as u64;
-        // Per row: T2 changes [u even] + [3 | u] entries; T3 drops one entry
-        // of rows 1, 9 and 13 and sends row 7 whole (2 entries), row 5 whole
-        // (none).
-        let t2_changes: usize =
-            (0..n).map(|u| usize::from(u % 2 == 0) + usize::from(u % 3 == 0)).sum();
-        let expected = [whole(&t1), 2 * t2_changes as u64, 2 * (3 + 2), whole(&t3)];
-
-        for filter in [None, Some(3)] {
-            let label = if filter.is_some() { "filtered_mm" } else { "sparse_mm" };
-            let mut clique = Clique::new(n);
-            let mut left = Operand::prepare::<MinPlus>(&mut clique, Side::Left, s.rows()).unwrap();
-            let mut sent = Vec::new();
-            for (step, t) in [&t1, &t2, &t3, &t3].into_iter().enumerate() {
-                if step == 3 {
-                    // A pipeline product of the same S, which clears the memory.
-                    let t_cols = t1.transpose();
-                    let mut right = Operand::unprepared(Side::Right, t_cols.rows());
-                    match filter {
-                        None => {
-                            sparse_product::<MinPlus>(&mut clique, &mut left, &mut right, n, false)
-                        }
-                        Some(rho) => filtered_product::<MinPlus>(
-                            &mut clique,
-                            &mut left,
-                            &mut right,
-                            rho,
-                            false,
-                        ),
-                    }
-                    .unwrap();
-                    assert!(
-                        left.routed.is_empty(),
-                        "{label}: the pipeline clears what S remembers"
-                    );
-                }
-                let route = format!("{label}/owner/route");
-                let before = clique
-                    .metrics()
-                    .phases
-                    .get(&route)
-                    .map_or((0, 0), |p| (p.invocations, p.messages));
-                let counts = layout::broadcast_counts(&mut clique, t.rows(), None, None).unwrap();
-                let mut right = Operand::from_opposite(t.rows(), counts);
-                let rows = match filter {
-                    None => sparse_product::<MinPlus>(&mut clique, &mut left, &mut right, n, true),
-                    Some(rho) => {
-                        filtered_product::<MinPlus>(&mut clique, &mut left, &mut right, rho, true)
-                    }
-                }
-                .unwrap();
-                let product = s.multiply::<MinPlus>(t);
-                let product =
-                    filter.map_or(product.clone(), |rho| product.filtered::<MinPlus>(rho));
-                assert_eq!(SparseMatrix::from_rows(rows), product, "{label}, step {step}");
-                let after = &clique.metrics().phases[&route];
-                assert_eq!(after.invocations, before.0 + 1, "{label}, step {step}: at the owners");
-                sent.push(after.messages - before.1);
-            }
-            assert_eq!(sent, expected, "{label}: entries routed per product");
-        }
     }
 
     /// What the pipeline's sparse product at `rho_hat` sees of `S ⋆ T` when
