@@ -26,7 +26,8 @@
 //!   sorted in `O(1)` rounds, with node `i` receiving the `i`-th batch;
 //!   `L > n` words per node are charged `ceil(L/n)`.
 //! * [`Clique::charge`] — explicit round charge for a primitive whose cost is
-//!   cited from the literature (Lemma 4 hitting sets, the spanner
+//!   cited from the literature (Lemma 4 hitting sets where `k > 2·ln n` —
+//!   below that the set is every node and nothing is charged — the spanner
 //!   baseline's construction, diameter's `N_k(w)` announcement).
 //!
 //! Every primitive *physically moves the data* (so algorithms cannot cheat),

@@ -28,7 +28,7 @@ use cc_matrix::{AugDist, Dist, MinPlus, SparseRow};
 
 use crate::mssp::mssp;
 use crate::run::Stopwatch;
-use crate::ApspRun;
+use crate::{ApspRun, MsspRun};
 
 /// Dense estimate matrix: `est[u][v]`, `INF` = unknown.
 struct Estimates {
@@ -104,6 +104,10 @@ fn through_sets(
 /// Landmark phase: `(1+ε)` MSSP from the hitting set, broadcast of
 /// `(p(v), d(v, p(v)))`, and the two-sided landmark combination
 /// `δ(u,v) ← min(d(u,p(u)) + d̃(p(u),v), d(v,p(v)) + d̃(p(v),u))`.
+///
+/// Where every node is a landmark (Lemma 4's `k ≤ 2·ln n`), `p(v) = v` at
+/// distance 0 for every `v`, and every node knows that from `|A| = n`
+/// (Lemma 4's output is global), so nothing is broadcast.
 fn landmark_phase(
     clique: &mut Clique,
     graph: &Graph,
@@ -117,22 +121,41 @@ fn landmark_phase(
         return Ok(());
     }
     let run = mssp(clique, graph, &landmarks.members, epsilon)?;
+    let pinfo = if landmarks.len() == n {
+        let own: Vec<(u64, u64)> = (0..n as u64).map(|v| (v, 0)).collect();
+        debug_assert_eq!(own, closest_landmarks(near, landmarks));
+        own
+    } else {
+        // 2 words per node, one all-broadcast.
+        let pinfo = closest_landmarks(near, landmarks);
+        clique.with_phase("landmark_bcast", |cl| cl.all_broadcast(pinfo))?
+    };
+    through_landmarks(&run, &pinfo, est);
+    Ok(())
+}
+
+/// A node with no landmark in its row has `p(v) = NO_LANDMARK` (landmark ids
+/// are `< n`, so the marker cannot collide).
+const NO_LANDMARK: u64 = u64::MAX;
+
+/// Each node's `(p(v), d(v, p(v)))` from its own `k`-nearest row.
+fn closest_landmarks(near: &[SparseRow<AugDist>], landmarks: &HittingSet) -> Vec<(u64, u64)> {
+    near.iter()
+        .map(|row| match landmarks.closest_in_row(row) {
+            Some((p, a)) => (p as u64, a.dist),
+            None => (NO_LANDMARK, NO_LANDMARK),
+        })
+        .collect()
+}
+
+/// The MSSP distances to the landmarks, and every pair through `p(v)`.
+fn through_landmarks(run: &MsspRun, pinfo: &[(u64, u64)], est: &mut Estimates) {
+    let n = pinfo.len();
     for v in 0..n {
         for (i, &a) in run.sources.iter().enumerate() {
             est.improve(v, a, run.dist[v][i]);
         }
     }
-    // p(v) and d(v, p(v)): 2 words per node, one all-broadcast. A node with
-    // no landmark in its row broadcasts `NO_LANDMARK` (landmark ids are
-    // `< n`, so the marker cannot collide).
-    const NO_LANDMARK: u64 = u64::MAX;
-    let pinfo: Vec<(u64, u64)> = (0..n)
-        .map(|v| match landmarks.closest_in_row(&near[v]) {
-            Some((p, a)) => (p as u64, a.dist),
-            None => (NO_LANDMARK, NO_LANDMARK),
-        })
-        .collect();
-    let pinfo = clique.with_phase("landmark_bcast", |cl| cl.all_broadcast(pinfo))?;
     let src_index = |a: usize| run.sources.iter().position(|&s| s == a);
     for v in 0..n {
         let (p, dp) = pinfo[v];
@@ -145,7 +168,6 @@ fn landmark_phase(
             est.improve(u, v, via);
         }
     }
-    Ok(())
 }
 
 fn validate(clique: &Clique, graph: &Graph, epsilon: f64) -> Result<(), DistanceError> {
@@ -462,6 +484,35 @@ mod tests {
         }
         for v in 0..20 {
             assert_eq!(run.dist[v][v], Dist::ZERO);
+        }
+    }
+
+    /// `weighted_3eps`'s phases with `(p(v), d(v, p(v)))` broadcast whatever
+    /// `|A|` is.
+    fn broadcasting_3eps(g: &Graph, epsilon: f64) -> Vec<Vec<Dist>> {
+        let mut clique = Clique::new(g.n());
+        let k = (g.n() as f64).sqrt().ceil() as usize;
+        let mut est = Estimates::from_graph(g);
+        let near = ball_phase(&mut clique, g, k, &mut est).unwrap();
+        let sets: Vec<Vec<usize>> =
+            near.iter().map(|r| r.iter().map(|(c, _)| c as usize).collect()).collect();
+        let landmarks = hitting_set(&mut clique, &sets, k, 0xA5).unwrap();
+        let run = mssp(&mut clique, g, &landmarks.members, epsilon / 2.0).unwrap();
+        let pinfo = clique.all_broadcast(closest_landmarks(&near, &landmarks)).unwrap();
+        through_landmarks(&run, &pinfo, &mut est);
+        est.d
+    }
+
+    #[test]
+    fn every_node_a_landmark_skips_the_landmark_broadcast() {
+        // k = 6 ≤ 2 ln 32 = 6.9: A = V; k = 12 > 2 ln 128 = 9.7: A ≠ V.
+        for (n, skips) in [(32usize, true), (128, false)] {
+            let g = generators::gnp_weighted(n, 4.0 / n as f64, 20, 3).unwrap();
+            let mut clique = Clique::new(n);
+            let run = weighted_3eps(&mut clique, &g, 0.5).unwrap();
+            let broadcast = run.report.phases.keys().any(|l| l.contains("landmark_bcast"));
+            assert_eq!(broadcast, !skips, "n = {n}");
+            assert_eq!(run.dist, broadcasting_3eps(&g, 0.5), "n = {n}");
         }
     }
 

@@ -15,6 +15,11 @@
 //! * the round cost `O((log log n)³)` of the cited construction is charged
 //!   explicitly so downstream round counts match the paper's accounting.
 //!
+//! Where `k ≤ 2·ln n` (so `p = 1`), the lemma's size bound `O(n log n / k)`
+//! is at least `n`, and `V` itself is the answer: every node is a member,
+//! every set is hit, and every node can name the set from `n` and `k`
+//! alone. There nothing is charged and no repair round is broadcast.
+//!
 //! The result always hits every set (repair guarantees it) and has expected
 //! size `2·n·ln n/k + O(1)`; both properties are enforced by tests.
 
@@ -100,7 +105,9 @@ fn splitmix64(mut x: u64) -> u64 {
 /// still guaranteed hit via the repair step). The deterministic
 /// construction the paper cites \[52\] is substituted by seeded sampling
 /// with the same interface, and its `O((log log n)³)` rounds are what is
-/// charged, plus one repair broadcast.
+/// charged, plus one repair broadcast — where `k > 2·ln n`. Where
+/// `k ≤ 2·ln n` the set is `V`, which every node knows from `n` and `k`,
+/// so nothing is charged or broadcast.
 ///
 /// Empty sets are skipped (nothing to hit).
 ///
@@ -137,21 +144,31 @@ pub fn hitting_set(
         return Err(invalid(format!("sets has length {} but clique has {n}", sets.len())));
     }
 
+    let (hs, repair) = hitting_set_local(sets, k, seed)?;
+    if sampling_probability(n, k) >= 1.0 {
+        // Every node is a member: the set is `V`, known from `n` and `k`.
+        return Ok(hs);
+    }
+
     // Charge the cited deterministic construction's cost.
     let loglog = (n.max(4) as f64).log2().log2().ceil().max(1.0) as u64;
     clique.charge("hitting_set", loglog.pow(3));
-
-    let (hs, repair) = hitting_set_local(sets, k, seed)?;
     // The repair words cross the wire (one all-to-all broadcast round);
     // their effect is already folded into `hs` by the shared local kernel.
     clique.with_phase("hitting_set", |cl| cl.all_broadcast(repair))?;
     Ok(hs)
 }
 
+/// Lemma 4's sampling probability `p = min(1, 2·ln n / k)`.
+fn sampling_probability(n: usize, k: usize) -> f64 {
+    (2.0 * (n.max(2) as f64).ln() / k as f64).min(1.0)
+}
+
 /// The purely local kernel of [`hitting_set`]: seeded membership plus the
 /// repair pass, with no clique and no round accounting. Returns the set
 /// together with the per-node repair words the clique wrapper broadcasts
-/// (`u64::MAX` = "already hit, nothing to promote").
+/// where `k > 2·ln n` (`u64::MAX` = "already hit, nothing to promote"; every
+/// word is that where `k ≤ 2·ln n`, since every node is a member).
 ///
 /// [`hitting_set`] delegates here, so a direct (no-clique) builder that
 /// calls this picks the **same members** as a simulated-clique build —
@@ -177,8 +194,7 @@ pub fn hitting_set_local(
     }
 
     // Seeded pseudorandom membership with p = min(1, 2 ln n / k).
-    let p = (2.0 * (n.max(2) as f64).ln() / k as f64).min(1.0);
-    let threshold = (p * u64::MAX as f64) as u64;
+    let threshold = (sampling_probability(n, k) * u64::MAX as f64) as u64;
     let mut in_set: Vec<bool> = (0..n)
         .map(|v| splitmix64(seed ^ (v as u64).wrapping_mul(0x517c_c1b7_2722_0a95)) <= threshold)
         .collect();
@@ -311,9 +327,37 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters() {
+        // k = 3 > 2 ln 4: a valid call would be charged, a rejected one not.
         let mut clique = Clique::new(4);
-        assert!(hitting_set(&mut clique, &[], 2, 0).is_err());
-        assert!(hitting_set(&mut clique, &vec![vec![9]; 4], 2, 0).is_err());
+        assert!(hitting_set(&mut clique, &[], 3, 0).is_err());
+        assert_eq!(clique.rounds(), 0);
+        assert!(hitting_set(&mut clique, &vec![vec![9]; 4], 3, 0).is_err());
+        assert_eq!(clique.rounds(), 0);
         assert!(hitting_set(&mut clique, &vec![vec![0]; 4], 0, 0).is_err());
+        assert_eq!(clique.rounds(), 0);
+    }
+
+    #[test]
+    fn where_k_is_at_most_two_ln_n_every_node_is_a_member_for_free() {
+        for n in [32usize, 64, 256] {
+            let loglog = (n as f64).log2().log2().ceil() as u64;
+            let below = (2.0 * (n as f64).ln()).floor() as usize;
+            for k in [below, below + 1] {
+                let sets = random_sets(n, k, n as u64);
+                let mut clique = Clique::new(n);
+                let hs = hitting_set(&mut clique, &sets, k, 17).unwrap();
+                let (local, _) = hitting_set_local(&sets, k, 17).unwrap();
+                assert_eq!(hs, local, "n = {n}, k = {k}");
+                let charged = clique.report().phases.keys().any(|l| l.starts_with("hitting_set"));
+                if k == below {
+                    assert_eq!(hs.members, (0..n).collect::<Vec<_>>(), "n = {n}, k = {k}");
+                    assert_eq!(clique.rounds(), 0, "n = {n}, k = {k}");
+                    assert!(!charged, "n = {n}, k = {k}");
+                } else {
+                    assert_eq!(clique.rounds(), loglog.pow(3) + 1, "n = {n}, k = {k}");
+                    assert!(charged, "n = {n}, k = {k}");
+                }
+            }
+        }
     }
 }

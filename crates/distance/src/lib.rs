@@ -18,8 +18,9 @@
 //! * [`hitting_set`] — **Lemma 4**: deterministic-given-seed hitting sets of
 //!   size `O(n log n / k)` with guaranteed coverage (pseudorandom sampling
 //!   plus a one-round repair step; the round cost `O((log log n)³)` of the
-//!   cited construction \[PY18\] is charged explicitly, as [`hitting_set`]
-//!   states).
+//!   cited construction \[PY18\] is charged explicitly where `k > 2·ln n`,
+//!   as [`hitting_set`] states; where `k ≤ 2·ln n` the set is `V`, known
+//!   from `n` and `k`, and costs nothing).
 //!
 //! The tools that repeat a product stop when the iterate stops changing,
 //! after at most the theorem's number of products. `k_nearest`'s squarings

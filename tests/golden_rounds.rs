@@ -64,11 +64,11 @@ const MSSP_PINNED: Pinned = Pinned {
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 279,
-    messages: 110_084,
-    words: 120_389,
-    phase_labels: 39,
-    invocations: 116,
+    rounds: 221,
+    messages: 107_108,
+    words: 116_421,
+    phase_labels: 36,
+    invocations: 111,
     dist_digest: 12_639_840_282_067_814_693,
 };
 

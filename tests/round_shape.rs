@@ -39,9 +39,9 @@ const MAX_SLOPE: f64 = 0.4;
 const MAX_PATH_SLOPE: f64 = 0.352;
 /// MSSP and (3+ε) rounds at each of `SIZES`: ceilings at the measured
 /// counts, so a change that adds rounds at any size fails here.
-const MAX_ROUNDS: [[u64; 4]; 2] = [[128, 160, 170, 175], [206, 249, 283, 289]];
+const MAX_ROUNDS: [[u64; 4]; 2] = [[128, 160, 170, 175], [176, 219, 283, 289]];
 /// The same on `path`.
-const MAX_PATH_ROUNDS: [[u64; 4]; 2] = [[134, 173, 233, 242], [209, 269, 337, 357]];
+const MAX_PATH_ROUNDS: [[u64; 4]; 2] = [[134, 173, 233, 242], [179, 239, 337, 357]];
 /// The load words MSSP and (3+ε) broadcast at each of `SIZES`, as measured:
 /// only a product the broadcast counts straddle spends one a node, so a
 /// change in what chooses a product's path shows here.
