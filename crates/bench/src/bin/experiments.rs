@@ -582,7 +582,7 @@ fn oracle() {
         "exact answers",
         "max stretch",
         "mean stretch",
-        "bound 3(1+eps)",
+        "certified bound",
         "sound",
     ]);
     for (name, g) in generators::standard_suite(128, 23).expect("suite") {
@@ -638,10 +638,14 @@ fn oracle() {
         ]);
         assert!(sound, "oracle must never underestimate");
         assert!(worst <= oracle.stretch_bound() + 1e-9, "stretch bound violated");
+        assert!(
+            oracle.stretch_bound() <= 3.0 + 2.0 * eps + 1e-12,
+            "a faithful build certifies 3+2eps"
+        );
         assert_eq!(query_rounds, 0, "queries must be communication-free");
     }
     table.print();
-    println!("every family: answers sound (never below the true distance), within the documented 3(1+eps) bound, and all n(n-1) queries cost 0 rounds after the one-off build.\n");
+    println!("every family: answers sound (never below the true distance), within the bound the artifact certifies from its rows (at most 3+2eps for a faithful build), and all n(n-1) queries cost 0 rounds after the one-off build.\n");
 }
 
 /// Direct-builder n-scaling: one capped-mode build per decade on the

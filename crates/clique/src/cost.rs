@@ -1,4 +1,7 @@
-/// Round-cost constants for the simulator primitives.
+/// Round-cost constants for the simulator primitives, and the only three
+/// rules that turn a load into rounds: [`Clique`](crate::Clique)'s
+/// primitives charge through them and the product planner predicts through
+/// them, so a prediction cannot drift from the charge it models.
 ///
 /// The paper charges `O(1)` rounds for Lenzen routing and sorting and absorbs
 /// the constants. The simulator makes the constants explicit and
@@ -16,18 +19,17 @@
 /// ```
 /// use cc_clique::{Clique, CostModel};
 ///
-/// let unit = Clique::new(8);
 /// let cons = Clique::with_cost_model(8, CostModel::conservative());
-/// assert!(cons.cost_model().route_per_unit > unit.cost_model().route_per_unit);
+/// assert_eq!(cons.cost_model().route_rounds(9, 8), 32);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CostModel {
     /// Rounds charged per `n`-word-per-node batch delivered by routing.
-    pub route_per_unit: u64,
+    route_per_unit: u64,
     /// Rounds charged per `n`-word-per-node batch handled by sorting.
-    pub sort_per_unit: u64,
+    sort_per_unit: u64,
     /// Rounds charged per broadcast word.
-    pub broadcast_per_unit: u64,
+    broadcast_per_unit: u64,
 }
 
 impl CostModel {
@@ -41,6 +43,24 @@ impl CostModel {
     /// sorting (10 rounds) algorithms; useful for sensitivity analysis.
     pub fn conservative() -> Self {
         CostModel { route_per_unit: 16, sort_per_unit: 10, broadcast_per_unit: 1 }
+    }
+
+    /// Lenzen's routing on `n` nodes whose busiest node sends or receives
+    /// `load` words: one unit per `⌈load/n⌉`.
+    pub fn route_rounds(&self, load: u64, n: usize) -> u64 {
+        self.route_per_unit * load.div_ceil(n as u64)
+    }
+
+    /// Lenzen's sorting on `n` nodes whose busiest node holds `load` words:
+    /// one unit per `⌈load/n⌉`.
+    pub fn sort_rounds(&self, load: u64, n: usize) -> u64 {
+        self.sort_per_unit * load.div_ceil(n as u64)
+    }
+
+    /// An all-to-all broadcast whose widest entry is `words` words: one
+    /// unit per word, and at least one.
+    pub fn broadcast_rounds(&self, words: u64) -> u64 {
+        self.broadcast_per_unit * words.max(1)
     }
 }
 
@@ -63,8 +83,18 @@ mod tests {
     fn conservative_dominates_unit() {
         let u = CostModel::unit();
         let c = CostModel::conservative();
-        assert!(c.route_per_unit >= u.route_per_unit);
-        assert!(c.sort_per_unit >= u.sort_per_unit);
-        assert!(c.broadcast_per_unit >= u.broadcast_per_unit);
+        for load in [0, 1, 7, 8, 9, 100] {
+            assert!(c.route_rounds(load, 8) >= u.route_rounds(load, 8));
+            assert!(c.sort_rounds(load, 8) >= u.sort_rounds(load, 8));
+            assert!(c.broadcast_rounds(load) >= u.broadcast_rounds(load));
+        }
+    }
+
+    #[test]
+    fn rules_charge_per_started_unit() {
+        let c = CostModel::conservative();
+        assert_eq!([0, 1, 4, 5, 8].map(|load| c.route_rounds(load, 4)), [0, 16, 16, 32, 32]);
+        assert_eq!([0, 1, 4, 5, 8].map(|load| c.sort_rounds(load, 4)), [0, 10, 10, 20, 20]);
+        assert_eq!([0, 1, 3].map(|words| c.broadcast_rounds(words)), [1, 1, 3]);
     }
 }

@@ -31,8 +31,8 @@
 //!   baseline's construction, diameter's `N_k(w)` announcement).
 //!
 //! Every primitive *physically moves the data* (so algorithms cannot cheat),
-//! *validates* the model's bandwidth constraints, and *accounts* rounds,
-//! messages and words into [`Metrics`], broken down by algorithm phase.
+//! *validates* the model's bandwidth constraints, and *accounts* rounds (by
+//! the [`CostModel`]'s rules), messages and words into a [`RoundReport`].
 //!
 //! # Example
 //!
@@ -76,10 +76,10 @@
 //!   cuts the result into `n` runs, each allocated at its exact length.
 //! * [`Clique::all_broadcast`] only measures and hands the payload back:
 //!   no copy, no allocation.
-//! * Recording a primitive into [`Metrics`] allocates nothing: the joined
-//!   phase prefix is kept incrementally by [`Clique::with_phase`] (push on
-//!   entry, truncate on exit), the leaf is appended in place for the lookup,
-//!   and a label is copied only the first time it is seen.
+//! * Recording a primitive into the [`RoundReport`] allocates nothing: the
+//!   joined phase prefix is kept incrementally by [`Clique::with_phase`]
+//!   (push on entry, truncate on exit), the leaf is appended in place for
+//!   the lookup, and a label is copied only the first time it is seen.
 //!
 //! None of this is observable in [`RoundReport`]: `tests/golden_rounds.rs`
 //! pins rounds, messages, words and every phase of two full algorithm runs.
@@ -98,7 +98,7 @@ mod sim;
 
 pub use cost::CostModel;
 pub use error::CliqueError;
-pub use metrics::{Metrics, PhaseStats, RoundReport};
+pub use metrics::{PhaseStats, RoundReport};
 pub use payload::Payload;
 pub use sim::{Clique, Envelope};
 

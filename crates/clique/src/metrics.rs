@@ -23,41 +23,11 @@ impl PhaseStats {
     }
 }
 
-/// Cumulative communication metrics of a [`Clique`](crate::Clique).
-///
-/// Rounds are the paper's complexity measure; messages and words are kept to
-/// let experiments inspect link loads. Metrics are broken down by *phase*
-/// label (see [`Clique::with_phase`](crate::Clique::with_phase)); nested
-/// phases are joined with `/`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// Total rounds charged so far.
-    pub rounds: u64,
-    /// Total messages delivered so far.
-    pub messages: u64,
-    /// Total words moved so far.
-    pub words: u64,
-    /// Per-phase breakdown.
-    pub phases: BTreeMap<String, PhaseStats>,
-}
-
-impl Metrics {
-    pub(crate) fn record(&mut self, phase: &str, rounds: u64, messages: u64, words: u64) {
-        self.rounds += rounds;
-        self.messages += messages;
-        self.words += words;
-        // A label is copied only the first time it is seen.
-        if let Some(stats) = self.phases.get_mut(phase) {
-            stats.absorb(rounds, messages, words);
-        } else {
-            let mut stats = PhaseStats::default();
-            stats.absorb(rounds, messages, words);
-            self.phases.insert(phase.to_owned(), stats);
-        }
-    }
-}
-
-/// A snapshot of the metrics of one algorithm run, attached to its result.
+/// The round ledger: rounds, messages and words, in total and per phase
+/// label ([`Clique::with_phase`](crate::Clique::with_phase)). A
+/// [`Clique`](crate::Clique) keeps its running totals in one, which
+/// [`Clique::metrics`](crate::Clique::metrics) borrows and
+/// [`Clique::report`](crate::Clique::report) clones for a result to carry.
 ///
 /// # Example
 ///
@@ -84,6 +54,27 @@ pub struct RoundReport {
     pub phases: BTreeMap<String, PhaseStats>,
 }
 
+impl RoundReport {
+    /// An empty ledger for a clique of `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        RoundReport { n, rounds: 0, messages: 0, words: 0, phases: BTreeMap::new() }
+    }
+
+    pub(crate) fn record(&mut self, phase: &str, rounds: u64, messages: u64, words: u64) {
+        self.rounds += rounds;
+        self.messages += messages;
+        self.words += words;
+        // A label is copied only the first time it is seen.
+        if let Some(stats) = self.phases.get_mut(phase) {
+            stats.absorb(rounds, messages, words);
+        } else {
+            let mut stats = PhaseStats::default();
+            stats.absorb(rounds, messages, words);
+            self.phases.insert(phase.to_owned(), stats);
+        }
+    }
+}
+
 impl fmt::Display for RoundReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -108,7 +99,7 @@ mod tests {
 
     #[test]
     fn record_accumulates_totals_and_phases() {
-        let mut m = Metrics::default();
+        let mut m = RoundReport::new(8);
         m.record("a", 2, 10, 20);
         m.record("a", 1, 5, 5);
         m.record("b", 3, 0, 0);
@@ -122,15 +113,8 @@ mod tests {
 
     #[test]
     fn report_display_lists_phases() {
-        let mut m = Metrics::default();
-        m.record("knearest/square", 4, 2, 2);
-        let report = RoundReport {
-            n: 8,
-            rounds: m.rounds,
-            messages: m.messages,
-            words: m.words,
-            phases: m.phases,
-        };
+        let mut report = RoundReport::new(8);
+        report.record("knearest/square", 4, 2, 2);
         let s = report.to_string();
         assert!(s.contains("rounds=4"));
         assert!(s.contains("knearest/square"));

@@ -1,4 +1,4 @@
-use crate::{CliqueError, CostModel, Metrics, NodeId, Payload, Result, RoundReport};
+use crate::{CliqueError, CostModel, NodeId, Payload, Result, RoundReport};
 
 /// A message in flight: `payload` travelling from `src` to `dst`.
 ///
@@ -57,7 +57,8 @@ impl<T> Envelope<T> {
 pub struct Clique {
     n: usize,
     cost: CostModel,
-    metrics: Metrics,
+    /// The running totals; [`Clique::report`] clones them.
+    report: RoundReport,
     /// The open phases' labels joined with `/`, maintained incrementally by
     /// [`Clique::with_phase`] so that recording a primitive allocates nothing.
     phase_prefix: String,
@@ -82,7 +83,7 @@ impl Clique {
     /// Panics if `n == 0`.
     pub fn with_cost_model(n: usize, cost: CostModel) -> Self {
         assert!(n > 0, "a congested clique needs at least one node");
-        Clique { n, cost, metrics: Metrics::default(), phase_prefix: String::new(), phase_depth: 0 }
+        Clique { n, cost, report: RoundReport::new(n), phase_prefix: String::new(), phase_depth: 0 }
     }
 
     /// Number of nodes in the clique.
@@ -95,25 +96,19 @@ impl Clique {
         &self.cost
     }
 
-    /// Cumulative metrics since construction.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The running totals since construction.
+    pub fn metrics(&self) -> &RoundReport {
+        &self.report
     }
 
     /// Total rounds charged so far.
     pub fn rounds(&self) -> u64 {
-        self.metrics.rounds
+        self.report.rounds
     }
 
-    /// Snapshot of the metrics as a [`RoundReport`].
+    /// A snapshot of the running totals.
     pub fn report(&self) -> RoundReport {
-        RoundReport {
-            n: self.n,
-            rounds: self.metrics.rounds,
-            messages: self.metrics.messages,
-            words: self.metrics.words,
-            phases: self.metrics.phases.clone(),
-        }
+        self.report.clone()
     }
 
     /// Runs `f` with all communication attributed to phase `label`.
@@ -153,7 +148,7 @@ impl Clique {
             self.phase_prefix.push('/');
         }
         self.phase_prefix.push_str(leaf);
-        self.metrics.record(&self.phase_prefix, rounds, messages, words);
+        self.report.record(&self.phase_prefix, rounds, messages, words);
         self.phase_prefix.truncate(mark);
     }
 
@@ -188,7 +183,7 @@ impl Clique {
     /// Returns the inbox of every node (indexed by destination, messages in
     /// deterministic `(src, insertion)` order). With per-node load
     /// `L = max_v max(sent_v, received_v)` words, charges
-    /// `route_per_unit · ceil(L/n)` rounds — `O(1)` whenever every node sends
+    /// [`CostModel::route_rounds`] of `L` — `O(1)` whenever every node sends
     /// and receives at most `n` words, exactly the contract the paper uses.
     ///
     /// # Errors
@@ -206,8 +201,9 @@ impl Clique {
     /// Returns one set of inboxes per batch, each exactly what
     /// [`Clique::route`] of that batch alone returns. With per-node load
     /// `L = max_v max(Σ_b sent_v, Σ_b received_v)` words summed over the
-    /// batches, charges `route_per_unit · ceil(L/n)` rounds once — not a sum
-    /// of per-batch ceilings. Batches that are all empty are free.
+    /// batches, charges [`CostModel::route_rounds`] of `L` once — not a sum
+    /// of per-batch ceilings. Batches that are all empty are free; a
+    /// non-empty batch of zero-word envelopes is charged as load 1.
     ///
     /// # Errors
     ///
@@ -239,12 +235,8 @@ impl Clique {
             messages += msgs.len() as u64;
         }
         let load = sent.iter().chain(recv.iter()).copied().max().unwrap_or(0);
-        let rounds = if messages == 0 {
-            0
-        } else {
-            self.cost.route_per_unit * load.div_ceil(self.n as u64).max(1)
-        };
-        self.record("route", rounds, messages, words);
+        let load = if messages == 0 { 0 } else { load.max(1) };
+        self.record("route", self.cost.route_rounds(load, self.n), messages, words);
 
         // Deterministic delivery order: stable by source, preserving the
         // per-source insertion order. Callers almost always emit per source
@@ -267,8 +259,8 @@ impl Clique {
     /// Every node broadcasts its entry of `per_node` to every other node.
     ///
     /// After this call all nodes know the whole vector, which is returned.
-    /// Charges `broadcast_per_unit · max_v words_v` rounds: each node can
-    /// deliver one word to all others per round.
+    /// Charges [`CostModel::broadcast_rounds`] of `max_v words_v`: each node
+    /// can deliver one word to all others per round.
     ///
     /// # Errors
     ///
@@ -277,7 +269,7 @@ impl Clique {
         self.check_len(&per_node)?;
         let max_w = per_node.iter().map(|p| p.words() as u64).max().unwrap_or(0);
         let total_w: u64 = per_node.iter().map(|p| p.words() as u64).sum();
-        let rounds = self.cost.broadcast_per_unit * max_w.max(1);
+        let rounds = self.cost.broadcast_rounds(max_w);
         let fanout = self.n as u64 - 1;
         self.record("all_broadcast", rounds, self.n as u64 * fanout, total_w * fanout);
         Ok(per_node)
@@ -289,7 +281,7 @@ impl Clique {
     /// receives the `i`-th contiguous run of the global sorted order, with
     /// run length `ceil(total/n)` (the last run may be shorter). With
     /// `L = max_v items_v · words_per_item`, charges
-    /// `sort_per_unit · ceil(L/n)` rounds — `O(1)` when every node holds at
+    /// [`CostModel::sort_rounds`] of `L` — `O(1)` when every node holds at
     /// most `n` words, the precondition of Lenzen's algorithm. For `L > n`
     /// the charge grows linearly in `L/n`, what moving every node's items
     /// in `ceil(L/n)` batches of `n` words costs. Lemma 13's summation
@@ -313,12 +305,8 @@ impl Clique {
             total_words += w;
             total += items.len();
         }
-        let rounds = if total == 0 {
-            0
-        } else {
-            self.cost.sort_per_unit * load.div_ceil(self.n as u64).max(1)
-        };
-        self.record("sort", rounds, total as u64, total_words);
+        let load = if total == 0 { 0 } else { load.max(1) };
+        self.record("sort", self.cost.sort_rounds(load, self.n), total as u64, total_words);
 
         let mut all: Vec<T> = Vec::with_capacity(total);
         for items in per_node {

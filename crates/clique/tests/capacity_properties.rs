@@ -2,7 +2,7 @@
 //! charges always reflect the worst per-node load, delivery is lossless and
 //! deterministic, and capacity rules can't be cheated.
 
-use cc_clique::{Clique, CliqueError, CostModel, Envelope};
+use cc_clique::{Clique, CliqueError, CostModel, Envelope, Payload};
 use proptest::prelude::*;
 
 fn arb_msgs(n: usize, max: usize) -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
@@ -160,5 +160,65 @@ proptest! {
         let mut cons = Clique::with_cost_model(6, CostModel::conservative());
         cons.route(envelopes(&msgs)).unwrap();
         prop_assert_eq!(cons.rounds(), 16 * unit.rounds());
+    }
+}
+
+/// A payload of one word (`None`) or three (`Some`), so that a load is not a
+/// message count.
+type Wide = Option<(u64, u64, u64)>;
+
+fn wide(p: u64) -> Wide {
+    p.is_multiple_of(2).then_some((p, p, p))
+}
+
+fn wide_envelopes(msgs: &[(usize, usize, u64)]) -> Vec<Envelope<Wide>> {
+    msgs.iter().map(|&(s, d, p)| Envelope::new(s, d, wide(p))).collect()
+}
+
+/// The busiest node's words sent or received, summed over `batches`.
+fn busiest_route_load(n: usize, batches: &[&[Envelope<Wide>]]) -> u64 {
+    let (mut sent, mut recv) = (vec![0u64; n], vec![0u64; n]);
+    for m in batches.iter().copied().flatten() {
+        sent[m.src] += m.payload.words() as u64;
+        recv[m.dst] += m.payload.words() as u64;
+    }
+    sent.into_iter().chain(recv).max().unwrap_or(0)
+}
+
+proptest! {
+    #[test]
+    fn every_primitive_charges_its_cost_rule_of_the_busiest_load(
+        a in arb_msgs(6, 60),
+        b in arb_msgs(6, 60),
+        held in prop::collection::vec(prop::collection::vec(0u64..100, 0..20), 6),
+        broadcast in prop::collection::vec(0u64..100, 6),
+        conservative in 0u64..2,
+    ) {
+        let n = 6;
+        let cost = if conservative == 1 { CostModel::conservative() } else { CostModel::unit() };
+        let mut clique = Clique::with_cost_model(n, cost);
+        let (a, b) = (wide_envelopes(&a), wide_envelopes(&b));
+
+        let before = clique.rounds();
+        clique.route(a.clone()).unwrap();
+        prop_assert_eq!(clique.rounds() - before, cost.route_rounds(busiest_route_load(n, &[&a]), n));
+
+        let before = clique.rounds();
+        let load = busiest_route_load(n, &[&a, &b]);
+        clique.route_together([a, b]).unwrap();
+        prop_assert_eq!(clique.rounds() - before, cost.route_rounds(load, n));
+
+        let held: Vec<Vec<Wide>> =
+            held.iter().map(|items| items.iter().map(|&p| wide(p)).collect()).collect();
+        let load = held.iter().map(|items| items.iter().map(|p| p.words() as u64).sum()).max();
+        let before = clique.rounds();
+        clique.sort(held).unwrap();
+        prop_assert_eq!(clique.rounds() - before, cost.sort_rounds(load.unwrap_or(0), n));
+
+        let entries: Vec<Wide> = broadcast.iter().map(|&p| wide(p)).collect();
+        let widest = entries.iter().map(|p| p.words() as u64).max().unwrap_or(0);
+        let before = clique.rounds();
+        clique.all_broadcast(entries).unwrap();
+        prop_assert_eq!(clique.rounds() - before, cost.broadcast_rounds(widest));
     }
 }

@@ -81,15 +81,15 @@ impl CubeShape {
         self.a * self.b * self.c
     }
 
-    /// The rounds [`CubePartition::build`] charges for this shape: none if
-    /// `c = 1`; else the slice-counts route, whose subtask nodes each
-    /// receive a two-word pair from all `n` nodes (`2n` words, two units),
+    /// The rounds [`CubePartition::build`] charges for this shape on `n`
+    /// nodes: none if `c = 1`; else the slice-counts route, whose subtask
+    /// nodes each receive a two-word pair from all `n` nodes (`2n` words),
     /// and the one-word boundaries broadcast.
-    pub fn build_rounds(&self, cost: &CostModel) -> u64 {
+    pub fn build_rounds(&self, cost: &CostModel, n: usize) -> u64 {
         if self.c == 1 {
             0
         } else {
-            2 * cost.route_per_unit + cost.broadcast_per_unit
+            cost.route_rounds(2 * n as u64, n) + cost.broadcast_rounds(1)
         }
     }
 }
@@ -619,7 +619,7 @@ mod tests {
             ] {
                 let mut clique = Clique::with_cost_model(n, cost);
                 let (_, rounds) = build_on(&mut clique, shape, &s, &t.transpose());
-                assert_eq!(rounds, shape.build_rounds(&cost), "{shape:?} under {cost:?}");
+                assert_eq!(rounds, shape.build_rounds(&cost, n), "{shape:?} under {cost:?}");
             }
         }
     }

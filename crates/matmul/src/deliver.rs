@@ -108,8 +108,8 @@ impl<'c> Sizes<'c> {
 /// `b`. A side in place holds `c_v` entries at node `v`; a kept or balanced
 /// one holds `⌊total/n⌋ + [v < total mod n]`, what dealing rank `r` to node
 /// `r mod n` leaves. Each entry is one word, as every element type of the
-/// workspace is, and every primitive charges its cost model's rounds per
-/// `⌈load/n⌉`.
+/// workspace is, and each load is charged by the cost model's rule for its
+/// primitive.
 ///
 /// Exact when both sides' per-node sizes are known. A side known only by its
 /// total is bounded from below: its balancing sort by the average slice
@@ -123,13 +123,14 @@ pub(crate) fn predict(
     placing: [Placing; 2],
 ) -> Predicted {
     let n = sizes[0].n;
+    let nodes = n as usize;
     let total = sizes.map(|side| side.total);
     let mut sort = [0; 2];
     let mut dealt = 0;
     for side in 0..2 {
         if placing[side] == Placing::Balanced {
             let most = sizes[side].per_node.map_or(0, |c| c.iter().copied().max().unwrap_or(0));
-            sort[side] = cost.sort_per_unit * most.max(total[side].div_ceil(n)).div_ceil(n);
+            sort[side] = cost.sort_rounds(most.max(total[side].div_ceil(n)), nodes);
             dealt += total[side].div_ceil(n);
         }
     }
@@ -140,11 +141,7 @@ pub(crate) fn predict(
     let (a, b) = (shape.a as u64, shape.b as u64);
     let busiest = (0..n).map(|v| holding(0, v) * a + holding(1, v) * b).max().unwrap_or(0);
     let send = busiest.max((total[0] * a + total[1] * b).div_ceil(n));
-    Predicted {
-        sort,
-        deal: cost.route_per_unit * dealt.div_ceil(n),
-        send: cost.route_per_unit * send.div_ceil(n),
-    }
+    Predicted { sort, deal: cost.route_rounds(dealt, nodes), send: cost.route_rounds(send, nodes) }
 }
 
 /// Which sides a `σ1` delivery balances: of the placings open to it, the one
@@ -201,9 +198,10 @@ pub(crate) fn pipeline_floor(
     kept: [bool; 2],
     summed: bool,
 ) -> u64 {
+    let n = sizes[0].n as usize;
     let sigma1 = predict(cost, shape, sizes, plan(cost, shape, sizes, kept)).total();
-    let sum = if summed { cost.sort_per_unit + cost.route_per_unit } else { 0 };
-    shape.build_rounds(cost) + sigma1 + cost.broadcast_per_unit + sum
+    let sum = if summed { cost.sort_rounds(1, n) + cost.route_rounds(1, n) } else { 0 };
+    shape.build_rounds(cost, n) + sigma1 + cost.broadcast_rounds(1) + sum
 }
 
 /// What the nodes know of the owner route's largest load word `L`: `least
@@ -245,10 +243,9 @@ impl Load {
         Load { least: most, most, summed: Some(summed) }
     }
 
-    /// What the owner route charges at `least` and at `most` on `n` nodes:
-    /// `route_per_unit·⌈L/n⌉` for a largest load word `L`.
-    pub fn route(&self, cost: &CostModel, n: u64) -> [u64; 2] {
-        [self.least, self.most].map(|words| cost.route_per_unit * words.div_ceil(n))
+    /// What the owner route charges at `least` and at `most` on `n` nodes.
+    pub fn route(&self, cost: &CostModel, n: usize) -> [u64; 2] {
+        [self.least, self.most].map(|words| cost.route_rounds(words, n))
     }
 }
 
@@ -270,7 +267,7 @@ pub(crate) fn owner_choice(
     kept: [bool; 2],
     load: Load,
 ) -> Option<bool> {
-    let [least, most] = load.route(cost, sizes[0].n);
+    let [least, most] = load.route(cost, sizes[0].n as usize);
     let floor = |summed| pipeline_floor(cost, shape, sizes, kept, summed);
     if most <= floor(load.summed == Some(true)) {
         return Some(true);
@@ -301,8 +298,7 @@ pub(crate) fn owner_choice(
 /// fan-outs those of another (`deliver/fanout/route`). The plan and the
 /// deals read the operands' broadcast counts: a prepared operand's come with
 /// it, and only an unprepared one — the dense baseline's — broadcasts its
-/// counts first (`deliver_s/counts/all_broadcast`, and likewise for `T`),
-/// unless both sides reuse their placements.
+/// counts first (`deliver_s/counts/all_broadcast`, and likewise for `T`).
 ///
 /// # Errors
 ///
@@ -326,18 +322,14 @@ pub(crate) fn deliver<SR: Semiring>(
     let s_kept = if reusable { s.sigma1_placement.take() } else { None };
     let t_kept = if reusable { t.sigma1_placement.take() } else { None };
 
-    let (placing, totals) = if s_kept.is_some() && t_kept.is_some() {
-        ([Placing::Kept; 2], [0; 2])
+    let counts = [known_counts(clique, s, "deliver_s")?, known_counts(clique, t, "deliver_t")?];
+    let sizes = [Sizes::held(&counts[0]), Sizes::held(&counts[1])];
+    let placing = if reusable {
+        plan(clique.cost_model(), cube.shape, sizes, [s_kept.is_some(), t_kept.is_some()])
     } else {
-        let counts = [known_counts(clique, s, "deliver_s")?, known_counts(clique, t, "deliver_t")?];
-        let sizes = [Sizes::held(&counts[0]), Sizes::held(&counts[1])];
-        let placing = if reusable {
-            plan(clique.cost_model(), cube.shape, sizes, [s_kept.is_some(), t_kept.is_some()])
-        } else {
-            [Placing::Balanced; 2]
-        };
-        (placing, sizes.map(|side| side.total))
+        [Placing::Balanced; 2]
     };
+    let totals = sizes.map(|side| side.total);
 
     // Lemma 10 for each side the plan balances; an empty deal stands for a
     // side that is not balanced now.
@@ -1029,7 +1021,7 @@ mod tests {
                 assert_eq!(charged("deliver/balance/route", dealt), predicted.deal, "{what}: deal");
                 let received =
                     inputs.iter().map(|i| (i.s_entries.len() + i.t_entries.len()) as u64);
-                let receive = cost.route_per_unit * received.max().unwrap_or(0).div_ceil(n as u64);
+                let receive = cost.route_rounds(received.max().unwrap_or(0), n);
                 let fan_out = charged("deliver/fanout/route", fanned);
                 assert_eq!(fan_out, predicted.send.max(receive), "{what}: fan-out");
 

@@ -178,10 +178,10 @@ fn owner_product<SR: Semiring>(
         let charged = clique.rounds() - before;
         debug_assert_eq!(
             charged,
-            Load::from_words(&loads()).route(&cost, n as u64)[1],
+            Load::from_words(&loads()).route(&cost, n)[1],
             "the route charged what its load words predict"
         );
-        debug_assert!(charged <= read.route(&cost, n as u64)[1], "the choice bounded the route");
+        debug_assert!(charged <= read.route(&cost, n)[1], "the choice bounded the route");
         Some(rows)
     } else {
         None
@@ -201,7 +201,7 @@ fn owner_product<SR: Semiring>(
             owner: rows.is_some(),
             by_counts: choice.is_some(),
             transposed,
-            owner_rounds: load.route(&cost, n as u64)[1],
+            owner_rounds: load.route(&cost, n)[1],
             floor,
             pipeline_rounds: ran.ok().map(|_| scratch.rounds() - before),
         };

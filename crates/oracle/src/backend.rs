@@ -91,9 +91,8 @@ pub struct BackendDescriptor {
     /// column allocation counted once: a slot holding the same allocation
     /// as an earlier slot adds its bytes less the columns.
     pub artifact_bytes: usize,
-    /// The documented multiplicative stretch bound `3·(1+ε)`; for a
-    /// mixed-generation routed set, the weakest (largest) bound across
-    /// slices.
+    /// The multiplicative stretch bound the artifact certifies; for a
+    /// router, the weakest (largest) bound across its slices.
     pub stretch_bound: f64,
     /// Clique rounds the one-off build phase charged.
     pub build_rounds: u64,

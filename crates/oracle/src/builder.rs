@@ -126,7 +126,8 @@ impl OracleBuilder {
         self
     }
 
-    /// MSSP accuracy `ε > 0`; the serving-phase stretch bound is `3(1+ε)`.
+    /// MSSP accuracy `ε > 0`; the artifact certifies a serving-phase
+    /// stretch bound of at most `3+2ε`.
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon;
         self

@@ -53,8 +53,9 @@
 //! would make the column matrix astronomically large, so capped mode picks
 //! `m` seeded-rank landmarks and computes *exact* per-landmark Dijkstra
 //! columns (no hopset) — a different artifact than the clique build would
-//! produce, and one that does not hold the `3(1+ε)` stretch bound. See
-//! `docs/BUILDERS.md`.
+//! produce, whose landmarks need not hit every ball: its certified
+//! [`stretch_bound`](crate::ArtifactSlice::stretch_bound) is what its rows
+//! prove, larger than a faithful build's `3+2ε`. See `docs/BUILDERS.md`.
 
 use std::sync::Arc;
 
@@ -226,9 +227,9 @@ impl DirectBuilder {
         self
     }
 
-    /// MSSP accuracy `ε > 0`; a faithful build's serving-phase stretch
-    /// bound is `3(1+ε)` (a capped one holds none; see
-    /// [`max_landmarks`](Self::max_landmarks)).
+    /// MSSP accuracy `ε > 0`; a faithful build certifies a serving-phase
+    /// stretch bound of at most `3+2ε` (a capped one what its rows prove;
+    /// see [`max_landmarks`](Self::max_landmarks)).
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon;
         self
@@ -253,9 +254,10 @@ impl DirectBuilder {
     /// (no hopset). Bounds the column matrix to `n × m` so million-node
     /// artifacts stay serveable — at the price of the bit-identity
     /// contract (the clique build would have picked different landmarks)
-    /// and of the `3(1+ε)` stretch bound: the landmarks need not hit every
-    /// ball, so answers stay sound but can exceed
-    /// [`stretch_bound`](crate::ArtifactSlice::stretch_bound).
+    /// and of the `3+2ε` stretch bound: the landmarks need not hit every
+    /// ball, so the certified
+    /// [`stretch_bound`](crate::ArtifactSlice::stretch_bound) is what the
+    /// rows prove, larger, and every answer stays sound and within it.
     pub fn max_landmarks(mut self, m: usize) -> Self {
         self.max_landmarks = Some(m);
         self
@@ -486,13 +488,19 @@ mod tests {
         );
         let b = DirectBuilder::new().k(6).max_landmarks(8).build(&g).unwrap();
         crate::testkit::assert_same_artifact(&a, &b);
-        // Queries answer and never underestimate (columns are exact, balls
-        // are exact; the via-landmark path is an upper bound).
+        // Queries answer, never underestimate (columns are exact, balls are
+        // exact; the via-landmark path is an upper bound) and stay within
+        // the bound the artifact certifies.
+        let bound = a.stretch_bound();
         for u in 0..g.n() {
             let exact = reference::dijkstra(&g, u);
             for v in 0..g.n() {
-                let est = a.try_query(u, v).unwrap().value().unwrap();
-                assert!(est >= exact[v].unwrap());
+                let (est, d) = (a.try_query(u, v).unwrap().value().unwrap(), exact[v].unwrap());
+                assert!(est >= d);
+                assert!(
+                    d == 0 || est as f64 <= bound * d as f64 + 1e-9,
+                    "({u},{v}): {est} > {bound}·{d}"
+                );
             }
         }
     }

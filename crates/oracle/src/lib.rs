@@ -25,8 +25,10 @@
 //!   Its capped mode (`max_landmarks`) trades the identity contract for
 //!   `10⁵`–`10⁶`-node artifacts. See `docs/BUILDERS.md`.
 //! * [`DistanceOracle::try_query`] answers `d(u, v)` with **zero clique
-//!   rounds**: exact when one endpoint lies in the other's ball, and at most
-//!   `3·(1+ε)·d(u, v)` otherwise (routing through the nearest landmark).
+//!   rounds**: exact when one endpoint lies in the other's ball, and
+//!   otherwise (routing through the nearest landmark) within the
+//!   [`stretch_bound`](ArtifactSlice::stretch_bound) the artifact certifies
+//!   from its rows — at most `3+2ε` for a faithful build.
 //!   Queries take `O(log k)` time, need only `&self`, and are lock-free
 //!   (see *Query contract* below).
 //! * [`DistanceOracle::try_query_batch`] answers a batch serially on the
@@ -72,11 +74,14 @@
 //!
 //! * `est = d(u, v)` exactly, if `v ∈ B_k(u)` or `u ∈ B_k(v)` (the balls
 //!   store exact distances);
-//! * `est ≤ 3·(1+ε)·d(u, v)` otherwise: with `p(u)` the nearest landmark of
-//!   `u` (which lies inside `B_k(u)` by the hitting-set property, so
-//!   `d(u, p(u)) ≤ d(u, v)`), the estimate `d(u, p(u)) + d̃(p(u), v)` is at
-//!   most `d(u, p(u)) + (1+ε)(d(p(u), u) + d(u, v)) ≤ 3(1+ε)·d(u, v)`,
-//!   where `d̃` is the `(1+ε)` MSSP column.
+//! * `est ≤ stretch_bound()·d(u, v)` otherwise: with `p(u)` the nearest
+//!   landmark of `u` and `d̃` the `(1+ε)` MSSP column, the estimate
+//!   `d(u, p(u)) + d̃(p(u), v)` is at most `(1+ε)·d(u, v) + (2+ε)·d(u, p(u))`,
+//!   and `v ∉ B_k(u)` puts `d(u, v) ≥ r(u)`, the ball's radius. So the
+//!   artifact certifies `max_u [(1+ε) + (2+ε)·d(u, p(u))/r(u)]`, computed
+//!   when it is built or loaded, capped builds included. In a faithful
+//!   build `p(u)` lies inside `B_k(u)` by the hitting-set property, so
+//!   `d(u, p(u)) ≤ r(u)` and the bound is at most `3+2ε ≤ 3(1+ε)`.
 //!
 //! Disconnected pairs report [`cc_matrix::Dist::INF`]. A connected pair is
 //! **never** reported as infinite: a landmark-path sum that would reach or

@@ -120,6 +120,8 @@ pub struct ArtifactSlice {
     /// First node whose rows this slice holds; `0` for a whole artifact.
     start: usize,
     sections: Sections,
+    /// The largest stretch any owned row certifies (`row_stretch`).
+    stretch_bound: f64,
 }
 
 impl ArtifactSlice {
@@ -137,6 +139,8 @@ impl ArtifactSlice {
     /// a landmark or ball member id `≥ n`; a landmark index `≥ s`; an
     /// infinite nearest-landmark or ball distance; a ball row whose ids are
     /// not strictly ascending.
+    ///
+    /// The walk over the rows also certifies the slice's stretch bound.
     pub(crate) fn from_sections(
         params: BuildParams,
         owned: Range<usize>,
@@ -190,6 +194,10 @@ impl ArtifactSlice {
                 return Err(corrupt(format!("node row {v}: infinite nearest-landmark distance")));
             }
         }
+        // The row with the largest `d(u,ℓ(u))/r(u)` so far, compared by
+        // cross-multiplication (`row_stretch` grows with the ratio); a row
+        // at its landmark is `0/1`, and `d/0` with `d > 0` exceeds them all.
+        let mut worst = (0u64, 1u64);
         for (v, row) in ball_offsets.windows(2).enumerate() {
             let (lo, hi) = (row[0] as usize, row[1] as usize);
             // `get` refuses a decreasing pair and one that overshoots `E`.
@@ -208,13 +216,22 @@ impl ArtifactSlice {
                 return Err(corrupt(format!("node row {v}: ball ids not strictly ascending")));
             }
             // Ball members are reachable by construction, so a distance
-            // equal to the ∞ sentinel can only come from corruption — and
-            // would make the query kernel answer ∞ for a pair in a ball.
-            if dists.contains(&Dist::INF.raw()) {
+            // equal to the ∞ sentinel (the largest `u64`, so the radius
+            // if present) can only come from corruption — and would make
+            // the query kernel answer ∞ for a pair in a ball.
+            let radius = dists.iter().copied().max().unwrap_or(0);
+            if radius == Dist::INF.raw() {
                 return Err(corrupt(format!("node row {v}: infinite ball distance")));
             }
+            let to_landmark = nearest_landmark[v].1;
+            if u128::from(to_landmark) * u128::from(worst.1)
+                > u128::from(worst.0) * u128::from(radius)
+            {
+                worst = (to_landmark, radius);
+            }
         }
-        Ok(ArtifactSlice { params, start: owned.start, sections })
+        let stretch_bound = row_stretch(params.epsilon, worst.0, worst.1);
+        Ok(ArtifactSlice { params, start: owned.start, sections, stretch_bound })
     }
 
     /// The build scalars, as the snapshot header stores them.
@@ -270,17 +287,21 @@ impl ArtifactSlice {
         &self.sections.landmarks
     }
 
-    /// The documented multiplicative stretch bound `3·(1+ε)` for answers
-    /// outside the exact-ball regime. A faithful build holds it — every
-    /// [`OracleBuilder`](crate::OracleBuilder) artifact, and every
-    /// [`DirectBuilder`](crate::DirectBuilder) artifact built without
-    /// [`max_landmarks`](crate::DirectBuilder::max_landmarks): each finite
-    /// answer `est` satisfies `d(u,v) ≤ est ≤ stretch_bound() · d(u,v)`. A
-    /// capped build reports the same value without holding it: its
-    /// landmarks need not hit every ball, so its answers are sound but can
-    /// exceed the bound (`docs/BUILDERS.md`).
+    /// The multiplicative stretch bound the owned rows certify: every
+    /// finite answer `est` for a pair with an endpoint among them satisfies
+    /// `d(u,v) ≤ est ≤ stretch_bound() · d(u,v)`, for faithful and
+    /// [`max_landmarks`](crate::DirectBuilder::max_landmarks) (capped) builds
+    /// alike.
+    ///
+    /// It is `max_u [(1+ε) + (2+ε)·d(u,ℓ(u))/r(u)]` over the rows, with
+    /// `ℓ(u)` the row's nearest landmark and `r(u)` its ball's radius. A
+    /// faithful build's landmarks hit every ball, so
+    /// `d(u,ℓ(u)) ≤ r(u)` and it certifies at most `3+2ε`, within the
+    /// paper's `3·(1+ε)`. A capped build's landmark can lie outside a ball,
+    /// and the bound grows to what its rows prove; it is infinite where a
+    /// row of radius 0 has its landmark elsewhere.
     pub fn stretch_bound(&self) -> f64 {
-        3.0 * (1.0 + self.params.epsilon)
+        self.stretch_bound
     }
 
     /// The contiguous node range whose rows this slice holds: `0..n` for a
@@ -351,6 +372,26 @@ impl ArtifactSlice {
                 .checked_add(col)
                 .map_or(MAX_FINITE_DISTANCE, |sum| sum.min(MAX_FINITE_DISTANCE))
         })
+    }
+}
+
+/// The stretch row `u` certifies for every pair `(u, v)` with `v` outside
+/// its ball, from `d(u,ℓ(u))` (`to_landmark`) and the ball's largest
+/// distance `r(u)` (`radius`).
+///
+/// Such a pair is answered at most by `u`'s landmark candidate
+/// `d(u,ℓ(u)) + c(ℓ(u),v)`, with `c ≤ (1+ε)·d(ℓ(u),v) ≤ (1+ε)·(d(u,ℓ(u)) +
+/// d(u,v))`, and `v ∉ ball(u)` puts `d(u,v) ≥ r(u)`: the answer is within
+/// `(1+ε) + (2+ε)·d(u,ℓ(u))/r(u)` of `d(u,v)`. A row at its landmark
+/// certifies `1+ε`; a row of radius 0 whose landmark is elsewhere certifies
+/// nothing (`∞`).
+fn row_stretch(epsilon: f64, to_landmark: u64, radius: u64) -> f64 {
+    if to_landmark == 0 {
+        1.0 + epsilon
+    } else if radius == 0 {
+        f64::INFINITY
+    } else {
+        (1.0 + epsilon) + (2.0 + epsilon) * (to_landmark as f64 / radius as f64)
     }
 }
 
@@ -561,6 +602,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn each_row_certifies_from_its_landmark_distance_and_radius() {
+        let eps = 0.5;
+        assert_eq!(row_stretch(eps, 0, 0), 1.5, "a row at its landmark");
+        assert_eq!(row_stretch(eps, 0, 9), 1.5);
+        assert_eq!(row_stretch(eps, 4, 4), 4.0, "a faithful row's worst case, 3+2ε");
+        assert_eq!(row_stretch(eps, 2, 4), 2.75);
+        assert_eq!(row_stretch(eps, 12, 4), 9.0, "a landmark outside the ball");
+        assert_eq!(row_stretch(eps, 1, 0), f64::INFINITY, "radius 0 certifies nothing");
+        // The slice takes the largest row: the path's end rows have radius 0
+        // and a landmark one edge away.
+        assert_eq!(near_max_path_oracle(5, 7).stretch_bound(), f64::INFINITY);
+        // Rows at ratios 0, 2 and 1: the middle one's `1.5 + 2.5·2` holds.
+        let mut sections = Sections::with_rows(3, vec![0], vec![0, 3, 6]);
+        sections.push_row((0, 0), [(0, 0), (1, 3)]);
+        sections.push_row((0, 6), [(1, 0), (2, 3)]);
+        sections.push_row((0, 3), [(1, 3), (2, 0)]);
+        let params = BuildParams { n: 3, k: 2, epsilon: eps, seed: 0, build_rounds: 0 };
+        let slice = ArtifactSlice::from_sections(params, 0..3, sections).unwrap();
+        assert_eq!(slice.stretch_bound(), 6.5);
     }
 
     #[test]

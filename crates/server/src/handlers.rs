@@ -689,7 +689,12 @@ mod tests {
         for key in ["\"n\":24", "\"k\":", "\"epsilon\":", "\"landmarks\":", "\"artifact_bytes\":"] {
             assert!(body.contains(key), "missing {key} in {body}");
         }
-        assert!(body.contains("\"stretch_bound\":3.75"), "body: {body}");
+        // The bound the artifact certifies; a faithful build's is at most
+        // `3+2ε`.
+        let built = oracle(24, 9);
+        let bound = built.stretch_bound();
+        assert!(bound <= 3.0 + 2.0 * built.epsilon() + 1e-12, "certified {bound}");
+        assert!(body.contains(&format!("\"stretch_bound\":{bound}")), "body: {body}");
         // The active snapshot's identity is reported on both endpoints.
         let expected_id = s.generation().info().build_id.clone();
         for text in [&body, &body_str(&s.handle(&get("/stats", &[]))).to_owned()] {

@@ -115,9 +115,10 @@ OPTIONS:
                         a manifest's cache_capacity takes precedence)
     --seed S            demo build seed (default 7)
     --epsilon E         demo build accuracy (default 0.25), finite and > 0;
-                        a --demo build answers within 3(1+E) of the true
-                        distance, a capped --demo-direct build is sound but
-                        holds no such bound (docs/BUILDERS.md)
+                        answers are within the stretch_bound /artifact
+                        reports, certified from the artifact's rows: at
+                        most 3+2E for --demo, what the rows prove for a
+                        capped --demo-direct build (docs/BUILDERS.md)
     --k K               --demo-direct ball size (default 16; --demo keeps the
                         paper's default ~sqrt(n ln n))
     --max-landmarks M   --demo-direct landmark cap (default 64): bounds the

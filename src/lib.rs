@@ -49,8 +49,9 @@
 //! exactly backwards for serving workloads. The [`oracle`] subsystem splits
 //! the cost: the **build phase** pays the distributed rounds once, the
 //! **query phase** is local, lock-free and `O(log k)` per request (exact
-//! inside each node's `k`-nearest ball, `≤ 3(1+ε)·d` via the nearest
-//! landmark otherwise).
+//! inside each node's `k`-nearest ball, and via the nearest landmark
+//! otherwise within the `stretch_bound()` the artifact certifies from its
+//! rows, at most `3+2ε ≤ 3(1+ε)` for a clique build).
 //!
 //! ```
 //! use congested_clique::clique::Clique;

@@ -16,7 +16,7 @@ use congested_clique::graph::{generators, Graph};
 use congested_clique::oracle::{testkit, DirectBuilder, DistanceOracle, OracleBuilder};
 
 /// Builds the same configuration through both pipelines and asserts the
-/// artifacts are byte-identical.
+/// artifacts are byte-identical and certify at most `3+2ε`.
 fn assert_builders_agree(name: &str, g: &Graph, epsilon: f64, seed: u64, k: Option<usize>) {
     let mut clique = Clique::new(g.n());
     let mut via_clique = OracleBuilder::new().epsilon(epsilon).seed(seed);
@@ -32,6 +32,9 @@ fn assert_builders_agree(name: &str, g: &Graph, epsilon: f64, seed: u64, k: Opti
         direct.build(g).unwrap_or_else(|e| panic!("direct build failed on {name}: {e}"));
     eprintln!("case {name}: eps={epsilon} seed={seed} k={k:?} n={}", g.n());
     testkit::assert_same_artifact(&candidate, &reference);
+    // Faithful landmarks hit every ball, so every row certifies at most 3+2ε.
+    let bound = reference.stretch_bound();
+    assert!(bound <= 3.0 + 2.0 * epsilon + 1e-12, "{name}: certified {bound}");
 }
 
 /// The tentpole sweep: every standard-suite family × 3 seeds × 2 ε × 2 k.

@@ -1,29 +1,33 @@
 //! Property tests for the serving-layer oracle: on random graphs from two
 //! families (`gnp` and `road_like`), every answer is sound (never below the
-//! true distance) and within the documented stretch bound of the Dijkstra
-//! ground truth; builds are deterministic in the seed; and the byte
-//! snapshot round-trips to an identical artifact.
+//! true distance) and within the artifact's certified stretch bound of the
+//! Dijkstra ground truth, for faithful and capped builds alike, and a
+//! faithful build certifies at most `3+2ε`; builds are deterministic in the
+//! seed; and the byte snapshot round-trips to an identical artifact.
 
 // Node-indexed loops over parallel per-node vectors are the domain idiom.
 #![allow(clippy::needless_range_loop)]
 
 use congested_clique::clique::Clique;
 use congested_clique::graph::{generators, reference, Graph};
-use congested_clique::oracle::{serde, DistanceOracle, OracleBuilder};
+use congested_clique::oracle::{serde, DirectBuilder, DistanceOracle, OracleBuilder};
 use proptest::prelude::*;
 
 fn build(g: &Graph, k: usize, epsilon: f64, seed: u64) -> DistanceOracle {
     let mut clique = Clique::new(g.n());
-    OracleBuilder::new()
+    let oracle = OracleBuilder::new()
         .k(k)
         .epsilon(epsilon)
         .seed(seed)
         .build(&mut clique, g)
-        .expect("oracle build")
+        .expect("oracle build");
+    let bound = oracle.stretch_bound();
+    assert!(bound <= 3.0 + 2.0 * epsilon + 1e-12, "a faithful build certified {bound}");
+    oracle
 }
 
-/// Every pair: `d(u,v) ≤ query(u,v) ≤ 3(1+ε)·d(u,v)`, with reachability
-/// agreeing exactly.
+/// Every pair: `d(u,v) ≤ query(u,v) ≤ stretch_bound()·d(u,v)`, with
+/// reachability agreeing exactly.
 fn check_sound_and_bounded(g: &Graph, oracle: &DistanceOracle) {
     let bound = oracle.stretch_bound();
     for u in 0..g.n() {
@@ -32,8 +36,10 @@ fn check_sound_and_bounded(g: &Graph, oracle: &DistanceOracle) {
             match (exact[v], oracle.try_query(u, v).unwrap().value()) {
                 (Some(d), Some(est)) => {
                     assert!(est >= d, "underestimate: query({u},{v}) = {est} < {d}");
+                    // `d = 0` only at `u = v`, whose answer is 0; an
+                    // infinite bound times 0 would not compare.
                     assert!(
-                        est as f64 <= bound * d as f64 + 1e-9,
+                        d == 0 || est as f64 <= bound * d as f64 + 1e-9,
                         "stretch violated: query({u},{v}) = {est} > {bound} * {d}"
                     );
                 }
@@ -67,6 +73,17 @@ proptest! {
         let g = generators::road_like(6, 5, 25, seed).expect("road_like");
         let oracle = build(&g, k, 0.5, seed.wrapping_mul(3));
         check_sound_and_bounded(&g, &oracle);
+    }
+
+    #[test]
+    fn capped_road_like_answers_sound_and_within_certified_stretch(
+        seed in 0u64..100_000,
+        k in 4usize..10,
+        cap in 1usize..4,
+    ) {
+        let g = generators::road_like(6, 5, 25, seed).expect("road_like");
+        let direct = DirectBuilder::new().k(k).epsilon(0.5).seed(seed).max_landmarks(cap);
+        check_sound_and_bounded(&g, &direct.build(&g).expect("capped build"));
     }
 
     #[test]
