@@ -12,7 +12,7 @@
 //!   [`crate::sssp::bellman_ford`] (`O(SPD)` rounds).
 
 use cc_clique::{Clique, Envelope};
-use cc_distance::fixpoint::{broadcast_changed, iterate_to_fixpoint};
+use cc_distance::fixpoint::iterate_to_fixpoint;
 use cc_distance::{check_size, DistanceError};
 use cc_graph::reference::Search;
 use cc_graph::Graph;
@@ -55,13 +55,10 @@ pub fn exact_apsp_squaring(clique: &mut Clique, graph: &Graph) -> Result<ApspRun
     let dist = clique.with_phase("apsp_squaring", |clique| {
         let start = graph.weight_matrix().rows().to_vec();
         let squarings = (n.max(2) as f64).log2().ceil() as usize;
-        let x = iterate_to_fixpoint(clique, start, squarings, |clique, rows, changed| {
-            if broadcast_changed(clique, changed)? == Some(false) {
-                return Ok(None);
-            }
+        let x = iterate_to_fixpoint(clique, start, squarings, |clique, rows| {
             // Undirected distance matrices are symmetric: columns = rows,
             // so the right operand needs no transpose exchange.
-            Ok::<_, DistanceError>(Some(cc_matmul::dense_multiply::<MinPlus>(clique, rows, rows)?))
+            Ok::<_, DistanceError>(cc_matmul::dense_multiply::<MinPlus>(clique, rows, rows)?)
         })?;
         let mut dist = vec![vec![Dist::INF; n]; n];
         for (row, held) in dist.iter_mut().zip(&x) {

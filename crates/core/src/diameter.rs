@@ -182,7 +182,7 @@ mod tests {
         let g = generators::gnp_weighted(24, 0.2, 9, 4).unwrap();
         let run = diameter_approx(&mut Clique::new(24), &g, 0.25).unwrap();
         assert_eq!(run.estimate, 11);
-        assert_eq!((run.rounds, run.report.messages, run.report.words), (271, 89_576, 98_097));
+        assert_eq!((run.rounds, run.report.messages, run.report.words), (269, 88_472, 96_993));
         let broadcast = &run.report.phases["diameter/all_broadcast"];
         assert_eq!((broadcast.rounds, broadcast.messages, broadcast.invocations), (2, 1104, 2));
     }

@@ -8,7 +8,7 @@
 //! at most `⌈log₂ n⌉` squarings as the exact-APSP baseline.
 
 use cc_clique::Clique;
-use cc_distance::fixpoint::{broadcast_changed, iterate_to_fixpoint};
+use cc_distance::fixpoint::iterate_to_fixpoint;
 use cc_distance::{check_size, product_with_witnesses, DistanceError};
 use cc_graph::Graph;
 use cc_matrix::{Dist, SparseRow, WitnessedDist};
@@ -128,10 +128,7 @@ pub fn exact_apsp_paths(clique: &mut Clique, graph: &Graph) -> Result<ApspPaths,
         let squarings = (n.max(2) as f64).log2().ceil() as usize;
         // A squaring that changes no row (witnesses included) ends the loop:
         // every later table would be a copy of the top one.
-        iterate_to_fixpoint(clique, current, squarings, |clique, current, changed| {
-            if broadcast_changed(clique, changed)? == Some(false) {
-                return Ok(None);
-            }
+        iterate_to_fixpoint(clique, current, squarings, |clique, current| {
             // Project to plain distances, square with witnesses.
             let plain: Vec<SparseRow<Dist>> = current
                 .iter()
@@ -143,7 +140,7 @@ pub fn exact_apsp_paths(clique: &mut Clique, graph: &Graph) -> Result<ApspPaths,
             // column layout of the right operand equals the row layout.
             let next = product_with_witnesses(clique, &plain, &plain, n)?;
             levels.push(next.clone());
-            Ok::<_, DistanceError>(Some(next))
+            Ok::<_, DistanceError>(next)
         })?;
         Ok::<_, DistanceError>(levels)
     })?;

@@ -193,6 +193,41 @@ fn k_nearest_equals_the_fixed_count_loop() {
 }
 
 #[test]
+fn one_squaring_broadcasts_its_counts_once_and_no_flag() {
+    // k = 2: one squaring, so the bound ends the loop before a flag is due,
+    // and the one counts broadcast is the squaring's operands'.
+    let g = generators::gnp(16, 0.3, 5).unwrap();
+    let w = g.augmented_weight_matrix();
+    let clique = assert_same(
+        "gnp(16), k=2",
+        16,
+        |c| k_nearest(c, &g, 2).unwrap(),
+        |c| k_nearest_fixed(c, &w, 2),
+    );
+    assert_eq!(invocations(&clique, "knearest", "counts/all_broadcast"), 1);
+    assert_eq!(invocations(&clique, "knearest", "fixpoint/all_broadcast"), 0);
+}
+
+#[test]
+fn an_early_exit_pays_one_flag_round_per_squaring() {
+    // A star's rows are complete after one squaring: the second of the four
+    // allowed changes nothing, and the flag round after it ends the loop.
+    // Every squaring transposes and broadcasts counts once.
+    let g = generators::star(16).unwrap();
+    let w = g.augmented_weight_matrix();
+    let clique = assert_same(
+        "star(16), k=16",
+        16,
+        |c| k_nearest(c, &g, 16).unwrap(),
+        |c| k_nearest_fixed(c, &w, 16),
+    );
+    let squarings = invocations(&clique, "knearest", "transpose/route");
+    assert_eq!(squarings, 2);
+    assert_eq!(invocations(&clique, "knearest", "counts/all_broadcast"), squarings);
+    assert_eq!(invocations(&clique, "knearest", "fixpoint/all_broadcast"), squarings);
+}
+
+#[test]
 fn sources_nobody_reaches_exit_after_one_product() {
     // Node 9 is isolated: only its own row ever holds it, the first product
     // returns the hop-1 iterate, and the loop ends there whatever `d` is —

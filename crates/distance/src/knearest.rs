@@ -13,13 +13,12 @@
 //! ([`crate::fixpoint`]).
 //!
 //! Each squaring is `X ⋆ X` on both operands of one
-//! [`Operand::prepare_square`]: the row counts that open the step carry its
-//! changed bits, and one transpose and one counts broadcast of the columns
-//! give both operands both layouts and their counts.
+//! [`Operand::prepare_square`]: one transpose and one counts broadcast of
+//! the columns give both operands both layouts and their counts.
 
 use cc_clique::Clique;
 use cc_graph::DiGraph;
-use cc_matmul::{filtered_multiply_prepared, layout, Operand};
+use cc_matmul::{filtered_multiply_prepared, Operand};
 use cc_matrix::{AugDist, AugMinPlus, SparseRow};
 
 use crate::error::{check_size, invalid};
@@ -78,15 +77,9 @@ pub fn k_nearest(
         // Local input: node v knows its outgoing arcs, i.e. row v of W.
         let start = w.filtered::<AugMinPlus>(k).rows().to_vec();
         let squarings = (usize::BITS - (k - 1).leading_zeros()) as usize; // ceil(log2 k)
-        iterate_to_fixpoint(clique, start, squarings, |clique, rows, changed| {
-            // The row counts open the step and carry the changed bits.
-            let opening = layout::broadcast_counts(clique, rows, None, changed)?;
-            if opening.flagged() == Some(false) {
-                return Ok(None);
-            }
+        iterate_to_fixpoint(clique, start, squarings, |clique, rows| {
             let (mut left, mut right) = Operand::prepare_square::<AugMinPlus>(clique, rows)?;
-            let square = filtered_multiply_prepared::<AugMinPlus>(clique, &mut left, &mut right, k);
-            Ok(Some(square?))
+            Ok(filtered_multiply_prepared::<AugMinPlus>(clique, &mut left, &mut right, k)?)
         })
     })
 }

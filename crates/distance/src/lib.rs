@@ -24,8 +24,9 @@
 //!
 //! The tools that repeat a product stop when the iterate stops changing,
 //! after at most the theorem's number of products. `k_nearest`'s squarings
-//! run through [`fixpoint::iterate_to_fixpoint`], with termination detected
-//! by a bit that rides in the next product's counts broadcast; source
+//! run through [`fixpoint::iterate_to_fixpoint`], which detects termination
+//! itself: before each later step every node broadcasts whether the last
+//! one changed its part, and the loop ends once no node did. Source
 //! detection's hops are semi-naive — each multiplies only the entries the
 //! last one changed — and stop once the counts of those show none.
 //!

@@ -125,7 +125,7 @@ fn hop_loop(
     for _ in 1..d {
         // The frontier's row counts open the step: all 0 means no node
         // changed, and the loop stops before anything else.
-        let counts = layout::broadcast_counts(clique, &frontier, None, None)?;
+        let counts = layout::broadcast_counts(clique, &frontier, None)?;
         if counts.per_node().iter().all(|&count| count == 0) {
             break;
         }

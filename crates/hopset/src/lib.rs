@@ -38,7 +38,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use cc_clique::Clique;
-use cc_distance::fixpoint::{broadcast_changed, iterate_to_fixpoint};
+use cc_distance::fixpoint::iterate_to_fixpoint;
 use cc_distance::{
     check_epsilon, check_size, hitting_set, k_nearest, source_detection_all, DistanceError,
     HittingSet,
@@ -270,10 +270,7 @@ pub fn build_hopset(
         // union as it found it, so every later level would repeat it: the
         // iterate is each node's count of edges added so far.
         let mut level = 0;
-        iterate_to_fixpoint(clique, vec![0usize; n], levels, |clique, added, changed| {
-            if broadcast_changed(clique, changed)? == Some(false) {
-                return Ok(None);
-            }
+        iterate_to_fixpoint(clique, vec![0usize; n], levels, |clique, added| {
             let rows = clique.with_phase(&format!("level{level}"), |clique| {
                 source_detection_all(clique, &union, &a1.members, exploration)
             })?;
@@ -289,7 +286,7 @@ pub fn build_hopset(
                 }
                 added[v] += edges.len() - before;
             }
-            Ok::<_, DistanceError>(Some(added))
+            Ok::<_, DistanceError>(added)
         })?;
 
         Ok(Hopset { edges, beta, epsilon: config.epsilon, a1, bunch_edges })

@@ -204,6 +204,11 @@ pub(crate) fn pipeline_floor(
     shape.build_rounds(cost, n) + sigma1 + cost.broadcast_rounds(1) + sum
 }
 
+/// The bit of an owner load word ([`Load::from_words`]) raised if some
+/// elementary product through the node is non-zero. A load is at most `n²`,
+/// far below it.
+pub(crate) const FLAG_BIT: u64 = 1 << 63;
+
 /// What the nodes know of the owner route's largest load word `L`: `least
 /// ≤ L ≤ most`, and whether some elementary product is non-zero, if they
 /// know that.
@@ -238,8 +243,8 @@ impl Load {
     /// load `max(send, recv)`, with the flag bit raised if some elementary
     /// product through the node is non-zero.
     pub fn from_words(words: &[u64]) -> Load {
-        let most = words.iter().map(|w| w & !layout::FLAG_BIT).max().unwrap_or(0);
-        let summed = words.iter().any(|w| w & layout::FLAG_BIT != 0);
+        let most = words.iter().map(|w| w & !FLAG_BIT).max().unwrap_or(0);
+        let summed = words.iter().any(|w| w & FLAG_BIT != 0);
         Load { least: most, most, summed: Some(summed) }
     }
 
@@ -380,9 +385,7 @@ fn known_counts<E: Clone + PartialEq>(
 ) -> Result<Counts, MatmulError> {
     match operand.prepared() {
         Some(known) => Ok(known.counts.clone()),
-        None => {
-            clique.with_phase(label, |cl| layout::broadcast_counts(cl, operand.held(), None, None))
-        }
+        None => clique.with_phase(label, |cl| layout::broadcast_counts(cl, operand.held(), None)),
     }
 }
 
@@ -941,7 +944,7 @@ mod tests {
         assert_eq!(first, balancing(&star(n, 7), &permutation(n, 20)));
 
         let counts = |m: &SparseMatrix<Dist>| {
-            layout::broadcast_counts(&mut Clique::new(n), m.rows(), None, None).unwrap()
+            layout::broadcast_counts(&mut Clique::new(n), m.rows(), None).unwrap()
         };
         let (s_counts, t_counts) = (counts(&star(n, 0)), counts(&permutation(n, 0)));
         let sizes = [Sizes::held(&s_counts), Sizes::held(&t_counts)];
@@ -986,9 +989,8 @@ mod tests {
             let t_cols = t_matrix.transpose();
             let mut s = Operand::unprepared(Side::Left, s_matrix.rows());
             let mut t = Operand::unprepared(Side::Right, t_cols.rows());
-            let counts = [s_matrix.rows(), t_cols.rows()].map(|held| {
-                layout::broadcast_counts(&mut Clique::new(n), held, None, None).unwrap()
-            });
+            let counts = [s_matrix.rows(), t_cols.rows()]
+                .map(|held| layout::broadcast_counts(&mut Clique::new(n), held, None).unwrap());
             let counts = [Sizes::held(&counts[0]), Sizes::held(&counts[1])];
             let mut clique = Clique::with_cost_model(n, cost);
             for delivery in 0..2 {

@@ -45,8 +45,7 @@ pub fn transpose_exchange<S: Semiring>(
 }
 
 /// What one counts broadcast told every node: the slice sizes, the density
-/// derived from them, the opposite slices' sizes if they rode along, and the
-/// flags that rode along in the words' high bits.
+/// derived from them, and the opposite slices' sizes if they rode along.
 ///
 /// Only [`broadcast_counts`] makes one, so whatever reads a `Counts` reads
 /// broadcast values.
@@ -55,7 +54,6 @@ pub struct Counts {
     per_node: Vec<u64>,
     density: usize,
     opposite: Option<Vec<u64>>,
-    flagged: Option<bool>,
 }
 
 impl Counts {
@@ -77,12 +75,6 @@ impl Counts {
         self.opposite.as_deref()
     }
 
-    /// `None` if the broadcast carried no flags, else whether any node set
-    /// its flag.
-    pub fn flagged(&self) -> Option<bool> {
-        self.flagged
-    }
-
     /// The same broadcast read from the opposite layout's side, if it carried
     /// the opposite layout's sizes: those become the per-node sizes, and the
     /// held ones the opposite sizes. The two layouts of one matrix hold the
@@ -95,51 +87,41 @@ impl Counts {
     }
 }
 
-/// The bit of a count word that carries a node's flag. A count is at most
-/// `n`, far below it.
-pub(crate) const FLAG_BIT: u64 = 1 << 63;
-
 /// Where the opposite slice's size sits in a count word: above the held
 /// slice's, which is below `2³²` as every node id is.
 const OPPOSITE_SHIFT: u32 = 32;
 
 /// Broadcasts every node's slice size in one word; the size of node `v`'s
-/// `opposite[v]`, if given, rides in the word's upper half, and `flags[v]`,
-/// if given, in its high bit. Two counts of at most `n` and a flag are
-/// `O(log n)` bits: one all-to-all broadcast round.
+/// `opposite[v]`, if given, rides in the word's upper half. Two counts of at
+/// most `n` are `O(log n)` bits: one all-to-all broadcast round.
 ///
 /// # Errors
 ///
-/// Returns [`MatmulError::Clique`] if `slices.len()`, `opposite.len()` or
-/// `flags.len()` differs from the clique size.
+/// Returns [`MatmulError::Clique`] if `slices.len()` or `opposite.len()`
+/// differs from the clique size.
 pub fn broadcast_counts<E: Clone + PartialEq>(
     clique: &mut Clique,
     slices: &[SparseRow<E>],
     opposite: Option<&[SparseRow<E>]>,
-    flags: Option<&[bool]>,
 ) -> Result<Counts, MatmulError> {
     let n = clique.n();
-    let lengths = [opposite.map(<[_]>::len), flags.map(<[_]>::len)];
-    if let Some(got) = lengths.into_iter().flatten().find(|&len| len != n) {
+    if let Some(got) = opposite.map(<[_]>::len).filter(|&len| len != n) {
         return Err(CliqueError::WrongLength { expected: n, got }.into());
     }
     let words: Vec<u64> = slices
         .iter()
         .enumerate()
         .map(|(v, r)| {
-            let flag = flags.and_then(|f| f.get(v)).copied().unwrap_or(false);
             let across = opposite.and_then(|o| o.get(v)).map_or(0, SparseRow::nnz) as u64;
-            r.nnz() as u64 | across << OPPOSITE_SHIFT | if flag { FLAG_BIT } else { 0 }
+            r.nnz() as u64 | across << OPPOSITE_SHIFT
         })
         .collect();
     let words = clique.with_phase("counts", |c| c.all_broadcast(words))?;
-    let flagged = flags.map(|_| words.iter().any(|w| w & FLAG_BIT != 0));
     let low = (1 << OPPOSITE_SHIFT) - 1;
-    let opposite =
-        opposite.map(|_| words.iter().map(|w| (w & !FLAG_BIT) >> OPPOSITE_SHIFT).collect());
+    let opposite = opposite.map(|_| words.iter().map(|w| w >> OPPOSITE_SHIFT).collect());
     let per_node: Vec<u64> = words.into_iter().map(|w| w & low).collect();
     let density = per_node.iter().sum::<u64>().div_ceil(n as u64).max(1) as usize;
-    Ok(Counts { per_node, density, opposite, flagged })
+    Ok(Counts { per_node, density, opposite })
 }
 
 #[cfg(test)]
@@ -170,52 +152,32 @@ mod tests {
     fn broadcast_counts_reports_density() {
         let m = sample();
         let mut clique = Clique::new(4);
-        let counts = broadcast_counts(&mut clique, m.rows(), None, None).unwrap();
+        let counts = broadcast_counts(&mut clique, m.rows(), None).unwrap();
         assert_eq!(counts.per_node(), [2, 0, 1, 1]);
         assert_eq!(counts.opposite(), None);
         assert_eq!(counts.density(), 1);
-        assert_eq!(counts.flagged(), None);
         assert_eq!(clique.rounds(), 1);
     }
 
     #[test]
-    fn flags_ride_in_the_count_words() {
-        let m = sample();
-        let mut clique = Clique::new(4);
-        let raised =
-            broadcast_counts(&mut clique, m.rows(), None, Some(&[false, false, true, false]))
-                .unwrap();
-        assert_eq!(raised.per_node(), [2, 0, 1, 1], "the flag bit is not part of the count");
-        assert_eq!(raised.flagged(), Some(true));
-        let lowered = broadcast_counts(&mut clique, m.rows(), None, Some(&[false; 4])).unwrap();
-        assert_eq!(lowered.flagged(), Some(false));
-        // One word per node each time: the flags cost no extra round.
-        assert_eq!(clique.rounds(), 2);
-        assert_eq!(clique.metrics().phases["counts/all_broadcast"].words, 2 * 4 * 3);
-        let err = broadcast_counts(&mut clique, m.rows(), None, Some(&[true; 3])).unwrap_err();
-        assert_eq!(err, MatmulError::Clique(CliqueError::WrongLength { expected: 4, got: 3 }));
-    }
-
-    #[test]
     fn the_opposite_counts_ride_in_the_same_words() {
-        // Column counts [1, 2, 0, 1] beside row counts [2, 0, 1, 1], with a
-        // flag raised: one round, and each count reads back on its own.
+        // Column counts [1, 2, 0, 1] beside row counts [2, 0, 1, 1]: one
+        // round, and each count reads back on its own.
         let (m, t) = (sample(), sample().transpose());
         let mut clique = Clique::new(4);
-        let flags = [true, false, false, false];
-        let both = broadcast_counts(&mut clique, m.rows(), Some(t.rows()), Some(&flags)).unwrap();
+        let both = broadcast_counts(&mut clique, m.rows(), Some(t.rows())).unwrap();
         assert_eq!(both.per_node(), [2, 0, 1, 1]);
         assert_eq!(both.opposite(), Some(&[1, 2, 0, 1][..]));
-        assert_eq!((both.density(), both.flagged()), (1, Some(true)));
+        assert_eq!(both.density(), 1);
         assert_eq!(clique.rounds(), 1);
         // Read from the other side, the same word gives the column counts.
         let across = both.transposed().unwrap();
         assert_eq!(across.per_node(), [1, 2, 0, 1]);
         assert_eq!(across.opposite(), Some(&[2, 0, 1, 1][..]));
         assert_eq!((across.density(), across.transposed()), (1, Some(both)));
-        let held_only = broadcast_counts(&mut clique, m.rows(), None, None).unwrap();
+        let held_only = broadcast_counts(&mut clique, m.rows(), None).unwrap();
         assert_eq!(held_only.transposed(), None);
-        let err = broadcast_counts(&mut clique, m.rows(), Some(&t.rows()[..2]), None).unwrap_err();
+        let err = broadcast_counts(&mut clique, m.rows(), Some(&t.rows()[..2])).unwrap_err();
         assert_eq!(err, MatmulError::Clique(CliqueError::WrongLength { expected: 4, got: 2 }));
     }
 }

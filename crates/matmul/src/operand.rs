@@ -128,7 +128,7 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
         rows: &'a [SparseRow<E>],
     ) -> Result<(Self, Self), MatmulError> {
         let cols = layout::transpose_exchange::<S>(clique, rows)?;
-        let col_counts = layout::broadcast_counts(clique, &cols, Some(rows), None)?;
+        let col_counts = layout::broadcast_counts(clique, &cols, Some(rows))?;
         let row_counts = col_counts.transposed().expect("the row counts rode along");
         let left = Known::Prepared(Prepared {
             held: Cow::Borrowed(rows),
@@ -188,7 +188,7 @@ impl<'a, E: Clone + PartialEq> Operand<'a, E> {
             )),
         };
         if let Some((held, opposite)) = layouts {
-            let counts = layout::broadcast_counts(clique, &held, Some(&opposite), None)?;
+            let counts = layout::broadcast_counts(clique, &held, Some(&opposite))?;
             self.known = Known::Prepared(Prepared { held, opposite, counts });
         }
         Ok(self.prepared().expect("prepared just above, if not before"))
@@ -354,7 +354,7 @@ mod tests {
         // counts broadcast, which carries the row counts again.
         let m = sample();
         let mut clique = Clique::new(4);
-        let row_counts = layout::broadcast_counts(&mut clique, m.rows(), None, None).unwrap();
+        let row_counts = layout::broadcast_counts(&mut clique, m.rows(), None).unwrap();
         let mut op = Operand::from_opposite(m.rows(), row_counts);
         assert!(op.prepared().is_none());
         assert_eq!(op.opposite_known(), Some((m.rows(), &[2, 0, 1, 1][..])));

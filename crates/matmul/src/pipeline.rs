@@ -11,8 +11,8 @@ use cc_matrix::{Entry, Semiring, SparseRow};
 use crate::cube::{CubePartition, CubeShape, TaskAssignment};
 use crate::deliver::{
     deliver, local_product, owner_choice, pipeline_floor, Load, PerNode, ProductScratch, Sizes,
+    FLAG_BIT,
 };
-use crate::layout::FLAG_BIT;
 use crate::operand::{Operand, Side};
 use crate::sum::sum_intermediates;
 use crate::MatmulError;
@@ -570,7 +570,7 @@ mod tests {
             let mut clique = Clique::with_cost_model(s.n(), cost);
             let mut left = Operand::unprepared(Side::Left, s.rows());
             let mut right = if by_rows {
-                let counts = layout::broadcast_counts(&mut clique, t.rows(), None, None).unwrap();
+                let counts = layout::broadcast_counts(&mut clique, t.rows(), None).unwrap();
                 Operand::from_opposite(t.rows(), counts)
             } else {
                 Operand::unprepared(Side::Right, t_cols.rows())

@@ -311,8 +311,11 @@ mod tests {
         }
     }
 
-    /// Eight threads, released together, each ask `rounds` of `keys` (odd
-    /// threads flipped) against the backend's answers; returns the requests.
+    /// Eight threads, released together, each draw `rounds` of `keys` and
+    /// ask every drawn pair both ways (odd threads flipped first) against the
+    /// backend's answers; returns the requests. Both ways are one key, so the
+    /// second ask can hit the line the first just wrote, while the other
+    /// threads rewrite it: every run reads across racing inserts.
     fn hammer(c: &CachingOracle, keys: &[(usize, usize)], rounds: usize) -> u64 {
         let start = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
@@ -322,13 +325,15 @@ mod tests {
                     start.wait();
                     for &(u, v) in keys.iter().cycle().skip(t * 7).step_by(13).take(rounds) {
                         let (u, v) = if t % 2 == 0 { (u, v) } else { (v, u) };
-                        let expected = c.inner().try_query(u, v).unwrap();
-                        assert_eq!(c.try_query(u, v).unwrap(), expected, "({u},{v})");
+                        for (u, v) in [(u, v), (v, u)] {
+                            let expected = c.inner().try_query(u, v).unwrap();
+                            assert_eq!(c.try_query(u, v).unwrap(), expected, "({u},{v})");
+                        }
                     }
                 });
             }
         });
-        8 * rounds as u64
+        2 * 8 * rounds as u64
     }
 
     #[test]

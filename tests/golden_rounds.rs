@@ -55,20 +55,20 @@ struct Pinned {
 }
 
 const MSSP_PINNED: Pinned = Pinned {
-    rounds: 128,
-    messages: 72_005,
-    words: 78_475,
-    phase_labels: 17,
-    invocations: 58,
+    rounds: 127,
+    messages: 71_013,
+    words: 77_483,
+    phase_labels: 18,
+    invocations: 57,
     dist_digest: 11_751_844_912_777_100_782,
 };
 
 const APSP_PINNED: Pinned = Pinned {
-    rounds: 221,
-    messages: 107_108,
-    words: 116_421,
-    phase_labels: 36,
-    invocations: 111,
+    rounds: 218,
+    messages: 104_132,
+    words: 113_445,
+    phase_labels: 38,
+    invocations: 108,
     dist_digest: 12_639_840_282_067_814_693,
 };
 
