@@ -43,7 +43,7 @@ fn source_detection_k_fixed(
     d: usize,
     k: usize,
 ) -> Rows {
-    let mut x = restrict(w, sources).filtered::<AugMinPlus>(k);
+    let mut x = restrict(w, sources).filtered(k);
     for _ in 1..d {
         let x_cols = transpose_exchange::<AugMinPlus>(clique, x.rows()).unwrap();
         let rows =
@@ -54,7 +54,7 @@ fn source_detection_k_fixed(
 }
 
 fn k_nearest_fixed(clique: &mut Clique, w: &SparseMatrix<AugDist>, k: usize) -> Rows {
-    let mut x = w.filtered::<AugMinPlus>(k);
+    let mut x = w.filtered(k);
     let squarings = (usize::BITS - (k - 1).leading_zeros()) as usize;
     for _ in 0..squarings {
         let x_cols = transpose_exchange::<AugMinPlus>(clique, x.rows()).unwrap();
@@ -139,10 +139,10 @@ fn source_detection_all_equals_the_fixed_count_loop() {
 /// How many entries the reference loop's filter drops from the rows it
 /// held, over its `d − 1` steps: an entry of `x_i` in no column of `x_{i+1}`.
 fn filter_drops(w: &SparseMatrix<AugDist>, sources: &[usize], d: usize, k: usize) -> usize {
-    let mut x = restrict(w, sources).filtered::<AugMinPlus>(k);
+    let mut x = restrict(w, sources).filtered(k);
     let mut drops = 0;
     for _ in 1..d {
-        let next = w.multiply::<AugMinPlus>(&x).filtered::<AugMinPlus>(k);
+        let next = w.multiply::<AugMinPlus>(&x).filtered(k);
         drops += x.entries().filter(|e| next.get(e.row as usize, e.col as usize).is_none()).count();
         x = next;
     }

@@ -75,7 +75,7 @@ pub fn k_nearest(
     let w = graph.augmented_weight_matrix();
     clique.with_phase("knearest", |clique| {
         // Local input: node v knows its outgoing arcs, i.e. row v of W.
-        let start = w.filtered::<AugMinPlus>(k).rows().to_vec();
+        let start = w.filtered(k).rows().to_vec();
         let squarings = (usize::BITS - (k - 1).leading_zeros()) as usize; // ceil(log2 k)
         iterate_to_fixpoint(clique, start, squarings, |clique, rows| {
             let (mut left, mut right) = Operand::prepare_square::<AugMinPlus>(clique, rows)?;

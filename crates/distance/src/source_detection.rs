@@ -146,7 +146,7 @@ fn lower(
     let entries = row.iter().chain(product.iter()).map(|(c, v)| (c, *v)).collect();
     let mut next = SparseRow::from_entries::<AugMinPlus>(entries);
     if let Some(k) = keep {
-        next.filter_smallest::<AugMinPlus>(k);
+        next.filter_smallest(k);
     }
     let changed = next.iter().filter(|&(c, v)| row.get(c) != Some(v)).map(|(c, v)| (c, *v));
     let changed = SparseRow::from_sorted(changed.collect());
@@ -180,7 +180,7 @@ pub fn source_detection_k(
     let w = graph.augmented_weight_matrix();
     clique.with_phase("source_detection_k", |clique| {
         // W_1: the k lightest arcs towards S per node.
-        let start = restrict_to_sources(&w, &in_s).filtered::<AugMinPlus>(k);
+        let start = restrict_to_sources(&w, &in_s).filtered(k);
         hop_loop(clique, &w, &start, d, Some(k), |clique, w, x| {
             cc_matmul::filtered_multiply_prepared::<AugMinPlus>(clique, w, x, k)
         })
@@ -332,7 +332,7 @@ mod tests {
         for &s in &sources {
             in_s[s] = true;
         }
-        let expected = restrict_to_sources(&power, &in_s).filtered::<AugMinPlus>(k);
+        let expected = restrict_to_sources(&power, &in_s).filtered(k);
         for v in 0..20 {
             assert_eq!(got[v], *expected.row(v), "node {v}");
         }

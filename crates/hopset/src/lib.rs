@@ -46,6 +46,11 @@ use cc_distance::{
 use cc_graph::Graph;
 use cc_matrix::{AugDist, SparseRow};
 
+/// Seed of the Lemma 4 hitting set `A1` that every hopset construction
+/// draws: [`build_hopset`] and `cc-oracle`'s direct builder read it, so the
+/// two pick the same set.
+pub const HITTING_SET_SEED: u64 = 0x5eed;
+
 /// Tuning knobs for the hopset construction.
 ///
 /// The defaults follow the paper's parameters (`β = Θ(log n/ε)`,
@@ -59,8 +64,6 @@ use cc_matrix::{AugDist, SparseRow};
 pub struct HopsetConfig {
     /// Target stretch `ε` (`0 < ε`); the hopset guarantees `(1+ε)`.
     pub epsilon: f64,
-    /// Seed for the Lemma 4 hitting set.
-    pub seed: u64,
     /// Override for the hop bound `β` (default `⌈3·log₂ n / ε⌉`, capped at
     /// `n`).
     pub beta: Option<usize>,
@@ -74,7 +77,7 @@ pub struct HopsetConfig {
 impl HopsetConfig {
     /// Paper-faithful defaults for a given `ε`.
     pub fn new(epsilon: f64) -> Self {
-        HopsetConfig { epsilon, seed: 0x5eed, beta: None, exploration_hops: None, levels: None }
+        HopsetConfig { epsilon, beta: None, exploration_hops: None, levels: None }
     }
 
     /// Resolves the config against a concrete graph size: the ball size of
@@ -243,7 +246,7 @@ pub fn build_hopset(
         let near = k_nearest(clique, graph, k)?;
         let sets: Vec<Vec<usize>> =
             near.iter().map(|row| row.iter().map(|(c, _)| c as usize).collect()).collect();
-        let a1 = hitting_set(clique, &sets, k, config.seed)?;
+        let a1 = hitting_set(clique, &sets, k, HITTING_SET_SEED)?;
 
         // Step 2: bunches B(v) with exact weights (already known locally
         // from the k-nearest output) — the edge set H0.

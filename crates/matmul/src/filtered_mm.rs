@@ -26,18 +26,20 @@
 //! as `k = ⌈√n·log₂ n⌉ ≥ n/2`.
 //!
 //! The search runs over *combined ordinals* `ordinal(value)·n + column + 1`,
-//! so it directly finds the `(value, column)` cutoff pair — the paper's
-//! lexicographic cutoff `(r, s)` — in one search instead of a value search
-//! plus a tie-resolution query. That space is almost all empty (an
-//! [`AugDist`](cc_matrix::AugDist) ordinal spends 20 bits on hops, so a
-//! bisection takes ~30 steps), so the search *snaps*: every query's replies
+//! where `ordinal` is [`OrderedSemiring::ordinal`], the one encoding of the
+//! order the final row filter sorts by (`Ord`). So it directly finds the
+//! `(value, column)` cutoff pair — the paper's lexicographic cutoff
+//! `(r, s)` — in one search instead of a value search plus a
+//! tie-resolution query. That space is almost all empty (an
+//! [`AugMinPlus`](cc_matrix::AugMinPlus) ordinal spends 20 bits on hops, so
+//! a bisection takes ~30 steps), so the search *snaps*: every query's replies
 //! name the row's nearest ordinals on either side of the midpoint, and the
 //! bounds move to those instead of to the midpoint. It never takes more
 //! steps than bisection — the lemma's `O(log W)` — and in the pinned n = 32
 //! runs at most 6, against bisection's 27–32.
 
 use cc_clique::{Clique, Envelope, NodeId, Payload};
-use cc_matrix::{Entry, OrderedSemiring, Searchable, SparseRow};
+use cc_matrix::{Entry, OrderedSemiring, SparseRow};
 
 use crate::cube::CubePartition;
 use crate::key_index::KeyIndex;
@@ -60,8 +62,8 @@ impl Payload for Ord128 {
 
 /// The combined ordinal of `(val, col)`, offset by one so that `min − 1`
 /// below a row's smallest entry is exact even at value 0 in column 0.
-fn combined<E: Searchable>(val: &E, col: u32, n: usize) -> u128 {
-    val.to_ordinal() * (n as u128) + col as u128 + 1
+fn combined<SR: OrderedSemiring>(val: &SR::Elem, col: u32, n: usize) -> u128 {
+    SR::ordinal(val) * (n as u128) + col as u128 + 1
 }
 
 /// The answer to a query `mid` about one row: how many of its ordinals are
@@ -154,13 +156,17 @@ struct RowOrdinals {
 }
 
 impl RowOrdinals {
-    fn build<E: Searchable>(entries: &[Entry<E>], slot_of_row: &[u32], n: usize) -> RowOrdinals {
+    fn build<SR: OrderedSemiring>(
+        entries: &[Entry<SR::Elem>],
+        slot_of_row: &[u32],
+        n: usize,
+    ) -> RowOrdinals {
         let mut by_slot = KeyIndex::default();
         by_slot.rebuild(entries.len(), |idx| slot_of_row[entries[idx].row as usize]);
         let mut ords: Vec<u128> = by_slot
             .order()
             .iter()
-            .map(|&idx| combined(&entries[idx as usize].val, entries[idx as usize].col, n))
+            .map(|&idx| combined::<SR>(&entries[idx as usize].val, entries[idx as usize].col, n))
             .collect();
         for t in by_slot.keys() {
             ords[by_slot.range(t)].sort_unstable();
@@ -186,9 +192,9 @@ struct RowCutoffs {
 
 impl RowCutoffs {
     /// Whether node `v` keeps product entry `e` (at or below its row's cutoff).
-    fn keeps<E: Searchable>(&self, v: NodeId, e: &Entry<E>) -> bool {
+    fn keeps<SR: OrderedSemiring>(&self, v: NodeId, e: &Entry<SR::Elem>) -> bool {
         match self.by_node[v][self.slot_of_row[e.row as usize] as usize] {
-            Some(cut) => combined(&e.val, e.col, self.n) <= cut,
+            Some(cut) => combined::<SR>(&e.val, e.col, self.n) <= cut,
             None => true,
         }
     }
@@ -242,7 +248,6 @@ pub fn filtered_multiply<SR>(
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError>
 where
     SR: OrderedSemiring,
-    SR::Elem: Searchable,
 {
     let mut s = Operand::unprepared(Side::Left, s_rows);
     let mut t = Operand::unprepared(Side::Right, t_cols);
@@ -269,7 +274,6 @@ pub fn filtered_multiply_prepared<SR>(
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError>
 where
     SR: OrderedSemiring,
-    SR::Elem: Searchable,
 {
     filtered_product::<SR>(clique, s, t, rho, true)
 }
@@ -285,14 +289,13 @@ pub(crate) fn filtered_product<SR>(
 ) -> Result<Vec<SparseRow<SR::Elem>>, MatmulError>
 where
     SR: OrderedSemiring,
-    SR::Elem: Searchable,
 {
     let n = clique.n();
     let rho = rho.clamp(1, n);
     // Lemma 15: per-row cutoffs via a lockstep distributed search.
     let thin = |cl: &mut Clique, cube: &CubePartition, products: &[Vec<Entry<SR::Elem>>]| {
         let cutoffs = row_cutoffs::<SR>(cl, cube, products, rho)?;
-        Ok(Box::new(move |v, e: &Entry<SR::Elem>| cutoffs.keeps(v, e)) as Keep<'_, SR::Elem>)
+        Ok(Box::new(move |v, e: &Entry<SR::Elem>| cutoffs.keeps::<SR>(v, e)) as Keep<'_, SR::Elem>)
     };
     // Lemma 16: survivors are balanced inside each group B_ik, whose own
     // members are the pool (the lemma proves it always suffices).
@@ -326,7 +329,7 @@ where
     };
     let mut rows = product::<SR>(clique, &plan, s, t)?;
     for row in &mut rows {
-        row.filter_smallest::<SR>(rho);
+        row.filter_smallest(rho);
     }
     Ok(rows)
 }
@@ -357,7 +360,6 @@ fn row_cutoffs<SR>(
 ) -> Result<RowCutoffs, MatmulError>
 where
     SR: OrderedSemiring,
-    SR::Elem: Searchable,
 {
     let n = clique.n();
     let a = cube.shape.a;
@@ -372,7 +374,7 @@ where
     let slots_of = |v: NodeId| cube.triple_of(v).map_or(0, |(i, _, _)| cube.row_blocks[i].len());
 
     let row_ordinals: Vec<RowOrdinals> =
-        products.iter().map(|entries| RowOrdinals::build(entries, &slot_of_row, n)).collect();
+        products.iter().map(|entries| RowOrdinals::build::<SR>(entries, &slot_of_row, n)).collect();
 
     clique.with_phase("cutoff_search", |clique| {
         // Init: members report (row, count, min, max) to coordinators. The
@@ -514,7 +516,7 @@ mod tests {
         let mut clique = Clique::new(n);
         let t_cols = t.transpose();
         let rows = filtered_multiply::<MinPlus>(&mut clique, s.rows(), t_cols.rows(), rho).unwrap();
-        let expected = s.multiply::<MinPlus>(t).filtered::<MinPlus>(rho);
+        let expected = s.multiply::<MinPlus>(t).filtered(rho);
         assert_eq!(SparseMatrix::from_rows(rows), expected);
     }
 
@@ -579,7 +581,7 @@ mod tests {
         let t_cols = w.transpose();
         let rows =
             filtered_multiply::<AugMinPlus>(&mut clique, w.rows(), t_cols.rows(), 3).unwrap();
-        let expected = w.multiply::<AugMinPlus>(&w).filtered::<AugMinPlus>(3);
+        let expected = w.multiply::<AugMinPlus>(&w).filtered(3);
         assert_eq!(SparseMatrix::from_rows(rows), expected);
     }
 
@@ -593,7 +595,6 @@ mod tests {
     ) -> (CubePartition, Vec<Vec<Entry<SR::Elem>>>)
     where
         SR: OrderedSemiring,
-        SR::Elem: Searchable,
     {
         let n = clique.n();
         let t_cols = t.transpose();
@@ -627,8 +628,9 @@ mod tests {
         let (cube, products) = slice_products::<MinPlus>(&mut clique, &s, &t, rho);
         assert_eq!(products.iter().map(Vec::len).sum::<usize>(), 3);
         let cutoffs = row_cutoffs::<MinPlus>(&mut clique, &cube, &products, rho).unwrap();
-        let survivors: usize =
-            (0..n).map(|v| products[v].iter().filter(|e| cutoffs.keeps(v, e)).count()).sum();
+        let survivors: usize = (0..n)
+            .map(|v| products[v].iter().filter(|e| cutoffs.keeps::<MinPlus>(v, e)).count())
+            .sum();
         assert_eq!(survivors, rho, "Lemma 16 counts on at most ρ survivors per row");
     }
 
@@ -659,7 +661,6 @@ mod tests {
     ) -> usize
     where
         SR: OrderedSemiring,
-        SR::Elem: Searchable,
     {
         let n = s.n();
         let mut clique = Clique::new(n);
@@ -670,12 +671,25 @@ mod tests {
             for k in 0..cube.shape.c {
                 let group = cube.group_bik(i, k);
                 for (slot, &row) in cube.row_blocks[i].iter().enumerate() {
-                    let mut ordinals: Vec<u128> = group
+                    let entries: Vec<(NodeId, &Entry<SR::Elem>)> = group
                         .iter()
-                        .flat_map(|&v| products[v].iter())
-                        .filter(|e| e.row as usize == row)
-                        .map(|e| combined(&e.val, e.col, n))
+                        .flat_map(|&v| products[v].iter().map(move |e| (v, e)))
+                        .filter(|(_, e)| e.row as usize == row)
                         .collect();
+                    // The cutoffs keep what the final row filter keeps of the
+                    // group's row: its `ρ` smallest entries by `Ord`.
+                    let row_of = |kept: Vec<&(NodeId, &Entry<SR::Elem>)>| {
+                        let pairs = kept.iter().map(|(_, e)| (e.col, e.val.clone())).collect();
+                        SparseRow::from_entries::<SR>(pairs)
+                    };
+                    let mut smallest = row_of(entries.iter().collect());
+                    smallest.filter_smallest(rho);
+                    let at_or_below = row_of(
+                        entries.iter().filter(|(v, e)| cutoffs.keeps::<SR>(*v, e)).collect(),
+                    );
+                    assert_eq!(at_or_below, smallest, "group ({i},{k}) row {row}");
+                    let mut ordinals: Vec<u128> =
+                        entries.iter().map(|(_, e)| combined::<SR>(&e.val, e.col, n)).collect();
                     ordinals.sort_unstable();
                     let expected = (ordinals.len() > rho).then(|| ordinals[rho - 1]);
                     if let Some(cutoff) = expected {
@@ -777,7 +791,6 @@ mod tests {
         dense: bool,
     ) where
         SR: OrderedSemiring,
-        SR::Elem: Searchable,
     {
         let n = s.n();
         let what = format!("n = {n}, ρ = {rho}, dense: {dense}");
@@ -789,7 +802,7 @@ mod tests {
             Ok(rows) => rows,
             Err(e) => panic!("{what}: {e}"),
         };
-        let expected = s.multiply::<SR>(t).filtered::<SR>(rho);
+        let expected = s.multiply::<SR>(t).filtered(rho);
         assert!(SparseMatrix::from_rows(rows) == expected, "{what}: rows differ");
         let phases = &clique.metrics().phases;
         let routes = phases.get("filtered_mm/cutoff_search/route").map_or(0, |p| p.invocations);

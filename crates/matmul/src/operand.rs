@@ -338,7 +338,7 @@ mod tests {
         assert_eq!((&*r.held, &*r.opposite), (cols.rows(), m.rows()));
         // The filtered square, at the row owners or through the pipeline.
         for rho in 1..=4 {
-            let expected = m.multiply::<MinPlus>(&m).filtered::<MinPlus>(rho);
+            let expected = m.multiply::<MinPlus>(&m).filtered(rho);
             for owner in [true, false] {
                 let (mut cl, mut x, mut y) = (clique.clone(), left.clone(), right.clone());
                 let square = filtered_product::<MinPlus>(&mut cl, &mut x, &mut y, rho, owner);

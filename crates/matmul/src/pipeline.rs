@@ -438,8 +438,8 @@ mod tests {
     use crate::sparse_mm::{lemma_12_scopes, sparse_multiply_auto, sparse_product};
     use cc_clique::CostModel;
     use cc_matrix::{
-        AugDist, AugMinPlus, Dist, MinPlus, OrderedSemiring, Searchable, SparseMatrix,
-        WitnessedDist, WitnessedMinPlus,
+        AugDist, AugMinPlus, Dist, MinPlus, OrderedSemiring, SparseMatrix, WitnessedDist,
+        WitnessedMinPlus,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -613,7 +613,6 @@ mod tests {
     fn filtered_products<SR>(seed: u64, val: impl Fn(&mut StdRng) -> SR::Elem + Copy)
     where
         SR: OrderedSemiring,
-        SR::Elem: Searchable + std::fmt::Debug,
     {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut taken = [0; 2];
@@ -623,7 +622,7 @@ mod tests {
             let rho = [1, 3, n][case % 3];
             let s = random::<SR>(&mut rng, n, per_row, case % 2 == 0, val);
             let t = random::<SR>(&mut rng, n, [1, 2, n][(case / 4) % 3], true, val);
-            let (t_cols, expected) = (t.transpose(), s.multiply::<SR>(&t).filtered::<SR>(rho));
+            let (t_cols, expected) = (t.transpose(), s.multiply::<SR>(&t).filtered(rho));
             let what = format!("case {case}: n = {n}, {per_row} a row, ρ = {rho}, {cost:?}");
             check_counts_rule::<SR>(&what, cost, &s, &t, rho);
             for by_rows in [false, true] {
@@ -693,7 +692,7 @@ mod tests {
             for filter in [None, Some(1), Some(3), Some(n)] {
                 let (label, expected, rho) = match filter {
                     None => ("sparse_mm", product.clone(), product.density()),
-                    Some(rho) => ("filtered_mm", product.filtered::<MinPlus>(rho), rho),
+                    Some(rho) => ("filtered_mm", product.filtered(rho), rho),
                 };
                 for cost in [CostModel::unit(), CostModel::conservative()] {
                     let what = format!("row {dense} of S reaches {reach:?}: {label}, ρ = {rho}");

@@ -280,51 +280,6 @@ impl Payload for WitnessedDist {
     }
 }
 
-/// An element with an order-preserving embedding into a finite integer range
-/// — the value space `R'` that Theorem 14's cutoff search (Lemma 15)
-/// searches over.
-///
-/// Requirement: `a < b ⟺ a.to_ordinal() < b.to_ordinal()`. The search
-/// only compares ordinals of real elements with each other and with points
-/// between them, so no decoding is needed.
-///
-/// # Example
-///
-/// ```
-/// use cc_matrix::{AugDist, Searchable};
-///
-/// let a = AugDist::fin(3, 1);
-/// let b = AugDist::fin(3, 2);
-/// assert!(a.to_ordinal() < b.to_ordinal());
-/// ```
-pub trait Searchable {
-    /// Order-preserving encoding into `u128`.
-    fn to_ordinal(&self) -> u128;
-}
-
-impl Searchable for Dist {
-    fn to_ordinal(&self) -> u128 {
-        self.0 as u128
-    }
-}
-
-/// Width of the hops field inside [`AugDist`] ordinals. Hop counts are
-/// bounded by the number of nodes, so 20 bits cover any clique up to a
-/// million nodes. Most of the ordinal range is therefore empty; Lemma 15's
-/// search snaps to the ordinals that exist, so it does not pay for the gaps.
-const HOP_BITS: u32 = 20;
-
-impl Searchable for AugDist {
-    fn to_ordinal(&self) -> u128 {
-        debug_assert!(
-            self.hops < (1 << HOP_BITS) || *self == AugDist::INF,
-            "hop count exceeds the ordinal encoding width"
-        );
-        let hops = (self.hops as u128).min((1 << HOP_BITS) - 1);
-        ((self.dist as u128) << HOP_BITS) | hops
-    }
-}
-
 /// One non-zero matrix entry in transit: `(row, col, value)`.
 ///
 /// Following the paper's accounting, an entry — two packed indices plus an

@@ -9,9 +9,13 @@
 //!   min-plus semiring** over [`AugDist`] `(weight, hops)` pairs (§3.1), and
 //!   the **boolean semiring** (used to define cancellation-free output
 //!   density, §2.1);
+//! * [`OrderedSemiring`], the precondition of filtered products (§2.2):
+//!   addition is `min` under the elements' `Ord`, zero is the maximum, and
+//!   [`OrderedSemiring::ordinal`] is the one order-preserving encoding
+//!   Lemma 15's cutoff search runs over;
 //! * [`SparseRow`] / [`SparseMatrix`]: the row-sparse matrix representation
 //!   the Congested Clique algorithms distribute (node `v` holds row `v`),
-//!   with the paper's density measure `ρ` and ρ-filtering (§2.2);
+//!   with the paper's density measure `ρ` and ρ-filtering by `Ord` (§2.2);
 //! * a sequential reference [`SparseMatrix::multiply`] used by differential
 //!   tests against the distributed algorithms.
 //!
@@ -46,6 +50,6 @@ mod elem;
 mod semiring;
 mod sparse;
 
-pub use elem::{AugDist, Dist, Entry, Searchable, WitnessedDist};
+pub use elem::{AugDist, Dist, Entry, WitnessedDist};
 pub use semiring::{AugMinPlus, Boolean, MinPlus, OrderedSemiring, Semiring, WitnessedMinPlus};
 pub use sparse::{SparseMatrix, SparseRow};

@@ -1,4 +1,3 @@
-use std::cmp::Ordering;
 use std::fmt::Debug;
 
 use cc_clique::Payload;
@@ -44,24 +43,21 @@ pub trait Semiring: Clone + Debug + 'static {
     }
 }
 
-/// A semiring with a total order under which addition is `min` (§2.2).
+/// A semiring whose addition is `min` under the elements' `Ord`, whose zero
+/// is the maximum of that order, and whose elements have one
+/// order-preserving ordinal for Lemma 15 (§2.2).
 ///
 /// This is the precondition of the paper's *filtered* matrix multiplication
 /// (Theorem 14): rows of the output can be meaningfully truncated to their
-/// `ρ` smallest entries. The additive identity must be the maximum of the
-/// order.
-pub trait OrderedSemiring: Semiring {
-    /// Total order on elements; `add(a, b)` equals the smaller of `a, b`.
-    fn cmp_elems(a: &Self::Elem, b: &Self::Elem) -> Ordering;
-
-    /// The smaller of two elements under [`OrderedSemiring::cmp_elems`].
-    fn min_elem(a: Self::Elem, b: Self::Elem) -> Self::Elem {
-        if Self::cmp_elems(&a, &b) == Ordering::Greater {
-            b
-        } else {
-            a
-        }
-    }
+/// `ρ` smallest entries ([`SparseRow::filter_smallest`](crate::SparseRow::filter_smallest)
+/// orders by `Ord`), and the cutoff search runs over [`Self::ordinal`].
+pub trait OrderedSemiring: Semiring<Elem: Ord> {
+    /// The element's place in the value space `R'` that Theorem 14's cutoff
+    /// search (Lemma 15) searches over. Order-preserving:
+    /// `a < b ⟺ ordinal(a) < ordinal(b)`. The search only compares ordinals
+    /// of real elements with each other and with points between them, so
+    /// no decoding is needed.
+    fn ordinal(e: &Self::Elem) -> u128;
 }
 
 /// The min-plus (tropical) semiring over [`Dist`]: `(ℕ∪{∞}, min, +, ∞, 0)`.
@@ -91,8 +87,8 @@ impl Semiring for MinPlus {
 }
 
 impl OrderedSemiring for MinPlus {
-    fn cmp_elems(a: &Dist, b: &Dist) -> Ordering {
-        a.cmp(b)
+    fn ordinal(e: &Dist) -> u128 {
+        e.raw() as u128
     }
 }
 
@@ -123,9 +119,20 @@ impl Semiring for AugMinPlus {
     }
 }
 
+/// Width of the hops field inside [`AugMinPlus`] ordinals. Hop counts are
+/// bounded by the number of nodes, so 20 bits cover any clique up to a
+/// million nodes. Most of the ordinal range is therefore empty; Lemma 15's
+/// search snaps to the ordinals that exist, so it does not pay for the gaps.
+const HOP_BITS: u32 = 20;
+
 impl OrderedSemiring for AugMinPlus {
-    fn cmp_elems(a: &AugDist, b: &AugDist) -> Ordering {
-        a.cmp(b)
+    fn ordinal(e: &AugDist) -> u128 {
+        debug_assert!(
+            e.hops < (1 << HOP_BITS) || *e == AugDist::INF,
+            "hop count exceeds the ordinal encoding width"
+        );
+        let hops = (e.hops as u128).min((1 << HOP_BITS) - 1);
+        ((e.dist as u128) << HOP_BITS) | hops
     }
 }
 
@@ -173,12 +180,6 @@ impl Semiring for WitnessedMinPlus {
             }
             None => WitnessedDist::INF,
         }
-    }
-}
-
-impl OrderedSemiring for WitnessedMinPlus {
-    fn cmp_elems(a: &WitnessedDist, b: &WitnessedDist) -> Ordering {
-        a.cmp(b)
     }
 }
 
@@ -308,27 +309,58 @@ mod tests {
         assert_eq!(WitnessedMinPlus::mul(&a, &b), WitnessedDist::via(7, 7));
     }
 
-    #[test]
-    fn ordered_addition_is_min() {
-        let samples = [Dist::ZERO, Dist::fin(3), Dist::fin(9), Dist::INF];
+    /// The two laws of [`OrderedSemiring`] through `Ord`: addition is
+    /// `min`, and zero is the maximum.
+    fn check_min_under_ord<S: OrderedSemiring>(samples: &[S::Elem]) {
         for a in samples {
             for b in samples {
-                assert_eq!(MinPlus::add(&a, &b), MinPlus::min_elem(a, b));
+                assert_eq!(S::add(a, b), a.clone().min(b.clone()));
             }
+            assert!(*a <= S::zero());
         }
-        // Zero must be the maximum of the order.
+    }
+
+    /// [`OrderedSemiring::ordinal`] orders every pair of `samples` as `Ord`.
+    fn check_ordinal_preserves_order<S: OrderedSemiring>(samples: &[S::Elem]) {
         for a in samples {
-            assert_ne!(MinPlus::cmp_elems(&a, &MinPlus::zero()), Ordering::Greater);
+            for b in samples {
+                assert_eq!(a.cmp(b), S::ordinal(a).cmp(&S::ordinal(b)), "{a:?} vs {b:?}");
+            }
         }
     }
 
     #[test]
+    fn ordered_addition_is_min() {
+        check_min_under_ord::<MinPlus>(&[Dist::ZERO, Dist::fin(3), Dist::fin(9), Dist::INF]);
+    }
+
+    #[test]
     fn aug_ordered_addition_is_min() {
-        let samples = [AugDist::ZERO, AugDist::fin(3, 1), AugDist::fin(3, 2), AugDist::INF];
-        for a in samples {
-            for b in samples {
-                assert_eq!(AugMinPlus::add(&a, &b), AugMinPlus::min_elem(a, b));
-            }
-        }
+        check_min_under_ord::<AugMinPlus>(&[
+            AugDist::ZERO,
+            AugDist::fin(3, 1),
+            AugDist::fin(3, 2),
+            AugDist::INF,
+        ]);
+    }
+
+    #[test]
+    fn ordinals_keep_the_order_at_the_edges() {
+        let top = u64::MAX - 1;
+        check_ordinal_preserves_order::<MinPlus>(&[
+            Dist::ZERO,
+            Dist::fin(1),
+            Dist::fin(top),
+            Dist::INF,
+        ]);
+        let max_hops = (1 << HOP_BITS) - 1;
+        check_ordinal_preserves_order::<AugMinPlus>(&[
+            AugDist::ZERO,
+            AugDist::fin(0, max_hops),
+            AugDist::fin(1, 0),
+            AugDist::fin(top, 0),
+            AugDist::fin(top, max_hops),
+            AugDist::INF,
+        ]);
     }
 }

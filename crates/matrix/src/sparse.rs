@@ -1,4 +1,4 @@
-use crate::{Entry, OrderedSemiring, Semiring};
+use crate::{Entry, Semiring};
 
 /// One sparse row: non-zero entries sorted by column index.
 ///
@@ -113,18 +113,17 @@ impl<E: Clone + PartialEq> SparseRow<E> {
             }
         }
     }
+}
 
+impl<E: Clone + Ord> SparseRow<E> {
     /// Keeps only the `rho` smallest entries by `(value, column)` order — the
     /// paper's row filtering (§2.2).
-    pub fn filter_smallest<S: OrderedSemiring<Elem = E>>(&mut self, rho: usize) {
+    pub fn filter_smallest(&mut self, rho: usize) {
         if self.entries.len() <= rho {
             return;
         }
         let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_by(|&i, &j| {
-            S::cmp_elems(&self.entries[i].1, &self.entries[j].1)
-                .then(self.entries[i].0.cmp(&self.entries[j].0))
-        });
+        order.sort_by_key(|&i| (&self.entries[i].1, self.entries[i].0));
         order.truncate(rho);
         order.sort_unstable();
         self.entries = order.into_iter().map(|i| self.entries[i].clone()).collect();
@@ -285,13 +284,15 @@ impl<E: Clone + PartialEq> SparseMatrix<E> {
         }
         SparseMatrix { n: self.n, rows }
     }
+}
 
+impl<E: Clone + Ord> SparseMatrix<E> {
     /// The ρ-filtered matrix `P̄` (§2.2): each row keeps its `rho` smallest
     /// entries by `(value, column)` order.
-    pub fn filtered<S: OrderedSemiring<Elem = E>>(&self, rho: usize) -> SparseMatrix<E> {
+    pub fn filtered(&self, rho: usize) -> SparseMatrix<E> {
         let mut out = self.clone();
         for row in &mut out.rows {
-            row.filter_smallest::<S>(rho);
+            row.filter_smallest(rho);
         }
         out
     }
@@ -344,13 +345,13 @@ mod tests {
             (2, Dist::fin(5)),
             (3, Dist::fin(1)),
         ]);
-        row.filter_smallest::<MinPlus>(2);
+        row.filter_smallest(2);
         assert_eq!(row.iter().collect::<Vec<_>>(), vec![(1, &Dist::fin(3)), (3, &Dist::fin(1))]);
 
         // Tie on value 5: column 0 beats column 2.
         let mut row =
             SparseRow::from_entries::<MinPlus>(vec![(2, Dist::fin(5)), (0, Dist::fin(5))]);
-        row.filter_smallest::<MinPlus>(1);
+        row.filter_smallest(1);
         assert_eq!(row.iter().collect::<Vec<_>>(), vec![(0, &Dist::fin(5))]);
     }
 
@@ -405,11 +406,11 @@ mod tests {
     fn filtered_matrix_matches_row_filter() {
         let m = line_graph(6);
         let m2 = m.multiply::<MinPlus>(&m);
-        let f = m2.filtered::<MinPlus>(2);
+        let f = m2.filtered(2);
         for v in 0..6 {
             assert!(f.row(v).nnz() <= 2);
             let mut expect = m2.row(v).clone();
-            expect.filter_smallest::<MinPlus>(2);
+            expect.filter_smallest(2);
             assert_eq!(f.row(v), &expect);
         }
     }

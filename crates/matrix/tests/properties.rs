@@ -52,9 +52,18 @@ proptest! {
 
     #[test]
     fn aug_minplus_add_is_min(a in arb_aug(), b in arb_aug()) {
-        let sum = AugMinPlus::add(&a, &b);
-        prop_assert!(sum == a || sum == b);
-        prop_assert_eq!(sum, AugMinPlus::min_elem(a, b));
+        prop_assert_eq!(AugMinPlus::add(&a, &b), a.min(b));
+        prop_assert!(a <= AugMinPlus::zero());
+    }
+
+    #[test]
+    fn minplus_ordinal_preserves_the_order(a in arb_dist(), b in arb_dist()) {
+        prop_assert_eq!(a.cmp(&b), MinPlus::ordinal(&a).cmp(&MinPlus::ordinal(&b)));
+    }
+
+    #[test]
+    fn aug_ordinal_preserves_the_order(a in arb_aug(), b in arb_aug()) {
+        prop_assert_eq!(a.cmp(&b), AugMinPlus::ordinal(&a).cmp(&AugMinPlus::ordinal(&b)));
     }
 
     #[test]
@@ -77,8 +86,8 @@ proptest! {
 
     #[test]
     fn filtering_is_idempotent_and_bounded(m in arb_matrix(8, 64), rho in 1usize..6) {
-        let f = m.filtered::<MinPlus>(rho);
-        prop_assert_eq!(&f.filtered::<MinPlus>(rho), &f);
+        let f = m.filtered(rho);
+        prop_assert_eq!(&f.filtered(rho), &f);
         for v in 0..8 {
             prop_assert!(f.row(v).nnz() <= rho);
             // Everything kept must be <= everything dropped.

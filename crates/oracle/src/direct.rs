@@ -62,7 +62,7 @@ use std::sync::Arc;
 use cc_distance::{check_epsilon, hitting_set_local};
 use cc_graph::reference::Search;
 use cc_graph::Graph;
-use cc_hopset::{bunch, HopsetConfig, HopsetSchedule};
+use cc_hopset::{bunch, HopsetConfig, HopsetSchedule, HITTING_SET_SEED};
 use cc_matrix::{AugDist, Dist, SparseRow};
 use cc_telemetry::BuildTrace;
 
@@ -135,13 +135,13 @@ fn direct_union_with_hopset(
     epsilon: f64,
     threads: usize,
 ) -> Result<(Graph, usize), OracleError> {
-    let config = HopsetConfig::new(epsilon);
-    let HopsetSchedule { k, beta, exploration, levels } = config.schedule(graph.n());
+    let HopsetSchedule { k, beta, exploration, levels } =
+        HopsetConfig::new(epsilon).schedule(graph.n());
 
     // Step 1: k-nearest + hitting set A1 (the hopset's own k, not the
     // oracle's ball size).
     let near = balls(graph, k, threads);
-    let (a1, _repair) = hitting_set_local(&ball_members(&near), k, config.seed)?;
+    let (a1, _repair) = hitting_set_local(&ball_members(&near), k, HITTING_SET_SEED)?;
 
     // Step 2: every node's bunch.
     let mut union = graph.clone();

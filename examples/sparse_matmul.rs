@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Theorem 14: only the 4 smallest entries per output row.
         let mut clique = Clique::new(n);
         let p = filtered_multiply::<MinPlus>(&mut clique, s.rows(), t_cols.rows(), 4)?;
-        assert_eq!(SparseMatrix::from_rows(p), reference.filtered::<MinPlus>(4));
+        assert_eq!(SparseMatrix::from_rows(p), reference.filtered(4));
         let filtered_rounds = clique.rounds();
 
         println!(

@@ -94,7 +94,7 @@ proptest! {
         let t_cols = t.transpose();
         let rows =
             filtered_multiply::<MinPlus>(&mut clique, s.rows(), t_cols.rows(), rho).unwrap();
-        let expected = s.multiply::<MinPlus>(&t).filtered::<MinPlus>(rho);
+        let expected = s.multiply::<MinPlus>(&t).filtered(rho);
         prop_assert_eq!(SparseMatrix::from_rows(rows), expected);
     }
 

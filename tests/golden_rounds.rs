@@ -315,7 +315,7 @@ fn standalone_products_match_the_committed_reports() {
 
     let (filtered, filtered_report) =
         run_product(&w, |cl, s, t| filtered_multiply::<MinPlus>(cl, s, t, 8));
-    assert_eq!(SparseMatrix::from_rows(filtered.clone()), square.filtered::<MinPlus>(8));
+    assert_eq!(SparseMatrix::from_rows(filtered.clone()), square.filtered(8));
     at_the_owners(&filtered_report, "filtered_mm");
 
     let (dense, dense_report) = run_product(&w, dense_multiply::<MinPlus>);
@@ -327,7 +327,7 @@ fn standalone_products_match_the_committed_reports() {
     let (half, half_report) =
         run_product(&square, |cl, s, t| filtered_multiply::<MinPlus>(cl, s, t, N / 2));
     let fourth = square.multiply::<MinPlus>(&square);
-    assert_eq!(SparseMatrix::from_rows(half.clone()), fourth.filtered::<MinPlus>(N / 2));
+    assert_eq!(SparseMatrix::from_rows(half.clone()), fourth.filtered(N / 2));
     let labels: Vec<&str> = half_report.phases.keys().map(String::as_str).collect();
     assert!(labels.contains(&"filtered_mm/sizes/all_broadcast"), "{labels:?}");
     assert!(!labels.iter().any(|l| l.contains("cutoff_search") || l.contains("weights")));

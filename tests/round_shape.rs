@@ -7,17 +7,18 @@
 //! every size. The `path(n)` family — where hop-bounded detection changes a
 //! row in every product, so no fixpoint exit applies and the hop bound is
 //! paid in full — runs beside it with its own MSSP slope gate, ceilings and
-//! load words. Each run's rounds are split by phase family and printed per
-//! n as shares, beside how many of its products the row owners computed and
-//! what choosing their paths spent (load words, frontier transposes), so a
-//! cut that only pays off at n = 32 shows. Lemma 15's cutoff search is
-//! asserted per filtered product that runs it in the pipeline: it is an
-//! `O(log W)` additive term that must not come to dominate a product again.
-//! A filtered product with `2ρ ≥ n` skips it, so how many ran it and how
-//! many skipped it is printed per n beside that figure. A second test holds
-//! both families' rounds and load words to their ceilings at n = 512 and
-//! 1 024, where Lemma 15's search runs and a cut that only pays off at small
-//! n shows.
+//! load words. A third family, the 16-wide `grid`, is held to the same
+//! slope gate as `gnp` and to its own ceilings and load words. Each run's
+//! rounds are split by phase family and printed per n as shares, beside how
+//! many of its products the row owners computed and what choosing their
+//! paths spent (load words, frontier transposes), so a cut that only pays
+//! off at n = 32 shows. Lemma 15's cutoff search is asserted per filtered
+//! product that runs it in the pipeline: it is an `O(log W)` additive term
+//! that must not come to dominate a product again. A filtered product with
+//! `2ρ ≥ n` skips it, so how many ran it and how many skipped it is printed
+//! per n beside that figure. A second test holds all three families' rounds
+//! and load words to their ceilings at n = 512 and 1 024, where Lemma 15's
+//! search runs and a cut that only pays off at small n shows.
 //!
 //! Opt-in (n = 256 is seconds in release, minutes in debug; n = 1 024 about
 //! a minute in release): CI runs both with `--ignored`.
@@ -58,6 +59,12 @@ const MAX_LARGE_ROUNDS: [[u64; 2]; 2] = [[305, 318], [461, 488]];
 const LARGE_LOAD_WORDS: [[u64; 2]; 2] = [[0, 0], [3, 2]];
 const MAX_LARGE_PATH_ROUNDS: [[u64; 2]; 2] = [[397, 486], [549, 645]];
 const LARGE_PATH_LOAD_WORDS: [[u64; 2]; 2] = [[1, 0], [3, 2]];
+/// MSSP and (3+ε) rounds ceilings and load words on `grid(16, n/16)` at
+/// each of `SIZES` and `LARGE_SIZES`, as measured.
+const MAX_GRID_ROUNDS: [[u64; 4]; 2] = [[142, 149, 159, 158], [190, 212, 266, 274]];
+const GRID_LOAD_WORDS: [[u64; 4]; 2] = [[0, 0, 0, 0], [3, 3, 4, 2]];
+const MAX_LARGE_GRID_ROUNDS: [[u64; 2]; 2] = [[277, 298], [447, 491]];
+const LARGE_GRID_LOAD_WORDS: [[u64; 2]; 2] = [[0, 0], [3, 3]];
 /// Lemma 15's rounds per filtered product that runs it in the pipeline.
 /// At n = 32…256 none does: the filtered products that reach the pipeline
 /// are the hopset's k-nearest squarings, whose `k = ⌈√n·log₂ n⌉ ≥ n/2`
@@ -228,6 +235,12 @@ fn path(n: usize) -> Graph {
     generators::path(n).unwrap()
 }
 
+/// A 16-wide unit-weight grid: planar, degree at most 4, `n/16 + 14` hops
+/// across.
+fn grid(n: usize) -> Graph {
+    generators::grid(16, n / 16).unwrap()
+}
+
 #[test]
 #[ignore = "opt-in tier: n = 256 on the simulator is seconds in release, minutes in debug; CI runs it with --ignored"]
 fn rounds_grow_sublinearly_on_sparse_random_graphs() {
@@ -244,6 +257,11 @@ fn rounds_grow_sublinearly_on_sparse_random_graphs() {
     // rounds and load words gated on their own.
     let [path_slope, ..] = measure("path", path, SIZES, MAX_PATH_ROUNDS, PATH_LOAD_WORDS);
     assert!(path_slope <= MAX_PATH_SLOPE, "path mssp slope {path_slope:.3} > {MAX_PATH_SLOPE}");
+    // The family the naive `W²` rule once regressed on.
+    let [mssp_slope, apsp_slope, _] =
+        measure("grid", grid, SIZES, MAX_GRID_ROUNDS, GRID_LOAD_WORDS);
+    assert!(mssp_slope <= MAX_SLOPE, "grid mssp slope {mssp_slope:.3} > {MAX_SLOPE}");
+    assert!(apsp_slope <= MAX_SLOPE, "grid (3+eps) slope {apsp_slope:.3} > {MAX_SLOPE}");
 }
 
 #[test]
@@ -251,6 +269,7 @@ fn rounds_grow_sublinearly_on_sparse_random_graphs() {
 fn rounds_stay_under_their_ceilings_at_a_thousand_nodes() {
     measure("gnp_weighted", gnp, LARGE_SIZES, MAX_LARGE_ROUNDS, LARGE_LOAD_WORDS);
     measure("path", path, LARGE_SIZES, MAX_LARGE_PATH_ROUNDS, LARGE_PATH_LOAD_WORDS);
+    measure("grid", grid, LARGE_SIZES, MAX_LARGE_GRID_ROUNDS, LARGE_GRID_LOAD_WORDS);
 }
 
 #[test]
