@@ -12,6 +12,13 @@ use crate::server::IO_BUF;
 pub struct BlockingClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The request being sent, head and body, reused across requests: a
+    /// `TCP_NODELAY` socket puts every `write` on the wire as its own
+    /// segment, so each request goes out in one.
+    request: Vec<u8>,
+    /// The response line [`BlockingClient::read_head`] is reading, reused
+    /// across lines and responses.
+    line: String,
 }
 
 impl BlockingClient {
@@ -25,7 +32,7 @@ impl BlockingClient {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         let reader = BufReader::with_capacity(IO_BUF, stream.try_clone()?);
-        Ok(BlockingClient { reader, writer: stream })
+        Ok(BlockingClient { reader, writer: stream, request: Vec::new(), line: String::new() })
     }
 
     /// Issues `GET target`, returning `(status, body)`.
@@ -94,32 +101,27 @@ impl BlockingClient {
         content_type: Option<&str>,
         body: &[u8],
     ) -> io::Result<()> {
-        write!(self.writer, "{method} {target} HTTP/1.1\r\nHost: cc-serve\r\n")?;
-        if let Some(ct) = content_type {
-            write!(self.writer, "Content-Type: {ct}\r\n")?;
-        }
-        write!(self.writer, "Content-Length: {}\r\n\r\n", body.len())?;
-        self.writer.write_all(body)?;
-        self.writer.flush()
+        write_request(&mut self.writer, &mut self.request, method, target, content_type, body)
     }
 
     /// Reads the status line and headers; returns `(status, content_length)`
     /// with the body left unread on the wire.
     fn read_head(&mut self) -> io::Result<(u16, usize)> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
+        let line = &mut self.line;
+        line.clear();
+        if self.reader.read_line(line)? == 0 {
             return Err(bad("server closed the connection"));
         }
-        let status: u16 = status_line
+        let status: u16 = line
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad("malformed status line"))?;
         let mut content_length = 0usize;
         loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
+            line.clear();
+            if self.reader.read_line(line)? == 0 {
                 return Err(bad("connection closed inside headers"));
             }
             let line = line.trim_end();
@@ -133,5 +135,93 @@ impl BlockingClient {
             }
         }
         Ok((status, content_length))
+    }
+}
+
+/// Puts one request on `out` in one `write_all`: the request line, the
+/// headers and the body are laid out in `buf` first. `buf` grows to
+/// exactly the request's size, so it never holds more than the largest
+/// request sent.
+fn write_request(
+    out: &mut impl Write,
+    buf: &mut Vec<u8>,
+    method: &str,
+    target: &str,
+    content_type: Option<&str>,
+    body: &[u8],
+) -> io::Result<()> {
+    let [typed, ct, ct_end] = content_type.map_or([""; 3], |ct| ["Content-Type: ", ct, "\r\n"]);
+    let head = [
+        method,
+        " ",
+        target,
+        " HTTP/1.1\r\nHost: cc-serve\r\n",
+        typed,
+        ct,
+        ct_end,
+        "Content-Length: ",
+    ];
+    let digits = body.len().checked_ilog10().map_or(1, |d| d as usize + 1);
+    let size: usize = head.iter().map(|piece| piece.len()).sum();
+    buf.clear();
+    buf.reserve_exact(size + digits + "\r\n\r\n".len() + body.len());
+    for piece in head {
+        buf.extend_from_slice(piece.as_bytes());
+    }
+    // Writing to a `Vec` cannot fail.
+    let _ = write!(buf, "{}\r\n\r\n", body.len());
+    buf.extend_from_slice(body);
+    out.write_all(buf)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct Counting {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.writes.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_request_is_one_write_of_the_same_wire_bytes() {
+        // One buffer across all three requests, as a client reuses it.
+        let mut buf = Vec::new();
+        let mut send = |method, target, content_type, body: &[u8]| {
+            let mut out = Counting::default();
+            write_request(&mut out, &mut buf, method, target, content_type, body).unwrap();
+            assert_eq!(out.writes.len(), 1, "{method} {target} took {} writes", out.writes.len());
+            out.writes.remove(0)
+        };
+        assert_eq!(
+            send("GET", "/distance?u=0&v=1", None, b""),
+            b"GET /distance?u=0&v=1 HTTP/1.1\r\nHost: cc-serve\r\nContent-Length: 0\r\n\r\n"
+        );
+        assert_eq!(
+            send("POST", "/batch", None, b"0 1\n2,3\n"),
+            b"POST /batch HTTP/1.1\r\nHost: cc-serve\r\nContent-Length: 8\r\n\r\n0 1\n2,3\n"
+        );
+        let frame = cc_reactor::frame::encode_request(&[(0, 1), (2, 3)]);
+        let mut binary_wire = b"POST /batch HTTP/1.1\r\nHost: cc-serve\r\n\
+            Content-Type: application/x-cc-batch\r\nContent-Length: 24\r\n\r\n"
+            .to_vec();
+        binary_wire.extend_from_slice(&frame);
+        assert_eq!(
+            send("POST", "/batch", Some(cc_reactor::frame::CONTENT_TYPE), &frame),
+            binary_wire
+        );
+        assert_eq!(buf.capacity(), binary_wire.len(), "the buffer outgrew the largest request");
     }
 }

@@ -23,7 +23,6 @@
 //! uptime) — so the human view and the scrape view can never disagree
 //! about the same instant.
 
-use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::{Arc, PoisonError};
 
@@ -123,14 +122,7 @@ impl AppState {
             (Err(resp), _) | (_, Err(resp)) => return resp,
         };
         match self.generation().cached().try_query(u, v) {
-            Ok(d) => Response::json(
-                200,
-                format!(
-                    "{{\"u\":{u},\"v\":{v},\"distance\":{},\"connected\":{}}}",
-                    DistJson(d),
-                    d.is_finite()
-                ),
-            ),
+            Ok(d) => Response::json(200, distance_body(u, v, d)),
             // QueryOutOfRange is the only query error today; any future
             // variant is still a client-input problem by construction here.
             Err(e) => Response::error_json(400, e.to_string()),
@@ -168,16 +160,17 @@ impl AppState {
                 ),
             },
             Ok(answers) => {
-                let mut body = String::with_capacity(32 + answers.len() * 8);
-                // Writing to a `String` cannot fail.
-                let _ = write!(body, "{{\"count\":{},\"distances\":[", answers.len());
+                let mut body = Vec::with_capacity(32 + answers.len() * 8);
+                body.extend_from_slice(b"{\"count\":");
+                push_decimal(&mut body, answers.len() as u64);
+                body.extend_from_slice(b",\"distances\":[");
                 for (i, d) in answers.iter().enumerate() {
                     if i > 0 {
-                        body.push(',');
+                        body.push(b',');
                     }
-                    let _ = write!(body, "{}", DistJson(*d));
+                    push_dist(&mut body, *d);
                 }
-                body.push_str("]}");
+                body.extend_from_slice(b"]}");
                 Response::json(200, body)
             }
             Err(e) => Response::error_json(400, e.to_string()),
@@ -335,16 +328,43 @@ fn snapshot_obj(info: &SnapshotInfo) -> JsonObject {
     o
 }
 
-/// A distance as JSON: its value, or `null` when unreachable.
-struct DistJson(Dist);
+/// The body of a `GET /distance` answer.
+fn distance_body(u: usize, v: usize, d: Dist) -> Vec<u8> {
+    let mut body = Vec::with_capacity(80);
+    body.extend_from_slice(b"{\"u\":");
+    push_decimal(&mut body, u as u64);
+    body.extend_from_slice(b",\"v\":");
+    push_decimal(&mut body, v as u64);
+    body.extend_from_slice(b",\"distance\":");
+    push_dist(&mut body, d);
+    let connected: &[u8] =
+        if d.is_finite() { b",\"connected\":true}" } else { b",\"connected\":false}" };
+    body.extend_from_slice(connected);
+    body
+}
 
-impl fmt::Display for DistJson {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0.value() {
-            Some(x) => write!(f, "{x}"),
-            None => f.write_str("null"),
+/// Appends a distance as JSON: its value, or `null` when unreachable.
+fn push_dist(out: &mut Vec<u8>, d: Dist) {
+    match d.value() {
+        Some(x) => push_decimal(out, x),
+        None => out.extend_from_slice(b"null"),
+    }
+}
+
+/// Appends `x` in decimal, as `{x}` would print it.
+fn push_decimal(out: &mut Vec<u8>, mut x: u64) {
+    // `u64::MAX` has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
         }
     }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// True when the request negotiated the binary batch plane. Matches the
@@ -357,8 +377,59 @@ fn is_binary_batch(req: &Request) -> bool {
 }
 
 /// Decodes the text plane of `POST /batch`: one `u v` (or `u,v`) pair per
-/// non-blank line.
+/// non-blank line. [`scan_text_pairs`] decides the bodies it can in one
+/// byte scan; every other body, and so every error, goes to
+/// [`parse_text_lines`].
 fn parse_text_pairs(body: &[u8]) -> Result<Vec<(usize, usize)>, String> {
+    scan_text_pairs(body).map_or_else(|| parse_text_lines(body), Ok)
+}
+
+/// One pass over a text batch body. It reads ASCII digits, the separators
+/// `' '`, `\t`, `\x0B`, `\x0C`, `\r` (the ASCII bytes besides `\n` that
+/// `char::is_whitespace` accepts) and `,`, and `\n` as the line end. A line
+/// with two ids is a pair and a line of separators without a comma is
+/// blank; anything else (another byte, an id that overflows, one or three
+/// ids, a line of commas) is `None`, for [`parse_text_lines`] to decide, so
+/// the two accept exactly the same bodies.
+fn scan_text_pairs(body: &[u8]) -> Option<Vec<(usize, usize)>> {
+    let mut pairs = Vec::with_capacity(body.len() / 8);
+    let mut ids = [0usize; 2];
+    // Ids finished on this line, the one being read, and whether a line
+    // without ids holds a comma.
+    let mut count = 0;
+    let mut id: Option<usize> = None;
+    let mut comma = false;
+    for &b in body.iter().chain(std::iter::once(&b'\n')) {
+        if b.is_ascii_digit() {
+            let digit = usize::from(b - b'0');
+            id = Some(id.unwrap_or(0).checked_mul(10)?.checked_add(digit)?);
+            continue;
+        }
+        if let Some(done) = id.take() {
+            *ids.get_mut(count)? = done;
+            count += 1;
+        }
+        match b {
+            b' ' | b'\t' | b'\x0B' | b'\x0C' | b'\r' => {}
+            b',' => comma = true,
+            b'\n' => {
+                match (count, comma) {
+                    (2, _) => pairs.push(ids.into()),
+                    (0, false) => {}
+                    _ => return None,
+                }
+                count = 0;
+                comma = false;
+            }
+            _ => return None,
+        }
+    }
+    Some(pairs)
+}
+
+/// The line-by-line decoder of the text plane, and the only one that
+/// names a defect: a body [`scan_text_pairs`] cannot decide comes here.
+fn parse_text_lines(body: &[u8]) -> Result<Vec<(usize, usize)>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "batch body must be UTF-8".to_owned())?;
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -561,6 +632,138 @@ mod tests {
         assert_eq!(s.handle(&post("/batch", b"0 1 2\n")).status, 400);
         assert_eq!(s.handle(&post("/batch", b"0 99\n")).status, 400, "out-of-range pair");
         assert_eq!(s.handle(&post("/batch", &[0xff, 0xfe])).status, 400, "non-UTF-8 body");
+    }
+
+    #[test]
+    fn distance_bodies_are_pinned_to_the_byte() {
+        assert_eq!(
+            distance_body(0, 17, Dist::fin(12)),
+            b"{\"u\":0,\"v\":17,\"distance\":12,\"connected\":true}"
+        );
+        assert_eq!(
+            distance_body(3, 2, Dist::INF),
+            b"{\"u\":3,\"v\":2,\"distance\":null,\"connected\":false}"
+        );
+        for x in [0, 7, 9, 10, 99, 100, 1_000_000_007, u64::MAX - 1, u64::MAX] {
+            let mut out = b"[".to_vec();
+            push_decimal(&mut out, x);
+            assert_eq!(out, format!("[{x}").into_bytes());
+        }
+    }
+
+    /// Bodies at the edges of the text plane, each with whether
+    /// [`scan_text_pairs`] decides it without [`parse_text_lines`].
+    const TEXT_EDGES: &[(&[u8], bool)] = &[
+        (b"", true),
+        (b"\n", true),
+        (b"0 1\r\n2 3\r\n", true),
+        (b"0 1\n2 3", true),
+        (b"\n\n0 1\n  \t \n\r\n\n2 3\n\n", true),
+        (b"0 1\r", true),
+        (b"\r", true),
+        (b" ,0,1, \n4,5\n6,,7\n", true),
+        (b"0\x0B1\n2\x0C3\n\x0B\x0C\n", true),
+        (b"007 8\n", true),
+        (b"18446744073709551615 1\n", true),
+        (b"0 1\n,\n2 3\n", false),
+        (b",,\n", false),
+        (b",", false),
+        ("0\u{a0}1\n".as_bytes(), false),
+        ("2\u{3000}3\n".as_bytes(), false),
+        ("0 1\n\u{85}\n".as_bytes(), false),
+        (b"+5 1\n", false),
+        (b"18446744073709551616 1\n", false),
+        (b"0 1 2\n", false),
+        (b"0 1\n5\n", false),
+        (b"0 1\nfive 6\n", false),
+        (b"0 1\n\xff 2\n", false),
+        (b"five 6\n\xff", false),
+        (b"0 -1\n", false),
+    ];
+
+    #[test]
+    fn the_byte_scan_decides_the_plain_bodies_and_defers_the_rest() {
+        for &(body, decided) in TEXT_EDGES {
+            let shown = String::from_utf8_lossy(body);
+            assert_eq!(scan_text_pairs(body).is_some(), decided, "{shown:?}");
+            assert_eq!(parse_text_pairs(body), parse_text_lines(body), "{shown:?}");
+        }
+        let errors = [
+            (&b"0 1\n,\n"[..], "line 2: expected 'u v', got ','"),
+            (b"\n0 1 2\r\n", "line 2: expected 'u v', got '0 1 2'"),
+            (b"0 1\n\xff", "batch body must be UTF-8"),
+        ];
+        for (body, message) in errors {
+            assert_eq!(parse_text_pairs(body), Err(message.to_owned()));
+        }
+    }
+
+    #[test]
+    fn the_text_plane_parser_matches_the_line_parser_on_random_bodies() {
+        // The edge cases above, cut into the pieces a body is drawn from.
+        const IDS: &[&[u8]] = &[b"0", b"1", b"17", b"200", b"007"];
+        const SEPARATORS: &[&[u8]] = &[b" ", b"\t", b"\x0B", b"\x0C", b"\r", b",", b",,"];
+        const ENDS: &[&[u8]] = &[b"\n", b"\r\n"];
+        const STRAYS: &[&[u8]] = &[
+            b"+5",
+            b"18446744073709551616",
+            b"\xc2\xa0",
+            b"\xe3\x80\x80",
+            b"\xff",
+            b"x",
+            b",",
+            b"\n",
+            b"5",
+        ];
+        let all: Vec<&[u8]> = [IDS, SEPARATORS, ENDS, STRAYS].concat();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        let (mut oks, mut errs, mut decided) = (0, 0, 0);
+        for round in 0..4000 {
+            let mut body = Vec::new();
+            if round % 2 == 0 {
+                // Free draws: mostly malformed.
+                for _ in 0..next(12) {
+                    body.extend_from_slice(all[next(all.len())]);
+                }
+            } else {
+                // Pair lines, now and then a blank one or a stray piece.
+                for _ in 0..next(8) {
+                    let line = if next(8) == 0 {
+                        [SEPARATORS[next(5)], b"", b"", b"", ENDS[next(2)]]
+                    } else {
+                        [
+                            SEPARATORS[next(6)],
+                            IDS[next(IDS.len())],
+                            SEPARATORS[next(SEPARATORS.len())],
+                            IDS[next(IDS.len())],
+                            ENDS[next(2)],
+                        ]
+                    };
+                    line.iter().for_each(|piece| body.extend_from_slice(piece));
+                    if next(16) == 0 {
+                        body.extend_from_slice(STRAYS[next(STRAYS.len())]);
+                    }
+                }
+                if next(2) == 0 {
+                    body.truncate(body.len().saturating_sub(1));
+                }
+            }
+            let want = parse_text_lines(&body);
+            assert_eq!(parse_text_pairs(&body), want, "{:?}", String::from_utf8_lossy(&body));
+            decided += usize::from(scan_text_pairs(&body).is_some());
+            if want.is_ok() {
+                oks += 1;
+            } else {
+                errs += 1;
+            }
+        }
+        assert!(oks >= 1000 && errs >= 1000 && decided >= 1000, "{oks} / {errs} / {decided}");
     }
 
     #[test]

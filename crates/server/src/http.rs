@@ -215,8 +215,8 @@ pub struct Response {
 
 impl Response {
     /// A JSON response with the given pre-rendered body.
-    pub fn json(status: u16, body: String) -> Response {
-        Response { status, content_type: "application/json", body: body.into_bytes() }
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Response {
+        Response { status, content_type: "application/json", body: body.into() }
     }
 
     /// A plain-text response.
