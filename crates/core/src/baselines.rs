@@ -82,7 +82,8 @@ fn greedy_spanner(graph: &Graph, k: usize) -> Graph {
     let mut spanner = Graph::empty(graph.n());
     let mut search = Search::new();
     for (w, u, v) in edges {
-        if search.dijkstra(&spanner, u)[v].is_none_or(|d| d > stretch.saturating_mul(w)) {
+        let within = Dist::from_raw(search.distances(&spanner, u)[v]).value();
+        if within.is_none_or(|d| d > stretch.saturating_mul(w)) {
             spanner.add_edge(u, v, w).expect("edges of a valid graph remain valid");
         }
     }

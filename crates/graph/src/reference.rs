@@ -1,9 +1,9 @@
-//! Sequential ground truth, and the workspace's one sequential search.
+//! Sequential ground truth, and the workspace's sequential searches.
 //!
 //! Every distributed computation in this workspace is differentially tested
 //! against these functions, and `cc-oracle`'s direct builder runs them to
-//! build its artifacts: one search serves as the reference and as the fast
-//! path. They cover exactly the quantities the paper's algorithms output:
+//! build its artifacts: one search state serves as the reference and as the
+//! fast path. They cover exactly the quantities the paper's algorithms output:
 //! distances, hop-consistent `(distance, hops)` pairs, `k`-nearest balls,
 //! hop-bounded distances (for hopset verification and the direct builder's
 //! columns), diameter, and shortest-path diameter (for the Bellman-Ford
@@ -11,16 +11,46 @@
 //! `cc_core::baselines::spanner_apsp` asks a [`Search`] for the distances
 //! it keeps each edge by.
 //!
-//! Lengths are those of the augmented min-plus semiring (§3.1): every
-//! relaxation extends a path with [`AugDist::combine`], so a path whose
-//! length overflows `u64`, or reaches its `u64::MAX` ∞ sentinel, is no
-//! path. The clique tools give the same answer.
+//! Lengths are those of the min-plus semirings (§3.1): every relaxation
+//! extends a path under the one length rule ([`Dist::checked_add`], or
+//! [`AugDist::combine`] where hops are counted too), so a path whose length
+//! overflows `u64`, or reaches its `u64::MAX` ∞ sentinel, is no path. The
+//! clique tools give the same answer.
 //!
-//! A [`Search`] holds what one search needs: a label per node, reset
-//! through the list of nodes the last search touched, and one heap. A
-//! thread that searches from many sources keeps one and pays for what each
-//! search reaches, not `O(n)` per source. The free functions make a fresh
-//! one per call.
+//! A [`Search`] holds the state of two loops, and one is kept per thread so
+//! a search from many sources pays for its buffers once.
+//!
+//! * **The distance loop**, [`Search::distances`], computes distances only.
+//!   Its labels are one `u64` per node, with ∞ spelled `Dist::INF.raw()`:
+//!   the encoding of the oracle's column matrix, so the capped direct
+//!   builder copies a row as it is. Its queue is a radix heap, a priority
+//!   queue for keys that never decrease, which Dijkstra's popped distances
+//!   are. [`dijkstra`](Search::dijkstra) maps its buffer, so every caller of
+//!   it runs this loop: [`all_pairs`], `hop_bounded` once `β ≥ n − 1`, the
+//!   capped builder's exact columns and the greedy spanner. The loop
+//!   returns a row of all `n` nodes, so it resets its buffer by one fill.
+//! * **The augmented loop** settles nodes in the order `(distance, hops,
+//!   id)` on a binary heap. [`dijkstra_with_hops`](Search::dijkstra_with_hops),
+//!   [`k_nearest`](Search::k_nearest) and
+//!   [`k_nearest_row`](Search::k_nearest_row) run it: its settling order is
+//!   their output (a ball is the first `k` settles), and it is the order the
+//!   distributed `k`-nearest tool is pinned to. It resets its labels through
+//!   the list of nodes the last search touched, so a `k`-nearest search pays
+//!   for what it reaches, not `O(n)`.
+//!
+//! Why two loops. The distance loop is the faster one, and by more where
+//! weights are small: a radix heap moves an item at most once per bit of
+//! the key range it crosses. From 200 sources each (one core,
+//! `cargo test --release -p cc-graph -- --ignored --nocapture` prints it),
+//! `road_like(100, 100)` took 140–153 ms in the distance loop against
+//! 331–362 ms in the augmented one, and `grid_weighted(100, 100)` with
+//! weights up to 1 000 took 190–216 ms against 248–280 ms. Two ways to keep
+//! a single loop were measured on `road_like(50, 50)` and not taken: a
+//! `u128` radix key `(distance, hops, id)` ran 32 searches in 10.7 ms
+//! against the binary heap's 11.1, because the low bits force a bucket
+//! redistribution on nearly every pop; a radix heap on the distance with a
+//! binary heap for the ties was only 1.1× faster at `n = 2 500` (1.8× at
+//! `10⁵`).
 //!
 //! Every function takes a [`DiGraph`] and follows arcs. An undirected
 //! [`crate::Graph`] derefs to its symmetric digraph, so `&graph` is accepted
@@ -29,20 +59,25 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use cc_matrix::{AugDist, SparseRow};
+use cc_matrix::{AugDist, Dist, SparseRow};
 
 use crate::DiGraph;
 
-/// A heap key is `(distance, hops << NODE_BITS | node)`: two words that pop
-/// in the augmented order `(distance, hops, id)`.
+/// An augmented heap key is `(distance, hops << NODE_BITS | node)`: two
+/// words that pop in the augmented order `(distance, hops, id)`.
 const NODE_BITS: u32 = 32;
+
+/// A radix heap's buckets: bucket 0 holds the keys equal to the last key
+/// popped, bucket `b ≥ 1` the keys whose highest bit differing from it is
+/// bit `b − 1`.
+const BUCKETS: usize = 65;
 
 /// Reusable state for sequential searches from many sources: keep one per
 /// thread. Every method resets it before it searches, so a result never
 /// depends on what the state searched before.
 ///
-/// Node ids and hop counts share one heap word, so a graph may have at most
-/// `u32::MAX` nodes.
+/// Node ids and hop counts share one heap word, and the radix heap keeps a
+/// node id in 32 bits, so a graph may have at most `u32::MAX` nodes.
 ///
 /// # Example
 ///
@@ -56,17 +91,24 @@ const NODE_BITS: u32 = 32;
 /// let ball: Vec<usize> = search.k_nearest(&g, 2, 3).iter().map(|&(u, _, _)| u).collect();
 /// assert_eq!(ball, vec![2, 1, 3]);
 /// assert_eq!(search.dijkstra(&g, 0)[5], Some(5));
+/// // The same distances in the column encoding, ∞ = `Dist::INF.raw()`.
+/// assert_eq!(search.distances(&g, 0), [0, 1, 2, 3, 4, 5]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Search {
-    /// The best `(distance, hops)` found so far per node; `AugDist::INF`
-    /// means not reached.
+    /// The augmented loop's best `(distance, hops)` so far per node;
+    /// `AugDist::INF` means not reached.
     labels: Vec<AugDist>,
-    /// The nodes with a finite label, so a reset costs what was reached.
+    /// The nodes with a finite augmented label, so a reset costs what was
+    /// reached.
     touched: Vec<usize>,
     heap: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The distance loop's best distance so far per node of the last graph
+    /// it searched; `Dist::INF.raw()` means not reached.
+    dist: Vec<u64>,
+    radix: RadixHeap,
 }
 
 impl Search {
@@ -76,15 +118,45 @@ impl Search {
     }
 
     /// Single-source shortest path distances by Dijkstra; `None` =
-    /// unreachable.
+    /// unreachable. The [`distances`](Self::distances) row, mapped.
     ///
     /// # Panics
     ///
     /// Panics if `src >= g.n()`.
     pub fn dijkstra(&mut self, g: &DiGraph, src: usize) -> Vec<Option<u64>> {
-        let mut dist = vec![None; g.n()];
-        self.settle(g, src, usize::MAX, |v, at| dist[v] = Some(at.dist));
-        dist
+        self.distances(g, src).iter().map(|&d| Dist::from_raw(d).value()).collect()
+    }
+
+    /// Single-source shortest path distances by Dijkstra, one `u64` per
+    /// node of `g` in the encoding of the oracle's column matrix:
+    /// `Dist::INF.raw()` for a node `src` does not reach. The row is this
+    /// state's own buffer, valid until its next search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src >= g.n()`.
+    pub fn distances(&mut self, g: &DiGraph, src: usize) -> &[u64] {
+        assert!(src < g.n(), "source out of range");
+        assert!(u32::try_from(g.n()).is_ok(), "node ids must fit a radix heap item's 32 bits");
+        self.dist.clear();
+        self.dist.resize(g.n(), Dist::INF.raw());
+        self.radix.clear();
+        self.dist[src] = 0;
+        self.radix.push(0, src as u32);
+        while let Some((at, v)) = self.radix.pop() {
+            let v = v as usize;
+            if at != self.dist[v] {
+                continue; // superseded by a lighter label pushed later
+            }
+            for &(u, w) in g.neighbors(v) {
+                let cand = Dist::from_raw(at).checked_add(Dist::from_raw(w)).raw();
+                if cand < self.dist[u] {
+                    self.dist[u] = cand;
+                    self.radix.push(cand, u as u32);
+                }
+            }
+        }
+        &self.dist
     }
 
     /// Dijkstra over the augmented order: per node, the pair
@@ -170,9 +242,9 @@ impl Search {
         cur.into_iter().map(|at| at.is_finite().then_some(at.dist)).collect()
     }
 
-    /// The one heap loop: settles the nodes `src` reaches in the augmented
-    /// order `(distance, hops, id)`, handing each to `visit` with its final
-    /// label, until `limit` are settled or none is left.
+    /// The augmented loop: settles the nodes `src` reaches in the order
+    /// `(distance, hops, id)`, handing each to `visit` with its final label,
+    /// until `limit` are settled or none is left.
     fn settle(
         &mut self,
         g: &DiGraph,
@@ -216,6 +288,81 @@ impl Search {
         }
         self.labels[v] = at;
         self.heap.push(Reverse((at.dist, (u64::from(at.hops) << NODE_BITS) | v as u64)));
+    }
+}
+
+/// A priority queue of `(key, node)` items for keys that never fall below
+/// the last key popped, as Dijkstra's distances never do. An item sits in
+/// the bucket of the highest bit where its key differs from that last key
+/// ([`BUCKETS`]). A pop takes from bucket 0; when it is empty, the lowest
+/// occupied bucket's smallest key becomes the last key and the bucket's
+/// items spread into lower buckets, the smallest into bucket 0. An item
+/// moves at most 64 times, and nothing is compared but keys.
+#[derive(Debug, Clone)]
+struct RadixHeap {
+    buckets: [Vec<(u64, u32)>; BUCKETS],
+    /// Bit `b` is set iff bucket `b` holds an item, so a pop finds the
+    /// lowest occupied bucket in one instruction and a reset clears only
+    /// the buckets that were used.
+    occupied: u128,
+    last: u64,
+}
+
+impl Default for RadixHeap {
+    fn default() -> Self {
+        RadixHeap { buckets: std::array::from_fn(|_| Vec::new()), occupied: 0, last: 0 }
+    }
+}
+
+impl RadixHeap {
+    /// The bucket `key` belongs in while `last` is the last key popped.
+    fn bucket(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    /// Queues `node` under `key`, which must not be below the last key
+    /// popped.
+    fn push(&mut self, key: u64, node: u32) {
+        debug_assert!(key >= self.last, "a radix heap's keys never decrease");
+        let b = self.bucket(key);
+        self.buckets[b].push((key, node));
+        self.occupied |= 1 << b;
+    }
+
+    /// An item of the smallest key, or `None` once the heap is empty.
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        if self.occupied & 1 == 0 {
+            if self.occupied == 0 {
+                return None;
+            }
+            let from = self.occupied.trailing_zeros() as usize;
+            let mut spill = std::mem::take(&mut self.buckets[from]);
+            self.occupied &= !(1 << from);
+            self.last = spill.iter().map(|&(key, _)| key).min()?;
+            for &(key, node) in &spill {
+                let b = self.bucket(key);
+                self.buckets[b].push((key, node));
+                self.occupied |= 1 << b;
+            }
+            // Hand the bucket its allocation back.
+            spill.clear();
+            self.buckets[from] = spill;
+        }
+        let top = self.buckets[0].pop();
+        if self.buckets[0].is_empty() {
+            self.occupied &= !1;
+        }
+        top
+    }
+
+    /// Empties the heap, clearing only the occupied buckets, and forgets
+    /// the last key.
+    fn clear(&mut self) {
+        while self.occupied != 0 {
+            self.buckets[self.occupied.trailing_zeros() as usize].clear();
+            self.occupied &= self.occupied - 1;
+        }
+        self.last = 0;
     }
 }
 
@@ -311,6 +458,8 @@ pub fn shortest_path_diameter(g: &DiGraph) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
     use crate::{generators, Graph};
 
@@ -445,6 +594,160 @@ mod tests {
         // A state sized by a larger graph serves a smaller one.
         let path = generators::path(5).unwrap();
         assert_eq!(search.dijkstra(&path, 4), dijkstra(&path, 4));
+    }
+
+    /// The distances of the augmented loop, which `dijkstra_with_hops`
+    /// runs untouched: the reference the distance loop must equal.
+    fn augmented_distances(g: &DiGraph, src: usize) -> Vec<Option<u64>> {
+        dijkstra_with_hops(g, src).into_iter().map(|best| best.map(|(d, _)| d)).collect()
+    }
+
+    /// `dijkstra` (the distance loop) against the augmented loop from every
+    /// source of `g`, through one reused state.
+    fn assert_loops_agree(search: &mut Search, name: &str, g: &DiGraph) {
+        for src in 0..g.n() {
+            assert_eq!(search.dijkstra(g, src), augmented_distances(g, src), "{name} src={src}");
+        }
+    }
+
+    #[test]
+    fn the_distance_loop_equals_the_augmented_loop() {
+        let mut search = Search::new();
+        for seed in [1, 2, 3, 4] {
+            for (name, g) in generators::standard_suite(40, seed).unwrap() {
+                assert_loops_agree(&mut search, &name, &g);
+            }
+            // Weights near u64::MAX / 3: paths of three arcs or more overflow
+            // or land on the sentinel, and are no path in both loops.
+            let heavy = generators::gnp_weighted(40, 0.1, u64::MAX / 3, seed).unwrap();
+            assert_loops_agree(&mut search, "heavy gnp_weighted", &heavy);
+            // Dropping every node of degree ≥ 3 leaves small components and
+            // isolated nodes: most pairs are unreachable.
+            let split =
+                generators::gnp_weighted(40, 0.05, 30, seed).unwrap().low_degree_subgraph(3);
+            assert_loops_agree(&mut search, "disconnected gnp_weighted", &split);
+            let directed = crate::gnp_directed(40, 0.08, 50, seed).unwrap();
+            assert_loops_agree(&mut search, "gnp_directed", &directed);
+        }
+    }
+
+    /// Pops every item of `heap`, checking that keys never decrease.
+    fn drain(heap: &mut RadixHeap) -> Vec<(u64, u32)> {
+        let mut out: Vec<(u64, u32)> = Vec::new();
+        while let Some(item) = heap.pop() {
+            if let Some(&(prev, _)) = out.last() {
+                assert!(item.0 >= prev, "popped {} after {prev}", item.0);
+            }
+            out.push(item);
+        }
+        out
+    }
+
+    #[test]
+    fn a_radix_heap_pops_equal_keys_all() {
+        let mut heap = RadixHeap::default();
+        for node in 0..5 {
+            heap.push(7, node);
+        }
+        let mut out = drain(&mut heap);
+        out.sort_unstable();
+        assert_eq!(out, (0..5).map(|node| (7, node)).collect::<Vec<_>>());
+        assert_eq!(heap.occupied, 0);
+    }
+
+    #[test]
+    fn a_radix_heap_sorts_keys_across_the_whole_word() {
+        let mut keys = vec![0, 1, 2, 3, 1 << 31, 1 << 32, (1 << 63) - 1, 1 << 63, u64::MAX - 1];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..200 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            keys.push(x >> (x % 64));
+        }
+        keys.retain(|&k| k < u64::MAX - 1);
+        keys.push(u64::MAX - 1);
+        let mut heap = RadixHeap::default();
+        for (node, &key) in keys.iter().enumerate() {
+            heap.push(key, node as u32);
+        }
+        let popped: Vec<u64> = drain(&mut heap).into_iter().map(|(key, _)| key).collect();
+        keys.sort_unstable();
+        assert_eq!(popped, keys);
+    }
+
+    #[test]
+    fn a_radix_heap_pops_in_order_while_keys_are_pushed_above_the_last_pop() {
+        // Dijkstra's pattern: each pop pushes keys at or above it. The model
+        // is a binary heap over the same items.
+        let mut heap = RadixHeap::default();
+        let mut model = BinaryHeap::new();
+        let mut x = 12_345_u64;
+        heap.push(0, 0);
+        model.push(Reverse((0, 0)));
+        let mut pops = 0;
+        while let Some(item) = heap.pop() {
+            let Reverse(expect) = model.pop().expect("the model holds as many items");
+            assert_eq!(item.0, expect.0, "pop {pops}");
+            pops += 1;
+            for _ in 0..(if pops < 2_000 { 3 } else { 0 }) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let key = item.0.checked_add(x % 1_000).expect("keys stay small");
+                heap.push(key, pops);
+                model.push(Reverse((key, pops)));
+            }
+        }
+        assert!(model.is_empty());
+        assert_eq!(pops, 6_000 - 2);
+    }
+
+    #[test]
+    fn a_cleared_radix_heap_keeps_nothing_and_takes_smaller_keys() {
+        let mut heap = RadixHeap::default();
+        for (node, key) in [(0, 5), (1, 900), (2, 1 << 40), (3, 6)] {
+            heap.push(key, node);
+        }
+        assert_eq!(heap.pop(), Some((5, 0)));
+        heap.clear();
+        assert_eq!(heap.occupied, 0);
+        assert!(heap.buckets.iter().all(Vec::is_empty), "a bucket kept an item");
+        assert_eq!(heap.pop(), None);
+        // The last key is forgotten: keys below the old one are accepted.
+        for (node, key) in [(4, 3), (5, 1), (6, 2)] {
+            heap.push(key, node);
+        }
+        assert_eq!(drain(&mut heap), vec![(1, 5), (2, 6), (3, 4)]);
+    }
+
+    /// Opt-in: the two loops from 200 sources each of two 10⁴-node
+    /// families, with the time each loop took.
+    #[test]
+    #[ignore = "about 1 s in release, longer in debug; run with --ignored"]
+    fn the_loops_agree_at_ten_thousand_nodes() {
+        let families = [
+            ("road_like(100, 100)", generators::road_like(100, 100, 30, 7).unwrap()),
+            ("grid_weighted(100, 100)", generators::grid_weighted(100, 100, 1_000, 3).unwrap()),
+        ];
+        let mut search = Search::new();
+        for (name, g) in &families {
+            let sources: Vec<usize> = (0..g.n()).step_by(g.n() / 200).collect();
+            let (mut fast, mut augmented) = (Duration::ZERO, Duration::ZERO);
+            for &src in &sources {
+                let started = Instant::now();
+                let got = search.dijkstra(g, src);
+                fast += started.elapsed();
+                let started = Instant::now();
+                let expect = augmented_distances(g, src);
+                augmented += started.elapsed();
+                assert_eq!(got, expect, "{name} src={src}");
+            }
+            println!(
+                "{name}: {} sources, distance loop {fast:?}, augmented loop {augmented:?}",
+                sources.len()
+            );
+        }
     }
 
     /// Bellman–Ford for exactly `beta` rounds, with neither the fixpoint

@@ -88,7 +88,7 @@ pub const SERVING_FILES: &[&str] = &[
 ];
 
 /// The distance kernels — the oracle's build/query/combine/shard files,
-/// `cc_graph::reference` (the one sequential search the direct builder and
+/// `cc_graph::reference` (the sequential searches the direct builder and
 /// the spanner baseline run), `cc-matrix`'s elements and semirings (which
 /// own the length rule) and the baselines: the files where distance
 /// arithmetic happens and where outputs must be pure functions of their

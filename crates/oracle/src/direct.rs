@@ -5,10 +5,12 @@
 //! through the [`cc_clique::Clique`] message substrate — the right tool for
 //! validating the paper's round complexity, but the simulation overhead caps
 //! artifact sizes around `n ≈ 10³`. This module computes the *same
-//! artifact* without any clique: the workspace's one sequential search,
+//! artifact* without any clique: the workspace's sequential searches,
 //! [`cc_graph::reference`], run on `std::thread` workers with one
 //! [`Search`] state each, over the same schedules the distributed phases
-//! resolve.
+//! resolve. The balls come from its augmented loop, which settles in the
+//! order the distributed tool uses; capped mode's exact columns come from
+//! its distance-only loop, [`Search::distances`].
 //!
 //! # The bit-identity contract
 //!
@@ -386,10 +388,11 @@ impl DirectBuilder {
         let s = landmark_ids.len();
 
         // Phase 3 — exact per-landmark distances (no hopset: with m fixed
-        // the column pass is m Dijkstras, already scalable).
+        // the column pass is m Dijkstras, already scalable). A row is the
+        // distance loop's buffer, already in the column encoding.
         let rows = trace.time_local("exact_columns", || {
             par_map_with(threads, s, Search::new, |search, i| {
-                search.dijkstra(graph, landmark_ids[i] as usize)
+                search.distances(graph, landmark_ids[i] as usize).to_vec()
             })
         });
 
@@ -400,7 +403,7 @@ impl DirectBuilder {
             for (v, ball) in near.iter().enumerate() {
                 let mut pick: Option<(u64, u32)> = None;
                 for (i, row) in rows.iter().enumerate() {
-                    if let Some(dv) = row[v] {
+                    if let Some(dv) = Dist::from_raw(row[v]).value() {
                         columns[v * s + i] = dv;
                         if pick.is_none_or(|p| (dv, i as u32) < p) {
                             pick = Some((dv, i as u32));

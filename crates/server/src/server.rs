@@ -2,7 +2,7 @@
 //! poll loop), keep-alive connection handling, accept-error triage, and
 //! graceful shutdown, all feeding one bounded worker pool.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -340,24 +340,72 @@ fn worker_pool(
 /// write timeout, so a non-reading peer cannot block it for long) rather
 /// than queueing unbounded work. Counted in `/stats` so shedding is visible
 /// exactly when monitoring needs it.
-pub(crate) fn shed(state: &AppState, w: &mut impl Write) {
+pub(crate) fn shed(state: &AppState, w: &mut ResponseWriter) {
     state.count_load_shed();
     let resp = Response::error_json(503, "server is at capacity, retry later");
-    let _ = write_response(w, &resp, false, false).and_then(|()| w.flush());
+    let _ = w.send(&resp, false, false);
 }
 
-/// Buffer capacity for connection reader/writer halves. Sized so a whole
-/// binary batch frame (4096 pairs ≈ 32 KiB) moves in one read and one
-/// write syscall instead of four of each through the 8 KiB default — on
-/// loopback that also halves the scheduler ping-pong between the client
-/// and the serving worker.
+/// Buffer capacity for both halves of a connection; the client reads
+/// through the same size. Sized so a whole binary batch frame (4096 pairs ≈
+/// 32 KiB) moves in one read syscall instead of four through the 8 KiB
+/// default. A response that fits is sent from one buffer in one write; a
+/// larger one (a 4096-pair answer frame is 32 776 bytes) leaves in one
+/// vectored write of its head and its body.
 pub(crate) const IO_BUF: usize = 32 * 1024;
 
-/// One accepted connection: buffered halves of the same socket, with read
-/// and write timeouts already armed. Both transports serve through this.
+/// The write half of a connection: every response goes to the socket in
+/// one `write(2)` or `writev(2)`, which repeats only for what the socket
+/// did not take.
+pub(crate) struct ResponseWriter<W = TcpStream> {
+    out: W,
+    /// The response being sent: its head, and its body too if both fit.
+    buf: Vec<u8>,
+}
+
+impl<W: Write> ResponseWriter<W> {
+    pub(crate) fn new(out: W) -> Self {
+        ResponseWriter { out, buf: Vec::with_capacity(IO_BUF) }
+    }
+
+    /// Sends `resp`, without its body if `head_only`, in the bytes
+    /// [`write_response`] writes. A head and body that fit [`IO_BUF`] are
+    /// copied together and written at once, as one `write(2)` is cheaper
+    /// than a `writev(2)` of two slices for a small response; a larger body
+    /// is not copied.
+    pub(crate) fn send(
+        &mut self,
+        resp: &Response,
+        keep_alive: bool,
+        head_only: bool,
+    ) -> io::Result<()> {
+        self.buf.clear();
+        write_response(&mut self.buf, resp, keep_alive, true)?;
+        let body: &[u8] = if head_only { &[] } else { &resp.body };
+        if body.len() <= IO_BUF.saturating_sub(self.buf.len()) {
+            self.buf.extend_from_slice(body);
+            return self.out.write_all(&self.buf);
+        }
+        let mut slices = [IoSlice::new(&self.buf), IoSlice::new(body)];
+        let mut pending = &mut slices[..];
+        while !pending.is_empty() {
+            match self.out.write_vectored(pending) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(sent) => IoSlice::advance_slices(&mut pending, sent),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One accepted connection: a buffered read half and a response writer on
+/// the same socket, with read and write timeouts already armed. Both
+/// transports serve through this.
 pub(crate) struct Conn {
     pub(crate) reader: BufReader<TcpStream>,
-    pub(crate) writer: BufWriter<TcpStream>,
+    pub(crate) writer: ResponseWriter,
 }
 
 impl Conn {
@@ -374,7 +422,7 @@ impl Conn {
         let read_half = stream.try_clone()?;
         Ok(Conn {
             reader: BufReader::with_capacity(IO_BUF, read_half),
-            writer: BufWriter::with_capacity(IO_BUF, stream),
+            writer: ResponseWriter::new(stream),
         })
     }
 
@@ -409,7 +457,7 @@ fn serve_one(state: &AppState, conn: &mut Conn, max_body: usize, shutdown: &Atom
             let keep_alive = req.keep_alive && !shutdown.load(Ordering::Acquire);
             // HEAD answers carry GET's status and headers, never a body.
             let head = req.method == "HEAD";
-            let sent = respond(&mut conn.writer, &resp, keep_alive, head);
+            let sent = conn.writer.send(&resp, keep_alive, head);
             let duration_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let endpoint = crate::handlers::endpoint_of(&req.path);
             state.record_request(endpoint, duration_ns);
@@ -435,12 +483,12 @@ fn serve_one(state: &AppState, conn: &mut Conn, max_body: usize, shutdown: &Atom
             // close instead of trying to resynchronize.
             state.count_protocol_error();
             let resp = Response::error_json(413, format!("request body exceeds {limit} bytes"));
-            let _ = respond(&mut conn.writer, &resp, false, false);
+            let _ = conn.writer.send(&resp, false, false);
             Served::Close
         }
         Err(HttpError::BadRequest(what)) => {
             state.count_protocol_error();
-            let _ = respond(&mut conn.writer, &Response::error_json(400, what), false, false);
+            let _ = conn.writer.send(&Response::error_json(400, what), false, false);
             Served::Close
         }
         Err(HttpError::Io(_)) => Served::Close, // timeout or reset: just close
@@ -506,16 +554,6 @@ fn serve_ready(
     }
 }
 
-fn respond(
-    w: &mut BufWriter<TcpStream>,
-    resp: &Response,
-    keep_alive: bool,
-    head: bool,
-) -> io::Result<()> {
-    write_response(w, resp, keep_alive, head)?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,6 +582,74 @@ mod tests {
         // Anything unrecognized is treated as overload, never fatal.
         let unknown = io::Error::other("mystery");
         assert_eq!(classify_accept_error(&unknown), AcceptErrorClass::Overload);
+    }
+
+    /// A `Write` that records every call it receives. A vectored call takes
+    /// every slice, as a socket with room does, unless `limit` caps the
+    /// bytes one call may take.
+    #[derive(Default)]
+    struct Counting {
+        writes: Vec<Vec<u8>>,
+        limit: Option<usize>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut taken: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            taken.truncate(self.limit.unwrap_or(usize::MAX));
+            self.writes.push(taken);
+            Ok(self.writes.last().map_or(0, Vec::len))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_is_one_write_of_the_same_wire_bytes() {
+        let pairs: Vec<u64> = (0..4096).collect();
+        let responses = [
+            Response::json(200, r#"{"u":0,"v":1,"distance":7}"#),
+            // 8 + 4096·8 = 32 776 bytes: past IO_BUF, so head and body
+            // leave from two slices.
+            Response {
+                status: 200,
+                content_type: cc_reactor::frame::CONTENT_TYPE,
+                body: cc_reactor::frame::encode_response(&pairs),
+            },
+            Response::text(200, &"7\n".repeat(4096)),
+        ];
+        assert_eq!(responses[1].body.len(), 32_776);
+        // One writer across all of them, as a keep-alive connection reuses it.
+        let mut w = ResponseWriter::new(Counting::default());
+        for (resp, head_only) in responses.iter().flat_map(|r| [(r, false), (r, true)]) {
+            let mut wire = Vec::new();
+            write_response(&mut wire, resp, true, head_only).unwrap();
+            w.send(resp, true, head_only).unwrap();
+            let writes = std::mem::take(&mut w.out.writes);
+            assert_eq!(writes, [wire], "{} bytes, head only: {head_only}", resp.body.len());
+        }
+        assert_eq!(w.buf.capacity(), IO_BUF, "the buffer outgrew IO_BUF");
+    }
+
+    #[test]
+    fn a_response_the_socket_takes_in_parts_is_sent_whole() {
+        // One copied into the buffer, and one past it, written from two
+        // slices; the socket takes 5 000 bytes a call.
+        for len in [500, 40_000] {
+            let resp = Response::text(200, &"0123456789".repeat(len / 10));
+            let mut wire = Vec::new();
+            write_response(&mut wire, &resp, false, false).unwrap();
+            let mut w = ResponseWriter::new(Counting { writes: Vec::new(), limit: Some(5_000) });
+            w.send(&resp, false, false).unwrap();
+            assert_eq!(w.out.writes.len(), wire.len().div_ceil(5_000), "{len}-byte body");
+            assert_eq!(w.out.writes.concat(), wire, "{len}-byte body");
+        }
     }
 
     #[test]
