@@ -693,18 +693,20 @@ fn oracle() {
 
 /// Direct-builder n-scaling: one capped-mode build per decade on the
 /// `road_like` family (the same shape `cc-serve --demo-direct` uses),
-/// with the per-phase wall-time breakdown out of the `BuildTrace`. This
-/// is the scale path the simulator cannot reach — `Clique::new(10^5)`
-/// would allocate n^2 channel state — so there is no clique column here;
-/// bit-identity at simulator-reachable sizes is proven by
-/// `tests/build_equivalence.rs` instead.
+/// then faithful builds at 2 500 and 10⁴ nodes, with the per-phase
+/// wall-time breakdown out of the `BuildTrace`. This is the scale path the
+/// simulator cannot reach — `Clique::new(10^5)` would allocate n^2 channel
+/// state — so there is no clique column here; bit-identity at
+/// simulator-reachable sizes is proven by `tests/build_equivalence.rs`
+/// instead. Every faithful row must certify at most `3+2ε`.
 fn build_direct() {
-    let (k, m, seed) = (8usize, 32usize, 7u64);
+    let (k, m, seed, epsilon) = (8usize, 32usize, 7u64, 0.25);
     println!(
-        "### Direct builder — n-scaling on road_like (capped mode, k={k}, max_landmarks={m})\n"
+        "### Direct builder — n-scaling on road_like (capped: k={k}, max_landmarks={m}; faithful: default k, eps={epsilon})\n"
     );
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut table = Table::new(&[
+        "mode",
         "n",
         "grid",
         "threads",
@@ -715,41 +717,51 @@ fn build_direct() {
         "extract ms",
         "total ms",
         "artifact MiB",
+        "certified",
     ]);
     let mut pts = Vec::new();
-    for (w, h) in [(40usize, 25usize), (100, 100), (400, 250), (1000, 1000)] {
+    let capped = [(40usize, 25usize), (100, 100), (400, 250), (1000, 1000)].map(|g| (true, g));
+    let faithful = [(50, 50), (100, 100)].map(|g| (false, g));
+    for (is_capped, (w, h)) in capped.into_iter().chain(faithful) {
         let g = generators::road_like(w, h, 30, 42).expect("graph");
+        let mut builder = cc_oracle::DirectBuilder::new().epsilon(epsilon).seed(seed);
+        if is_capped {
+            builder = builder.k(k).max_landmarks(m);
+        }
         let started = Instant::now();
-        let (oracle, trace) = cc_oracle::DirectBuilder::new()
-            .k(k)
-            .epsilon(0.25)
-            .seed(seed)
-            .max_landmarks(m)
-            .build_traced(&g)
-            .expect("direct build");
+        let (oracle, trace) = builder.build_traced(&g).expect("direct build");
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
-        let phase_ms = |name: &str| {
-            trace
-                .span(name)
+        let phase_ms = |names: &[&str]| {
+            names
+                .iter()
+                .find_map(|name| trace.span(name))
                 .map_or_else(|| "-".into(), |s| format!("{:.0}", s.wall_ns as f64 / 1e6))
         };
+        let bound = oracle.stretch_bound();
+        if !is_capped {
+            assert!(bound <= 3.0 + 2.0 * epsilon + 1e-12, "faithful {w}x{h} certifies {bound}");
+        }
         table.row(vec![
+            (if is_capped { "capped" } else { "faithful" }).into(),
             oracle.n().to_string(),
             format!("{w}x{h}"),
             threads.to_string(),
             oracle.landmarks().len().to_string(),
-            phase_ms("k_nearest_balls"),
-            phase_ms("landmark_selection"),
-            phase_ms("exact_columns"),
-            phase_ms("local_extraction"),
+            phase_ms(&["k_nearest_balls"]),
+            phase_ms(&["landmark_selection", "hitting_set_landmarks"]),
+            phase_ms(&["exact_columns", "mssp_columns"]),
+            phase_ms(&["local_extraction"]),
             format!("{total_ms:.0}"),
             format!("{:.1}", oracle.artifact_bytes() as f64 / (1024.0 * 1024.0)),
+            format!("{bound:.3}"),
         ]);
-        pts.push((oracle.n() as f64, total_ms));
+        if is_capped {
+            pts.push((oracle.n() as f64, total_ms));
+        }
     }
     table.print();
     println!(
-        "log-log slope of build time vs n: {:.2} (1.0 = linear scaling; the exact-columns phase is m Dijkstras, so O(m * n log n) dominates).\n",
+        "log-log slope of capped build time vs n: {:.2} (1.0 = linear scaling; the exact-columns phase is m Dijkstras, so O(m * n log n) dominates). Faithful columns are hop-bounded rows over G ∪ H from every hitting-set landmark; every faithful row certifies at most 3+2eps.\n",
         loglog_slope(&pts)
     );
 }

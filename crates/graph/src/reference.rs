@@ -22,13 +22,17 @@
 //!
 //! * **The distance loop**, [`Search::distances`], computes distances only.
 //!   Its labels are one `u64` per node, with ∞ spelled `Dist::INF.raw()`:
-//!   the encoding of the oracle's column matrix, so the capped direct
-//!   builder copies a row as it is. Its queue is a radix heap, a priority
-//!   queue for keys that never decrease, which Dijkstra's popped distances
-//!   are. [`dijkstra`](Search::dijkstra) maps its buffer, so every caller of
-//!   it runs this loop: [`all_pairs`], `hop_bounded` once `β ≥ n − 1`, the
-//!   capped builder's exact columns and the greedy spanner. The loop
-//!   returns a row of all `n` nodes, so it resets its buffer by one fill.
+//!   the encoding of the oracle's column matrix, so the direct builder
+//!   copies a row as it is. Its queue is a radix heap, a priority queue for
+//!   keys that never decrease, which Dijkstra's popped distances are.
+//!   [`dijkstra`](Search::dijkstra) maps its buffer, so every caller of it
+//!   runs this loop: [`all_pairs`], the capped builder's exact columns and
+//!   the greedy spanner. The loop returns a row of all `n` nodes, so it
+//!   resets its buffer by one fill. Its hop-bounded sibling,
+//!   [`Search::hop_bounded`], keeps the same labels and relaxation but
+//!   replaces the heap by semi-naive Bellman–Ford rounds; at `β ≥ n − 1` it
+//!   is this loop. It fills the faithful builder's columns and hopset
+//!   levels, and the free [`hop_bounded`] maps its row.
 //! * **The augmented loop** settles nodes in the order `(distance, hops,
 //!   id)` on a binary heap. [`dijkstra_with_hops`](Search::dijkstra_with_hops),
 //!   [`k_nearest`](Search::k_nearest) and
@@ -106,8 +110,14 @@ pub struct Search {
     touched: Vec<usize>,
     heap: BinaryHeap<Reverse<(u64, u64)>>,
     /// The distance loop's best distance so far per node of the last graph
-    /// it searched; `Dist::INF.raw()` means not reached.
+    /// it searched; `Dist::INF.raw()` means not reached. `hop_bounded`
+    /// keeps the last finished round here.
     dist: Vec<u64>,
+    /// `hop_bounded`'s round in progress, and the nodes the last round and
+    /// this one changed.
+    next: Vec<u64>,
+    frontier: Vec<usize>,
+    changed: Vec<usize>,
     radix: RadixHeap,
 }
 
@@ -202,44 +212,57 @@ impl Search {
     }
 
     /// Hop-bounded distance `d^β(src, ·)`: the weight of the lightest path
-    /// using at most `beta` arcs.
+    /// using at most `beta` arcs, one `u64` per node in the encoding of
+    /// [`distances`](Self::distances). The row is this state's own buffer,
+    /// valid until its next search.
     ///
     /// Once `beta ≥ n − 1` the bound admits every simple path and this is
-    /// [`dijkstra`](Self::dijkstra). Otherwise it runs Bellman–Ford rounds
-    /// and stops at the first round that changes nothing: every later round
-    /// would repeat it, so the stop is exact.
+    /// [`distances`](Self::distances). Otherwise it runs Bellman–Ford rounds
+    /// semi-naively: round `i` relaxes only from the nodes round `i − 1`
+    /// changed, reading their labels as round `i − 1` left them, so the row
+    /// after `i` rounds is exactly `d^i`. A node no round changed has
+    /// already relaxed its arcs at its current label. The loop stops at the
+    /// first round that changes nothing: every later round would repeat it.
     ///
     /// # Panics
     ///
     /// Panics if `src >= g.n()`.
-    pub fn hop_bounded(&mut self, g: &DiGraph, src: usize, beta: usize) -> Vec<Option<u64>> {
+    pub fn hop_bounded(&mut self, g: &DiGraph, src: usize, beta: usize) -> &[u64] {
         if beta >= g.n().saturating_sub(1) {
-            return self.dijkstra(g, src);
+            return self.distances(g, src);
         }
         assert!(src < g.n(), "source out of range");
-        let mut cur = vec![AugDist::INF; g.n()];
-        cur[src] = AugDist::ZERO;
-        let mut next = cur.clone();
+        let Search { dist, next, frontier, changed, .. } = self;
+        dist.clear();
+        dist.resize(g.n(), Dist::INF.raw());
+        dist[src] = 0;
+        next.clone_from(dist);
+        frontier.clear();
+        frontier.push(src);
         for _ in 0..beta {
-            let mut changed = false;
-            for (v, &at) in cur.iter().enumerate() {
-                if !at.is_finite() {
-                    continue;
-                }
+            // `next` equals `dist` here; round i writes only `next`.
+            for &v in frontier.iter() {
+                let at = Dist::from_raw(dist[v]);
                 for &(u, w) in g.neighbors(v) {
-                    let cand = at.combine(arc(w));
+                    let cand = at.checked_add(Dist::from_raw(w)).raw();
                     if cand < next[u] {
+                        if next[u] == dist[u] {
+                            changed.push(u);
+                        }
                         next[u] = cand;
-                        changed = true;
                     }
                 }
             }
-            if !changed {
+            if changed.is_empty() {
                 break;
             }
-            cur.clone_from(&next);
+            for &u in changed.iter() {
+                dist[u] = next[u];
+            }
+            std::mem::swap(frontier, changed);
+            changed.clear();
         }
-        cur.into_iter().map(|at| at.is_finite().then_some(at.dist)).collect()
+        dist
     }
 
     /// The augmented loop: settles the nodes `src` reaches in the order
@@ -424,7 +447,7 @@ pub fn all_pairs(g: &DiGraph) -> Vec<Vec<Option<u64>>> {
 ///
 /// Panics if `src >= g.n()`.
 pub fn hop_bounded(g: &DiGraph, src: usize, beta: usize) -> Vec<Option<u64>> {
-    Search::new().hop_bounded(g, src, beta)
+    Search::new().hop_bounded(g, src, beta).iter().map(|&d| Dist::from_raw(d).value()).collect()
 }
 
 /// The `k` nearest nodes to `v`: see [`Search::k_nearest`].
@@ -558,42 +581,51 @@ mod tests {
         assert_eq!(refused, crate::GraphError::InfiniteWeight { u: 0, v: 1 });
     }
 
+    /// A row in the column encoding as `Option`s: `None` = unreachable.
+    fn options(row: &[u64]) -> Vec<Option<u64>> {
+        row.iter().map(|&d| Dist::from_raw(d).value()).collect()
+    }
+
     #[test]
     fn one_search_state_reused_across_sources_equals_fresh_results() {
-        let g = generators::gnp_weighted(48, 0.12, 30, 11).unwrap();
-        // One state across every call, partial (k-nearest) and full
-        // searches interleaved: a label one search leaves behind must never
-        // leak into the next, so the touched-list reset is load-bearing.
+        // One state across every call, partial (k-nearest), hop-bounded and
+        // full searches interleaved, on two graphs of different sizes: a
+        // label one search leaves behind must never leak into the next, so
+        // the touched-list reset and the row resets are load-bearing.
+        let large = generators::gnp_weighted(48, 0.12, 30, 11).unwrap();
+        let small = generators::grid_weighted(4, 5, 20, 3).unwrap();
         let mut search = Search::new();
-        for v in 0..48 {
-            let full = dijkstra_with_hops(&g, v);
-            // The augmented order by sorting every label, which the heap's
-            // settling order must equal.
-            let mut sorted: Vec<(u64, u32, usize)> = full
-                .iter()
-                .enumerate()
-                .filter_map(|(u, label)| label.map(|(d, h)| (d, h, u)))
-                .collect();
-            sorted.sort_unstable();
-            for k in [1, 3, 7, 48] {
-                let expect: Vec<(usize, u64, u32)> =
-                    sorted.iter().take(k).map(|&(d, h, u)| (u, d, h)).collect();
-                assert_eq!(search.k_nearest(&g, v, k), expect, "v={v} k={k}");
-                let mut by_id = expect;
-                by_id.sort_unstable();
-                let row: Vec<(usize, u64, u32)> = search
-                    .k_nearest_row(&g, v, k)
+        for i in 0..48 {
+            for g in [&large, &small] {
+                let (n, v) = (g.n(), i % g.n());
+                let full = dijkstra_with_hops(g, v);
+                // The augmented order by sorting every label, which the
+                // heap's settling order must equal.
+                let mut sorted: Vec<(u64, u32, usize)> = full
                     .iter()
-                    .map(|(u, a)| (u as usize, a.dist, a.hops))
+                    .enumerate()
+                    .filter_map(|(u, label)| label.map(|(d, h)| (d, h, u)))
                     .collect();
-                assert_eq!(row, by_id, "v={v} k={k}");
+                sorted.sort_unstable();
+                for (k, beta) in [(1, 0), (3, 1), (7, 3), (n, n / 2), (n, n - 1)] {
+                    let expect: Vec<(usize, u64, u32)> =
+                        sorted.iter().take(k).map(|&(d, h, u)| (u, d, h)).collect();
+                    assert_eq!(search.k_nearest(g, v, k), expect, "n={n} v={v} k={k}");
+                    let hop_row = options(search.hop_bounded(g, v, beta));
+                    assert_eq!(hop_row, hop_bounded(g, v, beta), "n={n} v={v} beta={beta}");
+                    let mut by_id = expect;
+                    by_id.sort_unstable();
+                    let row: Vec<(usize, u64, u32)> = search
+                        .k_nearest_row(g, v, k)
+                        .iter()
+                        .map(|(u, a)| (u as usize, a.dist, a.hops))
+                        .collect();
+                    assert_eq!(row, by_id, "n={n} v={v} k={k}");
+                    assert_eq!(options(search.distances(g, v)), dijkstra(g, v), "n={n} v={v}");
+                }
+                assert_eq!(search.dijkstra_with_hops(g, v), full, "n={n} v={v}");
             }
-            assert_eq!(search.dijkstra_with_hops(&g, v), full, "v={v}");
-            assert_eq!(search.hop_bounded(&g, v, 3), hop_bounded(&g, v, 3), "v={v}");
         }
-        // A state sized by a larger graph serves a smaller one.
-        let path = generators::path(5).unwrap();
-        assert_eq!(search.dijkstra(&path, 4), dijkstra(&path, 4));
     }
 
     /// The distances of the augmented loop, which `dijkstra_with_hops`
@@ -773,16 +805,30 @@ mod tests {
 
     #[test]
     fn hop_bounded_stops_exactly_at_its_fixpoint_and_shortcuts_to_dijkstra() {
-        // n = 30: beta ≤ 28 runs Bellman–Ford, which stops at its fixpoint
-        // once beta passes the hop diameter; beta ≥ 29 is Dijkstra.
-        let g = generators::grid_weighted(5, 6, 20, 2).unwrap();
-        for src in [0, 7, 29] {
-            for beta in [0, 1, 2, 5, 12, 28, 29, 30, 64] {
-                assert_eq!(
-                    hop_bounded(&g, src, beta),
-                    fixed_count_hop_bounded(&g, src, beta),
-                    "src={src} beta={beta}"
-                );
+        // Below beta = n − 1 the semi-naive rounds run, and stop at their
+        // fixpoint once beta passes the hop diameter; from n − 1 on it is
+        // Dijkstra. A grid (n = 30), a directed graph and a disconnected
+        // one, whose unreached nodes must stay ∞ at every beta.
+        let graphs: [(&str, DiGraph); 3] = [
+            ("grid_weighted", DiGraph::clone(&generators::grid_weighted(5, 6, 20, 2).unwrap())),
+            ("gnp_directed", crate::gnp_directed(36, 0.06, 50, 4).unwrap()),
+            (
+                "disconnected",
+                DiGraph::clone(
+                    &generators::gnp_weighted(40, 0.05, 30, 2).unwrap().low_degree_subgraph(3),
+                ),
+            ),
+        ];
+        for (name, g) in &graphs {
+            let n = g.n();
+            for src in [0, 7, n - 1] {
+                for beta in [0, 1, 2, 5, 12, n / 2, n - 2, n - 1, n, 64] {
+                    assert_eq!(
+                        hop_bounded(g, src, beta),
+                        fixed_count_hop_bounded(g, src, beta),
+                        "{name} src={src} beta={beta}"
+                    );
+                }
             }
         }
     }

@@ -1,5 +1,6 @@
 //! The build phase: one distributed pass that extracts the local artifact.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use cc_clique::Clique;
@@ -27,36 +28,55 @@ pub(crate) fn ball_members(near: &[SparseRow<AugDist>]) -> Vec<Vec<usize>> {
     near.iter().map(|row| row.iter().map(|(c, _)| c as usize).collect()).collect()
 }
 
-/// The purely local extraction kernel shared by both builders: per-node
-/// balls in id order, the nearest-landmark row (`p(v)` by the augmented
-/// order, then id), and the already-flattened column matrix.
+/// The one extraction kernel, shared by every build: per-node balls in id
+/// order, each node's nearest landmark, and the already-flattened column
+/// matrix.
 ///
 /// `near[v]` is node `v`'s `k`-nearest ball as [`k_nearest`] returns it
-/// (the direct builder's search returns the same shape); `columns` is the
-/// row-major `n × |landmarks|` matrix with `Dist::INF.raw()` marking an
-/// unreachable landmark. The direct builder passes `build_rounds = 0`; the
-/// clique builder the simulator's count.
+/// (the direct builder's search returns the same shape); `landmarks` are
+/// ascending node ids; `columns` is the row-major `n × |landmarks|` matrix
+/// with `Dist::INF.raw()` marking an unreachable landmark. `nearest` is the
+/// build's nearest-landmark rule: given `v`'s ball and its column row, the
+/// pick `(index into landmarks, distance)`, or `None` if `v` reaches no
+/// landmark. The direct builder passes `build_rounds = 0`; the clique
+/// builder the simulator's count.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if some ball contains no landmark — impossible for a hitting set
-/// built over these balls (every ball contains its own node and the repair
-/// pass hits every non-empty set).
+/// [`OracleError::InvalidParameter`] if some node reaches no landmark,
+/// which a hitting set built over these balls rules out (every ball
+/// contains its own node and the repair pass hits every non-empty set).
 pub(crate) fn extract_artifact(
     params: BuildParams,
     near: &[SparseRow<AugDist>],
-    landmarks: &HittingSet,
+    landmarks: &[usize],
     columns: Vec<u64>,
+    nearest: impl Fn(&SparseRow<AugDist>, &[u64]) -> Option<(u32, u64)>,
 ) -> Result<DistanceOracle, OracleError> {
-    let landmark_ids: Vec<u32> = landmarks.members.iter().map(|&a| a as u32).collect();
-    let mut sections = Sections::with_rows(near.len(), landmark_ids, columns);
-    for row in near {
-        let (p, aug) = landmarks.closest_in_row(row).expect("hitting set covers every ball");
-        let idx =
-            sections.landmarks.binary_search(&(p as u32)).expect("closest hitter is a landmark");
-        sections.push_row((idx as u32, aug.dist), row.iter().map(|(c, a)| (c, a.dist)));
+    let s = landmarks.len();
+    let ids = landmarks.iter().map(|&a| a as u32).collect();
+    let mut sections = Sections::with_rows(near.len(), ids, Vec::new());
+    for (v, ball) in near.iter().enumerate() {
+        let Some(pick) = nearest(ball, &columns[v * s..(v + 1) * s]) else {
+            return Err(invalid(format!(
+                "node {v} reaches no landmark; raise max_landmarks or use a connected graph"
+            )));
+        };
+        sections.push_row(pick, ball.iter().map(|(c, a)| (c, a.dist)));
     }
+    sections.columns = Arc::new(columns);
     Ok(DistanceOracle(ArtifactSlice::from_sections(params, 0..params.n, sections)?))
+}
+
+/// The nearest-landmark rule of a hitting set (§4.1): `p(v)` is the member
+/// closest in `v`'s ball, by the augmented order then id.
+pub(crate) fn closest_hitter(
+    landmarks: &HittingSet,
+) -> impl Fn(&SparseRow<AugDist>, &[u64]) -> Option<(u32, u64)> + '_ {
+    |ball, _| {
+        let (p, aug) = landmarks.closest_in_row(ball)?;
+        Some((landmarks.members.binary_search(&p).ok()? as u32, aug.dist))
+    }
 }
 
 /// Appends one phase span to `trace`, charging the round/message/word
@@ -200,17 +220,10 @@ impl OracleBuilder {
 
         // Extraction — purely local, no further communication.
         let (report, started) = (clique.report(), Instant::now());
-        let s = landmarks.len();
-        let mut columns = vec![cc_matrix::Dist::INF.raw(); n * s];
-        for v in 0..n {
-            for i in 0..s {
-                if let Some(d) = run.dist[v][i].value() {
-                    columns[v * s + i] = d;
-                }
-            }
-        }
+        let columns = run.dist.iter().flatten().map(|d| d.raw()).collect();
         let params = BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds };
-        let oracle = extract_artifact(params, &near, &landmarks, columns)?;
+        let rule = closest_hitter(&landmarks);
+        let oracle = extract_artifact(params, &near, &landmarks.members, columns, rule)?;
         close_span(&mut trace, "local_extraction", clique, &report, started);
         Ok((oracle, trace))
     }

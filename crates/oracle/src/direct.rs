@@ -9,8 +9,11 @@
 //! [`cc_graph::reference`], run on `std::thread` workers with one
 //! [`Search`] state each, over the same schedules the distributed phases
 //! resolve. The balls come from its augmented loop, which settles in the
-//! order the distributed tool uses; capped mode's exact columns come from
-//! its distance-only loop, [`Search::distances`].
+//! order the distributed tool uses. Every column, faithful or capped, and
+//! every hopset level comes from one column pass: a
+//! [`Search::hop_bounded`] row per source, one `u64` per node in the column
+//! encoding, laid into the `n × s` matrix (capped rows are unbounded, so
+//! they are [`Search::distances`]).
 //!
 //! # The bit-identity contract
 //!
@@ -33,15 +36,18 @@
 //!   [`cc_hopset::build_hopset`], and the bunches from [`cc_hopset::bunch`],
 //!   the rule that construction applies; bunches and level edges fold into
 //!   a min-weight union exactly as the clique construction does (unions are
-//!   elementwise minima, so insertion order is irrelevant); hop-`β`-bounded
-//!   distances are [`Search::hop_bounded`] — pinned equal to
-//!   `source_detection_all` by that tool's differential tests.
-//! * **extraction** — `crate::builder::extract_artifact`, the same
-//!   function the clique builder calls, on the same row shape.
+//!   elementwise minima, so insertion order is irrelevant), and the level
+//!   loop stops where that construction's does, at the first level that
+//!   adds no lighter edge; hop-`β`-bounded distances are
+//!   [`Search::hop_bounded`] — pinned equal to `source_detection_all` by
+//!   that tool's differential tests.
+//! * **extraction** — `crate::builder::extract_artifact`, the one
+//!   extraction function, which the clique builder calls with the same
+//!   nearest-landmark rule on the same row shape.
 //!
-//! Both paths compute in the augmented min-plus semiring (§3.1), where a
-//! path whose length overflows `u64` is no path, so the contract holds for
-//! any weights.
+//! Both paths extend paths by the one length rule of the min-plus semirings
+//! (§3.1), where a path whose length overflows `u64` is no path, so the
+//! contract holds for any weights.
 //!
 //! The only field that differs is the header-only `build_rounds` (the
 //! direct path has no rounds to count; it records 0), which is excluded
@@ -54,12 +60,11 @@
 //! scale: at `n = 10⁵..10⁶` the faithful landmark count (`O(n log n / k)`)
 //! would make the column matrix astronomically large, so capped mode picks
 //! `m` seeded-rank landmarks and computes *exact* per-landmark Dijkstra
-//! columns (no hopset) — a different artifact than the clique build would
-//! produce, whose landmarks need not hit every ball: its certified
+//! columns (no hopset), taking each node's nearest landmark from its column
+//! row — a different artifact than the clique build would produce, whose
+//! landmarks need not hit every ball: its certified
 //! [`stretch_bound`](crate::ArtifactSlice::stretch_bound) is what its rows
 //! prove, larger than a faithful build's `3+2ε`. See `docs/BUILDERS.md`.
-
-use std::sync::Arc;
 
 use cc_distance::{check_epsilon, hitting_set_local};
 use cc_graph::reference::Search;
@@ -68,9 +73,9 @@ use cc_hopset::{bunch, HopsetConfig, HopsetSchedule, HITTING_SET_SEED};
 use cc_matrix::{AugDist, Dist, SparseRow};
 use cc_telemetry::BuildTrace;
 
-use crate::builder::{ball_members, default_k, extract_artifact};
+use crate::builder::{ball_members, closest_hitter, default_k, extract_artifact};
 use crate::error::{invalid, rejected};
-use crate::oracle::{ArtifactSlice, BuildParams, Sections};
+use crate::oracle::BuildParams;
 use crate::{DistanceOracle, OracleError};
 
 /// Order-preserving parallel map with per-worker state: `out[i] = f(s, i)`
@@ -112,17 +117,20 @@ fn balls(graph: &Graph, k: usize, threads: usize) -> Vec<SparseRow<AugDist>> {
     par_map_with(threads, graph.n(), Search::new, |search, v| search.k_nearest_row(graph, v, k))
 }
 
-/// Distances from each of `sources` over paths of at most `hops` arcs —
-/// the quantity `source_detection_all` ships.
-fn hop_bounded_rows(
-    graph: &Graph,
-    sources: &[usize],
-    hops: usize,
-    threads: usize,
-) -> Vec<Vec<Option<u64>>> {
-    par_map_with(threads, sources.len(), Search::new, |search, i| {
-        search.hop_bounded(graph, sources[i], hops)
-    })
+/// The column pass: the row-major `n × s` matrix whose entry `v·s + i` is
+/// `d^hops(sources[i], v)` in the column encoding (∞ = `Dist::INF.raw()`),
+/// the quantity `source_detection_all` ships. One [`Search::hop_bounded`]
+/// row per source, on `threads` workers; `hops ≥ n − 1` makes every row
+/// exact.
+fn column_matrix(graph: &Graph, sources: &[usize], hops: usize, threads: usize) -> Vec<u64> {
+    let rows = par_map_with(threads, sources.len(), Search::new, |search, i| {
+        search.hop_bounded(graph, sources[i], hops).to_vec()
+    });
+    let mut columns = Vec::with_capacity(graph.n() * sources.len());
+    for v in 0..graph.n() {
+        columns.extend(rows.iter().map(|row| row[v]));
+    }
+    columns
 }
 
 /// The direct re-run of [`cc_hopset::build_hopset`]: same schedule, same
@@ -154,20 +162,26 @@ fn direct_union_with_hopset(
     }
 
     // Step 3: iterative levels — A1-to-A1 edges from bounded explorations
-    // in G ∪ H^{l-1}. Each level's rows are computed against the union
+    // in G ∪ H^{l-1}. Each level's columns are computed against the union
     // *before* that level's edges land, mirroring the clique's
-    // snapshot-then-update order.
+    // snapshot-then-update order. A level that adds no lighter edge leaves
+    // the union as it found it, so every later level would repeat it: the
+    // clique construction stops there, and so does this loop.
+    let a = a1.len();
     for _level in 0..levels {
-        let rows = hop_bounded_rows(&union, &a1.members, exploration, threads);
-        for (i, row) in rows.iter().enumerate() {
-            let s = a1.members[i];
+        let columns = column_matrix(&union, &a1.members, exploration, threads);
+        let mut added = 0;
+        for (i, &s) in a1.members.iter().enumerate() {
             for &t in &a1.members {
-                if t != s {
-                    if let Some(dw) = row[t] {
-                        union.add_edge(s, t, dw).expect("members are in range");
-                    }
+                let dw = columns[t * a + i];
+                if t != s && dw < union.weight(s, t).unwrap_or(Dist::INF.raw()) {
+                    union.add_edge(s, t, dw).expect("members are in range");
+                    added += 1;
                 }
             }
+        }
+        if added == 0 {
+            break;
         }
     }
     Ok((union, beta))
@@ -311,118 +325,57 @@ impl DirectBuilder {
 
         // Phase 1 — the oracle's k-nearest balls (same for both modes).
         let near = trace.time_local("k_nearest_balls", || balls(graph, k, threads));
+        // build_rounds is 0: the direct path simulates nothing (the field is
+        // header-only and excluded from the payload checksum).
+        let params = BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds: 0 };
 
         let oracle = match self.max_landmarks {
-            None => self.build_faithful(graph, k, threads, &near, &mut trace)?,
-            Some(m) => self.build_capped(graph, k, m, threads, &near, &mut trace)?,
-        };
+            // Faithful mode, the bit-identical re-run of the clique pipeline.
+            None => {
+                // Phase 2 — Lemma 4 landmark selection, via the exact local
+                // kernel the clique wrapper delegates to.
+                let (landmarks, _repair) = trace.time_local("hitting_set_landmarks", || {
+                    hitting_set_local(&ball_members(&near), k, self.seed)
+                })?;
+                // Phase 3 — Theorem 3 columns: hopset union, then
+                // hop-β-bounded distances from every landmark.
+                let columns = trace.time_local("mssp_columns", || {
+                    let (union, beta) = direct_union_with_hopset(graph, self.epsilon, threads)?;
+                    Ok::<_, OracleError>(column_matrix(&union, &landmarks.members, beta, threads))
+                })?;
+                trace.time_local("local_extraction", || {
+                    let rule = closest_hitter(&landmarks);
+                    extract_artifact(params, &near, &landmarks.members, columns, rule)
+                })
+            }
+            // Capped mode: m seeded-rank landmarks, exact columns.
+            Some(m) => {
+                // Phase 2 — the m nodes of smallest mixed rank, ids
+                // ascending. Deterministic in (seed, n, m) alone.
+                let landmarks = trace.time_local("landmark_selection", || {
+                    let mut ranked: Vec<(u64, usize)> =
+                        (0..n).map(|v| (seeded_rank(self.seed, v as u64), v)).collect();
+                    ranked.sort_unstable();
+                    ranked.truncate(m.min(n));
+                    let mut ids: Vec<usize> = ranked.into_iter().map(|(_, v)| v).collect();
+                    ids.sort_unstable();
+                    ids
+                });
+                // Phase 3 — exact per-landmark distances (no hopset: with m
+                // fixed the column pass is m Dijkstras, already scalable).
+                let columns = trace
+                    .time_local("exact_columns", || column_matrix(graph, &landmarks, n, threads));
+                // The nearest landmark is read from the exact columns: the
+                // smallest entry, ties by index.
+                trace.time_local("local_extraction", || {
+                    extract_artifact(params, &near, &landmarks, columns, |_, row| {
+                        let (i, &d) = row.iter().enumerate().min_by_key(|&(_, &d)| d)?;
+                        (d != Dist::INF.raw()).then_some((i as u32, d))
+                    })
+                })
+            }
+        }?;
         Ok((oracle, trace))
-    }
-
-    /// Faithful mode: hitting-set landmarks + hopset-bounded columns —
-    /// the bit-identical re-run of the clique pipeline.
-    fn build_faithful(
-        &self,
-        graph: &Graph,
-        k: usize,
-        threads: usize,
-        near: &[SparseRow<AugDist>],
-        trace: &mut BuildTrace,
-    ) -> Result<DistanceOracle, OracleError> {
-        let n = graph.n();
-
-        // Phase 2 — Lemma 4 landmark selection, via the exact local kernel
-        // the clique wrapper delegates to.
-        let landmarks = trace.time_local("hitting_set_landmarks", || {
-            hitting_set_local(&ball_members(near), k, self.seed)
-        })?;
-        let (landmarks, _repair) = landmarks;
-
-        // Phase 3 — Theorem 3 columns: hopset union, then hop-β-bounded
-        // distances from every landmark.
-        let columns = trace.time_local("mssp_columns", || -> Result<Vec<u64>, OracleError> {
-            let (union, beta) = direct_union_with_hopset(graph, self.epsilon, threads)?;
-            let s = landmarks.len();
-            let rows = hop_bounded_rows(&union, &landmarks.members, beta, threads);
-            let mut columns = vec![Dist::INF.raw(); n * s];
-            for (i, row) in rows.iter().enumerate() {
-                for v in 0..n {
-                    if let Some(dv) = row[v] {
-                        columns[v * s + i] = dv;
-                    }
-                }
-            }
-            Ok(columns)
-        })?;
-
-        // Extraction — the kernel shared with the clique builder.
-        // build_rounds is 0: the direct path simulates nothing (the field
-        // is header-only and excluded from the payload checksum).
-        let params = BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds: 0 };
-        trace.time_local("local_extraction", || extract_artifact(params, near, &landmarks, columns))
-    }
-
-    /// Capped mode: `m` seeded-rank landmarks, exact Dijkstra columns.
-    fn build_capped(
-        &self,
-        graph: &Graph,
-        k: usize,
-        m: usize,
-        threads: usize,
-        near: &[SparseRow<AugDist>],
-        trace: &mut BuildTrace,
-    ) -> Result<DistanceOracle, OracleError> {
-        let n = graph.n();
-
-        // Phase 2 — seeded-rank selection: the m nodes of smallest mixed
-        // rank, ids ascending. Deterministic in (seed, n, m) alone.
-        let landmark_ids = trace.time_local("landmark_selection", || {
-            let mut ranked: Vec<(u64, u32)> =
-                (0..n).map(|v| (seeded_rank(self.seed, v as u64), v as u32)).collect();
-            ranked.sort_unstable();
-            ranked.truncate(m.min(n));
-            let mut ids: Vec<u32> = ranked.into_iter().map(|(_, v)| v).collect();
-            ids.sort_unstable();
-            ids
-        });
-        let s = landmark_ids.len();
-
-        // Phase 3 — exact per-landmark distances (no hopset: with m fixed
-        // the column pass is m Dijkstras, already scalable). A row is the
-        // distance loop's buffer, already in the column encoding.
-        let rows = trace.time_local("exact_columns", || {
-            par_map_with(threads, s, Search::new, |search, i| {
-                search.distances(graph, landmark_ids[i] as usize).to_vec()
-            })
-        });
-
-        trace.time_local("local_extraction", || {
-            // The rows go in as they are picked; the columns once filled.
-            let mut columns = vec![Dist::INF.raw(); n * s];
-            let mut sections = Sections::with_rows(n, landmark_ids, Vec::new());
-            for (v, ball) in near.iter().enumerate() {
-                let mut pick: Option<(u64, u32)> = None;
-                for (i, row) in rows.iter().enumerate() {
-                    if let Some(dv) = Dist::from_raw(row[v]).value() {
-                        columns[v * s + i] = dv;
-                        if pick.is_none_or(|p| (dv, i as u32) < p) {
-                            pick = Some((dv, i as u32));
-                        }
-                    }
-                }
-                let Some((pd, pi)) = pick else {
-                    return Err(invalid(format!(
-                        "node {v} reaches no landmark; raise max_landmarks or use a \
-                         connected graph"
-                    )));
-                };
-                sections.push_row((pi, pd), ball.iter().map(|(c, a)| (c, a.dist)));
-            }
-            sections.columns = Arc::new(columns);
-            let params =
-                BuildParams { n, k, epsilon: self.epsilon, seed: self.seed, build_rounds: 0 };
-            Ok(DistanceOracle(ArtifactSlice::from_sections(params, 0..n, sections)?))
-        })
     }
 }
 
@@ -513,8 +466,8 @@ mod tests {
         // Two components; rank the landmarks so only one component is hit:
         // with m = 1 some node must fail to reach it.
         let g = Graph::from_edges(8, [(0, 1, 1), (2, 3, 1)]).unwrap();
-        let err = DirectBuilder::new().k(2).max_landmarks(1).build(&g);
-        assert!(err.is_err());
+        let err = DirectBuilder::new().k(2).max_landmarks(1).build(&g).unwrap_err();
+        assert!(err.to_string().contains("reaches no landmark"), "{err}");
     }
 
     #[test]

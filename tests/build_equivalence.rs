@@ -13,6 +13,7 @@
 
 use congested_clique::clique::Clique;
 use congested_clique::graph::{generators, Graph};
+use congested_clique::hopset::HopsetConfig;
 use congested_clique::oracle::{testkit, DirectBuilder, DistanceOracle, OracleBuilder};
 
 /// Builds the same configuration through both pipelines and asserts the
@@ -63,6 +64,23 @@ fn direct_builder_is_bit_identical_at_larger_n() {
         if ["gnp-sparse", "road-like", "ba", "path"].contains(&name.as_str()) {
             assert_builders_agree(name, g, 0.25, 11, None);
         }
+    }
+}
+
+/// Multi-level hopsets. Up to n = 72 every schedule has one level with
+/// exploration n; at n = 256 a large ε shortens the exploration enough that
+/// the schedule runs several levels, so the level loop and its stop at the
+/// first level that adds no lighter edge are compared here.
+#[test]
+fn direct_builder_matches_with_a_multi_level_hopset() {
+    let cases = [
+        ("path", generators::path(256).unwrap(), 4.0),
+        ("grid-weighted", generators::grid_weighted(8, 32, 20, 2).unwrap(), 6.0),
+    ];
+    for (name, g, epsilon) in &cases {
+        let levels = HopsetConfig::new(*epsilon).schedule(g.n()).levels;
+        assert!(levels > 1, "{name}: the schedule runs {levels} level");
+        assert_builders_agree(name, g, *epsilon, 3, None);
     }
 }
 
@@ -124,4 +142,22 @@ fn direct_and_clique_builds_share_a_build_id() {
         serde::from_bytes_with_header(&serde::to_bytes(o)).unwrap().0.build_id()
     };
     assert_eq!(id_of(&direct), id_of(&via_clique));
+}
+
+/// Opt-in: a faithful build at 10⁴ nodes, whose hopset schedule has 14
+/// levels and whose hop-bounded rows span a 10⁴-node union. No clique build
+/// is feasible here, so the payload checksum is pinned instead, at one and
+/// two worker threads.
+#[test]
+#[ignore = "about 20 s in release for both thread counts; run with --ignored"]
+fn a_faithful_ten_thousand_node_build_keeps_its_payload() {
+    use congested_clique::oracle::serde;
+    let g = generators::road_like(100, 100, 30, 42).unwrap();
+    for threads in [1, 2] {
+        let oracle = DirectBuilder::new().epsilon(0.25).seed(7).threads(threads).build(&g).unwrap();
+        let checksum = format!("{:016x}", serde::payload_checksum(&oracle));
+        assert_eq!(checksum, "c46f33517ce546f1", "threads={threads}");
+        let bound = oracle.stretch_bound();
+        assert!(bound <= 3.0 + 2.0 * 0.25 + 1e-12, "certified {bound}");
+    }
 }
