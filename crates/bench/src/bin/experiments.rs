@@ -305,48 +305,45 @@ fn e6() {
     );
 }
 
-/// E7 — Theorem 25: hopsets — size, construction rounds, measured stretch.
+/// E7 — Theorem 25: hopsets — the resolved schedule, size, construction
+/// rounds, measured stretch.
 fn e7() {
     println!("### E7 — Theorem 25: (beta, eps)-hopsets\n");
     let mut table = Table::new(&[
         "n",
         "eps",
-        "config",
+        "k",
         "beta",
+        "exploration",
+        "levels",
         "edges",
         "n^1.5·log n",
         "build rounds",
         "measured stretch",
         "guarantee 1+eps",
     ]);
-    for &(n, eps) in &[(64usize, 0.5), (128, 0.5), (128, 1.0)] {
+    for &(n, eps) in &[(64usize, 0.5), (128, 0.5), (128, 1.0), (256, 4.0)] {
         let g = generators::gnp_weighted(n, 4.0 / n as f64, 50, 7).expect("graph");
-        for (label, cfg) in [
-            ("paper", HopsetConfig::new(eps)),
-            ("tuned", {
-                let mut c = HopsetConfig::new(eps);
-                c.beta = Some(8);
-                c.exploration_hops = Some(16);
-                c.levels = Some((n as f64).log2().ceil() as usize);
-                c
-            }),
-        ] {
-            let mut clique = Clique::new(n);
-            let h = build_hopset(&mut clique, &g, cfg).expect("hopset");
-            let stretch = h.measure_stretch(&g);
-            let bound = ((n as f64).powf(1.5) * (n as f64).log2()) as u64;
-            table.row(vec![
-                n.to_string(),
-                eps.to_string(),
-                label.to_string(),
-                h.beta.to_string(),
-                h.edges.len().to_string(),
-                bound.to_string(),
-                clique.rounds().to_string(),
-                format!("{stretch:.3}"),
-                format!("{:.2}", 1.0 + eps),
-            ]);
-        }
+        let config = HopsetConfig::new(eps);
+        let s = config.schedule(n);
+        let mut clique = Clique::new(n);
+        let h = build_hopset(&mut clique, &g, config).expect("hopset");
+        let stretch = h.measure_stretch(&g);
+        assert!(stretch <= 1.0 + eps + 1e-9, "n = {n}: stretch {stretch} > 1+{eps}");
+        let bound = ((n as f64).powf(1.5) * (n as f64).log2()) as u64;
+        table.row(vec![
+            n.to_string(),
+            eps.to_string(),
+            s.k.to_string(),
+            h.beta.to_string(),
+            s.exploration.to_string(),
+            s.levels.to_string(),
+            h.edges.len().to_string(),
+            bound.to_string(),
+            clique.rounds().to_string(),
+            format!("{stretch:.3}"),
+            format!("{:.2}", 1.0 + eps),
+        ]);
     }
     table.print();
 }

@@ -27,7 +27,7 @@ use cc_clique::Clique;
 use cc_graph::Graph;
 use cc_matrix::SparseRow;
 
-use crate::error::invalid;
+use crate::error::{check_size, invalid};
 use crate::DistanceError;
 
 /// A hitting set over the clique's node ids.
@@ -80,16 +80,10 @@ impl HittingSet {
         k: usize,
         seed: u64,
     ) -> Result<HittingSet, DistanceError> {
-        let sets: Vec<Vec<usize>> = (0..graph.n())
-            .map(|v| {
-                if graph.degree(v) >= k {
-                    graph.neighbors(v).iter().map(|&(u, _)| u).collect()
-                } else {
-                    Vec::new() // below threshold: nothing to hit
-                }
-            })
-            .collect();
-        hitting_set(clique, &sets, k, seed)
+        check_size(clique, graph.n())?;
+        // A node below the threshold has nothing to hit: its set is empty.
+        let high = |v: usize| graph.neighbors(v).iter().filter(move |_| graph.degree(v) >= k);
+        hitting_set_of(clique, |v| high(v).map(|&(u, _)| u), k, seed)
     }
 }
 
@@ -143,8 +137,26 @@ pub fn hitting_set(
     if sets.len() != n {
         return Err(invalid(format!("sets has length {} but clique has {n}", sets.len())));
     }
+    hitting_set_of(clique, |v| sets[v].iter().copied(), k, seed)
+}
 
-    let (hs, repair) = hitting_set_local(sets, k, seed)?;
+/// [`hitting_set`] over the family `members(v)`, `v ∈ 0..n`, read in place:
+/// a caller that holds its sets in another shape (the `k`-nearest rows of
+/// Theorem 18) hands them over without copying them. Same members, same
+/// rounds.
+///
+/// # Errors
+///
+/// [`DistanceError::InvalidParameter`] if a set references out-of-range
+/// nodes or `k == 0`.
+pub fn hitting_set_of<I: IntoIterator<Item = usize>>(
+    clique: &mut Clique,
+    members: impl Fn(usize) -> I,
+    k: usize,
+    seed: u64,
+) -> Result<HittingSet, DistanceError> {
+    let n = clique.n();
+    let (hs, repair) = hitting_set_local(n, members, k, seed)?;
     if sampling_probability(n, k) >= 1.0 {
         // Every node is a member: the set is `V`, known from `n` and `k`.
         return Ok(hs);
@@ -165,10 +177,13 @@ fn sampling_probability(n: usize, k: usize) -> f64 {
 }
 
 /// The purely local kernel of [`hitting_set`]: seeded membership plus the
-/// repair pass, with no clique and no round accounting. Returns the set
-/// together with the per-node repair words the clique wrapper broadcasts
-/// where `k > 2·ln n` (`u64::MAX` = "already hit, nothing to promote"; every
-/// word is that where `k ≤ 2·ln n`, since every node is a member).
+/// repair pass over the family `members(v)`, `v ∈ 0..n`, with no clique and
+/// no round accounting. `members` is read in place, once to check every id
+/// and once to repair, so the sets need not be copied into one shape.
+/// Returns the set together with the per-node repair words the clique
+/// wrapper broadcasts where `k > 2·ln n` (`u64::MAX` = "already hit,
+/// nothing to promote"; every word is that where `k ≤ 2·ln n`, since every
+/// node is a member).
 ///
 /// [`hitting_set`] delegates here, so a direct (no-clique) builder that
 /// calls this picks the **same members** as a simulated-clique build —
@@ -178,17 +193,17 @@ fn sampling_probability(n: usize, k: usize) -> f64 {
 ///
 /// [`DistanceError::InvalidParameter`] if a set references out-of-range
 /// nodes or `k == 0`.
-pub fn hitting_set_local(
-    sets: &[Vec<usize>],
+pub fn hitting_set_local<I: IntoIterator<Item = usize>>(
+    n: usize,
+    members: impl Fn(usize) -> I,
     k: usize,
     seed: u64,
 ) -> Result<(HittingSet, Vec<u64>), DistanceError> {
-    let n = sets.len();
     if k == 0 {
         return Err(invalid("hitting set needs k >= 1"));
     }
-    for (v, set) in sets.iter().enumerate() {
-        if let Some(&w) = set.iter().find(|&&w| w >= n) {
+    for v in 0..n {
+        if let Some(w) = members(v).into_iter().find(|&w| w >= n) {
             return Err(invalid(format!("node {v} references member {w} outside 0..{n}")));
         }
     }
@@ -200,16 +215,19 @@ pub fn hitting_set_local(
         .collect();
 
     // Local verification; un-hit nodes promote their smallest member.
-    // `NO_REPAIR` marks an already-hit set in the packed repair word (node
-    // ids are `< n`, so it cannot collide).
+    // `NO_REPAIR` marks an already-hit (or empty) set in the packed repair
+    // word (node ids are `< n`, so it cannot collide).
     const NO_REPAIR: u64 = u64::MAX;
     let repair: Vec<u64> = (0..n)
         .map(|v| {
-            if sets[v].is_empty() || sets[v].iter().any(|&w| in_set[w]) {
-                NO_REPAIR
-            } else {
-                *sets[v].iter().min().expect("nonempty") as u64
+            let mut smallest = NO_REPAIR;
+            for w in members(v) {
+                if in_set[w] {
+                    return NO_REPAIR;
+                }
+                smallest = smallest.min(w as u64);
             }
+            smallest
         })
         .collect();
     for &r in &repair {
@@ -296,9 +314,43 @@ mod tests {
             let sets = random_sets(48, 6, seed);
             let mut clique = Clique::new(48);
             let in_clique = hitting_set(&mut clique, &sets, 6, seed ^ 0xabc).unwrap();
-            let (local, _) = hitting_set_local(&sets, 6, seed ^ 0xabc).unwrap();
+            let (local, _) =
+                hitting_set_local(48, |v| sets[v].iter().copied(), 6, seed ^ 0xabc).unwrap();
             assert_eq!(in_clique, local);
         }
+    }
+
+    #[test]
+    fn the_closure_form_reads_any_shape_of_the_same_family() {
+        // Random families with every few sets emptied, on both sides of
+        // k = 2·ln 64 ≈ 8.3: the sets handed over as slices, and in place
+        // as windows of one flat list, give the same members.
+        for seed in 0..6u64 {
+            let (n, k) = (64, [4, 12][seed as usize % 2]);
+            let mut sets = random_sets(n, k, seed);
+            for v in (0..n).step_by(3 + seed as usize) {
+                sets[v].clear();
+            }
+            let flat = sets.concat();
+            let ends: Vec<usize> = sets
+                .iter()
+                .scan(0, |end, set| Some(std::mem::replace(end, *end + set.len())))
+                .collect();
+            let window = |v: usize| flat[ends[v]..ends[v] + sets[v].len()].iter().copied();
+            let via_slices = hitting_set(&mut Clique::new(n), &sets, k, seed).unwrap();
+            let (in_place, repair) = hitting_set_local(n, window, k, seed).unwrap();
+            assert_eq!(in_place, via_slices, "seed {seed}");
+            assert_eq!(hitting_set_of(&mut Clique::new(n), window, k, seed).unwrap(), via_slices);
+            for (v, set) in sets.iter().enumerate() {
+                assert!(set.is_empty() || set.iter().any(|&w| in_place.contains(w)));
+                if set.is_empty() {
+                    assert_eq!(repair[v], u64::MAX, "an empty set promotes nothing");
+                }
+            }
+        }
+        let err = hitting_set_local(4, |v| if v == 2 { vec![1, 7] } else { vec![v] }, 2, 0);
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("node 2") && err.contains("member 7"), "{err}");
     }
 
     #[test]
@@ -346,7 +398,7 @@ mod tests {
                 let sets = random_sets(n, k, n as u64);
                 let mut clique = Clique::new(n);
                 let hs = hitting_set(&mut clique, &sets, k, 17).unwrap();
-                let (local, _) = hitting_set_local(&sets, k, 17).unwrap();
+                let (local, _) = hitting_set_local(n, |v| sets[v].iter().copied(), k, 17).unwrap();
                 assert_eq!(hs, local, "n = {n}, k = {k}");
                 let charged = clique.report().phases.keys().any(|l| l.starts_with("hitting_set"));
                 if k == below {

@@ -20,7 +20,9 @@
 //!   plus a one-round repair step; the round cost `O((log log n)³)` of the
 //!   cited construction \[PY18\] is charged explicitly where `k > 2·ln n`,
 //!   as [`hitting_set`] states; where `k ≤ 2·ln n` the set is `V`, known
-//!   from `n` and `k`, and costs nothing).
+//!   from `n` and `k`, and costs nothing). [`hitting_set_of`] and the
+//!   clique-free kernel [`hitting_set_local`] read each node's set in place
+//!   through a closure, so `k`-nearest rows are hit without a copy.
 //!
 //! The tools that repeat a product stop when the iterate stops changing,
 //! after at most the theorem's number of products. `k_nearest`'s squarings
@@ -56,7 +58,7 @@ mod through_sets;
 mod witness;
 
 pub use error::{check_epsilon, check_size, DistanceError};
-pub use hitting::{hitting_set, hitting_set_local, HittingSet};
+pub use hitting::{hitting_set, hitting_set_local, hitting_set_of, HittingSet};
 pub use knearest::k_nearest;
 pub use source_detection::{source_detection_all, source_detection_k};
 pub use through_sets::distance_through_sets;

@@ -33,7 +33,6 @@ use crate::{DiGraph, GraphError};
 pub struct Graph {
     digraph: DiGraph,
     m: usize,
-    max_weight: u64,
 }
 
 impl Deref for Graph {
@@ -47,7 +46,7 @@ impl Deref for Graph {
 impl Graph {
     /// An edgeless graph on `n` nodes.
     pub fn empty(n: usize) -> Self {
-        Graph { digraph: DiGraph::empty(n), m: 0, max_weight: 0 }
+        Graph { digraph: DiGraph::empty(n), m: 0 }
     }
 
     /// Builds a graph from weighted edges `(u, v, w)`.
@@ -93,7 +92,6 @@ impl Graph {
             self.m += 1;
         }
         self.digraph.add_arc(v, u, w)?;
-        self.max_weight = self.max_weight.max(w);
         Ok(())
     }
 
@@ -102,9 +100,11 @@ impl Graph {
         self.m
     }
 
-    /// Largest edge weight (0 for an edgeless graph).
+    /// The heaviest edge the graph holds (0 for an edgeless graph): a
+    /// parallel edge that lost to a lighter one does not count. One pass
+    /// over the arcs.
     pub fn max_weight(&self) -> u64 {
-        self.max_weight
+        self.arcs().map(|(_, _, w)| w).max().unwrap_or(0)
     }
 
     /// Degree of `v`.
@@ -175,9 +175,20 @@ mod tests {
         assert_eq!(g.weight(0, 1), Some(2)); // parallel edge keeps min
         assert_eq!(g.weight(1, 0), Some(2));
         assert_eq!(g.weight(0, 3), None);
-        assert_eq!(g.max_weight(), 3);
+        assert_eq!(g.max_weight(), 2); // the weight-3 duplicate is not held
         assert!(!g.has_edge(0, 2));
         assert_eq!(g.neighbors(1), &[(0, 2), (2, 1)]);
+    }
+
+    #[test]
+    fn max_weight_is_the_heaviest_edge_held() {
+        let mut g = Graph::from_edges(3, [(0, 1, 5)]).unwrap();
+        g.add_edge(0, 1, 9).unwrap();
+        assert_eq!((g.weight(0, 1), g.max_weight()), (Some(5), 5));
+        g.add_edge(1, 2, 7).unwrap();
+        g.add_edge(1, 2, 2).unwrap();
+        assert_eq!((g.weight(1, 2), g.max_weight()), (Some(2), 5));
+        assert_eq!(Graph::empty(2).max_weight(), 0);
     }
 
     #[test]

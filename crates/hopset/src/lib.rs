@@ -28,6 +28,13 @@
 //! *size*, everything here runs in `O(log² n / ε)` rounds (Claim 22): the
 //! paper's headline structural insight.
 //!
+//! The recipe is written down once. [`HopsetConfig`] holds only `ε`, and
+//! its [`schedule`](HopsetConfig::schedule) is a closed form of `(n, ε)`.
+//! [`Growth`] is steps 2 and 3's rule for growing `G ∪ H`: [`build_hopset`]
+//! feeds it the clique's distances, and `cc-oracle`'s direct builder feeds
+//! it those of sequential searches, so the two grow the same union arc for
+//! arc.
+//!
 //! Unsafe code is forbidden (`#![forbid(unsafe_code)]`), as across the
 //! whole workspace.
 
@@ -40,49 +47,43 @@
 use cc_clique::Clique;
 use cc_distance::fixpoint::iterate_to_fixpoint;
 use cc_distance::{
-    check_epsilon, check_size, hitting_set, k_nearest, source_detection_all, DistanceError,
+    check_epsilon, check_size, hitting_set_of, k_nearest, source_detection_all, DistanceError,
     HittingSet,
 };
 use cc_graph::Graph;
-use cc_matrix::{AugDist, SparseRow};
+use cc_matrix::{AugDist, Dist, SparseRow};
 
 /// Seed of the Lemma 4 hitting set `A1` that every hopset construction
 /// draws: [`build_hopset`] and `cc-oracle`'s direct builder read it, so the
 /// two pick the same set.
 pub const HITTING_SET_SEED: u64 = 0x5eed;
 
-/// Tuning knobs for the hopset construction.
-///
-/// The defaults follow the paper's parameters (`β = Θ(log n/ε)`,
-/// `exploration = 4β` hops, `log n` levels). The overrides exist for the
-/// ablation experiments: theory constants are astronomically conservative
-/// at benchmarkable `n`, and the experiments quantify how far `β` and the
-/// exploration radius can be cut while the measured stretch stays within
-/// `1 + ε` (experiment E7 in the output of
-/// `cargo run -p cc-bench --bin experiments`).
+/// The hopset's one parameter: the target stretch `ε`. Everything else —
+/// ball size, hop bound, exploration radius and level count — follows from
+/// `ε` and `n` ([`HopsetConfig::schedule`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopsetConfig {
     /// Target stretch `ε` (`0 < ε`); the hopset guarantees `(1+ε)`.
     pub epsilon: f64,
-    /// Override for the hop bound `β` (default `⌈3·log₂ n / ε⌉`, capped at
-    /// `n`).
-    pub beta: Option<usize>,
-    /// Override for the per-level exploration radius (default
-    /// `min(4β, n)` hops).
-    pub exploration_hops: Option<usize>,
-    /// Override for the number of levels (default `⌈log₂ n⌉`).
-    pub levels: Option<usize>,
 }
 
 impl HopsetConfig {
-    /// Paper-faithful defaults for a given `ε`.
+    /// The configuration for a given `ε`.
     pub fn new(epsilon: f64) -> Self {
-        HopsetConfig { epsilon, beta: None, exploration_hops: None, levels: None }
+        HopsetConfig { epsilon }
     }
 
-    /// Resolves the config against a concrete graph size: the ball size of
-    /// step 1, the hop bound `β`, the per-level exploration radius, and the
-    /// level count, with every default/override/collapse rule applied.
+    /// Resolves the schedule for a graph of `n ≥ 1` nodes: the ball size
+    /// `k = ⌈√n·log₂ n⌉` of step 1, the hop bound `β = ⌈3·log₂ n / ε⌉`
+    /// (at least 2, at most `n`), and `⌈log₂ n⌉` levels of `4β`-hop
+    /// explorations.
+    ///
+    /// The iterative schedule costs at most `levels·4β` hop-steps (levels
+    /// and hop loops both end early at a fixpoint). Where that budget
+    /// reaches `n`, a *single* level with exploration `n` is both cheaper
+    /// and stronger (it learns the exact `A₁`-to-`A₁` distances), so the
+    /// schedule collapses to it; the theory schedule runs only once
+    /// `n > 4β·⌈log₂ n⌉`.
     ///
     /// This is the **single source of truth** for the schedule — both the
     /// clique construction ([`build_hopset`]) and `cc-oracle`'s direct
@@ -91,28 +92,10 @@ impl HopsetConfig {
     pub fn schedule(&self, n: usize) -> HopsetSchedule {
         let log_n = (n.max(2) as f64).log2();
         let k = (((n as f64).sqrt() * log_n).ceil() as usize).clamp(1, n);
-        let beta = self
-            .beta
-            .unwrap_or(((3.0 * log_n / self.epsilon).ceil() as usize).max(2))
-            .min(n)
-            .max(2.min(n));
-        let mut exploration = self.exploration_hops.unwrap_or((4 * beta).min(n)).clamp(1, n);
-        // The iterative schedule costs at most (log n)·4β hop-steps (levels
-        // and hop loops both end early at a fixpoint). Whenever that budget
-        // reaches n, a *single* level with exploration n is both
-        // cheaper and stronger (it learns the exact A1-to-A1 distances); the
-        // theory schedule only pays off once n ≫ 4β·log n — the asymptotic
-        // regime.
-        let theory_levels = (log_n.ceil() as usize).max(1);
-        let default_levels = if theory_levels.saturating_mul(exploration) >= n {
-            if self.exploration_hops.is_none() {
-                exploration = n;
-            }
-            1
-        } else {
-            theory_levels
-        };
-        let levels = self.levels.unwrap_or(default_levels).max(1);
+        let beta = ((3.0 * log_n / self.epsilon).ceil() as usize).max(2).min(n);
+        let levels = (log_n.ceil() as usize).max(1);
+        let (exploration, levels) =
+            if levels.saturating_mul(4 * beta) >= n { (n, 1) } else { (4 * beta, levels) };
         HopsetSchedule { k, beta, exploration, levels }
     }
 }
@@ -131,20 +114,13 @@ pub struct HopsetSchedule {
     pub levels: usize,
 }
 
-/// A constructed `(β, ε)`-hopset, together with the artefacts the
-/// shortest-path algorithms reuse.
+/// A constructed `(β, ε)`-hopset.
 #[derive(Debug, Clone)]
 pub struct Hopset {
-    /// The hopset edges `(u, v, w)`.
+    /// The hopset edges `(u, v, w)`, in the order they landed.
     pub edges: Vec<(usize, usize, u64)>,
     /// The hop bound `β` for which the `(1+ε)` guarantee is claimed.
     pub beta: usize,
-    /// The stretch parameter `ε`.
-    pub epsilon: f64,
-    /// The hitting set `A₁` (reused by MSSP/APSP as a landmark set).
-    pub a1: HittingSet,
-    /// Number of bunch edges (`H⁰`) among [`Hopset::edges`].
-    pub bunch_edges: usize,
 }
 
 impl Hopset {
@@ -186,25 +162,84 @@ impl Hopset {
     }
 }
 
-/// Step 2's bunch of node `v`, `B(v) = {u ∈ N_k(v) : d(v,u) < d(v, A₁)} ∪
-/// {p(v)}`, as `(u, d(v, u))` edges leaving `v` (itself excluded). `ball`
-/// is `N_k(v)` as [`cc_distance::k_nearest`] returns it and `p(v)` is its
-/// closest `A₁` member. Empty when `v ∈ A₁`, and when the ball holds no
-/// `A₁` member (an isolated node).
-///
-/// The one bunch rule: [`build_hopset`] adds these edges, and so does
-/// `cc-oracle`'s direct builder when it re-runs the construction.
-pub fn bunch<'a>(
-    a1: &'a HittingSet,
-    v: usize,
-    ball: &'a SparseRow<AugDist>,
-) -> impl Iterator<Item = (usize, u64)> + 'a {
-    let hub = if a1.contains(v) { None } else { a1.closest_in_row(ball) };
-    hub.into_iter().flat_map(move |(p, pd)| {
-        ball.iter()
-            .filter(move |&(u, a)| (*a < pd || u as usize == p) && u as usize != v)
-            .map(|(u, a)| (u as usize, a.dist))
-    })
+/// `G ∪ H` as Theorem 25 grows it: the bunches of step 2, then one batch
+/// of `A₁ × A₁` edges per level of step 3. An edge lands only where it is
+/// lighter than what the union already holds — the one rule both
+/// constructions apply: [`build_hopset`] on the clique, and `cc-oracle`'s
+/// direct builder on sequential searches. Each supplies only the distances
+/// its own substrate computes.
+#[derive(Debug, Clone)]
+pub struct Growth {
+    /// `G` with every edge of `edges` landed on it.
+    union: Graph,
+    /// The edges that landed, in order: the hopset `H`.
+    edges: Vec<(usize, usize, u64)>,
+}
+
+impl Growth {
+    /// Starts from `G` with no hopset edge.
+    pub fn new(graph: &Graph) -> Self {
+        Growth { union: graph.clone(), edges: Vec::new() }
+    }
+
+    /// `G ∪ H` so far.
+    pub fn union(&self) -> &Graph {
+        &self.union
+    }
+
+    /// `G ∪ H` and the edges of `H`, in the order they landed.
+    pub fn into_parts(self) -> (Graph, Vec<(usize, usize, u64)>) {
+        (self.union, self.edges)
+    }
+
+    /// Lands `{u, v}` with weight `w` if it is lighter than the union's
+    /// edge (or there is none); returns whether it landed.
+    fn land(&mut self, u: usize, v: usize, w: u64) -> bool {
+        let lighter = u != v && w < self.union.weight(u, v).unwrap_or(Dist::INF.raw());
+        if lighter {
+            self.union.add_edge(u, v, w).expect("hopset edges join nodes of the graph");
+            self.edges.push((u, v, w));
+        }
+        lighter
+    }
+
+    /// Step 2: every `v ∉ A₁` adds its bunch `B(v) = {u ∈ N_k(v) : d(v,u)
+    /// < d(v, A₁)} ∪ {p(v)}` with exact weights, where `near[v]` is `N_k(v)`
+    /// as [`cc_distance::k_nearest`] returns it and `p(v)` its closest `A₁`
+    /// member. A ball that holds no `A₁` member (an isolated node) adds
+    /// nothing.
+    pub fn add_bunches(&mut self, a1: &HittingSet, near: &[SparseRow<AugDist>]) {
+        for (v, ball) in near.iter().enumerate() {
+            let hub = if a1.contains(v) { None } else { a1.closest_in_row(ball) };
+            let Some((p, pd)) = hub else { continue };
+            for (u, a) in ball.iter() {
+                if *a < pd || u as usize == p {
+                    self.land(v, u as usize, a.dist);
+                }
+            }
+        }
+    }
+
+    /// One level of step 3: `rows` yields, for each member `v` of `A₁` in
+    /// order, the pairs `(u, d(v, u))` that level's exploration found, and
+    /// every `A₁ × A₁` pair among them lands by the one rule. Returns how
+    /// many edges landed at each node; a level where none did leaves the
+    /// union as it found it, so every later level would repeat it.
+    pub fn add_level<R: IntoIterator<Item = (usize, u64)>>(
+        &mut self,
+        a1: &HittingSet,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Vec<usize> {
+        let mut landed = vec![0; self.union.n()];
+        for (&v, row) in a1.members.iter().zip(rows) {
+            for (u, w) in row {
+                if a1.contains(u) && self.land(v, u, w) {
+                    landed[v] += 1;
+                }
+            }
+        }
+        landed
+    }
 }
 
 /// **Theorem 25**: builds a `(β, ε)`-hopset with `O(n^{3/2} log n)` edges
@@ -244,55 +279,30 @@ pub fn build_hopset(
     clique.with_phase("hopset", |clique| {
         // Step 1: k-nearest + hitting set A1.
         let near = k_nearest(clique, graph, k)?;
-        let sets: Vec<Vec<usize>> =
-            near.iter().map(|row| row.iter().map(|(c, _)| c as usize).collect()).collect();
-        let a1 = hitting_set(clique, &sets, k, HITTING_SET_SEED)?;
+        let ids = |v: usize| near[v].iter().map(|(c, _)| c as usize);
+        let a1 = hitting_set_of(clique, ids, k, HITTING_SET_SEED)?;
 
-        // Step 2: bunches B(v) with exact weights (already known locally
-        // from the k-nearest output) — the edge set H0.
-        let mut union = graph.clone();
-        let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-        let add_edge = |union: &mut Graph, edges: &mut Vec<_>, u: usize, v: usize, w: u64| {
-            if u != v {
-                let better = union.weight(u, v).is_none_or(|old| w < old);
-                if better {
-                    union.add_edge(u, v, w).expect("valid nodes");
-                    edges.push((u, v, w));
-                }
-            }
-        };
-        for v in 0..n {
-            for (u, w) in bunch(&a1, v, &near[v]) {
-                add_edge(&mut union, &mut edges, v, u, w);
-            }
-        }
-        let bunch_edges = edges.len();
+        // Step 2: bunches B(v), known locally from the k-nearest output.
+        let mut growth = Growth::new(graph);
+        growth.add_bunches(&a1, &near);
 
         // Step 3: iterative levels — A1-to-A1 edges from bounded
-        // explorations in G ∪ H^{l-1}. A level that adds no edge leaves the
-        // union as it found it, so every later level would repeat it: the
-        // iterate is each node's count of edges added so far.
+        // explorations in G ∪ H^{l-1}. The iterate is each node's count of
+        // edges landed so far, so the loop stops after the first level that
+        // lands none.
         let mut level = 0;
-        iterate_to_fixpoint(clique, vec![0usize; n], levels, |clique, added| {
+        iterate_to_fixpoint(clique, vec![0usize; n], levels, |clique, held| {
             let rows = clique.with_phase(&format!("level{level}"), |clique| {
-                source_detection_all(clique, &union, &a1.members, exploration)
+                source_detection_all(clique, growth.union(), &a1.members, exploration)
             })?;
             level += 1;
-            let mut added = added.to_vec();
-            for &v in &a1.members {
-                let before = edges.len();
-                for (u, a) in rows[v].iter() {
-                    let u = u as usize;
-                    if a1.contains(u) && u != v {
-                        add_edge(&mut union, &mut edges, v, u, a.dist);
-                    }
-                }
-                added[v] += edges.len() - before;
-            }
-            Ok::<_, DistanceError>(added)
+            let rows =
+                a1.members.iter().map(|&v| rows[v].iter().map(|(u, a)| (u as usize, a.dist)));
+            let landed = growth.add_level(&a1, rows);
+            Ok::<_, DistanceError>(held.iter().zip(landed).map(|(h, l)| h + l).collect())
         })?;
 
-        Ok(Hopset { edges, beta, epsilon: config.epsilon, a1, bunch_edges })
+        Ok(Hopset { edges: growth.into_parts().1, beta })
     })
 }
 
@@ -348,7 +358,6 @@ mod tests {
         let n = 64f64;
         let bound = (4.0 * n.powf(1.5) * n.log2()) as usize;
         assert!(h.edges.len() <= bound, "{} edges > bound {bound}", h.edges.len());
-        assert!(h.bunch_edges <= h.edges.len());
     }
 
     #[test]
@@ -357,24 +366,6 @@ mod tests {
         let mut clique = Clique::new(16);
         let h = build_hopset(&mut clique, &g, HopsetConfig::new(0.5)).unwrap();
         assert!(h.measure_stretch(&g).is_finite());
-    }
-
-    #[test]
-    fn beta_override_trades_stretch_for_rounds() {
-        let g = generators::path(32).unwrap();
-        let mut c_small = Clique::new(32);
-        let mut cfg = HopsetConfig::new(0.5);
-        cfg.beta = Some(4);
-        cfg.exploration_hops = Some(8);
-        cfg.levels = Some(1);
-        let h_small = build_hopset(&mut c_small, &g, cfg).unwrap();
-        let mut c_big = Clique::new(32);
-        let h_big = build_hopset(&mut c_big, &g, HopsetConfig::new(0.5)).unwrap();
-        assert!(c_small.rounds() < c_big.rounds());
-        // The small config claims beta=4; its stretch may be worse but must
-        // still be finite if exploration found the shortcuts.
-        let _ = h_small.measure_stretch(&g);
-        assert!(h_big.measure_stretch(&g) <= 1.5 + 1e-9);
     }
 
     #[test]
@@ -395,13 +386,102 @@ mod tests {
         // ...while the asymptotic regime keeps the theory schedule.
         let big = HopsetConfig::new(0.25).schedule(100_000);
         assert!(big.levels > 1, "large n should use the iterative schedule");
-        assert!(big.exploration < 100_000);
-        // Overrides pass through untouched (modulo clamping).
-        let mut cfg = HopsetConfig::new(0.5);
-        cfg.beta = Some(4);
-        cfg.exploration_hops = Some(8);
-        cfg.levels = Some(3);
-        let s = cfg.schedule(64);
-        assert_eq!((s.beta, s.exploration, s.levels), (4, 8, 3));
+        assert_eq!(big.exploration, 4 * big.beta);
+    }
+
+    #[test]
+    fn schedule_is_the_closed_form_on_both_sides_of_the_collapse() {
+        // `[k, β, exploration, levels]` per n, as the schedule resolved
+        // when it still took override knobs (all unset).
+        let ns = [1, 2, 3, 64, 512, 10_000, 100_000, 1_000_000];
+        let pinned: [(f64, [[usize; 4]; 8]); 4] = [
+            (
+                0.25,
+                [
+                    [1, 1, 1, 1],
+                    [2, 2, 2, 1],
+                    [3, 3, 3, 1],
+                    [48, 64, 64, 1],
+                    [204, 108, 512, 1],
+                    [1329, 160, 640, 14],
+                    [5253, 200, 800, 17],
+                    [19932, 240, 960, 20],
+                ],
+            ),
+            (
+                0.5,
+                [
+                    [1, 1, 1, 1],
+                    [2, 2, 2, 1],
+                    [3, 3, 3, 1],
+                    [48, 36, 64, 1],
+                    [204, 54, 512, 1],
+                    [1329, 80, 320, 14],
+                    [5253, 100, 400, 17],
+                    [19932, 120, 480, 20],
+                ],
+            ),
+            (
+                1.0,
+                [
+                    [1, 1, 1, 1],
+                    [2, 2, 2, 1],
+                    [3, 3, 3, 1],
+                    [48, 18, 64, 1],
+                    [204, 27, 512, 1],
+                    [1329, 40, 160, 14],
+                    [5253, 50, 200, 17],
+                    [19932, 60, 240, 20],
+                ],
+            ),
+            (
+                4.0,
+                [
+                    [1, 1, 1, 1],
+                    [2, 2, 2, 1],
+                    [3, 2, 3, 1],
+                    [48, 5, 64, 1],
+                    [204, 7, 28, 9],
+                    [1329, 10, 40, 14],
+                    [5253, 13, 52, 17],
+                    [19932, 15, 60, 20],
+                ],
+            ),
+        ];
+        let (mut collapsed, mut iterative) = (0, 0);
+        for (epsilon, rows) in pinned {
+            for (n, [k, beta, exploration, levels]) in ns.into_iter().zip(rows) {
+                let s = HopsetConfig::new(epsilon).schedule(n);
+                let want = HopsetSchedule { k, beta, exploration, levels };
+                assert_eq!(s, want, "n = {n}, ε = {epsilon}");
+                // The collapse rule: one exploration-n level exactly where
+                // the theory budget ⌈log₂ n⌉·4β reaches n.
+                let theory_levels = ((n.max(2) as f64).log2().ceil() as usize).max(1);
+                if theory_levels * 4 * beta >= n {
+                    assert_eq!((exploration, levels), (n, 1), "n = {n}, ε = {epsilon}");
+                    collapsed += 1;
+                } else {
+                    assert_eq!((exploration, levels), (4 * beta, theory_levels));
+                    iterative += 1;
+                }
+            }
+        }
+        assert!(collapsed > 0 && iterative > 0, "{collapsed} collapsed, {iterative} iterative");
+    }
+
+    #[test]
+    fn the_growth_rule_lands_only_lighter_edges() {
+        let g = Graph::from_edges(4, [(0, 1, 5), (1, 2, 3)]).unwrap();
+        let a1 = HittingSet { members: vec![0, 1, 2], in_set: vec![true, true, true, false] };
+        let mut growth = Growth::new(&g);
+        // Row of 0: a heavier 0–1, a new 0–2 and a 0–3 to a non-member;
+        // row of 1: a lighter 1–0 and itself; row of 2: the 2–0 just added.
+        let rows = vec![vec![(1, 6), (2, 8), (3, 1)], vec![(0, 4), (1, 0)], vec![(0, 8)]];
+        assert_eq!(growth.add_level(&a1, rows), vec![1, 1, 0, 0]);
+        assert_eq!(growth.edges, vec![(0, 2, 8), (1, 0, 4)]);
+        assert_eq!((growth.union.weight(0, 1), growth.union.weight(0, 3)), (Some(4), None));
+        // The same level again lands nothing.
+        let rows = vec![vec![(1, 4), (2, 8)], vec![(0, 4)], vec![(0, 8)]];
+        assert_eq!(growth.add_level(&a1, rows), vec![0; 4]);
     }
 }

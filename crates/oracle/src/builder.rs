@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use cc_clique::Clique;
 use cc_core::mssp::mssp;
-use cc_distance::{check_epsilon, check_size, hitting_set, k_nearest, HittingSet};
+use cc_distance::{check_epsilon, check_size, hitting_set_of, k_nearest, HittingSet};
 use cc_graph::Graph;
 use cc_matrix::{AugDist, SparseRow};
 use cc_telemetry::BuildTrace;
@@ -22,10 +22,10 @@ pub(crate) fn default_k(n: usize) -> usize {
     ((n as f64) * (n.max(2) as f64).ln()).sqrt().ceil() as usize
 }
 
-/// The member ids of every `k`-nearest ball: the sets the landmarks must
-/// hit (Lemma 4).
-pub(crate) fn ball_members(near: &[SparseRow<AugDist>]) -> Vec<Vec<usize>> {
-    near.iter().map(|row| row.iter().map(|(c, _)| c as usize).collect()).collect()
+/// The member ids of a `k`-nearest ball, read in place: the sets the
+/// landmarks must hit (Lemma 4).
+pub(crate) fn ball_ids(ball: &SparseRow<AugDist>) -> impl Iterator<Item = usize> + '_ {
+    ball.iter().map(|(c, _)| c as usize)
 }
 
 /// The one extraction kernel, shared by every build: per-node balls in id
@@ -209,7 +209,7 @@ impl OracleBuilder {
         // Phase 2 — Lemma 4: a landmark set hitting every ball. Balls always
         // contain their own node, so every node gets a landmark in its ball.
         let (report, started) = (clique.report(), Instant::now());
-        let landmarks = hitting_set(clique, &ball_members(&near), k, self.seed)?;
+        let landmarks = hitting_set_of(clique, |v| ball_ids(&near[v]), k, self.seed)?;
         close_span(&mut trace, "hitting_set_landmarks", clique, &report, started);
 
         // Phase 3 — Theorem 3: (1+ε) distance columns from the landmarks.

@@ -30,17 +30,18 @@
 //!   distributed Theorem 18 tool is differentially pinned to, so the first
 //!   `k` settles *are* the ball, returned in that tool's row shape.
 //! * **landmarks** — [`cc_distance::hitting_set_local`], the exact kernel
-//!   the clique wrapper delegates to (Lemma 4's sampling + repair).
+//!   the clique wrapper delegates to (Lemma 4's sampling + repair), reading
+//!   each ball's ids in place.
 //! * **columns** — the hopset schedule comes from
 //!   [`HopsetConfig::schedule`], the single source of truth shared with
-//!   [`cc_hopset::build_hopset`], and the bunches from [`cc_hopset::bunch`],
-//!   the rule that construction applies; bunches and level edges fold into
-//!   a min-weight union exactly as the clique construction does (unions are
-//!   elementwise minima, so insertion order is irrelevant), and the level
-//!   loop stops where that construction's does, at the first level that
-//!   adds no lighter edge; hop-`β`-bounded distances are
-//!   [`Search::hop_bounded`] — pinned equal to `source_detection_all` by
-//!   that tool's differential tests.
+//!   [`cc_hopset::build_hopset`], and `G ∪ H` from [`Growth`], the one
+//!   growth rule that construction applies: bunches, then each level's
+//!   `A₁ × A₁` edges, an edge landing only where it is lighter. This module
+//!   supplies only the distances: each level's come from the column pass
+//!   against the union before that level, and the loop stops where the
+//!   clique's fixpoint does, at the first level where no edge lands.
+//!   Hop-`β`-bounded distances are [`Search::hop_bounded`] — pinned equal to
+//!   `source_detection_all` by that tool's differential tests.
 //! * **extraction** — `crate::builder::extract_artifact`, the one
 //!   extraction function, which the clique builder calls with the same
 //!   nearest-landmark rule on the same row shape.
@@ -69,11 +70,11 @@
 use cc_distance::{check_epsilon, hitting_set_local};
 use cc_graph::reference::Search;
 use cc_graph::Graph;
-use cc_hopset::{bunch, HopsetConfig, HopsetSchedule, HITTING_SET_SEED};
+use cc_hopset::{Growth, HopsetConfig, HopsetSchedule, HITTING_SET_SEED};
 use cc_matrix::{AugDist, Dist, SparseRow};
 use cc_telemetry::BuildTrace;
 
-use crate::builder::{ball_members, closest_hitter, default_k, extract_artifact};
+use crate::builder::{ball_ids, closest_hitter, default_k, extract_artifact};
 use crate::error::{invalid, rejected};
 use crate::oracle::BuildParams;
 use crate::{DistanceOracle, OracleError};
@@ -134,12 +135,9 @@ fn column_matrix(graph: &Graph, sources: &[usize], hops: usize, threads: usize) 
 }
 
 /// The direct re-run of [`cc_hopset::build_hopset`]: same schedule, same
-/// hitting set, same bunch rule, same level rule — producing the same
-/// min-weight union `G ∪ H` (and the `β` the columns are bounded by).
-///
-/// `Graph::add_edge` keeps the lighter weight on duplicates, so the union
-/// is an elementwise minimum and the clique path's insertion bookkeeping
-/// need not be replayed edge-for-edge.
+/// hitting set and the same [`Growth`] of `G ∪ H`, with each level's
+/// distances from the column pass — returning the union and the `β` the
+/// columns are bounded by.
 fn direct_union_with_hopset(
     graph: &Graph,
     epsilon: f64,
@@ -151,40 +149,25 @@ fn direct_union_with_hopset(
     // Step 1: k-nearest + hitting set A1 (the hopset's own k, not the
     // oracle's ball size).
     let near = balls(graph, k, threads);
-    let (a1, _repair) = hitting_set_local(&ball_members(&near), k, HITTING_SET_SEED)?;
+    let (a1, _repair) = hitting_set_local(graph.n(), |v| ball_ids(&near[v]), k, HITTING_SET_SEED)?;
 
-    // Step 2: every node's bunch.
-    let mut union = graph.clone();
-    for (v, ball) in near.iter().enumerate() {
-        for (u, w) in bunch(&a1, v, ball) {
-            union.add_edge(v, u, w).expect("ball nodes are in range");
-        }
-    }
+    // Step 2: every node's bunch; the balls are not needed after it.
+    let mut growth = Growth::new(graph);
+    growth.add_bunches(&a1, &near);
+    drop(near);
 
-    // Step 3: iterative levels — A1-to-A1 edges from bounded explorations
-    // in G ∪ H^{l-1}. Each level's columns are computed against the union
-    // *before* that level's edges land, mirroring the clique's
-    // snapshot-then-update order. A level that adds no lighter edge leaves
-    // the union as it found it, so every later level would repeat it: the
-    // clique construction stops there, and so does this loop.
+    // Step 3: each level's columns are computed against the union *before*
+    // that level's edges land, as the clique explores before it adds; the
+    // loop stops where that construction's does.
     let a = a1.len();
     for _level in 0..levels {
-        let columns = column_matrix(&union, &a1.members, exploration, threads);
-        let mut added = 0;
-        for (i, &s) in a1.members.iter().enumerate() {
-            for &t in &a1.members {
-                let dw = columns[t * a + i];
-                if t != s && dw < union.weight(s, t).unwrap_or(Dist::INF.raw()) {
-                    union.add_edge(s, t, dw).expect("members are in range");
-                    added += 1;
-                }
-            }
-        }
-        if added == 0 {
+        let columns = &column_matrix(growth.union(), &a1.members, exploration, threads);
+        let rows = (0..a).map(|i| a1.members.iter().map(move |&t| (t, columns[t * a + i])));
+        if growth.add_level(&a1, rows).iter().all(|&landed| landed == 0) {
             break;
         }
     }
-    Ok((union, beta))
+    Ok((growth.into_parts().0, beta))
 }
 
 /// Builds a [`DistanceOracle`] directly — no [`cc_clique::Clique`], no
@@ -335,7 +318,7 @@ impl DirectBuilder {
                 // Phase 2 — Lemma 4 landmark selection, via the exact local
                 // kernel the clique wrapper delegates to.
                 let (landmarks, _repair) = trace.time_local("hitting_set_landmarks", || {
-                    hitting_set_local(&ball_members(&near), k, self.seed)
+                    hitting_set_local(n, |v| ball_ids(&near[v]), k, self.seed)
                 })?;
                 // Phase 3 — Theorem 3 columns: hopset union, then
                 // hop-β-bounded distances from every landmark.
@@ -396,6 +379,7 @@ mod tests {
     use super::*;
     use cc_clique::Clique;
     use cc_graph::{generators, reference};
+    use cc_hopset::build_hopset;
 
     fn clique_build(g: &Graph, epsilon: f64, seed: u64) -> DistanceOracle {
         let mut clique = Clique::new(g.n());
@@ -408,6 +392,28 @@ mod tests {
         let direct = DirectBuilder::new().epsilon(0.5).seed(9).build(&g).unwrap();
         let clique = clique_build(&g, 0.5, 9);
         crate::testkit::assert_same_artifact(&direct, &clique);
+    }
+
+    #[test]
+    fn the_direct_union_is_the_clique_union_arc_for_arc() {
+        let mut cases = Vec::new();
+        for seed in [1, 29, 77] {
+            for (name, g) in generators::standard_suite(24, seed).unwrap() {
+                cases.extend([0.25, 0.5].map(|epsilon| (name.clone(), g.clone(), epsilon)));
+            }
+        }
+        // Two schedules with several levels (see `build_equivalence`).
+        cases.push(("path".into(), generators::path(256).unwrap(), 4.0));
+        cases.push(("grid".into(), generators::grid_weighted(8, 32, 20, 2).unwrap(), 6.0));
+        for (name, g, epsilon) in &cases {
+            let mut clique = Clique::new(g.n());
+            let hopset = build_hopset(&mut clique, g, HopsetConfig::new(*epsilon)).unwrap();
+            let (union, beta) = direct_union_with_hopset(g, *epsilon, 2).unwrap();
+            assert_eq!(beta, hopset.beta, "{name} at ε {epsilon}");
+            let clique_union = hopset.union_with(g);
+            let arcs = |graph: &Graph| graph.arcs().collect::<Vec<_>>();
+            assert_eq!(arcs(&union), arcs(&clique_union), "{name} at ε {epsilon}");
+        }
     }
 
     #[test]
